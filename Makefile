@@ -49,6 +49,7 @@ bench:
 # benchmarks still build and run, not a measurement.
 bench-quick:
 	$(GO) test -run '^$$' -bench 'PSI|PIQL|Fig1dInference' -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/xmltree/
 
 # The amortization benchmarks: group-committed WAL appends vs inline
 # fsync, batched vs per-item PSI kernels, and the pooled record encoder.
@@ -74,11 +75,17 @@ bench-baseline:
 	$(GO) run ./cmd/piye-bench -update-baseline bench/baseline.json
 
 # Short native-fuzzing runs over the untrusted-input decoders and the
-# ring invariants: WAL record decoding, the PIQL parser, the PSI wire
-# envelope and element decoders (both suites), and shard placement
+# ring invariants: WAL record decoding, the PIQL parser, the XML envelope
+# tokenizer (differentially against encoding/xml) and writer, the PSI
+# wire envelope and element decoders (both suites), and shard placement
 # under arbitrary membership churn. Raise FUZZTIME for longer hunts.
+# The xmltree targets cap minimization: their pooled buffers make
+# coverage vary run to run, and the default 60s of minimizing each
+# "new" input would eat the whole budget.
 FUZZTIME ?= 15s
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzParseDifferential -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/xmltree/
+	$(GO) test -run '^$$' -fuzz FuzzEncodeRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/xmltree/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) ./internal/durable/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/piql/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalElems -fuzztime $(FUZZTIME) ./internal/psi/

@@ -75,7 +75,9 @@ var (
 
 // --- XML documents ----------------------------------------------------------
 
-// XMLNode is one element of an XML document tree.
+// XMLNode is one element of an XML document tree. Its Attrs map is nil
+// until the first SetAttr: read it freely (a nil map reads as empty), but
+// write attributes with SetAttr, never n.Attrs[k] = v.
 type XMLNode = xmltree.Node
 
 // ParseXML parses one XML document.

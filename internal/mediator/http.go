@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -86,15 +85,9 @@ func IntegratedFromNode(n *xmltree.Node) (*Integrated, error) {
 func NewHandler(m *Mediator) http.Handler {
 	mux := http.NewServeMux()
 
-	writeNode := func(w http.ResponseWriter, n *xmltree.Node) {
-		w.Header().Set("Content-Type", "application/xml")
-		_ = n.Encode(w)
-	}
-
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		body, ok := source.ReadQueryBody(w, r)
+		if !ok {
 			return
 		}
 		requester := r.Header.Get("X-Requester")
@@ -131,11 +124,11 @@ func NewHandler(m *Mediator) http.Handler {
 			http.Error(w, err.Error(), http.StatusForbidden)
 			return
 		}
-		writeNode(w, IntegratedToNode(in))
+		source.WriteNode(w, IntegratedToNode(in))
 	})
 
 	mux.HandleFunc("GET /schema", func(w http.ResponseWriter, r *http.Request) {
-		writeNode(w, m.MediatedSchema().ToNode())
+		source.WriteNode(w, m.MediatedSchema().ToNode())
 	})
 
 	mux.HandleFunc("GET /history", func(w http.ResponseWriter, r *http.Request) {
@@ -150,7 +143,7 @@ func NewHandler(m *Mediator) http.Handler {
 			}
 			root.Append(item)
 		}
-		writeNode(w, root)
+		source.WriteNode(w, root)
 	})
 
 	mux.HandleFunc("GET /correspondences", func(w http.ResponseWriter, r *http.Request) {
@@ -161,7 +154,7 @@ func NewHandler(m *Mediator) http.Handler {
 				SetAttr("sourceB", c.SourceB).SetAttr("fieldB", c.FieldB).
 				SetAttr("score", strconv.FormatFloat(c.Score, 'g', 3, 64)))
 		}
-		writeNode(w, root)
+		source.WriteNode(w, root)
 	})
 
 	mux.HandleFunc("POST /refresh", func(w http.ResponseWriter, r *http.Request) {

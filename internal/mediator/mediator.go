@@ -9,7 +9,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -987,11 +989,14 @@ func parseAnswer(node *xmltree.Node) (*answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &answer{source: src, result: res}
-	if v, ok := node.Attr("estloss"); ok {
-		fmt.Sscanf(v, "%g", &a.estLoss)
+	// The loss estimate feeds the MAXLOSS control, so an answer whose
+	// estimate cannot be read is refused rather than counted as lossless.
+	v, _ := node.Attr("estloss")
+	loss, err := strconv.ParseFloat(v, 64)
+	if err != nil || math.IsNaN(loss) || loss < 0 || loss > 1 {
+		return nil, fmt.Errorf("mediator: answer from %s carries no usable loss estimate (estloss=%q)", src, v)
 	}
-	return a, nil
+	return &answer{source: src, result: res, estLoss: loss}, nil
 }
 
 // mergeAnswers unions result rows over the union of columns; cells a
@@ -1012,20 +1017,43 @@ func mergeAnswers(answers []*answer) *piql.Result {
 	for i, c := range cols {
 		idx[c] = i
 	}
+	total := 0
 	for _, a := range answers {
+		total += len(a.result.Rows)
+	}
+	out.Rows = piql.NewRows(total, len(cols))
+	n := 0
+	for _, a := range answers {
+		at := make([]int, len(a.result.Columns))
+		for i, c := range a.result.Columns {
+			at[i] = idx[c]
+		}
 		for _, row := range a.result.Rows {
-			nr := make([]string, len(cols))
-			for i, c := range a.result.Columns {
-				nr[idx[c]] = row[i]
+			nr := out.Rows[n]
+			n++
+			for i, j := range at {
+				nr[j] = row[i]
 			}
-			out.Rows = append(out.Rows, nr)
 		}
 	}
 	return out
 }
 
+// ownRows copies rows into a backing array of their own. The integrated
+// result outlives the request (warehouse entry, coalesced followers), and
+// the rows dedupe keeps are views into mergeAnswers' slab: retained as
+// they are, eight kept rows would pin the slab of all ~820 shipped.
+func ownRows(rows [][]string, width int) [][]string {
+	out := piql.NewRows(len(rows), width)
+	for i, r := range rows {
+		copy(out[i], r)
+	}
+	return out
+}
+
 // dedupe removes exact-duplicate rows always, and fuzzy duplicates on the
-// configured column via Bloom-encoded similarity.
+// configured column via Bloom-encoded similarity. The result owns its
+// rows (see ownRows).
 func (m *Mediator) dedupe(res *piql.Result) (*piql.Result, int, error) {
 	out := &piql.Result{Columns: res.Columns}
 	removed := 0
@@ -1051,6 +1079,7 @@ func (m *Mediator) dedupe(res *piql.Result) (*piql.Result, int, error) {
 		}
 	}
 	if m.cfg.DedupColumn == "" || col < 0 || len(m.cfg.LinkageSalt) == 0 {
+		out.Rows = ownRows(out.Rows, len(out.Columns))
 		return out, removed, nil
 	}
 	enc, err := linkage.NewEncoder(1000, 20, 2, m.cfg.LinkageSalt)
@@ -1103,7 +1132,7 @@ func (m *Mediator) dedupe(res *piql.Result) (*piql.Result, int, error) {
 		kept = append(kept, row)
 		keptKeys = append(keptKeys, k)
 	}
-	out.Rows = kept
+	out.Rows = ownRows(kept, len(out.Columns))
 	return out, removed, nil
 }
 

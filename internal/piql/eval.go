@@ -30,37 +30,79 @@ type Result struct {
 	Rows    [][]string
 }
 
+// NewRows returns n rows of the given width carved from one backing
+// array, so a result costs two allocations instead of one per row. Each
+// row's capacity is clipped to its width: appending to a row reallocates
+// it rather than running into the next. The rows are one unit of memory
+// — keeping any of them keeps all of them — so a result that outlives
+// its request must be copied out of a larger one, never sliced from it.
+// No rows is nil, as an appended-to Rows would be.
+func NewRows(n, width int) [][]string {
+	if n == 0 {
+		return nil
+	}
+	rows := make([][]string, n)
+	backing := make([]string, n*width)
+	for i := range rows {
+		rows[i] = backing[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
+}
+
 // ToNode renders the result in the wire shape shared with the relational
-// engine: <result><row><col>…</col></row></result>.
+// engine: <result><row><col>…</col></row></result>. The tree is built
+// from one node slab sized to the result.
 func (r *Result) ToNode() *xmltree.Node {
-	root := xmltree.NewElem("result")
+	rows, cols := len(r.Rows), len(r.Columns)
+	slab := xmltree.NewSlab(1+rows*(1+cols), rows*(1+cols))
+	root := slab.Elem("result", rows)
 	for _, row := range r.Rows {
-		rn := xmltree.NewElem("row")
+		rn := slab.Elem("row", cols)
 		for i, col := range r.Columns {
-			rn.Append(xmltree.NewText(col, row[i]))
+			cell := slab.Elem(col, 0)
+			cell.Text = row[i]
+			rn.Append(cell)
 		}
 		root.Append(rn)
 	}
 	return root
 }
 
-// ResultFromNode parses the ToNode encoding.
+// ResultFromNode parses the ToNode encoding. The cells are the tree's own
+// strings; the rows share one backing array (see NewRows).
 func ResultFromNode(n *xmltree.Node) (*Result, error) {
 	if n.Name != "result" {
 		return nil, fmt.Errorf("piql: expected <result>, got <%s>", n.Name)
 	}
 	res := &Result{}
-	for _, rowNode := range n.ChildrenNamed("row") {
+	nrows := 0
+	for _, c := range n.Children {
+		if c.Name != "row" {
+			continue
+		}
 		if res.Columns == nil {
-			for _, c := range rowNode.Children {
-				res.Columns = append(res.Columns, c.Name)
+			for _, cell := range c.Children {
+				res.Columns = append(res.Columns, cell.Name)
 			}
 		}
-		row := make([]string, len(res.Columns))
-		for i, col := range res.Columns {
-			row[i] = rowNode.ChildText(col)
+		nrows++
+	}
+	res.Rows = NewRows(nrows, len(res.Columns))
+	i := 0
+	for _, rowNode := range n.Children {
+		if rowNode.Name != "row" {
+			continue
 		}
-		res.Rows = append(res.Rows, row)
+		row := res.Rows[i]
+		i++
+		for j, col := range res.Columns {
+			// Rows almost always list their cells in column order.
+			if j < len(rowNode.Children) && rowNode.Children[j].Name == col {
+				row[j] = rowNode.Children[j].Text
+			} else {
+				row[j] = rowNode.ChildText(col)
+			}
+		}
 	}
 	return res, nil
 }

@@ -2,6 +2,7 @@ package piql
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -483,5 +484,50 @@ func TestParseNeverPanicsProperty(t *testing.T) {
 			// Errors are expected; success is fine too as long as no panic.
 			_ = err
 		}
+	}
+}
+
+func wideResult(rows int) *Result {
+	res := &Result{Columns: []string{"age", "sex"}, Rows: NewRows(rows, 2)}
+	for i, row := range res.Rows {
+		row[0], row[1] = strconv.Itoa(20+i%60), "F"
+	}
+	return res
+}
+
+// The wire conversions allocate per result, not per row: rows come from
+// one backing array and ToNode's tree from one node slab.
+func TestResultNodeConversionsAllocatePerResult(t *testing.T) {
+	small, large := wideResult(10), wideResult(1000)
+	if a, b := testing.AllocsPerRun(20, func() { small.ToNode() }), testing.AllocsPerRun(20, func() { large.ToNode() }); b > a {
+		t.Errorf("ToNode: %v allocs for 10 rows, %v for 1000", a, b)
+	}
+	sn, ln := small.ToNode(), large.ToNode()
+	a := testing.AllocsPerRun(20, func() { _, _ = ResultFromNode(sn) })
+	b := testing.AllocsPerRun(20, func() { _, _ = ResultFromNode(ln) })
+	if b > a {
+		t.Errorf("ResultFromNode: %v allocs for 10 rows, %v for 1000", a, b)
+	}
+}
+
+// Rows carved from one backing array must not be able to grow into each
+// other, and a ragged document must still come back rectangular.
+func TestRowSlabsAreClippedAndRectangular(t *testing.T) {
+	rows := NewRows(3, 2)
+	rows[0] = append(rows[0], "spill")
+	if rows[1][0] != "" {
+		t.Fatal("appending to a row overwrote its neighbour")
+	}
+	n, err := xmltree.ParseString(`<result><row/><row><a>1</a><b>2</b></row><row><b>3</b></row><other/></result>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ResultFromNode(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{{"", ""}, {"1", "2"}, {"", "3"}}
+	if !reflect.DeepEqual(res.Rows, want) || !reflect.DeepEqual(res.Columns, []string{"a", "b"}) {
+		t.Fatalf("got %v %v, want %v", res.Columns, res.Rows, want)
 	}
 }

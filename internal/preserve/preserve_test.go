@@ -338,3 +338,29 @@ func TestRegistry(t *testing.T) {
 		seen[b.String()] = true
 	}
 }
+
+// The copying techniques allocate per result, not per row.
+func TestRowCopiesAllocatePerResult(t *testing.T) {
+	mk := func(rows int) *piql.Result {
+		res := &piql.Result{Columns: []string{"name", "age"}, Rows: piql.NewRows(rows, 2)}
+		for _, row := range res.Rows {
+			row[0], row[1] = "n", "40"
+		}
+		return res
+	}
+	small, large := mk(10), mk(1000)
+	if a, b := testing.AllocsPerRun(20, func() { cloneResult(small) }), testing.AllocsPerRun(20, func() { cloneResult(large) }); b > a {
+		t.Errorf("cloneResult: %v allocs for 10 rows, %v for 1000", a, b)
+	}
+	drop := DropColumns{Columns: []string{"name"}}
+	a := testing.AllocsPerRun(20, func() { _, _ = drop.Apply(small, nil) })
+	b := testing.AllocsPerRun(20, func() { _, _ = drop.Apply(large, nil) })
+	if b > a {
+		t.Errorf("DropColumns: %v allocs for 10 rows, %v for 1000", a, b)
+	}
+	out, _ := drop.Apply(small, nil)
+	out.Rows[0] = append(out.Rows[0], "spill")
+	if out.Rows[1][0] != "40" || small.Rows[0][1] != "40" {
+		t.Error("a dropped-column row grew into its neighbour or its input")
+	}
+}

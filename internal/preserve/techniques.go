@@ -23,9 +23,9 @@ type Technique interface {
 
 func cloneResult(res *piql.Result) *piql.Result {
 	out := &piql.Result{Columns: append([]string(nil), res.Columns...)}
-	out.Rows = make([][]string, len(res.Rows))
+	out.Rows = piql.NewRows(len(res.Rows), len(res.Columns))
 	for i, r := range res.Rows {
-		out.Rows[i] = append([]string(nil), r...)
+		copy(out.Rows[i], r)
 	}
 	return out
 }
@@ -91,12 +91,11 @@ func (d DropColumns) Apply(res *piql.Result, _ *stats.Rand) (*piql.Result, error
 			out.Columns = append(out.Columns, c)
 		}
 	}
-	for _, row := range res.Rows {
-		nr := make([]string, len(keep))
+	out.Rows = piql.NewRows(len(res.Rows), len(keep))
+	for r, row := range res.Rows {
 		for j, i := range keep {
-			nr[j] = row[i]
+			out.Rows[r][j] = row[i]
 		}
-		out.Rows = append(out.Rows, nr)
 	}
 	return out, nil
 }

@@ -227,9 +227,13 @@ func project(schema *Schema, rows []Row, names []string) (*Result, error) {
 	for i, n := range names {
 		idx[i] = schema.Index(n)
 	}
+	// One backing array for all projected rows; each row's capacity is
+	// clipped so an append to it cannot run into the next.
 	out := make([]Row, len(rows))
+	w := len(idx)
+	backing := make(Row, len(rows)*w)
 	for j, r := range rows {
-		row := make(Row, len(idx))
+		row := backing[j*w : (j+1)*w : (j+1)*w]
 		for i, k := range idx {
 			row[i] = r[k]
 		}

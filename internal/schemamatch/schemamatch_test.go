@@ -231,12 +231,12 @@ func TestProfilesWireRoundTrip(t *testing.T) {
 		t.Error("wrong root should fail")
 	}
 	n.Name = "profiles"
-	n.Children[0].Attrs["name"] = ""
+	n.Children[0].SetAttr("name", "")
 	if _, err := ProfilesFromNode(n); err == nil {
 		t.Error("missing name should fail")
 	}
-	n.Children[0].Attrs["name"] = "age"
-	n.Children[0].Attrs["avglen"] = "zz"
+	n.Children[0].SetAttr("name", "age")
+	n.Children[0].SetAttr("avglen", "zz")
 	if _, err := ProfilesFromNode(n); err == nil {
 		t.Error("bad number should fail")
 	}

@@ -440,9 +440,16 @@ func (rt *Router) drainedNames() []string {
 // serveQuery is the routing hot path: ring lookup, forward, and — when
 // the owner is shedding ownership — the drain re-route.
 func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	// An oversized PIQL text is refused with 413, never truncated and
+	// forwarded as its prefix (the shards and sources apply the same cap).
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	requester := r.Header.Get("X-Requester")

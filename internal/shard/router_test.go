@@ -424,3 +424,37 @@ func TestRouterBreakerIgnoresRefusals(t *testing.T) {
 		t.Fatalf("breaker state %q after five refusals, want closed", st)
 	}
 }
+
+// An oversized query body is refused at the router with 413 and never
+// reaches a shard — it used to be cut at the limit and forwarded.
+func TestRouterQueryBodyLimit(t *testing.T) {
+	a := newFakeShard(t, "shard-a")
+	_, srv := newTestRouter(t, []*fakeShard{a}, nil)
+	const limit = 1 << 20
+	for _, tc := range []struct {
+		name      string
+		size      int
+		want      int
+		forwarded int
+	}{
+		{"small", 64, http.StatusOK, 1},
+		{"at the limit", limit, http.StatusOK, 1},
+		{"one past the limit", limit + 1, http.StatusRequestEntityTooLarge, 0},
+	} {
+		before := a.count()
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/query", strings.NewReader(strings.Repeat("x", tc.size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Requester", "alice")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want || a.count()-before != tc.forwarded {
+			t.Errorf("%s (%d bytes): status %d forwarded %d, want %d and %d",
+				tc.name, tc.size, resp.StatusCode, a.count()-before, tc.want, tc.forwarded)
+		}
+	}
+}

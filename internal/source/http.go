@@ -1,6 +1,7 @@
 package source
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -31,13 +32,6 @@ import (
 func NewHandler(l *Local) http.Handler {
 	mux := http.NewServeMux()
 
-	writeNode := func(w http.ResponseWriter, n *xmltree.Node) {
-		w.Header().Set("Content-Type", "application/xml")
-		if err := n.Encode(w); err != nil {
-			// Headers are already sent; nothing more to do.
-			return
-		}
-	}
 	fail := func(w http.ResponseWriter, code int, err error) {
 		http.Error(w, err.Error(), code)
 	}
@@ -48,7 +42,7 @@ func NewHandler(l *Local) http.Handler {
 			fail(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeNode(w, sum.ToNode())
+		WriteNode(w, sum.ToNode())
 	})
 
 	mux.HandleFunc("GET /profiles", func(w http.ResponseWriter, r *http.Request) {
@@ -57,13 +51,12 @@ func NewHandler(l *Local) http.Handler {
 			fail(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeNode(w, schemamatch.ProfilesToNode(ps))
+		WriteNode(w, schemamatch.ProfilesToNode(ps))
 	})
 
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			fail(w, http.StatusBadRequest, err)
+		body, ok := ReadQueryBody(w, r)
+		if !ok {
 			return
 		}
 		requester := r.Header.Get("X-Requester")
@@ -82,7 +75,7 @@ func NewHandler(l *Local) http.Handler {
 			fail(w, http.StatusForbidden, err)
 			return
 		}
-		writeNode(w, node)
+		WriteNode(w, node)
 	})
 
 	mux.HandleFunc("POST /preferences", func(w http.ResponseWriter, r *http.Request) {
@@ -109,7 +102,7 @@ func NewHandler(l *Local) http.Handler {
 			fail(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeNode(w, suitesToNode(suites))
+		WriteNode(w, suitesToNode(suites))
 	})
 
 	mux.HandleFunc("GET /psi/blinded", func(w http.ResponseWriter, r *http.Request) {
@@ -123,7 +116,7 @@ func NewHandler(l *Local) http.Handler {
 			fail(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeNode(w, node)
+		WriteNode(w, node)
 	})
 
 	mux.HandleFunc("POST /psi/exponentiate", func(w http.ResponseWriter, r *http.Request) {
@@ -137,7 +130,7 @@ func NewHandler(l *Local) http.Handler {
 			fail(w, http.StatusBadRequest, err)
 			return
 		}
-		writeNode(w, node)
+		WriteNode(w, node)
 	})
 
 	mux.HandleFunc("GET /linkage/records", func(w http.ResponseWriter, r *http.Request) {
@@ -151,7 +144,7 @@ func NewHandler(l *Local) http.Handler {
 			fail(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeNode(w, linkage.RecordsToNode(recs, linkageM))
+		WriteNode(w, linkage.RecordsToNode(recs, linkageM))
 	})
 
 	// Liveness/readiness: a constructed Local has finished loading its
@@ -168,6 +161,42 @@ func NewHandler(l *Local) http.Handler {
 
 func readNode(r io.Reader) (*xmltree.Node, error) {
 	return xmltree.Parse(io.LimitReader(r, 16<<20))
+}
+
+// WriteNode sends n as an application/xml body: encoded once into a
+// pooled buffer, so the length is known up front (Content-Length instead
+// of chunked framing) and the connection sees a single Write. Shared by
+// the source and mediator handlers.
+func WriteNode(w http.ResponseWriter, n *xmltree.Node) {
+	buf := n.EncodeBuffer()
+	defer buf.Release()
+	w.Header().Set("Content-Type", "application/xml")
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf.Bytes())))
+	// A failed write means the client went away; there is no one to tell.
+	_, _ = w.Write(buf.Bytes())
+}
+
+// MaxQueryBytes bounds a POST /query body. PIQL texts are a few hundred
+// bytes; anything near the bound is not a query.
+const MaxQueryBytes = 1 << 20
+
+// ReadQueryBody reads a POST /query body of at most MaxQueryBytes. A
+// larger body is refused with 413 — never truncated and parsed as its
+// prefix — and any other read failure with 400; ok is false once an
+// error response has been written. Shared by every daemon that accepts
+// PIQL text (source, mediator, router).
+func ReadQueryBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxQueryBytes))
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), code)
+		return nil, false
+	}
+	return body, true
 }
 
 // WriteShed writes a load-shed error as 429/503 with a Retry-After
@@ -311,8 +340,8 @@ func (c *Client) getNode(ctx context.Context, path string) (*xmltree.Node, error
 	return c.do(req)
 }
 
-func (c *Client) postNode(ctx context.Context, path, contentType string, body string) (*xmltree.Node, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, strings.NewReader(body))
+func (c *Client) postNode(ctx context.Context, path, contentType string, body []byte) (*xmltree.Node, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -427,7 +456,13 @@ func (c *Client) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.
 
 // PSIExponentiate implements Endpoint.
 func (c *Client) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error) {
-	return c.postNode(ctx, "/psi/exponentiate", "application/xml", elems.String())
+	// The transport may still be reading the body after Do returns (an
+	// early response, a cancelled call), so the request gets a copy of
+	// its own rather than a view of the pooled buffer.
+	buf := elems.EncodeBuffer()
+	body := bytes.Clone(buf.Bytes())
+	buf.Release()
+	return c.postNode(ctx, "/psi/exponentiate", "application/xml", body)
 }
 
 // LinkageRecords implements Endpoint.

@@ -5,11 +5,15 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"privateiye/internal/admission"
+	"privateiye/internal/psi"
 	"privateiye/internal/refusal"
+	"privateiye/internal/xmltree"
 )
 
 func TestHTTPErrorRetryClassification(t *testing.T) {
@@ -107,5 +111,56 @@ func TestWriteShed(t *testing.T) {
 	// Non-shed errors are left alone.
 	if WriteShed(httptest.NewRecorder(), errors.New("policy denial")) {
 		t.Fatal("plain error treated as shed")
+	}
+}
+
+// A POST /query body past MaxQueryBytes is refused with 413. It used to
+// be cut at the limit and its prefix parsed, so a valid query padded past
+// the limit was answered.
+func TestQueryBodyLimit(t *testing.T) {
+	local, err := NewLocal(hospitalSource(t), []byte("salt"), psi.TestGroup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := httptest.NewServer(NewHandler(local))
+	defer server.Close()
+
+	const query = "FOR //patients/row RETURN //age PURPOSE research MAXLOSS 1"
+	for _, tc := range []struct {
+		name string
+		size int
+		want int
+	}{
+		{"plain", len(query), http.StatusOK},
+		{"padded to the limit", MaxQueryBytes, http.StatusOK},
+		{"padded one past the limit", MaxQueryBytes + 1, http.StatusRequestEntityTooLarge},
+	} {
+		body := query + strings.Repeat(" ", tc.size-len(query))
+		req, err := http.NewRequest(http.MethodPost, server.URL+"/query", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Requester", "alice")
+		resp, err := server.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s (%d bytes): status %d, want %d", tc.name, tc.size, resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// WriteNode's framing: a known length, one body, no chunking.
+func TestWriteNodeSetsContentLength(t *testing.T) {
+	n := xmltree.NewElem("a").Append(xmltree.NewText("b", strings.Repeat("x", 8000)))
+	rec := httptest.NewRecorder()
+	WriteNode(rec, n)
+	if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(len(n.String())); got != want {
+		t.Errorf("Content-Length = %q, want %s", got, want)
+	}
+	if rec.Body.String() != n.String() || rec.Header().Get("Content-Type") != "application/xml" {
+		t.Errorf("body or content type wrong")
 	}
 }

@@ -272,12 +272,11 @@ func literalValue(lit string, t relational.Type) (relational.Value, bool) {
 // result shape (the XML Transformer's job for relational answers).
 func ResultToPIQL(res *relational.Result) *piql.Result {
 	out := &piql.Result{Columns: res.Schema.Names()}
-	for _, row := range res.Rows {
-		r := make([]string, len(row))
+	out.Rows = piql.NewRows(len(res.Rows), len(out.Columns))
+	for j, row := range res.Rows {
 		for i, v := range row {
-			r[i] = v.String()
+			out.Rows[j][i] = v.String()
 		}
-		out.Rows = append(out.Rows, r)
 	}
 	return out
 }

@@ -1,0 +1,467 @@
+package xmltree
+
+import (
+	"bytes"
+	"encoding/xml"
+	"fmt"
+	"io"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// referenceParse is the encoding/xml loop Parse was before the tokenizer,
+// kept verbatim (down to the per-node empty Attrs map, which Equal does
+// not see) as the definition the differential tests compare against.
+func referenceParse(r io.Reader) (*Node, error) {
+	dec := xml.NewDecoder(r)
+	var root, cur *Node
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("xmltree: parse: %w", err)
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			n := &Node{Name: t.Name.Local, Attrs: map[string]string{}}
+			for _, a := range t.Attr {
+				n.Attrs[a.Name.Local] = a.Value
+			}
+			if cur == nil {
+				if root != nil {
+					return nil, fmt.Errorf("xmltree: multiple document roots")
+				}
+				root = n
+			} else {
+				cur.Append(n)
+			}
+			cur = n
+		case xml.EndElement:
+			if cur == nil {
+				return nil, fmt.Errorf("xmltree: unbalanced end element %q", t.Name.Local)
+			}
+			cur = cur.Parent
+		case xml.CharData:
+			if cur != nil {
+				cur.Text += strings.TrimSpace(string(t))
+			}
+		}
+	}
+	if root == nil {
+		return nil, fmt.Errorf("xmltree: empty document")
+	}
+	if cur != nil {
+		return nil, fmt.Errorf("xmltree: unclosed element %q", cur.Name)
+	}
+	return root, nil
+}
+
+// referenceEncode is the fmt-based writer Encode was, with its one defect
+// removed: attribute values are quoted with plain '"' instead of Go's %q.
+func referenceEncode(n *Node, w io.Writer, depth int) {
+	escape := func(s string) string {
+		var b strings.Builder
+		if err := xml.EscapeText(&b, []byte(s)); err != nil {
+			return s
+		}
+		return b.String()
+	}
+	indent := strings.Repeat("  ", depth)
+	keys := make([]string, 0, len(n.Attrs))
+	for k := range n.Attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var attrs strings.Builder
+	for _, k := range keys {
+		attrs.WriteString(" " + k + `="` + escape(n.Attrs[k]) + `"`)
+	}
+	switch {
+	case len(n.Children) == 0 && n.Text == "":
+		fmt.Fprintf(w, "%s<%s%s/>\n", indent, n.Name, attrs.String())
+	case len(n.Children) == 0:
+		fmt.Fprintf(w, "%s<%s%s>%s</%s>\n", indent, n.Name, attrs.String(), escape(n.Text), n.Name)
+	default:
+		fmt.Fprintf(w, "%s<%s%s>%s\n", indent, n.Name, attrs.String(), escape(n.Text))
+		for _, c := range n.Children {
+			referenceEncode(c, w, depth+1)
+		}
+		fmt.Fprintf(w, "%s</%s>\n", indent, n.Name)
+	}
+}
+
+// The corpus: one of each envelope kind the tier ships, in the shapes
+// source.tag, psi.MarshalElems, policy.ToNode and Summary.ToNode build.
+
+func answerNode(rows int) *Node {
+	res := NewElem("result")
+	for i := 0; i < rows; i++ {
+		decade := 10 * (2 + i%7)
+		res.Append(NewElem("row").Append(NewText("age", fmt.Sprintf("%d-%d", decade, decade+9))))
+	}
+	return NewElem("answer").
+		SetAttr("source", "s0").
+		SetAttr("breach", "linking").
+		SetAttr("technique", "generalize(age,age@1)+drop(name,id,ssn)").
+		SetAttr("budget", "0.9").
+		SetAttr("estloss", "0.5").
+		Append(NewText("dropped", "//name").SetAttr("reason", `policy "default" denies <name> & id`)).
+		Append(res)
+}
+
+func psiNode(n int) *Node {
+	root := NewElem("psi-elems").SetAttr("n", strconv.Itoa(n)).SetAttr("suite", "p256")
+	for i := 0; i < n; i++ {
+		root.Append(NewText("e", fmt.Sprintf("02%064x", i*2654435761)))
+	}
+	return root
+}
+
+func policyNode() *Node {
+	return NewElem("policy").SetAttr("owner", "hospitalA").SetAttr("default", "deny").
+		Append(NewElem("rule").SetAttr("item", "//patient/diagnosis").SetAttr("purpose", "epidemiology").
+			SetAttr("form", "aggregate").SetAttr("effect", "allow").SetAttr("maxloss", "0.2")).
+		Append(NewElem("rule").SetAttr("item", "//patient/name").SetAttr("purpose", "*").
+			SetAttr("form", "exact").SetAttr("effect", "deny"))
+}
+
+func summaryNode() *Node {
+	s := NewSummary()
+	s.AddDocument(mustParseString(patientDoc))
+	return s.ToNode()
+}
+
+func mustParseString(s string) *Node {
+	n, err := ParseString(s)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
+func corpus() map[string]*Node { return corpusOf(273, 500) }
+
+// fuzzSeeds is the corpus at sizes the fuzzer can mutate and minimize
+// quickly.
+func fuzzSeeds() map[string]*Node { return corpusOf(3, 2) }
+
+func corpusOf(rows, elems int) map[string]*Node {
+	return map[string]*Node{
+		"answer":  answerNode(rows),
+		"psi":     psiNode(elems),
+		"policy":  policyNode(),
+		"summary": summaryNode(),
+		"patient": mustParseString(patientDoc),
+	}
+}
+
+// onFastPath reports whether the tokenizer takes doc without failing over.
+func onFastPath(doc string) bool {
+	p := parserPool.Get().(*parser)
+	defer p.release()
+	p.body = append(p.body[:0], doc...)
+	_, ok := p.tokenize()
+	return ok
+}
+
+func TestEncodeMatchesReferenceWriter(t *testing.T) {
+	trees := corpus()
+	trees["escapes"] = NewText("note", "a <b> & \"c\" 'd'\ttab\nnl\rcr \x01 \xff é  ").
+		SetAttr("k", "v<&>\"'\t\n\r\x01\xff é").SetAttr("a", "").
+		Append(NewText("kid", "x"), NewElem("empty"))
+	for name, n := range trees {
+		var want bytes.Buffer
+		referenceEncode(n, &want, 0)
+		if got := n.String(); got != want.String() {
+			t.Errorf("%s: writer output differs from the reference:\n got %q\nwant %q", name, got, want.String())
+		}
+		var buf bytes.Buffer
+		if err := n.Encode(&buf); err != nil || buf.String() != want.String() {
+			t.Errorf("%s: Encode differs from String (err %v)", name, err)
+		}
+	}
+}
+
+func TestEncodeOutputStaysOnFastPath(t *testing.T) {
+	trees := corpus()
+	// Everything Encode escapes comes back as a reference the tokenizer
+	// decodes itself; only raw non-ASCII text takes the fail-over.
+	trees["escapes"] = NewText("note", "a <b> & \"c\" 'd'\ttab\nnl\rcr ]]> \x7f").
+		SetAttr("k", "v<&>\"'\t\n\r\\ \x7f")
+	for name, n := range trees {
+		doc := n.String()
+		if !onFastPath(doc) {
+			t.Errorf("%s: Encode output fell off the tokenizer's fast path", name)
+		}
+		back, err := ParseString(doc)
+		if err != nil || !Equal(n, back) {
+			t.Errorf("%s: round trip changed the tree (err %v)", name, err)
+		}
+	}
+}
+
+// Constructs outside the tokenizer's subset must reach encoding/xml and
+// come back exactly as the reference loop parses them.
+func TestParseFailsOverOutsideSubset(t *testing.T) {
+	for _, doc := range []string{
+		`<!DOCTYPE a><a>x</a>`,
+		`<a><![CDATA[x <y> ]]></a>`,
+		`<p:a xmlns:p="u"><p:b p:k="v"/></p:a>`,
+		`<a xmlns="u"><b/></a>`,
+		"<a>x\r\ny</a>",
+		"<a k=\"v\r\">x</a>",
+		`<a>José</a>`,
+		"<a>\u00a0x\u00a0</a>",
+		`<?xml version="1.0" standalone="yes"?><a/>`,
+		"\ufeff<a/>",
+		`text<a/>`,
+	} {
+		if onFastPath(doc) {
+			t.Errorf("%q: tokenizer took a document outside its subset", doc)
+		}
+		want, werr := referenceParse(strings.NewReader(doc))
+		got, gerr := ParseString(doc)
+		if werr != nil || gerr != nil || !Equal(want, got) {
+			t.Errorf("%q: fail-over differs from the reference (%v, %v):\n%s\nvs\n%s", doc, gerr, werr, got, want)
+		}
+	}
+}
+
+// The subset itself, case by case against the reference.
+func TestParseSubsetMatchesReference(t *testing.T) {
+	for _, doc := range []string{
+		`<a/>`,
+		`<a></a>`,
+		` <a> x <b/> y </a> `,
+		`<?xml version="1.0" encoding="UTF-8"?>` + "\n<a/>",
+		`<?pi anything at all ?><a><?x?></a><!-- tail -->`,
+		`<a><!-- c --> x <!-- - d -->y</a>`,
+		`<a k = 'v"w' j="x'y"l="z"/>`,
+		`<a k="1" k="2"/>`,
+		`<a k="&lt;&gt;&amp;&apos;&quot;&#65;&#x42;&#x0043;">&#x20;t&#xA;</a>`,
+		`<a>&#xA0;x&#x2028;</a>`,
+		`<a>x &#xD800; y</a>`,
+		`<a>]]&gt; ]] > ]>]</a>`,
+		`<a k="]]>"/>`,
+		`<a-b.c_d><e1/></a-b.c_d >`,
+		"<a\n\tk=\"v\"\n/>",
+		"<a>\x7f</a>",
+	} {
+		if !onFastPath(doc) {
+			t.Errorf("%q: expected the tokenizer to take this", doc)
+		}
+		want, werr := referenceParse(strings.NewReader(doc))
+		got, gerr := ParseString(doc)
+		if werr != nil || gerr != nil || !Equal(want, got) {
+			t.Errorf("%q: differs from the reference (%v, %v):\n%s\nvs\n%s", doc, gerr, werr, got, want)
+		}
+	}
+	for _, doc := range []string{
+		``, ` `, `<a>`, `<a></b>`, `<a/><b/>`, `</a>`, `<a`, `<a k>`, `<a k=v/>`, `<a k="<"/>`,
+		`<a>]]></a>`, `<a>&bogus;</a>`, `<a>&#0;</a>`, `<a>&#x110000;</a>`, `<a>&#;</a>`, `<a>&lt</a>`,
+		`<!-- a -- b --><a/>`, `<!-- a`, `<?x`, `<1a/>`, `<a/ >`, `<a><!-></a>`, "<a>\x01</a>",
+		`<?xml version="2.0"?><a/>`, `<?xml version="1.0" encoding="latin1"?><a/>`, `<a:b:c/>`,
+	} {
+		if _, err := referenceParse(strings.NewReader(doc)); err == nil {
+			t.Fatalf("%q: reference accepts this; fix the table", doc)
+		}
+		if n, err := ParseString(doc); err == nil {
+			t.Errorf("%q: Parse accepted what the reference rejects:\n%s", doc, n)
+		}
+	}
+}
+
+// A tree must own its memory: the pooled body buffer and scratch it was
+// parsed from are reused by the very next Parse.
+func TestParsedTreeSurvivesBufferReuse(t *testing.T) {
+	doc := answerNode(50).String()
+	first := mustParseString(doc)
+	want := first.Clone()
+	for i := 0; i < 4; i++ {
+		mustParseString("<x k='&#88;&#88;&#88;'>&#89;&#89;&#89;</x>")
+		mustParseString(psiNode(40).String())
+	}
+	if !Equal(first, want) {
+		t.Fatal("a later Parse overwrote an earlier tree")
+	}
+}
+
+func TestParseReadError(t *testing.T) {
+	boom := fmt.Errorf("boom")
+	_, err := Parse(io.MultiReader(strings.NewReader("<a>"), errReader{boom}))
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("read error lost: %v", err)
+	}
+}
+
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+func TestSlabChildrenDoNotOverlap(t *testing.T) {
+	s := NewSlab(5, 4)
+	root := s.Elem("r", 2)
+	a, b := s.Elem("a", 2), s.Elem("b", 0)
+	root.Append(a, b)
+	a.Append(s.Elem("a1", 0), s.Elem("a2", 0))
+	// Past its reserved capacity a node must grow its own array, not
+	// spill into its neighbour's.
+	root.Append(NewElem("c"))
+	a.Append(NewElem("a3"))
+	// And past its reserved sizes the slab must keep handing out nodes.
+	for i := 0; i < 600; i++ {
+		b.Append(s.Elem("n", 1).Append(s.Elem("leaf", 0)))
+	}
+	if got := len(root.Children); got != 3 || root.Children[0] != a || root.Children[1] != b {
+		t.Fatalf("root children corrupted: %d", got)
+	}
+	if len(a.Children) != 3 || a.Children[0].Name != "a1" || a.Children[1].Name != "a2" || a.Children[2].Name != "a3" {
+		t.Fatalf("a's children corrupted: %v", a.Children)
+	}
+	for i, n := range b.Children {
+		if n.Name != "n" || len(n.Children) != 1 || n.Children[0].Name != "leaf" || n.Children[0].Parent != n {
+			t.Fatalf("b child %d corrupted", i)
+		}
+	}
+}
+
+func TestNilAttrsUntilSetAttr(t *testing.T) {
+	n := NewElem("x")
+	if n.Attrs != nil {
+		t.Fatal("NewElem allocated an Attrs map")
+	}
+	if _, ok := n.Attr("k"); ok || len(n.Attrs) != 0 {
+		t.Fatal("reads of nil Attrs must behave as empty")
+	}
+	delete(n.Attrs, "k")
+	if c := n.Clone(); c.Attrs != nil {
+		t.Fatal("Clone allocated an Attrs map for a node without attributes")
+	}
+	if mustParseString(`<a><b/></a>`).Children[0].Attrs != nil {
+		t.Fatal("Parse allocated an Attrs map for a node without attributes")
+	}
+	if v, _ := n.SetAttr("k", "v").Attr("k"); v != "v" {
+		t.Fatal("SetAttr on nil Attrs")
+	}
+}
+
+// The allocation pins behind the cold_fanout claim: a 273-row answer is
+// what one source ships per op.
+func TestCodecAllocations(t *testing.T) {
+	const rows = 273
+	n := answerNode(rows)
+	wire := []byte(n.String())
+	var buf bytes.Buffer
+	buf.Grow(len(wire))
+	if got := testing.AllocsPerRun(50, func() {
+		buf.Reset()
+		_ = n.Encode(&buf)
+	}); got != 0 && !raceEnabled {
+		t.Errorf("Encode into a warm pool: %v allocs, want 0", got)
+	}
+	rd := bytes.NewReader(wire)
+	if got := testing.AllocsPerRun(50, func() {
+		rd.Reset(wire)
+		if _, err := Parse(rd); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 2*rows {
+		t.Errorf("Parse: %v allocs for %d rows, want <= 2 per row", got, rows)
+	}
+}
+
+func FuzzParseDifferential(f *testing.F) {
+	for _, n := range fuzzSeeds() {
+		f.Add(n.String())
+	}
+	f.Add(`<?xml version="1.0"?><a k='v' j="&#x41;&amp;"><!-- c --> x <b/>y&lt;<?pi d?></a>`)
+	f.Add(`<p:a xmlns:p="u"><![CDATA[x]]>]]&gt;</p:a>`)
+	f.Fuzz(func(t *testing.T, doc string) {
+		want, werr := referenceParse(strings.NewReader(doc))
+		got, gerr := ParseString(doc)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("acceptance differs: Parse err %v, reference err %v", gerr, werr)
+		}
+		if werr == nil && !Equal(want, got) {
+			t.Fatalf("trees differ:\n%s\nvs reference\n%s", got, want)
+		}
+		// Parse over a reader must agree with ParseString.
+		viaReader, rerr := Parse(shortReader{strings.NewReader(doc)})
+		if (rerr == nil) != (gerr == nil) || (rerr == nil && !Equal(viaReader, got)) {
+			t.Fatalf("Parse(reader) disagrees with ParseString: %v vs %v", rerr, gerr)
+		}
+	})
+}
+
+// shortReader returns at most 7 bytes per Read, so the read loop's
+// growth path runs under the fuzzer.
+type shortReader struct{ r io.Reader }
+
+func (o shortReader) Read(p []byte) (int, error) {
+	if len(p) > 7 {
+		p = p[:7]
+	}
+	return o.r.Read(p)
+}
+
+func FuzzEncodeRoundTrip(f *testing.F) {
+	for _, n := range fuzzSeeds() {
+		f.Add(n.String())
+	}
+	f.Add(`<a k="a\b&#x7F;&#xA0;&#x2028;"> &#x20;x </a>`)
+	f.Fuzz(func(t *testing.T, doc string) {
+		tree, err := ParseString(doc)
+		if err != nil {
+			return
+		}
+		canon := tree.String()
+		back, err := ParseString(canon)
+		if err != nil {
+			t.Fatalf("re-parse of encoded tree: %v\n%s", err, canon)
+		}
+		if !Equal(tree, back) {
+			t.Fatalf("encode/parse changed the tree:\n%s\nvs\n%s", tree, back)
+		}
+		if again := back.String(); again != canon {
+			t.Fatalf("canonical form is not a fixed point:\n%q\nvs\n%q", canon, again)
+		}
+	})
+}
+
+var sinkNode *Node
+
+func BenchmarkEncodeAnswer(b *testing.B) {
+	n := answerNode(273)
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := n.Encode(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
+}
+
+func benchmarkParse(b *testing.B, n *Node) {
+	wire := []byte(n.String())
+	rd := bytes.NewReader(wire)
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(wire)
+		var err error
+		if sinkNode, err = Parse(rd); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkParseAnswer(b *testing.B)   { benchmarkParse(b, answerNode(273)) }
+func BenchmarkParsePSIElems(b *testing.B) { benchmarkParse(b, psiNode(500)) }

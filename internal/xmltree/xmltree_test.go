@@ -101,6 +101,16 @@ func TestEscaping(t *testing.T) {
 	if v, _ := parsed.Attr("k"); v != `v<&>"` {
 		t.Errorf("attr round trip = %q", v)
 	}
+
+	// Attribute values are XML-escaped, not Go-quoted: a backslash, DEL,
+	// NBSP or U+2028 must come back as itself, not as a Go escape
+	// sequence (refusal reasons and source names travel as attributes).
+	for _, v := range []string{`a\b`, "del\x7f", "nbsp\u00a0", "ls\u2028", `C:\dir\"q"`} {
+		n := NewElem("dropped").SetAttr("reason", v)
+		if got, _ := mustParse(t, n.String()).Attr("reason"); got != v {
+			t.Errorf("attr %q round trip = %q (wire %q)", v, got, n.String())
+		}
+	}
 }
 
 func TestCloneIsDeepAndDetached(t *testing.T) {
