@@ -94,7 +94,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRingLookup -fuzztime $(FUZZTIME) ./internal/shard/
 
 # Crash-injection matrix: every durable-log failpoint under every fsync
-# policy, plus the mediator- and audit-level crash/restart suites.
+# policy (also with appends landing between a snapshot's capture and its
+# install), plus the mediator- and audit-level crash/restart suites.
 crash:
 	$(GO) test -run 'Crash|Restart|Unrecordable|Torn' -v ./internal/durable/ ./internal/mediator/ ./internal/audit/
 

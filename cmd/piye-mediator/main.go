@@ -66,7 +66,6 @@ func main() {
 	ledgerTol := flag.Float64("ledger-tolerance", 0, "accuracy the ledger assumes of published aggregates (0 = default 0.5)")
 	stateDir := flag.String("state-dir", "", "directory persisting the release ledger and query history across restarts (empty = in-memory only)")
 	fsyncMode := flag.String("fsync", "always", "WAL sync policy with -state-dir: always | interval | never")
-	snapEvery := flag.Int("snapshot-every", 0, "snapshot+compact the state WAL every N appends (0 = default 256)")
 	groupCommit := flag.Bool("group-commit", false, "batch concurrent WAL appends into one fsync under -fsync always (releases still acknowledged only after their batch's fsync)")
 	groupBatch := flag.Int("group-commit-batch", 0, "max appends per group-commit fsync (0 = default 64)")
 	groupHold := flag.Duration("group-commit-hold", 0, "how long the committer holds a batch open for stragglers (0 = commit immediately)")
@@ -120,7 +119,7 @@ func main() {
 			log.Fatalf("piye-mediator: %v", err)
 		}
 		dur = &mediator.DurabilityConfig{
-			Dir: *stateDir, Fsync: policy, SnapshotEvery: *snapEvery,
+			Dir: *stateDir, Fsync: policy,
 			GroupCommit: *groupCommit, GroupMaxBatch: *groupBatch, GroupMaxHold: *groupHold,
 		}
 	} else {

@@ -89,6 +89,7 @@ func NewPersistentLog(cfg Config, opts durable.Options) (*Log, error) {
 		p.sets[rec.Requester] = append(p.sets[rec.Requester], rec.Set)
 	}
 
+	dl.ReleaseRecovered() // replayed into the auditors and p.sets
 	// Arm persistence only now: replayed grants must not be re-logged.
 	l.p = p
 	l.mu.Lock()
@@ -115,8 +116,10 @@ func (l *Log) Close() error {
 }
 
 // hook returns the fail-closed persist function for one requester's
-// auditor: append the grant to the WAL and, at the configured cadence,
-// snapshot the full state and compact.
+// auditor: append the grant to the WAL and, when the durable log says
+// the WAL has outgrown its snapshot, snapshot the full state and
+// compact. A failed compaction is the log's to count and report; the
+// grant is already durable in the WAL and stands.
 func (p *persister) hook(requester string) func(set []int) error {
 	return func(set []int) error {
 		rec, err := json.Marshal(commitRecord{Requester: requester, Set: set})
@@ -124,20 +127,36 @@ func (p *persister) hook(requester string) func(set []int) error {
 			return err
 		}
 		p.mu.Lock()
-		defer p.mu.Unlock()
-		if _, err := p.dlog.Append(rec); err != nil {
+		_, err = p.dlog.Append(rec)
+		if err == nil {
+			p.sets[requester] = append(p.sets[requester], set)
+		}
+		p.mu.Unlock()
+		if err != nil {
 			return err
 		}
-		p.sets[requester] = append(p.sets[requester], set)
-		if p.dlog.AppendsSinceSnapshot() >= p.dlog.SnapshotEvery() {
-			state, err := json.Marshal(logSnapshot{Sets: p.sets})
-			if err != nil {
-				return err
-			}
-			if err := p.dlog.SaveSnapshot(state); err != nil {
-				return err
-			}
+		if p.dlog.CompactionDue() {
+			_ = p.snapshot()
 		}
 		return nil
 	}
+}
+
+// snapshot takes one snapshot of every requester's granted sets and
+// compacts the WAL behind it, whether or not one is due. Only the cut —
+// one slice header per requester and the sequence number they reflect —
+// is taken under the persister's lock; each requester's list is
+// append-only, so the header is an immutable prefix and marshalling runs
+// with the lock released.
+func (p *persister) snapshot() error {
+	return p.dlog.Compact(func() (uint64, func() ([]byte, error)) {
+		p.mu.Lock()
+		seq := p.dlog.LastSeq()
+		sets := make(map[string][][]int, len(p.sets))
+		for req, granted := range p.sets {
+			sets[req] = granted
+		}
+		p.mu.Unlock()
+		return seq, func() ([]byte, error) { return json.Marshal(logSnapshot{Sets: sets}) }
+	})
 }

@@ -75,20 +75,25 @@ func TestExactAuditRREFSurvivesRestart(t *testing.T) {
 	}
 }
 
-// Snapshot + compaction: enough commits to cross the cadence, then a
+// Snapshot + compaction: a compaction forced every ten commits, then a
 // restart recovers from snapshot + short WAL and refuses the same things.
 func TestPersistenceAcrossSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Population: 1000, MaxOverlap: 1}
-	l, err := NewPersistentLog(cfg, durable.Options{Dir: dir, SnapshotEvery: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := persistentLog(t, dir, cfg)
 	for i := 0; i < 25; i++ {
 		set := []int{3 * i, 3*i + 1, 3*i + 2}
 		if err := l.For(fmt.Sprintf("req%d", i%3)).CheckAndCommit(set); err != nil {
 			t.Fatal(err)
 		}
+		if i%10 == 9 {
+			if err := l.p.snapshot(); err != nil {
+				t.Fatalf("snapshot after commit %d: %v", i, err)
+			}
+		}
+	}
+	if _, snap := l.p.dlog.Sizes(); snap == 0 {
+		t.Fatal("no snapshot was installed")
 	}
 	l.Close()
 

@@ -73,9 +73,6 @@ type SystemConfig struct {
 	Fsync durable.FsyncPolicy
 	// FsyncInterval applies under the "interval" policy (default 100ms).
 	FsyncInterval time.Duration
-	// SnapshotEvery is the snapshot/compaction cadence in WAL appends
-	// (default 256).
-	SnapshotEvery int
 	// GroupCommit batches concurrent WAL appends into one fsync under
 	// the "always" policy: a release is still acknowledged only after
 	// the fsync covering its batch returns, but concurrent requesters
@@ -205,7 +202,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			Dir:           filepath.Join(cfg.StateDir, "mediator"),
 			Fsync:         cfg.Fsync,
 			FsyncInterval: cfg.FsyncInterval,
-			SnapshotEvery: cfg.SnapshotEvery,
 			GroupCommit:   cfg.GroupCommit,
 			GroupMaxBatch: cfg.GroupMaxBatch,
 			GroupMaxHold:  cfg.GroupMaxHold,

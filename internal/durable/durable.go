@@ -89,12 +89,6 @@ type Options struct {
 	// FsyncInterval is the background sync period under FsyncInterval
 	// (default 100ms).
 	FsyncInterval time.Duration
-	// SnapshotEvery is a cadence hint for the owning subsystem: how many
-	// appended records to accumulate before snapshotting and compacting.
-	// The Log itself never snapshots — only the owner can render its
-	// state — but carrying the knob here lets one flag set travel from
-	// the command line to every subsystem (default 256).
-	SnapshotEvery int
 	// GroupCommit batches concurrent appends under FsyncAlways: staged
 	// records are flushed with one write+fsync per batch by a committer
 	// goroutine, and each Append returns only after the fsync covering
@@ -114,10 +108,10 @@ type Options struct {
 	GroupMaxHold time.Duration
 	// Failpoints, when non-nil, is the crash-injection schedule.
 	Failpoints *Failpoints
-	// Obs, when non-nil, counts WAL appends, fsyncs and bytes written
-	// under the piye_wal_* families, labelled log=ObsScope. Counter
-	// series are resolved from the registry, so a log reopened after a
-	// restart continues the same series.
+	// Obs, when non-nil, counts WAL appends, fsyncs, bytes written and
+	// snapshots under the piye_wal_* families, labelled log=ObsScope.
+	// Counter series are resolved from the registry, so a log reopened
+	// after a restart continues the same series.
 	Obs      *obs.Registry
 	ObsScope string
 }
@@ -130,33 +124,60 @@ const (
 	snapTmpName = "snapshot.tmp"
 )
 
-// Entry is one recovered WAL record.
+// Entry is one WAL record. Payloads handed out by the Log are shared and
+// must not be mutated.
 type Entry struct {
 	Seq     uint64
 	Payload []byte
 }
+
+const (
+	// compactFloor is the least WAL growth worth a compaction: below it
+	// the fixed cost of a snapshot install (two fsyncs, two renames)
+	// outweighs what replaying the tail would cost.
+	compactFloor = 1 << 20
+
+	// tailWindow is how many of the newest records stay in memory for
+	// replication streams. A live standby lags by a handful of records;
+	// one that falls further behind is served from wal.log instead
+	// (TailFrom), so the window bounds memory, not how far back a
+	// standby may resume.
+	tailWindow = 256
+)
 
 // Log is an append-only record log with snapshot-based compaction.
 // Methods are safe for concurrent use.
 type Log struct {
 	opts Options
 
-	mu       sync.Mutex
-	f        *os.File // the WAL, positioned at its end
-	dirf     *os.File // directory handle for fsync
-	buf      []byte   // staged appends not yet written to the file
-	seq      uint64   // last assigned sequence number
-	snapSeq  uint64   // sequence covered by the installed snapshot
-	snapshot []byte   // recovered snapshot payload (nil if none)
-	// entries is the live tail: every record with seq > snapSeq, kept in
-	// memory so a replication stream can ship it without re-reading the
-	// WAL file. Recovery seeds it; Append extends it; SaveSnapshot clears
-	// it (the snapshot subsumes the tail).
-	entries    []Entry
-	walSize    int64 // bytes written to the WAL file
+	// snapMu serialises snapshot installs. It is taken before mu and
+	// never by the append path, so a snapshot being written blocks only
+	// another snapshot.
+	snapMu     sync.Mutex
+	failStreak int // consecutive failed installs (guarded by snapMu)
+
+	mu      sync.Mutex
+	f       *os.File // the WAL, positioned at its end
+	dirf    *os.File // directory handle for fsync
+	buf     []byte   // staged appends not yet written to the file
+	seq     uint64   // last assigned sequence number
+	snapSeq uint64   // sequence covered by the installed snapshot
+	// snapshot and recovered are what Open found on disk — the snapshot
+	// payload and the WAL records after it — held only until the owner
+	// has replayed them (ReleaseRecovered).
+	snapshot  []byte
+	recovered []Entry
+	// ring is the replication window: the newest ringN records, the one
+	// with sequence s in slot s%tailWindow. Everything older is read
+	// back from wal.log on demand, so the memory a Log holds does not
+	// grow with its history. It exists only once a reader has asked to
+	// be woken (Changed): a log nobody tails keeps no tail.
+	ring       []Entry
+	ringN      int
+	walSize    int64 // bytes written to the WAL file since the last compaction
 	snapSize   int64
-	appends    int  // appends since open or last snapshot
-	legacySnap bool // recovered snapshot lacked the integrity trailer
+	retryAt    int64 // WAL size at which a failed compaction is tried again
+	legacySnap bool  // recovered snapshot lacked the integrity trailer
 	deadErr    error
 	changed    chan struct{} // closed and replaced on every append/snapshot
 	stop       chan struct{}
@@ -179,6 +200,10 @@ type Log struct {
 	mBytes       *obs.Counter
 	mBatchSize   *obs.Histogram
 	mFsyncsSaved *obs.Counter
+	mSnapshots   *obs.Counter
+	mSnapBytes   *obs.Counter
+	mSnapFails   *obs.Counter
+	mSnapSeconds *obs.Histogram
 }
 
 // gcWaiter is one Append blocked on its batch's fsync.
@@ -204,9 +229,6 @@ func Open(opts Options) (*Log, error) {
 	if opts.FsyncInterval <= 0 {
 		opts.FsyncInterval = 100 * time.Millisecond
 	}
-	if opts.SnapshotEvery <= 0 {
-		opts.SnapshotEvery = 256
-	}
 	if opts.GroupMaxBatch <= 0 {
 		opts.GroupMaxBatch = 64
 	}
@@ -224,6 +246,14 @@ func Open(opts Options) (*Log, error) {
 		l.mBytes = opts.Obs.Counter("piye_wal_bytes_total", "log", scope)
 		l.mBatchSize = opts.Obs.Histogram("piye_wal_group_batch_size", batchBuckets, "log", scope)
 		l.mFsyncsSaved = opts.Obs.Counter("piye_wal_group_fsyncs_saved_total", "log", scope)
+		opts.Obs.Help("piye_wal_snapshots_total", "Snapshots installed (each compacts the WAL).")
+		opts.Obs.Help("piye_wal_snapshot_bytes_total", "Bytes of snapshot files installed.")
+		opts.Obs.Help("piye_wal_snapshot_failures_total", "Snapshot attempts that failed; the WAL keeps growing until one succeeds.")
+		opts.Obs.Help("piye_wal_snapshot_seconds", "Time to capture, encode, write and install one snapshot.")
+		l.mSnapshots = opts.Obs.Counter("piye_wal_snapshots_total", "log", scope)
+		l.mSnapBytes = opts.Obs.Counter("piye_wal_snapshot_bytes_total", "log", scope)
+		l.mSnapFails = opts.Obs.Counter("piye_wal_snapshot_failures_total", "log", scope)
+		l.mSnapSeconds = opts.Obs.Histogram("piye_wal_snapshot_seconds", nil, "log", scope)
 	}
 
 	// Leftover temp files are debris from a crash mid-snapshot; the
@@ -287,12 +317,16 @@ func (l *Log) recoverWAL() error {
 		if last != 0 && seq != last+1 {
 			return fmt.Errorf("durable: wal %s: sequence %d follows %d — refusing non-contiguous history", path, seq, last)
 		}
+		if last == 0 && seq > l.snapSeq+1 {
+			return fmt.Errorf("durable: wal %s: starts at sequence %d but the snapshot covers only %d — refusing a history with a gap", path, seq, l.snapSeq)
+		}
 		last = seq
 		if seq > l.snapSeq {
 			// Records at or below the snapshot sequence are the
 			// pre-compaction log a crash left behind; the snapshot
-			// already covers them.
-			l.entries = append(l.entries, Entry{Seq: seq, Payload: append([]byte(nil), payload...)})
+			// already covers them. Payloads alias the file image: both
+			// go when the owner calls ReleaseRecovered.
+			l.recovered = append(l.recovered, Entry{Seq: seq, Payload: payload})
 		}
 		valid += n
 	}
@@ -337,7 +371,17 @@ func (l *Log) RecoveredSnapshot() []byte {
 func (l *Log) RecoveredEntries() []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.entries
+	return l.recovered
+}
+
+// ReleaseRecovered drops the log's references to the recovered snapshot
+// and entries. Owners call it once they have replayed both: the next
+// snapshot may be a whole history away, and until then nothing else
+// would free them.
+func (l *Log) ReleaseRecovered() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.snapshot, l.recovered = nil, nil
 }
 
 // LastSeq returns the last assigned sequence number.
@@ -347,23 +391,29 @@ func (l *Log) LastSeq() uint64 {
 	return l.seq
 }
 
-// SnapshotEvery returns the configured snapshot cadence hint.
-func (l *Log) SnapshotEvery() int { return l.opts.SnapshotEvery }
-
-// AppendsSinceSnapshot counts records appended since open or the last
-// SaveSnapshot — the owner's trigger for compaction.
-func (l *Log) AppendsSinceSnapshot() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appends
-}
-
 // Sizes reports the current WAL and snapshot sizes in bytes (staged but
 // unwritten appends included in the WAL figure).
 func (l *Log) Sizes() (wal, snap int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.walSize + int64(len(l.buf)), l.snapSize
+}
+
+// CompactionDue reports whether the WAL has grown by at least the size
+// of the installed snapshot (and at least compactFloor) since that
+// snapshot was taken. Snapshotting exactly then keeps the snapshot bytes
+// ever written within a constant factor of the WAL bytes ever written,
+// whatever the history length, and bounds a restart to one snapshot plus
+// a WAL tail no larger than it. After a failed attempt the bar rises by
+// another compactFloor, so a compaction that keeps failing is retried
+// at that pace rather than after every append.
+func (l *Log) CompactionDue() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.deadErr != nil {
+		return false
+	}
+	return l.walSize+int64(len(l.buf)) >= max(compactFloor, l.snapSize, l.retryAt)
 }
 
 // Append stages one record and applies the fsync policy. Under
@@ -422,14 +472,17 @@ func (l *Log) appendLocked(seq uint64, payload []byte) (uint64, *gcWaiter, error
 	}
 	l.seq = seq
 	l.buf = AppendRecord(l.buf, l.seq, payload)
-	l.entries = append(l.entries, Entry{Seq: l.seq, Payload: append([]byte(nil), payload...)})
-	l.appends++
+	if l.ring != nil {
+		l.ring[seq%tailWindow] = Entry{Seq: seq, Payload: append([]byte(nil), payload...)}
+		l.ringN = min(l.ringN+1, tailWindow)
+	}
 	l.mAppends.Inc()
 	l.signalLocked()
 	if l.opts.Failpoints.hit(FPAppendBuffer) {
 		// Power loss with the record still in cache: it never existed.
 		l.buf = nil
-		l.entries = l.entries[:len(l.entries)-1]
+		l.seq--
+		l.ringN = max(l.ringN-1, 0)
 		return 0, nil, l.die()
 	}
 	switch l.opts.Fsync {
@@ -569,6 +622,13 @@ func (l *Log) die() error {
 	l.deadErr = ErrCrashed
 	l.completeWaitersLocked(ErrCrashed)
 	return ErrCrashed
+}
+
+// dieUnlocked is die for the steps that run without the log lock.
+func (l *Log) dieUnlocked() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.die()
 }
 
 // commitLoop is the group committer: it wakes when appends are staged,

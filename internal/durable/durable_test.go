@@ -98,9 +98,6 @@ func TestSnapshotSubsumesLogAndCompacts(t *testing.T) {
 	if wal, snap := l.Sizes(); wal != 0 || snap == 0 {
 		t.Errorf("after snapshot wal=%d snap=%d", wal, snap)
 	}
-	if l.AppendsSinceSnapshot() != 0 {
-		t.Errorf("appends since snapshot = %d", l.AppendsSinceSnapshot())
-	}
 	// Post-snapshot appends land in the fresh WAL.
 	if _, err := l.Append([]byte("r10")); err != nil {
 		t.Fatal(err)

@@ -66,11 +66,31 @@ func Points() []string {
 type Failpoints struct {
 	mu      sync.Mutex
 	armed   map[string]int // point -> remaining hits before it fires
+	parked  map[string]park
 	tripped []string
 }
 
+// park is one scheduled pause: reached is closed when the point is hit,
+// and the hit then blocks until resume is closed.
+type park struct{ reached, resume chan struct{} }
+
 // NewFailpoints returns an empty (never-firing) schedule.
-func NewFailpoints() *Failpoints { return &Failpoints{armed: map[string]int{}} }
+func NewFailpoints() *Failpoints {
+	return &Failpoints{armed: map[string]int{}, parked: map[string]park{}}
+}
+
+// Park makes the next hit of the named point stop there instead of
+// crashing: reached is closed once the writer stands at the point, and it
+// stays there, holding whatever locks that step holds, until release is
+// called. A test parks a snapshot mid-write to prove what else can make
+// progress meanwhile; a point armed as well fires after the release.
+func (f *Failpoints) Park(point string) (reached <-chan struct{}, release func()) {
+	p := park{reached: make(chan struct{}), resume: make(chan struct{})}
+	f.mu.Lock()
+	f.parked[point] = p
+	f.mu.Unlock()
+	return p.reached, func() { close(p.resume) }
+}
 
 // Arm schedules the named point to fire on its next hit.
 func (f *Failpoints) Arm(point string) { f.ArmAt(point, 1) }
@@ -98,6 +118,13 @@ func (f *Failpoints) hit(point string) bool {
 		return false
 	}
 	f.mu.Lock()
+	if p, ok := f.parked[point]; ok {
+		delete(f.parked, point)
+		f.mu.Unlock()
+		close(p.reached)
+		<-p.resume
+		f.mu.Lock()
+	}
 	defer f.mu.Unlock()
 	n, ok := f.armed[point]
 	if !ok {

@@ -177,7 +177,7 @@ func TestGroupCommitSnapshotSubsumesPendingBatch(t *testing.T) {
 			_, errs[w] = l.Append([]byte(fmt.Sprintf("pending-%d", w)))
 		}(w)
 	}
-	waitFor(t, func() bool { return l.AppendsSinceSnapshot() == writers })
+	waitFor(t, func() bool { return l.LastSeq() == writers })
 	if err := l.SaveSnapshot([]byte("full-state")); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestGroupCommitCloseDrainsPendingBatch(t *testing.T) {
 			_, errs[w] = l.Append([]byte(fmt.Sprintf("parked-%d", w)))
 		}(w)
 	}
-	waitFor(t, func() bool { return l.AppendsSinceSnapshot() == writers })
+	waitFor(t, func() bool { return l.LastSeq() == writers })
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}

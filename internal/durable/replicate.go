@@ -5,9 +5,11 @@ package durable
 // The Log itself knows nothing about networks or peers; internal/replica
 // builds the shipping protocol on the three primitives here:
 //
-//   - TailFrom hands back the in-memory entry tail after a sequence
-//     number, or reports that the requested point is already compacted
-//     into the snapshot (the reader must take the snapshot first);
+//   - TailFrom hands back the entries after a sequence number — from
+//     the in-memory window when the reader is close behind, from
+//     wal.log when it is not — or reports that the requested point is
+//     already compacted into the snapshot (the reader must take the
+//     snapshot first);
 //   - SnapshotPayload re-reads and re-verifies snapshot.dat, because the
 //     recovered in-memory copy is dropped once the owner holds live
 //     state;
@@ -24,6 +26,8 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 )
 
 // ErrSequence means an AppendEntry sequence was not contiguous with the
@@ -34,16 +38,46 @@ var ErrSequence = errors.New("durable: non-contiguous sequence")
 // TailFrom returns every entry with seq > from. When from is below the
 // snapshot boundary the tail alone cannot reconstruct the state;
 // snapNeeded is true and the caller must install SnapshotPayload first
-// (the returned entries then follow it). The returned slice is a copy of
-// the slice header; payloads are shared and must not be mutated.
-func (l *Log) TailFrom(from uint64) (entries []Entry, snapSeq uint64, snapNeeded bool) {
+// (the returned entries then follow it). A reader within the in-memory
+// window is served from it; one further behind is served by reading
+// wal.log under the log lock — a reconnecting standby pays that once and
+// is inside the window from then on. Payloads are shared and must not be
+// mutated.
+func (l *Log) TailFrom(from uint64) (entries []Entry, snapSeq uint64, snapNeeded bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	start := 0
-	for start < len(l.entries) && l.entries[start].Seq <= from {
-		start++
+	snapNeeded = from < l.snapSeq
+	if snapNeeded {
+		from = l.snapSeq
 	}
-	return append([]Entry(nil), l.entries[start:]...), l.snapSeq, from < l.snapSeq
+	if from >= l.seq {
+		return nil, l.snapSeq, snapNeeded, nil
+	}
+	if l.seq-from <= uint64(l.ringN) {
+		entries = make([]Entry, 0, l.seq-from)
+		for s := from + 1; s <= l.seq; s++ {
+			entries = append(entries, l.ring[s%tailWindow])
+		}
+		return entries, l.snapSeq, snapNeeded, nil
+	}
+	// The file holds every record since the last compaction except the
+	// staged ones, which follow it in buf.
+	data, err := os.ReadFile(filepath.Join(l.opts.Dir, walName))
+	if err != nil {
+		return nil, l.snapSeq, snapNeeded, fmt.Errorf("durable: reading wal tail: %w", err)
+	}
+	data = append(data, l.buf...)
+	for off := 0; off < len(data); {
+		seq, payload, n, err := DecodeRecord(data[off:])
+		if err != nil {
+			return nil, l.snapSeq, snapNeeded, fmt.Errorf("durable: reading wal tail at offset %d: %w", off, err)
+		}
+		if seq > from {
+			entries = append(entries, Entry{Seq: seq, Payload: payload})
+		}
+		off += n
+	}
+	return entries, l.snapSeq, snapNeeded, nil
 }
 
 // SnapshotPayload reads, verifies and returns the installed snapshot
@@ -72,10 +106,15 @@ func (l *Log) SnapshotPayload() (state []byte, seq uint64, err error) {
 
 // Changed returns a channel closed at the next append or snapshot (or
 // close of the log). Take it before reading the tail: the
-// read-tail/wait/re-read loop then never misses an append.
+// read-tail/wait/re-read loop then never misses an append. The first
+// call also starts the in-memory window, so the reader's next TailFrom
+// is the last it needs wal.log for.
 func (l *Log) Changed() <-chan struct{} {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.ring == nil {
+		l.ring = make([]Entry, tailWindow)
+	}
 	return l.changed
 }
 

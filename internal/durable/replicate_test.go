@@ -223,9 +223,9 @@ func TestTailFromAndSnapshotBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries, snapSeq, snapNeeded := l.TailFrom(2)
-	if snapNeeded || snapSeq != 0 {
-		t.Fatalf("pre-snapshot TailFrom: snapSeq=%d snapNeeded=%v", snapSeq, snapNeeded)
+	entries, snapSeq, snapNeeded, err := l.TailFrom(2)
+	if err != nil || snapNeeded || snapSeq != 0 {
+		t.Fatalf("pre-snapshot TailFrom: snapSeq=%d snapNeeded=%v err=%v", snapSeq, snapNeeded, err)
 	}
 	if got := payloads(entries); len(got) != 3 || got[0] != "e3" {
 		t.Fatalf("TailFrom(2) = %v", got)
@@ -238,15 +238,15 @@ func TestTailFromAndSnapshotBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A reader below the compaction point must take the snapshot first.
-	entries, snapSeq, snapNeeded = l.TailFrom(2)
-	if !snapNeeded || snapSeq != 5 {
-		t.Fatalf("post-snapshot TailFrom(2): snapSeq=%d snapNeeded=%v", snapSeq, snapNeeded)
+	entries, snapSeq, snapNeeded, err = l.TailFrom(2)
+	if err != nil || !snapNeeded || snapSeq != 5 {
+		t.Fatalf("post-snapshot TailFrom(2): snapSeq=%d snapNeeded=%v err=%v", snapSeq, snapNeeded, err)
 	}
 	if got := payloads(entries); len(got) != 1 || got[0] != "e6" {
 		t.Fatalf("post-snapshot tail = %v", got)
 	}
 	// A reader at the snapshot boundary needs only the tail.
-	if _, _, snapNeeded = l.TailFrom(5); snapNeeded {
+	if _, _, snapNeeded, _ = l.TailFrom(5); snapNeeded {
 		t.Error("reader at the snapshot boundary should not need the snapshot")
 	}
 

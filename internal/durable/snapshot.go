@@ -8,6 +8,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"time"
 )
 
 // Snapshot file format:
@@ -78,7 +79,7 @@ func readSnapshotFile(path string) (payload []byte, seq uint64, legacy bool, err
 		return nil, 0, false, fmt.Errorf("%w: %s: checksum mismatch — refusing to serve corrupt state", ErrSnapshotCorrupt, path)
 	}
 	seq = binary.LittleEndian.Uint64(body[:8])
-	return append([]byte(nil), body[8:]...), seq, legacy, nil
+	return body[8:], seq, legacy, nil
 }
 
 // loadSnapshot reads and verifies snapshot.dat, if present.
@@ -107,77 +108,196 @@ func (l *Log) loadSnapshot() error {
 	return nil
 }
 
-// encodeSnapshot renders the on-disk snapshot file for seq + state.
-func encodeSnapshot(seq uint64, state []byte) []byte {
-	buf := make([]byte, 0, snapHeader+len(state)+snapTrailer)
-	buf = append(buf, snapMagic[:]...)
-	var seqb [8]byte
-	binary.LittleEndian.PutUint64(seqb[:], seq)
-	body := append(seqb[:], state...)
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc32.Checksum(body, castagnoli))
-	buf = append(buf, crcb[:]...)
-	buf = append(buf, body...)
-	var tcrc [4]byte
-	binary.LittleEndian.PutUint32(tcrc[:], crc32.Checksum(buf, castagnoli))
-	buf = append(buf, tcrc[:]...)
-	buf = append(buf, snapTrailerM[:]...)
-	return buf
+// snapshotFrame renders the bytes that surround state in the snapshot
+// file. Both checksums are folded over header and state incrementally,
+// so the payload is never copied into a second buffer.
+func snapshotFrame(seq uint64, state []byte) (header [snapHeader]byte, trailer [snapTrailer]byte) {
+	copy(header[:8], snapMagic[:])
+	binary.LittleEndian.PutUint64(header[12:], seq)
+	crc := crc32.Update(crc32.Update(0, castagnoli, header[12:]), castagnoli, state)
+	binary.LittleEndian.PutUint32(header[8:12], crc)
+	tcrc := crc32.Update(crc32.Update(0, castagnoli, header[:]), castagnoli, state)
+	binary.LittleEndian.PutUint32(trailer[:4], tcrc)
+	copy(trailer[4:], snapTrailerM[:])
+	return header, trailer
 }
 
-// SaveSnapshot installs state as the snapshot covering every record
-// appended so far (staged ones included), then compacts the WAL to
-// empty. On return under any fsync policy the state is durable: the
-// snapshot subsumes whatever the WAL buffer still held.
-func (l *Log) SaveSnapshot(state []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.deadErr != nil {
-		return l.deadErr
+// Capture is an owner's consistent cut of its state: the sequence number
+// of the last record the cut reflects, and an encoder that renders the
+// cut later. Compact calls it once; the owner takes whatever locks make
+// seq and the captured state agree, and encode then runs without them.
+type Capture func() (seq uint64, encode func() ([]byte, error))
+
+// Compact takes one snapshot through capture and compacts the WAL
+// behind it. Only capture itself runs under the owner's locks; encoding,
+// writing and fsyncing the snapshot exclude neither the owner's readers
+// and writers nor appends to this log, and records appended meanwhile
+// are carried over into the compacted WAL. A call that finds another
+// snapshot in progress returns nil at once.
+func (l *Log) Compact(capture Capture) error {
+	if !l.snapMu.TryLock() {
+		return nil
 	}
-	return l.saveSnapshotLocked(l.seq, state)
+	defer l.snapMu.Unlock()
+	start := time.Now()
+	seq, encode := capture()
+	state, err := encode()
+	if err != nil {
+		return l.snapshotDone(start, 0, fmt.Errorf("durable: encoding snapshot: %w", err))
+	}
+	return l.install(start, seq, state, true)
+}
+
+// SaveSnapshotAt installs state as the snapshot covering every record up
+// to and including seq, then compacts the WAL down to the records after
+// seq. The caller vouches that state reflects exactly those records; seq
+// may trail the log's end, which is what lets the state be encoded
+// while appends continue.
+func (l *Log) SaveSnapshotAt(seq uint64, state []byte) error {
+	l.snapMu.Lock()
+	defer l.snapMu.Unlock()
+	return l.install(time.Now(), seq, state, true)
+}
+
+// SaveSnapshot is SaveSnapshotAt the current end of the log, for callers
+// whose state covers every record appended so far. On return under any
+// fsync policy the state is durable.
+func (l *Log) SaveSnapshot(state []byte) error {
+	l.snapMu.Lock()
+	defer l.snapMu.Unlock()
+	return l.install(time.Now(), l.LastSeq(), state, true)
 }
 
 // InstallSnapshot replaces the log's entire state with a snapshot
 // received from elsewhere — the resync path of a replication standby.
-// Unlike SaveSnapshot it also moves the sequence cursor to seq,
-// discarding whatever divergent tail the standby had accumulated;
+// Unlike SaveSnapshotAt it moves the sequence cursor to seq and discards
+// the whole WAL, whatever divergent tail the standby had accumulated;
 // replay then resumes at seq+1.
 func (l *Log) InstallSnapshot(seq uint64, state []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.deadErr != nil {
-		return l.deadErr
-	}
-	if err := l.saveSnapshotLocked(seq, state); err != nil {
+	l.snapMu.Lock()
+	defer l.snapMu.Unlock()
+	return l.install(time.Now(), seq, state, false)
+}
+
+// install runs one snapshot attempt (snapMu held); carry says whether
+// the records after seq survive the compaction.
+func (l *Log) install(start time.Time, seq uint64, state []byte, carry bool) error {
+	size, err := l.writeAndInstall(seq, state, carry)
+	return l.snapshotDone(start, size, err)
+}
+
+// snapshotDone accounts for one snapshot attempt: counters, duration,
+// the retry bar, and one log line per streak of failures — a compaction
+// that fails every time means a WAL growing without bound, which must
+// not be silent.
+func (l *Log) snapshotDone(start time.Time, size int64, err error) error {
+	if err != nil {
+		l.mu.Lock()
+		l.retryAt = l.walSize + int64(len(l.buf)) + compactFloor
+		l.mu.Unlock()
+		l.mSnapFails.Inc()
+		if l.failStreak == 0 {
+			log.Printf("durable: %s: snapshot failed, the WAL keeps growing until one succeeds: %v", l.opts.Dir, err)
+		}
+		l.failStreak++
 		return err
 	}
-	l.seq = seq
+	if l.failStreak > 0 {
+		log.Printf("durable: %s: snapshot succeeded after %d failed attempts", l.opts.Dir, l.failStreak)
+		l.failStreak = 0
+	}
+	l.mSnapshots.Inc()
+	l.mSnapBytes.Add(uint64(size))
+	l.mSnapSeconds.Observe(time.Since(start).Seconds())
 	return nil
 }
 
-// saveSnapshotLocked writes the snapshot file for seq + state, compacts
-// the WAL and clears the live entry tail.
-func (l *Log) saveSnapshotLocked(seq uint64, state []byte) error {
-	buf := encodeSnapshot(seq, state)
-
+// writeAndInstall writes the snapshot to its temp file without the log
+// lock — appends proceed — then takes the lock to rename it into place
+// and compact the WAL. It returns the size of the installed file.
+func (l *Log) writeAndInstall(seq uint64, state []byte, carry bool) (int64, error) {
+	l.mu.Lock()
+	dead := l.deadErr
+	l.mu.Unlock()
+	if dead != nil {
+		return 0, dead
+	}
 	tmp := filepath.Join(l.opts.Dir, snapTmpName)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err := l.writeSnapshotTemp(tmp, seq, state); err != nil {
+		return 0, err
+	}
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.deadErr != nil {
+		os.Remove(tmp)
+		return 0, l.deadErr
+	}
+	if carry && (seq < l.snapSeq || seq > l.seq) {
+		os.Remove(tmp)
+		return 0, fmt.Errorf("durable: snapshot at seq %d outside the log's range (%d, %d]", seq, l.snapSeq, l.seq)
+	}
+	if carry && len(l.buf) > 0 {
+		// Staged records must be in the file before the tail after seq
+		// can be cut from it.
+		if err := l.flushLocked(true); err != nil {
+			os.Remove(tmp)
+			return 0, err
+		}
+	}
+	if l.opts.Failpoints.hit(FPSnapRename) {
+		return 0, l.die()
+	}
+	if err := os.Rename(tmp, l.snapPath()); err != nil {
+		return 0, fmt.Errorf("durable: snapshot rename: %w", err)
+	}
+	if l.opts.Failpoints.hit(FPSnapDirSync) {
+		return 0, l.die()
+	}
+	if err := l.dirf.Sync(); err != nil {
+		return 0, fmt.Errorf("durable: directory fsync: %w", err)
+	}
+	size := int64(snapHeader + len(state) + snapTrailer)
+	l.snapSeq = seq
+	l.snapshot, l.recovered = nil, nil // stale now; owners hold live state
+	l.snapSize = size
+	l.retryAt = 0
+	l.legacySnap = false
+	if !carry {
+		// The standby's own tail is divergent history: drop it, staged
+		// bytes included. An append still waiting on a batch fsync is
+		// answered by the snapshot that replaces it.
+		l.seq = seq
+		l.ringN = 0
+		l.buf = nil
+		l.completeWaitersLocked(nil)
+	}
+	l.signalLocked()
+	return size, l.compactLocked(seq, carry)
+}
+
+// writeSnapshotTemp writes and fsyncs the snapshot image at path.
+func (l *Log) writeSnapshotTemp(path string, seq uint64, state []byte) error {
+	header, trailer := snapshotFrame(seq, state)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("durable: snapshot temp: %w", err)
 	}
 	if l.opts.Failpoints.hit(FPSnapWrite) {
-		_, _ = f.Write(buf[:len(buf)/2]) // torn temp file; never renamed
+		_, _ = f.Write(header[:]) // torn temp file; never renamed
+		_, _ = f.Write(state[:len(state)/2])
 		f.Close()
-		return l.die()
+		return l.dieUnlocked()
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: snapshot write: %w", err)
+	for _, part := range [][]byte{header[:], state, trailer[:]} {
+		if _, err := f.Write(part); err != nil {
+			f.Close()
+			return fmt.Errorf("durable: snapshot write: %w", err)
+		}
 	}
 	if l.opts.Failpoints.hit(FPSnapSync) {
 		f.Close()
-		return l.die()
+		return l.dieUnlocked()
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -186,39 +306,35 @@ func (l *Log) saveSnapshotLocked(seq uint64, state []byte) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("durable: snapshot close: %w", err)
 	}
-	if l.opts.Failpoints.hit(FPSnapRename) {
-		return l.die()
-	}
-	if err := os.Rename(tmp, l.snapPath()); err != nil {
-		return fmt.Errorf("durable: snapshot rename: %w", err)
-	}
-	if l.opts.Failpoints.hit(FPSnapDirSync) {
-		return l.die()
-	}
-	if err := l.dirf.Sync(); err != nil {
-		return fmt.Errorf("durable: directory fsync: %w", err)
-	}
-	l.snapSeq = seq
-	l.snapshot = nil // recovered copy is stale now; owners hold live state
-	l.snapSize = int64(len(buf))
-	l.appends = 0
-	l.legacySnap = false
-	l.entries = nil // the snapshot subsumes the live tail
-	l.signalLocked()
+	return nil
+}
 
-	// Compact: every WAL record is now covered by the snapshot, so the
-	// log restarts empty via the same temp + rename + dirsync idiom. A
-	// crash anywhere in here is safe — recovery skips records at or
-	// below the snapshot sequence.
-	l.buf = nil
-	// Any append still waiting on a batch fsync is durable now: the
-	// installed snapshot covers its sequence, which is a stronger
-	// guarantee than the fsync it was waiting for.
-	l.completeWaitersLocked(nil)
+// compactLocked replaces wal.log with the records after seq (none when
+// carry is false) via the same temp + rename + dirsync idiom. A crash
+// anywhere in here is safe — recovery skips records at or below the
+// snapshot sequence, so the old and the new wal.log replay alike.
+func (l *Log) compactLocked(seq uint64, carry bool) error {
+	walPath := filepath.Join(l.opts.Dir, walName)
+	var tail []byte
+	if carry && seq < l.seq {
+		data, err := os.ReadFile(walPath)
+		if err != nil {
+			return fmt.Errorf("durable: wal rotate: %w", err)
+		}
+		off, err := offsetAfter(data, seq)
+		if err != nil {
+			return fmt.Errorf("durable: wal rotate: %w", err)
+		}
+		tail = data[off:]
+	}
 	walTmp := filepath.Join(l.opts.Dir, walTmpName)
 	wf, err := os.OpenFile(walTmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("durable: wal rotate: %w", err)
+	}
+	if _, err := wf.Write(tail); err != nil {
+		wf.Close()
+		return fmt.Errorf("durable: wal rotate write: %w", err)
 	}
 	if err := wf.Sync(); err != nil {
 		wf.Close()
@@ -230,7 +346,7 @@ func (l *Log) saveSnapshotLocked(seq uint64, state []byte) error {
 	if l.opts.Failpoints.hit(FPCompactRotate) {
 		return l.die()
 	}
-	if err := os.Rename(walTmp, filepath.Join(l.opts.Dir, walName)); err != nil {
+	if err := os.Rename(walTmp, walPath); err != nil {
 		return fmt.Errorf("durable: wal rotate rename: %w", err)
 	}
 	if l.opts.Failpoints.hit(FPCompactDirSync) {
@@ -241,12 +357,29 @@ func (l *Log) saveSnapshotLocked(seq uint64, state []byte) error {
 	}
 	// Swap the append handle to the fresh file.
 	old := l.f
-	l.f, err = os.OpenFile(filepath.Join(l.opts.Dir, walName), os.O_WRONLY|os.O_APPEND, 0o644)
+	l.f, err = os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		l.f = old
 		return fmt.Errorf("durable: reopening wal: %w", err)
 	}
 	old.Close()
-	l.walSize = 0
+	l.walSize = int64(len(tail))
 	return nil
+}
+
+// offsetAfter walks the WAL image to the first record with a sequence
+// above seq and returns its byte offset (len(data) when there is none).
+func offsetAfter(data []byte, seq uint64) (int, error) {
+	off := 0
+	for off < len(data) {
+		s, _, n, err := DecodeRecord(data[off:])
+		if err != nil {
+			return 0, fmt.Errorf("record at offset %d: %w", off, err)
+		}
+		if s > seq {
+			break
+		}
+		off += n
+	}
+	return off, nil
 }

@@ -37,9 +37,9 @@ func E18Durability(releaseCounts []int) (*Table, error) {
 			i%17, 70+float64(i%9), 60+float64(i%7), 80+float64(i%5)))
 	}
 
-	// Recovery cost vs history length: write n releases (snapshotting at
-	// the default cadence, exactly as the mediator does), then time a
-	// cold reopen.
+	// Recovery cost vs history length: write n releases (snapshotting
+	// when the log says compaction is due, exactly as the mediator does),
+	// then time a cold reopen.
 	for _, n := range releaseCounts {
 		dir, err := os.MkdirTemp("", "e18-recovery-*")
 		if err != nil {
@@ -58,7 +58,7 @@ func E18Durability(releaseCounts []int) (*Table, error) {
 			}
 			state.Write(p)
 			state.WriteByte('\n')
-			if l.AppendsSinceSnapshot() >= l.SnapshotEvery() {
+			if l.CompactionDue() {
 				if err := l.SaveSnapshot(state.Bytes()); err != nil {
 					return nil, err
 				}
@@ -127,7 +127,7 @@ func E18Durability(releaseCounts []int) (*Table, error) {
 	}
 
 	t.Notes = append(t.Notes,
-		"recovery replays snapshot + WAL tail; compaction keeps the tail short at the default cadence (256 appends)",
+		"recovery replays snapshot + WAL tail; compaction runs when the tail outgrows max(1 MiB, snapshot), so the tail replayed is never larger than that",
 		"fsync=always is the fail-closed setting: a release is acknowledged only after its record is on disk",
 		"restart row: the snooper holds the Figure 1(a) sigmas, the mediator restarts, the Figure 1(b) means must still be refused")
 	return t, nil

@@ -15,7 +15,6 @@ package mediator
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"privateiye/internal/durable"
@@ -23,7 +22,8 @@ import (
 
 // DurabilityConfig enables crash-safe persistence of the release ledger
 // and query history under Dir. Zero values take the durable package
-// defaults (FsyncAlways, 100ms interval, snapshot every 256 appends).
+// defaults (FsyncAlways, 100ms interval). When to snapshot and compact is
+// the durable log's decision, not a setting.
 type DurabilityConfig struct {
 	// Dir is the state directory (created if missing).
 	Dir string
@@ -31,8 +31,6 @@ type DurabilityConfig struct {
 	Fsync durable.FsyncPolicy
 	// FsyncInterval applies under FsyncInterval policy.
 	FsyncInterval time.Duration
-	// SnapshotEvery is the compaction cadence in WAL appends.
-	SnapshotEvery int
 	// GroupCommit batches concurrent WAL appends into one fsync under
 	// FsyncAlways (see durable.Options.GroupCommit). The fail-closed
 	// contract is unchanged: a release is granted only after the fsync
@@ -104,9 +102,6 @@ type stateSnapshot struct {
 // statePersister owns the durable log beneath one mediator.
 type statePersister struct {
 	dlog *durable.Log
-	mu   sync.Mutex // guards inSnapshot
-	// inSnapshot keeps concurrent queries from stampeding SaveSnapshot.
-	inSnapshot bool
 	// guard, when set (see replicate.go), runs before every release
 	// append: a node that is not the primary at its own epoch must fail
 	// the write closed rather than record a release its successor's
@@ -127,7 +122,6 @@ func (m *Mediator) openDurable(cfg DurabilityConfig) error {
 		Dir:           cfg.Dir,
 		Fsync:         cfg.Fsync,
 		FsyncInterval: cfg.FsyncInterval,
-		SnapshotEvery: cfg.SnapshotEvery,
 		GroupCommit:   cfg.GroupCommit,
 		GroupMaxBatch: cfg.GroupMaxBatch,
 		GroupMaxHold:  cfg.GroupMaxHold,
@@ -171,6 +165,10 @@ func (m *Mediator) openDurable(cfg DurabilityConfig) error {
 			return fmt.Errorf("mediator: malformed wal record %d (kind %q)", e.Seq, rec.Kind)
 		}
 	}
+	// History and ledger hold the live state from here on; the log's
+	// copies of what it recovered would otherwise stay until the next
+	// snapshot.
+	dl.ReleaseRecovered()
 	p := &statePersister{dlog: dl}
 	m.persist = p
 	m.ledger.persist = p.persistRelease
@@ -214,50 +212,62 @@ func (p *statePersister) persistHistory(e HistoryEntry) {
 	_, _ = p.dlog.Append(b)
 }
 
-// maybeSnapshot compacts the WAL when the cadence is reached. The
-// snapshot is built and installed while both the mediator and ledger
-// locks are held: the durable log stamps the snapshot with its current
-// sequence number, so any release appended between building the state
-// and installing it would be marked covered-but-absent and lost on
-// recovery. Snapshots are rare (every SnapshotEvery appends) and the
-// pause is one marshal + fsync + rename.
+// maybeSnapshot compacts the WAL when the durable log says it has
+// outgrown its snapshot. A failed attempt is counted and logged by the
+// log itself; it leaves a longer WAL, not lost state.
 func (m *Mediator) maybeSnapshot() {
-	p := m.persist
-	if p == nil {
-		return
+	if p := m.persist; p != nil && p.dlog.CompactionDue() {
+		_ = m.snapshot()
 	}
-	p.mu.Lock()
-	if p.inSnapshot || p.dlog.AppendsSinceSnapshot() < p.dlog.SnapshotEvery() {
-		p.mu.Unlock()
-		return
-	}
-	p.inSnapshot = true
-	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		p.inSnapshot = false
-		p.mu.Unlock()
-	}()
+}
 
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// snapshot takes one snapshot of the ledger and history and compacts the
+// WAL behind it, whether or not one is due.
+func (m *Mediator) snapshot() error {
+	return m.persist.dlog.Compact(m.captureState)
+}
+
+// captureState is the snapshot's consistent cut. Under m.mu and
+// ledger.mu it copies one slice header per requester plus the history's
+// and reads the log's sequence number; marshalling, the file write and
+// its fsync then run with neither lock held. That is sound because both
+// structures are append-only — a slice header taken now is an immutable
+// prefix, and a recorded release's maps are never written again — and
+// because every WAL append happens under one of the two locks together
+// with its in-memory effect: with both held, the captured state reflects
+// exactly the records up to the sequence number read. The number has to
+// be taken here, not at install time: a release appended in between
+// would otherwise be stamped covered-but-absent and lost on recovery.
+func (m *Mediator) captureState() (uint64, func() ([]byte, error)) {
+	type requesterReleases struct {
+		req  string
+		rels []ledgerRelease
+	}
+	m.mu.RLock()
 	m.ledger.mu.Lock()
-	defer m.ledger.mu.Unlock()
-	s := stateSnapshot{
-		Releases: map[string][]wireRelease{},
-		History:  append([]HistoryEntry(nil), m.history...),
-	}
+	seq := m.persist.dlog.LastSeq()
+	history := m.history
+	releases := make([]requesterReleases, 0, len(m.ledger.byRequester))
 	for req, rels := range m.ledger.byRequester {
-		for _, rel := range rels {
-			s.Releases[req] = append(s.Releases[req], toWire(rel))
+		releases = append(releases, requesterReleases{req, rels})
+	}
+	m.ledger.mu.Unlock()
+	m.mu.RUnlock()
+
+	return seq, func() ([]byte, error) {
+		s := stateSnapshot{
+			Releases: make(map[string][]wireRelease, len(releases)),
+			History:  history,
 		}
+		for _, r := range releases {
+			wire := make([]wireRelease, len(r.rels))
+			for i, rel := range r.rels {
+				wire[i] = toWire(rel)
+			}
+			s.Releases[r.req] = wire
+		}
+		return json.Marshal(s)
 	}
-	state, err := json.Marshal(s)
-	if err != nil {
-		return
-	}
-	// Best-effort: a failed compaction leaves a longer WAL, not lost state.
-	_ = p.dlog.SaveSnapshot(state)
 }
 
 // Close flushes and closes the durable state, if configured, and stops

@@ -1,10 +1,12 @@
 package mediator
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"privateiye/internal/clinical"
 	"privateiye/internal/durable"
@@ -66,6 +68,11 @@ func TestRestartAmnesiaDefeated(t *testing.T) {
 	if _, err := m.Query(perTestQuery, "snooper"); err != nil {
 		t.Fatalf("first release (Figure 1a) should pass: %v", err)
 	}
+	// Nothing here is large enough to snapshot: the restart below
+	// recovers from the WAL alone.
+	if _, snap := m.persist.dlog.Sizes(); snap != 0 {
+		t.Fatalf("a %d-byte snapshot was installed; this test covers WAL-only recovery", snap)
+	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,21 +104,29 @@ func TestRestartAmnesiaDefeated(t *testing.T) {
 }
 
 // Releases keep being refused correctly across snapshot + compaction
-// cycles: many requesters, small cadence, restart, every sigma-holder
-// still blocked.
+// cycles: many requesters, a compaction forced every other query,
+// restart over snapshot + WAL tail, every sigma-holder still blocked.
 func TestLedgerSurvivesSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	m := durableFigure1Mediator(t, &DurabilityConfig{Dir: dir, SnapshotEvery: 4})
+	m := durableFigure1Mediator(t, &DurabilityConfig{Dir: dir})
 	const n = 6
 	for i := 0; i < n; i++ {
 		if _, err := m.Query(perTestQuery, fmt.Sprintf("req%d", i)); err != nil {
 			t.Fatalf("req%d: %v", i, err)
 		}
+		if i%2 == 0 {
+			if err := m.snapshot(); err != nil {
+				t.Fatalf("snapshot after req%d: %v", i, err)
+			}
+		}
+	}
+	if _, snap := m.persist.dlog.Sizes(); snap == 0 {
+		t.Fatal("no snapshot was installed")
 	}
 	hist := len(m.History())
 	m.Close()
 
-	m2 := durableFigure1Mediator(t, &DurabilityConfig{Dir: dir, SnapshotEvery: 4})
+	m2 := durableFigure1Mediator(t, &DurabilityConfig{Dir: dir})
 	defer m2.Close()
 	if got := len(m2.History()); got != hist {
 		t.Errorf("recovered %d history entries, want %d", got, hist)
@@ -119,6 +134,139 @@ func TestLedgerSurvivesSnapshotCompaction(t *testing.T) {
 	for i := 0; i < n; i++ {
 		if _, err := m2.Query(perHMOQuery, fmt.Sprintf("req%d", i)); err == nil {
 			t.Errorf("req%d: combination must still be refused after compaction + restart", i)
+		}
+	}
+}
+
+// parkSnapshot starts m.snapshot() with the snapshot file write parked
+// at its failpoint — after the state was captured, with no lock held —
+// and returns once it stands there. finish releases it and returns the
+// snapshot's verdict.
+func parkSnapshot(t *testing.T, m *Mediator, fp *durable.Failpoints) (finish func() error) {
+	t.Helper()
+	reached, release := fp.Park(durable.FPSnapWrite)
+	done := make(chan error, 1)
+	go func() { done <- m.snapshot() }()
+	select {
+	case <-reached:
+	case <-time.After(10 * time.Second):
+		t.Fatal("snapshot never reached its file write")
+	}
+	return func() error {
+		release()
+		return <-done
+	}
+}
+
+// No lock of the query path is held while a snapshot is marshalled,
+// written and fsynced: with the write parked, a query from another
+// requester — ledger check, release append, history append — completes,
+// and what it recorded past the snapshot's cut survives the install.
+func TestQueryDuringSnapshotCompletesAndSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	fp := durable.NewFailpoints()
+	m := durableFigure1Mediator(t, &DurabilityConfig{Dir: dir, Failpoints: fp})
+	if _, err := m.Query(perTestQuery, "before"); err != nil {
+		t.Fatal(err)
+	}
+	finish := parkSnapshot(t, m, fp)
+
+	answered := make(chan error, 1)
+	go func() {
+		_, err := m.Query(perTestQuery, "during")
+		answered <- err
+	}()
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Fatalf("query during a parked snapshot: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a query blocked behind a snapshot write: some query-path lock is held across it")
+	}
+	if got := len(m.History()); got != 2 {
+		t.Fatalf("history holds %d entries with the snapshot parked, want 2", got)
+	}
+	if err := finish(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	// The snapshot covers "before" only; "during" lives in the WAL tail
+	// the compaction carried over.
+	wal, snap := m.persist.dlog.Sizes()
+	if wal == 0 || snap == 0 {
+		t.Fatalf("after install wal=%d snap=%d: want a snapshot and a carried-over tail", wal, snap)
+	}
+	m.Close()
+
+	m2 := durableFigure1Mediator(t, &DurabilityConfig{Dir: dir})
+	defer m2.Close()
+	if h := m2.History(); len(h) != 2 || h[0].Requester != "before" || h[1].Requester != "during" {
+		t.Errorf("recovered history = %+v", h)
+	}
+	for _, req := range []string{"before", "during"} {
+		if _, err := m2.Query(perHMOQuery, req); err == nil || !strings.Contains(err.Error(), "combined") {
+			t.Errorf("%s: the Figure 1 combination must be refused after restart, got %v", req, err)
+		}
+	}
+}
+
+// The mediator-level crash matrix for snapshots taken off the query
+// locks: a query lands between the snapshot's cut and its install, then
+// the install dies at each of its steps under each fsync policy. The
+// recovered history must be a prefix of what was answered, whole under
+// the policies that had made it durable, and every recovered history
+// entry's release must be in the recovered ledger (the release is logged
+// first, so a prefix that has the history entry has the release).
+func TestCrashDuringSnapshotKeepsRecordsPastTheCut(t *testing.T) {
+	points := []string{
+		durable.FPSnapWrite, durable.FPSnapSync, durable.FPSnapRename,
+		durable.FPSnapDirSync, durable.FPCompactRotate, durable.FPCompactDirSync,
+	}
+	for _, policy := range []durable.FsyncPolicy{durable.FsyncAlways, durable.FsyncInterval, durable.FsyncNever} {
+		for _, point := range points {
+			t.Run(policy.String()+"/"+point, func(t *testing.T) {
+				dir := t.TempDir()
+				fp := durable.NewFailpoints()
+				// An hour's tick: under the interval policy nothing is
+				// synced except by the snapshot install itself.
+				m := durableFigure1Mediator(t, &DurabilityConfig{Dir: dir, Fsync: policy, FsyncInterval: time.Hour, Failpoints: fp})
+				issued := []string{"req0", "req1", "during"}
+				for _, req := range issued[:2] {
+					if _, err := m.Query(perTestQuery, req); err != nil {
+						t.Fatal(err)
+					}
+				}
+				finish := parkSnapshot(t, m, fp)
+				if _, err := m.Query(perTestQuery, "during"); err != nil {
+					t.Fatalf("query during a parked snapshot: %v", err)
+				}
+				fp.Arm(point)
+				if err := finish(); !errors.Is(err, durable.ErrCrashed) {
+					t.Fatalf("snapshot with %s armed = %v, want ErrCrashed", point, err)
+				}
+				m.Close()
+
+				m2 := durableFigure1Mediator(t, &DurabilityConfig{Dir: dir})
+				defer m2.Close()
+				h := m2.History()
+				if len(h) > len(issued) {
+					t.Fatalf("recovered history = %+v, longer than what was answered", h)
+				}
+				// Interval acknowledges nothing until a sync, and the crash
+				// may precede the install's; the other two policies had
+				// every record in the file before the snapshot started.
+				if policy != durable.FsyncInterval && len(h) != len(issued) {
+					t.Fatalf("recovered %d history entries under %s, want all %d", len(h), policy, len(issued))
+				}
+				for i, e := range h {
+					if e.Requester != issued[i] {
+						t.Fatalf("recovered history[%d] = %s, want %s: not a prefix", i, e.Requester, issued[i])
+					}
+					if len(m2.ledger.byRequester[e.Requester]) != 1 {
+						t.Errorf("%s is in the recovered history but its release is not in the ledger", e.Requester)
+					}
+				}
+			})
 		}
 	}
 }

@@ -248,16 +248,28 @@ func (a mediatorApplier) ApplyEntry(seq uint64, payload []byte) error {
 	if !isRelease && !isHistory {
 		return fmt.Errorf("mediator: malformed replicated record %d (kind %q)", seq, rec.Kind)
 	}
+	// Log and apply under the lock that guards the structure, exactly as
+	// the primary's write paths do: captureState relies on the log's
+	// sequence number and the in-memory state agreeing whenever it holds
+	// both locks.
 	m := a.m
-	if err := m.persist.dlog.AppendEntry(seq, payload); err != nil {
-		return err
-	}
+	var err error
 	if isRelease {
-		m.ledger.restore(rec.Requester, fromWire(*rec.Release))
+		m.ledger.mu.Lock()
+		if err = m.persist.dlog.AppendEntry(seq, payload); err == nil {
+			m.ledger.byRequester[rec.Requester] = append(m.ledger.byRequester[rec.Requester], fromWire(*rec.Release))
+		}
+		m.ledger.mu.Unlock()
 	} else {
 		m.mu.Lock()
-		m.history = append(m.history, *rec.History)
+		if err = m.persist.dlog.AppendEntry(seq, payload); err == nil {
+			m.history = append(m.history, *rec.History)
+			m.historyReq[rec.History.Requester] = struct{}{}
+		}
 		m.mu.Unlock()
+	}
+	if err != nil {
+		return err
 	}
 	m.maybeSnapshot()
 	return nil
@@ -283,6 +295,10 @@ func (a mediatorApplier) ApplySnapshot(seq uint64, state []byte) error {
 	m.ledger.replaceAll(byReq)
 	m.mu.Lock()
 	m.history = append([]HistoryEntry(nil), s.History...)
+	m.historyReq = make(map[string]struct{}, len(s.History))
+	for _, e := range s.History {
+		m.historyReq[e.Requester] = struct{}{}
+	}
 	m.mu.Unlock()
 	return nil
 }

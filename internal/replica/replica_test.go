@@ -308,6 +308,56 @@ func TestStandbyInstallsSnapshotWhenBehindCompaction(t *testing.T) {
 	}
 }
 
+// A standby whose cursor is older than the primary's in-memory window is
+// caught up from wal.log — no snapshot, no resync — and one whose cursor
+// is older than the snapshot still takes the snapshot first and then the
+// WAL tail behind it.
+func TestStandbyFarBehindCatchesUpFromWAL(t *testing.T) {
+	rig := newPrimaryRig(t)
+	const n = 600 // more than twice the log's 256-entry window
+	for i := 1; i <= n; i++ {
+		if _, err := rig.log.Append([]byte(fmt.Sprintf("r%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(ap *memApplier) *Client {
+		c, _ := newStandbyClient(t, rig, ap)
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		go c.Run(ctx)
+		waitFor(t, "catch-up", func() bool { return ap.LastSeq() == n })
+		return c
+	}
+
+	ap := newMemApplier()
+	ap.last = 10 // resumes long before the window, with no snapshot to fall back on
+	c := run(ap)
+	if ap.snapSeq != 0 || ap.entry(11) != "r11" || ap.entry(n) != fmt.Sprintf("r%d", n) {
+		t.Errorf("snapshot@%d, entry 11 = %q, entry %d = %q", ap.snapSeq, ap.entry(11), n, ap.entry(n))
+	}
+	if st := c.Status(); st.Resyncs != 0 || !st.CaughtUp {
+		t.Errorf("catch-up from the WAL needed a resync: %+v", st)
+	}
+
+	// Snapshot at 300 while the log stands at 600: the WAL keeps 301..600,
+	// the window only the last 256 of them.
+	if err := rig.log.SaveSnapshotAt(300, []byte("STATE@300")); err != nil {
+		t.Fatal(err)
+	}
+	ap = newMemApplier()
+	ap.last = 10
+	c = run(ap)
+	if ap.snap != "STATE@300" || ap.snapSeq != 300 {
+		t.Errorf("snapshot = %q@%d, want STATE@300", ap.snap, ap.snapSeq)
+	}
+	if ap.entry(300) != "" || ap.entry(301) != "r301" || ap.entry(n) != fmt.Sprintf("r%d", n) {
+		t.Errorf("entry 300 = %q, 301 = %q, %d = %q", ap.entry(300), ap.entry(301), n, ap.entry(n))
+	}
+	if st := c.Status(); st.Resyncs != 0 {
+		t.Errorf("snapshot + WAL catch-up needed a resync: %+v", st)
+	}
+}
+
 // TestTornFrameForcesResync cuts one frame mid-wire; the standby must
 // drop the stream, reconnect and converge — never apply a partial frame.
 func TestTornFrameForcesResync(t *testing.T) {

@@ -115,7 +115,10 @@ func (s *Server) ServeStream(w http.ResponseWriter, r *http.Request) {
 		// Take the change channel before reading the tail so an append
 		// between the two wakes the next wait immediately.
 		changed := s.log.Changed()
-		entries, _, snapNeeded := s.log.TailFrom(sent)
+		entries, _, snapNeeded, err := s.log.TailFrom(sent)
+		if err != nil {
+			return // tail unreadable; the standby will reconnect
+		}
 		if snapNeeded {
 			state, snapSeq, err := s.log.SnapshotPayload()
 			if err != nil {
@@ -185,6 +188,6 @@ func (s *Server) ServeFence(w http.ResponseWriter, r *http.Request) {
 // snapSeqOf reads the log's snapshot boundary (TailFrom with an
 // impossible cursor returns it without copying the tail).
 func snapSeqOf(l *durable.Log) uint64 {
-	_, snapSeq, _ := l.TailFrom(^uint64(0))
+	_, snapSeq, _, _ := l.TailFrom(^uint64(0))
 	return snapSeq
 }
