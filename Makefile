@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-fast test-race test-short test-integration test-shard cover bench bench-quick bench-batch bench-psi bench-guard bench-baseline attack experiments examples fmt fuzz crash
+.PHONY: all build vet test test-fast test-race test-short test-integration test-shard cover bench bench-quick bench-psi attack experiments examples fmt fuzz crash loc
 
 all: build vet test
 
@@ -51,12 +51,6 @@ bench-quick:
 	$(GO) test -run '^$$' -bench 'PSI|PIQL|Fig1dInference' -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/xmltree/
 
-# The amortization benchmarks: group-committed WAL appends vs inline
-# fsync, batched vs per-item PSI kernels, and the pooled record encoder.
-bench-batch:
-	$(GO) test -run '^$$' -bench 'WALAppendAlways|AppendRecord' -benchmem ./internal/durable/
-	$(GO) test -run '^$$' -bench 'BenchmarkBlind|ExponentiateBatch' -benchmem ./internal/psi/
-
 # The PSI suite comparison: cold-start blinding across suites (the
 # number the EC default is justified by), the allocation-sensitive
 # hash-to-group kernels, and the E25 acceptance gate (>=5x cold blind,
@@ -64,15 +58,6 @@ bench-batch:
 bench-psi:
 	$(GO) test -run '^$$' -bench 'BenchmarkBlindCold|BenchmarkHashToGroup' -benchmem ./internal/psi/
 	$(GO) run ./cmd/piye-bench -quick -only E25
-
-# Perf guard: fails when the best of several measurement rounds is more
-# than 10% slower than the committed baseline (bench/baseline.json).
-bench-guard:
-	$(GO) run ./cmd/piye-bench -guard bench/baseline.json
-
-# Re-record the perf-guard baseline on the reference machine.
-bench-baseline:
-	$(GO) run ./cmd/piye-bench -update-baseline bench/baseline.json
 
 # Short native-fuzzing runs over the untrusted-input decoders and the
 # ring invariants: WAL record decoding, the PIQL parser, the XML envelope
@@ -114,3 +99,9 @@ examples:
 
 fmt:
 	gofmt -w .
+
+# The two numbers the design-subtraction aim is judged by: lines of
+# non-test Go, and flags per daemon. Printed, not gated.
+loc:
+	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
+	@for d in cmd/piye-*; do printf '%s flags: ' $$d; grep -o 'flag\.[A-Z][A-Za-z0-9]*(' $$d/main.go | grep -vc 'flag\.Parse('; done

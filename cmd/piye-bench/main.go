@@ -8,8 +8,9 @@
 //	piye-bench                                  # run everything
 //	piye-bench -only E7                         # run one experiment
 //	piye-bench -quick                           # smaller workloads
-//	piye-bench -update-baseline bench/baseline.json   # record perf-guard baseline
-//	piye-bench -guard bench/baseline.json             # fail on >10% regression
+//
+// The tier's performance record is not here: `go run ./bench/load`
+// measures the workloads declared in BENCHMARK.json.
 package main
 
 import (
@@ -25,39 +26,7 @@ import (
 func main() {
 	only := flag.String("only", "", "run only the named experiment (E1..E25)")
 	quick := flag.Bool("quick", false, "smaller workloads")
-	guard := flag.String("guard", "", "compare the perf-guard metrics against this baseline JSON and exit 1 on regression")
-	updateBaseline := flag.String("update-baseline", "", "measure the perf-guard metrics and write them to this baseline JSON")
-	guardTol := flag.Float64("guard-tolerance", 0.10, "relative slowdown the guard tolerates before failing")
 	flag.Parse()
-
-	// Rounds must be long enough that scheduler noise averages out: at
-	// ~3µs per cached query, 2000 queries is still only ~6ms per round,
-	// and the guard keeps the best of 7.
-	guardQueries, guardRounds := 2000, 7
-	if *quick {
-		guardQueries, guardRounds = 300, 3
-	}
-	if *updateBaseline != "" {
-		if err := experiments.WriteBaseline(*updateBaseline, guardQueries, guardRounds); err != nil {
-			fmt.Fprintf(os.Stderr, "piye-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("piye-bench: baseline written to %s\n", *updateBaseline)
-		return
-	}
-	if *guard != "" {
-		tab, failed, err := experiments.CheckBaseline(*guard, guardQueries, guardRounds, *guardTol)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "piye-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(tab)
-		if len(failed) > 0 {
-			fmt.Fprintf(os.Stderr, "piye-bench: perf regression in %v (> %.0f%% over baseline)\n", failed, *guardTol*100)
-			os.Exit(1)
-		}
-		return
-	}
 
 	type exp struct {
 		name string
@@ -158,11 +127,11 @@ func main() {
 			return experiments.E22ReplicationFailover(total)
 		})},
 		{"E23", wrap(func() (*experiments.Table, error) {
-			appendsPer, bursts, burstSize, psiItems := 40, 6, 16, 2048
+			bursts, burstSize := 6, 16
 			if *quick {
-				appendsPer, bursts, burstSize, psiItems = 10, 3, 8, 512
+				bursts, burstSize = 3, 8
 			}
-			return experiments.E23Amortization(appendsPer, bursts, burstSize, psiItems)
+			return experiments.E23Coalescing(bursts, burstSize)
 		})},
 		{"E24", wrap(func() (*experiments.Table, error) {
 			// Quick mode trims queries, not clients: fewer clients

@@ -66,11 +66,7 @@ func main() {
 	ledgerTol := flag.Float64("ledger-tolerance", 0, "accuracy the ledger assumes of published aggregates (0 = default 0.5)")
 	stateDir := flag.String("state-dir", "", "directory persisting the release ledger and query history across restarts (empty = in-memory only)")
 	fsyncMode := flag.String("fsync", "always", "WAL sync policy with -state-dir: always | interval | never")
-	groupCommit := flag.Bool("group-commit", false, "batch concurrent WAL appends into one fsync under -fsync always (releases still acknowledged only after their batch's fsync)")
-	groupBatch := flag.Int("group-commit-batch", 0, "max appends per group-commit fsync (0 = default 64)")
-	groupHold := flag.Duration("group-commit-hold", 0, "how long the committer holds a batch open for stragglers (0 = commit immediately)")
 	coalesce := flag.Bool("coalesce", false, "merge concurrent identical queries from the same requester into one shared execution (per-caller ledger and audit still run)")
-	workers := flag.Int("workers", 0, "worker pool size for compute kernels (0 = GOMAXPROCS, 1 = serial)")
 	planCache := flag.Int("plan-cache", 256, "parse/plan cache capacity in entries (0 = disabled)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for /metrics, /debug/trace and /debug/pprof (empty = pprof off; /metrics and /debug/trace are always on -addr)")
 	traceRing := flag.Int("trace-ring", obs.DefaultTraceRing, "finished per-query traces kept for /debug/trace (0 = tracing off)")
@@ -118,10 +114,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("piye-mediator: %v", err)
 		}
-		dur = &mediator.DurabilityConfig{
-			Dir: *stateDir, Fsync: policy,
-			GroupCommit: *groupCommit, GroupMaxBatch: *groupBatch, GroupMaxHold: *groupHold,
-		}
+		dur = &mediator.DurabilityConfig{Dir: *stateDir, Fsync: policy}
 	} else {
 		log.Print("piye-mediator: WARNING: no -state-dir; the release ledger and query history are in-memory only, and a restart resets the combination controls (restart-amnesia)")
 	}
@@ -202,7 +195,6 @@ func main() {
 		SourceTimeout:     *srcTimeout,
 		Resilience:        res,
 		Durability:        dur,
-		Workers:           *workers,
 		PlanCache:         *planCache,
 		Coalesce:          *coalesce,
 		Obs:               reg,

@@ -46,7 +46,6 @@ func main() {
 	prefFiles := flag.String("preferences", "", "comma-separated data-subject preference XML files")
 	salt := flag.String("salt", defaultSalt, "shared linkage salt")
 	psiSuite := flag.String("psi-suite", psi.DefaultSuiteName, "PSI ciphersuite to prefer: p256 (fast EC default) | modp2048 (pins this source to the safe-prime group — it advertises nothing else, so the fleet negotiates down to it)")
-	workers := flag.Int("workers", 0, "worker pool size for compute kernels (0 = GOMAXPROCS, 1 = serial)")
 	coalesce := flag.Bool("coalesce", false, "merge concurrent identical whole-column linkage calls (PSI blinds, Bloom encodings) into one shared computation")
 	planCache := flag.Int("plan-cache", 256, "parse/plan cache capacity in entries (0 = disabled)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for /metrics, /debug/trace and /debug/pprof (empty = pprof off; /metrics and /debug/trace are always on -addr)")
@@ -110,7 +109,7 @@ func main() {
 			Burst:         *admitBurst,
 		}
 	}
-	src, err := source.New(source.Config{Name: *name, Catalog: cat, Policy: pol, Seed: *seed, Workers: *workers, PlanCache: *planCache, Obs: reg, Trace: tracer, Admission: admit})
+	src, err := source.New(source.Config{Name: *name, Catalog: cat, Policy: pol, Seed: *seed, PlanCache: *planCache, Obs: reg, Trace: tracer, Admission: admit})
 	if err != nil {
 		log.Fatalf("piye-source: %v", err)
 	}

@@ -73,26 +73,11 @@ type SystemConfig struct {
 	Fsync durable.FsyncPolicy
 	// FsyncInterval applies under the "interval" policy (default 100ms).
 	FsyncInterval time.Duration
-	// GroupCommit batches concurrent WAL appends into one fsync under
-	// the "always" policy: a release is still acknowledged only after
-	// the fsync covering its batch returns, but concurrent requesters
-	// share that fsync instead of queueing one each. GroupMaxBatch caps
-	// the appends per batched fsync (default 64); GroupMaxHold is how
-	// long the committer may hold a batch open for stragglers (default
-	// 0: commit as soon as the committer runs).
-	GroupCommit   bool
-	GroupMaxBatch int
-	GroupMaxHold  time.Duration
 	// Coalesce merges concurrent identical queries from the same
 	// requester into one shared mediation pipeline execution. Per-caller
 	// privacy controls (loss control, release ledger, history) still run
 	// for every caller; different requesters never share.
 	Coalesce bool
-	// Workers sizes the worker pools behind the compute kernels — PSI
-	// blinding/exponentiation, Bloom encoding, the ledger's inference
-	// solver — at the mediator and at every in-process source that does
-	// not set its own (0 = GOMAXPROCS, 1 = serial).
-	Workers int
 	// PlanCache caps the mediator's parse cache and, for every
 	// in-process source that does not set its own, the source's
 	// parse/plan cache (entries; 0 disables caching).
@@ -158,9 +143,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	for _, sc := range cfg.Sources {
 		// System-wide performance knobs reach every source that did not
 		// choose its own.
-		if sc.Workers == 0 {
-			sc.Workers = cfg.Workers
-		}
 		if sc.PlanCache == 0 {
 			sc.PlanCache = cfg.PlanCache
 		}
@@ -202,9 +184,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			Dir:           filepath.Join(cfg.StateDir, "mediator"),
 			Fsync:         cfg.Fsync,
 			FsyncInterval: cfg.FsyncInterval,
-			GroupCommit:   cfg.GroupCommit,
-			GroupMaxBatch: cfg.GroupMaxBatch,
-			GroupMaxHold:  cfg.GroupMaxHold,
 		}
 	}
 	med, err := mediator.New(mediator.Config{
@@ -219,7 +198,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		SourceTimeout:     cfg.SourceTimeout,
 		Resilience:        cfg.Resilience,
 		Durability:        dur,
-		Workers:           cfg.Workers,
 		PlanCache:         cfg.PlanCache,
 		Coalesce:          cfg.Coalesce,
 		Obs:               cfg.Obs,

@@ -103,17 +103,16 @@ func TestMixedLocalAndRemoteSystem(t *testing.T) {
 	}
 }
 
-// The cross-query amortization knobs ride SystemConfig end to end: group
-// commit reaches the mediator's WAL, Coalesce reaches both the mediator
+// Coalesce rides SystemConfig end to end: it reaches both the mediator
 // pipeline and every local's whole-column linkage path, and concurrent
-// identical queries still each leave a history entry.
+// identical queries over a durable ledger still each leave a history
+// entry.
 func TestSystemAmortizationKnobsEndToEnd(t *testing.T) {
 	sys, err := NewSystem(SystemConfig{
-		Sources:     []source.Config{sourceConfig(t, "A", 1, 50)},
-		PSIGroup:    psi.TestGroup(),
-		StateDir:    t.TempDir(),
-		GroupCommit: true,
-		Coalesce:    true,
+		Sources:  []source.Config{sourceConfig(t, "A", 1, 50)},
+		PSIGroup: psi.TestGroup(),
+		StateDir: t.TempDir(),
+		Coalesce: true,
 	})
 	if err != nil {
 		t.Fatal(err)

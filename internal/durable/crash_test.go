@@ -1,7 +1,10 @@
 package durable
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -18,33 +21,19 @@ func TestCrashMatrix(t *testing.T) {
 	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
 		for _, point := range Points() {
 			t.Run(policy.String()+"/"+point, func(t *testing.T) {
-				runCrashScenario(t, policy, point, false)
+				runCrashScenario(t, policy, point)
 			})
 		}
 	}
 }
 
-// TestGroupCommitCrashMatrix re-runs the whole matrix with group commit
-// enabled: batching the fsync must not change a single crash-recovery
-// guarantee. (Under interval/never the group path is inert, which is
-// itself worth pinning.)
-func TestGroupCommitCrashMatrix(t *testing.T) {
-	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
-		for _, point := range Points() {
-			t.Run(policy.String()+"/"+point, func(t *testing.T) {
-				runCrashScenario(t, policy, point, true)
-			})
-		}
-	}
-}
-
-func runCrashScenario(t *testing.T, policy FsyncPolicy, point string, group bool) {
+func runCrashScenario(t *testing.T, policy FsyncPolicy, point string) {
 	dir := t.TempDir()
 	fp := NewFailpoints()
 	// A one-hour tick keeps the background syncer out of the way: under
 	// FsyncInterval, flushes happen only at the scripted Sync and
 	// snapshot steps, so the crash site is deterministic.
-	l, err := Open(Options{Dir: dir, Fsync: policy, FsyncInterval: time.Hour, Failpoints: fp, GroupCommit: group})
+	l, err := Open(Options{Dir: dir, Fsync: policy, FsyncInterval: time.Hour, Failpoints: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,5 +191,126 @@ func TestCrashMidSnapshotKeepsOldSnapshot(t *testing.T) {
 				t.Errorf("entries = %v", got)
 			}
 		})
+	}
+}
+
+// Under FsyncInterval a whole tick's worth of records sits staged in
+// memory; power loss as the flush begins eats all of them at once, and
+// recovery must surface none.
+func TestFlushBeginCrashLosesEveryStagedRecord(t *testing.T) {
+	dir := t.TempDir()
+	fp := NewFailpoints()
+	l := openT(t, Options{Dir: dir, Fsync: FsyncInterval, FsyncInterval: time.Hour, Failpoints: fp})
+	if _, err := l.Append([]byte("acked")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("staged-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fp.Arm(FPFlushBegin)
+	if err := l.Sync(); err != ErrCrashed {
+		t.Fatalf("Sync = %v, want ErrCrashed", err)
+	}
+	l.Close()
+
+	r := openT(t, Options{Dir: dir})
+	defer r.Close()
+	if got := payloads(r.RecoveredEntries()); len(got) != 1 || got[0] != "acked" {
+		t.Errorf("recovered %v, want only the synced record", got)
+	}
+}
+
+// A real write or fsync error must kill the log exactly as an injected
+// crash does. Were the log to carry on, the next append would land
+// intact records behind whatever partial record the failed write left,
+// and recovery would refuse the directory as corrupted in place.
+func TestWriteOrSyncErrorIsStickyAndDirRecovers(t *testing.T) {
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
+		for _, handle := range []string{"read-only", "closed"} {
+			t.Run(policy.String()+"/"+handle, func(t *testing.T) {
+				dir := t.TempDir()
+				l := openT(t, Options{Dir: dir, Fsync: policy, FsyncInterval: time.Hour})
+				for i := 0; i < 3; i++ {
+					if _, err := l.Append([]byte(fmt.Sprintf("acked-%d", i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := l.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				walPath := filepath.Join(dir, walName)
+				before, err := os.ReadFile(walPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				// Swap the WAL handle for one whose writes fail.
+				bad, err := os.Open(walPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if handle == "closed" {
+					bad.Close()
+				}
+				l.mu.Lock()
+				l.f.Close()
+				l.f = bad
+				l.mu.Unlock()
+
+				_, first := l.Append([]byte("lost"))
+				if policy == FsyncInterval {
+					if first != nil {
+						t.Fatalf("an interval append only stages, got %v", first)
+					}
+					first = l.Sync()
+				}
+				if first == nil || first == ErrCrashed {
+					t.Fatalf("append over a failing handle = %v, want the write error", first)
+				}
+				if _, err := l.Append([]byte("after")); err != first {
+					t.Errorf("next append = %v, want the first error %v again", err, first)
+				}
+				if err := l.Sync(); err != first {
+					t.Errorf("Sync on the dead log = %v, want %v", err, first)
+				}
+				if after, _ := os.ReadFile(walPath); !bytes.Equal(after, before) {
+					t.Errorf("the dead log touched the file: %d bytes, was %d", len(after), len(before))
+				}
+				l.Close()
+
+				r := openT(t, Options{Dir: dir})
+				defer r.Close()
+				got := payloads(r.RecoveredEntries())
+				if len(got) != 3 || got[0] != "acked-0" || got[2] != "acked-2" {
+					t.Errorf("recovered %v, want exactly the three acknowledged records", got)
+				}
+			})
+		}
+	}
+}
+
+// A failed fsync with nothing staged is still fatal: the kernel may have
+// dropped dirty pages of earlier writes, so "retry and carry on" would
+// acknowledge records that are not on disk.
+func TestFailedFsyncAloneKillsLog(t *testing.T) {
+	l := openT(t, Options{Dir: t.TempDir(), Fsync: FsyncNever})
+	defer l.Close()
+	if _, err := l.Append([]byte("written, not synced")); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	l.f.Close() // fsync on a closed handle fails; nothing is staged to write
+	l.mu.Unlock()
+	first := l.Sync()
+	if first == nil {
+		t.Fatal("Sync over a closed handle must fail")
+	}
+	if _, err := l.Append([]byte("after")); err != first {
+		t.Errorf("append after a failed fsync = %v, want %v", err, first)
 	}
 }

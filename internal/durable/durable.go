@@ -89,23 +89,6 @@ type Options struct {
 	// FsyncInterval is the background sync period under FsyncInterval
 	// (default 100ms).
 	FsyncInterval time.Duration
-	// GroupCommit batches concurrent appends under FsyncAlways: staged
-	// records are flushed with one write+fsync per batch by a committer
-	// goroutine, and each Append returns only after the fsync covering
-	// its record — the durability contract is unchanged, only the fsync
-	// is shared. Ignored under the other policies (they never fsync per
-	// append, so there is nothing to amortize).
-	GroupCommit bool
-	// GroupMaxBatch caps how many appends one batch fsync may cover
-	// (default 64). A full batch wakes the committer immediately.
-	GroupMaxBatch int
-	// GroupMaxHold bounds how long the committer waits after the first
-	// staged append for the batch to fill (default 0: commit as soon as
-	// the committer wins the lock — batches then form naturally from the
-	// appends that arrive during the previous batch's fsync). Set a
-	// small window (e.g. 2ms) on devices whose fsync is so fast that
-	// emergent batching stays shallow.
-	GroupMaxHold time.Duration
 	// Failpoints, when non-nil, is the crash-injection schedule.
 	Failpoints *Failpoints
 	// Obs, when non-nil, counts WAL appends, fsyncs, bytes written and
@@ -183,38 +166,14 @@ type Log struct {
 	stop       chan struct{}
 	wg         sync.WaitGroup
 
-	// Group-commit state (only used when groupActive). gcWaiters holds
-	// one entry per staged-but-unsynced Append, in staging order; end is
-	// each waiter's byte offset into buf, so a prefix flush knows exactly
-	// which waiters its fsync covered. Invariant: every path that clears
-	// buf (flush, snapshot, crash) completes or re-bases the waiters in
-	// the same critical section, so an offset can never dangle.
-	gcWaiters []*gcWaiter
-	gcKick    chan struct{} // buffered(1): staged work is pending
-	gcFull    chan struct{} // buffered(1): the batch reached GroupMaxBatch
-	gcDone    bool          // committer exited; appends flush inline again
-
 	// Pre-resolved metric handles; nil (no-op) without Options.Obs.
 	mAppends     *obs.Counter
 	mFsyncs      *obs.Counter
 	mBytes       *obs.Counter
-	mBatchSize   *obs.Histogram
-	mFsyncsSaved *obs.Counter
 	mSnapshots   *obs.Counter
 	mSnapBytes   *obs.Counter
 	mSnapFails   *obs.Counter
 	mSnapSeconds *obs.Histogram
-}
-
-// gcWaiter is one Append blocked on its batch's fsync.
-type gcWaiter struct {
-	done chan error // buffered(1); receives exactly one completion
-	end  int        // offset into l.buf just past this waiter's record
-}
-
-// groupActive reports whether appends go through the group committer.
-func (l *Log) groupActive() bool {
-	return l.opts.GroupCommit && l.opts.Fsync == FsyncAlways
 }
 
 // Open creates or recovers the log in opts.Dir. On return the recovered
@@ -229,9 +188,6 @@ func Open(opts Options) (*Log, error) {
 	if opts.FsyncInterval <= 0 {
 		opts.FsyncInterval = 100 * time.Millisecond
 	}
-	if opts.GroupMaxBatch <= 0 {
-		opts.GroupMaxBatch = 64
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
@@ -244,8 +200,6 @@ func Open(opts Options) (*Log, error) {
 		l.mAppends = opts.Obs.Counter("piye_wal_appends_total", "log", scope)
 		l.mFsyncs = opts.Obs.Counter("piye_wal_fsyncs_total", "log", scope)
 		l.mBytes = opts.Obs.Counter("piye_wal_bytes_total", "log", scope)
-		l.mBatchSize = opts.Obs.Histogram("piye_wal_group_batch_size", batchBuckets, "log", scope)
-		l.mFsyncsSaved = opts.Obs.Counter("piye_wal_group_fsyncs_saved_total", "log", scope)
 		opts.Obs.Help("piye_wal_snapshots_total", "Snapshots installed (each compacts the WAL).")
 		opts.Obs.Help("piye_wal_snapshot_bytes_total", "Bytes of snapshot files installed.")
 		opts.Obs.Help("piye_wal_snapshot_failures_total", "Snapshot attempts that failed; the WAL keeps growing until one succeeds.")
@@ -278,21 +232,8 @@ func Open(opts Options) (*Log, error) {
 		l.wg.Add(1)
 		go l.syncLoop(l.stop)
 	}
-	if l.groupActive() {
-		// The committer reuses the stop/wg pair; it never coexists with
-		// syncLoop because that runs only under FsyncInterval.
-		l.gcKick = make(chan struct{}, 1)
-		l.gcFull = make(chan struct{}, 1)
-		l.stop = make(chan struct{})
-		l.wg.Add(1)
-		go l.commitLoop(l.stop)
-	}
 	return l, nil
 }
-
-// batchBuckets sizes the group-commit batch histogram: batches are
-// counts of records, not latencies.
-var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // recoverWAL replays the WAL file, truncating a torn tail and refusing
 // mid-log corruption.
@@ -419,21 +360,10 @@ func (l *Log) CompactionDue() bool {
 // Append stages one record and applies the fsync policy. Under
 // FsyncAlways the record is durable when Append returns; under the other
 // policies it may ride in memory until the next tick, Sync or snapshot.
-// With group commit, Append blocks (outside the log lock) until the
-// batch fsync covering its record returns — same contract, shared fsync.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	l.mu.Lock()
-	seq, w, err := l.appendLocked(l.seq+1, payload)
-	l.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if w != nil {
-		if err := <-w.done; err != nil {
-			return 0, err
-		}
-	}
-	return seq, nil
+	defer l.mu.Unlock()
+	return l.appendLocked(l.seq+1, payload)
 }
 
 // AppendEntry appends a record at an exact sequence number — the apply
@@ -443,32 +373,21 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 // a diverging standby to resync instead of silently rewriting history.
 func (l *Log) AppendEntry(seq uint64, payload []byte) error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.deadErr != nil {
-		l.mu.Unlock()
 		return l.deadErr
 	}
 	if seq != l.seq+1 {
-		l.mu.Unlock()
 		return fmt.Errorf("%w: got %d, want %d", ErrSequence, seq, l.seq+1)
 	}
-	_, w, err := l.appendLocked(seq, payload)
-	l.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if w != nil {
-		err = <-w.done
-	}
+	_, err := l.appendLocked(seq, payload)
 	return err
 }
 
-// appendLocked is the shared append body; seq must be l.seq+1. When the
-// group committer is running it returns a non-nil waiter the caller must
-// receive from after releasing the lock; the received value is the
-// append's durability verdict.
-func (l *Log) appendLocked(seq uint64, payload []byte) (uint64, *gcWaiter, error) {
+// appendLocked is the shared append body; seq must be l.seq+1.
+func (l *Log) appendLocked(seq uint64, payload []byte) (uint64, error) {
 	if l.deadErr != nil {
-		return 0, nil, l.deadErr
+		return 0, l.deadErr
 	}
 	l.seq = seq
 	l.buf = AppendRecord(l.buf, l.seq, payload)
@@ -483,36 +402,19 @@ func (l *Log) appendLocked(seq uint64, payload []byte) (uint64, *gcWaiter, error
 		l.buf = nil
 		l.seq--
 		l.ringN = max(l.ringN-1, 0)
-		return 0, nil, l.die()
+		return 0, l.die()
 	}
 	switch l.opts.Fsync {
 	case FsyncAlways:
-		if l.groupActive() && !l.gcDone {
-			w := &gcWaiter{done: make(chan error, 1), end: len(l.buf)}
-			l.gcWaiters = append(l.gcWaiters, w)
-			kick(l.gcKick)
-			if len(l.gcWaiters) >= l.opts.GroupMaxBatch {
-				kick(l.gcFull)
-			}
-			return l.seq, w, nil
-		}
 		if err := l.flushLocked(true); err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 	case FsyncNever:
 		if err := l.flushLocked(false); err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 	}
-	return l.seq, nil, nil
-}
-
-// kick signals a buffered(1) wakeup channel without blocking.
-func kick(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
+	return l.seq, nil
 }
 
 // signalLocked wakes every Changed waiter.
@@ -533,27 +435,21 @@ func (l *Log) Sync() error {
 }
 
 // flushLocked writes every staged byte to the WAL file and optionally
-// fsyncs — the whole-buffer case of flushToLocked.
+// fsyncs. A write or fsync error kills the log (see fail): the file may
+// now end in a partial record, and the only writer that may follow a
+// torn tail is the recovery that truncates it.
 func (l *Log) flushLocked(sync bool) error {
-	return l.flushToLocked(len(l.buf), sync)
-}
-
-// flushToLocked writes the first end staged bytes to the WAL file and
-// optionally fsyncs. After a synced flush every group-commit waiter
-// whose record the write covered is acknowledged, and the offsets of
-// the rest are re-based onto the remaining buffer.
-func (l *Log) flushToLocked(end int, sync bool) error {
-	if end > 0 {
-		if l.opts.Failpoints.hit(FPGroupCommit) {
-			// Power loss with the whole batch still in cache: no byte
-			// of it reaches the file.
+	if len(l.buf) > 0 {
+		if l.opts.Failpoints.hit(FPFlushBegin) {
+			// Power loss with every staged record still in cache: no
+			// byte of them reaches the file.
 			l.buf = nil
 			return l.die()
 		}
 		if l.opts.Failpoints.hit(FPAppendWrite) {
 			// Tear the write: a prefix reaches the platter, the rest
 			// never does.
-			torn := l.buf[:end/2]
+			torn := l.buf[:len(l.buf)/2]
 			if len(torn) > 0 {
 				n, _ := l.f.Write(torn)
 				l.walSize += int64(n)
@@ -561,138 +457,47 @@ func (l *Log) flushToLocked(end int, sync bool) error {
 			l.buf = nil
 			return l.die()
 		}
-		n, err := l.f.Write(l.buf[:end])
+		n, err := l.f.Write(l.buf)
 		l.walSize += int64(n)
 		l.mBytes.Add(uint64(n))
 		if err != nil {
-			return fmt.Errorf("durable: wal write: %w", err)
+			l.buf = nil
+			return l.fail(fmt.Errorf("durable: wal write: %w", err))
 		}
-		if end == len(l.buf) {
-			l.buf = l.buf[:0] // keep the array for reuse
-		} else {
-			l.buf = l.buf[end:]
-		}
+		l.buf = l.buf[:0] // keep the array for reuse
 	}
 	if l.opts.Failpoints.hit(FPAppendSync) {
 		return l.die()
 	}
 	if sync {
 		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("durable: wal fsync: %w", err)
+			return l.fail(fmt.Errorf("durable: wal fsync: %w", err))
 		}
 		l.mFsyncs.Inc()
-		l.ackWaitersLocked(end)
 	}
 	return nil
 }
 
-// ackWaitersLocked completes every waiter whose record the just-synced
-// flush of buf[:flushed] covered and shifts the offsets of the rest.
-func (l *Log) ackWaitersLocked(flushed int) {
-	if len(l.gcWaiters) == 0 {
-		return
-	}
-	kept := l.gcWaiters[:0]
-	for _, w := range l.gcWaiters {
-		if w.end <= flushed {
-			w.done <- nil
-		} else {
-			w.end -= flushed
-			kept = append(kept, w)
-		}
-	}
-	l.gcWaiters = kept
+// fail marks the log dead with err: every later call returns it. A WAL
+// write that stopped short (ENOSPC) leaves a partial record at the end
+// of the file, and a failed fsync leaves the kernel free to have dropped
+// the dirty pages; appending again after either would put intact records
+// behind a hole, which recovery refuses as in-place corruption. Dead,
+// the file can only ever end in a torn tail, which recovery truncates.
+func (l *Log) fail(err error) error {
+	l.deadErr = err
+	return err
 }
 
-// completeWaitersLocked resolves every pending waiter with err — the
-// path for crashes, write errors and snapshot subsumption, where no
-// per-waiter byte accounting applies.
-func (l *Log) completeWaitersLocked(err error) {
-	for _, w := range l.gcWaiters {
-		w.done <- err
-	}
-	l.gcWaiters = nil
-}
-
-// die marks the log dead after an injected crash; every later call
-// returns ErrCrashed, like syscalls in a process that no longer exists.
-// Waiters blocked on a batch fsync learn of the crash here — their
-// records were never acknowledged, so fail-closed callers refuse.
-func (l *Log) die() error {
-	l.deadErr = ErrCrashed
-	l.completeWaitersLocked(ErrCrashed)
-	return ErrCrashed
-}
+// die is fail for an injected crash: every later call returns
+// ErrCrashed, like syscalls in a process that no longer exists.
+func (l *Log) die() error { return l.fail(ErrCrashed) }
 
 // dieUnlocked is die for the steps that run without the log lock.
 func (l *Log) dieUnlocked() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.die()
-}
-
-// commitLoop is the group committer: it wakes when appends are staged,
-// optionally holds for the batch to fill, then flushes batches of at
-// most GroupMaxBatch records with one write+fsync each.
-func (l *Log) commitLoop(stop <-chan struct{}) {
-	defer l.wg.Done()
-	for {
-		select {
-		case <-stop:
-			l.finishGroup()
-			return
-		case <-l.gcKick:
-		}
-		if hold := l.opts.GroupMaxHold; hold > 0 {
-			t := time.NewTimer(hold)
-			select {
-			case <-t.C:
-			case <-l.gcFull:
-				t.Stop()
-			case <-stop:
-				t.Stop()
-				l.finishGroup()
-				return
-			}
-		}
-		l.commitBatches()
-	}
-}
-
-// commitBatches drains the staged waiters, one synced flush per batch.
-func (l *Log) commitBatches() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for len(l.gcWaiters) > 0 {
-		if l.deadErr != nil {
-			l.completeWaitersLocked(l.deadErr)
-			return
-		}
-		n := len(l.gcWaiters)
-		if n > l.opts.GroupMaxBatch {
-			n = l.opts.GroupMaxBatch
-		}
-		end := l.gcWaiters[n-1].end
-		if err := l.flushToLocked(end, true); err != nil {
-			// The batch's durability is unknown; nobody in it was
-			// acknowledged, so everybody still pending fails closed.
-			l.completeWaitersLocked(err)
-			return
-		}
-		l.mBatchSize.Observe(float64(n))
-		l.mFsyncsSaved.Add(uint64(n - 1))
-	}
-}
-
-// finishGroup is the committer's shutdown drain: flush whatever is
-// staged, then mark the group path done so a late Append (between this
-// drain and Close re-acquiring the lock) flushes inline instead of
-// waiting for a committer that no longer exists.
-func (l *Log) finishGroup() {
-	l.mu.Lock()
-	l.gcDone = true
-	l.mu.Unlock()
-	l.commitBatches()
 }
 
 // syncLoop is the FsyncInterval background ticker.
@@ -707,6 +512,8 @@ func (l *Log) syncLoop(stop <-chan struct{}) {
 		case <-t.C:
 			l.mu.Lock()
 			if l.deadErr == nil {
+				// An error here is not lost: flushLocked has killed the
+				// log, so the next Append or Sync reports it.
 				_ = l.flushLocked(true)
 			}
 			l.mu.Unlock()

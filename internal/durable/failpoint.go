@@ -19,12 +19,11 @@ const (
 	// any byte reaches the file — the record is lost entirely, like an
 	// unsynced OS cache on power loss.
 	FPAppendBuffer = "append.buffer"
-	// FPGroupCommit fires when a flush begins with records staged but
-	// before any byte of them reaches the file — power loss that eats an
-	// entire group-commit batch at once. (Without group commit the
-	// "batch" is the single staged record, so the point is meaningful
-	// under every fsync policy.)
-	FPGroupCommit = "group.commit"
+	// FPFlushBegin fires when a flush begins with records staged but
+	// before any byte of them reaches the file — power loss that eats
+	// every staged record at once: the one record of an FsyncAlways
+	// append, or a whole tick's worth under FsyncInterval.
+	FPFlushBegin = "flush.begin"
 	// FPAppendWrite fires mid-write: only a prefix of the staged bytes
 	// reaches the file, leaving a torn record at the tail.
 	FPAppendWrite = "append.write"
@@ -53,7 +52,7 @@ const (
 // tests iterate it so a newly added point cannot be forgotten.
 func Points() []string {
 	return []string{
-		FPAppendBuffer, FPGroupCommit, FPAppendWrite, FPAppendSync,
+		FPAppendBuffer, FPFlushBegin, FPAppendWrite, FPAppendSync,
 		FPSnapWrite, FPSnapSync, FPSnapRename, FPSnapDirSync,
 		FPCompactRotate, FPCompactDirSync,
 	}

@@ -265,12 +265,10 @@ func (l *Log) writeAndInstall(seq uint64, state []byte, carry bool) (int64, erro
 	l.legacySnap = false
 	if !carry {
 		// The standby's own tail is divergent history: drop it, staged
-		// bytes included. An append still waiting on a batch fsync is
-		// answered by the snapshot that replaces it.
+		// bytes included.
 		l.seq = seq
 		l.ringN = 0
 		l.buf = nil
-		l.completeWaitersLocked(nil)
 	}
 	l.signalLocked()
 	return size, l.compactLocked(seq, carry)

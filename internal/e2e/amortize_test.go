@@ -60,12 +60,12 @@ func slowComplianceNode(t *testing.T, name string, delay time.Duration) *httptes
 	return srv
 }
 
-// TestAmortizationEndToEnd drives the batch paths over real HTTP: a
-// mediator with group commit and coalescing on, a slow remote source,
-// and a gated burst of identical queries from one requester. It pins
-// the operator-visible story: every caller answered, execution shared
-// (coalesce counters on /metrics), audit per caller (history has one
-// entry per query), and the WAL's group-commit metrics exposed.
+// TestAmortizationEndToEnd drives coalescing over real HTTP: a durable
+// mediator with coalescing on, a slow remote source, and a gated burst
+// of identical queries from one requester. It pins the operator-visible
+// story: every caller answered, execution shared (coalesce counters on
+// /metrics), audit per caller (history has one entry, and the WAL one
+// fsynced record, per query).
 func TestAmortizationEndToEnd(t *testing.T) {
 	node := slowComplianceNode(t, "alpha", 50*time.Millisecond)
 
@@ -79,7 +79,7 @@ func TestAmortizationEndToEnd(t *testing.T) {
 		SourceTimeout:   10 * time.Second,
 		PlanCache:       64,
 		Coalesce:        true,
-		Durability:      &mediator.DurabilityConfig{Dir: dir, GroupCommit: true, GroupMaxBatch: 8},
+		Durability:      &mediator.DurabilityConfig{Dir: dir},
 		Obs:             reg,
 	})
 	if err != nil {
@@ -144,15 +144,10 @@ func TestAmortizationEndToEnd(t *testing.T) {
 		t.Errorf("history has %d entries, want %d (per-caller audit lost)", got, burst)
 	}
 
-	// The WAL's group-commit surface is live: appends flowed (ledger
-	// release + history records), fsyncs were paid, and the batch-size
-	// histogram observed every synced batch.
+	// The WAL's counters are live: appends flowed (ledger release +
+	// history records) and each paid its own fsync.
 	wantAtLeast(t, samples, `piye_wal_appends_total{log="mediator"}`, float64(burst))
-	wantAtLeast(t, samples, `piye_wal_fsyncs_total{log="mediator"}`, 1)
-	wantAtLeast(t, samples, `piye_wal_group_batch_size_count{log="mediator"}`, 1)
-	if _, ok := samples[`piye_wal_group_fsyncs_saved_total{log="mediator"}`]; !ok {
-		t.Error("piye_wal_group_fsyncs_saved_total absent from scrape")
-	}
+	wantAtLeast(t, samples, `piye_wal_fsyncs_total{log="mediator"}`, float64(burst))
 	if _, ok := samples[`piye_plan_cache_hit_ratio{scope="mediator"}`]; !ok {
 		t.Error("piye_plan_cache_hit_ratio absent from scrape")
 	}

@@ -2,10 +2,14 @@ package e2e
 
 import (
 	"context"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"privateiye/internal/clinical"
+	"privateiye/internal/core"
 	"privateiye/internal/mediator"
 	"privateiye/internal/policy"
 	"privateiye/internal/preserve"
@@ -151,5 +155,51 @@ func TestMixedSuiteAllECFleetPrefersP256(t *testing.T) {
 		if len(e.Text) != 2*33 {
 			t.Fatalf("element width %d hex chars, want %d (compressed point)", len(e.Text), 2*33)
 		}
+	}
+}
+
+// The 768-bit test group is reachable only by code that hands it in
+// (source.NewLocal(…, psi.TestGroup()), as suiteNode does). None of the
+// four places a suite can be named by configuration may resolve it.
+func TestTestGroupIsNotConfigurable(t *testing.T) {
+	const want = `unknown suite "modp768"`
+	refused := func(entry string, err error, output string) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s accepted the test group", entry)
+		} else if !strings.Contains(err.Error()+output, want) {
+			t.Errorf("%s: want %s, got %v %s", entry, want, err, output)
+		}
+	}
+	node := suiteNode(t, "alpha", nil)
+	_, err := mediator.New(mediator.Config{
+		Endpoints: []source.Endpoint{source.NewClient(node.URL, "alpha")},
+		PSISuite:  psi.SuiteNameModP768,
+	})
+	refused("mediator.Config.PSISuite", err, "")
+	_, err = core.NewSystem(core.SystemConfig{
+		Remotes:  []core.RemoteSource{{Name: "alpha", URL: node.URL}},
+		PSIGroup: psi.TestGroup(),
+		PSISuite: psi.SuiteNameModP768,
+	})
+	refused("core.SystemConfig.PSISuite", err, "")
+	if testing.Short() {
+		t.Skip("daemon flags need a go build")
+	}
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin, "privateiye/cmd/piye-source", "privateiye/cmd/piye-mediator").CombinedOutput(); err != nil {
+		t.Fatalf("building the daemons: %v\n%s", err, out)
+	}
+	// A daemon that accepted the suite would serve forever; the deadline
+	// turns that into a failure instead of a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for daemon, args := range map[string][]string{
+		"piye-source":   {"-rows", "10"},
+		"piye-mediator": {"-source", "alpha=" + node.URL},
+	} {
+		args = append(args, "-addr", "127.0.0.1:0", "-psi-suite", psi.SuiteNameModP768)
+		out, err := exec.CommandContext(ctx, filepath.Join(bin, daemon), args...).CombinedOutput()
+		refused(daemon+" -psi-suite", err, string(out))
 	}
 }

@@ -2,15 +2,12 @@ package experiments
 
 import (
 	"context"
-	crand "crypto/rand"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"time"
 
 	"privateiye/internal/clinical"
-	"privateiye/internal/durable"
 	"privateiye/internal/mediator"
 	"privateiye/internal/obs"
 	"privateiye/internal/policy"
@@ -21,106 +18,17 @@ import (
 	"privateiye/internal/xmltree"
 )
 
-// e23Writers is the concurrency of the WAL sweep: the acceptance target
-// ("≥5x acked releases/s under fsync=always") is defined at 32 writers.
-const e23Writers = 32
-
-// E23Amortization measures the three cross-query batch paths together:
-// WAL group commit (many concurrent appends per fsync), in-flight query
-// coalescing (many identical concurrent queries per pipeline execution),
-// and batched PSI kernels (whole columns per dispatch). Each sweep keeps
-// the amortized and unamortized paths side by side, because the win is
-// the ratio, not the absolute number.
-//
-// The WAL sweep drives durable.Log.Append directly rather than going
-// through the mediator: the release ledger serializes its own appends
-// (a release is checked and recorded under the ledger lock), so only the
-// raw log exhibits the 32-way concurrency the target is defined at.
-func E23Amortization(appendsPerWriter, bursts, burstSize, psiItems int) (*Table, error) {
+// E23Coalescing measures in-flight query coalescing: many identical
+// concurrent queries from one requester share one pipeline execution,
+// while every caller still lands in the query history. The coalesced
+// and plain runs replay the same workload side by side, because the win
+// is the ratio, not the absolute number.
+func E23Coalescing(bursts, burstSize int) (*Table, error) {
 	t := &Table{
-		Title:  "E23: cross-query amortization — group commit, coalescing, batched PSI",
-		Header: []string{"scenario", "ops/s", "fsyncs", "amortization", "speedup"},
+		Title:  "E23: cross-query amortization — in-flight query coalescing",
+		Header: []string{"scenario", "ops/s", "amortization", "speedup"},
 	}
 
-	// One WAL record shaped like a real ledgered release, as in E18.
-	payload := func(i int) []byte {
-		return []byte(fmt.Sprintf(
-			`{"k":"release","req":"req%d","rel":{"t":"//compliance/row","v":"rate","a":"test","m":{"cholesterol":%.2f,"hypertension":%.2f,"diabetes":%.2f},"s":{"cholesterol":1.52,"hypertension":2.36,"diabetes":3.04}}}`,
-			i%17, 70+float64(i%9), 60+float64(i%7), 80+float64(i%5)))
-	}
-
-	// --- WAL group commit: 32 writers, fsync=always, group off vs on ---
-	walRun := func(group bool) (ackedPerSec float64, fsyncs uint64, meanBatch float64, err error) {
-		dir, err := os.MkdirTemp("", "e23-wal-*")
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		defer os.RemoveAll(dir)
-		reg := obs.NewRegistry()
-		l, err := durable.Open(durable.Options{
-			Dir: dir, Fsync: durable.FsyncAlways,
-			GroupCommit: group, GroupMaxBatch: e23Writers,
-			Obs: reg, ObsScope: "e23",
-		})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		var wg sync.WaitGroup
-		errc := make(chan error, e23Writers)
-		start := time.Now()
-		for w := 0; w < e23Writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < appendsPerWriter; i++ {
-					if _, err := l.Append(payload(w*appendsPerWriter + i)); err != nil {
-						errc <- err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		close(errc)
-		for err := range errc {
-			l.Close()
-			return 0, 0, 0, err
-		}
-		if err := l.Close(); err != nil {
-			return 0, 0, 0, err
-		}
-		total := e23Writers * appendsPerWriter
-		fsyncs = reg.Counter("piye_wal_fsyncs_total", "log", "e23").Value()
-		h := reg.Histogram("piye_wal_group_batch_size", nil, "log", "e23")
-		if c := h.Count(); c > 0 {
-			meanBatch = h.Sum() / float64(c)
-		}
-		return float64(total) / elapsed.Seconds(), fsyncs, meanBatch, nil
-	}
-
-	inlineRate, inlineFsyncs, _, err := walRun(false)
-	if err != nil {
-		return nil, err
-	}
-	groupRate, groupFsyncs, meanBatch, err := walRun(true)
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows,
-		[]string{
-			fmt.Sprintf("wal fsync=always, %d writers, per-append fsync", e23Writers),
-			fmt.Sprintf("%.0f", inlineRate), fmt.Sprintf("%d", inlineFsyncs),
-			"1.0 appends/fsync", "1.00x",
-		},
-		[]string{
-			fmt.Sprintf("wal fsync=always, %d writers, group commit", e23Writers),
-			fmt.Sprintf("%.0f", groupRate), fmt.Sprintf("%d", groupFsyncs),
-			fmt.Sprintf("%.1f appends/fsync (mean batch)", meanBatch),
-			fmt.Sprintf("%.2fx", groupRate/inlineRate),
-		})
-
-	// --- Query coalescing: zipfian bursts of identical queries ----------
 	// Four query texts that release equivalent information (all aggregate
 	// by //diagnosis), so no combination is ever refused and the sweep
 	// measures pure execution sharing. Indices are pre-sampled from a
@@ -202,115 +110,17 @@ func E23Amortization(appendsPerWriter, bursts, burstSize, psiItems int) (*Table,
 	t.Rows = append(t.Rows,
 		[]string{
 			fmt.Sprintf("queries zipfian %dx%d bursts, coalesce off", bursts, burstSize),
-			fmt.Sprintf("%.0f", soloQPS), "-", "-", "1.00x",
+			fmt.Sprintf("%.0f", soloQPS), "-", "1.00x",
 		},
 		[]string{
 			fmt.Sprintf("queries zipfian %dx%d bursts, coalesce on", bursts, burstSize),
-			fmt.Sprintf("%.0f", coalQPS), "-",
+			fmt.Sprintf("%.0f", coalQPS),
 			fmt.Sprintf("%.0f%% hit (%d lead, %d follow)", hitRate, leaders, followers),
 			fmt.Sprintf("%.2fx", coalQPS/soloQPS),
 		})
 
-	// --- Batched PSI kernels: elements/s, scalar vs batch entry points --
-	g := psi.TestGroup()
-	items := make([]string, psiItems)
-	for i := range items {
-		items[i] = fmt.Sprintf("patient-%05d", i)
-	}
-	// Cold blinds: one modexp per item, so the chunked kernel amortizes
-	// only dispatch. Fresh parties per repetition keep the cache cold.
-	coldRate := func(batch bool, reps int) (float64, error) {
-		parties := make([]*psi.Party, reps)
-		for i := range parties {
-			p, err := psi.NewParty(psi.ModPSuite(g), crand.Reader)
-			if err != nil {
-				return 0, err
-			}
-			parties[i] = p
-		}
-		start := time.Now()
-		for _, p := range parties {
-			if batch {
-				p.BlindBatch(items)
-			} else {
-				p.Blind(items)
-			}
-		}
-		return float64(reps*psiItems) / time.Since(start).Seconds(), nil
-	}
-	coldScalar, err := coldRate(false, 8)
-	if err != nil {
-		return nil, err
-	}
-	coldBatch, err := coldRate(true, 8)
-	if err != nil {
-		return nil, err
-	}
-	// Warm blinds are pure precomputation-table lookups: here per-item
-	// dispatch and per-item RLocks are the entire cost being amortized.
-	warm, err := psi.NewParty(psi.ModPSuite(g), crand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	warm.Blind(items)
-	warmRate := func(batch bool, reps int) float64 {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if batch {
-				warm.BlindBatch(items)
-			} else {
-				warm.Blind(items)
-			}
-		}
-		return float64(reps*psiItems) / time.Since(start).Seconds()
-	}
-	warmScalar := warmRate(false, 50)
-	warmBatch := warmRate(true, 50)
-	// Exponentiation never caches (peer blinds are fresh each round), so
-	// this is the steady-state column-kernel rate.
-	expParty, err := psi.NewParty(psi.ModPSuite(g), crand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	elems := warm.Blind(items)
-	expRate := func(batch bool, reps int) (float64, error) {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			var err error
-			if batch {
-				_, err = expParty.ExponentiateBatch(elems)
-			} else {
-				_, err = expParty.Exponentiate(elems)
-			}
-			if err != nil {
-				return 0, err
-			}
-		}
-		return float64(reps*psiItems) / time.Since(start).Seconds(), nil
-	}
-	expScalar, err := expRate(false, 8)
-	if err != nil {
-		return nil, err
-	}
-	expBatch, err := expRate(true, 8)
-	if err != nil {
-		return nil, err
-	}
-	psiPair := func(name, note string, scalar, batch float64) {
-		t.Rows = append(t.Rows,
-			[]string{name + ", per-item", fmt.Sprintf("%.0f", scalar), "-", "-", "1.00x"},
-			[]string{name + ", batched", fmt.Sprintf("%.0f", batch), "-", note,
-				fmt.Sprintf("%.2fx", batch/scalar)})
-	}
-	psiPair(fmt.Sprintf("psi blind cold, %d items", psiItems), "chunked fan-out", coldScalar, coldBatch)
-	psiPair(fmt.Sprintf("psi blind warm, %d items", psiItems), "one RLock per chunk", warmScalar, warmBatch)
-	psiPair(fmt.Sprintf("psi exponentiate, %d items", psiItems), "chunked fan-out", expScalar, expBatch)
-
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("wal: %d writers x %d appends each; acceptance target is ≥5x acked appends/s with group commit", e23Writers, appendsPerWriter),
-		"a group-committed append is still acknowledged only after the fsync covering its batch returns (fail-closed unchanged)",
-		fmt.Sprintf("coalesce: zipfian(s=1.5) over %d query texts, one requester, 2ms simulated source round-trip; history stayed complete at %d entries (per-caller audit preserved)", len(queries), issued),
-		"psi: cold rounds are modexp-bound so chunking is neutral there; warm rounds are precomputation-table hits, where chunking amortizes per-item dispatch and locking")
+		fmt.Sprintf("coalesce: zipfian(s=1.5) over %d query texts, one requester, 2ms simulated source round-trip; history stayed complete at %d entries (per-caller audit preserved)", len(queries), issued))
 	return t, nil
 }
 

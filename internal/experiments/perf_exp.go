@@ -38,12 +38,12 @@ func E19Parallelism(items int, workerCounts []int, cacheQueries int) (*Table, er
 	for i := range own {
 		own[i] = fmt.Sprintf("patient-%d", i)
 	}
-	// A fixed peer party supplies the elements Exponentiate works on.
+	// A fixed peer party supplies the elements ExponentiateBatch works on.
 	peerParty, err := psi.NewParty(psi.ModPSuite(g), rand.Reader)
 	if err != nil {
 		return nil, err
 	}
-	peerElems := peerParty.Blind(own)
+	peerElems := peerParty.BlindBatch(own)
 
 	var serialPSI time.Duration
 	for _, w := range workerCounts {
@@ -53,8 +53,8 @@ func E19Parallelism(items int, workerCounts []int, cacheQueries int) (*Table, er
 		}
 		p.SetWorkers(w)
 		start := time.Now()
-		_ = p.Blind(own)
-		if _, err := p.Exponentiate(peerElems); err != nil {
+		_ = p.BlindBatch(own)
+		if _, err := p.ExponentiateBatch(peerElems); err != nil {
 			return nil, err
 		}
 		d := time.Since(start)
@@ -75,10 +75,10 @@ func E19Parallelism(items int, workerCounts []int, cacheQueries int) (*Table, er
 		}
 		p.SetWorkers(1)
 		start := time.Now()
-		cold := p.Blind(own)
+		cold := p.BlindBatch(own)
 		dCold := time.Since(start)
 		start = time.Now()
-		warm := p.Blind(own)
+		warm := p.BlindBatch(own)
 		dWarm := time.Since(start)
 		check := "identical"
 		for i := range cold {

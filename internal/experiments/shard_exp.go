@@ -300,81 +300,3 @@ func e24Overhead(queries int) (directNs, routedNs float64, err error) {
 	}
 	return directNs, routedNs, nil
 }
-
-// --- Bench-guard metrics for the router hot path ---------------------------
-
-// routerLookupNs times the ring placement every routed query pays: one
-// Lookup on a five-shard ring at default vnodes. A lookup is a few
-// hundred nanoseconds, where frequency scaling and cache state swing
-// individual timings well past the guard's tolerance, so each sample
-// is already the minimum over several inner rounds. Returns ns/lookup.
-func routerLookupNs() (float64, error) {
-	ring := shard.New(shard.DefaultSeed, 0)
-	for i := 0; i < 5; i++ {
-		if err := ring.Add(fmt.Sprintf("shard-%d", i)); err != nil {
-			return 0, err
-		}
-	}
-	keys := make([]string, 512)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("requester-%04d", i)
-	}
-	const reps, rounds = 8, 16
-	best := 0.0
-	for r := 0; r < rounds; r++ {
-		start := time.Now()
-		for rep := 0; rep < reps; rep++ {
-			for _, k := range keys {
-				if _, err := ring.Lookup(k); err != nil {
-					return 0, err
-				}
-			}
-		}
-		ns := float64(time.Since(start).Nanoseconds()) / float64(reps*len(keys))
-		if r == 0 || ns < best {
-			best = ns
-		}
-	}
-	return best, nil
-}
-
-// routerProxyNs times the full proxy hop against a trivial shard: HTTP
-// in, ring lookup, HTTP out, passthrough back. Returns ns/query. The
-// shard answers instantly, so this is the router's own cost.
-func routerProxyNs(queries int) (float64, error) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("<integrated></integrated>"))
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	rt, err := shard.NewRouter(shard.RouterConfig{
-		Shards:         []shard.Backend{{Name: "only", URL: srv.URL}},
-		Seed:           shard.DefaultSeed,
-		Retry:          resilience.Policy{MaxAttempts: 1},
-		DisableBreaker: true,
-		Client:         e24Transport(),
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer rt.Close()
-	rtSrv := httptest.NewServer(rt.Handler())
-	defer rtSrv.Close()
-	httpc := e24Transport()
-	// Warm the connections out of the measurement.
-	if _, _, err := e24Post(httpc, rtSrv.URL, "warm"); err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	for q := 0; q < queries; q++ {
-		code, body, err := e24Post(httpc, rtSrv.URL, fmt.Sprintf("guard-%04d", q))
-		if err != nil {
-			return 0, err
-		}
-		if code != http.StatusOK {
-			return 0, fmt.Errorf("proxy probe answered %d: %s", code, body)
-		}
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(queries), nil
-}

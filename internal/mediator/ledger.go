@@ -89,11 +89,6 @@ type ledgerRelease struct {
 type releaseLedger struct {
 	mu          sync.Mutex
 	byRequester map[string][]ledgerRelease
-	// attackWorkers sizes the worker pool the combination-attack solver
-	// uses (0 = GOMAXPROCS, 1 = serial). The check sits on the answer
-	// path of every ledgered aggregate, so it inherits the mediator's
-	// parallelism setting.
-	attackWorkers int
 	// persist, when set (see persist.go), durably records a release before
 	// it is remembered; recording fails closed. Without it the ledger is
 	// process-local and a restart grants every requester a blank history.
@@ -203,7 +198,7 @@ func (l *releaseLedger) checkAndRecord(requester string, rel ledgerRelease, thre
 		if attrRel.sigmas == nil {
 			continue // neither released sigmas: means alone do not close the system
 		}
-		d, err := combinedDisclosure(attrRel, partyRel, tolerance, l.attackWorkers)
+		d, err := combinedDisclosure(attrRel, partyRel, tolerance)
 		if err != nil {
 			// Inconsistent as one matrix (e.g. the releases cover
 			// different populations): no combination attack applies.
@@ -268,7 +263,7 @@ func (l *releaseLedger) requesters() []string {
 
 // combinedDisclosure mounts the outsider attack on the pair of releases:
 // attributes from the sigma-bearing release, parties from the other.
-func combinedDisclosure(attrRel, partyRel ledgerRelease, tolerance float64, workers int) (float64, error) {
+func combinedDisclosure(attrRel, partyRel ledgerRelease, tolerance float64) (float64, error) {
 	attrs := sortedKeysF(attrRel.means)
 	parties := sortedKeysF(partyRel.means)
 	k := &attack.Knowledge{
@@ -292,9 +287,7 @@ func combinedDisclosure(attrRel, partyRel ledgerRelease, tolerance float64, work
 	if err := k.Validate(); err != nil {
 		return 0, err
 	}
-	opt := attack.FastOptions()
-	opt.Workers = workers
-	inf, err := k.Infer(opt)
+	inf, err := k.Infer(attack.FastOptions())
 	if err != nil {
 		return 0, err
 	}

@@ -89,10 +89,6 @@ type Config struct {
 	// mediator and arbitrates failover with a persisted fencing epoch
 	// (see replicate.go). Requires Durability.
 	Replica *ReplicaConfig
-	// Workers bounds the mediator's own compute fan-out (Bloom encoding
-	// during dedup, the ledger's simulated inference attack): 0 =
-	// GOMAXPROCS, 1 = serial.
-	Workers int
 	// PlanCache is the capacity (entries) of the PIQL parse cache:
 	// repeated query texts skip parsing and canonicalization. Privacy
 	// controls are NOT cached — routing, per-source policy enforcement,
@@ -256,7 +252,6 @@ func New(cfg Config) (*Mediator, error) {
 		historyReq: map[string]struct{}{},
 		ledger:     newReleaseLedger(),
 	}
-	m.ledger.attackWorkers = cfg.Workers
 	names := make([]string, len(cfg.Endpoints))
 	for i, ep := range cfg.Endpoints {
 		names[i] = ep.Name()
@@ -1096,7 +1091,7 @@ func (m *Mediator) dedupe(res *piql.Result) (*piql.Result, int, error) {
 	// The greedy keep/drop scan below stays serial because each decision
 	// depends on every row kept before it.
 	keys := make([]keyed, len(out.Rows))
-	err = parallel.ForEachChunk(context.Background(), len(out.Rows), m.cfg.Workers, 0, func(lo, hi int) error {
+	err = parallel.ForEachChunk(context.Background(), len(out.Rows), 0, 0, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			v := out.Rows[i][col]
 			keys[i] = keyed{block: linkage.BlockKey(m.cfg.LinkageSalt, v), filter: enc.Encode(v)}

@@ -31,16 +31,6 @@ type DurabilityConfig struct {
 	Fsync durable.FsyncPolicy
 	// FsyncInterval applies under FsyncInterval policy.
 	FsyncInterval time.Duration
-	// GroupCommit batches concurrent WAL appends into one fsync under
-	// FsyncAlways (see durable.Options.GroupCommit). The fail-closed
-	// contract is unchanged: a release is granted only after the fsync
-	// covering its batch returns.
-	GroupCommit bool
-	// GroupMaxBatch caps the appends per batched fsync (default 64).
-	GroupMaxBatch int
-	// GroupMaxHold is how long the committer may hold a batch open for
-	// stragglers (default 0: commit as soon as the committer runs).
-	GroupMaxHold time.Duration
 	// Failpoints injects crash sites for recovery testing.
 	Failpoints *durable.Failpoints
 }
@@ -122,9 +112,6 @@ func (m *Mediator) openDurable(cfg DurabilityConfig) error {
 		Dir:           cfg.Dir,
 		Fsync:         cfg.Fsync,
 		FsyncInterval: cfg.FsyncInterval,
-		GroupCommit:   cfg.GroupCommit,
-		GroupMaxBatch: cfg.GroupMaxBatch,
-		GroupMaxHold:  cfg.GroupMaxHold,
 		Failpoints:    cfg.Failpoints,
 		Obs:           m.cfg.Obs,
 		ObsScope:      "mediator",

@@ -271,19 +271,19 @@ func TestCrashDuringSnapshotKeepsRecordsPastTheCut(t *testing.T) {
 	}
 }
 
-// Group commit must not weaken fail-closed persistence: a crash inside
-// a group-commit batch (after records are staged, before any byte is
-// synced) must refuse every release in the batch, and recovery over the
-// same directory must not replay any of them as granted — while the
-// release acknowledged before the crash is still remembered.
-func TestGroupCommitInBatchCrashFailsClosed(t *testing.T) {
+// A crash as a flush begins (the record is staged, no byte of it is
+// written) under concurrent requesters must refuse the release in
+// flight and every release queued behind it, and recovery over the same
+// directory must not replay any of them as granted — while the release
+// acknowledged before the crash is still remembered.
+func TestFlushBeginCrashFailsClosed(t *testing.T) {
 	dir := t.TempDir()
 	fp := durable.NewFailpoints()
-	m := durableFigure1Mediator(t, &DurabilityConfig{Dir: dir, GroupCommit: true, GroupMaxBatch: 8, Failpoints: fp})
+	m := durableFigure1Mediator(t, &DurabilityConfig{Dir: dir, Failpoints: fp})
 	if _, err := m.Query(perTestQuery, "early"); err != nil {
 		t.Fatalf("pre-crash release should pass: %v", err)
 	}
-	fp.Arm(durable.FPGroupCommit)
+	fp.Arm(durable.FPFlushBegin)
 	const writers = 4
 	var wg sync.WaitGroup
 	errs := make([]error, writers)
@@ -297,25 +297,25 @@ func TestGroupCommitInBatchCrashFailsClosed(t *testing.T) {
 	wg.Wait()
 	for i, err := range errs {
 		if err == nil {
-			t.Fatalf("doomed%d: a release in a never-synced batch was served", i)
+			t.Fatalf("doomed%d: a release that was never synced was served", i)
 		}
 		if !strings.Contains(err.Error(), "unrecordable") {
 			t.Errorf("doomed%d: refusal should explain persistence failure: %v", i, err)
 		}
 	}
-	if got := fp.Tripped(); len(got) != 1 || got[0] != durable.FPGroupCommit {
+	if got := fp.Tripped(); len(got) != 1 || got[0] != durable.FPFlushBegin {
 		t.Fatalf("tripped = %v", got)
 	}
 	m.Close()
 
-	m2 := durableFigure1Mediator(t, &DurabilityConfig{Dir: dir, GroupCommit: true})
+	m2 := durableFigure1Mediator(t, &DurabilityConfig{Dir: dir})
 	defer m2.Close()
 	// The release acknowledged before the crash was recovered: its holder
 	// is still blocked from completing the Figure 1 combination.
 	if _, err := m2.Query(perHMOQuery, "early"); err == nil {
 		t.Error("early's sigma release was lost in recovery")
 	}
-	// No refused batch member was replayed as granted: each doomed
+	// No refused release was replayed as granted: each doomed
 	// requester holds no sigma release and may take the per-HMO means.
 	for i := 0; i < writers; i++ {
 		if _, err := m2.Query(perHMOQuery, fmt.Sprintf("doomed%d", i)); err != nil {

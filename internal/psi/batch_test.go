@@ -3,87 +3,84 @@ package psi
 import (
 	"crypto/rand"
 	"fmt"
+	"strings"
 	"testing"
 )
 
-// The batched entry points must be drop-in: identical outputs in
-// identical order, identical counter semantics, identical validation.
+// The kernels fan out over however many workers the machine has, so the
+// transcript must not depend on that number: same elements in the same
+// order, same counters, same validation verdict at width 1 and width N.
 
-func TestBlindBatchMatchesScalar(t *testing.T) {
+// sameSecret returns a cold party holding p's secret, so two widths can
+// be compared on fresh computation rather than on table hits.
+func sameSecret(p *Party) *Party {
+	return &Party{suite: p.suite, secret: p.secret, blinds: map[string]Element{}}
+}
+
+func TestBlindBatchWidthInvariant(t *testing.T) {
 	forEachSuite(t, func(t *testing.T, s Suite) {
-		a, err := NewParty(s, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewParty(s, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Same secret required for comparison, so blind the same items with
-		// two parties and compare each against itself across entry points:
-		// party a uses the scalar path, then the batch path must be pure
-		// cache hits returning the identical elements.
+		serial, _ := parties(t, s)
+		serial.SetWorkers(1)
 		items := make([]string, 100)
 		for i := range items {
 			items[i] = fmt.Sprintf("item-%03d", i)
 		}
-		scalar := a.Blind(items)
-		batch := a.BlindBatch(items)
-		for i := range items {
-			if !s.Equal(scalar[i], batch[i]) {
-				t.Fatalf("item %d: batch blind differs from scalar", i)
+		want := serial.BlindBatch(items)
+		for _, w := range []int{0, 3, 8} {
+			wide := sameSecret(serial).SetWorkers(w)
+			got := wide.BlindBatch(items)
+			for i := range items {
+				if !s.Equal(want[i], got[i]) {
+					t.Fatalf("workers=%d: cold blind of item %d differs from the serial one", w, i)
+				}
 			}
-		}
-		blinded, hits, _ := a.Stats()
-		if blinded != 200 {
-			t.Errorf("blinded = %d, want 200", blinded)
-		}
-		if hits != 100 {
-			t.Errorf("cache hits = %d, want 100 (the whole second pass)", hits)
-		}
-
-		// Cold batch on a fresh party must agree with the protocol: both
-		// orders of double-blinding collide per item.
-		bBatch := b.BlindBatch(items)
-		ab, err := b.ExponentiateBatch(scalar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ba, err := a.ExponentiateBatch(bBatch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range items {
-			if !s.Equal(ab[i], ba[i]) {
-				t.Fatalf("item %d: batched double-blinding does not commute", i)
+			// A second pass is pure table hits, in the same order.
+			again := wide.BlindBatch(items)
+			for i := range items {
+				if again[i] != got[i] {
+					t.Fatalf("workers=%d: item %d recomputed on the warm pass", w, i)
+				}
+			}
+			if blinded, hits, _ := wide.Stats(); blinded != 200 || hits != 100 {
+				t.Errorf("workers=%d: blinded, hits = %d, %d; want 200, 100 (the whole second pass)", w, blinded, hits)
 			}
 		}
 	})
 }
 
-func TestExponentiateBatchMatchesScalar(t *testing.T) {
+func TestExponentiateBatchWidthInvariant(t *testing.T) {
 	forEachSuite(t, func(t *testing.T, s Suite) {
-		a, err := NewParty(s, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a, peer := parties(t, s)
 		items := make([]string, 50)
 		for i := range items {
 			items[i] = fmt.Sprintf("elem-%02d", i)
 		}
-		elems := a.Blind(items)
-		scalar, err := a.Exponentiate(elems)
+		elems := peer.BlindBatch(items)
+		want, err := a.SetWorkers(1).ExponentiateBatch(elems)
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := a.ExponentiateBatch(elems)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range elems {
-			if !s.Equal(scalar[i], batch[i]) {
-				t.Fatalf("element %d: batch exponentiation differs from scalar", i)
+		bad := append(append([]Element{}, elems[:7]...), nil, elems[8], nil)
+		for _, w := range []int{1, 0, 3, 8} {
+			a.SetWorkers(w)
+			got, err := a.ExponentiateBatch(elems)
+			if err != nil {
+				t.Fatal(err)
 			}
+			for i := range elems {
+				if !s.Equal(want[i], got[i]) {
+					t.Fatalf("workers=%d: element %d differs from the serial one", w, i)
+				}
+			}
+			// The verdict names the lowest offending index, whichever
+			// worker would have reached its element first.
+			if _, err := a.ExponentiateBatch(bad); err == nil || !strings.Contains(err.Error(), "element 7 ") {
+				t.Errorf("workers=%d: want the error for element 7, got %v", w, err)
+			}
+		}
+		// Rejected batches count nothing.
+		if _, _, exp := a.Stats(); exp != 5*50 {
+			t.Errorf("exponentiated = %d, want %d", exp, 5*50)
 		}
 	})
 }
@@ -91,7 +88,7 @@ func TestExponentiateBatchMatchesScalar(t *testing.T) {
 func TestExponentiateBatchRejectsBadElements(t *testing.T) {
 	forEachSuite(t, func(t *testing.T, s Suite) {
 		a, _ := NewParty(s, rand.Reader)
-		good := a.Blind([]string{"x", "y"})
+		good := a.BlindBatch([]string{"x", "y"})
 		bad := append(append([]Element{}, good...), nil)
 		if _, err := a.ExponentiateBatch(bad); err == nil {
 			t.Error("nil element must be rejected")
@@ -119,9 +116,8 @@ func TestBlindBatchEmptyAndSerial(t *testing.T) {
 	})
 }
 
-// BenchmarkBlind compares per-item dispatch against chunked batching on
-// a warm cache, where dispatch and lock overhead — not the group op —
-// is the cost being amortized (the E23 PSI leg).
+// BenchmarkBlind measures a warm round, where dispatch and the table
+// lock — not the group operation — are the whole cost.
 func BenchmarkBlind(b *testing.B) {
 	for _, s := range []Suite{ModPSuite(TestGroup()), P256Suite()} {
 		a, err := NewParty(s, rand.Reader)
@@ -132,14 +128,8 @@ func BenchmarkBlind(b *testing.B) {
 		for i := range items {
 			items[i] = fmt.Sprintf("item-%04d", i)
 		}
-		a.Blind(items) // warm the precomputation table
-		b.Run(s.Name()+"/scalar", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a.Blind(items)
-			}
-		})
-		b.Run(s.Name()+"/batch", func(b *testing.B) {
+		a.BlindBatch(items) // warm the precomputation table
+		b.Run(s.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				a.BlindBatch(items)
@@ -174,8 +164,7 @@ func BenchmarkBlindCold(b *testing.B) {
 }
 
 // BenchmarkExponentiateBatch measures the cold path: every element is a
-// fresh group operation, so this reports elements/s for the chunked
-// kernel.
+// fresh group operation, so this reports elements/s for the kernel.
 func BenchmarkExponentiateBatch(b *testing.B) {
 	for _, s := range []Suite{ModPSuite(TestGroup()), P256Suite()} {
 		a, err := NewParty(s, rand.Reader)
@@ -186,22 +175,14 @@ func BenchmarkExponentiateBatch(b *testing.B) {
 		for i := range items {
 			items[i] = fmt.Sprintf("item-%04d", i)
 		}
-		elems := a.Blind(items)
-		for _, entry := range []string{"scalar", "batch"} {
-			b.Run(s.Name()+"/"+entry, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					var err error
-					if entry == "scalar" {
-						_, err = a.Exponentiate(elems)
-					} else {
-						_, err = a.ExponentiateBatch(elems)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
+		elems := a.BlindBatch(items)
+		b.Run(s.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := a.ExponentiateBatch(elems); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

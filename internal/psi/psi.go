@@ -39,8 +39,8 @@ import (
 // recomputed rather than growing the table without bound.
 const blindCacheCap = 1 << 16
 
-// scratchPool recycles hash-to-group scratch buffers across scalar
-// kernel calls; batch kernels hold one scratch per chunk instead.
+// scratchPool recycles hash-to-group scratch buffers across kernel
+// calls; each chunk of a call holds one for its whole run of items.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 // Party is one protocol participant holding a secret scalar for its
@@ -90,20 +90,14 @@ func NewParty(s Suite, rng io.Reader) (*Party, error) {
 func (p *Party) Suite() Suite { return p.suite }
 
 // SetWorkers fixes the fan-out width for this party's kernels: 0 (the
-// default) means GOMAXPROCS, 1 forces the serial path. It returns the
-// party for chaining and must not be called concurrently with protocol
+// default) means GOMAXPROCS, 1 forces the serial path. No configuration
+// reaches it; it is the seam through which tests and E19 show that the
+// transcript does not depend on the width. It returns the party for
+// chaining and must not be called concurrently with protocol
 // operations.
 func (p *Party) SetWorkers(n int) *Party {
 	p.workers = n
 	return p
-}
-
-// cachedBlind returns the precomputed blind for an item, if present.
-func (p *Party) cachedBlind(item string) (Element, bool) {
-	p.mu.RLock()
-	v, ok := p.blinds[item]
-	p.mu.RUnlock()
-	return v, ok
 }
 
 // storeBlinds installs freshly computed blinds, respecting the cap.
@@ -121,40 +115,14 @@ func (p *Party) storeBlinds(items []string, vals []Element) {
 	p.mu.Unlock()
 }
 
-// Blind hashes each item into the group and applies the party's
-// secret: the first message of the protocol. Items fan out across the
-// worker pool (one group exponentiation each), and results are memoized
-// in the party's precomputation table — the scalar is fixed for the
+// BlindBatch hashes each item into the group and applies the party's
+// secret: the first message of the protocol. Sources feed a field's
+// whole value column through here. The fan-out is one pool task per
+// contiguous chunk of items; each chunk reads the precomputation table
+// under a single RLock and reuses a single hash-to-group scratch buffer.
+// Results are memoized in the table — the scalar is fixed for the
 // party's lifetime, so a warm round is pure lookups. Output order
 // matches the input order regardless of worker count.
-func (p *Party) Blind(items []string) []Element {
-	out := make([]Element, len(items))
-	fresh := make([]Element, len(items)) // only newly computed entries
-	p.blindItems.Add(uint64(len(items)))
-	// parallel.ForEach with an always-nil error never fails.
-	_ = parallel.ForEach(context.Background(), len(items), p.workers, func(i int) error {
-		if v, ok := p.cachedBlind(items[i]); ok {
-			out[i] = v
-			p.blindHits.Add(1)
-			return nil
-		}
-		sc := scratchPool.Get().(*Scratch)
-		v := p.suite.Exp(p.suite.HashToGroup(sc, items[i]), p.secret)
-		scratchPool.Put(sc)
-		out[i], fresh[i] = v, v
-		return nil
-	})
-	p.storeBlinds(items, fresh)
-	return out
-}
-
-// BlindBatch is Blind for whole columns: identical output (order, cache
-// use, counters), but the fan-out is one pool task per contiguous chunk
-// of items rather than per item, the precomputation table is read
-// under one RLock per chunk instead of one per item, and each chunk
-// reuses a single hash-to-group scratch buffer. Sources feed a field's
-// full value column through here; the per-item entry point remains the
-// scalar baseline experiments compare against.
 func (p *Party) BlindBatch(items []string) []Element {
 	n := len(items)
 	out := make([]Element, n)
@@ -163,6 +131,7 @@ func (p *Party) BlindBatch(items []string) []Element {
 	}
 	p.blindItems.Add(uint64(n))
 	fresh := make([]Element, n) // only newly computed entries
+	// parallel.ForEachChunk with an always-nil error never fails.
 	_ = parallel.ForEachChunk(context.Background(), n, p.workers, 0, func(lo, hi int) error {
 		// One table read for the whole chunk: the run of lookups shares a
 		// single RLock acquisition.
@@ -193,32 +162,15 @@ func (p *Party) BlindBatch(items []string) []Element {
 	return out
 }
 
-// Exponentiate applies this party's secret to already-blinded elements
-// (received from the peer), preserving order: the second message. Peer
-// elements are validated and then exponentiated across the worker pool;
-// they are never cached (each round's peer blinding is fresh).
-func (p *Party) Exponentiate(elems []Element) ([]Element, error) {
+// ExponentiateBatch applies this party's secret to already-blinded
+// elements (received from the peer), preserving order: the second
+// message. Peer elements are validated and then exponentiated one pool
+// task per contiguous run; they are never cached (each round's peer
+// blinding is fresh).
+func (p *Party) ExponentiateBatch(elems []Element) ([]Element, error) {
 	// Validate serially first: membership errors must be deterministic
 	// and reported for the lowest offending index, not whichever worker
 	// happened to reach its element first.
-	for i, e := range elems {
-		if e == nil {
-			return nil, fmt.Errorf("psi: element %d is nil", i)
-		}
-		if err := p.suite.Validate(e); err != nil {
-			return nil, fmt.Errorf("psi: element %d: %w", i, err)
-		}
-	}
-	p.expItems.Add(uint64(len(elems)))
-	return parallel.Map(context.Background(), len(elems), p.workers, func(i int) (Element, error) {
-		return p.suite.Exp(elems[i], p.secret), nil
-	})
-}
-
-// ExponentiateBatch is Exponentiate with chunked fan-out: one pool task
-// per contiguous run of elements. Validation, ordering and counters are
-// identical to the scalar entry point.
-func (p *Party) ExponentiateBatch(elems []Element) ([]Element, error) {
 	for i, e := range elems {
 		if e == nil {
 			return nil, fmt.Errorf("psi: element %d is nil", i)
@@ -240,7 +192,7 @@ func (p *Party) ExponentiateBatch(elems []Element) ([]Element, error) {
 }
 
 // Stats reports the party's lifetime protocol counters: items blinded
-// (Blind calls, including cache hits), blinds served from the
+// (BlindBatch calls, including cache hits), blinds served from the
 // precomputation table, and peer elements exponentiated. Safe for
 // concurrent use.
 func (p *Party) Stats() (blinded, blindCacheHits, exponentiated uint64) {
@@ -253,21 +205,21 @@ func (p *Party) Stats() (blinded, blindCacheHits, exponentiated uint64) {
 // of items the responder also holds. The message flow is exactly what
 // the network transport ships:
 //
-//	A -> B: Blind(A's items)
-//	B -> A: Exponentiate(that), and Blind(B's items)
-//	A:      Exponentiate(B's blinds), compare double-blinded sets
+//	A -> B: BlindBatch(A's items)
+//	B -> A: ExponentiateBatch(that), and BlindBatch(B's items)
+//	A:      ExponentiateBatch(B's blinds), compare double-blinded sets
 func Intersect(initiator, responder *Party, itemsA, itemsB []string) ([]int, error) {
 	if initiator.suite.Name() != responder.suite.Name() {
 		return nil, fmt.Errorf("psi: parties use different suites (%s vs %s)",
 			initiator.suite.Name(), responder.suite.Name())
 	}
-	aBlind := initiator.Blind(itemsA)
-	abDouble, err := responder.Exponentiate(aBlind)
+	aBlind := initiator.BlindBatch(itemsA)
+	abDouble, err := responder.ExponentiateBatch(aBlind)
 	if err != nil {
 		return nil, err
 	}
-	bBlind := responder.Blind(itemsB)
-	baDouble, err := initiator.Exponentiate(bBlind)
+	bBlind := responder.BlindBatch(itemsB)
+	baDouble, err := initiator.ExponentiateBatch(bBlind)
 	if err != nil {
 		return nil, err
 	}

@@ -83,7 +83,7 @@ func TestGroupsAreSafePrimes(t *testing.T) {
 }
 
 func TestSuiteRegistry(t *testing.T) {
-	for _, name := range []string{SuiteNameP256, SuiteNameModP2048, SuiteNameModP768} {
+	for _, name := range []string{SuiteNameP256, SuiteNameModP2048} {
 		s, err := SuiteByName(name)
 		if err != nil {
 			t.Fatalf("SuiteByName(%q): %v", name, err)
@@ -94,6 +94,14 @@ func TestSuiteRegistry(t *testing.T) {
 	}
 	if _, err := SuiteByName("modp1024"); err == nil {
 		t.Error("unknown suite name should fail")
+	}
+	// The test group has a wire name but no registry entry: a daemon
+	// cannot be configured into a 768-bit group.
+	if got := TestSuite().Name(); got != SuiteNameModP768 {
+		t.Errorf("test suite name = %q", got)
+	}
+	if _, err := SuiteByName(SuiteNameModP768); err == nil {
+		t.Error("the test group must not be resolvable by name")
 	}
 	if got := ModPSuite(DefaultGroup()).Name(); got != SuiteNameModP2048 {
 		t.Errorf("default group suite name = %q", got)
@@ -168,11 +176,11 @@ func TestHashToCurveMembership(t *testing.T) {
 func TestCommutativity(t *testing.T) {
 	forEachSuite(t, func(t *testing.T, s Suite) {
 		a, b := parties(t, s)
-		ab, err := b.Exponentiate(a.Blind([]string{"patient-4711"}))
+		ab, err := b.ExponentiateBatch(a.BlindBatch([]string{"patient-4711"}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ba, err := a.Exponentiate(b.Blind([]string{"patient-4711"}))
+		ba, err := a.ExponentiateBatch(b.BlindBatch([]string{"patient-4711"}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,11 +255,11 @@ func TestIntersectDifferentSuitesRejected(t *testing.T) {
 func TestExponentiateRejectsBadElements(t *testing.T) {
 	forEachSuite(t, func(t *testing.T, s Suite) {
 		a, _ := parties(t, s)
-		if _, err := a.Exponentiate([]Element{nil}); err == nil {
+		if _, err := a.ExponentiateBatch([]Element{nil}); err == nil {
 			t.Error("nil element should be rejected")
 		}
 		for name, bad := range badElements(t, s) {
-			if _, err := a.Exponentiate([]Element{bad}); err == nil {
+			if _, err := a.ExponentiateBatch([]Element{bad}); err == nil {
 				t.Errorf("%s element should be rejected", name)
 			}
 			if err := s.Validate(bad); err == nil {
@@ -302,7 +310,7 @@ func TestNewPartyValidation(t *testing.T) {
 func TestWireRoundTrip(t *testing.T) {
 	forEachSuite(t, func(t *testing.T, s Suite) {
 		a, _ := parties(t, s)
-		elems := a.Blind([]string{"x", "y", "z"})
+		elems := a.BlindBatch([]string{"x", "y", "z"})
 		node := MarshalElems(s, elems)
 		if got := WireSuiteName(node); got != s.Name() {
 			t.Errorf("wire suite attr = %q, want %q", got, s.Name())
@@ -330,7 +338,7 @@ func TestWireRoundTrip(t *testing.T) {
 func TestWireRejectsBadInput(t *testing.T) {
 	forEachSuite(t, func(t *testing.T, s Suite) {
 		a, _ := parties(t, s)
-		node := MarshalElems(s, a.Blind([]string{"x"}))
+		node := MarshalElems(s, a.BlindBatch([]string{"x"}))
 		node.Name = "other"
 		if _, err := UnmarshalElems(node, s); err == nil {
 			t.Error("wrong root should fail")
@@ -372,7 +380,7 @@ func TestWireRejectsBadInput(t *testing.T) {
 	g := TestGroup()
 	ms := ModPSuite(g)
 	a, _ := NewParty(ms, rand.Reader)
-	node := MarshalElems(ms, a.Blind([]string{"x"}))
+	node := MarshalElems(ms, a.BlindBatch([]string{"x"}))
 	enc := make([]byte, ms.ElementSize())
 	g.P.FillBytes(enc)
 	node.Children[0].Text = fmt.Sprintf("%x", enc) // == p, out of range
@@ -385,7 +393,7 @@ func TestWireRejectsBadInput(t *testing.T) {
 	}
 	ec := P256Suite()
 	c, _ := NewParty(ec, rand.Reader)
-	node = MarshalElems(ec, c.Blind([]string{"x"}))
+	node = MarshalElems(ec, c.BlindBatch([]string{"x"}))
 	node.Children[0].Text = "04" + strings.Repeat("ab", 32) // bad sign byte
 	if _, err := UnmarshalElems(node, ec); err == nil {
 		t.Error("bad sign byte should fail")
@@ -416,7 +424,7 @@ func TestWireRejectsBadInput(t *testing.T) {
 func TestWireLegacyEnvelopeWithoutSuiteAttr(t *testing.T) {
 	ms := ModPSuite(TestGroup())
 	a, _ := NewParty(ms, rand.Reader)
-	node := MarshalElems(ms, a.Blind([]string{"x", "y"}))
+	node := MarshalElems(ms, a.BlindBatch([]string{"x", "y"}))
 	// Simulate a legacy sender: strip the suite attribute.
 	delete(node.Attrs, "suite")
 	if _, ok := node.Attr("suite"); ok {
@@ -490,12 +498,12 @@ func TestParallelBlindMatchesSerial(t *testing.T) {
 		for i := range items {
 			items[i] = fmt.Sprintf("item-%d", i)
 		}
-		serial := p.SetWorkers(1).Blind(items)
+		serial := p.SetWorkers(1).BlindBatch(items)
 		for _, w := range []int{0, 2, 8} {
-			// Fresh party with the same secret path is impossible (random
-			// secret), so compare against the same party: results must be
-			// identical because H(x)^s is a pure function.
-			par := p.SetWorkers(w).Blind(items)
+			// The serial pass warmed the table, so this is the hit path
+			// at every width; TestBlindBatchWidthInvariant compares cold
+			// computation.
+			par := p.SetWorkers(w).BlindBatch(items)
 			for i := range serial {
 				if !s.Equal(serial[i], par[i]) {
 					t.Fatalf("workers=%d: element %d differs", w, i)
@@ -519,12 +527,12 @@ func TestParallelExponentiateMatchesSerial(t *testing.T) {
 		for i := range items {
 			items[i] = fmt.Sprintf("x%d", i)
 		}
-		elems := peer.Blind(items)
-		serial, err := p.SetWorkers(1).Exponentiate(elems)
+		elems := peer.BlindBatch(items)
+		serial, err := p.SetWorkers(1).ExponentiateBatch(elems)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := p.SetWorkers(4).Exponentiate(elems)
+		par, err := p.SetWorkers(4).ExponentiateBatch(elems)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,9 +550,9 @@ func TestExponentiateRangeErrorIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		good := p.Blind([]string{"fine"})
+		good := p.BlindBatch([]string{"fine"})
 		bad := []Element{good[0], nil, good[0]}
-		if _, err := p.SetWorkers(4).Exponentiate(bad); err == nil ||
+		if _, err := p.SetWorkers(4).ExponentiateBatch(bad); err == nil ||
 			!strings.Contains(err.Error(), "element 1") {
 			t.Fatalf("want lowest-index validation error, got %v", err)
 		}
@@ -559,8 +567,8 @@ func TestBlindPrecomputationTableReuse(t *testing.T) {
 		a, b := parties(t, s)
 		itemsA := []string{"ann", "bob", "eve", "mallory"}
 		itemsB := []string{"bob", "eve", "trent"}
-		cold := a.Blind(itemsA)
-		warm := a.Blind(itemsA)
+		cold := a.BlindBatch(itemsA)
+		warm := a.BlindBatch(itemsA)
 		for i := range cold {
 			// Table hits return the identical element, not a recomputation.
 			if cold[i] != warm[i] {

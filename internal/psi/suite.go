@@ -87,7 +87,9 @@ const (
 	// SuiteNameModP2048 is the production safe-prime suite and the
 	// fail-closed floor every deployment supports.
 	SuiteNameModP2048 = "modp2048"
-	// SuiteNameModP768 is the fast test-only safe-prime suite.
+	// SuiteNameModP768 is the name TestSuite goes by on the wire. It is
+	// not in the SuiteByName registry: no flag or config field can ask
+	// for a 768-bit group, only code that hands one in (TestGroup).
 	SuiteNameModP768 = "modp768"
 )
 
@@ -95,16 +97,15 @@ const (
 // supports it.
 const DefaultSuiteName = SuiteNameP256
 
-// SuiteByName resolves a wire name to its suite. Unknown names are an
-// error, not a panic: names arrive from flags and from peers.
+// SuiteByName resolves a wire name to one of the production suites.
+// Unknown names are an error, not a panic: names arrive from flags and
+// from peers.
 func SuiteByName(name string) (Suite, error) {
 	switch name {
 	case SuiteNameP256:
 		return P256Suite(), nil
 	case SuiteNameModP2048:
 		return ModPSuite(DefaultGroup()), nil
-	case SuiteNameModP768:
-		return ModPSuite(TestGroup()), nil
 	}
 	return nil, fmt.Errorf("psi: unknown suite %q", name)
 }

@@ -82,13 +82,13 @@ func FuzzUnmarshalElems(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(MarshalElems(ms, a.Blind([]string{"x", "y"})).String())
+	f.Add(MarshalElems(ms, a.BlindBatch([]string{"x", "y"})).String())
 	ec := P256Suite()
 	c, err := NewParty(ec, rand.Reader)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(MarshalElems(ec, c.Blind([]string{"x"})).String())
+	f.Add(MarshalElems(ec, c.BlindBatch([]string{"x"})).String())
 	f.Add(`<psi-elems n="1" suite="p256"><e>02ab</e></psi-elems>`)
 	f.Add(`<psi-elems n="0"></psi-elems>`)
 	f.Add(`<other/>`)

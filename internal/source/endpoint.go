@@ -249,7 +249,6 @@ func (l *Local) psiParty(suite psi.Suite) (*psi.Party, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.SetWorkers(l.Src.cfg.Workers)
 	if l.parties == nil {
 		l.parties = map[string]*psi.Party{}
 	}
@@ -356,7 +355,7 @@ func (l *Local) LinkageRecords(ctx context.Context, field string) ([]linkage.Enc
 			return nil, err
 		}
 		ids, vals := l.items(field)
-		return enc.EncodeRecords(ids, vals, l.Src.cfg.Workers)
+		return enc.EncodeRecords(ids, vals, 0)
 	})
 	if err != nil {
 		return nil, err

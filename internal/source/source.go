@@ -53,10 +53,6 @@ type Config struct {
 	Audit *audit.Log
 	// Seed drives the deterministic random stream for perturbation.
 	Seed uint64
-	// Workers bounds the per-item fan-out of this source's compute
-	// kernels (PSI blinding/exponentiation, Bloom-filter linkage
-	// encoding): 0 = GOMAXPROCS, 1 = serial.
-	Workers int
 	// PlanCache is the capacity (entries) of the parse/plan cache:
 	// repeated (requester, query) pairs skip rewriting, cluster matching
 	// and optimization. Privacy enforcement is NOT cached — sequence
