@@ -46,10 +46,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of the hot-path kernels: a smoke check that the
-# benchmarks still build and run, not a measurement.
+# benchmarks still build and run, not a measurement. The source pair
+# prints allocs/op, which repeats exactly even at one iteration: Warm
+# (plan from the cache) reading like ColdPlan means planning is back on
+# the hit path.
 bench-quick:
 	$(GO) test -run '^$$' -bench 'PSI|PIQL|Fig1dInference' -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/xmltree/
+	$(GO) test -run '^$$' -bench SourceExecute -benchtime 1x -benchmem ./internal/source/
 
 # The PSI suite comparison: cold-start blinding across suites (the
 # number the EC default is justified by), the allocation-sensitive

@@ -11,7 +11,9 @@ package accesscontrol
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"privateiye/internal/xmltree"
 )
@@ -52,6 +54,7 @@ type RBAC struct {
 	juniors  map[Role][]Role // role -> directly inherited (junior) roles
 	grants   map[Role][]Permission
 	assigned map[string][]Role // subject -> roles
+	epoch    atomic.Uint64     // bumped by every mutator; see Store.Epoch
 }
 
 // NewRBAC returns an empty store.
@@ -76,6 +79,7 @@ func (r *RBAC) AddInheritance(senior, junior Role) error {
 		return fmt.Errorf("accesscontrol: inheritance %q -> %q would create a cycle", senior, junior)
 	}
 	r.juniors[senior] = append(r.juniors[senior], junior)
+	r.epoch.Add(1)
 	return nil
 }
 
@@ -111,6 +115,7 @@ func (r *RBAC) Grant(role Role, action Action, itemPattern string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.grants[role] = append(r.grants[role], Permission{Item: itemPattern, Action: action, pattern: p})
+	r.epoch.Add(1)
 	return nil
 }
 
@@ -119,6 +124,7 @@ func (r *RBAC) Assign(subject string, roles ...Role) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.assigned[subject] = append(r.assigned[subject], roles...)
+	r.epoch.Add(1)
 }
 
 // RolesOf returns the subject's directly assigned roles, sorted.
@@ -202,6 +208,7 @@ type MLS struct {
 	mu         sync.RWMutex
 	clearances map[string]Level
 	classified []classification
+	epoch      atomic.Uint64 // bumped by every mutator; see Store.Epoch
 }
 
 type classification struct {
@@ -220,6 +227,7 @@ func (m *MLS) SetClearance(subject string, l Level) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.clearances[subject] = l
+	m.epoch.Add(1)
 }
 
 // Classify labels items matching the pattern with the level. When several
@@ -232,6 +240,7 @@ func (m *MLS) Classify(itemPattern string, l Level) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.classified = append(m.classified, classification{pattern: p, level: l})
+	m.epoch.Add(1)
 	return nil
 }
 
@@ -286,4 +295,38 @@ func (s *Store) Check(subject string, action Action, itemPath string) bool {
 		return s.MLS.CanRead(subject, itemPath)
 	}
 	return s.MLS.CanWrite(subject, itemPath)
+}
+
+// Class returns the subject's access class in canonical form: its
+// effective role set, sorted, plus its MLS clearance. Check reads a
+// subject only through these two — RBAC.Can through effectiveRoles,
+// MLS.CanRead/CanWrite through ClearanceOf — so two subjects of one
+// class get the same Check on every (action, item), and a decision
+// computed for one may be reused for the other for as long as Epoch
+// does not move. A nil store has the single class "".
+func (s *Store) Class(subject string) string {
+	if s == nil {
+		return ""
+	}
+	roles := s.RBAC.effectiveRoles(subject)
+	sort.Slice(roles, func(i, j int) bool { return roles[i] < roles[j] })
+	var b []byte
+	for _, r := range roles {
+		b = strconv.AppendQuote(b, string(r)) // quoted: role names are free text
+	}
+	b = append(b, '@')
+	b = strconv.AppendInt(b, int64(s.MLS.ClearanceOf(subject)), 10)
+	return string(b)
+}
+
+// Epoch is a counter that grows with every mutation of either layer
+// (Grant, Assign, AddInheritance, SetClearance, Classify). Each mutator
+// bumps it after the change is in place, so a caller that reads Epoch
+// first and the store afterwards, and later finds Epoch unchanged, knows
+// that what it derived from the store still holds. 0 for a nil store.
+func (s *Store) Epoch() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.RBAC.epoch.Load() + s.MLS.epoch.Load()
 }

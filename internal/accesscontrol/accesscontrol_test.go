@@ -197,3 +197,119 @@ func TestActionAndLevelStrings(t *testing.T) {
 		}
 	}
 }
+
+// classStore is a small store with two ways of reaching the same
+// effective role set and two clearances.
+func classStore(t *testing.T) *Store {
+	t.Helper()
+	s := NewStore()
+	for _, g := range []struct {
+		role Role
+		act  Action
+		item string
+	}{
+		{"staff", Read, "//roster"},
+		{"nurse", Read, "//patient/name"},
+		{"nurse", Write, "//patient/notes"},
+		{"physician", Read, "//patient//*"},
+	} {
+		if err := s.RBAC.Grant(g.role, g.act, g.item); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.RBAC.AddInheritance("nurse", "staff"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MLS.Classify("//patient/diagnosis", Confidential); err != nil {
+		t.Fatal(err)
+	}
+	s.RBAC.Assign("ann", "nurse")          // staff by inheritance
+	s.RBAC.Assign("ben", "staff", "nurse") // staff by assignment too: same effective set
+	s.RBAC.Assign("cat", "physician")
+	s.RBAC.Assign("dan", "physician")
+	s.MLS.SetClearance("dan", Secret)
+	return s
+}
+
+// Two subjects of one class get the same Check everywhere: that is what
+// lets a source share one plan between them.
+func TestClassDeterminesCheck(t *testing.T) {
+	s := classStore(t)
+	if a, b := s.Class("ann"), s.Class("ben"); a != b {
+		t.Fatalf("same effective roles and clearance, different classes: %q vs %q", a, b)
+	}
+	if a, c := s.Class("ann"), s.Class("cat"); a == c {
+		t.Fatalf("different roles share class %q", a)
+	}
+	if c, d := s.Class("cat"), s.Class("dan"); c == d {
+		t.Fatalf("different clearances share class %q", c)
+	}
+	if u, v := s.Class("nobody"), s.Class("no one else"); u != v {
+		t.Fatalf("unknown subjects should share one class: %q vs %q", u, v)
+	}
+	subjects := []string{"ann", "ben", "cat", "dan", "nobody"}
+	items := []string{"/h/roster", "/h/patient/name", "/h/patient/notes", "/h/patient/diagnosis", "/h/other"}
+	for _, x := range subjects {
+		for _, y := range subjects {
+			if s.Class(x) != s.Class(y) {
+				continue
+			}
+			for _, act := range []Action{Read, Write} {
+				for _, item := range items {
+					if s.Check(x, act, item) != s.Check(y, act, item) {
+						t.Errorf("%s and %s share class %q but differ on %s %s", x, y, s.Class(x), act, item)
+					}
+				}
+			}
+		}
+	}
+	// Role names are free text: a name holding the separator must not
+	// make two different role sets render alike.
+	s.RBAC.Assign("eve", `a""b`)
+	s.RBAC.Assign("fay", "a", "b")
+	if s.Class("eve") == s.Class("fay") {
+		t.Fatalf("role sets {a\"\"b} and {a, b} share class %q", s.Class("eve"))
+	}
+}
+
+func TestEpochMovesOnEveryMutation(t *testing.T) {
+	s := NewStore()
+	last := s.Epoch()
+	step := func(what string) {
+		t.Helper()
+		if e := s.Epoch(); e <= last {
+			t.Fatalf("%s left the epoch at %d (was %d)", what, e, last)
+		} else {
+			last = e
+		}
+	}
+	if err := s.RBAC.Grant("nurse", Read, "//name"); err != nil {
+		t.Fatal(err)
+	}
+	step("Grant")
+	s.RBAC.Assign("ann", "nurse")
+	step("Assign")
+	if err := s.RBAC.AddInheritance("nurse", "staff"); err != nil {
+		t.Fatal(err)
+	}
+	step("AddInheritance")
+	s.MLS.SetClearance("ann", Internal)
+	step("SetClearance")
+	if err := s.MLS.Classify("//name", Internal); err != nil {
+		t.Fatal(err)
+	}
+	step("Classify")
+	// Refused mutations change nothing and need not move it; reads never do.
+	s.Check("ann", Read, "/p/name")
+	s.Class("ann")
+	if e := s.Epoch(); e != last {
+		t.Fatalf("reads moved the epoch %d -> %d", last, e)
+	}
+}
+
+func TestNilStoreClassAndEpoch(t *testing.T) {
+	var s *Store
+	if s.Class("anyone") != "" || s.Epoch() != 0 {
+		t.Fatalf("nil store: class %q epoch %d, want \"\" and 0", s.Class("anyone"), s.Epoch())
+	}
+}

@@ -1,8 +1,8 @@
 // Package qcache is a sharded LRU cache for parse/plan artifacts keyed
 // by normalized PIQL text. The mediator uses it to skip re-parsing a
 // repeated query; a source uses it to skip re-planning (rewrite →
-// cluster match → optimize) for a (requester, query) pair it has
-// already planned.
+// cluster match → optimize) for a (policy epoch, access class, query)
+// triple it has already planned.
 //
 // What it deliberately does NOT cache: any privacy decision that must
 // be evaluated per execution. Release-ledger checks, sequence audits
@@ -17,7 +17,6 @@ package qcache
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -41,8 +40,9 @@ type shard struct {
 }
 
 type entry struct {
-	key string
-	val any
+	key   string
+	val   any
+	epoch uint64 // state version the value was computed under; see GetAt
 }
 
 // New returns a cache holding at most capacity entries (rounded up to a
@@ -62,11 +62,51 @@ func New(capacity int) *Cache {
 }
 
 // Normalize canonicalizes PIQL text for keying: surrounding space is
-// trimmed and internal runs of whitespace collapse to one space, so
-// reformatting a query cannot defeat the cache. It deliberately does
-// not lowercase: PIQL string literals are case-significant.
+// trimmed and runs of whitespace between tokens collapse to one space,
+// so reformatting a query cannot defeat the cache. Whitespace inside a
+// quoted literal ('…' or "…") is part of the query and is kept byte for
+// byte — two texts that differ only there are different queries and
+// must not share a key. It deliberately does not lowercase: PIQL string
+// literals are case-significant. Text that is already normal is
+// returned as is, without allocating.
 func Normalize(text string) string {
-	return strings.Join(strings.Fields(text), " ")
+	var quote byte   // the open quote character, 0 outside a literal
+	pending := false // whitespace seen since the last byte written
+	var out []byte   // nil until the first byte that must be dropped
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if quote == 0 && isSpace(c) {
+			// Kept as is only when it is a single ' ' between two tokens.
+			single := c == ' ' && i > 0 && !isSpace(text[i-1]) && i+1 < len(text) && !isSpace(text[i+1])
+			if !single && out == nil {
+				out = append(make([]byte, 0, len(text)), text[:i]...)
+			}
+			pending = true
+			continue
+		}
+		if out != nil {
+			if pending && len(out) > 0 {
+				out = append(out, ' ')
+			}
+			out = append(out, c)
+		}
+		pending = false
+		switch {
+		case quote == 0 && (c == '\'' || c == '"'):
+			quote = c
+		case c == quote:
+			quote = 0 // a doubled quote ('') closes and reopens at once
+		}
+	}
+	if out == nil {
+		return text
+	}
+	return string(out)
+}
+
+// isSpace is the PIQL lexer's whitespace set.
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
 }
 
 func (c *Cache) shardFor(key string) *shard {
@@ -81,15 +121,30 @@ func (c *Cache) shardFor(key string) *shard {
 
 // Get returns the cached value and whether it was present, updating
 // recency and the hit/miss counters.
-func (c *Cache) Get(key string) (any, bool) {
+func (c *Cache) Get(key string) (any, bool) { return c.GetAt(key, 0) }
+
+// GetAt is Get for a value that is only valid under the version of some
+// outside state it was computed from (a source's plans and its policy
+// epoch). The caller passes the current version; an entry PutAt stamped
+// with any other is removed and counted as a miss, so a value computed
+// under an older state is never served — however late its Put landed.
+func (c *Cache) GetAt(key string, epoch uint64) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
 	s := c.shardFor(key)
+	var val any
 	s.mu.Lock()
 	el, ok := s.items[key]
 	if ok {
-		s.order.MoveToFront(el)
+		if e := el.Value.(*entry); e.epoch == epoch {
+			val = e.val
+			s.order.MoveToFront(el)
+		} else {
+			s.order.Remove(el)
+			delete(s.items, key)
+			ok = false
+		}
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -97,12 +152,16 @@ func (c *Cache) Get(key string) (any, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*entry).val, true
+	return val, true
 }
 
 // Put inserts or refreshes a value, evicting the shard's least recently
 // used entry when the shard is full.
-func (c *Cache) Put(key string, val any) {
+func (c *Cache) Put(key string, val any) { c.PutAt(key, val, 0) }
+
+// PutAt is Put with the state version the value was computed under; the
+// caller must have read that version before reading the state itself.
+func (c *Cache) PutAt(key string, val any, epoch uint64) {
 	if c == nil {
 		return
 	}
@@ -110,7 +169,8 @@ func (c *Cache) Put(key string, val any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
-		el.Value.(*entry).val = val
+		e := el.Value.(*entry)
+		e.val, e.epoch = val, epoch
 		s.order.MoveToFront(el)
 		return
 	}
@@ -121,7 +181,7 @@ func (c *Cache) Put(key string, val any) {
 			delete(s.items, oldest.Value.(*entry).key)
 		}
 	}
-	s.items[key] = s.order.PushFront(&entry{key: key, val: val})
+	s.items[key] = s.order.PushFront(&entry{key: key, val: val, epoch: epoch})
 }
 
 // Purge empties the cache (explicit invalidation: schema refresh at the

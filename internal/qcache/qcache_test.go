@@ -17,6 +17,40 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
+// Whitespace inside a quoted literal is part of the query: collapsing it
+// would hand `= 'a  b'` the cached parse of `= 'a b'`.
+func TestNormalizeKeepsLiteralWhitespace(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"WHERE //name = 'a  b'", "WHERE //name = 'a  b'"},
+		{"WHERE   //name =\t'a  b'  AND //x = 1 ", "WHERE //name = 'a  b' AND //x = 1"},
+		{"  'lead  '   'it''s   ok'  ", "'lead  ' 'it''s   ok'"},
+		{`CONTAINS "two  spaces"   x`, `CONTAINS "two  spaces" x`},
+		{`'a "  b'   c`, `'a "  b' c`}, // a " inside '…' opens nothing
+		{"x   'unterminated  tail ", "x 'unterminated  tail "},
+		{"a\n\n'b\n\nc'\r\nd", "a 'b\n\nc' d"},
+		{"", ""},
+		{" \t\n", ""},
+	} {
+		if got := Normalize(tc.in); got != tc.want {
+			t.Errorf("Normalize(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+	if Normalize("WHERE //name = 'a  b'") == Normalize("WHERE //name = 'a b'") {
+		t.Fatal("texts differing inside a literal must not share a key")
+	}
+}
+
+func TestNormalizeAlreadyNormalDoesNotAllocate(t *testing.T) {
+	text := "FOR //p/row WHERE //name = 'a  b' RETURN //age PURPOSE research"
+	var out string
+	if allocs := testing.AllocsPerRun(100, func() { out = Normalize(text) }); allocs != 0 {
+		t.Fatalf("Normalize of normal text allocates %v objects, want 0", allocs)
+	}
+	if out != text {
+		t.Fatalf("normal text changed: %q", out)
+	}
+}
+
 func TestGetPutAndCounters(t *testing.T) {
 	c := New(64)
 	if _, ok := c.Get("q"); ok {
@@ -30,6 +64,36 @@ func TestGetPutAndCounters(t *testing.T) {
 	hits, misses := c.Stats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", hits, misses)
+	}
+}
+
+// The epoch rule: an entry stamped e is a miss once the caller's state
+// has moved to e+1, and it is dropped rather than left to be found.
+func TestGetAtDropsEntryFromAnotherEpoch(t *testing.T) {
+	c := New(64)
+	c.PutAt("q", "plan@7", 7)
+	if v, ok := c.GetAt("q", 7); !ok || v.(string) != "plan@7" {
+		t.Fatalf("same epoch should hit, got %v/%v", v, ok)
+	}
+	_, m0 := c.Stats()
+	if _, ok := c.GetAt("q", 8); ok {
+		t.Fatal("entry stamped 7 served at epoch 8")
+	}
+	if _, m1 := c.Stats(); m1 != m0+1 {
+		t.Fatalf("stale entry should count as a miss: misses %d -> %d", m0, m1)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("stale entry should be dropped, %d entries remain", c.Len())
+	}
+	// A slow planner's Put landing after the state moved on is stamped
+	// with the epoch it read, so it is never served either.
+	c.PutAt("q", "plan@7, late", 7)
+	if _, ok := c.GetAt("q", 8); ok {
+		t.Fatal("late Put of an old-epoch value served")
+	}
+	c.PutAt("q", "plan@8", 8)
+	if v, ok := c.GetAt("q", 8); !ok || v.(string) != "plan@8" {
+		t.Fatalf("re-planned entry should hit, got %v/%v", v, ok)
 	}
 }
 

@@ -242,14 +242,26 @@ func project(schema *Schema, rows []Row, names []string) (*Result, error) {
 	return &Result{Schema: ps, Rows: out}, nil
 }
 
+// aggCell accumulates one aggregate column of one group.
+type aggCell struct {
+	sum, sqsum float64
+	n          int64
+	min, max   Value
+}
+
 type aggState struct {
-	key    Row
-	count  int64
-	sums   []float64
-	sqsums []float64
-	ns     []int64
-	mins   []Value
-	maxs   []Value
+	first Row // the group's first input row: its group-by values are the key
+	count int64
+	cells []aggCell
+}
+
+func newAggState(first Row, aggs int) *aggState {
+	st := &aggState{first: first, cells: make([]aggCell, aggs)}
+	for i := range st.cells {
+		st.cells[i].min = Value{IsNull: true}
+		st.cells[i].max = Value{IsNull: true}
+	}
+	return st
 }
 
 func aggregate(schema *Schema, rows []Row, groupBy []string, aggs []Aggregate) (*Result, error) {
@@ -275,33 +287,24 @@ func aggregate(schema *Schema, rows []Row, groupBy []string, aggs []Aggregate) (
 		}
 	}
 
+	// The group key is rendered into one reused buffer and looked up
+	// without materialising a string; the key string and the accumulators
+	// are allocated once per group, never per input row.
 	groups := map[string]*aggState{}
-	var order []string
+	var order []*aggState
+	var keyBuf [64]byte
+	kb := keyBuf[:0]
 	for _, r := range rows {
-		var kb strings.Builder
-		key := make(Row, len(gidx))
-		for i, gi := range gidx {
-			key[i] = r[gi]
-			kb.WriteString(r[gi].String())
-			kb.WriteByte('\x00')
+		kb = kb[:0]
+		for _, gi := range gidx {
+			kb = r[gi].appendText(kb)
+			kb = append(kb, '\x00')
 		}
-		k := kb.String()
-		st, ok := groups[k]
+		st, ok := groups[string(kb)]
 		if !ok {
-			st = &aggState{
-				key:    key,
-				sums:   make([]float64, len(aggs)),
-				sqsums: make([]float64, len(aggs)),
-				ns:     make([]int64, len(aggs)),
-				mins:   make([]Value, len(aggs)),
-				maxs:   make([]Value, len(aggs)),
-			}
-			for i := range st.mins {
-				st.mins[i] = Value{IsNull: true}
-				st.maxs[i] = Value{IsNull: true}
-			}
-			groups[k] = st
-			order = append(order, k)
+			st = newAggState(r, len(aggs))
+			groups[string(kb)] = st
+			order = append(order, st)
 		}
 		st.count++
 		for i, ai := range aidx {
@@ -312,35 +315,24 @@ func aggregate(schema *Schema, rows []Row, groupBy []string, aggs []Aggregate) (
 			if v.IsNull {
 				continue
 			}
-			st.ns[i]++
+			c := &st.cells[i]
+			c.n++
 			if f, ok := v.AsFloat(); ok {
-				st.sums[i] += f
-				st.sqsums[i] += f * f
+				c.sum += f
+				c.sqsum += f * f
 			}
-			if st.mins[i].IsNull || Compare(v, st.mins[i]) < 0 {
-				st.mins[i] = v
+			if c.min.IsNull || Compare(v, c.min) < 0 {
+				c.min = v
 			}
-			if st.maxs[i].IsNull || Compare(v, st.maxs[i]) > 0 {
-				st.maxs[i] = v
+			if c.max.IsNull || Compare(v, c.max) > 0 {
+				c.max = v
 			}
 		}
 	}
 	// Empty input with no GROUP BY still yields one row of aggregates
 	// (COUNT = 0), matching SQL.
 	if len(order) == 0 && len(groupBy) == 0 {
-		st := &aggState{
-			sums:   make([]float64, len(aggs)),
-			sqsums: make([]float64, len(aggs)),
-			ns:     make([]int64, len(aggs)),
-			mins:   make([]Value, len(aggs)),
-			maxs:   make([]Value, len(aggs)),
-		}
-		for i := range st.mins {
-			st.mins[i] = Value{IsNull: true}
-			st.maxs[i] = Value{IsNull: true}
-		}
-		groups[""] = st
-		order = append(order, "")
+		order = append(order, newAggState(nil, len(aggs)))
 	}
 
 	cols := make([]Column, 0, len(groupBy)+len(aggs))
@@ -362,42 +354,47 @@ func aggregate(schema *Schema, rows []Row, groupBy []string, aggs []Aggregate) (
 		return nil, err
 	}
 
+	// One backing array for all output rows, clipped per row as in project.
 	out := make([]Row, 0, len(order))
-	for _, k := range order {
-		st := groups[k]
-		row := make(Row, 0, len(cols))
-		row = append(row, st.key...)
+	w := len(cols)
+	backing := make(Row, len(order)*w)
+	for j, st := range order {
+		row := backing[j*w : j*w : (j+1)*w]
+		for _, gi := range gidx {
+			row = append(row, st.first[gi])
+		}
 		for i, a := range aggs {
+			c := &st.cells[i]
 			switch a.Func {
 			case Count:
 				if a.Col == "" {
 					row = append(row, Int(st.count))
 				} else {
-					row = append(row, Int(st.ns[i]))
+					row = append(row, Int(c.n))
 				}
 			case Sum:
-				if st.ns[i] == 0 {
+				if c.n == 0 {
 					row = append(row, Null(TFloat))
 				} else {
-					row = append(row, Float(st.sums[i]))
+					row = append(row, Float(c.sum))
 				}
 			case Avg:
-				if st.ns[i] == 0 {
+				if c.n == 0 {
 					row = append(row, Null(TFloat))
 				} else {
-					row = append(row, Float(st.sums[i]/float64(st.ns[i])))
+					row = append(row, Float(c.sum/float64(c.n)))
 				}
 			case Min:
-				row = append(row, st.mins[i])
+				row = append(row, c.min)
 			case Max:
-				row = append(row, st.maxs[i])
+				row = append(row, c.max)
 			case StdDev:
-				if st.ns[i] == 0 {
+				if c.n == 0 {
 					row = append(row, Null(TFloat))
 				} else {
-					n := float64(st.ns[i])
-					mean := st.sums[i] / n
-					v := st.sqsums[i]/n - mean*mean
+					n := float64(c.n)
+					mean := c.sum / n
+					v := c.sqsum/n - mean*mean
 					if v < 0 {
 						v = 0
 					}

@@ -145,6 +145,70 @@ func TestAggregateByTestMatchesFigure1a(t *testing.T) {
 	}
 }
 
+// Grouping on typed columns: the key is each value's rendering, nulls
+// group together, and groups come out in first-seen order.
+func TestAggregateGroupsOnTypedKeys(t *testing.T) {
+	schema := MustSchema(Column{"ward", TInt}, Column{"icu", TBool}, Column{"score", TFloat})
+	rows := []Row{
+		{Int(2), Bool(true), Float(1)},
+		{Int(1), Bool(false), Float(2)},
+		{Int(2), Bool(true), Float(3)},
+		{Null(TInt), Bool(false), Float(4)},
+		{Int(2), Bool(false), Float(5)},
+		{Null(TInt), Bool(false), Null(TFloat)},
+	}
+	res, err := aggregate(schema, rows, []string{"ward", "icu"},
+		[]Aggregate{{Func: Count, As: "n"}, {Func: Sum, Col: "score", As: "s"}, {Func: Max, Col: "score", As: "hi"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range res.Rows {
+		cells := make([]string, len(r))
+		for i, v := range r {
+			cells[i] = v.String()
+		}
+		got = append(got, strings.Join(cells, ","))
+	}
+	want := []string{"2,true,2,4,3", "1,false,1,2,2", ",false,2,4,4", "2,false,1,5,5"}
+	if strings.Join(got, " | ") != strings.Join(want, " | ") {
+		t.Fatalf("groups = %v, want %v", got, want)
+	}
+	// Rows share one backing array; an append to one must not reach the next.
+	_ = append(res.Rows[0], Str("overflow"))
+	if res.Rows[1][0].String() != "1" {
+		t.Fatal("append to a result row overwrote its neighbour")
+	}
+}
+
+// aggregate allocates per group, not per input row: a hundred times the
+// rows over the same three groups costs the same number of allocations.
+func TestAggregateAllocationsScaleWithGroupsNotRows(t *testing.T) {
+	schema := MustSchema(Column{"test", TString}, Column{"rate", TFloat})
+	build := func(n int) []Row {
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i] = Row{Str([]string{"HbA1c", "Lipid", "Eye"}[i%3]), Float(float64(40 + i%50))}
+		}
+		return rows
+	}
+	aggs := []Aggregate{{Func: Avg, Col: "rate", As: "avg"}, {Func: StdDev, Col: "rate", As: "sd"}, {Func: Count, As: "n"}}
+	measure := func(rows []Row) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := aggregate(schema, rows, []string{"test"}, aggs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := measure(build(12)), measure(build(1200))
+	if large != small {
+		t.Fatalf("12 rows: %v allocs, 1200 rows over the same groups: %v", small, large)
+	}
+	if small > 30 {
+		t.Fatalf("3 groups cost %v allocs, want at most 30", small)
+	}
+}
+
 func TestAggregateNoGroupByOnEmptyInput(t *testing.T) {
 	c := complianceCatalog(t)
 	q := &Query{
@@ -563,6 +627,11 @@ func TestValueStringAndAsFloat(t *testing.T) {
 	for want, v := range cases {
 		if got := v.String(); got != want {
 			t.Errorf("String(%v) = %q, want %q", v, got, want)
+		}
+		// The group-by key is built with appendText: it must render
+		// exactly what String does.
+		if got := string(v.appendText([]byte("k:"))); got != "k:"+want {
+			t.Errorf("appendText(%v) = %q, want %q", v, got, "k:"+want)
 		}
 	}
 	for _, tc := range []struct {

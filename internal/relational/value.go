@@ -85,6 +85,25 @@ func (v Value) String() string {
 	return ""
 }
 
+// appendText appends exactly what String renders, without the
+// intermediate string.
+func (v Value) appendText(b []byte) []byte {
+	if v.IsNull {
+		return b
+	}
+	switch v.Kind {
+	case TString:
+		return append(b, v.S...)
+	case TFloat:
+		return strconv.AppendFloat(b, v.F, 'g', -1, 64)
+	case TInt:
+		return strconv.AppendInt(b, v.I, 10)
+	case TBool:
+		return strconv.AppendBool(b, v.B)
+	}
+	return b
+}
+
 // AsFloat coerces numeric values to float64; strings parse if possible.
 func (v Value) AsFloat() (float64, bool) {
 	if v.IsNull {

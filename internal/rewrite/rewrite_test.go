@@ -233,6 +233,13 @@ func TestRewriteWithAccessControl(t *testing.T) {
 	if !out.FullyDenied() {
 		t.Error("bob should be blocked by RBAC")
 	}
+	// The reason ships in <dropped reason=…> and the outcome may be
+	// shared by every requester of bob's access class: it names the
+	// item, never the subject.
+	if len(out.DroppedReturns) != 1 || !strings.Contains(out.DroppedReturns[0].Reason, "access control denies read on /") ||
+		strings.Contains(out.DroppedReturns[0].Reason, "bob") {
+		t.Errorf("dropped = %+v, want one access-control reason without the subject's name", out.DroppedReturns)
+	}
 	// MLS: classify age secret; alice (public clearance) blocked.
 	if err := store.MLS.Classify("//patient/age", accesscontrol.Secret); err != nil {
 		t.Fatal(err)

@@ -181,11 +181,11 @@ func (l *Local) Query(ctx context.Context, piqlText, requester string) (*xmltree
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	q, err := l.Src.ParseCached(piqlText)
+	pq, err := l.Src.parse(piqlText)
 	if err != nil {
 		return nil, fmt.Errorf("source: bad query: %w", err)
 	}
-	ans, err := l.Src.ExecuteContext(ctx, q, requester)
+	ans, err := l.Src.executeContext(ctx, pq.q, pq.canonical, requester)
 	if err != nil {
 		return nil, err
 	}

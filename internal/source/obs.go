@@ -60,13 +60,16 @@ func newSrcObs(name string, reg *obs.Registry, tracer *obs.Tracer) *srcObs {
 	return o
 }
 
+// tracing reports whether executed queries are traced.
+func (o *srcObs) tracing() bool { return o != nil && o.tracer != nil }
+
 // startTrace begins a per-query trace (nil when tracing is disabled;
 // a nil *obs.Trace is valid everywhere downstream).
-func (o *srcObs) startTrace(requester string, q *piql.Query) *obs.Trace {
-	if o == nil || o.tracer == nil {
+func (o *srcObs) startTrace(requester, query string) *obs.Trace {
+	if !o.tracing() {
 		return nil
 	}
-	return o.tracer.Start(requester, q.String())
+	return o.tracer.Start(requester, query)
 }
 
 // now returns the stage start time (zero when observability is off, so
@@ -121,7 +124,7 @@ func (o *srcObs) shed(requester string, q *piql.Query, err error) {
 	reason := refusal.Classify(err)
 	o.shedded.Inc()
 	o.refusals[reason].Inc()
-	if o.tracer != nil {
+	if o.tracing() {
 		o.tracer.Start(requester, q.String()).Finish(obs.RefusedOutcome(reason.String()))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"privateiye/internal/accesscontrol"
@@ -53,11 +54,15 @@ type Config struct {
 	Audit *audit.Log
 	// Seed drives the deterministic random stream for perturbation.
 	Seed uint64
-	// PlanCache is the capacity (entries) of the parse/plan cache:
-	// repeated (requester, query) pairs skip rewriting, cluster matching
-	// and optimization. Privacy enforcement is NOT cached — sequence
-	// auditing, preservation and loss accounting run on every
-	// execution. 0 disables caching.
+	// PlanCache is the capacity (entries) of the parse/plan cache. A
+	// plan is keyed on what planning reads — the policy epoch, the
+	// requester's access class (nothing of the requester when Access is
+	// nil) and the canonical query — so a repeated query skips
+	// rewriting, cluster matching, optimization and the relational
+	// compilation whoever asks it. Privacy enforcement is NOT cached —
+	// sequence auditing (under the asking requester's own name),
+	// execution, preservation and loss accounting run on every call.
+	// 0 disables caching.
 	PlanCache int
 	// Obs, when non-nil, receives this source's metrics (query and
 	// refusal counters, stage latencies, plan-cache and PSI counters)
@@ -89,17 +94,35 @@ type Source struct {
 
 	mu    sync.RWMutex
 	prefs []*policy.Policy // registered data-subject preferences
+	// prefEpoch counts AddPreference calls; with the access store's own
+	// counter it forms the policy epoch every cached plan is stamped with.
+	prefEpoch atomic.Uint64
 }
 
-// planEntry is a cached planning outcome for one (requester, query)
-// pair: everything Execute computes before it touches per-execution
-// privacy state. The sequence audit, execution, preservation and loss
-// accounting are deliberately outside — they must run every time.
+// parsedQuery is one parse-cache entry: the parsed (immutable) query
+// and its canonical rendering, computed once per distinct text and
+// reused by the plan key and the trace.
+type parsedQuery struct {
+	q         *piql.Query
+	canonical string
+}
+
+// planEntry is a compiled plan: everything Execute derives from the
+// query, the policies and the requester's access class before it
+// touches per-execution privacy state, in the form execution consumes
+// it. It holds no requester name and is shared by every requester of
+// one access class. The sequence audit, execution, preservation and
+// loss accounting are deliberately outside — they must run every time.
 type planEntry struct {
 	outcome   *rewrite.Outcome
 	breach    preserve.BreachClass
 	technique preserve.Technique
+	techName  string // technique.Name(), rendered once
 	plan      *optimizer.Plan
+	// rel is the rewritten query compiled for the relational engine; nil
+	// when it has no relational shape and the XML evaluator runs it. It
+	// depends on the catalog's schemas only, never on its rows.
+	rel *relational.Query
 }
 
 // Answer is a fully processed query response.
@@ -206,11 +229,23 @@ func (s *Source) AddPreference(p *policy.Policy) error {
 	}
 	s.mu.Lock()
 	s.prefs = append(s.prefs, p)
+	// A new preference changes what rewriting may disclose: every plan
+	// computed before this bump is stale, including one whose planner has
+	// read the old preferences and has yet to Put. The bump follows the
+	// append so that a planner seeing the new epoch sees the preference.
+	s.prefEpoch.Add(1)
 	s.mu.Unlock()
-	// A new preference changes what rewriting may disclose: every cached
-	// plan is stale the moment it lands.
+	// The epoch already keeps stale plans from being served; the purge
+	// frees them now instead of one failed lookup at a time.
 	s.plans.Purge()
 	return nil
+}
+
+// policyEpoch is the version of everything mutable that planning reads:
+// the registered preferences and the access store. Planning reads it
+// before it reads either, and stamps the plan with it.
+func (s *Source) policyEpoch() uint64 {
+	return s.prefEpoch.Load() + s.cfg.Access.Epoch()
 }
 
 // Preferences returns the registered preference policies.
@@ -306,16 +341,25 @@ func (s *Source) fieldValues(name string, limit int) []string {
 // between cache hits and must be treated as immutable — parsed queries
 // are never mutated after Parse, so this is safe by construction.
 func (s *Source) ParseCached(text string) (*piql.Query, error) {
+	pq, err := s.parse(text)
+	if err != nil {
+		return nil, err
+	}
+	return pq.q, nil
+}
+
+func (s *Source) parse(text string) (*parsedQuery, error) {
 	key := "parse\x00" + qcache.Normalize(text)
 	if v, ok := s.plans.Get(key); ok {
-		return v.(*piql.Query), nil
+		return v.(*parsedQuery), nil
 	}
 	q, err := piql.Parse(strings.TrimSpace(text))
 	if err != nil {
 		return nil, err // parse errors are cheap to re-produce; never cached
 	}
-	s.plans.Put(key, q)
-	return q, nil
+	pq := &parsedQuery{q: q, canonical: q.String()}
+	s.plans.Put(key, pq)
+	return pq, nil
 }
 
 // PlanCacheStats exposes the parse/plan cache counters (zeroes when
@@ -326,15 +370,25 @@ func (s *Source) PlanCacheStats() (hits, misses uint64, size int) {
 }
 
 // planFor runs the pure planning prefix of the pipeline — rewriting,
-// cluster matching, optimization — through the plan cache. The key
-// includes the requester because rewriting is requester-specific; the
-// cache is purged whenever a preference lands (AddPreference). Planning
+// cluster matching, optimization, relational compilation — through the
+// plan cache. The key is what planning reads: the policy epoch (as the
+// entry's stamp), the requester's access class and the canonical query.
+// The requester's name is no part of it: rewriting reads a requester
+// only through Access.Check, which depends on the class alone. Planning
 // errors and full denials are recomputed every time: they are rare, and
 // caching only successes keeps the entry type simple.
-func (s *Source) planFor(q *piql.Query, requester string) (*planEntry, error) {
-	key := "plan\x00" + requester + "\x00" + qcache.Normalize(q.String())
-	if v, ok := s.plans.Get(key); ok {
-		return v.(*planEntry), nil
+func (s *Source) planFor(q *piql.Query, canonical, requester string) (*planEntry, error) {
+	var key string
+	var epoch uint64
+	if s.plans != nil {
+		// Epoch first, then the state it versions: an entry stamped with
+		// this value was planned from preferences and access rules at
+		// least as new as it, and is dropped once either moves on.
+		epoch = s.policyEpoch()
+		key = "plan\x00" + s.cfg.Access.Class(requester) + "\x00" + canonical
+		if v, ok := s.plans.GetAt(key, epoch); ok {
+			return v.(*planEntry), nil
+		}
 	}
 
 	// 1. Privacy-preserving query rewriting against policies + ACLs.
@@ -370,19 +424,37 @@ func (s *Source) planFor(q *piql.Query, requester string) (*planEntry, error) {
 		return nil, fmt.Errorf("source %s: %w", s.cfg.Name, err)
 	}
 
-	entry := &planEntry{outcome: outcome, breach: cl.Breach, technique: technique, plan: plan}
-	s.plans.Put(key, entry)
+	entry := &planEntry{
+		outcome: outcome, breach: cl.Breach,
+		technique: technique, techName: technique.Name(), plan: plan,
+	}
+	// 4. Query Transformer: the relational form, when there is one.
+	if s.cfg.Catalog != nil {
+		entry.rel, _ = TransformToRelational(rq, s.cfg.Catalog, s.resolver)
+	}
+	s.plans.PutAt(key, entry, epoch)
 	return entry, nil
 }
 
 // Execute runs the full pipeline of Figure 2(a) on one query fragment.
-// The planning prefix (rewrite → cluster match → optimize) may come
-// from the plan cache; everything stateful — sequence auditing,
-// execution, preservation, loss accounting — runs unconditionally.
+// The planning prefix (rewrite → cluster match → optimize → compile)
+// may come from the plan cache; everything stateful — sequence
+// auditing, execution, preservation, loss accounting — runs
+// unconditionally.
 func (s *Source) Execute(q *piql.Query, requester string) (*Answer, error) {
+	return s.execute(q, "", requester)
+}
+
+// execute is Execute given the query's canonical text when the caller
+// has it (a parse-cache entry does); "" renders it here, once, and only
+// if the plan key or the trace will use it.
+func (s *Source) execute(q *piql.Query, canonical, requester string) (*Answer, error) {
+	if canonical == "" && (s.plans != nil || s.obs.tracing()) {
+		canonical = q.String()
+	}
 	t0 := time.Now()
-	trace := s.obs.startTrace(requester, q)
-	ans, err := s.executeStages(q, requester, trace)
+	trace := s.obs.startTrace(requester, canonical)
+	ans, err := s.executeStages(q, canonical, requester, trace)
 	s.obs.finish(trace, t0, err)
 	return ans, err
 }
@@ -395,8 +467,12 @@ func (s *Source) Execute(q *piql.Query, requester string) (*Answer, error) {
 // pipeline itself is synchronous CPU work and runs to completion once
 // admitted (its duration feeds the AIMD limit).
 func (s *Source) ExecuteContext(ctx context.Context, q *piql.Query, requester string) (*Answer, error) {
+	return s.executeContext(ctx, q, "", requester)
+}
+
+func (s *Source) executeContext(ctx context.Context, q *piql.Query, canonical, requester string) (*Answer, error) {
 	if s.admit == nil {
-		return s.Execute(q, requester)
+		return s.execute(q, canonical, requester)
 	}
 	grant, err := s.admit.Acquire(ctx, requester)
 	if err != nil {
@@ -407,7 +483,7 @@ func (s *Source) ExecuteContext(ctx context.Context, q *piql.Query, requester st
 		}
 		return nil, err
 	}
-	ans, err := s.Execute(q, requester)
+	ans, err := s.execute(q, canonical, requester)
 	grant.Release(err)
 	return ans, err
 }
@@ -417,9 +493,9 @@ func (s *Source) ExecuteContext(ctx context.Context, q *piql.Query, requester st
 func (s *Source) AdmissionStats() admission.Stats { return s.admit.Stats() }
 
 // executeStages is the pipeline body, with one span per stage.
-func (s *Source) executeStages(q *piql.Query, requester string, trace *obs.Trace) (*Answer, error) {
+func (s *Source) executeStages(q *piql.Query, canonical, requester string, trace *obs.Trace) (*Answer, error) {
 	ts := s.obs.now()
-	entry, err := s.planFor(q, requester)
+	entry, err := s.planFor(q, canonical, requester)
 	s.obs.stage(trace, "plan", ts, spanOutcome(err))
 	if err != nil {
 		return nil, err
@@ -431,7 +507,7 @@ func (s *Source) executeStages(q *piql.Query, requester string, trace *obs.Trace
 	// commit are one atomic step: two concurrent queries for the same
 	// requester must not both pass the check before either records.
 	if s.cfg.Audit != nil && rq.IsAggregate() {
-		set, ok := s.contextIndexSet(rq)
+		set, ok := s.contextIndexSet(entry.rel)
 		if ok && len(set) > 0 {
 			ts = s.obs.now()
 			err := s.cfg.Audit.For(requester).CheckAndCommit(set)
@@ -445,7 +521,7 @@ func (s *Source) executeStages(q *piql.Query, requester string, trace *obs.Trace
 	// 5. Execution: native relational when transformable, XML evaluation
 	// otherwise.
 	ts = s.obs.now()
-	raw, err := s.executeRaw(rq)
+	raw, err := s.executeRaw(rq, entry.rel)
 	s.obs.stage(trace, "execute", ts, spanOutcome(err))
 	if err != nil {
 		return nil, fmt.Errorf("source %s: execute: %w", s.cfg.Name, err)
@@ -463,7 +539,7 @@ func (s *Source) executeStages(q *piql.Query, requester string, trace *obs.Trace
 	ans := &Answer{
 		Result:        preserved,
 		Breach:        entry.breach,
-		Technique:     technique.Name(),
+		Technique:     entry.techName,
 		Plan:          entry.plan,
 		Rewrite:       outcome,
 		EstimatedLoss: estimateLoss(raw, preserved),
@@ -472,16 +548,16 @@ func (s *Source) executeStages(q *piql.Query, requester string, trace *obs.Trace
 	return ans, nil
 }
 
-// executeRaw runs the rewritten query against local stores.
-func (s *Source) executeRaw(q *piql.Query) (*piql.Result, error) {
-	if s.cfg.Catalog != nil {
-		if rq, ok := TransformToRelational(q, s.cfg.Catalog, s.resolver); ok {
-			res, err := rq.Execute(s.cfg.Catalog)
-			if err != nil {
-				return nil, err
-			}
-			return ResultToPIQL(res), nil
+// executeRaw runs the rewritten query against local stores: natively
+// through its compiled relational form when the plan carries one, over
+// XML otherwise.
+func (s *Source) executeRaw(q *piql.Query, rel *relational.Query) (*piql.Result, error) {
+	if rel != nil {
+		res, err := rel.Execute(s.cfg.Catalog)
+		if err != nil {
+			return nil, err
 		}
+		return ResultToPIQL(res), nil
 	}
 	merged := &piql.Result{}
 	opts := piql.EvalOptions{Resolver: s.resolver}
@@ -534,13 +610,10 @@ func (s *Source) rowEstimate(q *piql.Query) int {
 
 // contextIndexSet computes which row indices an aggregate query touches,
 // for the sequence auditor. Only relational-transformable queries get
-// exact sets; others return ok=false (audited conservatively elsewhere).
-func (s *Source) contextIndexSet(q *piql.Query) ([]int, bool) {
-	if s.cfg.Catalog == nil {
-		return nil, false
-	}
-	rq, ok := TransformToRelational(q, s.cfg.Catalog, s.resolver)
-	if !ok {
+// exact sets; others (rq nil) return ok=false (audited conservatively
+// elsewhere).
+func (s *Source) contextIndexSet(rq *relational.Query) ([]int, bool) {
+	if rq == nil {
 		return nil, false
 	}
 	tab, err := s.cfg.Catalog.Table(rq.From)

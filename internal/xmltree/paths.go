@@ -81,56 +81,70 @@ func (p *PathPattern) String() string { return p.src }
 // Matches reports whether the absolute label path (e.g.
 // "/patients/patient/dob") satisfies the pattern.
 func (p *PathPattern) Matches(path string) bool {
-	segs := splitPath(path)
-	if segs == nil {
+	if !absolutePath(path) {
 		return false
 	}
-	return matchSteps(p.steps, segs)
+	return matchSteps(p.steps, path, 1)
 }
 
 // MatchesPrefix reports whether the path could be a proper ancestor of
 // some path matching the pattern — used by evaluators to decide whether
 // descending into a subtree can still produce matches.
 func (p *PathPattern) MatchesPrefix(path string) bool {
-	segs := splitPath(path)
-	if segs == nil {
+	if !absolutePath(path) {
 		return false
 	}
-	return matchPrefix(p.steps, segs)
+	return matchPrefix(p.steps, path, 1)
 }
 
-func splitPath(path string) []string {
-	if !strings.HasPrefix(path, "/") || len(path) < 2 {
-		return nil
+// The matchers walk the path's segments in place: a segment is the
+// bytes from an offset up to the next '/' (empty segments included,
+// exactly as strings.Split would cut them), and an offset past
+// len(path) means no segment is left. Rewriting and access control
+// call Matches once per (pattern, summary path) pair, so the walk
+// allocates nothing.
+
+func absolutePath(path string) bool {
+	return len(path) >= 2 && path[0] == '/'
+}
+
+// segEnd returns the end of the segment starting at offset i.
+func segEnd(path string, i int) int {
+	if j := strings.IndexByte(path[i:], '/'); j >= 0 {
+		return i + j
 	}
-	return strings.Split(path[1:], "/")
+	return len(path)
 }
 
-// matchSteps reports whether segs fully satisfies steps.
-func matchSteps(steps []patternStep, segs []string) bool {
+// matchSteps reports whether the segments of path from offset i on
+// fully satisfy steps.
+func matchSteps(steps []patternStep, path string, i int) bool {
 	if len(steps) == 0 {
-		return len(segs) == 0
+		return i > len(path)
 	}
 	st := steps[0]
 	if !st.descendant {
-		if len(segs) == 0 || !segMatch(st.name, segs[0]) {
+		if i > len(path) {
 			return false
 		}
-		return matchSteps(steps[1:], segs[1:])
+		end := segEnd(path, i)
+		return segMatch(st.name, path[i:end]) && matchSteps(steps[1:], path, end+1)
 	}
 	// Descendant: the step may match at any depth >= 1 from here.
-	for i := 0; i < len(segs); i++ {
-		if segMatch(st.name, segs[i]) && matchSteps(steps[1:], segs[i+1:]) {
+	for i <= len(path) {
+		end := segEnd(path, i)
+		if segMatch(st.name, path[i:end]) && matchSteps(steps[1:], path, end+1) {
 			return true
 		}
+		i = end + 1
 	}
 	return false
 }
 
-// matchPrefix reports whether segs is a (not necessarily proper) prefix of
-// some sequence matching steps.
-func matchPrefix(steps []patternStep, segs []string) bool {
-	if len(segs) == 0 {
+// matchPrefix reports whether the segments of path from offset i on are
+// a (not necessarily proper) prefix of some sequence matching steps.
+func matchPrefix(steps []patternStep, path string, i int) bool {
+	if i > len(path) {
 		return true
 	}
 	if len(steps) == 0 {
@@ -138,17 +152,17 @@ func matchPrefix(steps []patternStep, segs []string) bool {
 	}
 	st := steps[0]
 	if !st.descendant {
-		if !segMatch(st.name, segs[0]) {
-			return false
-		}
-		return matchPrefix(steps[1:], segs[1:])
+		end := segEnd(path, i)
+		return segMatch(st.name, path[i:end]) && matchPrefix(steps[1:], path, end+1)
 	}
-	for i := 0; i < len(segs); i++ {
-		if segMatch(st.name, segs[i]) && matchPrefix(steps[1:], segs[i+1:]) {
+	for i <= len(path) {
+		end := segEnd(path, i)
+		if segMatch(st.name, path[i:end]) && matchPrefix(steps[1:], path, end+1) {
 			return true
 		}
+		i = end + 1
 	}
-	// The descendant step could also match below the end of segs.
+	// The descendant step could also match below the end of the path.
 	return true
 }
 

@@ -1,6 +1,9 @@
 package xmltree
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestCompilePatternErrors(t *testing.T) {
 	for _, bad := range []string{"", "  ", "/a//", "//", "/a//{", "/"} {
@@ -10,11 +13,13 @@ func TestCompilePatternErrors(t *testing.T) {
 	}
 }
 
-func TestPatternMatches(t *testing.T) {
-	cases := []struct {
-		pattern, path string
-		want          bool
-	}{
+type patternCase struct {
+	pattern, path string
+	want          bool
+}
+
+var (
+	matchCases = []patternCase{
 		{"/patients/patient/dob", "/patients/patient/dob", true},
 		{"/patients/patient/dob", "/patients/patient/name", false},
 		{"/patients/patient/dob", "/patients/patient", false},
@@ -33,7 +38,18 @@ func TestPatternMatches(t *testing.T) {
 		{"//patient", "/patients/patient", true},
 		{"//patient//dob", "/patients/patient/dob/extra", false},
 	}
-	for _, tc := range cases {
+	prefixCases = []patternCase{
+		{"/patients/patient/dob", "/patients", true},
+		{"/patients/patient/dob", "/patients/patient", true},
+		{"/patients/patient/dob", "/other", false},
+		{"//dob", "/anything", true}, // dob could still appear deeper
+		{"/a/b", "/a/c", false},
+		{"/a/b", "/a/b", true},
+	}
+)
+
+func TestPatternMatches(t *testing.T) {
+	for _, tc := range matchCases {
 		p, err := CompilePattern(tc.pattern)
 		if err != nil {
 			t.Fatalf("compile %q: %v", tc.pattern, err)
@@ -45,18 +61,7 @@ func TestPatternMatches(t *testing.T) {
 }
 
 func TestPatternMatchesPrefix(t *testing.T) {
-	cases := []struct {
-		pattern, path string
-		want          bool
-	}{
-		{"/patients/patient/dob", "/patients", true},
-		{"/patients/patient/dob", "/patients/patient", true},
-		{"/patients/patient/dob", "/other", false},
-		{"//dob", "/anything", true}, // dob could still appear deeper
-		{"/a/b", "/a/c", false},
-		{"/a/b", "/a/b", true},
-	}
-	for _, tc := range cases {
+	for _, tc := range prefixCases {
 		p := MustCompilePattern(tc.pattern)
 		if got := p.MatchesPrefix(tc.path); got != tc.want {
 			t.Errorf("%q.MatchesPrefix(%q) = %v, want %v", tc.pattern, tc.path, got, tc.want)
@@ -91,4 +96,99 @@ func TestMustCompilePatternPanics(t *testing.T) {
 		}
 	}()
 	MustCompilePattern("//")
+}
+
+// refMatchSteps and refMatchPrefix are the matchers as they were when
+// Matches split the path with strings.Split on every call. They are kept
+// as the reference the in-place walk must agree with, empty and trailing
+// segments included.
+func refSplitPath(path string) []string {
+	if !strings.HasPrefix(path, "/") || len(path) < 2 {
+		return nil
+	}
+	return strings.Split(path[1:], "/")
+}
+
+func refMatchSteps(steps []patternStep, segs []string) bool {
+	if len(steps) == 0 {
+		return len(segs) == 0
+	}
+	st := steps[0]
+	if !st.descendant {
+		if len(segs) == 0 || !segMatch(st.name, segs[0]) {
+			return false
+		}
+		return refMatchSteps(steps[1:], segs[1:])
+	}
+	for i := 0; i < len(segs); i++ {
+		if segMatch(st.name, segs[i]) && refMatchSteps(steps[1:], segs[i+1:]) {
+			return true
+		}
+	}
+	return false
+}
+
+func refMatchPrefix(steps []patternStep, segs []string) bool {
+	if len(segs) == 0 {
+		return true
+	}
+	if len(steps) == 0 {
+		return false
+	}
+	st := steps[0]
+	if !st.descendant {
+		if !segMatch(st.name, segs[0]) {
+			return false
+		}
+		return refMatchPrefix(steps[1:], segs[1:])
+	}
+	for i := 0; i < len(segs); i++ {
+		if segMatch(st.name, segs[i]) && refMatchPrefix(steps[1:], segs[i+1:]) {
+			return true
+		}
+	}
+	return true
+}
+
+func TestPatternMatchersAgreeWithSplitReference(t *testing.T) {
+	patterns := []string{"//a//b", "/*", "//*", "/a/*", "//a/*/b", "/a//*", "*", "/a/b", "//b"}
+	paths := []string{
+		"", "/", "a", "a/b", "//", "///", "/a", "/a/", "/a//", "/a/b", "/a//b", "/a/b/",
+		"//a", "//a/b", "/a/x/b", "/a/x/y/b", "/x/a/y/b", "/a/b/a/b", "/b", "/a/a", "/x",
+	}
+	for _, tc := range matchCases {
+		patterns, paths = append(patterns, tc.pattern), append(paths, tc.path)
+	}
+	for _, tc := range prefixCases {
+		patterns, paths = append(patterns, tc.pattern), append(paths, tc.path)
+	}
+	for _, src := range patterns {
+		p := MustCompilePattern(src)
+		for _, path := range paths {
+			segs := refSplitPath(path)
+			wantMatch := segs != nil && refMatchSteps(p.steps, segs)
+			wantPrefix := segs != nil && refMatchPrefix(p.steps, segs)
+			if got := p.Matches(path); got != wantMatch {
+				t.Errorf("%q.Matches(%q) = %v, split reference says %v", src, path, got, wantMatch)
+			}
+			if got := p.MatchesPrefix(path); got != wantPrefix {
+				t.Errorf("%q.MatchesPrefix(%q) = %v, split reference says %v", src, path, got, wantPrefix)
+			}
+		}
+	}
+}
+
+func TestPatternMatchesAllocFree(t *testing.T) {
+	p := MustCompilePattern("//patient//dob")
+	var sink bool
+	allocs := testing.AllocsPerRun(100, func() {
+		sink = p.Matches("/patients/patient/records/dob") || sink
+		sink = p.MatchesPrefix("/patients/patient") || sink
+	})
+	if allocs != 0 {
+		t.Fatalf("Matches+MatchesPrefix allocate %v objects per call, want 0", allocs)
+	}
+	if !sink {
+		t.Fatal("pattern should match")
+	}
 }
