@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-fast test-race test-short test-integration test-shard cover bench bench-quick bench-psi attack experiments examples fmt fuzz crash loc
+.PHONY: all build vet test test-fast test-race test-short test-integration test-shard cover bench bench-quick bench-psi attack experiments examples fmt fmt-check fuzz crash loc
 
 all: build vet test
 
@@ -103,6 +103,10 @@ examples:
 
 fmt:
 	gofmt -w .
+
+# CI's form of fmt: lists the unformatted files and fails if there are any.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . is not empty:"; echo "$$out"; exit 1; fi
 
 # The two numbers the design-subtraction aim is judged by: lines of
 # non-test Go, and flags per daemon. Printed, not gated.

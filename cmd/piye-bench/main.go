@@ -98,13 +98,6 @@ func main() {
 			}
 			return experiments.E18Durability(counts)
 		})},
-		{"E19", wrap(func() (*experiments.Table, error) {
-			items, warmQueries := 1000, 20
-			if *quick {
-				items, warmQueries = 200, 5
-			}
-			return experiments.E19Parallelism(items, []int{1, 2, 4, 8}, warmQueries)
-		})},
 		{"E20", wrap(func() (*experiments.Table, error) {
 			queries, rounds := 300, 5
 			if *quick {

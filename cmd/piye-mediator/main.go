@@ -13,17 +13,15 @@
 package main
 
 import (
-	"context"
 	"flag"
-	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
+	"privateiye/cmd/internal/daemon"
 	"privateiye/internal/admission"
 	"privateiye/internal/durable"
 	"privateiye/internal/mediator"
@@ -38,20 +36,9 @@ import (
 // demos, a linking oracle in production.
 const defaultSalt = "privateiye-default-linking-salt"
 
-type sourceFlags []string
-
-func (s *sourceFlags) String() string { return strings.Join(*s, ",") }
-func (s *sourceFlags) Set(v string) error {
-	if !strings.Contains(v, "=") {
-		return fmt.Errorf("want name=url, got %q", v)
-	}
-	*s = append(*s, v)
-	return nil
-}
-
 func main() {
 	addr := flag.String("addr", ":7100", "listen address")
-	var sources sourceFlags
+	var sources daemon.NameURLs
 	flag.Var(&sources, "source", "source as name=url (repeatable)")
 	dedup := flag.String("dedup", "", "result column for fuzzy duplicate elimination")
 	whCap := flag.Int("warehouse", 0, "warehouse capacity (0 = pure virtual querying)")
@@ -84,7 +71,6 @@ func main() {
 	shardID := flag.String("shard-id", "", "this mediator's name in a sharded tier (enables the requester ownership gate; needs -shard-peers)")
 	shardPeers := flag.String("shard-peers", "", "comma-separated membership of the tier, this shard included, as name or name=url (must match the router's -shard list); URLs let this shard verify drain re-routes and check peers before undrain — without them re-routed requesters are refused fail-closed")
 	shardSeed := flag.Uint64("shard-seed", shard.DefaultSeed, "ring placement seed (must match every shard and router in the tier)")
-	shardVnodes := flag.Int("shard-vnodes", 0, "virtual nodes per ring member (0 = default 16; must match the tier)")
 	flag.Parse()
 
 	if *salt == defaultSalt {
@@ -96,8 +82,7 @@ func main() {
 	}
 	var eps []source.Endpoint
 	for _, s := range sources {
-		parts := strings.SplitN(s, "=", 2)
-		eps = append(eps, source.NewClient(parts[1], parts[0]))
+		eps = append(eps, source.NewClient(s.URL, s.Name))
 	}
 
 	var res *resilience.EndpointConfig
@@ -173,16 +158,10 @@ func main() {
 			ID:       *shardID,
 			Peers:    peerNames,
 			Seed:     *shardSeed,
-			Vnodes:   *shardVnodes,
 			PeerURLs: peerURLs,
 		}
 	}
-	reg := obs.NewRegistry()
-	obs.RegisterProcessMetrics(reg)
-	var tracer *obs.Tracer
-	if *traceRing > 0 {
-		tracer = obs.NewTracer(*traceRing)
-	}
+	d := daemon.New("piye-mediator", *traceRing)
 	med, err := mediator.New(mediator.Config{
 		Endpoints:         eps,
 		LinkageSalt:       []byte(*salt),
@@ -197,8 +176,8 @@ func main() {
 		Durability:        dur,
 		PlanCache:         *planCache,
 		Coalesce:          *coalesce,
-		Obs:               reg,
-		Trace:             tracer,
+		Obs:               d.Reg,
+		Trace:             d.Tracer,
 		Admission:         admit,
 		Brownout:          *admitBrownout,
 		Replica:           rep,
@@ -242,39 +221,5 @@ func main() {
 	log.Printf("piye-mediator serving %d sources on %s (schema: %d paths)",
 		len(eps), *addr, med.MediatedSchema().Len())
 
-	if *debugAddr != "" {
-		dsrv := &http.Server{
-			Addr:              *debugAddr,
-			Handler:           obs.DebugHandler(reg, tracer),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		go func() {
-			log.Printf("piye-mediator debug surface (pprof, metrics, traces) on %s", *debugAddr)
-			if err := dsrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("piye-mediator: debug server: %v", err)
-			}
-		}()
-	}
-
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           mediator.NewHandler(med),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		log.Fatalf("piye-mediator: %v", err)
-	case <-ctx.Done():
-		stop()
-		log.Print("piye-mediator: shutting down, draining in-flight queries")
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			log.Fatalf("piye-mediator: shutdown: %v", err)
-		}
-	}
+	d.Serve(*addr, *debugAddr, mediator.NewHandler(med), "queries")
 }

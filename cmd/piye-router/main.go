@@ -14,9 +14,9 @@
 //	    -shard shard-b=http://localhost:7110 \
 //	    -shard shard-c=http://localhost:7120
 //
-// The -shard names, -seed and -vnodes must match every mediator's
-// -shard-id/-shard-peers/-shard-seed/-shard-vnodes, or the shards'
-// ownership gates will refuse traffic the router believed well-placed.
+// The -shard names and -seed must match every mediator's
+// -shard-id/-shard-peers/-shard-seed, or the shards' ownership gates
+// will refuse traffic the router believed well-placed.
 //
 // Endpoints: POST /query (PIQL body, X-Requester header), GET /shards,
 // POST /shards/drain?name=X, POST /shards/undrain?name=X, /healthz,
@@ -24,38 +24,21 @@
 package main
 
 import (
-	"context"
 	"flag"
-	"fmt"
 	"log"
-	"net/http"
-	"os/signal"
-	"strings"
-	"syscall"
 	"time"
 
+	"privateiye/cmd/internal/daemon"
 	"privateiye/internal/obs"
 	"privateiye/internal/resilience"
 	"privateiye/internal/shard"
 )
 
-type shardFlags []string
-
-func (s *shardFlags) String() string { return strings.Join(*s, ",") }
-func (s *shardFlags) Set(v string) error {
-	if !strings.Contains(v, "=") {
-		return fmt.Errorf("want name=url, got %q", v)
-	}
-	*s = append(*s, v)
-	return nil
-}
-
 func main() {
 	addr := flag.String("addr", ":7200", "listen address")
-	var shards shardFlags
+	var shards daemon.NameURLs
 	flag.Var(&shards, "shard", "shard as name=url (repeatable; names must match the mediators' -shard-id values)")
 	seed := flag.Uint64("seed", shard.DefaultSeed, "ring placement seed (must match every shard's -shard-seed)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per ring member (0 = default 16; must match the tier)")
 	retries := flag.Int("retries", 3, "attempts per proxied query (1 = no retry); retries honor the shard's Retry-After")
 	proxyTimeout := flag.Duration("proxy-timeout", 30*time.Second, "overall deadline per proxied query across retries")
 	brkFailures := flag.Int("breaker-failures", 5, "consecutive failures before a shard's circuit opens (0 = breaker off)")
@@ -70,21 +53,13 @@ func main() {
 	}
 	var backends []shard.Backend
 	for _, s := range shards {
-		parts := strings.SplitN(s, "=", 2)
-		backends = append(backends, shard.Backend{Name: parts[0], URL: parts[1]})
+		backends = append(backends, shard.Backend(s))
 	}
 
-	reg := obs.NewRegistry()
-	obs.RegisterProcessMetrics(reg)
-	var tracer *obs.Tracer
-	if *traceRing > 0 {
-		tracer = obs.NewTracer(*traceRing)
-	}
-
+	d := daemon.New("piye-router", *traceRing)
 	rt, err := shard.NewRouter(shard.RouterConfig{
 		Shards: backends,
 		Seed:   *seed,
-		Vnodes: *vnodes,
 		Retry: resilience.Policy{
 			MaxAttempts: *retries,
 			Timeout:     *proxyTimeout,
@@ -92,8 +67,8 @@ func main() {
 		Breaker:        resilience.BreakerConfig{FailureThreshold: *brkFailures, OpenFor: *brkCooldown},
 		DisableBreaker: *brkFailures == 0,
 		HealthEvery:    *healthEvery,
-		Obs:            reg,
-		Trace:          tracer,
+		Obs:            d.Reg,
+		Trace:          d.Tracer,
 	})
 	if err != nil {
 		log.Fatalf("piye-router: %v", err)
@@ -101,39 +76,5 @@ func main() {
 	defer rt.Close()
 	log.Printf("piye-router fronting %d shards on %s (seed %d)", len(backends), *addr, *seed)
 
-	if *debugAddr != "" {
-		dsrv := &http.Server{
-			Addr:              *debugAddr,
-			Handler:           obs.DebugHandler(reg, tracer),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		go func() {
-			log.Printf("piye-router debug surface (pprof, metrics, traces) on %s", *debugAddr)
-			if err := dsrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("piye-router: debug server: %v", err)
-			}
-		}()
-	}
-
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		log.Fatalf("piye-router: %v", err)
-	case <-ctx.Done():
-		stop()
-		log.Print("piye-router: shutting down, draining in-flight queries")
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			log.Fatalf("piye-router: shutdown: %v", err)
-		}
-	}
+	d.Serve(*addr, *debugAddr, rt.Handler(), "queries")
 }

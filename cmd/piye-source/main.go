@@ -12,17 +12,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
+	"privateiye/cmd/internal/daemon"
 	"privateiye/internal/admission"
 	"privateiye/internal/clinical"
 	"privateiye/internal/obs"
@@ -92,12 +88,8 @@ func main() {
 		log.Fatalf("piye-source: %v", err)
 	}
 
-	reg := obs.NewRegistry()
-	obs.RegisterProcessMetrics(reg)
-	var tracer *obs.Tracer
-	if *traceRing > 0 {
-		tracer = obs.NewTracer(*traceRing)
-	}
+	d := daemon.New("piye-source", *traceRing)
+	d.Label = "piye-source " + *name
 	var admit *admission.Config
 	if *admitMax > 0 || *admitRate > 0 {
 		admit = &admission.Config{
@@ -109,7 +101,7 @@ func main() {
 			Burst:         *admitBurst,
 		}
 	}
-	src, err := source.New(source.Config{Name: *name, Catalog: cat, Policy: pol, Seed: *seed, PlanCache: *planCache, Obs: reg, Trace: tracer, Admission: admit})
+	src, err := source.New(source.Config{Name: *name, Catalog: cat, Policy: pol, Seed: *seed, PlanCache: *planCache, Obs: d.Reg, Trace: d.Tracer, Admission: admit})
 	if err != nil {
 		log.Fatalf("piye-source: %v", err)
 	}
@@ -145,40 +137,7 @@ func main() {
 	}
 
 	log.Printf("piye-source %s serving %s (%s) on %s", *name, *dataset, pol.Owner, *addr)
-	if *debugAddr != "" {
-		dsrv := &http.Server{
-			Addr:              *debugAddr,
-			Handler:           obs.DebugHandler(reg, tracer),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		go func() {
-			log.Printf("piye-source %s debug surface (pprof, metrics, traces) on %s", *name, *debugAddr)
-			if err := dsrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("piye-source: debug server: %v", err)
-			}
-		}()
-	}
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           source.NewHandler(local),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		log.Fatalf("piye-source: %v", err)
-	case <-ctx.Done():
-		stop()
-		log.Printf("piye-source %s: shutting down, draining in-flight requests", *name)
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			log.Fatalf("piye-source: shutdown: %v", err)
-		}
-	}
+	d.Serve(*addr, *debugAddr, source.NewHandler(local), "requests")
 }
 
 func must(err error) {

@@ -439,13 +439,7 @@ func (e *ShedError) HTTPStatus() int {
 	return http.StatusServiceUnavailable
 }
 
-// IsShed reports whether any error in the chain is load shedding
-// (implements Shed() bool returning true). This is how the breaker and
-// the HTTP handlers recognize sheds without importing this package's
-// concrete type across process boundaries.
-func IsShed(err error) bool {
-	var sh interface{ Shed() bool }
-	return errors.As(err, &sh) && sh.Shed()
-}
+// IsShed is refusal.IsShed, under the name callers of this package use.
+func IsShed(err error) bool { return refusal.IsShed(err) }
 
 var _ refusal.Reasoner = (*ShedError)(nil)

@@ -249,32 +249,6 @@ func TestE16(t *testing.T) {
 	}
 }
 
-func TestE19(t *testing.T) {
-	// Tiny sizes: the test checks structure and invariants, not speed.
-	tab, err := E19Parallelism(40, []int{1, 2}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawWarmPSI, sawCacheHit bool
-	for _, row := range tab.Rows {
-		if strings.Contains(row[4], "MISMATCH") {
-			t.Errorf("parallel/warm result diverged from serial: %v", row)
-		}
-		if strings.Contains(row[1], "warm round") && row[4] == "identical" {
-			sawWarmPSI = true
-		}
-		if strings.Contains(row[4], "hits=") {
-			sawCacheHit = true
-		}
-	}
-	if !sawWarmPSI {
-		t.Error("no verified warm PSI precomputation row")
-	}
-	if !sawCacheHit {
-		t.Error("no plan-cache hit row")
-	}
-}
-
 func TestE21(t *testing.T) {
 	// Tiny open-loop run: the test pins the table's structure and the
 	// classification invariants, not the (timing-dependent) numbers.

@@ -257,10 +257,11 @@ func TestCoalesceNeverSharesAcrossRequesters(t *testing.T) {
 }
 
 // TestCoalesceRacesSchemaRefresh hammers coalesced queries while
-// RefreshSchema concurrently purges the plan cache and replaces the
-// flight map. Run under -race; the assertions are that no caller
-// errors, no flight leaks past its execution, and the mediator still
-// answers afterwards.
+// RefreshSchema concurrently purges the plan cache and forgets the
+// flights in progress. Run under -race; the assertions are that no
+// caller errors or skips recording and the mediator still answers
+// afterwards (that no flight outlives its execution is the group's own
+// test, qcache.TestFlight).
 func TestCoalesceRacesSchemaRefresh(t *testing.T) {
 	m, _ := coalescingMediator(t, nil)
 	const workers, iters = 8, 20
@@ -290,12 +291,6 @@ func TestCoalesceRacesSchemaRefresh(t *testing.T) {
 	}()
 	wg.Wait()
 
-	m.flightMu.Lock()
-	leaked := len(m.flights)
-	m.flightMu.Unlock()
-	if leaked != 0 {
-		t.Errorf("%d flights leaked after all queries returned", leaked)
-	}
 	if _, err := m.Query(perTestQuery, "after"); err != nil {
 		t.Errorf("query after refresh storm: %v", err)
 	}

@@ -19,45 +19,55 @@ import (
 
 var salt = []byte("integration-salt")
 
+// hospitalConfig is one hospital source: generated patients under a
+// policy open for ages, sexes and (for research) names, optionally with
+// ages denied again.
+func hospitalConfig(t *testing.T, name string, seed uint64, n int, denyAge bool) source.Config {
+	t.Helper()
+	g := clinical.NewGenerator(seed)
+	cat := relational.NewCatalog()
+	patients, err := g.Patients("patients", n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Add(patients); err != nil {
+		t.Fatal(err)
+	}
+	rules := []policy.Rule{
+		{Item: "//patients/row/age", Purpose: "any", Form: policy.Exact, Effect: policy.Allow, MaxLoss: 0.9},
+		{Item: "//patients/row/sex", Purpose: "any", Form: policy.Exact, Effect: policy.Allow, MaxLoss: 0.9},
+		{Item: "//patients/row/name", Purpose: "research", Form: policy.Exact, Effect: policy.Allow, MaxLoss: 0.9},
+	}
+	if denyAge {
+		rules = append(rules, policy.Rule{Item: "//patients/row/age", Purpose: "any", Effect: policy.Deny})
+	}
+	pol, err := policy.NewPolicy(name, policy.Deny, rules...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return source.Config{Name: name, Catalog: cat, Policy: pol, Seed: seed}
+}
+
+func localEndpoint(t *testing.T, cfg source.Config) source.Endpoint {
+	t.Helper()
+	src, err := source.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := source.NewLocal(src, salt, psi.TestGroup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ep
+}
+
 // twoHospitals builds two sources with overlapping patients (by name) and
 // open policies for ages, plus denied identifiers at hospital B.
 func twoHospitals(t *testing.T) []source.Endpoint {
 	t.Helper()
-	mk := func(name string, seed uint64, n int, denyAge bool) source.Endpoint {
-		g := clinical.NewGenerator(seed)
-		cat := relational.NewCatalog()
-		patients, err := g.Patients("patients", n, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cat.Add(patients); err != nil {
-			t.Fatal(err)
-		}
-		rules := []policy.Rule{
-			{Item: "//patients/row/age", Purpose: "any", Form: policy.Exact, Effect: policy.Allow, MaxLoss: 0.9},
-			{Item: "//patients/row/sex", Purpose: "any", Form: policy.Exact, Effect: policy.Allow, MaxLoss: 0.9},
-			{Item: "//patients/row/name", Purpose: "research", Form: policy.Exact, Effect: policy.Allow, MaxLoss: 0.9},
-		}
-		if denyAge {
-			rules = append(rules, policy.Rule{Item: "//patients/row/age", Purpose: "any", Effect: policy.Deny})
-		}
-		pol, err := policy.NewPolicy(name, policy.Deny, rules...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := source.New(source.Config{Name: name, Catalog: cat, Policy: pol, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep, err := source.NewLocal(src, salt, psi.TestGroup())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ep
-	}
 	return []source.Endpoint{
-		mk("hospitalA", 1, 60, false),
-		mk("hospitalB", 2, 40, true),
+		localEndpoint(t, hospitalConfig(t, "hospitalA", 1, 60, false)),
+		localEndpoint(t, hospitalConfig(t, "hospitalB", 2, 40, true)),
 	}
 }
 

@@ -1,26 +1,32 @@
 package mediator
 
-// Observability hooks for the mediation pipeline. Handles resolve once
-// in New; a mediator built without a Registry or Tracer carries a nil
-// *medObs whose methods are no-ops, so QueryContext's instrumentation
-// is unconditional and the uninstrumented hot path pays one nil check
-// per stage.
+// What the mediator records beyond the pipeline frame (obs.Pipeline owns
+// the trace, the per-stage and per-query series and the refusal
+// classification): the per-source calls inside its fan-out stage and
+// the coalescing roles. Handles resolve once in New; an uninstrumented
+// mediator carries a nil *medObs whose methods are no-ops, like its nil
+// pipeline.
 
 import (
-	"context"
-	"errors"
 	"time"
 
-	"privateiye/internal/admission"
 	"privateiye/internal/obs"
-	"privateiye/internal/refusal"
-	"privateiye/internal/resilience"
+	"privateiye/internal/source"
 )
 
 // mediatorStages are the per-stage span and histogram names of the
 // Figure 2(b) pipeline. "source" spans (one per fanned-out source call)
 // additionally carry the source name.
 var mediatorStages = []string{"parse", "coalesce", "warehouse", "route", "fanout", "integrate", "control", "ledger"}
+
+// The piye_mediator_queries_total outcomes of a query answered other
+// than fresh from the sources: served materialized, and served stale
+// under overload — a success, but capacity planning must see how often
+// the system is degraded rather than fresh.
+const (
+	outcomeWarehouse = "warehouse"
+	outcomeBrownout  = "brownout"
+)
 
 // srcCallObs are the per-source fan-out handles.
 type srcCallObs struct {
@@ -29,22 +35,9 @@ type srcCallObs struct {
 	seconds  *obs.Histogram
 }
 
-// medObs holds the mediator's pre-resolved metric handles.
+// medObs holds the mediator's own pre-resolved metric handles.
 type medObs struct {
-	tracer *obs.Tracer
-	// shard is the shard id stamped on every trace ("" unsharded); set
-	// by setupShard after construction.
-	shard string
-
-	answered  *obs.Counter
-	warehouse *obs.Counter
-	brownout  *obs.Counter
-	shedded   *obs.Counter
-	refused   *obs.Counter
-	latency   *obs.Histogram
-	refusals  map[refusal.Reason]*obs.Counter
-	stages    map[string]*obs.Histogram
-	sources   map[string]*srcCallObs
+	sources map[string]srcCallObs
 
 	// Coalescing counters: leaders ran the pipeline, followers shared a
 	// leader's execution. followers/(leaders+followers) is the in-flight
@@ -53,42 +46,21 @@ type medObs struct {
 	coalFollower *obs.Counter
 }
 
-func newMedObs(reg *obs.Registry, tracer *obs.Tracer, sourceNames []string) *medObs {
-	if reg == nil && tracer == nil {
+func newMedObs(reg *obs.Registry, pipe *obs.Pipeline, sources []source.Endpoint) *medObs {
+	if pipe == nil {
 		return nil
 	}
-	reg.Help("piye_mediator_queries_total", "Mediated queries by outcome (warehouse = served materialized).")
-	reg.Help("piye_mediator_refusals_total", "Refused queries by normalized reason.")
-	reg.Help("piye_mediator_query_seconds", "Full mediation latency per query.")
-	reg.Help("piye_mediator_stage_seconds", "Per-stage latency of the mediation pipeline.")
 	reg.Help("piye_mediator_source_calls_total", "Fan-out calls per source by outcome.")
 	reg.Help("piye_mediator_source_seconds", "Fan-out call latency per source.")
 	reg.Help("piye_mediator_coalesce_total", "Coalesced query executions: leaders ran the pipeline, followers joined one in flight.")
 	o := &medObs{
-		tracer:    tracer,
-		answered:  reg.Counter("piye_mediator_queries_total", "outcome", "answered"),
-		warehouse: reg.Counter("piye_mediator_queries_total", "outcome", "warehouse"),
-		brownout:  reg.Counter("piye_mediator_queries_total", "outcome", "brownout"),
-		shedded:   reg.Counter("piye_mediator_queries_total", "outcome", "shed"),
-		refused:   reg.Counter("piye_mediator_queries_total", "outcome", "refused"),
-		latency:   reg.Histogram("piye_mediator_query_seconds", nil),
-		refusals:  map[refusal.Reason]*obs.Counter{},
-		stages:    map[string]*obs.Histogram{},
-		sources:   map[string]*srcCallObs{},
-
+		sources:      map[string]srcCallObs{},
 		coalLeader:   reg.Counter("piye_mediator_coalesce_total", "role", "leader"),
 		coalFollower: reg.Counter("piye_mediator_coalesce_total", "role", "follower"),
 	}
-	// Pre-register every refusal reason so /metrics shows zero counts
-	// instead of absent series.
-	for _, rs := range refusal.All() {
-		o.refusals[rs] = reg.Counter("piye_mediator_refusals_total", "reason", rs.String())
-	}
-	for _, st := range mediatorStages {
-		o.stages[st] = reg.Histogram("piye_mediator_stage_seconds", nil, "stage", st)
-	}
-	for _, name := range sourceNames {
-		o.sources[name] = &srcCallObs{
+	for _, ep := range sources {
+		name := ep.Name()
+		o.sources[name] = srcCallObs{
 			answered: reg.Counter("piye_mediator_source_calls_total", "source", name, "outcome", "answered"),
 			denied:   reg.Counter("piye_mediator_source_calls_total", "source", name, "outcome", "denied"),
 			seconds:  reg.Histogram("piye_mediator_source_seconds", nil, "source", name),
@@ -97,128 +69,32 @@ func newMedObs(reg *obs.Registry, tracer *obs.Tracer, sourceNames []string) *med
 	return o
 }
 
-// startTrace begins a per-query trace (nil when tracing is disabled).
-func (o *medObs) startTrace(requester, query string) *obs.Trace {
-	if o == nil || o.tracer == nil {
-		return nil
-	}
-	t := o.tracer.Start(requester, query)
-	t.SetShard(o.shard)
-	return t
-}
-
-// now returns the stage start time (zero when observability is off, so
-// disabled pipelines skip even the clock read).
-func (o *medObs) now() time.Time {
-	if o == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// stage records one finished pipeline stage: the stage histogram and the
-// trace span, off a single clock read. A direct method rather than a
-// returned closure: closures capturing the stage state escape to the
-// heap, and this runs twice on the warehouse-served hot path.
-func (o *medObs) stage(trace *obs.Trace, name string, t0 time.Time, outcome string) {
-	if o == nil {
-		return
-	}
-	d := time.Since(t0)
-	o.stages[name].Observe(d.Seconds())
-	trace.Record(name, "", t0, d, outcome)
-}
-
 // coalesced counts one coalesced-execution participant by role.
 func (o *medObs) coalesced(leader bool) {
-	if o == nil {
-		return
-	}
-	if leader {
+	switch {
+	case o == nil:
+	case leader:
 		o.coalLeader.Inc()
-	} else {
+	default:
 		o.coalFollower.Inc()
 	}
 }
 
 // sourceCall records one fanned-out source call; called from the fan-out
 // goroutine (Trace spans and counters are concurrency-safe).
-func (o *medObs) sourceCall(trace *obs.Trace, name string, t0 time.Time, err error) {
-	if o == nil {
+func (m *Mediator) sourceCall(trace *obs.Trace, name string, t0 time.Time, err error) {
+	if m.obs == nil {
 		return
 	}
-	d := time.Since(t0)
-	if sc := o.sources[name]; sc != nil {
-		sc.seconds.Observe(d.Seconds())
-		if err == nil {
-			sc.answered.Inc()
-		} else {
-			sc.denied.Inc()
-		}
+	sc := m.obs.sources[name] // nil handles, which record nothing, for a name unknown at New
+	if err == nil {
+		sc.answered.Inc()
+	} else {
+		sc.denied.Inc()
 	}
-	trace.Record("source", name, t0, d, spanOutcome(err))
+	m.pipe.Span(trace, sc.seconds, "source", name, t0, err)
 }
 
-// finish closes the query: outcome counters, total latency, trace
-// outcome.
-func (o *medObs) finish(trace *obs.Trace, t0 time.Time, out *Integrated, err error) {
-	if o == nil {
-		return
-	}
-	o.latency.Observe(time.Since(t0).Seconds())
-	switch {
-	case err != nil:
-		// Admission sheds are capacity decisions, not privacy refusals:
-		// they get their own outcome so overload never inflates the
-		// refusal rate an auditor watches. The reason series
-		// (overloaded/ratelimited) still records why.
-		reason := refusal.Classify(err)
-		if admission.IsShed(err) {
-			o.shedded.Inc()
-		} else {
-			o.refused.Inc()
-		}
-		o.refusals[reason].Inc()
-		trace.Finish(obs.RefusedOutcome(reason.String()))
-	case out != nil && out.Stale:
-		// Brownout answers get their own outcome: they are successes,
-		// but capacity planning must see how often the system is
-		// degraded rather than fresh.
-		o.brownout.Inc()
-		trace.Finish(obs.OutcomeAnswered)
-	case out != nil && out.FromWarehouse:
-		o.warehouse.Inc()
-		trace.Finish(obs.OutcomeAnswered)
-	default:
-		o.answered.Inc()
-		trace.Finish(obs.OutcomeAnswered)
-	}
-}
-
-// spanOutcome renders a stage or source-call error as a span outcome:
-// timeouts and breaker skips keep their dedicated outcomes, everything
-// else reuses the refusal vocabulary.
-func spanOutcome(err error) string {
-	switch {
-	case err == nil:
-		return obs.OutcomeAnswered
-	case errors.Is(err, context.DeadlineExceeded):
-		return obs.OutcomeTimeout
-	case errors.Is(err, resilience.ErrOpen):
-		return obs.OutcomeSkipped
-	default:
-		return obs.RefusedOutcome(refusal.Classify(err).String())
-	}
-}
-
-// breakerStateValue maps a breaker state name to the exported gauge
+// breakerStateValues maps a breaker state name to the exported gauge
 // value: 0 closed, 1 half-open, 2 open.
-func breakerStateValue(state string) float64 {
-	switch state {
-	case "open":
-		return 2
-	case "half-open":
-		return 1
-	}
-	return 0
-}
+var breakerStateValues = map[string]float64{"closed": 0, "half-open": 1, "open": 2}

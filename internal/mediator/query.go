@@ -1,0 +1,391 @@
+package mediator
+
+// The query path: the role, ownership and admission gates, the shared
+// phase (parse, warehouse, route, fan-out, integrate — possibly coalesced
+// across identical concurrent callers), then the per-caller phase (loss
+// control, the release ledger, history).
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sort"
+	"strings"
+	"time"
+
+	"privateiye/internal/admission"
+	"privateiye/internal/obs"
+	"privateiye/internal/piql"
+	"privateiye/internal/qcache"
+	"privateiye/internal/refusal"
+	"privateiye/internal/resilience"
+	"privateiye/internal/source"
+	"privateiye/internal/xmltree"
+)
+
+// Integrated is the result of one integration round.
+type Integrated struct {
+	// Result is the integrated, deduplicated result.
+	Result *piql.Result
+	// Answered lists sources that contributed; Denied lists sources that
+	// refused with their reasons.
+	Answered []string
+	Denied   map[string]string
+	// Duplicates is the number of rows removed by duplicate elimination.
+	Duplicates int
+	// AggregatedLoss is the maximum per-source estimated information
+	// loss (the integrated answer is at least as distorted as its most
+	// distorted contributor).
+	AggregatedLoss float64
+	// FromWarehouse reports a materialized answer.
+	FromWarehouse bool
+	// Stale reports a brownout answer: the mediator was shedding load
+	// and served a warehouse materialization past its TTL instead of
+	// fanning out. StaleAge is its age in warehouse ticks. Callers that
+	// cannot tolerate staleness should retry after the overload clears.
+	Stale    bool
+	StaleAge int64
+}
+
+// Query runs the full mediation pipeline with a background context; see
+// QueryContext.
+func (m *Mediator) Query(piqlText, requester string) (*Integrated, error) {
+	return m.QueryContext(context.Background(), piqlText, requester)
+}
+
+// denialReason renders a source failure for the Denied map. Timeouts and
+// circuit-breaker skips get distinguishable prefixes so callers (and the
+// E17 experiment) can tell a straggler from a policy refusal.
+func (m *Mediator) denialReason(err error) string {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		if m.cfg.SourceTimeout > 0 {
+			return fmt.Sprintf("timeout: no answer within %v", m.cfg.SourceTimeout)
+		}
+		return "timeout: " + err.Error()
+	case errors.Is(err, context.Canceled):
+		return "canceled: " + err.Error()
+	case errors.Is(err, resilience.ErrOpen):
+		return "skipped: " + err.Error()
+	default:
+		return err.Error()
+	}
+}
+
+// QueryContext runs the full mediation pipeline for a PIQL query text.
+// Every source is queried concurrently under its own deadline
+// (Config.SourceTimeout); the integrator returns whatever answered in
+// time and records stragglers in Denied with a timeout reason.
+func (m *Mediator) QueryContext(ctx context.Context, piqlText, requester string) (*Integrated, error) {
+	t0 := time.Now()
+	trace := m.pipe.Start(requester, piqlText)
+	if m.shard != nil {
+		trace.SetShard(m.shard.id)
+	}
+	out, err := m.gatedQuery(ctx, piqlText, requester, trace)
+	m.pipe.Finish(trace, t0, out.outcome(), err)
+	return out, err
+}
+
+// outcome names how a query was answered, for the pipeline's outcome
+// counter (nil, a refused query's result, reads as answered and is
+// never counted: the refusal is).
+func (in *Integrated) outcome() string {
+	switch {
+	case in != nil && in.Stale:
+		return outcomeBrownout
+	case in != nil && in.FromWarehouse:
+		return outcomeWarehouse
+	}
+	return obs.OutcomeAnswered
+}
+
+// gatedQuery passes the query through the role, ownership and admission
+// gates and, once admitted, the pipeline's stages.
+func (m *Mediator) gatedQuery(ctx context.Context, piqlText, requester string, trace *obs.Trace) (*Integrated, error) {
+	// Role gate: a standby mirrors the primary's releases but must not
+	// grant its own, and a fenced ex-primary must grant nothing at all —
+	// its ledger no longer sees what the successor has released.
+	if err := m.writeGate(); err != nil {
+		return nil, err
+	}
+	// Ownership gate: before admission, so a misrouted requester never
+	// consumes a concurrency slot it was never entitled to.
+	if err := m.shardGate(ctx, requester); err != nil {
+		return nil, err
+	}
+	grant, err := m.admit.Acquire(ctx, requester)
+	if err != nil {
+		var sh *admission.ShedError
+		if errors.As(err, &sh) {
+			sh.Scope = "mediator"
+			// Brownout: an Overloaded shed may still be answered from
+			// the warehouse, staleness allowed and marked. Rate-limit
+			// sheds always fail — serving the greedy requester stale
+			// data would defeat the throttle.
+			if m.cfg.Brownout && sh.Reason == refusal.Overloaded {
+				if out := m.brownout(piqlText, requester); out != nil {
+					return out, nil
+				}
+			}
+		}
+		return nil, err
+	}
+	// The pipeline body: a shared execution phase (possibly coalesced
+	// across concurrent identical callers), then the per-caller controls.
+	var out *Integrated
+	sh, err := m.executeCoalesced(ctx, piqlText, requester, trace)
+	if err == nil {
+		out, err = m.finalize(sh, requester, trace)
+	}
+	grant.Release(err)
+	return out, err
+}
+
+// brownout serves a shed query from the warehouse regardless of TTL.
+// It costs one parse (usually a plan-cache hit) and one map lookup —
+// nothing that scales with load — and skips history recording: a
+// brownout answer discloses only what an earlier admitted query
+// already disclosed and recorded. Returns nil when no materialization
+// exists, in which case the shed stands.
+func (m *Mediator) brownout(piqlText, requester string) *Integrated {
+	if m.wh == nil {
+		return nil
+	}
+	pq, err := m.plans.Parse("", piqlText)
+	if err != nil {
+		return nil
+	}
+	res, age, ok := m.wh.GetStale(requester + "|" + pq.Canonical)
+	if !ok {
+		return nil
+	}
+	return &Integrated{
+		Result:        res,
+		Answered:      []string{"warehouse"},
+		FromWarehouse: true,
+		Stale:         true,
+		StaleAge:      age,
+	}
+}
+
+// sharedExec is what one pipeline execution yields before any
+// per-caller control has run: the parsed query and the integrated
+// (sorted, limited) result. It is immutable once published to a flight.
+type sharedExec struct {
+	q         *piql.Query
+	canonical string
+	out       *Integrated
+}
+
+// executeCoalesced runs the shared phase through the singleflight group
+// when coalescing is enabled. The flight key includes the requester:
+// queries from different requesters never share an execution, so
+// per-source policy enforcement always sees the true requester.
+func (m *Mediator) executeCoalesced(ctx context.Context, piqlText, requester string, trace *obs.Trace) (*sharedExec, error) {
+	if !m.cfg.Coalesce {
+		return m.execute(ctx, piqlText, requester, trace)
+	}
+	key := requester + "\x00" + qcache.Normalize(piqlText)
+	ts := m.pipe.Now()
+	sh, leader, err := m.flights.Do(ctx, key, m.obs.coalesced, func() (*sharedExec, error) {
+		return m.execute(ctx, piqlText, requester, trace)
+	})
+	if !leader {
+		m.pipe.Stage(trace, "coalesce", ts, err)
+	}
+	return sh, err
+}
+
+// execute is the shared pipeline phase: parse, warehouse lookup,
+// routing, fan-out, integration, global sort/limit. Everything here is
+// a pure function of (query, requester, source state) — nothing
+// consumes or updates per-requester control state, which is what makes
+// sharing the execution across coalesced callers safe.
+func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trace *obs.Trace) (*sharedExec, error) {
+	ts := m.pipe.Now()
+	pq, err := m.plans.Parse("", piqlText)
+	m.pipe.Stage(trace, "parse", ts, err)
+	if err != nil {
+		return nil, fmt.Errorf("mediator: %w", err)
+	}
+	q, canonical := pq.Query, pq.Canonical
+
+	// Hybrid path: serve from the warehouse when fresh.
+	whKey := requester + "|" + canonical
+	if m.wh != nil {
+		ts = m.pipe.Now()
+		res, ok := m.wh.Get(whKey)
+		if ok {
+			m.pipe.Stage(trace, "warehouse", ts, nil)
+			return &sharedExec{q: q, canonical: canonical, out: &Integrated{
+				Result: res, FromWarehouse: true, Answered: []string{"warehouse"},
+			}}, nil
+		}
+		m.pipe.Stage(trace, "warehouse", ts, obs.ErrSkipped)
+	}
+
+	// Fragmenter: route to relevant sources only.
+	ts = m.pipe.Now()
+	targets := m.route(q)
+	if len(targets) == 0 {
+		err = fmt.Errorf("mediator: no source holds data matching %s", q.For)
+	}
+	m.pipe.Stage(trace, "route", ts, err)
+	if err != nil {
+		return nil, err
+	}
+
+	type reply struct {
+		name string
+		node *xmltree.Node
+		err  error
+	}
+	// Each goroutine sends exactly one reply into the buffered channel,
+	// so a source that overruns its deadline cannot stall collection and
+	// the goroutine never leaks.
+	tsFanout := m.pipe.Now()
+	replies := make(chan reply, len(targets))
+	for _, ep := range targets {
+		go func(ep source.Endpoint) {
+			tsCall := m.pipe.Now()
+			sctx, cancel := m.sourceCtx(ctx)
+			defer cancel()
+			node, err := ep.Query(sctx, canonical, requester)
+			m.sourceCall(trace, ep.Name(), tsCall, err)
+			replies <- reply{name: ep.Name(), node: node, err: err}
+		}(ep)
+	}
+
+	out := &Integrated{Denied: map[string]string{}}
+	var answers []*answer
+	for range targets {
+		r := <-replies
+		if r.err != nil {
+			out.Denied[r.name] = m.denialReason(r.err)
+			continue
+		}
+		a, err := parseAnswer(r.node)
+		if err != nil {
+			out.Denied[r.name] = err.Error()
+			continue
+		}
+		answers = append(answers, a)
+		out.Answered = append(out.Answered, r.name)
+		if a.estLoss > out.AggregatedLoss {
+			out.AggregatedLoss = a.estLoss
+		}
+	}
+	sort.Strings(out.Answered)
+	if len(answers) == 0 {
+		reasons := make([]string, 0, len(out.Denied))
+		for s, r := range out.Denied {
+			reasons = append(reasons, s+": "+r)
+		}
+		sort.Strings(reasons)
+		err = fmt.Errorf("mediator: every source refused: %s", strings.Join(reasons, "; "))
+	}
+	// The span, like the trace outcome and the refusal counter after it,
+	// reads whatever the returned error classifies as: with every source
+	// refusing, the first reason the joined text names.
+	m.pipe.Stage(trace, "fanout", tsFanout, err)
+	if err != nil {
+		return nil, err
+	}
+
+	// Result Integrator: merge per-source results. Aggregate queries are
+	// re-aggregated by group key (each source contributed partial
+	// aggregates over its own rows); plain queries are deduplicated.
+	ts = m.pipe.Now()
+	integrated := mergeAnswers(answers)
+	if q.IsAggregate() {
+		integrated, err = reaggregate(q, integrated)
+	} else {
+		integrated, out.Duplicates, err = m.dedupe(integrated)
+	}
+	m.pipe.Stage(trace, "integrate", ts, err)
+	if err != nil {
+		return nil, err
+	}
+
+	// Global ordering and limit: per-source ORDER BY does not survive
+	// merging, and a per-source LIMIT n yields up to n rows per source.
+	// Re-apply both on the integrated result. This runs once per shared
+	// execution — the result published to coalesced followers is already
+	// in its final shape and is read-only from here on.
+	if q.OrderBy != "" {
+		// Ignore a missing column: a source-side mitigation may have
+		// dropped it, in which case order is unspecified, not an error.
+		_ = integrated.Sort(q.OrderBy, q.OrderDesc)
+	}
+	if q.Limit > 0 && len(integrated.Rows) > q.Limit {
+		integrated.Rows = integrated.Rows[:q.Limit]
+	}
+
+	out.Result = integrated
+	return &sharedExec{q: q, canonical: canonical, out: out}, nil
+}
+
+// finalize is the per-caller control phase: loss control, the release
+// ledger, warehouse materialization and history recording. Coalesced
+// followers each pass through here with their own requester and trace,
+// so sharing an execution never lets a query skip a control — exactly
+// the plan-cache contract, extended to in-flight sharing.
+func (m *Mediator) finalize(sh *sharedExec, requester string, trace *obs.Trace) (*Integrated, error) {
+	q, out := sh.q, sh.out
+	if out.FromWarehouse {
+		m.record(HistoryEntry{Requester: requester, Query: sh.canonical, Sources: []string{"warehouse"}})
+		m.maybeSnapshot()
+		return out, nil
+	}
+
+	// Privacy Control: the aggregated loss must respect the requester's
+	// budget — integrating cannot launder a violation (Section 5:
+	// computed per-source loss "may not hold after the results are
+	// integrated").
+	ts := m.pipe.Now()
+	var err error
+	if out.AggregatedLoss > q.MaxLoss {
+		err = fmt.Errorf("mediator: integrated information loss %.2f exceeds the requester's MAXLOSS %.2f",
+			out.AggregatedLoss, q.MaxLoss)
+	}
+	m.pipe.Stage(trace, "control", ts, err)
+	if err != nil {
+		return nil, err
+	}
+
+	// Release ledger: a requester's aggregate releases must not combine
+	// into a Figure 1 system (second-level enforcement across queries).
+	if q.IsAggregate() {
+		if rel, ok := classifyRelease(q, out.Result); ok {
+			ts = m.pipe.Now()
+			err := m.ledger.checkAndRecord(requester, rel, m.cfg.MaxDisclosure, m.cfg.LedgerTolerance)
+			m.pipe.Stage(trace, "ledger", ts, err)
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	if m.wh != nil {
+		m.wh.Put(requester+"|"+sh.canonical, out.Result)
+		m.wh.Tick()
+	}
+	m.record(HistoryEntry{
+		Requester: requester,
+		Query:     sh.canonical,
+		Sources:   out.Answered,
+		Denied:    sortedKeys(out.Denied),
+	})
+	m.maybeSnapshot()
+	return out, nil
+}
+
+func sortedKeys(m map[string]string) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}

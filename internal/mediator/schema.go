@@ -1,0 +1,229 @@
+package mediator
+
+// Mediated schema generation: schema refresh over the sources' partial
+// summaries, PSI suite negotiation riding along, and the Fragmenter's
+// source selection over the result.
+
+import (
+	"context"
+	"fmt"
+	"sync"
+
+	"privateiye/internal/piql"
+	"privateiye/internal/psi"
+	"privateiye/internal/schemamatch"
+	"privateiye/internal/source"
+	"privateiye/internal/xmltree"
+)
+
+// RefreshSchema re-runs Mediated Schema Generation with a background
+// context; see RefreshSchemaContext.
+func (m *Mediator) RefreshSchema() error {
+	return m.RefreshSchemaContext(context.Background())
+}
+
+// RefreshSchemaContext re-runs Mediated Schema Generation: fetch every
+// source's partial summary (concurrently, each under the per-source
+// deadline) and merge them. Sources that fail to answer are skipped
+// (they simply contribute nothing to the mediated schema).
+func (m *Mediator) RefreshSchemaContext(ctx context.Context) error {
+	type fetched struct {
+		sum      *xmltree.Summary
+		profiles []schemamatch.FieldProfile
+		suites   []string
+	}
+	results := make([]fetched, len(m.cfg.Endpoints))
+	var wg sync.WaitGroup
+	for i, ep := range m.cfg.Endpoints {
+		wg.Add(1)
+		go func(i int, ep source.Endpoint) {
+			defer wg.Done()
+			sctx, cancel := m.sourceCtx(ctx)
+			defer cancel()
+			sum, err := ep.FetchSummary(sctx)
+			if err != nil {
+				return
+			}
+			results[i].sum = sum
+			if ps, err := ep.FetchProfiles(sctx); err == nil {
+				results[i].profiles = ps
+			}
+			// Suite capability ride-along: a source that answers its
+			// summary but not its suites is treated as a legacy MODP-2048
+			// node (the HTTP client already maps missing routes there;
+			// this covers transport errors too) — fail closed, not open.
+			if ss, err := ep.PSISuites(sctx); err == nil && len(ss) > 0 {
+				results[i].suites = ss
+			} else {
+				results[i].suites = []string{psi.SuiteNameModP2048}
+			}
+		}(i, ep)
+	}
+	wg.Wait()
+
+	// Merge in endpoint order so the mediated schema is deterministic.
+	merged := xmltree.NewSummary()
+	bySource := map[string]*xmltree.Summary{}
+	profiles := map[string][]schemamatch.FieldProfile{}
+	var advertisements [][]string
+	okCount := 0
+	for i, ep := range m.cfg.Endpoints {
+		if results[i].sum == nil {
+			continue
+		}
+		bySource[ep.Name()] = results[i].sum
+		merged.Merge(results[i].sum)
+		okCount++
+		advertisements = append(advertisements, results[i].suites)
+		if results[i].profiles != nil {
+			profiles[ep.Name()] = results[i].profiles
+		}
+	}
+	if okCount == 0 {
+		return fmt.Errorf("mediator: no source produced a summary")
+	}
+	suite := negotiateSuite(m.cfg.PSISuite, advertisements)
+	if m.cfg.Obs != nil {
+		m.cfg.Obs.Help("piye_mediator_psi_negotiations_total", "PSI suite negotiation outcomes at schema refresh, by suite.")
+		m.cfg.Obs.Counter("piye_mediator_psi_negotiations_total", "suite", suite).Inc()
+	}
+	correspondences := m.refreshCorrespondences(profiles)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.schema = merged
+	m.bySource = bySource
+	m.vocab = merged.LeafNames()
+	m.psiSuite = suite
+	m.correspondences = correspondences
+	// Materialized results may describe data whose source just changed or
+	// disappeared: a schema refresh empties the warehouse. The parse
+	// cache goes with it — correspondences feed resolver-expanded
+	// routing, so a cached canonicalization may no longer be how the
+	// refreshed schema would read the same text.
+	if m.wh != nil {
+		m.wh.Invalidate("")
+	}
+	m.plans.Purge()
+	// Forget in-flight coalesced executions in the same critical section
+	// as the plan purge: a query arriving after the refresh must start a
+	// fresh execution against the refreshed schema, never join a flight
+	// whose plan was just purged. Leaders still running complete their
+	// pre-refresh followers (they all arrived pre-refresh).
+	m.flights.Forget()
+	return nil
+}
+
+// MediatedSchema returns the current mediated schema.
+func (m *Mediator) MediatedSchema() *xmltree.Summary {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.schema
+}
+
+// negotiateSuite picks the one PSI suite the whole fleet will run.
+// preferred wins iff every source advertises it; otherwise the first
+// suite in the first source's preference order that everyone supports;
+// otherwise the hard fail-closed floor, modp2048 — a suite nobody
+// advertised is still better than two sources running different groups
+// and comparing meaningless bytes.
+func negotiateSuite(preferred string, advertisements [][]string) string {
+	if len(advertisements) == 0 {
+		return preferred
+	}
+	everyone := func(name string) bool {
+		for _, adv := range advertisements {
+			found := false
+			for _, s := range adv {
+				if s == name {
+					found = true
+					break
+				}
+			}
+			if !found {
+				return false
+			}
+		}
+		return true
+	}
+	if everyone(preferred) {
+		return preferred
+	}
+	for _, candidate := range advertisements[0] {
+		if everyone(candidate) {
+			return candidate
+		}
+	}
+	return psi.SuiteNameModP2048
+}
+
+// PSISuite reports the suite negotiated at the last schema refresh.
+func (m *Mediator) PSISuite() string {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.psiSuite
+}
+
+// Overlap is PrivateOverlap between two of this mediator's sources by
+// name, pinned to the suite negotiated at the last schema refresh — the
+// entry point callers should prefer, because it can never compare
+// elements across diverging groups.
+func (m *Mediator) Overlap(ctx context.Context, aName, bName, field string) (int, error) {
+	suite := m.PSISuite()
+	var a, b source.Endpoint
+	for _, ep := range m.cfg.Endpoints {
+		switch ep.Name() {
+		case aName:
+			a = ep
+		case bName:
+			b = ep
+		}
+	}
+	if a == nil || b == nil {
+		return 0, fmt.Errorf("mediator: overlap needs two known sources (have %q, %q)", aName, bName)
+	}
+	return PrivateOverlap(ctx, a, b, field, suite)
+}
+
+// sourceCtx derives the per-source call context: the caller's context,
+// bounded by the configured per-source deadline.
+func (m *Mediator) sourceCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	if m.cfg.SourceTimeout > 0 {
+		return context.WithTimeout(ctx, m.cfg.SourceTimeout)
+	}
+	return context.WithCancel(ctx)
+}
+
+// route implements the Fragmenter's source selection: a source is
+// relevant when its shared summary has any path the FOR pattern (or a
+// resolver-expanded variant) can reach.
+func (m *Mediator) route(q *piql.Query) []source.Endpoint {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	var out []source.Endpoint
+	for _, ep := range m.cfg.Endpoints {
+		sum, ok := m.bySource[ep.Name()]
+		if !ok {
+			// Never summarized (e.g. joined after refresh): try it anyway.
+			out = append(out, ep)
+			continue
+		}
+		if summaryReaches(sum, q.For) {
+			out = append(out, ep)
+		}
+	}
+	return out
+}
+
+// summaryReaches reports whether any summarized path satisfies the FOR
+// pattern. Summaries contain every intermediate path, so an exact match
+// against some path is necessary and sufficient — MatchesPrefix would
+// declare every source reachable whenever the pattern starts with a
+// descendant step.
+func summaryReaches(sum *xmltree.Summary, pat *xmltree.PathPattern) bool {
+	for _, info := range sum.Paths() {
+		if pat.Matches(info.Path) {
+			return true
+		}
+	}
+	return false
+}

@@ -210,9 +210,6 @@ func (m *Mediator) setupShard(cfg ShardConfig) error {
 		s.rerouteDenied = reg.Counter("piye_shard_reroute_denied_total", "shard", cfg.ID)
 	}
 	m.shard = s
-	if m.obs != nil {
-		m.obs.shard = cfg.ID
-	}
 	return nil
 }
 

@@ -100,8 +100,7 @@ func TestNilRegistryAndMetricsAreNoops(t *testing.T) {
 	}
 	var tr *Tracer
 	trace := tr.Start("alice", "FOR //x RETURN //y")
-	done := trace.StartSpan("parse", "")
-	done(OutcomeAnswered)
+	trace.Record("parse", "", time.Now(), 0, OutcomeAnswered)
 	trace.Finish(OutcomeAnswered)
 	if got := tr.Last(5); got != nil {
 		t.Fatalf("nil tracer Last = %v, want nil", got)
@@ -112,9 +111,7 @@ func TestTracerRing(t *testing.T) {
 	tr := NewTracer(3)
 	for i := 0; i < 5; i++ {
 		trace := tr.Start("alice", "q")
-		done := trace.StartSpan("parse", "")
-		time.Sleep(time.Millisecond)
-		done(OutcomeAnswered)
+		trace.Record("parse", "", time.Now(), time.Millisecond, OutcomeAnswered)
 		trace.Finish(OutcomeAnswered)
 	}
 	got := tr.Last(10)
@@ -139,7 +136,7 @@ func TestTracerRing(t *testing.T) {
 func TestTraceHandler(t *testing.T) {
 	tr := NewTracer(8)
 	trace := tr.Start("bob", "FOR //compliance/row RETURN AVG(//rate)")
-	trace.StartSpan("fanout", "hospitalA")(OutcomeTimeout)
+	trace.Record("fanout", "hospitalA", time.Now(), time.Millisecond, OutcomeTimeout)
 	trace.Finish(RefusedOutcome("timeout"))
 
 	rec := httptest.NewRecorder()

@@ -111,8 +111,7 @@ func TestConcurrentTracesDuringRingReads(t *testing.T) {
 					spans.Add(1)
 					go func(s int) {
 						defer spans.Done()
-						done := trace.StartSpan("fanout", "src")
-						done(OutcomeAnswered)
+						trace.Record("fanout", "src", trace.Begin, 0, OutcomeAnswered)
 					}(s)
 				}
 				spans.Wait()

@@ -2,7 +2,8 @@
 // dependency-free metrics registry (atomic counters, gauges and
 // fixed-bucket latency histograms exported in Prometheus text format)
 // plus a lightweight per-query trace that records one span per pipeline
-// stage (trace.go) and serves the last N traces from a ring buffer
+// stage (trace.go), the frame both engines record their stages through
+// (pipeline.go), and the last N traces served from a ring buffer
 // (http.go).
 //
 // Design constraints, in order:

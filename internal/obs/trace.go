@@ -48,25 +48,6 @@ type Trace struct {
 	tracer *Tracer
 }
 
-// StartSpan begins a span for stage; call the returned func with the
-// span's outcome to record it. The typical call site is
-//
-//	done := tr.StartSpan("rewrite", "")
-//	... work ...
-//	done(obs.OutcomeAnswered)
-func (t *Trace) StartSpan(stage, source string) func(outcome string) {
-	if t == nil {
-		return func(string) {}
-	}
-	start := time.Now()
-	return func(outcome string) {
-		sp := Span{Stage: stage, Source: source, Start: start, Duration: time.Since(start), Outcome: outcome}
-		t.mu.Lock()
-		t.Spans = append(t.Spans, sp)
-		t.mu.Unlock()
-	}
-}
-
 // SetShard stamps the trace with the shard that served the query, so a
 // tier-wide trace search can attribute each query to its shard.
 // Nil-safe; call before Finish.
@@ -79,9 +60,8 @@ func (t *Trace) SetShard(shard string) {
 	t.mu.Unlock()
 }
 
-// Record appends an already-timed span. Instrumented components that
-// time a stage for a latency histogram anyway use this instead of
-// StartSpan to avoid a second clock read. Nil-safe.
+// Record appends an already-timed span: the caller has timed the stage
+// for a latency histogram anyway (see Pipeline.Span). Nil-safe.
 func (t *Trace) Record(stage, source string, start time.Time, d time.Duration, outcome string) {
 	if t == nil {
 		return

@@ -10,7 +10,7 @@
 // result is bit-identical to the serial loop regardless of scheduling.
 // workers <= 0 means GOMAXPROCS; workers == 1 runs inline on the
 // calling goroutine with no pool overhead, which keeps the serial
-// baselines of E19 honest.
+// baselines the width tests compare against honest.
 package parallel
 
 import (

@@ -91,7 +91,7 @@ func (p *Party) Suite() Suite { return p.suite }
 
 // SetWorkers fixes the fan-out width for this party's kernels: 0 (the
 // default) means GOMAXPROCS, 1 forces the serial path. No configuration
-// reaches it; it is the seam through which tests and E19 show that the
+// reaches it; it is the seam through which tests show that the
 // transcript does not depend on the width. It returns the party for
 // chaining and must not be called concurrently with protocol
 // operations.

@@ -1,14 +1,18 @@
-// Package qcache is a sharded LRU cache for parse/plan artifacts keyed
-// by normalized PIQL text. The mediator uses it to skip re-parsing a
-// repeated query; a source uses it to skip re-planning (rewrite →
-// cluster match → optimize) for a (policy epoch, access class, query)
-// triple it has already planned.
+// Package qcache is what the engines use to do one query's work once:
+// a sharded LRU cache for parse/plan artifacts keyed by normalized PIQL
+// text (shared between successive queries), the parse-through-cache
+// both engines start with (parse.go), and the in-flight group that
+// shares one execution between concurrent identical callers
+// (flight.go). The mediator caches parses; a source caches parses and,
+// for a (policy epoch, access class, query) triple it has already
+// planned, the plan (rewrite → cluster match → optimize).
 //
-// What it deliberately does NOT cache: any privacy decision that must
+// What it deliberately does NOT share: any privacy decision that must
 // be evaluated per execution. Release-ledger checks, sequence audits
 // and policy-budget enforcement consume state that changes with every
-// answered query, so a cached plan is re-subjected to all of them on
-// every hit — the cache removes pure recomputation, never a control.
+// answered query, so a cached plan or a joined flight is re-subjected
+// to all of them for every caller — sharing removes pure recomputation,
+// never a control.
 //
 // Sharding keeps the hot path uncontended under mediator fan-out: keys
 // hash (FNV-1a) onto independently locked LRU shards, so concurrent

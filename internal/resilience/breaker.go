@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"privateiye/internal/refusal"
 )
 
 // ErrOpen is returned by Breaker.Allow while the circuit is open: the
@@ -132,8 +134,7 @@ func (b *Breaker) Report(err error) {
 	if errors.Is(err, context.Canceled) {
 		return
 	}
-	var sh interface{ Shed() bool }
-	if errors.As(err, &sh) && sh.Shed() {
+	if refusal.IsShed(err) {
 		return
 	}
 	b.mu.Lock()

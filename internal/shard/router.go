@@ -34,6 +34,7 @@ import (
 
 	"privateiye/internal/obs"
 	"privateiye/internal/resilience"
+	"privateiye/internal/source"
 )
 
 // Backend names one shard and its base URL.
@@ -60,8 +61,9 @@ type RouterConfig struct {
 	// HealthEvery is the /readyz polling period per shard (0 = no
 	// health gating; every shard is presumed ready).
 	HealthEvery time.Duration
-	// Client is the outbound HTTP client (nil = a default with a 30s
-	// ceiling; per-call deadlines come from the inbound context).
+	// Client is the outbound HTTP client (nil = source.DefaultHTTPClient:
+	// a 30s ceiling over the tier's tuned connection pool; per-call
+	// deadlines come from the inbound context).
 	Client *http.Client
 	// Obs and Trace instrument the router (piye_router_* metrics, one
 	// trace per routed query). Both nil = no instrumentation.
@@ -108,7 +110,7 @@ type Router struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	// Metric handles; nil without a registry.
+	// Metric handles; nil (and no-ops) without a registry.
 	proxied    *obs.Counter
 	rerouted   *obs.Counter
 	refused    *obs.Counter
@@ -134,7 +136,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		stop:   make(chan struct{}),
 	}
 	if rt.client == nil {
-		rt.client = &http.Client{Timeout: 30 * time.Second}
+		// Every query of the tier crosses this hop: the stock transport's
+		// two idle connections per shard would re-dial most of them.
+		rt.client = source.DefaultHTTPClient()
 	}
 	for _, b := range cfg.Shards {
 		if b.Name == "" || b.URL == "" {
@@ -153,23 +157,22 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		}
 		rt.byName[b.Name] = bs
 	}
-	if reg := cfg.Obs; reg != nil {
-		reg.Help("piye_router_requests_total", "Routed queries by outcome (proxied includes refusals passed through; rerouted = drain re-routes).")
-		reg.Help("piye_router_shard_requests_total", "Queries forwarded per shard.")
-		reg.Help("piye_router_lookup_seconds", "Ring lookup latency.")
-		reg.Help("piye_router_proxy_seconds", "Full proxy latency per routed query (retries included).")
-		reg.Help("piye_router_unhealthy_total", "Queries refused because the owning shard failed its readiness probe.")
-		rt.proxied = reg.Counter("piye_router_requests_total", "outcome", "proxied")
-		rt.rerouted = reg.Counter("piye_router_requests_total", "outcome", "rerouted")
-		rt.refused = reg.Counter("piye_router_requests_total", "outcome", "error")
-		rt.unavail = reg.Counter("piye_router_requests_total", "outcome", "unavailable")
-		rt.lookupSec = reg.Histogram("piye_router_lookup_seconds", nil)
-		rt.proxySec = reg.Histogram("piye_router_proxy_seconds", nil)
-		rt.healthGone = reg.Counter("piye_router_unhealthy_total")
-		rt.perShard = map[string]*obs.Counter{}
-		for _, b := range cfg.Shards {
-			rt.perShard[b.Name] = reg.Counter("piye_router_shard_requests_total", "shard", b.Name)
-		}
+	reg := cfg.Obs
+	reg.Help("piye_router_requests_total", "Routed queries by outcome (proxied includes refusals passed through; rerouted = drain re-routes).")
+	reg.Help("piye_router_shard_requests_total", "Queries forwarded per shard.")
+	reg.Help("piye_router_lookup_seconds", "Ring lookup latency.")
+	reg.Help("piye_router_proxy_seconds", "Full proxy latency per routed query (retries included).")
+	reg.Help("piye_router_unhealthy_total", "Queries refused because the owning shard failed its readiness probe.")
+	rt.proxied = reg.Counter("piye_router_requests_total", "outcome", "proxied")
+	rt.rerouted = reg.Counter("piye_router_requests_total", "outcome", "rerouted")
+	rt.refused = reg.Counter("piye_router_requests_total", "outcome", "error")
+	rt.unavail = reg.Counter("piye_router_requests_total", "outcome", "unavailable")
+	rt.lookupSec = reg.Histogram("piye_router_lookup_seconds", nil)
+	rt.proxySec = reg.Histogram("piye_router_proxy_seconds", nil)
+	rt.healthGone = reg.Counter("piye_router_unhealthy_total")
+	rt.perShard = map[string]*obs.Counter{}
+	for _, b := range cfg.Shards {
+		rt.perShard[b.Name] = reg.Counter("piye_router_shard_requests_total", "shard", b.Name)
 	}
 	if cfg.HealthEvery > 0 {
 		for _, bs := range rt.byName {
@@ -380,9 +383,7 @@ func (rt *Router) forward(ctx context.Context, bs *backendState, body []byte, re
 		}
 		return out, aerr
 	})
-	if rt.perShard != nil {
-		rt.perShard[bs.Name].Inc()
-	}
+	rt.perShard[bs.Name].Inc()
 	trace.Record("proxy", bs.Name, ts, time.Since(ts), proxyOutcome(err))
 	return res, err
 }
@@ -414,14 +415,10 @@ func (rt *Router) attempt(ctx context.Context, bs *backendState, body []byte, re
 		retryAfter:  resp.Header.Get("Retry-After"),
 	}
 	if resp.StatusCode >= 400 {
-		pe := &proxyError{shard: bs.Name, status: resp.StatusCode, result: out}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			var secs int
-			if _, err := fmt.Sscanf(strings.TrimSpace(ra), "%d", &secs); err == nil && secs > 0 {
-				pe.retryAfter = time.Duration(secs) * time.Second
-			}
+		return out, &proxyError{
+			shard: bs.Name, status: resp.StatusCode, result: out,
+			retryAfter: source.ParseRetryAfter(out.retryAfter),
 		}
-		return out, pe
 	}
 	return out, nil
 }
@@ -442,14 +439,8 @@ func (rt *Router) drainedNames() []string {
 func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request) {
 	// An oversized PIQL text is refused with 413, never truncated and
 	// forwarded as its prefix (the shards and sources apply the same cap).
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, err.Error(), code)
+	body, ok := source.ReadQueryBody(w, r)
+	if !ok {
 		return
 	}
 	requester := r.Header.Get("X-Requester")
@@ -457,17 +448,13 @@ func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "router: missing X-Requester header", http.StatusBadRequest)
 		return
 	}
-	var trace *obs.Trace
-	if rt.cfg.Trace != nil {
-		trace = rt.cfg.Trace.Start(requester, string(body))
-	}
+	trace := rt.cfg.Trace.Start(requester, string(body))
 
 	ts := time.Now()
 	owner, err := rt.ring.Lookup(requester)
-	if rt.lookupSec != nil {
-		rt.lookupSec.Observe(time.Since(ts).Seconds())
-	}
-	trace.Record("lookup", owner, ts, time.Since(ts), proxyOutcome(err))
+	d := time.Since(ts)
+	rt.lookupSec.Observe(d.Seconds())
+	trace.Record("lookup", owner, ts, d, proxyOutcome(err))
 	if err != nil {
 		rt.finish(trace, rt.refused, obs.OutcomeError)
 		http.Error(w, "router: "+err.Error(), http.StatusServiceUnavailable)
@@ -475,17 +462,11 @@ func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	tsProxy := time.Now()
-	defer func() {
-		if rt.proxySec != nil {
-			rt.proxySec.Observe(time.Since(tsProxy).Seconds())
-		}
-	}()
+	defer func() { rt.proxySec.Observe(time.Since(tsProxy).Seconds()) }()
 
 	bs := rt.byName[owner]
 	if rt.cfg.HealthEvery > 0 && !bs.isHealthy() {
-		if rt.healthGone != nil {
-			rt.healthGone.Inc()
-		}
+		rt.healthGone.Inc()
 		rt.finish(trace, rt.unavail, obs.OutcomeSkipped)
 		http.Error(w, fmt.Sprintf("router: shard %s failed readiness; retry shortly", owner), http.StatusServiceUnavailable)
 		return
@@ -549,9 +530,7 @@ func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request) {
 
 // finish closes the trace and bumps the outcome counter (both nil-safe).
 func (rt *Router) finish(trace *obs.Trace, c *obs.Counter, outcome string) {
-	if c != nil {
-		c.Inc()
-	}
+	c.Inc()
 	trace.Finish(outcome)
 }
 

@@ -85,37 +85,6 @@ func TestPlanCachePurgedOnAddPreference(t *testing.T) {
 	}
 }
 
-// Two texts that differ only inside a quoted literal are different
-// queries: the parse cache must not hand the second the first one's
-// parse, while reformatting outside the literal still shares it.
-func TestParseCachedKeepsLiteralWhitespaceApart(t *testing.T) {
-	src := auditedCachingSource(t)
-	wide, err := src.ParseCached("FOR //patients/row WHERE //name = 'Ann  Lee' RETURN //age PURPOSE research")
-	if err != nil {
-		t.Fatal(err)
-	}
-	narrow, err := src.ParseCached("FOR //patients/row WHERE //name = 'Ann Lee' RETURN //age PURPOSE research")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide == narrow {
-		t.Fatal("texts differing inside a literal share one cached parse")
-	}
-	if got := narrow.Where.(*piql.Comparison).Value; got != "Ann Lee" {
-		t.Fatalf("the second query was parsed with predicate %q, want %q", got, "Ann Lee")
-	}
-	if got := wide.Where.(*piql.Comparison).Value; got != "Ann  Lee" {
-		t.Fatalf("the first query was parsed with predicate %q, want %q", got, "Ann  Lee")
-	}
-	again, err := src.ParseCached("  FOR //patients/row\n WHERE //name  =  'Ann  Lee'\tRETURN //age PURPOSE research ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != wide {
-		t.Fatal("reformatting outside the literal should hit the cached parse")
-	}
-}
-
 // Without an Access store planning reads nothing of the requester, so a
 // second requester is served the first one's plan — and is still
 // sequence-audited under its own name: alice's history neither blocks

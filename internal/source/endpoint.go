@@ -9,6 +9,7 @@ import (
 	"privateiye/internal/linkage"
 	"privateiye/internal/obs"
 	"privateiye/internal/psi"
+	"privateiye/internal/qcache"
 	"privateiye/internal/schemamatch"
 	"privateiye/internal/xmltree"
 )
@@ -86,15 +87,7 @@ type Local struct {
 	parties map[string]*psi.Party // one per suite, lazily keyed by suite name
 	mBatch  *obs.Histogram        // items per whole-column PSI call; nil-safe
 
-	colMu  sync.Mutex
-	colFly map[string]*colFlight
-}
-
-// colFlight is one in-progress shared column computation.
-type colFlight struct {
-	done chan struct{}
-	val  any
-	err  error
+	cols qcache.Flight[any] // whole-column computations in progress
 }
 
 // sharedColumn runs compute once per concurrent burst of identical
@@ -103,30 +96,8 @@ func (l *Local) sharedColumn(ctx context.Context, key string, compute func() (an
 	if !l.Coalesce {
 		return compute()
 	}
-	l.colMu.Lock()
-	if l.colFly == nil {
-		l.colFly = map[string]*colFlight{}
-	}
-	if f, ok := l.colFly[key]; ok {
-		l.colMu.Unlock()
-		l.colObs(false)
-		select {
-		case <-f.done:
-			return f.val, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	f := &colFlight{done: make(chan struct{})}
-	l.colFly[key] = f
-	l.colMu.Unlock()
-	l.colObs(true)
-	f.val, f.err = compute()
-	l.colMu.Lock()
-	delete(l.colFly, key)
-	l.colMu.Unlock()
-	close(f.done)
-	return f.val, f.err
+	v, _, err := l.cols.Do(ctx, key, l.colObs, compute)
+	return v, err
 }
 
 // colObs counts one coalesced-column participant by role.
@@ -181,11 +152,11 @@ func (l *Local) Query(ctx context.Context, piqlText, requester string) (*xmltree
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pq, err := l.Src.parse(piqlText)
+	pq, err := l.Src.plans.Parse(parseKeys, piqlText)
 	if err != nil {
 		return nil, fmt.Errorf("source: bad query: %w", err)
 	}
-	ans, err := l.Src.executeContext(ctx, pq.q, pq.canonical, requester)
+	ans, err := l.Src.executeContext(ctx, pq.Query, pq.Canonical, requester)
 	if err != nil {
 		return nil, err
 	}

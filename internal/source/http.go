@@ -217,9 +217,9 @@ func WriteShed(w http.ResponseWriter, err error) bool {
 	return true
 }
 
-// parseRetryAfter reads a Retry-After header's delay-seconds form (the
+// ParseRetryAfter reads a Retry-After header's delay-seconds form (the
 // form this repo emits; the HTTP-date form is ignored).
-func parseRetryAfter(v string) time.Duration {
+func ParseRetryAfter(v string) time.Duration {
 	if v == "" {
 		return 0
 	}
@@ -258,6 +258,11 @@ var defaultHTTPClient = &http.Client{
 	Timeout:   30 * time.Second,
 	Transport: defaultTransport,
 }
+
+// DefaultHTTPClient returns the shared default client, for the tier's
+// other query-carrying hop (router to shard) to pool connections the
+// same way.
+func DefaultHTTPClient() *http.Client { return defaultHTTPClient }
 
 // HTTPError is a non-200 response from a source node. It implements the
 // optional Retryable interface the resilience layer looks for: server
@@ -366,7 +371,7 @@ func (c *Client) do(req *http.Request) (*xmltree.Node, error) {
 			Source:     c.SourceName,
 			Status:     resp.StatusCode,
 			Msg:        strings.TrimSpace(string(msg)),
-			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
+			RetryAfter: ParseRetryAfter(resp.Header.Get("Retry-After")),
 		}
 	}
 	return readNode(resp.Body)

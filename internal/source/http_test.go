@@ -66,8 +66,8 @@ func TestParseRetryAfter(t *testing.T) {
 		{"Wed, 21 Oct 2026 07:28:00 GMT", 0}, // HTTP-date form unsupported
 	}
 	for _, c := range cases {
-		if got := parseRetryAfter(c.in); got != c.want {
-			t.Errorf("parseRetryAfter(%q) = %v, want %v", c.in, got, c.want)
+		if got := ParseRetryAfter(c.in); got != c.want {
+			t.Errorf("ParseRetryAfter(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }

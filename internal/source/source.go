@@ -72,7 +72,7 @@ type Config struct {
 	// cost beyond one nil check per stage.
 	Obs   *obs.Registry
 	Trace *obs.Tracer
-	// Admission, when non-nil and enabled, gates ExecuteContext with a
+	// Admission, when non-nil and enabled, gates Local.Query with a
 	// per-source admission controller: per-requester rate limiting,
 	// adaptive (AIMD) concurrency limiting and deadline-aware queueing.
 	// Sheds surface as *admission.ShedError (429/503 over HTTP), which
@@ -89,7 +89,7 @@ type Source struct {
 	rng      *stats.Rand
 	summary  *xmltree.Summary      // full (unredacted) structural summary
 	plans    *qcache.Cache         // parse/plan cache; nil when disabled
-	obs      *srcObs               // metric handles; nil when uninstrumented
+	pipe     *obs.Pipeline         // the frame around the stages; nil when uninstrumented
 	admit    *admission.Controller // nil = admit everything
 
 	mu    sync.RWMutex
@@ -99,13 +99,17 @@ type Source struct {
 	prefEpoch atomic.Uint64
 }
 
-// parsedQuery is one parse-cache entry: the parsed (immutable) query
-// and its canonical rendering, computed once per distinct text and
-// reused by the plan key and the trace.
-type parsedQuery struct {
-	q         *piql.Query
-	canonical string
-}
+// sourceStages are the per-stage span and histogram names of the
+// Figure 2(a) pipeline: plan covers rewrite → cluster match → optimize
+// (possibly served by the plan cache), audit the sequence controls,
+// execute the local evaluation, preserve the mitigation + tagging.
+var sourceStages = []string{"plan", "audit", "execute", "preserve"}
+
+// Key prefixes of the two kinds of entry the plan cache holds.
+const (
+	parseKeys = "parse\x00"
+	planKeys  = "plan\x00"
+)
 
 // planEntry is a compiled plan: everything Execute derives from the
 // query, the policies and the requester's access class before it
@@ -180,7 +184,7 @@ func New(cfg Config) (*Source, error) {
 	s.summary = s.buildSummary()
 	s.resolver = s.matcher.ResolverFor(s.summary.LeafNames())
 	s.prefs = append(s.prefs, cfg.Preferences...)
-	s.obs = newSrcObs(cfg.Name, cfg.Obs, cfg.Trace)
+	s.pipe = obs.NewPipeline(cfg.Obs, cfg.Trace, "piye_source", []string{"source", cfg.Name}, sourceStages)
 	if cfg.Admission != nil {
 		ctl, err := admission.New(*cfg.Admission)
 		if err != nil {
@@ -189,26 +193,7 @@ func New(cfg Config) (*Source, error) {
 		s.admit = ctl
 		ctl.Register(cfg.Obs, "source:"+cfg.Name)
 	}
-	if cfg.Obs != nil {
-		scope := "source:" + cfg.Name
-		cfg.Obs.Help("piye_plan_cache_hits_total", "Plan/parse cache hits.")
-		cfg.Obs.Help("piye_plan_cache_misses_total", "Plan/parse cache misses.")
-		cfg.Obs.CounterFunc("piye_plan_cache_hits_total", func() float64 {
-			h, _ := s.plans.Stats()
-			return float64(h)
-		}, "scope", scope)
-		cfg.Obs.CounterFunc("piye_plan_cache_misses_total", func() float64 {
-			_, m := s.plans.Stats()
-			return float64(m)
-		}, "scope", scope)
-		cfg.Obs.GaugeFunc("piye_plan_cache_entries", func() float64 {
-			return float64(s.plans.Len())
-		}, "scope", scope)
-		cfg.Obs.Help("piye_plan_cache_hit_ratio", "Plan/parse cache lifetime hit ratio (0 until the first lookup).")
-		cfg.Obs.GaugeFunc("piye_plan_cache_hit_ratio", func() float64 {
-			return s.plans.HitRate()
-		}, "scope", scope)
-	}
+	s.plans.Register(cfg.Obs, "source:"+cfg.Name)
 	return s, nil
 }
 
@@ -336,32 +321,6 @@ func (s *Source) fieldValues(name string, limit int) []string {
 	return out
 }
 
-// ParseCached parses PIQL text through the source's plan cache (a
-// direct parse when caching is disabled). The returned query is shared
-// between cache hits and must be treated as immutable — parsed queries
-// are never mutated after Parse, so this is safe by construction.
-func (s *Source) ParseCached(text string) (*piql.Query, error) {
-	pq, err := s.parse(text)
-	if err != nil {
-		return nil, err
-	}
-	return pq.q, nil
-}
-
-func (s *Source) parse(text string) (*parsedQuery, error) {
-	key := "parse\x00" + qcache.Normalize(text)
-	if v, ok := s.plans.Get(key); ok {
-		return v.(*parsedQuery), nil
-	}
-	q, err := piql.Parse(strings.TrimSpace(text))
-	if err != nil {
-		return nil, err // parse errors are cheap to re-produce; never cached
-	}
-	pq := &parsedQuery{q: q, canonical: q.String()}
-	s.plans.Put(key, pq)
-	return pq, nil
-}
-
 // PlanCacheStats exposes the parse/plan cache counters (zeroes when
 // caching is disabled).
 func (s *Source) PlanCacheStats() (hits, misses uint64, size int) {
@@ -385,7 +344,7 @@ func (s *Source) planFor(q *piql.Query, canonical, requester string) (*planEntry
 		// this value was planned from preferences and access rules at
 		// least as new as it, and is dropped once either moves on.
 		epoch = s.policyEpoch()
-		key = "plan\x00" + s.cfg.Access.Class(requester) + "\x00" + canonical
+		key = planKeys + s.cfg.Access.Class(requester) + "\x00" + canonical
 		if v, ok := s.plans.GetAt(key, epoch); ok {
 			return v.(*planEntry), nil
 		}
@@ -449,37 +408,33 @@ func (s *Source) Execute(q *piql.Query, requester string) (*Answer, error) {
 // has it (a parse-cache entry does); "" renders it here, once, and only
 // if the plan key or the trace will use it.
 func (s *Source) execute(q *piql.Query, canonical, requester string) (*Answer, error) {
-	if canonical == "" && (s.plans != nil || s.obs.tracing()) {
+	if canonical == "" && (s.plans != nil || s.pipe.Tracing()) {
 		canonical = q.String()
 	}
 	t0 := time.Now()
-	trace := s.obs.startTrace(requester, canonical)
+	trace := s.pipe.Start(requester, canonical)
 	ans, err := s.executeStages(q, canonical, requester, trace)
-	s.obs.finish(trace, t0, err)
+	s.pipe.Finish(trace, t0, obs.OutcomeAnswered, err)
 	return ans, err
 }
 
-// ExecuteContext is Execute behind the admission gate: the request is
-// rate-limited per requester, counted against the adaptive concurrency
-// limit, and queued only while the estimated wait fits the context's
-// remaining deadline. Without an Admission config it is exactly
-// Execute. The context bounds only the wait for admission — the
-// pipeline itself is synchronous CPU work and runs to completion once
-// admitted (its duration feeds the AIMD limit).
-func (s *Source) ExecuteContext(ctx context.Context, q *piql.Query, requester string) (*Answer, error) {
-	return s.executeContext(ctx, q, "", requester)
-}
-
+// executeContext is execute behind the admission gate (the nil gate of
+// a source without an Admission config admits everything): the request
+// is rate-limited per requester, counted against the adaptive
+// concurrency limit, and queued only while the estimated wait fits the
+// context's remaining deadline. The context bounds only the wait for
+// admission — the pipeline itself is synchronous CPU work and runs to
+// completion once admitted (its duration feeds the AIMD limit).
 func (s *Source) executeContext(ctx context.Context, q *piql.Query, canonical, requester string) (*Answer, error) {
-	if s.admit == nil {
-		return s.execute(q, canonical, requester)
-	}
 	grant, err := s.admit.Acquire(ctx, requester)
 	if err != nil {
 		var sh *admission.ShedError
 		if errors.As(err, &sh) {
 			sh.Scope = "source " + s.cfg.Name
-			s.obs.shed(requester, q, sh)
+			// The query never entered the pipeline, but the shed must
+			// still be visible in metrics and traces, and distinguishable
+			// there from a privacy refusal.
+			s.pipe.Refuse(s.pipe.Start(requester, canonical), sh)
 		}
 		return nil, err
 	}
@@ -494,9 +449,9 @@ func (s *Source) AdmissionStats() admission.Stats { return s.admit.Stats() }
 
 // executeStages is the pipeline body, with one span per stage.
 func (s *Source) executeStages(q *piql.Query, canonical, requester string, trace *obs.Trace) (*Answer, error) {
-	ts := s.obs.now()
+	ts := s.pipe.Now()
 	entry, err := s.planFor(q, canonical, requester)
-	s.obs.stage(trace, "plan", ts, spanOutcome(err))
+	s.pipe.Stage(trace, "plan", ts, err)
 	if err != nil {
 		return nil, err
 	}
@@ -509,9 +464,9 @@ func (s *Source) executeStages(q *piql.Query, canonical, requester string, trace
 	if s.cfg.Audit != nil && rq.IsAggregate() {
 		set, ok := s.contextIndexSet(entry.rel)
 		if ok && len(set) > 0 {
-			ts = s.obs.now()
+			ts = s.pipe.Now()
 			err := s.cfg.Audit.For(requester).CheckAndCommit(set)
-			s.obs.stage(trace, "audit", ts, spanOutcome(err))
+			s.pipe.Stage(trace, "audit", ts, err)
 			if err != nil {
 				return nil, fmt.Errorf("source %s: %w", s.cfg.Name, err)
 			}
@@ -520,17 +475,17 @@ func (s *Source) executeStages(q *piql.Query, canonical, requester string, trace
 
 	// 5. Execution: native relational when transformable, XML evaluation
 	// otherwise.
-	ts = s.obs.now()
+	ts = s.pipe.Now()
 	raw, err := s.executeRaw(rq, entry.rel)
-	s.obs.stage(trace, "execute", ts, spanOutcome(err))
+	s.pipe.Stage(trace, "execute", ts, err)
 	if err != nil {
 		return nil, fmt.Errorf("source %s: execute: %w", s.cfg.Name, err)
 	}
 
 	// 6. Privacy preservation on the results.
-	ts = s.obs.now()
+	ts = s.pipe.Now()
 	preserved, err := technique.Apply(raw, s.rng)
-	s.obs.stage(trace, "preserve", ts, spanOutcome(err))
+	s.pipe.Stage(trace, "preserve", ts, err)
 	if err != nil {
 		return nil, fmt.Errorf("source %s: preservation: %w", s.cfg.Name, err)
 	}
