@@ -18,6 +18,7 @@ import (
 	"privateiye/internal/cluster"
 	"privateiye/internal/core"
 	"privateiye/internal/linkage"
+	"privateiye/internal/mediator"
 	"privateiye/internal/piql"
 	"privateiye/internal/policy"
 	"privateiye/internal/preserve"
@@ -340,9 +341,9 @@ func e10System(b *testing.B, capacity int) *core.System {
 		b.Fatal(err)
 	}
 	sys, err := core.NewSystem(core.SystemConfig{
-		Sources:           []source.Config{{Name: "s", Catalog: cat, Policy: pol}},
-		PSIGroup:          psi.TestGroup(),
-		WarehouseCapacity: capacity,
+		Sources:  []source.Config{{Name: "s", Catalog: cat, Policy: pol}},
+		PSIGroup: psi.TestGroup(),
+		Mediator: mediator.Config{WarehouseCapacity: capacity},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -400,9 +401,9 @@ func BenchmarkAuditCheck(b *testing.B) {
 	}
 }
 
-// --- E12/E13: mediation ------------------------------------------------------
+// --- E12: mediation ----------------------------------------------------------
 
-func e13System(b *testing.B, nSources int) *core.System {
+func mediationSystem(b *testing.B, nSources int) *core.System {
 	b.Helper()
 	var cfgs []source.Config
 	for i := 0; i < nSources; i++ {
@@ -431,7 +432,7 @@ func e13System(b *testing.B, nSources int) *core.System {
 }
 
 func BenchmarkFragmenterRouting(b *testing.B) {
-	sys := e13System(b, 8)
+	sys := mediationSystem(b, 8)
 	const q = "FOR //patients/row WHERE //age > 60 RETURN //age PURPOSE research MAXLOSS 0.9"
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -445,7 +446,7 @@ func BenchmarkFragmenterRouting(b *testing.B) {
 func BenchmarkEndToEnd(b *testing.B) {
 	for _, n := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("sources=%d", n), func(b *testing.B) {
-			sys := e13System(b, n)
+			sys := mediationSystem(b, n)
 			const q = "FOR //patients/row WHERE //age > 50 RETURN //age PURPOSE research MAXLOSS 0.9"
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -39,10 +39,9 @@ func main() {
 	regA, regB := registry("authority1-reg", 1), registry("authority2-reg", 1)
 
 	sys, err := privateiye.NewSystem(privateiye.SystemConfig{
-		Sources:           append(cfgs, regA, regB),
-		PSIGroup:          psi.TestGroup(),
-		WarehouseCapacity: 32,
-		WarehouseTTL:      1000,
+		Sources:  append(cfgs, regA, regB),
+		PSIGroup: psi.TestGroup(),
+		Mediator: privateiye.MediatorConfig{WarehouseCapacity: 32, WarehouseTTL: 1000},
 	})
 	if err != nil {
 		log.Fatal(err)

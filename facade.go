@@ -172,7 +172,7 @@ func NewAuditLog(cfg AuditConfig) (*AuditLog, error) { return audit.NewLog(cfg) 
 // --- Durability ------------------------------------------------------------
 
 // DurabilityConfig persists the mediator's release ledger and query
-// history (set it on mediator configurations or use SystemConfig.StateDir);
+// history (set it on MediatorConfig.Durability);
 // DurableOptions opens a raw WAL+snapshot directory (internal/durable).
 type (
 	DurabilityConfig = mediator.DurabilityConfig
@@ -275,7 +275,7 @@ func PrivateOverlapSuite(ctx context.Context, a, b Endpoint, field, suite string
 // --- Resilience -----------------------------------------------------------
 
 // ResilienceConfig wraps endpoints with retry/backoff and a per-source
-// circuit breaker; set it on SystemConfig.Resilience. RetryPolicy and
+// circuit breaker; set it on MediatorConfig.Resilience. RetryPolicy and
 // BreakerConfig are its two halves.
 type (
 	ResilienceConfig = resilience.EndpointConfig
@@ -309,9 +309,9 @@ var ErrCircuitOpen = resilience.ErrOpen
 
 // AdmissionConfig tunes overload protection: a per-requester token
 // bucket, an adaptive (AIMD) concurrency limit with a hard ceiling, and
-// a deadline-aware bounded queue. Set it on SystemConfig.Admission
-// (mediator gate) / SystemConfig.SourceAdmission (per-source gates), or
-// build a standalone controller with NewAdmissionController.
+// a deadline-aware bounded queue. Set it on MediatorConfig.Admission
+// (mediator gate) / SourceConfig.Admission (per-source gates), or build
+// a standalone controller with NewAdmissionController.
 // AdmissionShedError is the typed refusal a shed request fails with:
 // classified refusal.Overloaded or refusal.RateLimited, mapped to HTTP
 // 429/503 with Retry-After, and never counted as a breaker failure.
@@ -341,7 +341,7 @@ type ReleaseDecision = mediator.ReleaseDecision
 
 // ReplicaConfig replicates the mediator's durable inference-control log
 // to/from a peer mediator and arbitrates failover with a persisted
-// fencing epoch: set it on SystemConfig.Replica (requires StateDir). A
+// fencing epoch: set it on MediatorConfig.Replica (requires Durability). A
 // node with an empty PrimaryURL is the primary and serves the stream; a
 // node naming a primary is a warm standby that mirrors it and can be
 // promoted. ReplicaStatus is the role/epoch/lag view both expose, and
@@ -364,8 +364,8 @@ type (
 // --- Sharding --------------------------------------------------------------
 
 // ShardConfig places a mediator in a requester-sharded tier: set it on
-// SystemConfig.Shard (every shard and router in the tier must share
-// Peers, Seed and Vnodes). ShardRing is the seeded rendezvous-hash ring
+// MediatorConfig.Shard (every shard and router in the tier must share
+// Peers and Seed). ShardRing is the seeded rendezvous-hash ring
 // the tier routes by; ShardRouterConfig/ShardRouter are the piye-router
 // front tier that terminates /query and proxies to the owning shard.
 type (
@@ -403,7 +403,7 @@ func NewShardRouter(cfg ShardRouterConfig) (*ShardRouter, error) { return shard.
 // --- Observability ---------------------------------------------------------
 
 // MetricsRegistry collects counters, gauges and latency histograms from
-// every component it is handed to (SystemConfig.Obs, source and mediator
+// every component it is handed to (MediatorConfig.Obs, source and mediator
 // configurations); QueryTracer keeps a ring of finished per-query stage
 // traces. Both are dependency-free and safe for concurrent use.
 type (

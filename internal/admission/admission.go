@@ -53,16 +53,14 @@ import (
 
 // Config tunes a Controller. The zero value disables everything.
 type Config struct {
-	// MaxConcurrent is the hard ceiling on in-flight requests. <= 0
-	// disables the concurrency limiter (the token bucket may still be
-	// active).
+	// MaxConcurrent is the hard ceiling on in-flight requests, and the
+	// limit the controller starts at (optimistic start; the first pain
+	// signal halves it). <= 0 disables the concurrency limiter (the
+	// token bucket may still be active).
 	MaxConcurrent int
 	// MinConcurrent is the AIMD floor; the adaptive limit never drops
 	// below it. Defaults to 1.
 	MinConcurrent int
-	// InitialConcurrent is the starting limit. Defaults to
-	// MaxConcurrent (optimistic start; the first pain signal halves it).
-	InitialConcurrent int
 	// QueueCapacity bounds the FIFO wait queue. 0 means 2x
 	// MaxConcurrent; negative means no queue (shed immediately when the
 	// limit is reached).
@@ -92,10 +90,9 @@ const decreaseCooldown = 100 * time.Millisecond
 // ewmaAlpha weights the newest service-time observation.
 const ewmaAlpha = 0.2
 
-// maxBuckets bounds the per-requester bucket map; beyond it the map is
-// reset wholesale. Forgetting buckets only ever gives requesters a
-// fresh burst, so the failure mode of an adversarial requester-name
-// flood is brief over-admission, not memory exhaustion.
+// maxBuckets bounds the per-requester bucket map, so an adversarial
+// requester-name flood cannot exhaust memory; at the cap a new name
+// evicts refilled buckets first (see evictLocked).
 const maxBuckets = 4096
 
 // Controller is an admission gate: Acquire before the protected stage,
@@ -137,12 +134,6 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.MaxConcurrent > 0 && cfg.MinConcurrent > cfg.MaxConcurrent {
 		return nil, fmt.Errorf("admission: min concurrency %d above ceiling %d", cfg.MinConcurrent, cfg.MaxConcurrent)
 	}
-	if cfg.InitialConcurrent <= 0 {
-		cfg.InitialConcurrent = cfg.MaxConcurrent
-	}
-	if cfg.MaxConcurrent > 0 && cfg.InitialConcurrent > cfg.MaxConcurrent {
-		cfg.InitialConcurrent = cfg.MaxConcurrent
-	}
 	if cfg.QueueCapacity == 0 {
 		cfg.QueueCapacity = 2 * cfg.MaxConcurrent
 	}
@@ -156,7 +147,7 @@ func New(cfg Config) (*Controller, error) {
 	return &Controller{
 		cfg:     cfg,
 		now:     now,
-		limit:   float64(cfg.InitialConcurrent),
+		limit:   float64(cfg.MaxConcurrent),
 		waiters: list.New(),
 		buckets: map[string]*bucket{},
 	}, nil

@@ -314,25 +314,54 @@ func TestTokenBucketPerRequester(t *testing.T) {
 	}
 }
 
+// The bucket map is capped, and reaching the cap evicts rather than
+// resets: a throttled requester cannot buy back a burst by flooding the
+// gate with made-up names.
 func TestBucketMapBounded(t *testing.T) {
 	clk := newFakeClock()
-	c, err := New(Config{RatePerSec: 1, Clock: clk.now})
+	c, err := New(Config{RatePerSec: 1, Burst: 2, Clock: clk.now})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	for i := 0; i < maxBuckets+10; i++ {
-		g, err := c.Acquire(context.Background(), "req"+string(rune('a'+i%26))+fmtInt(i))
+	ctx := context.Background()
+	buckets := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.buckets)
+	}
+	admit := func(requester string) {
+		t.Helper()
+		g, err := c.Acquire(ctx, requester)
 		if err != nil {
-			t.Fatalf("acquire %d: %v", i, err)
+			t.Fatalf("acquire %s: %v", requester, err)
 		}
 		g.Release(nil)
 	}
-	c.mu.Lock()
-	n := len(c.buckets)
-	c.mu.Unlock()
-	if n > maxBuckets {
-		t.Fatalf("bucket map grew to %d, cap is %d", n, maxBuckets)
+	refused := func(when string) {
+		t.Helper()
+		var sh *ShedError
+		if _, err := c.Acquire(ctx, "greedy"); !errors.As(err, &sh) || sh.Reason != refusal.RateLimited {
+			t.Fatalf("%s: greedy acquire = %v, want ratelimited shed", when, err)
+		}
 	}
+	admit("greedy")
+	admit("greedy")
+	refused("burst spent")
+	for i := 0; i < maxBuckets+10; i++ {
+		admit("fresh" + fmtInt(i))
+		if n := buckets(); n > maxBuckets {
+			t.Fatalf("bucket map grew to %d after %d names, cap is %d", n, i+1, maxBuckets)
+		}
+	}
+	refused("after the name flood")
+	// Once everyone has refilled, forgetting them changes no decision:
+	// the next new name clears the map instead of evicting one by one.
+	clk.advance(3 * time.Second)
+	admit("latecomer")
+	if n := buckets(); n != 1 {
+		t.Fatalf("refilled buckets kept at the cap: %d left, want 1", n)
+	}
+	admit("greedy")
 }
 
 func TestReleaseIdempotent(t *testing.T) {

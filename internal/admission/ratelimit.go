@@ -21,9 +21,7 @@ func (c *Controller) takeToken(requester string, now time.Time) (wait time.Durat
 	b := c.buckets[requester]
 	if b == nil {
 		if len(c.buckets) >= maxBuckets {
-			// See maxBuckets: forgetting everyone briefly over-admits,
-			// which is the safe direction.
-			c.buckets = map[string]*bucket{}
+			c.evictLocked(now)
 		}
 		b = &bucket{tokens: c.cfg.Burst, last: now}
 		c.buckets[requester] = b
@@ -38,4 +36,25 @@ func (c *Controller) takeToken(requester string, now time.Time) (wait time.Durat
 		return 0, true
 	}
 	return time.Duration((1 - b.tokens) / c.cfg.RatePerSec * float64(time.Second)), false
+}
+
+// evictLocked makes room for one more bucket at the cap. A bucket that
+// has refilled to Burst is indistinguishable from a fresh one, so
+// forgetting it changes no decision; when none has, the one closest to
+// full goes — the requester who gains least by being forgotten. A
+// throttled requester's bucket is therefore the last to leave: a flood
+// of made-up names costs a scan of the map per name, never a free burst.
+func (c *Controller) evictLocked(now time.Time) {
+	fullest, most := "", math.Inf(-1)
+	for name, b := range c.buckets {
+		tokens := b.tokens + now.Sub(b.last).Seconds()*c.cfg.RatePerSec
+		if tokens >= c.cfg.Burst {
+			delete(c.buckets, name)
+		} else if tokens > most {
+			fullest, most = name, tokens
+		}
+	}
+	if len(c.buckets) >= maxBuckets {
+		delete(c.buckets, fullest)
+	}
 }

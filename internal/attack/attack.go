@@ -289,20 +289,3 @@ func (inf *Inference) MaxDisclosure() float64 {
 	}
 	return worst
 }
-
-// Breaches returns the hidden cells whose disclosure meets or exceeds the
-// threshold, as (party, attr) pairs.
-func (inf *Inference) Breaches(threshold float64) [][2]int {
-	var out [][2]int
-	for h := range inf.Intervals {
-		if h == inf.OwnIndex {
-			continue
-		}
-		for t := range inf.Intervals[h] {
-			if inf.Disclosure(h, t) >= threshold {
-				out = append(out, [2]int{h, t})
-			}
-		}
-	}
-	return out
-}

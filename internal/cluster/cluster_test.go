@@ -91,33 +91,6 @@ func TestBuildKMeansErrors(t *testing.T) {
 	}
 }
 
-func TestBuildAgglomerative(t *testing.T) {
-	train, err := SyntheticWorkload(60, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := BuildAgglomerative(train, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kb.Clusters) != 6 {
-		t.Fatalf("clusters = %d, want 6", len(kb.Clusters))
-	}
-	acc, err := kb.RoutingAccuracy(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.85 {
-		t.Errorf("agglomerative accuracy = %v", acc)
-	}
-	if _, err := BuildAgglomerative(train, 0); err == nil {
-		t.Error("k=0 should fail")
-	}
-	if _, err := BuildAgglomerative(train[:2], 5); err == nil {
-		t.Error("k>n should fail")
-	}
-}
-
 func TestMapDistanceSignal(t *testing.T) {
 	train, _ := SyntheticWorkload(105, 13)
 	kb, err := BuildKMeans(train, 7, 5)

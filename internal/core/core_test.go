@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"privateiye/internal/clinical"
+	"privateiye/internal/mediator"
 	"privateiye/internal/policy"
 	"privateiye/internal/psi"
 	"privateiye/internal/relational"
@@ -103,16 +104,18 @@ func TestMixedLocalAndRemoteSystem(t *testing.T) {
 	}
 }
 
-// Coalesce rides SystemConfig end to end: it reaches both the mediator
-// pipeline and every local's whole-column linkage path, and concurrent
-// identical queries over a durable ledger still each leave a history
-// entry.
+// Coalesce rides SystemConfig.Mediator end to end: it reaches both the
+// mediator pipeline and every local's whole-column linkage path, and
+// concurrent identical queries over a durable ledger still each leave a
+// history entry.
 func TestSystemAmortizationKnobsEndToEnd(t *testing.T) {
 	sys, err := NewSystem(SystemConfig{
 		Sources:  []source.Config{sourceConfig(t, "A", 1, 50)},
 		PSIGroup: psi.TestGroup(),
-		StateDir: t.TempDir(),
-		Coalesce: true,
+		Mediator: mediator.Config{
+			Durability: &mediator.DurabilityConfig{Dir: t.TempDir()},
+			Coalesce:   true,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +123,7 @@ func TestSystemAmortizationKnobsEndToEnd(t *testing.T) {
 	defer sys.Close()
 	for _, l := range sys.Locals() {
 		if !l.Coalesce {
-			t.Error("SystemConfig.Coalesce did not reach the local endpoint")
+			t.Error("SystemConfig.Mediator.Coalesce did not reach the local endpoint")
 		}
 	}
 	const callers = 4

@@ -155,16 +155,15 @@ type Log struct {
 	// back from wal.log on demand, so the memory a Log holds does not
 	// grow with its history. It exists only once a reader has asked to
 	// be woken (Changed): a log nobody tails keeps no tail.
-	ring       []Entry
-	ringN      int
-	walSize    int64 // bytes written to the WAL file since the last compaction
-	snapSize   int64
-	retryAt    int64 // WAL size at which a failed compaction is tried again
-	legacySnap bool  // recovered snapshot lacked the integrity trailer
-	deadErr    error
-	changed    chan struct{} // closed and replaced on every append/snapshot
-	stop       chan struct{}
-	wg         sync.WaitGroup
+	ring     []Entry
+	ringN    int
+	walSize  int64 // bytes written to the WAL file since the last compaction
+	snapSize int64
+	retryAt  int64 // WAL size at which a failed compaction is tried again
+	deadErr  error
+	changed  chan struct{} // closed and replaced on every append/snapshot
+	stop     chan struct{}
+	wg       sync.WaitGroup
 
 	// Pre-resolved metric handles; nil (no-op) without Options.Obs.
 	mAppends     *obs.Counter

@@ -117,12 +117,3 @@ func (l *Log) Changed() <-chan struct{} {
 	}
 	return l.changed
 }
-
-// LegacySnapshot reports whether the recovered snapshot predates the
-// integrity trailer (see snapshot.go); owners may want to warn and
-// re-snapshot promptly.
-func (l *Log) LegacySnapshot() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.legacySnap
-}

@@ -37,9 +37,6 @@ func TestSnapshotTrailerRoundTrip(t *testing.T) {
 	if string(r.RecoveredSnapshot()) != `{"state":"s1"}` {
 		t.Errorf("snapshot = %q", r.RecoveredSnapshot())
 	}
-	if r.LegacySnapshot() {
-		t.Error("trailered snapshot misreported as legacy")
-	}
 }
 
 func TestTruncatedSnapshotRefused(t *testing.T) {
@@ -117,15 +114,9 @@ func TestLegacySnapshotAcceptedAndUpgraded(t *testing.T) {
 	if string(r.RecoveredSnapshot()) != `{"legacy":true}` {
 		t.Errorf("legacy snapshot payload = %q", r.RecoveredSnapshot())
 	}
-	if !r.LegacySnapshot() {
-		t.Error("legacy snapshot not flagged")
-	}
 	// The next snapshot upgrades the format in place.
 	if err := r.SaveSnapshot([]byte(`{"legacy":false}`)); err != nil {
 		t.Fatal(err)
-	}
-	if r.LegacySnapshot() {
-		t.Error("legacy flag survives the upgrading snapshot")
 	}
 	r.Close()
 	data, _ = os.ReadFile(path)

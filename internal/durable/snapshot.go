@@ -96,7 +96,6 @@ func (l *Log) loadSnapshot() error {
 		return fmt.Errorf("durable: reading snapshot: %w", err)
 	}
 	if legacy {
-		l.legacySnap = true
 		log.Printf("durable: snapshot %s predates the integrity trailer (accepted; the next snapshot upgrades the format)", path)
 	}
 	l.snapSeq = seq
@@ -262,7 +261,6 @@ func (l *Log) writeAndInstall(seq uint64, state []byte, carry bool) (int64, erro
 	l.snapshot, l.recovered = nil, nil // stale now; owners hold live state
 	l.snapSize = size
 	l.retryAt = 0
-	l.legacySnap = false
 	if !carry {
 		// The standby's own tail is divergent history: drop it, staged
 		// bytes included.

@@ -180,9 +180,9 @@ func TestTestGroupIsNotConfigurable(t *testing.T) {
 	_, err = core.NewSystem(core.SystemConfig{
 		Remotes:  []core.RemoteSource{{Name: "alpha", URL: node.URL}},
 		PSIGroup: psi.TestGroup(),
-		PSISuite: psi.SuiteNameModP768,
+		Mediator: mediator.Config{PSISuite: psi.SuiteNameModP768},
 	})
-	refused("core.SystemConfig.PSISuite", err, "")
+	refused("core.SystemConfig.Mediator.PSISuite", err, "")
 	if testing.Short() {
 		t.Skip("daemon flags need a go build")
 	}

@@ -1,9 +1,9 @@
 // Package experiments is the reproduction harness: one function per
 // experiment of EXPERIMENTS.md. E1–E4 regenerate the paper's Figure 1
-// tables (the paper's only quantitative content); E5–E25 measure the
-// architecture's load-bearing design choices, which the paper argues
-// qualitatively. cmd/piye-bench prints every table; bench_test.go wraps
-// the kernels in testing.B benchmarks.
+// tables (the paper's only quantitative content); E5–E12 and E14–E16
+// measure the architecture's load-bearing design choices, which the
+// paper argues qualitatively. cmd/piye-bench prints every table;
+// bench_test.go wraps the kernels in testing.B benchmarks.
 package experiments
 
 import (

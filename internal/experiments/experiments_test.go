@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestTableString(t *testing.T) {
@@ -20,6 +19,17 @@ func TestTableString(t *testing.T) {
 			t.Errorf("rendering missing %q:\n%s", want, s)
 		}
 	}
+}
+
+// cellFloat reads a formatted table cell back as a number: comparing the
+// strings would order "10.2" below "9.1".
+func cellFloat(t *testing.T, cell string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(cell, 64)
+	if err != nil {
+		t.Fatalf("not a number: %q", cell)
+	}
+	return v
 }
 
 func TestFig1aMatchesPaperExactly(t *testing.T) {
@@ -96,8 +106,8 @@ func TestE6(t *testing.T) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// Cluster routing accuracy appears in row 0, column 2.
-	if tab.Rows[0][2] < "0.85" {
-		t.Errorf("accuracy = %s", tab.Rows[0][2])
+	if acc := cellFloat(t, tab.Rows[0][2]); acc < 0.85 {
+		t.Errorf("accuracy = %v", acc)
 	}
 }
 
@@ -120,7 +130,7 @@ func TestE8(t *testing.T) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// Risk decreases with sigma.
-	if !(tab.Rows[0][1] > tab.Rows[2][1]) {
+	if !(cellFloat(t, tab.Rows[0][1]) > cellFloat(t, tab.Rows[2][1])) {
 		t.Errorf("risk should fall with noise: %v", tab.Rows)
 	}
 }
@@ -179,19 +189,6 @@ func TestE12(t *testing.T) {
 	}
 }
 
-func TestE13(t *testing.T) {
-	tab, err := E13EndToEnd([]int{2}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 { // in-process + http
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	if tab.Rows[0][1] != "in-process" || tab.Rows[1][1] != "http" {
-		t.Errorf("transports = %v", tab.Rows)
-	}
-}
-
 func TestE14(t *testing.T) {
 	tab, err := E14SchemaMatch()
 	if err != nil {
@@ -246,121 +243,5 @@ func TestE16(t *testing.T) {
 	}
 	if chosen["generalize(zip@2)"] != "late" {
 		t.Errorf("generalization placement = %q, want late", chosen["generalize(zip@2)"])
-	}
-}
-
-func TestE21(t *testing.T) {
-	// Tiny open-loop run: the test pins the table's structure and the
-	// classification invariants, not the (timing-dependent) numbers.
-	const total = 24
-	tab, err := E21AdmissionOverload(time.Millisecond, total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 12 {
-		t.Fatalf("rows = %d, want 12 (3 modes x 4 loads)", len(tab.Rows))
-	}
-	atoi := func(s string) int {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			t.Fatalf("not a count: %q", s)
-		}
-		return n
-	}
-	for _, row := range tab.Rows {
-		if len(row) != len(tab.Header) {
-			t.Fatalf("ragged row %v", row)
-		}
-		// fresh + stale + shed + failed must account for every query.
-		if got := atoi(row[6]) + atoi(row[7]) + atoi(row[8]) + atoi(row[9]); got != total {
-			t.Errorf("%s %s: outcomes sum to %d, want %d", row[0], row[1], got, total)
-		}
-		if row[0] == "no admission" && atoi(row[8]) != 0 {
-			t.Errorf("no-admission mode shed %s queries", row[8])
-		}
-		if row[0] != "shed+brownout" && atoi(row[7]) != 0 {
-			t.Errorf("%s served %s stale answers without brownout", row[0], row[7])
-		}
-	}
-}
-
-func TestE22(t *testing.T) {
-	// A small failover run: the invariants (no double-grant, stale
-	// writer fenced) are enforced inside E22ReplicationFailover — it
-	// errors if either fails — so the test pins shape and accounting.
-	const total = 30
-	tab, err := E22ReplicationFailover(total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 8 {
-		t.Fatalf("rows = %d, want 8", len(tab.Rows))
-	}
-	atoi := func(s string) int {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			t.Fatalf("not a count: %q", s)
-		}
-		return n
-	}
-	// Every offered query is accounted for: answered by one of the two
-	// generations or lost in the window.
-	if got := atoi(tab.Rows[1][1]) + atoi(tab.Rows[2][1]) + atoi(tab.Rows[3][1]); got != total {
-		t.Errorf("accounted %d of %d offered queries", got, total)
-	}
-	if atoi(tab.Rows[2][1]) == 0 {
-		t.Error("the promoted standby answered nothing")
-	}
-}
-
-func TestE24(t *testing.T) {
-	// A tiny two-tier run: the ≥2.5x acceptance bar is only armed at 4
-	// shards (machine-speed dependent; piye-bench runs it for real), so
-	// the test pins the table's structure and the baseline row.
-	tab, err := E24RouterScaling(8, 4, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 (two tiers + overhead)", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if len(row) != len(tab.Header) {
-			t.Fatalf("ragged row %v", row)
-		}
-	}
-	if tab.Rows[0][4] != "1.00x" {
-		t.Errorf("baseline speedup %q, want 1.00x", tab.Rows[0][4])
-	}
-	if !strings.Contains(tab.Rows[2][4], "direct") {
-		t.Errorf("overhead row %v lacks the direct-vs-routed comparison", tab.Rows[2])
-	}
-}
-
-func TestE25(t *testing.T) {
-	// Tiny sizes keep the modp2048 rows cheap; the acceptance gates
-	// (>=5x cold blind, <=35 B/elem, >=7x wire ratio) are enforced
-	// inside E25PSISuites itself — err != nil IS the failing signal.
-	tab, err := E25PSISuites([]int{64}, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two suite rows plus one speedup row per size.
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if len(row) != len(tab.Header) {
-			t.Fatalf("ragged row %v", row)
-		}
-	}
-	if tab.Rows[0][0] != "p256" || tab.Rows[0][5] != "33" {
-		t.Errorf("p256 row = %v, want 33-byte elements", tab.Rows[0])
-	}
-	if tab.Rows[1][0] != "modp2048" || tab.Rows[1][5] != "256" {
-		t.Errorf("modp2048 row = %v, want 256-byte elements", tab.Rows[1])
-	}
-	if !strings.Contains(tab.Rows[2][2], "x") {
-		t.Errorf("speedup row %v lacks a multiplier", tab.Rows[2])
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"crypto/rand"
 	"fmt"
-	"net/http/httptest"
 	"strconv"
 	"time"
 
@@ -17,7 +16,6 @@ import (
 	"privateiye/internal/relational"
 	"privateiye/internal/schemamatch"
 	"privateiye/internal/source"
-	"privateiye/internal/stats"
 )
 
 // E9PSI measures private set intersection and private fuzzy linkage at
@@ -132,10 +130,9 @@ func E10Warehouse(repeats int) (*Table, error) {
 			return nil, err
 		}
 		return core.NewSystem(core.SystemConfig{
-			Sources:           []source.Config{{Name: "s", Catalog: cat, Policy: pol}},
-			PSIGroup:          psi.TestGroup(),
-			WarehouseCapacity: capacity,
-			WarehouseTTL:      0,
+			Sources:  []source.Config{{Name: "s", Catalog: cat, Policy: pol}},
+			PSIGroup: psi.TestGroup(),
+			Mediator: mediator.Config{WarehouseCapacity: capacity},
 		})
 	}
 	queries := []string{
@@ -309,108 +306,6 @@ func E12Fragmenter(nSources int) (*Table, error) {
 	return t, nil
 }
 
-// E13EndToEnd measures full-stack integration latency as sources scale,
-// for both transports: sources in-process and sources behind loopback
-// HTTP nodes (the cmd/piye-source deployment shape).
-func E13EndToEnd(sourceCounts []int, queriesPer int) (*Table, error) {
-	t := &Table{
-		Title:  "E13: end-to-end mediated integration latency",
-		Header: []string{"sources", "transport", "rows total", "per-query", "rows integrated"},
-	}
-	mkConfigs := func(n int) ([]source.Config, error) {
-		var cfgs []source.Config
-		for i := 0; i < n; i++ {
-			g := clinical.NewGenerator(uint64(i)*7 + 1)
-			cat := relational.NewCatalog()
-			tab, err := g.Patients("patients", 500, 4)
-			if err != nil {
-				return nil, err
-			}
-			if err := cat.Add(tab); err != nil {
-				return nil, err
-			}
-			pol, err := policy.NewPolicy(fmt.Sprintf("s%d", i), policy.Deny,
-				policy.Rule{Item: "//patients/row/age", Purpose: "any", Form: policy.Exact, Effect: policy.Allow, MaxLoss: 1},
-			)
-			if err != nil {
-				return nil, err
-			}
-			cfgs = append(cfgs, source.Config{Name: fmt.Sprintf("s%d", i), Catalog: cat, Policy: pol, Seed: uint64(i)})
-		}
-		return cfgs, nil
-	}
-	run := func(query func(q, requester string) (*mediator.Integrated, error)) (time.Duration, int, error) {
-		start := time.Now()
-		var rows int
-		for i := 0; i < queriesPer; i++ {
-			in, err := query(
-				fmt.Sprintf("FOR //patients/row WHERE //age > %d RETURN //age PURPOSE research MAXLOSS 0.9", 30+i),
-				"r")
-			if err != nil {
-				return 0, 0, err
-			}
-			rows = len(in.Result.Rows)
-		}
-		return time.Since(start), rows, nil
-	}
-	for _, n := range sourceCounts {
-		// In-process.
-		cfgs, err := mkConfigs(n)
-		if err != nil {
-			return nil, err
-		}
-		sys, err := core.NewSystem(core.SystemConfig{Sources: cfgs, PSIGroup: psi.TestGroup()})
-		if err != nil {
-			return nil, err
-		}
-		el, rows, err := run(sys.Query)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			strconv.Itoa(n), "in-process", strconv.Itoa(n * 500),
-			ms(el / time.Duration(queriesPer)), strconv.Itoa(rows),
-		})
-
-		// Loopback HTTP.
-		cfgs, err = mkConfigs(n)
-		if err != nil {
-			return nil, err
-		}
-		var eps []source.Endpoint
-		var servers []*httptest.Server
-		for _, sc := range cfgs {
-			src, err := source.New(sc)
-			if err != nil {
-				return nil, err
-			}
-			local, err := source.NewLocal(src, []byte("e13"), psi.TestGroup())
-			if err != nil {
-				return nil, err
-			}
-			srv := httptest.NewServer(source.NewHandler(local))
-			servers = append(servers, srv)
-			eps = append(eps, source.NewClient(srv.URL, sc.Name))
-		}
-		med, err := mediator.New(mediator.Config{Endpoints: eps})
-		if err != nil {
-			return nil, err
-		}
-		el, rows, err = run(med.Query)
-		for _, srv := range servers {
-			srv.Close()
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			strconv.Itoa(n), "http", strconv.Itoa(n * 500),
-			ms(el / time.Duration(queriesPer)), strconv.Itoa(rows),
-		})
-	}
-	return t, nil
-}
-
 // E14SchemaMatch compares plaintext learning-based matching with the
 // hashed private mode over renamed clinical vocabularies.
 func E14SchemaMatch() (*Table, error) {
@@ -471,6 +366,3 @@ func E14SchemaMatch() (*Table, error) {
 		"private mode can only match equal normalized names: the accuracy cost of not revealing vocabularies")
 	return t, nil
 }
-
-// rngGuard keeps stats import used if experiments change shape.
-var _ = stats.NewRand

@@ -176,12 +176,6 @@ func (e *Encoder) Encode(s string) *Bitset {
 	return b
 }
 
-// Similarity is the Dice similarity of the encodings of two strings — an
-// approximation of their q-gram overlap computable from encodings alone.
-func (e *Encoder) Similarity(a, b string) (float64, error) {
-	return Dice(e.Encode(a), e.Encode(b))
-}
-
 // Soundex computes the classical Soundex phonetic code of a name token.
 func Soundex(s string) string {
 	s = strings.ToUpper(strings.TrimSpace(s))

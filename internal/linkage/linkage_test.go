@@ -92,7 +92,7 @@ func TestEncoderValidation(t *testing.T) {
 func TestSimilaritySeparatesMatchesFromNonMatches(t *testing.T) {
 	e := encoder(t)
 	// Same name with a typo scores high.
-	typo, err := e.Similarity("Jonathan Smith", "Jonathon Smith")
+	typo, err := Dice(e.Encode("Jonathan Smith"), e.Encode("Jonathon Smith"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestSimilaritySeparatesMatchesFromNonMatches(t *testing.T) {
 		t.Errorf("typo similarity = %v, want >= 0.75", typo)
 	}
 	// Identical scores 1.
-	if s, _ := e.Similarity("Alice Ang", "Alice Ang"); s != 1 {
+	if s, _ := Dice(e.Encode("Alice Ang"), e.Encode("Alice Ang")); s != 1 {
 		t.Errorf("identical similarity = %v", s)
 	}
 	// Different people score low.
-	diff, _ := e.Similarity("Jonathan Smith", "Priya Patel")
+	diff, _ := Dice(e.Encode("Jonathan Smith"), e.Encode("Priya Patel"))
 	if diff > 0.45 {
 		t.Errorf("non-match similarity = %v, want < 0.45", diff)
 	}
@@ -112,7 +112,7 @@ func TestSimilaritySeparatesMatchesFromNonMatches(t *testing.T) {
 		t.Errorf("separation too small: %v vs %v", typo, diff)
 	}
 	// Case-insensitive.
-	if s, _ := e.Similarity("ALICE", "alice"); s != 1 {
+	if s, _ := Dice(e.Encode("ALICE"), e.Encode("alice")); s != 1 {
 		t.Errorf("case sensitivity: %v", s)
 	}
 }

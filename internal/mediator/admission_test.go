@@ -17,10 +17,17 @@ const admitQuery = "FOR //patients/row RETURN //sex PURPOSE research MAXLOSS 0.9
 
 func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	m, err := New(Config{
-		Endpoints: twoHospitals(t),
-		Admission: &admission.Config{MaxConcurrent: 1, QueueCapacity: -1},
+		Endpoints:         twoHospitals(t),
+		WarehouseCapacity: 8,
+		WarehouseTTL:      1,
+		Admission:         &admission.Config{MaxConcurrent: 1, QueueCapacity: -1},
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	// r1's answer is materialized, but Brownout is off: the warehouse
+	// must not turn the shed below into a stale answer.
+	if _, err := m.Query(admitQuery, "r1"); err != nil {
 		t.Fatal(err)
 	}
 	// Occupy the single slot directly, then query: the query must be
@@ -45,7 +52,7 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	if _, err := m.Query(admitQuery, "r1"); err != nil {
 		t.Fatalf("query after release: %v", err)
 	}
-	if s := m.AdmissionStats(); s.ShedQueueFull != 1 || s.Admitted != 2 {
+	if s := m.AdmissionStats(); s.ShedQueueFull != 1 || s.Admitted != 3 {
 		t.Fatalf("stats = %+v", s)
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // The federation's failure modes: dead nodes, hanging nodes, flapping
 // nodes, and callers that give up. All injected deterministically via
-// resilience.Chaos — the same wrapper E17 uses.
+// resilience.Chaos.
 
 func TestIntegrationSurvivesDeadSource(t *testing.T) {
 	eps := twoHospitals(t)

@@ -315,12 +315,6 @@ func New(cfg Config) (*Mediator, error) {
 // mediator runs ungated), for experiments and tests.
 func (m *Mediator) AdmissionStats() admission.Stats { return m.admit.Stats() }
 
-// Observability exposes the mediator's metrics registry and tracer (nil
-// when not configured); the HTTP handler mounts them.
-func (m *Mediator) Observability() (*obs.Registry, *obs.Tracer) {
-	return m.cfg.Obs, m.cfg.Trace
-}
-
 // PlanCacheStats exposes the parse/plan cache counters (zeroes when the
 // cache is disabled): lifetime hits and misses plus the current entry
 // count.

@@ -54,8 +54,8 @@ func (m *Mediator) Query(piqlText, requester string) (*Integrated, error) {
 }
 
 // denialReason renders a source failure for the Denied map. Timeouts and
-// circuit-breaker skips get distinguishable prefixes so callers (and the
-// E17 experiment) can tell a straggler from a policy refusal.
+// circuit-breaker skips get distinguishable prefixes so callers can tell
+// a straggler from a policy refusal.
 func (m *Mediator) denialReason(err error) string {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):

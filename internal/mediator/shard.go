@@ -30,8 +30,8 @@ import (
 )
 
 // ShardConfig places one mediator in a sharded tier. Every shard and
-// every router in the tier must be configured with the same Peers, Seed
-// and Vnodes, or their rings disagree on ownership and the gate refuses
+// every router in the tier must be configured with the same Peers and
+// Seed, or their rings disagree on ownership and the gate refuses
 // traffic the router believed well-placed.
 type ShardConfig struct {
 	// ID is this shard's name in the ring; it must appear in Peers.
@@ -41,9 +41,6 @@ type ShardConfig struct {
 	// Seed is the ring placement seed (shard.DefaultSeed when 0 is
 	// meant, set it explicitly — 0 is a valid seed).
 	Seed uint64
-	// Vnodes is the virtual-node count per member (<= 0 takes
-	// shard.DefaultVnodes).
-	Vnodes int
 	// PeerURLs maps peer names to their base URLs. The gate needs them
 	// for the drain handshake: a router's X-Shard-Rerouted-From header
 	// is a CLAIM that some shards are draining, and this shard confirms
@@ -59,9 +56,6 @@ type ShardConfig struct {
 	// (<= 0 = default 2s). The TTL bounds how long a stale "draining"
 	// verdict can outlive the peer's undrain.
 	DrainVerifyTTL time.Duration
-	// Client is the outbound HTTP client for peer status checks (nil =
-	// a default with a 2s timeout).
-	Client *http.Client
 }
 
 // NotOwnerError refuses a query that reached a shard other than the
@@ -158,7 +152,7 @@ func (m *Mediator) setupShard(cfg ShardConfig) error {
 	if cfg.ID == "" {
 		return fmt.Errorf("mediator: shard id must be non-empty")
 	}
-	ring := shard.New(cfg.Seed, cfg.Vnodes)
+	ring := shard.New(cfg.Seed, shard.DefaultVnodes)
 	self := false
 	for _, p := range cfg.Peers {
 		if err := ring.Add(p); err != nil {
@@ -174,13 +168,10 @@ func (m *Mediator) setupShard(cfg ShardConfig) error {
 	s := &shardState{
 		id:        cfg.ID,
 		ring:      ring,
-		client:    cfg.Client,
+		client:    &http.Client{Timeout: 2 * time.Second}, // peer status checks
 		verifyTTL: cfg.DrainVerifyTTL,
 		peerURLs:  map[string]string{},
 		verdicts:  map[string]drainVerdict{},
-	}
-	if s.client == nil {
-		s.client = &http.Client{Timeout: 2 * time.Second}
 	}
 	if s.verifyTTL <= 0 {
 		s.verifyTTL = 2 * time.Second

@@ -10,9 +10,6 @@ type Interval struct {
 // Width returns Hi - Lo.
 func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
 
-// Contains reports whether v lies in the interval.
-func (iv Interval) Contains(v float64) bool { return v >= iv.Lo && v <= iv.Hi }
-
 // CoordinateInterval computes the feasible interval of coordinate i over
 // the constraint set of p (p.Objective is ignored): it minimizes and
 // maximizes x[i] subject to p's constraints via multi-start. This is
@@ -39,17 +36,4 @@ func CoordinateInterval(p *Problem, i int, opt Options) (Interval, error) {
 			i, lo.MaxViolation, hi.MaxViolation)
 	}
 	return Interval{Lo: lo.X[i], Hi: hi.X[i]}, nil
-}
-
-// AllCoordinateIntervals computes CoordinateInterval for every dimension.
-func AllCoordinateIntervals(p *Problem, opt Options) ([]Interval, error) {
-	out := make([]Interval, p.Dim)
-	for i := 0; i < p.Dim; i++ {
-		iv, err := CoordinateInterval(p, i, opt)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = iv
-	}
-	return out, nil
 }

@@ -140,7 +140,7 @@ func BenchmarkBlind(b *testing.B) {
 
 // BenchmarkBlindCold measures the cold path per suite — every item is a
 // fresh hash-to-group plus a fixed-secret group operation. This is the
-// kernel the EC suite exists to accelerate (E25's headline number).
+// kernel the EC suite exists to accelerate.
 func BenchmarkBlindCold(b *testing.B) {
 	for _, s := range []Suite{ModPSuite(TestGroup()), ModPSuite(DefaultGroup()), P256Suite()} {
 		b.Run(s.Name(), func(b *testing.B) {

@@ -99,13 +99,6 @@ type ModPElem big.Int
 
 func (*ModPElem) psiElement() {}
 
-// Int exposes the element's residue value.
-func (e *ModPElem) Int() *big.Int { return (*big.Int)(e) }
-
-// ModPElemFromInt wraps a residue value as a suite element without
-// validation; use Suite.Validate or DecodeElement at trust boundaries.
-func ModPElemFromInt(v *big.Int) *ModPElem { return (*ModPElem)(v) }
-
 type modpSecret big.Int
 
 func (*modpSecret) psiSecret() {}
@@ -123,9 +116,6 @@ type modpSuite struct {
 func ModPSuite(g *Group) Suite {
 	return &modpSuite{g: g, name: fmt.Sprintf("modp%d", g.P.BitLen()), size: g.byteLen()}
 }
-
-// Group exposes the suite's underlying safe-prime group.
-func (s *modpSuite) Group() *Group { return s.g }
 
 func (s *modpSuite) Name() string     { return s.name }
 func (s *modpSuite) ElementSize() int { return s.size }

@@ -86,9 +86,6 @@ func NewParty(s Suite, rng io.Reader) (*Party, error) {
 	return &Party{suite: s, secret: sec, blinds: map[string]Element{}}, nil
 }
 
-// Suite returns the party's group suite.
-func (p *Party) Suite() Suite { return p.suite }
-
 // SetWorkers fixes the fan-out width for this party's kernels: 0 (the
 // default) means GOMAXPROCS, 1 forces the serial path. No configuration
 // reaches it; it is the seam through which tests show that the
@@ -244,14 +241,4 @@ func Intersect(initiator, responder *Party, itemsA, itemsB []string) ([]int, err
 		return nil, nil
 	}
 	return out, nil
-}
-
-// Cardinality runs the protocol but returns only the intersection size —
-// the variant sources use when even which items matched is too revealing.
-func Cardinality(initiator, responder *Party, itemsA, itemsB []string) (int, error) {
-	idx, err := Intersect(initiator, responder, itemsA, itemsB)
-	if err != nil {
-		return 0, err
-	}
-	return len(idx), nil
 }

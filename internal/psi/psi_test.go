@@ -57,11 +57,11 @@ func badElements(t *testing.T, s Suite) map[string]Element {
 			nonRes.Add(nonRes, bigOne)
 		}
 		return map[string]Element{
-			"zero":         ModPElemFromInt(big.NewInt(0)),
-			"identity":     ModPElemFromInt(big.NewInt(1)),
-			"out-of-range": ModPElemFromInt(new(big.Int).Set(g.P)),
-			"negative":     ModPElemFromInt(big.NewInt(-5)),
-			"non-residue":  ModPElemFromInt(nonRes),
+			"zero":         (*ModPElem)(big.NewInt(0)),
+			"identity":     (*ModPElem)(big.NewInt(1)),
+			"out-of-range": (*ModPElem)(new(big.Int).Set(g.P)),
+			"negative":     (*ModPElem)(big.NewInt(-5)),
+			"non-residue":  (*ModPElem)(nonRes),
 		}
 	}
 }
@@ -265,16 +265,6 @@ func TestExponentiateRejectsBadElements(t *testing.T) {
 			if err := s.Validate(bad); err == nil {
 				t.Errorf("Validate should reject %s element", name)
 			}
-		}
-	})
-}
-
-func TestCardinality(t *testing.T) {
-	forEachSuite(t, func(t *testing.T, s Suite) {
-		a, b := parties(t, s)
-		n, err := Cardinality(a, b, []string{"1", "2", "3", "4"}, []string{"3", "4", "5"})
-		if err != nil || n != 2 {
-			t.Errorf("cardinality = %d, %v", n, err)
 		}
 	})
 }

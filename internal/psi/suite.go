@@ -110,9 +110,6 @@ func SuiteByName(name string) (Suite, error) {
 	return nil, fmt.Errorf("psi: unknown suite %q", name)
 }
 
-// DefaultSuite returns the production default (P-256).
-func DefaultSuite() Suite { return P256Suite() }
-
 // TestSuite returns the fast MODP suite tests and demos use when they
 // specifically need the safe-prime code path (for the curve path they
 // can just use P256Suite, which is fast everywhere).

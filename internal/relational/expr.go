@@ -224,47 +224,6 @@ func (c Contains) SQL() string {
 // Columns implements Expr.
 func (c Contains) Columns(dst []string) []string { return append(dst, c.Col) }
 
-// In tests membership of a column in a literal set.
-type In struct {
-	Col    string
-	Values []Value
-}
-
-// Eval implements Expr.
-func (in In) Eval(s *Schema, r Row) (Value, error) {
-	v, err := (ColRef{in.Col}).Eval(s, r)
-	if err != nil {
-		return Value{}, err
-	}
-	if v.IsNull {
-		return Bool(false), nil
-	}
-	for _, w := range in.Values {
-		if Equalv(v, w) {
-			return Bool(true), nil
-		}
-	}
-	return Bool(false), nil
-}
-
-// SQL implements Expr.
-func (in In) SQL() string {
-	parts := make([]string, len(in.Values))
-	for i, v := range in.Values {
-		parts[i] = Lit{v}.SQL()
-	}
-	return fmt.Sprintf("%s IN (%s)", in.Col, strings.Join(parts, ", "))
-}
-
-// Columns implements Expr.
-func (in In) Columns(dst []string) []string { return append(dst, in.Col) }
-
-// True is the always-true predicate.
-var True Expr = And{}
-
-// False is the always-false predicate.
-var False Expr = Or{}
-
 func truthy(v Value) bool { return !v.IsNull && v.Kind == TBool && v.B }
 
 func joinSQL(terms []Expr, sep, empty string) string {

@@ -169,34 +169,6 @@ type Result struct {
 	Rows   []Row
 }
 
-// Column extracts one column of the result as values.
-func (r *Result) Column(name string) ([]Value, error) {
-	i := r.Schema.Index(name)
-	if i < 0 {
-		return nil, fmt.Errorf("relational: result has no column %q", name)
-	}
-	out := make([]Value, len(r.Rows))
-	for j, row := range r.Rows {
-		out[j] = row[i]
-	}
-	return out, nil
-}
-
-// Floats extracts one numeric column as float64s, skipping nulls.
-func (r *Result) Floats(name string) ([]float64, error) {
-	vals, err := r.Column(name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, 0, len(vals))
-	for _, v := range vals {
-		if f, ok := v.AsFloat(); ok {
-			out = append(out, f)
-		}
-	}
-	return out, nil
-}
-
 // SortBy orders the result rows by the named columns, ascending.
 func (r *Result) SortBy(names ...string) error {
 	idx := make([]int, len(names))

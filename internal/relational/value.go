@@ -222,6 +222,3 @@ func cmpFloat(a, b float64) int {
 	}
 	return 0
 }
-
-// Equalv reports value equality under Compare semantics.
-func Equalv(a, b Value) bool { return Compare(a, b) == 0 }

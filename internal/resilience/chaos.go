@@ -22,12 +22,10 @@ var ErrInjected = errors.New("injected fault")
 // pure functions of (Seed, call number), so a run's fault pattern is
 // reproducible regardless of goroutine scheduling.
 type ChaosConfig struct {
-	// Seed drives the error and latency streams (default 1).
+	// Seed drives the error stream (default 1).
 	Seed uint64
 	// Latency is added to every successful call.
 	Latency time.Duration
-	// LatencyJitter adds a seeded uniform [0, J) on top of Latency.
-	LatencyJitter time.Duration
 	// ErrorRate is the probability in [0, 1] that a call fails with
 	// ErrInjected.
 	ErrorRate float64
@@ -41,7 +39,7 @@ type ChaosConfig struct {
 // runtime switches (SetDown, SetHang). It also counts dials: every call
 // that reaches the wrapper increments the counter, so a test can verify
 // that an open circuit breaker really stopped dialing. It replaces the
-// ad-hoc flaky test doubles and powers the E17 experiment.
+// ad-hoc flaky test doubles.
 type Chaos struct {
 	inner source.Endpoint
 	cfg   ChaosConfig
@@ -101,23 +99,12 @@ func (c *Chaos) inject(ctx context.Context) error {
 			return fmt.Errorf("source %s: %w", c.inner.Name(), ErrInjected)
 		}
 	}
-	if d := c.delay(n); d > 0 {
+	if d := c.cfg.Latency; d > 0 {
 		if err := sleep(ctx, d); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (c *Chaos) delay(n int64) time.Duration {
-	d := c.cfg.Latency
-	if c.cfg.LatencyJitter > 0 {
-		// Offset the stream so latency draws are independent of the
-		// error draws for the same call.
-		u := float64(splitmix64(c.cfg.Seed^uint64(n)^0x9e3779b9)>>11) / float64(1<<53)
-		d += time.Duration(u * float64(c.cfg.LatencyJitter))
-	}
-	return d
 }
 
 // Name implements source.Endpoint.

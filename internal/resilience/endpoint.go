@@ -39,18 +39,6 @@ func WrapEndpoint(inner source.Endpoint, cfg EndpointConfig) *Endpoint {
 	return e
 }
 
-// Inner returns the wrapped endpoint.
-func (e *Endpoint) Inner() source.Endpoint { return e.inner }
-
-// BreakerState reports the circuit state ("closed", "open", "half-open",
-// or "disabled").
-func (e *Endpoint) BreakerState() string {
-	if e.breaker == nil {
-		return "disabled"
-	}
-	return e.breaker.State()
-}
-
 // Name implements source.Endpoint.
 func (e *Endpoint) Name() string { return e.inner.Name() }
 

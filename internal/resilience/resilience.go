@@ -6,7 +6,7 @@
 // per-source circuit Breaker (consecutive failures open the circuit;
 // a half-open probe re-admits a recovered source). The Endpoint
 // decorator applies both to any source.Endpoint, and the Chaos wrapper
-// injects deterministic faults for tests and the E17 experiment.
+// injects deterministic faults for tests.
 package resilience
 
 import (
@@ -105,17 +105,9 @@ func (p Policy) Backoff(retry int) time.Duration {
 // Do runs op under the policy: each attempt gets its own deadline, an
 // attempt that overruns is abandoned (op keeps running in its goroutine
 // but its result is discarded), and transient failures are retried with
-// backoff until MaxAttempts or the overall deadline.
-func (p Policy) Do(ctx context.Context, op func(context.Context) error) error {
-	_, err := Do(ctx, p, func(ctx context.Context) (struct{}, error) {
-		return struct{}{}, op(ctx)
-	})
-	return err
-}
-
-// Do is the generic form of Policy.Do for ops that return a value. The
-// value is delivered through the attempt's own channel, so an abandoned
-// attempt can never race with the caller.
+// backoff until MaxAttempts or the overall deadline. The value is
+// delivered through the attempt's own channel, so an abandoned attempt
+// can never race with the caller.
 func Do[T any](ctx context.Context, p Policy, op func(context.Context) (T, error)) (T, error) {
 	p = p.withDefaults()
 	var zero T

@@ -20,9 +20,17 @@ func fastPolicy(attempts int) Policy {
 	}
 }
 
+// do runs an error-only op through Do.
+func do(ctx context.Context, p Policy, op func(context.Context) error) error {
+	_, err := Do(ctx, p, func(ctx context.Context) (struct{}, error) {
+		return struct{}{}, op(ctx)
+	})
+	return err
+}
+
 func TestDoRetriesTransientFailures(t *testing.T) {
 	calls := 0
-	err := fastPolicy(3).Do(bg, func(context.Context) error {
+	err := do(bg, fastPolicy(3), func(context.Context) error {
 		calls++
 		if calls < 3 {
 			return errors.New("transient")
@@ -39,7 +47,7 @@ func TestDoRetriesTransientFailures(t *testing.T) {
 
 func TestDoStopsAtMaxAttempts(t *testing.T) {
 	calls := 0
-	err := fastPolicy(3).Do(bg, func(context.Context) error {
+	err := do(bg, fastPolicy(3), func(context.Context) error {
 		calls++
 		return errors.New("still broken")
 	})
@@ -55,7 +63,7 @@ func (permErr) Retryable() bool { return false }
 
 func TestDoHonorsRetryableInterface(t *testing.T) {
 	calls := 0
-	err := fastPolicy(5).Do(bg, func(context.Context) error {
+	err := do(bg, fastPolicy(5), func(context.Context) error {
 		calls++
 		return fmt.Errorf("wrapped: %w", permErr{})
 	})
@@ -67,7 +75,7 @@ func TestDoHonorsRetryableInterface(t *testing.T) {
 func TestDoNeverRetriesCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(bg)
 	calls := 0
-	err := fastPolicy(5).Do(ctx, func(context.Context) error {
+	err := do(ctx, fastPolicy(5), func(context.Context) error {
 		calls++
 		cancel()
 		return context.Canceled
@@ -84,7 +92,7 @@ func TestAttemptTimeoutAbandonsHangingOp(t *testing.T) {
 	var calls atomic.Int32
 	start := time.Now()
 	// The op ignores its context entirely — the worst-behaved callee.
-	err := p.Do(bg, func(context.Context) error {
+	err := do(bg, p, func(context.Context) error {
 		calls.Add(1)
 		time.Sleep(500 * time.Millisecond)
 		return nil
@@ -104,7 +112,7 @@ func TestAttemptTimeoutAbandonsHangingOp(t *testing.T) {
 func TestOverallTimeoutBoundsRetries(t *testing.T) {
 	p := Policy{MaxAttempts: 100, BaseBackoff: 5 * time.Millisecond, Timeout: 30 * time.Millisecond}
 	start := time.Now()
-	err := p.Do(bg, func(context.Context) error { return errors.New("down") })
+	err := do(bg, p, func(context.Context) error { return errors.New("down") })
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -231,7 +239,7 @@ func TestDoHonorsRetryAfterHint(t *testing.T) {
 	var first time.Time
 	var gap time.Duration
 	calls := 0
-	err := fastPolicy(2).Do(bg, func(context.Context) error {
+	err := do(bg, fastPolicy(2), func(context.Context) error {
 		calls++
 		if calls == 1 {
 			first = time.Now()
@@ -255,7 +263,7 @@ func TestDoIgnoresShorterRetryAfterHint(t *testing.T) {
 	var first time.Time
 	var gap time.Duration
 	calls := 0
-	err := p.Do(bg, func(context.Context) error {
+	err := do(bg, p, func(context.Context) error {
 		calls++
 		if calls == 1 {
 			first = time.Now()

@@ -47,10 +47,9 @@ type Backend struct {
 type RouterConfig struct {
 	// Shards is the tier membership; every entry joins the ring.
 	Shards []Backend
-	// Seed and Vnodes must match every shard's ShardConfig, or the
-	// router's placement disagrees with the shards' ownership gates.
-	Seed   uint64
-	Vnodes int
+	// Seed must match every shard's ShardConfig, or the router's
+	// placement disagrees with the shards' ownership gates.
+	Seed uint64
 	// Retry is the per-proxy retry policy (zero value: 3 attempts,
 	// 50ms base backoff). Retries honor a shard's Retry-After.
 	Retry resilience.Policy
@@ -61,10 +60,6 @@ type RouterConfig struct {
 	// HealthEvery is the /readyz polling period per shard (0 = no
 	// health gating; every shard is presumed ready).
 	HealthEvery time.Duration
-	// Client is the outbound HTTP client (nil = source.DefaultHTTPClient:
-	// a 30s ceiling over the tier's tuned connection pool; per-call
-	// deadlines come from the inbound context).
-	Client *http.Client
 	// Obs and Trace instrument the router (piye_router_* metrics, one
 	// trace per routed query). Both nil = no instrumentation.
 	Obs   *obs.Registry
@@ -129,16 +124,15 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("shard: router needs at least one shard")
 	}
 	rt := &Router{
-		cfg:    cfg,
-		ring:   New(cfg.Seed, cfg.Vnodes),
-		client: cfg.Client,
-		byName: map[string]*backendState{},
-		stop:   make(chan struct{}),
-	}
-	if rt.client == nil {
+		cfg:  cfg,
+		ring: New(cfg.Seed, DefaultVnodes),
 		// Every query of the tier crosses this hop: the stock transport's
 		// two idle connections per shard would re-dial most of them.
-		rt.client = source.DefaultHTTPClient()
+		// DefaultHTTPClient is a 30s ceiling over the tier's tuned
+		// connection pool; per-call deadlines come from the inbound context.
+		client: source.DefaultHTTPClient(),
+		byName: map[string]*backendState{},
+		stop:   make(chan struct{}),
 	}
 	for _, b := range cfg.Shards {
 		if b.Name == "" || b.URL == "" {

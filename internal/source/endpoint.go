@@ -333,43 +333,3 @@ func (l *Local) LinkageRecords(ctx context.Context, field string) ([]linkage.Enc
 	}
 	return v.([]linkage.EncodedRecord), nil
 }
-
-// PSIDoubleBlind is a convenience for tests and the mediator: it completes
-// the initiator side against a responder endpoint in the named suite
-// ("" = the initiator's preferred suite). It returns the double-blinded
-// versions of this endpoint's items (order-preserving) and of the
-// responder's items.
-func PSIDoubleBlind(ctx context.Context, initiator *Local, responder Endpoint, field, suite string) (own, theirs []psi.Element, err error) {
-	s, err := initiator.suiteFor(suite)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := initiator.psiParty(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	_, vals := initiator.items(field)
-	initiator.mBatch.Observe(float64(len(vals)))
-	blindedOwn := psi.MarshalElems(s, p.BlindBatch(vals))
-	ownDouble, err := responder.PSIExponentiate(ctx, blindedOwn)
-	if err != nil {
-		return nil, nil, err
-	}
-	own, err = psi.UnmarshalElems(ownDouble, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	theirBlinded, err := responder.PSIBlinded(ctx, field, s.Name())
-	if err != nil {
-		return nil, nil, err
-	}
-	theirElems, err := psi.UnmarshalElems(theirBlinded, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	theirs, err = p.ExponentiateBatch(theirElems)
-	if err != nil {
-		return nil, nil, err
-	}
-	return own, theirs, nil
-}

@@ -367,46 +367,6 @@ func TestHTTPEndpointParity(t *testing.T) {
 	}
 }
 
-func TestPSIDoubleBlindIntersection(t *testing.T) {
-	// Two sources sharing some patients by name; PSI finds the overlap.
-	mk := func(name string, names []string) *Local {
-		root := xmltree.NewElem("reg")
-		for _, n := range names {
-			root.Append(xmltree.NewElem("patient").Append(xmltree.NewText("name", n)))
-		}
-		pol, _ := policy.NewPolicy(name, policy.Allow)
-		s, err := New(Config{Name: name, Docs: []*xmltree.Node{root}, Policy: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := NewLocal(s, []byte("shared"), psi.TestGroup())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
-	}
-	a := mk("A", []string{"alice", "bob", "carol"})
-	b := mk("B", []string{"carol", "dave", "alice"})
-	own, theirs, err := PSIDoubleBlind(bg, a, b, "name", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite := psi.P256Suite() // both sources default-prefer the EC suite
-	inB := map[string]bool{}
-	for _, e := range theirs {
-		inB[string(suite.AppendElement(nil, e))] = true
-	}
-	matches := 0
-	for _, e := range own {
-		if inB[string(suite.AppendElement(nil, e))] {
-			matches++
-		}
-	}
-	if matches != 2 {
-		t.Errorf("psi overlap = %d, want 2", matches)
-	}
-}
-
 func TestNewLocalValidation(t *testing.T) {
 	src := hospitalSource(t)
 	if _, err := NewLocal(nil, []byte("s"), nil); err == nil {

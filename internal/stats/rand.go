@@ -87,57 +87,3 @@ func (r *Rand) Laplace(mean, b float64) float64 {
 	}
 	return mean - sign*b*math.Log(1-2*u)
 }
-
-// Exponential returns an exponentially distributed value with the given
-// rate lambda.
-func (r *Rand) Exponential(lambda float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / lambda
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle performs a Fisher-Yates shuffle of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Sample returns k distinct indices drawn uniformly from [0, n) using
-// reservoir sampling. If k >= n every index is returned.
-func (r *Rand) Sample(n, k int) []int {
-	if k >= n {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = i
-	}
-	for i := k; i < n; i++ {
-		j := r.Intn(i + 1)
-		if j < k {
-			out[j] = i
-		}
-	}
-	return out
-}

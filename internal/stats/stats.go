@@ -170,53 +170,6 @@ func Entropy(counts []int) float64 {
 	return h
 }
 
-// Histogram counts xs into nbins equal-width bins over [lo, hi]. Values
-// outside the range are clamped into the edge bins.
-func Histogram(xs []float64, lo, hi float64, nbins int) ([]int, error) {
-	if nbins <= 0 {
-		return nil, fmt.Errorf("stats: nbins must be positive, got %d", nbins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: invalid range [%v,%v]", lo, hi)
-	}
-	bins := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		bins[i]++
-	}
-	return bins, nil
-}
-
-// Correlation returns the Pearson correlation coefficient of xs and ys.
-func Correlation(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	mx, _ := Mean(xs)
-	my, _ := Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: zero variance")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
 // SampleStdDev returns the Bessel-corrected (n-1) sample standard
 // deviation. Calibration against Figure 1(d) shows the paper's published
 // sigma values are sample standard deviations over the four HMOs (see

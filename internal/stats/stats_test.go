@@ -105,48 +105,6 @@ func TestEntropy(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	bins, err := Histogram([]float64{0, 0.5, 1.5, 2.5, 9.9, -3, 12}, 0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{3, 1, 1, 0, 0, 0, 0, 0, 0, 2} // -3 clamps low, 12 clamps high
-	for i := range want {
-		if bins[i] != want[i] {
-			t.Fatalf("bins = %v, want %v", bins, want)
-		}
-	}
-	if _, err := Histogram(nil, 5, 5, 3); err == nil {
-		t.Error("degenerate range should error")
-	}
-	if _, err := Histogram(nil, 0, 1, 0); err == nil {
-		t.Error("zero bins should error")
-	}
-}
-
-func TestCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	r, err := Correlation(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(r, 1, 1e-12) {
-		t.Errorf("corr = %v, want 1", r)
-	}
-	neg := []float64{8, 6, 4, 2}
-	r, _ = Correlation(xs, neg)
-	if !almost(r, -1, 1e-12) {
-		t.Errorf("corr = %v, want -1", r)
-	}
-	if _, err := Correlation(xs, []float64{1}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := Correlation(xs, []float64{3, 3, 3, 3}); err == nil {
-		t.Error("zero variance should error")
-	}
-}
-
 func TestVarianceMatchesDefinition(t *testing.T) {
 	// Property: population variance computed here matches the direct
 	// two-pass definition for arbitrary inputs.
@@ -254,37 +212,6 @@ func TestRandLaplaceMoments(t *testing.T) {
 	// Laplace variance is 2b^2 = 8, sd ~ 2.828.
 	if !almost(sd, math.Sqrt2*2, 0.08) {
 		t.Errorf("laplace sd = %v, want %v", sd, math.Sqrt2*2)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRand(3)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestSampleDistinct(t *testing.T) {
-	r := NewRand(5)
-	s := r.Sample(1000, 50)
-	if len(s) != 50 {
-		t.Fatalf("Sample returned %d values, want 50", len(s))
-	}
-	seen := map[int]bool{}
-	for _, v := range s {
-		if v < 0 || v >= 1000 || seen[v] {
-			t.Fatalf("Sample not distinct in range: %v", s)
-		}
-		seen[v] = true
-	}
-	all := r.Sample(5, 10)
-	if len(all) != 5 {
-		t.Fatalf("Sample(k>=n) returned %d, want 5", len(all))
 	}
 }
 

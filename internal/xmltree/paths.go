@@ -66,15 +66,6 @@ func CompilePattern(src string) (*PathPattern, error) {
 	return p, nil
 }
 
-// MustCompilePattern is CompilePattern that panics, for static patterns.
-func MustCompilePattern(src string) *PathPattern {
-	p, err := CompilePattern(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // String returns the original pattern source.
 func (p *PathPattern) String() string { return p.src }
 

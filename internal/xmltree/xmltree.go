@@ -181,25 +181,3 @@ func (n *Node) Remove() {
 	}
 	n.Parent = nil
 }
-
-// Equal reports deep equality of two subtrees (names, attrs, text,
-// children, order-sensitive).
-func Equal(a, b *Node) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.Name != b.Name || a.Text != b.Text || len(a.Children) != len(b.Children) || len(a.Attrs) != len(b.Attrs) {
-		return false
-	}
-	for k, v := range a.Attrs {
-		if bv, ok := b.Attrs[k]; !ok || bv != v {
-			return false
-		}
-	}
-	for i := range a.Children {
-		if !Equal(a.Children[i], b.Children[i]) {
-			return false
-		}
-	}
-	return true
-}

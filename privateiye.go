@@ -40,6 +40,11 @@ import (
 // SystemConfig assembles a deployment; see core.SystemConfig.
 type SystemConfig = core.SystemConfig
 
+// MediatorConfig configures the mediation engine (warehouse, privacy
+// control threshold, durability, admission, ...); set it on
+// SystemConfig.Mediator. See mediator.Config.
+type MediatorConfig = mediator.Config
+
 // SourceConfig configures one in-process source; see source.Config.
 type SourceConfig = source.Config
 
