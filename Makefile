@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-fast test-race test-short test-integration test-shard cover bench bench-quick bench-psi attack experiments examples fmt fmt-check fuzz crash loc
+.PHONY: all build vet test test-fast test-race test-short test-integration test-shard cover bench bench-quick bench-psi bench-gate attack experiments examples fmt fmt-check fuzz crash loc
 
 all: build vet test
 
@@ -49,10 +49,11 @@ bench:
 # benchmarks still build and run, not a measurement. The source pair
 # prints allocs/op, which repeats exactly even at one iteration: Warm
 # (plan from the cache) reading like ColdPlan means planning is back on
-# the hit path.
+# the hit path. So do the codec's: Parse reading hundreds of allocs/op
+# means text is allocated per value again, not per document.
 bench-quick:
 	$(GO) test -run '^$$' -bench 'PSI|PIQL|Fig1dInference' -benchtime 1x .
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/xmltree/
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/xmltree/
 	$(GO) test -run '^$$' -bench SourceExecute -benchtime 1x -benchmem ./internal/source/
 
 # The PSI suite comparison: cold-start blinding across suites (the
@@ -60,6 +61,14 @@ bench-quick:
 # hash-to-group kernels. Printed, not gated.
 bench-psi:
 	$(GO) test -run '^$$' -bench 'BenchmarkBlindCold|BenchmarkHashToGroup' -benchmem ./internal/psi/
+
+# The perf gate: each BENCHMARK.json workload once at the short run length
+# recorded in the latest BENCH_<pr>.json, failing if allocs_per_op or
+# wire_kb_per_op (the two metrics that repeat to ~0.01 % on any machine)
+# is more than the BENCHMARK.json bound over the committed figure. A PR
+# that moves either on purpose commits its own BENCH_<pr>.json.
+bench-gate:
+	BENCH_GATE=1 $(GO) test -count=1 -run '^TestBenchGate$$' -v .
 
 # Short native-fuzzing runs over the untrusted-input decoders and the
 # ring invariants: WAL record decoding, the PIQL parser, the XML envelope

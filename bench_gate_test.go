@@ -1,0 +1,117 @@
+package privateiye_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// gatedMetrics are the end-to-end metrics that repeat to ~0.01 % across
+// runs and seeds on any machine, and so can fail a build; heap and set-up
+// time cannot (EXPERIMENTS.md E26–E32).
+var gatedMetrics = []string{"allocs_per_op", "wire_kb_per_op"}
+
+type benchReport struct {
+	Correct bool `json:"correct"`
+	Failed  int  `json:"failed"`
+	Metrics map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+}
+
+// TestBenchGate is `make bench-gate`: every BENCHMARK.json workload once,
+// at the seed and the short run length the latest committed BENCH_<pr>.json
+// recorded its gate figures at, failing if a gated metric is worse than
+// the committed figure by more than BENCHMARK.json's bound for it. It
+// runs only when asked to (a minute of `go run ./bench/load`).
+func TestBenchGate(t *testing.T) {
+	if os.Getenv("BENCH_GATE") == "" {
+		t.Skip("set BENCH_GATE=1, or run `make bench-gate`")
+	}
+	var contract struct {
+		Workloads []struct{ Name string } `json:"workloads"`
+		EndToEnd  []struct {
+			Name  string
+			Bound float64
+		} `json:"end_to_end"`
+	}
+	readJSON(t, "BENCHMARK.json", &contract)
+	bound := map[string]float64{}
+	for _, m := range contract.EndToEnd {
+		bound[m.Name] = m.Bound
+	}
+	var record struct {
+		Gate struct {
+			Seed      int                    `json:"seed"`
+			Seconds   float64                `json:"seconds"`
+			Workloads map[string]benchReport `json:"workloads"`
+		} `json:"gate"`
+	}
+	latest := latestBenchRecord(t)
+	readJSON(t, latest, &record)
+
+	for _, w := range contract.Workloads {
+		want, ok := record.Gate.Workloads[w.Name]
+		if !ok {
+			t.Errorf("%s records no gate figures for workload %s", latest, w.Name)
+			continue
+		}
+		cmd := exec.Command("go", "run", "./bench/load", "--workload", w.Name, "--trace", "0",
+			"--seed", strconv.Itoa(record.Gate.Seed), "--seconds", fmt.Sprint(record.Gate.Seconds))
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", w.Name, err, out)
+		}
+		lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+		var got benchReport
+		if err := json.Unmarshal(lines[len(lines)-1], &got); err != nil {
+			t.Fatalf("%s: last line of output is not a report: %v", w.Name, err)
+		}
+		if !got.Correct || got.Failed != 0 {
+			t.Errorf("%s: %d failed ops", w.Name, got.Failed)
+		}
+		for _, m := range gatedMetrics {
+			g, c := got.Metrics[m].Value, want.Metrics[m].Value
+			t.Logf("%-14s %-15s %12.3f  committed %12.3f  (%+.2f %%)", w.Name, m, g, c, 100*(g/c-1))
+			if g > c*(1+bound[m]) {
+				t.Errorf("%s: %s = %.3f, more than %.0f %% over the %.3f committed in %s",
+					w.Name, m, g, 100*bound[m], c, latest)
+			}
+		}
+	}
+}
+
+func readJSON(t *testing.T, path string, into any) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(b, into)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+}
+
+// latestBenchRecord is the BENCH_<pr>.json with the highest PR number.
+func latestBenchRecord(t *testing.T) string {
+	t.Helper()
+	files, _ := filepath.Glob("BENCH_*.json")
+	latest, highest := "", -1
+	for _, f := range files {
+		pr, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(f, "BENCH_"), ".json"))
+		if err == nil && pr > highest {
+			latest, highest = f, pr
+		}
+	}
+	if latest == "" {
+		t.Fatal("no BENCH_<pr>.json committed")
+	}
+	return latest
+}

@@ -5,7 +5,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"privateiye/internal/piql"
 	"privateiye/internal/source"
@@ -154,5 +156,193 @@ func TestDedupeResultOwnsItsRows(t *testing.T) {
 	}
 	if c := cap(out.Rows[0][:1]); c != 1 {
 		t.Fatalf("kept row capacity %d: rows must be clipped to their width", c)
+	}
+}
+
+// wireEndpoint answers like the endpoint it wraps, but every answer makes
+// the trip through the codec an HTTP hop would give it, and the memory of
+// every text the parse produced is remembered.
+type wireEndpoint struct {
+	source.Endpoint
+	mu     sync.Mutex
+	parsed [][2]uintptr // [start, end) of each parsed Text and attribute value
+}
+
+func (w *wireEndpoint) Query(ctx context.Context, text, requester string) (*xmltree.Node, error) {
+	n, err := w.Endpoint.Query(ctx, text, requester)
+	if err != nil {
+		return nil, err
+	}
+	back, err := xmltree.ParseString(n.String())
+	if err != nil {
+		return nil, err
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	back.Walk(func(n *xmltree.Node) bool {
+		w.remember(n.Text)
+		for _, v := range n.Attrs {
+			w.remember(v)
+		}
+		return true
+	})
+	return back, nil
+}
+
+func (w *wireEndpoint) remember(s string) {
+	if s != "" {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		w.parsed = append(w.parsed, [2]uintptr{p, p + uintptr(len(s))})
+	}
+}
+
+// view reports whether s is (part of) a text some parse produced.
+func (w *wireEndpoint) view(s string) bool {
+	if s == "" {
+		return false
+	}
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, r := range w.parsed {
+		if r[0] <= p && p < r[1] {
+			return true
+		}
+	}
+	return false
+}
+
+// A parsed answer's text is one string per document, so a single kept
+// cell would pin all of it. Nothing that outlives the request may be such
+// a view: not the integrated result its caller and every coalesced
+// follower get, not the warehouse entry, not a ledger release.
+func TestIntegratedResultOwnsItsCells(t *testing.T) {
+	check := func(t *testing.T, w *wireEndpoint, where string, texts ...string) {
+		t.Helper()
+		for _, s := range texts {
+			if w.view(s) {
+				t.Errorf("%s keeps %q as a view into a parsed answer", where, s)
+			}
+		}
+	}
+	cells := func(res *piql.Result) []string {
+		out := append([]string{}, res.Columns...)
+		for _, row := range res.Rows {
+			out = append(out, row...)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name, query string
+		endpoint    func(*testing.T) source.Endpoint
+		ledgered    bool
+	}{
+		{"plain", "FOR //patients/row WHERE //age > 40 RETURN //age, //sex PURPOSE research MAXLOSS 0.9",
+			func(t *testing.T) source.Endpoint { return twoHospitals(t)[0] }, false},
+		{"aggregate", perTestQuery, figure1Endpoint, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := &wireEndpoint{Endpoint: tc.endpoint(t)}
+			m, err := New(Config{
+				Endpoints: []source.Endpoint{w}, WarehouseCapacity: 8, WarehouseTTL: 1 << 30,
+				MaxDisclosure: 0.9, LedgerTolerance: 0.05,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := m.Query(tc.query, "r")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(in.Result.Rows) == 0 || len(w.parsed) == 0 {
+				t.Fatalf("nothing crossed the wire: %d rows, %d parsed texts", len(in.Result.Rows), len(w.parsed))
+			}
+			// The check has teeth: a cell straight off the parse is a view.
+			if !w.view(w.lastCell(t, tc.query)) {
+				t.Fatal("a freshly parsed cell is not recognised as a view")
+			}
+			check(t, w, "the integrated result", cells(in.Result)...)
+			again, err := m.Query(tc.query, "r")
+			if err != nil || !again.FromWarehouse {
+				t.Fatalf("want the warehouse entry back, got %+v, %v", again, err)
+			}
+			check(t, w, "the warehouse entry", cells(again.Result)...)
+			rels := m.ledger.byRequester["r"]
+			if tc.ledgered != (len(rels) == 1) {
+				t.Fatalf("ledger holds %d releases", len(rels))
+			}
+			for _, rel := range rels {
+				check(t, w, "a ledger release", rel.target, rel.valueCol, rel.axis)
+				for k := range rel.means {
+					check(t, w, "a ledger release", k)
+				}
+				for k := range rel.sigmas {
+					check(t, w, "a ledger release", k)
+				}
+			}
+		})
+	}
+}
+
+// lastCell asks the wrapped endpoint once more and returns a cell of the
+// answer as parsed.
+func (w *wireEndpoint) lastCell(t *testing.T, query string) string {
+	t.Helper()
+	n, err := w.Query(context.Background(), query, "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := n.Child("result").Children
+	return rows[len(rows)-1].Children[0].Text
+}
+
+// droppingEndpoint loses the last element of every exponentiated column
+// on the way back, leaving the envelope otherwise as the source wrote it.
+type droppingEndpoint struct{ source.Endpoint }
+
+func (d droppingEndpoint) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error) {
+	n, err := d.Endpoint.PSIExponentiate(ctx, elems)
+	if err == nil {
+		n.Children = n.Children[:len(n.Children)-1]
+	}
+	return n, err
+}
+
+// malformingEndpoint answers with a column whose first element is not in
+// canonical form (uppercase hex of the same value).
+type malformingEndpoint struct{ source.Endpoint }
+
+func (d malformingEndpoint) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error) {
+	n, err := d.Endpoint.PSIExponentiate(ctx, elems)
+	if err == nil {
+		n.Children[0].Text = strings.ToUpper(n.Children[0].Text)
+	}
+	return n, err
+}
+
+// The relay compares texts, so a column that arrives short or in another
+// spelling would under-count the overlap without anyone noticing. It is
+// refused instead, whichever of the two sources it came back from.
+func TestPrivateOverlapRefusesDamagedColumns(t *testing.T) {
+	a := registry(t, "A", "alice", "bob", "carol", "dave")
+	b := registry(t, "B", "carol", "erin", "alice")
+	ctx := context.Background()
+	if n, err := PrivateOverlap(ctx, a, b, "name", ""); err != nil || n != 2 {
+		t.Fatalf("intact relay: overlap %d, %v", n, err)
+	}
+	for _, tc := range []struct {
+		name string
+		a, b source.Endpoint
+		want string
+	}{
+		{"B drops an element of A's column", a, droppingEndpoint{b}, `n="4"`},
+		{"A drops an element of B's column", droppingEndpoint{a}, b, `n="3"`},
+		{"B answers in uppercase hex", a, malformingEndpoint{b}, "element 0"},
+		{"A answers in uppercase hex", malformingEndpoint{a}, b, "element 0"},
+	} {
+		n, err := PrivateOverlap(ctx, tc.a, tc.b, "name", "")
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: overlap %d, err %v; want a refusal naming %s", tc.name, n, err, tc.want)
+		}
 	}
 }

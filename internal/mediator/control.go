@@ -117,15 +117,26 @@ func PrivateOverlap(ctx context.Context, a, b source.Endpoint, field, suite stri
 		return 0, fmt.Errorf("mediator: psi suites diverge between %s (%q) and %s (%q)",
 			b.Name(), sa, a.Name(), sb)
 	}
-	inA := map[string]bool{}
-	for _, e := range aDouble.ChildrenNamed("e") {
+	// Nor is it meaningful over a column that lost elements on the way or
+	// whose elements are not in canonical form: equal elements would then
+	// compare unequal and the overlap silently under-count.
+	aElems, err := psi.CheckedElems(aDouble)
+	if err != nil {
+		return 0, fmt.Errorf("mediator: psi answer from %s: %w", b.Name(), err)
+	}
+	bElems, err := psi.CheckedElems(bDouble)
+	if err != nil {
+		return 0, fmt.Errorf("mediator: psi answer from %s: %w", a.Name(), err)
+	}
+	inA := make(map[string]bool, len(aElems))
+	for _, e := range aElems {
 		inA[e.Text] = true
 	}
 	// Count distinct double-blinded values of B present in A's set, so
 	// duplicates within one source do not inflate the overlap.
 	counted := map[string]bool{}
 	n := 0
-	for _, e := range bDouble.ChildrenNamed("e") {
+	for _, e := range bElems {
 		if inA[e.Text] && !counted[e.Text] {
 			counted[e.Text] = true
 			n++

@@ -86,21 +86,25 @@ func mergeAnswers(answers []*answer) *piql.Result {
 	return out
 }
 
-// ownRows copies rows into a backing array of their own. The integrated
-// result outlives the request (warehouse entry, coalesced followers), and
-// the rows dedupe keeps are views into mergeAnswers' slab: retained as
-// they are, eight kept rows would pin the slab of all ~820 shipped.
+// ownRows copies rows, cells included, into memory of their own. The
+// integrated result outlives the request (warehouse entry, coalesced
+// followers), and what dedupe keeps is views twice over: the rows into
+// mergeAnswers' slab, the cells into the text of the parsed answers.
+// Retained as they are, eight kept decades would pin the slab of all
+// ~820 shipped rows and three whole answer texts.
 func ownRows(rows [][]string, width int) [][]string {
 	out := piql.NewRows(len(rows), width)
 	for i, r := range rows {
-		copy(out[i], r)
+		for j, c := range r {
+			out[i][j] = strings.Clone(c)
+		}
 	}
 	return out
 }
 
 // dedupe removes exact-duplicate rows always, and fuzzy duplicates on the
 // configured column via Bloom-encoded similarity. The result owns its
-// rows (see ownRows).
+// rows and their cells (see ownRows).
 func (m *Mediator) dedupe(res *piql.Result) (*piql.Result, int, error) {
 	out := &piql.Result{Columns: res.Columns}
 	removed := 0

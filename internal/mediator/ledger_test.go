@@ -23,6 +23,18 @@ import (
 // ledger check sees the Figure 1 numbers.
 func figure1Mediator(t *testing.T, maxDisclosure float64) *Mediator {
 	t.Helper()
+	// PlanCache is on so every ledger test also covers the cached-parse
+	// path: a hit must change nothing about what gets refused.
+	m, err := New(Config{Endpoints: []source.Endpoint{figure1Endpoint(t)}, MaxDisclosure: maxDisclosure, LedgerTolerance: 0.05, PlanCache: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// figure1Endpoint is the integrator source of figure1Mediator.
+func figure1Endpoint(t *testing.T) source.Endpoint {
+	t.Helper()
 	tab, err := clinical.ComplianceTable("compliance", clinical.HMOs, clinical.Tests, clinical.Figure1GroundTruth())
 	if err != nil {
 		t.Fatal(err)
@@ -45,13 +57,7 @@ func figure1Mediator(t *testing.T, maxDisclosure float64) *Mediator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// PlanCache is on so every ledger test also covers the cached-parse
-	// path: a hit must change nothing about what gets refused.
-	m, err := New(Config{Endpoints: []source.Endpoint{ep}, MaxDisclosure: maxDisclosure, LedgerTolerance: 0.05, PlanCache: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return ep
 }
 
 const (

@@ -278,25 +278,23 @@ func TestCheckAggregateReleaseFigure1(t *testing.T) {
 	}
 }
 
-func TestPrivateOverlap(t *testing.T) {
-	mk := func(name string, names []string) source.Endpoint {
-		root := xmltree.NewElem("reg")
-		for _, n := range names {
-			root.Append(xmltree.NewElem("patient").Append(xmltree.NewText("name", n)))
-		}
-		pol, _ := policy.NewPolicy(name, policy.Allow)
-		s, err := source.New(source.Config{Name: name, Docs: []*xmltree.Node{root}, Policy: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep, err := source.NewLocal(s, salt, psi.TestGroup())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ep
+// registry is an open-policy source holding one patient per name.
+func registry(t *testing.T, name string, names ...string) source.Endpoint {
+	t.Helper()
+	root := xmltree.NewElem("reg")
+	for _, n := range names {
+		root.Append(xmltree.NewElem("patient").Append(xmltree.NewText("name", n)))
 	}
-	a := mk("A", []string{"alice", "bob", "carol", "dave"})
-	b := mk("B", []string{"carol", "erin", "alice", "alice"}) // duplicate alice
+	pol, err := policy.NewPolicy(name, policy.Allow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return localEndpoint(t, source.Config{Name: name, Docs: []*xmltree.Node{root}, Policy: pol})
+}
+
+func TestPrivateOverlap(t *testing.T) {
+	a := registry(t, "A", "alice", "bob", "carol", "dave")
+	b := registry(t, "B", "carol", "erin", "alice", "alice") // duplicate alice
 	n, err := PrivateOverlap(context.Background(), a, b, "name", "")
 	if err != nil {
 		t.Fatal(err)

@@ -136,7 +136,9 @@ func foldGroups(res *piql.Result, keyIdx []int, aggCols []aggSpec) (*piql.Result
 		acc := groups[id]
 		row := make([]string, len(res.Columns))
 		for i, k := range keyIdx {
-			row[k] = acc.key[i]
+			// The folded result and the ledger release keyed by these cells
+			// outlive the request: no views into a parsed answer's text.
+			row[k] = strings.Clone(acc.key[i])
 		}
 		for i, a := range aggCols {
 			if !acc.seen[i] {

@@ -24,7 +24,8 @@ type Hierarchy struct {
 	// Name identifies the attribute family (for diagnostics).
 	Name string
 	// Levels[i] maps a raw value to its level-i generalization. Levels[0]
-	// must be the identity.
+	// must be the identity, and every level a pure function of its
+	// argument: callers generalize a repeated value once.
 	Levels []func(string) string
 }
 

@@ -364,3 +364,44 @@ func TestRowCopiesAllocatePerResult(t *testing.T) {
 		t.Error("a dropped-column row grew into its neighbour or its input")
 	}
 }
+
+// Generalizing a column costs one hierarchy application per distinct
+// value, not per row: a source ships ~273 ages in 8 decades per
+// cold_fanout answer, and the band formatter allocates.
+func TestGeneralizeAllocatesPerDistinctValue(t *testing.T) {
+	mk := func(rows int) *piql.Result {
+		res := &piql.Result{Columns: []string{"age"}, Rows: piql.NewRows(rows, 1)}
+		for i, row := range res.Rows {
+			row[0] = strconv.Itoa(25 + 10*(i%8))
+		}
+		return res
+	}
+	calls := 0
+	counted := AgeHierarchy()
+	band := counted.Levels[2]
+	counted.Levels[2] = func(s string) string { calls++; return band(s) }
+	in := mk(273)
+	out, err := Generalize{Column: "age", Hierarchy: counted, Level: 2}.Apply(in, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := map[string]bool{}
+	for i, row := range in.Rows {
+		distinct[row[0]] = true
+		if want := band(row[0]); out.Rows[i][0] != want {
+			t.Fatalf("row %d: %q generalized to %q, want %q", i, row[0], out.Rows[i][0], want)
+		}
+	}
+	if calls != 8 || len(distinct) != 8 {
+		t.Errorf("hierarchy applied %d times for %d distinct values in %d rows", calls, len(distinct), len(in.Rows))
+	}
+	// The same eight values over four times the rows: no more allocations
+	// (a few of slack: under -race fmt's pooled printers come and go).
+	g := Generalize{Column: "age", Hierarchy: AgeHierarchy(), Level: 2}
+	small, large := mk(80), mk(320)
+	a := testing.AllocsPerRun(20, func() { _, _ = g.Apply(small, nil) })
+	b := testing.AllocsPerRun(20, func() { _, _ = g.Apply(large, nil) })
+	if b > a+4 {
+		t.Errorf("Generalize: %v allocs for 80 rows, %v for 320 rows of the same 8 values", a, b)
+	}
+}

@@ -119,8 +119,16 @@ func (g Generalize) Apply(res *piql.Result, _ *stats.Rand) (*piql.Result, error)
 	if i < 0 {
 		return out, nil
 	}
+	// A level is a pure function of the value and a column has few
+	// distinct ones (eight decades in ~270 ages): apply it once per value.
+	memo := map[string]string{}
 	for _, row := range out.Rows {
-		row[i] = g.Hierarchy.Apply(row[i], g.Level)
+		v, ok := memo[row[i]]
+		if !ok {
+			v = g.Hierarchy.Apply(row[i], g.Level)
+			memo[row[i]] = v
+		}
+		row[i] = v
 	}
 	return out, nil
 }

@@ -74,13 +74,64 @@ func TestExponentiateBatchWidthInvariant(t *testing.T) {
 			}
 			// The verdict names the lowest offending index, whichever
 			// worker would have reached its element first.
-			if _, err := a.ExponentiateBatch(bad); err == nil || !strings.Contains(err.Error(), "element 7 ") {
+			if _, err := a.ExponentiateBatch(bad); err == nil || !strings.Contains(err.Error(), "element 7:") {
 				t.Errorf("workers=%d: want the error for element 7, got %v", w, err)
 			}
 		}
 		// Rejected batches count nothing.
 		if _, _, exp := a.Stats(); exp != 5*50 {
 			t.Errorf("exponentiated = %d, want %d", exp, 5*50)
+		}
+	})
+}
+
+// The decoder fans out like the kernels do, and like them reports the
+// lowest offending index: two bad elements far enough apart to land in
+// different chunks at every width, one failing the hex form and one
+// membership, so the rule holds across the checks and not per check.
+func TestUnmarshalElemsErrorIsLowestIndex(t *testing.T) {
+	forEachSuite(t, func(t *testing.T, s Suite) {
+		a, _ := parties(t, s)
+		items := make([]string, 300)
+		for i := range items {
+			items[i] = fmt.Sprintf("elem-%03d", i)
+		}
+		blinded := a.BlindBatch(items)
+		const lowBad, highBad = 37, 290
+		wantErr := fmt.Sprintf("element %d:", lowBad)
+		bad := MarshalElems(s, blinded)
+		bad.Children[highBad].Text = strings.ToUpper(bad.Children[highBad].Text)
+		bad.Children[lowBad].Text = strings.Repeat("0", 2*s.ElementSize())
+		// The decoder runs at the pool's default width; scheduling varies
+		// from run to run, the verdict must not.
+		for run := 0; run < 10; run++ {
+			if _, err := UnmarshalElems(bad, s); err == nil || !strings.Contains(err.Error(), wantErr) {
+				t.Fatalf("run %d: want the error for element %d, got %v", run, lowBad, err)
+			}
+		}
+		// The loop under it and the kernel that shares it, at every width.
+		elems := append([]Element{}, blinded...)
+		elems[lowBad], elems[highBad] = nil, nil
+		for _, w := range []int{1, 0, 3, 8} {
+			visited := make([]bool, len(items))
+			err := forEachChecked(len(items), w, func(i int) error {
+				visited[i] = true
+				if i == lowBad || i == highBad {
+					return fmt.Errorf("bad %d", i)
+				}
+				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), wantErr) {
+				t.Fatalf("workers=%d: forEachChecked: want the error for element %d, got %v", w, lowBad, err)
+			}
+			for i := 0; i < lowBad; i++ {
+				if !visited[i] {
+					t.Fatalf("workers=%d: element %d below the first failure was never checked", w, i)
+				}
+			}
+			if _, err := a.SetWorkers(w).ExponentiateBatch(elems); err == nil || !strings.Contains(err.Error(), wantErr) {
+				t.Fatalf("workers=%d: ExponentiateBatch: want the error for element %d, got %v", w, lowBad, err)
+			}
 		}
 	})
 }

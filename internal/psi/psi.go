@@ -159,32 +159,55 @@ func (p *Party) BlindBatch(items []string) []Element {
 	return out
 }
 
-// ExponentiateBatch applies this party's secret to already-blinded
-// elements (received from the peer), preserving order: the second
-// message. Peer elements are validated and then exponentiated one pool
-// task per contiguous run; they are never cached (each round's peer
-// blinding is fresh).
-func (p *Party) ExponentiateBatch(elems []Element) ([]Element, error) {
-	// Validate serially first: membership errors must be deterministic
-	// and reported for the lowest offending index, not whichever worker
-	// happened to reach its element first.
-	for i, e := range elems {
-		if e == nil {
-			return nil, fmt.Errorf("psi: element %d is nil", i)
-		}
-		if err := p.suite.Validate(e); err != nil {
-			return nil, fmt.Errorf("psi: element %d: %w", i, err)
-		}
-	}
-	n := len(elems)
-	p.expItems.Add(uint64(n))
-	out := make([]Element, n)
-	_ = parallel.ForEachChunk(context.Background(), n, p.workers, 0, func(lo, hi int) error {
+// forEachChecked runs fn over [0, n) in chunks across the worker pool.
+// A chunk stops at its first failure but every chunk runs (none reports
+// its failure to the pool), and the error returned is the one at the
+// lowest index: what the serial loop would have reported, whichever
+// worker got where first.
+func forEachChecked(n, workers int, fn func(i int) error) error {
+	var mu sync.Mutex
+	var bad int
+	var badErr error
+	_ = parallel.ForEachChunk(context.Background(), n, workers, 0, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			out[i] = p.suite.Exp(elems[i], p.secret)
+			if err := fn(i); err != nil {
+				mu.Lock()
+				if badErr == nil || i < bad {
+					bad, badErr = i, err
+				}
+				mu.Unlock()
+				break
+			}
 		}
 		return nil
 	})
+	if badErr != nil {
+		return fmt.Errorf("psi: element %d: %w", bad, badErr)
+	}
+	return nil
+}
+
+// ExponentiateBatch applies this party's secret to already-blinded
+// elements (received from the peer), preserving order: the second
+// message. Every peer element is validated, then exponentiated, one pool
+// task per contiguous run; they are never cached (each round's peer
+// blinding is fresh). A membership error names the lowest offending
+// index, and a rejected batch returns nothing.
+func (p *Party) ExponentiateBatch(elems []Element) ([]Element, error) {
+	n := len(elems)
+	out := make([]Element, n)
+	err := forEachChecked(n, p.workers, func(i int) error {
+		// Validate also refuses a nil element.
+		if err := p.suite.Validate(elems[i]); err != nil {
+			return err
+		}
+		out[i] = p.suite.Exp(elems[i], p.secret)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	p.expItems.Add(uint64(n))
 	return out, nil
 }
 

@@ -365,6 +365,31 @@ func TestWireRejectsBadInput(t *testing.T) {
 		if _, err := UnmarshalElems(node, s); err != nil {
 			t.Errorf("restored canonical envelope should parse: %v", err)
 		}
+		// A declared count that is not the count that arrived: a column
+		// truncated on the way must not decode as a shorter column.
+		full := MarshalElems(s, a.BlindBatch([]string{"x", "y", "z"}))
+		full.Children = full.Children[:2]
+		if _, err := UnmarshalElems(full, s); err == nil || !strings.Contains(err.Error(), `n="3"`) {
+			t.Errorf("truncated envelope (n=3, 2 elements) should fail on the count, got %v", err)
+		}
+		if _, err := CheckedElems(full); err == nil {
+			t.Error("a relay must refuse the truncated envelope too")
+		}
+		for _, n := range []string{"", "two", "-2", "1"} {
+			full.SetAttr("n", n)
+			if _, err := UnmarshalElems(full, s); err == nil {
+				t.Errorf("n=%q over 2 elements should fail", n)
+			}
+		}
+		full.SetAttr("n", "2")
+		if back, err := UnmarshalElems(full, s); err != nil || len(back) != 2 {
+			t.Errorf("n=2 over 2 elements should parse: %v", err)
+		}
+		// Senders that never wrote a count are taken as they come.
+		delete(full.Attrs, "n")
+		if back, err := UnmarshalElems(full, s); err != nil || len(back) != 2 {
+			t.Errorf("envelope without n should parse: %v", err)
+		}
 	})
 	// Out-of-range / non-member payloads per suite.
 	g := TestGroup()
@@ -405,6 +430,47 @@ func TestWireRejectsBadInput(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no off-curve x candidate found in scan range")
+	}
+}
+
+// What a relay checks without a group: the width of the suite the
+// envelope names, lowercase hex, the declared count. Not membership.
+func TestCheckedElems(t *testing.T) {
+	for _, s := range []Suite{P256Suite(), ModPSuite(TestGroup()), ModPSuite(DefaultGroup())} {
+		a, err := NewParty(s, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := MarshalElems(s, a.BlindBatch([]string{"x", "y"}))
+		kids, err := CheckedElems(node)
+		if err != nil || len(kids) != 2 {
+			t.Fatalf("%s: canonical envelope refused: %v", s.Name(), err)
+		}
+		canon := kids[1].Text
+		for name, text := range map[string]string{
+			"short": canon[2:], "long": "00" + canon, "upper": strings.ToUpper(canon), "not hex": "zz" + canon[2:],
+		} {
+			kids[1].Text = text
+			if _, err := CheckedElems(node); err == nil || !strings.Contains(err.Error(), "element 1:") {
+				t.Errorf("%s: %s element should be refused at index 1, got %v", s.Name(), name, err)
+			}
+		}
+		kids[1].Text = canon
+		node.SetAttr("suite", "p384")
+		if _, err := CheckedElems(node); err == nil {
+			t.Errorf("%s: a suite the relay cannot size must be refused", s.Name())
+		}
+	}
+	// No suite attribute is a legacy MODP peer, held to the floor group.
+	legacy := MarshalElems(ModPSuite(DefaultGroup()), []Element{ModPSuite(DefaultGroup()).HashToGroup(nil, "x")})
+	delete(legacy.Attrs, "suite")
+	if _, err := CheckedElems(legacy); err != nil {
+		t.Errorf("legacy modp2048 envelope refused: %v", err)
+	}
+	short := MarshalElems(ModPSuite(TestGroup()), []Element{ModPSuite(TestGroup()).HashToGroup(nil, "x")})
+	delete(short.Attrs, "suite")
+	if _, err := CheckedElems(short); err == nil {
+		t.Error("unnamed envelope of another width accepted")
 	}
 }
 

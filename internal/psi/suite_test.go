@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"privateiye/internal/xmltree"
@@ -72,6 +73,24 @@ func BenchmarkHashToGroup(b *testing.B) {
 	}
 }
 
+// The envelope is one slab and one hex string: what it costs to build
+// does not depend on how many elements it carries.
+func TestMarshalElemsAllocations(t *testing.T) {
+	s := P256Suite()
+	a, err := NewParty(s, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]string, 500)
+	for i := range items {
+		items[i] = fmt.Sprintf("item-%d", i)
+	}
+	elems := a.BlindBatch(items)
+	if got := testing.AllocsPerRun(20, func() { MarshalElems(s, elems) }); got > 8 {
+		t.Errorf("MarshalElems of %d p256 elements: %v allocs, want <= 8", len(elems), got)
+	}
+}
+
 // FuzzUnmarshalElems pins that envelope decoding never panics on
 // arbitrary XML, for either suite, and that accepted input is exactly
 // canonical: re-encoding the decoded elements reproduces the input
@@ -92,6 +111,11 @@ func FuzzUnmarshalElems(f *testing.F) {
 	f.Add(`<psi-elems n="1" suite="p256"><e>02ab</e></psi-elems>`)
 	f.Add(`<psi-elems n="0"></psi-elems>`)
 	f.Add(`<other/>`)
+	// A truncated column: three declared, two carried.
+	trunc := MarshalElems(ec, c.BlindBatch([]string{"x", "y", "z"}))
+	trunc.Children = trunc.Children[:2]
+	f.Add(trunc.String())
+	f.Add(`<psi-elems n="x" suite="p256"/>`)
 	f.Fuzz(func(t *testing.T, doc string) {
 		node, err := xmltree.ParseString(doc)
 		if err != nil {
@@ -102,8 +126,20 @@ func FuzzUnmarshalElems(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			// Accepted: the canonical re-encoding must equal the input.
+			// Accepted: the canonical re-encoding must equal the input,
+			// a declared count included.
 			re := MarshalElems(s, elems)
+			if n, ok := node.Attr("n"); ok && n != re.Attrs["n"] {
+				if want, err := strconv.Atoi(n); err != nil || want != len(elems) {
+					t.Fatalf("%s: accepted n=%q over %d elems", s.Name(), n, len(elems))
+				}
+			}
+			// What a group-less relay checks is a subset of this.
+			if ws := WireSuiteName(node); ws == s.Name() {
+				if _, err := CheckedElems(node); err != nil {
+					t.Fatalf("%s: decodable envelope fails the relay's check: %v", s.Name(), err)
+				}
+			}
 			in := node.ChildrenNamed("e")
 			out := re.ChildrenNamed("e")
 			if len(in) != len(out) {

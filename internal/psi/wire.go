@@ -3,6 +3,8 @@ package psi
 import (
 	"encoding/hex"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"privateiye/internal/xmltree"
 )
@@ -21,19 +23,30 @@ import (
 // characters, non-members), so an element has exactly one wire form and
 // transcript comparison is byte comparison.
 //
+// n is the count the sender wrote; an envelope carrying another number of
+// elements is refused, or a truncated column would under-count the overlap.
+//
 // The suite attribute names the group the elements live in. Envelopes
 // written before suites existed carry no attribute; decoders treat that
 // as the legacy MODP group they were configured with.
 
-// MarshalElems encodes blinded group elements of one suite.
+// MarshalElems encodes blinded group elements of one suite: one slab, and
+// one hex string the element texts are slices of.
 func MarshalElems(s Suite, elems []Element) *xmltree.Node {
-	root := xmltree.NewElem("psi-elems").
-		SetAttr("n", fmt.Sprint(len(elems))).
+	n, width := len(elems), 2*s.ElementSize()
+	slab := xmltree.NewSlab(n+1, n)
+	root := slab.Elem("psi-elems", n).
+		SetAttr("n", strconv.Itoa(n)).
 		SetAttr("suite", s.Name())
-	buf := make([]byte, 0, s.ElementSize())
+	raw := make([]byte, 0, n*s.ElementSize())
 	for _, e := range elems {
-		buf = s.AppendElement(buf[:0], e)
-		root.Append(xmltree.NewText("e", hex.EncodeToString(buf)))
+		raw = s.AppendElement(raw, e)
+	}
+	text := hex.EncodeToString(raw)
+	for i := 0; i < n; i++ {
+		e := slab.Elem("e", 0)
+		e.Text = text[i*width : (i+1)*width]
+		root.Append(e)
 	}
 	return root
 }
@@ -45,33 +58,94 @@ func WireSuiteName(n *xmltree.Node) string {
 	return name
 }
 
-// UnmarshalElems decodes MarshalElems output against the expected suite,
-// enforcing canonical form: the envelope's suite attribute (when
-// present) must match, and every element must be exactly the suite's
-// fixed width in lowercase hex and decode to a valid group member.
-// Non-canonical encodings — overlong, leading-zero-padded beyond the
-// fixed width, uppercase hex — are rejected, so one element has one
-// wire form.
-func UnmarshalElems(n *xmltree.Node, s Suite) ([]Element, error) {
+// elemNodes returns the <e> children of a psi-elems envelope, refusing a
+// declared count that is not the count that arrived.
+func elemNodes(n *xmltree.Node) ([]*xmltree.Node, error) {
 	if n.Name != "psi-elems" {
 		return nil, fmt.Errorf("psi: expected <psi-elems>, got <%s>", n.Name)
+	}
+	kids := n.ChildrenNamed("e")
+	if v, ok := n.Attr("n"); ok {
+		if want, err := strconv.Atoi(v); err != nil || want != len(kids) {
+			return nil, fmt.Errorf("psi: envelope declares n=%q but carries %d elements", v, len(kids))
+		}
+	}
+	return kids, nil
+}
+
+// UnmarshalElems decodes MarshalElems output against the expected suite,
+// enforcing canonical form: the envelope's suite attribute (when
+// present) must match, its declared count (when present) must be the
+// number of elements it carries, and every element must be exactly the
+// suite's fixed width in lowercase hex and decode to a valid group
+// member. Non-canonical encodings — overlong, leading-zero-padded beyond
+// the fixed width, uppercase hex — are rejected, so one element has one
+// wire form. Elements decode in parallel (a point decompression each);
+// the error reported is the one at the lowest index.
+func UnmarshalElems(n *xmltree.Node, s Suite) ([]Element, error) {
+	kids, err := elemNodes(n)
+	if err != nil {
+		return nil, err
 	}
 	if ws, ok := n.Attr("suite"); ok && ws != s.Name() {
 		return nil, fmt.Errorf("psi: envelope suite %q does not match expected %q", ws, s.Name())
 	}
-	var out []Element
-	buf := make([]byte, s.ElementSize())
-	for i, c := range n.ChildrenNamed("e") {
-		if err := decodeCanonicalHex(buf, c.Text); err != nil {
-			return nil, fmt.Errorf("psi: element %d: %w", i, err)
+	size := s.ElementSize()
+	raw := make([]byte, len(kids)*size)
+	out := make([]Element, len(kids))
+	err = forEachChecked(len(kids), 0, func(i int) error {
+		b := raw[i*size : (i+1)*size]
+		if err := decodeCanonicalHex(b, kids[i].Text); err != nil {
+			return err
 		}
-		e, err := s.DecodeElement(buf)
-		if err != nil {
-			return nil, fmt.Errorf("psi: element %d: %w", i, err)
-		}
-		out = append(out, e)
+		e, err := s.DecodeElement(b)
+		out[i] = e
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// CheckedElems returns an envelope's <e> nodes after the checks a relay
+// holding no group can make before it compares their texts: the declared
+// count arrived, and every element is lowercase hex of exactly the width
+// of the suite the envelope names. Membership is UnmarshalElems' check.
+func CheckedElems(n *xmltree.Node) ([]*xmltree.Node, error) {
+	kids, err := elemNodes(n)
+	if err != nil {
+		return nil, err
+	}
+	size, err := wireElementSize(WireSuiteName(n))
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, size)
+	for i, k := range kids {
+		if err := decodeCanonicalHex(b, k.Text); err != nil {
+			return nil, fmt.Errorf("psi: element %d: %w", i, err)
+		}
+	}
+	return kids, nil
+}
+
+// wireElementSize is ElementSize by wire name alone: a MODP name carries
+// its modulus width (ModPSuite), and no name is a legacy MODP peer, held
+// to the floor group.
+func wireElementSize(name string) (int, error) {
+	switch name {
+	case SuiteNameP256:
+		return p256ElemSize, nil
+	case "":
+		name = SuiteNameModP2048
+	}
+	if digits, ok := strings.CutPrefix(name, "modp"); ok {
+		if bits, err := strconv.Atoi(digits); err == nil && bits > 0 {
+			return (bits + 7) / 8, nil
+		}
+	}
+	return 0, fmt.Errorf("psi: unknown suite %q", name)
 }
 
 // decodeCanonicalHex fills dst from exactly len(dst)*2 lowercase hex
@@ -82,11 +156,19 @@ func decodeCanonicalHex(dst []byte, text string) error {
 		return fmt.Errorf("encoding is %d hex chars, want %d", len(text), 2*len(dst))
 	}
 	for i := 0; i < len(text); i++ {
-		c := text[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return fmt.Errorf("encoding has non-canonical character %q at offset %d", c, i)
+		if !lowerHex[text[i]] {
+			return fmt.Errorf("encoding has non-canonical character %q at offset %d", text[i], i)
 		}
 	}
 	_, err := hex.Decode(dst, []byte(text))
 	return err
 }
+
+// lowerHex marks the canonical digits. A table, because comparing random
+// digits against '9' and 'a' mispredicts on nearly every other character.
+var lowerHex = func() (t [256]bool) {
+	for _, c := range "0123456789abcdef" {
+		t[c] = true
+	}
+	return t
+}()

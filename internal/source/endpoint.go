@@ -250,9 +250,13 @@ func (l *Local) psiParty(suite psi.Suite) (*psi.Party, error) {
 	return p, nil
 }
 
-// items returns the linkage items of a field along with their record ids.
+// maxLinkageItems bounds a whole-column linkage or PSI call.
+const maxLinkageItems = 1 << 20
+
+// items returns the linkage items of a field along with their record
+// ids, for the one caller that ships ids (LinkageRecords).
 func (l *Local) items(field string) (ids, values []string) {
-	vals := l.Src.fieldValues(field, 1<<20)
+	vals := l.Src.fieldValues(field, maxLinkageItems)
 	ids = make([]string, len(vals))
 	for i := range vals {
 		ids[i] = fmt.Sprintf("%s#%d", l.Src.Name(), i)
@@ -274,7 +278,7 @@ func (l *Local) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.N
 		if err != nil {
 			return nil, err
 		}
-		_, vals := l.items(field)
+		vals := l.Src.fieldValues(field, maxLinkageItems)
 		l.mBatch.Observe(float64(len(vals)))
 		return psi.MarshalElems(s, p.BlindBatch(vals)), nil
 	})

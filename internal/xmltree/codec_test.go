@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // referenceParse is the encoding/xml loop Parse was before the tokenizer,
@@ -241,6 +242,9 @@ func TestParseFailsOverOutsideSubset(t *testing.T) {
 		`<?xml version="1.0" standalone="yes"?><a/>`,
 		"\ufeff<a/>",
 		`text<a/>`,
+		// Text split so often that keeping it contiguous would copy it a
+		// thousand times over: the arena may not outgrow the body.
+		"<a>" + strings.Repeat("x<b>y</b>", 1000) + "</a>",
 	} {
 		if onFastPath(doc) {
 			t.Errorf("%q: tokenizer took a document outside its subset", doc)
@@ -272,6 +276,14 @@ func TestParseSubsetMatchesReference(t *testing.T) {
 		`<a-b.c_d><e1/></a-b.c_d >`,
 		"<a\n\tk=\"v\"\n/>",
 		"<a>\x7f</a>",
+		// A second run of an element's text: right behind the first in the
+		// arena (extended in place), or behind a child's text or attribute
+		// (moved to the end first).
+		`<a>x<b/>y<!-- c -->z</a>`,
+		`<a>x<b k="v">y</b>z<c>w</c>&amp;t</a>`,
+		`<a> x <b> y <c> z </c> y2 </b> x2 <d k="&lt;"/> x3 </a>`,
+		`<a>&#x20;x&#x20;<b/>&#xA0;&amp;&#x9;</a>`,
+		`<a k="&amp;" j="x&#65;" i="&apos;"><b k="&#x42;&#x43;"/>t</a>`,
 	} {
 		if !onFastPath(doc) {
 			t.Errorf("%q: expected the tokenizer to take this", doc)
@@ -297,18 +309,68 @@ func TestParseSubsetMatchesReference(t *testing.T) {
 	}
 }
 
-// A tree must own its memory: the pooled body buffer and scratch it was
-// parsed from are reused by the very next Parse.
+// A tree must own its memory: the pooled body buffer, text arena and span
+// list it was parsed from are reused by the very next Parse, including one
+// that fails over after it has written text into them.
 func TestParsedTreeSurvivesBufferReuse(t *testing.T) {
 	doc := answerNode(50).String()
 	first := mustParseString(doc)
-	want := first.Clone()
+	want := referenceClone(first)
 	for i := 0; i < 4; i++ {
 		mustParseString("<x k='&#88;&#88;&#88;'>&#89;&#89;&#89;</x>")
 		mustParseString(psiNode(40).String())
+		mustParseString(strings.Repeat("<r k='ZZZZZZZZ'>ZZZZZZZZ", 60) + "<![CDATA[z]]>" + strings.Repeat("</r>", 60))
+		if _, err := ParseString(strings.Repeat("<r k='QQQQ'>QQQQ", 80)); err == nil {
+			t.Fatal("unclosed document accepted")
+		}
 	}
 	if !Equal(first, want) {
 		t.Fatal("a later Parse overwrote an earlier tree")
+	}
+}
+
+// referenceClone deep-copies a tree into strings of its own, so that the
+// copy cannot share a parse arena with the original.
+func referenceClone(n *Node) *Node {
+	c := NewText(strings.Clone(n.Name), strings.Clone(n.Text))
+	for k, v := range n.Attrs {
+		c.SetAttr(strings.Clone(k), strings.Clone(v))
+	}
+	for _, ch := range n.Children {
+		c.Append(referenceClone(ch))
+	}
+	return c
+}
+
+// A parsed tree's text is one string: that is the claim the allocation
+// pins rest on and the reason long-lived holders clone (DESIGN.md §15).
+func TestParsedTextIsOneArena(t *testing.T) {
+	root := mustParseString(`<a k="v&amp;w">x<b j='u'>y</b>z<c/>&lt;</a>`)
+	var lo, hi uintptr
+	root.Walk(func(n *Node) bool {
+		texts := []string{n.Text}
+		for _, v := range n.Attrs {
+			texts = append(texts, v)
+		}
+		for _, s := range texts {
+			if s == "" {
+				continue
+			}
+			p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+			if lo == 0 || p < lo {
+				lo = p
+			}
+			hi = max(hi, p+uintptr(len(s)))
+		}
+		return true
+	})
+	// v&w u xz< y, in whatever order the arena holds them, and the bytes
+	// the relocation of <a>'s text left behind.
+	if span := hi - lo; span < 8 || span > 16 {
+		t.Fatalf("text of the tree spans %d bytes, want one arena of 8..16", span)
+	}
+	if root.Text != "xz<" || root.Children[0].Text != "y" || root.Attrs["k"] != "v&w" {
+		t.Fatalf("tree text wrong: %s", root)
 	}
 }
 
@@ -372,7 +434,9 @@ func TestNilAttrsUntilSetAttr(t *testing.T) {
 }
 
 // The allocation pins behind the cold_fanout claim: a 273-row answer is
-// what one source ships per op.
+// what one source ships per op, and a 500-element column what a PSI hop
+// does. Neither count may depend on the number of rows or elements: the
+// text is one string and the nodes a few slab chunks.
 func TestCodecAllocations(t *testing.T) {
 	const rows = 273
 	n := answerNode(rows)
@@ -385,14 +449,23 @@ func TestCodecAllocations(t *testing.T) {
 	}); got != 0 && !raceEnabled {
 		t.Errorf("Encode into a warm pool: %v allocs, want 0", got)
 	}
-	rd := bytes.NewReader(wire)
-	if got := testing.AllocsPerRun(50, func() {
-		rd.Reset(wire)
-		if _, err := Parse(rd); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		wire []byte
+		max  float64
+	}{
+		{"answer", wire, 40},
+		{"psi-elems", []byte(psiNode(500).String()), 20},
+	} {
+		rd := bytes.NewReader(tc.wire)
+		if got := testing.AllocsPerRun(50, func() {
+			rd.Reset(tc.wire)
+			if _, err := Parse(rd); err != nil {
+				t.Fatal(err)
+			}
+		}); got > tc.max && !raceEnabled {
+			t.Errorf("Parse(%s): %v allocs, want <= %v", tc.name, got, tc.max)
 		}
-	}); got > 2*rows {
-		t.Errorf("Parse: %v allocs for %d rows, want <= 2 per row", got, rows)
 	}
 }
 
@@ -402,6 +475,15 @@ func FuzzParseDifferential(f *testing.F) {
 	}
 	f.Add(`<?xml version="1.0"?><a k='v' j="&#x41;&amp;"><!-- c --> x <b/>y&lt;<?pi d?></a>`)
 	f.Add(`<p:a xmlns:p="u"><![CDATA[x]]>]]&gt;</p:a>`)
+	// The arena's branches: an element's text split by a child or a
+	// comment (extended in place, or moved behind what came between), an
+	// entity at the edge of a run, entities in attribute values, and a
+	// document that fails over after text was already recorded.
+	f.Add(`<a>x<b k="v">y</b>z<!-- c -->w<c>u</c>&amp;t</a>`)
+	f.Add(`<a>&#x20;x&#xA0;<b/>&#x9;&lt;y&gt;&#xA;</a>`)
+	f.Add(`<a k="&amp;&lt;" j='x&#65;&quot;'><b k="&#x42;"/>t</a>`)
+	f.Add(`<a k="v">x<b>y</b>z<![CDATA[w]]>&bogus;</a>`)
+	f.Add(`<a k="v">x<b>y</b>z</c>`)
 	f.Fuzz(func(t *testing.T, doc string) {
 		want, werr := referenceParse(strings.NewReader(doc))
 		got, gerr := ParseString(doc)

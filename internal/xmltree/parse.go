@@ -20,7 +20,9 @@ import (
 // the same bytes by encoding/xml, which also words every error. The
 // accepted language and the resulting trees are those of the encoding/xml
 // loop alone. The returned tree shares no memory with r or with any
-// buffer of this package.
+// buffer of this package, but its text is one unit: every Text and
+// attribute value is a substring of one string per document, so whoever
+// keeps a few cells past the request clones them (DESIGN.md §15).
 func Parse(r io.Reader) (*Node, error) {
 	p := parserPool.Get().(*parser)
 	defer p.release()
@@ -98,17 +100,28 @@ func parseStd(r io.Reader) (*Node, error) {
 // nodes, child slices and strings of the result are freshly allocated.
 type parser struct {
 	body    []byte
-	scratch []byte            // one entity-decoded run of text
+	arena   []byte            // every trimmed, entity-decoded text run and attribute value so far
+	spans   []textSpan        // who owns which part of arena
 	open    []openElem        // the open-element stack
 	pending []*Node           // closed children waiting for their parent to close
 	names   map[string]string // element and attribute names seen in this parse
 	slab    Slab
 }
 
-// openElem is an open element and where its children start in pending.
+// textSpan is arena[off:end], to become n's attribute key, or n.Text when
+// key is empty, once the arena is a string.
+type textSpan struct {
+	n        *Node
+	key      string
+	off, end int
+}
+
+// openElem is an open element, where its children start in pending, and
+// the span holding its text so far (-1 for none yet).
 type openElem struct {
 	n    *Node
 	kids int
+	text int
 }
 
 var parserPool = sync.Pool{New: func() any { return &parser{names: map[string]string{}} }}
@@ -122,7 +135,8 @@ func (p *parser) release() {
 	// must not keep a caller's result (or a failed parse's debris) alive.
 	clear(p.open[:cap(p.open)])
 	clear(p.pending[:cap(p.pending)])
-	p.open, p.pending = p.open[:0], p.pending[:0]
+	clear(p.spans[:cap(p.spans)])
+	p.open, p.pending, p.spans = p.open[:0], p.pending[:0], p.spans[:0]
 	p.slab = Slab{}
 	if len(p.names) > maxPooledNames {
 		p.names = map[string]string{}
@@ -132,8 +146,11 @@ func (p *parser) release() {
 	if cap(p.body) > maxPooledBuffer {
 		p.body = nil
 	}
-	if cap(p.scratch) > maxPooledBuffer {
-		p.scratch = nil
+	if cap(p.arena) > maxPooledBuffer {
+		p.arena = nil
+	}
+	if cap(p.spans) > maxPooledBuffer/64 {
+		p.spans = nil
 	}
 	parserPool.Put(p)
 }
@@ -225,6 +242,7 @@ func (p *parser) tokenize() (root *Node, ok bool) {
 	b := p.body
 	// Nodes average well over 32 bytes of markup on the wire.
 	p.slab = Slab{nodeChunk: len(b) / 32, kidChunk: len(b) / 32}
+	p.arena = p.arena[:0]
 	for i := 0; i < len(b); {
 		if b[i] != '<' {
 			end := bytes.IndexByte(b[i:], '<')
@@ -340,23 +358,32 @@ func (p *parser) tokenize() (root *Node, ok bool) {
 				if j >= len(b) || (b[j] != '"' && b[j] != '\'') {
 					return nil, false
 				}
-				val, next, ok := p.attrValue(b, j+1, b[j])
-				if !ok {
+				off := len(p.arena)
+				if j, ok = p.attrValue(b, j+1, b[j]); !ok {
 					return nil, false
 				}
-				n.SetAttr(key, val)
-				j = next
+				p.spans = append(p.spans, textSpan{n: n, key: key, off: off, end: len(p.arena)})
 			}
 			i = j
 			if empty {
 				root = p.closed(n, root)
 			} else {
-				p.open = append(p.open, openElem{n: n, kids: len(p.pending)})
+				p.open = append(p.open, openElem{n: n, kids: len(p.pending), text: -1})
 			}
 		}
 	}
 	if root == nil || len(p.open) != 0 {
 		return nil, false
+	}
+	// The one allocation all of the tree's text costs. In document order,
+	// so a repeated attribute keeps its last value.
+	text := string(p.arena)
+	for _, sp := range p.spans {
+		if sp.key == "" {
+			sp.n.Text = text[sp.off:sp.end]
+		} else {
+			sp.n.SetAttr(sp.key, text[sp.off:sp.end])
+		}
 	}
 	return root, true
 }
@@ -382,8 +409,9 @@ func knownXMLDecl(decl []byte) bool {
 }
 
 // charData appends one run of character data (the bytes between two
-// markup constructs) to the innermost open element, trimmed per run
-// exactly as the encoding/xml loop does. False means fail over.
+// markup constructs) to the innermost open element's text in the arena,
+// trimmed per run exactly as the encoding/xml loop does. False means fail
+// over.
 func (p *parser) charData(seg []byte) bool {
 	entity := false
 	for k, c := range seg {
@@ -396,13 +424,14 @@ func (p *parser) charData(seg []byte) bool {
 			return false // "]]>" is an error outside CDATA
 		}
 	}
+	mark := len(p.arena)
 	if entity {
 		var ok bool
-		if p.scratch, ok = appendDecoded(p.scratch[:0], seg); !ok {
+		if p.arena, ok = appendDecoded(p.arena, seg); !ok {
 			return false
 		}
 		// A decoded reference can put any Unicode space at the edge.
-		seg = bytes.TrimSpace(p.scratch)
+		p.arena = p.arena[:mark+copy(p.arena[mark:], bytes.TrimSpace(p.arena[mark:]))]
 	} else {
 		for len(seg) > 0 && isSpace(seg[0]) {
 			seg = seg[1:]
@@ -410,41 +439,54 @@ func (p *parser) charData(seg []byte) bool {
 		for len(seg) > 0 && isSpace(seg[len(seg)-1]) {
 			seg = seg[:len(seg)-1]
 		}
+		p.arena = append(p.arena, seg...)
 	}
-	if len(seg) == 0 {
+	if len(p.arena) == mark {
 		return true
 	}
-	cur := p.open[len(p.open)-1].n
-	if cur.Text == "" {
-		cur.Text = string(seg)
-	} else {
-		cur.Text += string(seg)
+	top := &p.open[len(p.open)-1]
+	if top.text < 0 {
+		top.text = len(p.spans)
+		p.spans = append(p.spans, textSpan{n: top.n, off: mark, end: len(p.arena)})
+		return true
 	}
-	return true
+	// A later run of the same element (text split by a child or a
+	// comment) must stay contiguous with the earlier ones: extend the span
+	// if nothing was appended in between, else move it to the arena's end.
+	// Moving re-appends, so text split over and over would square the
+	// arena; one that outgrows the body fails over instead.
+	sp := &p.spans[top.text]
+	if sp.end != mark {
+		run := len(p.arena) - mark
+		p.arena = append(p.arena, p.arena[sp.off:sp.end]...)
+		sp.off = mark + run
+		p.arena = append(p.arena, p.arena[mark:mark+run]...)
+	}
+	sp.end = len(p.arena)
+	return len(p.arena) <= len(p.body)
 }
 
-// attrValue scans a quoted attribute value starting at b[i] (just past
-// the opening quote) and returns it with the index past the closing
-// quote.
-func (p *parser) attrValue(b []byte, i int, quote byte) (val string, next int, ok bool) {
+// attrValue appends the quoted attribute value starting at b[i] (just
+// past the opening quote) to the arena and returns the index past the
+// closing quote.
+func (p *parser) attrValue(b []byte, i int, quote byte) (next int, ok bool) {
 	entity := false
 	for j := i; j < len(b); j++ {
 		switch c := b[j]; {
 		case c == quote:
 			if !entity {
-				return string(b[i:j]), j + 1, true
+				p.arena = append(p.arena, b[i:j]...)
+				return j + 1, true
 			}
-			if p.scratch, ok = appendDecoded(p.scratch[:0], b[i:j]); !ok {
-				return "", 0, false
-			}
-			return string(p.scratch), j + 1, true
+			p.arena, ok = appendDecoded(p.arena, b[i:j])
+			return j + 1, ok
 		case c == '&':
 			entity = true
 		case c == '<' || class[c]&clsText == 0:
-			return "", 0, false
+			return 0, false
 		}
 	}
-	return "", 0, false
+	return 0, false
 }
 
 // appendDecoded appends src with its entity references replaced: the
@@ -463,7 +505,7 @@ func appendDecoded(dst, src []byte) ([]byte, bool) {
 		// The longest reference accepted here is "#x10FFFF" with a few
 		// leading zeros.
 		if semi < 1 || semi > 10 {
-			return nil, false
+			return dst, false
 		}
 		ref := src[:semi]
 		src = src[semi+1:]
@@ -480,7 +522,7 @@ func appendDecoded(dst, src []byte) ([]byte, bool) {
 			case "quot":
 				dst = append(dst, '"')
 			default:
-				return nil, false
+				return dst, false
 			}
 			continue
 		}
@@ -489,7 +531,7 @@ func appendDecoded(dst, src []byte) ([]byte, bool) {
 			digits, base = digits[1:], 16
 		}
 		if len(digits) == 0 {
-			return nil, false
+			return dst, false
 		}
 		var v uint32 // at most 9 decimal or 8 hex digits: cannot overflow
 		for _, c := range digits {
@@ -502,19 +544,19 @@ func appendDecoded(dst, src []byte) ([]byte, bool) {
 			case base == 16 && 'A' <= c && c <= 'F':
 				d = c - 'A' + 10
 			default:
-				return nil, false
+				return dst, false
 			}
 			v = v*base + uint32(d)
 		}
 		if v > utf8.MaxRune {
-			return nil, false
+			return dst, false
 		}
 		r := rune(v)
 		if r >= 0xD800 && r <= 0xDFFF {
 			r = utf8.RuneError // what string(rune(r)) makes of a surrogate
 		}
 		if !inCharRange(r) {
-			return nil, false
+			return dst, false
 		}
 		dst = utf8.AppendRune(dst, r)
 	}

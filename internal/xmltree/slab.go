@@ -9,7 +9,10 @@ package xmltree
 // its chunk alive. That is no new retention — Parent pointers already
 // make every node reach the whole tree — but it is why nothing
 // long-lived (warehouse entries, history, ledger releases) may be a view
-// into a tree or a row slab; see DESIGN.md, "wire codec".
+// into a tree or a row slab. A parsed tree's text is one unit too: every
+// Text and attribute value is a substring of one string per document, so
+// a kept cell keeps the document's whole text unless it is cloned; see
+// DESIGN.md §15.
 type Slab struct {
 	nodes []Node  // unused tail of the current node chunk
 	kids  []*Node // unused tail of the current child-pointer chunk
