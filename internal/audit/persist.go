@@ -59,36 +59,10 @@ func NewPersistentLog(cfg Config, opts durable.Options) (*Log, error) {
 		return nil, err
 	}
 	p := &persister{dlog: dl, sets: map[string][][]int{}}
-
-	if snap := dl.RecoveredSnapshot(); snap != nil {
-		var s logSnapshot
-		if err := json.Unmarshal(snap, &s); err != nil {
-			dl.Close()
-			return nil, fmt.Errorf("audit: decoding snapshot: %w", err)
-		}
-		for req, sets := range s.Sets {
-			for _, set := range sets {
-				if err := l.restoreGrant(req, set); err != nil {
-					dl.Close()
-					return nil, fmt.Errorf("audit: replaying snapshot for %s: %w", req, err)
-				}
-				p.sets[req] = append(p.sets[req], set)
-			}
-		}
+	if err := p.recover(l); err != nil {
+		dl.Close()
+		return nil, err
 	}
-	for _, e := range dl.RecoveredEntries() {
-		var rec commitRecord
-		if err := json.Unmarshal(e.Payload, &rec); err != nil {
-			dl.Close()
-			return nil, fmt.Errorf("audit: decoding wal record %d: %w", e.Seq, err)
-		}
-		if err := l.restoreGrant(rec.Requester, rec.Set); err != nil {
-			dl.Close()
-			return nil, fmt.Errorf("audit: replaying wal record %d: %w", e.Seq, err)
-		}
-		p.sets[rec.Requester] = append(p.sets[rec.Requester], rec.Set)
-	}
-
 	dl.ReleaseRecovered() // replayed into the auditors and p.sets
 	// Arm persistence only now: replayed grants must not be re-logged.
 	l.p = p
@@ -100,9 +74,51 @@ func NewPersistentLog(cfg Config, opts durable.Options) (*Log, error) {
 	return l, nil
 }
 
+// recover replays what the durable log recovered — the snapshot's sets,
+// then the WAL's — into l's auditors and the shadow copy.
+func (p *persister) recover(l *Log) error {
+	replay := func(requester string, set []int) error {
+		if err := l.restoreGrant(requester, set); err != nil {
+			return err
+		}
+		p.apply(requester, set)
+		return nil
+	}
+	if snap := p.dlog.RecoveredSnapshot(); snap != nil {
+		var s logSnapshot
+		if err := json.Unmarshal(snap, &s); err != nil {
+			return fmt.Errorf("audit: decoding snapshot: %w", err)
+		}
+		for req, sets := range s.Sets {
+			for _, set := range sets {
+				if err := replay(req, set); err != nil {
+					return fmt.Errorf("audit: replaying snapshot for %s: %w", req, err)
+				}
+			}
+		}
+	}
+	for _, e := range p.dlog.RecoveredEntries() {
+		var rec commitRecord
+		if err := json.Unmarshal(e.Payload, &rec); err != nil {
+			return fmt.Errorf("audit: decoding wal record %d: %w", e.Seq, err)
+		}
+		if err := replay(rec.Requester, rec.Set); err != nil {
+			return fmt.Errorf("audit: replaying wal record %d: %w", e.Seq, err)
+		}
+	}
+	return nil
+}
+
 // restoreGrant replays one recovered grant into the right auditor.
 func (l *Log) restoreGrant(requester string, set []int) error {
 	return l.For(requester).restore(set)
+}
+
+// apply adds one granted set, recovered or live, to the shadow copy the
+// next snapshot is cut from. A live caller holds p.mu; recovery runs
+// before the persister is shared.
+func (p *persister) apply(requester string, set []int) {
+	p.sets[requester] = append(p.sets[requester], set)
 }
 
 // Close flushes and closes the backing durable log, if any.
@@ -129,7 +145,7 @@ func (p *persister) hook(requester string) func(set []int) error {
 		p.mu.Lock()
 		_, err = p.dlog.Append(rec)
 		if err == nil {
-			p.sets[requester] = append(p.sets[requester], set)
+			p.apply(requester, set)
 		}
 		p.mu.Unlock()
 		if err != nil {

@@ -94,7 +94,7 @@ func (l *Log) SnapshotPayload() (state []byte, seq uint64, err error) {
 	}
 	// The recovered copy was dropped after the owner's last SaveSnapshot;
 	// re-read the (atomically installed, checksummed) file.
-	payload, fileSeq, _, err := readSnapshotFile(l.snapPath())
+	payload, fileSeq, err := readSnapshotFile(l.snapPath())
 	if err != nil {
 		return nil, 0, err
 	}

@@ -92,7 +92,10 @@ func TestAlteredTrailerRefused(t *testing.T) {
 	}
 }
 
-func TestLegacySnapshotAcceptedAndUpgraded(t *testing.T) {
+// A snapshot with a valid header checksum but no integrity trailer — the
+// shape of a file written before the trailer existed, or cut exactly at
+// the payload's end — cannot be told from a truncated one and is refused.
+func TestTrailerlessSnapshotRefused(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, Options{Dir: dir})
 	if _, err := l.Append([]byte("x")); err != nil {
@@ -103,25 +106,15 @@ func TestLegacySnapshotAcceptedAndUpgraded(t *testing.T) {
 	}
 	l.Close()
 
-	// Strip the trailer to reconstruct a pre-trailer state dir.
+	// Strip the trailer: header, header checksum and payload stay whole.
 	path := filepath.Join(dir, snapName)
 	data, _ := os.ReadFile(path)
 	if err := os.WriteFile(path, data[:len(data)-snapTrailer], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	r := openT(t, Options{Dir: dir})
-	if string(r.RecoveredSnapshot()) != `{"legacy":true}` {
-		t.Errorf("legacy snapshot payload = %q", r.RecoveredSnapshot())
-	}
-	// The next snapshot upgrades the format in place.
-	if err := r.SaveSnapshot([]byte(`{"legacy":false}`)); err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	data, _ = os.ReadFile(path)
-	if [8]byte(data[len(data)-8:]) != snapTrailerM {
-		t.Error("re-snapshot did not upgrade to the trailered format")
+	if _, err := Open(Options{Dir: dir}); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("trailerless snapshot: Open = %v, want ErrSnapshotCorrupt", err)
 	}
 }
 

@@ -28,12 +28,9 @@ import (
 // The trailer exists to catch truncation: the header CRC proves the bytes
 // present are the bytes written, but a file cut short mid-payload still
 // fails only by length heuristics. A snapshot that does not end in the
-// trailer magic is either truncated or a legacy (pre-trailer) file; the
-// legacy case is accepted with a startup warning so old state dirs keep
-// working, and the next SaveSnapshot upgrades the format. (A legacy
-// payload that coincidentally ends in the trailer magic would be
-// misparsed as trailered and refused on checksum — our payloads are
-// JSON, which cannot end in "PIYETRL1", so the ambiguity is theoretical.)
+// trailer magic is refused as corrupt: every snapshot this package has
+// installed ends in one, so a file without it was cut short or is not
+// ours, and nothing in it can be verified.
 
 var (
 	snapMagic    = [8]byte{'P', 'I', 'Y', 'E', 'S', 'N', 'P', '1'}
@@ -53,39 +50,34 @@ var ErrSnapshotCorrupt = errors.New("durable: snapshot corrupt")
 
 func (l *Log) snapPath() string { return filepath.Join(l.opts.Dir, snapName) }
 
-// readSnapshotFile reads and verifies a snapshot file. legacy reports a
-// pre-trailer file that passed its (weaker) header checksum. Integrity
+// readSnapshotFile reads and verifies a snapshot file. Integrity
 // failures wrap ErrSnapshotCorrupt; a missing file surfaces as the
 // underlying os error for the caller to classify.
-func readSnapshotFile(path string) (payload []byte, seq uint64, legacy bool, err error) {
+func readSnapshotFile(path string) (payload []byte, seq uint64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
 	if len(data) < snapHeader || [8]byte(data[:8]) != snapMagic {
-		return nil, 0, false, fmt.Errorf("%w: %s: bad header — snapshots are installed atomically, so this is in-place damage", ErrSnapshotCorrupt, path)
+		return nil, 0, fmt.Errorf("%w: %s: bad header — snapshots are installed atomically, so this is in-place damage", ErrSnapshotCorrupt, path)
 	}
-	body := data[12:]
-	if len(data) >= snapHeader+snapTrailer && [8]byte(data[len(data)-8:]) == snapTrailerM {
-		head := data[:len(data)-snapTrailer]
-		if crc32.Checksum(head, castagnoli) != binary.LittleEndian.Uint32(data[len(data)-snapTrailer:]) {
-			return nil, 0, false, fmt.Errorf("%w: %s: trailer checksum mismatch — refusing truncated or altered state", ErrSnapshotCorrupt, path)
-		}
-		body = data[12 : len(data)-snapTrailer]
-	} else {
-		legacy = true
+	if len(data) < snapHeader+snapTrailer || [8]byte(data[len(data)-8:]) != snapTrailerM {
+		return nil, 0, fmt.Errorf("%w: %s: no integrity trailer — refusing truncated or unverifiable state", ErrSnapshotCorrupt, path)
 	}
+	head := data[:len(data)-snapTrailer]
+	if crc32.Checksum(head, castagnoli) != binary.LittleEndian.Uint32(data[len(data)-snapTrailer:]) {
+		return nil, 0, fmt.Errorf("%w: %s: trailer checksum mismatch — refusing truncated or altered state", ErrSnapshotCorrupt, path)
+	}
+	body := head[12:]
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[8:12]) {
-		return nil, 0, false, fmt.Errorf("%w: %s: checksum mismatch — refusing to serve corrupt state", ErrSnapshotCorrupt, path)
+		return nil, 0, fmt.Errorf("%w: %s: checksum mismatch — refusing to serve corrupt state", ErrSnapshotCorrupt, path)
 	}
-	seq = binary.LittleEndian.Uint64(body[:8])
-	return body[8:], seq, legacy, nil
+	return body[8:], binary.LittleEndian.Uint64(body[:8]), nil
 }
 
 // loadSnapshot reads and verifies snapshot.dat, if present.
 func (l *Log) loadSnapshot() error {
-	path := l.snapPath()
-	payload, seq, legacy, err := readSnapshotFile(path)
+	payload, seq, err := readSnapshotFile(l.snapPath())
 	if os.IsNotExist(err) {
 		return nil
 	}
@@ -95,15 +87,9 @@ func (l *Log) loadSnapshot() error {
 		}
 		return fmt.Errorf("durable: reading snapshot: %w", err)
 	}
-	if legacy {
-		log.Printf("durable: snapshot %s predates the integrity trailer (accepted; the next snapshot upgrades the format)", path)
-	}
 	l.snapSeq = seq
 	l.snapshot = payload
-	l.snapSize = int64(snapHeader + len(payload))
-	if !legacy {
-		l.snapSize += snapTrailer
-	}
+	l.snapSize = int64(snapHeader + len(payload) + snapTrailer)
 	return nil
 }
 

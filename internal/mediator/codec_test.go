@@ -272,11 +272,11 @@ func TestIntegratedResultOwnsItsCells(t *testing.T) {
 				t.Fatalf("ledger holds %d releases", len(rels))
 			}
 			for _, rel := range rels {
-				check(t, w, "a ledger release", rel.target, rel.valueCol, rel.axis)
-				for k := range rel.means {
+				check(t, w, "a ledger release", rel.Target, rel.ValueCol, rel.Axis)
+				for k := range rel.Means {
 					check(t, w, "a ledger release", k)
 				}
-				for k := range rel.sigmas {
+				for k := range rel.Sigmas {
 					check(t, w, "a ledger release", k)
 				}
 			}

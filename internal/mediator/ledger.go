@@ -76,23 +76,22 @@ func (e *UnrecordableRefusal) RefusalReason() refusal.Reason { return refusal.Un
 // tightly than the configured threshold, the new release is refused —
 // even though, per source, each query was individually authorized.
 
-// ledgerRelease is one remembered aggregate release.
+// ledgerRelease is one remembered aggregate release, in memory and (the
+// JSON names) in the WAL and the snapshot.
 type ledgerRelease struct {
-	target   string             // canonical FOR pattern
-	valueCol string             // measured column (last step of the AVG path)
-	axis     string             // group-by column name
-	means    map[string]float64 // group -> mean
-	sigmas   map[string]float64 // group -> sample stddev (nil if not released)
+	Target   string             `json:"t"`           // canonical FOR pattern
+	ValueCol string             `json:"v"`           // measured column (last step of the AVG path)
+	Axis     string             `json:"a"`           // group-by column name
+	Means    map[string]float64 `json:"m"`           // group -> mean
+	Sigmas   map[string]float64 `json:"s,omitempty"` // group -> sample stddev (nil if not released)
 }
 
-// releaseLedger tracks releases per requester.
+// releaseLedger tracks releases per requester. Without durability (see
+// persist.go) it is process-local and a restart grants every requester a
+// blank history.
 type releaseLedger struct {
 	mu          sync.Mutex
 	byRequester map[string][]ledgerRelease
-	// persist, when set (see persist.go), durably records a release before
-	// it is remembered; recording fails closed. Without it the ledger is
-	// process-local and a restart grants every requester a blank history.
-	persist func(requester string, rel ledgerRelease) error
 }
 
 func newReleaseLedger() *releaseLedger {
@@ -146,27 +145,27 @@ func classifyRelease(q *piql.Query, res *piql.Result) (ledgerRelease, bool) {
 	}
 
 	rel := ledgerRelease{
-		target:   q.For.String(),
-		valueCol: avgItem.Path.LastStep(),
-		axis:     axisName,
-		means:    map[string]float64{},
+		Target:   q.For.String(),
+		ValueCol: avgItem.Path.LastStep(),
+		Axis:     axisName,
+		Means:    map[string]float64{},
 	}
 	if sdIdx >= 0 {
-		rel.sigmas = map[string]float64{}
+		rel.Sigmas = map[string]float64{}
 	}
 	for _, row := range res.Rows {
 		m, err := strconv.ParseFloat(strings.TrimSpace(row[avgIdx]), 64)
 		if err != nil {
 			continue
 		}
-		rel.means[row[axisIdx]] = m
+		rel.Means[row[axisIdx]] = m
 		if sdIdx >= 0 {
 			if s, err := strconv.ParseFloat(strings.TrimSpace(row[sdIdx]), 64); err == nil {
-				rel.sigmas[row[axisIdx]] = s
+				rel.Sigmas[row[axisIdx]] = s
 			}
 		}
 	}
-	if len(rel.means) < 2 {
+	if len(rel.Means) < 2 {
 		return ledgerRelease{}, false
 	}
 	return rel, true
@@ -182,44 +181,46 @@ func lastSegment(p string) string {
 // checkAndRecord runs the combination check for a new release and, if it
 // passes, records it. It returns an error when the combined releases
 // would disclose beyond the threshold.
-func (l *releaseLedger) checkAndRecord(requester string, rel ledgerRelease, threshold, tolerance float64) error {
+func (m *Mediator) checkAndRecord(requester string, rel ledgerRelease) error {
+	l := m.ledger
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, prior := range l.byRequester[requester] {
-		if prior.target != rel.target || prior.valueCol != rel.valueCol || prior.axis == rel.axis {
+		if prior.Target != rel.Target || prior.ValueCol != rel.ValueCol || prior.Axis == rel.Axis {
 			continue
 		}
 		// One release carries sigmas (the attribute axis), the other the
 		// party means; either order works.
 		attrRel, partyRel := prior, rel
-		if attrRel.sigmas == nil {
+		if attrRel.Sigmas == nil {
 			attrRel, partyRel = rel, prior
 		}
-		if attrRel.sigmas == nil {
+		if attrRel.Sigmas == nil {
 			continue // neither released sigmas: means alone do not close the system
 		}
-		d, err := combinedDisclosure(attrRel, partyRel, tolerance)
+		d, err := combinedDisclosure(attrRel, partyRel, m.cfg.LedgerTolerance)
 		if err != nil {
 			// Inconsistent as one matrix (e.g. the releases cover
 			// different populations): no combination attack applies.
 			continue
 		}
-		if d >= threshold {
+		if d >= m.cfg.MaxDisclosure {
 			return &CombinationRefusal{
-				ValueCol:   rel.valueCol,
-				PriorAxis:  prior.axis,
+				ValueCol:   rel.ValueCol,
+				PriorAxis:  prior.Axis,
 				Disclosure: d,
-				Threshold:  threshold,
+				Threshold:  m.cfg.MaxDisclosure,
 			}
 		}
 	}
 	// Durable-before-visible: once the statistics leave the mediator they
-	// cannot be recalled, so a release the ledger cannot record must not
-	// be released at all. A persist error that already carries its own
-	// refusal reason (a fenced ex-primary's guard) passes through — it
-	// is a sharper diagnosis than "unrecordable".
-	if l.persist != nil {
-		if err := l.persist(requester, rel); err != nil {
+	// cannot be recalled, so a release the log cannot record must not be
+	// released at all. A log error that already carries its own refusal
+	// reason (a fenced ex-primary's guard) passes through — it is a
+	// sharper diagnosis than "unrecordable".
+	if m.dlog != nil {
+		logged := rel // as in record: &rel would escape log or no log
+		if err := m.logRecord(walRecord{Kind: kindRelease, Requester: requester, Release: &logged}); err != nil {
 			var rr refusal.Reasoner
 			if errors.As(err, &rr) {
 				return err
@@ -227,45 +228,22 @@ func (l *releaseLedger) checkAndRecord(requester string, rel ledgerRelease, thre
 			return &UnrecordableRefusal{Scope: "mediator", Err: err}
 		}
 	}
-	l.byRequester[requester] = append(l.byRequester[requester], rel)
+	l.add(requester, rel)
 	return nil
 }
 
-// restore re-adds a recovered release without re-running the combination
-// check or re-persisting: the statistics were already released, and an
-// auditor that forgets them is exactly the failure persistence exists to
-// prevent.
-func (l *releaseLedger) restore(requester string, rel ledgerRelease) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// add is the only writer of the ledger short of a snapshot install, for
+// a live, a recovered and a replicated release alike (see
+// Mediator.apply). The caller holds l.mu.
+func (l *releaseLedger) add(requester string, rel ledgerRelease) {
 	l.byRequester[requester] = append(l.byRequester[requester], rel)
-}
-
-// replaceAll swaps in a complete release map — a replication standby
-// installing the primary's snapshot. Like restore, no checks re-run.
-func (l *releaseLedger) replaceAll(byRequester map[string][]ledgerRelease) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.byRequester = byRequester
-}
-
-// requesters lists every requester with ledgered releases (the shard
-// misplaced-state view walks it; admin surface, not the hot path).
-func (l *releaseLedger) requesters() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.byRequester))
-	for r := range l.byRequester {
-		out = append(out, r)
-	}
-	return out
 }
 
 // combinedDisclosure mounts the outsider attack on the pair of releases:
 // attributes from the sigma-bearing release, parties from the other.
 func combinedDisclosure(attrRel, partyRel ledgerRelease, tolerance float64) (float64, error) {
-	attrs := sortedKeysF(attrRel.means)
-	parties := sortedKeysF(partyRel.means)
+	attrs := sortedKeysF(attrRel.Means)
+	parties := sortedKeysF(partyRel.Means)
 	k := &attack.Knowledge{
 		OwnIndex:    -1,
 		Tolerance:   tolerance,
@@ -274,15 +252,15 @@ func combinedDisclosure(attrRel, partyRel ledgerRelease, tolerance float64) (flo
 		Hi:          100,
 	}
 	for _, a := range attrs {
-		k.AttrMean = append(k.AttrMean, attrRel.means[a])
-		sigma, ok := attrRel.sigmas[a]
+		k.AttrMean = append(k.AttrMean, attrRel.Means[a])
+		sigma, ok := attrRel.Sigmas[a]
 		if !ok {
 			return 0, fmt.Errorf("mediator: attribute %q lacks a sigma", a)
 		}
 		k.AttrSigma = append(k.AttrSigma, sigma)
 	}
 	for _, p := range parties {
-		k.PartyMean = append(k.PartyMean, partyRel.means[p])
+		k.PartyMean = append(k.PartyMean, partyRel.Means[p])
 	}
 	if err := k.Validate(); err != nil {
 		return 0, err

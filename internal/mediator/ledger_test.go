@@ -146,7 +146,7 @@ func TestClassifyRelease(t *testing.T) {
 	if !ok {
 		t.Fatal("per-test release should classify")
 	}
-	if rel.axis != "test" || rel.valueCol != "rate" || len(rel.means) != 3 || rel.sigmas == nil {
+	if rel.Axis != "test" || rel.ValueCol != "rate" || len(rel.Means) != 3 || rel.Sigmas == nil {
 		t.Errorf("classified = %+v", rel)
 	}
 	// Non-ledger shapes.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"privateiye/internal/admission"
+	"privateiye/internal/durable"
 	"privateiye/internal/obs"
 	"privateiye/internal/psi"
 	"privateiye/internal/qcache"
@@ -151,9 +152,10 @@ type Mediator struct {
 	ledger          *releaseLedger
 	correspondences []Correspondence
 
-	// persist is set once in New when Config.Durability is given; nil
-	// means process-local state (see persist.go).
-	persist *statePersister
+	// dlog is the durable log beneath the ledger and the history, set once
+	// in New when Config.Durability is given; nil means process-local
+	// state (see persist.go).
+	dlog *durable.Log
 
 	// shard is the tier-membership view; nil means unsharded (see
 	// shard.go).
@@ -270,10 +272,9 @@ func New(cfg Config) (*Mediator, error) {
 			_, _, n := m.WarehouseStats()
 			return float64(n)
 		})
-		cfg.Obs.GaugeFunc("piye_mediator_history_entries", func() float64 {
-			m.mu.RLock()
-			defer m.mu.RUnlock()
-			return float64(len(m.history))
+		cfg.Obs.GaugeFunc("piye_mediator_history_entries", func() (n float64) {
+			m.readHistory(func(h []HistoryEntry, _ map[string]struct{}) { n = float64(len(h)) })
+			return n
 		})
 	}
 	if cfg.WarehouseCapacity > 0 {
@@ -324,23 +325,33 @@ func (m *Mediator) PlanCacheStats() (hits, misses uint64, size int) {
 }
 
 // History returns a copy of the query history.
-func (m *Mediator) History() []HistoryEntry {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return append([]HistoryEntry(nil), m.history...)
+func (m *Mediator) History() (out []HistoryEntry) {
+	m.readHistory(func(h []HistoryEntry, _ map[string]struct{}) { out = append(out, h...) })
+	return out
 }
 
+// record enters one answered query in the history, logged best effort:
+// the answer is already out and cannot be refused retroactively, so a
+// write failure here must not fail the query.
 func (m *Mediator) record(e HistoryEntry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.wh != nil {
 		e.Clock = m.wh.Now()
 	}
+	m.addHistory(e)
+	if m.dlog != nil {
+		logged := e // &e would move e to the heap log or no log
+		_ = m.logRecord(walRecord{Kind: kindHistory, History: &logged})
+	}
+}
+
+// addHistory is the only writer of the history short of a snapshot
+// install: live, recovered and replicated entries alike (see apply).
+// The caller holds m.mu.
+func (m *Mediator) addHistory(e HistoryEntry) {
 	m.history = append(m.history, e)
 	m.historyReq[e.Requester] = struct{}{}
-	if m.persist != nil {
-		m.persist.persistHistory(e)
-	}
 }
 
 // WarehouseStats exposes hybrid-mode statistics (zeroes when disabled).

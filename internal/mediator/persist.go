@@ -15,6 +15,7 @@ package mediator
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 	"time"
 
 	"privateiye/internal/durable"
@@ -40,35 +41,6 @@ const (
 	kindHistory = "history"
 )
 
-// wireRelease is the JSON shape of one ledgered release.
-type wireRelease struct {
-	Target   string             `json:"t"`
-	ValueCol string             `json:"v"`
-	Axis     string             `json:"a"`
-	Means    map[string]float64 `json:"m"`
-	Sigmas   map[string]float64 `json:"s,omitempty"`
-}
-
-func toWire(rel ledgerRelease) wireRelease {
-	return wireRelease{
-		Target:   rel.target,
-		ValueCol: rel.valueCol,
-		Axis:     rel.axis,
-		Means:    rel.means,
-		Sigmas:   rel.sigmas,
-	}
-}
-
-func fromWire(w wireRelease) ledgerRelease {
-	return ledgerRelease{
-		target:   w.Target,
-		valueCol: w.ValueCol,
-		axis:     w.Axis,
-		means:    w.Means,
-		sigmas:   w.Sigmas,
-	}
-}
-
 // walRecord is one WAL entry: a ledgered release or a history entry.
 // Epoch is the fencing epoch of the node that wrote it (0 when the
 // mediator runs unreplicated) — the release-ledger half of the fencing
@@ -76,37 +48,106 @@ func fromWire(w wireRelease) ledgerRelease {
 // it, so a post-failover audit can prove no stale-epoch write slipped
 // into the history.
 type walRecord struct {
-	Kind      string        `json:"k"`
-	Requester string        `json:"req,omitempty"`
-	Epoch     uint64        `json:"e,omitempty"`
-	Release   *wireRelease  `json:"rel,omitempty"`
-	History   *HistoryEntry `json:"h,omitempty"`
+	Kind      string         `json:"k"`
+	Requester string         `json:"req,omitempty"`
+	Epoch     uint64         `json:"e,omitempty"`
+	Release   *ledgerRelease `json:"rel,omitempty"`
+	History   *HistoryEntry  `json:"h,omitempty"`
 }
 
 // stateSnapshot is the full persisted state at a compaction point.
 type stateSnapshot struct {
-	Releases map[string][]wireRelease `json:"releases"`
-	History  []HistoryEntry           `json:"history"`
+	Releases map[string][]ledgerRelease `json:"releases"`
+	History  []HistoryEntry             `json:"history"`
 }
 
-// statePersister owns the durable log beneath one mediator.
-type statePersister struct {
-	dlog *durable.Log
-	// guard, when set (see replicate.go), runs before every release
-	// append: a node that is not the primary at its own epoch must fail
-	// the write closed rather than record a release its successor's
-	// ledger will never see.
-	guard func() error
-	// epoch, when set, stamps each WAL record with the writing node's
-	// fencing epoch.
-	epoch func() uint64
+// decodeRecord is the one decoder of a WAL payload, whether recovery read
+// it from this node's log or a standby from its primary's. A record that
+// is neither a release nor a history entry is refused, not skipped.
+func decodeRecord(seq uint64, payload []byte) (walRecord, error) {
+	var rec walRecord
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return rec, fmt.Errorf("mediator: decoding wal record %d: %w", seq, err)
+	}
+	switch {
+	case rec.Kind == kindRelease && rec.Release != nil, rec.Kind == kindHistory && rec.History != nil:
+		return rec, nil
+	}
+	return rec, fmt.Errorf("mediator: malformed wal record %d (kind %q)", seq, rec.Kind)
 }
 
-// openDurable opens (or recovers) the state directory, replays the
-// recovered snapshot and WAL into the ledger and history, and only then
-// arms the persist hooks so replayed state is not re-logged. Corrupt
-// state refuses to open: a mediator that cannot prove its release
-// history intact must not grant releases against it.
+// lockFor names the lock a record's structure lives under: the ledger's
+// for a release, the mediator's for a history entry.
+func (m *Mediator) lockFor(rec *walRecord) sync.Locker {
+	if rec.Kind == kindRelease {
+		return &m.ledger.mu
+	}
+	return &m.mu
+}
+
+// apply folds one decoded record, recovered (recoverState) or replicated
+// (ApplyEntry), into memory through the mutator a live query's record
+// ends in; the caller holds lockFor(rec). Nothing is re-checked: what it
+// describes has already left the mediator. Whoever also logs the record
+// does so under the same hold of the lock, which captureState relies on.
+func (m *Mediator) apply(rec *walRecord) {
+	if rec.Kind == kindRelease {
+		m.ledger.add(rec.Requester, *rec.Release)
+	} else {
+		m.addHistory(*rec.History)
+	}
+}
+
+// decodeSnapshot is the one decoder of a snapshot payload.
+func decodeSnapshot(state []byte) (stateSnapshot, error) {
+	var s stateSnapshot
+	if err := json.Unmarshal(state, &s); err != nil {
+		return s, fmt.Errorf("mediator: decoding state snapshot: %w", err)
+	}
+	return s, nil
+}
+
+// installSnapshot replaces the whole inference-control state with a
+// decoded snapshot: what recovery starts from, and what a standby that
+// connects after its primary's first compaction is sent. The log already
+// agrees (it recovered this snapshot, or was handed it first).
+func (m *Mediator) installSnapshot(s stateSnapshot) {
+	if s.Releases == nil {
+		s.Releases = map[string][]ledgerRelease{}
+	}
+	requesters := map[string]struct{}{} // as many as there are requesters, not entries
+	for _, e := range s.History {
+		requesters[e.Requester] = struct{}{}
+	}
+	m.ledger.mu.Lock()
+	m.ledger.byRequester = s.Releases
+	m.ledger.mu.Unlock()
+	m.mu.Lock()
+	m.history, m.historyReq = s.History, requesters
+	m.mu.Unlock()
+}
+
+// readHistory and releaseLedger.read are how every reader reaches the
+// state: each holds its structure's lock for the length of read, which
+// keeps nothing it is handed but a slice header (entries are only ever
+// appended). Nesting the ledger's inside the history's, never the
+// reverse, is how captureState sees both at one instant.
+func (m *Mediator) readHistory(read func(history []HistoryEntry, requesters map[string]struct{})) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	read(m.history, m.historyReq)
+}
+
+func (l *releaseLedger) read(read func(byRequester map[string][]ledgerRelease)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	read(l.byRequester)
+}
+
+// openDurable opens (or recovers) the state directory and rebuilds the
+// ledger and history from it before setting m.dlog, so nothing replayed
+// is logged again. Corrupt state refuses to open: a mediator that cannot
+// prove its release history intact must not grant releases against it.
 func (m *Mediator) openDurable(cfg DurabilityConfig) error {
 	dl, err := durable.Open(durable.Options{
 		Dir:           cfg.Dir,
@@ -119,91 +160,68 @@ func (m *Mediator) openDurable(cfg DurabilityConfig) error {
 	if err != nil {
 		return fmt.Errorf("mediator: opening state dir: %w", err)
 	}
-	if snap := dl.RecoveredSnapshot(); snap != nil {
-		var s stateSnapshot
-		if err := json.Unmarshal(snap, &s); err != nil {
-			dl.Close()
-			return fmt.Errorf("mediator: decoding state snapshot: %w", err)
-		}
-		for req, rels := range s.Releases {
-			for _, w := range rels {
-				m.ledger.restore(req, fromWire(w))
-			}
-		}
-		m.history = append(m.history, s.History...)
-		for _, e := range s.History {
-			m.historyReq[e.Requester] = struct{}{}
-		}
-	}
-	for _, e := range dl.RecoveredEntries() {
-		var rec walRecord
-		if err := json.Unmarshal(e.Payload, &rec); err != nil {
-			dl.Close()
-			return fmt.Errorf("mediator: decoding wal record %d: %w", e.Seq, err)
-		}
-		switch {
-		case rec.Kind == kindRelease && rec.Release != nil:
-			m.ledger.restore(rec.Requester, fromWire(*rec.Release))
-		case rec.Kind == kindHistory && rec.History != nil:
-			m.history = append(m.history, *rec.History)
-			m.historyReq[rec.History.Requester] = struct{}{}
-		default:
-			dl.Close()
-			return fmt.Errorf("mediator: malformed wal record %d (kind %q)", e.Seq, rec.Kind)
-		}
+	if err := m.recoverState(dl); err != nil {
+		dl.Close()
+		return err
 	}
 	// History and ledger hold the live state from here on; the log's
 	// copies of what it recovered would otherwise stay until the next
 	// snapshot.
 	dl.ReleaseRecovered()
-	p := &statePersister{dlog: dl}
-	m.persist = p
-	m.ledger.persist = p.persistRelease
+	m.dlog = dl
 	return nil
 }
 
-// persistRelease is the ledger's fail-closed hook: called (under the
-// ledger lock) before a release becomes visible.
-func (p *statePersister) persistRelease(requester string, rel ledgerRelease) error {
-	if p.guard != nil {
-		if err := p.guard(); err != nil {
+// recoverState installs the recovered snapshot, then applies each
+// recovered record.
+func (m *Mediator) recoverState(dl *durable.Log) error {
+	if snap := dl.RecoveredSnapshot(); snap != nil {
+		s, err := decodeSnapshot(snap)
+		if err != nil {
 			return err
 		}
+		m.installSnapshot(s)
 	}
-	w := toWire(rel)
-	rec := walRecord{Kind: kindRelease, Requester: requester, Release: &w}
-	if p.epoch != nil {
-		rec.Epoch = p.epoch()
+	for _, e := range dl.RecoveredEntries() {
+		rec, err := decodeRecord(e.Seq, e.Payload)
+		if err != nil {
+			return err
+		}
+		mu := m.lockFor(&rec)
+		mu.Lock()
+		m.apply(&rec)
+		mu.Unlock()
+	}
+	return nil
+}
+
+// logRecord appends a live release or history entry to the durable log;
+// the caller holds the record's lock. A replicated node (replicate.go)
+// stamps it with its epoch and fences a release first: a node that is
+// not the primary at its own epoch must not record a release its
+// successor's ledger will never see. A history entry's answer has left.
+func (m *Mediator) logRecord(rec walRecord) error {
+	if n := m.node; n != nil {
+		if rec.Kind == kindRelease {
+			if err := n.CheckWrite(); err != nil {
+				return &FencedError{Epoch: n.Epoch(), Err: err}
+			}
+		}
+		rec.Epoch = n.Epoch()
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	_, err = p.dlog.Append(b)
+	_, err = m.dlog.Append(b)
 	return err
-}
-
-// persistHistory logs a history entry best-effort: history is
-// observability, and by the time record runs the answer is already out —
-// refusing it retroactively is not possible, so a write failure here
-// must not fail the query.
-func (p *statePersister) persistHistory(e HistoryEntry) {
-	rec := walRecord{Kind: kindHistory, History: &e}
-	if p.epoch != nil {
-		rec.Epoch = p.epoch()
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	_, _ = p.dlog.Append(b)
 }
 
 // maybeSnapshot compacts the WAL when the durable log says it has
 // outgrown its snapshot. A failed attempt is counted and logged by the
 // log itself; it leaves a longer WAL, not lost state.
 func (m *Mediator) maybeSnapshot() {
-	if p := m.persist; p != nil && p.dlog.CompactionDue() {
+	if m.dlog != nil && m.dlog.CompactionDue() {
 		_ = m.snapshot()
 	}
 }
@@ -211,47 +229,39 @@ func (m *Mediator) maybeSnapshot() {
 // snapshot takes one snapshot of the ledger and history and compacts the
 // WAL behind it, whether or not one is due.
 func (m *Mediator) snapshot() error {
-	return m.persist.dlog.Compact(m.captureState)
+	return m.dlog.Compact(m.captureState)
 }
 
-// captureState is the snapshot's consistent cut. Under m.mu and
-// ledger.mu it copies one slice header per requester plus the history's
-// and reads the log's sequence number; marshalling, the file write and
-// its fsync then run with neither lock held. That is sound because both
-// structures are append-only — a slice header taken now is an immutable
-// prefix, and a recorded release's maps are never written again — and
-// because every WAL append happens under one of the two locks together
-// with its in-memory effect: with both held, the captured state reflects
-// exactly the records up to the sequence number read. The number has to
-// be taken here, not at install time: a release appended in between
-// would otherwise be stamped covered-but-absent and lost on recovery.
-func (m *Mediator) captureState() (uint64, func() ([]byte, error)) {
+// captureState is the snapshot's consistent cut. With both locks held
+// it copies one slice header per requester plus the history's and reads
+// the log's sequence number; marshalling, the file write and its fsync
+// then run with neither lock held. That is sound because both structures
+// are append-only — a slice header taken now is an immutable prefix, and
+// a recorded release's maps are never written again — and because log
+// and memory change together (apply): the captured state reflects exactly
+// the records up to the sequence number read. The number has to be taken
+// here, not at install time: a release appended in between would
+// otherwise be stamped covered-but-absent and lost on recovery.
+func (m *Mediator) captureState() (seq uint64, encode func() ([]byte, error)) {
 	type requesterReleases struct {
 		req  string
 		rels []ledgerRelease
 	}
-	m.mu.RLock()
-	m.ledger.mu.Lock()
-	seq := m.persist.dlog.LastSeq()
-	history := m.history
-	releases := make([]requesterReleases, 0, len(m.ledger.byRequester))
-	for req, rels := range m.ledger.byRequester {
-		releases = append(releases, requesterReleases{req, rels})
-	}
-	m.ledger.mu.Unlock()
-	m.mu.RUnlock()
-
-	return seq, func() ([]byte, error) {
-		s := stateSnapshot{
-			Releases: make(map[string][]wireRelease, len(releases)),
-			History:  history,
-		}
-		for _, r := range releases {
-			wire := make([]wireRelease, len(r.rels))
-			for i, rel := range r.rels {
-				wire[i] = toWire(rel)
+	var history []HistoryEntry
+	var releases []requesterReleases
+	m.readHistory(func(h []HistoryEntry, _ map[string]struct{}) {
+		m.ledger.read(func(byRequester map[string][]ledgerRelease) {
+			seq, history = m.dlog.LastSeq(), h
+			releases = make([]requesterReleases, 0, len(byRequester))
+			for req, rels := range byRequester {
+				releases = append(releases, requesterReleases{req, rels})
 			}
-			s.Releases[r.req] = wire
+		})
+	})
+	return seq, func() ([]byte, error) {
+		s := stateSnapshot{Releases: make(map[string][]ledgerRelease, len(releases)), History: history}
+		for _, r := range releases {
+			s.Releases[r.req] = r.rels
 		}
 		return json.Marshal(s)
 	}
@@ -270,8 +280,8 @@ func (m *Mediator) Close() error {
 		m.fenceCancel = nil
 	}
 	m.mu.Unlock()
-	if m.persist == nil {
+	if m.dlog == nil {
 		return nil
 	}
-	return m.persist.dlog.Close()
+	return m.dlog.Close()
 }

@@ -70,7 +70,7 @@ func TestRestartAmnesiaDefeated(t *testing.T) {
 	}
 	// Nothing here is large enough to snapshot: the restart below
 	// recovers from the WAL alone.
-	if _, snap := m.persist.dlog.Sizes(); snap != 0 {
+	if _, snap := m.dlog.Sizes(); snap != 0 {
 		t.Fatalf("a %d-byte snapshot was installed; this test covers WAL-only recovery", snap)
 	}
 	if err := m.Close(); err != nil {
@@ -120,7 +120,7 @@ func TestLedgerSurvivesSnapshotCompaction(t *testing.T) {
 			}
 		}
 	}
-	if _, snap := m.persist.dlog.Sizes(); snap == 0 {
+	if _, snap := m.dlog.Sizes(); snap == 0 {
 		t.Fatal("no snapshot was installed")
 	}
 	hist := len(m.History())
@@ -192,7 +192,7 @@ func TestQueryDuringSnapshotCompletesAndSurvivesRestart(t *testing.T) {
 	}
 	// The snapshot covers "before" only; "during" lives in the WAL tail
 	// the compaction carried over.
-	wal, snap := m.persist.dlog.Sizes()
+	wal, snap := m.dlog.Sizes()
 	if wal == 0 || snap == 0 {
 		t.Fatalf("after install wal=%d snap=%d: want a snapshot and a carried-over tail", wal, snap)
 	}

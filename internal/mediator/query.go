@@ -359,7 +359,7 @@ func (m *Mediator) finalize(sh *sharedExec, requester string, trace *obs.Trace) 
 	if q.IsAggregate() {
 		if rel, ok := classifyRelease(q, out.Result); ok {
 			ts = m.pipe.Now()
-			err := m.ledger.checkAndRecord(requester, rel, m.cfg.MaxDisclosure, m.cfg.LedgerTolerance)
+			err := m.checkAndRecord(requester, rel)
 			m.pipe.Stage(trace, "ledger", ts, err)
 			if err != nil {
 				return nil, err

@@ -13,7 +13,6 @@ package mediator
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -77,7 +76,7 @@ func (e *FencedError) RefusalReason() refusal.Reason { return refusal.Fenced }
 // openReplication wires the replica node, stream server and (for a
 // standby) the tailing client. Called from New after openDurable.
 func (m *Mediator) openReplication(cfg ReplicaConfig) error {
-	if m.persist == nil {
+	if m.dlog == nil {
 		return fmt.Errorf("mediator: replication requires durability (set Config.Durability)")
 	}
 	dir := cfg.EpochDir
@@ -94,18 +93,7 @@ func (m *Mediator) openReplication(cfg ReplicaConfig) error {
 	}
 	m.node = node
 
-	// Fence the ledger's write path: every release persists through this
-	// guard (under the ledger lock, before the answer leaves), and the
-	// WAL record is stamped with the epoch that granted it.
-	m.persist.guard = func() error {
-		if err := node.CheckWrite(); err != nil {
-			return &FencedError{Epoch: node.Epoch(), Err: err}
-		}
-		return nil
-	}
-	m.persist.epoch = node.Epoch
-
-	m.repSrv = replica.NewServer(m.persist.dlog, node, m.cfg.Obs)
+	m.repSrv = replica.NewServer(m.dlog, node, m.cfg.Obs)
 	if cfg.Heartbeat > 0 {
 		m.repSrv.Heartbeat = cfg.Heartbeat
 	}
@@ -216,8 +204,8 @@ type ReplicaStatus struct {
 // Without replication configured it reports a plain primary.
 func (m *Mediator) ReplicationStatus() ReplicaStatus {
 	st := ReplicaStatus{Role: replica.RolePrimary.String()}
-	if m.persist != nil {
-		st.LastSeq = m.persist.dlog.LastSeq()
+	if m.dlog != nil {
+		st.LastSeq = m.dlog.LastSeq()
 	}
 	if m.node != nil {
 		st.Role = m.node.Role().String()
@@ -231,77 +219,46 @@ func (m *Mediator) ReplicationStatus() ReplicaStatus {
 }
 
 // mediatorApplier adapts the mediator's persisted state to
-// replica.Applier: every frame the standby receives is validated,
-// appended to the local durable log at the primary's sequence number,
-// and only then applied to the in-memory ledger/history — so the
-// standby's disk never claims records its memory does not have.
+// replica.Applier: a frame goes through the decoder recovery uses, into
+// the local durable log at the primary's sequence number, and only then
+// into memory as a recovered one does (persist.go) — so the standby's
+// disk never claims records its memory does not have.
 type mediatorApplier struct{ m *Mediator }
 
-// ApplyEntry replays one primary WAL record.
+// ApplyEntry replays one primary WAL record: append at the primary's
+// sequence, then apply, under the record's lock like every other writer.
 func (a mediatorApplier) ApplyEntry(seq uint64, payload []byte) error {
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return fmt.Errorf("mediator: decoding replicated record %d: %w", seq, err)
-	}
-	isRelease := rec.Kind == kindRelease && rec.Release != nil
-	isHistory := rec.Kind == kindHistory && rec.History != nil
-	if !isRelease && !isHistory {
-		return fmt.Errorf("mediator: malformed replicated record %d (kind %q)", seq, rec.Kind)
-	}
-	// Log and apply under the lock that guards the structure, exactly as
-	// the primary's write paths do: captureState relies on the log's
-	// sequence number and the in-memory state agreeing whenever it holds
-	// both locks.
 	m := a.m
-	var err error
-	if isRelease {
-		m.ledger.mu.Lock()
-		if err = m.persist.dlog.AppendEntry(seq, payload); err == nil {
-			m.ledger.byRequester[rec.Requester] = append(m.ledger.byRequester[rec.Requester], fromWire(*rec.Release))
-		}
-		m.ledger.mu.Unlock()
-	} else {
-		m.mu.Lock()
-		if err = m.persist.dlog.AppendEntry(seq, payload); err == nil {
-			m.history = append(m.history, *rec.History)
-			m.historyReq[rec.History.Requester] = struct{}{}
-		}
-		m.mu.Unlock()
-	}
+	rec, err := decodeRecord(seq, payload)
 	if err != nil {
 		return err
 	}
-	m.maybeSnapshot()
-	return nil
+	mu := m.lockFor(&rec)
+	mu.Lock()
+	if err = m.dlog.AppendEntry(seq, payload); err == nil {
+		m.apply(&rec)
+	}
+	mu.Unlock()
+	if err == nil {
+		m.maybeSnapshot()
+	}
+	return err
 }
 
 // ApplySnapshot resets all inference-control state to the primary's
-// snapshot covering seq.
+// snapshot covering seq. It is decoded before the log takes it: a
+// payload this node could not reopen must not reach its disk.
 func (a mediatorApplier) ApplySnapshot(seq uint64, state []byte) error {
-	var s stateSnapshot
-	if err := json.Unmarshal(state, &s); err != nil {
-		return fmt.Errorf("mediator: decoding replicated snapshot: %w", err)
-	}
-	m := a.m
-	if err := m.persist.dlog.InstallSnapshot(seq, state); err != nil {
+	s, err := decodeSnapshot(state)
+	if err != nil {
 		return err
 	}
-	byReq := map[string][]ledgerRelease{}
-	for req, rels := range s.Releases {
-		for _, w := range rels {
-			byReq[req] = append(byReq[req], fromWire(w))
-		}
+	if err := a.m.dlog.InstallSnapshot(seq, state); err != nil {
+		return err
 	}
-	m.ledger.replaceAll(byReq)
-	m.mu.Lock()
-	m.history = append([]HistoryEntry(nil), s.History...)
-	m.historyReq = make(map[string]struct{}, len(s.History))
-	for _, e := range s.History {
-		m.historyReq[e.Requester] = struct{}{}
-	}
-	m.mu.Unlock()
+	a.m.installSnapshot(s)
 	return nil
 }
 
 // LastSeq is the standby's resume point.
-func (a mediatorApplier) LastSeq() uint64 { return a.m.persist.dlog.LastSeq() }
+func (a mediatorApplier) LastSeq() uint64 { return a.m.dlog.LastSeq() }

@@ -51,10 +51,11 @@ type ShardConfig struct {
 	// same URLs to check peers for stranded re-routed state. Set them
 	// late with SetShardPeerURLs when they are not known at build time.
 	PeerURLs map[string]string
-	// DrainVerifyTTL caches a peer's drain-status verdict so a burst of
-	// re-routed queries costs one status fetch, not one per query
-	// (<= 0 = default 2s). The TTL bounds how long a stale "draining"
-	// verdict can outlive the peer's undrain.
+	// DrainVerifyTTL caches a peer's "not draining" (or unreachable)
+	// answer so a dead peer costs one status fetch, not one per query
+	// (<= 0 = default 2s). A "draining" answer honours a re-route and is
+	// never cached, so none outlives the peer's undrain; the TTL bounds
+	// how long after a peer starts draining its re-routes are refused.
 	DrainVerifyTTL time.Duration
 }
 
@@ -96,12 +97,6 @@ func (e *DrainingError) Error() string {
 // NotOwner reason (503, never 403).
 func (e *DrainingError) RefusalReason() refusal.Reason { return refusal.NotOwner }
 
-// drainVerdict is one cached peer drain-status answer.
-type drainVerdict struct {
-	draining bool
-	at       time.Time
-}
-
 // shardState is the mediator's membership view, set once in New.
 type shardState struct {
 	id        string
@@ -110,13 +105,13 @@ type shardState struct {
 	client    *http.Client
 	verifyTTL time.Duration
 
-	// mu guards the peer URL table (settable late via
-	// SetShardPeerURLs) and the drain-verdict cache.
+	// mu guards the peer URL table (settable late via SetShardPeerURLs)
+	// and when each peer last failed to confirm it is draining.
 	mu       sync.Mutex
 	peerURLs map[string]string
-	verdicts map[string]drainVerdict
+	denied   map[string]time.Time
 
-	// Shard metric handles (nil when the mediator runs unobserved).
+	// Shard metric handles (nil, so no-ops, when unobserved).
 	drainingGauge *obs.Gauge
 	notOwner      *obs.Counter
 	drainRefused  *obs.Counter
@@ -171,7 +166,7 @@ func (m *Mediator) setupShard(cfg ShardConfig) error {
 		client:    &http.Client{Timeout: 2 * time.Second}, // peer status checks
 		verifyTTL: cfg.DrainVerifyTTL,
 		peerURLs:  map[string]string{},
-		verdicts:  map[string]drainVerdict{},
+		denied:    map[string]time.Time{},
 	}
 	if s.verifyTTL <= 0 {
 		s.verifyTTL = 2 * time.Second
@@ -219,7 +214,7 @@ func (m *Mediator) SetShardPeerURLs(urls map[string]string) error {
 	}
 	s.mu.Lock()
 	s.peerURLs = cp
-	s.verdicts = map[string]drainVerdict{}
+	s.denied = map[string]time.Time{}
 	s.mu.Unlock()
 	return nil
 }
@@ -244,11 +239,12 @@ func (m *Mediator) SetShardPeerURLs(urls map[string]string) error {
 // and the gate recomputes ownership over the remainder with the same
 // pure placement function the router used. Drain truth: each excluded
 // shard that actually ranks ahead of this one must CONFIRM it is
-// draining via its own /shard/status (verdicts cached briefly, see
-// DrainVerifyTTL) — the header is a claim, not a credential, and any
-// HTTP client can send it. A forged, stale, or unverifiable assertion
-// can only cause a refusal (fail-closed), never make this shard serve
-// a requester whose control state lives on a live, non-draining owner.
+// draining via its own /shard/status, on this call (only a denial is
+// cached, see DrainVerifyTTL) — the header is a claim, not a
+// credential, and any HTTP client can send it. A forged, stale, or
+// unverifiable assertion can only cause a refusal (fail-closed), never
+// make this shard serve a requester whose control state lives on a
+// live, non-draining owner.
 func (m *Mediator) shardGate(ctx context.Context, requester string) error {
 	s := m.shard
 	if s == nil {
@@ -262,27 +258,19 @@ func (m *Mediator) shardGate(ctx context.Context, requester string) error {
 	}
 	if owner == s.id {
 		if s.draining.Load() && !m.hasRequesterState(requester) {
-			if s.drainRefused != nil {
-				s.drainRefused.Inc()
-			}
+			s.drainRefused.Inc()
 			return &DrainingError{Shard: s.id}
 		}
 		return nil
 	}
 	if drained := ReroutedFrom(ctx); len(drained) > 0 {
 		if m.verifyReroute(ctx, requester, drained) {
-			if s.rerouted != nil {
-				s.rerouted.Inc()
-			}
+			s.rerouted.Inc()
 			return nil
 		}
-		if s.rerouteDenied != nil {
-			s.rerouteDenied.Inc()
-		}
+		s.rerouteDenied.Inc()
 	}
-	if s.notOwner != nil {
-		s.notOwner.Inc()
-	}
+	s.notOwner.Inc()
 	return &NotOwnerError{Shard: s.id, Requester: requester, Owner: owner}
 }
 
@@ -317,20 +305,17 @@ func (m *Mediator) verifyReroute(ctx context.Context, requester string, asserted
 }
 
 // peerDraining confirms a drain claim with the claimed shard itself:
-// GET its /shard/status and read the draining flag. Verdicts (including
-// failures, recorded as not-draining) are cached for verifyTTL so a
-// re-route burst costs one fetch and a dead peer is not hammered once
-// per query. No URL, unreachable, or non-200 all answer false —
-// unverifiable means refused.
+// GET its /shard/status and read the draining flag. A denial (failures
+// included) is cached for verifyTTL, so a dead peer is not fetched once
+// per query; a confirmation never is — remembered past the peer's
+// undrain it would adopt a requester whose ledger lives on the live
+// owner. No URL, unreachable, or non-200 all answer false: refused.
 func (s *shardState) peerDraining(ctx context.Context, name string) bool {
 	s.mu.Lock()
-	if v, ok := s.verdicts[name]; ok && time.Since(v.at) < s.verifyTTL {
-		s.mu.Unlock()
-		return v.draining
-	}
+	deniedAt := s.denied[name] // the zero time when never denied
 	url, ok := s.peerURLs[name]
 	s.mu.Unlock()
-	if !ok {
+	if !ok || time.Since(deniedAt) < s.verifyTTL {
 		return false
 	}
 	draining := false
@@ -347,9 +332,11 @@ func (s *shardState) peerDraining(ctx context.Context, name string) bool {
 			resp.Body.Close()
 		}
 	}
-	s.mu.Lock()
-	s.verdicts[name] = drainVerdict{draining: draining, at: time.Now()}
-	s.mu.Unlock()
+	if !draining {
+		s.mu.Lock()
+		s.denied[name] = time.Now()
+		s.mu.Unlock()
+	}
 	return draining
 }
 
@@ -358,18 +345,13 @@ func (s *shardState) peerDraining(ctx context.Context, name string) bool {
 // rebuilt from snapshot+WAL replay at startup. This is what makes a
 // drain safe: requesters with state stay until the operator retires the
 // shard, requesters without state lose nothing by being placed
-// elsewhere. O(1): the history keeps a requester index (historyReq)
-// alongside the entries, and the ledger is already keyed by requester.
-func (m *Mediator) hasRequesterState(requester string) bool {
-	m.mu.RLock()
-	_, inHistory := m.historyReq[requester]
-	m.mu.RUnlock()
-	if inHistory {
-		return true
+// elsewhere. O(1): the history keeps a requester index alongside the
+// entries, and the ledger is already keyed by requester.
+func (m *Mediator) hasRequesterState(requester string) (ok bool) {
+	m.readHistory(func(_ []HistoryEntry, requesters map[string]struct{}) { _, ok = requesters[requester] })
+	if !ok {
+		m.ledger.read(func(byRequester map[string][]ledgerRelease) { _, ok = byRequester[requester] })
 	}
-	m.ledger.mu.Lock()
-	_, ok := m.ledger.byRequester[requester]
-	m.ledger.mu.Unlock()
 	return ok
 }
 
@@ -381,9 +363,7 @@ func (m *Mediator) Drain() error {
 		return fmt.Errorf("mediator: not sharded")
 	}
 	m.shard.draining.Store(true)
-	if m.shard.drainingGauge != nil {
-		m.shard.drainingGauge.Set(1)
-	}
+	m.shard.drainingGauge.Set(1)
 	return nil
 }
 
@@ -410,9 +390,7 @@ func (m *Mediator) Undrain(ctx context.Context, force bool) error {
 		}
 	}
 	s.draining.Store(false)
-	if s.drainingGauge != nil {
-		s.drainingGauge.Set(0)
-	}
+	s.drainingGauge.Set(0)
 	return nil
 }
 
@@ -502,14 +480,16 @@ func (m *Mediator) ShardMisplaced() map[string][]string {
 		return nil
 	}
 	seen := map[string]bool{}
-	m.mu.RLock()
-	for r := range m.historyReq {
-		seen[r] = true
-	}
-	m.mu.RUnlock()
-	for _, r := range m.ledger.requesters() {
-		seen[r] = true
-	}
+	m.readHistory(func(_ []HistoryEntry, requesters map[string]struct{}) {
+		for r := range requesters {
+			seen[r] = true
+		}
+	})
+	m.ledger.read(func(byRequester map[string][]ledgerRelease) {
+		for r := range byRequester {
+			seen[r] = true
+		}
+	})
 	out := map[string][]string{}
 	for r := range seen {
 		owner, err := s.ring.Lookup(r)

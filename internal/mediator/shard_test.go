@@ -67,19 +67,24 @@ func (f *fakePeerShard) setMisplaced(m map[string][]string) {
 }
 
 // newShardedMediator builds a mediator as shard `id` of a two-shard
-// tier {shard-a, shard-b}, with the given peer URL table.
+// tier {shard-a, shard-b}, with the given peer URL table. Denials are
+// effectively uncached: each sub-case's status flip must be seen
+// immediately.
 func newShardedMediator(t *testing.T, id string, peerURLs map[string]string) *Mediator {
+	t.Helper()
+	return newShardedMediatorTTL(t, id, peerURLs, time.Nanosecond)
+}
+
+func newShardedMediatorTTL(t *testing.T, id string, peerURLs map[string]string, ttl time.Duration) *Mediator {
 	t.Helper()
 	m, err := New(Config{
 		Endpoints:   twoHospitals(t),
 		LinkageSalt: salt,
 		Shard: &ShardConfig{
-			ID:    id,
-			Peers: []string{"shard-a", "shard-b"},
-			Seed:  shard.DefaultSeed,
-			// Effectively uncached: each sub-case's status flip must be
-			// seen immediately.
-			DrainVerifyTTL: time.Nanosecond,
+			ID:             id,
+			Peers:          []string{"shard-a", "shard-b"},
+			Seed:           shard.DefaultSeed,
+			DrainVerifyTTL: ttl,
 			PeerURLs:       peerURLs,
 		},
 	})
@@ -148,6 +153,25 @@ func TestShardGateVerifiesDrainClaim(t *testing.T) {
 	peerA.setDraining(false)
 	if _, err := m.QueryContext(rerouted, shardTestQuery, requester); !errors.As(err, &no) {
 		t.Fatalf("stale drain claim after undrain answered err=%v, want NotOwnerError", err)
+	}
+
+	// The same two steps at the default TTL (2 s). A confirmation is
+	// never cached, so the very next re-routed query after the undrain
+	// is refused — shard-a is live again and the requester's ledger is
+	// there. What the TTL does hold is the denial: a peer that starts
+	// draining inside it is re-routed to a little late, never early.
+	cached := newShardedMediatorTTL(t, "shard-b", map[string]string{"shard-a": peerA.srv.URL}, 0)
+	peerA.setDraining(true)
+	if _, err := cached.QueryContext(rerouted, shardTestQuery, requester); err != nil {
+		t.Fatalf("verified drain re-route refused at the default TTL: %v", err)
+	}
+	peerA.setDraining(false)
+	if _, err := cached.QueryContext(rerouted, shardTestQuery, requester); !errors.As(err, &no) {
+		t.Fatalf("the query after the undrain answered err=%v, want NotOwnerError: a cached \"draining\" verdict adopted a requester whose owner is live", err)
+	}
+	peerA.setDraining(true)
+	if _, err := cached.QueryContext(rerouted, shardTestQuery, requester); !errors.As(err, &no) {
+		t.Fatalf("a denial inside the TTL was not served from the cache: err=%v", err)
 	}
 }
 

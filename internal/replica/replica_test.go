@@ -279,6 +279,38 @@ func TestStandbyTailsLiveAppends(t *testing.T) {
 	}
 }
 
+// On an idle stream the heartbeat is the standby's only news of where
+// its primary stands, and so what its readiness is computed from. A
+// standby whose cursor is already past the primary's log is sent no
+// entry frame, so the watermark it reports can only have come from
+// heartbeats.
+func TestHeartbeatAloneAdvancesPrimaryLast(t *testing.T) {
+	rig := newPrimaryRig(t)
+	rig.srv.Heartbeat = 5 * time.Millisecond
+	for i := 1; i <= 3; i++ {
+		if _, err := rig.log.Append([]byte(fmt.Sprintf("r%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ap := newMemApplier()
+	ap.last = 100
+	c, _ := newStandbyClient(t, rig, ap)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go c.Run(ctx)
+
+	waitFor(t, "hello", func() bool { st := c.Status(); return st.Connected && st.PrimaryLast == 3 })
+	for i := 4; i <= 5; i++ {
+		if _, err := rig.log.Append([]byte(fmt.Sprintf("r%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "a heartbeat carrying sequence 5", func() bool { return c.Status().PrimaryLast == 5 })
+	if st := c.Status(); st.Resyncs != 0 || ap.LastSeq() != 100 || ap.entry(4) != "" {
+		t.Errorf("the watermark moved by something other than a heartbeat: status %+v, applier at %d", st, ap.LastSeq())
+	}
+}
+
 func TestStandbyInstallsSnapshotWhenBehindCompaction(t *testing.T) {
 	rig := newPrimaryRig(t)
 	for i := 1; i <= 4; i++ {
