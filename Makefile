@@ -71,8 +71,9 @@ bench-gate:
 	BENCH_GATE=1 $(GO) test -count=1 -run '^TestBenchGate$$' -v .
 
 # Short native-fuzzing runs over the untrusted-input decoders and the
-# ring invariants: WAL record decoding, the PIQL parser, the XML envelope
-# tokenizer (differentially against encoding/xml) and writer, the PSI
+# ring invariants: WAL record decoding, the PIQL parser, the reader of a
+# source's result and its row multiplicities, the XML envelope tokenizer
+# (differentially against encoding/xml) and writer, the PSI
 # wire envelope and element decoders (both suites), and shard placement
 # under arbitrary membership churn. Raise FUZZTIME for longer hunts.
 # The xmltree targets cap minimization: their pooled buffers make
@@ -84,6 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEncodeRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/xmltree/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) ./internal/durable/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/piql/
+	$(GO) test -run '^$$' -fuzz FuzzResultFromNode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/piql/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalElems -fuzztime $(FUZZTIME) ./internal/psi/
 	$(GO) test -run '^$$' -fuzz FuzzP256DecodeElement -fuzztime $(FUZZTIME) ./internal/psi/
 	$(GO) test -run '^$$' -fuzz FuzzModPDecodeElement -fuzztime $(FUZZTIME) ./internal/psi/
@@ -125,7 +127,10 @@ loc:
 # The ceiling on the first of them: what the last PR to lower it left. A
 # PR that removes code lowers LOC_CEILING to its own `make loc`; one that
 # has to add code raises it in the same diff and says why.
-LOC_CEILING = 27792
+# PR 24, 27,792 -> 27,911: a source's plain answer ships each distinct row
+# once with its multiplicity (collapse, wire form and its validation, one
+# collision-free row key, interned age bands); wire -90 % on cold_fanout.
+LOC_CEILING = 27911
 loc-check:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
 	if [ $$n -gt $(LOC_CEILING) ]; then \

@@ -14,24 +14,19 @@ import (
 	"privateiye/internal/xmltree"
 )
 
-// estlossEndpoint answers like the endpoint it wraps but rewrites (or,
-// for "-", removes) the estloss attribute of every answer.
-type estlossEndpoint struct {
+// forgingEndpoint answers like the endpoint it wraps, after forge has had
+// its way with the envelope.
+type forgingEndpoint struct {
 	source.Endpoint
-	estloss string
+	forge func(*xmltree.Node)
 }
 
-func (e estlossEndpoint) Query(ctx context.Context, text, requester string) (*xmltree.Node, error) {
+func (e forgingEndpoint) Query(ctx context.Context, text, requester string) (*xmltree.Node, error) {
 	n, err := e.Endpoint.Query(ctx, text, requester)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		e.forge(n)
 	}
-	if e.estloss == "-" {
-		delete(n.Attrs, "estloss")
-	} else {
-		n.SetAttr("estloss", e.estloss)
-	}
-	return n, nil
+	return n, err
 }
 
 // An answer whose loss estimate cannot be read must not count as loss 0
@@ -45,12 +40,12 @@ func TestUnreadableLossEstimateDeniesTheSource(t *testing.T) {
 		return n
 	}
 	for _, ok := range []string{"0", "0.25", "1", "1e-3"} {
-		if a, err := parseAnswer(answerWith(ok)); err != nil || a.estLoss < 0 || a.estLoss > 1 {
+		if a, err := parseAnswer(answerWith(ok), false); err != nil || a.estLoss < 0 || a.estLoss > 1 {
 			t.Errorf("estloss %q: %v", ok, err)
 		}
 	}
 	for _, bad := range []string{"-", "", "abc", "0.5x", "NaN", "-0.1", "1.5", "+Inf"} {
-		if _, err := parseAnswer(answerWith(bad)); err == nil {
+		if _, err := parseAnswer(answerWith(bad), false); err == nil {
 			t.Errorf("estloss %q was accepted", bad)
 		}
 	}
@@ -58,7 +53,7 @@ func TestUnreadableLossEstimateDeniesTheSource(t *testing.T) {
 	// End to end: the tampered source is denied, the honest one answers,
 	// and the integrated loss is the honest source's, not zero.
 	eps := twoHospitals(t)
-	eps[0] = estlossEndpoint{Endpoint: eps[0], estloss: "NaN"}
+	eps[0] = forgingEndpoint{eps[0], func(n *xmltree.Node) { n.SetAttr("estloss", "NaN") }}
 	m, err := New(Config{Endpoints: eps})
 	if err != nil {
 		t.Fatal(err)

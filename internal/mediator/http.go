@@ -73,7 +73,7 @@ func IntegratedFromNode(n *xmltree.Node) (*Integrated, error) {
 	if resNode == nil {
 		return nil, fmt.Errorf("mediator: integrated answer missing result")
 	}
-	res, err := piql.ResultFromNode(resNode)
+	res, err := piql.ResultFromNode(resNode, "")
 	if err != nil {
 		return nil, err
 	}

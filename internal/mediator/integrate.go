@@ -23,7 +23,10 @@ type answer struct {
 	estLoss float64
 }
 
-func parseAnswer(node *xmltree.Node) (*answer, error) {
+// parseAnswer reads one source's answer. Only an answer to a plain query
+// may carry multiplicities: reaggregate weights partial aggregates by their
+// COUNT cells and would fold a collapsed row as if it were one.
+func parseAnswer(node *xmltree.Node, aggregate bool) (*answer, error) {
 	if node.Name != "answer" {
 		return nil, fmt.Errorf("mediator: expected <answer>, got <%s>", node.Name)
 	}
@@ -32,9 +35,13 @@ func parseAnswer(node *xmltree.Node) (*answer, error) {
 	if resNode == nil {
 		return nil, fmt.Errorf("mediator: answer from %s has no result", src)
 	}
-	res, err := piql.ResultFromNode(resNode)
+	counts, _ := node.Attr("counts")
+	if aggregate && counts != "" {
+		return nil, fmt.Errorf("mediator: aggregate answer from %s carries row multiplicities", src)
+	}
+	res, err := piql.ResultFromNode(resNode, counts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mediator: answer from %s: %w", src, err)
 	}
 	// The loss estimate feeds the MAXLOSS control, so an answer whose
 	// estimate cannot be read is refused rather than counted as lossless.
@@ -47,7 +54,7 @@ func parseAnswer(node *xmltree.Node) (*answer, error) {
 }
 
 // mergeAnswers unions result rows over the union of columns; cells a
-// source did not produce are empty.
+// source did not produce are empty. Every row carries its multiplicity.
 func mergeAnswers(answers []*answer) *piql.Result {
 	var cols []string
 	seen := map[string]bool{}
@@ -68,19 +75,19 @@ func mergeAnswers(answers []*answer) *piql.Result {
 	for _, a := range answers {
 		total += len(a.result.Rows)
 	}
-	out.Rows = piql.NewRows(total, len(cols))
+	out.Rows, out.Mult = piql.NewRows(total, len(cols)), make([]int, total)
 	n := 0
 	for _, a := range answers {
 		at := make([]int, len(a.result.Columns))
 		for i, c := range a.result.Columns {
 			at[i] = idx[c]
 		}
-		for _, row := range a.result.Rows {
-			nr := out.Rows[n]
-			n++
+		for r, row := range a.result.Rows {
 			for i, j := range at {
-				nr[j] = row[i]
+				out.Rows[n][j] = row[i]
 			}
+			out.Mult[n] = a.result.Count(r)
+			n++
 		}
 	}
 	return out
@@ -106,20 +113,14 @@ func ownRows(rows [][]string, width int) [][]string {
 // configured column via Bloom-encoded similarity. The result owns its
 // rows and their cells (see ownRows).
 func (m *Mediator) dedupe(res *piql.Result) (*piql.Result, int, error) {
-	out := &piql.Result{Columns: res.Columns}
-	removed := 0
-
-	// Exact pass.
-	seen := map[string]bool{}
-	for _, row := range res.Rows {
-		key := strings.Join(row, "\x00")
-		if seen[key] {
-			removed++
-			continue
-		}
-		seen[key] = true
-		out.Rows = append(out.Rows, row)
+	// Exact pass. Whatever the fuzzy pass then drops, what was removed is
+	// the rows that came in, each with its multiplicity, less those kept.
+	out := res.Collapse()
+	in := 0
+	for _, n := range out.Mult {
+		in += n
 	}
+	out.Mult = nil
 
 	// Fuzzy pass on the dedup column.
 	col := -1
@@ -131,7 +132,7 @@ func (m *Mediator) dedupe(res *piql.Result) (*piql.Result, int, error) {
 	}
 	if m.cfg.DedupColumn == "" || col < 0 || len(m.cfg.LinkageSalt) == 0 {
 		out.Rows = ownRows(out.Rows, len(out.Columns))
-		return out, removed, nil
+		return out, in - len(out.Rows), nil
 	}
 	enc, err := linkage.NewEncoder(1000, 20, 2, m.cfg.LinkageSalt)
 	if err != nil {
@@ -174,15 +175,13 @@ func (m *Mediator) dedupe(res *piql.Result) (*piql.Result, int, error) {
 				dup = true
 				break
 			}
-			_ = kept[i]
 		}
 		if dup {
-			removed++
 			continue
 		}
 		kept = append(kept, row)
 		keptKeys = append(keptKeys, k)
 	}
 	out.Rows = ownRows(kept, len(out.Columns))
-	return out, removed, nil
+	return out, in - len(kept), nil
 }

@@ -265,7 +265,7 @@ func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trac
 			out.Denied[r.name] = m.denialReason(r.err)
 			continue
 		}
-		a, err := parseAnswer(r.node)
+		a, err := parseAnswer(r.node, q.IsAggregate())
 		if err != nil {
 			out.Denied[r.name] = err.Error()
 			continue

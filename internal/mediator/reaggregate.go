@@ -3,7 +3,7 @@ package mediator
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -69,30 +69,25 @@ func foldGroups(res *piql.Result, keyIdx []int, aggCols []aggSpec) (*piql.Result
 		}
 	}
 
-	groups := map[string]*accum{}
-	var order []string
+	var groups piql.RowIndex
+	var order []*accum
 	for _, row := range res.Rows {
-		var kb strings.Builder
 		key := make([]string, len(keyIdx))
 		for i, k := range keyIdx {
 			key[i] = row[k]
-			kb.WriteString(row[k])
-			kb.WriteByte('\x00')
 		}
-		id := kb.String()
-		acc, ok := groups[id]
-		if !ok {
-			acc = &accum{
+		id, first := groups.ID(key)
+		if first {
+			order = append(order, &accum{
 				key:  key,
 				sums: make([]float64, len(aggCols)),
 				ns:   make([]float64, len(aggCols)),
 				mins: make([]float64, len(aggCols)),
 				maxs: make([]float64, len(aggCols)),
 				seen: make([]bool, len(aggCols)),
-			}
-			groups[id] = acc
-			order = append(order, id)
+			})
 		}
+		acc := order[id]
 		weight := 1.0
 		if countCol >= 0 {
 			if w, err := strconv.ParseFloat(strings.TrimSpace(row[countCol]), 64); err == nil && w > 0 {
@@ -129,11 +124,10 @@ func foldGroups(res *piql.Result, keyIdx []int, aggCols []aggSpec) (*piql.Result
 			acc.seen[i] = true
 		}
 	}
-	sort.Strings(order)
+	slices.SortFunc(order, func(a, b *accum) int { return slices.Compare(a.key, b.key) })
 
 	out := &piql.Result{Columns: res.Columns}
-	for _, id := range order {
-		acc := groups[id]
+	for _, acc := range order {
 		row := make([]string, len(res.Columns))
 		for i, k := range keyIdx {
 			// The folded result and the ledger release keyed by these cells

@@ -1,6 +1,7 @@
 package piql
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
@@ -24,10 +25,111 @@ type EvalOptions struct {
 
 // Result is an evaluated query result: named columns over string cells.
 // Multiple matches of a value path within one context are joined with
-// "; " so the result stays rectangular.
+// "; " so the result stays rectangular. Mult, when non-nil, gives for
+// each row the number of identical rows it stands for (see Collapse).
 type Result struct {
 	Columns []string
 	Rows    [][]string
+	Mult    []int
+}
+
+// MaxRows caps the rows one result may stand for through Mult, so that
+// multiplicities summed over any number of sources cannot overflow.
+const MaxRows = 1 << 24
+
+// Count returns how many rows row i stands for.
+func (r *Result) Count(i int) int {
+	if r.Mult == nil {
+		return 1
+	}
+	return r.Mult[i]
+}
+
+// RowIndex numbers distinct rows of one width in the order they are first
+// offered. A row's identity is every cell behind its length, so no two
+// different rows share one whatever bytes their cells hold; a one-column
+// row is identified by the cell itself and costs no key.
+type RowIndex struct {
+	ids map[string]int
+	key []byte
+}
+
+// ID returns the number of the first row offered whose cells equal
+// row's, and whether row is that first one.
+func (x *RowIndex) ID(row []string) (id int, first bool) {
+	if x.ids == nil {
+		x.ids = map[string]int{}
+	}
+	if len(row) == 1 {
+		id, ok := x.ids[row[0]]
+		if !ok {
+			id = len(x.ids)
+			x.ids[row[0]] = id
+		}
+		return id, !ok
+	}
+	x.key = x.key[:0]
+	for _, c := range row {
+		x.key = append(binary.AppendUvarint(x.key, uint64(len(c))), c...)
+	}
+	id, ok := x.ids[string(x.key)]
+	if !ok {
+		id = len(x.ids)
+		x.ids[string(x.key)] = id
+	}
+	return id, !ok
+}
+
+// Collapse returns r's distinct rows (r's own, not copies) in
+// first-occurrence order, each with the number of r's rows it stands for.
+// Preservation releases a bag of a few distinct rows, so this is what a
+// source ships (DESIGN.md §15).
+func (r *Result) Collapse() *Result {
+	out := &Result{Columns: r.Columns, Rows: make([][]string, 0, len(r.Rows)), Mult: make([]int, 0, len(r.Rows))}
+	var idx RowIndex
+	for i, row := range r.Rows {
+		id, first := idx.ID(row)
+		if first {
+			out.Rows = append(out.Rows, row)
+			out.Mult = append(out.Mult, 0)
+		}
+		out.Mult[id] += r.Count(i)
+	}
+	return out
+}
+
+// MultText renders the multiplicities for the wire, space-separated. They
+// travel as one attribute beside the <result> tree, not one per <row>: a
+// node's attributes are a map, and a map per distinct row on each side of
+// the wire costs more allocations than collapsing saves.
+func (r *Result) MultText() string {
+	var b strings.Builder
+	b.Grow(4 * len(r.Mult))
+	var field [21]byte
+	for _, m := range r.Mult {
+		b.Write(strconv.AppendInt(append(field[:0], ' '), int64(m), 10))
+	}
+	return strings.TrimPrefix(b.String(), " ")
+}
+
+// parseMult reads MultText output for a result of the given row count.
+// The list comes from another administrative domain: anything but one
+// integer ≥ 1 per row, together within MaxRows, is an error.
+func parseMult(text string, rows int) ([]int, error) {
+	if n := strings.Count(text, " ") + 1; n != rows {
+		return nil, fmt.Errorf("piql: %d row multiplicities for %d rows", n, rows)
+	}
+	mult, total := make([]int, rows), 0
+	for i := range mult {
+		var field string
+		field, text, _ = strings.Cut(text, " ")
+		v, err := strconv.Atoi(field)
+		if err != nil || v < 1 || v > MaxRows-total {
+			return nil, fmt.Errorf("piql: row multiplicity %q: want an integer ≥ 1, at most %d in all", field, MaxRows)
+		}
+		mult[i], total = v, total+v
+	}
+	return mult, nil
 }
 
 // NewRows returns n rows of the given width carved from one backing
@@ -68,9 +170,10 @@ func (r *Result) ToNode() *xmltree.Node {
 	return root
 }
 
-// ResultFromNode parses the ToNode encoding. The cells are the tree's own
+// ResultFromNode parses the ToNode encoding, with the MultText that
+// travelled beside it ("" for none). The cells are the tree's own
 // strings; the rows share one backing array (see NewRows).
-func ResultFromNode(n *xmltree.Node) (*Result, error) {
+func ResultFromNode(n *xmltree.Node, mult string) (*Result, error) {
 	if n.Name != "result" {
 		return nil, fmt.Errorf("piql: expected <result>, got <%s>", n.Name)
 	}
@@ -102,6 +205,12 @@ func ResultFromNode(n *xmltree.Node) (*Result, error) {
 			} else {
 				row[j] = rowNode.ChildText(col)
 			}
+		}
+	}
+	if mult != "" {
+		var err error
+		if res.Mult, err = parseMult(mult, nrows); err != nil {
+			return nil, err
 		}
 	}
 	return res, nil

@@ -1,6 +1,10 @@
 package piql
 
-import "testing"
+import (
+	"testing"
+
+	"privateiye/internal/xmltree"
+)
 
 // FuzzParse feeds arbitrary text to the PIQL parser, which sits directly
 // on the untrusted query path of every source and the mediator. Three
@@ -35,6 +39,46 @@ func FuzzParse(f *testing.F) {
 		}
 		if again := q2.String(); again != canonical {
 			t.Fatalf("String() is not a fixed point:\n  first:  %q\n  second: %q", canonical, again)
+		}
+	})
+}
+
+// FuzzResultFromNode feeds the mediator's reader of source answers an
+// arbitrary result document and an arbitrary multiplicity list; both come
+// from another administrative domain. It never panics, and a result it
+// does return has no multiplicities or exactly one, at least 1, per row,
+// standing for no more than MaxRows rows in all.
+func FuzzResultFromNode(f *testing.F) {
+	f.Add(`<result><row><age>40-49</age></row><row><age>50-59</age></row></result>`, "57 3")
+	f.Add(`<result><row><a>1</a><b>2</b></row><row><b>3</b></row><other/></result>`, "")
+	f.Add(`<result/>`, "1")
+	f.Add(`<result><row/></result>`, "0")
+	f.Add(`<result><row><a>x</a></row></result>`, "9223372036854775807")
+	f.Add(`<result><row><a>x</a></row><row><a>x</a></row></result>`, "16777215 2")
+	f.Add(`<answer counts="1"><result/></answer>`, " 1  -1 x")
+	f.Fuzz(func(t *testing.T, doc, mult string) {
+		n, err := xmltree.ParseString(doc)
+		if err != nil {
+			return
+		}
+		res, err := ResultFromNode(n, mult)
+		if err != nil {
+			return
+		}
+		if len(res.Mult) != 0 && len(res.Mult) != len(res.Rows) {
+			t.Fatalf("%d multiplicities for %d rows", len(res.Mult), len(res.Rows))
+		}
+		total := 0
+		for i, m := range res.Mult {
+			if m < 1 || m > MaxRows-total {
+				t.Fatalf("multiplicity %d of %v accepted from %q", i, res.Mult, mult)
+			}
+			total += m
+		}
+		for _, row := range res.Rows {
+			if len(row) != len(res.Columns) {
+				t.Fatalf("row of %d cells under %d columns", len(row), len(res.Columns))
+			}
 		}
 	})
 }

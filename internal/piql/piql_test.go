@@ -2,6 +2,7 @@ package piql
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"strconv"
 	"strings"
@@ -278,7 +279,7 @@ func TestResultXMLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ResultFromNode(res.ToNode())
+	back, err := ResultFromNode(res.ToNode(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestResultXMLRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ResultFromNode(xmltree.NewElem("x")); err == nil {
+	if _, err := ResultFromNode(xmltree.NewElem("x"), ""); err == nil {
 		t.Error("wrong root should fail")
 	}
 }
@@ -503,8 +504,8 @@ func TestResultNodeConversionsAllocatePerResult(t *testing.T) {
 		t.Errorf("ToNode: %v allocs for 10 rows, %v for 1000", a, b)
 	}
 	sn, ln := small.ToNode(), large.ToNode()
-	a := testing.AllocsPerRun(20, func() { _, _ = ResultFromNode(sn) })
-	b := testing.AllocsPerRun(20, func() { _, _ = ResultFromNode(ln) })
+	a := testing.AllocsPerRun(20, func() { _, _ = ResultFromNode(sn, "") })
+	b := testing.AllocsPerRun(20, func() { _, _ = ResultFromNode(ln, "") })
 	if b > a {
 		t.Errorf("ResultFromNode: %v allocs for 10 rows, %v for 1000", a, b)
 	}
@@ -522,12 +523,204 @@ func TestRowSlabsAreClippedAndRectangular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ResultFromNode(n)
+	res, err := ResultFromNode(n, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := [][]string{{"", ""}, {"1", "2"}, {"", "3"}}
 	if !reflect.DeepEqual(res.Rows, want) || !reflect.DeepEqual(res.Columns, []string{"a", "b"}) {
 		t.Fatalf("got %v %v, want %v", res.Columns, res.Rows, want)
+	}
+}
+
+// expand is Collapse's inverse: every row, Count times, in row order.
+func expand(r *Result) [][]string {
+	var out [][]string
+	for i, row := range r.Rows {
+		for n := r.Count(i); n > 0; n-- {
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+// randomResult draws a result of 1–4 columns whose cells come from a small
+// alphabet of awkward texts (empty, inner spaces, the multi-match joiner,
+// characters XML escapes, a NUL-free near-collision), so duplication runs
+// from none (pool == rows) to heavy (pool == 1).
+func randomResult(rng *rand.Rand) *Result {
+	cells := []string{"", "40-49", "a b", "x; y", "<&>", `"q'`, "a", "ab", "b", "é", "1", "01"}
+	cols := 1 + rng.Intn(4)
+	rows := rng.Intn(60)
+	pool := make([][]string, 1+rng.Intn(max(rows, 1)))
+	for i := range pool {
+		pool[i] = make([]string, cols)
+		for j := range pool[i] {
+			pool[i][j] = cells[rng.Intn(len(cells))]
+		}
+	}
+	res := &Result{Rows: NewRows(rows, cols)}
+	for j := 0; j < cols; j++ {
+		res.Columns = append(res.Columns, "c"+strconv.Itoa(j))
+	}
+	for _, row := range res.Rows {
+		copy(row, pool[rng.Intn(len(pool))])
+	}
+	return res
+}
+
+// What a source ships stands for exactly what it released: collapsed,
+// written, sent through the codec and read back, a result expands to the
+// same rows with the same multiplicities, the distinct ones in the order
+// they first occurred.
+func TestCollapsedResultRoundTripsToTheSameMultiset(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for round := 0; round < 300; round++ {
+		res := randomResult(rng)
+		c := res.Collapse()
+		if len(c.Mult) != len(c.Rows) {
+			t.Fatalf("round %d: %d multiplicities for %d rows", round, len(c.Mult), len(c.Rows))
+		}
+		// First-occurrence order: dropping every row already seen from the
+		// original leaves exactly the collapsed rows.
+		var firsts [][]string
+		seen := map[string]int{}
+		for _, row := range res.Rows {
+			k := strings.Join(row, "\x00") // the alphabet has no NUL, so this is exact here
+			if seen[k]++; seen[k] == 1 {
+				firsts = append(firsts, row)
+			}
+		}
+		if len(firsts) != len(c.Rows) {
+			t.Fatalf("round %d: %d distinct rows collapsed to %d", round, len(firsts), len(c.Rows))
+		}
+		for i, row := range c.Rows {
+			if !reflect.DeepEqual(row, firsts[i]) || c.Mult[i] != seen[strings.Join(row, "\x00")] {
+				t.Fatalf("round %d: row %d = %q ×%d, want %q ×%d", round, i, row, c.Mult[i], firsts[i], seen[strings.Join(firsts[i], "\x00")])
+			}
+		}
+		parsed, err := xmltree.ParseString(c.ToNode().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ResultFromNode(parsed, c.MultText())
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if got, want := expand(back), expand(c); len(res.Rows) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: read back %q, shipped %q", round, got, want)
+		}
+		if len(expand(c)) != len(res.Rows) {
+			t.Fatalf("round %d: %d rows collapsed stand for %d", round, len(res.Rows), len(expand(c)))
+		}
+		// Collapsing what is already collapsed sums, it does not recount.
+		if again := c.Collapse(); !reflect.DeepEqual(again.Rows, c.Rows) || !reflect.DeepEqual(again.Mult, c.Mult) {
+			t.Fatalf("round %d: collapsing twice changed the result", round)
+		}
+	}
+}
+
+// Two different rows never share an identity, whatever their cells hold:
+// joined on a separator, these two would (and the second was dropped as a
+// duplicate of the first).
+func TestRowIndexTellsCollidingRowsApart(t *testing.T) {
+	var idx RowIndex
+	a, b := []string{"a\x00", "b"}, []string{"a", "\x00b"}
+	ia, firstA := idx.ID(a)
+	ib, firstB := idx.ID(b)
+	if !firstA || !firstB || ia == ib {
+		t.Fatalf("colliding pair numbered %d, %d (first: %v, %v)", ia, ib, firstA, firstB)
+	}
+	if again, first := idx.ID([]string{"a\x00", "b"}); first || again != ia {
+		t.Fatalf("an equal row was numbered %d (first %v), want %d", again, first, ia)
+	}
+	for _, pair := range [][2][]string{
+		{{"", "x"}, {"x", ""}},
+		{{"ab", "c"}, {"a", "bc"}},
+		{{"a", "", ""}, {"", "a", ""}},
+	} {
+		var x RowIndex
+		i, _ := x.ID(pair[0])
+		if j, first := x.ID(pair[1]); !first || i == j {
+			t.Errorf("%q and %q share an identity", pair[0], pair[1])
+		}
+	}
+	res := &Result{Columns: []string{"x", "y"}, Rows: [][]string{a, b, a}}
+	if c := res.Collapse(); len(c.Rows) != 2 || !reflect.DeepEqual(c.Mult, []int{2, 1}) {
+		t.Errorf("collapsed to %q × %v", c.Rows, c.Mult)
+	}
+}
+
+// The collapsing write and the multiplicity-reading parse allocate per
+// result, not per row, and a single-column row is its own key.
+func TestCollapseAllocatesPerResult(t *testing.T) {
+	write := func(r *Result) func() {
+		return func() {
+			c := r.Collapse()
+			_ = c.MultText()
+			c.ToNode()
+		}
+	}
+	one := func(rows int) *Result {
+		res := &Result{Columns: []string{"age"}, Rows: NewRows(rows, 1)}
+		for i, row := range res.Rows {
+			row[0] = []string{"20-29", "30-39", "40-49", "50-59", "60-69", "70-79", "80-89"}[i%7]
+		}
+		return res
+	}
+	// wideResult has 60 distinct rows once it has 60 rows.
+	for name, mk := range map[string]func(int) *Result{"one column": one, "two columns": wideResult} {
+		small, large := mk(120), mk(1200)
+		if a, b := testing.AllocsPerRun(20, write(small)), testing.AllocsPerRun(20, write(large)); b > a {
+			t.Errorf("%s: collapsing write costs %v allocs for 120 rows, %v for 1200 of the same distinct rows", name, a, b)
+		}
+		sc, lc := small.Collapse(), large.Collapse()
+		sn, ln, st, lt := sc.ToNode(), lc.ToNode(), sc.MultText(), lc.MultText()
+		a := testing.AllocsPerRun(20, func() { _, _ = ResultFromNode(sn, st) })
+		b := testing.AllocsPerRun(20, func() { _, _ = ResultFromNode(ln, lt) })
+		if b > a {
+			t.Errorf("%s: reading %v allocs for 120 rows, %v for 1200", name, a, b)
+		}
+	}
+	// One column, seven distinct rows: the result, its two slices and the
+	// index's map. A key per distinct row would be seven more.
+	seven := one(700)
+	if got := testing.AllocsPerRun(20, func() { seven.Collapse() }); got > 5 {
+		t.Errorf("collapsing a one-column result costs %v allocs", got)
+	}
+	var idx RowIndex
+	row := []string{"40-49", "F"}
+	idx.ID(row)
+	if got := testing.AllocsPerRun(20, func() { idx.ID(row) }); got != 0 {
+		t.Errorf("looking a known row up costs %v allocs", got)
+	}
+}
+
+// A multiplicity list is another domain's word: anything but one integer
+// ≥ 1 per row, within MaxRows in all, is an error, never a guess.
+func TestResultFromNodeRefusesUntrustworthyMultiplicities(t *testing.T) {
+	three, err := xmltree.ParseString(`<result><row><a>x</a></row><row><a>y</a></row><row><a>z</a></row></result>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := xmltree.NewElem("result")
+	for _, ok := range []string{"", "1 1 1", "57 3 12", strconv.Itoa(MaxRows-2) + " 1 1"} {
+		res, err := ResultFromNode(three, ok)
+		if err != nil || (ok == "") != (res.Mult == nil) || res.Count(2) != 1 && res.Count(2) != 12 {
+			t.Errorf("counts %q: %v, %v", ok, res, err)
+		}
+	}
+	for _, bad := range []string{
+		"1 1", "1 1 1 1", "1", " ", "1 1 ", " 1 1 1", "1  1 1", "1,1,1",
+		"0 1 1", "-1 1 1", "1 x 1", "1 1.0 1", "1 0x2 1", "1 1e3 1", "NaN 1 1",
+		strconv.Itoa(MaxRows) + " 1 1", strconv.Itoa(MaxRows-1) + " 1 1",
+		"9223372036854775807 9223372036854775807 2", "99999999999999999999 1 1",
+	} {
+		if res, err := ResultFromNode(three, bad); err == nil {
+			t.Errorf("counts %q accepted as %v", bad, res.Mult)
+		}
+	}
+	if res, err := ResultFromNode(empty, "1"); err == nil {
+		t.Errorf("a multiplicity for no rows accepted as %v", res.Mult)
 	}
 }

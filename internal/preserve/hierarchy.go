@@ -11,7 +11,6 @@
 package preserve
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -45,28 +44,37 @@ func (h *Hierarchy) Apply(value string, level int) string {
 
 func identity(s string) string { return s }
 
+func bandLabel(lo, width int) string { return strconv.Itoa(lo) + "-" + strconv.Itoa(lo+width-1) }
+
+// ageBand is the age level of the given band width. The labels of ages 0
+// to 119 are formatted up front, so generalizing one formats and
+// allocates nothing.
+func ageBand(width int) func(string) string {
+	labels := make([]string, 120/width)
+	for i := range labels {
+		labels[i] = bandLabel(i*width, width)
+	}
+	return func(s string) string {
+		v, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil {
+			return "*"
+		}
+		if i := v / width; i >= 0 && i < len(labels) {
+			return labels[i]
+		}
+		return bandLabel((v/width)*width, width)
+	}
+}
+
+// The three banded age levels, built once and shared by every hierarchy.
+var age5, age10, age20 = ageBand(5), ageBand(10), ageBand(20)
+
 // AgeHierarchy generalizes integer ages: exact, 5-year band, 10-year band,
 // 20-year band, suppressed. Non-numeric input generalizes straight to "*".
 func AgeHierarchy() *Hierarchy {
-	band := func(width int) func(string) string {
-		return func(s string) string {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return "*"
-			}
-			lo := (v / width) * width
-			return fmt.Sprintf("%d-%d", lo, lo+width-1)
-		}
-	}
 	return &Hierarchy{
-		Name: "age",
-		Levels: []func(string) string{
-			identity,
-			band(5),
-			band(10),
-			band(20),
-			func(string) string { return "*" },
-		},
+		Name:   "age",
+		Levels: []func(string) string{identity, age5, age10, age20, func(string) string { return "*" }},
 	}
 }
 

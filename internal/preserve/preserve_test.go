@@ -396,12 +396,36 @@ func TestGeneralizeAllocatesPerDistinctValue(t *testing.T) {
 		t.Errorf("hierarchy applied %d times for %d distinct values in %d rows", calls, len(distinct), len(in.Rows))
 	}
 	// The same eight values over four times the rows: no more allocations
-	// (a few of slack: under -race fmt's pooled printers come and go).
+	// (a few of slack for the memo map under -race).
 	g := Generalize{Column: "age", Hierarchy: AgeHierarchy(), Level: 2}
 	small, large := mk(80), mk(320)
 	a := testing.AllocsPerRun(20, func() { _, _ = g.Apply(small, nil) })
 	b := testing.AllocsPerRun(20, func() { _, _ = g.Apply(large, nil) })
 	if b > a+4 {
 		t.Errorf("Generalize: %v allocs for 80 rows, %v for 320 rows of the same 8 values", a, b)
+	}
+}
+
+// A band's label is formatted once per hierarchy: generalizing an age a
+// second time formats nothing, and ages outside the table read as they
+// always did.
+func TestAgeBandsAreInterned(t *testing.T) {
+	h := AgeHierarchy()
+	for _, tc := range []struct {
+		age   string
+		level int
+		want  string
+	}{
+		{"47", 1, "45-49"}, {"47", 2, "40-49"}, {"47", 3, "40-59"}, {" 0 ", 2, "0-9"}, {"119", 3, "100-119"},
+		{"120", 1, "120-124"}, {"135", 2, "130-139"}, {"-3", 2, "0-9"}, {"-13", 2, "-10--1"}, {"4x", 2, "*"},
+	} {
+		if got := h.Apply(tc.age, tc.level); got != tc.want {
+			t.Errorf("age %q at level %d = %q, want %q", tc.age, tc.level, got, tc.want)
+		}
+	}
+	for level := 1; level <= 3; level++ {
+		if n := testing.AllocsPerRun(20, func() { h.Apply("47", level); h.Apply("119", level) }); n != 0 {
+			t.Errorf("level %d: generalizing a tabled age costs %v allocs", level, n)
+		}
 	}
 }

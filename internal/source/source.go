@@ -499,7 +499,9 @@ func (s *Source) executeStages(q *piql.Query, canonical, requester string, trace
 		Rewrite:       outcome,
 		EstimatedLoss: estimateLoss(raw, preserved),
 	}
-	ans.Node = s.tag(ans)
+	// An aggregate's rows are distinct by group key and ship as they are;
+	// what decides is the query as sent, which is what the mediator reads.
+	ans.Node = s.tag(ans, !q.IsAggregate())
 	return ans, nil
 }
 
@@ -594,8 +596,9 @@ func (s *Source) contextIndexSet(rq *relational.Query) ([]int, bool) {
 }
 
 // tag is the Metadata Tagger: it annotates the XML answer with the
-// privacy metadata the mediator needs for its second-level checks.
-func (s *Source) tag(a *Answer) *xmltree.Node {
+// privacy metadata the mediator needs for its second-level checks. With
+// collapse, each distinct row ships once and counts says how many it is.
+func (s *Source) tag(a *Answer, collapse bool) *xmltree.Node {
 	root := xmltree.NewElem("answer").
 		SetAttr("source", s.cfg.Name).
 		SetAttr("breach", a.Breach.String()).
@@ -605,7 +608,13 @@ func (s *Source) tag(a *Answer) *xmltree.Node {
 	for _, d := range a.Rewrite.DroppedReturns {
 		root.Append(xmltree.NewText("dropped", d.What).SetAttr("reason", d.Reason))
 	}
-	root.Append(a.Result.ToNode())
+	res := a.Result
+	if collapse {
+		if res = res.Collapse(); len(res.Mult) > 0 {
+			root.SetAttr("counts", res.MultText())
+		}
+	}
+	root.Append(res.ToNode())
 	return root
 }
 

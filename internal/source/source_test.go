@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -690,5 +691,41 @@ func TestClientPSISuitesLegacyServer(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != psi.SuiteNameP256 || got[1] != psi.SuiteNameModP768 {
 		t.Fatalf("advertised = %v, want [p256 modp768]", got)
+	}
+}
+
+// A plain answer ships each distinct row once with how many rows it
+// stands for; Answer.Result keeps every row for in-process callers, and
+// the loss estimate is the row-for-row one. Aggregate answers, whose rows
+// are distinct by group key, and empty ones ship as they always did.
+func TestPlainAnswerShipsDistinctRowsWithMultiplicities(t *testing.T) {
+	src := hospitalSource(t)
+	ans, err := src.Execute(piql.MustParse("FOR //patients/row WHERE //age > 40 RETURN //age, //sex PURPOSE research MAXLOSS 0.9"), "researcher")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, _ := ans.Node.Attr("counts")
+	shipped, err := piql.ResultFromNode(ans.Node.Child("result"), counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shipped.Rows) >= len(ans.Result.Rows)/2 || ans.Result.Mult != nil || ans.EstimatedLoss <= 0 {
+		t.Fatalf("shipped %d rows for the %d released (Result.Mult %v, loss %v)", len(shipped.Rows), len(ans.Result.Rows), ans.Result.Mult, ans.EstimatedLoss)
+	}
+	want := ans.Result.Collapse()
+	if !reflect.DeepEqual(shipped.Rows, want.Rows) || !reflect.DeepEqual(shipped.Mult, want.Mult) {
+		t.Errorf("shipped %v × %v, released %v × %v", shipped.Rows, shipped.Mult, want.Rows, want.Mult)
+	}
+	for _, q := range []string{
+		"FOR //compliance/row GROUP BY //test RETURN AVG(//rate) AS avg_rate, COUNT(*) AS n PURPOSE research MAXLOSS 0.8",
+		"FOR //patients/row WHERE //age > 400 RETURN //age PURPOSE research MAXLOSS 0.9",
+	} {
+		ans, err := src.Execute(piql.MustParse(q), "researcher")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, ok := ans.Node.Attr("counts"); ok || len(ans.Node.Child("result").Children) != len(ans.Result.Rows) {
+			t.Errorf("%s: counts %q on %d shipped rows for %d released", q, c, len(ans.Node.Child("result").Children), len(ans.Result.Rows))
+		}
 	}
 }
