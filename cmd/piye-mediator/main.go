@@ -23,7 +23,6 @@ import (
 
 	"privateiye/cmd/internal/daemon"
 	"privateiye/internal/admission"
-	"privateiye/internal/durable"
 	"privateiye/internal/mediator"
 	"privateiye/internal/obs"
 	"privateiye/internal/psi"
@@ -52,7 +51,6 @@ func main() {
 	maxDisc := flag.Float64("max-disclosure", 0, "release-ledger refusal threshold on combined disclosure (0 = default 0.99)")
 	ledgerTol := flag.Float64("ledger-tolerance", 0, "accuracy the ledger assumes of published aggregates (0 = default 0.5)")
 	stateDir := flag.String("state-dir", "", "directory persisting the release ledger and query history across restarts (empty = in-memory only)")
-	fsyncMode := flag.String("fsync", "always", "WAL sync policy with -state-dir: always | interval | never")
 	coalesce := flag.Bool("coalesce", false, "merge concurrent identical queries from the same requester into one shared execution (per-caller ledger and audit still run)")
 	planCache := flag.Int("plan-cache", 256, "parse/plan cache capacity in entries (0 = disabled)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for /metrics, /debug/trace and /debug/pprof (empty = pprof off; /metrics and /debug/trace are always on -addr)")
@@ -95,11 +93,7 @@ func main() {
 	}
 	var dur *mediator.DurabilityConfig
 	if *stateDir != "" {
-		policy, err := durable.ParseFsyncPolicy(*fsyncMode)
-		if err != nil {
-			log.Fatalf("piye-mediator: %v", err)
-		}
-		dur = &mediator.DurabilityConfig{Dir: *stateDir, Fsync: policy}
+		dur = &mediator.DurabilityConfig{Dir: *stateDir}
 	} else {
 		log.Print("piye-mediator: WARNING: no -state-dir; the release ledger and query history are in-memory only, and a restart resets the combination controls (restart-amnesia)")
 	}

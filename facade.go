@@ -177,18 +177,7 @@ func NewAuditLog(cfg AuditConfig) (*AuditLog, error) { return audit.NewLog(cfg) 
 type (
 	DurabilityConfig = mediator.DurabilityConfig
 	DurableOptions   = durable.Options
-	FsyncPolicy      = durable.FsyncPolicy
 )
-
-// WAL fsync policies: every append, a background interval, or never.
-const (
-	FsyncAlways   = durable.FsyncAlways
-	FsyncInterval = durable.FsyncInterval
-	FsyncNever    = durable.FsyncNever
-)
-
-// ParseFsyncPolicy parses "always", "interval" or "never".
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return durable.ParseFsyncPolicy(s) }
 
 // NewPersistentAuditLog is NewAuditLog backed by a durable WAL+snapshot
 // directory: every grant is logged before it is acknowledged and the

@@ -145,8 +145,7 @@ func TestCheckAndCommitIsAtomic(t *testing.T) {
 
 // A crash at any failpoint during commit must never let the auditor
 // forget a grant it acknowledged: the WAL append happens before the
-// in-memory state changes, and under FsyncAlways an acknowledged commit
-// is durable.
+// in-memory state changes, and an acknowledged commit is durable.
 func TestCommitCrashNeverLosesAcknowledgedGrant(t *testing.T) {
 	for _, point := range []string{durable.FPAppendBuffer, durable.FPAppendWrite, durable.FPAppendSync} {
 		t.Run(point, func(t *testing.T) {

@@ -12,23 +12,22 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"privateiye/internal/obs"
 )
 
-// TestCompactionCostIsAmortised drives 50 000 fixed-size appends through
-// the log's own trigger, with an owner whose state is everything ever
-// appended (the worst case: the snapshot never shrinks). The snapshot
-// bytes written in total must stay within a constant factor of the WAL
-// bytes written in total, and what the log keeps — on disk between
-// snapshots, in memory always — must be bounded by the snapshot size and
-// by constants, not by the history.
+// TestCompactionCostIsAmortised drives 20 000 fixed-size appends — enough
+// for two compactions — through the log's own trigger, with an owner
+// whose state is everything ever appended (the worst case: the snapshot
+// never shrinks). The snapshot bytes written in total must stay within a
+// constant factor of the WAL bytes written in total, and what the log
+// keeps — on disk between snapshots, in memory always — must be bounded
+// by the snapshot size and by constants, not by the history.
 func TestCompactionCostIsAmortised(t *testing.T) {
-	const n = 50_000
+	const n = 20_000
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	l := openT(t, Options{Dir: dir, Fsync: FsyncNever, Obs: reg, ObsScope: "amortise"})
+	l := openT(t, Options{Dir: dir, Obs: reg, ObsScope: "amortise"})
 	l.Changed() // a reader is listening: the replication window is in use
 	payload := bytes.Repeat([]byte("p"), 100)
 	recordSize := int64(len(AppendRecord(nil, 1, payload)))
@@ -105,7 +104,7 @@ func TestCompactionCostIsAmortised(t *testing.T) {
 func TestConcurrentAppendsCompactionsAndTailing(t *testing.T) {
 	const writers, compactions = 4, 25
 	dir := t.TempDir()
-	l := openT(t, Options{Dir: dir, Fsync: FsyncNever})
+	l := openT(t, Options{Dir: dir})
 
 	var mu sync.Mutex // the owner's lock
 	var state []byte  // every payload appended so far, in log order
@@ -209,80 +208,72 @@ var snapshotPoints = []string{FPSnapWrite, FPSnapSync, FPSnapRename, FPSnapDirSy
 // acknowledged record — in particular the ones past the cut, which only
 // the carried-over WAL tail remembers.
 func TestCrashMatrixAppendsDuringSnapshot(t *testing.T) {
-	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
-		for _, point := range append([]string{"none"}, snapshotPoints...) {
-			t.Run(policy.String()+"/"+point, func(t *testing.T) {
-				dir := t.TempDir()
-				fp := NewFailpoints()
-				l := openT(t, Options{Dir: dir, Fsync: policy, FsyncInterval: time.Hour, Failpoints: fp})
-				var all []string
-				add := func(p string) {
-					if _, err := l.Append([]byte(p)); err != nil {
-						t.Fatal(err)
-					}
-					all = append(all, p)
-				}
-				for i := 0; i < 5; i++ {
-					add(fmt.Sprintf("before-%d", i))
-				}
-				seq, state := l.LastSeq(), strings.Join(all, "\n")
-				for i := 0; i < 3; i++ {
-					add(fmt.Sprintf("during-%d", i))
-				}
-				// Acknowledged: everything under FsyncAlways; under the
-				// other policies nothing has been synced yet.
-				acked := 0
-				if policy == FsyncAlways {
-					acked = len(all)
-				}
-
-				if point != "none" {
-					fp.Arm(point)
-				}
-				err := l.SaveSnapshotAt(seq, []byte(state))
-				switch {
-				case point == "none" && err != nil:
+	for _, point := range append([]string{"none"}, snapshotPoints...) {
+		t.Run("always/"+point, func(t *testing.T) {
+			dir := t.TempDir()
+			fp := NewFailpoints()
+			l := openT(t, Options{Dir: dir, Failpoints: fp})
+			var all []string
+			add := func(p string) {
+				if _, err := l.Append([]byte(p)); err != nil {
 					t.Fatal(err)
-				case point != "none" && !errors.Is(err, ErrCrashed):
-					t.Fatalf("SaveSnapshotAt with %s armed = %v, want ErrCrashed", point, err)
 				}
-				if point == "none" {
-					// Installed: the WAL is exactly the carried-over tail.
-					wal, _ := l.Sizes()
-					if st, err := os.Stat(filepath.Join(dir, walName)); err != nil || st.Size() != wal {
-						t.Fatalf("wal.log is %v bytes (%v), the log believes %d", st.Size(), err, wal)
-					}
-					if want := int64(len(AppendRecord(nil, 1, []byte("during-0")))) * 3; wal != want {
-						t.Errorf("compacted WAL holds %d bytes, want the 3 carried-over records = %d", wal, want)
-					}
-					add("after-0")
-					acked = len(all)
-				}
-				l.Close()
+				all = append(all, p)
+			}
+			for i := 0; i < 5; i++ {
+				add(fmt.Sprintf("before-%d", i))
+			}
+			seq, state := l.LastSeq(), strings.Join(all, "\n")
+			for i := 0; i < 3; i++ {
+				add(fmt.Sprintf("during-%d", i))
+			}
 
-				r, err := Open(Options{Dir: dir})
-				if err != nil {
-					t.Fatalf("recovery after crash at %s must not fail: %v", point, err)
+			if point != "none" {
+				fp.Arm(point)
+			}
+			err := l.SaveSnapshotAt(seq, []byte(state))
+			switch {
+			case point == "none" && err != nil:
+				t.Fatal(err)
+			case point != "none" && !errors.Is(err, ErrCrashed):
+				t.Fatalf("SaveSnapshotAt with %s armed = %v, want ErrCrashed", point, err)
+			}
+			if point == "none" {
+				// Installed: the WAL is exactly the carried-over tail.
+				wal, _ := l.Sizes()
+				if st, err := os.Stat(filepath.Join(dir, walName)); err != nil || st.Size() != wal {
+					t.Fatalf("wal.log is %v bytes (%v), the log believes %d", st.Size(), err, wal)
 				}
-				defer r.Close()
-				var rec []string
-				if s := r.RecoveredSnapshot(); s != nil {
-					rec = strings.Split(string(s), "\n")
+				if want := int64(len(AppendRecord(nil, 1, []byte("during-0")))) * 3; wal != want {
+					t.Errorf("compacted WAL holds %d bytes, want the 3 carried-over records = %d", wal, want)
 				}
-				rec = append(rec, payloads(r.RecoveredEntries())...)
-				if len(rec) > len(all) || len(rec) < acked {
-					t.Fatalf("recovered %d records, appended %d, acknowledged %d: %v", len(rec), len(all), acked, rec)
+				add("after-0")
+			}
+			l.Close()
+
+			r, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatalf("recovery after crash at %s must not fail: %v", point, err)
+			}
+			defer r.Close()
+			var rec []string
+			if s := r.RecoveredSnapshot(); s != nil {
+				rec = strings.Split(string(s), "\n")
+			}
+			rec = append(rec, payloads(r.RecoveredEntries())...)
+			// Every append returned, so every record was acknowledged.
+			if len(rec) != len(all) {
+				t.Fatalf("recovered %d records, appended and acknowledged %d: %v", len(rec), len(all), rec)
+			}
+			for i := range rec {
+				if rec[i] != all[i] {
+					t.Fatalf("recovered[%d] = %q, want %q", i, rec[i], all[i])
 				}
-				for i := range rec {
-					if rec[i] != all[i] {
-						t.Fatalf("recovered[%d] = %q, want %q", i, rec[i], all[i])
-					}
-				}
-				if r.LastSeq() != uint64(len(rec)) {
-					t.Errorf("LastSeq after recovery = %d, want %d", r.LastSeq(), len(rec))
-				}
-			})
-		}
+			}
+			if r.LastSeq() != uint64(len(rec)) {
+				t.Errorf("LastSeq after recovery = %d, want %d", r.LastSeq(), len(rec))
+			}
+		})
 	}
 }
 
@@ -319,7 +310,7 @@ func TestSnapshotFailuresAreCountedAndLoggedOncePerStreak(t *testing.T) {
 	defer log.SetOutput(os.Stderr)
 
 	reg := obs.NewRegistry()
-	l := openT(t, Options{Dir: t.TempDir(), Fsync: FsyncNever, Obs: reg, ObsScope: "fail"})
+	l := openT(t, Options{Dir: t.TempDir(), Obs: reg, ObsScope: "fail"})
 	defer l.Close()
 	payload := bytes.Repeat([]byte("p"), 1000)
 	for !l.CompactionDue() {
@@ -404,22 +395,16 @@ func TestSnapshotFileMatchesReferenceEncoder(t *testing.T) {
 }
 
 // A reader further behind than the in-memory window is served from
-// wal.log (and from the staged buffer behind it), a reader inside the
-// window from memory, and both see the same records.
+// wal.log, a reader inside the window from memory, and both see the same
+// records.
 func TestTailFromBeyondWindowReadsWAL(t *testing.T) {
-	l := openT(t, Options{Dir: t.TempDir(), Fsync: FsyncInterval, FsyncInterval: time.Hour})
+	l := openT(t, Options{Dir: t.TempDir()})
 	defer l.Close()
 	l.Changed() // a reader is listening: the window fills
 	const n = 2*tailWindow + 10
 	for i := 1; i <= n; i++ {
 		if _, err := l.Append([]byte(fmt.Sprintf("e%d", i))); err != nil {
 			t.Fatal(err)
-		}
-		if i == n/2 {
-			// Half the records in the file, half still staged.
-			if err := l.Sync(); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	for _, from := range []uint64{0, 7, n - tailWindow - 1, n - tailWindow, n - 1, n} {

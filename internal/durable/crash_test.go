@@ -2,45 +2,38 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
-// TestCrashMatrix kills the process model at every failpoint under every
-// fsync policy, then recovers and checks the two guarantees the package
-// promises: recovery never fails after a crash of this writer, and the
-// recovered history is a prefix of what was appended that contains at
-// least every acknowledged record (acknowledged = appended under
-// FsyncAlways, covered by a successful Sync, or covered by an installed
-// snapshot).
+// TestCrashMatrix kills the process model at every failpoint, then
+// recovers and checks the two guarantees the package promises: recovery
+// never fails after a crash of this writer, and the recovered history is
+// a prefix of what was appended that contains at least every
+// acknowledged record (every append that returned, and everything an
+// installed snapshot covers).
 func TestCrashMatrix(t *testing.T) {
-	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
-		for _, point := range Points() {
-			t.Run(policy.String()+"/"+point, func(t *testing.T) {
-				runCrashScenario(t, policy, point)
-			})
-		}
+	for _, point := range Points() {
+		t.Run("always/"+point, func(t *testing.T) {
+			runCrashScenario(t, point)
+		})
 	}
 }
 
-func runCrashScenario(t *testing.T, policy FsyncPolicy, point string) {
+func runCrashScenario(t *testing.T, point string) {
 	dir := t.TempDir()
 	fp := NewFailpoints()
-	// A one-hour tick keeps the background syncer out of the way: under
-	// FsyncInterval, flushes happen only at the scripted Sync and
-	// snapshot steps, so the crash site is deterministic.
-	l, err := Open(Options{Dir: dir, Fsync: policy, FsyncInterval: time.Hour, Failpoints: fp})
+	l, err := Open(Options{Dir: dir, Failpoints: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var all []string       // every append that returned nil, in order
 	var attempted []string // all plus the in-flight append the crash ate
-	acked := 0             // records guaranteed durable
 	crashed := false
 
 	appendOne := func(p string) {
@@ -57,46 +50,24 @@ func runCrashScenario(t *testing.T, policy FsyncPolicy, point string) {
 			return
 		}
 		all = append(all, p)
-		if policy == FsyncAlways {
-			acked = len(all)
-		}
 	}
 
 	for i := 0; i < 3; i++ {
 		appendOne(fmt.Sprintf("pre-%d", i))
 	}
-	if !crashed {
-		if err := l.Sync(); err != nil {
-			crashed = true
-		} else {
-			acked = len(all)
-		}
-	}
 	fp.Arm(point)
 	for i := 0; i < 6 && !crashed; i++ {
 		appendOne(fmt.Sprintf("post-%d", i))
-		if crashed {
-			break
-		}
-		if i == 1 {
+		if !crashed && i == 1 {
 			// Snapshot mid-workload: exercises the temp-write, rename
 			// and compaction crash sites.
 			if err := l.SaveSnapshot([]byte(strings.Join(all, "\n"))); err != nil {
 				crashed = true
-				break
 			}
-			acked = len(all)
-		}
-		if i == 3 {
-			if err := l.Sync(); err != nil {
-				crashed = true
-				break
-			}
-			acked = len(all)
 		}
 	}
 	if !crashed {
-		t.Fatalf("failpoint %s never fired under %s", point, policy)
+		t.Fatalf("failpoint %s never fired", point)
 	}
 	if got := fp.Tripped(); len(got) != 1 || got[0] != point {
 		t.Fatalf("tripped = %v, want [%s]", got, point)
@@ -129,9 +100,9 @@ func runCrashScenario(t *testing.T, policy FsyncPolicy, point string) {
 			t.Fatalf("recovered[%d] = %q, want %q (recovered history is not a prefix)", i, rec[i], attempted[i])
 		}
 	}
-	// Durability property: at most the unsynced tail is gone.
-	if len(rec) < acked {
-		t.Fatalf("crash at %s/%s lost acknowledged records: recovered %d, acknowledged %d", policy, point, len(rec), acked)
+	// Durability property: at most the unacknowledged append is gone.
+	if len(rec) < len(all) {
+		t.Fatalf("crash at %s lost acknowledged records: recovered %d, acknowledged %d", point, len(rec), len(all))
 	}
 
 	// The recovered log must be fully usable: append, snapshot, reopen.
@@ -194,121 +165,94 @@ func TestCrashMidSnapshotKeepsOldSnapshot(t *testing.T) {
 	}
 }
 
-// Under FsyncInterval a whole tick's worth of records sits staged in
-// memory; power loss as the flush begins eats all of them at once, and
-// recovery must surface none.
-func TestFlushBeginCrashLosesEveryStagedRecord(t *testing.T) {
-	dir := t.TempDir()
-	fp := NewFailpoints()
-	l := openT(t, Options{Dir: dir, Fsync: FsyncInterval, FsyncInterval: time.Hour, Failpoints: fp})
-	if _, err := l.Append([]byte("acked")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := l.Append([]byte(fmt.Sprintf("staged-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fp.Arm(FPFlushBegin)
-	if err := l.Sync(); err != ErrCrashed {
-		t.Fatalf("Sync = %v, want ErrCrashed", err)
-	}
-	l.Close()
-
-	r := openT(t, Options{Dir: dir})
-	defer r.Close()
-	if got := payloads(r.RecoveredEntries()); len(got) != 1 || got[0] != "acked" {
-		t.Errorf("recovered %v, want only the synced record", got)
-	}
-}
-
-// A real write or fsync error must kill the log exactly as an injected
-// crash does. Were the log to carry on, the next append would land
-// intact records behind whatever partial record the failed write left,
-// and recovery would refuse the directory as corrupted in place.
+// A real write error must kill the log exactly as an injected crash
+// does. Were the log to carry on, the next append would land intact
+// records behind whatever partial record the failed write left, and
+// recovery would refuse the directory as corrupted in place.
 func TestWriteOrSyncErrorIsStickyAndDirRecovers(t *testing.T) {
-	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
-		for _, handle := range []string{"read-only", "closed"} {
-			t.Run(policy.String()+"/"+handle, func(t *testing.T) {
-				dir := t.TempDir()
-				l := openT(t, Options{Dir: dir, Fsync: policy, FsyncInterval: time.Hour})
-				for i := 0; i < 3; i++ {
-					if _, err := l.Append([]byte(fmt.Sprintf("acked-%d", i))); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := l.Sync(); err != nil {
+	for _, handle := range []string{"read-only", "closed"} {
+		t.Run("always/"+handle, func(t *testing.T) {
+			dir := t.TempDir()
+			l := openT(t, Options{Dir: dir})
+			for i := 0; i < 3; i++ {
+				if _, err := l.Append([]byte(fmt.Sprintf("acked-%d", i))); err != nil {
 					t.Fatal(err)
 				}
-				walPath := filepath.Join(dir, walName)
-				before, err := os.ReadFile(walPath)
-				if err != nil {
-					t.Fatal(err)
-				}
+			}
+			walPath := filepath.Join(dir, walName)
+			before, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				// Swap the WAL handle for one whose writes fail.
-				bad, err := os.Open(walPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if handle == "closed" {
-					bad.Close()
-				}
-				l.mu.Lock()
-				l.f.Close()
-				l.f = bad
-				l.mu.Unlock()
+			// Swap the WAL handle for one whose writes fail.
+			bad, err := os.Open(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if handle == "closed" {
+				bad.Close()
+			}
+			l.mu.Lock()
+			l.f.Close()
+			l.f = bad
+			l.mu.Unlock()
 
-				_, first := l.Append([]byte("lost"))
-				if policy == FsyncInterval {
-					if first != nil {
-						t.Fatalf("an interval append only stages, got %v", first)
-					}
-					first = l.Sync()
-				}
-				if first == nil || first == ErrCrashed {
-					t.Fatalf("append over a failing handle = %v, want the write error", first)
-				}
-				if _, err := l.Append([]byte("after")); err != first {
-					t.Errorf("next append = %v, want the first error %v again", err, first)
-				}
-				if err := l.Sync(); err != first {
-					t.Errorf("Sync on the dead log = %v, want %v", err, first)
-				}
-				if after, _ := os.ReadFile(walPath); !bytes.Equal(after, before) {
-					t.Errorf("the dead log touched the file: %d bytes, was %d", len(after), len(before))
-				}
-				l.Close()
+			_, first := l.Append([]byte("lost"))
+			if first == nil || first == ErrCrashed {
+				t.Fatalf("append over a failing handle = %v, want the write error", first)
+			}
+			if _, err := l.Append([]byte("after")); err != first {
+				t.Errorf("next append = %v, want the first error %v again", err, first)
+			}
+			if err := l.Sync(); err != first {
+				t.Errorf("Sync on the dead log = %v, want %v", err, first)
+			}
+			if _, _, _, err := l.TailFrom(0); err != first {
+				t.Errorf("TailFrom on the dead log = %v, want %v", err, first)
+			}
+			if after, _ := os.ReadFile(walPath); !bytes.Equal(after, before) {
+				t.Errorf("the dead log touched the file: %d bytes, was %d", len(after), len(before))
+			}
+			l.Close()
 
-				r := openT(t, Options{Dir: dir})
-				defer r.Close()
-				got := payloads(r.RecoveredEntries())
-				if len(got) != 3 || got[0] != "acked-0" || got[2] != "acked-2" {
-					t.Errorf("recovered %v, want exactly the three acknowledged records", got)
-				}
-			})
-		}
+			r := openT(t, Options{Dir: dir})
+			defer r.Close()
+			got := payloads(r.RecoveredEntries())
+			if len(got) != 3 || got[0] != "acked-0" || got[2] != "acked-2" {
+				t.Errorf("recovered %v, want exactly the three acknowledged records", got)
+			}
+		})
 	}
 }
 
-// A failed fsync with nothing staged is still fatal: the kernel may have
-// dropped dirty pages of earlier writes, so "retry and carry on" would
-// acknowledge records that are not on disk.
+// A failed fsync after a write that went through is just as fatal: the
+// kernel may have dropped the dirty pages, so "retry and carry on" would
+// acknowledge a record that is not on disk. The record is never
+// acknowledged and nothing outside the log sees it.
 func TestFailedFsyncAloneKillsLog(t *testing.T) {
-	l := openT(t, Options{Dir: t.TempDir(), Fsync: FsyncNever})
+	l := openT(t, Options{Dir: t.TempDir()})
 	defer l.Close()
-	if _, err := l.Append([]byte("written, not synced")); err != nil {
+	if _, err := l.Append([]byte("synced")); err != nil {
 		t.Fatal(err)
 	}
+	// A pipe takes the write; fsync on it fails (EINVAL).
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
 	l.mu.Lock()
-	l.f.Close() // fsync on a closed handle fails; nothing is staged to write
+	l.f.Close()
+	l.f = pw
 	l.mu.Unlock()
-	first := l.Sync()
-	if first == nil {
-		t.Fatal("Sync over a closed handle must fail")
+
+	_, first := l.Append([]byte("written, not synced"))
+	if first == nil || errors.Is(first, ErrCrashed) || !strings.Contains(first.Error(), "fsync") {
+		t.Fatalf("append whose fsync fails = %v, want the fsync error", first)
+	}
+	if got := l.LastSeq(); got != 1 {
+		t.Errorf("LastSeq = %d after the failed fsync, want 1", got)
 	}
 	if _, err := l.Append([]byte("after")); err != first {
 		t.Errorf("append after a failed fsync = %v, want %v", err, first)

@@ -10,12 +10,17 @@
 // fsync-directory idiom so it is either the old state or the new state,
 // never half of each.
 //
+// There is one durability rule: Append encodes, writes and fsyncs its
+// record under the log mutex and returns only after the fsync has. Until
+// then nothing outside the log sees the record — not LastSeq, not the
+// replication tail, not a Changed waiter.
+//
 // Recovery semantics are deliberately asymmetric:
 //
 //   - a torn tail — a record that simply stops at end of file, or whose
 //     checksum fails with nothing valid after it — is what power loss
 //     mid-append legitimately leaves behind; it is silently truncated and
-//     at most the records never acknowledged by Sync are lost;
+//     only a record whose Append had not returned is lost;
 //   - an invalid record with valid records after it cannot be produced by
 //     a crash of this writer; it means the file was corrupted in place,
 //     and Open refuses to start rather than serve a disclosure history
@@ -32,63 +37,26 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"privateiye/internal/obs"
 )
 
-// FsyncPolicy says when appended records are forced to stable storage.
+// FsyncPolicy names the append durability rule. It has one value; the
+// type stays only because callers name it.
 type FsyncPolicy int
 
-const (
-	// FsyncAlways syncs on every append: nothing acknowledged is ever
-	// lost, at the price of one fsync per record.
-	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs on a background tick (Options.FsyncInterval):
-	// a crash loses at most the records of the last interval.
-	FsyncInterval
-	// FsyncNever writes records to the file but never forces them out;
-	// a crash may lose any records since the last snapshot or explicit
-	// Sync. For benchmarks and reconstructible state only.
-	FsyncNever
-)
-
-// String renders the policy as its flag spelling.
-func (p FsyncPolicy) String() string {
-	switch p {
-	case FsyncAlways:
-		return "always"
-	case FsyncInterval:
-		return "interval"
-	case FsyncNever:
-		return "never"
-	}
-	return fmt.Sprintf("FsyncPolicy(%d)", int(p))
-}
-
-// ParseFsyncPolicy parses the -fsync flag spelling.
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
-	switch s {
-	case "always":
-		return FsyncAlways, nil
-	case "interval":
-		return FsyncInterval, nil
-	case "never":
-		return FsyncNever, nil
-	}
-	return 0, fmt.Errorf("durable: unknown fsync policy %q (want always, interval or never)", s)
-}
+// FsyncAlways fsyncs every record before Append returns: nothing
+// acknowledged is ever lost.
+const FsyncAlways FsyncPolicy = 0
 
 // Options configures a Log.
 type Options struct {
 	// Dir is the state directory; it is created if missing and must be
 	// private to one Log at a time.
 	Dir string
-	// Fsync is the append durability policy (default FsyncAlways).
+	// Fsync must be FsyncAlways, the zero value; Open refuses anything
+	// else rather than acknowledge records it has not synced.
 	Fsync FsyncPolicy
-	// FsyncInterval is the background sync period under FsyncInterval
-	// (default 100ms).
-	FsyncInterval time.Duration
 	// Failpoints, when non-nil, is the crash-injection schedule.
 	Failpoints *Failpoints
 	// Obs, when non-nil, counts WAL appends, fsyncs, bytes written and
@@ -142,8 +110,8 @@ type Log struct {
 	mu      sync.Mutex
 	f       *os.File // the WAL, positioned at its end
 	dirf    *os.File // directory handle for fsync
-	buf     []byte   // staged appends not yet written to the file
-	seq     uint64   // last assigned sequence number
+	enc     []byte   // the record being written, reused across appends
+	seq     uint64   // last durable sequence number
 	snapSeq uint64   // sequence covered by the installed snapshot
 	// snapshot and recovered are what Open found on disk — the snapshot
 	// payload and the WAL records after it — held only until the owner
@@ -162,8 +130,6 @@ type Log struct {
 	retryAt  int64 // WAL size at which a failed compaction is tried again
 	deadErr  error
 	changed  chan struct{} // closed and replaced on every append/snapshot
-	stop     chan struct{}
-	wg       sync.WaitGroup
 
 	// Pre-resolved metric handles; nil (no-op) without Options.Obs.
 	mAppends     *obs.Counter
@@ -184,8 +150,8 @@ func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("durable: empty state directory")
 	}
-	if opts.FsyncInterval <= 0 {
-		opts.FsyncInterval = 100 * time.Millisecond
+	if opts.Fsync != FsyncAlways {
+		return nil, fmt.Errorf("durable: unknown fsync policy %d: every record is fsynced before Append returns (FsyncAlways)", opts.Fsync)
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
@@ -225,11 +191,6 @@ func Open(opts Options) (*Log, error) {
 	if err := l.recoverWAL(); err != nil {
 		l.dirf.Close()
 		return nil, err
-	}
-	if opts.Fsync == FsyncInterval {
-		l.stop = make(chan struct{})
-		l.wg.Add(1)
-		go l.syncLoop(l.stop)
 	}
 	return l, nil
 }
@@ -324,19 +285,18 @@ func (l *Log) ReleaseRecovered() {
 	l.snapshot, l.recovered = nil, nil
 }
 
-// LastSeq returns the last assigned sequence number.
+// LastSeq returns the sequence number of the last durable record.
 func (l *Log) LastSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.seq
 }
 
-// Sizes reports the current WAL and snapshot sizes in bytes (staged but
-// unwritten appends included in the WAL figure).
+// Sizes reports the current WAL and snapshot sizes in bytes.
 func (l *Log) Sizes() (wal, snap int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.walSize + int64(len(l.buf)), l.snapSize
+	return l.walSize, l.snapSize
 }
 
 // CompactionDue reports whether the WAL has grown by at least the size
@@ -353,12 +313,11 @@ func (l *Log) CompactionDue() bool {
 	if l.deadErr != nil {
 		return false
 	}
-	return l.walSize+int64(len(l.buf)) >= max(compactFloor, l.snapSize, l.retryAt)
+	return l.walSize >= max(compactFloor, l.snapSize, l.retryAt)
 }
 
-// Append stages one record and applies the fsync policy. Under
-// FsyncAlways the record is durable when Append returns; under the other
-// policies it may ride in memory until the next tick, Sync or snapshot.
+// Append writes and fsyncs one record; it is durable when Append returns
+// its sequence number.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -383,37 +342,50 @@ func (l *Log) AppendEntry(seq uint64, payload []byte) error {
 	return err
 }
 
-// appendLocked is the shared append body; seq must be l.seq+1.
+// appendLocked is the shared append body; seq must be l.seq+1. The
+// record is encoded, written and fsynced, and only then does it exist
+// for anyone else: the sequence advances, the replication window takes
+// it, it is counted and Changed fires. A write or fsync error kills the
+// log (see fail): the file may now end in a partial record, and the only
+// writer that may follow a torn tail is the recovery that truncates it.
 func (l *Log) appendLocked(seq uint64, payload []byte) (uint64, error) {
 	if l.deadErr != nil {
 		return 0, l.deadErr
 	}
+	l.enc = AppendRecord(l.enc[:0], seq, payload)
+	if l.opts.Failpoints.hit(FPAppendBuffer) {
+		// Power loss with the record still in cache: it never existed.
+		return 0, l.die()
+	}
+	if l.opts.Failpoints.hit(FPAppendWrite) {
+		// Tear the write: a prefix reaches the platter, the rest never
+		// does.
+		n, _ := l.f.Write(l.enc[:len(l.enc)/2])
+		l.walSize += int64(n)
+		return 0, l.die()
+	}
+	n, err := l.f.Write(l.enc)
+	l.walSize += int64(n)
+	l.mBytes.Add(uint64(n))
+	if err != nil {
+		return 0, l.fail(fmt.Errorf("durable: wal write: %w", err))
+	}
+	if l.opts.Failpoints.hit(FPAppendSync) {
+		return 0, l.die()
+	}
+	if err := l.f.Sync(); err != nil {
+		return 0, l.fail(fmt.Errorf("durable: wal fsync: %w", err))
+	}
+	l.mFsyncs.Inc()
+
 	l.seq = seq
-	l.buf = AppendRecord(l.buf, l.seq, payload)
 	if l.ring != nil {
 		l.ring[seq%tailWindow] = Entry{Seq: seq, Payload: append([]byte(nil), payload...)}
 		l.ringN = min(l.ringN+1, tailWindow)
 	}
 	l.mAppends.Inc()
 	l.signalLocked()
-	if l.opts.Failpoints.hit(FPAppendBuffer) {
-		// Power loss with the record still in cache: it never existed.
-		l.buf = nil
-		l.seq--
-		l.ringN = max(l.ringN-1, 0)
-		return 0, l.die()
-	}
-	switch l.opts.Fsync {
-	case FsyncAlways:
-		if err := l.flushLocked(true); err != nil {
-			return 0, err
-		}
-	case FsyncNever:
-		if err := l.flushLocked(false); err != nil {
-			return 0, err
-		}
-	}
-	return l.seq, nil
+	return seq, nil
 }
 
 // signalLocked wakes every Changed waiter.
@@ -422,58 +394,19 @@ func (l *Log) signalLocked() {
 	l.changed = make(chan struct{})
 }
 
-// Sync forces every staged record to stable storage regardless of
-// policy.
+// Sync fsyncs the WAL file. Every acknowledged record is durable
+// already, so it adds no guarantee; a failed fsync kills the log like a
+// failed append's.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.deadErr != nil {
 		return l.deadErr
 	}
-	return l.flushLocked(true)
-}
-
-// flushLocked writes every staged byte to the WAL file and optionally
-// fsyncs. A write or fsync error kills the log (see fail): the file may
-// now end in a partial record, and the only writer that may follow a
-// torn tail is the recovery that truncates it.
-func (l *Log) flushLocked(sync bool) error {
-	if len(l.buf) > 0 {
-		if l.opts.Failpoints.hit(FPFlushBegin) {
-			// Power loss with every staged record still in cache: no
-			// byte of them reaches the file.
-			l.buf = nil
-			return l.die()
-		}
-		if l.opts.Failpoints.hit(FPAppendWrite) {
-			// Tear the write: a prefix reaches the platter, the rest
-			// never does.
-			torn := l.buf[:len(l.buf)/2]
-			if len(torn) > 0 {
-				n, _ := l.f.Write(torn)
-				l.walSize += int64(n)
-			}
-			l.buf = nil
-			return l.die()
-		}
-		n, err := l.f.Write(l.buf)
-		l.walSize += int64(n)
-		l.mBytes.Add(uint64(n))
-		if err != nil {
-			l.buf = nil
-			return l.fail(fmt.Errorf("durable: wal write: %w", err))
-		}
-		l.buf = l.buf[:0] // keep the array for reuse
+	if err := l.f.Sync(); err != nil {
+		return l.fail(fmt.Errorf("durable: wal fsync: %w", err))
 	}
-	if l.opts.Failpoints.hit(FPAppendSync) {
-		return l.die()
-	}
-	if sync {
-		if err := l.f.Sync(); err != nil {
-			return l.fail(fmt.Errorf("durable: wal fsync: %w", err))
-		}
-		l.mFsyncs.Inc()
-	}
+	l.mFsyncs.Inc()
 	return nil
 }
 
@@ -499,55 +432,24 @@ func (l *Log) dieUnlocked() error {
 	return l.die()
 }
 
-// syncLoop is the FsyncInterval background ticker.
-func (l *Log) syncLoop(stop <-chan struct{}) {
-	defer l.wg.Done()
-	t := time.NewTicker(l.opts.FsyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			l.mu.Lock()
-			if l.deadErr == nil {
-				// An error here is not lost: flushLocked has killed the
-				// log, so the next Append or Sync reports it.
-				_ = l.flushLocked(true)
-			}
-			l.mu.Unlock()
-		}
-	}
-}
-
-// Close flushes, syncs and releases the log. A closed log rejects
-// further appends.
+// Close releases the log; every record it acknowledged is already on
+// disk. A closed log rejects further appends.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	if l.stop != nil {
-		close(l.stop)
-		l.stop = nil
-		l.mu.Unlock()
-		l.wg.Wait()
-		l.mu.Lock()
-	}
-	var err error
+	defer l.mu.Unlock()
 	if l.deadErr == nil {
-		err = l.flushLocked(true)
 		l.deadErr = fmt.Errorf("durable: log closed")
 	}
+	var err error
 	if l.f != nil {
-		if cerr := l.f.Close(); err == nil && cerr != nil {
-			err = cerr
-		}
+		err = l.f.Close()
 		l.f = nil
 	}
 	if l.dirf != nil {
-		if cerr := l.dirf.Close(); err == nil && cerr != nil {
+		if cerr := l.dirf.Close(); err == nil {
 			err = cerr
 		}
 		l.dirf = nil
 	}
-	l.mu.Unlock()
 	return err
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func openT(t *testing.T, opts Options) *Log {
@@ -242,41 +241,14 @@ func TestLeftoverTempFilesAreCleaned(t *testing.T) {
 	}
 }
 
-func TestFsyncNeverAndIntervalStillRecover(t *testing.T) {
-	for _, policy := range []FsyncPolicy{FsyncNever, FsyncInterval} {
-		t.Run(policy.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			l := openT(t, Options{Dir: dir, Fsync: policy, FsyncInterval: 5 * time.Millisecond})
-			for i := 0; i < 20; i++ {
-				if _, err := l.Append([]byte(fmt.Sprintf("p%d", i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Clean Close flushes regardless of policy.
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			r := openT(t, Options{Dir: dir})
-			defer r.Close()
-			if got := r.RecoveredEntries(); len(got) != 20 {
-				t.Errorf("recovered %d entries, want 20", len(got))
-			}
-		})
-	}
-}
-
-func TestParseFsyncPolicy(t *testing.T) {
-	for s, want := range map[string]FsyncPolicy{"always": FsyncAlways, "interval": FsyncInterval, "never": FsyncNever} {
-		got, err := ParseFsyncPolicy(s)
-		if err != nil || got != want {
-			t.Errorf("ParseFsyncPolicy(%q) = %v, %v", s, got, err)
+// Every policy value but FsyncAlways is refused at Open: a log that
+// accepted one would acknowledge appends it had not synced.
+func TestOpenRefusesAnyPolicyButAlways(t *testing.T) {
+	for _, p := range []FsyncPolicy{1, 2, 3, -1} {
+		if l, err := Open(Options{Dir: t.TempDir(), Fsync: p}); err == nil {
+			l.Close()
+			t.Errorf("Open with fsync policy %d succeeded", p)
 		}
-		if got.String() != s {
-			t.Errorf("String() = %q, want %q", got.String(), s)
-		}
-	}
-	if _, err := ParseFsyncPolicy("sometimes"); err == nil {
-		t.Error("bad policy must be rejected")
 	}
 }
 

@@ -15,20 +15,16 @@ var ErrCrashed = errors.New("durable: crash injected at failpoint")
 // loss could land. Arm one of these in a test to kill the process model
 // exactly there.
 const (
-	// FPAppendBuffer fires after a record is staged in memory but before
-	// any byte reaches the file — the record is lost entirely, like an
+	// FPAppendBuffer fires after a record is encoded but before any byte
+	// of it reaches the file — the record is lost entirely, like an
 	// unsynced OS cache on power loss.
 	FPAppendBuffer = "append.buffer"
-	// FPFlushBegin fires when a flush begins with records staged but
-	// before any byte of them reaches the file — power loss that eats
-	// every staged record at once: the one record of an FsyncAlways
-	// append, or a whole tick's worth under FsyncInterval.
-	FPFlushBegin = "flush.begin"
-	// FPAppendWrite fires mid-write: only a prefix of the staged bytes
+	// FPAppendWrite fires mid-write: only a prefix of the record's bytes
 	// reaches the file, leaving a torn record at the tail.
 	FPAppendWrite = "append.write"
 	// FPAppendSync fires after the write but before fsync returns; the
-	// record is in the file but was never acknowledged durable.
+	// record is in the file but was never acknowledged, and nothing
+	// outside the log has seen it.
 	FPAppendSync = "append.sync"
 	// FPSnapWrite fires mid-write of the temp snapshot file.
 	FPSnapWrite = "snapshot.write"
@@ -52,7 +48,7 @@ const (
 // tests iterate it so a newly added point cannot be forgotten.
 func Points() []string {
 	return []string{
-		FPAppendBuffer, FPFlushBegin, FPAppendWrite, FPAppendSync,
+		FPAppendBuffer, FPAppendWrite, FPAppendSync,
 		FPSnapWrite, FPSnapSync, FPSnapRename, FPSnapDirSync,
 		FPCompactRotate, FPCompactDirSync,
 	}

@@ -16,12 +16,8 @@ package durable
 //   - Changed returns a channel closed at the next append, so a tailing
 //     reader can block instead of polling.
 //
-// Note a durability asymmetry that is deliberate: the tail is the staged
-// log, not the synced log, so under FsyncInterval/FsyncNever a standby
-// can hold records the primary later loses in a crash. For
-// inference-control state that direction is safe — a standby that
-// remembers MORE granted releases refuses no less than the primary
-// would have.
+// All three see only fsynced records: an append enters the window and
+// fires Changed after its fsync, and a dead log serves no tail.
 
 import (
 	"errors"
@@ -42,10 +38,14 @@ var ErrSequence = errors.New("durable: non-contiguous sequence")
 // window is served from it; one further behind is served by reading
 // wal.log under the log lock — a reconnecting standby pays that once and
 // is inside the window from then on. Payloads are shared and must not be
-// mutated.
+// mutated. A dead log returns its error: its wal.log may end in a record
+// that was written but never synced.
 func (l *Log) TailFrom(from uint64) (entries []Entry, snapSeq uint64, snapNeeded bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.deadErr != nil {
+		return nil, l.snapSeq, false, l.deadErr
+	}
 	snapNeeded = from < l.snapSeq
 	if snapNeeded {
 		from = l.snapSeq
@@ -60,13 +60,11 @@ func (l *Log) TailFrom(from uint64) (entries []Entry, snapSeq uint64, snapNeeded
 		}
 		return entries, l.snapSeq, snapNeeded, nil
 	}
-	// The file holds every record since the last compaction except the
-	// staged ones, which follow it in buf.
+	// The file holds every record since the last compaction.
 	data, err := os.ReadFile(filepath.Join(l.opts.Dir, walName))
 	if err != nil {
 		return nil, l.snapSeq, snapNeeded, fmt.Errorf("durable: reading wal tail: %w", err)
 	}
-	data = append(data, l.buf...)
 	for off := 0; off < len(data); {
 		seq, payload, n, err := DecodeRecord(data[off:])
 		if err != nil {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"privateiye/internal/obs"
 )
 
 // --- Snapshot integrity trailer ---------------------------------------------
@@ -122,8 +124,8 @@ func TestTrailerlessSnapshotRefused(t *testing.T) {
 
 // TestCrashedLogFailsClosedStickily pins the sticky-death contract the
 // mediator's refuse-unrecordable-releases path depends on: once die()
-// fires, every subsequent operation — appends, snapshots, syncs — keeps
-// returning ErrCrashed rather than quietly recovering in-process.
+// fires, every subsequent operation — appends, snapshots, syncs, tails —
+// keeps returning ErrCrashed rather than quietly recovering in-process.
 func TestCrashedLogFailsClosedStickily(t *testing.T) {
 	fp := NewFailpoints()
 	l := openT(t, Options{Dir: t.TempDir(), Failpoints: fp})
@@ -147,6 +149,48 @@ func TestCrashedLogFailsClosedStickily(t *testing.T) {
 	}
 	if err := l.Sync(); !errors.Is(err, ErrCrashed) {
 		t.Errorf("Sync after crash = %v", err)
+	}
+	if _, _, _, err := l.TailFrom(0); !errors.Is(err, ErrCrashed) {
+		t.Errorf("TailFrom after crash = %v", err)
+	}
+}
+
+// Nothing leaves the log before its fsync: an append whose fsync never
+// returns advances no sequence, wakes no Changed waiter, is not counted
+// and is in no tail — so no standby can stream a record its primary
+// never made durable.
+func TestNothingLeavesTheLogBeforeItsFsync(t *testing.T) {
+	fp := NewFailpoints()
+	reg := obs.NewRegistry()
+	l := openT(t, Options{Dir: t.TempDir(), Failpoints: fp, Obs: reg, ObsScope: "order"})
+	defer l.Close()
+	if _, err := l.Append([]byte("synced")); err != nil {
+		t.Fatal(err)
+	}
+	changed := l.Changed()
+	fp.Arm(FPAppendSync)
+	if _, err := l.Append([]byte("unsynced")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("armed append = %v, want ErrCrashed", err)
+	}
+	if got := l.LastSeq(); got != 1 {
+		t.Errorf("LastSeq = %d after the unsynced append, want 1", got)
+	}
+	select {
+	case <-changed:
+		t.Error("Changed fired for a record that was never synced")
+	default:
+	}
+	if got := reg.Counter("piye_wal_appends_total", "log", "order").Value(); got != 1 {
+		t.Errorf("piye_wal_appends_total = %d, want 1", got)
+	}
+	entries, _, _, err := l.TailFrom(0)
+	for _, e := range entries {
+		if string(e.Payload) == "unsynced" {
+			t.Errorf("TailFrom(0) holds the unsynced record at seq %d", e.Seq)
+		}
+	}
+	if !errors.Is(err, ErrCrashed) {
+		t.Errorf("TailFrom on the dead log = %v, want ErrCrashed", err)
 	}
 }
 

@@ -145,8 +145,7 @@ func (l *Log) SaveSnapshotAt(seq uint64, state []byte) error {
 }
 
 // SaveSnapshot is SaveSnapshotAt the current end of the log, for callers
-// whose state covers every record appended so far. On return under any
-// fsync policy the state is durable.
+// whose state covers every record appended so far.
 func (l *Log) SaveSnapshot(state []byte) error {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
@@ -178,7 +177,7 @@ func (l *Log) install(start time.Time, seq uint64, state []byte, carry bool) err
 func (l *Log) snapshotDone(start time.Time, size int64, err error) error {
 	if err != nil {
 		l.mu.Lock()
-		l.retryAt = l.walSize + int64(len(l.buf)) + compactFloor
+		l.retryAt = l.walSize + compactFloor
 		l.mu.Unlock()
 		l.mSnapFails.Inc()
 		if l.failStreak == 0 {
@@ -222,14 +221,6 @@ func (l *Log) writeAndInstall(seq uint64, state []byte, carry bool) (int64, erro
 		os.Remove(tmp)
 		return 0, fmt.Errorf("durable: snapshot at seq %d outside the log's range (%d, %d]", seq, l.snapSeq, l.seq)
 	}
-	if carry && len(l.buf) > 0 {
-		// Staged records must be in the file before the tail after seq
-		// can be cut from it.
-		if err := l.flushLocked(true); err != nil {
-			os.Remove(tmp)
-			return 0, err
-		}
-	}
 	if l.opts.Failpoints.hit(FPSnapRename) {
 		return 0, l.die()
 	}
@@ -248,11 +239,9 @@ func (l *Log) writeAndInstall(seq uint64, state []byte, carry bool) (int64, erro
 	l.snapSize = size
 	l.retryAt = 0
 	if !carry {
-		// The standby's own tail is divergent history: drop it, staged
-		// bytes included.
+		// The standby's own tail is divergent history: drop it.
 		l.seq = seq
 		l.ringN = 0
-		l.buf = nil
 	}
 	l.signalLocked()
 	return size, l.compactLocked(seq, carry)

@@ -16,22 +16,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"time"
 
 	"privateiye/internal/durable"
 )
 
 // DurabilityConfig enables crash-safe persistence of the release ledger
-// and query history under Dir. Zero values take the durable package
-// defaults (FsyncAlways, 100ms interval). When to snapshot and compact is
-// the durable log's decision, not a setting.
+// and query history under Dir: every record is fsynced before the
+// release or answer it describes leaves the mediator. When to snapshot
+// and compact is the durable log's decision, not a setting.
 type DurabilityConfig struct {
 	// Dir is the state directory (created if missing).
 	Dir string
-	// Fsync selects the sync policy for WAL appends.
+	// Fsync must be durable.FsyncAlways, the zero value.
 	Fsync durable.FsyncPolicy
-	// FsyncInterval applies under FsyncInterval policy.
-	FsyncInterval time.Duration
 	// Failpoints injects crash sites for recovery testing.
 	Failpoints *durable.Failpoints
 }
@@ -150,12 +147,11 @@ func (l *releaseLedger) read(read func(byRequester map[string][]ledgerRelease)) 
 // prove its release history intact must not grant releases against it.
 func (m *Mediator) openDurable(cfg DurabilityConfig) error {
 	dl, err := durable.Open(durable.Options{
-		Dir:           cfg.Dir,
-		Fsync:         cfg.Fsync,
-		FsyncInterval: cfg.FsyncInterval,
-		Failpoints:    cfg.Failpoints,
-		Obs:           m.cfg.Obs,
-		ObsScope:      "mediator",
+		Dir:        cfg.Dir,
+		Fsync:      cfg.Fsync,
+		Failpoints: cfg.Failpoints,
+		Obs:        m.cfg.Obs,
+		ObsScope:   "mediator",
 	})
 	if err != nil {
 		return fmt.Errorf("mediator: opening state dir: %w", err)

@@ -212,70 +212,59 @@ func TestQueryDuringSnapshotCompletesAndSurvivesRestart(t *testing.T) {
 
 // The mediator-level crash matrix for snapshots taken off the query
 // locks: a query lands between the snapshot's cut and its install, then
-// the install dies at each of its steps under each fsync policy. The
-// recovered history must be a prefix of what was answered, whole under
-// the policies that had made it durable, and every recovered history
-// entry's release must be in the recovered ledger (the release is logged
-// first, so a prefix that has the history entry has the release).
+// the install dies at each of its steps. Every answered query had its
+// records fsynced before it returned, so the recovered history must be
+// all of them, in order, and every recovered history entry's release
+// must be in the recovered ledger.
 func TestCrashDuringSnapshotKeepsRecordsPastTheCut(t *testing.T) {
 	points := []string{
 		durable.FPSnapWrite, durable.FPSnapSync, durable.FPSnapRename,
 		durable.FPSnapDirSync, durable.FPCompactRotate, durable.FPCompactDirSync,
 	}
-	for _, policy := range []durable.FsyncPolicy{durable.FsyncAlways, durable.FsyncInterval, durable.FsyncNever} {
-		for _, point := range points {
-			t.Run(policy.String()+"/"+point, func(t *testing.T) {
-				dir := t.TempDir()
-				fp := durable.NewFailpoints()
-				// An hour's tick: under the interval policy nothing is
-				// synced except by the snapshot install itself.
-				m := durableFigure1Mediator(t, &DurabilityConfig{Dir: dir, Fsync: policy, FsyncInterval: time.Hour, Failpoints: fp})
-				issued := []string{"req0", "req1", "during"}
-				for _, req := range issued[:2] {
-					if _, err := m.Query(perTestQuery, req); err != nil {
-						t.Fatal(err)
-					}
+	for _, point := range points {
+		t.Run("always/"+point, func(t *testing.T) {
+			dir := t.TempDir()
+			fp := durable.NewFailpoints()
+			m := durableFigure1Mediator(t, &DurabilityConfig{Dir: dir, Failpoints: fp})
+			issued := []string{"req0", "req1", "during"}
+			for _, req := range issued[:2] {
+				if _, err := m.Query(perTestQuery, req); err != nil {
+					t.Fatal(err)
 				}
-				finish := parkSnapshot(t, m, fp)
-				if _, err := m.Query(perTestQuery, "during"); err != nil {
-					t.Fatalf("query during a parked snapshot: %v", err)
-				}
-				fp.Arm(point)
-				if err := finish(); !errors.Is(err, durable.ErrCrashed) {
-					t.Fatalf("snapshot with %s armed = %v, want ErrCrashed", point, err)
-				}
-				m.Close()
+			}
+			finish := parkSnapshot(t, m, fp)
+			if _, err := m.Query(perTestQuery, "during"); err != nil {
+				t.Fatalf("query during a parked snapshot: %v", err)
+			}
+			fp.Arm(point)
+			if err := finish(); !errors.Is(err, durable.ErrCrashed) {
+				t.Fatalf("snapshot with %s armed = %v, want ErrCrashed", point, err)
+			}
+			m.Close()
 
-				m2 := durableFigure1Mediator(t, &DurabilityConfig{Dir: dir})
-				defer m2.Close()
-				h := m2.History()
-				if len(h) > len(issued) {
-					t.Fatalf("recovered history = %+v, longer than what was answered", h)
+			m2 := durableFigure1Mediator(t, &DurabilityConfig{Dir: dir})
+			defer m2.Close()
+			h := m2.History()
+			if len(h) != len(issued) {
+				t.Fatalf("recovered history = %+v, want all %d answered queries", h, len(issued))
+			}
+			for i, e := range h {
+				if e.Requester != issued[i] {
+					t.Fatalf("recovered history[%d] = %s, want %s", i, e.Requester, issued[i])
 				}
-				// Interval acknowledges nothing until a sync, and the crash
-				// may precede the install's; the other two policies had
-				// every record in the file before the snapshot started.
-				if policy != durable.FsyncInterval && len(h) != len(issued) {
-					t.Fatalf("recovered %d history entries under %s, want all %d", len(h), policy, len(issued))
+				if len(m2.ledger.byRequester[e.Requester]) != 1 {
+					t.Errorf("%s is in the recovered history but its release is not in the ledger", e.Requester)
 				}
-				for i, e := range h {
-					if e.Requester != issued[i] {
-						t.Fatalf("recovered history[%d] = %s, want %s: not a prefix", i, e.Requester, issued[i])
-					}
-					if len(m2.ledger.byRequester[e.Requester]) != 1 {
-						t.Errorf("%s is in the recovered history but its release is not in the ledger", e.Requester)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// A crash as a flush begins (the record is staged, no byte of it is
-// written) under concurrent requesters must refuse the release in
-// flight and every release queued behind it, and recovery over the same
-// directory must not replay any of them as granted — while the release
-// acknowledged before the crash is still remembered.
+// A crash before a release record's first byte reaches the file, under
+// concurrent requesters, must refuse the release in flight and every
+// release queued behind it, and recovery over the same directory must
+// not replay any of them as granted — while the release acknowledged
+// before the crash is still remembered.
 func TestFlushBeginCrashFailsClosed(t *testing.T) {
 	dir := t.TempDir()
 	fp := durable.NewFailpoints()
@@ -283,7 +272,7 @@ func TestFlushBeginCrashFailsClosed(t *testing.T) {
 	if _, err := m.Query(perTestQuery, "early"); err != nil {
 		t.Fatalf("pre-crash release should pass: %v", err)
 	}
-	fp.Arm(durable.FPFlushBegin)
+	fp.Arm(durable.FPAppendBuffer)
 	const writers = 4
 	var wg sync.WaitGroup
 	errs := make([]error, writers)
@@ -303,7 +292,7 @@ func TestFlushBeginCrashFailsClosed(t *testing.T) {
 			t.Errorf("doomed%d: refusal should explain persistence failure: %v", i, err)
 		}
 	}
-	if got := fp.Tripped(); len(got) != 1 || got[0] != durable.FPFlushBegin {
+	if got := fp.Tripped(); len(got) != 1 || got[0] != durable.FPAppendBuffer {
 		t.Fatalf("tripped = %v", got)
 	}
 	m.Close()
