@@ -87,7 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/piql/
 	$(GO) test -run '^$$' -fuzz FuzzResultFromNode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/piql/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalElems -fuzztime $(FUZZTIME) ./internal/psi/
-	$(GO) test -run '^$$' -fuzz FuzzP256DecodeElement -fuzztime $(FUZZTIME) ./internal/psi/
+	$(GO) test -run '^$$' -fuzz FuzzX25519DecodeElement -fuzztime $(FUZZTIME) ./internal/psi/
 	$(GO) test -run '^$$' -fuzz FuzzModPDecodeElement -fuzztime $(FUZZTIME) ./internal/psi/
 	$(GO) test -run '^$$' -fuzz FuzzRingLookup -fuzztime $(FUZZTIME) ./internal/shard/
 
@@ -132,7 +132,11 @@ loc:
 # collision-free row key, interned age bands); wire -90 % on cold_fanout.
 # PR 25, 27,911 -> 27,775: one durability rule — the interval/never fsync
 # policies, their syncer, the staged-record path and -fsync are gone.
-LOC_CEILING = 27775
+# 27,775 -> 27,906: the x25519 PSI suite replaces P-256, and items
+# hash onto the curve by Elligator 2 over GF(2^255-19) arithmetic written
+# here (a raw hashed u-coordinate would leak its curve/twist bit; DESIGN.md
+# §14); allocs -73 % on psi_overlap.
+LOC_CEILING = 27906
 loc-check:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
 	if [ $$n -gt $(LOC_CEILING) ]; then \

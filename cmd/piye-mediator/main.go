@@ -43,7 +43,7 @@ func main() {
 	whCap := flag.Int("warehouse", 0, "warehouse capacity (0 = pure virtual querying)")
 	whTTL := flag.Int64("warehouse-ttl", 100, "warehouse freshness in integration rounds")
 	salt := flag.String("salt", defaultSalt, "shared linkage salt")
-	psiSuite := flag.String("psi-suite", psi.DefaultSuiteName, "preferred PSI ciphersuite: p256 (fast EC default) | modp2048; the fleet negotiates at schema refresh and fails closed to modp2048 when any source cannot do better")
+	psiSuite := flag.String("psi-suite", psi.DefaultSuiteName, "preferred PSI ciphersuite: x25519 (fast EC default) | modp2048; the fleet negotiates at schema refresh over the suites this build can run and fails closed to modp2048 when any source cannot do better")
 	srcTimeout := flag.Duration("source-timeout", 10*time.Second, "per-source deadline during fan-out (0 = none)")
 	retries := flag.Int("retries", 3, "attempts per source call (1 = no retry)")
 	brkFailures := flag.Int("breaker-failures", 5, "consecutive failures before a source's circuit opens (0 = breaker off)")

@@ -41,7 +41,7 @@ func main() {
 	policyFile := flag.String("policy", "", "privacy policy XML file (default: built-in research policy)")
 	prefFiles := flag.String("preferences", "", "comma-separated data-subject preference XML files")
 	salt := flag.String("salt", defaultSalt, "shared linkage salt")
-	psiSuite := flag.String("psi-suite", psi.DefaultSuiteName, "PSI ciphersuite to prefer: p256 (fast EC default) | modp2048 (pins this source to the safe-prime group — it advertises nothing else, so the fleet negotiates down to it)")
+	psiSuite := flag.String("psi-suite", psi.DefaultSuiteName, "PSI ciphersuite to prefer: x25519 (fast EC default) | modp2048 (pins this source to the safe-prime group — it advertises nothing else, so the fleet negotiates down to it)")
 	coalesce := flag.Bool("coalesce", false, "merge concurrent identical whole-column linkage calls (PSI blinds, Bloom encodings) into one shared computation")
 	planCache := flag.Int("plan-cache", 256, "parse/plan cache capacity in entries (0 = disabled)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for /metrics, /debug/trace and /debug/pprof (empty = pprof off; /metrics and /debug/trace are always on -addr)")
@@ -129,7 +129,7 @@ func main() {
 	if _, err := psi.SuiteByName(*psiSuite); err != nil {
 		log.Fatalf("piye-source: -psi-suite: %v", err)
 	}
-	if *psiSuite != psi.SuiteNameP256 {
+	if *psiSuite != psi.DefaultSuiteName {
 		// A MODP-pinned source advertises only its pinned suite; a mixed
 		// fleet behind an EC-preferring mediator then negotiates down to
 		// it instead of failing mid-protocol.

@@ -214,10 +214,10 @@ func TestPSIGroup() *PSIGroup { return psi.TestGroup() }
 // exponentiation and canonical wire encoding over one prime-order group.
 type PSISuite = psi.Suite
 
-// P256PSISuite returns the NIST P-256 elliptic-curve suite — the fast
-// default: ~10x cheaper group operations and ~8x smaller elements than
-// the 2048-bit MODP group.
-func P256PSISuite() PSISuite { return psi.P256Suite() }
+// X25519PSISuite returns the Curve25519 suite — the fast default: one
+// X25519 ladder per group operation and 8x smaller elements than the
+// 2048-bit MODP group.
+func X25519PSISuite() PSISuite { return psi.X25519Suite() }
 
 // ModPPSISuite wraps a safe-prime group as a suite ("modp2048" for the
 // default group) — the fail-closed floor a mixed fleet negotiates down
@@ -255,7 +255,7 @@ func PrivateOverlapContext(ctx context.Context, a, b Endpoint, field string) (in
 }
 
 // PrivateOverlapSuite is PrivateOverlapContext pinned to a named PSI
-// suite ("p256", "modp2048") — what a mediator passes after negotiating
+// suite ("x25519", "modp2048") — what a mediator passes after negotiating
 // the fleet's common suite (see Mediator.Overlap / Mediator.PSISuite).
 func PrivateOverlapSuite(ctx context.Context, a, b Endpoint, field, suite string) (int, error) {
 	return mediator.PrivateOverlap(ctx, a, b, field, suite)

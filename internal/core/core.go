@@ -92,7 +92,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		local.Coalesce = mc.Coalesce
 		// A MODP-pinned fleet advertises only its pinned suite, so suite
 		// negotiation fails closed to it instead of picking the curve.
-		if mc.PSISuite != "" && mc.PSISuite != psi.SuiteNameP256 {
+		if mc.PSISuite != "" && mc.PSISuite != psi.DefaultSuiteName {
 			local.AdvertisedSuites = []string{mc.PSISuite}
 		}
 		sys.locals = append(sys.locals, local)

@@ -21,9 +21,9 @@ import (
 )
 
 // suiteNode serves one compliance source over HTTP with an explicit PSI
-// suite advertisement (nil = the default: p256 preferred, MODP floor).
-// It models the fleet-upgrade scenario: a node still running the
-// pre-curve build advertises only its MODP group.
+// suite advertisement (nil = the production default: x25519 preferred,
+// modp2048 floor). It models the fleet-upgrade scenario: a node still
+// running an older build advertises what that build could run.
 func suiteNode(t *testing.T, name string, advertised []string) *httptest.Server {
 	t.Helper()
 	tab, err := clinical.ComplianceTable("compliance", clinical.HMOs, clinical.Tests, clinical.Figure1GroundTruth())
@@ -44,7 +44,7 @@ func suiteNode(t *testing.T, name string, advertised []string) *httptest.Server 
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := source.NewLocal(src, salt, psi.TestGroup())
+	local, err := source.NewLocal(src, salt, psi.DefaultGroup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +78,12 @@ func suiteMediator(t *testing.T, nodes map[string]*httptest.Server) *mediator.Me
 // mediated queries must keep answering — a mixed fleet degrades, it
 // does not break.
 func TestMixedSuiteFleetNegotiatesDown(t *testing.T) {
-	legacy := suiteNode(t, "legacy", []string{psi.SuiteNameModP768})
+	legacy := suiteNode(t, "legacy", []string{psi.SuiteNameModP2048})
 	modern := suiteNode(t, "modern", nil)
 	med := suiteMediator(t, map[string]*httptest.Server{"legacy": legacy, "modern": modern})
 
-	if got := med.PSISuite(); got != psi.SuiteNameModP768 {
-		t.Fatalf("negotiated suite = %q, want %q (the legacy source cannot do better)", got, psi.SuiteNameModP768)
+	if got := med.PSISuite(); got != psi.SuiteNameModP2048 {
+		t.Fatalf("negotiated suite = %q, want %q (the legacy source cannot do better)", got, psi.SuiteNameModP2048)
 	}
 
 	ctx := context.Background()
@@ -96,18 +96,18 @@ func TestMixedSuiteFleetNegotiatesDown(t *testing.T) {
 	}
 
 	// The protocol messages really are in the negotiated group: the
-	// envelope names it and every element is one 768-bit residue.
+	// envelope names it and every element is one 2048-bit residue.
 	cli := source.NewClient(legacy.URL, "legacy")
 	elems, err := cli.PSIBlinded(ctx, "hmo", med.PSISuite())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := psi.WireSuiteName(elems); got != psi.SuiteNameModP768 {
-		t.Fatalf("envelope suite = %q, want %q", got, psi.SuiteNameModP768)
+	if got := psi.WireSuiteName(elems); got != psi.SuiteNameModP2048 {
+		t.Fatalf("envelope suite = %q, want %q", got, psi.SuiteNameModP2048)
 	}
 	for _, e := range elems.ChildrenNamed("e") {
-		if len(e.Text) != 2*96 {
-			t.Fatalf("element width %d hex chars, want %d", len(e.Text), 2*96)
+		if len(e.Text) != 2*256 {
+			t.Fatalf("element width %d hex chars, want %d", len(e.Text), 2*256)
 		}
 	}
 
@@ -122,16 +122,43 @@ func TestMixedSuiteFleetNegotiatesDown(t *testing.T) {
 	}
 }
 
-// TestMixedSuiteAllECFleetPrefersP256 is the matching upgrade-complete
+// A build before x25519 advertised [p256 modp2048]. This build cannot run
+// p256, so a fleet with such sources in it, old sources only included,
+// must negotiate the modp2048 floor and keep the overlap exact — not
+// pick p256 and fail every overlap on the relay's width check.
+func TestOldCurveFleetFallsToTheFloor(t *testing.T) {
+	old := []string{"p256", psi.SuiteNameModP2048}
+	for name, fleet := range map[string][2][]string{
+		"one old source": {old, nil},
+		"all old":        {old, old},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a, b := suiteNode(t, "alpha", fleet[0]), suiteNode(t, "beta", fleet[1])
+			med := suiteMediator(t, map[string]*httptest.Server{"alpha": a, "beta": b})
+			if got := med.PSISuite(); got != psi.SuiteNameModP2048 {
+				t.Fatalf("negotiated suite = %q, want %q", got, psi.SuiteNameModP2048)
+			}
+			n, err := med.Overlap(context.Background(), "alpha", "beta", "hmo")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != len(clinical.HMOs) {
+				t.Fatalf("overlap = %d, want %d", n, len(clinical.HMOs))
+			}
+		})
+	}
+}
+
+// TestMixedSuiteAllECFleetPrefersX25519 is the matching upgrade-complete
 // case: when every source advertises the curve, negotiation picks it
-// and the wire carries 33-byte compressed points.
-func TestMixedSuiteAllECFleetPrefersP256(t *testing.T) {
+// and the wire carries 32-byte u-coordinates.
+func TestMixedSuiteAllECFleetPrefersX25519(t *testing.T) {
 	a := suiteNode(t, "alpha", nil)
 	b := suiteNode(t, "beta", nil)
 	med := suiteMediator(t, map[string]*httptest.Server{"alpha": a, "beta": b})
 
-	if got := med.PSISuite(); got != psi.SuiteNameP256 {
-		t.Fatalf("negotiated suite = %q, want %q", got, psi.SuiteNameP256)
+	if got := med.PSISuite(); got != psi.SuiteNameX25519 {
+		t.Fatalf("negotiated suite = %q, want %q", got, psi.SuiteNameX25519)
 	}
 
 	ctx := context.Background()
@@ -148,19 +175,19 @@ func TestMixedSuiteAllECFleetPrefersP256(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := psi.WireSuiteName(elems); got != psi.SuiteNameP256 {
-		t.Fatalf("envelope suite = %q, want %q", got, psi.SuiteNameP256)
+	if got := psi.WireSuiteName(elems); got != psi.SuiteNameX25519 {
+		t.Fatalf("envelope suite = %q, want %q", got, psi.SuiteNameX25519)
 	}
 	for _, e := range elems.ChildrenNamed("e") {
-		if len(e.Text) != 2*33 {
-			t.Fatalf("element width %d hex chars, want %d (compressed point)", len(e.Text), 2*33)
+		if len(e.Text) != 2*32 {
+			t.Fatalf("element width %d hex chars, want %d (u-coordinate)", len(e.Text), 2*32)
 		}
 	}
 }
 
 // The 768-bit test group is reachable only by code that hands it in
-// (source.NewLocal(…, psi.TestGroup()), as suiteNode does). None of the
-// four places a suite can be named by configuration may resolve it.
+// (source.NewLocal(…, psi.TestGroup())). None of the four places a suite
+// can be named by configuration may resolve it.
 func TestTestGroupIsNotConfigurable(t *testing.T) {
 	const want = `unknown suite "modp768"`
 	refused := func(entry string, err error, output string) {

@@ -58,12 +58,13 @@ type Config struct {
 	// misses the deadline is recorded in Denied with a timeout reason;
 	// the integrator returns whatever answered in time.
 	SourceTimeout time.Duration
-	// PSISuite is the preferred PSI group suite (default "p256", the
+	// PSISuite is the preferred PSI group suite (default "x25519", the
 	// fast elliptic-curve kernel). During every schema refresh the
 	// mediator collects each source's supported suites and negotiates:
 	// the preferred suite is used iff every answering source advertises
 	// it; otherwise the first universally supported suite in the first
-	// source's preference order; otherwise the fleet fails closed to
+	// source's preference order that this build can run (an older
+	// build's curve name is skipped); otherwise the fleet fails closed to
 	// "modp2048" — the safe-prime group every deployment predating
 	// negotiation runs — rather than letting sources diverge into
 	// incomparable groups. PSISuite() reports the outcome.

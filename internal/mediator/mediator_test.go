@@ -304,6 +304,30 @@ func TestPrivateOverlap(t *testing.T) {
 	}
 }
 
+// Negotiation picks only a suite this build can run: a name every source
+// advertises but psi.SuiteByName does not resolve falls through to the
+// next, and at worst to the modp2048 floor.
+func TestNegotiateSuite(t *testing.T) {
+	current := []string{psi.SuiteNameX25519, psi.SuiteNameModP2048}
+	old := []string{"p256", psi.SuiteNameModP2048}
+	for _, c := range []struct {
+		name  string
+		fleet [][]string
+		want  string
+	}{
+		{"no answers", nil, psi.SuiteNameX25519},
+		{"all current", [][]string{current, current}, psi.SuiteNameX25519},
+		{"one pinned", [][]string{current, {psi.SuiteNameModP2048}}, psi.SuiteNameModP2048},
+		{"all old", [][]string{old, old}, psi.SuiteNameModP2048},
+		{"old first", [][]string{old, current}, psi.SuiteNameModP2048},
+		{"nothing shared", [][]string{{"p256"}, {psi.SuiteNameX25519}}, psi.SuiteNameModP2048},
+	} {
+		if got := negotiateSuite(psi.SuiteNameX25519, c.fleet); got != c.want {
+			t.Errorf("%s: negotiated %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
 func TestHTTPHandlerRoundTrip(t *testing.T) {
 	m, err := New(Config{Endpoints: twoHospitals(t)})
 	if err != nil {

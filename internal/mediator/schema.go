@@ -122,15 +122,20 @@ func (m *Mediator) MediatedSchema() *xmltree.Summary {
 
 // negotiateSuite picks the one PSI suite the whole fleet will run.
 // preferred wins iff every source advertises it; otherwise the first
-// suite in the first source's preference order that everyone supports;
-// otherwise the hard fail-closed floor, modp2048 — a suite nobody
-// advertised is still better than two sources running different groups
-// and comparing meaningless bytes.
+// suite in the first source's preference order that everyone supports
+// and psi.SuiteByName resolves (a name only an older build knows, like
+// its curve suite, would fail every overlap); otherwise the hard
+// fail-closed floor, modp2048 — a suite nobody advertised is still
+// better than two sources running different groups and comparing
+// meaningless bytes.
 func negotiateSuite(preferred string, advertisements [][]string) string {
 	if len(advertisements) == 0 {
 		return preferred
 	}
 	everyone := func(name string) bool {
+		if _, err := psi.SuiteByName(name); err != nil {
+			return false
+		}
 		for _, adv := range advertisements {
 			found := false
 			for _, s := range adv {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 )
 
 // Group is a safe-prime group: p = 2q+1 with q prime. Protocol elements
@@ -147,10 +148,9 @@ func (s *modpSuite) Exp(e Element, sec Secret) Element {
 }
 
 func (s *modpSuite) AppendElement(dst []byte, e Element) []byte {
-	v := (*big.Int)(e.(*ModPElem))
 	n := len(dst)
-	dst = growSlice(dst, s.size)
-	v.FillBytes(dst[n : n+s.size])
+	dst = slices.Grow(dst, s.size)[:n+s.size]
+	(*big.Int)(e.(*ModPElem)).FillBytes(dst[n:]) // zero-pads the grown tail
 	return dst
 }
 
@@ -194,18 +194,3 @@ func (s *modpSuite) Equal(a, b Element) bool {
 }
 
 var bigOne = big.NewInt(1)
-
-// growSlice extends dst by k bytes (zeroed), reallocating only when the
-// capacity is short — the encode hot path runs it allocation-free once
-// the caller's buffer has warmed up.
-func growSlice(dst []byte, k int) []byte {
-	n := len(dst)
-	if cap(dst)-n >= k {
-		dst = dst[: n+k : cap(dst)]
-		for i := n; i < n+k; i++ {
-			dst[i] = 0
-		}
-		return dst
-	}
-	return append(dst, make([]byte, k)...)
-}

@@ -6,8 +6,8 @@
 // revealing the origins of the sources or the real world origins of the
 // entities" (Section 5).
 //
-// Construction: items hash into a prime-order group. Each party holds a
-// random secret scalar; because applying the secret commutes,
+// Construction: items hash into a group. Each party holds a random
+// secret scalar; because applying the secret commutes,
 // H(x)^(ab) = H(x)^(ba), so after both parties have operated on both
 // sets, equal items collide and nothing else does (computing H(y)^a from
 // H(x)^a for x != y is a DH problem). The initiator learns which of its
@@ -15,12 +15,12 @@
 // initiator's set size.
 //
 // The group is pluggable via Suite: the original safe-prime MODP groups
-// (quadratic residues mod RFC 3526 primes, 2048-bit modexps) and a NIST
-// P-256 elliptic-curve suite (256-bit scalar mults, 33-byte elements),
+// (quadratic residues mod RFC 3526 primes, 2048-bit modexps) and a
+// Curve25519 suite (one X25519 ladder per operation, 32-byte elements),
 // which is the fast default.
 //
-// Everything is stdlib: crypto/rand, crypto/sha256, crypto/elliptic,
-// math/big.
+// Everything is stdlib: crypto/rand, crypto/sha256, crypto/ecdh and
+// math/bits for the curve, math/big for the MODP groups.
 package psi
 
 import (

@@ -7,49 +7,48 @@ import (
 	"io"
 )
 
-// A Suite is a prime-order group with everything the commutative-
-// encryption protocol needs from it: a hash-to-group map, application of
-// a party's fixed secret (modular exponentiation in the MODP suites,
-// scalar multiplication in the curve suites), and a fixed-width
-// canonical encoding whose decoder doubles as the membership validator
-// at the trust boundary.
+// A Suite is a group with everything the commutative-encryption protocol
+// needs from it: a hash-to-group map, application of a party's fixed
+// secret (modular exponentiation in the MODP suites, the X25519 ladder in
+// the curve suite), and a fixed-width canonical encoding whose decoder
+// doubles as the membership validator at the trust boundary.
 //
 // Two families ship:
 //
 //   - modp*: the order-q subgroup of quadratic residues mod a safe prime
 //     (RFC 3526 group 14 in production). One group operation is a
 //     2048-bit modular exponentiation; one element is 256 bytes.
-//   - p256: the NIST P-256 curve (stdlib crypto/elliptic, cofactor 1, so
-//     on-curve = in-subgroup). One group operation is a 256-bit scalar
-//     multiplication; one element is a 33-byte compressed point. This is
-//     the fast default: ~10x cheaper per operation and ~8x smaller on
-//     the wire than modp2048.
+//   - x25519: u-coordinates on Curve25519 (stdlib crypto/ecdh; clamped
+//     scalars clear the cofactor, DESIGN.md §14). One group operation is
+//     one Montgomery ladder; one element is 32 bytes. This is the fast
+//     default: far cheaper per operation and 8x smaller on the wire than
+//     modp2048.
 //
 // Both ends of a protocol round must run the same suite — elements are
 // meaningless across suites, which is why the wire envelope names its
 // suite and the mediator negotiates one per fleet (see internal/mediator).
 type Suite interface {
-	// Name is the suite's wire identifier ("modp2048", "p256", ...).
+	// Name is the suite's wire identifier ("modp2048", "x25519", ...).
 	Name() string
 	// ElementSize is the exact width in bytes of a canonically encoded
 	// element. Every element of the suite encodes to this many bytes;
 	// DecodeElement rejects any other length.
 	ElementSize() int
-	// NewSecret draws a uniform secret scalar in [1, order-1] from rng.
+	// NewSecret draws a party's uniform secret scalar from rng.
 	NewSecret(rng io.Reader) (Secret, error)
-	// HashToGroup maps an arbitrary item into the prime-order group.
+	// HashToGroup maps an arbitrary item into the group.
 	// sc's buffers are reused across calls (pass nil for a one-shot
 	// call; hot loops should carry one Scratch per goroutine).
 	HashToGroup(sc *Scratch, item string) Element
-	// Exp applies a secret to an element: modexp or scalar mult. The
-	// element must belong to this suite.
+	// Exp applies a secret to an element: modexp or the X25519 ladder.
+	// The element must belong to this suite.
 	Exp(e Element, s Secret) Element
 	// AppendElement appends the canonical fixed-width encoding of e to
 	// dst and returns the extended slice.
 	AppendElement(dst []byte, e Element) []byte
 	// DecodeElement parses exactly one canonical encoding, validating
-	// membership: wrong width, out-of-range values, the identity,
-	// off-curve points and non-subgroup residues are all rejected. It
+	// membership: wrong width, out-of-range values, the identity and
+	// small-order points, and non-subgroup residues are all rejected. It
 	// never panics, whatever the input.
 	DecodeElement(data []byte) (Element, error)
 	// Validate checks that e is a well-formed non-identity member of the
@@ -61,15 +60,15 @@ type Suite interface {
 }
 
 // Element is one group element. The concrete type is owned by the suite
-// that produced it (*ModPElem for the MODP suites, *ECPoint for the
-// curve suites); elements never cross suites.
+// that produced it (*ModPElem for the MODP suites, *X25519Elem for the
+// curve suite); elements never cross suites.
 type Element interface{ psiElement() }
 
 // Secret is one party's fixed secret scalar, owned by its suite.
 type Secret interface{ psiSecret() }
 
 // Scratch holds reusable hash-to-group buffers: one SHA-256 state and
-// one expansion buffer, both recycled across calls so the hot path
+// one byte buffer, both recycled across calls so the hot path
 // allocates only the element it returns. Not safe for concurrent use;
 // batch kernels carry one per worker chunk.
 type Scratch struct {
@@ -82,8 +81,8 @@ func NewScratch() *Scratch { return &Scratch{h: sha256.New()} }
 
 // Suite wire names.
 const (
-	// SuiteNameP256 is the elliptic-curve suite, the fast default.
-	SuiteNameP256 = "p256"
+	// SuiteNameX25519 is the elliptic-curve suite, the fast default.
+	SuiteNameX25519 = "x25519"
 	// SuiteNameModP2048 is the production safe-prime suite and the
 	// fail-closed floor every deployment supports.
 	SuiteNameModP2048 = "modp2048"
@@ -95,15 +94,15 @@ const (
 
 // DefaultSuiteName is the suite a fleet negotiates when every member
 // supports it.
-const DefaultSuiteName = SuiteNameP256
+const DefaultSuiteName = SuiteNameX25519
 
 // SuiteByName resolves a wire name to one of the production suites.
 // Unknown names are an error, not a panic: names arrive from flags and
 // from peers.
 func SuiteByName(name string) (Suite, error) {
 	switch name {
-	case SuiteNameP256:
-		return P256Suite(), nil
+	case SuiteNameX25519:
+		return X25519Suite(), nil
 	case SuiteNameModP2048:
 		return ModPSuite(DefaultGroup()), nil
 	}
@@ -112,5 +111,5 @@ func SuiteByName(name string) (Suite, error) {
 
 // TestSuite returns the fast MODP suite tests and demos use when they
 // specifically need the safe-prime code path (for the curve path they
-// can just use P256Suite, which is fast everywhere).
+// can just use X25519Suite, which is fast everywhere).
 func TestSuite() Suite { return ModPSuite(TestGroup()) }

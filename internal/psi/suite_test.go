@@ -34,6 +34,34 @@ func TestScratchReducesAllocations(t *testing.T) {
 	}
 }
 
+// The curve kernels allocate what they return and nothing else: the
+// ladder's output plus crypto/ecdh's public-key wrapper and its copy of
+// the input, one element per decode, and none to validate or to hash
+// beyond the element.
+func TestX25519KernelAllocations(t *testing.T) {
+	s := X25519Suite()
+	p, err := NewParty(s, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewScratch()
+	e := s.HashToGroup(sc, "warmup")
+	enc := s.AppendElement(nil, e)
+	for name, c := range map[string]struct {
+		max float64
+		f   func()
+	}{
+		"Exp":           {3, func() { s.Exp(e, p.secret) }},
+		"DecodeElement": {1, func() { s.DecodeElement(enc) }},
+		"Validate":      {0, func() { s.Validate(e) }},
+		"HashToGroup":   {1, func() { s.HashToGroup(sc, "patient-4711") }},
+	} {
+		if got := testing.AllocsPerRun(100, c.f); got > c.max {
+			t.Errorf("%s allocates %v/op, want <= %v", name, got, c.max)
+		}
+	}
+}
+
 // Canonical encode must also be allocation-free once the caller's
 // buffer has warmed up.
 func TestAppendElementReusesBuffer(t *testing.T) {
@@ -52,7 +80,7 @@ func TestAppendElementReusesBuffer(t *testing.T) {
 }
 
 func BenchmarkHashToGroup(b *testing.B) {
-	for _, s := range []Suite{ModPSuite(TestGroup()), P256Suite()} {
+	for _, s := range []Suite{ModPSuite(TestGroup()), X25519Suite()} {
 		items := make([]string, 1024)
 		for i := range items {
 			items[i] = fmt.Sprintf("item-%04d", i)
@@ -76,7 +104,7 @@ func BenchmarkHashToGroup(b *testing.B) {
 // The envelope is one slab and one hex string: what it costs to build
 // does not depend on how many elements it carries.
 func TestMarshalElemsAllocations(t *testing.T) {
-	s := P256Suite()
+	s := X25519Suite()
 	a, err := NewParty(s, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +115,7 @@ func TestMarshalElemsAllocations(t *testing.T) {
 	}
 	elems := a.BlindBatch(items)
 	if got := testing.AllocsPerRun(20, func() { MarshalElems(s, elems) }); got > 8 {
-		t.Errorf("MarshalElems of %d p256 elements: %v allocs, want <= 8", len(elems), got)
+		t.Errorf("MarshalElems of %d x25519 elements: %v allocs, want <= 8", len(elems), got)
 	}
 }
 
@@ -102,26 +130,26 @@ func FuzzUnmarshalElems(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(MarshalElems(ms, a.BlindBatch([]string{"x", "y"})).String())
-	ec := P256Suite()
+	ec := X25519Suite()
 	c, err := NewParty(ec, rand.Reader)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(MarshalElems(ec, c.BlindBatch([]string{"x"})).String())
-	f.Add(`<psi-elems n="1" suite="p256"><e>02ab</e></psi-elems>`)
+	f.Add(`<psi-elems n="1" suite="x25519"><e>9fab</e></psi-elems>`)
 	f.Add(`<psi-elems n="0"></psi-elems>`)
 	f.Add(`<other/>`)
 	// A truncated column: three declared, two carried.
 	trunc := MarshalElems(ec, c.BlindBatch([]string{"x", "y", "z"}))
 	trunc.Children = trunc.Children[:2]
 	f.Add(trunc.String())
-	f.Add(`<psi-elems n="x" suite="p256"/>`)
+	f.Add(`<psi-elems n="x" suite="x25519"/>`)
 	f.Fuzz(func(t *testing.T, doc string) {
 		node, err := xmltree.ParseString(doc)
 		if err != nil {
 			return
 		}
-		for _, s := range []Suite{ModPSuite(TestGroup()), P256Suite()} {
+		for _, s := range []Suite{ModPSuite(TestGroup()), X25519Suite()} {
 			elems, err := UnmarshalElems(node, s)
 			if err != nil {
 				continue
@@ -155,16 +183,28 @@ func FuzzUnmarshalElems(f *testing.F) {
 	})
 }
 
-// FuzzP256DecodeElement pins that raw compressed-point decoding never
-// panics and only accepts points whose canonical encoding is the input
-// itself.
-func FuzzP256DecodeElement(f *testing.F) {
-	s := P256Suite()
-	e := s.HashToGroup(nil, "seed")
-	f.Add(s.AppendElement(nil, e))
-	f.Add([]byte{2})
-	f.Add(bytes.Repeat([]byte{0xff}, 33))
-	f.Add(make([]byte, 33))
+// FuzzX25519DecodeElement pins that u-coordinate decoding never panics,
+// accepts only encodings that re-encode byte for byte, and accepts
+// nothing X25519 maps to zero: every accepted element exponentiates
+// (crypto/ecdh refuses an all-zero output mid-batch) to a non-zero u.
+func FuzzX25519DecodeElement(f *testing.F) {
+	s := X25519Suite()
+	p, err := NewParty(s, rand.Reader)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(s.AppendElement(nil, s.HashToGroup(nil, "seed")))
+	bit255 := X25519Elem{9}
+	bit255[31] |= 0x80
+	pPlus1 := x25519P
+	pPlus1[0]++
+	f.Add(bit255[:])
+	f.Add(x25519P[:])
+	f.Add(pPlus1[:])
+	for _, u := range x25519SmallOrder {
+		f.Add(u[:])
+	}
+	f.Add([]byte{9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := s.DecodeElement(data)
 		if err != nil {
@@ -175,6 +215,9 @@ func FuzzP256DecodeElement(f *testing.F) {
 		}
 		if enc := s.AppendElement(nil, e); !bytes.Equal(enc, data) {
 			t.Fatalf("accepted non-canonical encoding %x (canonical %x)", data, enc)
+		}
+		if out := s.Exp(e, p.secret).(*X25519Elem); *out == (X25519Elem{}) {
+			t.Fatalf("accepted %x exponentiates to zero", data)
 		}
 	})
 }

@@ -12,8 +12,8 @@ import (
 // Wire encoding: protocol messages travel between sources through the
 // mediator as XML, like everything else in PRIVATE-IYE.
 //
-//	<psi-elems n="3" suite="p256">
-//	  <e>02ab34…</e>
+//	<psi-elems n="3" suite="x25519">
+//	  <e>9fab34…</e>
 //	  …
 //	</psi-elems>
 //
@@ -80,7 +80,7 @@ func elemNodes(n *xmltree.Node) ([]*xmltree.Node, error) {
 // suite's fixed width in lowercase hex and decode to a valid group
 // member. Non-canonical encodings — overlong, leading-zero-padded beyond
 // the fixed width, uppercase hex — are rejected, so one element has one
-// wire form. Elements decode in parallel (a point decompression each);
+// wire form. Elements decode in parallel (a membership check each);
 // the error reported is the one at the lowest index.
 func UnmarshalElems(n *xmltree.Node, s Suite) ([]Element, error) {
 	kids, err := elemNodes(n)
@@ -135,8 +135,8 @@ func CheckedElems(n *xmltree.Node) ([]*xmltree.Node, error) {
 // to the floor group.
 func wireElementSize(name string) (int, error) {
 	switch name {
-	case SuiteNameP256:
-		return p256ElemSize, nil
+	case SuiteNameX25519:
+		return x25519ElemSize, nil
 	case "":
 		name = SuiteNameModP2048
 	}

@@ -26,7 +26,7 @@ func (s stubEndpoint) Query(context.Context, string, string) (*xmltree.Node, err
 	return xmltree.NewElem("answer"), nil
 }
 func (s stubEndpoint) PSISuites(context.Context) ([]string, error) {
-	return []string{"p256", "modp2048"}, nil
+	return []string{"x25519", "modp2048"}, nil
 }
 func (s stubEndpoint) PSIBlinded(context.Context, string, string) (*xmltree.Node, error) {
 	return xmltree.NewElem("elems"), nil

@@ -174,7 +174,7 @@ func (l *Local) advertised() []string {
 	if len(l.AdvertisedSuites) > 0 {
 		return l.AdvertisedSuites
 	}
-	return []string{psi.SuiteNameP256, l.modpSuiteName()}
+	return []string{psi.DefaultSuiteName, l.modpSuiteName()}
 }
 
 // PSISuites implements Endpoint.

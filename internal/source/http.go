@@ -408,7 +408,7 @@ func (c *Client) Query(ctx context.Context, piqlText, requester string) (*xmltre
 
 // suitesToNode encodes a suite advertisement:
 //
-//	<psi-suites><s>p256</s><s>modp2048</s></psi-suites>
+//	<psi-suites><s>x25519</s><s>modp2048</s></psi-suites>
 func suitesToNode(suites []string) *xmltree.Node {
 	root := xmltree.NewElem("psi-suites")
 	for _, s := range suites {

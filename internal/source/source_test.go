@@ -689,8 +689,8 @@ func TestClientPSISuitesLegacyServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != psi.SuiteNameP256 || got[1] != psi.SuiteNameModP768 {
-		t.Fatalf("advertised = %v, want [p256 modp768]", got)
+	if len(got) != 2 || got[0] != psi.SuiteNameX25519 || got[1] != psi.SuiteNameModP768 {
+		t.Fatalf("advertised = %v, want [x25519 modp768]", got)
 	}
 }
 

@@ -115,7 +115,7 @@ func answerNode(rows int) *Node {
 }
 
 func psiNode(n int) *Node {
-	root := NewElem("psi-elems").SetAttr("n", strconv.Itoa(n)).SetAttr("suite", "p256")
+	root := NewElem("psi-elems").SetAttr("n", strconv.Itoa(n)).SetAttr("suite", "x25519")
 	for i := 0; i < n; i++ {
 		root.Append(NewText("e", fmt.Sprintf("02%064x", i*2654435761)))
 	}
