@@ -63,10 +63,11 @@ bench-psi:
 	$(GO) test -run '^$$' -bench 'BenchmarkBlindCold|BenchmarkHashToGroup' -benchmem ./internal/psi/
 
 # The perf gate: each BENCHMARK.json workload once at the short run length
-# recorded in the latest BENCH_<pr>.json, failing if allocs_per_op or
-# wire_kb_per_op (the two metrics that repeat to ~0.01 % on any machine)
-# is more than the BENCHMARK.json bound over the committed figure. A PR
-# that moves either on purpose commits its own BENCH_<pr>.json.
+# recorded in the latest BENCH_<pr>.json, failing if allocs_per_op,
+# wire_kb_per_op or heap_live_mb (the metrics that repeat well inside
+# their bounds on any machine) is more than the BENCHMARK.json bound over
+# the committed figure. A PR that moves one on purpose commits its own
+# BENCH_<pr>.json.
 bench-gate:
 	BENCH_GATE=1 $(GO) test -count=1 -run '^TestBenchGate$$' -v .
 
@@ -136,7 +137,11 @@ loc:
 # hash onto the curve by Elligator 2 over GF(2^255-19) arithmetic written
 # here (a raw hashed u-coordinate would leak its curve/twist bit; DESIGN.md
 # §14); allocs -73 % on psi_overlap.
-LOC_CEILING = 27906
+# 27,906 -> 28,079: the history keeps 24-byte records over interned
+# requester, text and source-list tables, and a release's values are a
+# sorted slice whose JSON writer reproduces the map's bytes (DESIGN.md §7);
+# hot_aggregate heap 14.7 -> 5.2 MB.
+LOC_CEILING = 28079
 loc-check:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
 	if [ $$n -gt $(LOC_CEILING) ]; then \

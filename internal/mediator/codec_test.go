@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -268,13 +269,22 @@ func TestIntegratedResultOwnsItsCells(t *testing.T) {
 			}
 			for _, rel := range rels {
 				check(t, w, "a ledger release", rel.Target, rel.ValueCol, rel.Axis)
-				for k := range rel.Means {
-					check(t, w, "a ledger release", k)
+				if tc.ledgered && (len(rel.Means) == 0 || len(rel.Sigmas) == 0) {
+					t.Fatalf("release carries %d means and %d sigmas", len(rel.Means), len(rel.Sigmas))
 				}
-				for k := range rel.Sigmas {
-					check(t, w, "a ledger release", k)
+				for _, g := range append(slices.Clone(rel.Means), rel.Sigmas...) {
+					check(t, w, "a ledger release's group keys", g.k)
 				}
 			}
+			// Nor the history's interned tables, which outlive every entry
+			// that first named a string.
+			m.readHistory(func(h *history) {
+				check(t, w, "the history's requesters", h.reqs...)
+				check(t, w, "the history's query texts", h.texts...)
+				for _, l := range h.lists {
+					check(t, w, "the history's source lists", l...)
+				}
+			})
 		})
 	}
 }

@@ -1,9 +1,11 @@
 package mediator
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -79,11 +81,84 @@ func (e *UnrecordableRefusal) RefusalReason() refusal.Reason { return refusal.Un
 // ledgerRelease is one remembered aggregate release, in memory and (the
 // JSON names) in the WAL and the snapshot.
 type ledgerRelease struct {
-	Target   string             `json:"t"`           // canonical FOR pattern
-	ValueCol string             `json:"v"`           // measured column (last step of the AVG path)
-	Axis     string             `json:"a"`           // group-by column name
-	Means    map[string]float64 `json:"m"`           // group -> mean
-	Sigmas   map[string]float64 `json:"s,omitempty"` // group -> sample stddev (nil if not released)
+	Target   string      `json:"t"`           // canonical FOR pattern
+	ValueCol string      `json:"v"`           // measured column (last step of the AVG path)
+	Axis     string      `json:"a"`           // group-by column name
+	Means    groupValues `json:"m"`           // group -> mean
+	Sigmas   groupValues `json:"s,omitempty"` // group -> sample stddev (nil if not released)
+}
+
+// groupValues is one value per group, sorted by group. It encodes to the
+// bytes the map[string]float64 it replaced did.
+type groupValues []groupValue
+
+type groupValue struct {
+	k string
+	v float64
+}
+
+// settle sorts by group and keeps the last value written for each, as
+// assigning into a map did: reversed, a stable sort puts it first.
+func (g groupValues) settle() groupValues {
+	slices.Reverse(g)
+	slices.SortStableFunc(g, func(a, b groupValue) int { return strings.Compare(a.k, b.k) })
+	return slices.CompactFunc(g, func(a, b groupValue) bool { return a.k == b.k })
+}
+
+// MarshalJSON writes what encoding/json writes for the map, into one
+// buffer sized for short keys and long floats: keys in order, its
+// escaping, its float format, NaN and ±Inf refused.
+func (g groupValues) MarshalJSON() ([]byte, error) {
+	if g == nil {
+		return []byte("null"), nil
+	}
+	b := append(make([]byte, 0, 2+48*len(g)), '{')
+	for i, x := range g {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(appendJSONString(b, x.k), ':')
+		if math.IsNaN(x.v) || math.IsInf(x.v, 0) {
+			return nil, &json.UnsupportedValueError{Str: strconv.FormatFloat(x.v, 'g', -1, 64)}
+		}
+		format := byte('f')
+		if abs := math.Abs(x.v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		b = strconv.AppendFloat(b, x.v, format, -1, 64)
+		if l := len(b); format == 'e' && b[l-4] == 'e' && b[l-3] == '-' && b[l-2] == '0' {
+			b[l-2] = b[l-1] // e-09 is written e-9
+			b = b[:l-1]
+		}
+	}
+	return append(b, '}'), nil
+}
+
+func (g *groupValues) UnmarshalJSON(data []byte) error {
+	var m map[string]float64
+	if err := json.Unmarshal(data, &m); err != nil || m == nil {
+		*g = nil
+		return err
+	}
+	*g = make(groupValues, 0, len(m))
+	for k, v := range m {
+		*g = append(*g, groupValue{k, v})
+	}
+	*g = g.settle()
+	return nil
+}
+
+// appendJSONString appends s as encoding/json quotes it: verbatim when
+// every byte is printable ASCII that needs no escape (encoding/json also
+// escapes <, > and &), through json.Marshal otherwise.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // releaseLedger tracks releases per requester. Without durability (see
@@ -148,23 +223,24 @@ func classifyRelease(q *piql.Query, res *piql.Result) (ledgerRelease, bool) {
 		Target:   q.For.String(),
 		ValueCol: avgItem.Path.LastStep(),
 		Axis:     axisName,
-		Means:    map[string]float64{},
+		Means:    make(groupValues, 0, len(res.Rows)),
 	}
 	if sdIdx >= 0 {
-		rel.Sigmas = map[string]float64{}
+		rel.Sigmas = make(groupValues, 0, len(res.Rows))
 	}
 	for _, row := range res.Rows {
 		m, err := strconv.ParseFloat(strings.TrimSpace(row[avgIdx]), 64)
 		if err != nil {
 			continue
 		}
-		rel.Means[row[axisIdx]] = m
+		rel.Means = append(rel.Means, groupValue{row[axisIdx], m})
 		if sdIdx >= 0 {
 			if s, err := strconv.ParseFloat(strings.TrimSpace(row[sdIdx]), 64); err == nil {
-				rel.Sigmas[row[axisIdx]] = s
+				rel.Sigmas = append(rel.Sigmas, groupValue{row[axisIdx], s})
 			}
 		}
 	}
+	rel.Means, rel.Sigmas = rel.Means.settle(), rel.Sigmas.settle()
 	if len(rel.Means) < 2 {
 		return ledgerRelease{}, false
 	}
@@ -242,8 +318,6 @@ func (l *releaseLedger) add(requester string, rel ledgerRelease) {
 // combinedDisclosure mounts the outsider attack on the pair of releases:
 // attributes from the sigma-bearing release, parties from the other.
 func combinedDisclosure(attrRel, partyRel ledgerRelease, tolerance float64) (float64, error) {
-	attrs := sortedKeysF(attrRel.Means)
-	parties := sortedKeysF(partyRel.Means)
 	k := &attack.Knowledge{
 		OwnIndex:    -1,
 		Tolerance:   tolerance,
@@ -251,16 +325,17 @@ func combinedDisclosure(attrRel, partyRel ledgerRelease, tolerance float64) (flo
 		Lo:          0,
 		Hi:          100,
 	}
-	for _, a := range attrs {
-		k.AttrMean = append(k.AttrMean, attrRel.Means[a])
-		sigma, ok := attrRel.Sigmas[a]
-		if !ok {
-			return 0, fmt.Errorf("mediator: attribute %q lacks a sigma", a)
+	// A release's sigma groups are among its mean groups and both are
+	// sorted, so they pair up index by index or some attribute lacks one.
+	for i, a := range attrRel.Means {
+		if i >= len(attrRel.Sigmas) || attrRel.Sigmas[i].k != a.k {
+			return 0, fmt.Errorf("mediator: attribute %q lacks a sigma", a.k)
 		}
-		k.AttrSigma = append(k.AttrSigma, sigma)
+		k.AttrMean = append(k.AttrMean, a.v)
+		k.AttrSigma = append(k.AttrSigma, attrRel.Sigmas[i].v)
 	}
-	for _, p := range parties {
-		k.PartyMean = append(k.PartyMean, partyRel.Means[p])
+	for _, p := range partyRel.Means {
+		k.PartyMean = append(k.PartyMean, p.v)
 	}
 	if err := k.Validate(); err != nil {
 		return 0, err
@@ -270,13 +345,4 @@ func combinedDisclosure(attrRel, partyRel ledgerRelease, tolerance float64) (flo
 		return 0, err
 	}
 	return inf.MaxDisclosure(), nil
-}
-
-func sortedKeysF(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -8,6 +8,7 @@ package mediator
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -148,8 +149,7 @@ type Mediator struct {
 	vocab           []string                    // leaf vocabulary of the mediated schema
 	psiSuite        string                      // negotiated PSI suite (see RefreshSchemaContext)
 	wh              *warehouse.Warehouse
-	history         []HistoryEntry
-	historyReq      map[string]struct{} // requesters appearing in history (O(1) state checks)
+	history         *history // the Query History store (history.go)
 	ledger          *releaseLedger
 	correspondences []Correspondence
 
@@ -237,12 +237,12 @@ func New(cfg Config) (*Mediator, error) {
 		cfg.Endpoints = wrapped
 	}
 	m := &Mediator{
-		cfg:        cfg,
-		matcher:    schemamatch.NewMatcher(),
-		plans:      qcache.New(cfg.PlanCache),
-		bySource:   map[string]*xmltree.Summary{},
-		historyReq: map[string]struct{}{},
-		ledger:     newReleaseLedger(),
+		cfg:      cfg,
+		matcher:  schemamatch.NewMatcher(),
+		plans:    qcache.New(cfg.PlanCache),
+		bySource: map[string]*xmltree.Summary{},
+		history:  newHistory(),
+		ledger:   newReleaseLedger(),
 	}
 	m.pipe = obs.NewPipeline(cfg.Obs, cfg.Trace, "piye_mediator", nil, mediatorStages, outcomeWarehouse, outcomeBrownout)
 	m.obs = newMedObs(cfg.Obs, m.pipe, cfg.Endpoints)
@@ -274,7 +274,7 @@ func New(cfg Config) (*Mediator, error) {
 			return float64(n)
 		})
 		cfg.Obs.GaugeFunc("piye_mediator_history_entries", func() (n float64) {
-			m.readHistory(func(h []HistoryEntry, _ map[string]struct{}) { n = float64(len(h)) })
+			m.readHistory(func(h *history) { n = float64(len(h.recs)) })
 			return n
 		})
 	}
@@ -327,7 +327,12 @@ func (m *Mediator) PlanCacheStats() (hits, misses uint64, size int) {
 
 // History returns a copy of the query history.
 func (m *Mediator) History() (out []HistoryEntry) {
-	m.readHistory(func(h []HistoryEntry, _ map[string]struct{}) { out = append(out, h...) })
+	m.readHistory(func(h *history) {
+		for _, r := range h.recs { // with lists of their own, not the tables'
+			out = append(out, HistoryEntry{h.reqs[r.req], h.texts[r.query],
+				slices.Clone(h.lists[r.sources]), slices.Clone(h.lists[r.denied]), r.clock})
+		}
+	})
 	return out
 }
 
@@ -340,19 +345,11 @@ func (m *Mediator) record(e HistoryEntry) {
 	if m.wh != nil {
 		e.Clock = m.wh.Now()
 	}
-	m.addHistory(e)
+	m.history.add(e)
 	if m.dlog != nil {
 		logged := e // &e would move e to the heap log or no log
 		_ = m.logRecord(walRecord{Kind: kindHistory, History: &logged})
 	}
-}
-
-// addHistory is the only writer of the history short of a snapshot
-// install: live, recovered and replicated entries alike (see apply).
-// The caller holds m.mu.
-func (m *Mediator) addHistory(e HistoryEntry) {
-	m.history = append(m.history, e)
-	m.historyReq[e.Requester] = struct{}{}
 }
 
 // WarehouseStats exposes hybrid-mode statistics (zeroes when disabled).

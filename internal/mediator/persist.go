@@ -52,7 +52,8 @@ type walRecord struct {
 	History   *HistoryEntry  `json:"h,omitempty"`
 }
 
-// stateSnapshot is the full persisted state at a compaction point.
+// stateSnapshot is the full persisted state at a compaction point, as
+// decoded; captureState writes the same shape from the history's tables.
 type stateSnapshot struct {
 	Releases map[string][]ledgerRelease `json:"releases"`
 	History  []HistoryEntry             `json:"history"`
@@ -91,7 +92,7 @@ func (m *Mediator) apply(rec *walRecord) {
 	if rec.Kind == kindRelease {
 		m.ledger.add(rec.Requester, *rec.Release)
 	} else {
-		m.addHistory(*rec.History)
+		m.history.add(*rec.History)
 	}
 }
 
@@ -112,27 +113,30 @@ func (m *Mediator) installSnapshot(s stateSnapshot) {
 	if s.Releases == nil {
 		s.Releases = map[string][]ledgerRelease{}
 	}
-	requesters := map[string]struct{}{} // as many as there are requesters, not entries
+	h := newHistory()
+	if s.History != nil { // null and [] stay what they were
+		h.recs = make([]histRecord, 0, len(s.History))
+	}
 	for _, e := range s.History {
-		requesters[e.Requester] = struct{}{}
+		h.add(e)
 	}
 	m.ledger.mu.Lock()
 	m.ledger.byRequester = s.Releases
 	m.ledger.mu.Unlock()
 	m.mu.Lock()
-	m.history, m.historyReq = s.History, requesters
+	m.history = h
 	m.mu.Unlock()
 }
 
 // readHistory and releaseLedger.read are how every reader reaches the
 // state: each holds its structure's lock for the length of read, which
-// keeps nothing it is handed but a slice header (entries are only ever
-// appended). Nesting the ledger's inside the history's, never the
-// reverse, is how captureState sees both at one instant.
-func (m *Mediator) readHistory(read func(history []HistoryEntry, requesters map[string]struct{})) {
+// keeps nothing it is handed but slice headers (records and tables are
+// only ever appended). Nesting the ledger's inside the history's, never
+// the reverse, is how captureState sees both at one instant.
+func (m *Mediator) readHistory(read func(h *history)) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	read(m.history, m.historyReq)
+	read(m.history)
 }
 
 func (l *releaseLedger) read(read func(byRequester map[string][]ledgerRelease)) {
@@ -229,25 +233,26 @@ func (m *Mediator) snapshot() error {
 }
 
 // captureState is the snapshot's consistent cut. With both locks held
-// it copies one slice header per requester plus the history's and reads
-// the log's sequence number; marshalling, the file write and its fsync
-// then run with neither lock held. That is sound because both structures
-// are append-only — a slice header taken now is an immutable prefix, and
-// a recorded release's maps are never written again — and because log
-// and memory change together (apply): the captured state reflects exactly
-// the records up to the sequence number read. The number has to be taken
-// here, not at install time: a release appended in between would
-// otherwise be stamped covered-but-absent and lost on recovery.
+// it copies one slice header per requester plus the history's four and
+// reads the log's sequence number; marshalling, the file write and its
+// fsync then run with neither lock held. That is sound because both
+// structures are append-only — a slice header taken now is an immutable
+// prefix that every captured id falls inside, and nothing recorded is
+// written again — and because log and memory change together (apply):
+// the captured state reflects exactly the records up to the sequence
+// number read. The number has to be taken here, not at install time: a
+// release appended in between would otherwise be stamped
+// covered-but-absent and lost on recovery.
 func (m *Mediator) captureState() (seq uint64, encode func() ([]byte, error)) {
 	type requesterReleases struct {
 		req  string
 		rels []ledgerRelease
 	}
-	var history []HistoryEntry
+	var view *history
 	var releases []requesterReleases
-	m.readHistory(func(h []HistoryEntry, _ map[string]struct{}) {
+	m.readHistory(func(h *history) {
 		m.ledger.read(func(byRequester map[string][]ledgerRelease) {
-			seq, history = m.dlog.LastSeq(), h
+			seq, view = m.dlog.LastSeq(), &history{recs: h.recs, reqs: h.reqs, texts: h.texts, lists: h.lists}
 			releases = make([]requesterReleases, 0, len(byRequester))
 			for req, rels := range byRequester {
 				releases = append(releases, requesterReleases{req, rels})
@@ -255,7 +260,10 @@ func (m *Mediator) captureState() (seq uint64, encode func() ([]byte, error)) {
 		})
 	})
 	return seq, func() ([]byte, error) {
-		s := stateSnapshot{Releases: make(map[string][]ledgerRelease, len(releases)), History: history}
+		s := struct {
+			Releases map[string][]ledgerRelease `json:"releases"`
+			History  *history                   `json:"history"`
+		}{make(map[string][]ledgerRelease, len(releases)), view}
 		for _, r := range releases {
 			s.Releases[r.req] = r.rels
 		}

@@ -334,7 +334,7 @@ func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trac
 func (m *Mediator) finalize(sh *sharedExec, requester string, trace *obs.Trace) (*Integrated, error) {
 	q, out := sh.q, sh.out
 	if out.FromWarehouse {
-		m.record(HistoryEntry{Requester: requester, Query: sh.canonical, Sources: []string{"warehouse"}})
+		m.record(HistoryEntry{Requester: requester, Query: sh.canonical, Sources: out.Answered})
 		m.maybeSnapshot()
 		return out, nil
 	}

@@ -345,10 +345,10 @@ func (s *shardState) peerDraining(ctx context.Context, name string) bool {
 // rebuilt from snapshot+WAL replay at startup. This is what makes a
 // drain safe: requesters with state stay until the operator retires the
 // shard, requesters without state lose nothing by being placed
-// elsewhere. O(1): the history keeps a requester index alongside the
-// entries, and the ledger is already keyed by requester.
+// elsewhere. O(1): the history interns requesters through a map, and
+// the ledger is already keyed by requester.
 func (m *Mediator) hasRequesterState(requester string) (ok bool) {
-	m.readHistory(func(_ []HistoryEntry, requesters map[string]struct{}) { _, ok = requesters[requester] })
+	m.readHistory(func(h *history) { _, ok = h.reqID[requester] })
 	if !ok {
 		m.ledger.read(func(byRequester map[string][]ledgerRelease) { _, ok = byRequester[requester] })
 	}
@@ -480,8 +480,8 @@ func (m *Mediator) ShardMisplaced() map[string][]string {
 		return nil
 	}
 	seen := map[string]bool{}
-	m.readHistory(func(_ []HistoryEntry, requesters map[string]struct{}) {
-		for r := range requesters {
+	m.readHistory(func(h *history) {
+		for _, r := range h.reqs {
 			seen[r] = true
 		}
 	})

@@ -87,6 +87,10 @@ type Local struct {
 	parties map[string]*psi.Party // one per suite, lazily keyed by suite name
 	mBatch  *obs.Histogram        // items per whole-column PSI call; nil-safe
 
+	// Built once by NewLocal: every PSI call reads the MODP suite's name.
+	modp     psi.Suite // the Group's safe-prime suite
+	defaults []string  // the default advertisement
+
 	cols qcache.Flight[any] // whole-column computations in progress
 }
 
@@ -125,7 +129,9 @@ func NewLocal(src *Source, linkageSalt []byte, group *psi.Group) (*Local, error)
 	if group == nil {
 		group = psi.DefaultGroup()
 	}
-	return &Local{Src: src, LinkageSalt: linkageSalt, Group: group}, nil
+	modp := psi.ModPSuite(group)
+	return &Local{Src: src, LinkageSalt: linkageSalt, Group: group,
+		modp: modp, defaults: []string{psi.DefaultSuiteName, modp.Name()}}, nil
 }
 
 // Name implements Endpoint.
@@ -163,18 +169,16 @@ func (l *Local) Query(ctx context.Context, piqlText, requester string) (*xmltree
 	return ans.Node, nil
 }
 
-// modpSuiteName is the wire name of the Group's safe-prime suite.
-func (l *Local) modpSuiteName() string { return psi.ModPSuite(l.Group).Name() }
-
 // advertised returns the suites this source offers, in preference
-// order. Every resolvable name in AdvertisedSuites is honoured; by
-// default the source leads with the EC suite and keeps its MODP group
-// as the floor every peer can fall back to.
+// order; callers must not modify it. Every resolvable name in
+// AdvertisedSuites is honoured; by default the source leads with the EC
+// suite and keeps its MODP group as the floor every peer can fall back
+// to.
 func (l *Local) advertised() []string {
 	if len(l.AdvertisedSuites) > 0 {
 		return l.AdvertisedSuites
 	}
-	return []string{psi.DefaultSuiteName, l.modpSuiteName()}
+	return l.defaults
 }
 
 // PSISuites implements Endpoint.
@@ -204,8 +208,8 @@ func (l *Local) suiteFor(name string) (psi.Suite, error) {
 	if !ok {
 		return nil, fmt.Errorf("source %s: psi suite %q not advertised (have %v)", l.Src.Name(), name, adv)
 	}
-	if name == l.modpSuiteName() {
-		return psi.ModPSuite(l.Group), nil
+	if name == l.modp.Name() {
+		return l.modp, nil
 	}
 	return psi.SuiteByName(name)
 }
@@ -297,7 +301,7 @@ func (l *Local) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmlt
 	}
 	name := psi.WireSuiteName(elems)
 	if name == "" {
-		name = l.modpSuiteName() // legacy peer: fail closed to MODP
+		name = l.modp.Name() // legacy peer: fail closed to MODP
 	}
 	s, err := l.suiteFor(name)
 	if err != nil {

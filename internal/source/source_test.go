@@ -660,6 +660,27 @@ func TestLocalEndpointName(t *testing.T) {
 	}
 }
 
+// Resolving a suite reads the MODP suite's name on every PSI call, so
+// the suite is built once, not per call: resolving allocates nothing,
+// and listing the suites allocates only the caller's copy.
+func TestSuiteResolutionAllocations(t *testing.T) {
+	local, err := NewLocal(hospitalSource(t), []byte("s"), psi.TestGroup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"", psi.SuiteNameX25519, psi.SuiteNameModP768} {
+		if _, err := local.suiteFor(name); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { local.suiteFor(name) }); n != 0 {
+			t.Errorf("suiteFor(%q): %v allocs, want 0", name, n)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { local.PSISuites(bg) }); n != 1 {
+		t.Errorf("PSISuites: %v allocs, want 1 (the returned copy)", n)
+	}
+}
+
 func TestClientPSISuitesLegacyServer(t *testing.T) {
 	// A pre-curve server has no /psi/suites route; the client must
 	// report the MODP floor, not an error, so negotiation fails closed
