@@ -141,7 +141,9 @@ loc:
 # requester, text and source-list tables, and a release's values are a
 # sorted slice whose JSON writer reproduces the map's bytes (DESIGN.md §7);
 # hot_aggregate heap 14.7 -> 5.2 MB.
-LOC_CEILING = 28079
+# 28,079 -> 27,856: one guarded call at both hops and one Endpoint
+# decorator; LinkageRecords, its route and wire codec are gone.
+LOC_CEILING = 27856
 loc-check:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
 	if [ $$n -gt $(LOC_CEILING) ]; then \

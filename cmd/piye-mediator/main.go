@@ -72,7 +72,7 @@ func main() {
 	flag.Parse()
 
 	if *salt == defaultSalt {
-		log.Print("piye-mediator: WARNING: -salt is the published default; anyone can forge or link Bloom-encoded identifiers. Set a deployment-specific secret shared with the sources.")
+		log.Print("piye-mediator: WARNING: -salt is the published default; anyone can forge or link Bloom-encoded identifiers. Set a deployment-specific secret.")
 	}
 
 	if len(sources) == 0 {

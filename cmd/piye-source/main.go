@@ -2,7 +2,7 @@
 // It hosts a demo clinical dataset (or the Figure 1 compliance table, or
 // an outbreak surveillance stream), loads its privacy policy from an XML
 // file or uses a conservative default, and serves the source protocol:
-// /summary, /profiles, /query, /psi/*, /linkage/records.
+// /summary, /profiles, /query, /preferences, /psi/*.
 //
 // Usage:
 //
@@ -28,10 +28,6 @@ import (
 	"privateiye/internal/source"
 )
 
-// defaultSalt is the published placeholder linkage secret: fine for
-// demos, a linking oracle in production.
-const defaultSalt = "privateiye-default-linking-salt"
-
 func main() {
 	name := flag.String("name", "hospitalA", "source name")
 	addr := flag.String("addr", ":7101", "listen address")
@@ -40,9 +36,8 @@ func main() {
 	seed := flag.Uint64("seed", 1, "data generator seed")
 	policyFile := flag.String("policy", "", "privacy policy XML file (default: built-in research policy)")
 	prefFiles := flag.String("preferences", "", "comma-separated data-subject preference XML files")
-	salt := flag.String("salt", defaultSalt, "shared linkage salt")
 	psiSuite := flag.String("psi-suite", psi.DefaultSuiteName, "PSI ciphersuite to prefer: x25519 (fast EC default) | modp2048 (pins this source to the safe-prime group — it advertises nothing else, so the fleet negotiates down to it)")
-	coalesce := flag.Bool("coalesce", false, "merge concurrent identical whole-column linkage calls (PSI blinds, Bloom encodings) into one shared computation")
+	coalesce := flag.Bool("coalesce", false, "merge concurrent identical whole-column PSI blinds into one shared computation")
 	planCache := flag.Int("plan-cache", 256, "parse/plan cache capacity in entries (0 = disabled)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for /metrics, /debug/trace and /debug/pprof (empty = pprof off; /metrics and /debug/trace are always on -addr)")
 	traceRing := flag.Int("trace-ring", obs.DefaultTraceRing, "finished per-query traces kept for /debug/trace (0 = tracing off)")
@@ -53,10 +48,6 @@ func main() {
 	admitRate := flag.Float64("admit-rate", 0, "per-requester token-bucket refill in queries/sec; excess answers 429 (0 = no rate limit)")
 	admitBurst := flag.Float64("admit-burst", 0, "per-requester token-bucket burst capacity (0 = max(rate, 1))")
 	flag.Parse()
-
-	if *salt == defaultSalt {
-		log.Printf("piye-source %s: WARNING: -salt is the published default; anyone can forge or link Bloom-encoded identifiers. Set a deployment-specific secret shared with the mediator.", *name)
-	}
 
 	cat := relational.NewCatalog()
 	g := clinical.NewGenerator(*seed)
@@ -121,7 +112,7 @@ func main() {
 			log.Printf("piye-source %s: registered preference policy of %s", *name, pref.Owner)
 		}
 	}
-	local, err := source.NewLocal(src, []byte(*salt), psi.DefaultGroup())
+	local, err := source.NewLocal(src, nil, psi.DefaultGroup())
 	if err != nil {
 		log.Fatalf("piye-source: %v", err)
 	}

@@ -108,7 +108,7 @@ func mediatorOverHMOs() *mediator.Mediator {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ep, err := source.NewLocal(src, []byte("hmo-salt"), psi.TestGroup())
+		ep, err := source.NewLocal(src, nil, psi.TestGroup())
 		if err != nil {
 			log.Fatal(err)
 		}

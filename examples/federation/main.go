@@ -118,7 +118,7 @@ func bootSource(name string, patients []patient) *httptest.Server {
 	if err != nil {
 		log.Fatal(err)
 	}
-	local, err := source.NewLocal(src, salt, psi.TestGroup())
+	local, err := source.NewLocal(src, nil, psi.TestGroup())
 	if err != nil {
 		log.Fatal(err)
 	}

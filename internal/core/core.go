@@ -83,7 +83,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: source %s: %w", sc.Name, err)
 		}
-		local, err := source.NewLocal(src, mc.LinkageSalt, group)
+		local, err := source.NewLocal(src, nil, group)
 		if err != nil {
 			return nil, err
 		}

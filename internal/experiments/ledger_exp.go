@@ -38,7 +38,7 @@ func E15ReleaseLedger() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ep, err := source.NewLocal(src, []byte("e15"), psi.TestGroup())
+		ep, err := source.NewLocal(src, nil, psi.TestGroup())
 		if err != nil {
 			return nil, err
 		}

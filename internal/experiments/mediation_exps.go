@@ -273,7 +273,7 @@ func E12Fragmenter(nSources int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ep, err := source.NewLocal(src, []byte("salt"), psi.TestGroup())
+		ep, err := source.NewLocal(src, nil, psi.TestGroup())
 		if err != nil {
 			return nil, err
 		}

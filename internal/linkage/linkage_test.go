@@ -37,25 +37,6 @@ func TestBitsetBasics(t *testing.T) {
 	}
 }
 
-func TestBitsetHexRoundTrip(t *testing.T) {
-	b := NewBitset(100)
-	b.Set(3)
-	b.Set(99)
-	back, err := BitsetFromHex(b.Hex(), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Get(3) || !back.Get(99) || back.Count() != 2 {
-		t.Error("hex round trip lost bits")
-	}
-	if _, err := BitsetFromHex("zz", 100); err == nil {
-		t.Error("short hex should fail")
-	}
-	if _, err := BitsetFromHex(b.Hex()+"00", 100); err == nil {
-		t.Error("long hex should fail")
-	}
-}
-
 func TestDice(t *testing.T) {
 	a, b := NewBitset(64), NewBitset(64)
 	a.Set(1)
@@ -243,34 +224,5 @@ func TestEvaluateEmpty(t *testing.T) {
 	q := Evaluate(nil, nil)
 	if q.Precision != 0 || q.Recall != 0 || q.F1 != 0 {
 		t.Errorf("empty evaluation: %+v", q)
-	}
-}
-
-func TestEncodeRecordsParallelMatchesSerial(t *testing.T) {
-	enc, err := NewEncoder(1000, 20, 2, []byte("par"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids, vals []string
-	for i := 0; i < 64; i++ {
-		ids = append(ids, fmt.Sprintf("r%d", i))
-		vals = append(vals, fmt.Sprintf("Name Number %d", i*i))
-	}
-	serial, err := enc.EncodeRecords(ids, vals, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := enc.EncodeRecords(ids, vals, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i].ID != par[i].ID || serial[i].Block != par[i].Block ||
-			serial[i].Filter.Hex() != par[i].Filter.Hex() {
-			t.Fatalf("record %d differs between serial and parallel encode", i)
-		}
-	}
-	if _, err := enc.EncodeRecords(ids[:3], vals, 0); err == nil {
-		t.Fatal("mismatched lengths must error")
 	}
 }

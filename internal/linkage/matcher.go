@@ -1,11 +1,8 @@
 package linkage
 
 import (
-	"context"
 	"fmt"
 	"sort"
-
-	"privateiye/internal/parallel"
 )
 
 // EncodedRecord is the privacy-preserving projection of a record that a
@@ -25,30 +22,6 @@ func (e *Encoder) EncodeRecord(id, field string) EncodedRecord {
 		Block:  BlockKey(e.Salt, field),
 		Filter: e.Encode(field),
 	}
-}
-
-// EncodeRecords encodes a whole field column across the worker pool
-// (workers 0 = GOMAXPROCS, 1 = serial). The fan-out is one pool task
-// per contiguous chunk of records — a single Bloom encoding is cheap
-// enough that per-record dispatch would dominate it. Each record's
-// q-gram hashing is independent, so output order — and every bit of
-// every filter — is identical to the serial loop. This is the bulk path
-// LinkageRecords uses when a source ships its linkage column.
-func (e *Encoder) EncodeRecords(ids, fields []string, workers int) ([]EncodedRecord, error) {
-	if len(ids) != len(fields) {
-		return nil, fmt.Errorf("linkage: %d ids for %d fields", len(ids), len(fields))
-	}
-	out := make([]EncodedRecord, len(fields))
-	err := parallel.ForEachChunk(context.Background(), len(fields), workers, 0, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			out[i] = e.EncodeRecord(ids[i], fields[i])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Pair is one cross-source match.

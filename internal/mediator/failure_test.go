@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"context"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -242,5 +243,61 @@ func TestContextCancellationMidFanout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("cancellation took %v to take effect", elapsed)
+	}
+}
+
+// A source's privacy refusal is its answer, not a fault: it is not
+// retried, and it does not count against the source's circuit, so one
+// requester's refusals never turn into every requester's outage. Both
+// in process and over HTTP, with the daemons' retry and breaker defaults.
+func TestSourceRefusalNeitherOpensItsCircuitNorIsRetried(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		over func(source.Endpoint) source.Endpoint
+	}{
+		{"local", func(ep source.Endpoint) source.Endpoint { return ep }},
+		{"http", func(ep source.Endpoint) source.Endpoint {
+			srv := httptest.NewServer(source.NewHandler(ep.(*source.Local)))
+			t.Cleanup(srv.Close)
+			return source.NewClient(srv.URL, ep.Name())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eps := twoHospitals(t)
+			chaosB := resilience.NewChaos(tc.over(eps[1]), resilience.ChaosConfig{})
+			eps[0], eps[1] = tc.over(eps[0]), chaosB
+			m, err := New(Config{
+				Endpoints: eps,
+				Resilience: &resilience.EndpointConfig{
+					Policy:  resilience.Policy{MaxAttempts: 3},
+					Breaker: resilience.BreakerConfig{FailureThreshold: 5, OpenFor: time.Hour},
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// hospitalB denies ages: every one of these is its refusal.
+			const refused = "FOR //patients/row WHERE //age > 40 RETURN //age PURPOSE research MAXLOSS 0.9"
+			for i := 0; i < 5; i++ {
+				before := chaosB.Calls()
+				in, err := m.Query(refused, "mallory")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, denied := in.Denied["hospitalB"]; !denied {
+					t.Fatalf("hospitalB should refuse ages: %v", in.Denied)
+				}
+				if dials := chaosB.Calls() - before; dials != 1 {
+					t.Fatalf("query %d: the refusal reached hospitalB %d times, want 1", i+1, dials)
+				}
+			}
+			in, err := m.Query("FOR //patients/row RETURN //sex PURPOSE research MAXLOSS 1", "alice")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(in.Answered) != 2 {
+				t.Fatalf("after mallory's refusals alice is answered by %v (denied %v), want both hospitals", in.Answered, in.Denied)
+			}
+		})
 	}
 }

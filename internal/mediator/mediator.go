@@ -29,8 +29,9 @@ import (
 type Config struct {
 	// Endpoints are the participating sources.
 	Endpoints []source.Endpoint
-	// LinkageSalt is the shared linking secret for private dedup; it must
-	// equal the sources'.
+	// LinkageSalt is the linking secret for private dedup: the mediator
+	// Bloom-encodes the answers it integrates under it (sources ship no
+	// encodings).
 	LinkageSalt []byte
 	// DedupColumn names the result column used for duplicate elimination
 	// across sources ("" disables fuzzy dedup; exact-duplicate rows are
@@ -70,10 +71,10 @@ type Config struct {
 	// negotiation runs — rather than letting sources diverge into
 	// incomparable groups. PSISuite() reports the outcome.
 	PSISuite string
-	// Resilience, when non-nil, wraps every endpoint in a
-	// resilience.Endpoint: policy-driven retry with backoff plus a
-	// per-source circuit breaker that skips known-dead sources instead
-	// of re-dialing them on every query.
+	// Resilience, when non-nil, runs every call to an endpoint as one
+	// guarded call (resilience.WrapEndpoint): a per-source circuit
+	// breaker that skips known-dead sources instead of re-dialing them on
+	// every query, around policy-driven retry with backoff.
 	Resilience *resilience.EndpointConfig
 	// Durability, when non-nil, persists the release ledger and query
 	// history to disk and replays them on startup, defeating the

@@ -302,7 +302,10 @@ func TestFederationAnswersTheSameCollapsedOrNot(t *testing.T) {
 		{query: "FOR //patients/row RETURN //sex PURPOSE research MAXLOSS 1"},
 		{query: "FOR //patients/row RETURN //name PURPOSE research MAXLOSS 1"},
 		{query: "FOR //patients/row RETURN //sex ORDER BY sex DESC LIMIT 1 PURPOSE research MAXLOSS 1", ordered: true},
-		{query: "FOR //patients/row WHERE //age > 30 RETURN //sex, //name ORDER BY name LIMIT 7 PURPOSE research MAXLOSS 1", ordered: true},
+		// Compared like a LIMIT without ORDER BY: every source suppresses
+		// names, so the sort column never arrives, and row order follows
+		// reply arrival.
+		{query: "FOR //patients/row WHERE //age > 30 RETURN //sex, //name ORDER BY name LIMIT 7 PURPOSE research MAXLOSS 1", limited: true},
 		{query: "FOR //patients/row RETURN //sex, //name LIMIT 5 PURPOSE research MAXLOSS 1", limited: true},
 		{query: "FOR //patients/row GROUP BY //sex RETURN COUNT(*) AS n PURPOSE research MAXLOSS 1", ordered: true},
 	} {

@@ -1,12 +1,9 @@
 package resilience
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"time"
-
-	"privateiye/internal/refusal"
 )
 
 // ErrOpen is returned by Breaker.Allow while the circuit is open: the
@@ -123,39 +120,38 @@ func (b *Breaker) notify(from, to breakerState) {
 	}
 }
 
-// Report records the outcome of an allowed call. A canceled context says
-// nothing about the source's health and is ignored, and so is a load
-// shed (an error exposing `Shed() bool` true, e.g. admission.ShedError
-// or a 429/503 from a saturated node): a shedding source is alive and
-// answering fast, and opening the circuit on sheds would turn its
-// brownout into a blackout. Any other error counts as a failure
-// (deadline overruns included — a hanging source is a failing source).
+// Report records the final outcome of an allowed call by the one
+// outcome rule (classify). A canceled call says nothing about the
+// callee's health and is ignored, and so is a load shed: a shedding
+// callee is alive and answering fast, and opening the circuit on sheds
+// would turn its brownout into a blackout. Either one hands a half-open
+// probe's slot back, so the next call probes instead of the circuit
+// staying half-open for good. Success and the callee's own answer (an
+// error that says Retryable() false, such as a privacy refusal) are
+// proof of health: were refusals counted, one requester probing their
+// limit could open the circuit for every requester. Anything else is a
+// failure (deadline overruns included — a hanging callee is failing).
 func (b *Breaker) Report(err error) {
-	if errors.Is(err, context.Canceled) {
-		return
-	}
-	if refusal.IsShed(err) {
-		return
-	}
+	o := classify(err)
 	b.mu.Lock()
 	prev := b.state
-	if err == nil {
+	switch {
+	case o == canceled || o == shed:
+		b.probing = false
+	case o == answered:
 		b.state = stateClosed
 		b.failures = 0
 		b.probing = false
-	} else {
-		switch b.state {
-		case stateHalfOpen:
-			// Failed probe: back to open, restart the cool-down.
+	case b.state == stateHalfOpen:
+		// Failed probe: back to open, restart the cool-down.
+		b.state = stateOpen
+		b.openedAt = b.cfg.Clock()
+		b.probing = false
+	default:
+		b.failures++
+		if b.failures >= b.cfg.FailureThreshold {
 			b.state = stateOpen
 			b.openedAt = b.cfg.Clock()
-			b.probing = false
-		default:
-			b.failures++
-			if b.failures >= b.cfg.FailureThreshold {
-				b.state = stateOpen
-				b.openedAt = b.cfg.Clock()
-			}
 		}
 	}
 	next := b.state

@@ -8,10 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"privateiye/internal/linkage"
-	"privateiye/internal/schemamatch"
 	"privateiye/internal/source"
-	"privateiye/internal/xmltree"
 )
 
 // ErrInjected marks a fault produced by the Chaos wrapper, so tests can
@@ -41,9 +38,9 @@ type ChaosConfig struct {
 // that an open circuit breaker really stopped dialing. It replaces the
 // ad-hoc flaky test doubles.
 type Chaos struct {
-	inner source.Endpoint
-	cfg   ChaosConfig
-	calls atomic.Int64
+	source.Endpoint // the inner endpoint wrapped in inject
+	cfg             ChaosConfig
+	calls           atomic.Int64
 
 	mu   sync.Mutex
 	down bool
@@ -55,7 +52,9 @@ func NewChaos(inner source.Endpoint, cfg ChaosConfig) *Chaos {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	return &Chaos{inner: inner, cfg: cfg}
+	c := &Chaos{cfg: cfg}
+	c.Endpoint = source.Wrap(inner, c.inject)
+	return c
 }
 
 // Calls returns how many calls reached this wrapper (the dial counter).
@@ -76,95 +75,31 @@ func (c *Chaos) SetHang(hang bool) {
 	c.hang = hang
 }
 
-// inject applies the fault schedule to call number n and returns the
-// injected error, or nil to let the call through.
-func (c *Chaos) inject(ctx context.Context) error {
+// inject applies the fault schedule to the next call: it fails it, hangs
+// it, or delays it and lets it through.
+func (c *Chaos) inject(ctx context.Context, call func(context.Context) (any, error)) (any, error) {
 	n := c.calls.Add(1)
 	c.mu.Lock()
 	down, hang := c.down, c.hang
 	c.mu.Unlock()
 	if hang {
 		<-ctx.Done()
-		return ctx.Err()
+		return nil, ctx.Err()
 	}
 	if c.cfg.FlapEvery > 0 && ((n-1)/int64(c.cfg.FlapEvery))%2 == 1 {
 		down = true
 	}
-	if down {
-		return fmt.Errorf("source %s: %w", c.inner.Name(), ErrInjected)
-	}
-	if c.cfg.ErrorRate > 0 {
+	if !down && c.cfg.ErrorRate > 0 {
 		u := float64(splitmix64(c.cfg.Seed^uint64(n))>>11) / float64(1<<53)
-		if u < c.cfg.ErrorRate {
-			return fmt.Errorf("source %s: %w", c.inner.Name(), ErrInjected)
-		}
+		down = u < c.cfg.ErrorRate
+	}
+	if down {
+		return nil, fmt.Errorf("source %s: %w", c.Name(), ErrInjected)
 	}
 	if d := c.cfg.Latency; d > 0 {
 		if err := sleep(ctx, d); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return call(ctx)
 }
-
-// Name implements source.Endpoint.
-func (c *Chaos) Name() string { return c.inner.Name() }
-
-// FetchSummary implements source.Endpoint.
-func (c *Chaos) FetchSummary(ctx context.Context) (*xmltree.Summary, error) {
-	if err := c.inject(ctx); err != nil {
-		return nil, err
-	}
-	return c.inner.FetchSummary(ctx)
-}
-
-// FetchProfiles implements source.Endpoint.
-func (c *Chaos) FetchProfiles(ctx context.Context) ([]schemamatch.FieldProfile, error) {
-	if err := c.inject(ctx); err != nil {
-		return nil, err
-	}
-	return c.inner.FetchProfiles(ctx)
-}
-
-// Query implements source.Endpoint.
-func (c *Chaos) Query(ctx context.Context, piqlText, requester string) (*xmltree.Node, error) {
-	if err := c.inject(ctx); err != nil {
-		return nil, err
-	}
-	return c.inner.Query(ctx, piqlText, requester)
-}
-
-// PSISuites implements source.Endpoint.
-func (c *Chaos) PSISuites(ctx context.Context) ([]string, error) {
-	if err := c.inject(ctx); err != nil {
-		return nil, err
-	}
-	return c.inner.PSISuites(ctx)
-}
-
-// PSIBlinded implements source.Endpoint.
-func (c *Chaos) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.Node, error) {
-	if err := c.inject(ctx); err != nil {
-		return nil, err
-	}
-	return c.inner.PSIBlinded(ctx, field, suite)
-}
-
-// PSIExponentiate implements source.Endpoint.
-func (c *Chaos) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error) {
-	if err := c.inject(ctx); err != nil {
-		return nil, err
-	}
-	return c.inner.PSIExponentiate(ctx, elems)
-}
-
-// LinkageRecords implements source.Endpoint.
-func (c *Chaos) LinkageRecords(ctx context.Context, field string) ([]linkage.EncodedRecord, error) {
-	if err := c.inject(ctx); err != nil {
-		return nil, err
-	}
-	return c.inner.LinkageRecords(ctx, field)
-}
-
-// Interface check.
-var _ source.Endpoint = (*Chaos)(nil)

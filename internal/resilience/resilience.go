@@ -1,12 +1,14 @@
 // Package resilience is the fault-tolerance layer of the mediation
 // engine. The paper's premise is that sources are autonomous — which in
 // deployment means slow, flaky, and sometimes dead — so every remote
-// interaction is run under a Policy (retry with exponential backoff and
-// deterministic jitter, per-attempt and overall deadlines) behind a
-// per-source circuit Breaker (consecutive failures open the circuit;
-// a half-open probe re-admits a recovered source). The Endpoint
-// decorator applies both to any source.Endpoint, and the Chaos wrapper
-// injects deterministic faults for tests.
+// interaction, at the mediator → source hop and the router → shard hop
+// alike, is one guarded Call: a per-callee circuit Breaker (consecutive
+// failures open the circuit; a half-open probe re-admits a recovered
+// callee) around a Policy (retry with exponential backoff and
+// deterministic jitter, an overall deadline). One outcome rule says what
+// an error means to both. WrapEndpoint applies the guarded call to a
+// source.Endpoint, and the Chaos wrapper injects deterministic faults
+// for tests; both are a source.Wrap.
 package resilience
 
 import (
@@ -14,10 +16,12 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"privateiye/internal/refusal"
 )
 
-// Policy configures retries and deadlines for one remote call. The zero
-// value is usable: sensible defaults are applied by every method.
+// Policy configures retries and the deadline of one guarded call. The
+// zero value is usable: sensible defaults are applied by every method.
 type Policy struct {
 	// MaxAttempts is the total number of tries including the first
 	// (default 3; 1 disables retries).
@@ -27,22 +31,10 @@ type Policy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the backoff growth (default 2s).
 	MaxBackoff time.Duration
-	// JitterSeed seeds the deterministic jitter stream. Two policies
-	// with the same seed back off identically — reproducibility is a
-	// feature of every experiment in this repo (default 1).
-	JitterSeed uint64
-	// AttemptTimeout bounds each individual attempt (0 = none). An
-	// attempt that overruns is abandoned and counts as a failure, even
-	// when the callee ignores its context.
-	AttemptTimeout time.Duration
 	// Timeout bounds the whole call across attempts and backoffs
-	// (0 = none).
+	// (0 = none). An attempt still running when it passes is abandoned,
+	// even when the callee ignores its context.
 	Timeout time.Duration
-	// Retryable overrides retry classification. When nil the default
-	// applies: context cancellation is never retried, errors exposing
-	// a `Retryable() bool` method (e.g. source.HTTPError) decide for
-	// themselves, everything else is retried.
-	Retryable func(error) bool
 }
 
 func (p Policy) withDefaults() Policy {
@@ -55,29 +47,66 @@ func (p Policy) withDefaults() Policy {
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 2 * time.Second
 	}
-	if p.JitterSeed == 0 {
-		p.JitterSeed = 1
-	}
 	return p
 }
 
-// retryable applies the default classification unless overridden.
-func (p Policy) retryable(err error) bool {
-	if p.Retryable != nil {
-		return p.Retryable(err)
+// outcome is what a call's error says about the callee.
+type outcome int
+
+const (
+	// answered: no error, or the callee's own answer — an error that says
+	// Retryable() false (a privacy refusal, a bad request). Asking again
+	// gets the same answer, and the callee is alive enough to give it.
+	answered outcome = iota
+	// canceled: the caller gave up; nothing is known about the callee.
+	canceled
+	// shed: the callee is alive but saturated (refusal.IsShed).
+	shed
+	// failed: anything else, deadline overruns included — a hanging
+	// callee is a failing one.
+	failed
+)
+
+// classify is the one outcome rule, applied in this order: a canceled
+// call is ignored, a shed is neutral, a non-retryable error is the
+// callee's answer, and anything else is a failure. The breaker counts
+// answers as health and failures against the circuit; the retry loop
+// retries failures and the sheds that ask for it.
+func classify(err error) outcome {
+	switch {
+	case err == nil:
+		return answered
+	case errors.Is(err, context.Canceled):
+		return canceled
+	case refusal.IsShed(err):
+		return shed
+	case isAnswer(err):
+		return answered
 	}
-	if errors.Is(err, context.Canceled) {
-		return false
-	}
-	var r interface{ Retryable() bool }
-	if errors.As(err, &r) {
-		return r.Retryable()
-	}
-	return true
+	return failed
 }
 
-// splitmix64 is the standard 64-bit finalizer; it turns (seed, attempt)
-// into an independent uniform value, which keeps jitter deterministic
+// retryable reports whether the retry loop tries again after err:
+// failures yes, and sheds unless they say Retryable() false (a
+// requester's own throttle, which the router passes back to the client).
+func retryable(err error) bool {
+	switch classify(err) {
+	case failed:
+		return true
+	case shed:
+		return !isAnswer(err)
+	}
+	return false
+}
+
+// isAnswer reports an error that says Retryable() false.
+func isAnswer(err error) bool {
+	var r interface{ Retryable() bool }
+	return errors.As(err, &r) && !r.Retryable()
+}
+
+// splitmix64 is the standard 64-bit finalizer; it turns (seed, n) into
+// an independent uniform value, which keeps jitter deterministic
 // without any shared state.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -86,29 +115,48 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Backoff returns the delay before retry number retry (1-based): an
+// Backoff returns the delay before retry number n (1-based): an
 // exponentially grown base, capped, scaled by a deterministic jitter
-// factor in [0.5, 1).
-func (p Policy) Backoff(retry int) time.Duration {
+// factor in [0.5, 1) — the same for every policy, so a run's schedule
+// is reproducible.
+func (p Policy) Backoff(n int) time.Duration {
 	p = p.withDefaults()
 	d := p.BaseBackoff
-	for i := 1; i < retry && d < p.MaxBackoff; i++ {
+	for i := 1; i < n && d < p.MaxBackoff; i++ {
 		d *= 2
 	}
 	if d > p.MaxBackoff {
 		d = p.MaxBackoff
 	}
-	u := float64(splitmix64(p.JitterSeed^uint64(retry))>>11) / float64(1<<53)
+	u := float64(splitmix64(1^uint64(n))>>11) / float64(1<<53)
 	return time.Duration(float64(d) * (0.5 + u/2))
 }
 
-// Do runs op under the policy: each attempt gets its own deadline, an
-// attempt that overruns is abandoned (op keeps running in its goroutine
-// but its result is discarded), and transient failures are retried with
-// backoff until MaxAttempts or the overall deadline. The value is
-// delivered through the attempt's own channel, so an abandoned attempt
-// can never race with the caller.
-func Do[T any](ctx context.Context, p Policy, op func(context.Context) (T, error)) (T, error) {
+// Call is the one guarded call to a remote callee: the breaker (nil =
+// none) admits it once, the policy runs its attempts, and the breaker
+// hears the final outcome once. An open circuit therefore fails at once,
+// as "<who>: circuit open", and never enters the retry loop.
+func Call[T any](ctx context.Context, p Policy, b *Breaker, who string, op func(context.Context) (T, error)) (T, error) {
+	if b != nil {
+		if err := b.Allow(); err != nil {
+			var zero T
+			return zero, fmt.Errorf("%s: %w", who, err)
+		}
+	}
+	v, err := retry(ctx, p, op)
+	if b != nil {
+		b.Report(err)
+	}
+	return v, err
+}
+
+// retry runs op under the policy: failures are retried with backoff
+// until MaxAttempts or the overall deadline, and an attempt still
+// running at the deadline is abandoned (op keeps running in its
+// goroutine but its result is discarded). The value is delivered through
+// the attempt's own channel, so an abandoned attempt can never race with
+// the caller.
+func retry[T any](ctx context.Context, p Policy, op func(context.Context) (T, error)) (T, error) {
 	p = p.withDefaults()
 	var zero T
 	if p.Timeout > 0 {
@@ -119,11 +167,11 @@ func Do[T any](ctx context.Context, p Policy, op func(context.Context) (T, error
 	var err error
 	for attempt := 1; ; attempt++ {
 		var v T
-		v, err = runAttempt(ctx, p.AttemptTimeout, op)
+		v, err = runAttempt(ctx, op)
 		if err == nil {
 			return v, nil
 		}
-		if ctx.Err() != nil || attempt >= p.MaxAttempts || !p.retryable(err) {
+		if ctx.Err() != nil || attempt >= p.MaxAttempts || !retryable(err) {
 			return zero, err
 		}
 		delay := p.Backoff(attempt)
@@ -147,27 +195,21 @@ type attemptResult[T any] struct {
 	err error
 }
 
-// runAttempt runs one attempt under its own deadline and abandons it if
-// it ignores the deadline: the mediator's latency bound must hold even
-// over a misbehaving endpoint.
-func runAttempt[T any](ctx context.Context, timeout time.Duration, op func(context.Context) (T, error)) (T, error) {
-	actx := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+// runAttempt runs one attempt and abandons it if it ignores the call's
+// deadline: the mediator's latency bound must hold even over a
+// misbehaving endpoint.
+func runAttempt[T any](ctx context.Context, op func(context.Context) (T, error)) (T, error) {
 	ch := make(chan attemptResult[T], 1)
 	go func() {
-		v, err := op(actx)
+		v, err := op(ctx)
 		ch <- attemptResult[T]{v: v, err: err}
 	}()
 	select {
 	case r := <-ch:
 		return r.v, r.err
-	case <-actx.Done():
+	case <-ctx.Done():
 		var zero T
-		return zero, actx.Err()
+		return zero, ctx.Err()
 	}
 }
 

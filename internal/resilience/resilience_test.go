@@ -20,9 +20,9 @@ func fastPolicy(attempts int) Policy {
 	}
 }
 
-// do runs an error-only op through Do.
+// do runs an error-only op as a guarded call without a breaker.
 func do(ctx context.Context, p Policy, op func(context.Context) error) error {
-	_, err := Do(ctx, p, func(ctx context.Context) (struct{}, error) {
+	_, err := Call(ctx, p, nil, "op", func(ctx context.Context) (struct{}, error) {
 		return struct{}{}, op(ctx)
 	})
 	return err
@@ -61,14 +61,39 @@ type permErr struct{}
 func (permErr) Error() string   { return "policy denial" }
 func (permErr) Retryable() bool { return false }
 
+// The outcome rule, one row per case: how many attempts a guarded call
+// makes, and what its breaker makes of the final error. Each breaker
+// starts one failure short of opening, and one more failure is reported
+// after the call: it opens unless the call's outcome reset the streak.
 func TestDoHonorsRetryableInterface(t *testing.T) {
-	calls := 0
-	err := do(bg, fastPolicy(5), func(context.Context) error {
-		calls++
-		return fmt.Errorf("wrapped: %w", permErr{})
-	})
-	if err == nil || calls != 1 {
-		t.Errorf("permanent error must not be retried: err=%v calls=%d", err, calls)
+	for _, tc := range []struct {
+		name     string
+		err      error
+		attempts int
+		state    string // after the call and one more failure
+	}{
+		{"canceled is ignored", fmt.Errorf("call: %w", context.Canceled), 1, "open"},
+		{"shed is neutral and retried", fmt.Errorf("source lab: %w", shedErr{}), 3, "open"},
+		{"shed that is not retryable", shedErr{final: true}, 1, "open"},
+		{"non-retryable is the callee's answer", fmt.Errorf("wrapped: %w", permErr{}), 1, "closed"},
+		{"anything else is a failure", errors.New("down"), 3, "open"},
+	} {
+		b := NewBreaker(BreakerConfig{FailureThreshold: 2, OpenFor: time.Hour})
+		b.Report(errors.New("boom"))
+		calls := 0
+		_, err := Call(bg, fastPolicy(3), b, "s", func(context.Context) (struct{}, error) {
+			calls++
+			return struct{}{}, tc.err
+		})
+		if err == nil || calls != tc.attempts {
+			t.Errorf("%s: err=%v after %d attempts, want an error after %d", tc.name, err, calls, tc.attempts)
+		}
+		if b.State() == "closed" {
+			b.Report(errors.New("boom"))
+		}
+		if got := b.State(); got != tc.state {
+			t.Errorf("%s: breaker %s, want %s", tc.name, got, tc.state)
+		}
 	}
 }
 
@@ -85,8 +110,8 @@ func TestDoNeverRetriesCancellation(t *testing.T) {
 	}
 }
 
-func TestAttemptTimeoutAbandonsHangingOp(t *testing.T) {
-	p := Policy{MaxAttempts: 2, BaseBackoff: time.Millisecond, AttemptTimeout: 20 * time.Millisecond}
+func TestTimeoutAbandonsHangingOp(t *testing.T) {
+	p := Policy{MaxAttempts: 2, BaseBackoff: time.Millisecond, Timeout: 20 * time.Millisecond}
 	// Abandoned attempts keep running in their goroutines, so the
 	// counter must be atomic.
 	var calls atomic.Int32
@@ -102,10 +127,10 @@ func TestAttemptTimeoutAbandonsHangingOp(t *testing.T) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 	if elapsed > 300*time.Millisecond {
-		t.Errorf("both attempts should be abandoned at ~20ms each, took %v", elapsed)
+		t.Errorf("the attempt should be abandoned at the call's ~20ms deadline, took %v", elapsed)
 	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("calls = %d, want 2 (attempt timeout is retryable)", got)
+	if got := calls.Load(); got != 1 {
+		t.Errorf("calls = %d, want 1 (no time is left to retry in)", got)
 	}
 }
 
@@ -122,7 +147,7 @@ func TestOverallTimeoutBoundsRetries(t *testing.T) {
 }
 
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	p := Policy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: time.Second, JitterSeed: 7}
+	p := Policy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: time.Second}
 	for retry := 1; retry <= 8; retry++ {
 		a, b := p.Backoff(retry), p.Backoff(retry)
 		if a != b {
@@ -134,18 +159,6 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 		if a < 50*time.Millisecond {
 			t.Errorf("retry %d: backoff %v below half of base", retry, a)
 		}
-	}
-	// Different seeds give different jitter somewhere in the schedule.
-	q := p
-	q.JitterSeed = 8
-	same := true
-	for retry := 1; retry <= 8; retry++ {
-		if p.Backoff(retry) != q.Backoff(retry) {
-			same = false
-		}
-	}
-	if same {
-		t.Error("distinct seeds produced identical jitter schedules")
 	}
 }
 
@@ -200,18 +213,35 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 func TestBreakerIgnoresCancellation(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 1})
+	now := time.Unix(0, 0)
+	b := NewBreaker(BreakerConfig{FailureThreshold: 1, OpenFor: time.Minute, Clock: func() time.Time { return now }})
 	b.Report(fmt.Errorf("call: %w", context.Canceled))
 	if b.State() != "closed" {
 		t.Errorf("cancellation is not evidence of source death: state = %s", b.State())
 	}
+	// A canceled half-open probe hands its slot back: the next call
+	// probes, rather than the circuit refusing every call for good.
+	b.Report(errors.New("down"))
+	now = now.Add(2 * time.Minute)
+	if b.Allow() != nil {
+		t.Fatal("cool-down elapsed: the probe must be admitted")
+	}
+	b.Report(context.Canceled)
+	if err := b.Allow(); err != nil {
+		t.Fatalf("a canceled probe still holds the half-open slot: %v", err)
+	}
 }
 
-type shedErr struct{ hint time.Duration }
+// shedErr is a shed; final marks one that says it is not worth retrying
+// (the router's 429, a requester's own throttle).
+type shedErr struct {
+	hint  time.Duration
+	final bool
+}
 
-func (shedErr) Error() string   { return "overloaded: queue full" }
-func (shedErr) Shed() bool      { return true }
-func (shedErr) Retryable() bool { return true }
+func (shedErr) Error() string     { return "overloaded: queue full" }
+func (shedErr) Shed() bool        { return true }
+func (e shedErr) Retryable() bool { return !e.final }
 func (e shedErr) RetryAfterHint() (time.Duration, bool) {
 	return e.hint, e.hint > 0
 }

@@ -2,12 +2,13 @@ package shard
 
 // The router is the tier's front door: it terminates /query, hashes the
 // requester onto the ring, and proxies to the owning shard through the
-// same resilience stack the mediator uses against its sources — retry
-// with backoff honoring Retry-After, a per-shard circuit breaker, and
-// health-gated membership via each shard's /readyz. Refusal semantics
-// survive the hop untouched: a 403 privacy refusal stays 403 with its
-// body verbatim (the Figure 1 refusal message is part of the system's
-// interface), and capacity sheds keep their 429/503 + Retry-After.
+// same guarded call (resilience.Call) the mediator uses against its
+// sources — a per-shard circuit breaker around retry with backoff
+// honoring Retry-After — plus health-gated membership via each shard's
+// /readyz. Refusal semantics survive the hop untouched: a 403 privacy
+// refusal stays 403 with its body verbatim (the Figure 1 refusal
+// message is part of the system's interface), and capacity sheds keep
+// their 429/503 + Retry-After.
 //
 // The one piece of routing the router decides on its own is the drain
 // re-route: a draining shard refuses requesters it holds no state for
@@ -23,7 +24,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -69,6 +69,7 @@ type RouterConfig struct {
 // backendState is one shard's runtime state inside the router.
 type backendState struct {
 	Backend
+	who     string              // "shard <name>", for a circuit-open error
 	breaker *resilience.Breaker // nil when disabled
 
 	mu      sync.Mutex
@@ -144,7 +145,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		if err := rt.ring.Add(b.Name); err != nil {
 			return nil, err
 		}
-		bs := &backendState{Backend: b, healthy: true}
+		bs := &backendState{Backend: b, who: "shard " + b.Name, healthy: true}
 		bs.URL = strings.TrimRight(bs.URL, "/")
 		if !cfg.DisableBreaker {
 			bs.breaker = resilience.NewBreaker(cfg.Breaker)
@@ -293,11 +294,12 @@ type proxyResult struct {
 	retryAfter  string
 }
 
-// proxyError classifies a forwarding failure for the resilience stack:
-// 5xx and 429 are retryable, sheds (429/503) do not trip the breaker
-// (a shard answering promptly is alive), and the drain/not-owner
-// refusals are terminal for THIS shard — retrying the same door cannot
-// help; the re-route loop in serveQuery handles them.
+// proxyError classifies a forwarding failure for the resilience layer's
+// outcome rule: sheds (429/503) are neutral to the breaker (a shard
+// answering promptly is alive), a 4xx is the shard's own answer (never
+// retried, proof of health), other 5xx are retried failures, and the
+// drain/not-owner refusals are terminal for THIS shard — retrying the
+// same door cannot help; the re-route loop in serveQuery handles them.
 type proxyError struct {
 	shard      string
 	status     int
@@ -321,10 +323,13 @@ func (e *proxyError) notOwner() bool {
 	return e.status == http.StatusServiceUnavailable && bytes.Contains(e.result.body, []byte("is not the owner of requester"))
 }
 
-// Retryable implements the resilience layer's classification. A 429 is
-// the requester's own rate limit: the router retrying on the
-// requester's behalf would defeat the throttle, so it passes straight
-// back for the CLIENT to back off.
+// Retryable implements the resilience layer's classification. A 4xx —
+// a privacy refusal, or a 429 that is the requester's own rate limit —
+// is the shard's answer: the router retrying on the requester's behalf
+// would defeat the throttle, so it passes straight back for the CLIENT
+// to back off. Were refusals counted against the breaker, a requester
+// probing their ledger limit could open the circuit and deny the whole
+// shard.
 func (e *proxyError) Retryable() bool {
 	if e.draining() || e.notOwner() {
 		return false
@@ -345,37 +350,14 @@ func (e *proxyError) RetryAfterHint() (time.Duration, bool) {
 	return 0, false
 }
 
-// breakerVerdict maps an attempt error to what the circuit breaker
-// should see. A 4xx is the shard answering authoritatively — a privacy
-// refusal, a requester's own throttle — which is proof of health, not
-// failure; were refusals counted, a requester probing their ledger
-// limit could open the circuit and deny the whole shard. Only
-// transport errors and 5xx count against the circuit (and deliberate
-// 503 sheds are already ignored by Report itself).
-func breakerVerdict(err error) error {
-	var pe *proxyError
-	if errors.As(err, &pe) && pe.status < 500 {
-		return nil
-	}
-	return err
-}
-
-// forward proxies one query to one shard under the retry policy and its
-// breaker. A non-2xx answer comes back as a *proxyError carrying the
-// verbatim response, so the caller can pass it through or re-route.
+// forward proxies one query to one shard as one guarded call (breaker
+// admission once, the retry policy, one outcome report). A non-2xx answer
+// comes back as a *proxyError carrying the verbatim response, so the
+// caller can pass it through or re-route.
 func (rt *Router) forward(ctx context.Context, bs *backendState, body []byte, requester string, reroutedFrom []string, trace *obs.Trace) (proxyResult, error) {
 	ts := time.Now()
-	res, err := resilience.Do(ctx, rt.cfg.Retry, func(ctx context.Context) (proxyResult, error) {
-		if bs.breaker != nil {
-			if berr := bs.breaker.Allow(); berr != nil {
-				return proxyResult{}, fmt.Errorf("shard %s: %w", bs.Name, berr)
-			}
-		}
-		out, aerr := rt.attempt(ctx, bs, body, requester, reroutedFrom)
-		if bs.breaker != nil {
-			bs.breaker.Report(breakerVerdict(aerr))
-		}
-		return out, aerr
+	res, err := resilience.Call(ctx, rt.cfg.Retry, bs.breaker, bs.who, func(ctx context.Context) (proxyResult, error) {
+		return rt.attempt(ctx, bs, body, requester, reroutedFrom)
 	})
 	rt.perShard[bs.Name].Inc()
 	trace.Record("proxy", bs.Name, ts, time.Since(ts), proxyOutcome(err))

@@ -402,6 +402,30 @@ func TestRouterBreaker(t *testing.T) {
 	}
 }
 
+// TestRouterOpenCircuitFailsFast: the breaker admits a routed query once,
+// before the retry loop, so an open circuit answers its 502 at once
+// instead of backing off and retrying into its own refusal.
+func TestRouterOpenCircuitFailsFast(t *testing.T) {
+	f := newFakeShard(t, "only")
+	f.srv.Close()
+
+	_, srv := newTestRouter(t, []*fakeShard{f}, func(cfg *RouterConfig) {
+		cfg.Retry = resilience.Policy{MaxAttempts: 3, BaseBackoff: 200 * time.Millisecond}
+		cfg.Breaker = resilience.BreakerConfig{FailureThreshold: 1, OpenFor: time.Hour}
+	})
+	if status, _ := routerQuery(t, srv.URL, "drWho"); status != http.StatusBadGateway {
+		t.Fatalf("dead shard answered %d, want 502", status)
+	}
+	start := time.Now()
+	status, body := routerQuery(t, srv.URL, "drWho")
+	if status != http.StatusBadGateway || !strings.Contains(body, "circuit open") {
+		t.Fatalf("after the threshold: %d %q, want circuit-open 502", status, body)
+	}
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Fatalf("open circuit answered after %v, want under 50ms", d)
+	}
+}
+
 // TestRouterBreakerIgnoresRefusals pins that a shard answering 4xx —
 // a privacy refusal, a requester's own throttle — is proof of health:
 // a requester hammering their ledger limit must not be able to open

@@ -3,13 +3,14 @@ package source
 import (
 	"context"
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"sync"
 
-	"privateiye/internal/linkage"
 	"privateiye/internal/obs"
 	"privateiye/internal/psi"
 	"privateiye/internal/qcache"
+	"privateiye/internal/refusal"
 	"privateiye/internal/schemamatch"
 	"privateiye/internal/xmltree"
 )
@@ -49,25 +50,13 @@ type Endpoint interface {
 	// PSIExponentiate raises peer-blinded elements to this source's
 	// secret, preserving order.
 	PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error)
-	// LinkageRecords returns Bloom-encoded records for fuzzy matching on
-	// a field.
-	LinkageRecords(ctx context.Context, field string) ([]linkage.EncodedRecord, error)
 }
 
-// linkageDefaults are the standard Bloom parameters (see internal/linkage).
-const (
-	linkageM = 1000
-	linkageK = 20
-	linkageQ = 2
-)
-
-// Local wraps a Source as an in-process Endpoint. The LinkageSalt must be
-// shared by every source participating in integration (it is the linking
-// secret); the PSI group likewise.
+// Local wraps a Source as an in-process Endpoint. The PSI group must be
+// shared by every source participating in integration.
 type Local struct {
-	Src         *Source
-	LinkageSalt []byte
-	Group       *psi.Group
+	Src   *Source
+	Group *psi.Group
 
 	// AdvertisedSuites lists the PSI suites this source offers, in
 	// preference order; nil means the default advertisement — the fast
@@ -76,9 +65,9 @@ type Local struct {
 	AdvertisedSuites []string
 
 	// Coalesce merges concurrent identical whole-column calls —
-	// PSIBlinded and LinkageRecords for the same field — into one shared
+	// PSIBlinded for the same field and suite — into one shared
 	// computation. Unlike query coalescing at the mediator, nothing here
-	// is per-requester (neither call even carries one), so sharing the
+	// is per-requester (the call does not even carry one), so sharing the
 	// result is unconditionally safe; the knob exists because the win
 	// only materializes when several integration rounds race.
 	Coalesce bool
@@ -118,19 +107,18 @@ func (l *Local) colObs(leader bool) {
 	reg.Counter("piye_source_coalesce_total", "source", l.Src.Name(), "role", role).Inc()
 }
 
-// NewLocal builds a local endpoint.
-func NewLocal(src *Source, linkageSalt []byte, group *psi.Group) (*Local, error) {
+// NewLocal builds a local endpoint. The salt is ignored: a source ships
+// no linkage encodings (the mediator encodes answers itself for fuzzy
+// dedupe), and the parameter stays only for existing callers.
+func NewLocal(src *Source, _ []byte, group *psi.Group) (*Local, error) {
 	if src == nil {
 		return nil, fmt.Errorf("source: nil source")
-	}
-	if len(linkageSalt) == 0 {
-		return nil, fmt.Errorf("source: empty linkage salt")
 	}
 	if group == nil {
 		group = psi.DefaultGroup()
 	}
 	modp := psi.ModPSuite(group)
-	return &Local{Src: src, LinkageSalt: linkageSalt, Group: group,
+	return &Local{Src: src, Group: group,
 		modp: modp, defaults: []string{psi.DefaultSuiteName, modp.Name()}}, nil
 }
 
@@ -153,21 +141,38 @@ func (l *Local) FetchProfiles(ctx context.Context) ([]schemamatch.FieldProfile, 
 	return l.Src.Profiles(), nil
 }
 
-// Query implements Endpoint.
+// Query implements Endpoint. Every error but a context error or a shed
+// is the source's answer to the query — a policy denial, an audit
+// refusal, a query it cannot parse — and comes back as one, in the form
+// the HTTP handler's 403 takes on the wire.
 func (l *Local) Query(ctx context.Context, piqlText, requester string) (*xmltree.Node, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	pq, err := l.Src.plans.Parse(parseKeys, piqlText)
 	if err != nil {
-		return nil, fmt.Errorf("source: bad query: %w", err)
+		return nil, answerError{fmt.Errorf("source: bad query: %w", err)}
 	}
 	ans, err := l.Src.executeContext(ctx, pq.Query, pq.Canonical, requester)
 	if err != nil {
-		return nil, err
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || refusal.IsShed(err) {
+			return nil, err
+		}
+		return nil, answerError{err}
 	}
 	return ans.Node, nil
 }
+
+// answerError is a source's refusal to answer a query. Asking again gets
+// the same answer, and the source did answer, so it says Retryable()
+// false: the resilience layer neither retries it nor counts it against
+// the source's circuit.
+type answerError struct{ error }
+
+func (e answerError) Unwrap() error { return e.error }
+
+// Retryable implements the resilience layer's classification.
+func (answerError) Retryable() bool { return false }
 
 // advertised returns the suites this source offers, in preference
 // order; callers must not modify it. Every resolvable name in
@@ -254,19 +259,8 @@ func (l *Local) psiParty(suite psi.Suite) (*psi.Party, error) {
 	return p, nil
 }
 
-// maxLinkageItems bounds a whole-column linkage or PSI call.
+// maxLinkageItems bounds a whole-column PSI call.
 const maxLinkageItems = 1 << 20
-
-// items returns the linkage items of a field along with their record
-// ids, for the one caller that ships ids (LinkageRecords).
-func (l *Local) items(field string) (ids, values []string) {
-	vals := l.Src.fieldValues(field, maxLinkageItems)
-	ids = make([]string, len(vals))
-	for i := range vals {
-		ids[i] = fmt.Sprintf("%s#%d", l.Src.Name(), i)
-	}
-	return ids, vals
-}
 
 // PSIBlinded implements Endpoint.
 func (l *Local) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.Node, error) {
@@ -321,23 +315,4 @@ func (l *Local) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmlt
 		return nil, err
 	}
 	return psi.MarshalElems(s, out), nil
-}
-
-// LinkageRecords implements Endpoint.
-func (l *Local) LinkageRecords(ctx context.Context, field string) ([]linkage.EncodedRecord, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	v, err := l.sharedColumn(ctx, "linkage\x00"+field, func() (any, error) {
-		enc, err := linkage.NewEncoder(linkageM, linkageK, linkageQ, l.LinkageSalt)
-		if err != nil {
-			return nil, err
-		}
-		ids, vals := l.items(field)
-		return enc.EncodeRecords(ids, vals, 0)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]linkage.EncodedRecord), nil
 }

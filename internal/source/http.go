@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"privateiye/internal/admission"
-	"privateiye/internal/linkage"
 	"privateiye/internal/obs"
 	"privateiye/internal/policy"
 	"privateiye/internal/psi"
@@ -133,20 +132,6 @@ func NewHandler(l *Local) http.Handler {
 		WriteNode(w, node)
 	})
 
-	mux.HandleFunc("GET /linkage/records", func(w http.ResponseWriter, r *http.Request) {
-		field := r.URL.Query().Get("field")
-		if field == "" {
-			fail(w, http.StatusBadRequest, fmt.Errorf("source: missing field"))
-			return
-		}
-		recs, err := l.LinkageRecords(r.Context(), field)
-		if err != nil {
-			fail(w, http.StatusInternalServerError, err)
-			return
-		}
-		WriteNode(w, linkage.RecordsToNode(recs, linkageM))
-	})
-
 	// Liveness/readiness: a constructed Local has finished loading its
 	// data and replaying any audit WAL, so reachable = ready.
 	obs.AttachHealth(mux, nil)
@@ -251,8 +236,7 @@ func newTunedTransport() *http.Transport {
 	return t
 }
 
-// defaultHTTPClient backs every Client whose HTTP field is nil. It has a
-// generous overall timeout as a last line of defence; per-call deadlines
+// defaultHTTPClient backs every Client. It has a generous overall timeout as a last line of defence; per-call deadlines
 // come from the caller's context (the mediator's per-source deadline).
 var defaultHTTPClient = &http.Client{
 	Timeout:   30 * time.Second,
@@ -313,29 +297,15 @@ type Client struct {
 	BaseURL string
 	// SourceName is the remote source's declared name.
 	SourceName string
-	// HTTP is the underlying client; a default with a 30s timeout is
-	// used when nil.
-	HTTP *http.Client
 }
 
 // NewClient returns a client endpoint.
 func NewClient(baseURL, sourceName string) *Client {
-	return &Client{
-		BaseURL:    strings.TrimRight(baseURL, "/"),
-		SourceName: sourceName,
-		HTTP:       defaultHTTPClient,
-	}
+	return &Client{BaseURL: strings.TrimRight(baseURL, "/"), SourceName: sourceName}
 }
 
 // Name implements Endpoint.
 func (c *Client) Name() string { return c.SourceName }
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return defaultHTTPClient
-}
 
 func (c *Client) getNode(ctx context.Context, path string) (*xmltree.Node, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
@@ -355,7 +325,7 @@ func (c *Client) postNode(ctx context.Context, path, contentType string, body []
 }
 
 func (c *Client) do(req *http.Request) (*xmltree.Node, error) {
-	resp, err := c.httpClient().Do(req)
+	resp, err := defaultHTTPClient.Do(req)
 	if err != nil {
 		// Surface a context deadline/cancellation undecorated so the
 		// mediator can classify the denial as a timeout.
@@ -468,15 +438,6 @@ func (c *Client) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xml
 	body := bytes.Clone(buf.Bytes())
 	buf.Release()
 	return c.postNode(ctx, "/psi/exponentiate", "application/xml", body)
-}
-
-// LinkageRecords implements Endpoint.
-func (c *Client) LinkageRecords(ctx context.Context, field string) ([]linkage.EncodedRecord, error) {
-	n, err := c.getNode(ctx, "/linkage/records?field="+url.QueryEscape(field))
-	if err != nil {
-		return nil, err
-	}
-	return linkage.RecordsFromNode(n)
 }
 
 // Interface checks.

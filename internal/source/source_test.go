@@ -2,6 +2,7 @@ package source
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -337,12 +338,17 @@ func TestHTTPEndpointParity(t *testing.T) {
 	if node.Name != "answer" {
 		t.Errorf("answer root = %q", node.Name)
 	}
-	// Denied query maps to an HTTP error.
-	if _, err := client.Query(bg, "FOR //patients/row RETURN //id PURPOSE research", "researcher"); err == nil {
-		t.Error("denied query should error over HTTP")
-	}
-	if _, err := client.Query(bg, "not piql at all", "researcher"); err == nil {
-		t.Error("bad query text should error")
+	// A denied query and a bad query text are the source's answer, in
+	// process and over HTTP alike: errors that say they are not worth
+	// retrying.
+	for _, ep := range []Endpoint{local, client} {
+		for _, q := range []string{"FOR //patients/row RETURN //id PURPOSE research", "not piql at all"} {
+			_, err := ep.Query(bg, q, "researcher")
+			var r interface{ Retryable() bool }
+			if !errors.As(err, &r) || r.Retryable() {
+				t.Errorf("%T: %q = %v, want a non-retryable answer", ep, q, err)
+			}
+		}
 	}
 
 	// PSI round trip over HTTP.
@@ -357,24 +363,12 @@ func TestHTTPEndpointParity(t *testing.T) {
 	if len(doubled.ChildrenNamed("e")) != len(blinded.ChildrenNamed("e")) {
 		t.Error("psi exponentiate changed cardinality")
 	}
-
-	// Linkage records over HTTP.
-	recs, err := client.LinkageRecords(bg, "sex")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 200 {
-		t.Errorf("linkage records = %d, want 200", len(recs))
-	}
 }
 
 func TestNewLocalValidation(t *testing.T) {
 	src := hospitalSource(t)
 	if _, err := NewLocal(nil, []byte("s"), nil); err == nil {
 		t.Error("nil source should fail")
-	}
-	if _, err := NewLocal(src, nil, nil); err == nil {
-		t.Error("empty salt should fail")
 	}
 	l, err := NewLocal(src, []byte("s"), nil)
 	if err != nil || l.Group == nil {
@@ -601,14 +595,6 @@ func TestClientErrorPaths(t *testing.T) {
 	if _, err := c.Query(bg, "FOR //x RETURN //y", "r"); err == nil {
 		t.Error("dead node should error")
 	}
-	if _, err := c.LinkageRecords(bg, "name"); err == nil {
-		t.Error("dead node should error")
-	}
-	// nil HTTP falls back to the default client.
-	c.HTTP = nil
-	if c.httpClient() == nil {
-		t.Error("httpClient fallback")
-	}
 }
 
 func TestHandlerBadRequests(t *testing.T) {
@@ -621,19 +607,17 @@ func TestHandlerBadRequests(t *testing.T) {
 	defer server.Close()
 	client := server.Client()
 
-	// Missing field params.
-	for _, path := range []string{"/psi/blinded", "/linkage/records"} {
-		resp, err := client.Get(server.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 400 {
-			t.Errorf("%s without field: status %d", path, resp.StatusCode)
-		}
+	// Missing field param.
+	resp, err := client.Get(server.URL + "/psi/blinded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 400 {
+		t.Errorf("/psi/blinded without field: status %d", resp.StatusCode)
 	}
 	// Bad PSI payload.
-	resp, err := client.Post(server.URL+"/psi/exponentiate", "application/xml", strings.NewReader("<psi-elems><e>zz</e></psi-elems>"))
+	resp, err = client.Post(server.URL+"/psi/exponentiate", "application/xml", strings.NewReader("<psi-elems><e>zz</e></psi-elems>"))
 	if err != nil {
 		t.Fatal(err)
 	}
