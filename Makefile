@@ -143,7 +143,11 @@ loc:
 # hot_aggregate heap 14.7 -> 5.2 MB.
 # 28,079 -> 27,856: one guarded call at both hops and one Endpoint
 # decorator; LinkageRecords, its route and wire codec are gone.
-LOC_CEILING = 27856
+# 27,856 -> 27,874: every function the NLP solver sees carries its exact
+# gradient (nlp.Func; the attack's mean and sigma bands each supply one)
+# in place of the central-difference loop; the ledger's Figure 1 check
+# is ~5x faster.
+LOC_CEILING = 27874
 loc-check:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
 	if [ $$n -gt $(LOC_CEILING) ]; then \

@@ -53,7 +53,7 @@ func BenchmarkFig1bAggregates(b *testing.B) {
 	}
 }
 
-// --- E3/E4: Figure 1(d) inference attack --------------------------------
+// --- E3/E4/E15: Figure 1(d) inference attack ----------------------------
 
 func fig1Knowledge() *attack.Knowledge {
 	k := attack.FromPublished(clinical.Figure1Published(), 0, clinical.Figure1HMO1Row())
@@ -73,6 +73,30 @@ func BenchmarkFig1dQuickBounds(b *testing.B) {
 
 func BenchmarkFig1dInference(b *testing.B) {
 	k := fig1Knowledge()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := k.Infer(attack.FastOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFig1dInferenceOutsider is the cost of the release ledger's
+// combination check (E15): one outsider attack on the Figure 1 release
+// pair at the full rounding band (the expensive path; the common
+// no-combination path is a map lookup).
+func BenchmarkFig1dInferenceOutsider(b *testing.B) {
+	pub := clinical.Figure1Published()
+	k := &attack.Knowledge{
+		AttrMean:    pub.TestMean,
+		AttrSigma:   pub.TestSigma,
+		PartyMean:   pub.HMOMean,
+		OwnIndex:    -1,
+		Tolerance:   0.05,
+		SampleSigma: true,
+		Lo:          0,
+		Hi:          100,
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := k.Infer(attack.FastOptions()); err != nil {
@@ -514,31 +538,6 @@ func BenchmarkPIQLEvaluate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := q.Evaluate(doc, piql.EvalOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- E15: release ledger -----------------------------------------------------
-
-func BenchmarkReleaseLedgerCheck(b *testing.B) {
-	// The cost of the ledger's combination check: one outsider attack on
-	// a 4x3 release pair (the expensive path; the common no-combination
-	// path is a map lookup).
-	pub := clinical.Figure1Published()
-	k := &attack.Knowledge{
-		AttrMean:    pub.TestMean,
-		AttrSigma:   pub.TestSigma,
-		PartyMean:   pub.HMOMean,
-		OwnIndex:    -1,
-		Tolerance:   0.05,
-		SampleSigma: true,
-		Lo:          0,
-		Hi:          100,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := k.Infer(attack.FastOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

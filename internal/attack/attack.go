@@ -131,65 +131,87 @@ func (k *Knowledge) hiddenParties() []int {
 
 // problem builds the NLP over the hidden cells. Variable layout: for
 // hidden party rank j (in hiddenParties order) and attribute t, the
-// unknown x[j*Attrs+t].
+// unknown x[j*Attrs+t]. Every constraint carries its exact gradient; the
+// own row is a constant, so the same formulas serve snooper and outsider.
+// There is no objective: nlp.CoordinateInterval supplies ±x[i].
 func (k *Knowledge) problem() *nlp.Problem {
 	attrs := len(k.AttrMean)
 	hidden := k.hiddenParties()
 	dim := len(hidden) * attrs
 	parties := float64(len(k.PartyMean))
+	divisor := parties
+	if k.SampleSigma {
+		divisor = parties - 1
+	}
 
-	var ineq []nlp.Constraint
-	band := func(f func(x []float64) float64, centre float64) {
+	var ineq []nlp.Func
+	band := func(f nlp.Func, centre float64) {
 		lo, hi := centre-k.Tolerance, centre+k.Tolerance
 		ineq = append(ineq,
-			func(x []float64) float64 { return lo - f(x) },
-			func(x []float64) float64 { return f(x) - hi },
-		)
+			nlp.Func{F: func(x []float64) float64 { return lo - f.F(x) },
+				AddGrad: func(x []float64, s float64, g []float64) { f.AddGrad(x, -s, g) }},
+			nlp.Func{F: func(x []float64) float64 { return f.F(x) - hi }, AddGrad: f.AddGrad})
+	}
+	// mean is (own + Σ x[cells]) / n, own a known constant.
+	mean := func(cells []int, own, n float64) nlp.Func {
+		return nlp.Func{
+			F: func(x []float64) float64 {
+				s := own
+				for _, c := range cells {
+					s += x[c]
+				}
+				return s / n
+			},
+			AddGrad: func(_ []float64, s float64, g []float64) {
+				for _, c := range cells {
+					g[c] += s / n
+				}
+			},
+		}
 	}
 
 	for t := 0; t < attrs; t++ {
-		t := t
-		colMean := func(x []float64) float64 {
-			s := 0.0
-			if k.OwnIndex >= 0 {
-				s = k.OwnRow[t]
-			}
-			for j := range hidden {
-				s += x[j*attrs+t]
-			}
-			return s / parties
+		col := make([]int, len(hidden))
+		for j := range col {
+			col[j] = j*attrs + t
 		}
+		own := 0.0
+		if k.OwnIndex >= 0 {
+			own = k.OwnRow[t]
+		}
+		colMean := mean(col, own, parties)
 		band(colMean, k.AttrMean[t])
 
-		divisor := parties
-		if k.SampleSigma {
-			divisor = parties - 1
-		}
-		colSigma := func(x []float64) float64 {
-			m := colMean(x)
+		colSigma := func(x []float64) (m, sigma float64) {
+			m = colMean.F(x)
 			s := 0.0
 			if k.OwnIndex >= 0 {
-				d := k.OwnRow[t] - m
-				s = d * d
+				s = (own - m) * (own - m)
 			}
-			for j := range hidden {
-				d := x[j*attrs+t] - m
-				s += d * d
+			for _, c := range col {
+				s += (x[c] - m) * (x[c] - m)
 			}
-			return math.Sqrt(s / divisor)
+			return m, math.Sqrt(s / divisor)
 		}
-		band(colSigma, k.AttrSigma[t])
+		band(nlp.Func{
+			F: func(x []float64) float64 { _, sigma := colSigma(x); return sigma },
+			// ∂σ/∂xⱼ = (xⱼ − m)/(divisor·σ). σ = 0 is a kink, where this
+			// takes 0: the mean of the slopes on either side.
+			AddGrad: func(x []float64, s float64, g []float64) {
+				if m, sigma := colSigma(x); sigma > 0 {
+					for _, c := range col {
+						g[c] += s * (x[c] - m) / (divisor * sigma)
+					}
+				}
+			},
+		}, k.AttrSigma[t])
 	}
 	for j, h := range hidden {
-		j, h := j, h
-		rowMean := func(x []float64) float64 {
-			s := 0.0
-			for t := 0; t < attrs; t++ {
-				s += x[j*attrs+t]
-			}
-			return s / float64(attrs)
+		row := make([]int, attrs)
+		for t := range row {
+			row[t] = j*attrs + t
 		}
-		band(rowMean, k.PartyMean[h])
+		band(mean(row, 0, float64(attrs)), k.PartyMean[h])
 	}
 
 	lo := make([]float64, dim)
@@ -199,7 +221,6 @@ func (k *Knowledge) problem() *nlp.Problem {
 	}
 	return &nlp.Problem{
 		Dim:          dim,
-		Objective:    func(x []float64) float64 { return 0 },
 		Inequalities: ineq,
 		Lower:        lo,
 		Upper:        hi,
@@ -208,7 +229,7 @@ func (k *Knowledge) problem() *nlp.Problem {
 
 // DefaultOptions are solver settings calibrated on the Figure 1 instance:
 // they reproduce the paper's intervals to within a few tenths of a point
-// in a few seconds.
+// in about half a second.
 func DefaultOptions() nlp.Options {
 	return nlp.Options{Starts: 24, MaxInner: 400, MaxOuter: 50, Tol: 1e-5}
 }

@@ -1,10 +1,13 @@
 package attack
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"privateiye/internal/clinical"
+	"privateiye/internal/nlp"
+	"privateiye/internal/stats"
 )
 
 // paperIntervals are the nine intervals of Figure 1(d), [party][attr],
@@ -51,9 +54,6 @@ func TestValidate(t *testing.T) {
 // paper interval must be (approximately) contained in ours — the attack
 // may be slightly conservative but must not claim impossible tightness.
 func TestFigure1dIntervalsMatchPaper(t *testing.T) {
-	if testing.Short() {
-		t.Skip("solver-heavy")
-	}
 	k := figure1Knowledge()
 	inf, err := k.Infer(DefaultOptions())
 	if err != nil {
@@ -198,9 +198,6 @@ func TestQuickBoundsInconsistentOwnRow(t *testing.T) {
 // Generalization beyond 4x3: on a synthetic 6-HMO, 4-test matrix, the
 // attack's intervals must always contain the hidden truth.
 func TestInferSoundOnSyntheticMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("solver-heavy")
-	}
 	g := clinical.NewGenerator(17)
 	m := g.ComplianceMatrix(6, 4)
 	pub, err := clinical.PublishFromMatrix(m, 1)
@@ -285,5 +282,163 @@ func TestOutsiderAttack(t *testing.T) {
 				t.Errorf("truth %v outside inferred [%v,%v] at (%d,%d)", gt[h][a], iv.Lo, iv.Hi, h, a)
 			}
 		}
+	}
+}
+
+// centralGrad is the gradient the solver took before every constraint
+// carried its own, kept as the reference: a central difference with step
+// 1e-6·max(1, |xᵢ|), one-sided where the step would leave the box.
+func centralGrad(f func([]float64) float64, x, lo, hi []float64) []float64 {
+	grad := make([]float64, len(x))
+	for i := range x {
+		h := 1e-6 * math.Max(1, math.Abs(x[i]))
+		xi := x[i]
+		a, b := math.Min(xi+h, hi[i]), math.Max(xi-h, lo[i])
+		if a == b {
+			continue
+		}
+		x[i] = a
+		fa := f(x)
+		x[i] = b
+		fb := f(x)
+		x[i] = xi
+		grad[i] = (fa - fb) / (a - b)
+	}
+	return grad
+}
+
+// centralDiffProblem is p with every constraint's gradient taken by
+// centralGrad instead of its AddGrad: the reference solver.
+func centralDiffProblem(p *nlp.Problem) *nlp.Problem {
+	ref := *p
+	ref.Inequalities = nil
+	for _, f := range p.Inequalities {
+		ref.Inequalities = append(ref.Inequalities, nlp.Func{F: f.F,
+			AddGrad: func(x []float64, s float64, g []float64) {
+				for i, d := range centralGrad(f.F, x, p.Lower, p.Upper) {
+					g[i] += s * d
+				}
+			}})
+	}
+	return &ref
+}
+
+type instance struct {
+	name string
+	k    *Knowledge
+}
+
+// instances are Figure 1 as the snooper HMO1 and as the ledger's outsider,
+// plus twelve generated matrices of 3–6 parties × 2–4 attributes published
+// to one decimal, every other one attacked by an outsider.
+func instances(t *testing.T) []instance {
+	out := []instance{
+		{"figure1/snooper", figure1Knowledge()},
+		{"figure1/outsider", FromPublished(clinical.Figure1Published(), -1, nil)},
+	}
+	for i := 0; i < 12; i++ {
+		parties, attrs := 3+i%4, 2+i%3
+		m := clinical.NewGenerator(uint64(100+i)).ComplianceMatrix(parties, attrs)
+		pub, err := clinical.PublishFromMatrix(m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, row := i%parties, m[i%parties]
+		if i%2 == 0 {
+			own, row = -1, nil
+		}
+		out = append(out, instance{fmt.Sprintf("generated/%dx%d/own=%d", parties, attrs, own), FromPublished(pub, own, row)})
+	}
+	return out
+}
+
+// Every band of the attack problem — column mean, column sigma and row
+// mean, each bounded above and below, with and without an own row — has
+// the gradient a central difference reads: at the box centre (where an
+// outsider's every sigma is 0), at the box corners, and at seeded random
+// points, each also with one cell moved onto a face. An outsider skips
+// the all-0 and all-100 corners: every sigma is 0 there too, on a face,
+// where the one-sided difference reads the slope of a kink, not a
+// gradient.
+func TestBandGradientsMatchCentralDifferences(t *testing.T) {
+	for _, in := range instances(t)[:6] {
+		p := in.k.problem()
+		n, attrs := p.Dim, len(in.k.AttrMean)
+		centre, low, high, alt := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range centre {
+			centre[i], low[i], high[i], alt[i] = 50, 0, 100, float64(100*((i/attrs+i%attrs)%2)) // alt: a checkerboard
+		}
+		pts := [][]float64{centre, alt}
+		if in.k.OwnIndex >= 0 {
+			pts = append(pts, low, high)
+		}
+		rng := stats.NewRand(uint64(n))
+		for r := 0; r < 8; r++ {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = rng.Uniform(0, 100)
+			}
+			face := append([]float64(nil), x...)
+			face[r%n] = float64(100 * (r % 2))
+			pts = append(pts, x, face)
+		}
+		for b, f := range p.Inequalities {
+			kind := "row mean"
+			if b < 4*attrs {
+				kind = []string{"mean ≥", "mean ≤", "sigma ≥", "sigma ≤"}[b%4]
+			}
+			for _, x := range pts {
+				// AddGrad adds s·∇f into what g holds: s = -2.5, g ≠ 0.
+				ref := centralGrad(f.F, x, p.Lower, p.Upper)
+				g := make([]float64, n)
+				for i := range g {
+					g[i] = float64(i)
+				}
+				f.AddGrad(x, -2.5, g)
+				for i := range g {
+					want := float64(i) - 2.5*ref[i]
+					if !(math.Abs(g[i]-want) <= 1e-4*(1+math.Abs(want))) { // NaN fails too
+						t.Errorf("%s band %d (%s) at %v: ∂/∂x%d: AddGrad %v, central difference %v",
+							in.name, b, kind, x, i, g[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// No verdict moves with the gradients: against the solver on central
+// differences, every cell converges (or not) alike, every bound agrees to
+// 1e-3, and the ledger's decision — refuse when every cell converged and
+// MaxDisclosure ≥ 0.9 — is the same. A cell that newly failed to converge
+// would turn a refusal into a grant, since the ledger skips a pair the
+// solver cannot settle.
+func TestExactGradientsDecideAsCentralDifferences(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the central-difference reference solves for ~10 s")
+	}
+	for _, in := range instances(t) {
+		p := in.k.problem()
+		ref := centralDiffProblem(p)
+		gotAll, wantAll := true, true // every cell converged
+		var gotMax, wantMax float64   // MaxDisclosure
+		for i := 0; i < p.Dim; i++ {
+			got, gerr := nlp.CoordinateInterval(p, i, FastOptions())
+			want, werr := nlp.CoordinateInterval(ref, i, FastOptions())
+			if (gerr == nil) != (werr == nil) {
+				t.Errorf("%s cell %d: converged %v, reference %v", in.name, i, gerr == nil, werr == nil)
+			}
+			if math.Abs(got.Lo-want.Lo) > 1e-3 || math.Abs(got.Hi-want.Hi) > 1e-3 {
+				t.Errorf("%s cell %d: [%.5f, %.5f], reference [%.5f, %.5f]", in.name, i, got.Lo, got.Hi, want.Lo, want.Hi)
+			}
+			gotAll, wantAll = gotAll && gerr == nil, wantAll && werr == nil
+			gotMax = max(gotMax, 1-got.Width()/(in.k.Hi-in.k.Lo))
+			wantMax = max(wantMax, 1-want.Width()/(in.k.Hi-in.k.Lo))
+		}
+		refused, refRefused := gotAll && gotMax >= 0.9, wantAll && wantMax >= 0.9
+		if refused != refRefused {
+			t.Errorf("%s: refused %v (max disclosure %.5f), reference %v (%.5f)", in.name, refused, gotMax, refRefused, wantMax)
+		}
+		t.Logf("%s: max disclosure %.6f, reference %.6f, refused %v", in.name, gotMax, wantMax, refused)
 	}
 }

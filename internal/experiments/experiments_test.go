@@ -74,9 +74,6 @@ func TestFig1cShape(t *testing.T) {
 }
 
 func TestFig1dReproducesPaper(t *testing.T) {
-	if testing.Short() {
-		t.Skip("solver-heavy")
-	}
 	res, err := Fig1d(true)
 	if err != nil {
 		t.Fatal(err)

@@ -4,10 +4,10 @@
 // confidential test-compliance rates from published aggregates "using a
 // Non-Linear Programming technique". The paper names no solver; this
 // package provides one: an augmented-Lagrangian outer loop around a
-// projected-gradient inner minimizer with numerical gradients, plus
-// deterministic multi-start. The attack engine (internal/attack) and the
-// mediator's disclosure auditor both use it to compute the min/max
-// feasible value of each hidden quantity.
+// projected-gradient inner minimizer on exact gradients (every Func
+// carries its own), plus deterministic multi-start. The attack engine
+// (internal/attack) and the mediator's disclosure auditor both use it to
+// compute the min/max feasible value of each hidden quantity.
 package nlp
 
 import (
@@ -20,9 +20,12 @@ import (
 	"privateiye/internal/stats"
 )
 
-// Constraint is a scalar constraint function. Equalities want c(x) = 0,
-// inequalities want c(x) <= 0.
-type Constraint func(x []float64) float64
+// Func is a scalar function of x together with its gradient: F(x) is
+// the value and AddGrad(x, s, g) adds s·∇F(x) into g. Both are required.
+type Func struct {
+	F       func(x []float64) float64
+	AddGrad func(x []float64, s float64, g []float64)
+}
 
 // Problem is a box-constrained nonlinear program:
 //
@@ -32,9 +35,9 @@ type Constraint func(x []float64) float64
 //	           Lower <= x <= Upper
 type Problem struct {
 	Dim          int
-	Objective    func(x []float64) float64
-	Equalities   []Constraint
-	Inequalities []Constraint
+	Objective    Func
+	Equalities   []Func
+	Inequalities []Func
 	Lower, Upper []float64 // length Dim; required (the attack domain is [0,100]^n)
 }
 
@@ -43,8 +46,12 @@ func (p *Problem) Validate() error {
 	if p.Dim <= 0 {
 		return fmt.Errorf("nlp: dimension %d", p.Dim)
 	}
-	if p.Objective == nil {
-		return errors.New("nlp: nil objective")
+	for _, fs := range [][]Func{{p.Objective}, p.Equalities, p.Inequalities} {
+		for _, f := range fs {
+			if f.F == nil || f.AddGrad == nil {
+				return errors.New("nlp: objective or constraint without F or AddGrad")
+			}
+		}
 	}
 	if len(p.Lower) != p.Dim || len(p.Upper) != p.Dim {
 		return fmt.Errorf("nlp: bounds length %d/%d, want %d", len(p.Lower), len(p.Upper), p.Dim)
@@ -60,14 +67,12 @@ func (p *Problem) Validate() error {
 // Options tunes the solver. The zero value is usable; Defaults fills in
 // standard settings.
 type Options struct {
-	MaxOuter   int     // augmented-Lagrangian iterations (default 40)
-	MaxInner   int     // gradient steps per outer iteration (default 200)
-	Tol        float64 // constraint-violation tolerance (default 1e-6)
-	Penalty    float64 // initial penalty rho (default 10)
-	Starts     int     // multi-start count (default 16)
-	Seed       uint64  // PRNG seed for multi-start (default 1)
-	GradStep   float64 // finite-difference step (default 1e-6)
-	InitialTau float64 // initial step length (default 1.0)
+	MaxOuter int     // augmented-Lagrangian iterations (default 40)
+	MaxInner int     // gradient steps per outer iteration (default 200)
+	Tol      float64 // constraint-violation tolerance (default 1e-6)
+	Penalty  float64 // initial penalty rho (default 10)
+	Starts   int     // multi-start count (default 16)
+	Seed     uint64  // PRNG seed for multi-start (default 1)
 	// Workers bounds the multi-start fan-out: each start is an
 	// independent deterministic descent, so they run concurrently and
 	// merge in start order — results are bit-identical to the serial
@@ -93,12 +98,6 @@ func (o Options) defaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.GradStep == 0 {
-		o.GradStep = 1e-6
-	}
-	if o.InitialTau == 0 {
-		o.InitialTau = 1.0
 	}
 	return o
 }
@@ -131,22 +130,35 @@ func Minimize(p *Problem, x0 []float64, opt Options) (*Solution, error) {
 	rho := opt.Penalty
 
 	augmented := func(x []float64) float64 {
-		v := p.Objective(x)
+		v := p.Objective.F(x)
 		for i, h := range p.Equalities {
-			hv := h(x)
+			hv := h.F(x)
 			v += lambda[i]*hv + 0.5*rho*hv*hv
 		}
 		for j, g := range p.Inequalities {
-			gv := g(x)
+			gv := g.F(x)
 			t := math.Max(0, mu[j]+rho*gv)
 			v += (t*t - mu[j]*mu[j]) / (2 * rho)
 		}
 		return v
 	}
+	// Its gradient: ∇obj + Σ(λᵢ + ρhᵢ)∇hᵢ + Σ max(0, μⱼ + ρgⱼ)∇gⱼ.
+	augmentedGrad := func(x, grad []float64) {
+		clear(grad)
+		p.Objective.AddGrad(x, 1, grad)
+		for i, h := range p.Equalities {
+			h.AddGrad(x, lambda[i]+rho*h.F(x), grad)
+		}
+		for j, g := range p.Inequalities {
+			if t := mu[j] + rho*g.F(x); t > 0 {
+				g.AddGrad(x, t, grad)
+			}
+		}
+	}
 
 	prevViol := math.Inf(1)
 	for outer := 0; outer < opt.MaxOuter; outer++ {
-		projectedGradientDescent(augmented, x, p.Lower, p.Upper, opt)
+		projectedGradientDescent(augmented, augmentedGrad, x, p.Lower, p.Upper, opt)
 
 		viol := maxViolation(p, x)
 		if viol <= opt.Tol {
@@ -154,10 +166,10 @@ func Minimize(p *Problem, x0 []float64, opt Options) (*Solution, error) {
 		}
 		// Multiplier updates.
 		for i, h := range p.Equalities {
-			lambda[i] += rho * h(x)
+			lambda[i] += rho * h.F(x)
 		}
 		for j, g := range p.Inequalities {
-			mu[j] = math.Max(0, mu[j]+rho*g(x))
+			mu[j] = math.Max(0, mu[j]+rho*g.F(x))
 		}
 		// If the violation is not shrinking fast enough, raise the penalty.
 		if viol > 0.5*prevViol {
@@ -168,7 +180,7 @@ func Minimize(p *Problem, x0 []float64, opt Options) (*Solution, error) {
 
 	return &Solution{
 		X:            x,
-		F:            p.Objective(x),
+		F:            p.Objective.F(x),
 		MaxViolation: maxViolation(p, x),
 		Converged:    maxViolation(p, x) <= opt.Tol*10,
 	}, nil
@@ -232,38 +244,17 @@ func MultiStart(p *Problem, opt Options) (*Solution, error) {
 	return best, nil
 }
 
-// projectedGradientDescent minimizes f over the box in place, using
-// central-difference gradients and backtracking line search.
-func projectedGradientDescent(f func([]float64) float64, x, lo, hi []float64, opt Options) {
+// projectedGradientDescent minimizes f over the box in place, taking
+// f's exact gradient (gradf writes ∇f(x) into its second argument) once
+// per iteration and backtracking along the projected step.
+func projectedGradientDescent(f func([]float64) float64, gradf func(x, grad []float64), x, lo, hi []float64, opt Options) {
 	n := len(x)
 	grad := make([]float64, n)
 	trial := make([]float64, n)
 	fx := f(x)
 
 	for iter := 0; iter < opt.MaxInner; iter++ {
-		// Central-difference gradient respecting the box.
-		for i := 0; i < n; i++ {
-			h := opt.GradStep * math.Max(1, math.Abs(x[i]))
-			xi := x[i]
-			a, b := xi+h, xi-h
-			if a > hi[i] {
-				a = hi[i]
-			}
-			if b < lo[i] {
-				b = lo[i]
-			}
-			if a == b {
-				grad[i] = 0
-				continue
-			}
-			x[i] = a
-			fa := f(x)
-			x[i] = b
-			fb := f(x)
-			x[i] = xi
-			grad[i] = (fa - fb) / (a - b)
-		}
-
+		gradf(x, grad)
 		gnorm := 0.0
 		for _, g := range grad {
 			gnorm += g * g
@@ -273,8 +264,8 @@ func projectedGradientDescent(f func([]float64) float64, x, lo, hi []float64, op
 			return
 		}
 
-		// Backtracking line search on the projected step.
-		tau := opt.InitialTau
+		// Backtracking line search on the projected step, from length 1.
+		tau := 1.0
 		improved := false
 		for bt := 0; bt < 30; bt++ {
 			for i := 0; i < n; i++ {
@@ -310,10 +301,10 @@ func clamp(x, lo, hi []float64) {
 func maxViolation(p *Problem, x []float64) float64 {
 	v := 0.0
 	for _, h := range p.Equalities {
-		v = math.Max(v, math.Abs(h(x)))
+		v = math.Max(v, math.Abs(h.F(x)))
 	}
 	for _, g := range p.Inequalities {
-		v = math.Max(v, math.Max(0, g(x)))
+		v = math.Max(v, math.Max(0, g.F(x)))
 	}
 	return v
 }
