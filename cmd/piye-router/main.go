@@ -5,7 +5,10 @@
 // /readyz. Refusal semantics survive the hop: a 403 privacy refusal
 // stays 403 verbatim, capacity sheds keep their 429/503 + Retry-After,
 // and a draining shard's new requesters are re-routed to the
-// drain-adjusted owner.
+// drain-adjusted owner. The router keeps no drain state: a re-route
+// asserts only the shards that refused that query, and
+// /shards/drain|undrain are plain forwards to the shard. Read a shard's
+// drain state from its own GET /shard/status.
 //
 // Usage:
 //
@@ -18,8 +21,9 @@
 // -shard-id/-shard-peers/-shard-seed, or the shards' ownership gates
 // will refuse traffic the router believed well-placed.
 //
-// Endpoints: POST /query (PIQL body, X-Requester header), GET /shards,
-// POST /shards/drain?name=X, POST /shards/undrain?name=X, /healthz,
+// Endpoints: POST /query (PIQL body, X-Requester header), GET /shards
+// (health and breaker per shard), POST /shards/drain?name=X,
+// POST /shards/undrain?name=X[&force=1], /healthz,
 // /readyz, /metrics, /debug/trace.
 package main
 

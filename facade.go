@@ -354,9 +354,12 @@ type (
 
 // ShardConfig places a mediator in a requester-sharded tier: set it on
 // MediatorConfig.Shard (every shard and router in the tier must share
-// Peers and Seed). ShardRing is the seeded rendezvous-hash ring
-// the tier routes by; ShardRouterConfig/ShardRouter are the piye-router
-// front tier that terminates /query and proxies to the owning shard.
+// Peers and Seed; PeerURLs are fixed when the mediator is built). ShardRing
+// is the seeded rendezvous-hash ring the tier routes by, and ShardMember
+// one name on it — drain state is no ring fact: each shard alone holds
+// its own, and operators read it from that shard's GET /shard/status.
+// ShardRouterConfig/ShardRouter are the piye-router front tier that
+// terminates /query and proxies to the owning shard.
 type (
 	ShardConfig       = mediator.ShardConfig
 	ShardRing         = shard.Ring

@@ -29,17 +29,16 @@ import (
 var shardPeers = []string{"shard-a", "shard-b", "shard-c"}
 
 // newShardMediator builds one mediator shard over the given source
-// nodes: durable state under dir, the ownership gate armed with the
-// tier's peer list, and its own registry and tracer (each shard is its
-// own process in deployment; sharing a registry would fuse their
-// metrics).
-func newShardMediator(t *testing.T, dir, id string, nodes map[string]*httptest.Server) (*mediator.Mediator, *httptest.Server, *obs.Registry) {
+// nodes and serves it on srv, whose listener is already bound: durable
+// state under dir, the ownership gate armed with the tier's peer list
+// and URLs, and its own registry and tracer (each shard is its own
+// process in deployment; sharing a registry would fuse their metrics).
+func newShardMediator(t *testing.T, dir, id string, nodes map[string]*httptest.Server, srv *httptest.Server, peerURLs map[string]string) {
 	t.Helper()
 	var eps []source.Endpoint
 	for _, name := range []string{"alpha", "beta"} {
 		eps = append(eps, source.NewClient(nodes[name].URL, name))
 	}
-	reg := obs.NewRegistry()
 	med, err := mediator.New(mediator.Config{
 		Endpoints:         eps,
 		LinkageSalt:       salt,
@@ -54,21 +53,22 @@ func newShardMediator(t *testing.T, dir, id string, nodes map[string]*httptest.S
 			Breaker: resilience.BreakerConfig{FailureThreshold: 2, OpenFor: time.Minute},
 		},
 		Durability: &mediator.DurabilityConfig{Dir: dir},
-		Obs:        reg,
+		Obs:        obs.NewRegistry(),
 		Trace:      obs.NewTracer(32),
 		Shard: &mediator.ShardConfig{
-			ID:    id,
-			Peers: shardPeers,
-			Seed:  shard.DefaultSeed,
+			ID:       id,
+			Peers:    shardPeers,
+			Seed:     shard.DefaultSeed,
+			PeerURLs: peerURLs,
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { med.Close() })
-	srv := httptest.NewServer(mediator.NewHandler(med))
+	srv.Config.Handler = mediator.NewHandler(med)
+	srv.Start()
 	t.Cleanup(srv.Close)
-	return med, srv, reg
 }
 
 // historyRequesters lists the distinct requesters in one shard's
@@ -112,11 +112,9 @@ func ownedBy(t *testing.T, ring *shard.Ring, owner, prefix string, n int) []stri
 	return out
 }
 
-// routerShards decodes the router's GET /shards admin view.
-func routerShards(t *testing.T, base string) map[string]struct {
-	Draining bool
-	Healthy  bool
-} {
+// routerHealthy decodes the router's GET /shards admin view: whether
+// each shard passed its last readiness probe.
+func routerHealthy(t *testing.T, base string) map[string]bool {
 	t.Helper()
 	resp, err := http.Get(base + "/shards")
 	if err != nil {
@@ -125,25 +123,34 @@ func routerShards(t *testing.T, base string) map[string]struct {
 	defer resp.Body.Close()
 	var view struct {
 		Shards []struct {
-			Name     string `json:"name"`
-			Draining bool   `json:"draining"`
-			Healthy  bool   `json:"healthy"`
+			Name    string `json:"name"`
+			Healthy bool   `json:"healthy"`
 		} `json:"shards"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]struct {
-		Draining bool
-		Healthy  bool
-	}{}
+	out := map[string]bool{}
 	for _, s := range view.Shards {
-		out[s.Name] = struct {
-			Draining bool
-			Healthy  bool
-		}{s.Draining, s.Healthy}
+		out[s.Name] = s.Healthy
 	}
 	return out
+}
+
+// shardDraining reads a shard's drain state where operators read it: the
+// shard's own GET /shard/status.
+func shardDraining(t *testing.T, base string) bool {
+	t.Helper()
+	resp, err := http.Get(base + "/shard/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st mediator.ShardStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st.Draining
 }
 
 // TestShardedTierEndToEnd drives the full tier through stickiness,
@@ -156,25 +163,17 @@ func TestShardedTierEndToEnd(t *testing.T) {
 		nodes[name] = srv
 	}
 
-	shardSrvs := map[string]*httptest.Server{}
-	shardRegs := map[string]*obs.Registry{}
-	shardMeds := map[string]*mediator.Mediator{}
-	for _, id := range shardPeers {
-		med, srv, reg := newShardMediator(t, t.TempDir(), id, nodes)
-		shardSrvs[id] = srv
-		shardRegs[id] = reg
-		shardMeds[id] = med
-	}
 	// Peer URLs arm the drain-claim verification and the undrain strand
-	// check (unknown until every shard's server is up, hence set late).
+	// check. Every shard's listener is bound first, so each shard is
+	// built knowing all of them.
+	shardSrvs := map[string]*httptest.Server{}
 	peerURLs := map[string]string{}
 	for _, id := range shardPeers {
-		peerURLs[id] = shardSrvs[id].URL
+		shardSrvs[id] = httptest.NewUnstartedServer(nil)
+		peerURLs[id] = "http://" + shardSrvs[id].Listener.Addr().String()
 	}
 	for _, id := range shardPeers {
-		if err := shardMeds[id].SetShardPeerURLs(peerURLs); err != nil {
-			t.Fatal(err)
-		}
+		newShardMediator(t, t.TempDir(), id, nodes, shardSrvs[id], peerURLs)
 	}
 
 	var backends []shard.Backend
@@ -309,8 +308,8 @@ func TestShardedTierEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("drain admin answered %d", resp.StatusCode)
 	}
-	if view := routerShards(t, rtSrv.URL); !view["shard-c"].Draining {
-		t.Fatal("router view does not show shard-c draining")
+	if !shardDraining(t, shardSrvs["shard-c"].URL) {
+		t.Fatal("shard-c's own status does not show it draining")
 	}
 	cSamples := scrape(t, shardSrvs["shard-c"].URL)
 	wantSample(t, cSamples, `piye_shard_draining{shard="shard-c"}`, 1)
@@ -361,8 +360,8 @@ func TestShardedTierEndToEnd(t *testing.T) {
 	if !strings.Contains(string(ubody), "undrain refused") || !strings.Contains(string(ubody), newcomer) {
 		t.Fatalf("undrain refusal %q does not name the stranded requester %s", ubody, newcomer)
 	}
-	if view := routerShards(t, rtSrv.URL); !view["shard-c"].Draining {
-		t.Fatal("refused undrain cleared the router's drain mark")
+	if !shardDraining(t, shardSrvs["shard-c"].URL) {
+		t.Fatal("refused undrain cleared shard-c's drain")
 	}
 
 	// The operator force-undrains (accepting or having migrated the
@@ -381,13 +380,53 @@ func TestShardedTierEndToEnd(t *testing.T) {
 		t.Fatalf("refusal lost across undrain: %d %s", code, body)
 	}
 
+	// --- Two shards drain at once: a draining shard adopts no one ----------
+
+	// A newcomer ranked shard-b -> shard-a -> shard-c while a and b both
+	// drain: shard-b refuses it, and so must shard-a on the re-route — a
+	// draining shard that adopted it would build up ledger state it was
+	// told to shed. It lands on shard-c, asserting both.
+	var twoDrained string
+	for _, cand := range ownedBy(t, ref, "shard-b", "twodrain", 16) {
+		if next, _ := ref.LookupExcluding(cand, []string{"shard-b"}); next == "shard-a" {
+			twoDrained = cand
+			break
+		}
+	}
+	if twoDrained == "" {
+		t.Fatal("no requester ranked shard-b -> shard-a among 16 candidates")
+	}
+	admin := func(op string) {
+		t.Helper()
+		resp, err := http.Post(rtSrv.URL+"/shards/"+op, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("%s answered %d", op, resp.StatusCode)
+		}
+	}
+	admin("drain?name=shard-a")
+	admin("drain?name=shard-b")
+	if code, body := postQuery(t, rtSrv.URL, perTestQuery, twoDrained); code != http.StatusOK {
+		t.Fatalf("newcomer with two shards draining answered %d %s", code, body)
+	}
+	for id, want := range map[string]bool{"shard-a": false, "shard-b": false, "shard-c": true} {
+		if got := historyRequesters(t, shardSrvs[id].URL)[twoDrained]; got != want {
+			t.Fatalf("newcomer in %s's history: %v, want %v (only shard-c may adopt it)", id, got, want)
+		}
+	}
+	admin("undrain?force=1&name=shard-a")
+	admin("undrain?force=1&name=shard-b")
+
 	// --- Dead shard: its requesters 503, everyone else keeps working ----
 
 	shardSrvs["shard-b"].CloseClientConnections()
 	shardSrvs["shard-b"].Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if view := routerShards(t, rtSrv.URL); !view["shard-b"].Healthy {
+		if !routerHealthy(t, rtSrv.URL)["shard-b"] {
 			break
 		}
 		if time.Now().After(deadline) {

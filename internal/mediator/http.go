@@ -211,8 +211,8 @@ func NewHandler(m *Mediator) http.Handler {
 		})
 		// ?misplaced=1 adds the requesters whose state lives here but
 		// whose full-ring owner is another shard — O(state), so only on
-		// request (undrain's strand check asks for it; the router's
-		// poller and the drain verifiers do not).
+		// request (undrain's strand check asks; drain verifiers do not).
+		// The one place a shard's drain state is read from.
 		mux.HandleFunc("GET /shard/status", func(w http.ResponseWriter, r *http.Request) {
 			st := m.ShardInfo()
 			if wantMisplaced, _ := strconv.ParseBool(r.URL.Query().Get("misplaced")); wantMisplaced {

@@ -15,6 +15,7 @@ package mediator
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -41,23 +42,25 @@ type ShardConfig struct {
 	// Seed is the ring placement seed (shard.DefaultSeed when 0 is
 	// meant, set it explicitly — 0 is a valid seed).
 	Seed uint64
-	// PeerURLs maps peer names to their base URLs. The gate needs them
-	// for the drain handshake: a router's X-Shard-Rerouted-From header
-	// is a CLAIM that some shards are draining, and this shard confirms
-	// the claim against each named peer's own /shard/status before
-	// taking ownership of a re-routed requester. Without URLs the claim
-	// is unverifiable and every re-route is refused, fail-closed; plain
-	// routing and the ownership gate work regardless. Undrain uses the
-	// same URLs to check peers for stranded re-routed state. Set them
-	// late with SetShardPeerURLs when they are not known at build time.
+	// PeerURLs maps peer names to their base URLs, fixed at New. The
+	// gate needs them for the drain handshake: a router's
+	// X-Shard-Rerouted-From header is a CLAIM that some shards are
+	// draining, and this shard confirms the claim against each named
+	// peer's own /shard/status — the only place a shard's drain state is
+	// kept — before taking ownership of a re-routed requester. Without
+	// URLs the claim is unverifiable and every re-route is refused,
+	// fail-closed; plain routing and the ownership gate work regardless.
+	// Undrain uses the same URLs to check peers for stranded re-routed
+	// state.
 	PeerURLs map[string]string
-	// DrainVerifyTTL caches a peer's "not draining" (or unreachable)
-	// answer so a dead peer costs one status fetch, not one per query
-	// (<= 0 = default 2s). A "draining" answer honours a re-route and is
-	// never cached, so none outlives the peer's undrain; the TTL bounds
-	// how long after a peer starts draining its re-routes are refused.
-	DrainVerifyTTL time.Duration
 }
+
+// drainVerifyTTL is how long a peer's "not draining" (or unreachable)
+// answer is cached, so a dead peer costs one status fetch, not one per
+// query. A "draining" answer honours a re-route and is never cached, so
+// none outlives the peer's undrain; the TTL bounds how long after a
+// peer starts draining its re-routes are refused.
+const drainVerifyTTL = 2 * time.Second
 
 // NotOwnerError refuses a query that reached a shard other than the
 // requester's ring owner. Fail-closed and retryable: the query is fine,
@@ -99,17 +102,17 @@ func (e *DrainingError) RefusalReason() refusal.Reason { return refusal.NotOwner
 
 // shardState is the mediator's membership view, set once in New.
 type shardState struct {
-	id        string
-	ring      *shard.Ring
-	draining  atomic.Bool
-	client    *http.Client
-	verifyTTL time.Duration
-
-	// mu guards the peer URL table (settable late via SetShardPeerURLs)
-	// and when each peer last failed to confirm it is draining.
-	mu       sync.Mutex
+	id       string
+	ring     *shard.Ring
+	draining atomic.Bool
+	client   *http.Client
 	peerURLs map[string]string
-	denied   map[string]time.Time
+
+	// mu guards when each peer last failed to confirm it is draining:
+	// the only copy of another shard's drain state here, and one that
+	// can only refuse.
+	mu     sync.Mutex
+	denied map[string]time.Time
 
 	// Shard metric handles (nil, so no-ops, when unobserved).
 	drainingGauge *obs.Gauge
@@ -161,15 +164,11 @@ func (m *Mediator) setupShard(cfg ShardConfig) error {
 		return fmt.Errorf("mediator: shard peers %v do not include this shard's id %q", cfg.Peers, cfg.ID)
 	}
 	s := &shardState{
-		id:        cfg.ID,
-		ring:      ring,
-		client:    &http.Client{Timeout: 2 * time.Second}, // peer status checks
-		verifyTTL: cfg.DrainVerifyTTL,
-		peerURLs:  map[string]string{},
-		denied:    map[string]time.Time{},
-	}
-	if s.verifyTTL <= 0 {
-		s.verifyTTL = 2 * time.Second
+		id:       cfg.ID,
+		ring:     ring,
+		client:   &http.Client{Timeout: 2 * time.Second}, // peer status checks
+		peerURLs: map[string]string{},
+		denied:   map[string]time.Time{},
 	}
 	for name, u := range cfg.PeerURLs {
 		s.peerURLs[name] = strings.TrimRight(u, "/")
@@ -199,26 +198,6 @@ func (m *Mediator) setupShard(cfg ShardConfig) error {
 	return nil
 }
 
-// SetShardPeerURLs installs (or replaces) the peer base-URL table after
-// construction, for deployments where peer addresses are not known when
-// the mediator is built. Until URLs are set, drain re-routes are
-// refused fail-closed (the router's drain claim cannot be verified).
-func (m *Mediator) SetShardPeerURLs(urls map[string]string) error {
-	s := m.shard
-	if s == nil {
-		return fmt.Errorf("mediator: not sharded")
-	}
-	cp := make(map[string]string, len(urls))
-	for name, u := range urls {
-		cp[name] = strings.TrimRight(u, "/")
-	}
-	s.mu.Lock()
-	s.peerURLs = cp
-	s.denied = map[string]time.Time{}
-	s.mu.Unlock()
-	return nil
-}
-
 // shardGate is the ownership check, run on every query after the role
 // gate and before admission (a misrouted query must not consume a
 // concurrency slot). Unsharded mediators pay one nil check.
@@ -227,7 +206,8 @@ func (m *Mediator) SetShardPeerURLs(urls map[string]string) error {
 //
 //	full-ring owner, not draining          -> serve
 //	full-ring owner, draining, has state   -> serve (finish what we own)
-//	full-ring owner, draining, new         -> DrainingError (router re-routes)
+//	not owner, no drain asserted           -> NotOwnerError
+//	owner or re-routed here, draining, new -> DrainingError (router re-routes)
 //	not owner, router asserted a drain,
 //	  every shard ranked ahead of us is in
 //	  the assertion AND confirmed draining
@@ -240,7 +220,7 @@ func (m *Mediator) SetShardPeerURLs(urls map[string]string) error {
 // pure placement function the router used. Drain truth: each excluded
 // shard that actually ranks ahead of this one must CONFIRM it is
 // draining via its own /shard/status, on this call (only a denial is
-// cached, see DrainVerifyTTL) — the header is a claim, not a
+// cached, see drainVerifyTTL) — the header is a claim, not a
 // credential, and any HTTP client can send it. A forged, stale, or
 // unverifiable assertion can only cause a refusal (fail-closed), never
 // make this shard serve a requester whose control state lives on a
@@ -256,18 +236,18 @@ func (m *Mediator) shardGate(ctx context.Context, requester string) error {
 		// but fail closed rather than serve unowned.
 		return &NotOwnerError{Shard: s.id, Requester: requester, Owner: "?"}
 	}
-	if owner == s.id {
-		if s.draining.Load() && !m.hasRequesterState(requester) {
-			s.drainRefused.Inc()
-			return &DrainingError{Shard: s.id}
-		}
+	drained := ReroutedFrom(ctx)
+	switch {
+	case owner != s.id && len(drained) == 0: // misrouted, nothing claimed
+	case s.draining.Load() && !m.hasRequesterState(requester):
+		s.drainRefused.Inc()
+		return &DrainingError{Shard: s.id}
+	case owner == s.id:
 		return nil
-	}
-	if drained := ReroutedFrom(ctx); len(drained) > 0 {
-		if m.verifyReroute(ctx, requester, drained) {
-			s.rerouted.Inc()
-			return nil
-		}
+	case m.verifyReroute(ctx, requester, drained):
+		s.rerouted.Inc()
+		return nil
+	default:
 		s.rerouteDenied.Inc()
 	}
 	s.notOwner.Inc()
@@ -305,39 +285,58 @@ func (m *Mediator) verifyReroute(ctx context.Context, requester string, asserted
 }
 
 // peerDraining confirms a drain claim with the claimed shard itself:
-// GET its /shard/status and read the draining flag. A denial (failures
-// included) is cached for verifyTTL, so a dead peer is not fetched once
-// per query; a confirmation never is — remembered past the peer's
+// read the draining flag off its /shard/status. A denial (failures
+// included) is cached for drainVerifyTTL, so a dead peer is not fetched
+// once per query; a confirmation never is — remembered past the peer's
 // undrain it would adopt a requester whose ledger lives on the live
-// owner. No URL, unreachable, or non-200 all answer false: refused.
+// owner. No URL, unreachable, or non-200 all answer false: refused. A
+// fetch cut short by the caller's own context says nothing about the
+// peer and records no denial.
 func (s *shardState) peerDraining(ctx context.Context, name string) bool {
 	s.mu.Lock()
 	deniedAt := s.denied[name] // the zero time when never denied
-	url, ok := s.peerURLs[name]
 	s.mu.Unlock()
-	if !ok || time.Since(deniedAt) < s.verifyTTL {
+	if time.Since(deniedAt) < drainVerifyTTL {
 		return false
 	}
-	draining := false
-	if req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/shard/status", nil); err == nil {
-		if resp, err := s.client.Do(req); err == nil {
-			var st struct {
-				Draining bool `json:"draining"`
-			}
-			if resp.StatusCode == http.StatusOK &&
-				json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st) == nil {
-				draining = st.Draining
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	}
-	if !draining {
+	st, _, _ := s.peerStatus(ctx, name, "")
+	draining := st != nil && st.Draining
+	if !draining && ctx.Err() == nil {
 		s.mu.Lock()
 		s.denied[name] = time.Now()
 		s.mu.Unlock()
 	}
 	return draining
+}
+
+// errNoPeerURL is peerStatus's answer for a peer without a configured URL.
+var errNoPeerURL = errors.New("no URL configured")
+
+// peerStatus reads a peer's GET /shard/status (query "?misplaced=1" adds
+// the misplaced-state view): the one way this shard learns another's
+// state. st is non-nil only for a 200 whose body decodes; code is the
+// HTTP status (0 when the request never got an answer, err says why).
+func (s *shardState) peerStatus(ctx context.Context, name, query string) (st *ShardStatus, code int, err error) {
+	url, ok := s.peerURLs[name]
+	if !ok {
+		return nil, 0, errNoPeerURL
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/shard/status"+query, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	resp, err := s.client.Do(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer resp.Body.Close()
+	var out ShardStatus
+	decodeErr := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&out)
+	io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode != http.StatusOK || decodeErr != nil {
+		return nil, resp.StatusCode, nil
+	}
+	return &out, resp.StatusCode, nil
 }
 
 // hasRequesterState reports whether this shard holds durable control
@@ -400,37 +399,22 @@ func (m *Mediator) Undrain(ctx context.Context, force bool) error {
 // admin wire surface — runbooks grep for it.
 func (m *Mediator) strandedByUndrain(ctx context.Context) error {
 	s := m.shard
-	s.mu.Lock()
-	peers := make(map[string]string, len(s.peerURLs))
-	for name, u := range s.peerURLs {
-		peers[name] = u
-	}
-	s.mu.Unlock()
-	if len(peers) == 0 {
+	if len(s.peerURLs) == 0 {
 		return fmt.Errorf("mediator: undrain refused: no shard peer URLs configured, so re-routed requester state stranded on the drain-adjusted owners cannot be ruled out (migrate state or force)")
 	}
 	for _, mem := range s.ring.Members() {
 		if mem.Name == s.id {
 			continue
 		}
-		url, ok := peers[mem.Name]
-		if !ok {
+		st, code, err := s.peerStatus(ctx, mem.Name, "?misplaced=1")
+		if errors.Is(err, errNoPeerURL) {
 			return fmt.Errorf("mediator: undrain refused: no URL configured for peer %s, cannot confirm it holds no re-routed state for this shard (migrate state or force)", mem.Name)
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/shard/status?misplaced=1", nil)
-		if err != nil {
-			return fmt.Errorf("mediator: undrain refused: peer %s: %w", mem.Name, err)
-		}
-		resp, err := s.client.Do(req)
 		if err != nil {
 			return fmt.Errorf("mediator: undrain refused: cannot confirm peer %s holds no re-routed state: %v (migrate state or force)", mem.Name, err)
 		}
-		var st ShardStatus
-		decodeErr := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&st)
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || decodeErr != nil {
-			return fmt.Errorf("mediator: undrain refused: peer %s status unreadable (HTTP %d): cannot confirm it holds no re-routed state (migrate state or force)", mem.Name, resp.StatusCode)
+		if st == nil {
+			return fmt.Errorf("mediator: undrain refused: peer %s status unreadable (HTTP %d): cannot confirm it holds no re-routed state (migrate state or force)", mem.Name, code)
 		}
 		if stranded := st.Misplaced[s.id]; len(stranded) > 0 {
 			return fmt.Errorf("mediator: undrain refused: peer %s holds control state for requester(s) %s that the full ring places on this shard; undraining would serve them from a fresh ledger (migrate state or force)",

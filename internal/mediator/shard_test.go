@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"privateiye/internal/shard"
 )
@@ -26,13 +25,14 @@ import (
 const shardTestQuery = "FOR //patients/row WHERE //age > 40 RETURN //age PURPOSE research MAXLOSS 0.9"
 
 // fakePeerShard is an httptest stand-in for a peer mediator's admin
-// surface: a settable /shard/status answer.
+// surface: a settable /shard/status answer that counts its reads.
 type fakePeerShard struct {
 	srv *httptest.Server
 
 	mu        sync.Mutex
 	draining  bool
 	misplaced map[string][]string
+	fetches   int
 }
 
 func newFakePeerShard(t *testing.T, id string) *fakePeerShard {
@@ -41,10 +41,8 @@ func newFakePeerShard(t *testing.T, id string) *fakePeerShard {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /shard/status", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
-		st := ShardStatus{ID: id, Draining: f.draining}
-		if f.misplaced != nil {
-			st.Misplaced = f.misplaced
-		}
+		f.fetches++
+		st := ShardStatus{ID: id, Draining: f.draining, Misplaced: f.misplaced}
 		f.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(st)
@@ -67,25 +65,17 @@ func (f *fakePeerShard) setMisplaced(m map[string][]string) {
 }
 
 // newShardedMediator builds a mediator as shard `id` of a two-shard
-// tier {shard-a, shard-b}, with the given peer URL table. Denials are
-// effectively uncached: each sub-case's status flip must be seen
-// immediately.
+// tier {shard-a, shard-b}, with the given peer URL table.
 func newShardedMediator(t *testing.T, id string, peerURLs map[string]string) *Mediator {
-	t.Helper()
-	return newShardedMediatorTTL(t, id, peerURLs, time.Nanosecond)
-}
-
-func newShardedMediatorTTL(t *testing.T, id string, peerURLs map[string]string, ttl time.Duration) *Mediator {
 	t.Helper()
 	m, err := New(Config{
 		Endpoints:   twoHospitals(t),
 		LinkageSalt: salt,
 		Shard: &ShardConfig{
-			ID:             id,
-			Peers:          []string{"shard-a", "shard-b"},
-			Seed:           shard.DefaultSeed,
-			DrainVerifyTTL: ttl,
-			PeerURLs:       peerURLs,
+			ID:       id,
+			Peers:    []string{"shard-a", "shard-b"},
+			Seed:     shard.DefaultSeed,
+			PeerURLs: peerURLs,
 		},
 	})
 	if err != nil {
@@ -100,16 +90,10 @@ func newShardedMediatorTTL(t *testing.T, id string, peerURLs map[string]string, 
 func ownedByShard(t *testing.T, owner, prefix string) string {
 	t.Helper()
 	ring := shard.New(shard.DefaultSeed, 0)
-	for _, p := range []string{"shard-a", "shard-b"} {
-		if err := ring.Add(p); err != nil {
-			t.Fatal(err)
-		}
-	}
+	_, _ = ring.Add("shard-a"), ring.Add("shard-b")
 	for i := 0; i < 10000; i++ {
 		cand := fmt.Sprintf("%s-%04d", prefix, i)
-		if o, err := ring.Lookup(cand); err != nil {
-			t.Fatal(err)
-		} else if o == owner {
+		if o, _ := ring.Lookup(cand); o == owner {
 			return cand
 		}
 	}
@@ -117,88 +101,95 @@ func ownedByShard(t *testing.T, owner, prefix string) string {
 	return ""
 }
 
-// TestShardGateVerifiesDrainClaim: a re-routed requester is served only
-// when the claimed-draining owner CONFIRMS it is draining. The header
-// alone — forgeable by any client that can reach the shard directly —
-// must never be enough.
+// claimStep is one re-routed query: what the claimed owner says while
+// it is asked, whether the caller has already given up, and whether the
+// gate should adopt the requester.
+type claimStep struct{ draining, canceled, served bool }
+
+// claimRow is one drain claim: the asserted set, whether this shard has
+// no URL for the owner or the owner's listener is gone, the queries in
+// order, and how many status reads the owner should have answered.
+type claimRow struct {
+	name          string
+	claim         string
+	noURL, closed bool
+	steps         []claimStep
+	fetches       int
+}
+
+// TestShardGateVerifiesDrainClaim: a re-routed requester is adopted only
+// when the claimed-draining owner CONFIRMS it is draining, on that call.
+// The header alone — forgeable by any client that can reach the shard
+// directly — is never enough, and only a denial the peer itself gave is
+// cached.
 func TestShardGateVerifiesDrainClaim(t *testing.T) {
-	peerA := newFakePeerShard(t, "shard-a")
-	m := newShardedMediator(t, "shard-b", map[string]string{"shard-a": peerA.srv.URL})
-	requester := ownedByShard(t, "shard-a", "req")
-	rerouted := WithReroutedFrom(context.Background(), []string{"shard-a"})
-
-	// The attack from the review: shard-a is NOT draining, the client
-	// forges the header straight at shard-b. Before the fix this served
-	// the requester from a fresh ledger; it must refuse not-owner.
-	var no *NotOwnerError
-	if _, err := m.QueryContext(rerouted, shardTestQuery, requester); !errors.As(err, &no) {
-		t.Fatalf("forged drain claim (owner not draining) answered err=%v, want NotOwnerError — a fresh-ledger serve weakens every refusal", err)
-	}
-
-	// A claim naming the wrong shard entirely never even reaches the
-	// status check: placement is recomputed, not trusted.
-	forged := WithReroutedFrom(context.Background(), []string{"shard-nonexistent"})
-	if _, err := m.QueryContext(forged, shardTestQuery, requester); !errors.As(err, &no) {
-		t.Fatalf("claim naming a non-owner answered err=%v, want NotOwnerError", err)
-	}
-
-	// The legitimate case: shard-a really is draining, and says so.
-	peerA.setDraining(true)
-	if _, err := m.QueryContext(rerouted, shardTestQuery, requester); err != nil {
-		t.Fatalf("verified drain re-route refused: %v", err)
-	}
-
-	// Stale claim after undrain: shard-a stops draining, the same
-	// header must stop working (TTL here is effectively zero).
-	peerA.setDraining(false)
-	if _, err := m.QueryContext(rerouted, shardTestQuery, requester); !errors.As(err, &no) {
-		t.Fatalf("stale drain claim after undrain answered err=%v, want NotOwnerError", err)
-	}
-
-	// The same two steps at the default TTL (2 s). A confirmation is
-	// never cached, so the very next re-routed query after the undrain
-	// is refused — shard-a is live again and the requester's ledger is
-	// there. What the TTL does hold is the denial: a peer that starts
-	// draining inside it is re-routed to a little late, never early.
-	cached := newShardedMediatorTTL(t, "shard-b", map[string]string{"shard-a": peerA.srv.URL}, 0)
-	peerA.setDraining(true)
-	if _, err := cached.QueryContext(rerouted, shardTestQuery, requester); err != nil {
-		t.Fatalf("verified drain re-route refused at the default TTL: %v", err)
-	}
-	peerA.setDraining(false)
-	if _, err := cached.QueryContext(rerouted, shardTestQuery, requester); !errors.As(err, &no) {
-		t.Fatalf("the query after the undrain answered err=%v, want NotOwnerError: a cached \"draining\" verdict adopted a requester whose owner is live", err)
-	}
-	peerA.setDraining(true)
-	if _, err := cached.QueryContext(rerouted, shardTestQuery, requester); !errors.As(err, &no) {
-		t.Fatalf("a denial inside the TTL was not served from the cache: err=%v", err)
-	}
+	serve, live, denied := claimStep{draining: true, served: true}, claimStep{}, claimStep{draining: true}
+	runClaimRows(t, []claimRow{
+		{name: "verified drain", claim: "shard-a", steps: []claimStep{serve}, fetches: 1},
+		{name: "forged claim against a live owner", claim: "shard-a", steps: []claimStep{live}, fetches: 1},
+		// Placement is recomputed, not trusted: the owner is never asked.
+		{name: "claim naming a shard not ranked ahead", claim: "shard-nonexistent", steps: []claimStep{denied}},
+		// A confirmation is never cached: the query after the undrain is
+		// refused, because the requester's ledger is on the live owner.
+		{name: "stale claim after undrain", claim: "shard-a", steps: []claimStep{serve, live}, fetches: 2},
+		// The denial is: an owner that starts draining inside the TTL is
+		// re-routed to a little late, never early.
+		{name: "denial served from the cache", claim: "shard-a", steps: []claimStep{live, denied}, fetches: 1},
+		// A caller that gave up learned nothing about the owner, so the
+		// next live query is judged afresh.
+		{name: "canceled caller", claim: "shard-a", steps: []claimStep{{draining: true, canceled: true}, serve}, fetches: 1},
+	})
 }
 
 // TestShardGateRefusesUnverifiableClaim: no peer URLs, or an
 // unreachable peer, means the claim cannot be confirmed — refuse,
-// fail-closed. Weakened service, never a weakened refusal.
+// fail-closed. Weakened service, never a weakened refusal. The owner
+// would confirm the drain if it could be asked.
 func TestShardGateRefusesUnverifiableClaim(t *testing.T) {
+	denied := claimStep{draining: true}
+	runClaimRows(t, []claimRow{
+		{name: "no peer URLs", claim: "shard-a", noURL: true, steps: []claimStep{denied}},
+		{name: "peer unreachable", claim: "shard-a", closed: true, steps: []claimStep{denied}},
+	})
+}
+
+// runClaimRows runs one subtest per row, each query through the full
+// QueryContext path. Each row gets its own mediator (the denial TTL is a
+// constant) and its own fake owner.
+func runClaimRows(t *testing.T, rows []claimRow) {
+	t.Helper()
 	requester := ownedByShard(t, "shard-a", "req")
-	rerouted := WithReroutedFrom(context.Background(), []string{"shard-a"})
-	var no *NotOwnerError
-
-	t.Run("no peer URLs", func(t *testing.T) {
-		m := newShardedMediator(t, "shard-b", nil)
-		if _, err := m.QueryContext(rerouted, shardTestQuery, requester); !errors.As(err, &no) {
-			t.Fatalf("unverifiable claim answered err=%v, want NotOwnerError", err)
-		}
-	})
-
-	t.Run("peer unreachable", func(t *testing.T) {
-		peerA := newFakePeerShard(t, "shard-a")
-		peerA.setDraining(true)
-		m := newShardedMediator(t, "shard-b", map[string]string{"shard-a": peerA.srv.URL})
-		peerA.srv.Close()
-		if _, err := m.QueryContext(rerouted, shardTestQuery, requester); !errors.As(err, &no) {
-			t.Fatalf("claim against a dead peer answered err=%v, want NotOwnerError", err)
-		}
-	})
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			owner := newFakePeerShard(t, "shard-a")
+			urls := map[string]string{"shard-a": owner.srv.URL}
+			if row.noURL {
+				urls = nil
+			}
+			m := newShardedMediator(t, "shard-b", urls)
+			if row.closed {
+				owner.srv.Close()
+			}
+			for i, step := range row.steps {
+				owner.setDraining(step.draining)
+				ctx, cancel := context.WithCancel(WithReroutedFrom(context.Background(), []string{row.claim}))
+				if step.canceled {
+					cancel()
+				}
+				_, err := m.QueryContext(ctx, shardTestQuery, requester)
+				cancel()
+				var no *NotOwnerError
+				if (err == nil) != step.served || err != nil && !errors.As(err, &no) {
+					t.Fatalf("query %d answered %v, want served=%v (else NotOwnerError)", i, err, step.served)
+				}
+			}
+			owner.mu.Lock()
+			defer owner.mu.Unlock()
+			if owner.fetches != row.fetches {
+				t.Fatalf("owner answered %d status reads, want %d", owner.fetches, row.fetches)
+			}
+		})
+	}
 }
 
 // TestUndrainStrandCheck: undrain is NOT the safe reverse of drain once

@@ -8,6 +8,9 @@
 // here makes that placement deterministic; the Router (router.go)
 // enforces it in front of the shards; the mediator's ownership gate
 // (internal/mediator/shard.go) enforces it fail-closed behind them.
+// Neither the ring nor the router holds drain state: a draining shard is
+// the only holder of its own, and operators read it from that shard's
+// GET /shard/status.
 //
 // The ring is rendezvous hashing (highest random weight) over seeded
 // virtual node identities: each member contributes Vnodes virtual
@@ -30,12 +33,13 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
 
 // ErrEmptyRing is returned by lookups when no member can own the key —
-// the ring has no members, or every member is draining/excluded.
+// the ring has no members, or every member is excluded.
 var ErrEmptyRing = errors.New("shard: no members in the ring")
 
 // DefaultSeed is the placement seed the daemons default to. Any seed
@@ -52,10 +56,10 @@ const DefaultSeed = 58
 // hashes even at 8 shards.
 const DefaultVnodes = 16
 
-// Member is one shard in the ring, with its drain state.
+// Member is one shard in the ring. Whether it is draining is not a ring
+// fact: only the shard itself holds that, on its GET /shard/status.
 type Member struct {
-	Name     string `json:"name"`
-	Draining bool   `json:"draining"`
+	Name string `json:"name"`
 }
 
 // Ring is a seeded rendezvous-hash ring. All methods are safe for
@@ -64,17 +68,12 @@ type Ring struct {
 	seed   uint64
 	vnodes int
 
-	mu      sync.RWMutex
-	members map[string]*memberState
-}
-
-type memberState struct {
-	draining bool
-	// points are the member's precomputed virtual node identities:
-	// splitmix64(seed ^ hash(name) ^ vnode index). Lookup mixes the
-	// key's hash into each and keeps the best, so the per-key score is
+	mu sync.RWMutex
+	// members maps each name to its precomputed virtual node identities:
+	// splitmix64(seed ^ hash(name) ^ vnode index). Lookup mixes the key's
+	// hash into each and keeps the best, so the per-key score is
 	// independent across members and across vnode indices.
-	points []uint64
+	members map[string][]uint64
 }
 
 // New returns an empty ring with the given placement seed. Two rings
@@ -85,7 +84,7 @@ func New(seed uint64, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVnodes
 	}
-	return &Ring{seed: seed, vnodes: vnodes, members: map[string]*memberState{}}
+	return &Ring{seed: seed, vnodes: vnodes, members: map[string][]uint64{}}
 }
 
 // Seed returns the placement seed the ring was built with.
@@ -93,7 +92,7 @@ func (r *Ring) Seed() uint64 { return r.seed }
 
 // Add inserts a member. Adding a name that is already present is a
 // no-op (idempotent join — a retried membership change must not mint
-// duplicate virtual nodes), preserving its drain state.
+// duplicate virtual nodes).
 func (r *Ring) Add(name string) error {
 	if name == "" {
 		return fmt.Errorf("shard: member name must be non-empty")
@@ -103,34 +102,12 @@ func (r *Ring) Add(name string) error {
 	if _, ok := r.members[name]; ok {
 		return nil
 	}
-	ms := &memberState{points: make([]uint64, r.vnodes)}
+	points := make([]uint64, r.vnodes)
 	base := r.seed ^ hash64(name)
-	for i := range ms.points {
-		ms.points[i] = splitmix64(base ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
+	for i := range points {
+		points[i] = splitmix64(base ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
 	}
-	r.members[name] = ms
-	return nil
-}
-
-// Remove deletes a member; unknown names are a no-op.
-func (r *Ring) Remove(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.members, name)
-}
-
-// SetDraining marks a member draining (or clears the mark). Draining
-// members stay in the ring — full-ring ownership must not move during a
-// drain, or every shard's ownership check would disagree with the
-// requesters already placed — but LookupActive routes around them.
-func (r *Ring) SetDraining(name string, draining bool) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ms, ok := r.members[name]
-	if !ok {
-		return fmt.Errorf("shard: unknown member %q", name)
-	}
-	ms.draining = draining
+	r.members[name] = points
 	return nil
 }
 
@@ -139,8 +116,8 @@ func (r *Ring) Members() []Member {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]Member, 0, len(r.members))
-	for name, ms := range r.members {
-		out = append(out, Member{Name: name, Draining: ms.draining})
+	for name := range r.members {
+		out = append(out, Member{Name: name})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -153,64 +130,31 @@ func (r *Ring) Len() int {
 	return len(r.members)
 }
 
-// Lookup returns the key's owner over the full membership, draining
-// members included: ownership is a stable fact about where the key's
-// state lives, and draining must not rewrite it.
+// Lookup returns the key's owner over the full membership: ownership is
+// a stable fact about where the key's state lives, and a drain must not
+// rewrite it.
 func (r *Ring) Lookup(key string) (string, error) {
-	return r.lookup(key, nil)
-}
-
-// LookupActive returns the key's owner with draining members excluded —
-// where the router sends a requester that the full-ring owner refused
-// to take on (a draining shard shedding ownership of new requesters).
-func (r *Ring) LookupActive(key string) (string, error) {
-	return r.lookup(key, func(ms *memberState) bool { return ms.draining })
+	return r.LookupExcluding(key, nil)
 }
 
 // LookupExcluding returns the key's owner with the named members
-// excluded. The mediator's ownership gate uses it to verify a router's
-// drain re-route: given the drained set the router asserted, would this
-// shard be the owner?
+// excluded. The router calls it with the shards that refused this query
+// as draining; the mediator's ownership gate calls it to verify such a
+// re-route: with those shards excluded, would this shard be the owner?
+// Neither call allocates.
 func (r *Ring) LookupExcluding(key string, excluded []string) (string, error) {
-	if len(excluded) == 0 {
-		return r.lookup(key, nil)
-	}
-	ex := make(map[string]bool, len(excluded))
-	for _, name := range excluded {
-		ex[name] = true
-	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var best uint64
 	owner := ""
 	kh := hash64(key)
-	for name, ms := range r.members {
-		if ex[name] {
-			continue
-		}
-		if s := ms.score(kh); owner == "" || s > best || (s == best && name < owner) {
-			best, owner = s, name
-		}
-	}
-	if owner == "" {
-		return "", ErrEmptyRing
-	}
-	return owner, nil
-}
-
-func (r *Ring) lookup(key string, skip func(*memberState) bool) (string, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var best uint64
-	owner := ""
-	kh := hash64(key)
-	for name, ms := range r.members {
-		if skip != nil && skip(ms) {
+	for name, points := range r.members {
+		if slices.Contains(excluded, name) {
 			continue
 		}
 		// Ties break by name so the winner is well defined even in the
 		// astronomically unlikely event of equal 64-bit scores.
-		if s := ms.score(kh); owner == "" || s > best || (s == best && name < owner) {
+		if s := score(points, kh); owner == "" || s > best || (s == best && name < owner) {
 			best, owner = s, name
 		}
 	}
@@ -220,11 +164,11 @@ func (r *Ring) lookup(key string, skip func(*memberState) bool) (string, error) 
 	return owner, nil
 }
 
-// score is the member's rendezvous weight for a key: the best mix of
-// the key hash over the member's virtual points.
-func (ms *memberState) score(keyHash uint64) uint64 {
+// score is a member's rendezvous weight for a key: the best mix of the
+// key hash over the member's virtual points.
+func score(points []uint64, keyHash uint64) uint64 {
 	var best uint64
-	for _, p := range ms.points {
+	for _, p := range points {
 		if v := splitmix64(p ^ keyHash); v > best {
 			best = v
 		}

@@ -2,7 +2,8 @@ package shard
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -94,11 +95,9 @@ func TestRingMinimalDisruptionOnRemove(t *testing.T) {
 	for _, nShards := range []int{3, 5, 8} {
 		t.Run(fmt.Sprintf("%dshards", nShards), func(t *testing.T) {
 			names := shardNames(nShards)
-			r := ringOf(t, DefaultSeed, names...)
-			before := owners(t, r, keys)
+			before := owners(t, ringOf(t, DefaultSeed, names...), keys)
 			removed := names[nShards-1]
-			r.Remove(removed)
-			after := owners(t, r, keys)
+			after := owners(t, ringOf(t, DefaultSeed, names[:nShards-1]...), keys)
 
 			moved := 0
 			for _, k := range keys {
@@ -199,61 +198,38 @@ func TestRingSeededPlacementIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestRingDraining: LookupActive never lands on a draining member, only
-// the draining member's keys move, and they come back when the drain is
-// cleared. Full-ring Lookup must keep answering the draining member —
-// drain must not rewrite ownership.
+// TestRingDraining: a drain-adjusted lookup is LookupExcluding over the
+// shards that refused the query. It moves only the excluded member's
+// keys, and it agrees with a ring built without that member — the
+// router and the mediator's gate share one function. Full-ring Lookup
+// keeps answering the excluded member: a drain must not rewrite
+// ownership.
 func TestRingDraining(t *testing.T) {
 	keys := requesters(500)
 	r := ringOf(t, 1, "a", "b", "c")
+	without := ringOf(t, 1, "a", "c")
 	before := owners(t, r, keys)
-	if err := r.SetDraining("b", true); err != nil {
-		t.Fatal(err)
-	}
 	for _, k := range keys {
-		full, err := r.Lookup(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full != before[k] {
-			t.Fatalf("drain rewrote full-ring ownership of %q: %s -> %s", k, before[k], full)
-		}
-		active, err := r.LookupActive(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if active == "b" {
-			t.Fatalf("LookupActive(%q) landed on the draining shard", k)
-		}
-		if before[k] != "b" && active != before[k] {
-			t.Fatalf("drain of b moved %q owned by %s", k, before[k])
-		}
-		// The drain-adjusted owner must equal what the mediator's gate
-		// computes from the drained set — the two sides of the re-route
-		// handshake share one function.
 		excl, err := r.LookupExcluding(k, []string{"b"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if excl != active {
-			t.Fatalf("LookupExcluding disagrees with LookupActive for %q: %s vs %s", k, excl, active)
+		if before[k] != "b" && excl != before[k] {
+			t.Fatalf("excluding b moved %q owned by %s", k, before[k])
 		}
-	}
-	if err := r.SetDraining("b", false); err != nil {
-		t.Fatal(err)
+		if o, _ := without.Lookup(k); excl != o {
+			t.Fatalf("excluding b placed %q on %s, a ring without b on %s", k, excl, o)
+		}
 	}
 	for k, o := range owners(t, r, keys) {
 		if o != before[k] {
-			t.Fatalf("undrain did not restore ownership of %q", k)
+			t.Fatalf("an excluded lookup rewrote full-ring ownership of %q", k)
 		}
-	}
-	if err := r.SetDraining("nope", true); err == nil {
-		t.Error("SetDraining on an unknown member should error")
 	}
 }
 
 // TestRingEdgeCases covers the states the fuzz target hammers: empty
-// ring, every-member-draining, single member, duplicate adds.
+// ring, every member excluded, single member, duplicate adds.
 func TestRingEdgeCases(t *testing.T) {
 	r := New(1, 4)
 	if _, err := r.Lookup("x"); err != ErrEmptyRing {
@@ -274,46 +250,39 @@ func TestRingEdgeCases(t *testing.T) {
 	if n := r.Len(); n != 1 {
 		t.Fatalf("duplicate Add grew the ring to %d", n)
 	}
-	if err := r.SetDraining("only", true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.LookupActive("anything"); err != ErrEmptyRing {
-		t.Fatalf("all-draining LookupActive err = %v, want ErrEmptyRing", err)
+	if _, err := r.LookupExcluding("anything", []string{"only"}); err != ErrEmptyRing {
+		t.Fatalf("all-excluded lookup err = %v, want ErrEmptyRing", err)
 	}
 	if o, err := r.Lookup("anything"); err != nil || o != "only" {
-		t.Fatalf("full-ring lookup must still see the draining member: %q, %v", o, err)
-	}
-	r.Remove("only")
-	r.Remove("only") // no-op
-	if _, err := r.Lookup("x"); err != ErrEmptyRing {
-		t.Fatalf("post-remove Lookup err = %v", err)
+		t.Fatalf("full-ring lookup must still see the excluded member: %q, %v", o, err)
 	}
 }
 
-// TestRingConcurrentChurn drives lookups against concurrent membership
-// changes under the race detector: every lookup must return a member
-// that existed at some point (or ErrEmptyRing), never panic, never a
-// torn read. Seeded rand keeps the schedule reproducible per goroutine.
+// TestRingLookupAllocatesNothing pins both lookups at zero allocations:
+// one runs on every routed query and every gate check, and the
+// exclusion set is scanned in place, never copied.
+func TestRingLookupAllocatesNothing(t *testing.T) {
+	r := ringOf(t, DefaultSeed, shardNames(3)...)
+	excluded := []string{"shard-a", "shard-b"}
+	if n := testing.AllocsPerRun(100, func() { _, _ = r.Lookup("requester-0001") }); n != 0 {
+		t.Errorf("Lookup allocates %.1f times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = r.LookupExcluding("requester-0001", excluded) }); n != 0 {
+		t.Errorf("LookupExcluding allocates %.1f times per call, want 0", n)
+	}
+}
+
+// TestRingConcurrentChurn drives excluded lookups against concurrent
+// joins under the race detector: every lookup must return a member
+// outside its exclusion set, never panic, never a torn read.
 func TestRingConcurrentChurn(t *testing.T) {
-	r := ringOf(t, 1, "a", "b", "c")
-	valid := map[string]bool{"a": true, "b": true, "c": true, "d": true, "e": true}
+	r := ringOf(t, 1, "a")
+	const joins = 500
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		rng := rand.New(rand.NewSource(42))
-		for i := 0; i < 2000; i++ {
-			name := string(rune('a' + rng.Intn(5)))
-			switch rng.Intn(3) {
-			case 0:
-				_ = r.Add(name)
-			case 1:
-				// Keep at least one stable member so lookups stay owned.
-				if name != "a" {
-					r.Remove(name)
-				}
-			default:
-				_ = r.SetDraining(name, rng.Intn(2) == 0)
-			}
+		for i := 0; i < joins; i++ {
+			_ = r.Add(fmt.Sprintf("m%03d", i))
 		}
 	}()
 	keys := requesters(50)
@@ -323,12 +292,13 @@ func TestRingConcurrentChurn(t *testing.T) {
 			return
 		default:
 		}
-		o, err := r.Lookup(keys[i%len(keys)])
+		excluded := []string{fmt.Sprintf("m%03d", i%joins), fmt.Sprintf("m%03d", i*7%joins)}
+		o, err := r.LookupExcluding(keys[i%len(keys)], excluded)
 		if err != nil {
 			t.Fatalf("lookup with a stable member returned %v", err)
 		}
-		if !valid[o] {
-			t.Fatalf("lookup returned non-member %q", o)
+		if o != "a" && !strings.HasPrefix(o, "m") || slices.Contains(excluded, o) {
+			t.Fatalf("lookup excluding %v returned %q", excluded, o)
 		}
 	}
 }

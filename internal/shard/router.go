@@ -12,13 +12,14 @@ package shard
 //
 // The one piece of routing the router decides on its own is the drain
 // re-route: a draining shard refuses requesters it holds no state for
-// (a "draining: not accepting" 503), and the router re-routes those to
-// the drain-adjusted owner, asserting the drained set in the
-// X-Shard-Rerouted-From header. The landing shard VERIFIES the
-// assertion rather than trusting it: it recomputes placement on its
-// own ring AND confirms each claimed shard is draining against that
-// shard's own /shard/status — see internal/mediator/shard.go and
-// DESIGN.md §13.
+// (a "draining: not accepting" 503), and the router re-routes the query
+// to the owner with the shards that refused THIS query excluded,
+// asserting exactly that set in the X-Shard-Rerouted-From header. The
+// router keeps no drain state between queries. The landing shard
+// VERIFIES the assertion rather than trusting it: it recomputes
+// placement on its own ring AND confirms each claimed shard is draining
+// against that shard's own /shard/status — see
+// internal/mediator/shard.go and DESIGN.md §13.
 
 import (
 	"bytes"
@@ -75,25 +76,6 @@ type backendState struct {
 	mu      sync.Mutex
 	healthy bool
 	lastErr string
-	// markedAt is when this router last changed the shard's drain mark
-	// itself (admin endpoint or a learned draining-refusal). A status
-	// probe that STARTED before that instant observed the pre-change
-	// world and must not overwrite the newer local mark.
-	markedAt time.Time
-}
-
-// noteMark records a local drain-mark change.
-func (bs *backendState) noteMark() {
-	bs.mu.Lock()
-	bs.markedAt = time.Now()
-	bs.mu.Unlock()
-}
-
-// markChangedSince reports whether the local mark changed after t.
-func (bs *backendState) markChangedSince(t time.Time) bool {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	return bs.markedAt.After(t)
 }
 
 // Router proxies /query to the owning shard.
@@ -231,41 +213,6 @@ func (rt *Router) probe(bs *backendState) {
 	bs.healthy = ok
 	bs.lastErr = msg
 	bs.mu.Unlock()
-	rt.syncDrainMark(ctx, bs)
-}
-
-// syncDrainMark converges the router's drain view with the shard's own:
-// the poller reads /shard/status and mirrors the draining flag into the
-// ring. Marks learned from a shard's "draining: not accepting" refusal
-// or set through another router's admin surface would otherwise never
-// clear here — a shard-direct or peer-router undrain left this router
-// asserting a stale drained set on every re-route. Fetch failures (and
-// unsharded shards' 404s) leave the current mark untouched, and so does
-// an observation that started before the router's own latest mark
-// change — it saw the pre-admin world and must not revert it.
-func (rt *Router) syncDrainMark(ctx context.Context, bs *backendState) {
-	started := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, bs.URL+"/shard/status", nil)
-	if err != nil {
-		return
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	var st struct {
-		Draining bool `json:"draining"`
-	}
-	if resp.StatusCode != http.StatusOK ||
-		json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&st) != nil {
-		io.Copy(io.Discard, resp.Body)
-		return
-	}
-	if bs.markChangedSince(started) {
-		return
-	}
-	_ = rt.ring.SetDraining(bs.Name, st.Draining)
 }
 
 // isHealthy reports the last probe's verdict (always true without
@@ -399,17 +346,6 @@ func (rt *Router) attempt(ctx context.Context, bs *backendState, body []byte, re
 	return out, nil
 }
 
-// drainedNames lists ring members currently marked draining.
-func (rt *Router) drainedNames() []string {
-	var out []string
-	for _, m := range rt.ring.Members() {
-		if m.Draining {
-			out = append(out, m.Name)
-		}
-	}
-	return out
-}
-
 // serveQuery is the routing hot path: ring lookup, forward, and — when
 // the owner is shedding ownership — the drain re-route.
 func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request) {
@@ -452,31 +388,25 @@ func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request) {
 	outcome := rt.proxied
 
 	// Drain re-route: the owner refused to take the requester on
-	// (draining, no durable state there). Route to the drain-adjusted
-	// owner, asserting the drained set so the landing shard can verify
-	// the placement with its own ring. Bounded by the ring size — every
-	// iteration adds one shard to the drained set.
-	drained := rt.drainedNames()
-	for hops := 0; hops < rt.ring.Len(); hops++ {
+	// (draining, no durable state there). Route to the owner with every
+	// shard that refused this query excluded, asserting exactly that set
+	// so the landing shard can verify it. Each hop excludes one more
+	// shard, so the loop ends by ErrEmptyRing at the latest.
+	var refusedBy []string
+	for {
 		pe, ok := err.(*proxyError)
 		if !ok || !pe.draining() {
 			break
 		}
-		// Learn the drain even when it was applied at the shard directly
-		// rather than through our admin surface.
-		_ = rt.ring.SetDraining(pe.shard, true)
-		if bs, ok := rt.byName[pe.shard]; ok {
-			bs.noteMark()
-		}
-		drained = appendMissing(drained, pe.shard)
-		adj, lerr := rt.ring.LookupExcluding(requester, drained)
+		refusedBy = append(refusedBy, pe.shard)
+		adj, lerr := rt.ring.LookupExcluding(requester, refusedBy)
 		if lerr != nil {
 			rt.finish(trace, rt.unavail, obs.OutcomeSkipped)
 			http.Error(w, "router: every shard is draining; retry shortly", http.StatusServiceUnavailable)
 			return
 		}
 		outcome = rt.rerouted
-		res, err = rt.forward(r.Context(), rt.byName[adj], body, requester, drained, trace)
+		res, err = rt.forward(r.Context(), rt.byName[adj], body, requester, refusedBy, trace)
 	}
 
 	if err != nil {
@@ -529,29 +459,19 @@ func statusOutcome(status int) string {
 	return obs.RefusedOutcome(fmt.Sprintf("%d", status))
 }
 
-// appendMissing appends s if absent.
-func appendMissing(xs []string, s string) []string {
-	for _, x := range xs {
-		if x == s {
-			return xs
-		}
-	}
-	return append(xs, s)
-}
-
-// shardView is one shard in the admin listing.
+// shardView is one shard in the admin listing. Drain state is not here:
+// the shard's own GET /shard/status is the only place it is kept.
 type shardView struct {
-	Name     string `json:"name"`
-	URL      string `json:"url"`
-	Draining bool   `json:"draining"`
-	Healthy  bool   `json:"healthy"`
-	Breaker  string `json:"breaker,omitempty"`
-	LastErr  string `json:"last_error,omitempty"`
+	Name    string `json:"name"`
+	URL     string `json:"url"`
+	Healthy bool   `json:"healthy"`
+	Breaker string `json:"breaker,omitempty"`
+	LastErr string `json:"last_error,omitempty"`
 }
 
 // Handler mounts the router's HTTP surface: POST /query (the proxy),
-// GET /shards, POST /shards/drain and /shards/undrain (admin; both
-// propagate to the shard's own /shard/drain|undrain, and undrain
+// GET /shards, POST /shards/drain and /shards/undrain (admin; plain
+// forwards to the shard's own /shard/drain|undrain, and undrain
 // forwards ?force=1), plus the standard /healthz, /readyz, /metrics
 // and /debug/trace.
 func (rt *Router) Handler() http.Handler {
@@ -563,10 +483,7 @@ func (rt *Router) Handler() http.Handler {
 		for _, m := range rt.ring.Members() {
 			bs := rt.byName[m.Name]
 			bs.mu.Lock()
-			v := shardView{
-				Name: m.Name, URL: bs.Backend.URL,
-				Draining: m.Draining, Healthy: bs.healthy, LastErr: bs.lastErr,
-			}
+			v := shardView{Name: m.Name, URL: bs.Backend.URL, Healthy: bs.healthy, LastErr: bs.lastErr}
 			bs.mu.Unlock()
 			if bs.breaker != nil {
 				v.Breaker = bs.breaker.State()
@@ -580,12 +497,11 @@ func (rt *Router) Handler() http.Handler {
 		})
 	})
 
-	// Drain/undrain: mark the ring AND tell the shard, in that order for
-	// drain (so no new requester races into the draining shard through
-	// us) and the reverse for undrain. Undrain forwards ?force= to the
-	// shard, which refuses (409) while re-routed requester state is
-	// stranded on the drain-adjusted owners — the refusal passes back
-	// verbatim with its status, and the ring mark stands.
+	// Drain/undrain are plain forwards to the shard, the only holder of
+	// its drain state. Undrain forwards ?force= to the shard, which
+	// refuses (409) while re-routed requester state is stranded on the
+	// drain-adjusted owners — the refusal passes back verbatim with its
+	// status.
 	drainAdmin := func(drain bool) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			name := r.URL.Query().Get("name")
@@ -594,13 +510,12 @@ func (rt *Router) Handler() http.Handler {
 				http.Error(w, fmt.Sprintf("router: unknown shard %q", name), http.StatusNotFound)
 				return
 			}
-			path := "/shard/undrain"
-			if drain {
-				path = "/shard/drain"
-				_ = rt.ring.SetDraining(name, true)
-				bs.noteMark()
-			} else if force := r.URL.Query().Get("force"); force != "" {
-				path += "?force=" + url.QueryEscape(force)
+			verb, path := "draining", "/shard/drain"
+			if !drain {
+				verb, path = "undraining", "/shard/undrain"
+				if force := r.URL.Query().Get("force"); force != "" {
+					path += "?force=" + url.QueryEscape(force)
+				}
 			}
 			shardStatus := 0
 			req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, bs.URL+path, nil)
@@ -616,26 +531,16 @@ func (rt *Router) Handler() http.Handler {
 					}
 				}
 			}
-			if err != nil && drain {
-				// The ring mark stands: routing around a shard we could not
-				// reach is safe (fail-closed); report the propagation
-				// failure so the operator can retry.
-				http.Error(w, fmt.Sprintf("router: shard %s marked draining here, but propagating failed: %v", name, err), http.StatusBadGateway)
-				return
-			}
 			if err != nil {
-				// Mirror the shard's own refusal status when it gave one
-				// (409 undrain refused); 502 only for transport failures.
+				// A failed drain answers 502 so the operator retries; an
+				// undrain mirrors the shard's own refusal status when it
+				// gave one (409 undrain refused), 502 for transport failures.
 				code := http.StatusBadGateway
-				if shardStatus >= 400 {
+				if !drain && shardStatus >= 400 {
 					code = shardStatus
 				}
-				http.Error(w, fmt.Sprintf("router: undraining %s: %v", name, err), code)
+				http.Error(w, fmt.Sprintf("router: %s %s: %v", verb, name, err), code)
 				return
-			}
-			if !drain {
-				_ = rt.ring.SetDraining(name, false)
-				bs.noteMark()
 			}
 			w.WriteHeader(http.StatusNoContent)
 		}

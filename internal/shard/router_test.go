@@ -19,19 +19,25 @@ type fakeShard struct {
 	name string
 	srv  *httptest.Server
 
-	mu       sync.Mutex
-	reqs     []string // requester per received query
-	headers  []string // X-Shard-Rerouted-From per received query
-	draining bool     // what /shard/status reports
-	handler  func(w http.ResponseWriter, r *http.Request)
+	mu      sync.Mutex
+	reqs    []string // requester per received query
+	headers []string // X-Shard-Rerouted-From per received query
+	handler func(w http.ResponseWriter, r *http.Request)
+}
+
+// serveEmpty answers a query with an empty integrated result.
+func serveEmpty(w http.ResponseWriter, r *http.Request) {
+	w.Write([]byte("<integrated></integrated>"))
+}
+
+// refuseDraining answers the way a draining shard refuses a newcomer.
+func refuseDraining(w http.ResponseWriter, r *http.Request) {
+	http.Error(w, "mediator: shard draining: not accepting new requesters", http.StatusServiceUnavailable)
 }
 
 func newFakeShard(t *testing.T, name string) *fakeShard {
 	t.Helper()
-	f := &fakeShard{name: name}
-	f.handler = func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("<integrated></integrated>"))
-	}
+	f := &fakeShard{name: name, handler: serveEmpty}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
@@ -45,13 +51,6 @@ func newFakeShard(t *testing.T, name string) *fakeShard {
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok"))
 	})
-	mux.HandleFunc("GET /shard/status", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		draining := f.draining
-		f.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"id":%q,"draining":%v}`, f.name, draining)
-	})
 	f.srv = httptest.NewServer(mux)
 	t.Cleanup(f.srv.Close)
 	return f
@@ -63,10 +62,15 @@ func (f *fakeShard) setHandler(h func(w http.ResponseWriter, r *http.Request)) {
 	f.mu.Unlock()
 }
 
-func (f *fakeShard) setDraining(v bool) {
+// last returns the requester and X-Shard-Rerouted-From of the latest
+// query received.
+func (f *fakeShard) last() (requester, reroutedFrom string) {
 	f.mu.Lock()
-	f.draining = v
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	if len(f.reqs) == 0 {
+		return "", ""
+	}
+	return f.reqs[len(f.reqs)-1], f.headers[len(f.headers)-1]
 }
 
 func (f *fakeShard) requesters() []string {
@@ -236,19 +240,16 @@ func TestRouterRetriesTransientFailures(t *testing.T) {
 }
 
 // TestRouterDrainReroute: the owner answers the draining refusal, the
-// router re-routes to the drain-adjusted owner with the drained set
+// router re-routes to the drain-adjusted owner with the refusing shard
 // asserted in X-Shard-Rerouted-From, and the landing shard's answer
 // passes through. The refusal is never surfaced to the client.
 func TestRouterDrainReroute(t *testing.T) {
 	shards := []*fakeShard{newFakeShard(t, "shard-a"), newFakeShard(t, "shard-b"), newFakeShard(t, "shard-c")}
-	_, srv := newTestRouter(t, []*fakeShard{shards[0], shards[1], shards[2]}, nil)
+	_, srv := newTestRouter(t, shards, nil)
 
-	ref := New(DefaultSeed, 0)
+	ref := ringOf(t, DefaultSeed, "shard-a", "shard-b", "shard-c")
 	byName := map[string]*fakeShard{}
 	for _, f := range shards {
-		if err := ref.Add(f.name); err != nil {
-			t.Fatal(err)
-		}
 		byName[f.name] = f
 	}
 	// Find a requester owned by shard-a.
@@ -268,9 +269,7 @@ func TestRouterDrainReroute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	byName["shard-a"].setHandler(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "mediator: shard shard-a draining: not accepting new requesters", http.StatusServiceUnavailable)
-	})
+	byName["shard-a"].setHandler(refuseDraining)
 	status, body := routerQuery(t, srv.URL, requester)
 	if status != http.StatusOK {
 		t.Fatalf("drain re-route failed: %d %s", status, body)
@@ -279,63 +278,53 @@ func TestRouterDrainReroute(t *testing.T) {
 	if landed.count() != 1 {
 		t.Fatalf("drain-adjusted owner %s saw %d queries, want 1", adj, landed.count())
 	}
-	landed.mu.Lock()
-	hdr := landed.headers[0]
-	landed.mu.Unlock()
-	if !strings.Contains(hdr, "shard-a") {
-		t.Fatalf("re-route did not assert the drained set: X-Shard-Rerouted-From=%q", hdr)
-	}
-	// The router learned the drain: the next new requester owned by
-	// shard-a skips the refused hop... but stateful requesters must
-	// still be able to reach shard-a through a direct Lookup, so the
-	// ring keeps the member (drain must not rewrite ownership).
-	if o, _ := ref.Lookup(requester); o != "shard-a" {
-		t.Fatal("full-ring ownership moved on drain")
+	if _, hdr := landed.last(); hdr != "shard-a" {
+		t.Fatalf("re-route did not assert the refusing shard: X-Shard-Rerouted-From=%q", hdr)
 	}
 }
 
-// TestRouterDrainMarksConverge: the health poller mirrors each shard's
-// own /shard/status draining flag into the router's ring, so drain
-// marks learned from refusal sniffing (or set by another router's
-// admin surface) converge with the shards' actual state instead of
-// sticking forever.
-func TestRouterDrainMarksConverge(t *testing.T) {
-	shards := []*fakeShard{newFakeShard(t, "shard-a"), newFakeShard(t, "shard-b")}
-	rt, _ := newTestRouter(t, shards, func(cfg *RouterConfig) {
-		cfg.HealthEvery = 20 * time.Millisecond
-	})
+// TestRouterAssertsOnlyThisQuerysRefusals: a re-route asserts exactly
+// the shards that refused THIS query as draining. Without health
+// polling, shard-a refuses one newcomer as draining and then serves
+// again; shard-b drains. A requester ranked shard-b, then shard-a, goes
+// to shard-a asserting shard-b alone: a remembered shard-a mark would
+// send it on to shard-c, whose gate refuses the claim because shard-a
+// is live.
+func TestRouterAssertsOnlyThisQuerysRefusals(t *testing.T) {
+	shards := []*fakeShard{newFakeShard(t, "shard-a"), newFakeShard(t, "shard-b"), newFakeShard(t, "shard-c")}
+	_, srv := newTestRouter(t, shards, nil)
 
-	drainMark := func(name string) bool {
-		for _, m := range rt.ring.Members() {
-			if m.Name == name {
-				return m.Draining
-			}
-		}
-		t.Fatalf("member %s missing from ring", name)
-		return false
-	}
-	waitFor := func(name string, want bool, msg string) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for drainMark(name) != want {
-			if time.Now().After(deadline) {
-				t.Fatal(msg)
-			}
-			time.Sleep(5 * time.Millisecond)
+	ref := ringOf(t, DefaultSeed, "shard-a", "shard-b", "shard-c")
+	newcomer, requester := "", ""
+	for i := 0; i < 1000 && (newcomer == "" || requester == ""); i++ {
+		cand := fmt.Sprintf("requester-%03d", i)
+		first, _ := ref.Lookup(cand)
+		second, _ := ref.LookupExcluding(cand, []string{first})
+		if first == "shard-a" && newcomer == "" {
+			newcomer = cand
+		} else if first == "shard-b" && second == "shard-a" && requester == "" {
+			requester = cand
 		}
 	}
+	if newcomer == "" || requester == "" {
+		t.Fatal("no requesters with the wanted rankings in 1000 candidates")
+	}
 
-	// A drain applied at the shard directly (not through this router's
-	// admin surface) is learned by the poller, traffic or no traffic.
-	shards[0].setDraining(true)
-	waitFor("shard-a", true, "router never learned shard-a's shard-direct drain")
-
-	// And a shard-direct undrain clears the mark. Before the fix a
-	// learned mark could only be cleared through this router instance's
-	// own /shards/undrain, so a multi-router deployment kept asserting
-	// a stale drained set in X-Shard-Rerouted-From forever.
-	shards[0].setDraining(false)
-	waitFor("shard-a", false, "router kept a stale drain mark after the shard undrained")
+	shards[0].setHandler(refuseDraining)
+	if status, body := routerQuery(t, srv.URL, newcomer); status != http.StatusOK {
+		t.Fatalf("newcomer re-route: %d %s", status, body)
+	}
+	shards[0].setHandler(serveEmpty) // shard-a undrains; this router is not told
+	shards[1].setHandler(refuseDraining)
+	if status, body := routerQuery(t, srv.URL, requester); status != http.StatusOK {
+		t.Fatalf("re-route off shard-b: %d %s", status, body)
+	}
+	if got, hdr := shards[0].last(); got != requester || hdr != "shard-b" {
+		t.Fatalf("shard-a last saw %q asserting %q, want %q asserting \"shard-b\"", got, hdr, requester)
+	}
+	if got, hdr := shards[2].last(); got == requester {
+		t.Fatalf("requester landed on shard-c asserting %q", hdr)
+	}
 }
 
 // TestRouterHealthGate: a shard failing /readyz is refused fast with a

@@ -460,16 +460,22 @@ func (s *Source) executeStages(q *piql.Query, canonical, requester string, trace
 
 	// 4. Sequence auditing for aggregate queries. The check and the
 	// commit are one atomic step: two concurrent queries for the same
-	// requester must not both pass the check before either records.
+	// requester must not both pass the check before either records. An
+	// aggregate whose query set cannot be computed cannot be audited, so
+	// it is refused: answering it would leave no trace the auditor could
+	// hold the next query against.
 	if s.cfg.Audit != nil && rq.IsAggregate() {
-		set, ok := s.contextIndexSet(entry.rel)
-		if ok && len(set) > 0 {
-			ts = s.pipe.Now()
-			err := s.cfg.Audit.For(requester).CheckAndCommit(set)
-			s.pipe.Stage(trace, "audit", ts, err)
-			if err != nil {
-				return nil, fmt.Errorf("source %s: %w", s.cfg.Name, err)
-			}
+		ts = s.pipe.Now()
+		var err error
+		if set, ok := s.contextIndexSet(entry.rel); !ok {
+			s.cfg.Audit.For(requester).Refuse()
+			err = &audit.Refusal{Rule: "set-size", Detail: "the query set of this aggregate cannot be computed, so it cannot be audited"}
+		} else if len(set) > 0 {
+			err = s.cfg.Audit.For(requester).CheckAndCommit(set)
+		}
+		s.pipe.Stage(trace, "audit", ts, err)
+		if err != nil {
+			return nil, fmt.Errorf("source %s: %w", s.cfg.Name, err)
 		}
 	}
 
@@ -567,8 +573,8 @@ func (s *Source) rowEstimate(q *piql.Query) int {
 
 // contextIndexSet computes which row indices an aggregate query touches,
 // for the sequence auditor. Only relational-transformable queries get
-// exact sets; others (rq nil) return ok=false (audited conservatively
-// elsewhere).
+// exact sets; others (rq nil) return ok=false, and the caller refuses
+// them.
 func (s *Source) contextIndexSet(rq *relational.Query) ([]int, bool) {
 	if rq == nil {
 		return nil, false

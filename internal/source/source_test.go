@@ -17,6 +17,7 @@ import (
 	"privateiye/internal/policy"
 	"privateiye/internal/preserve"
 	"privateiye/internal/psi"
+	"privateiye/internal/refusal"
 	"privateiye/internal/relational"
 	"privateiye/internal/xmltree"
 )
@@ -210,7 +211,10 @@ func TestExecuteXMLDocsSource(t *testing.T) {
 	}
 }
 
-func TestAuditStopsRepeatedAggregates(t *testing.T) {
+// auditedSource is a 50-patient source whose auditor refuses query sets
+// under 3 individuals or overlapping an earlier one in more than 5.
+func auditedSource(t *testing.T) *Source {
+	t.Helper()
 	g := clinical.NewGenerator(5)
 	cat := relational.NewCatalog()
 	patients, _ := g.Patients("patients", 50, 2)
@@ -226,6 +230,11 @@ func TestAuditStopsRepeatedAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return src
+}
+
+func TestAuditStopsRepeatedAggregates(t *testing.T) {
+	src := auditedSource(t)
 	q := piql.MustParse("FOR //patients/row WHERE //age > 30 RETURN AVG(//age) AS a PURPOSE research")
 	if _, err := src.Execute(q, "snooper"); err != nil {
 		t.Fatalf("first aggregate should pass: %v", err)
@@ -237,6 +246,21 @@ func TestAuditStopsRepeatedAggregates(t *testing.T) {
 	// A different requester is unaffected.
 	if _, err := src.Execute(q, "other"); err != nil {
 		t.Errorf("other requester should pass: %v", err)
+	}
+}
+
+// TestAuditRefusesUnauditableAggregates: an aggregate the relational
+// transformer cannot compile (FOR //row, not //patients/row) has no
+// query set the auditor could hold the next query against. It is
+// refused as set-size every time, where it used to be answered
+// unaudited every time.
+func TestAuditRefusesUnauditableAggregates(t *testing.T) {
+	src := auditedSource(t)
+	q := piql.MustParse("FOR //row WHERE //age > 30 RETURN AVG(//age) AS a PURPOSE research")
+	for ask := 1; ask <= 3; ask++ {
+		if _, err := src.Execute(q, "snooper"); refusal.Classify(err) != refusal.AuditSetSize {
+			t.Fatalf("ask %d answered err=%v, want an audit-set-size refusal", ask, err)
+		}
 	}
 }
 
