@@ -150,7 +150,10 @@ loc:
 # 27,874 -> 27,720: one drain truth — the router's drain marks and their
 # status-poll sync, Ring.SetDraining/LookupActive/Remove and the second
 # lookup loop, SetShardPeerURLs and DrainVerifyTTL are gone.
-LOC_CEILING = 27720
+# 27,720 -> 26,991: admission control and brownout are retired (the
+# admission package, both gates, the -admit-* flags, the stale warehouse
+# read); /debug/trace prints requester pseudonyms and redacted queries.
+LOC_CEILING = 26991
 loc-check:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
 	if [ $$n -gt $(LOC_CEILING) ]; then \

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"privateiye/cmd/internal/daemon"
-	"privateiye/internal/admission"
 	"privateiye/internal/mediator"
 	"privateiye/internal/obs"
 	"privateiye/internal/psi"
@@ -55,13 +54,6 @@ func main() {
 	planCache := flag.Int("plan-cache", 256, "parse/plan cache capacity in entries (0 = disabled)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for /metrics, /debug/trace and /debug/pprof (empty = pprof off; /metrics and /debug/trace are always on -addr)")
 	traceRing := flag.Int("trace-ring", obs.DefaultTraceRing, "finished per-query traces kept for /debug/trace (0 = tracing off)")
-	admitMax := flag.Int("admit-max-concurrent", 0, "hard ceiling on concurrent queries; sheds answer 503 with Retry-After (0 = no concurrency limit)")
-	admitMin := flag.Int("admit-min-concurrent", 1, "AIMD floor of the adaptive concurrency limit")
-	admitQueue := flag.Int("admit-queue", 0, "admission queue capacity (0 = 2x ceiling, negative = shed immediately at the limit)")
-	admitTarget := flag.Duration("admit-latency-target", 0, "query latency above which AIMD halves the concurrency limit (0 = only deadline misses count)")
-	admitRate := flag.Float64("admit-rate", 0, "per-requester token-bucket refill in queries/sec; excess answers 429 (0 = no rate limit)")
-	admitBurst := flag.Float64("admit-burst", 0, "per-requester token-bucket burst capacity (0 = max(rate, 1))")
-	admitBrownout := flag.Bool("admit-brownout", false, "answer overload sheds from the warehouse, staleness allowed and marked stale (needs -warehouse)")
 	replicaOf := flag.String("replica-of", "", "run as a warm standby of the primary mediator at this base URL (needs -state-dir); promote via POST /replica/promote or SIGUSR1")
 	epochDir := flag.String("epoch-dir", "", "directory persisting the fencing epoch (default: -state-dir)")
 	replicaLagMax := flag.Uint64("replica-lag-max", 0, "records of replication lag a standby tolerates while still reporting ready")
@@ -114,22 +106,6 @@ func main() {
 			Heartbeat:  *replicaHeartbeat,
 		}
 	}
-	var admit *admission.Config
-	if *admitMax > 0 || *admitRate > 0 {
-		admit = &admission.Config{
-			MaxConcurrent: *admitMax,
-			MinConcurrent: *admitMin,
-			QueueCapacity: *admitQueue,
-			LatencyTarget: *admitTarget,
-			RatePerSec:    *admitRate,
-			Burst:         *admitBurst,
-		}
-	} else if *admitBrownout {
-		log.Print("piye-mediator: WARNING: -admit-brownout without -admit-max-concurrent or -admit-rate never triggers (nothing is ever shed)")
-	}
-	if *admitBrownout && *whCap == 0 {
-		log.Print("piye-mediator: WARNING: -admit-brownout without -warehouse has no materializations to serve; overload sheds will fail with 503")
-	}
 	var shardCfg *mediator.ShardConfig
 	if *shardID != "" || *shardPeers != "" {
 		if *shardID == "" || *shardPeers == "" {
@@ -172,8 +148,6 @@ func main() {
 		Coalesce:          *coalesce,
 		Obs:               d.Reg,
 		Trace:             d.Tracer,
-		Admission:         admit,
-		Brownout:          *admitBrownout,
 		Replica:           rep,
 		Shard:             shardCfg,
 	})

@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"privateiye/cmd/internal/daemon"
-	"privateiye/internal/admission"
 	"privateiye/internal/clinical"
 	"privateiye/internal/obs"
 	"privateiye/internal/policy"
@@ -41,12 +40,6 @@ func main() {
 	planCache := flag.Int("plan-cache", 256, "parse/plan cache capacity in entries (0 = disabled)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for /metrics, /debug/trace and /debug/pprof (empty = pprof off; /metrics and /debug/trace are always on -addr)")
 	traceRing := flag.Int("trace-ring", obs.DefaultTraceRing, "finished per-query traces kept for /debug/trace (0 = tracing off)")
-	admitMax := flag.Int("admit-max-concurrent", 0, "hard ceiling on concurrent query executions; sheds answer 503 with Retry-After (0 = no concurrency limit)")
-	admitMin := flag.Int("admit-min-concurrent", 1, "AIMD floor of the adaptive concurrency limit")
-	admitQueue := flag.Int("admit-queue", 0, "admission queue capacity (0 = 2x ceiling, negative = shed immediately at the limit)")
-	admitTarget := flag.Duration("admit-latency-target", 0, "execution latency above which AIMD halves the concurrency limit (0 = only deadline misses count)")
-	admitRate := flag.Float64("admit-rate", 0, "per-requester token-bucket refill in queries/sec; excess answers 429 (0 = no rate limit)")
-	admitBurst := flag.Float64("admit-burst", 0, "per-requester token-bucket burst capacity (0 = max(rate, 1))")
 	flag.Parse()
 
 	cat := relational.NewCatalog()
@@ -81,18 +74,7 @@ func main() {
 
 	d := daemon.New("piye-source", *traceRing)
 	d.Label = "piye-source " + *name
-	var admit *admission.Config
-	if *admitMax > 0 || *admitRate > 0 {
-		admit = &admission.Config{
-			MaxConcurrent: *admitMax,
-			MinConcurrent: *admitMin,
-			QueueCapacity: *admitQueue,
-			LatencyTarget: *admitTarget,
-			RatePerSec:    *admitRate,
-			Burst:         *admitBurst,
-		}
-	}
-	src, err := source.New(source.Config{Name: *name, Catalog: cat, Policy: pol, Seed: *seed, PlanCache: *planCache, Obs: d.Reg, Trace: d.Tracer, Admission: admit})
+	src, err := source.New(source.Config{Name: *name, Catalog: cat, Policy: pol, Seed: *seed, PlanCache: *planCache, Obs: d.Reg, Trace: d.Tracer})
 	if err != nil {
 		log.Fatalf("piye-source: %v", err)
 	}

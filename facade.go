@@ -11,7 +11,6 @@ import (
 	"context"
 
 	"privateiye/internal/accesscontrol"
-	"privateiye/internal/admission"
 	"privateiye/internal/audit"
 	"privateiye/internal/clinical"
 	"privateiye/internal/durable"
@@ -240,6 +239,9 @@ func ParseQuery(src string) (*Query, error) { return piql.Parse(src) }
 // Endpoint is the mediator's view of one source (local or HTTP).
 type Endpoint = source.Endpoint
 
+// ReleaseDecision is the Privacy Control verdict on an aggregate release.
+type ReleaseDecision = mediator.ReleaseDecision
+
 // PrivateOverlap counts |A ∩ B| of two sources' field values via relayed
 // PSI: neither source reveals its set; the caller learns only the size.
 // Each source uses its preferred suite; pass an explicit suite via
@@ -293,38 +295,6 @@ func NewChaosEndpoint(ep Endpoint, cfg ChaosConfig) *ChaosEndpoint {
 
 // ErrCircuitOpen marks calls skipped by an open circuit breaker.
 var ErrCircuitOpen = resilience.ErrOpen
-
-// --- Admission control ------------------------------------------------------
-
-// AdmissionConfig tunes overload protection: a per-requester token
-// bucket, an adaptive (AIMD) concurrency limit with a hard ceiling, and
-// a deadline-aware bounded queue. Set it on MediatorConfig.Admission
-// (mediator gate) / SourceConfig.Admission (per-source gates), or build
-// a standalone controller with NewAdmissionController.
-// AdmissionShedError is the typed refusal a shed request fails with:
-// classified refusal.Overloaded or refusal.RateLimited, mapped to HTTP
-// 429/503 with Retry-After, and never counted as a breaker failure.
-type (
-	AdmissionConfig     = admission.Config
-	AdmissionController = admission.Controller
-	AdmissionStats      = admission.Stats
-	AdmissionShedError  = admission.ShedError
-)
-
-// NewAdmissionController builds an admission controller for custom
-// gates. It returns (nil, nil) for a config that gates nothing; a nil
-// controller admits everything.
-func NewAdmissionController(cfg AdmissionConfig) (*AdmissionController, error) {
-	return admission.New(cfg)
-}
-
-// IsShed reports whether an error (anywhere in its chain) is a load
-// shed — admission refusing work on an overloaded node — as opposed to
-// a privacy refusal or a failure.
-func IsShed(err error) bool { return admission.IsShed(err) }
-
-// ReleaseDecision is the Privacy Control verdict on an aggregate release.
-type ReleaseDecision = mediator.ReleaseDecision
 
 // --- Replication and failover ----------------------------------------------
 

@@ -30,6 +30,50 @@ func (e forgingEndpoint) Query(ctx context.Context, text, requester string) (*xm
 	return n, err
 }
 
+// A mediator's answer is read fail-closed, as a source's estloss is: an
+// attribute that cannot be read, and a stale mark from an older build's
+// overload path, refuse the answer instead of reading as 0, false or
+// fresh.
+func TestIntegratedFromNodeFailsClosed(t *testing.T) {
+	for _, tc := range []struct {
+		attr, value string // value "-" removes the attribute
+		ok          bool
+	}{
+		{"duplicates", "0", true},
+		{"duplicates", "12", true},
+		{"duplicates", "-", false},
+		{"duplicates", "", false},
+		{"duplicates", "many", false},
+		{"duplicates", "-1", false},
+		{"duplicates", "1.5", false},
+		{"loss", "0", true},
+		{"loss", "0.25", true},
+		{"loss", "-", false},
+		{"loss", "low", false},
+		{"loss", "NaN", false},
+		{"loss", "-0.1", false},
+		{"loss", "1.5", false},
+		{"warehouse", "true", true},
+		{"warehouse", "false", true},
+		{"warehouse", "-", false},
+		{"warehouse", "yes", false},
+		{"stale", "false", true},
+		{"stale", "true", false},
+		{"stale", "maybe", false},
+		{"stale", "", false},
+	} {
+		n := IntegratedToNode(&Integrated{Result: &piql.Result{Columns: []string{"a"}}, Duplicates: 2, AggregatedLoss: 0.5})
+		if tc.value == "-" {
+			delete(n.Attrs, tc.attr)
+		} else {
+			n.SetAttr(tc.attr, tc.value)
+		}
+		if _, err := IntegratedFromNode(n); (err == nil) != tc.ok {
+			t.Errorf("%s=%q: err = %v, want accepted %v", tc.attr, tc.value, err, tc.ok)
+		}
+	}
+}
+
 // An answer whose loss estimate cannot be read must not count as loss 0
 // and pass the MAXLOSS control: that source's answer is denied.
 func TestUnreadableLossEstimateDeniesTheSource(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -26,11 +27,6 @@ func IntegratedToNode(in *Integrated) *xmltree.Node {
 		SetAttr("duplicates", strconv.Itoa(in.Duplicates)).
 		SetAttr("loss", strconv.FormatFloat(in.AggregatedLoss, 'g', -1, 64)).
 		SetAttr("warehouse", strconv.FormatBool(in.FromWarehouse))
-	if in.Stale {
-		// Only brownout answers carry the marker: absence means fresh.
-		root.SetAttr("stale", "true").
-			SetAttr("stale-age", strconv.FormatInt(in.StaleAge, 10))
-	}
 	for _, s := range in.Answered {
 		root.Append(xmltree.NewText("answered", s))
 	}
@@ -41,26 +37,37 @@ func IntegratedToNode(in *Integrated) *xmltree.Node {
 	return root
 }
 
-// IntegratedFromNode parses IntegratedToNode output.
+// IntegratedFromNode parses IntegratedToNode output, fail-closed as
+// parseAnswer reads a source's estloss: a duplicates, loss or warehouse
+// attribute that is missing or unreadable refuses the answer rather than
+// reading as 0 or false. So does a stale mark, which a mediator of an
+// older build put on a past-TTL warehouse answer served under overload:
+// it must not be shown as fresh.
 func IntegratedFromNode(n *xmltree.Node) (*Integrated, error) {
 	if n.Name != "integrated" {
 		return nil, fmt.Errorf("mediator: expected <integrated>, got <%s>", n.Name)
 	}
+	bad := func(name string) error {
+		v, _ := n.Attr(name)
+		return fmt.Errorf("mediator: integrated answer carries no usable %s (%s=%q)", name, name, v)
+	}
 	out := &Integrated{Denied: map[string]string{}}
-	if v, ok := n.Attr("duplicates"); ok {
-		out.Duplicates, _ = strconv.Atoi(v)
+	var err error
+	v, _ := n.Attr("duplicates")
+	if out.Duplicates, err = strconv.Atoi(v); err != nil || out.Duplicates < 0 {
+		return nil, bad("duplicates")
 	}
-	if v, ok := n.Attr("loss"); ok {
-		out.AggregatedLoss, _ = strconv.ParseFloat(v, 64)
+	v, _ = n.Attr("loss")
+	if out.AggregatedLoss, err = strconv.ParseFloat(v, 64); err != nil || math.IsNaN(out.AggregatedLoss) ||
+		out.AggregatedLoss < 0 || out.AggregatedLoss > 1 {
+		return nil, bad("loss")
 	}
-	if v, ok := n.Attr("warehouse"); ok {
-		out.FromWarehouse = v == "true"
+	v, _ = n.Attr("warehouse")
+	if out.FromWarehouse, err = strconv.ParseBool(v); err != nil {
+		return nil, bad("warehouse")
 	}
-	if v, ok := n.Attr("stale"); ok {
-		out.Stale = v == "true"
-	}
-	if v, ok := n.Attr("stale-age"); ok {
-		out.StaleAge, _ = strconv.ParseInt(v, 10, 64)
+	if v, ok := n.Attr("stale"); ok && v != "false" {
+		return nil, fmt.Errorf("mediator: integrated answer is marked stale (stale=%q), not fresh", v)
 	}
 	for _, a := range n.ChildrenNamed("answered") {
 		out.Answered = append(out.Answered, a.Text)
@@ -104,11 +111,6 @@ func NewHandler(m *Mediator) http.Handler {
 		}
 		in, err := m.QueryContext(ctx, string(body), requester)
 		if err != nil {
-			// Admission sheds are 429/503 with Retry-After so clients
-			// can distinguish "back off" from "forbidden".
-			if source.WriteShed(w, err) {
-				return
-			}
 			// Role and ownership refusals are 503, not 403: the query is
 			// fine, it just reached the wrong node — retry against the
 			// primary, or let the router re-route to the owning shard.

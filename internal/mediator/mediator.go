@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"privateiye/internal/admission"
 	"privateiye/internal/durable"
 	"privateiye/internal/obs"
 	"privateiye/internal/psi"
@@ -109,36 +108,20 @@ type Config struct {
 	// instrumentation cost beyond one nil check per stage.
 	Obs   *obs.Registry
 	Trace *obs.Tracer
-	// Admission, when non-nil and enabled, gates QueryContext with an
-	// admission controller: per-requester rate limiting, adaptive
-	// (AIMD) concurrency limiting with a hard ceiling, and a deadline-
-	// aware bounded queue that sheds requests whose estimated wait
-	// exceeds the caller's remaining deadline. Sheds surface as
-	// *admission.ShedError (HTTP 429/503 with Retry-After), classified
-	// as refusal.Overloaded / refusal.RateLimited — never as privacy
-	// refusals.
-	Admission *admission.Config
 	// Shard, when non-nil, places this mediator in a sharded tier: an
 	// ownership gate refuses requesters whose ring placement is another
 	// shard (fail-closed NotOwnerError, HTTP 503) and the drain/re-route
 	// handshake with the piye-router tier is enabled (see shard.go).
 	Shard *ShardConfig
-	// Brownout degrades overload sheds gracefully: instead of failing
-	// an Overloaded shed, the mediator answers from the warehouse even
-	// past TTL, marking the response Stale. Rate-limit sheds are never
-	// browned out (the point of the token bucket is to make the greedy
-	// requester slow down). Requires a warehouse to have any effect.
-	Brownout bool
 }
 
 // Mediator is a running mediation engine.
 type Mediator struct {
 	cfg     Config
 	matcher *schemamatch.Matcher
-	plans   *qcache.Cache         // parse cache; nil when disabled
-	pipe    *obs.Pipeline         // the frame around the stages; nil when uninstrumented
-	obs     *medObs               // per-source and coalescing handles; nil when uninstrumented
-	admit   *admission.Controller // nil = admit everything
+	plans   *qcache.Cache // parse cache; nil when disabled
+	pipe    *obs.Pipeline // the frame around the stages; nil when uninstrumented
+	obs     *medObs       // per-source and coalescing handles; nil when uninstrumented
 
 	// flights are the in-progress shared executions coalesced queries
 	// join, keyed by requester + normalized text.
@@ -245,17 +228,9 @@ func New(cfg Config) (*Mediator, error) {
 		history:  newHistory(),
 		ledger:   newReleaseLedger(),
 	}
-	m.pipe = obs.NewPipeline(cfg.Obs, cfg.Trace, "piye_mediator", nil, mediatorStages, outcomeWarehouse, outcomeBrownout)
+	m.pipe = obs.NewPipeline(cfg.Obs, cfg.Trace, "piye_mediator", nil, mediatorStages, outcomeWarehouse)
 	m.obs = newMedObs(cfg.Obs, m.pipe, cfg.Endpoints)
 	m.plans.Register(cfg.Obs, "mediator")
-	if cfg.Admission != nil {
-		ctl, err := admission.New(*cfg.Admission)
-		if err != nil {
-			return nil, fmt.Errorf("mediator: %w", err)
-		}
-		m.admit = ctl
-		ctl.Register(cfg.Obs, "mediator")
-	}
 	if cfg.Obs != nil {
 		// Bridge counters the subsystems already keep, sampled at scrape
 		// time; the closures capture m, which outlives the registry's
@@ -313,10 +288,6 @@ func New(cfg Config) (*Mediator, error) {
 	}
 	return m, nil
 }
-
-// AdmissionStats snapshots the admission controller (zero when the
-// mediator runs ungated), for experiments and tests.
-func (m *Mediator) AdmissionStats() admission.Stats { return m.admit.Stats() }
 
 // PlanCacheStats exposes the parse/plan cache counters (zeroes when the
 // cache is disabled): lifetime hits and misses plus the current entry

@@ -19,14 +19,10 @@ import (
 // additionally carry the source name.
 var mediatorStages = []string{"parse", "coalesce", "warehouse", "route", "fanout", "integrate", "control", "ledger"}
 
-// The piye_mediator_queries_total outcomes of a query answered other
-// than fresh from the sources: served materialized, and served stale
-// under overload — a success, but capacity planning must see how often
-// the system is degraded rather than fresh.
-const (
-	outcomeWarehouse = "warehouse"
-	outcomeBrownout  = "brownout"
-)
+// outcomeWarehouse is the piye_mediator_queries_total outcome of a
+// query answered from a fresh warehouse materialization rather than the
+// sources.
+const outcomeWarehouse = "warehouse"
 
 // srcCallObs are the per-source fan-out handles.
 type srcCallObs struct {

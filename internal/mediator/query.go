@@ -1,6 +1,6 @@
 package mediator
 
-// The query path: the role, ownership and admission gates, the shared
+// The query path: the role and ownership gates, the shared
 // phase (parse, warehouse, route, fan-out, integrate — possibly coalesced
 // across identical concurrent callers), then the per-caller phase (loss
 // control, the release ledger, history).
@@ -13,11 +13,9 @@ import (
 	"strings"
 	"time"
 
-	"privateiye/internal/admission"
 	"privateiye/internal/obs"
 	"privateiye/internal/piql"
 	"privateiye/internal/qcache"
-	"privateiye/internal/refusal"
 	"privateiye/internal/resilience"
 	"privateiye/internal/source"
 	"privateiye/internal/xmltree"
@@ -39,12 +37,6 @@ type Integrated struct {
 	AggregatedLoss float64
 	// FromWarehouse reports a materialized answer.
 	FromWarehouse bool
-	// Stale reports a brownout answer: the mediator was shedding load
-	// and served a warehouse materialization past its TTL instead of
-	// fanning out. StaleAge is its age in warehouse ticks. Callers that
-	// cannot tolerate staleness should retry after the overload clears.
-	Stale    bool
-	StaleAge int64
 }
 
 // Query runs the full mediation pipeline with a background context; see
@@ -91,17 +83,14 @@ func (m *Mediator) QueryContext(ctx context.Context, piqlText, requester string)
 // counter (nil, a refused query's result, reads as answered and is
 // never counted: the refusal is).
 func (in *Integrated) outcome() string {
-	switch {
-	case in != nil && in.Stale:
-		return outcomeBrownout
-	case in != nil && in.FromWarehouse:
+	if in != nil && in.FromWarehouse {
 		return outcomeWarehouse
 	}
 	return obs.OutcomeAnswered
 }
 
-// gatedQuery passes the query through the role, ownership and admission
-// gates and, once admitted, the pipeline's stages.
+// gatedQuery passes the query through the role and ownership gates
+// and then the pipeline's stages.
 func (m *Mediator) gatedQuery(ctx context.Context, piqlText, requester string, trace *obs.Trace) (*Integrated, error) {
 	// Role gate: a standby mirrors the primary's releases but must not
 	// grant its own, and a fenced ex-primary must grant nothing at all —
@@ -109,64 +98,18 @@ func (m *Mediator) gatedQuery(ctx context.Context, piqlText, requester string, t
 	if err := m.writeGate(); err != nil {
 		return nil, err
 	}
-	// Ownership gate: before admission, so a misrouted requester never
-	// consumes a concurrency slot it was never entitled to.
+	// Ownership gate: a misrouted requester is turned away before any
+	// stage runs.
 	if err := m.shardGate(ctx, requester); err != nil {
-		return nil, err
-	}
-	grant, err := m.admit.Acquire(ctx, requester)
-	if err != nil {
-		var sh *admission.ShedError
-		if errors.As(err, &sh) {
-			sh.Scope = "mediator"
-			// Brownout: an Overloaded shed may still be answered from
-			// the warehouse, staleness allowed and marked. Rate-limit
-			// sheds always fail — serving the greedy requester stale
-			// data would defeat the throttle.
-			if m.cfg.Brownout && sh.Reason == refusal.Overloaded {
-				if out := m.brownout(piqlText, requester); out != nil {
-					return out, nil
-				}
-			}
-		}
 		return nil, err
 	}
 	// The pipeline body: a shared execution phase (possibly coalesced
 	// across concurrent identical callers), then the per-caller controls.
-	var out *Integrated
 	sh, err := m.executeCoalesced(ctx, piqlText, requester, trace)
-	if err == nil {
-		out, err = m.finalize(sh, requester, trace)
-	}
-	grant.Release(err)
-	return out, err
-}
-
-// brownout serves a shed query from the warehouse regardless of TTL.
-// It costs one parse (usually a plan-cache hit) and one map lookup —
-// nothing that scales with load — and skips history recording: a
-// brownout answer discloses only what an earlier admitted query
-// already disclosed and recorded. Returns nil when no materialization
-// exists, in which case the shed stands.
-func (m *Mediator) brownout(piqlText, requester string) *Integrated {
-	if m.wh == nil {
-		return nil
-	}
-	pq, err := m.plans.Parse("", piqlText)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	res, age, ok := m.wh.GetStale(requester + "|" + pq.Canonical)
-	if !ok {
-		return nil
-	}
-	return &Integrated{
-		Result:        res,
-		Answered:      []string{"warehouse"},
-		FromWarehouse: true,
-		Stale:         true,
-		StaleAge:      age,
-	}
+	return m.finalize(sh, requester, trace)
 }
 
 // sharedExec is what one pipeline execution yields before any

@@ -199,8 +199,8 @@ func (m *Mediator) setupShard(cfg ShardConfig) error {
 }
 
 // shardGate is the ownership check, run on every query after the role
-// gate and before admission (a misrouted query must not consume a
-// concurrency slot). Unsharded mediators pay one nil check.
+// gate and before any pipeline stage (a misrouted query must not cost a
+// parse or a fan-out). Unsharded mediators pay one nil check.
 //
 // The decision table:
 //

@@ -135,7 +135,7 @@ func TestTracerRing(t *testing.T) {
 
 func TestTraceHandler(t *testing.T) {
 	tr := NewTracer(8)
-	trace := tr.Start("bob", "FOR //compliance/row RETURN AVG(//rate)")
+	trace := tr.Start("bob", "FOR //compliance/row WHERE //hmo = 'HMO-A' RETURN AVG(//rate)")
 	trace.Record("fanout", "hospitalA", time.Now(), time.Millisecond, OutcomeTimeout)
 	trace.Finish(RefusedOutcome("timeout"))
 
@@ -146,14 +146,18 @@ func TestTraceHandler(t *testing.T) {
 	}
 	var out []struct {
 		Requester string `json:"requester"`
+		Query     string `json:"query"`
 		Outcome   string `json:"outcome"`
 		Spans     []Span `json:"spans"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatalf("bad json: %v\n%s", err, rec.Body.String())
 	}
-	if len(out) != 1 || out[0].Requester != "bob" || out[0].Outcome != "refused:timeout" {
+	if len(out) != 1 || out[0].Requester != tr.pseudonym("bob") || out[0].Outcome != "refused:timeout" {
 		t.Fatalf("traces = %+v", out)
+	}
+	if want := "FOR //compliance/row WHERE //hmo = '<string>' RETURN AVG (//rate)"; out[0].Query != want {
+		t.Fatalf("query = %q, want %q", out[0].Query, want)
 	}
 	if len(out[0].Spans) != 1 || out[0].Spans[0].Source != "hospitalA" {
 		t.Fatalf("spans = %+v", out[0].Spans)
@@ -163,6 +167,20 @@ func TestTraceHandler(t *testing.T) {
 	TraceHandler(tr).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace?last=bogus", nil))
 	if rec.Code != 400 {
 		t.Fatalf("bad last: status %d, want 400", rec.Code)
+	}
+}
+
+// A pseudonym is stable within one tracer, so an operator can follow a
+// requester, and keyed per tracer, so it cannot be checked against a
+// guessed name elsewhere.
+func TestRequesterPseudonym(t *testing.T) {
+	a, b := NewTracer(1), NewTracer(1)
+	p := a.pseudonym("alice")
+	if len(p) != 18 || !strings.HasPrefix(p, "r-") || strings.Contains(p, "alice") {
+		t.Fatalf("pseudonym %q, want r- and 16 hex digits", p)
+	}
+	if a.pseudonym("alice") != p || a.pseudonym("bob") == p || b.pseudonym("alice") == p {
+		t.Fatal("pseudonyms must be stable per tracer, distinct per name, and keyed per tracer")
 	}
 }
 

@@ -26,11 +26,9 @@ type Pipeline struct {
 	refusals map[refusal.Reason]*Counter
 }
 
-// The <prefix>_queries_total outcomes of a query that was not answered.
-const (
-	outcomeRefused = "refused"
-	outcomeShed    = "shed"
-)
+// outcomeRefused is the <prefix>_queries_total outcome of a query that
+// was not answered.
+const outcomeRefused = "refused"
 
 // ErrSkipped, recorded as a stage's error, marks a stage that passed the
 // query on without deciding it (a warehouse miss): its span reads
@@ -62,7 +60,7 @@ func NewPipeline(reg *Registry, tracer *Tracer, prefix string, labels, stages []
 	for _, st := range stages {
 		p.stages[st] = reg.Histogram(prefix+"_stage_seconds", nil, with("stage", st)...)
 	}
-	for _, oc := range append([]string{OutcomeAnswered, outcomeRefused, outcomeShed}, answered...) {
+	for _, oc := range append([]string{OutcomeAnswered, outcomeRefused}, answered...) {
 		p.outcomes[oc] = reg.Counter(prefix+"_queries_total", with("outcome", oc)...)
 	}
 	for _, rs := range refusal.All() {
@@ -118,39 +116,23 @@ func (p *Pipeline) Span(trace *Trace, h *Histogram, stage, source string, t0 tim
 
 // Finish closes a query that entered the pipeline at t0: its latency,
 // then its outcome — answered (OutcomeAnswered or a name given to
-// NewPipeline) when err is nil, else whatever Refuse makes of err.
+// NewPipeline) when err is nil, else refused. One classification of err
+// feeds the reason counter and the trace outcome, so the two cannot
+// disagree.
 func (p *Pipeline) Finish(trace *Trace, t0 time.Time, answered string, err error) {
 	if p == nil {
 		return
 	}
 	p.latency.Observe(time.Since(t0).Seconds())
 	if err != nil {
-		p.Refuse(trace, err)
+		reason := refusal.Classify(err)
+		p.outcomes[outcomeRefused].Inc()
+		p.refusals[reason].Inc()
+		trace.Finish(RefusedOutcome(reason.String()))
 		return
 	}
 	p.outcomes[answered].Inc()
 	trace.Finish(OutcomeAnswered)
-}
-
-// Refuse closes a query on err with no latency observation: Finish's
-// refusal half, and all there is to record for a query turned away
-// before it entered the pipeline. One classification feeds the reason
-// counter and the trace outcome, so the two cannot disagree. Load sheds
-// are capacity decisions, not privacy refusals: they count under their
-// own outcome, so overload never inflates the refusal rate an auditor
-// watches, while the reason series still says why.
-func (p *Pipeline) Refuse(trace *Trace, err error) {
-	if p == nil {
-		return
-	}
-	reason := refusal.Classify(err)
-	outcome := outcomeRefused
-	if refusal.IsShed(err) {
-		outcome = outcomeShed
-	}
-	p.outcomes[outcome].Inc()
-	p.refusals[reason].Inc()
-	trace.Finish(RefusedOutcome(reason.String()))
 }
 
 // spanOutcome renders a stage or call error as a span outcome. Timeouts

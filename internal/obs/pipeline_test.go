@@ -9,11 +9,6 @@ import (
 	"time"
 )
 
-type shedErr struct{}
-
-func (shedErr) Error() string { return "mediator: overloaded: queue full" }
-func (shedErr) Shed() bool    { return true }
-
 func TestSpanOutcomeClassifiesTheStageError(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -52,8 +47,8 @@ func TestPipelineRecordsUnderPrefixAndConstantLabels(t *testing.T) {
 	finish("cached", nil, ErrSkipped)
 	denied := errors.New("source a: query fully denied: id: denied")
 	finish(OutcomeAnswered, denied, denied)
-	finish(OutcomeAnswered, shedErr{})
-	p.Refuse(p.Start("bob", "q"), shedErr{}) // turned away before the pipeline: no latency
+	// Turned away before any stage: a refusal with no spans.
+	p.Finish(p.Start("bob", "q"), time.Now(), OutcomeAnswered, errors.New("mediator: shard b is not the owner of requester bob (owner a)"))
 
 	var buf strings.Builder
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -62,10 +57,9 @@ func TestPipelineRecordsUnderPrefixAndConstantLabels(t *testing.T) {
 	for _, want := range []string{
 		`piye_x_queries_total{source="a",outcome="answered"} 1`,
 		`piye_x_queries_total{source="a",outcome="cached"} 1`,
-		`piye_x_queries_total{source="a",outcome="refused"} 1`,
-		`piye_x_queries_total{source="a",outcome="shed"} 2`,
+		`piye_x_queries_total{source="a",outcome="refused"} 2`,
 		`piye_x_refusals_total{source="a",reason="policy-denied"} 1`,
-		`piye_x_refusals_total{source="a",reason="overloaded"} 2`,
+		`piye_x_refusals_total{source="a",reason="not-owner"} 1`,
 		`piye_x_refusals_total{source="a",reason="timeout"} 0`,
 		`piye_x_query_seconds_count{source="a"} 4`,
 		`piye_x_stage_seconds_count{source="a",stage="plan"} 3`,
@@ -80,13 +74,13 @@ func TestPipelineRecordsUnderPrefixAndConstantLabels(t *testing.T) {
 	if len(traces) != 4 {
 		t.Fatalf("ring holds %d traces, want 4 (the ring's capacity)", len(traces))
 	}
-	if traces[0].Requester != "bob" || traces[0].Outcome != "refused:overloaded" || len(traces[0].Spans) != 0 {
-		t.Errorf("pre-pipeline shed trace = %+v", traces[0])
+	if traces[0].Requester != tracer.pseudonym("bob") || traces[0].Outcome != "refused:not-owner" || len(traces[0].Spans) != 0 {
+		t.Errorf("pre-stage refusal trace = %+v", traces[0])
 	}
-	if got := traces[2]; got.Outcome != "refused:policy-denied" || got.Spans[0].Outcome != got.Outcome {
+	if got := traces[1]; got.Outcome != "refused:policy-denied" || got.Spans[0].Outcome != got.Outcome {
 		t.Errorf("refused trace = %+v: span and trace must read the same classification", got)
 	}
-	if got := traces[3]; got.Outcome != OutcomeAnswered || got.Spans[0].Outcome != OutcomeSkipped {
+	if got := traces[2]; got.Outcome != OutcomeAnswered || got.Spans[0].Outcome != OutcomeSkipped {
 		t.Errorf("cached trace = %+v", got)
 	}
 }
@@ -102,7 +96,6 @@ func TestNilPipelineIsTheUninstrumentedEngine(t *testing.T) {
 	p.Stage(nil, "plan", time.Time{}, nil)
 	p.Span(nil, nil, "source", "a", time.Time{}, nil)
 	p.Finish(nil, time.Time{}, OutcomeAnswered, errors.New("x"))
-	p.Refuse(nil, errors.New("x"))
 
 	// A tracer alone is enough to trace; the nil registry's handles no-op.
 	traced := NewPipeline(nil, NewTracer(1), "piye_x", nil, []string{"plan"})

@@ -1,9 +1,15 @@
 package obs
 
 import (
+	"crypto/hmac"
+	"crypto/rand"
+	"crypto/sha256"
+	"encoding/hex"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"privateiye/internal/piql"
 )
 
 // Span outcomes. Per-stage outcomes reuse the refusal-reason vocabulary
@@ -87,15 +93,18 @@ func (t *Trace) Finish(outcome string) {
 }
 
 // snapshot returns a copy safe to serialize while new traces are being
-// recorded. The trace itself is finished (immutable) by the time it is
-// in the ring, but copying keeps the reader decoupled anyway.
+// recorded, scrubbed for egress: the requester as the tracer's
+// pseudonym for it, and the query with its literals replaced
+// (piql.Redact). It is the only way out of the ring, so /debug/trace,
+// which anyone who can send a query can read, shows no requester's name
+// and no literal.
 func (t *Trace) snapshot() *Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return &Trace{
 		ID:        t.ID,
-		Requester: t.Requester,
-		Query:     t.Query,
+		Requester: t.tracer.pseudonym(t.Requester),
+		Query:     piql.Redact(t.Query),
 		Shard:     t.Shard,
 		Begin:     t.Begin,
 		Spans:     append([]Span(nil), t.Spans...),
@@ -109,6 +118,7 @@ func (t *Trace) snapshot() *Trace {
 // valid and disables tracing.
 type Tracer struct {
 	next atomic.Uint64
+	key  [32]byte // keys the requester pseudonyms; never leaves the process
 
 	mu   sync.Mutex
 	ring []*Trace // ring[next%cap] is the oldest slot
@@ -124,7 +134,21 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceRing
 	}
-	return &Tracer{ring: make([]*Trace, capacity)}
+	tr := &Tracer{ring: make([]*Trace, capacity)}
+	if _, err := rand.Read(tr.key[:]); err != nil {
+		panic("obs: no randomness for the trace pseudonym key: " + err.Error())
+	}
+	return tr
+}
+
+// pseudonym renders a requester as "r-" and 16 hex digits of
+// HMAC-SHA256 under the tracer's key: stable within the process, so one
+// requester's traces still read as one, and neither reversible nor
+// checkable against a guessed name without the key.
+func (tr *Tracer) pseudonym(requester string) string {
+	mac := hmac.New(sha256.New, tr.key[:])
+	mac.Write([]byte(requester))
+	return "r-" + hex.EncodeToString(mac.Sum(nil)[:8])
 }
 
 // Start begins a trace for one query. Returns nil (a valid no-op trace)

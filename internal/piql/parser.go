@@ -143,6 +143,35 @@ func lex(src string) ([]token, error) {
 	return toks, nil
 }
 
+// Redact renders a query text for telemetry with its literals replaced
+// by typed placeholders: a string reads '<string>', a number <number>,
+// and a bare word compared against (WHERE //name = smith) <string>. It
+// reads the text with the lexer, so a literal is exactly what parsing
+// would take for one. Text that does not lex is not echoed at all.
+func Redact(src string) string {
+	toks, err := lex(src)
+	if err != nil {
+		return fmt.Sprintf("<unparsable query, %d bytes>", len(src))
+	}
+	var b strings.Builder
+	for i, t := range toks[:len(toks)-1] {
+		if i > 0 && t.kind != tokComma && t.kind != tokRParen && toks[i-1].kind != tokLParen {
+			b.WriteByte(' ')
+		}
+		switch {
+		case t.kind == tokString:
+			b.WriteString("'<string>'")
+		case t.kind == tokNumber:
+			b.WriteString("<number>")
+		case t.kind == tokIdent && i > 0 && toks[i-1].kind == tokOp:
+			b.WriteString("<string>")
+		default:
+			b.WriteString(t.text)
+		}
+	}
+	return b.String()
+}
+
 func isIdentStart(c byte) bool {
 	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
 }

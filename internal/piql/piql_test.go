@@ -724,3 +724,20 @@ func TestResultFromNodeRefusesUntrustworthyMultiplicities(t *testing.T) {
 		t.Errorf("a multiplicity for no rows accepted as %v", res.Mult)
 	}
 }
+
+// Redact keeps a query's shape and drops its literals: what telemetry
+// may show of a query.
+func TestRedactReplacesLiteralsWithPlaceholders(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"FOR //patients/row WHERE //name = 'O''Hara' AND //age >= 42 RETURN //age, COUNT(*) PURPOSE research MAXLOSS 0.9",
+			"FOR //patients/row WHERE //name = '<string>' AND //age >= <number> RETURN //age, COUNT (*) PURPOSE research MAXLOSS <number>"},
+		{"FOR //r WHERE //city=smithville OR //note CONTAINS 'flu' RETURN //id LIMIT 3",
+			"FOR //r WHERE //city = <string> OR //note CONTAINS '<string>' RETURN //id LIMIT <number>"},
+		{"FOR //r WHERE //name = 'unterminated", "<unparsable query, 36 bytes>"},
+		{"", ""},
+	} {
+		if got := Redact(c.in); got != c.want {
+			t.Errorf("Redact(%q) =\n  %q\nwant\n  %q", c.in, got, c.want)
+		}
+	}
+}

@@ -56,14 +56,6 @@ const (
 	// NoSource: no source holds data matching the query, or every
 	// source failed.
 	NoSource Reason = "no-source"
-	// Overloaded: admission control shed the request because the node is
-	// saturated (concurrency limit reached, queue full, or the estimated
-	// queue wait exceeds the caller's remaining deadline). Not a privacy
-	// refusal: the caller may retry after backing off.
-	Overloaded Reason = "overloaded"
-	// RateLimited: the per-requester token bucket refused the request.
-	// Not a privacy refusal: the caller may retry after Retry-After.
-	RateLimited Reason = "ratelimited"
 	// NotPrimary: the query reached a replication standby (or a node
 	// mid-promotion); the caller should retry against the primary. Not a
 	// privacy refusal.
@@ -96,8 +88,7 @@ func All() []Reason {
 		Timeout, Canceled, BreakerOpen, Policy,
 		AuditSetSize, AuditOverlap, AuditCompromise,
 		LedgerCombination, Unrecordable, LossBudget,
-		Parse, NoSource, Overloaded, RateLimited,
-		NotPrimary, Fenced, NotOwner, Other,
+		Parse, NoSource, NotPrimary, Fenced, NotOwner, Other,
 	}
 }
 
@@ -108,11 +99,10 @@ type Reasoner interface {
 }
 
 // IsShed reports whether any error in the chain is load shedding (it
-// implements Shed() bool, returning true): a capacity decision by a node
-// that is alive and answering — an admission.ShedError, a 429/503 that
-// crossed the wire — not a privacy refusal and not a failure. The
-// breaker, the outcome counters and the HTTP handlers recognize sheds
-// through it, without importing a concrete error type.
+// implements Shed() bool, returning true): a 429/503 that crossed the
+// wire from a node that is alive and answering — a standby, a node not
+// yet ready — not a privacy refusal and not a failure. The breaker
+// recognizes sheds through it, without importing a concrete error type.
 func IsShed(err error) bool {
 	var sh interface{ Shed() bool }
 	return errors.As(err, &sh) && sh.Shed()
@@ -169,10 +159,6 @@ func ClassifyString(s string) Reason {
 		return Parse
 	case strings.Contains(s, "no source holds data") || strings.Contains(s, "every source refused"):
 		return NoSource
-	case strings.Contains(s, "rate limit"):
-		return RateLimited
-	case strings.Contains(s, "overloaded"):
-		return Overloaded
 	// "fenced" before "not primary": a fenced node's message may name
 	// its role ("not primary (role fenced...)") and the sharper reason
 	// wins.

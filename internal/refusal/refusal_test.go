@@ -67,11 +67,6 @@ func TestClassifyString(t *testing.T) {
 		{"source: bad query: piql: unterminated string at offset 12", Parse},
 		{"mediator: no source holds data matching //nothing", NoSource},
 		{"mediator: every source refused: a: down; b: down", NoSource},
-		// admission control (shed, not a privacy refusal).
-		{"mediator: overloaded: 4 queries in flight at limit 4, queue full", Overloaded},
-		{"source hospitalA: 503 Service Unavailable: source hospitalA: overloaded: estimated queue wait 120ms exceeds remaining deadline 50ms", Overloaded},
-		{"mediator: rate limit exceeded for requester drWho: retry after 1s", RateLimited},
-		{"source lab: 429 Too Many Requests: source lab: rate limit exceeded for requester drWho", RateLimited},
 		// replication role refusals (retry against the primary).
 		{"mediator: not primary (role standby, epoch 3): this node mirrors the primary and does not grant releases", NotPrimary},
 		{"mediator: fenced at epoch 4: a newer primary exists; refusing to grant releases", Fenced},
@@ -83,6 +78,9 @@ func TestClassifyString(t *testing.T) {
 		{"source front: 503 Service Unavailable: mediator: shard shard-c is not the owner of requester drWho (owner shard-a)", NotOwner},
 		// HTTP 503 from a dead node: transport noise, not a known reason.
 		{"source hospitalC: 503 Service Unavailable: upstream reset", Other},
+		// An older build's admission sheds: no reason names them any more.
+		{"mediator: overloaded: 4 queries in flight at limit 4, queue full", Other},
+		{"source lab: 429 Too Many Requests: source lab: rate limit exceeded for requester drWho", Other},
 	}
 	for _, c := range cases {
 		if got := ClassifyString(c.msg); got != c.want {
@@ -99,7 +97,7 @@ func TestAllCoversEveryReasonOnce(t *testing.T) {
 		}
 		seen[r] = true
 	}
-	if len(seen) != 18 {
+	if len(seen) != 16 {
 		t.Fatalf("All() lists %d reasons; update the test when the vocabulary deliberately grows", len(seen))
 	}
 }
@@ -124,8 +122,6 @@ func TestEnumStaysClosed(t *testing.T) {
 		LossBudget:        "integrated information loss 0.80 exceeds the requester's MAXLOSS 0.50",
 		Parse:             "piql: expected FOR at offset 0",
 		NoSource:          "no source holds data matching //nothing",
-		Overloaded:        "overloaded: 4 queries in flight at limit 4, queue full",
-		RateLimited:       "rate limit exceeded for requester drWho",
 		NotPrimary:        "not primary (role standby, epoch 3)",
 		Fenced:            "fenced at epoch 4: a newer primary exists",
 		NotOwner:          "shard shard-b is not the owner of requester drWho (owner shard-a)",

@@ -60,7 +60,8 @@ const (
 	answered outcome = iota
 	// canceled: the caller gave up; nothing is known about the callee.
 	canceled
-	// shed: the callee is alive but saturated (refusal.IsShed).
+	// shed: the callee is alive but declines this call for now: a 429 or
+	// 503 such as a standby's (refusal.IsShed).
 	shed
 	// failed: anything else, deadline overruns included — a hanging
 	// callee is a failing one.
@@ -177,7 +178,7 @@ func retry[T any](ctx context.Context, p Policy, op func(context.Context) (T, er
 		delay := p.Backoff(attempt)
 		// A server that said Retry-After knows its own backlog better
 		// than our exponential schedule does; never retry sooner than it
-		// asked (retrying into a throttle just burns its admission queue).
+		// asked.
 		var ra interface{ RetryAfterHint() (time.Duration, bool) }
 		if errors.As(err, &ra) {
 			if hint, ok := ra.RetryAfterHint(); ok && hint > delay {

@@ -3,14 +3,12 @@ package source
 import (
 	"context"
 	"crypto/rand"
-	"errors"
 	"fmt"
 	"sync"
 
 	"privateiye/internal/obs"
 	"privateiye/internal/psi"
 	"privateiye/internal/qcache"
-	"privateiye/internal/refusal"
 	"privateiye/internal/schemamatch"
 	"privateiye/internal/xmltree"
 )
@@ -141,8 +139,8 @@ func (l *Local) FetchProfiles(ctx context.Context) ([]schemamatch.FieldProfile, 
 	return l.Src.Profiles(), nil
 }
 
-// Query implements Endpoint. Every error but a context error or a shed
-// is the source's answer to the query — a policy denial, an audit
+// Query implements Endpoint. Every error but a context error is the
+// source's answer to the query — a policy denial, an audit
 // refusal, a query it cannot parse — and comes back as one, in the form
 // the HTTP handler's 403 takes on the wire.
 func (l *Local) Query(ctx context.Context, piqlText, requester string) (*xmltree.Node, error) {
@@ -153,11 +151,8 @@ func (l *Local) Query(ctx context.Context, piqlText, requester string) (*xmltree
 	if err != nil {
 		return nil, answerError{fmt.Errorf("source: bad query: %w", err)}
 	}
-	ans, err := l.Src.executeContext(ctx, pq.Query, pq.Canonical, requester)
+	ans, err := l.Src.execute(pq.Query, pq.Canonical, requester)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || refusal.IsShed(err) {
-			return nil, err
-		}
 		return nil, answerError{err}
 	}
 	return ans.Node, nil

@@ -6,14 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
 	"time"
 
-	"privateiye/internal/admission"
 	"privateiye/internal/obs"
 	"privateiye/internal/policy"
 	"privateiye/internal/psi"
@@ -65,11 +63,6 @@ func NewHandler(l *Local) http.Handler {
 		}
 		node, err := l.Query(r.Context(), string(body), requester)
 		if err != nil {
-			// Admission sheds are 429/503 with Retry-After — the caller
-			// should back off, not conclude it was forbidden.
-			if WriteShed(w, err) {
-				return
-			}
 			// Policy denials and audit refusals are forbidden, not broken.
 			fail(w, http.StatusForbidden, err)
 			return
@@ -182,24 +175,6 @@ func ReadQueryBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool
 		return nil, false
 	}
 	return body, true
-}
-
-// WriteShed writes a load-shed error as 429/503 with a Retry-After
-// header and reports whether it did. Non-shed errors are left to the
-// caller's normal error mapping. Shared by the source and mediator
-// handlers so both daemons speak the same overload dialect.
-func WriteShed(w http.ResponseWriter, err error) bool {
-	var sh *admission.ShedError
-	if !errors.As(err, &sh) {
-		return false
-	}
-	secs := int(math.Ceil(sh.RetryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	http.Error(w, err.Error(), sh.HTTPStatus())
-	return true
 }
 
 // ParseRetryAfter reads a Retry-After header's delay-seconds form (the

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"privateiye/internal/admission"
 	"privateiye/internal/psi"
 	"privateiye/internal/refusal"
 	"privateiye/internal/xmltree"
@@ -75,7 +74,7 @@ func TestParseRetryAfter(t *testing.T) {
 func TestClientSurfacesRetryAfterAndShed(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "3")
-		http.Error(w, "mediator: overloaded: queue full", http.StatusServiceUnavailable)
+		http.Error(w, "mediator: not primary (role standby, epoch 1): this node mirrors the primary and does not grant releases", http.StatusServiceUnavailable)
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL, "busy")
@@ -90,27 +89,9 @@ func TestClientSurfacesRetryAfterAndShed(t *testing.T) {
 	if !he.Shed() || !he.Retryable() {
 		t.Fatalf("503 should read as a retryable shed: %+v", he)
 	}
-	// The shed reason survives the wire: only the message crossed.
-	if got := refusal.Classify(err); got != refusal.Overloaded {
+	// The reason survives the wire: only the message crossed.
+	if got := refusal.Classify(err); got != refusal.NotPrimary {
 		t.Fatalf("Classify = %v", got)
-	}
-}
-
-func TestWriteShed(t *testing.T) {
-	rec := httptest.NewRecorder()
-	sh := &admission.ShedError{Reason: refusal.RateLimited, Requester: "alice", RetryAfter: 1500 * time.Millisecond}
-	if !WriteShed(rec, sh) {
-		t.Fatal("shed not recognized")
-	}
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("code = %d", rec.Code)
-	}
-	if got := rec.Header().Get("Retry-After"); got != "2" { // 1.5s rounds up
-		t.Fatalf("Retry-After = %q", got)
-	}
-	// Non-shed errors are left alone.
-	if WriteShed(httptest.NewRecorder(), errors.New("policy denial")) {
-		t.Fatal("plain error treated as shed")
 	}
 }
 

@@ -1,8 +1,6 @@
 package source
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -11,7 +9,6 @@ import (
 	"time"
 
 	"privateiye/internal/accesscontrol"
-	"privateiye/internal/admission"
 	"privateiye/internal/audit"
 	"privateiye/internal/cluster"
 	"privateiye/internal/obs"
@@ -72,13 +69,6 @@ type Config struct {
 	// cost beyond one nil check per stage.
 	Obs   *obs.Registry
 	Trace *obs.Tracer
-	// Admission, when non-nil and enabled, gates Local.Query with a
-	// per-source admission controller: per-requester rate limiting,
-	// adaptive (AIMD) concurrency limiting and deadline-aware queueing.
-	// Sheds surface as *admission.ShedError (429/503 over HTTP), which
-	// the mediator's breaker and retry policy treat as "alive but busy",
-	// never as a source failure.
-	Admission *admission.Config
 }
 
 // Source is a running remote source.
@@ -87,10 +77,9 @@ type Source struct {
 	matcher  *schemamatch.Matcher
 	resolver piql.Resolver
 	rng      *stats.Rand
-	summary  *xmltree.Summary      // full (unredacted) structural summary
-	plans    *qcache.Cache         // parse/plan cache; nil when disabled
-	pipe     *obs.Pipeline         // the frame around the stages; nil when uninstrumented
-	admit    *admission.Controller // nil = admit everything
+	summary  *xmltree.Summary // full (unredacted) structural summary
+	plans    *qcache.Cache    // parse/plan cache; nil when disabled
+	pipe     *obs.Pipeline    // the frame around the stages; nil when uninstrumented
 
 	mu    sync.RWMutex
 	prefs []*policy.Policy // registered data-subject preferences
@@ -185,14 +174,6 @@ func New(cfg Config) (*Source, error) {
 	s.resolver = s.matcher.ResolverFor(s.summary.LeafNames())
 	s.prefs = append(s.prefs, cfg.Preferences...)
 	s.pipe = obs.NewPipeline(cfg.Obs, cfg.Trace, "piye_source", []string{"source", cfg.Name}, sourceStages)
-	if cfg.Admission != nil {
-		ctl, err := admission.New(*cfg.Admission)
-		if err != nil {
-			return nil, fmt.Errorf("source %s: %w", cfg.Name, err)
-		}
-		s.admit = ctl
-		ctl.Register(cfg.Obs, "source:"+cfg.Name)
-	}
 	s.plans.Register(cfg.Obs, "source:"+cfg.Name)
 	return s, nil
 }
@@ -417,35 +398,6 @@ func (s *Source) execute(q *piql.Query, canonical, requester string) (*Answer, e
 	s.pipe.Finish(trace, t0, obs.OutcomeAnswered, err)
 	return ans, err
 }
-
-// executeContext is execute behind the admission gate (the nil gate of
-// a source without an Admission config admits everything): the request
-// is rate-limited per requester, counted against the adaptive
-// concurrency limit, and queued only while the estimated wait fits the
-// context's remaining deadline. The context bounds only the wait for
-// admission — the pipeline itself is synchronous CPU work and runs to
-// completion once admitted (its duration feeds the AIMD limit).
-func (s *Source) executeContext(ctx context.Context, q *piql.Query, canonical, requester string) (*Answer, error) {
-	grant, err := s.admit.Acquire(ctx, requester)
-	if err != nil {
-		var sh *admission.ShedError
-		if errors.As(err, &sh) {
-			sh.Scope = "source " + s.cfg.Name
-			// The query never entered the pipeline, but the shed must
-			// still be visible in metrics and traces, and distinguishable
-			// there from a privacy refusal.
-			s.pipe.Refuse(s.pipe.Start(requester, canonical), sh)
-		}
-		return nil, err
-	}
-	ans, err := s.execute(q, canonical, requester)
-	grant.Release(err)
-	return ans, err
-}
-
-// AdmissionStats snapshots the admission controller (zero when the
-// source runs ungated), for experiments and tests.
-func (s *Source) AdmissionStats() admission.Stats { return s.admit.Stats() }
 
 // executeStages is the pipeline body, with one span per stage.
 func (s *Source) executeStages(q *piql.Query, canonical, requester string, trace *obs.Trace) (*Answer, error) {

@@ -79,31 +79,16 @@ func (w *Warehouse) Get(key string) (*piql.Result, bool) {
 	}
 	e := el.Value.(*Entry)
 	if w.ttl > 0 && w.clock-e.StoredAt >= w.ttl {
-		// Stale: a miss, but the entry is kept (LRU will evict it
-		// eventually) so GetStale can serve it during brownout.
+		// Expired: a miss, but the entry is kept until LRU evicts it. The
+		// miss is usually followed by a Put of the same key, which then
+		// refreshes the kept element in place instead of allocating a
+		// new Entry and list element.
 		w.misses++
 		return nil, false
 	}
 	w.order.MoveToFront(el)
 	w.hits++
 	return e.Result, true
-}
-
-// GetStale returns a materialized result regardless of TTL, along with
-// its age in ticks. Brownout mode uses it: when admission control is
-// shedding, a stale answer marked stale beats no answer at all (the
-// paper's quick-response rationale for warehousing, pushed one step
-// further). It does not touch hit/miss stats or LRU order — brownout
-// reads must not distort the freshness economics of the normal path.
-func (w *Warehouse) GetStale(key string) (res *piql.Result, age int64, ok bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	el, found := w.entries[key]
-	if !found {
-		return nil, 0, false
-	}
-	e := el.Value.(*Entry)
-	return e.Result, w.clock - e.StoredAt, true
 }
 
 // Put materializes a result, evicting the least recently used entry when

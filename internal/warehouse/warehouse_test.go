@@ -57,22 +57,18 @@ func TestTTLExpiry(t *testing.T) {
 	if _, ok := w.Get("k"); ok {
 		t.Error("entry should expire at age 3")
 	}
-	// Stale entries stay resident (LRU evicts them eventually) so
-	// brownout's GetStale can still serve them.
+	// Expired entries stay resident (LRU evicts them eventually), so the
+	// Put that follows a miss refreshes the entry in place.
 	if _, _, size := w.Stats(); size != 1 {
-		t.Error("expired entry should stay for GetStale")
+		t.Error("expired entry should stay resident")
 	}
-	r, age, ok := w.GetStale("k")
-	if !ok || r == nil || age != 3 {
-		t.Errorf("GetStale = %v age=%d ok=%v, want age 3", r, age, ok)
+	w.Put("k", res("2"))
+	if r, ok := w.Get("k"); !ok || r.Rows[0][0] != "2" {
+		t.Errorf("refreshed entry = %v ok=%v, want the new result", r, ok)
 	}
-	if _, _, ok := w.GetStale("absent"); ok {
-		t.Error("GetStale must miss on absent keys")
-	}
-	// GetStale leaves hit/miss stats untouched.
-	hits, misses, _ := w.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = %d/%d, want 1/1", hits, misses)
+	hits, misses, size := w.Stats()
+	if hits != 2 || misses != 1 || size != 1 {
+		t.Errorf("stats = %d/%d size %d, want 2/1 size 1", hits, misses, size)
 	}
 }
 
