@@ -1,7 +1,6 @@
 package mediator
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -12,47 +11,6 @@ import (
 	"privateiye/internal/relational"
 	"privateiye/internal/source"
 )
-
-// The plan cache must never become a privacy bypass: a cache hit skips
-// only the parse, while the release ledger (and every other control)
-// runs on each query. This is the E15 invariant under caching — the
-// Figure 1 combination is refused on the first ask AND on every cached
-// re-ask, including whitespace variants that normalize to the same key.
-func TestPlanCacheHitStillRefusedByLedger(t *testing.T) {
-	m := figure1Mediator(t, 0.9)
-
-	if _, err := m.Query(perTestQuery, "snooper"); err != nil {
-		t.Fatalf("first release (Figure 1a) should pass: %v", err)
-	}
-	if _, err := m.Query(perHMOQuery, "snooper"); err == nil {
-		t.Fatal("the Figure 1 combination must be refused")
-	}
-
-	// The refused query's parse is now cached (the parse succeeded; the
-	// ledger refused downstream). Re-asking must hit the cache and still
-	// be refused.
-	h0, _, _ := m.PlanCacheStats()
-	_, err := m.Query(perHMOQuery, "snooper")
-	if err == nil {
-		t.Fatal("cached re-ask of the Figure 1 combination must still be refused")
-	}
-	if !strings.Contains(err.Error(), "combined") {
-		t.Errorf("refusal should still explain the combination: %v", err)
-	}
-	h1, _, _ := m.PlanCacheStats()
-	if h1 <= h0 {
-		t.Fatalf("re-ask should be a plan-cache hit: hits %d -> %d", h0, h1)
-	}
-
-	// Whitespace games normalize to the same cache key and change nothing.
-	if _, err := m.Query("  "+perHMOQuery+"\n", "snooper"); err == nil {
-		t.Fatal("whitespace variant of a refused query must still be refused")
-	}
-	h2, _, _ := m.PlanCacheStats()
-	if h2 <= h1 {
-		t.Fatalf("whitespace variant should be a plan-cache hit: hits %d -> %d", h1, h2)
-	}
-}
 
 // A schema refresh invalidates the plan cache: cached canonicalizations
 // may not survive a correspondence change.

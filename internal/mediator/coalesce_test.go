@@ -10,7 +10,6 @@ package mediator
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -162,61 +161,6 @@ func TestCoalesceSharesExecutionButEachCallerPaysControls(t *testing.T) {
 		if e.Requester != "analyst" {
 			t.Errorf("history entry for %q", e.Requester)
 		}
-	}
-}
-
-// TestCoalescedQueryStillRefusedByLedger mirrors
-// TestPlanCacheHitStillRefusedByLedger for in-flight sharing: after the
-// Figure 1(a) sigma release, a burst of concurrent identical Figure 1(b)
-// queries coalesces into one execution — and every one of the callers
-// is refused by its own ledger check.
-func TestCoalescedQueryStillRefusedByLedger(t *testing.T) {
-	g := &gatedEndpoint{}
-	m, reg := coalescingMediator(t, func(ep source.Endpoint) source.Endpoint {
-		g.Endpoint = ep
-		return g
-	})
-	if _, err := m.Query(perTestQuery, "snooper"); err != nil {
-		t.Fatalf("first release (Figure 1a) should pass: %v", err)
-	}
-
-	g.gate = make(chan struct{})
-	// Two callers suffice for the pin (a leader and a follower) and each
-	// refusal runs the full simulated inference attack, which is slow
-	// under -race.
-	const callers = 2
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = m.Query(perHMOQuery, "snooper")
-		}(i)
-	}
-	waitForCond(t, func() bool { return followerCount(reg) == callers-1 })
-	close(g.gate)
-	wg.Wait()
-
-	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("caller %d: the Figure 1 combination escaped the ledger via coalescing", i)
-		}
-		if !strings.Contains(err.Error(), "combined") {
-			t.Errorf("caller %d: refusal should explain the combination: %v", i, err)
-		}
-	}
-	// The shared execution ran once, but no refused caller left a trace
-	// of success: the ledger still holds only the sigma release, and
-	// history only the answered query.
-	if got := g.calls.Load(); got != 2 {
-		t.Errorf("source executed %d times, want 2 (one per distinct query)", got)
-	}
-	if got := ledgerEntries(m, "snooper"); got != 1 {
-		t.Errorf("ledger holds %d releases, want 1 — a refused caller was recorded", got)
-	}
-	if got := len(m.History()); got != 1 {
-		t.Errorf("history has %d entries, want 1 — a refused caller was recorded", got)
 	}
 }
 

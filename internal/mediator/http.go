@@ -214,11 +214,16 @@ func NewHandler(m *Mediator) http.Handler {
 		// ?misplaced=1 adds the requesters whose state lives here but
 		// whose full-ring owner is another shard — O(state), so only on
 		// request (undrain's strand check asks; drain verifiers do not).
-		// The one place a shard's drain state is read from.
+		// ?requester= adds whether that requester's state lives here
+		// (drain verifiers ask). The one place a shard's drain state is
+		// read from.
 		mux.HandleFunc("GET /shard/status", func(w http.ResponseWriter, r *http.Request) {
 			st := m.ShardInfo()
 			if wantMisplaced, _ := strconv.ParseBool(r.URL.Query().Get("misplaced")); wantMisplaced {
 				st.Misplaced = m.ShardMisplaced()
+			}
+			if req := r.URL.Query().Get("requester"); req != "" {
+				st.Holds = m.hasRequesterState(req)
 			}
 			w.Header().Set("Content-Type", "application/json")
 			_ = json.NewEncoder(w).Encode(st)

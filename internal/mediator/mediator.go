@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"privateiye/internal/durable"
@@ -145,6 +146,11 @@ type Mediator struct {
 	// shard is the tier-membership view; nil means unsharded (see
 	// shard.go).
 	shard *shardState
+	// draining is this shard's drain mark. It is control state like the
+	// ledger — logged, recovered and replicated — so neither a restart
+	// nor a failover undrains a shard whose re-routed newcomers live on
+	// its peers (see shard.go).
+	draining atomic.Bool
 
 	// Replication wiring; all nil without Config.Replica (see
 	// replicate.go). node holds role + fencing epoch; repSrv serves the

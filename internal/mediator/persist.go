@@ -36,9 +36,11 @@ type DurabilityConfig struct {
 const (
 	kindRelease = "release"
 	kindHistory = "history"
+	kindDrain   = "drain"
 )
 
-// walRecord is one WAL entry: a ledgered release or a history entry.
+// walRecord is one WAL entry: a ledgered release, a history entry or a
+// shard's drain mark.
 // Epoch is the fencing epoch of the node that wrote it (0 when the
 // mediator runs unreplicated) — the release-ledger half of the fencing
 // invariant: every granted release names the generation that granted
@@ -50,6 +52,7 @@ type walRecord struct {
 	Epoch     uint64         `json:"e,omitempty"`
 	Release   *ledgerRelease `json:"rel,omitempty"`
 	History   *HistoryEntry  `json:"h,omitempty"`
+	Draining  *bool          `json:"d,omitempty"`
 }
 
 // stateSnapshot is the full persisted state at a compaction point, as
@@ -57,25 +60,27 @@ type walRecord struct {
 type stateSnapshot struct {
 	Releases map[string][]ledgerRelease `json:"releases"`
 	History  []HistoryEntry             `json:"history"`
+	Draining bool                       `json:"draining,omitempty"`
 }
 
 // decodeRecord is the one decoder of a WAL payload, whether recovery read
 // it from this node's log or a standby from its primary's. A record that
-// is neither a release nor a history entry is refused, not skipped.
+// is of no known kind is refused, not skipped.
 func decodeRecord(seq uint64, payload []byte) (walRecord, error) {
 	var rec walRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return rec, fmt.Errorf("mediator: decoding wal record %d: %w", seq, err)
 	}
 	switch {
-	case rec.Kind == kindRelease && rec.Release != nil, rec.Kind == kindHistory && rec.History != nil:
+	case rec.Kind == kindRelease && rec.Release != nil, rec.Kind == kindHistory && rec.History != nil,
+		rec.Kind == kindDrain && rec.Draining != nil:
 		return rec, nil
 	}
 	return rec, fmt.Errorf("mediator: malformed wal record %d (kind %q)", seq, rec.Kind)
 }
 
 // lockFor names the lock a record's structure lives under: the ledger's
-// for a release, the mediator's for a history entry.
+// for a release, the mediator's for a history entry or a drain mark.
 func (m *Mediator) lockFor(rec *walRecord) sync.Locker {
 	if rec.Kind == kindRelease {
 		return &m.ledger.mu
@@ -89,10 +94,13 @@ func (m *Mediator) lockFor(rec *walRecord) sync.Locker {
 // describes has already left the mediator. Whoever also logs the record
 // does so under the same hold of the lock, which captureState relies on.
 func (m *Mediator) apply(rec *walRecord) {
-	if rec.Kind == kindRelease {
+	switch rec.Kind {
+	case kindRelease:
 		m.ledger.add(rec.Requester, *rec.Release)
-	} else {
+	case kindHistory:
 		m.history.add(*rec.History)
+	default:
+		m.markDraining(*rec.Draining)
 	}
 }
 
@@ -125,6 +133,7 @@ func (m *Mediator) installSnapshot(s stateSnapshot) {
 	m.ledger.mu.Unlock()
 	m.mu.Lock()
 	m.history = h
+	m.markDraining(s.Draining)
 	m.mu.Unlock()
 }
 
@@ -250,9 +259,11 @@ func (m *Mediator) captureState() (seq uint64, encode func() ([]byte, error)) {
 	}
 	var view *history
 	var releases []requesterReleases
+	var draining bool
 	m.readHistory(func(h *history) {
 		m.ledger.read(func(byRequester map[string][]ledgerRelease) {
 			seq, view = m.dlog.LastSeq(), &history{recs: h.recs, reqs: h.reqs, texts: h.texts, lists: h.lists}
+			draining = m.draining.Load()
 			releases = make([]requesterReleases, 0, len(byRequester))
 			for req, rels := range byRequester {
 				releases = append(releases, requesterReleases{req, rels})
@@ -263,7 +274,8 @@ func (m *Mediator) captureState() (seq uint64, encode func() ([]byte, error)) {
 		s := struct {
 			Releases map[string][]ledgerRelease `json:"releases"`
 			History  *history                   `json:"history"`
-		}{make(map[string][]ledgerRelease, len(releases)), view}
+			Draining bool                       `json:"draining,omitempty"`
+		}{make(map[string][]ledgerRelease, len(releases)), view, draining}
 		for _, r := range releases {
 			s.Releases[r.req] = r.rels
 		}

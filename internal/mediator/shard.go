@@ -19,10 +19,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"privateiye/internal/obs"
@@ -104,15 +104,16 @@ func (e *DrainingError) RefusalReason() refusal.Reason { return refusal.NotOwner
 type shardState struct {
 	id       string
 	ring     *shard.Ring
-	draining atomic.Bool
 	client   *http.Client
 	peerURLs map[string]string
 
 	// mu guards when each peer last failed to confirm it is draining:
 	// the only copy of another shard's drain state here, and one that
-	// can only refuse.
+	// can only refuse. now reads the clock those times come from (a test
+	// substitutes its own).
 	mu     sync.Mutex
 	denied map[string]time.Time
+	now    func() time.Time
 
 	// Shard metric handles (nil, so no-ops, when unobserved).
 	drainingGauge *obs.Gauge
@@ -169,6 +170,7 @@ func (m *Mediator) setupShard(cfg ShardConfig) error {
 		client:   &http.Client{Timeout: 2 * time.Second}, // peer status checks
 		peerURLs: map[string]string{},
 		denied:   map[string]time.Time{},
+		now:      time.Now,
 	}
 	for name, u := range cfg.PeerURLs {
 		s.peerURLs[name] = strings.TrimRight(u, "/")
@@ -188,13 +190,13 @@ func (m *Mediator) setupShard(cfg ShardConfig) error {
 			reg.Gauge("piye_shard_info", "shard", cfg.ID, "peer", p, "self", selfLabel).Set(1)
 		}
 		s.drainingGauge = reg.Gauge("piye_shard_draining", "shard", cfg.ID)
-		s.drainingGauge.Set(0)
 		s.notOwner = reg.Counter("piye_shard_not_owner_total", "shard", cfg.ID)
 		s.drainRefused = reg.Counter("piye_shard_draining_refusals_total", "shard", cfg.ID)
 		s.rerouted = reg.Counter("piye_shard_rerouted_accepted_total", "shard", cfg.ID)
 		s.rerouteDenied = reg.Counter("piye_shard_reroute_denied_total", "shard", cfg.ID)
 	}
 	m.shard = s
+	m.markDraining(m.draining.Load()) // as recovered
 	return nil
 }
 
@@ -210,7 +212,8 @@ func (m *Mediator) setupShard(cfg ShardConfig) error {
 //	owner or re-routed here, draining, new -> DrainingError (router re-routes)
 //	not owner, router asserted a drain,
 //	  every shard ranked ahead of us is in
-//	  the assertion AND confirmed draining
+//	  the assertion AND confirmed draining,
+//	  holding no state for the requester,
 //	  by its own /shard/status             -> serve (take ownership)
 //	anything else                          -> NotOwnerError
 //
@@ -220,11 +223,14 @@ func (m *Mediator) setupShard(cfg ShardConfig) error {
 // pure placement function the router used. Drain truth: each excluded
 // shard that actually ranks ahead of this one must CONFIRM it is
 // draining via its own /shard/status, on this call (only a denial is
-// cached, see drainVerifyTTL) — the header is a claim, not a
+// cached, see drainVerifyTTL), and that it holds no state for the
+// requester — a draining shard keeps serving the requesters it holds,
+// so the router never re-routes one of them, and adopting one here
+// would answer it from a fresh ledger. The header is a claim, not a
 // credential, and any HTTP client can send it. A forged, stale, or
 // unverifiable assertion can only cause a refusal (fail-closed), never
-// make this shard serve a requester whose control state lives on a
-// live, non-draining owner.
+// make this shard serve a requester whose control state lives on
+// another shard.
 func (m *Mediator) shardGate(ctx context.Context, requester string) error {
 	s := m.shard
 	if s == nil {
@@ -239,7 +245,7 @@ func (m *Mediator) shardGate(ctx context.Context, requester string) error {
 	drained := ReroutedFrom(ctx)
 	switch {
 	case owner != s.id && len(drained) == 0: // misrouted, nothing claimed
-	case s.draining.Load() && !m.hasRequesterState(requester):
+	case m.draining.Load() && !m.hasRequesterState(requester):
 		s.drainRefused.Inc()
 		return &DrainingError{Shard: s.id}
 	case owner == s.id:
@@ -257,8 +263,9 @@ func (m *Mediator) shardGate(ctx context.Context, requester string) error {
 // verifyReroute decides whether this shard may take ownership of a
 // requester the full ring places elsewhere, given the router's asserted
 // drained set. It walks the requester's preference chain: every shard
-// ranked ahead of this one must be named in the assertion AND confirmed
-// draining by that shard itself. Only load-bearing exclusions are
+// ranked ahead of this one must be named in the assertion AND confirm,
+// itself, that it would turn the requester away as draining. Only
+// load-bearing exclusions are
 // checked — names in the assertion that never rank ahead of us are
 // irrelevant and cost nothing.
 func (m *Mediator) verifyReroute(ctx context.Context, requester string, asserted []string) bool {
@@ -276,7 +283,7 @@ func (m *Mediator) verifyReroute(ctx context.Context, requester string, asserted
 		if owner == s.id {
 			return true
 		}
-		if !claimed[owner] || !s.peerDraining(ctx, owner) {
+		if !claimed[owner] || !s.peerDrainsFor(ctx, owner, requester) {
 			return false
 		}
 		excluded = append(excluded, owner)
@@ -284,36 +291,39 @@ func (m *Mediator) verifyReroute(ctx context.Context, requester string, asserted
 	return false
 }
 
-// peerDraining confirms a drain claim with the claimed shard itself:
-// read the draining flag off its /shard/status. A denial (failures
-// included) is cached for drainVerifyTTL, so a dead peer is not fetched
-// once per query; a confirmation never is — remembered past the peer's
-// undrain it would adopt a requester whose ledger lives on the live
-// owner. No URL, unreachable, or non-200 all answer false: refused. A
-// fetch cut short by the caller's own context says nothing about the
-// peer and records no denial.
-func (s *shardState) peerDraining(ctx context.Context, name string) bool {
+// peerDrainsFor confirms a drain claim with the claimed shard itself:
+// read the draining flag, and whether it holds the requester's state,
+// off its /shard/status. A "not draining" answer (failures included) is
+// cached for drainVerifyTTL, so a dead peer is not fetched once per
+// query; a confirmation never is — remembered past the peer's undrain
+// it would adopt a requester whose ledger lives on the live owner — and
+// neither is "holds state", which is about one requester. No URL,
+// unreachable, or non-200 all answer false: refused. A fetch cut short
+// by the caller's own context says nothing about the peer and records
+// no denial.
+func (s *shardState) peerDrainsFor(ctx context.Context, name, requester string) bool {
 	s.mu.Lock()
 	deniedAt := s.denied[name] // the zero time when never denied
 	s.mu.Unlock()
-	if time.Since(deniedAt) < drainVerifyTTL {
+	if s.now().Sub(deniedAt) < drainVerifyTTL {
 		return false
 	}
-	st, _, _ := s.peerStatus(ctx, name, "")
+	st, _, _ := s.peerStatus(ctx, name, "?requester="+url.QueryEscape(requester))
 	draining := st != nil && st.Draining
 	if !draining && ctx.Err() == nil {
 		s.mu.Lock()
-		s.denied[name] = time.Now()
+		s.denied[name] = s.now()
 		s.mu.Unlock()
 	}
-	return draining
+	return draining && !st.Holds
 }
 
 // errNoPeerURL is peerStatus's answer for a peer without a configured URL.
 var errNoPeerURL = errors.New("no URL configured")
 
 // peerStatus reads a peer's GET /shard/status (query "?misplaced=1" adds
-// the misplaced-state view): the one way this shard learns another's
+// the misplaced-state view, "?requester=" whether it holds that
+// requester's state): the one way this shard learns another's
 // state. st is non-nil only for a 200 whose body decodes; code is the
 // HTTP status (0 when the request never got an answer, err says why).
 func (s *shardState) peerStatus(ctx context.Context, name, query string) (st *ShardStatus, code int, err error) {
@@ -361,9 +371,38 @@ func (m *Mediator) Drain() error {
 	if m.shard == nil {
 		return fmt.Errorf("mediator: not sharded")
 	}
-	m.shard.draining.Store(true)
-	m.shard.drainingGauge.Set(1)
+	return m.logDraining(true)
+}
+
+// logDraining records the drain mark before it takes effect. A mark the
+// log cannot record is refused and the shard stays as it was: a drain
+// that a restart would forget must not start re-routing newcomers. A
+// standby's mark is its primary's, replicated.
+func (m *Mediator) logDraining(on bool) error {
+	if err := m.writeGate(); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.dlog != nil {
+		if err := m.logRecord(walRecord{Kind: kindDrain, Draining: &on}); err != nil {
+			return fmt.Errorf("mediator: recording the drain mark: %w", err)
+		}
+	}
+	m.markDraining(on)
 	return nil
+}
+
+// markDraining sets the drain mark, live, recovered or replicated alike.
+func (m *Mediator) markDraining(on bool) {
+	m.draining.Store(on)
+	if m.shard != nil {
+		v := 0.0
+		if on {
+			v = 1
+		}
+		m.shard.drainingGauge.Set(v)
+	}
 }
 
 // Undrain clears the drain mark — but only after confirming no peer
@@ -388,9 +427,7 @@ func (m *Mediator) Undrain(ctx context.Context, force bool) error {
 			return err
 		}
 	}
-	s.draining.Store(false)
-	s.drainingGauge.Set(0)
-	return nil
+	return m.logDraining(false)
 }
 
 // strandedByUndrain is Undrain's safety check: an error describes the
@@ -437,6 +474,10 @@ type ShardStatus struct {
 	// (/shard/status?misplaced=1) — computing it walks every requester
 	// with state, which the hot path must never pay.
 	Misplaced map[string][]string `json:"misplaced,omitempty"`
+	// Holds reports whether this shard holds control state for the
+	// requester named in /shard/status?requester= — a draining shard
+	// keeps serving those, so a re-route of one is never genuine.
+	Holds bool `json:"holds,omitempty"`
 }
 
 // ShardInfo reports the shard view (nil when unsharded).
@@ -447,7 +488,7 @@ func (m *Mediator) ShardInfo() *ShardStatus {
 	}
 	return &ShardStatus{
 		ID:       s.id,
-		Draining: s.draining.Load(),
+		Draining: m.draining.Load(),
 		Seed:     s.ring.Seed(),
 		Peers:    s.ring.Members(),
 	}

@@ -17,7 +17,6 @@ import (
 	"privateiye/internal/policy"
 	"privateiye/internal/preserve"
 	"privateiye/internal/psi"
-	"privateiye/internal/refusal"
 	"privateiye/internal/relational"
 	"privateiye/internal/xmltree"
 )
@@ -246,21 +245,6 @@ func TestAuditStopsRepeatedAggregates(t *testing.T) {
 	// A different requester is unaffected.
 	if _, err := src.Execute(q, "other"); err != nil {
 		t.Errorf("other requester should pass: %v", err)
-	}
-}
-
-// TestAuditRefusesUnauditableAggregates: an aggregate the relational
-// transformer cannot compile (FOR //row, not //patients/row) has no
-// query set the auditor could hold the next query against. It is
-// refused as set-size every time, where it used to be answered
-// unaudited every time.
-func TestAuditRefusesUnauditableAggregates(t *testing.T) {
-	src := auditedSource(t)
-	q := piql.MustParse("FOR //row WHERE //age > 30 RETURN AVG(//age) AS a PURPOSE research")
-	for ask := 1; ask <= 3; ask++ {
-		if _, err := src.Execute(q, "snooper"); refusal.Classify(err) != refusal.AuditSetSize {
-			t.Fatalf("ask %d answered err=%v, want an audit-set-size refusal", ask, err)
-		}
 	}
 }
 
