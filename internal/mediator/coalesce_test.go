@@ -94,9 +94,7 @@ func followerCount(reg *obs.Registry) uint64 {
 }
 
 func ledgerEntries(m *Mediator, requester string) int {
-	m.ledger.mu.Lock()
-	defer m.ledger.mu.Unlock()
-	return len(m.ledger.byRequester[requester])
+	return len(m.ledger.releasesOf(requester))
 }
 
 func waitForCond(t *testing.T, cond func() bool) {

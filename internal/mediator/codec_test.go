@@ -307,7 +307,7 @@ func TestIntegratedResultOwnsItsCells(t *testing.T) {
 				t.Fatalf("want the warehouse entry back, got %+v, %v", again, err)
 			}
 			check(t, w, "the warehouse entry", cells(again.Result)...)
-			rels := m.ledger.byRequester["r"]
+			rels := m.ledger.releasesOf("r")
 			if tc.ledgered != (len(rels) == 1) {
 				t.Fatalf("ledger holds %d releases", len(rels))
 			}

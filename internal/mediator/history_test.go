@@ -1,9 +1,9 @@
 package mediator
 
-// The compact form of the inference-control state (history.go and
-// groupValues in ledger.go): what it holds per entry, that it keeps none
-// of its callers' slices, and that it writes the bytes the map- and
-// struct-shaped state it replaced wrote.
+// The compact form of the inference-control state (history.go, and the
+// release table and groupValues in ledger.go): what it holds per entry,
+// that it keeps none of its callers' slices, and that it writes the bytes
+// the map- and struct-shaped state it replaced wrote.
 
 import (
 	"bytes"
@@ -12,8 +12,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -240,5 +242,202 @@ func TestReleaseRecordPathAllocations(t *testing.T) {
 	t.Logf("classify + log: %v allocs", allocs)
 	if allocs > releaseRecordAllocsAtParent {
 		t.Errorf("classify + log: %v allocs, %d at the parent", allocs, releaseRecordAllocsAtParent)
+	}
+}
+
+// releasesOf is how tests read the ledger: the requester's releases, by
+// value and in record order, whatever layout holds them.
+func (l *releaseLedger) releasesOf(requester string) []ledgerRelease {
+	var out []ledgerRelease
+	l.read(func(l *releaseLedger) {
+		for _, id := range l.byRequester[requester] {
+			out = append(out, l.rels[id])
+		}
+	})
+	return out
+}
+
+// figure1Release is a Figure 1(a)-shaped release with its own slices,
+// sized as classifyRelease sizes them, and its own group-key strings, as
+// classifyRelease makes one from a fresh answer.
+func figure1Release(mean0 float64) ledgerRelease {
+	rel := ledgerRelease{Target: "//compliance/row", ValueCol: "rate", Axis: "test",
+		Means: make(groupValues, 0, 3), Sigmas: make(groupValues, 0, 3)}
+	for i, k := range []string{"Eye Exam", "HbA1c", "Lipid Profile"} {
+		k = strings.Clone(k)
+		rel.Means = append(rel.Means, groupValue{k, mean0 + float64(i)})
+		rel.Sigmas = append(rel.Sigmas, groupValue{k, 9.5 + float64(i)})
+	}
+	return rel
+}
+
+// Requesters given the same release share one table entry; a release that
+// differs in one float bit, one group key, its axis, or nil against empty
+// sigmas gets its own. Every requester reads back its releases in record
+// order, live and after a snapshot is installed on another node.
+func TestLedgerInternsEachDistinctReleaseOnce(t *testing.T) {
+	m := stateMediator(t, t.TempDir(), nil)
+	l := m.ledger
+	bit := figure1Release(60)
+	bit.Means[1].v = math.Float64frombits(math.Float64bits(bit.Means[1].v) ^ 1)
+	key := figure1Release(60)
+	key.Sigmas[2].k = "Lipid profile"
+	axis := figure1Release(60)
+	axis.Axis = "hmo"
+	nilSigmas, emptySigmas := figure1Release(60), figure1Release(60)
+	nilSigmas.Sigmas, emptySigmas.Sigmas = nil, groupValues{}
+	variants := []ledgerRelease{figure1Release(60), bit, key, axis, nilSigmas, emptySigmas}
+	for i := range variants {
+		for j := range variants {
+			if got := variants[i].same(&variants[j]); got != (i == j) {
+				t.Errorf("variants %d and %d: same = %v", i, j, got)
+			}
+		}
+	}
+	want := map[string][]ledgerRelease{}
+	record := func(req string, rels ...ledgerRelease) {
+		l.mu.Lock()
+		for _, rel := range rels {
+			l.add(req, rel)
+		}
+		l.mu.Unlock()
+		want[req] = append(want[req], rels...)
+	}
+	const n = 50
+	for i := 0; i < n; i++ {
+		record(fmt.Sprint("r", i), figure1Release(60))
+	}
+	if len(l.rels) != 1 {
+		t.Fatalf("%d requesters given one release fill %d table entries, want 1", n, len(l.rels))
+	}
+	record("mixed", bit, figure1Release(60), key, axis, nilSigmas, emptySigmas, figure1Release(60), emptySigmas)
+	if len(l.rels) != 6 {
+		t.Fatalf("five variants of one release fill %d table entries, want 6", len(l.rels))
+	}
+	// A hash collision appends the release and leaves the index alone.
+	collides := figure1Release(70)
+	l.mu.Lock()
+	l.index[collides.hash(l.seed)] = 0
+	l.mu.Unlock()
+	record("collided", collides, figure1Release(70))
+	if got := l.index[collides.hash(l.seed)]; len(l.rels) != 8 || got != 0 {
+		t.Fatalf("after a collision: %d table entries, index names %d; want 8 and 0", len(l.rels), got)
+	}
+	check := func(route string, m *Mediator) {
+		t.Helper()
+		for req, rels := range want {
+			if got := m.ledger.releasesOf(req); !reflect.DeepEqual(got, rels) {
+				t.Errorf("%s: %s holds %v, want %v", route, req, got, rels)
+			}
+		}
+	}
+	check("live", m)
+	s, err := decodeSnapshot(encodedState(t, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	installed := stateMediator(t, t.TempDir(), nil)
+	installed.installSnapshot(s)
+	// Empty sigmas are written as none (omitempty, as the map's were), so
+	// they come back nil: the snapshot's distinct releases are one fewer,
+	// and the collided pair meets a fresh index.
+	for _, rels := range want {
+		for i := range rels {
+			if len(rels[i].Sigmas) == 0 {
+				rels[i].Sigmas = nil
+			}
+		}
+	}
+	check("installed from a snapshot", installed)
+	if got := len(installed.ledger.rels); got != 6 {
+		t.Errorf("the installed ledger fills %d table entries, want 6 (one per distinct release)", got)
+	}
+}
+
+// The snapshot's ledger half is streamed from the table, and writes
+// exactly what json.Marshal wrote for the map of per-requester releases:
+// shared and distinct releases, nil and empty sigmas, requesters that
+// sort and escape, and one holding none.
+func TestSnapshotReleasesEncodeAsTheMapDid(t *testing.T) {
+	m := stateMediator(t, t.TempDir(), nil)
+	nilSigmas, emptySigmas := figure1Release(1), figure1Release(1)
+	nilSigmas.Sigmas, emptySigmas.Sigmas = nil, groupValues{}
+	m.installSnapshot(stateSnapshot{Releases: map[string][]ledgerRelease{"empty": {}}})
+	reqs := []string{"zed", "<b>", "r2", "a&b", "\xffbad", "r10", "Zed", "日本", `say "hi"`}
+	m.ledger.mu.Lock()
+	for i, req := range reqs {
+		m.ledger.add(req, figure1Release(60))
+		m.ledger.add(req, []ledgerRelease{figure1Release(float64(i)), nilSigmas, emptySigmas}[i%3])
+	}
+	m.ledger.mu.Unlock()
+	m.record(HistoryEntry{Requester: "zed", Query: "q", Sources: []string{"s"}})
+	m.markDraining(true)
+
+	byReq := map[string][]ledgerRelease{"empty": {}}
+	for _, req := range reqs {
+		byReq[req] = m.ledger.releasesOf(req)
+	}
+	var view *history
+	m.readHistory(func(h *history) { view = h })
+	want, err := json.Marshal(struct {
+		Releases map[string][]ledgerRelease `json:"releases"`
+		History  *history                   `json:"history"`
+		Draining bool                       `json:"draining,omitempty"`
+	}{byReq, view, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodedState(t, m); !bytes.Equal(got, want) {
+		t.Fatalf("snapshot\n got %s\nwant %s", got, want)
+	}
+	if !bytes.Contains(want, []byte(`"empty":[]`)) ||
+		!bytes.Contains(want, []byte(`"\ufffdbad":`)) || bytes.Count(want, []byte(`"a":"test"`)) != 18 {
+		t.Fatalf("the reference does not cover every case: %s", want)
+	}
+}
+
+// Retained bytes per requester: with one repeated release a new
+// requester keeps its name and one id, where the parent kept a whole
+// release each (374 B); with every release distinct, the table slot and
+// the index entry cost a little over the release itself. The requester
+// map dominates the first figure, and its per-entry cost swings by a
+// third with where its tables stand in their growth, so the figures are
+// averages over 100,000 requesters.
+func TestLedgerRetainedBytesPerRequester(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		distinct bool
+		max      float64
+	}{{"repeated", false, 100}, {"distinct", true, 460}} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := newReleaseLedger()
+			const warm, n = 1000, 100000
+			add := func(i int) {
+				rel := figure1Release(60)
+				if tc.distinct {
+					rel = figure1Release(float64(i))
+				}
+				l.mu.Lock()
+				l.add(fmt.Sprint("requester-", i), rel)
+				l.mu.Unlock()
+			}
+			for i := 0; i < warm; i++ {
+				add(i)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := warm; i < warm+n; i++ {
+				add(i)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+			t.Logf("%.1f bytes retained per requester, %d table entries", per, len(l.rels))
+			if per > tc.max {
+				t.Errorf("%.1f bytes retained per requester, want ≤ %.0f", per, tc.max)
+			}
+			runtime.KeepAlive(l)
+		})
 	}
 }

@@ -1,9 +1,11 @@
 package mediator
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
 	"strconv"
@@ -61,6 +63,25 @@ func (e *UnrecordableRefusal) Unwrap() error { return e.Err }
 
 // RefusalReason implements refusal.Reasoner.
 func (e *UnrecordableRefusal) RefusalReason() refusal.Reason { return refusal.Unrecordable }
+
+// UnverifiableRefusal is the fail-closed refusal when the combination
+// check cannot evaluate the new release against an earlier one (no
+// matrix fits both, or the solver does not converge): a pair the ledger
+// cannot show safe is not granted.
+type UnverifiableRefusal struct {
+	ValueCol, PriorAxis string
+	Err                 error
+}
+
+// Error implements error; refusal.ClassifyString matches on "refusing
+// unverifiable release".
+func (e *UnverifiableRefusal) Error() string {
+	return fmt.Sprintf("mediator: refusing unverifiable release: the combination check cannot evaluate it against your earlier %s-by-%s statistics: %v",
+		e.ValueCol, e.PriorAxis, e.Err)
+}
+
+// RefusalReason implements refusal.Reasoner.
+func (e *UnverifiableRefusal) RefusalReason() refusal.Reason { return refusal.LedgerUnverifiable }
 
 // The release ledger is the mediator's answer to the paper's hardest open
 // problem — "how do we ensure that a set of query results from a set of
@@ -164,13 +185,66 @@ func appendJSONString(b []byte, s string) []byte {
 // releaseLedger tracks releases per requester. Without durability (see
 // persist.go) it is process-local and a restart grants every requester a
 // blank history.
+//
+// Each distinct release is kept once: rels is an append-only table, and
+// a requester holds ids into it, in record order. index finds a release
+// already in the table by a hash of its content; a hash hit counts only
+// after an exact comparison, and a release that collides is appended
+// without being indexed. Ids are process-local: nothing persists them.
 type releaseLedger struct {
 	mu          sync.Mutex
-	byRequester map[string][]ledgerRelease
+	rels        []ledgerRelease
+	byRequester map[string][]uint32
+	index       map[uint64]uint32
+	seed        maphash.Seed
 }
 
 func newReleaseLedger() *releaseLedger {
-	return &releaseLedger{byRequester: map[string][]ledgerRelease{}}
+	l := &releaseLedger{seed: maphash.MakeSeed()}
+	l.reset()
+	return l
+}
+
+// reset empties the ledger into fresh structures, so a snapshot captured
+// from the old ones stays valid.
+func (l *releaseLedger) reset() {
+	l.rels, l.byRequester, l.index = nil, map[string][]uint32{}, map[uint64]uint32{}
+}
+
+// hash covers what same compares; a collision costs one table entry.
+func (r *ledgerRelease) hash(seed maphash.Seed) uint64 {
+	var h maphash.Hash
+	h.SetSeed(seed)
+	var bits [8]byte
+	for _, s := range [...]string{r.Target, r.ValueCol, r.Axis} {
+		h.WriteString(s)
+		h.WriteByte(0)
+	}
+	for _, g := range [...]groupValues{r.Means, r.Sigmas} {
+		if g != nil {
+			h.WriteByte(1)
+		}
+		for _, x := range g {
+			h.WriteString(x.k)
+			binary.LittleEndian.PutUint64(bits[:], math.Float64bits(x.v))
+			h.Write(bits[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// same reports whether two releases are one: equal names, and value
+// lists equal key by key and bit by bit, nil apart from empty (each
+// encodes differently).
+func (r *ledgerRelease) same(o *ledgerRelease) bool {
+	return r.Target == o.Target && r.ValueCol == o.ValueCol && r.Axis == o.Axis &&
+		r.Means.same(o.Means) && r.Sigmas.same(o.Sigmas)
+}
+
+func (g groupValues) same(o groupValues) bool {
+	return (g == nil) == (o == nil) && slices.EqualFunc(g, o, func(a, b groupValue) bool {
+		return a.k == b.k && math.Float64bits(a.v) == math.Float64bits(b.v)
+	})
 }
 
 // classifyRelease extracts the ledger shape of an integrated aggregate
@@ -241,6 +315,9 @@ func classifyRelease(q *piql.Query, res *piql.Result) (ledgerRelease, bool) {
 		}
 	}
 	rel.Means, rel.Sigmas = rel.Means.settle(), rel.Sigmas.settle()
+	if len(rel.Sigmas) == 0 {
+		rel.Sigmas = nil // no sigma was released; the WAL writes none either
+	}
 	if len(rel.Means) < 2 {
 		return ledgerRelease{}, false
 	}
@@ -261,7 +338,8 @@ func (m *Mediator) checkAndRecord(requester string, rel ledgerRelease) error {
 	l := m.ledger
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, prior := range l.byRequester[requester] {
+	for _, id := range l.byRequester[requester] {
+		prior := l.rels[id]
 		if prior.Target != rel.Target || prior.ValueCol != rel.ValueCol || prior.Axis == rel.Axis {
 			continue
 		}
@@ -276,9 +354,8 @@ func (m *Mediator) checkAndRecord(requester string, rel ledgerRelease) error {
 		}
 		d, err := combinedDisclosure(attrRel, partyRel, m.cfg.LedgerTolerance)
 		if err != nil {
-			// Inconsistent as one matrix (e.g. the releases cover
-			// different populations): no combination attack applies.
-			continue
+			// A pair the check cannot evaluate is not shown safe.
+			return &UnverifiableRefusal{ValueCol: rel.ValueCol, PriorAxis: prior.Axis, Err: err}
 		}
 		if d >= m.cfg.MaxDisclosure {
 			return &CombinationRefusal{
@@ -308,11 +385,21 @@ func (m *Mediator) checkAndRecord(requester string, rel ledgerRelease) error {
 	return nil
 }
 
-// add is the only writer of the ledger short of a snapshot install, for
-// a live, a recovered and a replicated release alike (see
-// Mediator.apply). The caller holds l.mu.
+// add is the only writer of the ledger, for a live, a recovered, a
+// replicated and a snapshot-installed release alike (see Mediator.apply
+// and installSnapshot). It records rel's id for requester, appending rel
+// to the table unless an equal release is there. The caller holds l.mu.
 func (l *releaseLedger) add(requester string, rel ledgerRelease) {
-	l.byRequester[requester] = append(l.byRequester[requester], rel)
+	h := rel.hash(l.seed)
+	id, ok := l.index[h]
+	if !ok || !l.rels[id].same(&rel) {
+		id = uint32(len(l.rels))
+		l.rels = append(l.rels, rel)
+		if !ok {
+			l.index[h] = id
+		}
+	}
+	l.byRequester[requester] = append(l.byRequester[requester], id)
 }
 
 // combinedDisclosure mounts the outsider attack on the pair of releases:

@@ -13,8 +13,11 @@ package mediator
 // the unrestarted one would have.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"privateiye/internal/durable"
@@ -56,7 +59,8 @@ type walRecord struct {
 }
 
 // stateSnapshot is the full persisted state at a compaction point, as
-// decoded; captureState writes the same shape from the history's tables.
+// decoded; captureState writes the same shape from the history's and the
+// ledger's tables.
 type stateSnapshot struct {
 	Releases map[string][]ledgerRelease `json:"releases"`
 	History  []HistoryEntry             `json:"history"`
@@ -118,9 +122,6 @@ func decodeSnapshot(state []byte) (stateSnapshot, error) {
 // connects after its primary's first compaction is sent. The log already
 // agrees (it recovered this snapshot, or was handed it first).
 func (m *Mediator) installSnapshot(s stateSnapshot) {
-	if s.Releases == nil {
-		s.Releases = map[string][]ledgerRelease{}
-	}
 	h := newHistory()
 	if s.History != nil { // null and [] stay what they were
 		h.recs = make([]histRecord, 0, len(s.History))
@@ -128,9 +129,16 @@ func (m *Mediator) installSnapshot(s stateSnapshot) {
 	for _, e := range s.History {
 		h.add(e)
 	}
-	m.ledger.mu.Lock()
-	m.ledger.byRequester = s.Releases
-	m.ledger.mu.Unlock()
+	l := m.ledger
+	l.mu.Lock()
+	l.reset()
+	for req, rels := range s.Releases {
+		l.byRequester[req] = make([]uint32, 0, len(rels))
+		for _, rel := range rels {
+			l.add(req, rel)
+		}
+	}
+	l.mu.Unlock()
 	m.mu.Lock()
 	m.history = h
 	m.markDraining(s.Draining)
@@ -148,10 +156,10 @@ func (m *Mediator) readHistory(read func(h *history)) {
 	read(m.history)
 }
 
-func (l *releaseLedger) read(read func(byRequester map[string][]ledgerRelease)) {
+func (l *releaseLedger) read(read func(l *releaseLedger)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	read(l.byRequester)
+	read(l)
 }
 
 // openDurable opens (or recovers) the state directory and rebuilds the
@@ -242,45 +250,80 @@ func (m *Mediator) snapshot() error {
 }
 
 // captureState is the snapshot's consistent cut. With both locks held
-// it copies one slice header per requester plus the history's four and
-// reads the log's sequence number; marshalling, the file write and its
-// fsync then run with neither lock held. That is sound because both
-// structures are append-only — a slice header taken now is an immutable
-// prefix that every captured id falls inside, and nothing recorded is
-// written again — and because log and memory change together (apply):
-// the captured state reflects exactly the records up to the sequence
-// number read. The number has to be taken here, not at install time: a
-// release appended in between would otherwise be stamped
-// covered-but-absent and lost on recovery.
+// it copies the release table's slice header, one id-slice header per
+// requester and the history's four headers, and reads the log's sequence
+// number; marshalling, the file write and its fsync then run with
+// neither lock held. That is sound because both structures are
+// append-only — a slice header taken now is an immutable prefix that
+// every captured id falls inside, and nothing recorded is written again
+// — and because log and memory change together (apply): the captured
+// state reflects exactly the records up to the sequence number read. The
+// number has to be taken here, not at install time: a release appended
+// in between would otherwise be stamped covered-but-absent and lost on
+// recovery.
 func (m *Mediator) captureState() (seq uint64, encode func() ([]byte, error)) {
-	type requesterReleases struct {
-		req  string
-		rels []ledgerRelease
-	}
 	var view *history
-	var releases []requesterReleases
+	var table []ledgerRelease
+	var byReq map[string][]uint32
 	var draining bool
 	m.readHistory(func(h *history) {
-		m.ledger.read(func(byRequester map[string][]ledgerRelease) {
+		m.ledger.read(func(l *releaseLedger) {
 			seq, view = m.dlog.LastSeq(), &history{recs: h.recs, reqs: h.reqs, texts: h.texts, lists: h.lists}
 			draining = m.draining.Load()
-			releases = make([]requesterReleases, 0, len(byRequester))
-			for req, rels := range byRequester {
-				releases = append(releases, requesterReleases{req, rels})
-			}
+			table, byReq = l.rels, maps.Clone(l.byRequester)
 		})
 	})
 	return seq, func() ([]byte, error) {
-		s := struct {
-			Releases map[string][]ledgerRelease `json:"releases"`
-			History  *history                   `json:"history"`
-			Draining bool                       `json:"draining,omitempty"`
-		}{make(map[string][]ledgerRelease, len(releases)), view, draining}
-		for _, r := range releases {
-			s.Releases[r.req] = r.rels
+		b, err := appendReleases([]byte(`{"releases":`), table, byReq)
+		if err != nil {
+			return nil, err
 		}
-		return json.Marshal(s)
+		buf := bytes.NewBuffer(append(b, `,"history":`...))
+		if err := json.NewEncoder(buf).Encode(view); err != nil {
+			return nil, err
+		}
+		buf.Truncate(buf.Len() - 1) // Encode ends with a newline
+		if draining {
+			buf.WriteString(`,"draining":true`)
+		}
+		buf.WriteByte('}')
+		return buf.Bytes(), nil
 	}
+}
+
+// appendReleases writes the ledger half of a snapshot as encoding/json
+// wrote the map[string][]ledgerRelease the ledger once was: requesters
+// sorted and escaped as it sorts and escapes map keys. Each distinct
+// release is encoded once and its bytes are spliced wherever an id names
+// it, so no requester's releases are materialised.
+func appendReleases(b []byte, table []ledgerRelease, byReq map[string][]uint32) ([]byte, error) {
+	reqs := make([]string, 0, len(byReq))
+	for req := range byReq {
+		reqs = append(reqs, req)
+	}
+	slices.Sort(reqs)
+	enc := make([][]byte, len(table))
+	b = append(b, '{')
+	for i, req := range reqs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(appendJSONString(b, req), ':', '[')
+		for j, id := range byReq[req] {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			if enc[id] == nil {
+				var err error
+				if enc[id], err = json.Marshal(&table[id]); err != nil {
+					return nil, err
+				}
+			}
+			b = append(b, enc[id]...)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
 }
 
 // Close flushes and closes the durable state, if configured, and stops

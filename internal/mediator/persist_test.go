@@ -252,7 +252,7 @@ func TestCrashDuringSnapshotKeepsRecordsPastTheCut(t *testing.T) {
 				if e.Requester != issued[i] {
 					t.Fatalf("recovered history[%d] = %s, want %s", i, e.Requester, issued[i])
 				}
-				if len(m2.ledger.byRequester[e.Requester]) != 1 {
+				if len(m2.ledger.releasesOf(e.Requester)) != 1 {
 					t.Errorf("%s is in the recovered history but its release is not in the ledger", e.Requester)
 				}
 			}

@@ -359,7 +359,7 @@ func (s *shardState) peerStatus(ctx context.Context, name, query string) (st *Sh
 func (m *Mediator) hasRequesterState(requester string) (ok bool) {
 	m.readHistory(func(h *history) { _, ok = h.reqID[requester] })
 	if !ok {
-		m.ledger.read(func(byRequester map[string][]ledgerRelease) { _, ok = byRequester[requester] })
+		m.ledger.read(func(l *releaseLedger) { _, ok = l.byRequester[requester] })
 	}
 	return ok
 }
@@ -510,8 +510,8 @@ func (m *Mediator) ShardMisplaced() map[string][]string {
 			seen[r] = true
 		}
 	})
-	m.ledger.read(func(byRequester map[string][]ledgerRelease) {
-		for r := range byRequester {
+	m.ledger.read(func(l *releaseLedger) {
+		for r := range l.byRequester {
 			seen[r] = true
 		}
 	})

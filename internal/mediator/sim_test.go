@@ -49,6 +49,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -87,12 +88,14 @@ var (
 
 // simQueries is the closed catalogue of query kinds. The h kinds ask the
 // party axis one group at a time, which the ledger does not combine yet
-// (classifyRelease drops a single-group release); the generator leaves
-// them out.
+// (classifyRelease drops a single-group release). 1bx asks the party
+// means over two of the three tests, a population the oracle does not
+// model. The generator leaves these out.
 var simQueries = map[string]string{
 	"1a":      perTestQuery,
 	"1a+":     "FOR  //compliance/row GROUP BY //test   RETURN AVG(//rate) AS avg_rate, STDDEV(//rate) AS sd_rate, COUNT(*) AS n PURPOSE research MAXLOSS 0.9",
 	"1b":      perHMOQuery,
+	"1bx":     "FOR //compliance/row WHERE //test != 'Eye Exam' GROUP BY //hmo RETURN AVG(//rate) AS avg_rate PURPOSE research MAXLOSS 0.9",
 	"n":       "FOR //compliance/row GROUP BY //test RETURN COUNT(*) AS n PURPOSE research MAXLOSS 0.9",
 	"sel":     "FOR //compliance/row WHERE //rate > 50 GROUP BY //test RETURN COUNT(*) AS n PURPOSE research MAXLOSS 0.9",
 	"cell":    "FOR //compliance/row WHERE //hmo = 'HMO1' AND //test = 'HbA1c' RETURN AVG(//rate) AS avg_rate PURPOSE research MAXLOSS 0.9",
@@ -109,7 +112,7 @@ var simCellKinds = map[string]bool{"cell": true, "rowcell": true}
 // simVerdicts are the refusals of the inference controls, which only
 // ever grow with a requester's history; invariant (ii) holds them.
 var simVerdicts = map[string]bool{
-	string(refusal.LedgerCombination): true, string(refusal.AuditSetSize): true,
+	string(refusal.LedgerCombination): true, string(refusal.LedgerUnverifiable): true, string(refusal.AuditSetSize): true,
 	string(refusal.AuditOverlap): true, string(refusal.AuditCompromise): true,
 }
 
@@ -667,24 +670,27 @@ type simState struct {
 
 func captureSim(m *Mediator) simState {
 	s := simState{ledger: map[string][]ledgerRelease{}, history: m.History()}
-	m.ledger.read(func(by map[string][]ledgerRelease) {
-		for r, rels := range by {
-			s.ledger[r] = slices.Clone(rels)
-		}
-	})
+	for r := range ledgerRequesters(m) {
+		s.ledger[r] = m.ledger.releasesOf(r)
+	}
 	return s
 }
 
-func requestersWithState(m *Mediator) map[string]bool {
+func ledgerRequesters(m *Mediator) map[string]bool {
 	set := map[string]bool{}
-	for _, e := range m.History() {
-		set[e.Requester] = true
-	}
-	m.ledger.read(func(by map[string][]ledgerRelease) {
-		for r := range by {
+	m.ledger.read(func(l *releaseLedger) {
+		for r := range l.byRequester {
 			set[r] = true
 		}
 	})
+	return set
+}
+
+func requestersWithState(m *Mediator) map[string]bool {
+	set := ledgerRequesters(m)
+	for _, e := range m.History() {
+		set[e.Requester] = true
+	}
 	return set
 }
 
@@ -894,6 +900,8 @@ func TestContract(t *testing.T) {
 			"", solo},
 		{"a threshold of 1 lets the pair through", "ask a 1a =ok; ask a 1b =ok",
 			"", simOpts{shards: 1, noStandby: true, threshold: 1}},
+		{"a pair the check cannot evaluate is refused in both orders",
+			"ask a 1a =ok; ask a 1bx =ledger-unverifiable; ask b 1bx =ok; ask b 1a =ledger-unverifiable", "", solo},
 		{"unrelated releases pass", "ask a 1a =ok; ask a 1a+ =ok; ask a n =ok; ask a sel =ok; ask a ws =ok",
 			"", solo},
 		{"plan-cache hit still ledgered",
@@ -945,6 +953,37 @@ func TestContract(t *testing.T) {
 				t.Error(p)
 			}
 		})
+	}
+}
+
+// A pair the combination check cannot evaluate (Figure 1(a), then HMO
+// means over two of its three tests, which no matrix fits) is refused as
+// a privacy refusal: 403 on the wire, with a message that classifies
+// back to ledger-unverifiable past the hop.
+func TestUnverifiablePairRefused403(t *testing.T) {
+	w := newSimWorld(t, simOpts{shards: 1, noStandby: true})
+	defer w.close()
+	post := func(q string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, w.urls["shard-a"]+"/query", strings.NewReader(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Requester", "snooper")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	if code, body := post(perTestQuery); code != http.StatusOK {
+		t.Fatalf("Figure 1(a): %d %s", code, body)
+	}
+	code, body := post(simQueries["1bx"])
+	if code != http.StatusForbidden || refusal.ClassifyString(body) != refusal.LedgerUnverifiable {
+		t.Fatalf("HMO means over another population: %d %s, want 403 ledger-unverifiable", code, body)
 	}
 }
 

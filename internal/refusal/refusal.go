@@ -45,6 +45,10 @@ const (
 	// LedgerCombination: the release ledger's cross-query combination
 	// attack check.
 	LedgerCombination Reason = "ledger-combination"
+	// LedgerUnverifiable: the release ledger could not evaluate the new
+	// release against an earlier one (no consistent matrix, or no
+	// convergence), and the release failed closed.
+	LedgerUnverifiable Reason = "ledger-unverifiable"
 	// Unrecordable: a durable store could not log the disclosure, and
 	// the release failed closed.
 	Unrecordable Reason = "unrecordable"
@@ -87,7 +91,7 @@ func All() []Reason {
 	return []Reason{
 		Timeout, Canceled, BreakerOpen, Policy,
 		AuditSetSize, AuditOverlap, AuditCompromise,
-		LedgerCombination, Unrecordable, LossBudget,
+		LedgerCombination, LedgerUnverifiable, Unrecordable, LossBudget,
 		Parse, NoSource, NotPrimary, Fenced, NotOwner, Other,
 	}
 }
@@ -134,6 +138,10 @@ func Classify(err error) Reason {
 // error's wire contract and are pinned by TestClassifyString.
 func ClassifyString(s string) Reason {
 	switch {
+	// First: the message quotes the solver's error, whose wording is
+	// not this vocabulary's.
+	case strings.Contains(s, "refusing unverifiable release"):
+		return LedgerUnverifiable
 	case strings.Contains(s, "timeout:") || strings.Contains(s, "deadline exceeded"):
 		return Timeout
 	case strings.Contains(s, "canceled:") || strings.Contains(s, "context canceled"):

@@ -56,6 +56,7 @@ func TestClassifyString(t *testing.T) {
 		{"audit: refused by compromise control: answering would determine individual 7 exactly", AuditCompromise},
 		// release-ledger renderings.
 		{"mediator: refusing release: combined with your earlier rate-by-test statistics it would pin hidden rate values to 99.0% of their prior range (threshold 90.0%)", LedgerCombination},
+		{"mediator: refusing unverifiable release: the combination check cannot evaluate it against your earlier rate-by-test statistics: nlp: coordinate 3: solver did not converge (violations 0.2, 0)", LedgerUnverifiable},
 		{"mediator: refusing unrecordable release: durable: wal fsync: disk gone", Unrecordable},
 		{"audit: refusing unrecordable release: durable: log closed", Unrecordable},
 		// rewriting, optimization, integration control.
@@ -97,7 +98,7 @@ func TestAllCoversEveryReasonOnce(t *testing.T) {
 		}
 		seen[r] = true
 	}
-	if len(seen) != 16 {
+	if len(seen) != 17 {
 		t.Fatalf("All() lists %d reasons; update the test when the vocabulary deliberately grows", len(seen))
 	}
 }
@@ -110,21 +111,22 @@ func TestAllCoversEveryReasonOnce(t *testing.T) {
 // silently degrade to Other the moment the refusal crosses an HTTP hop.
 func TestEnumStaysClosed(t *testing.T) {
 	exemplar := map[Reason]string{
-		Timeout:           "timeout: no answer within 10s",
-		Canceled:          "canceled: context canceled",
-		BreakerOpen:       "circuit open (source presumed down)",
-		Policy:            "query fully denied: //row/id: denied by policy",
-		AuditSetSize:      "audit: refused by set-size control: query set has 2 individuals",
-		AuditOverlap:      "audit: refused by overlap control: overlaps a previous query",
-		AuditCompromise:   "audit: refused by compromise control: answering would determine individual 7",
-		LedgerCombination: "refusing release: combined with your earlier rate-by-test statistics",
-		Unrecordable:      "refusing unrecordable release: durable: wal fsync: disk gone",
-		LossBudget:        "integrated information loss 0.80 exceeds the requester's MAXLOSS 0.50",
-		Parse:             "piql: expected FOR at offset 0",
-		NoSource:          "no source holds data matching //nothing",
-		NotPrimary:        "not primary (role standby, epoch 3)",
-		Fenced:            "fenced at epoch 4: a newer primary exists",
-		NotOwner:          "shard shard-b is not the owner of requester drWho (owner shard-a)",
+		Timeout:            "timeout: no answer within 10s",
+		Canceled:           "canceled: context canceled",
+		BreakerOpen:        "circuit open (source presumed down)",
+		Policy:             "query fully denied: //row/id: denied by policy",
+		AuditSetSize:       "audit: refused by set-size control: query set has 2 individuals",
+		AuditOverlap:       "audit: refused by overlap control: overlaps a previous query",
+		AuditCompromise:    "audit: refused by compromise control: answering would determine individual 7",
+		LedgerCombination:  "refusing release: combined with your earlier rate-by-test statistics",
+		LedgerUnverifiable: "refusing unverifiable release: the combination check cannot evaluate it",
+		Unrecordable:       "refusing unrecordable release: durable: wal fsync: disk gone",
+		LossBudget:         "integrated information loss 0.80 exceeds the requester's MAXLOSS 0.50",
+		Parse:              "piql: expected FOR at offset 0",
+		NoSource:           "no source holds data matching //nothing",
+		NotPrimary:         "not primary (role standby, epoch 3)",
+		Fenced:             "fenced at epoch 4: a newer primary exists",
+		NotOwner:           "shard shard-b is not the owner of requester drWho (owner shard-a)",
 	}
 	for _, r := range All() {
 		if r == Other {
