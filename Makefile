@@ -129,7 +129,7 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . is not empty:"; echo "$$out"; exit 1; fi
 
 # The two numbers the design-subtraction aim is judged by: lines of
-# non-test Go, and flags per daemon. Printed here, the first gated by
+# non-test Go, and flags per daemon. Printed here, both gated by
 # loc-check.
 loc:
 	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
@@ -173,10 +173,29 @@ loc:
 # encoding), and a pair the combination check cannot evaluate is refused
 # with its own reason, ledger-unverifiable (DESIGN.md §7, §9); ledger_mix
 # heap 8.77 -> 4.89 MB (E43).
-LOC_CEILING = 27193
+# 27,193 -> 27,170: fourteen daemon flags are constants (every caller ran
+# them at their defaults) and piye-mediator binds its flags into the one
+# mediator.Config; promotion and Close wait for the replication
+# goroutines; /history shows pseudonyms and redacted queries; the ledger
+# records each release's WHERE and refuses means of one column over two
+# populations as ledger-unverifiable (DESIGN.md §7).
+LOC_CEILING = 27170
+# The ceiling on the second: flags per daemon, as `make loc` counts them.
+# A flag is kept only as a deployment setting or as a value some caller
+# needs other than its default; a PR that adds one raises its ceiling here
+# and says which.
+FLAG_CEILINGS = piye-mediator=17 piye-source=11 piye-router=5
 loc-check:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
 	if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "non-test Go is $$n lines, over the ceiling of $(LOC_CEILING) (LOC_CEILING in the Makefile)"; exit 1; \
 	fi; \
-	echo "non-test Go lines: $$n, ceiling $(LOC_CEILING)"
+	echo "non-test Go lines: $$n, ceiling $(LOC_CEILING)"; \
+	for c in $(FLAG_CEILINGS); do \
+		d=$${c%=*}; max=$${c#*=}; \
+		f=$$(grep -o 'flag\.[A-Z][A-Za-z0-9]*(' cmd/$$d/main.go | grep -vc 'flag\.Parse('); \
+		if [ $$f -gt $$max ]; then \
+			echo "cmd/$$d has $$f flags, over its ceiling of $$max (FLAG_CEILINGS in the Makefile)"; exit 1; \
+		fi; \
+		echo "cmd/$$d flags: $$f, ceiling $$max"; \
+	done

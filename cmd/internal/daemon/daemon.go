@@ -1,8 +1,8 @@
 // Package daemon is the scaffold the piye-mediator, piye-source and
-// piye-router servers share: the observability handles built from
-// -trace-ring, the optional -debug-addr surface, and listen / signal /
-// drain. What a daemon serves is its own business; how it starts, stops
-// and is looked into is the same for all three.
+// piye-router servers share: the metrics registry and the trace ring,
+// the optional -debug-addr surface, and listen / signal / drain. What a
+// daemon serves is its own business; how it starts, stops and is looked
+// into is the same for all three.
 package daemon
 
 import (
@@ -24,18 +24,16 @@ type Daemon struct {
 	// the process in its debug-surface and drain lines, for a daemon with
 	// an identity beyond its binary ("piye-source hospitalA").
 	Prog, Label string
-	// Reg carries the process metrics; Tracer is nil with -trace-ring 0.
+	// Reg carries the process metrics; Tracer keeps the last
+	// obs.DefaultTraceRing finished traces for /debug/trace.
 	Reg    *obs.Registry
 	Tracer *obs.Tracer
 }
 
-// New builds the registry and the tracer of the last traceRing traces.
-func New(prog string, traceRing int) *Daemon {
-	d := &Daemon{Prog: prog, Label: prog, Reg: obs.NewRegistry()}
+// New builds the registry and the tracer.
+func New(prog string) *Daemon {
+	d := &Daemon{Prog: prog, Label: prog, Reg: obs.NewRegistry(), Tracer: obs.NewTracer(obs.DefaultTraceRing)}
 	obs.RegisterProcessMetrics(d.Reg)
-	if traceRing > 0 {
-		d.Tracer = obs.NewTracer(traceRing)
-	}
 	return d
 }
 

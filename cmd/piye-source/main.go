@@ -20,7 +20,6 @@ import (
 
 	"privateiye/cmd/internal/daemon"
 	"privateiye/internal/clinical"
-	"privateiye/internal/obs"
 	"privateiye/internal/policy"
 	"privateiye/internal/psi"
 	"privateiye/internal/relational"
@@ -39,7 +38,6 @@ func main() {
 	coalesce := flag.Bool("coalesce", false, "merge concurrent identical whole-column PSI blinds into one shared computation")
 	planCache := flag.Int("plan-cache", 256, "parse/plan cache capacity in entries (0 = disabled)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for /metrics, /debug/trace and /debug/pprof (empty = pprof off; /metrics and /debug/trace are always on -addr)")
-	traceRing := flag.Int("trace-ring", obs.DefaultTraceRing, "finished per-query traces kept for /debug/trace (0 = tracing off)")
 	flag.Parse()
 
 	cat := relational.NewCatalog()
@@ -72,7 +70,7 @@ func main() {
 		log.Fatalf("piye-source: %v", err)
 	}
 
-	d := daemon.New("piye-source", *traceRing)
+	d := daemon.New("piye-source")
 	d.Label = "piye-source " + *name
 	src, err := source.New(source.Config{Name: *name, Catalog: cat, Policy: pol, Seed: *seed, PlanCache: *planCache, Obs: d.Reg, Trace: d.Tracer})
 	if err != nil {

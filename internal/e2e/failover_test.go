@@ -26,8 +26,9 @@ import (
 
 // newReplicaMediator builds one mediator of the failover pair. An empty
 // primaryURL makes it the primary; otherwise it is a warm standby of
-// that URL. Fast heartbeats keep the test quick.
-func newReplicaMediator(t *testing.T, dir string, reg *obs.Registry, nodes map[string]*httptest.Server, primaryURL string) *mediator.Mediator {
+// that URL. Fast heartbeats keep the test quick. tr, when not nil, keys
+// the requester pseudonyms /history shows.
+func newReplicaMediator(t *testing.T, dir string, reg *obs.Registry, tr *obs.Tracer, nodes map[string]*httptest.Server, primaryURL string) *mediator.Mediator {
 	t.Helper()
 	var eps []source.Endpoint
 	for _, name := range []string{"alpha", "beta", "gamma"} {
@@ -50,7 +51,8 @@ func newReplicaMediator(t *testing.T, dir string, reg *obs.Registry, nodes map[s
 			Heartbeat:  20 * time.Millisecond,
 			Reconnect:  20 * time.Millisecond,
 		},
-		Obs: reg,
+		Obs:   reg,
+		Trace: tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +156,7 @@ func TestFailoverUnderLoadEndToEnd(t *testing.T) {
 
 	// --- Primary A up, standby B tailing it -----------------------------
 
-	medA := newReplicaMediator(t, dirA, regA, nodes, "")
+	medA := newReplicaMediator(t, dirA, regA, nil, nodes, "")
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +167,8 @@ func TestFailoverUnderLoadEndToEnd(t *testing.T) {
 	urlA := "http://" + addrA
 	waitReady(t, urlA, "primary A")
 
-	medB := newReplicaMediator(t, dirB, regB, nodes, urlA)
+	trB := obs.NewTracer(8)
+	medB := newReplicaMediator(t, dirB, regB, trB, nodes, urlA)
 	defer medB.Close()
 	srvB := httptest.NewServer(mediator.NewHandler(medB))
 	defer srvB.Close()
@@ -279,7 +282,7 @@ func TestFailoverUnderLoadEndToEnd(t *testing.T) {
 	}
 	hbody, _ := io.ReadAll(hresp.Body)
 	hresp.Body.Close()
-	if !strings.Contains(string(hbody), "snooper") {
+	if !strings.Contains(string(hbody), trB.Pseudonym("snooper")) {
 		t.Error("standby history lost the pre-failover entry")
 	}
 
@@ -294,7 +297,7 @@ func TestFailoverUnderLoadEndToEnd(t *testing.T) {
 	// A restarted process starts with a fresh registry; reusing medA's
 	// would leave its gauges reading the dead node's closures.
 	regA2 := obs.NewRegistry()
-	medA2 := newReplicaMediator(t, dirA, regA2, nodes, "")
+	medA2 := newReplicaMediator(t, dirA, regA2, nil, nodes, "")
 	defer medA2.Close()
 	srvA2 := serveAt(t, addrA, mediator.NewHandler(medA2))
 	defer srvA2.Close()

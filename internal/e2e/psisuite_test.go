@@ -186,8 +186,10 @@ func TestMixedSuiteAllECFleetPrefersX25519(t *testing.T) {
 }
 
 // The 768-bit test group is reachable only by code that hands it in
-// (source.NewLocal(…, psi.TestGroup())). None of the four places a suite
-// can be named by configuration may resolve it.
+// (source.NewLocal(…, psi.TestGroup())). None of the three places a suite
+// can be named by configuration may resolve it: mediator.Config, the
+// facade's SystemConfig, and piye-source's -psi-suite (piye-mediator has
+// no suite flag; it prefers the default and follows its sources' pins).
 func TestTestGroupIsNotConfigurable(t *testing.T) {
 	const want = `unknown suite "modp768"`
 	refused := func(entry string, err error, output string) {
@@ -214,19 +216,14 @@ func TestTestGroupIsNotConfigurable(t *testing.T) {
 		t.Skip("daemon flags need a go build")
 	}
 	bin := t.TempDir()
-	if out, err := exec.Command("go", "build", "-o", bin, "privateiye/cmd/piye-source", "privateiye/cmd/piye-mediator").CombinedOutput(); err != nil {
-		t.Fatalf("building the daemons: %v\n%s", err, out)
+	if out, err := exec.Command("go", "build", "-o", bin, "privateiye/cmd/piye-source").CombinedOutput(); err != nil {
+		t.Fatalf("building the source daemon: %v\n%s", err, out)
 	}
 	// A daemon that accepted the suite would serve forever; the deadline
 	// turns that into a failure instead of a hang.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	for daemon, args := range map[string][]string{
-		"piye-source":   {"-rows", "10"},
-		"piye-mediator": {"-source", "alpha=" + node.URL},
-	} {
-		args = append(args, "-addr", "127.0.0.1:0", "-psi-suite", psi.SuiteNameModP768)
-		out, err := exec.CommandContext(ctx, filepath.Join(bin, daemon), args...).CombinedOutput()
-		refused(daemon+" -psi-suite", err, string(out))
-	}
+	out, err := exec.CommandContext(ctx, filepath.Join(bin, "piye-source"),
+		"-rows", "10", "-addr", "127.0.0.1:0", "-psi-suite", psi.SuiteNameModP768).CombinedOutput()
+	refused("piye-source -psi-suite", err, string(out))
 }

@@ -29,9 +29,10 @@ const (
 // TestTelemetryDoesNotLeakRequestersOrLiterals drives the whole tier,
 // router to shards to sources, then reads everything an outsider can
 // read without being a requester's own client — every daemon's
-// /debug/trace (mounted on the query address) and /metrics, and the
-// process log — for the requesters' names and the queries' literals.
-// The traces must still be there, with pseudonyms and placeholders.
+// /debug/trace (mounted on the query address) and /metrics, every
+// mediator's /history, and the process log — for the requesters' names
+// and the queries' literals. The traces and history entries must still
+// be there, with pseudonyms and placeholders.
 func TestTelemetryDoesNotLeakRequestersOrLiterals(t *testing.T) {
 	var logs bytes.Buffer
 	log.SetOutput(&logs)
@@ -80,9 +81,18 @@ func TestTelemetryDoesNotLeakRequestersOrLiterals(t *testing.T) {
 	for name, srv := range nodes {
 		surfaces[name] = srv.URL
 	}
-	traced := 0
+	traced, entries := 0, 0
 	for who, base := range surfaces {
-		for _, path := range []string{"/debug/trace?last=64", "/metrics"} {
+		paths := []string{"/debug/trace?last=64", "/metrics"}
+		if _, isShard := shardSrvs[who]; isShard {
+			paths = append(paths, "/history")
+			h := get(t, base+"/history")
+			entries += strings.Count(h, `requester="r-`)
+			if n := strings.Count(h, "<entry "); n != strings.Count(h, "&lt;string&gt;") {
+				t.Errorf("%s /history: %d entries, %d with a redacted query", who, n, strings.Count(h, "&lt;string&gt;"))
+			}
+		}
+		for _, path := range paths {
 			body := get(t, base+path)
 			for _, secret := range append([]string{scrubString, scrubNumber}, requesters...) {
 				if strings.Contains(body, secret) {
@@ -104,6 +114,10 @@ func TestTelemetryDoesNotLeakRequestersOrLiterals(t *testing.T) {
 	// each of the two sources.
 	if want := 4 * len(requesters); traced != want {
 		t.Errorf("%d traces across the tier, want %d", traced, want)
+	}
+	// The owning shard keeps one pseudonymous history entry per query.
+	if entries != len(requesters) {
+		t.Errorf("%d pseudonymous history entries across the shards, want %d", entries, len(requesters))
 	}
 	log.SetOutput(os.Stderr) // no more writes into logs from here on
 	for _, secret := range append([]string{scrubString, scrubNumber}, requesters...) {

@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -71,26 +72,20 @@ func newShardMediator(t *testing.T, dir, id string, nodes map[string]*httptest.S
 	t.Cleanup(srv.Close)
 }
 
-// historyRequesters lists the distinct requesters in one shard's
-// /history.
-func historyRequesters(t *testing.T, base string) map[string]bool {
+// holds reports whether one shard holds control state (a ledger or
+// history entry) for the requester, read from its /shard/status.
+func holds(t *testing.T, base, requester string) bool {
 	t.Helper()
-	resp, err := http.Get(base + "/history")
+	resp, err := http.Get(base + "/shard/status?requester=" + url.QueryEscape(requester))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	out := map[string]bool{}
-	// The history is XML; requester is an attribute. String-scan rather
-	// than parse: the exact shape is pinned elsewhere.
-	b := make([]byte, 1<<20)
-	n, _ := resp.Body.Read(b)
-	for _, part := range strings.Split(string(b[:n]), `requester="`)[1:] {
-		if i := strings.IndexByte(part, '"'); i > 0 {
-			out[part[:i]] = true
-		}
+	var st mediator.ShardStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s/shard/status: %d %v", base, resp.StatusCode, err)
 	}
-	return out
+	return st.Holds
 }
 
 // ownedBy finds n fresh requester names the reference ring places on
@@ -224,7 +219,7 @@ func TestShardedTierEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, id := range shardPeers {
-			has := historyRequesters(t, shardSrvs[id].URL)[req]
+			has := holds(t, shardSrvs[id].URL, req)
 			if id == owner && !has {
 				t.Errorf("requester %s missing from owner %s's history", req, id)
 			}
@@ -332,10 +327,10 @@ func TestShardedTierEndToEnd(t *testing.T) {
 	if code, body := postQuery(t, rtSrv.URL, perTestQuery, newcomer); code != http.StatusOK {
 		t.Fatalf("drain re-route for %s: %d %s", newcomer, code, body)
 	}
-	if !historyRequesters(t, shardSrvs[adjOwner].URL)[newcomer] {
+	if !holds(t, shardSrvs[adjOwner].URL, newcomer) {
 		t.Errorf("newcomer did not land on the drain-adjusted owner %s", adjOwner)
 	}
-	if historyRequesters(t, shardSrvs["shard-c"].URL)[newcomer] {
+	if holds(t, shardSrvs["shard-c"].URL, newcomer) {
 		t.Error("newcomer was served by the draining shard")
 	}
 	adjSamples := scrape(t, shardSrvs[adjOwner].URL)
@@ -413,7 +408,7 @@ func TestShardedTierEndToEnd(t *testing.T) {
 		t.Fatalf("newcomer with two shards draining answered %d %s", code, body)
 	}
 	for id, want := range map[string]bool{"shard-a": false, "shard-b": false, "shard-c": true} {
-		if got := historyRequesters(t, shardSrvs[id].URL)[twoDrained]; got != want {
+		if got := holds(t, shardSrvs[id].URL, twoDrained); got != want {
 			t.Fatalf("newcomer in %s's history: %v, want %v (only shard-c may adopt it)", id, got, want)
 		}
 	}

@@ -133,13 +133,15 @@ func NewHandler(m *Mediator) http.Handler {
 		source.WriteNode(w, m.MediatedSchema().ToNode())
 	})
 
+	// Anyone who can send a query can read this, so, as in /debug/trace,
+	// requesters are pseudonyms and query literals are redacted.
 	mux.HandleFunc("GET /history", func(w http.ResponseWriter, r *http.Request) {
 		root := xmltree.NewElem("history")
 		for _, e := range m.History() {
 			item := xmltree.NewElem("entry").
-				SetAttr("requester", e.Requester).
+				SetAttr("requester", m.cfg.Trace.Pseudonym(e.Requester)).
 				SetAttr("clock", strconv.FormatInt(e.Clock, 10))
-			item.Append(xmltree.NewText("query", e.Query))
+			item.Append(xmltree.NewText("query", piql.Redact(e.Query)))
 			for _, s := range e.Sources {
 				item.Append(xmltree.NewText("source", s))
 			}

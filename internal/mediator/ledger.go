@@ -65,9 +65,9 @@ func (e *UnrecordableRefusal) Unwrap() error { return e.Err }
 func (e *UnrecordableRefusal) RefusalReason() refusal.Reason { return refusal.Unrecordable }
 
 // UnverifiableRefusal is the fail-closed refusal when the combination
-// check cannot evaluate the new release against an earlier one (no
-// matrix fits both, or the solver does not converge): a pair the ledger
-// cannot show safe is not granted.
+// check cannot evaluate the new release against an earlier one (the two
+// average over different populations, no matrix fits both, or the solver
+// does not converge): a pair the ledger cannot show safe is not granted.
 type UnverifiableRefusal struct {
 	ValueCol, PriorAxis string
 	Err                 error
@@ -102,7 +102,7 @@ func (e *UnverifiableRefusal) RefusalReason() refusal.Reason { return refusal.Le
 // ledgerRelease is one remembered aggregate release, in memory and (the
 // JSON names) in the WAL and the snapshot.
 type ledgerRelease struct {
-	Target   string      `json:"t"`           // canonical FOR pattern
+	Target   string      `json:"t"`           // canonical FOR pattern, then " WHERE " and the condition if any
 	ValueCol string      `json:"v"`           // measured column (last step of the AVG path)
 	Axis     string      `json:"a"`           // group-by column name
 	Means    groupValues `json:"m"`           // group -> mean
@@ -299,6 +299,9 @@ func classifyRelease(q *piql.Query, res *piql.Result) (ledgerRelease, bool) {
 		Axis:     axisName,
 		Means:    make(groupValues, 0, len(res.Rows)),
 	}
+	if q.Where != nil {
+		rel.Target += " WHERE " + q.Where.String()
+	}
 	if sdIdx >= 0 {
 		rel.Sigmas = make(groupValues, 0, len(res.Rows))
 	}
@@ -338,9 +341,19 @@ func (m *Mediator) checkAndRecord(requester string, rel ledgerRelease) error {
 	l := m.ledger
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	relFor, relWhere, _ := strings.Cut(rel.Target, " WHERE ")
 	for _, id := range l.byRequester[requester] {
 		prior := l.rels[id]
-		if prior.Target != rel.Target || prior.ValueCol != rel.ValueCol || prior.Axis == rel.Axis {
+		priorFor, priorWhere, _ := strings.Cut(prior.Target, " WHERE ")
+		if priorFor != relFor || prior.ValueCol != rel.ValueCol {
+			continue
+		}
+		if priorWhere != relWhere {
+			// Differences of means over two populations can isolate a cell,
+			// and the Figure 1 check models one population.
+			return &UnverifiableRefusal{ValueCol: rel.ValueCol, PriorAxis: prior.Axis, Err: errors.New("the two average over different populations")}
+		}
+		if prior.Axis == rel.Axis {
 			continue
 		}
 		// One release carries sigmas (the attribute axis), the other the

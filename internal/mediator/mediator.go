@@ -155,13 +155,16 @@ type Mediator struct {
 	// Replication wiring; all nil without Config.Replica (see
 	// replicate.go). node holds role + fencing epoch; repSrv serves the
 	// log to standbys; repClient tails the primary on a standby;
-	// repCancel stops the client at promotion or Close; fenceCancel
-	// (guarded by mu) stops the post-promotion fencer loop.
+	// repCancel stops the client at promotion or Close, and repDone is
+	// closed once it has stopped; fenceCancel (guarded by mu) stops the
+	// post-promotion fencer loop, which fencers counts.
 	node        *replica.Node
 	repSrv      *replica.Server
 	repClient   *replica.Client
 	repCancel   context.CancelFunc
+	repDone     chan struct{}
 	fenceCancel context.CancelFunc
+	fencers     sync.WaitGroup
 	fenceAcks   *obs.Counter
 }
 

@@ -326,19 +326,18 @@ func appendReleases(b []byte, table []ledgerRelease, byReq map[string][]uint32) 
 	return append(b, '}'), nil
 }
 
-// Close flushes and closes the durable state, if configured, and stops
-// any replication goroutines. The mediator must not be queried
-// afterwards.
+// Close stops the replication goroutines and waits for them, then
+// flushes and closes the durable state, if configured. The mediator must
+// not be queried afterwards.
 func (m *Mediator) Close() error {
-	if m.repCancel != nil {
-		m.repCancel()
-	}
+	m.stopTailing()
 	m.mu.Lock()
 	if m.fenceCancel != nil {
 		m.fenceCancel()
 		m.fenceCancel = nil
 	}
 	m.mu.Unlock()
+	m.fencers.Wait()
 	if m.dlog == nil {
 		return nil
 	}

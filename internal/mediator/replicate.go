@@ -29,9 +29,6 @@ type ReplicaConfig struct {
 	// EpochDir is where the fencing epoch is persisted (default: the
 	// durability state dir).
 	EpochDir string
-	// LagMax is the standby readiness threshold in records (default 0:
-	// fully caught up).
-	LagMax uint64
 	// Heartbeat is the stream keepalive period served to standbys;
 	// Reconnect the standby's delay between stream attempts. Zero values
 	// take the replica package defaults (500ms / 200ms).
@@ -103,16 +100,27 @@ func (m *Mediator) openReplication(cfg ReplicaConfig) error {
 	}
 	if role == replica.RoleStandby {
 		c := replica.NewClient(cfg.PrimaryURL, mediatorApplier{m}, node, m.cfg.Obs)
-		c.LagMax = cfg.LagMax
 		if cfg.Reconnect > 0 {
 			c.Reconnect = cfg.Reconnect
 		}
 		m.repClient = c
 		ctx, cancel := context.WithCancel(context.Background())
-		m.repCancel = cancel
-		go c.Run(ctx)
+		m.repCancel, m.repDone = cancel, make(chan struct{})
+		go func() {
+			defer close(m.repDone)
+			c.Run(ctx)
+		}()
 	}
 	return nil
+}
+
+// stopTailing cancels the standby's replication client and waits until
+// it has stopped, so no frame it was applying lands afterwards.
+func (m *Mediator) stopTailing() {
+	if m.repCancel != nil {
+		m.repCancel()
+		<-m.repDone
+	}
 }
 
 // writeGate refuses the query path on any node that may not grant
@@ -135,14 +143,14 @@ func (m *Mediator) writeGate() error {
 // bumped before the role flips, and a background fencer keeps posting
 // the new epoch to the old primary until it acknowledges — so a revived
 // old primary learns it has been deposed even though nothing streams
-// from it anymore.
+// from it anymore. The tailing client has stopped before the epoch is
+// bumped: a snapshot frame still being installed would otherwise reset
+// the log and the ledger under releases this node has since granted.
 func (m *Mediator) Promote() (uint64, error) {
 	if m.node == nil {
 		return 0, fmt.Errorf("mediator: replication not configured")
 	}
-	if m.repCancel != nil {
-		m.repCancel() // stop tailing: from here on this log is authoritative
-	}
+	m.stopTailing() // from here on this log is authoritative
 	epoch, err := m.node.Promote()
 	if err != nil {
 		return 0, err
@@ -157,7 +165,9 @@ func (m *Mediator) Promote() (uint64, error) {
 		m.mu.Unlock()
 		peer := m.cfg.Replica.PrimaryURL
 		acks := m.fenceAcks
+		m.fencers.Add(1)
 		go func() {
+			defer m.fencers.Done()
 			if replica.FencePeer(fctx, nil, peer, epoch, 0) == nil {
 				acks.Inc()
 			}
@@ -168,7 +178,7 @@ func (m *Mediator) Promote() (uint64, error) {
 
 // Ready implements the /readyz contract: a constructed mediator has
 // finished WAL replay by definition; a standby is additionally ready
-// only when its replication lag is within threshold; fenced and
+// only when it is caught up with its primary; fenced and
 // promoting nodes are never ready.
 func (m *Mediator) Ready() error {
 	if m.node == nil {

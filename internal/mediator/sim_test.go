@@ -50,6 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -88,9 +89,8 @@ var (
 
 // simQueries is the closed catalogue of query kinds. The h kinds ask the
 // party axis one group at a time, which the ledger does not combine yet
-// (classifyRelease drops a single-group release). 1bx asks the party
-// means over two of the three tests, a population the oracle does not
-// model. The generator leaves these out.
+// (classifyRelease drops a single-group release), so the generator
+// leaves them out. 1bx asks the party means over two of the three tests.
 var simQueries = map[string]string{
 	"1a":      perTestQuery,
 	"1a+":     "FOR  //compliance/row GROUP BY //test   RETURN AVG(//rate) AS avg_rate, STDDEV(//rate) AS sd_rate, COUNT(*) AS n PURPOSE research MAXLOSS 0.9",
@@ -737,12 +737,90 @@ func (w *simWorld) afterStep() {
 // truth is fixed, so a few distinct sets recur across every schedule.
 var simInfer sync.Map
 
+// simPopulations memoizes each query kind's population: the hidden cells
+// (index h*len(clinical.Tests)+t) its FOR and WHERE admit, found by
+// running the query over each ground-truth cell on its own.
+var simPopulations sync.Map
+
+func simPopulation(kind string) map[int]bool {
+	if pop, ok := simPopulations.Load(kind); ok {
+		return pop.(map[int]bool)
+	}
+	q := piql.MustParse(strings.TrimSpace(simQueries[kind]))
+	truth := clinical.Figure1GroundTruth()
+	pop := map[int]bool{}
+	for h, hmo := range clinical.HMOs {
+		for t, test := range clinical.Tests {
+			tab, err := clinical.ComplianceTable("compliance", []string{hmo}, []string{test}, [][]float64{{truth[h][t]}})
+			if err != nil {
+				panic(err)
+			}
+			if res, err := q.Evaluate(relational.TableToXML(tab), piql.EvalOptions{}); err == nil && len(res.Rows) > 0 {
+				pop[h*len(clinical.Tests)+t] = true
+			}
+		}
+	}
+	simPopulations.Store(kind, pop)
+	return pop
+}
+
+// simPins reports whether the released means, each a row of the cells it
+// averages, determine some hidden cell outright: whether a unit vector
+// lies in their span (rounding aside, the cell is then pinned).
+func simPins(means [][]float64) bool {
+	rank := func(rows [][]float64) int {
+		m := make([][]float64, len(rows))
+		for i := range rows {
+			m[i] = slices.Clone(rows[i])
+		}
+		r := 0
+		for c := 0; c < len(clinical.HMOs)*len(clinical.Tests) && r < len(m); c++ {
+			p := r
+			for i := r; i < len(m); i++ {
+				if math.Abs(m[i][c]) > math.Abs(m[p][c]) {
+					p = i
+				}
+			}
+			if math.Abs(m[p][c]) < 1e-9 {
+				continue
+			}
+			m[r], m[p] = m[p], m[r]
+			for i := range m {
+				if i != r {
+					f := m[i][c] / m[r][c]
+					for j := range m[i] {
+						m[i][j] -= f * m[r][j]
+					}
+				}
+			}
+			r++
+		}
+		return r
+	}
+	base := rank(means)
+	for c := 0; c < len(clinical.HMOs)*len(clinical.Tests); c++ {
+		unit := make([]float64, len(clinical.HMOs)*len(clinical.Tests))
+		unit[c] = 1
+		if rank(append(slices.Clone(means), unit)) == base {
+			return true
+		}
+	}
+	return false
+}
+
 // disclosure is the oracle: the tightest the Figure 1 attacker can pin
 // any hidden cell, as a fraction of its prior range, from everything req
 // was given. The attacker needs every test's mean and sigma and all HMO
-// means but one (the test means fix the total, which implies the last).
+// means but one (the test means fix the total, which implies the last),
+// each over its full population. A mean over part of it (a WHERE that
+// drops cells of its group) enters two checks instead: means whose
+// differences isolate a cell pin it, and a partial mean held beside the
+// test sigmas is a system the attacker does not model, which the ledger
+// must have refused as unverifiable, so the oracle reads it as pinned.
 func (w *simWorld) disclosure(req string) float64 {
 	testMean, testSD, hmoMean := map[string]float64{}, map[string]float64{}, map[string]float64{}
+	var means [][]float64
+	partial := false
 	for _, g := range w.given[req] {
 		if simCellKinds[g.kind] && len(g.res.Rows) > 0 {
 			return 1
@@ -752,12 +830,23 @@ func (w *simWorld) disclosure(req string) float64 {
 		if a < 0 {
 			continue
 		}
+		pop := simPopulation(g.kind)
 		for _, row := range g.res.Rows {
 			mean, err := strconv.ParseFloat(strings.TrimSpace(row[a]), 64)
 			if err != nil {
 				continue
 			}
+			cells, n := make([]float64, len(clinical.HMOs)*len(clinical.Tests)), 0
+			for c := range cells {
+				if pop[c] && (t >= 0 && clinical.Tests[c%len(clinical.Tests)] == row[t] ||
+					t < 0 && h >= 0 && clinical.HMOs[c/len(clinical.Tests)] == row[h]) {
+					cells[c], n = 1, n+1
+				}
+			}
+			means = append(means, cells)
 			switch {
+			case t >= 0 && n < len(clinical.HMOs), t < 0 && h >= 0 && n < len(clinical.Tests):
+				partial = true
 			case t >= 0 && s >= 0:
 				if sd, err := strconv.ParseFloat(strings.TrimSpace(row[s]), 64); err == nil {
 					testMean[row[t]], testSD[row[t]] = mean, sd
@@ -766,6 +855,9 @@ func (w *simWorld) disclosure(req string) float64 {
 				hmoMean[row[h]] = mean
 			}
 		}
+	}
+	if simPins(means) || partial && len(testSD) == len(clinical.Tests) {
+		return 1
 	}
 	if len(testSD) < len(clinical.Tests) || len(hmoMean) < len(clinical.HMOs)-1 {
 		return 0
@@ -836,7 +928,7 @@ func simGenerate(seed uint64, n int) []simStep {
 	rng := rand.New(rand.NewPCG(seed, 0x5eed))
 	pick := func(xs ...string) string { return xs[rng.IntN(len(xs))] }
 	reqs := []string{"r0", "r1", "r2", "r3"}
-	kinds := []string{"1a", "1a", "1a+", "1b", "1b", "n", "sel", "cell", "rowcell", "ws"}
+	kinds := []string{"1a", "1a", "1a+", "1b", "1b", "1bx", "n", "sel", "cell", "rowcell", "ws"}
 	shardArg := func() string { return pick("shard-a", "shard-b", "shard-c", "@"+pick(reqs...)) }
 	steps := make([]simStep, 0, n)
 	for len(steps) < n {
@@ -902,6 +994,8 @@ func TestContract(t *testing.T) {
 			"", simOpts{shards: 1, noStandby: true, threshold: 1}},
 		{"a pair the check cannot evaluate is refused in both orders",
 			"ask a 1a =ok; ask a 1bx =ledger-unverifiable; ask b 1bx =ok; ask b 1a =ledger-unverifiable", "", solo},
+		{"means over two populations of one axis are refused in both orders (3·1b − 2·1bx is the Eye Exam column)",
+			"ask a 1bx =ok; ask a 1b =ledger-unverifiable; ask b 1b =ok; ask b 1bx =ledger-unverifiable", "", solo},
 		{"unrelated releases pass", "ask a 1a =ok; ask a 1a+ =ok; ask a n =ok; ask a sel =ok; ask a ws =ok",
 			"", solo},
 		{"plan-cache hit still ledgered",

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"privateiye/internal/durable"
+	"privateiye/internal/obs"
 	"privateiye/internal/source"
 )
 
@@ -140,6 +141,78 @@ func TestStandbyJoinsAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCombinationRefusal(t, stateMediator(t, dir, nil), "snooper", "the standby's state dir reopened")
+}
+
+// A standby promoted while it installs a snapshot frame must not let
+// that install land afterwards: it would reset the log and the ledger
+// under a release the new primary had already granted, and the release's
+// Figure 1 complement would then be granted too. The install is parked
+// just before its temp file's fsync, with Promote called meanwhile.
+func TestPromotionWaitsForSnapshotInstall(t *testing.T) {
+	p := stateMediator(t, t.TempDir(), &ReplicaConfig{})
+	url, _ := serve(t, p)
+	if _, err := p.Query(perTestQuery, "filler"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.snapshot(); err != nil {
+		t.Fatal(err)
+	}
+
+	fp := durable.NewFailpoints()
+	reached, release := fp.Park(durable.FPSnapSync)
+	reg := obs.NewRegistry()
+	s, err := New(Config{
+		Endpoints:         append([]source.Endpoint{figure1Endpoint(t)}, twoHospitals(t)...),
+		LinkageSalt:       salt,
+		MaxDisclosure:     0.9,
+		LedgerTolerance:   0.05,
+		WarehouseCapacity: 8,
+		WarehouseTTL:      1 << 30,
+		Durability:        &DurabilityConfig{Dir: t.TempDir(), Failpoints: fp},
+		Replica:           &ReplicaConfig{PrimaryURL: url, Heartbeat: 10 * time.Millisecond, Reconnect: 10 * time.Millisecond},
+		Obs:               reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	select {
+	case <-reached:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the standby never started installing the snapshot frame")
+	}
+
+	promoted := make(chan error, 1)
+	go func() {
+		_, err := s.Promote()
+		promoted <- err
+	}()
+	// Promote may wait for the parked install (it must not return before
+	// it); either way the release below is granted by the primary.
+	released := false
+	select {
+	case err = <-promoted:
+	case <-time.After(200 * time.Millisecond):
+		release()
+		released = true
+		err = <-promoted
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Query(perTestQuery, "snooper"); err != nil {
+		t.Fatalf("Figure 1(a) on the promoted standby: %v", err)
+	}
+	if !released {
+		release()
+	}
+	installed := reg.Counter("piye_replica_snapshots_installed_total")
+	for deadline := time.Now().Add(10 * time.Second); installed.Value() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the parked snapshot install never finished")
+		}
+	}
+	wantCombinationRefusal(t, s, "snooper", "standby promoted mid-install")
 }
 
 // Every route into the state leaves the same state behind: the node the

@@ -153,7 +153,7 @@ func TestTraceHandler(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatalf("bad json: %v\n%s", err, rec.Body.String())
 	}
-	if len(out) != 1 || out[0].Requester != tr.pseudonym("bob") || out[0].Outcome != "refused:timeout" {
+	if len(out) != 1 || out[0].Requester != tr.Pseudonym("bob") || out[0].Outcome != "refused:timeout" {
 		t.Fatalf("traces = %+v", out)
 	}
 	if want := "FOR //compliance/row WHERE //hmo = '<string>' RETURN AVG (//rate)"; out[0].Query != want {
@@ -175,11 +175,11 @@ func TestTraceHandler(t *testing.T) {
 // guessed name elsewhere.
 func TestRequesterPseudonym(t *testing.T) {
 	a, b := NewTracer(1), NewTracer(1)
-	p := a.pseudonym("alice")
+	p := a.Pseudonym("alice")
 	if len(p) != 18 || !strings.HasPrefix(p, "r-") || strings.Contains(p, "alice") {
 		t.Fatalf("pseudonym %q, want r- and 16 hex digits", p)
 	}
-	if a.pseudonym("alice") != p || a.pseudonym("bob") == p || b.pseudonym("alice") == p {
+	if a.Pseudonym("alice") != p || a.Pseudonym("bob") == p || b.Pseudonym("alice") == p {
 		t.Fatal("pseudonyms must be stable per tracer, distinct per name, and keyed per tracer")
 	}
 }

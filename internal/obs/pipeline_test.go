@@ -74,7 +74,7 @@ func TestPipelineRecordsUnderPrefixAndConstantLabels(t *testing.T) {
 	if len(traces) != 4 {
 		t.Fatalf("ring holds %d traces, want 4 (the ring's capacity)", len(traces))
 	}
-	if traces[0].Requester != tracer.pseudonym("bob") || traces[0].Outcome != "refused:not-owner" || len(traces[0].Spans) != 0 {
+	if traces[0].Requester != tracer.Pseudonym("bob") || traces[0].Outcome != "refused:not-owner" || len(traces[0].Spans) != 0 {
 		t.Errorf("pre-stage refusal trace = %+v", traces[0])
 	}
 	if got := traces[1]; got.Outcome != "refused:policy-denied" || got.Spans[0].Outcome != got.Outcome {

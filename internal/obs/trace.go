@@ -103,7 +103,7 @@ func (t *Trace) snapshot() *Trace {
 	defer t.mu.Unlock()
 	return &Trace{
 		ID:        t.ID,
-		Requester: t.tracer.pseudonym(t.Requester),
+		Requester: t.tracer.Pseudonym(t.Requester),
 		Query:     piql.Redact(t.Query),
 		Shard:     t.Shard,
 		Begin:     t.Begin,
@@ -141,11 +141,15 @@ func NewTracer(capacity int) *Tracer {
 	return tr
 }
 
-// pseudonym renders a requester as "r-" and 16 hex digits of
+// Pseudonym renders a requester as "r-" and 16 hex digits of
 // HMAC-SHA256 under the tracer's key: stable within the process, so one
 // requester's traces still read as one, and neither reversible nor
-// checkable against a guessed name without the key.
-func (tr *Tracer) pseudonym(requester string) string {
+// checkable against a guessed name without the key. A nil tracer has no
+// key, and renders every requester as "<requester>".
+func (tr *Tracer) Pseudonym(requester string) string {
+	if tr == nil {
+		return "<requester>"
+	}
 	mac := hmac.New(sha256.New, tr.key[:])
 	mac.Write([]byte(requester))
 	return "r-" + hex.EncodeToString(mac.Sum(nil)[:8])

@@ -56,10 +56,6 @@ type Client struct {
 	HTTP *http.Client
 	// Reconnect is the delay between stream attempts (default 200ms).
 	Reconnect time.Duration
-	// LagMax is the readiness threshold: the standby reports CaughtUp
-	// while its lag is at or below this many records (default 0 — fully
-	// caught up).
-	LagMax uint64
 
 	mu          sync.Mutex
 	connected   bool
@@ -115,13 +111,9 @@ func (c *Client) Run(ctx context.Context) {
 		if err != nil && ctx.Err() == nil {
 			c.mResyncs.Inc()
 		}
-		delay := c.Reconnect
-		if delay <= 0 {
-			delay = 200 * time.Millisecond
-		}
 		select {
 		case <-ctx.Done():
-		case <-time.After(delay):
+		case <-time.After(c.Reconnect):
 		}
 	}
 }
@@ -233,7 +225,7 @@ func (c *Client) Status() Status {
 	if c.primaryLast > applied {
 		st.Lag = c.primaryLast - applied
 	}
-	st.CaughtUp = c.connected && st.Lag <= c.LagMax
+	st.CaughtUp = c.connected && st.Lag == 0
 	return st
 }
 
@@ -274,6 +266,6 @@ func FencePeer(ctx context.Context, hc *http.Client, peerURL string, epoch uint6
 	}
 }
 
-// ErrNotCaughtUp is returned by readiness checks while a standby's lag
-// exceeds its threshold.
+// ErrNotCaughtUp is returned by readiness checks while a standby lags
+// its primary.
 var ErrNotCaughtUp = errors.New("replica: standby not caught up")

@@ -20,9 +20,10 @@ type Server struct {
 	log  *durable.Log
 	node *Node
 
-	// Heartbeat is the idle-stream keepalive period (default 500ms). It
-	// bounds both the standby's lag-measurement staleness and how long a
-	// dead connection lingers undetected.
+	// Heartbeat is the idle-stream keepalive period (NewServer sets
+	// 500ms; keep it positive). It bounds both the standby's
+	// lag-measurement staleness and how long a dead connection lingers
+	// undetected.
 	Heartbeat time.Duration
 
 	// Mangle, when non-nil, is a test failpoint: it may rewrite one
@@ -103,11 +104,7 @@ func (s *Server) ServeStream(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher.Flush()
 
-	hb := s.Heartbeat
-	if hb <= 0 {
-		hb = 500 * time.Millisecond
-	}
-	tick := time.NewTicker(hb)
+	tick := time.NewTicker(s.Heartbeat)
 	defer tick.Stop()
 
 	sent := from
