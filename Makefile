@@ -72,7 +72,8 @@ bench-gate:
 	BENCH_GATE=1 $(GO) test -count=1 -run '^TestBenchGate$$' -v .
 
 # Short native-fuzzing runs over the untrusted-input decoders and the
-# ring invariants: WAL record decoding, the PIQL parser, the reader of a
+# ring invariants: WAL record decoding (and the mediator's record
+# writer, differentially against encoding/json), the PIQL parser, the reader of a
 # source's result and its row multiplicities, the XML envelope tokenizer
 # (differentially against encoding/xml) and writer, the PSI
 # wire envelope and element decoders (both suites), and shard placement
@@ -85,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseDifferential -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/xmltree/
 	$(GO) test -run '^$$' -fuzz FuzzEncodeRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/xmltree/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) ./internal/durable/
+	$(GO) test -run '^$$' -fuzz FuzzAppendWALRecord -fuzztime $(FUZZTIME) ./internal/mediator/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/piql/
 	$(GO) test -run '^$$' -fuzz FuzzResultFromNode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/piql/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalElems -fuzztime $(FUZZTIME) ./internal/psi/
@@ -179,7 +181,14 @@ loc:
 # goroutines; /history shows pseudonyms and redacted queries; the ledger
 # records each release's WHERE and refuses means of one column over two
 # populations as ledger-unverifiable (DESIGN.md §7).
-LOC_CEILING = 27170
+# 27,170 -> 27,377: a ledgered answer is one WAL record (release and
+# history entry), written in place by record writers that reproduce
+# json.Marshal's bytes (the snapshot's history encoder went); the ledger
+# check runs under no lock, split from the commit section that re-checks;
+# durable's WAL goes through a walFile seam whose LoseUnsynced makes
+# "visible before fsync" observable to the contract harness (DESIGN.md
+# §7); ledger_mix allocs/op 988.0 -> 977.6 (E45).
+LOC_CEILING = 27377
 # The ceiling on the second: flags per daemon, as `make loc` counts them.
 # A flag is kept only as a deployment setting or as a value some caller
 # needs other than its default; a PR that adds one raises its ceiling here

@@ -108,7 +108,7 @@ type Log struct {
 	failStreak int // consecutive failed installs (guarded by snapMu)
 
 	mu      sync.Mutex
-	f       *os.File // the WAL, positioned at its end
+	f       walFile  // the WAL, positioned at its end
 	dirf    *os.File // directory handle for fsync
 	enc     []byte   // the record being written, reused across appends
 	seq     uint64   // last durable sequence number
@@ -129,7 +129,7 @@ type Log struct {
 	snapSize int64
 	retryAt  int64 // WAL size at which a failed compaction is tried again
 	deadErr  error
-	changed  chan struct{} // closed and replaced on every append/snapshot
+	changed  chan struct{} // closed at the next append/snapshot; made by Changed
 
 	// Pre-resolved metric handles; nil (no-op) without Options.Obs.
 	mAppends     *obs.Counter
@@ -156,7 +156,7 @@ func Open(opts Options) (*Log, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	l := &Log{opts: opts, changed: make(chan struct{})}
+	l := &Log{opts: opts}
 	if opts.Obs != nil {
 		scope := opts.ObsScope
 		if scope == "" {
@@ -241,10 +241,11 @@ func (l *Log) recoverWAL() error {
 		l.seq = l.snapSeq
 	}
 	l.walSize = int64(valid)
-	l.f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("durable: opening wal: %w", err)
 	}
+	l.f = l.opts.Failpoints.wal(f)
 	return nil
 }
 
@@ -388,10 +389,13 @@ func (l *Log) appendLocked(seq uint64, payload []byte) (uint64, error) {
 	return seq, nil
 }
 
-// signalLocked wakes every Changed waiter.
+// signalLocked wakes every Changed waiter. The channel is made only when
+// someone asks for one, so an append nobody waits on allocates nothing.
 func (l *Log) signalLocked() {
-	close(l.changed)
-	l.changed = make(chan struct{})
+	if l.changed != nil {
+		close(l.changed)
+		l.changed = nil
+	}
 }
 
 // Sync fsyncs the WAL file. Every acknowledged record is durable

@@ -2,6 +2,8 @@ package durable
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -63,6 +65,7 @@ type Failpoints struct {
 	armed   map[string]int // point -> remaining hits before it fires
 	parked  map[string]park
 	tripped []string
+	synced  int64 // the WAL's length at its last fsync (see wal)
 }
 
 // park is one scheduled pause: reached is closed when the point is hit,
@@ -132,4 +135,64 @@ func (f *Failpoints) hit(point string) bool {
 	delete(f.armed, point)
 	f.tripped = append(f.tripped, point)
 	return true
+}
+
+// walFile is the seam every WAL write and fsync goes through: an
+// *os.File, or under a schedule one that notes what an fsync covered.
+type walFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// wal hands the log its WAL handle. Under a schedule the handle notes the
+// file's length at each fsync (and at open: what recovery kept is on
+// disk), so LoseUnsynced can leave the file as a power cut would; a nil
+// schedule gets the file itself.
+func (f *Failpoints) wal(file *os.File) walFile {
+	if f == nil {
+		return file
+	}
+	s := &syncedFile{File: file, fp: f}
+	s.noteSynced()
+	return s
+}
+
+type syncedFile struct {
+	*os.File
+	fp *Failpoints
+}
+
+func (s *syncedFile) Sync() error {
+	err := s.File.Sync()
+	if err == nil {
+		s.noteSynced()
+	}
+	return err
+}
+
+func (s *syncedFile) noteSynced() {
+	if st, err := s.Stat(); err == nil {
+		s.fp.mu.Lock()
+		s.fp.synced = st.Size()
+		s.fp.mu.Unlock()
+	}
+}
+
+// LoseUnsynced cuts the WAL in dir back to what an fsync covered when the
+// log under this schedule stopped: every byte a power cut at that moment
+// would take with it. Call it once that log is closed.
+func (f *Failpoints) LoseUnsynced(dir string) error {
+	path := filepath.Join(dir, walName)
+	st, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	f.mu.Lock()
+	synced := f.synced
+	f.mu.Unlock()
+	if st.Size() <= synced {
+		return nil // a rotation the crash left unrecorded: the new file was fsynced whole
+	}
+	return os.Truncate(path, synced)
 }

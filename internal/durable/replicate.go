@@ -113,5 +113,8 @@ func (l *Log) Changed() <-chan struct{} {
 	if l.ring == nil {
 		l.ring = make([]Entry, tailWindow)
 	}
+	if l.changed == nil {
+		l.changed = make(chan struct{})
+	}
 	return l.changed
 }

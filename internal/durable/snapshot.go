@@ -327,13 +327,12 @@ func (l *Log) compactLocked(seq uint64, carry bool) error {
 		return fmt.Errorf("durable: directory fsync: %w", err)
 	}
 	// Swap the append handle to the fresh file.
-	old := l.f
-	l.f, err = os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		l.f = old
 		return fmt.Errorf("durable: reopening wal: %w", err)
 	}
-	old.Close()
+	l.f.Close()
+	l.f = l.opts.Failpoints.wal(f)
 	l.walSize = int64(len(tail))
 	return nil
 }

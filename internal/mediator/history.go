@@ -1,9 +1,7 @@
 package mediator
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"slices"
 )
 
@@ -73,26 +71,19 @@ func (h *history) internList(l []string) uint32 {
 	return id
 }
 
-// MarshalJSON streams the []HistoryEntry the records stand for through
-// one Encoder and one reused entry that shares the tables' lists, so a
-// snapshot copies no entry and encoding/json writes every byte (the
-// caller's json.Marshal drops the newline Encode ends each entry with).
-func (h *history) MarshalJSON() ([]byte, error) {
+// appendTo appends the []HistoryEntry the records stand for as
+// encoding/json writes it, each entry through the WAL's entry writer with
+// the tables' own lists, so a snapshot copies no entry.
+func (h *history) appendTo(b []byte) []byte {
 	if h.recs == nil {
-		return []byte("null"), nil
+		return append(b, "null"...)
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, 2+128*len(h.recs)))
-	buf.WriteByte('[')
-	enc, e := json.NewEncoder(buf), new(HistoryEntry)
+	b = append(b, '[')
 	for i, r := range h.recs {
 		if i > 0 {
-			buf.WriteByte(',')
+			b = append(b, ',')
 		}
-		*e = HistoryEntry{h.reqs[r.req], h.texts[r.query], h.lists[r.sources], h.lists[r.denied], r.clock}
-		if err := enc.Encode(e); err != nil {
-			return nil, err
-		}
+		b = appendHistoryEntry(b, &HistoryEntry{h.reqs[r.req], h.texts[r.query], h.lists[r.sources], h.lists[r.denied], r.clock})
 	}
-	buf.WriteByte(']')
-	return buf.Bytes(), nil
+	return append(b, ']')
 }

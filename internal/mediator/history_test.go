@@ -211,7 +211,7 @@ func TestReleaseEncodesAsTheMapDid(t *testing.T) {
 		}
 		m := stateMediator(t, t.TempDir(), nil)
 		var unrecordable *UnrecordableRefusal
-		if err := m.checkAndRecord("r", rel); !errors.As(err, &unrecordable) {
+		if err := m.checkAndRecord("r", rel, HistoryEntry{}); !errors.As(err, &unrecordable) {
 			t.Errorf("recording a release holding %v: %v, want an UnrecordableRefusal", bad, err)
 		}
 	}
@@ -354,8 +354,9 @@ func TestLedgerInternsEachDistinctReleaseOnce(t *testing.T) {
 	}
 }
 
-// The snapshot's ledger half is streamed from the table, and writes
-// exactly what json.Marshal wrote for the map of per-requester releases:
+// The snapshot is streamed from the tables, and writes exactly what
+// json.Marshal wrote for the map of per-requester releases and the
+// history's entries:
 // shared and distinct releases, nil and empty sigmas, requesters that
 // sort and escape, and one holding none.
 func TestSnapshotReleasesEncodeAsTheMapDid(t *testing.T) {
@@ -377,13 +378,11 @@ func TestSnapshotReleasesEncodeAsTheMapDid(t *testing.T) {
 	for _, req := range reqs {
 		byReq[req] = m.ledger.releasesOf(req)
 	}
-	var view *history
-	m.readHistory(func(h *history) { view = h })
 	want, err := json.Marshal(struct {
 		Releases map[string][]ledgerRelease `json:"releases"`
-		History  *history                   `json:"history"`
+		History  []HistoryEntry             `json:"history"`
 		Draining bool                       `json:"draining,omitempty"`
-	}{byReq, view, true})
+	}{byReq, m.History(), true})
 	if err != nil {
 		t.Fatal(err)
 	}

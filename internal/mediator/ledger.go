@@ -127,13 +127,18 @@ func (g groupValues) settle() groupValues {
 }
 
 // MarshalJSON writes what encoding/json writes for the map, into one
-// buffer sized for short keys and long floats: keys in order, its
-// escaping, its float format, NaN and ±Inf refused.
+// buffer sized for short keys and long floats.
 func (g groupValues) MarshalJSON() ([]byte, error) {
+	return g.appendTo(make([]byte, 0, 2+48*len(g)))
+}
+
+// appendTo appends what encoding/json writes for the map: keys in order,
+// its escaping, its float format, NaN and ±Inf refused.
+func (g groupValues) appendTo(b []byte) ([]byte, error) {
 	if g == nil {
-		return []byte("null"), nil
+		return append(b, "null"...), nil
 	}
-	b := append(make([]byte, 0, 2+48*len(g)), '{')
+	b = append(b, '{')
 	for i, x := range g {
 		if i > 0 {
 			b = append(b, ',')
@@ -171,11 +176,13 @@ func (g *groupValues) UnmarshalJSON(data []byte) error {
 
 // appendJSONString appends s as encoding/json quotes it: verbatim when
 // every byte is printable ASCII that needs no escape (encoding/json also
-// escapes <, > and &), through json.Marshal otherwise.
+// escapes <, > and &), through json.Marshal otherwise. json.Marshal gets
+// a copy, so s never reaches the heap through it, and neither does a
+// record on its caller's stack whose strings are quoted here.
 func appendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always encodes
+			q, _ := json.Marshal(strings.Clone(s)) // a string always encodes
 			return append(b, q...)
 		}
 	}
@@ -335,15 +342,40 @@ func lastSegment(p string) string {
 }
 
 // checkAndRecord runs the combination check for a new release and, if it
-// passes, records it. It returns an error when the combined releases
-// would disclose beyond the threshold.
-func (m *Mediator) checkAndRecord(requester string, rel ledgerRelease) error {
-	l := m.ledger
+// passes, commits the answer: its release and history entry e. It
+// returns an error when the combined releases would disclose beyond the
+// threshold, or when the answer cannot be recorded.
+//
+// The check, solver and all, runs under no lock, against the
+// requester's ids as copied under the ledger's: the table and each id
+// list only grow, so the copy stays what it was. The commit section then
+// takes commitLock; if the requester's list grew meanwhile (a twin, or
+// another query of theirs, committed), it lets go and checks again.
+func (m *Mediator) checkAndRecord(requester string, rel ledgerRelease, e HistoryEntry) error {
+	for {
+		table, priors := m.ledger.priors(requester)
+		if err := m.checkCombinations(rel, table, priors); err != nil {
+			return err
+		}
+		if done, err := m.commit(requester, len(priors), rel, e); done {
+			return err
+		}
+	}
+}
+
+// priors copies the release table's header and requester's id list.
+func (l *releaseLedger) priors(requester string) ([]ledgerRelease, []uint32) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.rels, l.byRequester[requester]
+}
+
+// checkCombinations is the combination check of rel against each of the
+// priors, in record order.
+func (m *Mediator) checkCombinations(rel ledgerRelease, table []ledgerRelease, priors []uint32) error {
 	relFor, relWhere, _ := strings.Cut(rel.Target, " WHERE ")
-	for _, id := range l.byRequester[requester] {
-		prior := l.rels[id]
+	for _, id := range priors {
+		prior := table[id]
 		priorFor, priorWhere, _ := strings.Cut(prior.Target, " WHERE ")
 		if priorFor != relFor || prior.ValueCol != rel.ValueCol {
 			continue
@@ -379,23 +411,42 @@ func (m *Mediator) checkAndRecord(requester string, rel ledgerRelease) error {
 			}
 		}
 	}
-	// Durable-before-visible: once the statistics leave the mediator they
-	// cannot be recalled, so a release the log cannot record must not be
-	// released at all. A log error that already carries its own refusal
-	// reason (a fenced ex-primary's guard) passes through — it is a
-	// sharper diagnosis than "unrecordable".
+	return nil
+}
+
+// commit is the commit section: under commitLock, unless the requester
+// now holds other than the checked releases (done is false then), it
+// logs the answer as one record and applies it. e is stamped with the
+// clock the warehouse put after it (finalize) will tick to, as record
+// stamps an answer the ledger does not see.
+//
+// Durable-before-visible: once the statistics leave the mediator they
+// cannot be recalled, so a release the log cannot record must not be
+// released at all. A log error that already carries its own refusal
+// reason (a fenced ex-primary's guard) passes through — it is a sharper
+// diagnosis than "unrecordable".
+func (m *Mediator) commit(requester string, checked int, rel ledgerRelease, e HistoryEntry) (done bool, err error) {
+	c := commitLock{m}
+	c.Lock()
+	defer c.Unlock()
+	if len(m.ledger.byRequester[requester]) != checked {
+		return false, nil
+	}
+	if m.wh != nil {
+		e.Clock = m.wh.Now() + 1
+	}
 	if m.dlog != nil {
-		logged := rel // as in record: &rel would escape log or no log
-		if err := m.logRecord(walRecord{Kind: kindRelease, Requester: requester, Release: &logged}); err != nil {
+		if err := m.logRecord(walRecord{Kind: kindRelease, Requester: requester, Release: &rel, History: &e}); err != nil {
 			var rr refusal.Reasoner
 			if errors.As(err, &rr) {
-				return err
+				return true, err
 			}
-			return &UnrecordableRefusal{Scope: "mediator", Err: err}
+			return true, &UnrecordableRefusal{Scope: "mediator", Err: err}
 		}
 	}
-	l.add(requester, rel)
-	return nil
+	m.ledger.add(requester, rel)
+	m.history.add(e)
+	return true, nil
 }
 
 // add is the only writer of the ledger, for a live, a recovered, a

@@ -317,9 +317,11 @@ func (m *Mediator) History() (out []HistoryEntry) {
 	return out
 }
 
-// record enters one answered query in the history, logged best effort:
-// the answer is already out and cannot be refused retroactively, so a
-// write failure here must not fail the query.
+// record enters an answered query the ledger does not record (a
+// warehouse hit, or an answer of no ledgered shape) in the history, and
+// logs it best effort: the answer is already out and cannot be refused
+// retroactively, so a write failure here must not fail the query. A
+// ledgered answer's entry goes in with its release (commit).
 func (m *Mediator) record(e HistoryEntry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -328,8 +330,7 @@ func (m *Mediator) record(e HistoryEntry) {
 	}
 	m.history.add(e)
 	if m.dlog != nil {
-		logged := e // &e would move e to the heap log or no log
-		_ = m.logRecord(walRecord{Kind: kindHistory, History: &logged})
+		_ = m.logRecord(walRecord{Kind: kindHistory, History: &e})
 	}
 }
 

@@ -6,18 +6,19 @@ package mediator
 // if they remember. An in-memory ledger invites the restart-amnesia
 // attack — obtain the Figure 1(a) sigma release, induce a mediator
 // restart, obtain the Figure 1(b) means from the fresh process, and
-// combine the two offline. With durability configured, every ledgered
-// release is write-ahead-logged before the answer leaves the mediator
-// (fail-closed), history entries are logged best-effort, and startup
-// replays snapshot + WAL so a restarted mediator refuses exactly what
-// the unrestarted one would have.
+// combine the two offline. With durability configured, an answer the
+// ledger records is write-ahead-logged before it leaves the mediator, as
+// one record holding both its release and its history entry
+// (fail-closed); any other answer's history entry is logged best-effort
+// after it; and startup replays snapshot + WAL so a restarted mediator
+// refuses exactly what the unrestarted one would have.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"maps"
 	"slices"
+	"strconv"
 	"sync"
 
 	"privateiye/internal/durable"
@@ -42,8 +43,9 @@ const (
 	kindDrain   = "drain"
 )
 
-// walRecord is one WAL entry: a ledgered release, a history entry or a
-// shard's drain mark.
+// walRecord is one WAL entry: a ledgered answer (its release, and since
+// the merged record its history entry in h; older logs write the entry
+// as a record of its own), a history entry or a shard's drain mark.
 // Epoch is the fencing epoch of the node that wrote it (0 when the
 // mediator runs unreplicated) — the release-ledger half of the fencing
 // invariant: every granted release names the generation that granted
@@ -83,17 +85,34 @@ func decodeRecord(seq uint64, payload []byte) (walRecord, error) {
 	return rec, fmt.Errorf("mediator: malformed wal record %d (kind %q)", seq, rec.Kind)
 }
 
-// lockFor names the lock a record's structure lives under: the ledger's
-// for a release, the mediator's for a history entry or a drain mark.
+// lockFor names the locks a record's structures live under: for a
+// release the commit section's (commitLock), which also covers the
+// history entry it may carry; the mediator's for a history entry or a
+// drain mark.
 func (m *Mediator) lockFor(rec *walRecord) sync.Locker {
 	if rec.Kind == kindRelease {
-		return &m.ledger.mu
+		return commitLock{m}
 	}
 	return &m.mu
 }
 
+// commitLock holds the mediator's lock, then the ledger's: the order
+// captureState nests them in, so a record that changes both structures
+// is in both or in neither at its cut.
+type commitLock struct{ m *Mediator }
+
+func (c commitLock) Lock() {
+	c.m.mu.Lock()
+	c.m.ledger.mu.Lock()
+}
+
+func (c commitLock) Unlock() {
+	c.m.ledger.mu.Unlock()
+	c.m.mu.Unlock()
+}
+
 // apply folds one decoded record, recovered (recoverState) or replicated
-// (ApplyEntry), into memory through the mutator a live query's record
+// (ApplyEntry), into memory through the mutators a live query's record
 // ends in; the caller holds lockFor(rec). Nothing is re-checked: what it
 // describes has already left the mediator. Whoever also logs the record
 // does so under the same hold of the lock, which captureState relies on.
@@ -101,6 +120,9 @@ func (m *Mediator) apply(rec *walRecord) {
 	switch rec.Kind {
 	case kindRelease:
 		m.ledger.add(rec.Requester, *rec.Release)
+		if rec.History != nil {
+			m.history.add(*rec.History)
+		}
 	case kindHistory:
 		m.history.add(*rec.History)
 	default:
@@ -212,11 +234,15 @@ func (m *Mediator) recoverState(dl *durable.Log) error {
 	return nil
 }
 
-// logRecord appends a live release or history entry to the durable log;
-// the caller holds the record's lock. A replicated node (replicate.go)
-// stamps it with its epoch and fences a release first: a node that is
-// not the primary at its own epoch must not record a release its
-// successor's ledger will never see. A history entry's answer has left.
+// walBufs recycles the buffers records are encoded into: Append copies
+// what it keeps.
+var walBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// logRecord appends a live record to the durable log; the caller holds
+// lockFor(&rec). A replicated node (replicate.go) stamps it with its
+// epoch and fences a release first: a node that is not the primary at its
+// own epoch must not record a release its successor's ledger will never
+// see. A history-only record's answer has left.
 func (m *Mediator) logRecord(rec walRecord) error {
 	if n := m.node; n != nil {
 		if rec.Kind == kindRelease {
@@ -226,12 +252,82 @@ func (m *Mediator) logRecord(rec walRecord) error {
 		}
 		rec.Epoch = n.Epoch()
 	}
-	b, err := json.Marshal(rec)
+	bp := walBufs.Get().(*[]byte)
+	defer walBufs.Put(bp)
+	b, err := appendWALRecord((*bp)[:0], &rec)
 	if err != nil {
 		return err
 	}
+	*bp = b
 	_, err = m.dlog.Append(b)
 	return err
+}
+
+// appendWALRecord appends rec as json.Marshal writes it: the fields in
+// declaration order, each omitempty field left out when empty, the
+// release through its groupValues writer, and every string escaped as
+// encoding/json escapes it. decodeRecord reads it back.
+func appendWALRecord(b []byte, rec *walRecord) ([]byte, error) {
+	b = appendJSONString(append(b, `{"k":`...), rec.Kind)
+	if rec.Requester != "" {
+		b = appendJSONString(append(b, `,"req":`...), rec.Requester)
+	}
+	if rec.Epoch != 0 {
+		b = strconv.AppendUint(append(b, `,"e":`...), rec.Epoch, 10)
+	}
+	if r := rec.Release; r != nil {
+		var err error
+		if b, err = appendRelease(append(b, `,"rel":`...), r); err != nil {
+			return nil, err
+		}
+	}
+	if rec.History != nil {
+		b = appendHistoryEntry(append(b, `,"h":`...), rec.History)
+	}
+	if rec.Draining != nil {
+		b = strconv.AppendBool(append(b, `,"d":`...), *rec.Draining)
+	}
+	return append(b, '}'), nil
+}
+
+// appendRelease appends r as json.Marshal writes a *ledgerRelease.
+func appendRelease(b []byte, r *ledgerRelease) ([]byte, error) {
+	b = appendJSONString(append(b, `{"t":`...), r.Target)
+	b = appendJSONString(append(b, `,"v":`...), r.ValueCol)
+	b = appendJSONString(append(b, `,"a":`...), r.Axis)
+	b, err := r.Means.appendTo(append(b, `,"m":`...))
+	if err == nil && len(r.Sigmas) > 0 { // omitempty leaves out an empty list too
+		b, err = r.Sigmas.appendTo(append(b, `,"s":`...))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
+}
+
+// appendHistoryEntry appends e as json.Marshal writes it.
+func appendHistoryEntry(b []byte, e *HistoryEntry) []byte {
+	b = appendJSONString(append(b, `{"Requester":`...), e.Requester)
+	b = appendJSONString(append(b, `,"Query":`...), e.Query)
+	b = appendJSONStrings(append(b, `,"Sources":`...), e.Sources)
+	b = appendJSONStrings(append(b, `,"Denied":`...), e.Denied)
+	return append(strconv.AppendInt(append(b, `,"Clock":`...), e.Clock, 10), '}')
+}
+
+// appendJSONStrings appends l as encoding/json writes a []string: null
+// when nil.
+func appendJSONStrings(b []byte, l []string) []byte {
+	if l == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, s := range l {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, s)
+	}
+	return append(b, ']')
 }
 
 // maybeSnapshot compacts the WAL when the durable log says it has
@@ -278,16 +374,11 @@ func (m *Mediator) captureState() (seq uint64, encode func() ([]byte, error)) {
 		if err != nil {
 			return nil, err
 		}
-		buf := bytes.NewBuffer(append(b, `,"history":`...))
-		if err := json.NewEncoder(buf).Encode(view); err != nil {
-			return nil, err
-		}
-		buf.Truncate(buf.Len() - 1) // Encode ends with a newline
+		b = view.appendTo(append(b, `,"history":`...))
 		if draining {
-			buf.WriteString(`,"draining":true`)
+			b = append(b, `,"draining":true`...)
 		}
-		buf.WriteByte('}')
-		return buf.Bytes(), nil
+		return append(b, '}'), nil
 	}
 }
 
@@ -302,7 +393,7 @@ func appendReleases(b []byte, table []ledgerRelease, byReq map[string][]uint32) 
 		reqs = append(reqs, req)
 	}
 	slices.Sort(reqs)
-	enc := make([][]byte, len(table))
+	enc := make([][]byte, len(table)) // where a release's bytes first went
 	b = append(b, '{')
 	for i, req := range reqs {
 		if i > 0 {
@@ -313,13 +404,16 @@ func appendReleases(b []byte, table []ledgerRelease, byReq map[string][]uint32) 
 			if j > 0 {
 				b = append(b, ',')
 			}
-			if enc[id] == nil {
-				var err error
-				if enc[id], err = json.Marshal(&table[id]); err != nil {
-					return nil, err
-				}
+			if enc[id] != nil {
+				b = append(b, enc[id]...)
+				continue
 			}
-			b = append(b, enc[id]...)
+			from := len(b)
+			var err error
+			if b, err = appendRelease(b, &table[id]); err != nil {
+				return nil, err
+			}
+			enc[id] = b[from:]
 		}
 		b = append(b, ']')
 	}

@@ -298,15 +298,19 @@ func (m *Mediator) finalize(sh *sharedExec, requester string, trace *obs.Trace) 
 	}
 
 	// Release ledger: a requester's aggregate releases must not combine
-	// into a Figure 1 system (second-level enforcement across queries).
+	// into a Figure 1 system (second-level enforcement across queries). A
+	// release it records carries the answer's history entry with it.
+	e := HistoryEntry{Requester: requester, Query: sh.canonical, Sources: out.Answered, Denied: sortedKeys(out.Denied)}
+	ledgered := false
 	if q.IsAggregate() {
 		if rel, ok := classifyRelease(q, out.Result); ok {
 			ts = m.pipe.Now()
-			err := m.checkAndRecord(requester, rel)
+			err := m.checkAndRecord(requester, rel, e)
 			m.pipe.Stage(trace, "ledger", ts, err)
 			if err != nil {
 				return nil, err
 			}
+			ledgered = true
 		}
 	}
 
@@ -314,12 +318,9 @@ func (m *Mediator) finalize(sh *sharedExec, requester string, trace *obs.Trace) 
 		m.wh.Put(requester+"|"+sh.canonical, out.Result)
 		m.wh.Tick()
 	}
-	m.record(HistoryEntry{
-		Requester: requester,
-		Query:     sh.canonical,
-		Sources:   out.Answered,
-		Denied:    sortedKeys(out.Denied),
-	})
+	if !ledgered {
+		m.record(e)
+	}
 	m.maybeSnapshot()
 	return out, nil
 }

@@ -15,7 +15,8 @@ package mediator
 //	      never answered afterwards, by any node;
 //	(iii) a node recovered from a crash, or promoted over a killed
 //	      primary, holds every release and history entry acknowledged
-//	      before it, in order;
+//	      before it, in order, and every record its log acknowledged
+//	      (a restart is a power cut: it loses what no fsync covered);
 //	(iv)  a draining shard takes on no requester it held no state for.
 //
 // Schedules come from one typed table (TestContract: scripts with
@@ -217,7 +218,6 @@ type simSlot struct {
 	standby  *simNode
 	drainSet map[string]bool // requesters with state when the drain began
 	acked    int             // history entries recorded while the log lived
-	walSize  int64           // the WAL's size while the log lived
 
 	mu   sync.RWMutex
 	node *simNode
@@ -583,11 +583,7 @@ func (w *simWorld) restart(sl *simSlot) string {
 	old := sl.current()
 	pre := captureSim(old.m)
 	old.close()
-	// The power loss a crash before the fsync stands for also loses the
-	// bytes written and never synced.
-	if slices.Contains(old.fp.Tripped(), durable.FPAppendSync) {
-		must(w.t, os.Truncate(filepath.Join(old.dir, "wal.log"), sl.walSize))
-	}
+	must(w.t, old.fp.LoseUnsynced(old.dir))
 	n := w.open(sl, old.dir, "")
 	sl.swap(n)
 	if n == nil {
@@ -662,14 +658,16 @@ func (w *simWorld) compact(sl *simSlot, point, req, kind string) string {
 	return "ok"
 }
 
-// simState is what a node held when it was closed or killed.
+// simState is what a node held when it was closed or killed, and the
+// last sequence number its log reported durable.
 type simState struct {
 	ledger  map[string][]ledgerRelease
 	history []HistoryEntry
+	seq     uint64
 }
 
 func captureSim(m *Mediator) simState {
-	s := simState{ledger: map[string][]ledgerRelease{}, history: m.History()}
+	s := simState{ledger: map[string][]ledgerRelease{}, history: m.History(), seq: m.dlog.LastSeq()}
 	for r := range ledgerRequesters(m) {
 		s.ledger[r] = m.ledger.releasesOf(r)
 	}
@@ -697,9 +695,13 @@ func requestersWithState(m *Mediator) map[string]bool {
 // checkRecovered is invariant (iii): every release the old node
 // acknowledged is in the new node's ledger, in order (a release written
 // but never acknowledged may be there too), and the new history is the
-// old one's prefix, at least acked entries long.
+// old one's prefix, at least acked entries long, and the new log reaches
+// the sequence number the old one reported.
 func (w *simWorld) checkRecovered(what string, pre simState, acked int, m *Mediator) {
 	post := captureSim(m)
+	if post.seq < pre.seq {
+		w.fail("(iii) %s: the log reported seq %d durable and recovered through %d", what, pre.seq, post.seq)
+	}
 	for r, rels := range pre.ledger {
 		got := post.ledger[r]
 		if len(got) < len(rels) || fmt.Sprint(got[:len(rels)]) != fmt.Sprint(rels) {
@@ -719,7 +721,6 @@ func (w *simWorld) afterStep() {
 		n := sl.current()
 		if len(n.fp.Tripped()) == 0 {
 			n.m.readHistory(func(h *history) { sl.acked = len(h.recs) })
-			sl.walSize, _ = n.m.dlog.Sizes()
 		}
 		if sl.drainSet == nil {
 			continue
@@ -1010,6 +1011,9 @@ func TestContract(t *testing.T) {
 			"", solo},
 		{"queries land during snapshots",
 			"ask a 1a =ok; compact shard-a - b 1a =ok; ask c 1a =ok; compact shard-a - c 1b =ok; restart shard-a =ok; ask a 1b =ledger-combination; ask b 1b =ledger-combination",
+			"", solo},
+		{"twins and a ledgered ask race a compaction",
+			"compact shard-a - a 1a =ok; twin a 1a+ =ok; twin b 1b =ok; restart shard-a =ok; twin a 1b =ledger-combination; twin b 1a =ledger-combination",
 			"", solo},
 		{"append crash fails closed under twins",
 			"ask a 1a =ok; crash shard-a append.buffer =ok; twin d 1a =unrecordable; ask e 1a =unrecordable; restart shard-a =ok; ask a 1b =ledger-combination; ask d 1b =ok",

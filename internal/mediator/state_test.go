@@ -8,12 +8,16 @@ package mediator
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"privateiye/internal/durable"
 	"privateiye/internal/obs"
+	"privateiye/internal/piql"
 	"privateiye/internal/source"
 )
 
@@ -369,7 +373,9 @@ const (
 
 // The parent's state directory replays under this tree, and the same
 // queries under this tree write the parent's bytes: the format did not
-// move.
+// move. The one change is that an answer the ledger records now writes
+// its release and history entry as one record: the parent's records 3
+// and 4, the entry as the release record's "h".
 func TestParentStateDirReplays(t *testing.T) {
 	open := func(dir string) *Mediator {
 		m, err := New(Config{
@@ -438,13 +444,136 @@ func TestParentStateDirReplays(t *testing.T) {
 	if got := string(l.RecoveredSnapshot()); got != parentSnapshot {
 		t.Errorf("snapshot differs from the parent's:\n got %s\nwant %s", got, parentSnapshot)
 	}
+	entry := strings.TrimSuffix(strings.TrimPrefix(parentRecord4, `{"k":"history","e":1,"h":`), "}")
+	written := []string{strings.TrimSuffix(parentRecord3, "}") + `,"h":` + entry + "}", parentRecord5}
 	ents := l.RecoveredEntries()
-	if len(ents) != len(records) {
-		t.Fatalf("%d WAL records after the snapshot, want %d", len(ents), len(records))
+	if len(ents) != len(written) {
+		t.Fatalf("%d WAL records after the snapshot, want %d", len(ents), len(written))
 	}
 	for i, e := range ents {
-		if string(e.Payload) != records[i] {
-			t.Errorf("record %d differs from the parent's:\n got %s\nwant %s", e.Seq, e.Payload, records[i])
+		if string(e.Payload) != written[i] {
+			t.Errorf("record %d differs from the parent's:\n got %s\nwant %s", e.Seq, e.Payload, written[i])
 		}
+	}
+}
+
+// figure1Releases are the Figure 1(a) and 1(b) releases as the ledger
+// records them, answered on m by a requester the tests do not use.
+func figure1Releases(t *testing.T, m *Mediator) (a, b ledgerRelease) {
+	t.Helper()
+	for i, text := range []string{perTestQuery, perHMOQuery} {
+		in, err := m.Query(text, fmt.Sprint("figure1-", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, ok := classifyRelease(piql.MustParse(text), in.Result)
+		if !ok {
+			t.Fatalf("%s did not classify", text)
+		}
+		if i == 0 {
+			a = rel
+		} else {
+			b = rel
+		}
+	}
+	return a, b
+}
+
+// The commit section (ledger.go): the combination check runs on a copy
+// of the requester's ids taken before it, so the commit must notice a
+// release the requester was granted meanwhile and check again; and a
+// snapshot cut between the check and the commit must leave the commit
+// wholly after it, in the WAL.
+func TestCommitSectionRechecksAndCutsExactly(t *testing.T) {
+	dir := t.TempDir()
+	m := stateMediator(t, dir, nil)
+	relA, relB := figure1Releases(t, m)
+	entry := func(req string) HistoryEntry {
+		return HistoryEntry{Requester: req, Query: "q", Sources: []string{"integrator"}}
+	}
+
+	// r's Figure 1(b) passes its check against no priors; Figure 1(a)
+	// commits before 1(b) does.
+	table, priors := m.ledger.priors("r")
+	if err := m.checkCombinations(relB, table, priors); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.checkAndRecord("r", relA, entry("r")); err != nil {
+		t.Fatal(err)
+	}
+	if done, err := m.commit("r", len(priors), relB, entry("r")); done || err != nil {
+		t.Fatalf("a commit against grown priors: done %v, %v; want it sent back to the check", done, err)
+	}
+	var refusal *CombinationRefusal
+	if err := m.checkAndRecord("r", relB, entry("r")); !errors.As(err, &refusal) {
+		t.Fatalf("Figure 1(b) after 1(a): %v, want a CombinationRefusal", err)
+	}
+
+	// s's Figure 1(a) passes its check; a snapshot is cut; then it
+	// commits.
+	table, priors = m.ledger.priors("s")
+	if err := m.checkCombinations(relA, table, priors); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if done, err := m.commit("s", len(priors), relA, entry("s")); !done || err != nil {
+		t.Fatalf("commit after the snapshot: done %v, %v", done, err)
+	}
+	want := encodedState(t, m)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m = stateMediator(t, dir, nil)
+	if got := encodedState(t, m); !bytes.Equal(got, want) {
+		t.Errorf("reopened over the snapshot and the WAL after it:\n got %s\nwant %s", got, want)
+	}
+	if h := m.History(); len(h) != 4 || h[2].Requester != "r" || h[3].Requester != "s" {
+		t.Errorf("history = %+v, want the two Figure 1 answers, then r's and s's", h)
+	}
+	for _, req := range []string{"r", "s"} {
+		wantCombinationRefusal(t, m, req, "reopened")
+	}
+}
+
+// One requester's Figure 1(a) and 1(b) race each other, and a snapshot
+// races both: at most one of the pair is granted, whichever commits
+// first, and a restart holds exactly what the live node held.
+func TestCommitSectionRaces(t *testing.T) {
+	dir := t.TempDir()
+	m := stateMediator(t, dir, nil)
+	for i := 0; i < 4; i++ {
+		req := fmt.Sprint("racer-", i)
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for j, text := range []string{perTestQuery, perHMOQuery} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[j] = m.Query(text, req)
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := m.snapshot(); err != nil {
+				t.Error(err)
+			}
+		}()
+		wg.Wait()
+		if errs[0] == nil && errs[1] == nil {
+			t.Fatalf("%s was granted both halves of Figure 1", req)
+		}
+		if got := len(m.ledger.releasesOf(req)); got != 1 {
+			t.Errorf("%s holds %d releases, want the one granted", req, got)
+		}
+	}
+	want := encodedState(t, m)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := encodedState(t, stateMediator(t, dir, nil)); !bytes.Equal(got, want) {
+		t.Errorf("reopened:\n got %s\nwant %s", got, want)
 	}
 }
