@@ -20,10 +20,7 @@ package main
 import (
 	"flag"
 	"log"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"privateiye/cmd/internal/daemon"
@@ -47,7 +44,6 @@ const (
 func main() {
 	cfg := mediator.Config{WarehouseTTL: warehouseTTL, SourceTimeout: sourceTimeout}
 	res := resilience.EndpointConfig{Policy: resilience.Policy{MaxAttempts: retries}}
-	var rep mediator.ReplicaConfig
 	var shardCfg mediator.ShardConfig
 	addr := flag.String("addr", ":7100", "listen address")
 	var sources daemon.NameURLs
@@ -63,8 +59,6 @@ func main() {
 	flag.BoolVar(&cfg.Coalesce, "coalesce", false, "merge concurrent identical queries from the same requester into one shared execution (per-caller ledger and audit still run)")
 	flag.IntVar(&cfg.PlanCache, "plan-cache", 256, "parse/plan cache capacity in entries (0 = disabled)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for /metrics, /debug/trace and /debug/pprof (empty = pprof off; /metrics and /debug/trace are always on -addr)")
-	flag.StringVar(&rep.PrimaryURL, "replica-of", "", "run as a warm standby of the primary mediator at this base URL (needs -state-dir); promote via POST /replica/promote or SIGUSR1")
-	flag.StringVar(&rep.EpochDir, "epoch-dir", "", "directory persisting the fencing epoch (default: -state-dir)")
 	flag.StringVar(&shardCfg.ID, "shard-id", "", "this mediator's name in a sharded tier (enables the requester ownership gate; needs -shard-peers)")
 	shardPeers := flag.String("shard-peers", "", "comma-separated membership of the tier, this shard included, as name or name=url (must match the router's -shard list); URLs let this shard verify drain re-routes and check peers before undrain — without them re-routed requesters are refused fail-closed")
 	flag.Parse()
@@ -86,18 +80,6 @@ func main() {
 		cfg.Durability = &mediator.DurabilityConfig{Dir: *stateDir}
 	} else {
 		log.Print("piye-mediator: WARNING: no -state-dir; the release ledger and query history are in-memory only, and a restart resets the combination controls (restart-amnesia)")
-	}
-	// The replication surface rides along with durability: a durable
-	// primary must serve /replica/stream (standbys tail it) and
-	// /replica/fence (a promoted successor deposes it), so -state-dir
-	// alone enables it in the primary role; -replica-of makes this node
-	// the standby instead.
-	if rep.PrimaryURL != "" && cfg.Durability == nil {
-		log.Fatal("piye-mediator: -replica-of requires -state-dir (the replicated log is the durable state)")
-	}
-	if cfg.Durability != nil {
-		rep.PrimaryURL = strings.TrimRight(rep.PrimaryURL, "/")
-		cfg.Replica = &rep
 	}
 	if shardCfg.ID != "" || *shardPeers != "" {
 		if shardCfg.ID == "" || *shardPeers == "" {
@@ -128,24 +110,6 @@ func main() {
 			log.Printf("piye-mediator: closing state: %v", err)
 		}
 	}()
-	if cfg.Replica != nil {
-		st := med.ReplicationStatus()
-		log.Printf("piye-mediator replication: role %s, epoch %d (promote with POST /replica/promote or SIGUSR1)", st.Role, st.Epoch)
-		// SIGUSR1 promotes a standby without needing the HTTP surface —
-		// the operator's big red button when the primary is gone.
-		usr1 := make(chan os.Signal, 1)
-		signal.Notify(usr1, syscall.SIGUSR1)
-		go func() {
-			for range usr1 {
-				epoch, err := med.Promote()
-				if err != nil {
-					log.Printf("piye-mediator: SIGUSR1 promotion failed: %v", err)
-					continue
-				}
-				log.Printf("piye-mediator: promoted to primary at epoch %d", epoch)
-			}
-		}()
-	}
 	if st := med.ShardInfo(); st != nil {
 		log.Printf("piye-mediator sharding: shard %s of %d peers (seed %d); requesters owned elsewhere answer 503 not-owner",
 			st.ID, len(st.Peers), st.Seed)

@@ -296,30 +296,6 @@ func NewChaosEndpoint(ep Endpoint, cfg ChaosConfig) *ChaosEndpoint {
 // ErrCircuitOpen marks calls skipped by an open circuit breaker.
 var ErrCircuitOpen = resilience.ErrOpen
 
-// --- Replication and failover ----------------------------------------------
-
-// ReplicaConfig replicates the mediator's durable inference-control log
-// to/from a peer mediator and arbitrates failover with a persisted
-// fencing epoch: set it on MediatorConfig.Replica (requires Durability). A
-// node with an empty PrimaryURL is the primary and serves the stream; a
-// node naming a primary is a warm standby that mirrors it and can be
-// promoted. ReplicaStatus is the role/epoch/lag view both expose, and
-// ReplicationStatus (on the mediator) returns it.
-type (
-	ReplicaConfig = mediator.ReplicaConfig
-	ReplicaStatus = mediator.ReplicaStatus
-)
-
-// NotPrimaryError refuses a release on a standby (retry against the
-// primary); FencedError refuses one on a deposed primary — a newer
-// epoch exists, so granting would risk a double-release across the
-// failover. Both classify to dedicated refusal reasons and map to HTTP
-// 503, not 403: the query is fine, the node's role is not.
-type (
-	NotPrimaryError = mediator.NotPrimaryError
-	FencedError     = mediator.FencedError
-)
-
 // --- Sharding --------------------------------------------------------------
 
 // ShardConfig places a mediator in a requester-sharded tier: set it on

@@ -28,7 +28,6 @@ func TestCompactionCostIsAmortised(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	l := openT(t, Options{Dir: dir, Obs: reg, ObsScope: "amortise"})
-	l.Changed() // a reader is listening: the replication window is in use
 	payload := bytes.Repeat([]byte("p"), 100)
 	recordSize := int64(len(AppendRecord(nil, 1, payload)))
 
@@ -51,13 +50,10 @@ func TestCompactionCostIsAmortised(t *testing.T) {
 		if wal > max(compactFloor, snap)+recordSize {
 			t.Fatalf("after append %d the WAL holds %d bytes beside a %d-byte snapshot: compaction is overdue", i, wal, snap)
 		}
-		if l.ringN > tailWindow || l.recovered != nil || l.snapshot != nil {
-			t.Fatalf("after append %d the log retains %d window entries, %d recovered entries, %d snapshot bytes",
-				i, l.ringN, len(l.recovered), len(l.snapshot))
+		if l.recovered != nil || l.snapshot != nil {
+			t.Fatalf("after append %d the log retains %d recovered entries, %d snapshot bytes",
+				i, len(l.recovered), len(l.snapshot))
 		}
-	}
-	if l.ringN != tailWindow {
-		t.Errorf("the replication window holds %d entries after %d appends with a reader listening, want %d", l.ringN, n, tailWindow)
 	}
 	walBytes := reg.Counter("piye_wal_bytes_total", "log", "amortise").Value()
 	snapBytes := reg.Counter("piye_wal_snapshot_bytes_total", "log", "amortise").Value()
@@ -90,18 +86,17 @@ func TestCompactionCostIsAmortised(t *testing.T) {
 		t.Errorf("recovered %d records, want %d", got, n)
 	}
 	r.ReleaseRecovered()
-	if r.snapshot != nil || r.recovered != nil || r.ringN != 0 {
-		t.Errorf("after ReleaseRecovered the log still holds %d snapshot bytes, %d entries, %d window entries",
-			len(r.snapshot), len(r.recovered), r.ringN)
+	if r.snapshot != nil || r.recovered != nil {
+		t.Errorf("after ReleaseRecovered the log still holds %d snapshot bytes, %d entries",
+			len(r.snapshot), len(r.recovered))
 	}
 }
 
-// Writers, a compactor and a tailing reader at once: the owner's lock
-// covers only append + state update and the capture, as in the mediator.
-// Whatever interleaving results, a reopen must find every record exactly
-// once, in order, split between the snapshot and the carried-over tail,
-// and the reader must have seen the sequence without a gap.
-func TestConcurrentAppendsCompactionsAndTailing(t *testing.T) {
+// Writers and a compactor at once: the owner's lock covers only append +
+// state update and the capture, as in the mediator. Whatever interleaving
+// results, a reopen must find every record exactly once, in order, split
+// between the snapshot and the carried-over tail.
+func TestConcurrentAppendsAndCompactions(t *testing.T) {
 	const writers, compactions = 4, 25
 	dir := t.TempDir()
 	l := openT(t, Options{Dir: dir})
@@ -115,11 +110,11 @@ func TestConcurrentAppendsCompactionsAndTailing(t *testing.T) {
 		return seq, func() ([]byte, error) { return cut, nil }
 	}
 
-	// The compactor sets the length of the run: writers and the reader
-	// go on until it has installed its snapshots.
+	// The compactor sets the length of the run: writers go on until it
+	// has installed its snapshots.
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(writers + 1)
+	wg.Add(writers)
 	for w := 0; w < writers; w++ {
 		go func(w int) {
 			defer wg.Done()
@@ -141,36 +136,6 @@ func TestConcurrentAppendsCompactionsAndTailing(t *testing.T) {
 			}
 		}(w)
 	}
-	go func() { // tailing reader
-		defer wg.Done()
-		var at uint64
-		for {
-			changed := l.Changed()
-			entries, snapSeq, snapNeeded, err := l.TailFrom(at)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if snapNeeded {
-				at = snapSeq // as if the snapshot had been installed
-			}
-			for _, e := range entries {
-				if e.Seq <= at {
-					continue
-				}
-				if e.Seq != at+1 {
-					t.Errorf("reader at %d was handed sequence %d", at, e.Seq)
-					return
-				}
-				at = e.Seq
-			}
-			select {
-			case <-done:
-				return
-			case <-changed:
-			}
-		}
-	}()
 	for i := 0; i < compactions; i++ {
 		if err := l.Compact(capture); err != nil {
 			t.Error(err)
@@ -296,7 +261,7 @@ func TestSaveSnapshotAtRejectsOutOfRangeSeq(t *testing.T) {
 			t.Errorf("SaveSnapshotAt(%d) on a log at (3, 4] was accepted", seq)
 		}
 	}
-	if state, seq, err := l.SnapshotPayload(); err != nil || string(state) != "S@3" || seq != 3 {
+	if state, seq, err := readSnapshotFile(l.snapPath()); err != nil || string(state) != "S@3" || seq != 3 {
 		t.Errorf("installed snapshot = (%q, %d, %v), want S@3", state, seq, err)
 	}
 }
@@ -369,8 +334,8 @@ func referenceSnapshotImage(seq uint64, state []byte) []byte {
 }
 
 // The snapshot file a Log writes is byte-for-byte what the reference
-// encoder produces, so state directories and standbys written by either
-// read the other's.
+// encoder produces, so state directories written by either read the
+// other's.
 func TestSnapshotFileMatchesReferenceEncoder(t *testing.T) {
 	for _, state := range [][]byte{nil, []byte("x"), []byte(`{"releases":{},"history":[]}`), bytes.Repeat([]byte("s"), 70_000)} {
 		dir := t.TempDir()
@@ -391,49 +356,5 @@ func TestSnapshotFileMatchesReferenceEncoder(t *testing.T) {
 		if want := referenceSnapshotImage(2, state); !bytes.Equal(got, want) {
 			t.Errorf("snapshot of %d state bytes differs from the reference image (%d vs %d bytes)", len(state), len(got), len(want))
 		}
-	}
-}
-
-// A reader further behind than the in-memory window is served from
-// wal.log, a reader inside the window from memory, and both see the same
-// records.
-func TestTailFromBeyondWindowReadsWAL(t *testing.T) {
-	l := openT(t, Options{Dir: t.TempDir()})
-	defer l.Close()
-	l.Changed() // a reader is listening: the window fills
-	const n = 2*tailWindow + 10
-	for i := 1; i <= n; i++ {
-		if _, err := l.Append([]byte(fmt.Sprintf("e%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, from := range []uint64{0, 7, n - tailWindow - 1, n - tailWindow, n - 1, n} {
-		entries, _, snapNeeded, err := l.TailFrom(from)
-		if err != nil || snapNeeded {
-			t.Fatalf("TailFrom(%d): snapNeeded=%v err=%v", from, snapNeeded, err)
-		}
-		if len(entries) != int(n-from) {
-			t.Fatalf("TailFrom(%d) returned %d entries, want %d", from, len(entries), n-from)
-		}
-		for i, e := range entries {
-			want := from + 1 + uint64(i)
-			if e.Seq != want || string(e.Payload) != fmt.Sprintf("e%d", want) {
-				t.Fatalf("TailFrom(%d)[%d] = (%d, %q)", from, i, e.Seq, e.Payload)
-			}
-		}
-	}
-
-	// After a snapshot at seq 100 the WAL starts at 101: a reader at or
-	// past 100 still needs no snapshot, one before it does.
-	if err := l.SaveSnapshotAt(100, []byte("S@100")); err != nil {
-		t.Fatal(err)
-	}
-	entries, snapSeq, snapNeeded, err := l.TailFrom(100)
-	if err != nil || snapNeeded || snapSeq != 100 || len(entries) != n-100 || entries[0].Seq != 101 {
-		t.Fatalf("TailFrom(100) after snapshot: %d entries, snapSeq=%d snapNeeded=%v err=%v", len(entries), snapSeq, snapNeeded, err)
-	}
-	entries, _, snapNeeded, err = l.TailFrom(40)
-	if err != nil || !snapNeeded || len(entries) != n-100 || entries[0].Seq != 101 {
-		t.Fatalf("TailFrom(40) after snapshot: %d entries, snapNeeded=%v err=%v", len(entries), snapNeeded, err)
 	}
 }

@@ -12,8 +12,7 @@
 //
 // There is one durability rule: Append encodes, writes and fsyncs its
 // record under the log mutex and returns only after the fsync has. Until
-// then nothing outside the log sees the record — not LastSeq, not the
-// replication tail, not a Changed waiter.
+// then nothing outside the log sees the record, not even LastSeq.
 //
 // Recovery semantics are deliberately asymmetric:
 //
@@ -82,19 +81,10 @@ type Entry struct {
 	Payload []byte
 }
 
-const (
-	// compactFloor is the least WAL growth worth a compaction: below it
-	// the fixed cost of a snapshot install (two fsyncs, two renames)
-	// outweighs what replaying the tail would cost.
-	compactFloor = 1 << 20
-
-	// tailWindow is how many of the newest records stay in memory for
-	// replication streams. A live standby lags by a handful of records;
-	// one that falls further behind is served from wal.log instead
-	// (TailFrom), so the window bounds memory, not how far back a
-	// standby may resume.
-	tailWindow = 256
-)
+// compactFloor is the least WAL growth worth a compaction: below it the
+// fixed cost of a snapshot install (two fsyncs, two renames) outweighs
+// what replaying the tail would cost.
+const compactFloor = 1 << 20
 
 // Log is an append-only record log with snapshot-based compaction.
 // Methods are safe for concurrent use.
@@ -118,18 +108,10 @@ type Log struct {
 	// has replayed them (ReleaseRecovered).
 	snapshot  []byte
 	recovered []Entry
-	// ring is the replication window: the newest ringN records, the one
-	// with sequence s in slot s%tailWindow. Everything older is read
-	// back from wal.log on demand, so the memory a Log holds does not
-	// grow with its history. It exists only once a reader has asked to
-	// be woken (Changed): a log nobody tails keeps no tail.
-	ring     []Entry
-	ringN    int
-	walSize  int64 // bytes written to the WAL file since the last compaction
-	snapSize int64
-	retryAt  int64 // WAL size at which a failed compaction is tried again
-	deadErr  error
-	changed  chan struct{} // closed at the next append/snapshot; made by Changed
+	walSize   int64 // bytes written to the WAL file since the last compaction
+	snapSize  int64
+	retryAt   int64 // WAL size at which a failed compaction is tried again
+	deadErr   error
 
 	// Pre-resolved metric handles; nil (no-op) without Options.Obs.
 	mAppends     *obs.Counter
@@ -318,41 +300,18 @@ func (l *Log) CompactionDue() bool {
 }
 
 // Append writes and fsyncs one record; it is durable when Append returns
-// its sequence number.
+// its sequence number. The record is encoded, written and fsynced, and
+// only then does it exist for anyone else: the sequence advances and it
+// is counted. A write or fsync error kills the log (see fail): the file
+// may now end in a partial record, and the only writer that may follow a
+// torn tail is the recovery that truncates it.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(l.seq+1, payload)
-}
-
-// AppendEntry appends a record at an exact sequence number — the apply
-// path of a replication standby mirroring its primary's log. The
-// sequence must be contiguous: a gap or duplicate returns ErrSequence
-// (wrapped with both numbers) and appends nothing, which is what forces
-// a diverging standby to resync instead of silently rewriting history.
-func (l *Log) AppendEntry(seq uint64, payload []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.deadErr != nil {
-		return l.deadErr
-	}
-	if seq != l.seq+1 {
-		return fmt.Errorf("%w: got %d, want %d", ErrSequence, seq, l.seq+1)
-	}
-	_, err := l.appendLocked(seq, payload)
-	return err
-}
-
-// appendLocked is the shared append body; seq must be l.seq+1. The
-// record is encoded, written and fsynced, and only then does it exist
-// for anyone else: the sequence advances, the replication window takes
-// it, it is counted and Changed fires. A write or fsync error kills the
-// log (see fail): the file may now end in a partial record, and the only
-// writer that may follow a torn tail is the recovery that truncates it.
-func (l *Log) appendLocked(seq uint64, payload []byte) (uint64, error) {
 	if l.deadErr != nil {
 		return 0, l.deadErr
 	}
+	seq := l.seq + 1
 	l.enc = AppendRecord(l.enc[:0], seq, payload)
 	if l.opts.Failpoints.hit(FPAppendBuffer) {
 		// Power loss with the record still in cache: it never existed.
@@ -378,24 +337,9 @@ func (l *Log) appendLocked(seq uint64, payload []byte) (uint64, error) {
 		return 0, l.fail(fmt.Errorf("durable: wal fsync: %w", err))
 	}
 	l.mFsyncs.Inc()
-
 	l.seq = seq
-	if l.ring != nil {
-		l.ring[seq%tailWindow] = Entry{Seq: seq, Payload: append([]byte(nil), payload...)}
-		l.ringN = min(l.ringN+1, tailWindow)
-	}
 	l.mAppends.Inc()
-	l.signalLocked()
 	return seq, nil
-}
-
-// signalLocked wakes every Changed waiter. The channel is made only when
-// someone asks for one, so an append nobody waits on allocates nothing.
-func (l *Log) signalLocked() {
-	if l.changed != nil {
-		close(l.changed)
-		l.changed = nil
-	}
 }
 
 // Sync fsyncs the WAL file. Every acknowledged record is durable

@@ -2,11 +2,14 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"privateiye/internal/obs"
 )
 
 func openT(t *testing.T, opts Options) *Log {
@@ -269,6 +272,175 @@ func TestOpenRequiresDir(t *testing.T) {
 // BenchmarkAppendRecord pins the encode path's allocation profile: the
 // record body comes from a sync.Pool, so steady-state encoding must not
 // allocate per append.
+// --- Snapshot integrity trailer ---------------------------------------------
+
+func TestSnapshotTrailerRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, Options{Dir: dir})
+	if _, err := l.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.SaveSnapshot([]byte(`{"state":"s1"}`)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	// The file physically ends in the trailer magic.
+	data, err := os.ReadFile(filepath.Join(dir, snapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if [8]byte(data[len(data)-8:]) != snapTrailerM {
+		t.Fatalf("snapshot does not end in trailer magic: % x", data[len(data)-8:])
+	}
+
+	r := openT(t, Options{Dir: dir})
+	defer r.Close()
+	if string(r.RecoveredSnapshot()) != `{"state":"s1"}` {
+		t.Errorf("snapshot = %q", r.RecoveredSnapshot())
+	}
+}
+
+func TestTruncatedSnapshotRefused(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, Options{Dir: dir})
+	if _, err := l.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.SaveSnapshot([]byte(strings.Repeat("S", 4096))); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	// Cut the file mid-payload. Without the trailer this passes the
+	// length heuristics and only the header CRC (over the bytes present)
+	// could catch it; with the trailer the missing magic classifies it
+	// immediately.
+	path := filepath.Join(dir, snapName)
+	data, _ := os.ReadFile(path)
+	if err := os.WriteFile(path, data[:len(data)-100], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err := Open(Options{Dir: dir})
+	if err == nil {
+		t.Fatal("truncated snapshot must refuse to open")
+	}
+	if !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Errorf("want ErrSnapshotCorrupt, got %v", err)
+	}
+}
+
+func TestAlteredTrailerRefused(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, Options{Dir: dir})
+	if _, err := l.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.SaveSnapshot([]byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	// Flip a payload byte but leave length intact: the trailer checksum
+	// catches it before the header CRC is even consulted.
+	path := filepath.Join(dir, snapName)
+	data, _ := os.ReadFile(path)
+	data[snapHeader+2] ^= 0x10
+	os.WriteFile(path, data, 0o644)
+
+	if _, err := Open(Options{Dir: dir}); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Errorf("want ErrSnapshotCorrupt, got %v", err)
+	}
+}
+
+// A snapshot with a valid header checksum but no integrity trailer — the
+// shape of a file written before the trailer existed, or cut exactly at
+// the payload's end — cannot be told from a truncated one and is refused.
+func TestTrailerlessSnapshotRefused(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, Options{Dir: dir})
+	if _, err := l.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.SaveSnapshot([]byte(`{"legacy":true}`)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	// Strip the trailer: header, header checksum and payload stay whole.
+	path := filepath.Join(dir, snapName)
+	data, _ := os.ReadFile(path)
+	if err := os.WriteFile(path, data[:len(data)-snapTrailer], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Open(Options{Dir: dir}); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("trailerless snapshot: Open = %v, want ErrSnapshotCorrupt", err)
+	}
+}
+
+// --- Fail-closed after an injected crash ------------------------------------
+
+// TestCrashedLogFailsClosedStickily pins the sticky-death contract the
+// mediator's refuse-unrecordable-releases path depends on: once die()
+// fires, every subsequent operation — appends, snapshots, syncs — keeps
+// returning ErrCrashed rather than quietly recovering in-process.
+func TestCrashedLogFailsClosedStickily(t *testing.T) {
+	fp := NewFailpoints()
+	l := openT(t, Options{Dir: t.TempDir(), Failpoints: fp})
+	if _, err := l.Append([]byte("fine")); err != nil {
+		t.Fatal(err)
+	}
+	fp.Arm(FPAppendSync)
+	if _, err := l.Append([]byte("doomed")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("armed append = %v, want ErrCrashed", err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append([]byte("after")); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("append %d after crash = %v, want sticky ErrCrashed", i, err)
+		}
+	}
+	if err := l.SaveSnapshot([]byte("s")); !errors.Is(err, ErrCrashed) {
+		t.Errorf("SaveSnapshot after crash = %v", err)
+	}
+	if err := l.Sync(); !errors.Is(err, ErrCrashed) {
+		t.Errorf("Sync after crash = %v", err)
+	}
+}
+
+// Nothing leaves the log before its fsync: an append whose fsync never
+// returns advances no sequence, is not counted, and is not among the
+// records a reopen of the directory recovers.
+func TestNothingLeavesTheLogBeforeItsFsync(t *testing.T) {
+	fp := NewFailpoints()
+	reg := obs.NewRegistry()
+	dir := t.TempDir()
+	l := openT(t, Options{Dir: dir, Failpoints: fp, Obs: reg, ObsScope: "order"})
+	if _, err := l.Append([]byte("synced")); err != nil {
+		t.Fatal(err)
+	}
+	fp.Arm(FPAppendSync)
+	if _, err := l.Append([]byte("unsynced")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("armed append = %v, want ErrCrashed", err)
+	}
+	if got := l.LastSeq(); got != 1 {
+		t.Errorf("LastSeq = %d after the unsynced append, want 1", got)
+	}
+	if got := reg.Counter("piye_wal_appends_total", "log", "order").Value(); got != 1 {
+		t.Errorf("piye_wal_appends_total = %d, want 1", got)
+	}
+	l.Close()
+	if err := fp.LoseUnsynced(dir); err != nil {
+		t.Fatal(err)
+	}
+	r := openT(t, Options{Dir: dir})
+	defer r.Close()
+	if got := payloads(r.RecoveredEntries()); len(got) != 1 || got[0] != "synced" {
+		t.Errorf("a reopen recovers %v, want only [synced]", got)
+	}
+}
+
 func BenchmarkAppendRecord(b *testing.B) {
 	payload := []byte(`{"kind":"release","requester":"analyst","release":{"query":"q","value":1}}`)
 	var dst []byte

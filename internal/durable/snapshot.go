@@ -44,7 +44,7 @@ const (
 
 // ErrSnapshotCorrupt marks a snapshot file that fails integrity checks —
 // bad magic, checksum mismatch or truncation. It is distinct from
-// ordinary I/O errors so operators can tell "restore from the replica"
+// ordinary I/O errors so operators can tell "restore from a backup"
 // apart from "fix the mount".
 var ErrSnapshotCorrupt = errors.New("durable: snapshot corrupt")
 
@@ -130,7 +130,7 @@ func (l *Log) Compact(capture Capture) error {
 	if err != nil {
 		return l.snapshotDone(start, 0, fmt.Errorf("durable: encoding snapshot: %w", err))
 	}
-	return l.install(start, seq, state, true)
+	return l.install(start, seq, state)
 }
 
 // SaveSnapshotAt installs state as the snapshot covering every record up
@@ -141,7 +141,7 @@ func (l *Log) Compact(capture Capture) error {
 func (l *Log) SaveSnapshotAt(seq uint64, state []byte) error {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
-	return l.install(time.Now(), seq, state, true)
+	return l.install(time.Now(), seq, state)
 }
 
 // SaveSnapshot is SaveSnapshotAt the current end of the log, for callers
@@ -149,24 +149,12 @@ func (l *Log) SaveSnapshotAt(seq uint64, state []byte) error {
 func (l *Log) SaveSnapshot(state []byte) error {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
-	return l.install(time.Now(), l.LastSeq(), state, true)
+	return l.install(time.Now(), l.LastSeq(), state)
 }
 
-// InstallSnapshot replaces the log's entire state with a snapshot
-// received from elsewhere — the resync path of a replication standby.
-// Unlike SaveSnapshotAt it moves the sequence cursor to seq and discards
-// the whole WAL, whatever divergent tail the standby had accumulated;
-// replay then resumes at seq+1.
-func (l *Log) InstallSnapshot(seq uint64, state []byte) error {
-	l.snapMu.Lock()
-	defer l.snapMu.Unlock()
-	return l.install(time.Now(), seq, state, false)
-}
-
-// install runs one snapshot attempt (snapMu held); carry says whether
-// the records after seq survive the compaction.
-func (l *Log) install(start time.Time, seq uint64, state []byte, carry bool) error {
-	size, err := l.writeAndInstall(seq, state, carry)
+// install runs one snapshot attempt (snapMu held).
+func (l *Log) install(start time.Time, seq uint64, state []byte) error {
+	size, err := l.writeAndInstall(seq, state)
 	return l.snapshotDone(start, size, err)
 }
 
@@ -199,7 +187,7 @@ func (l *Log) snapshotDone(start time.Time, size int64, err error) error {
 // writeAndInstall writes the snapshot to its temp file without the log
 // lock — appends proceed — then takes the lock to rename it into place
 // and compact the WAL. It returns the size of the installed file.
-func (l *Log) writeAndInstall(seq uint64, state []byte, carry bool) (int64, error) {
+func (l *Log) writeAndInstall(seq uint64, state []byte) (int64, error) {
 	l.mu.Lock()
 	dead := l.deadErr
 	l.mu.Unlock()
@@ -217,7 +205,7 @@ func (l *Log) writeAndInstall(seq uint64, state []byte, carry bool) (int64, erro
 		os.Remove(tmp)
 		return 0, l.deadErr
 	}
-	if carry && (seq < l.snapSeq || seq > l.seq) {
+	if seq < l.snapSeq || seq > l.seq {
 		os.Remove(tmp)
 		return 0, fmt.Errorf("durable: snapshot at seq %d outside the log's range (%d, %d]", seq, l.snapSeq, l.seq)
 	}
@@ -238,13 +226,7 @@ func (l *Log) writeAndInstall(seq uint64, state []byte, carry bool) (int64, erro
 	l.snapshot, l.recovered = nil, nil // stale now; owners hold live state
 	l.snapSize = size
 	l.retryAt = 0
-	if !carry {
-		// The standby's own tail is divergent history: drop it.
-		l.seq = seq
-		l.ringN = 0
-	}
-	l.signalLocked()
-	return size, l.compactLocked(seq, carry)
+	return size, l.compactLocked(seq)
 }
 
 // writeSnapshotTemp writes and fsyncs the snapshot image at path.
@@ -280,14 +262,14 @@ func (l *Log) writeSnapshotTemp(path string, seq uint64, state []byte) error {
 	return nil
 }
 
-// compactLocked replaces wal.log with the records after seq (none when
-// carry is false) via the same temp + rename + dirsync idiom. A crash
+// compactLocked replaces wal.log with the records after seq via the same
+// temp + rename + dirsync idiom. A crash
 // anywhere in here is safe — recovery skips records at or below the
 // snapshot sequence, so the old and the new wal.log replay alike.
-func (l *Log) compactLocked(seq uint64, carry bool) error {
+func (l *Log) compactLocked(seq uint64) error {
 	walPath := filepath.Join(l.opts.Dir, walName)
 	var tail []byte
-	if carry && seq < l.seq {
+	if seq < l.seq {
 		data, err := os.ReadFile(walPath)
 		if err != nil {
 			return fmt.Errorf("durable: wal rotate: %w", err)

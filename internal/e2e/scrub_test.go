@@ -32,7 +32,8 @@ const (
 // /debug/trace (mounted on the query address) and /metrics, every
 // mediator's /history, and the process log — for the requesters' names
 // and the queries' literals. The traces and history entries must still
-// be there, with pseudonyms and placeholders.
+// be there, with pseudonyms and placeholders. No shard mounts a
+// /replica/* route.
 func TestTelemetryDoesNotLeakRequestersOrLiterals(t *testing.T) {
 	var logs bytes.Buffer
 	log.SetOutput(&logs)
@@ -66,6 +67,32 @@ func TestTelemetryDoesNotLeakRequestersOrLiterals(t *testing.T) {
 	defer rt.Close()
 	rtSrv := httptest.NewServer(rt.Handler())
 	defer rtSrv.Close()
+
+	// No shard serves a replication surface: it once streamed the raw
+	// WAL, names and literals included, to any GET, and one GET naming a
+	// higher epoch fenced the shard for good. The queries below must
+	// still be answered after the probe.
+	for id, srv := range shardSrvs {
+		for _, probe := range []struct{ method, path string }{
+			{http.MethodGet, "/replica/stream?from=0&epoch=99"},
+			{http.MethodGet, "/replica/status"},
+			{http.MethodPost, "/replica/fence"},
+			{http.MethodPost, "/replica/promote"},
+		} {
+			req, err := http.NewRequest(probe.method, srv.URL+probe.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s %s: %d, want 404", id, probe.method, probe.path, resp.StatusCode)
+			}
+		}
+	}
 
 	requesters := []string{"scrub-ada-lovelace", "scrub-grace-hopper", "scrub-edsger-dijkstra", "scrub-barbara-liskov"}
 	for _, r := range requesters {

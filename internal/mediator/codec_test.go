@@ -400,8 +400,8 @@ func TestPrivateOverlapRefusesDamagedColumns(t *testing.T) {
 }
 
 // walRecordCases are records of every kind, with the values where the
-// record writer and encoding/json could part: epoch zero (left out) and
-// not, sigmas nil, empty (both left out) and set, strings encoding/json
+// record writer and encoding/json could part: sigmas nil, empty (both
+// left out) and set, strings encoding/json
 // escapes in each place one can stand, nil, empty and set lists, and the
 // edges of the float format.
 func walRecordCases() map[string]walRecord {
@@ -415,23 +415,22 @@ func walRecordCases() map[string]walRecord {
 	}
 	const odd = "<b>&\"naïve\"\x01\t\u2028日本\xff"
 	return map[string]walRecord{
-		"release, epoch zero":        {Kind: kindRelease, Requester: "snooper", Release: rel("//compliance/row", fig, fig)},
-		"release, epoch 7":           {Kind: kindRelease, Requester: "snooper", Epoch: 7, Release: rel("//compliance/row", fig, fig)},
+		"release":                    {Kind: kindRelease, Requester: "snooper", Release: rel("//compliance/row", fig, fig)},
 		"release, sigmas nil":        {Kind: kindRelease, Requester: "snooper", Release: rel("//compliance/row", fig, nil)},
 		"release, sigmas empty":      {Kind: kindRelease, Requester: "snooper", Release: rel("//compliance/row", fig, groupValues{})},
 		"release, means nil":         {Kind: kindRelease, Requester: "snooper", Release: rel("//compliance/row", nil, nil)},
 		"release, means empty":       {Kind: kindRelease, Requester: "snooper", Release: rel("//compliance/row", groupValues{}, nil)},
 		"release, escaped strings":   {Kind: kindRelease, Requester: odd, Release: rel("//compliance/row WHERE //hmo = '"+odd+"'", groupValues{{odd, 1}}, nil)},
 		"release, float edges":       {Kind: kindRelease, Requester: "r", Release: rel("t", groupValues{{"a", 1e-9}, {"b", -1e-10}, {"c", 1e21}, {"d", 1e20}, {"e", math.Copysign(0, -1)}, {"f", 5e-324}}, groupValues{{"a", 1e-7}})},
-		"release with history entry": {Kind: kindRelease, Requester: "snooper", Epoch: 1, Release: rel("//compliance/row", fig, fig), History: entry("snooper", "FOR //compliance/row GROUP BY //test RETURN AVG(//rate) AS avg_rate PURPOSE research MAXLOSS 0.9", []string{"integrator"}, []string{})},
+		"release with history entry": {Kind: kindRelease, Requester: "snooper", Release: rel("//compliance/row", fig, fig), History: entry("snooper", "FOR //compliance/row GROUP BY //test RETURN AVG(//rate) AS avg_rate PURPOSE research MAXLOSS 0.9", []string{"integrator"}, []string{})},
 		"release, escaped entry":     {Kind: kindRelease, Requester: odd, Release: rel("t", fig, nil), History: entry(odd, odd, []string{odd}, []string{odd, "b"})},
-		"history, epoch zero":        {Kind: kindHistory, History: entry("r", "q", []string{"hospitalA", "hospitalB"}, []string{"hospitalC"})},
-		"history, epoch 3":           {Kind: kindHistory, Epoch: 3, History: entry("r", "q", []string{"warehouse"}, nil)},
+		"history":                    {Kind: kindHistory, History: entry("r", "q", []string{"hospitalA", "hospitalB"}, []string{"hospitalC"})},
+		"history, warehouse hit":     {Kind: kindHistory, History: entry("r", "q", []string{"warehouse"}, nil)},
 		"history, sources nil":       {Kind: kindHistory, History: entry("r", "q", nil, nil)},
 		"history, sources empty":     {Kind: kindHistory, History: entry("r", "q", []string{}, []string{})},
 		"history, escaped strings":   {Kind: kindHistory, History: entry(odd, odd, []string{odd}, []string{odd})},
 		"history, zero clock":        {Kind: kindHistory, History: &HistoryEntry{Requester: "r"}},
-		"drain mark":                 {Kind: kindDrain, Epoch: 2, Draining: &on},
+		"drain mark":                 {Kind: kindDrain, Draining: &on},
 		"drain mark cleared":         {Kind: kindDrain, Draining: &off},
 	}
 }
@@ -487,17 +486,17 @@ func FuzzAppendWALRecord(f *testing.F) {
 	f.Add(uint8(0), "snooper", "//compliance/row", "FOR //compliance/row RETURN //rate", "HbA1c", 82.97500000000001, uint64(0))
 	f.Add(uint8(1), "<a&b>", "t WHERE //x = 'naïve'", "\x01\t\u2028", "\xff", 1e-9, uint64(7))
 	f.Add(uint8(6), "", "", "", "", 1e21, uint64(1))
-	f.Fuzz(func(t *testing.T, shape uint8, req, target, query, group string, v float64, epoch uint64) {
-		rec := walRecord{Kind: kindRelease, Requester: req, Epoch: epoch,
+	f.Fuzz(func(t *testing.T, shape uint8, req, target, query, group string, v float64, clock uint64) {
+		rec := walRecord{Kind: kindRelease, Requester: req,
 			Release: &ledgerRelease{Target: target, ValueCol: group, Axis: query, Means: groupValues{{group, v}}}}
 		if shape&1 != 0 {
 			rec.Release.Sigmas = groupValues{{group, -v}, {req, v / 3}}
 		}
 		if shape&2 != 0 {
-			rec.History = &HistoryEntry{Requester: req, Query: query, Sources: []string{target, group}, Clock: int64(epoch)}
+			rec.History = &HistoryEntry{Requester: req, Query: query, Sources: []string{target, group}, Clock: int64(clock)}
 		}
 		if shape&4 != 0 {
-			rec = walRecord{Kind: kindHistory, Epoch: epoch, History: &HistoryEntry{Requester: req, Query: query, Denied: []string{}}}
+			rec = walRecord{Kind: kindHistory, History: &HistoryEntry{Requester: req, Query: query, Denied: []string{}}}
 		}
 		want, wantErr := json.Marshal(rec)
 		got, err := appendWALRecord(nil, &rec)

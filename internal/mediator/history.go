@@ -34,7 +34,7 @@ func newHistory() *history {
 }
 
 // add is the only writer of the history short of a snapshot install:
-// live, recovered and replicated entries alike (see Mediator.apply).
+// live and recovered entries alike (see Mediator.apply).
 func (h *history) add(e HistoryEntry) {
 	h.recs = append(h.recs, histRecord{
 		req: intern(h.reqID, &h.reqs, e.Requester), query: intern(h.textID, &h.texts, e.Query),

@@ -99,7 +99,7 @@ func TestWarehouseServedEntryRetainsAtMost40Bytes(t *testing.T) {
 // two apart.
 func TestNilAndEmptyDeniedRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m := stateMediator(t, dir, nil)
+	m := stateMediator(t, dir)
 	m.record(HistoryEntry{Requester: "a", Query: "q", Sources: []string{"s"}})
 	m.record(HistoryEntry{Requester: "b", Query: "q", Sources: []string{"s"}, Denied: []string{}})
 	want := encodedState(t, m)
@@ -118,13 +118,13 @@ func TestNilAndEmptyDeniedRoundTrip(t *testing.T) {
 	}
 	check("live", m)
 	m.Close()
-	m = stateMediator(t, dir, nil)
+	m = stateMediator(t, dir)
 	check("replayed from the WAL", m)
 	if err := m.snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()
-	check("installed from the snapshot", stateMediator(t, dir, nil))
+	check("installed from the snapshot", stateMediator(t, dir))
 }
 
 // refRelease is ledgerRelease as it was while its values were maps: the
@@ -209,7 +209,7 @@ func TestReleaseEncodesAsTheMapDid(t *testing.T) {
 		if b, err := json.Marshal(rel); err == nil {
 			t.Errorf("%v encoded as %s", bad, b)
 		}
-		m := stateMediator(t, t.TempDir(), nil)
+		m := stateMediator(t, t.TempDir())
 		var unrecordable *UnrecordableRefusal
 		if err := m.checkAndRecord("r", rel, HistoryEntry{}); !errors.As(err, &unrecordable) {
 			t.Errorf("recording a release holding %v: %v, want an UnrecordableRefusal", bad, err)
@@ -224,7 +224,7 @@ const releaseRecordAllocsAtParent = 22
 // Slices in place of the two maps must not make the release record path
 // (classify, then log) allocate more than it did.
 func TestReleaseRecordPathAllocations(t *testing.T) {
-	m := stateMediator(t, t.TempDir(), nil)
+	m := stateMediator(t, t.TempDir())
 	in, err := m.Query(perTestQuery, "snooper")
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +276,7 @@ func figure1Release(mean0 float64) ledgerRelease {
 // sigmas gets its own. Every requester reads back its releases in record
 // order, live and after a snapshot is installed on another node.
 func TestLedgerInternsEachDistinctReleaseOnce(t *testing.T) {
-	m := stateMediator(t, t.TempDir(), nil)
+	m := stateMediator(t, t.TempDir())
 	l := m.ledger
 	bit := figure1Release(60)
 	bit.Means[1].v = math.Float64frombits(math.Float64bits(bit.Means[1].v) ^ 1)
@@ -336,7 +336,7 @@ func TestLedgerInternsEachDistinctReleaseOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	installed := stateMediator(t, t.TempDir(), nil)
+	installed := stateMediator(t, t.TempDir())
 	installed.installSnapshot(s)
 	// Empty sigmas are written as none (omitempty, as the map's were), so
 	// they come back nil: the snapshot's distinct releases are one fewer,
@@ -360,7 +360,7 @@ func TestLedgerInternsEachDistinctReleaseOnce(t *testing.T) {
 // shared and distinct releases, nil and empty sigmas, requesters that
 // sort and escape, and one holding none.
 func TestSnapshotReleasesEncodeAsTheMapDid(t *testing.T) {
-	m := stateMediator(t, t.TempDir(), nil)
+	m := stateMediator(t, t.TempDir())
 	nilSigmas, emptySigmas := figure1Release(1), figure1Release(1)
 	nilSigmas.Sigmas, emptySigmas.Sigmas = nil, groupValues{}
 	m.installSnapshot(stateSnapshot{Releases: map[string][]ledgerRelease{"empty": {}}})

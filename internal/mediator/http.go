@@ -111,15 +111,12 @@ func NewHandler(m *Mediator) http.Handler {
 		}
 		in, err := m.QueryContext(ctx, string(body), requester)
 		if err != nil {
-			// Role and ownership refusals are 503, not 403: the query is
-			// fine, it just reached the wrong node — retry against the
-			// primary, or let the router re-route to the owning shard.
-			var np *NotPrimaryError
-			var fe *FencedError
+			// Ownership refusals are 503, not 403: the query is fine, it
+			// just reached the wrong shard — let the router re-route it to
+			// the owning one.
 			var no *NotOwnerError
 			var dr *DrainingError
-			if errors.As(err, &np) || errors.As(err, &fe) ||
-				errors.As(err, &no) || errors.As(err, &dr) {
+			if errors.As(err, &no) || errors.As(err, &dr) {
 				http.Error(w, err.Error(), http.StatusServiceUnavailable)
 				return
 			}
@@ -169,27 +166,6 @@ func NewHandler(m *Mediator) http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 
-	// Replication surface, when configured: the stream standbys tail,
-	// the fence endpoint a promoted successor posts to, operator-driven
-	// promotion, and a status view for runbooks and tests.
-	if m.repSrv != nil {
-		mux.HandleFunc("GET /replica/stream", m.repSrv.ServeStream)
-		mux.HandleFunc("POST /replica/fence", m.repSrv.ServeFence)
-		mux.HandleFunc("POST /replica/promote", func(w http.ResponseWriter, r *http.Request) {
-			epoch, err := m.Promote()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusConflict)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(map[string]any{"promoted": true, "epoch": epoch})
-		})
-	}
-	mux.HandleFunc("GET /replica/status", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(m.ReplicationStatus())
-	})
-
 	// Shard drain/undrain admin and the membership view, when sharded.
 	// Drain is what the router's admin surface propagates: the shard
 	// keeps serving requesters whose state lives here and starts
@@ -232,9 +208,9 @@ func NewHandler(m *Mediator) http.Handler {
 		})
 	}
 
-	// Liveness/readiness (readiness gates on WAL replay — implied by a
-	// constructed mediator — and, for a standby, replication lag).
-	obs.AttachHealth(mux, m.Ready)
+	// Liveness/readiness: a constructed mediator has finished WAL replay,
+	// so it is ready.
+	obs.AttachHealth(mux, nil)
 
 	// /metrics and /debug/trace, when the mediator was built with a
 	// registry or tracer.

@@ -422,9 +422,7 @@ func (m *Mediator) checkCombinations(rel ledgerRelease, table []ledgerRelease, p
 //
 // Durable-before-visible: once the statistics leave the mediator they
 // cannot be recalled, so a release the log cannot record must not be
-// released at all. A log error that already carries its own refusal
-// reason (a fenced ex-primary's guard) passes through — it is a sharper
-// diagnosis than "unrecordable".
+// released at all.
 func (m *Mediator) commit(requester string, checked int, rel ledgerRelease, e HistoryEntry) (done bool, err error) {
 	c := commitLock{m}
 	c.Lock()
@@ -437,10 +435,6 @@ func (m *Mediator) commit(requester string, checked int, rel ledgerRelease, e Hi
 	}
 	if m.dlog != nil {
 		if err := m.logRecord(walRecord{Kind: kindRelease, Requester: requester, Release: &rel, History: &e}); err != nil {
-			var rr refusal.Reasoner
-			if errors.As(err, &rr) {
-				return true, err
-			}
 			return true, &UnrecordableRefusal{Scope: "mediator", Err: err}
 		}
 	}
@@ -449,8 +443,8 @@ func (m *Mediator) commit(requester string, checked int, rel ledgerRelease, e Hi
 	return true, nil
 }
 
-// add is the only writer of the ledger, for a live, a recovered, a
-// replicated and a snapshot-installed release alike (see Mediator.apply
+// add is the only writer of the ledger, for a live, a recovered and a
+// snapshot-installed release alike (see Mediator.apply
 // and installSnapshot). It records rel's id for requester, appending rel
 // to the table unless an equal release is there. The caller holds l.mu.
 func (l *releaseLedger) add(requester string, rel ledgerRelease) {

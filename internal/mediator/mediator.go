@@ -6,7 +6,6 @@
 package mediator
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -17,7 +16,6 @@ import (
 	"privateiye/internal/obs"
 	"privateiye/internal/psi"
 	"privateiye/internal/qcache"
-	"privateiye/internal/replica"
 	"privateiye/internal/resilience"
 	"privateiye/internal/schemamatch"
 	"privateiye/internal/source"
@@ -80,10 +78,6 @@ type Config struct {
 	// history to disk and replays them on startup, defeating the
 	// restart-amnesia attack on the combination controls (see persist.go).
 	Durability *DurabilityConfig
-	// Replica, when non-nil, replicates the durable log to/from a peer
-	// mediator and arbitrates failover with a persisted fencing epoch
-	// (see replicate.go). Requires Durability.
-	Replica *ReplicaConfig
 	// PlanCache is the capacity (entries) of the PIQL parse cache:
 	// repeated query texts skip parsing and canonicalization. Privacy
 	// controls are NOT cached — routing, per-source policy enforcement,
@@ -147,25 +141,9 @@ type Mediator struct {
 	// shard.go).
 	shard *shardState
 	// draining is this shard's drain mark. It is control state like the
-	// ledger — logged, recovered and replicated — so neither a restart
-	// nor a failover undrains a shard whose re-routed newcomers live on
-	// its peers (see shard.go).
+	// ledger — logged and recovered — so a restart does not undrain a
+	// shard whose re-routed newcomers live on its peers (see shard.go).
 	draining atomic.Bool
-
-	// Replication wiring; all nil without Config.Replica (see
-	// replicate.go). node holds role + fencing epoch; repSrv serves the
-	// log to standbys; repClient tails the primary on a standby;
-	// repCancel stops the client at promotion or Close, and repDone is
-	// closed once it has stopped; fenceCancel (guarded by mu) stops the
-	// post-promotion fencer loop, which fencers counts.
-	node        *replica.Node
-	repSrv      *replica.Server
-	repClient   *replica.Client
-	repCancel   context.CancelFunc
-	repDone     chan struct{}
-	fenceCancel context.CancelFunc
-	fencers     sync.WaitGroup
-	fenceAcks   *obs.Counter
 }
 
 // HistoryEntry is one integration round in the Query History store.
@@ -274,12 +252,6 @@ func New(cfg Config) (*Mediator, error) {
 		// Recover persisted ledger + history before serving any query:
 		// the first answer must already see the full release history.
 		if err := m.openDurable(*cfg.Durability); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Replica != nil {
-		if err := m.openReplication(*cfg.Replica); err != nil {
-			m.Close()
 			return nil, err
 		}
 	}

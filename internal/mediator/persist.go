@@ -46,15 +46,11 @@ const (
 // walRecord is one WAL entry: a ledgered answer (its release, and since
 // the merged record its history entry in h; older logs write the entry
 // as a record of its own), a history entry or a shard's drain mark.
-// Epoch is the fencing epoch of the node that wrote it (0 when the
-// mediator runs unreplicated) — the release-ledger half of the fencing
-// invariant: every granted release names the generation that granted
-// it, so a post-failover audit can prove no stale-epoch write slipped
-// into the history.
+// Logs written before replication was retired may stamp a record with an
+// "e" key (the writer's epoch); decoding ignores it.
 type walRecord struct {
 	Kind      string         `json:"k"`
 	Requester string         `json:"req,omitempty"`
-	Epoch     uint64         `json:"e,omitempty"`
 	Release   *ledgerRelease `json:"rel,omitempty"`
 	History   *HistoryEntry  `json:"h,omitempty"`
 	Draining  *bool          `json:"d,omitempty"`
@@ -69,9 +65,8 @@ type stateSnapshot struct {
 	Draining bool                       `json:"draining,omitempty"`
 }
 
-// decodeRecord is the one decoder of a WAL payload, whether recovery read
-// it from this node's log or a standby from its primary's. A record that
-// is of no known kind is refused, not skipped.
+// decodeRecord is the one decoder of a WAL payload. A record that is of
+// no known kind is refused, not skipped.
 func decodeRecord(seq uint64, payload []byte) (walRecord, error) {
 	var rec walRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
@@ -111,11 +106,10 @@ func (c commitLock) Unlock() {
 	c.m.mu.Unlock()
 }
 
-// apply folds one decoded record, recovered (recoverState) or replicated
-// (ApplyEntry), into memory through the mutators a live query's record
-// ends in; the caller holds lockFor(rec). Nothing is re-checked: what it
-// describes has already left the mediator. Whoever also logs the record
-// does so under the same hold of the lock, which captureState relies on.
+// apply folds one recovered record (recoverState) into memory through
+// the mutators a live query's record ends in; the caller holds
+// lockFor(rec). Nothing is re-checked: what it describes has already
+// left the mediator.
 func (m *Mediator) apply(rec *walRecord) {
 	switch rec.Kind {
 	case kindRelease:
@@ -140,9 +134,8 @@ func decodeSnapshot(state []byte) (stateSnapshot, error) {
 }
 
 // installSnapshot replaces the whole inference-control state with a
-// decoded snapshot: what recovery starts from, and what a standby that
-// connects after its primary's first compaction is sent. The log already
-// agrees (it recovered this snapshot, or was handed it first).
+// decoded snapshot: what recovery starts from. The log already agrees (it
+// recovered this snapshot).
 func (m *Mediator) installSnapshot(s stateSnapshot) {
 	h := newHistory()
 	if s.History != nil { // null and [] stay what they were
@@ -239,19 +232,8 @@ func (m *Mediator) recoverState(dl *durable.Log) error {
 var walBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // logRecord appends a live record to the durable log; the caller holds
-// lockFor(&rec). A replicated node (replicate.go) stamps it with its
-// epoch and fences a release first: a node that is not the primary at its
-// own epoch must not record a release its successor's ledger will never
-// see. A history-only record's answer has left.
+// lockFor(&rec).
 func (m *Mediator) logRecord(rec walRecord) error {
-	if n := m.node; n != nil {
-		if rec.Kind == kindRelease {
-			if err := n.CheckWrite(); err != nil {
-				return &FencedError{Epoch: n.Epoch(), Err: err}
-			}
-		}
-		rec.Epoch = n.Epoch()
-	}
 	bp := walBufs.Get().(*[]byte)
 	defer walBufs.Put(bp)
 	b, err := appendWALRecord((*bp)[:0], &rec)
@@ -271,9 +253,6 @@ func appendWALRecord(b []byte, rec *walRecord) ([]byte, error) {
 	b = appendJSONString(append(b, `{"k":`...), rec.Kind)
 	if rec.Requester != "" {
 		b = appendJSONString(append(b, `,"req":`...), rec.Requester)
-	}
-	if rec.Epoch != 0 {
-		b = strconv.AppendUint(append(b, `,"e":`...), rec.Epoch, 10)
 	}
 	if r := rec.Release; r != nil {
 		var err error
@@ -420,18 +399,9 @@ func appendReleases(b []byte, table []ledgerRelease, byReq map[string][]uint32) 
 	return append(b, '}'), nil
 }
 
-// Close stops the replication goroutines and waits for them, then
-// flushes and closes the durable state, if configured. The mediator must
-// not be queried afterwards.
+// Close flushes and closes the durable state, if configured. The
+// mediator must not be queried afterwards.
 func (m *Mediator) Close() error {
-	m.stopTailing()
-	m.mu.Lock()
-	if m.fenceCancel != nil {
-		m.fenceCancel()
-		m.fenceCancel = nil
-	}
-	m.mu.Unlock()
-	m.fencers.Wait()
 	if m.dlog == nil {
 		return nil
 	}

@@ -89,15 +89,9 @@ func (in *Integrated) outcome() string {
 	return obs.OutcomeAnswered
 }
 
-// gatedQuery passes the query through the role and ownership gates
-// and then the pipeline's stages.
+// gatedQuery passes the query through the ownership gate and then the
+// pipeline's stages.
 func (m *Mediator) gatedQuery(ctx context.Context, piqlText, requester string, trace *obs.Trace) (*Integrated, error) {
-	// Role gate: a standby mirrors the primary's releases but must not
-	// grant its own, and a fenced ex-primary must grant nothing at all —
-	// its ledger no longer sees what the successor has released.
-	if err := m.writeGate(); err != nil {
-		return nil, err
-	}
 	// Ownership gate: a misrouted requester is turned away before any
 	// stage runs.
 	if err := m.shardGate(ctx, requester); err != nil {

@@ -376,12 +376,8 @@ func (m *Mediator) Drain() error {
 
 // logDraining records the drain mark before it takes effect. A mark the
 // log cannot record is refused and the shard stays as it was: a drain
-// that a restart would forget must not start re-routing newcomers. A
-// standby's mark is its primary's, replicated.
+// that a restart would forget must not start re-routing newcomers.
 func (m *Mediator) logDraining(on bool) error {
-	if err := m.writeGate(); err != nil {
-		return err
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.dlog != nil {
@@ -393,7 +389,7 @@ func (m *Mediator) logDraining(on bool) error {
 	return nil
 }
 
-// markDraining sets the drain mark, live, recovered or replicated alike.
+// markDraining sets the drain mark, live or recovered alike.
 func (m *Mediator) markDraining(on bool) {
 	m.draining.Store(on)
 	if m.shard != nil {

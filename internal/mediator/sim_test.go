@@ -4,19 +4,19 @@ package mediator
 //
 // A schedule is a list of steps — queries from several requesters,
 // interleaved with features and faults — run against a real tier: three
-// sharded mediators with durable state (shard-a with a hot standby),
-// routed the way piye-router routes, over one audited source. The
-// harness records what each requester was actually given, by any node
-// and across restarts and failovers, and after every schedule checks:
+// sharded mediators with durable state, routed the way piye-router
+// routes, over one audited source. The harness records what each
+// requester was actually given, by any node and across restarts, and
+// after every schedule checks:
 //
 //	(i)   the Figure 1 attacker of internal/attack, handed the union of
 //	      a requester's answers, pins no hidden cell to the threshold;
 //	(ii)  a (requester, query) pair an inference control refused is
 //	      never answered afterwards, by any node;
-//	(iii) a node recovered from a crash, or promoted over a killed
-//	      primary, holds every release and history entry acknowledged
-//	      before it, in order, and every record its log acknowledged
-//	      (a restart is a power cut: it loses what no fsync covered);
+//	(iii) a node recovered from a crash holds every release and history
+//	      entry acknowledged before it, in order, and every record its
+//	      log acknowledged (a restart is a power cut: it loses what no
+//	      fsync covered);
 //	(iv)  a draining shard takes on no requester it held no state for.
 //
 // Schedules come from one typed table (TestContract: scripts with
@@ -36,7 +36,6 @@ package mediator
 //	drain S          S drains; undrain S checks its peers first
 //	hang, unhang     the source stops answering, or answers again
 //	tick             the clock moves 5s (breaker cool-down, drain-denial TTL)
-//	kill             shard-a's primary dies and its standby is promoted
 //	crash S P        append failpoint P is armed on S's log
 //	compact S P R Q  S snapshots with R's Q landing between capture and
 //	                 install, then dies at snapshot failpoint P (- = none)
@@ -143,7 +142,7 @@ func parseSchedule(script string) ([]simStep, error) {
 			st.want, st.args = st.args[n-1][1:], st.args[:n-1]
 		}
 		arity := map[string]int{"ask": 2, "twin": 2, "forge": 2, "drain": 1, "undrain": 1, "hang": 0, "unhang": 0,
-			"tick": 0, "kill": 0, "crash": 2, "compact": 4, "restart": 1, "prefer": 0}
+			"tick": 0, "crash": 2, "compact": 4, "restart": 1, "prefer": 0}
 		n, ok := arity[st.op]
 		if !ok || n != len(st.args) {
 			return nil, fmt.Errorf("step %q: unknown op or wrong arity", part)
@@ -178,7 +177,6 @@ func formatSchedule(steps []simStep) string {
 // simOpts shapes the world a schedule runs in.
 type simOpts struct {
 	shards    int     // 1..3 (default 3)
-	noStandby bool    // shard-a runs without a hot standby
 	threshold float64 // MaxDisclosure (default 0.9)
 }
 
@@ -209,13 +207,12 @@ type simWorld struct {
 	halted   bool // a node would not open: the schedule stops there
 }
 
-// simSlot is one shard: the node answering for it (swapped by restart
-// and promotion) behind a stable URL its peers and standby dial.
+// simSlot is one shard: the node answering for it (swapped by restart)
+// behind a stable URL its peers dial.
 type simSlot struct {
 	id       string
 	srv      *httptest.Server
 	dir      string
-	standby  *simNode
 	drainSet map[string]bool // requesters with state when the drain began
 	acked    int             // history entries recorded while the log lived
 
@@ -224,7 +221,7 @@ type simSlot struct {
 }
 
 // simNode is one mediator process; stop ends the requests it is
-// serving, as the process's exit would (a standby's stream included).
+// serving, as the process's exit would.
 type simNode struct {
 	m    *Mediator
 	ctx  context.Context
@@ -327,10 +324,7 @@ func newSimWorld(t testing.TB, opts simOpts) *simWorld {
 	}
 	for _, id := range w.ids {
 		sl := w.slots[id]
-		sl.swap(w.open(sl, sl.dir, ""))
-	}
-	if a := w.slots["shard-a"]; !opts.noStandby {
-		a.standby = w.open(a, filepath.Join(base, "standby"), a.srv.URL)
+		sl.swap(w.open(sl, sl.dir))
 	}
 	return w
 }
@@ -348,9 +342,8 @@ func (w *simWorld) now() time.Time {
 	return w.clock
 }
 
-// open starts one node of sl over dir: a standby of primaryURL when that
-// is set, a primary otherwise (shard-a runs replicated either way).
-func (w *simWorld) open(sl *simSlot, dir, primaryURL string) *simNode {
+// open starts one node of sl over dir.
+func (w *simWorld) open(sl *simSlot, dir string) *simNode {
 	n := &simNode{fp: durable.NewFailpoints(), reg: obs.NewRegistry(), dir: dir}
 	n.ctx, n.stop = context.WithCancel(context.Background())
 	cfg := Config{
@@ -363,9 +356,6 @@ func (w *simWorld) open(sl *simSlot, dir, primaryURL string) *simNode {
 		},
 		Durability: &DurabilityConfig{Dir: dir, Failpoints: n.fp},
 		Shard:      &ShardConfig{ID: sl.id, Peers: w.ids, Seed: shard.DefaultSeed, PeerURLs: w.urls},
-	}
-	if sl.id == "shard-a" {
-		cfg.Replica = &ReplicaConfig{PrimaryURL: primaryURL, Heartbeat: 5 * time.Millisecond, Reconnect: 2 * time.Millisecond}
 	}
 	// A mediator bootstraps its schema from a live source, so an operator
 	// restarts one while the source answers.
@@ -384,10 +374,8 @@ func (w *simWorld) open(sl *simSlot, dir, primaryURL string) *simNode {
 
 func (w *simWorld) close() {
 	for _, sl := range w.slots {
-		for _, n := range []*simNode{sl.current(), sl.standby} {
-			if n != nil {
-				n.close()
-			}
+		if n := sl.current(); n != nil {
+			n.close()
 		}
 		sl.srv.Close()
 	}
@@ -504,8 +492,6 @@ func (w *simWorld) step(st simStep) string {
 		w.clock = w.clock.Add(5 * time.Second)
 		w.clockMu.Unlock()
 		return "ok"
-	case "kill":
-		return w.kill()
 	case "crash":
 		if !slices.Contains(durable.Points()[:3], a[1]) {
 			return "-"
@@ -584,44 +570,12 @@ func (w *simWorld) restart(sl *simSlot) string {
 	pre := captureSim(old.m)
 	old.close()
 	must(w.t, old.fp.LoseUnsynced(old.dir))
-	n := w.open(sl, old.dir, "")
+	n := w.open(sl, old.dir)
 	sl.swap(n)
 	if n == nil {
 		return "-"
 	}
 	w.checkRecovered(sl.id+" restart", pre, sl.acked, n.m)
-	return "ok"
-}
-
-// kill follows the failover runbook: once shard-a's standby has applied
-// everything the primary acknowledged (a primary whose log died is
-// restarted first, or the standby could never catch up), the primary
-// dies and the standby is promoted.
-func (w *simWorld) kill() string {
-	sl := w.slots["shard-a"]
-	if sl == nil || sl.standby == nil {
-		return "-"
-	}
-	if len(sl.current().fp.Tripped()) > 0 && w.restart(sl) != "ok" {
-		return "-"
-	}
-	prim, sb := sl.current(), sl.standby
-	deadline := time.Now().Add(10 * time.Second)
-	for sb.m.dlog.LastSeq() < prim.m.dlog.LastSeq() {
-		if time.Now().After(deadline) {
-			w.fail("(iii) the standby stalled at seq %d of %d", sb.m.dlog.LastSeq(), prim.m.dlog.LastSeq())
-			return "-"
-		}
-		time.Sleep(time.Millisecond)
-	}
-	pre := captureSim(prim.m)
-	prim.close()
-	if _, err := sb.m.Promote(); err != nil {
-		w.fail("promote: %v", err)
-	}
-	sl.standby = nil
-	sl.swap(sb)
-	w.checkRecovered("shard-a failover", pre, sl.acked, sb.m)
 	return "ok"
 }
 
@@ -658,7 +612,7 @@ func (w *simWorld) compact(sl *simSlot, point, req, kind string) string {
 	return "ok"
 }
 
-// simState is what a node held when it was closed or killed, and the
+// simState is what a node held when it was closed, and the
 // last sequence number its log reported durable.
 type simState struct {
 	ledger  map[string][]ledgerRelease
@@ -947,8 +901,6 @@ func simGenerate(seed uint64, n int) []simStep {
 			st = simStep{op: pick("hang", "unhang", "unhang")}
 		case r < 22:
 			st = simStep{op: "tick"}
-		case r < 23:
-			st = simStep{op: "kill"}
 		case r < 24:
 			st = simStep{op: "crash", args: []string{shardArg(), pick(durable.Points()[:3]...)}}
 		case r < 25:
@@ -982,7 +934,7 @@ func shrink(t testing.TB, steps []simStep) []simStep {
 // TestContract is the scenario table. Each row is a schedule with
 // expected outcomes; covers names the example tests it replaced.
 func TestContract(t *testing.T) {
-	solo := simOpts{shards: 1, noStandby: true}
+	solo := simOpts{shards: 1}
 	type row struct {
 		name, script, covers string
 		opts                 simOpts
@@ -992,7 +944,7 @@ func TestContract(t *testing.T) {
 			"ask a 1a =ok; ask a 1b =ledger-combination; ask b 1b =ok; ask b 1a =ledger-combination",
 			"", solo},
 		{"a threshold of 1 lets the pair through", "ask a 1a =ok; ask a 1b =ok",
-			"", simOpts{shards: 1, noStandby: true, threshold: 1}},
+			"", simOpts{shards: 1, threshold: 1}},
 		{"a pair the check cannot evaluate is refused in both orders",
 			"ask a 1a =ok; ask a 1bx =ledger-unverifiable; ask b 1bx =ok; ask b 1a =ledger-unverifiable", "", solo},
 		{"means over two populations of one axis are refused in both orders (3·1b − 2·1bx is the Eye Exam column)",
@@ -1020,8 +972,8 @@ func TestContract(t *testing.T) {
 			"", solo},
 		{"hang then retry then open circuit then recover",
 			"hang; ask a n =timeout; ask a n =timeout; ask a n =timeout; ask a n =breaker-open; unhang; ask a n =breaker-open; tick; ask a n =ok", "", solo},
-		{"failover keeps refusals",
-			"ask a 1a =ok; ask b 1b =ok; kill =ok; ask a 1b =ledger-combination; ask b 1a =ledger-combination; ask c 1b =ok", "", simOpts{}},
+		{"crash and restart keeps refusals",
+			"ask a 1a =ok; ask b 1b =ok; crash @a append.write =ok; ask a n =ok; restart @a =ok; ask a 1b =ledger-combination; ask b 1a =ledger-combination; ask c 1b =ok", "", simOpts{}},
 		{"forged re-route refused against a draining owner too",
 			"ask a 1a =ok; forge a 1b =not-owner; tick; drain @a; forge a 1b =not-owner", "", simOpts{}},
 		// A re-route that reaches the source (refused there, recording
@@ -1059,7 +1011,7 @@ func TestContract(t *testing.T) {
 // a privacy refusal: 403 on the wire, with a message that classifies
 // back to ledger-unverifiable past the hop.
 func TestUnverifiablePairRefused403(t *testing.T) {
-	w := newSimWorld(t, simOpts{shards: 1, noStandby: true})
+	w := newSimWorld(t, simOpts{shards: 1})
 	defer w.close()
 	post := func(q string) (int, string) {
 		t.Helper()
@@ -1093,7 +1045,7 @@ func TestUnverifiablePairRefused403(t *testing.T) {
 func TestContractKnownOpen(t *testing.T) {
 	steps, err := parseSchedule("ask a 1a =ok; ask a h1 =ok; ask a h2 =ok; ask a h3 =ok")
 	must(t, err)
-	got := runSchedule(t, simOpts{shards: 1, noStandby: true}, steps)
+	got := runSchedule(t, simOpts{shards: 1}, steps)
 	if len(got) != 1 || !strings.HasPrefix(got[0], "(i)") {
 		t.Fatalf("per-group asks of the party axis: %q, want exactly one (i) violation", got)
 	}

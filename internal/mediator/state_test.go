@@ -1,30 +1,29 @@
 package mediator
 
 // The inference-control state has one way in (persist.go): these tests
-// hold every route to it — a live query, recovery, a standby tailing
-// entries, a standby installing a snapshot — to the same state, the same
-// refusals and the same bytes on disk.
+// hold both routes to it — a live query and recovery — to the same state,
+// the same refusals and the same bytes on disk.
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
-	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"privateiye/internal/durable"
-	"privateiye/internal/obs"
 	"privateiye/internal/piql"
 	"privateiye/internal/source"
 )
 
 // stateMediator is the Figure 1 integrator plus the two hospitals (B
 // denies ages, so a hospital query records a denial) with a warehouse,
-// over the state directory dir. rep == nil runs it unreplicated.
-func stateMediator(t *testing.T, dir string, rep *ReplicaConfig) *Mediator {
+// over the state directory dir.
+func stateMediator(t *testing.T, dir string) *Mediator {
 	t.Helper()
 	m, err := New(Config{
 		Endpoints:         append([]source.Endpoint{figure1Endpoint(t)}, twoHospitals(t)...),
@@ -34,48 +33,12 @@ func stateMediator(t *testing.T, dir string, rep *ReplicaConfig) *Mediator {
 		WarehouseCapacity: 8,
 		WarehouseTTL:      1 << 30,
 		Durability:        &DurabilityConfig{Dir: dir},
-		Replica:           rep,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
 	return m
-}
-
-// serve mounts the primary's handler — the stream standbys tail — and
-// returns its URL. stop also cuts the streams open on it: they never end
-// on their own, and httptest's Close waits for them.
-func serve(t *testing.T, primary *Mediator) (url string, stop func()) {
-	t.Helper()
-	srv := httptest.NewServer(NewHandler(primary))
-	stop = func() {
-		srv.CloseClientConnections()
-		srv.Close()
-	}
-	t.Cleanup(stop)
-	return srv.URL, stop
-}
-
-// standbyOf attaches a fresh standby to the primary served at url and
-// waits until it has everything the primary's log holds.
-func standbyOf(t *testing.T, primary *Mediator, url string) *Mediator {
-	t.Helper()
-	s := stateMediator(t, t.TempDir(), &ReplicaConfig{PrimaryURL: url, Heartbeat: 10 * time.Millisecond, Reconnect: 10 * time.Millisecond})
-	waitLevel(t, s, primary)
-	return s
-}
-
-// waitLevel returns once the standby's log ends where its primary's does.
-func waitLevel(t *testing.T, standby, primary *Mediator) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for standby.Ready() != nil || standby.dlog.LastSeq() != primary.dlog.LastSeq() {
-		if time.Now().After(deadline) {
-			t.Fatalf("standby never caught up: %+v, primary at %d", standby.ReplicationStatus(), primary.dlog.LastSeq())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 // encodedState is the snapshot a node would write now. encoding/json
@@ -99,135 +62,11 @@ func wantCombinationRefusal(t *testing.T, m *Mediator, requester, who string) {
 	}
 }
 
-// A standby that connects after its primary's first compaction — every
-// real standby — is sent the snapshot, then the entries after it. What
-// it installs must bind it exactly as the primary is bound, after
-// promotion and after its own restart.
-func TestStandbyJoinsAfterCompaction(t *testing.T) {
-	p := stateMediator(t, t.TempDir(), &ReplicaConfig{})
-	url, _ := serve(t, p)
-	if _, err := p.Query(perTestQuery, "snooper"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Query(shardTestQuery, "reader"); err != nil { // history, no release
-		t.Fatal(err)
-	}
-	if err := p.snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Query(perTestQuery, "late"); err != nil { // lands in the WAL tail
-		t.Fatal(err)
-	}
-
-	s := standbyOf(t, p, url)
-	if _, snap := s.dlog.Sizes(); snap == 0 {
-		t.Fatal("the standby installed no snapshot: this test covers the snapshot frame")
-	}
-	if got, want := encodedState(t, s), encodedState(t, p); !bytes.Equal(got, want) {
-		t.Errorf("standby state differs from its primary's:\n got %s\nwant %s", got, want)
-	}
-	if _, err := s.Promote(); err != nil {
-		t.Fatal(err)
-	}
-	wantCombinationRefusal(t, s, "snooper", "promoted standby (release from the snapshot)")
-	wantCombinationRefusal(t, s, "late", "promoted standby (release from an entry frame)")
-	if _, err := s.Query(perHMOQuery, "bystander"); err != nil {
-		t.Errorf("bystander on the promoted standby: %v", err)
-	}
-	for _, r := range []string{"snooper", "reader"} {
-		if !s.hasRequesterState(r) {
-			t.Errorf("hasRequesterState(%s) = false on the standby", r)
-		}
-	}
-
-	dir := s.cfg.Durability.Dir
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wantCombinationRefusal(t, stateMediator(t, dir, nil), "snooper", "the standby's state dir reopened")
-}
-
-// A standby promoted while it installs a snapshot frame must not let
-// that install land afterwards: it would reset the log and the ledger
-// under a release the new primary had already granted, and the release's
-// Figure 1 complement would then be granted too. The install is parked
-// just before its temp file's fsync, with Promote called meanwhile.
-func TestPromotionWaitsForSnapshotInstall(t *testing.T) {
-	p := stateMediator(t, t.TempDir(), &ReplicaConfig{})
-	url, _ := serve(t, p)
-	if _, err := p.Query(perTestQuery, "filler"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.snapshot(); err != nil {
-		t.Fatal(err)
-	}
-
-	fp := durable.NewFailpoints()
-	reached, release := fp.Park(durable.FPSnapSync)
-	reg := obs.NewRegistry()
-	s, err := New(Config{
-		Endpoints:         append([]source.Endpoint{figure1Endpoint(t)}, twoHospitals(t)...),
-		LinkageSalt:       salt,
-		MaxDisclosure:     0.9,
-		LedgerTolerance:   0.05,
-		WarehouseCapacity: 8,
-		WarehouseTTL:      1 << 30,
-		Durability:        &DurabilityConfig{Dir: t.TempDir(), Failpoints: fp},
-		Replica:           &ReplicaConfig{PrimaryURL: url, Heartbeat: 10 * time.Millisecond, Reconnect: 10 * time.Millisecond},
-		Obs:               reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	select {
-	case <-reached:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the standby never started installing the snapshot frame")
-	}
-
-	promoted := make(chan error, 1)
-	go func() {
-		_, err := s.Promote()
-		promoted <- err
-	}()
-	// Promote may wait for the parked install (it must not return before
-	// it); either way the release below is granted by the primary.
-	released := false
-	select {
-	case err = <-promoted:
-	case <-time.After(200 * time.Millisecond):
-		release()
-		released = true
-		err = <-promoted
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Query(perTestQuery, "snooper"); err != nil {
-		t.Fatalf("Figure 1(a) on the promoted standby: %v", err)
-	}
-	if !released {
-		release()
-	}
-	installed := reg.Counter("piye_replica_snapshots_installed_total")
-	for deadline := time.Now().Add(10 * time.Second); installed.Value() == 0; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the parked snapshot install never finished")
-		}
-	}
-	wantCombinationRefusal(t, s, "snooper", "standby promoted mid-install")
-}
-
-// Every route into the state leaves the same state behind: the node the
-// queries ran on, its directory reopened, a standby that tailed every
-// entry, a standby that installed a snapshot, and that standby's
-// directory reopened.
+// Both routes into the state leave the same state behind: the node the
+// queries ran on, and its directory reopened.
 func TestControlStateSameByEveryRoute(t *testing.T) {
 	dir := t.TempDir()
-	p := stateMediator(t, dir, &ReplicaConfig{})
-	url, stop := serve(t, p)
-	tailing := standbyOf(t, p, url)
+	p := stateMediator(t, dir)
 
 	script := []struct {
 		query, requester string
@@ -254,47 +93,20 @@ func TestControlStateSameByEveryRoute(t *testing.T) {
 		t.Fatalf("the script did not record what it is meant to: %+v", h)
 	}
 	want := encodedState(t, p)
-
-	joined := standbyOf(t, p, url) // from sequence 0: snapshot frame, then entries
-	if _, snap := joined.dlog.Sizes(); snap == 0 {
-		t.Fatal("the late standby installed no snapshot")
-	}
-	waitLevel(t, tailing, p)
-	stop()
+	wantCombinationRefusal(t, p, "snooper", "live node")
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	joinedDir := joined.cfg.Durability.Dir
 
-	for _, route := range []struct {
-		name string
-		m    func() *Mediator
-	}{
-		{"same dir reopened", func() *Mediator { return stateMediator(t, dir, nil) }},
-		{"standby that tailed entries", func() *Mediator { return tailing }},
-		{"standby that installed a snapshot", func() *Mediator { return joined }},
-		{"that standby reopened", func() *Mediator {
-			if err := joined.Close(); err != nil {
-				t.Fatal(err)
-			}
-			return stateMediator(t, joinedDir, nil)
-		}},
-	} {
-		m := route.m()
-		if got := encodedState(t, m); !bytes.Equal(got, want) {
-			t.Errorf("%s: state differs from the live node's:\n got %s\nwant %s", route.name, got, want)
-		}
-		if m.node != nil {
-			if _, err := m.Promote(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		wantCombinationRefusal(t, m, "snooper", route.name)
+	m := stateMediator(t, dir)
+	if got := encodedState(t, m); !bytes.Equal(got, want) {
+		t.Errorf("same dir reopened: state differs from the live node's:\n got %s\nwant %s", got, want)
 	}
+	wantCombinationRefusal(t, m, "snooper", "same dir reopened")
 }
 
-// A record the one decoder refuses is refused in the same words whether
-// recovery or a replication stream delivered it, and changes nothing.
+// A record the one decoder refuses stops recovery in the decoder's own
+// words, and the refused directory is left as it was.
 func TestMalformedRecordRefusedTheSameEverywhere(t *testing.T) {
 	for name, payload := range map[string]string{
 		"unknown kind":         `{"k":"grant","req":"r"}`,
@@ -312,28 +124,23 @@ func TestMalformedRecordRefusedTheSameEverywhere(t *testing.T) {
 			}
 			l.Close()
 			_, recovered := New(Config{Endpoints: []source.Endpoint{figure1Endpoint(t)}, Durability: &DurabilityConfig{Dir: dir}})
-			if recovered == nil {
-				t.Fatal("recovery accepted the record")
+			_, decoded := decodeRecord(1, []byte(payload))
+			if recovered == nil || decoded == nil || recovered.Error() != decoded.Error() {
+				t.Errorf("recovery = %v\ndecoder  = %v\nwant the same refusal", recovered, decoded)
 			}
-
-			m := stateMediator(t, t.TempDir(), nil)
-			before := encodedState(t, m)
-			replicated := mediatorApplier{m}.ApplyEntry(1, []byte(payload))
-			if replicated == nil || replicated.Error() != recovered.Error() {
-				t.Errorf("ApplyEntry = %v\nrecovery   = %v\nwant the same refusal", replicated, recovered)
+			l, err = durable.Open(durable.Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if seq := m.dlog.LastSeq(); seq != 0 {
-				t.Errorf("the refused record reached the standby's log (last seq %d)", seq)
-			}
-			if after := encodedState(t, m); !bytes.Equal(after, before) {
-				t.Errorf("the refused record changed the state: %s", after)
+			defer l.Close()
+			if ents := l.RecoveredEntries(); len(ents) != 1 || string(ents[0].Payload) != payload {
+				t.Errorf("the refused directory changed: %d records", len(ents))
 			}
 		})
 	}
 }
 
-// The same for a snapshot the one decoder refuses — and the standby's
-// log must not have taken it either, or the standby could not reopen.
+// The same for a snapshot the one decoder refuses.
 func TestMalformedSnapshotRefusedTheSameEverywhere(t *testing.T) {
 	const payload = `{"releases":{"r":[{"t":`
 	dir := t.TempDir()
@@ -346,17 +153,17 @@ func TestMalformedSnapshotRefusedTheSameEverywhere(t *testing.T) {
 	}
 	l.Close()
 	_, recovered := New(Config{Endpoints: []source.Endpoint{figure1Endpoint(t)}, Durability: &DurabilityConfig{Dir: dir}})
-	if recovered == nil {
-		t.Fatal("recovery accepted the snapshot")
+	_, decoded := decodeSnapshot([]byte(payload))
+	if recovered == nil || decoded == nil || recovered.Error() != decoded.Error() {
+		t.Errorf("recovery = %v\ndecoder  = %v\nwant the same refusal", recovered, decoded)
 	}
-
-	m := stateMediator(t, t.TempDir(), nil)
-	replicated := mediatorApplier{m}.ApplySnapshot(7, []byte(payload))
-	if replicated == nil || replicated.Error() != recovered.Error() {
-		t.Errorf("ApplySnapshot = %v\nrecovery      = %v\nwant the same refusal", replicated, recovered)
+	l, err = durable.Open(durable.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, snap := m.dlog.Sizes(); snap != 0 || m.dlog.LastSeq() != 0 {
-		t.Errorf("the refused snapshot reached the standby's log (%d bytes, last seq %d)", snap, m.dlog.LastSeq())
+	defer l.Close()
+	if got := string(l.RecoveredSnapshot()); got != payload {
+		t.Errorf("the refused snapshot changed: %q", got)
 	}
 }
 
@@ -371,11 +178,17 @@ const (
 	parentRecord5  = `{"k":"history","e":1,"h":{"Requester":"snooper","Query":"FOR //compliance/row GROUP BY //test RETURN AVG(//rate) AS avg_rate, STDDEV(//rate) AS sd_rate, COUNT(*) AS n PURPOSE research MAXLOSS 0.9","Sources":["warehouse"],"Denied":null,"Clock":2}}`
 )
 
+// parentEpochHex is the epoch.dat a replicated parent node kept beside
+// its log, at epoch 2, as that commit's durable.StoreEpoch wrote it.
+// Nothing reads it any more; a state dir that holds one still opens.
+const parentEpochHex = "5049594545504f31c448501e0200000000000000"
+
 // The parent's state directory replays under this tree, and the same
 // queries under this tree write the parent's bytes: the format did not
-// move. The one change is that an answer the ledger records now writes
-// its release and history entry as one record: the parent's records 3
-// and 4, the entry as the release record's "h".
+// move. Two things changed: an answer the ledger records now writes its
+// release and history entry as one record (the parent's records 3 and 4,
+// the entry as the release record's "h"), and a record carries no "e"
+// epoch key since replication was retired.
 func TestParentStateDirReplays(t *testing.T) {
 	open := func(dir string) *Mediator {
 		m, err := New(Config{
@@ -385,7 +198,6 @@ func TestParentStateDirReplays(t *testing.T) {
 			WarehouseCapacity: 8,
 			WarehouseTTL:      1 << 30,
 			Durability:        &DurabilityConfig{Dir: dir},
-			Replica:           &ReplicaConfig{},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -414,6 +226,13 @@ func TestParentStateDirReplays(t *testing.T) {
 		}
 	}
 	l.Close()
+	epoch, err := hex.DecodeString(parentEpochHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(old, "epoch.dat"), epoch, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	m := open(old)
 	h := m.History()
 	if len(h) != 3 || h[0].Requester != "early" || h[2].Sources[0] != "warehouse" || h[2].Clock != 2 {
@@ -444,8 +263,9 @@ func TestParentStateDirReplays(t *testing.T) {
 	if got := string(l.RecoveredSnapshot()); got != parentSnapshot {
 		t.Errorf("snapshot differs from the parent's:\n got %s\nwant %s", got, parentSnapshot)
 	}
-	entry := strings.TrimSuffix(strings.TrimPrefix(parentRecord4, `{"k":"history","e":1,"h":`), "}")
-	written := []string{strings.TrimSuffix(parentRecord3, "}") + `,"h":` + entry + "}", parentRecord5}
+	unstamped := func(rec string) string { return strings.ReplaceAll(rec, `,"e":1`, "") }
+	entry := strings.TrimSuffix(strings.TrimPrefix(unstamped(parentRecord4), `{"k":"history","h":`), "}")
+	written := []string{strings.TrimSuffix(unstamped(parentRecord3), "}") + `,"h":` + entry + "}", unstamped(parentRecord5)}
 	ents := l.RecoveredEntries()
 	if len(ents) != len(written) {
 		t.Fatalf("%d WAL records after the snapshot, want %d", len(ents), len(written))
@@ -486,7 +306,7 @@ func figure1Releases(t *testing.T, m *Mediator) (a, b ledgerRelease) {
 // wholly after it, in the WAL.
 func TestCommitSectionRechecksAndCutsExactly(t *testing.T) {
 	dir := t.TempDir()
-	m := stateMediator(t, dir, nil)
+	m := stateMediator(t, dir)
 	relA, relB := figure1Releases(t, m)
 	entry := func(req string) HistoryEntry {
 		return HistoryEntry{Requester: req, Query: "q", Sources: []string{"integrator"}}
@@ -525,7 +345,7 @@ func TestCommitSectionRechecksAndCutsExactly(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m = stateMediator(t, dir, nil)
+	m = stateMediator(t, dir)
 	if got := encodedState(t, m); !bytes.Equal(got, want) {
 		t.Errorf("reopened over the snapshot and the WAL after it:\n got %s\nwant %s", got, want)
 	}
@@ -542,7 +362,7 @@ func TestCommitSectionRechecksAndCutsExactly(t *testing.T) {
 // first, and a restart holds exactly what the live node held.
 func TestCommitSectionRaces(t *testing.T) {
 	dir := t.TempDir()
-	m := stateMediator(t, dir, nil)
+	m := stateMediator(t, dir)
 	for i := 0; i < 4; i++ {
 		req := fmt.Sprint("racer-", i)
 		var wg sync.WaitGroup
@@ -573,7 +393,7 @@ func TestCommitSectionRaces(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := encodedState(t, stateMediator(t, dir, nil)); !bytes.Equal(got, want) {
+	if got := encodedState(t, stateMediator(t, dir)); !bytes.Equal(got, want) {
 		t.Errorf("reopened:\n got %s\nwant %s", got, want)
 	}
 }

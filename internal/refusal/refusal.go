@@ -60,14 +60,6 @@ const (
 	// NoSource: no source holds data matching the query, or every
 	// source failed.
 	NoSource Reason = "no-source"
-	// NotPrimary: the query reached a replication standby (or a node
-	// mid-promotion); the caller should retry against the primary. Not a
-	// privacy refusal.
-	NotPrimary Reason = "not-primary"
-	// Fenced: this node was deposed by a newer primary epoch and fails
-	// every release closed — granting here could double-grant what the
-	// successor's ledger does not know about.
-	Fenced Reason = "fenced"
 	// NotOwner: in a sharded mediator tier, the requester hashes to a
 	// different shard — this shard's ledger does not hold the
 	// requester's release history, so granting here could miss a
@@ -92,7 +84,7 @@ func All() []Reason {
 		Timeout, Canceled, BreakerOpen, Policy,
 		AuditSetSize, AuditOverlap, AuditCompromise,
 		LedgerCombination, LedgerUnverifiable, Unrecordable, LossBudget,
-		Parse, NoSource, NotPrimary, Fenced, NotOwner, Other,
+		Parse, NoSource, NotOwner, Other,
 	}
 }
 
@@ -104,8 +96,9 @@ type Reasoner interface {
 
 // IsShed reports whether any error in the chain is load shedding (it
 // implements Shed() bool, returning true): a 429/503 that crossed the
-// wire from a node that is alive and answering — a standby, a node not
-// yet ready — not a privacy refusal and not a failure. The breaker
+// wire from a node that is alive and answering — a shard that does not
+// own the requester, a node not yet ready — not a privacy refusal and
+// not a failure. The breaker
 // recognizes sheds through it, without importing a concrete error type.
 func IsShed(err error) bool {
 	var sh interface{ Shed() bool }
@@ -167,13 +160,6 @@ func ClassifyString(s string) Reason {
 		return Parse
 	case strings.Contains(s, "no source holds data") || strings.Contains(s, "every source refused"):
 		return NoSource
-	// "fenced" before "not primary": a fenced node's message may name
-	// its role ("not primary (role fenced...)") and the sharper reason
-	// wins.
-	case strings.Contains(s, "fenced"):
-		return Fenced
-	case strings.Contains(s, "not primary"):
-		return NotPrimary
 	// Shard-routing refusals: the wrong-door refusal and a draining
 	// shard declining to take ownership of a new requester.
 	case strings.Contains(s, "not the owner of requester"),

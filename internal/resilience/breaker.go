@@ -123,7 +123,7 @@ func (b *Breaker) notify(from, to breakerState) {
 // Report records the final outcome of an allowed call by the one
 // outcome rule (classify). A canceled call says nothing about the
 // callee's health and is ignored, and so is a shed (a 429/503 such as a
-// standby's): the callee is alive and answering fast, and opening its
+// shard's not-owner refusal): the callee is alive and answering fast, and opening its
 // circuit would cut it off for longer than it asked. Either one hands a half-open
 // probe's slot back, so the next call probes instead of the circuit
 // staying half-open for good. Success and the callee's own answer (an

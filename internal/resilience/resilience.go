@@ -61,7 +61,7 @@ const (
 	// canceled: the caller gave up; nothing is known about the callee.
 	canceled
 	// shed: the callee is alive but declines this call for now: a 429 or
-	// 503 such as a standby's (refusal.IsShed).
+	// 503 such as a shard's not-owner refusal (refusal.IsShed).
 	shed
 	// failed: anything else, deadline overruns included — a hanging
 	// callee is a failing one.

@@ -239,7 +239,7 @@ type shedErr struct {
 	final bool
 }
 
-func (shedErr) Error() string     { return "503: not primary (role standby)" }
+func (shedErr) Error() string     { return "503: shard shard-b is not the owner of requester bob" }
 func (shedErr) Shed() bool        { return true }
 func (e shedErr) Retryable() bool { return !e.final }
 func (e shedErr) RetryAfterHint() (time.Duration, bool) {

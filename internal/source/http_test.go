@@ -74,7 +74,7 @@ func TestParseRetryAfter(t *testing.T) {
 func TestClientSurfacesRetryAfterAndShed(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "3")
-		http.Error(w, "mediator: not primary (role standby, epoch 1): this node mirrors the primary and does not grant releases", http.StatusServiceUnavailable)
+		http.Error(w, "mediator: shard shard-b is not the owner of requester alice (owner shard-a)", http.StatusServiceUnavailable)
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL, "busy")
@@ -90,7 +90,7 @@ func TestClientSurfacesRetryAfterAndShed(t *testing.T) {
 		t.Fatalf("503 should read as a retryable shed: %+v", he)
 	}
 	// The reason survives the wire: only the message crossed.
-	if got := refusal.Classify(err); got != refusal.NotPrimary {
+	if got := refusal.Classify(err); got != refusal.NotOwner {
 		t.Fatalf("Classify = %v", got)
 	}
 }

@@ -41,7 +41,7 @@ import (
 type SystemConfig = core.SystemConfig
 
 // MediatorConfig configures the mediation engine (warehouse, privacy
-// control threshold, durability, replication, ...); set it on
+// control threshold, durability, sharding, ...); set it on
 // SystemConfig.Mediator. See mediator.Config.
 type MediatorConfig = mediator.Config
 
