@@ -9,7 +9,8 @@
 //	    -dedup name -warehouse 64
 //
 // Endpoints: POST /query (PIQL body, X-Requester header), GET /schema,
-// GET /history (pseudonyms, redacted queries), POST /refresh.
+// GET /history (pseudonyms, redacted queries), POST /refresh, and with
+// -shard-id GET /shard/status (this shard's id, seed and peers).
 //
 // Each flag is a deployment setting or a value some caller needs, bound
 // straight into the mediator.Config it fills. The PSI suite is not one:
@@ -60,7 +61,7 @@ func main() {
 	flag.IntVar(&cfg.PlanCache, "plan-cache", 256, "parse/plan cache capacity in entries (0 = disabled)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for /metrics, /debug/trace and /debug/pprof (empty = pprof off; /metrics and /debug/trace are always on -addr)")
 	flag.StringVar(&shardCfg.ID, "shard-id", "", "this mediator's name in a sharded tier (enables the requester ownership gate; needs -shard-peers)")
-	shardPeers := flag.String("shard-peers", "", "comma-separated membership of the tier, this shard included, as name or name=url (must match the router's -shard list); URLs let this shard verify drain re-routes and check peers before undrain — without them re-routed requesters are refused fail-closed")
+	shardPeers := flag.String("shard-peers", "", "comma-separated shard names of the tier, this shard included (must match the router's -shard names)")
 	flag.Parse()
 
 	if *salt == defaultSalt {
@@ -86,16 +87,13 @@ func main() {
 			log.Fatal("piye-mediator: -shard-id and -shard-peers go together")
 		}
 		shardCfg.Seed = shard.DefaultSeed
-		shardCfg.PeerURLs = map[string]string{}
-		for _, p := range strings.Split(*shardPeers, ",") {
-			name, u, ok := strings.Cut(p, "=")
-			shardCfg.Peers = append(shardCfg.Peers, name)
-			if ok {
-				shardCfg.PeerURLs[name] = u
+		shardCfg.Peers = strings.Split(*shardPeers, ",")
+		for _, p := range shardCfg.Peers {
+			// An older build took name=url here; read as a name, it would
+			// join the ring under a name no router uses.
+			if strings.Contains(p, "=") {
+				log.Fatalf("piye-mediator: -shard-peers entry %q: the list takes shard names only since shard drain was retired (drop the =url)", p)
 			}
-		}
-		if len(shardCfg.PeerURLs) == 0 {
-			log.Print("piye-mediator: NOTE: -shard-peers has no name=url entries; router drain re-routes will be refused fail-closed (the drain claim cannot be verified against peers) and undrain requires force")
 		}
 		cfg.Shard = &shardCfg
 	}

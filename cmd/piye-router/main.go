@@ -3,12 +3,9 @@
 // proxies to the owning shard with per-shard circuit breakers, retries
 // that honor Retry-After, and health-gated membership via each shard's
 // /readyz. Refusal semantics survive the hop: a 403 privacy refusal
-// stays 403 verbatim, capacity sheds keep their 429/503 + Retry-After,
-// and a draining shard's new requesters are re-routed to the
-// drain-adjusted owner. The router keeps no drain state: a re-route
-// asserts only the shards that refused that query, and
-// /shards/drain|undrain are plain forwards to the shard. Read a shard's
-// drain state from its own GET /shard/status.
+// stays 403 verbatim, and capacity sheds keep their 429/503 +
+// Retry-After. Membership is static: the -shard list is the ring, and a
+// query only ever goes to its requester's owner.
 //
 // Usage:
 //
@@ -23,9 +20,8 @@
 // same seed, shard.DefaultSeed.
 //
 // Endpoints: POST /query (PIQL body, X-Requester header), GET /shards
-// (health and breaker per shard), POST /shards/drain?name=X,
-// POST /shards/undrain?name=X[&force=1], /healthz,
-// /readyz, /metrics, /debug/trace.
+// (health and breaker per shard), /healthz, /readyz, /metrics,
+// /debug/trace.
 package main
 
 import (

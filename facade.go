@@ -300,12 +300,11 @@ var ErrCircuitOpen = resilience.ErrOpen
 
 // ShardConfig places a mediator in a requester-sharded tier: set it on
 // MediatorConfig.Shard (every shard and router in the tier must share
-// Peers and Seed; PeerURLs are fixed when the mediator is built). ShardRing
-// is the seeded rendezvous-hash ring the tier routes by, and ShardMember
-// one name on it — drain state is no ring fact: each shard alone holds
-// its own, and operators read it from that shard's GET /shard/status.
-// ShardRouterConfig/ShardRouter are the piye-router front tier that
-// terminates /query and proxies to the owning shard.
+// Peers and Seed; membership is static configuration, and PeerURLs is
+// ignored). ShardRing is the seeded rendezvous-hash ring the tier routes
+// by, and ShardMember one name on it. ShardRouterConfig/ShardRouter are
+// the piye-router front tier that terminates /query and proxies to the
+// owning shard.
 type (
 	ShardConfig       = mediator.ShardConfig
 	ShardRing         = shard.Ring
@@ -318,12 +317,8 @@ type (
 // NotOwnerError refuses a requester whose ring placement is a different
 // shard — this shard's ledger does not hold the requester's history, so
 // granting could miss a combination the owner would refuse (fail-closed
-// 503, retryable via the router). DrainingError refuses a NEW requester
-// on a draining shard for the router to re-route.
-type (
-	NotOwnerError = mediator.NotOwnerError
-	DrainingError = mediator.DrainingError
-)
+// 503, retryable via the router).
+type NotOwnerError = mediator.NotOwnerError
 
 // DefaultShardSeed is the ring placement seed the daemons default to;
 // the shard property tests pin the balance and disruption bounds

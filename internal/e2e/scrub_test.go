@@ -44,14 +44,9 @@ func TestTelemetryDoesNotLeakRequestersOrLiterals(t *testing.T) {
 		nodes[name], _ = complianceNode(t, name)
 	}
 	shardSrvs := map[string]*httptest.Server{}
-	peerURLs := map[string]string{}
-	for _, id := range shardPeers {
-		shardSrvs[id] = httptest.NewUnstartedServer(nil)
-		peerURLs[id] = "http://" + shardSrvs[id].Listener.Addr().String()
-	}
 	var backends []shard.Backend
 	for _, id := range shardPeers {
-		newShardMediator(t, t.TempDir(), id, nodes, shardSrvs[id], peerURLs)
+		_, shardSrvs[id] = newShardMediator(t, t.TempDir(), id, nodes)
 		backends = append(backends, shard.Backend{Name: id, URL: shardSrvs[id].URL})
 	}
 	rt, err := shard.NewRouter(shard.RouterConfig{

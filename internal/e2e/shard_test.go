@@ -1,12 +1,12 @@
 // The sharded-tier end-to-end test: two HTTP source nodes, three
 // mediator shards (each with its own durable state directory and its
 // own ownership gate), and a piye-router front. What it locks in is the
-// PR's core safety claim: sharding the tier never weakens a refusal.
+// tier's core safety claim: sharding the tier never weakens a refusal.
 // The Figure 1 combination refusal happens on the one shard that holds
-// the requester's ledger, survives router retries, survives a drain,
-// and a requester can never dodge it by reaching a shard that has not
-// seen their history — misrouted queries answer 503 not-owner, never a
-// fresh-ledger 200 and never a spurious 403.
+// the requester's ledger, survives router retries, and cannot be undone
+// from the public port, and a requester can never dodge it by reaching
+// a shard that has not seen their history — misrouted queries answer
+// 503 not-owner, never a fresh-ledger 200 and never a spurious 403.
 package e2e
 
 import (
@@ -15,13 +15,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"privateiye/internal/mediator"
 	"privateiye/internal/obs"
+	"privateiye/internal/refusal"
 	"privateiye/internal/resilience"
 	"privateiye/internal/shard"
 	"privateiye/internal/source"
@@ -30,11 +31,11 @@ import (
 var shardPeers = []string{"shard-a", "shard-b", "shard-c"}
 
 // newShardMediator builds one mediator shard over the given source
-// nodes and serves it on srv, whose listener is already bound: durable
-// state under dir, the ownership gate armed with the tier's peer list
-// and URLs, and its own registry and tracer (each shard is its own
-// process in deployment; sharing a registry would fuse their metrics).
-func newShardMediator(t *testing.T, dir, id string, nodes map[string]*httptest.Server, srv *httptest.Server, peerURLs map[string]string) {
+// nodes and serves it: durable state under dir, the ownership gate armed
+// with the tier's peer list, and its own registry and tracer (each shard
+// is its own process in deployment; sharing a registry would fuse their
+// metrics).
+func newShardMediator(t *testing.T, dir, id string, nodes map[string]*httptest.Server) (*mediator.Mediator, *httptest.Server) {
 	t.Helper()
 	var eps []source.Endpoint
 	for _, name := range []string{"alpha", "beta"} {
@@ -56,36 +57,21 @@ func newShardMediator(t *testing.T, dir, id string, nodes map[string]*httptest.S
 		Durability: &mediator.DurabilityConfig{Dir: dir},
 		Obs:        obs.NewRegistry(),
 		Trace:      obs.NewTracer(32),
-		Shard: &mediator.ShardConfig{
-			ID:       id,
-			Peers:    shardPeers,
-			Seed:     shard.DefaultSeed,
-			PeerURLs: peerURLs,
-		},
+		Shard:      &mediator.ShardConfig{ID: id, Peers: shardPeers, Seed: shard.DefaultSeed},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { med.Close() })
-	srv.Config.Handler = mediator.NewHandler(med)
-	srv.Start()
+	srv := httptest.NewServer(mediator.NewHandler(med))
 	t.Cleanup(srv.Close)
+	return med, srv
 }
 
-// holds reports whether one shard holds control state (a ledger or
-// history entry) for the requester, read from its /shard/status.
-func holds(t *testing.T, base, requester string) bool {
-	t.Helper()
-	resp, err := http.Get(base + "/shard/status?requester=" + url.QueryEscape(requester))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st mediator.ShardStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s/shard/status: %d %v", base, resp.StatusCode, err)
-	}
-	return st.Holds
+// hasHistory reports whether a shard's query history names the
+// requester.
+func hasHistory(m *mediator.Mediator, requester string) bool {
+	return slices.ContainsFunc(m.History(), func(e mediator.HistoryEntry) bool { return e.Requester == requester })
 }
 
 // ownedBy finds n fresh requester names the reference ring places on
@@ -132,47 +118,21 @@ func routerHealthy(t *testing.T, base string) map[string]bool {
 	return out
 }
 
-// shardDraining reads a shard's drain state where operators read it: the
-// shard's own GET /shard/status.
-func shardDraining(t *testing.T, base string) bool {
-	t.Helper()
-	resp, err := http.Get(base + "/shard/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st mediator.ShardStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	return st.Draining
-}
-
 // TestShardedTierEndToEnd drives the full tier through stickiness,
-// misrouting, the Figure 1 refusal, drain/re-route, and a shard death.
-// Sub-steps share the deployment and run in order.
+// misrouting, the Figure 1 refusal, an anonymous client's attempt to
+// undo that refusal, and a shard death. Sub-steps share the deployment
+// and run in order.
 func TestShardedTierEndToEnd(t *testing.T) {
 	nodes := map[string]*httptest.Server{}
 	for _, name := range []string{"alpha", "beta"} {
 		srv, _ := complianceNode(t, name)
 		nodes[name] = srv
 	}
-
-	// Peer URLs arm the drain-claim verification and the undrain strand
-	// check. Every shard's listener is bound first, so each shard is
-	// built knowing all of them.
+	meds := map[string]*mediator.Mediator{}
 	shardSrvs := map[string]*httptest.Server{}
-	peerURLs := map[string]string{}
-	for _, id := range shardPeers {
-		shardSrvs[id] = httptest.NewUnstartedServer(nil)
-		peerURLs[id] = "http://" + shardSrvs[id].Listener.Addr().String()
-	}
-	for _, id := range shardPeers {
-		newShardMediator(t, t.TempDir(), id, nodes, shardSrvs[id], peerURLs)
-	}
-
 	var backends []shard.Backend
 	for _, id := range shardPeers {
+		meds[id], shardSrvs[id] = newShardMediator(t, t.TempDir(), id, nodes)
 		backends = append(backends, shard.Backend{Name: id, URL: shardSrvs[id].URL})
 	}
 	rtReg := obs.NewRegistry()
@@ -219,7 +179,7 @@ func TestShardedTierEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, id := range shardPeers {
-			has := holds(t, shardSrvs[id].URL, req)
+			has := hasHistory(meds[id], req)
 			if id == owner && !has {
 				t.Errorf("requester %s missing from owner %s's history", req, id)
 			}
@@ -235,6 +195,27 @@ func TestShardedTierEndToEnd(t *testing.T) {
 			t.Errorf("shard %s stamps traces with %q", id, traces[0].Shard)
 		}
 	}
+	// The membership view says nothing about any requester: it once
+	// told any client whether a requester had ever queried the shard.
+	held := ""
+	for _, req := range requesters {
+		if hasHistory(meds["shard-a"], req) {
+			held = req
+		}
+	}
+	resp, err := http.Get(shardSrvs["shard-a"].URL + "/shard/status?requester=" + held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var status map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&status)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || status["id"] != "shard-a" {
+		t.Fatalf("GET /shard/status: %d %v %v", resp.StatusCode, status, err)
+	}
+	if _, ok := status["holds"]; ok {
+		t.Errorf("GET /shard/status?requester= answers holds: %v", status)
+	}
 
 	// --- Misrouted requester: 503 not-owner, never 403 ------------------
 
@@ -246,18 +227,12 @@ func TestShardedTierEndToEnd(t *testing.T) {
 	if !strings.Contains(body, "is not the owner of requester") {
 		t.Errorf("not-owner refusal body: %q", body)
 	}
-	bSamples := scrape(t, shardSrvs["shard-b"].URL)
-	wantAtLeast(t, bSamples, `piye_shard_not_owner_total{shard="shard-b"}`, 1)
-	wantSample(t, bSamples, `piye_shard_draining{shard="shard-b"}`, 0)
+	wantSample(t, scrape(t, shardSrvs["shard-b"].URL), `piye_shard_not_owner_total{shard="shard-b"}`, 1)
 
-	// --- Forged drain claim: the header is not a credential --------------
+	// --- A forged re-route header changes nothing ----------------------
 
-	// The HTTP surface accepts X-Shard-Rerouted-From from anyone, so a
-	// client can name the true owner and knock on a non-owner's door
-	// directly. shard-a is NOT draining: shard-b must confirm the claim
-	// against shard-a's own /shard/status and refuse — serving would
-	// hand the requester a fresh ledger, the exact refusal-weakening
-	// sharding exists to prevent.
+	// An older router sent X-Shard-Rerouted-From, and any client can. It
+	// is ignored: the misrouted query is still refused as not-owner.
 	freq, err := http.NewRequest(http.MethodPost, shardSrvs["shard-b"].URL+"/query", strings.NewReader(perTestQuery))
 	if err != nil {
 		t.Fatal(err)
@@ -271,10 +246,12 @@ func TestShardedTierEndToEnd(t *testing.T) {
 	fbody, _ := io.ReadAll(fresp.Body)
 	fresp.Body.Close()
 	if fresp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(fbody), "is not the owner of requester") {
-		t.Fatalf("forged drain claim against a non-draining owner answered %d %s, want 503 not-owner", fresp.StatusCode, fbody)
+		t.Fatalf("forged re-route header answered %d %s, want 503 not-owner", fresp.StatusCode, fbody)
 	}
-	bSamples = scrape(t, shardSrvs["shard-b"].URL)
-	wantAtLeast(t, bSamples, `piye_shard_reroute_denied_total{shard="shard-b"}`, 1)
+	wantSample(t, scrape(t, shardSrvs["shard-b"].URL), `piye_shard_not_owner_total{shard="shard-b"}`, 2)
+	if hasHistory(meds["shard-b"], stray) {
+		t.Error("the non-owner recorded the misrouted requester")
+	}
 
 	// --- Figure 1 refusal on the owning shard, through the router -------
 
@@ -293,127 +270,42 @@ func TestShardedTierEndToEnd(t *testing.T) {
 		t.Fatalf("repeated Figure 1b must stay refused: %d %s", code, body)
 	}
 
-	// --- Drain: the refusal survives, new requesters re-route -----------
+	// --- The public port cannot undo a refusal -------------------------
 
-	resp, err := http.Post(rtSrv.URL+"/shards/drain?name=shard-c", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("drain admin answered %d", resp.StatusCode)
-	}
-	if !shardDraining(t, shardSrvs["shard-c"].URL) {
-		t.Fatal("shard-c's own status does not show it draining")
-	}
-	cSamples := scrape(t, shardSrvs["shard-c"].URL)
-	wantSample(t, cSamples, `piye_shard_draining{shard="shard-c"}`, 1)
-
-	// THE acceptance check: the snooper's ledger refusal is not lost
-	// across the drain. The draining shard still owns the snooper's
-	// state and still refuses the combination.
-	code, body = postQuery(t, rtSrv.URL, perHMOQuery, snooper)
-	if code != http.StatusForbidden || !strings.Contains(body, "combined") {
-		t.Fatalf("REFUSAL LOST ACROSS DRAIN: Figure 1b answered %d %s (a drain must never reset the ledger)", code, body)
-	}
-
-	// A new requester owned by the draining shard re-routes to the
-	// drain-adjusted owner and answers 200 there.
-	newcomer := ownedBy(t, ref, "shard-c", "newcomer", 1)[0]
-	adjOwner, err := ref.LookupExcluding(newcomer, []string{"shard-c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, body := postQuery(t, rtSrv.URL, perTestQuery, newcomer); code != http.StatusOK {
-		t.Fatalf("drain re-route for %s: %d %s", newcomer, code, body)
-	}
-	if !holds(t, shardSrvs[adjOwner].URL, newcomer) {
-		t.Errorf("newcomer did not land on the drain-adjusted owner %s", adjOwner)
-	}
-	if holds(t, shardSrvs["shard-c"].URL, newcomer) {
-		t.Error("newcomer was served by the draining shard")
-	}
-	adjSamples := scrape(t, shardSrvs[adjOwner].URL)
-	wantAtLeast(t, adjSamples, fmt.Sprintf(`piye_shard_rerouted_accepted_total{shard=%q}`, adjOwner), 1)
-	cSamples = scrape(t, shardSrvs["shard-c"].URL)
-	wantAtLeast(t, cSamples, `piye_shard_draining_refusals_total{shard="shard-c"}`, 1)
-
-	// Undrain is NOT the safe reverse of drain any more: the newcomer's
-	// ledger and history now live on the drain-adjusted owner, and
-	// undraining would hand the newcomer back to shard-c's fresh
-	// ledger. The shard checks its peers and refuses (409, passed back
-	// through the router verbatim), naming the stranded requester.
-	resp, err = http.Post(rtSrv.URL+"/shards/undrain?name=shard-c", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ubody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("undrain with stranded re-routed state answered %d %s, want 409", resp.StatusCode, ubody)
-	}
-	if !strings.Contains(string(ubody), "undrain refused") || !strings.Contains(string(ubody), newcomer) {
-		t.Fatalf("undrain refusal %q does not name the stranded requester %s", ubody, newcomer)
-	}
-	if !shardDraining(t, shardSrvs["shard-c"].URL) {
-		t.Fatal("refused undrain cleared shard-c's drain")
-	}
-
-	// The operator force-undrains (accepting or having migrated the
-	// newcomer's state); established state never moved, so the
-	// snooper's ledger refusal survives.
-	resp, err = http.Post(rtSrv.URL+"/shards/undrain?name=shard-c&force=1", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("forced undrain admin answered %d", resp.StatusCode)
-	}
-	code, body = postQuery(t, rtSrv.URL, perHMOQuery, snooper)
-	if code != http.StatusForbidden || !strings.Contains(body, "combined") {
-		t.Fatalf("refusal lost across undrain: %d %s", code, body)
-	}
-
-	// --- Two shards drain at once: a draining shard adopts no one ----------
-
-	// A newcomer ranked shard-b -> shard-a -> shard-c while a and b both
-	// drain: shard-b refuses it, and so must shard-a on the re-route — a
-	// draining shard that adopted it would build up ledger state it was
-	// told to shed. It lands on shard-c, asserting both.
-	var twoDrained string
-	for _, cand := range ownedBy(t, ref, "shard-b", "twodrain", 16) {
-		if next, _ := ref.LookupExcluding(cand, []string{"shard-b"}); next == "shard-a" {
-			twoDrained = cand
-			break
-		}
-	}
-	if twoDrained == "" {
-		t.Fatal("no requester ranked shard-b -> shard-a among 16 candidates")
-	}
-	admin := func(op string) {
+	// An anonymous client once drained a shard through the router's
+	// public port, sent a newcomer it owned to a peer, and force-undrained
+	// it: the newcomer's Figure 1(b) was then answered by a shard that
+	// had never seen its 1(a). The probe is replayed here, the shard's own
+	// routes too. No such route answers now, and the newcomer's pair is
+	// refused like anyone's.
+	probe := func(urls ...string) {
 		t.Helper()
-		resp, err := http.Post(rtSrv.URL+"/shards/"+op, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNoContent {
-			t.Fatalf("%s answered %d", op, resp.StatusCode)
-		}
-	}
-	admin("drain?name=shard-a")
-	admin("drain?name=shard-b")
-	if code, body := postQuery(t, rtSrv.URL, perTestQuery, twoDrained); code != http.StatusOK {
-		t.Fatalf("newcomer with two shards draining answered %d %s", code, body)
-	}
-	for id, want := range map[string]bool{"shard-a": false, "shard-b": false, "shard-c": true} {
-		if got := holds(t, shardSrvs[id].URL, twoDrained); got != want {
-			t.Fatalf("newcomer in %s's history: %v, want %v (only shard-c may adopt it)", id, got, want)
+		for _, u := range urls {
+			resp, err := http.Post(u, "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+				t.Errorf("POST %s answered %d, want 404 or 405", u, resp.StatusCode)
+			}
 		}
 	}
-	admin("undrain?force=1&name=shard-a")
-	admin("undrain?force=1&name=shard-b")
+	newcomer := ownedBy(t, ref, "shard-a", "newcomer", 1)[0]
+	probe(rtSrv.URL+"/shards/drain?name=shard-a", shardSrvs["shard-a"].URL+"/shard/drain")
+	if code, body := postQuery(t, rtSrv.URL, perTestQuery, newcomer); code != http.StatusOK {
+		t.Fatalf("newcomer's Figure 1a: %d %s", code, body)
+	}
+	probe(rtSrv.URL+"/shards/undrain?name=shard-a&force=1", shardSrvs["shard-a"].URL+"/shard/undrain?force=1")
+	code, body = postQuery(t, rtSrv.URL, perHMOQuery, newcomer)
+	if code != http.StatusForbidden || refusal.ClassifyString(body) != refusal.LedgerCombination {
+		t.Fatalf("REFUSAL UNDONE FROM THE PUBLIC PORT: newcomer's Figure 1b answered %d %s, want 403 ledger-combination", code, body)
+	}
+	for _, id := range shardPeers {
+		if has := hasHistory(meds[id], newcomer); has != (id == "shard-a") {
+			t.Errorf("newcomer in %s's history: %v, want only on its owner shard-a", id, has)
+		}
+	}
 
 	// --- Dead shard: its requesters 503, everyone else keeps working ----
 

@@ -399,13 +399,12 @@ func TestPrivateOverlapRefusesDamagedColumns(t *testing.T) {
 	}
 }
 
-// walRecordCases are records of every kind, with the values where the
+// walRecordCases are records of every kind live code writes, with the values where the
 // record writer and encoding/json could part: sigmas nil, empty (both
 // left out) and set, strings encoding/json
 // escapes in each place one can stand, nil, empty and set lists, and the
 // edges of the float format.
 func walRecordCases() map[string]walRecord {
-	on, off := true, false
 	fig := groupValues{{"Eye Exam", 45.414}, {"HbA1c", 82.97500000000001}, {"Lipid Profile", 54.104749999999996}}
 	rel := func(target string, means, sigmas groupValues) *ledgerRelease {
 		return &ledgerRelease{Target: target, ValueCol: "rate", Axis: "test", Means: means, Sigmas: sigmas}
@@ -430,8 +429,6 @@ func walRecordCases() map[string]walRecord {
 		"history, sources empty":     {Kind: kindHistory, History: entry("r", "q", []string{}, []string{})},
 		"history, escaped strings":   {Kind: kindHistory, History: entry(odd, odd, []string{odd}, []string{odd})},
 		"history, zero clock":        {Kind: kindHistory, History: &HistoryEntry{Requester: "r"}},
-		"drain mark":                 {Kind: kindDrain, Draining: &on},
-		"drain mark cleared":         {Kind: kindDrain, Draining: &off},
 	}
 }
 

@@ -372,7 +372,6 @@ func TestSnapshotReleasesEncodeAsTheMapDid(t *testing.T) {
 	}
 	m.ledger.mu.Unlock()
 	m.record(HistoryEntry{Requester: "zed", Query: "q", Sources: []string{"s"}})
-	m.markDraining(true)
 
 	byReq := map[string][]ledgerRelease{"empty": {}}
 	for _, req := range reqs {
@@ -381,8 +380,7 @@ func TestSnapshotReleasesEncodeAsTheMapDid(t *testing.T) {
 	want, err := json.Marshal(struct {
 		Releases map[string][]ledgerRelease `json:"releases"`
 		History  []HistoryEntry             `json:"history"`
-		Draining bool                       `json:"draining,omitempty"`
-	}{byReq, m.History(), true})
+	}{byReq, m.History()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"privateiye/internal/obs"
 	"privateiye/internal/piql"
@@ -102,21 +101,13 @@ func NewHandler(m *Mediator) http.Handler {
 			http.Error(w, "mediator: missing X-Requester header", http.StatusBadRequest)
 			return
 		}
-		ctx := r.Context()
-		// A router re-routing around a drain asserts the drained set in
-		// this header; the ownership gate verifies the assertion against
-		// its own ring rather than trusting it (see shardGate).
-		if h := r.Header.Get("X-Shard-Rerouted-From"); h != "" {
-			ctx = WithReroutedFrom(ctx, strings.Split(h, ","))
-		}
-		in, err := m.QueryContext(ctx, string(body), requester)
+		in, err := m.QueryContext(r.Context(), string(body), requester)
 		if err != nil {
 			// Ownership refusals are 503, not 403: the query is fine, it
-			// just reached the wrong shard — let the router re-route it to
-			// the owning one.
+			// just reached the wrong shard — the router sends it to the
+			// owning one.
 			var no *NotOwnerError
-			var dr *DrainingError
-			if errors.As(err, &no) || errors.As(err, &dr) {
+			if errors.As(err, &no) {
 				http.Error(w, err.Error(), http.StatusServiceUnavailable)
 				return
 			}
@@ -166,45 +157,11 @@ func NewHandler(m *Mediator) http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 
-	// Shard drain/undrain admin and the membership view, when sharded.
-	// Drain is what the router's admin surface propagates: the shard
-	// keeps serving requesters whose state lives here and starts
-	// refusing new ones for the router to re-route.
+	// The membership view, when sharded.
 	if m.shard != nil {
-		mux.HandleFunc("POST /shard/drain", func(w http.ResponseWriter, r *http.Request) {
-			if err := m.Drain(); err != nil {
-				http.Error(w, err.Error(), http.StatusConflict)
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
-		})
-		// Undrain refuses (409) while a peer holds re-routed requester
-		// state the full ring would reclaim here; ?force=1 overrides
-		// after the operator migrates the state or accepts the loss.
-		mux.HandleFunc("POST /shard/undrain", func(w http.ResponseWriter, r *http.Request) {
-			force, _ := strconv.ParseBool(r.URL.Query().Get("force"))
-			if err := m.Undrain(r.Context(), force); err != nil {
-				http.Error(w, err.Error(), http.StatusConflict)
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
-		})
-		// ?misplaced=1 adds the requesters whose state lives here but
-		// whose full-ring owner is another shard — O(state), so only on
-		// request (undrain's strand check asks; drain verifiers do not).
-		// ?requester= adds whether that requester's state lives here
-		// (drain verifiers ask). The one place a shard's drain state is
-		// read from.
 		mux.HandleFunc("GET /shard/status", func(w http.ResponseWriter, r *http.Request) {
-			st := m.ShardInfo()
-			if wantMisplaced, _ := strconv.ParseBool(r.URL.Query().Get("misplaced")); wantMisplaced {
-				st.Misplaced = m.ShardMisplaced()
-			}
-			if req := r.URL.Query().Get("requester"); req != "" {
-				st.Holds = m.hasRequesterState(req)
-			}
 			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(st)
+			_ = json.NewEncoder(w).Encode(m.ShardInfo())
 		})
 	}
 

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"privateiye/internal/durable"
@@ -105,8 +104,7 @@ type Config struct {
 	Trace *obs.Tracer
 	// Shard, when non-nil, places this mediator in a sharded tier: an
 	// ownership gate refuses requesters whose ring placement is another
-	// shard (fail-closed NotOwnerError, HTTP 503) and the drain/re-route
-	// handshake with the piye-router tier is enabled (see shard.go).
+	// shard (fail-closed NotOwnerError, HTTP 503; see shard.go).
 	Shard *ShardConfig
 }
 
@@ -140,10 +138,6 @@ type Mediator struct {
 	// shard is the tier-membership view; nil means unsharded (see
 	// shard.go).
 	shard *shardState
-	// draining is this shard's drain mark. It is control state like the
-	// ledger — logged and recovered — so a restart does not undrain a
-	// shard whose re-routed newcomers live on its peers (see shard.go).
-	draining atomic.Bool
 }
 
 // HistoryEntry is one integration round in the Query History store.
@@ -256,8 +250,6 @@ func New(cfg Config) (*Mediator, error) {
 		}
 	}
 	if cfg.Shard != nil {
-		// After durability replay: the ownership gate's drain decisions
-		// consult the recovered history and ledger.
 		if err := m.setupShard(*cfg.Shard); err != nil {
 			m.Close()
 			return nil, err

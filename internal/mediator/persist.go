@@ -15,6 +15,7 @@ package mediator
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -45,9 +46,11 @@ const (
 
 // walRecord is one WAL entry: a ledgered answer (its release, and since
 // the merged record its history entry in h; older logs write the entry
-// as a record of its own), a history entry or a shard's drain mark.
-// Logs written before replication was retired may stamp a record with an
-// "e" key (the writer's epoch); decoding ignores it.
+// as a record of its own) or a history entry. Logs written before
+// replication was retired may stamp a record with an "e" key (the
+// writer's epoch); decoding ignores it. Logs written before drain was
+// retired may hold a shard's drain mark, which recovery reads and live
+// code never writes.
 type walRecord struct {
 	Kind      string         `json:"k"`
 	Requester string         `json:"req,omitempty"`
@@ -58,7 +61,7 @@ type walRecord struct {
 
 // stateSnapshot is the full persisted state at a compaction point, as
 // decoded; captureState writes the same shape from the history's and the
-// ledger's tables.
+// ledger's tables (and no drain mark, which only an older build wrote).
 type stateSnapshot struct {
 	Releases map[string][]ledgerRelease `json:"releases"`
 	History  []HistoryEntry             `json:"history"`
@@ -82,8 +85,7 @@ func decodeRecord(seq uint64, payload []byte) (walRecord, error) {
 
 // lockFor names the locks a record's structures live under: for a
 // release the commit section's (commitLock), which also covers the
-// history entry it may carry; the mediator's for a history entry or a
-// drain mark.
+// history entry it may carry; the mediator's for a history entry.
 func (m *Mediator) lockFor(rec *walRecord) sync.Locker {
 	if rec.Kind == kindRelease {
 		return commitLock{m}
@@ -117,10 +119,8 @@ func (m *Mediator) apply(rec *walRecord) {
 		if rec.History != nil {
 			m.history.add(*rec.History)
 		}
-	case kindHistory:
-		m.history.add(*rec.History)
 	default:
-		m.markDraining(*rec.Draining)
+		m.history.add(*rec.History)
 	}
 }
 
@@ -156,7 +156,6 @@ func (m *Mediator) installSnapshot(s stateSnapshot) {
 	l.mu.Unlock()
 	m.mu.Lock()
 	m.history = h
-	m.markDraining(s.Draining)
 	m.mu.Unlock()
 }
 
@@ -204,25 +203,41 @@ func (m *Mediator) openDurable(cfg DurabilityConfig) error {
 	return nil
 }
 
+// errLeftDraining refuses a state dir an older build left with its drain
+// mark set: while that shard drained, its peers took on requesters the
+// ring places here, and this build, which serves every requester the
+// ring places here, would answer them from a fresh ledger.
+var errLeftDraining = errors.New("mediator: state dir was left draining by an earlier build; undrain this shard with that build first, because its peers may hold requesters re-routed away from it")
+
 // recoverState installs the recovered snapshot, then applies each
-// recovered record.
+// recovered record. The last drain mark replayed (an older build's) must
+// be off.
 func (m *Mediator) recoverState(dl *durable.Log) error {
+	draining := false
 	if snap := dl.RecoveredSnapshot(); snap != nil {
 		s, err := decodeSnapshot(snap)
 		if err != nil {
 			return err
 		}
 		m.installSnapshot(s)
+		draining = s.Draining
 	}
 	for _, e := range dl.RecoveredEntries() {
 		rec, err := decodeRecord(e.Seq, e.Payload)
 		if err != nil {
 			return err
 		}
+		if rec.Kind == kindDrain {
+			draining = *rec.Draining
+			continue
+		}
 		mu := m.lockFor(&rec)
 		mu.Lock()
 		m.apply(&rec)
 		mu.Unlock()
+	}
+	if draining {
+		return errLeftDraining
 	}
 	return nil
 }
@@ -245,10 +260,11 @@ func (m *Mediator) logRecord(rec walRecord) error {
 	return err
 }
 
-// appendWALRecord appends rec as json.Marshal writes it: the fields in
-// declaration order, each omitempty field left out when empty, the
-// release through its groupValues writer, and every string escaped as
-// encoding/json escapes it. decodeRecord reads it back.
+// appendWALRecord appends a live record (never a drain mark) as
+// json.Marshal writes it: the fields in declaration order, each
+// omitempty field left out when empty, the release through its
+// groupValues writer, and every string escaped as encoding/json escapes
+// it. decodeRecord reads it back.
 func appendWALRecord(b []byte, rec *walRecord) ([]byte, error) {
 	b = appendJSONString(append(b, `{"k":`...), rec.Kind)
 	if rec.Requester != "" {
@@ -262,9 +278,6 @@ func appendWALRecord(b []byte, rec *walRecord) ([]byte, error) {
 	}
 	if rec.History != nil {
 		b = appendHistoryEntry(append(b, `,"h":`...), rec.History)
-	}
-	if rec.Draining != nil {
-		b = strconv.AppendBool(append(b, `,"d":`...), *rec.Draining)
 	}
 	return append(b, '}'), nil
 }
@@ -340,11 +353,9 @@ func (m *Mediator) captureState() (seq uint64, encode func() ([]byte, error)) {
 	var view *history
 	var table []ledgerRelease
 	var byReq map[string][]uint32
-	var draining bool
 	m.readHistory(func(h *history) {
 		m.ledger.read(func(l *releaseLedger) {
 			seq, view = m.dlog.LastSeq(), &history{recs: h.recs, reqs: h.reqs, texts: h.texts, lists: h.lists}
-			draining = m.draining.Load()
 			table, byReq = l.rels, maps.Clone(l.byRequester)
 		})
 	})
@@ -354,9 +365,6 @@ func (m *Mediator) captureState() (seq uint64, encode func() ([]byte, error)) {
 			return nil, err
 		}
 		b = view.appendTo(append(b, `,"history":`...))
-		if draining {
-			b = append(b, `,"draining":true`...)
-		}
 		return append(b, '}'), nil
 	}
 }

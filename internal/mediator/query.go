@@ -94,7 +94,7 @@ func (in *Integrated) outcome() string {
 func (m *Mediator) gatedQuery(ctx context.Context, piqlText, requester string, trace *obs.Trace) (*Integrated, error) {
 	// Ownership gate: a misrouted requester is turned away before any
 	// stage runs.
-	if err := m.shardGate(ctx, requester); err != nil {
+	if err := m.shardGate(requester); err != nil {
 		return nil, err
 	}
 	// The pipeline body: a shared execution phase (possibly coalesced

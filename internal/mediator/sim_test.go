@@ -4,8 +4,9 @@ package mediator
 //
 // A schedule is a list of steps — queries from several requesters,
 // interleaved with features and faults — run against a real tier: three
-// sharded mediators with durable state, routed the way piye-router
-// routes, over one audited source. The harness records what each
+// sharded mediators with durable state, each query sent to its
+// requester's ring owner as piye-router sends it, over one audited
+// source. The harness records what each
 // requester was actually given, by any node and across restarts, and
 // after every schedule checks:
 //
@@ -16,8 +17,7 @@ package mediator
 //	(iii) a node recovered from a crash holds every release and history
 //	      entry acknowledged before it, in order, and every record its
 //	      log acknowledged (a restart is a power cut: it loses what no
-//	      fsync covered);
-//	(iv)  a draining shard takes on no requester it held no state for.
+//	      fsync covered).
 //
 // Schedules come from one typed table (TestContract: scripts with
 // expected outcomes, each row naming the example tests it replaced),
@@ -26,16 +26,13 @@ package mediator
 // (TestContractSweep; `make sim` runs the long sweep).
 //
 // A schedule is written one step per ";", tokens separated by spaces,
-// an optional trailing "=outcome" (ok, a refusal.Reason, refused for a
-// drain or undrain, crashed for a compaction, - for a step that did
-// nothing):
+// an optional trailing "=outcome" (ok, a refusal.Reason, crashed for a
+// compaction, - for a step that did nothing):
 //
-//	ask R Q          R asks query kind Q, routed past draining shards
+//	ask R Q          R asks query kind Q at R's ring owner
 //	twin R Q         two identical asks of R coalesced into one execution
-//	forge R Q        Q sent to R's second-ranked shard, claiming the first drains
-//	drain S          S drains; undrain S checks its peers first
 //	hang, unhang     the source stops answering, or answers again
-//	tick             the clock moves 5s (breaker cool-down, drain-denial TTL)
+//	tick             the clock moves 5s (breaker cool-down)
 //	crash S P        append failpoint P is armed on S's log
 //	compact S P R Q  S snapshots with R's Q landing between capture and
 //	                 install, then dies at snapshot failpoint P (- = none)
@@ -46,10 +43,8 @@ package mediator
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"math/rand/v2"
 	"net/http"
@@ -141,8 +136,7 @@ func parseSchedule(script string) ([]simStep, error) {
 		if n := len(st.args); n > 0 && strings.HasPrefix(st.args[n-1], "=") {
 			st.want, st.args = st.args[n-1][1:], st.args[:n-1]
 		}
-		arity := map[string]int{"ask": 2, "twin": 2, "forge": 2, "drain": 1, "undrain": 1, "hang": 0, "unhang": 0,
-			"tick": 0, "crash": 2, "compact": 4, "restart": 1, "prefer": 0}
+		arity := map[string]int{"ask": 2, "twin": 2, "hang": 0, "unhang": 0, "tick": 0, "crash": 2, "compact": 4, "restart": 1, "prefer": 0}
 		n, ok := arity[st.op]
 		if !ok || n != len(st.args) {
 			return nil, fmt.Errorf("step %q: unknown op or wrong arity", part)
@@ -158,7 +152,7 @@ func parseSchedule(script string) ([]simStep, error) {
 // query is the step's query kind, "" for a step that asks nothing.
 func (s simStep) query() string {
 	switch s.op {
-	case "ask", "twin", "forge":
+	case "ask", "twin":
 		return s.args[1]
 	case "compact":
 		return s.args[3]
@@ -194,7 +188,6 @@ type simWorld struct {
 	chaos     *resilience.Chaos
 	ring      *shard.Ring
 	ids       []string
-	urls      map[string]string
 	slots     map[string]*simSlot
 
 	clockMu sync.Mutex
@@ -207,34 +200,22 @@ type simWorld struct {
 	halted   bool // a node would not open: the schedule stops there
 }
 
-// simSlot is one shard: the node answering for it (swapped by restart)
-// behind a stable URL its peers dial.
+// simSlot is one shard: the node answering for it, swapped by restart.
 type simSlot struct {
-	id       string
-	srv      *httptest.Server
-	dir      string
-	drainSet map[string]bool // requesters with state when the drain began
-	acked    int             // history entries recorded while the log lived
+	id    string
+	dir   string
+	acked int // history entries recorded while the log lived
 
 	mu   sync.RWMutex
 	node *simNode
 }
 
-// simNode is one mediator process; stop ends the requests it is
-// serving, as the process's exit would.
+// simNode is one mediator process.
 type simNode struct {
-	m    *Mediator
-	ctx  context.Context
-	stop context.CancelFunc
-	h    http.Handler
-	fp   *durable.Failpoints
-	reg  *obs.Registry
-	dir  string
-}
-
-func (n *simNode) close() {
-	n.stop()
-	n.m.Close()
+	m   *Mediator
+	fp  *durable.Failpoints
+	reg *obs.Registry
+	dir string
 }
 
 func (sl *simSlot) current() *simNode {
@@ -283,7 +264,7 @@ func newSimWorld(t testing.TB, opts simOpts) *simWorld {
 	}
 	w := &simWorld{
 		t: t, threshold: opts.threshold, base: base, clock: time.Unix(1e9, 0),
-		ring: shard.New(shard.DefaultSeed, shard.DefaultVnodes), urls: map[string]string{},
+		ring:  shard.New(shard.DefaultSeed, shard.DefaultVnodes),
 		slots: map[string]*simSlot{}, given: map[string][]simGiven{}, refused: map[string]string{},
 	}
 	tab, err := clinical.ComplianceTable("compliance", clinical.HMOs, clinical.Tests, clinical.Figure1GroundTruth())
@@ -307,19 +288,8 @@ func newSimWorld(t testing.TB, opts simOpts) *simWorld {
 
 	for i := 0; i < opts.shards; i++ {
 		sl := &simSlot{id: "shard-" + string(rune('a'+i)), dir: filepath.Join(base, fmt.Sprint(i))}
-		sl.srv = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			if n := sl.current(); n != nil {
-				ctx, cancel := context.WithCancel(r.Context())
-				defer cancel()
-				defer context.AfterFunc(n.ctx, cancel)()
-				n.h.ServeHTTP(rw, r.WithContext(ctx))
-				return
-			}
-			http.Error(rw, "down", http.StatusBadGateway)
-		}))
 		must(t, w.ring.Add(sl.id))
 		w.ids = append(w.ids, sl.id)
-		w.urls[sl.id] = sl.srv.URL
 		w.slots[sl.id] = sl
 	}
 	for _, id := range w.ids {
@@ -345,7 +315,6 @@ func (w *simWorld) now() time.Time {
 // open starts one node of sl over dir.
 func (w *simWorld) open(sl *simSlot, dir string) *simNode {
 	n := &simNode{fp: durable.NewFailpoints(), reg: obs.NewRegistry(), dir: dir}
-	n.ctx, n.stop = context.WithCancel(context.Background())
 	cfg := Config{
 		Endpoints: []source.Endpoint{w.gate}, MaxDisclosure: w.threshold, LedgerTolerance: 0.05,
 		SourceTimeout: 100 * time.Millisecond, PlanCache: 64, Coalesce: true,
@@ -355,7 +324,7 @@ func (w *simWorld) open(sl *simSlot, dir string) *simNode {
 			Breaker: resilience.BreakerConfig{FailureThreshold: 3, OpenFor: 4 * time.Second, Clock: w.now},
 		},
 		Durability: &DurabilityConfig{Dir: dir, Failpoints: n.fp},
-		Shard:      &ShardConfig{ID: sl.id, Peers: w.ids, Seed: shard.DefaultSeed, PeerURLs: w.urls},
+		Shard:      &ShardConfig{ID: sl.id, Peers: w.ids, Seed: shard.DefaultSeed},
 	}
 	// A mediator bootstraps its schema from a live source, so an operator
 	// restarts one while the source answers.
@@ -367,17 +336,15 @@ func (w *simWorld) open(sl *simSlot, dir string) *simNode {
 		w.halted = true
 		return nil
 	}
-	m.shard.now = w.now
-	n.m, n.h = m, NewHandler(m)
+	n.m = m
 	return n
 }
 
 func (w *simWorld) close() {
 	for _, sl := range w.slots {
 		if n := sl.current(); n != nil {
-			n.close()
+			n.m.Close()
 		}
-		sl.srv.Close()
 	}
 	os.RemoveAll(w.base)
 }
@@ -398,23 +365,13 @@ func (w *simWorld) slot(arg string) *simSlot {
 }
 
 // route sends a query the way piye-router does: to the requester's
-// owner, then past each shard that refused it as draining, naming
-// exactly those shards.
+// ring owner.
 func (w *simWorld) route(req, text string) (*Integrated, error) {
-	var drained []string
-	for range w.ids {
-		owner, err := w.ring.LookupExcluding(req, drained)
-		if err != nil {
-			return nil, err
-		}
-		out, err := w.slots[owner].current().m.QueryContext(WithReroutedFrom(context.Background(), drained), text, req)
-		var de *DrainingError
-		if !errors.As(err, &de) {
-			return out, err
-		}
-		drained = append(drained, owner)
+	owner, err := w.ring.Lookup(req)
+	if err != nil {
+		return nil, err
 	}
-	return nil, &DrainingError{Shard: "every shard"}
+	return w.slots[owner].current().m.Query(text, req)
 }
 
 // answered records what a query gave its requester and returns the
@@ -454,35 +411,6 @@ func (w *simWorld) step(st simStep) string {
 		return w.ask(a[0], a[1])
 	case "twin":
 		return w.twin(a[0], a[1])
-	case "forge":
-		var chain []string
-		for range w.ids {
-			o, _ := w.ring.LookupExcluding(a[0], chain)
-			chain = append(chain, o)
-		}
-		if len(chain) < 2 {
-			return "-"
-		}
-		ctx := WithReroutedFrom(context.Background(), chain[:1])
-		out, err := w.slots[chain[1]].current().m.QueryContext(ctx, simQueries[a[1]], a[0])
-		return w.answered(a[0], a[1], out, err)
-	case "drain":
-		sl := w.slot(a[0])
-		held := requestersWithState(sl.current().m)
-		if err := sl.current().m.Drain(); err != nil {
-			return "refused"
-		}
-		if sl.drainSet == nil {
-			sl.drainSet = held
-		}
-		return "ok"
-	case "undrain":
-		sl := w.slot(a[0])
-		if err := sl.current().m.Undrain(context.Background(), false); err != nil {
-			return "refused"
-		}
-		sl.drainSet = nil
-		return "ok"
 	case "hang", "unhang":
 		w.hanging = st.op == "hang"
 		w.chaos.SetHang(w.hanging)
@@ -568,7 +496,7 @@ func (w *simWorld) followers() (n uint64) {
 func (w *simWorld) restart(sl *simSlot) string {
 	old := sl.current()
 	pre := captureSim(old.m)
-	old.close()
+	old.m.Close()
 	must(w.t, old.fp.LoseUnsynced(old.dir))
 	n := w.open(sl, old.dir)
 	sl.swap(n)
@@ -638,14 +566,6 @@ func ledgerRequesters(m *Mediator) map[string]bool {
 	return set
 }
 
-func requestersWithState(m *Mediator) map[string]bool {
-	set := ledgerRequesters(m)
-	for _, e := range m.History() {
-		set[e.Requester] = true
-	}
-	return set
-}
-
 // checkRecovered is invariant (iii): every release the old node
 // acknowledged is in the new node's ledger, in order (a release written
 // but never acknowledged may be there too), and the new history is the
@@ -668,22 +588,11 @@ func (w *simWorld) checkRecovered(what string, pre simState, acked int, m *Media
 	}
 }
 
-// afterStep keeps the acknowledged-history marks and checks (iv).
+// afterStep keeps the acknowledged-history marks.
 func (w *simWorld) afterStep() {
-	for _, id := range w.ids {
-		sl := w.slots[id]
-		n := sl.current()
-		if len(n.fp.Tripped()) == 0 {
+	for _, sl := range w.slots {
+		if n := sl.current(); len(n.fp.Tripped()) == 0 {
 			n.m.readHistory(func(h *history) { sl.acked = len(h.recs) })
-		}
-		if sl.drainSet == nil {
-			continue
-		}
-		for r := range requestersWithState(n.m) {
-			if !sl.drainSet[r] {
-				w.fail("(iv) draining %s took on newcomer %s", id, r)
-				sl.drainSet[r] = true
-			}
 		}
 	}
 }
@@ -889,17 +798,13 @@ func simGenerate(seed uint64, n int) []simStep {
 	for len(steps) < n {
 		var st simStep
 		switch r := rng.IntN(30); {
-		case r < 14:
-			st = simStep{op: "ask", args: []string{pick(reqs...), pick(kinds...)}}
 		case r < 16:
+			st = simStep{op: "ask", args: []string{pick(reqs...), pick(kinds...)}}
+		case r < 19:
 			st = simStep{op: "twin", args: []string{pick(reqs...), pick(kinds...)}}
-		case r < 18:
-			st = simStep{op: "forge", args: []string{pick(reqs...), pick(kinds...)}}
 		case r < 20:
-			st = simStep{op: pick("drain", "undrain"), args: []string{shardArg()}}
-		case r < 21:
 			st = simStep{op: pick("hang", "unhang", "unhang")}
-		case r < 22:
+		case r < 21:
 			st = simStep{op: "tick"}
 		case r < 24:
 			st = simStep{op: "crash", args: []string{shardArg(), pick(durable.Points()[:3]...)}}
@@ -974,16 +879,6 @@ func TestContract(t *testing.T) {
 			"hang; ask a n =timeout; ask a n =timeout; ask a n =timeout; ask a n =breaker-open; unhang; ask a n =breaker-open; tick; ask a n =ok", "", solo},
 		{"crash and restart keeps refusals",
 			"ask a 1a =ok; ask b 1b =ok; crash @a append.write =ok; ask a n =ok; restart @a =ok; ask a 1b =ledger-combination; ask b 1a =ledger-combination; ask c 1b =ok", "", simOpts{}},
-		{"forged re-route refused against a draining owner too",
-			"ask a 1a =ok; forge a 1b =not-owner; tick; drain @a; forge a 1b =not-owner", "", simOpts{}},
-		// A re-route that reaches the source (refused there, recording
-		// nothing) was adopted; one refused as not-owner was not.
-		{"only a denial is cached and only for the TTL",
-			"forge a cell =not-owner; drain @a =ok; forge a cell =not-owner; tick; forge a cell =audit-set-size; undrain @a =ok; forge a cell =not-owner", "", simOpts{}},
-		{"re-route adopts a newcomer and undrain refuses",
-			"drain @a =ok; ask a 1a =ok; ask a 1b =ledger-combination; undrain @a =refused", "", simOpts{}},
-		{"two shards drain at once",
-			"drain shard-a; drain shard-b; ask a 1a =ok; ask b 1a =ok; ask c 1a =ok; ask d 1a =ok; ask a 1b =ledger-combination", "", simOpts{}},
 		{"preference added mid-flight", "ask a 1a =ok; prefer; ask a 1b =policy-denied; ask b 1a =ok", "", simOpts{}},
 	}
 	for i, p := range durable.Points() {
@@ -1013,20 +908,13 @@ func TestContract(t *testing.T) {
 func TestUnverifiablePairRefused403(t *testing.T) {
 	w := newSimWorld(t, simOpts{shards: 1})
 	defer w.close()
+	h := NewHandler(w.slots["shard-a"].current().m)
 	post := func(q string) (int, string) {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, w.urls["shard-a"]+"/query", strings.NewReader(q))
-		if err != nil {
-			t.Fatal(err)
-		}
+		req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(q))
 		req.Header.Set("X-Requester", "snooper")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(body)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code, rec.Body.String()
 	}
 	if code, body := post(perTestQuery); code != http.StatusOK {
 		t.Fatalf("Figure 1(a): %d %s", code, body)

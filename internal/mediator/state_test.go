@@ -277,6 +277,60 @@ func TestParentStateDirReplays(t *testing.T) {
 	}
 }
 
+// A state dir an older build left draining refuses to open: its peers
+// may hold requesters re-routed away from it, whom this build would
+// answer from a fresh ledger. The mark that counts is the last one
+// replayed, from the snapshot's "draining" or a drain record; one that
+// was cleared opens as if it had never been set.
+func TestParentDrainMarkFailsClosed(t *testing.T) {
+	drainingSnapshot := strings.TrimSuffix(parentSnapshot, "}") + `,"draining":true}`
+	for _, row := range []struct {
+		name     string
+		snapshot string
+		records  []string
+		refused  bool
+	}{
+		{"snapshot draining, then a WAL undrain", drainingSnapshot, []string{parentRecord3, `{"k":"drain","d":false}`}, false},
+		{"a WAL drain last", parentSnapshot, []string{`{"k":"drain","d":true}`, `{"k":"drain","d":false}`, parentRecord3, `{"k":"drain","d":true}`}, true},
+		{"snapshot draining alone", drainingSnapshot, nil, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := durable.Open(durable.Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.SaveSnapshot([]byte(row.snapshot)); err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range row.records {
+				if _, err := l.Append([]byte(rec)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.Close()
+			m, err := New(Config{
+				Endpoints:       []source.Endpoint{figure1Endpoint(t)},
+				MaxDisclosure:   0.9,
+				LedgerTolerance: 0.05,
+				Durability:      &DurabilityConfig{Dir: dir},
+			})
+			if row.refused {
+				if !errors.Is(err, errLeftDraining) || !strings.Contains(err.Error(), "undrain this shard with that build first") {
+					t.Fatalf("New = %v, want the left-draining refusal", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			wantCombinationRefusal(t, m, "early", "release from the snapshot")
+			wantCombinationRefusal(t, m, "snooper", "release from the WAL")
+		})
+	}
+}
+
 // figure1Releases are the Figure 1(a) and 1(b) releases as the ledger
 // records them, answered on m by a requester the tests do not use.
 func figure1Releases(t *testing.T, m *Mediator) (a, b ledgerRelease) {

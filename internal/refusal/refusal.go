@@ -65,8 +65,7 @@ const (
 	// requester's release history, so granting here could miss a
 	// combination the owning shard would refuse. Fail-closed and
 	// retryable via the router (503, never 403): the query is fine, it
-	// just knocked on the wrong door. A draining shard declining a new
-	// requester classifies here too — it is shedding ownership.
+	// just knocked on the wrong door.
 	NotOwner Reason = "not-owner"
 	// Other: an error outside the closed vocabulary (transport faults,
 	// internal errors). A growing "other" count is a signal to look at
@@ -160,10 +159,8 @@ func ClassifyString(s string) Reason {
 		return Parse
 	case strings.Contains(s, "no source holds data") || strings.Contains(s, "every source refused"):
 		return NoSource
-	// Shard-routing refusals: the wrong-door refusal and a draining
-	// shard declining to take ownership of a new requester.
-	case strings.Contains(s, "not the owner of requester"),
-		strings.Contains(s, "draining: not accepting"):
+	// The shard-routing refusal: the wrong door.
+	case strings.Contains(s, "not the owner of requester"):
 		return NotOwner
 	default:
 		return Other

@@ -68,10 +68,8 @@ func TestClassifyString(t *testing.T) {
 		{"source: bad query: piql: unterminated string at offset 12", Parse},
 		{"mediator: no source holds data matching //nothing", NoSource},
 		{"mediator: every source refused: a: down; b: down", NoSource},
-		// Shard-routing refusals (retry via the router, 503 never 403).
-		{"source shard-b: 503 Service Unavailable: mediator: shard shard-b draining: not accepting new requesters", NotOwner},
+		// The shard-routing refusal (retry via the router, 503 never 403).
 		{"mediator: shard shard-b is not the owner of requester drWho (owner shard-a)", NotOwner},
-		{"mediator: shard shard-a draining: not accepting new requesters", NotOwner},
 		{"source front: 503 Service Unavailable: mediator: shard shard-c is not the owner of requester drWho (owner shard-a)", NotOwner},
 		// HTTP 503 from a dead node: transport noise, not a known reason.
 		{"source hospitalC: 503 Service Unavailable: upstream reset", Other},

@@ -1,39 +1,37 @@
 package shard
 
 import (
-	"slices"
 	"strings"
 	"testing"
 )
 
 // FuzzRingLookup hammers the ring with arbitrary requester strings and
-// a fuzzer-chosen churn script over joins and exclusion sets,
-// interleaving lookups with both. The invariants: no panic on any
-// input, lookups return either a live member or ErrEmptyRing (never a
-// ghost, never an empty name with a nil error), an excluded lookup
-// never lands on an excluded name and moves no key whose owner is not
-// excluded, and duplicate adds never inflate membership.
+// a fuzzer-chosen churn script of joins, interleaving lookups with
+// them. The invariants: no panic on any input, lookups return either a
+// live member or ErrEmptyRing (never a ghost, never an empty name with
+// a nil error) and the same owner twice, a ring built without one
+// member moves no key that member did not own (minimal disruption), and
+// duplicate adds never inflate membership.
 func FuzzRingLookup(f *testing.F) {
 	// Seed corpus: the edge cases the unit tests name — empty ring,
-	// single member, duplicate peer, exclude-everything, empty key.
+	// single member, duplicate peer, leave out everything, empty key.
 	f.Add("requester-1", "")            // no members at all
 	f.Add("", "a")                      // empty key, one member
 	f.Add("requester-2", "aa")          // duplicate peer
 	f.Add("requester-3", "abc")         // three members
-	f.Add("requester-4", "aAbBcC")      // add then exclude each
-	f.Add("requester-5", "abcXYZ")      // add three, exclude three absent
+	f.Add("requester-4", "aAbBcC")      // add each, then compare without it
+	f.Add("requester-5", "abcXYZ")      // add three, leave out three absent
 	f.Add("req\x00binary\xff", "aXbYc") // churn with binary key
 	f.Add(strings.Repeat("r", 1024), "abcdefgh")
 
 	f.Fuzz(func(t *testing.T, key, script string) {
 		r := New(DefaultSeed, 4)
 		live := map[string]bool{}
-		var excluded []string
 		// The script is a byte program: lowercase adds a member named by
-		// the letter, uppercase toggles its lowercase twin in the
-		// exclusion set (member or not: the gate reads its set off a
-		// header). A lookup runs after every op, so the fuzzer explores
-		// lookups against every intermediate state.
+		// the letter, uppercase compares the ring against one built
+		// without its lowercase twin (member or not). A lookup runs after
+		// every op, so the fuzzer explores lookups against every
+		// intermediate state.
 		for _, b := range []byte(script) {
 			switch {
 			case b >= 'a' && b <= 'z':
@@ -43,23 +41,18 @@ func FuzzRingLookup(f *testing.F) {
 				}
 				live[name] = true
 			case b >= 'A' && b <= 'Z':
-				name := string(b - 'A' + 'a')
-				if i := slices.Index(excluded, name); i >= 0 {
-					excluded = slices.Delete(excluded, i, i+1)
-				} else {
-					excluded = append(excluded, name)
-				}
+				checkWithout(t, r, key, live, string(b-'A'+'a'))
 			}
-			checkLookup(t, r, key, live, excluded)
-			checkLookup(t, r, script, live, excluded)
+			checkLookup(t, r, key, live)
+			checkLookup(t, r, script, live)
 		}
-		if r.Len() != len(live) {
-			t.Fatalf("ring has %d members, script built %d (duplicate add inflated membership?)", r.Len(), len(live))
+		if n := len(r.Members()); n != len(live) {
+			t.Fatalf("ring has %d members, script built %d (duplicate add inflated membership?)", n, len(live))
 		}
 	})
 }
 
-func checkLookup(t *testing.T, r *Ring, key string, live map[string]bool, excluded []string) {
+func checkLookup(t *testing.T, r *Ring, key string, live map[string]bool) {
 	t.Helper()
 	owner, err := r.Lookup(key)
 	if len(live) == 0 {
@@ -79,23 +72,33 @@ func checkLookup(t *testing.T, r *Ring, key string, live map[string]bool, exclud
 	if err != nil || again != owner {
 		t.Fatalf("Lookup(%q) unstable: %q then %q (err %v)", key, owner, again, err)
 	}
-	// The excluded lookup returns a live member outside the set, or
-	// ErrEmptyRing exactly when every member is excluded.
-	remaining := 0
+}
+
+// checkWithout builds the ring again, same seed, without gone: a key
+// gone did not own keeps its owner, and one it did moves to another
+// live member, or to none when gone was the only one.
+func checkWithout(t *testing.T, r *Ring, key string, live map[string]bool, gone string) {
+	t.Helper()
+	without := New(DefaultSeed, 4)
+	rest := 0
 	for name := range live {
-		if !slices.Contains(excluded, name) {
-			remaining++
+		if name != gone {
+			if err := without.Add(name); err != nil {
+				t.Fatal(err)
+			}
+			rest++
 		}
 	}
-	adj, err := r.LookupExcluding(key, excluded)
+	owner, _ := r.Lookup(key)
+	got, err := without.Lookup(key)
 	switch {
-	case remaining == 0:
+	case rest == 0:
 		if err != ErrEmptyRing {
-			t.Fatalf("LookupExcluding(%q, %v) with every member excluded: %q, %v", key, excluded, adj, err)
+			t.Fatalf("Lookup(%q) on a ring without %s, its only member: %q, %v", key, gone, got, err)
 		}
-	case err != nil || !live[adj] || slices.Contains(excluded, adj):
-		t.Fatalf("LookupExcluding(%q, %v) = %q, %v", key, excluded, adj, err)
-	case !slices.Contains(excluded, owner) && adj != owner:
-		t.Fatalf("LookupExcluding(%q, %v) moved the key off its unexcluded owner %s to %s", key, excluded, owner, adj)
+	case err != nil || !live[got] || got == gone:
+		t.Fatalf("Lookup(%q) on a ring without %s = %q, %v", key, gone, got, err)
+	case owner != gone && got != owner:
+		t.Fatalf("a ring without %s moved %q off its owner %s to %s", gone, key, owner, got)
 	}
 }

@@ -8,9 +8,8 @@
 // here makes that placement deterministic; the Router (router.go)
 // enforces it in front of the shards; the mediator's ownership gate
 // (internal/mediator/shard.go) enforces it fail-closed behind them.
-// Neither the ring nor the router holds drain state: a draining shard is
-// the only holder of its own, and operators read it from that shard's
-// GET /shard/status.
+// Membership is static configuration: nothing moves a requester between
+// shards.
 //
 // The ring is rendezvous hashing (highest random weight) over seeded
 // virtual node identities: each member contributes Vnodes virtual
@@ -33,13 +32,11 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 )
 
-// ErrEmptyRing is returned by lookups when no member can own the key —
-// the ring has no members, or every member is excluded.
+// ErrEmptyRing is returned by Lookup when the ring has no members.
 var ErrEmptyRing = errors.New("shard: no members in the ring")
 
 // DefaultSeed is the placement seed the daemons default to. Any seed
@@ -56,8 +53,7 @@ const DefaultSeed = 58
 // hashes even at 8 shards.
 const DefaultVnodes = 16
 
-// Member is one shard in the ring. Whether it is draining is not a ring
-// fact: only the shard itself holds that, on its GET /shard/status.
+// Member is one shard in the ring.
 type Member struct {
 	Name string `json:"name"`
 }
@@ -123,35 +119,15 @@ func (r *Ring) Members() []Member {
 	return out
 }
 
-// Len reports the member count.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
-}
-
-// Lookup returns the key's owner over the full membership: ownership is
-// a stable fact about where the key's state lives, and a drain must not
-// rewrite it.
+// Lookup returns the key's owner: where the key's state lives. It does
+// not allocate.
 func (r *Ring) Lookup(key string) (string, error) {
-	return r.LookupExcluding(key, nil)
-}
-
-// LookupExcluding returns the key's owner with the named members
-// excluded. The router calls it with the shards that refused this query
-// as draining; the mediator's ownership gate calls it to verify such a
-// re-route: with those shards excluded, would this shard be the owner?
-// Neither call allocates.
-func (r *Ring) LookupExcluding(key string, excluded []string) (string, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var best uint64
 	owner := ""
 	kh := hash64(key)
 	for name, points := range r.members {
-		if slices.Contains(excluded, name) {
-			continue
-		}
 		// Ties break by name so the winner is well defined even in the
 		// astronomically unlikely event of equal 64-bit scores.
 		if s := score(points, kh); owner == "" || s > best || (s == best && name < owner) {

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -198,38 +197,8 @@ func TestRingSeededPlacementIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestRingDraining: a drain-adjusted lookup is LookupExcluding over the
-// shards that refused the query. It moves only the excluded member's
-// keys, and it agrees with a ring built without that member — the
-// router and the mediator's gate share one function. Full-ring Lookup
-// keeps answering the excluded member: a drain must not rewrite
-// ownership.
-func TestRingDraining(t *testing.T) {
-	keys := requesters(500)
-	r := ringOf(t, 1, "a", "b", "c")
-	without := ringOf(t, 1, "a", "c")
-	before := owners(t, r, keys)
-	for _, k := range keys {
-		excl, err := r.LookupExcluding(k, []string{"b"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if before[k] != "b" && excl != before[k] {
-			t.Fatalf("excluding b moved %q owned by %s", k, before[k])
-		}
-		if o, _ := without.Lookup(k); excl != o {
-			t.Fatalf("excluding b placed %q on %s, a ring without b on %s", k, excl, o)
-		}
-	}
-	for k, o := range owners(t, r, keys) {
-		if o != before[k] {
-			t.Fatalf("an excluded lookup rewrote full-ring ownership of %q", k)
-		}
-	}
-}
-
 // TestRingEdgeCases covers the states the fuzz target hammers: empty
-// ring, every member excluded, single member, duplicate adds.
+// ring, single member, duplicate adds.
 func TestRingEdgeCases(t *testing.T) {
 	r := New(1, 4)
 	if _, err := r.Lookup("x"); err != ErrEmptyRing {
@@ -247,34 +216,23 @@ func TestRingEdgeCases(t *testing.T) {
 	if err := r.Add("only"); err != nil {
 		t.Fatalf("duplicate Add should be a no-op, got %v", err)
 	}
-	if n := r.Len(); n != 1 {
+	if n := len(r.Members()); n != 1 {
 		t.Fatalf("duplicate Add grew the ring to %d", n)
-	}
-	if _, err := r.LookupExcluding("anything", []string{"only"}); err != ErrEmptyRing {
-		t.Fatalf("all-excluded lookup err = %v, want ErrEmptyRing", err)
-	}
-	if o, err := r.Lookup("anything"); err != nil || o != "only" {
-		t.Fatalf("full-ring lookup must still see the excluded member: %q, %v", o, err)
 	}
 }
 
-// TestRingLookupAllocatesNothing pins both lookups at zero allocations:
-// one runs on every routed query and every gate check, and the
-// exclusion set is scanned in place, never copied.
+// TestRingLookupAllocatesNothing pins Lookup at zero allocations: it
+// runs on every routed query and every gate check.
 func TestRingLookupAllocatesNothing(t *testing.T) {
 	r := ringOf(t, DefaultSeed, shardNames(3)...)
-	excluded := []string{"shard-a", "shard-b"}
 	if n := testing.AllocsPerRun(100, func() { _, _ = r.Lookup("requester-0001") }); n != 0 {
 		t.Errorf("Lookup allocates %.1f times per call, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { _, _ = r.LookupExcluding("requester-0001", excluded) }); n != 0 {
-		t.Errorf("LookupExcluding allocates %.1f times per call, want 0", n)
-	}
 }
 
-// TestRingConcurrentChurn drives excluded lookups against concurrent
-// joins under the race detector: every lookup must return a member
-// outside its exclusion set, never panic, never a torn read.
+// TestRingConcurrentChurn drives lookups against concurrent joins under
+// the race detector: every lookup must return a member, never panic,
+// never a torn read.
 func TestRingConcurrentChurn(t *testing.T) {
 	r := ringOf(t, 1, "a")
 	const joins = 500
@@ -292,13 +250,12 @@ func TestRingConcurrentChurn(t *testing.T) {
 			return
 		default:
 		}
-		excluded := []string{fmt.Sprintf("m%03d", i%joins), fmt.Sprintf("m%03d", i*7%joins)}
-		o, err := r.LookupExcluding(keys[i%len(keys)], excluded)
+		o, err := r.Lookup(keys[i%len(keys)])
 		if err != nil {
 			t.Fatalf("lookup with a stable member returned %v", err)
 		}
-		if o != "a" && !strings.HasPrefix(o, "m") || slices.Contains(excluded, o) {
-			t.Fatalf("lookup excluding %v returned %q", excluded, o)
+		if o != "a" && !strings.HasPrefix(o, "m") {
+			t.Fatalf("lookup returned %q", o)
 		}
 	}
 }

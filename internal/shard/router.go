@@ -8,18 +8,9 @@ package shard
 // /readyz. Refusal semantics survive the hop untouched: a 403 privacy
 // refusal stays 403 with its body verbatim (the Figure 1 refusal
 // message is part of the system's interface), and capacity sheds keep
-// their 429/503 + Retry-After.
-//
-// The one piece of routing the router decides on its own is the drain
-// re-route: a draining shard refuses requesters it holds no state for
-// (a "draining: not accepting" 503), and the router re-routes the query
-// to the owner with the shards that refused THIS query excluded,
-// asserting exactly that set in the X-Shard-Rerouted-From header. The
-// router keeps no drain state between queries. The landing shard
-// VERIFIES the assertion rather than trusting it: it recomputes
-// placement on its own ring AND confirms each claimed shard is draining
-// against that shard's own /shard/status — see
-// internal/mediator/shard.go and DESIGN.md §13.
+// their 429/503 + Retry-After. The router never sends a query anywhere
+// but the requester's ring owner: a shard that refuses it as not-owner
+// has its refusal passed back, not routed around (DESIGN.md §13).
 
 import (
 	"bytes"
@@ -28,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -90,7 +80,6 @@ type Router struct {
 
 	// Metric handles; nil (and no-ops) without a registry.
 	proxied    *obs.Counter
-	rerouted   *obs.Counter
 	refused    *obs.Counter
 	unavail    *obs.Counter
 	lookupSec  *obs.Histogram
@@ -135,13 +124,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		rt.byName[b.Name] = bs
 	}
 	reg := cfg.Obs
-	reg.Help("piye_router_requests_total", "Routed queries by outcome (proxied includes refusals passed through; rerouted = drain re-routes).")
+	reg.Help("piye_router_requests_total", "Routed queries by outcome (proxied includes refusals passed through).")
 	reg.Help("piye_router_shard_requests_total", "Queries forwarded per shard.")
 	reg.Help("piye_router_lookup_seconds", "Ring lookup latency.")
 	reg.Help("piye_router_proxy_seconds", "Full proxy latency per routed query (retries included).")
 	reg.Help("piye_router_unhealthy_total", "Queries refused because the owning shard failed its readiness probe.")
 	rt.proxied = reg.Counter("piye_router_requests_total", "outcome", "proxied")
-	rt.rerouted = reg.Counter("piye_router_requests_total", "outcome", "rerouted")
 	rt.refused = reg.Counter("piye_router_requests_total", "outcome", "error")
 	rt.unavail = reg.Counter("piye_router_requests_total", "outcome", "unavailable")
 	rt.lookupSec = reg.Histogram("piye_router_lookup_seconds", nil)
@@ -244,9 +232,8 @@ type proxyResult struct {
 // proxyError classifies a forwarding failure for the resilience layer's
 // outcome rule: sheds (429/503) are neutral to the breaker (a shard
 // answering promptly is alive), a 4xx is the shard's own answer (never
-// retried, proof of health), other 5xx are retried failures, and the
-// drain/not-owner refusals are terminal for THIS shard — retrying the
-// same door cannot help; the re-route loop in serveQuery handles them.
+// retried, proof of health), other 5xx are retried failures, and a
+// not-owner refusal is terminal — retrying the same door cannot help.
 type proxyError struct {
 	shard      string
 	status     int
@@ -256,12 +243,6 @@ type proxyError struct {
 
 func (e *proxyError) Error() string {
 	return fmt.Sprintf("shard %s: %d %s: %s", e.shard, e.status, http.StatusText(e.status), strings.TrimSpace(string(e.result.body)))
-}
-
-// draining reports the drain refusal (wire contract with
-// mediator.DrainingError).
-func (e *proxyError) draining() bool {
-	return e.status == http.StatusServiceUnavailable && bytes.Contains(e.result.body, []byte("draining: not accepting"))
 }
 
 // notOwner reports the ownership refusal (wire contract with
@@ -278,10 +259,7 @@ func (e *proxyError) notOwner() bool {
 // probing their ledger limit could open the circuit and deny the whole
 // shard.
 func (e *proxyError) Retryable() bool {
-	if e.draining() || e.notOwner() {
-		return false
-	}
-	return e.status >= 500
+	return e.status >= 500 && !e.notOwner()
 }
 
 // Shed keeps throttling out of the breaker's failure count.
@@ -300,11 +278,11 @@ func (e *proxyError) RetryAfterHint() (time.Duration, bool) {
 // forward proxies one query to one shard as one guarded call (breaker
 // admission once, the retry policy, one outcome report). A non-2xx answer
 // comes back as a *proxyError carrying the verbatim response, so the
-// caller can pass it through or re-route.
-func (rt *Router) forward(ctx context.Context, bs *backendState, body []byte, requester string, reroutedFrom []string, trace *obs.Trace) (proxyResult, error) {
+// caller can pass it through.
+func (rt *Router) forward(ctx context.Context, bs *backendState, body []byte, requester string, trace *obs.Trace) (proxyResult, error) {
 	ts := time.Now()
 	res, err := resilience.Call(ctx, rt.cfg.Retry, bs.breaker, bs.who, func(ctx context.Context) (proxyResult, error) {
-		return rt.attempt(ctx, bs, body, requester, reroutedFrom)
+		return rt.attempt(ctx, bs, body, requester)
 	})
 	rt.perShard[bs.Name].Inc()
 	trace.Record("proxy", bs.Name, ts, time.Since(ts), proxyOutcome(err))
@@ -312,16 +290,13 @@ func (rt *Router) forward(ctx context.Context, bs *backendState, body []byte, re
 }
 
 // attempt is one HTTP exchange with a shard.
-func (rt *Router) attempt(ctx context.Context, bs *backendState, body []byte, requester string, reroutedFrom []string) (proxyResult, error) {
+func (rt *Router) attempt(ctx context.Context, bs *backendState, body []byte, requester string) (proxyResult, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, bs.URL+"/query", bytes.NewReader(body))
 	if err != nil {
 		return proxyResult{}, err
 	}
 	req.Header.Set("X-Requester", requester)
 	req.Header.Set("Content-Type", "text/plain")
-	if len(reroutedFrom) > 0 {
-		req.Header.Set("X-Shard-Rerouted-From", strings.Join(reroutedFrom, ","))
-	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		return proxyResult{}, fmt.Errorf("shard %s: %w", bs.Name, err)
@@ -346,8 +321,8 @@ func (rt *Router) attempt(ctx context.Context, bs *backendState, body []byte, re
 	return out, nil
 }
 
-// serveQuery is the routing hot path: ring lookup, forward, and — when
-// the owner is shedding ownership — the drain re-route.
+// serveQuery is the routing hot path: ring lookup, then forward to the
+// owner.
 func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request) {
 	// An oversized PIQL text is refused with 413, never truncated and
 	// forwarded as its prefix (the shards and sources apply the same cap).
@@ -384,31 +359,7 @@ func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res, err := rt.forward(r.Context(), bs, body, requester, nil, trace)
-	outcome := rt.proxied
-
-	// Drain re-route: the owner refused to take the requester on
-	// (draining, no durable state there). Route to the owner with every
-	// shard that refused this query excluded, asserting exactly that set
-	// so the landing shard can verify it. Each hop excludes one more
-	// shard, so the loop ends by ErrEmptyRing at the latest.
-	var refusedBy []string
-	for {
-		pe, ok := err.(*proxyError)
-		if !ok || !pe.draining() {
-			break
-		}
-		refusedBy = append(refusedBy, pe.shard)
-		adj, lerr := rt.ring.LookupExcluding(requester, refusedBy)
-		if lerr != nil {
-			rt.finish(trace, rt.unavail, obs.OutcomeSkipped)
-			http.Error(w, "router: every shard is draining; retry shortly", http.StatusServiceUnavailable)
-			return
-		}
-		outcome = rt.rerouted
-		res, err = rt.forward(r.Context(), rt.byName[adj], body, requester, refusedBy, trace)
-	}
-
+	res, err := rt.forward(r.Context(), bs, body, requester, trace)
 	if err != nil {
 		pe, ok := err.(*proxyError)
 		if !ok {
@@ -423,7 +374,7 @@ func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request) {
 		// value on error, so recover it from the error itself.
 		res = pe.result
 	}
-	rt.finish(trace, outcome, statusOutcome(res.status))
+	rt.finish(trace, rt.proxied, statusOutcome(res.status))
 	if res.contentType != "" {
 		w.Header().Set("Content-Type", res.contentType)
 	}
@@ -459,8 +410,7 @@ func statusOutcome(status int) string {
 	return obs.RefusedOutcome(fmt.Sprintf("%d", status))
 }
 
-// shardView is one shard in the admin listing. Drain state is not here:
-// the shard's own GET /shard/status is the only place it is kept.
+// shardView is one shard in the admin listing.
 type shardView struct {
 	Name    string `json:"name"`
 	URL     string `json:"url"`
@@ -470,10 +420,8 @@ type shardView struct {
 }
 
 // Handler mounts the router's HTTP surface: POST /query (the proxy),
-// GET /shards, POST /shards/drain and /shards/undrain (admin; plain
-// forwards to the shard's own /shard/drain|undrain, and undrain
-// forwards ?force=1), plus the standard /healthz, /readyz, /metrics
-// and /debug/trace.
+// GET /shards, plus the standard /healthz, /readyz, /metrics and
+// /debug/trace.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", rt.serveQuery)
@@ -496,57 +444,6 @@ func (rt *Router) Handler() http.Handler {
 			"shards": views,
 		})
 	})
-
-	// Drain/undrain are plain forwards to the shard, the only holder of
-	// its drain state. Undrain forwards ?force= to the shard, which
-	// refuses (409) while re-routed requester state is stranded on the
-	// drain-adjusted owners — the refusal passes back verbatim with its
-	// status.
-	drainAdmin := func(drain bool) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			name := r.URL.Query().Get("name")
-			bs, ok := rt.byName[name]
-			if !ok {
-				http.Error(w, fmt.Sprintf("router: unknown shard %q", name), http.StatusNotFound)
-				return
-			}
-			verb, path := "draining", "/shard/drain"
-			if !drain {
-				verb, path = "undraining", "/shard/undrain"
-				if force := r.URL.Query().Get("force"); force != "" {
-					path += "?force=" + url.QueryEscape(force)
-				}
-			}
-			shardStatus := 0
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, bs.URL+path, nil)
-			if err == nil {
-				var resp *http.Response
-				resp, err = rt.client.Do(req)
-				if err == nil {
-					b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-					resp.Body.Close()
-					if resp.StatusCode >= 400 {
-						shardStatus = resp.StatusCode
-						err = fmt.Errorf("shard answered %d: %s", resp.StatusCode, strings.TrimSpace(string(b)))
-					}
-				}
-			}
-			if err != nil {
-				// A failed drain answers 502 so the operator retries; an
-				// undrain mirrors the shard's own refusal status when it
-				// gave one (409 undrain refused), 502 for transport failures.
-				code := http.StatusBadGateway
-				if !drain && shardStatus >= 400 {
-					code = shardStatus
-				}
-				http.Error(w, fmt.Sprintf("router: %s %s: %v", verb, name, err), code)
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
-		}
-	}
-	mux.HandleFunc("POST /shards/drain", drainAdmin(true))
-	mux.HandleFunc("POST /shards/undrain", drainAdmin(false))
 
 	obs.AttachHealth(mux, rt.Ready)
 	obs.Attach(mux, rt.cfg.Obs, rt.cfg.Trace)

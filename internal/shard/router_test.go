@@ -21,18 +21,12 @@ type fakeShard struct {
 
 	mu      sync.Mutex
 	reqs    []string // requester per received query
-	headers []string // X-Shard-Rerouted-From per received query
 	handler func(w http.ResponseWriter, r *http.Request)
 }
 
 // serveEmpty answers a query with an empty integrated result.
 func serveEmpty(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("<integrated></integrated>"))
-}
-
-// refuseDraining answers the way a draining shard refuses a newcomer.
-func refuseDraining(w http.ResponseWriter, r *http.Request) {
-	http.Error(w, "mediator: shard draining: not accepting new requesters", http.StatusServiceUnavailable)
 }
 
 func newFakeShard(t *testing.T, name string) *fakeShard {
@@ -43,7 +37,6 @@ func newFakeShard(t *testing.T, name string) *fakeShard {
 		io.Copy(io.Discard, r.Body)
 		f.mu.Lock()
 		f.reqs = append(f.reqs, r.Header.Get("X-Requester"))
-		f.headers = append(f.headers, r.Header.Get("X-Shard-Rerouted-From"))
 		h := f.handler
 		f.mu.Unlock()
 		h(w, r)
@@ -60,17 +53,6 @@ func (f *fakeShard) setHandler(h func(w http.ResponseWriter, r *http.Request)) {
 	f.mu.Lock()
 	f.handler = h
 	f.mu.Unlock()
-}
-
-// last returns the requester and X-Shard-Rerouted-From of the latest
-// query received.
-func (f *fakeShard) last() (requester, reroutedFrom string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.reqs) == 0 {
-		return "", ""
-	}
-	return f.reqs[len(f.reqs)-1], f.headers[len(f.headers)-1]
 }
 
 func (f *fakeShard) requesters() []string {
@@ -171,7 +153,8 @@ func TestRouterStickiness(t *testing.T) {
 }
 
 // TestRouterPassthrough: refusal semantics survive the hop — a 403
-// privacy refusal keeps its status and body, a shed keeps its 429 and
+// privacy refusal keeps its status and body, a not-owner 503 comes back
+// once and is not routed elsewhere, a shed keeps its 429 and
 // Retry-After. The router must never rewrite a refusal into a success
 // or a 403 into a retryable 503.
 func TestRouterPassthrough(t *testing.T) {
@@ -191,6 +174,16 @@ func TestRouterPassthrough(t *testing.T) {
 	}
 	if got := f.count(); got != 1 {
 		t.Fatalf("403 was retried: shard saw %d requests", got)
+	}
+
+	f.setHandler(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "mediator: shard only is not the owner of requester drWho (owner other)", http.StatusServiceUnavailable)
+	})
+	if status, body := routerQuery(t, srv.URL, "drWho"); status != http.StatusServiceUnavailable || !strings.Contains(body, "not the owner") {
+		t.Fatalf("not-owner refusal arrived as %d %q, want its 503", status, body)
+	}
+	if got := f.count(); got != 2 {
+		t.Fatalf("not-owner was retried: shard saw %d requests, want 2", got)
 	}
 
 	f.setHandler(func(w http.ResponseWriter, r *http.Request) {
@@ -236,94 +229,6 @@ func TestRouterRetriesTransientFailures(t *testing.T) {
 	}
 	if got := f.count(); got != 2 {
 		t.Fatalf("shard saw %d attempts, want 2 (one failure + one retry)", got)
-	}
-}
-
-// TestRouterDrainReroute: the owner answers the draining refusal, the
-// router re-routes to the drain-adjusted owner with the refusing shard
-// asserted in X-Shard-Rerouted-From, and the landing shard's answer
-// passes through. The refusal is never surfaced to the client.
-func TestRouterDrainReroute(t *testing.T) {
-	shards := []*fakeShard{newFakeShard(t, "shard-a"), newFakeShard(t, "shard-b"), newFakeShard(t, "shard-c")}
-	_, srv := newTestRouter(t, shards, nil)
-
-	ref := ringOf(t, DefaultSeed, "shard-a", "shard-b", "shard-c")
-	byName := map[string]*fakeShard{}
-	for _, f := range shards {
-		byName[f.name] = f
-	}
-	// Find a requester owned by shard-a.
-	requester := ""
-	for i := 0; i < 1000; i++ {
-		cand := fmt.Sprintf("requester-%03d", i)
-		if o, _ := ref.Lookup(cand); o == "shard-a" {
-			requester = cand
-			break
-		}
-	}
-	if requester == "" {
-		t.Fatal("no requester owned by shard-a in 1000 candidates")
-	}
-	adj, err := ref.LookupExcluding(requester, []string{"shard-a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	byName["shard-a"].setHandler(refuseDraining)
-	status, body := routerQuery(t, srv.URL, requester)
-	if status != http.StatusOK {
-		t.Fatalf("drain re-route failed: %d %s", status, body)
-	}
-	landed := byName[adj]
-	if landed.count() != 1 {
-		t.Fatalf("drain-adjusted owner %s saw %d queries, want 1", adj, landed.count())
-	}
-	if _, hdr := landed.last(); hdr != "shard-a" {
-		t.Fatalf("re-route did not assert the refusing shard: X-Shard-Rerouted-From=%q", hdr)
-	}
-}
-
-// TestRouterAssertsOnlyThisQuerysRefusals: a re-route asserts exactly
-// the shards that refused THIS query as draining. Without health
-// polling, shard-a refuses one newcomer as draining and then serves
-// again; shard-b drains. A requester ranked shard-b, then shard-a, goes
-// to shard-a asserting shard-b alone: a remembered shard-a mark would
-// send it on to shard-c, whose gate refuses the claim because shard-a
-// is live.
-func TestRouterAssertsOnlyThisQuerysRefusals(t *testing.T) {
-	shards := []*fakeShard{newFakeShard(t, "shard-a"), newFakeShard(t, "shard-b"), newFakeShard(t, "shard-c")}
-	_, srv := newTestRouter(t, shards, nil)
-
-	ref := ringOf(t, DefaultSeed, "shard-a", "shard-b", "shard-c")
-	newcomer, requester := "", ""
-	for i := 0; i < 1000 && (newcomer == "" || requester == ""); i++ {
-		cand := fmt.Sprintf("requester-%03d", i)
-		first, _ := ref.Lookup(cand)
-		second, _ := ref.LookupExcluding(cand, []string{first})
-		if first == "shard-a" && newcomer == "" {
-			newcomer = cand
-		} else if first == "shard-b" && second == "shard-a" && requester == "" {
-			requester = cand
-		}
-	}
-	if newcomer == "" || requester == "" {
-		t.Fatal("no requesters with the wanted rankings in 1000 candidates")
-	}
-
-	shards[0].setHandler(refuseDraining)
-	if status, body := routerQuery(t, srv.URL, newcomer); status != http.StatusOK {
-		t.Fatalf("newcomer re-route: %d %s", status, body)
-	}
-	shards[0].setHandler(serveEmpty) // shard-a undrains; this router is not told
-	shards[1].setHandler(refuseDraining)
-	if status, body := routerQuery(t, srv.URL, requester); status != http.StatusOK {
-		t.Fatalf("re-route off shard-b: %d %s", status, body)
-	}
-	if got, hdr := shards[0].last(); got != requester || hdr != "shard-b" {
-		t.Fatalf("shard-a last saw %q asserting %q, want %q asserting \"shard-b\"", got, hdr, requester)
-	}
-	if got, hdr := shards[2].last(); got == requester {
-		t.Fatalf("requester landed on shard-c asserting %q", hdr)
 	}
 }
 
