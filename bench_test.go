@@ -289,11 +289,11 @@ func BenchmarkPerturbationNoise(b *testing.B) {
 func BenchmarkPSIIntersect(b *testing.B) {
 	for _, n := range []int{100, 300} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			pa, err := psi.NewParty(psi.TestSuite(), rand.Reader)
+			pa, err := psi.NewParty(psi.X25519Suite(), rand.Reader)
 			if err != nil {
 				b.Fatal(err)
 			}
-			pb, err := psi.NewParty(psi.TestSuite(), rand.Reader)
+			pb, err := psi.NewParty(psi.X25519Suite(), rand.Reader)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -366,7 +366,6 @@ func e10System(b *testing.B, capacity int) *core.System {
 	}
 	sys, err := core.NewSystem(core.SystemConfig{
 		Sources:  []source.Config{{Name: "s", Catalog: cat, Policy: pol}},
-		PSIGroup: psi.TestGroup(),
 		Mediator: mediator.Config{WarehouseCapacity: capacity},
 	})
 	if err != nil {
@@ -448,7 +447,7 @@ func mediationSystem(b *testing.B, nSources int) *core.System {
 		}
 		cfgs = append(cfgs, source.Config{Name: fmt.Sprintf("s%d", i), Catalog: cat, Policy: pol, Seed: uint64(i)})
 	}
-	sys, err := core.NewSystem(core.SystemConfig{Sources: cfgs, PSIGroup: psi.TestGroup()})
+	sys, err := core.NewSystem(core.SystemConfig{Sources: cfgs})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func main() {
 			log.Printf("piye-source %s: registered preference policy of %s", *name, pref.Owner)
 		}
 	}
-	local, err := source.NewLocal(src, nil, psi.DefaultGroup())
+	local, err := source.NewLocal(src, nil, nil)
 	if err != nil {
 		log.Fatalf("piye-source: %v", err)
 	}

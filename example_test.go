@@ -31,7 +31,6 @@ func ExampleNewSystem() {
 			Docs:   []*privateiye.XMLNode{doc},
 			Policy: pol,
 		}},
-		PSIGroup: privateiye.TestPSIGroup(),
 	})
 	if err != nil {
 		log.Fatal(err)

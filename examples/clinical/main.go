@@ -20,7 +20,6 @@ import (
 	"privateiye/internal/experiments"
 	"privateiye/internal/mediator"
 	"privateiye/internal/policy"
-	"privateiye/internal/psi"
 	"privateiye/internal/relational"
 	"privateiye/internal/source"
 	"privateiye/internal/stats"
@@ -108,7 +107,7 @@ func mediatorOverHMOs() *mediator.Mediator {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ep, err := source.NewLocal(src, nil, psi.TestGroup())
+		ep, err := source.NewLocal(src, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -20,7 +20,6 @@ import (
 	"privateiye/internal/mediator"
 	"privateiye/internal/policy"
 	"privateiye/internal/preserve"
-	"privateiye/internal/psi"
 	"privateiye/internal/source"
 	"privateiye/internal/xmltree"
 )
@@ -118,7 +117,7 @@ func bootSource(name string, patients []patient) *httptest.Server {
 	if err != nil {
 		log.Fatal(err)
 	}
-	local, err := source.NewLocal(src, nil, psi.TestGroup())
+	local, err := source.NewLocal(src, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

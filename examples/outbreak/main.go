@@ -22,7 +22,6 @@ import (
 	"privateiye/internal/clinical"
 	"privateiye/internal/mediator"
 	"privateiye/internal/policy"
-	"privateiye/internal/psi"
 	"privateiye/internal/relational"
 	"privateiye/internal/xmltree"
 )
@@ -40,7 +39,6 @@ func main() {
 
 	sys, err := privateiye.NewSystem(privateiye.SystemConfig{
 		Sources:  append(cfgs, regA, regB),
-		PSIGroup: psi.TestGroup(),
 		Mediator: privateiye.MediatorConfig{WarehouseCapacity: 32, WarehouseTTL: 1000},
 	})
 	if err != nil {

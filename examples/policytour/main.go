@@ -84,7 +84,6 @@ func main() {
 			View:   view,
 			Access: access,
 		}},
-		PSIGroup: privateiye.TestPSIGroup(),
 	})
 	if err != nil {
 		log.Fatal(err)

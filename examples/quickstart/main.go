@@ -22,7 +22,6 @@ func main() {
 			hospital("hospitalA", 1, 400),
 			hospital("hospitalB", 2, 250),
 		},
-		PSIGroup: privateiye.TestPSIGroup(), // demo speed; omit for production strength
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -3,7 +3,7 @@ package privateiye
 // This file re-exports, as type aliases and constructor wrappers, every
 // internal type a downstream user needs to assemble and drive a
 // deployment: relational data, XML documents, the three policy languages,
-// access control, preservation techniques, auditing, PSI groups and the
+// access control, preservation techniques, auditing, PSI suites and the
 // PIQL query language. The examples/quickstart program uses only this
 // surface.
 
@@ -196,18 +196,7 @@ func NewDurableFailpoints() *DurableFailpoints { return durable.NewFailpoints() 
 // DurableFailpointNames lists every crash site a durable log exposes.
 func DurableFailpointNames() []string { return durable.Points() }
 
-// --- PSI groups ---------------------------------------------------------------------
-
-// PSIGroup is a safe-prime Diffie-Hellman group for private set
-// intersection.
-type PSIGroup = psi.Group
-
-// DefaultPSIGroup returns the production 2048-bit RFC 3526 group;
-// TestPSIGroup the fast 768-bit group for tests and demos.
-func DefaultPSIGroup() *PSIGroup { return psi.DefaultGroup() }
-
-// TestPSIGroup returns the fast 768-bit Oakley group (demos only).
-func TestPSIGroup() *PSIGroup { return psi.TestGroup() }
+// --- PSI suites ----------------------------------------------------------------------
 
 // PSISuite is a pluggable PSI group kernel: hash-to-group, fixed-secret
 // exponentiation and canonical wire encoding over one prime-order group.
@@ -218,10 +207,10 @@ type PSISuite = psi.Suite
 // 2048-bit MODP group.
 func X25519PSISuite() PSISuite { return psi.X25519Suite() }
 
-// ModPPSISuite wraps a safe-prime group as a suite ("modp2048" for the
-// default group) — the fail-closed floor a mixed fleet negotiates down
-// to when a legacy source cannot speak the curve suite.
-func ModPPSISuite(g *PSIGroup) PSISuite { return psi.ModPSuite(g) }
+// ModPPSISuite returns the 2048-bit safe-prime suite, "modp2048" — the
+// fail-closed floor a mixed fleet negotiates down to when a source does
+// not advertise the curve suite.
+func ModPPSISuite() PSISuite { return psi.ModPSuite() }
 
 // --- Queries --------------------------------------------------------------------------
 

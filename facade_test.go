@@ -29,8 +29,7 @@ func facadeSystem(t *testing.T) *privateiye.System {
 		t.Fatal(err)
 	}
 	sys, err := privateiye.NewSystem(privateiye.SystemConfig{
-		Sources:  []privateiye.SourceConfig{{Name: "clinicX", Catalog: cat, Policy: pol}},
-		PSIGroup: privateiye.TestPSIGroup(),
+		Sources: []privateiye.SourceConfig{{Name: "clinicX", Catalog: cat, Policy: pol}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +101,6 @@ func TestFacadePrivateOverlap(t *testing.T) {
 			mk("A", doc),
 			mk("B", `<reg><p><name>bo</name></p><p><name>cy</name></p></reg>`),
 		},
-		PSIGroup: privateiye.TestPSIGroup(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +135,7 @@ func TestFacadeRelationalConstruction(t *testing.T) {
 		privateiye.NewAccessStore() == nil ||
 		privateiye.NewPreserveRegistry() == nil ||
 		privateiye.DefaultPreserveRegistry() == nil ||
-		privateiye.DefaultPSIGroup() == nil {
+		privateiye.ModPPSISuite() == nil {
 		t.Error("facade constructor returned nil")
 	}
 	if _, err := privateiye.NewAuditLog(privateiye.AuditConfig{Population: 10}); err != nil {

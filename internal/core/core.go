@@ -27,9 +27,6 @@ type SystemConfig struct {
 	Sources []source.Config
 	// Remotes are source nodes already running elsewhere.
 	Remotes []RemoteSource
-	// PSIGroup selects the DH group (DefaultGroup when nil; TestGroup in
-	// tests/benchmarks for speed).
-	PSIGroup *psi.Group
 	// Mediator configures the mediation engine (see mediator.Config).
 	// NewSystem sets Endpoints — in-process sources first, then remotes —
 	// and defaults LinkageSalt. Four of its fields also reach every
@@ -60,10 +57,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if len(mc.LinkageSalt) == 0 {
 		mc.LinkageSalt = []byte("privateiye-default-linking-salt")
 	}
-	group := cfg.PSIGroup
-	if group == nil {
-		group = psi.DefaultGroup()
-	}
 	if mc.PSISuite != "" {
 		if _, err := psi.SuiteByName(mc.PSISuite); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -83,7 +76,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: source %s: %w", sc.Name, err)
 		}
-		local, err := source.NewLocal(src, nil, group)
+		local, err := source.NewLocal(src, nil, nil)
 		if err != nil {
 			return nil, err
 		}

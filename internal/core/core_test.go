@@ -8,7 +8,6 @@ import (
 	"privateiye/internal/clinical"
 	"privateiye/internal/mediator"
 	"privateiye/internal/policy"
-	"privateiye/internal/psi"
 	"privateiye/internal/relational"
 	"privateiye/internal/source"
 )
@@ -50,8 +49,7 @@ func TestNewSystemValidation(t *testing.T) {
 
 func TestInProcessSystemEndToEnd(t *testing.T) {
 	sys, err := NewSystem(SystemConfig{
-		Sources:  []source.Config{sourceConfig(t, "A", 1, 50), sourceConfig(t, "B", 2, 30)},
-		PSIGroup: psi.TestGroup(),
+		Sources: []source.Config{sourceConfig(t, "A", 1, 50), sourceConfig(t, "B", 2, 30)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +78,7 @@ func TestMixedLocalAndRemoteSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := source.NewLocal(remoteSrc, []byte("privateiye-default-linking-salt"), psi.TestGroup())
+	local, err := source.NewLocal(remoteSrc, []byte("privateiye-default-linking-salt"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +86,8 @@ func TestMixedLocalAndRemoteSystem(t *testing.T) {
 	defer server.Close()
 
 	sys, err := NewSystem(SystemConfig{
-		Sources:  []source.Config{sourceConfig(t, "localA", 3, 40)},
-		Remotes:  []RemoteSource{{Name: "remoteB", URL: server.URL}},
-		PSIGroup: psi.TestGroup(),
+		Sources: []source.Config{sourceConfig(t, "localA", 3, 40)},
+		Remotes: []RemoteSource{{Name: "remoteB", URL: server.URL}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +107,7 @@ func TestMixedLocalAndRemoteSystem(t *testing.T) {
 // history entry.
 func TestSystemAmortizationKnobsEndToEnd(t *testing.T) {
 	sys, err := NewSystem(SystemConfig{
-		Sources:  []source.Config{sourceConfig(t, "A", 1, 50)},
-		PSIGroup: psi.TestGroup(),
+		Sources: []source.Config{sourceConfig(t, "A", 1, 50)},
 		Mediator: mediator.Config{
 			Durability: &mediator.DurabilityConfig{Dir: t.TempDir()},
 			Coalesce:   true,

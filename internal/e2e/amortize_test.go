@@ -15,7 +15,6 @@ import (
 	"privateiye/internal/obs"
 	"privateiye/internal/policy"
 	"privateiye/internal/preserve"
-	"privateiye/internal/psi"
 	"privateiye/internal/relational"
 	"privateiye/internal/source"
 )
@@ -45,7 +44,7 @@ func slowComplianceNode(t *testing.T, name string, delay time.Duration) *httptes
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := source.NewLocal(src, salt, psi.TestGroup())
+	local, err := source.NewLocal(src, salt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

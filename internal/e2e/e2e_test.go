@@ -25,7 +25,6 @@ import (
 	"privateiye/internal/obs"
 	"privateiye/internal/policy"
 	"privateiye/internal/preserve"
-	"privateiye/internal/psi"
 	"privateiye/internal/relational"
 	"privateiye/internal/resilience"
 	"privateiye/internal/source"
@@ -71,7 +70,7 @@ func complianceNode(t *testing.T, name string) (*httptest.Server, *obs.Registry)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := source.NewLocal(src, salt, psi.TestGroup())
+	local, err := source.NewLocal(src, salt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package e2e
 
 import (
 	"context"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -20,11 +21,9 @@ import (
 	"net/http/httptest"
 )
 
-// suiteNode serves one compliance source over HTTP with an explicit PSI
-// suite advertisement (nil = the production default: x25519 preferred,
-// modp2048 floor). It models the fleet-upgrade scenario: a node still
-// running an older build advertises what that build could run.
-func suiteNode(t *testing.T, name string, advertised []string) *httptest.Server {
+// complianceConfig is one compliance source: Figure 1's table, open to
+// aggregate research queries.
+func complianceConfig(t *testing.T, name string) source.Config {
 	t.Helper()
 	tab, err := clinical.ComplianceTable("compliance", clinical.HMOs, clinical.Tests, clinical.Figure1GroundTruth())
 	if err != nil {
@@ -40,16 +39,48 @@ func suiteNode(t *testing.T, name string, advertised []string) *httptest.Server 
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := source.New(source.Config{Name: name, Catalog: cat, Policy: pol, Registry: preserve.NewRegistry()})
+	return source.Config{Name: name, Catalog: cat, Policy: pol, Registry: preserve.NewRegistry()}
+}
+
+// suiteHandler serves one compliance source with an explicit PSI suite
+// advertisement (nil = the production default: x25519 preferred,
+// modp2048 floor).
+func suiteHandler(t *testing.T, name string, advertised []string) http.Handler {
+	t.Helper()
+	src, err := source.New(complianceConfig(t, name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := source.NewLocal(src, salt, psi.DefaultGroup())
+	local, err := source.NewLocal(src, salt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	local.AdvertisedSuites = advertised
-	srv := httptest.NewServer(source.NewHandler(local))
+	return source.NewHandler(local)
+}
+
+// suiteNode serves suiteHandler over HTTP. It models the fleet-upgrade
+// scenario: a node still running an older build advertises what that
+// build could run.
+func suiteNode(t *testing.T, name string, advertised []string) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(suiteHandler(t, name, advertised))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// noSuitesNode is a node from a build before suite negotiation: every
+// route but /psi/suites, which answers 404.
+func noSuitesNode(t *testing.T, name string) *httptest.Server {
+	t.Helper()
+	h := suiteHandler(t, name, nil)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/psi/suites" {
+			http.NotFound(w, r)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -122,19 +153,55 @@ func TestMixedSuiteFleetNegotiatesDown(t *testing.T) {
 	}
 }
 
+// In-process sources and a remote node pinned to modp2048 in one fleet:
+// an in-process source advertises what a node does, [x25519 modp2048],
+// so the fleet negotiates modp2048 and the overlap across the two kinds
+// of source is exact.
+func TestMixedSuiteFleetWithInProcessSources(t *testing.T) {
+	pinned := suiteNode(t, "pinned", []string{psi.SuiteNameModP2048})
+	sys, err := core.NewSystem(core.SystemConfig{
+		Sources: []source.Config{complianceConfig(t, "inproc")},
+		Remotes: []core.RemoteSource{{Name: "pinned", URL: pinned.URL}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	med := sys.Mediator()
+	if got := med.PSISuite(); got != psi.SuiteNameModP2048 {
+		t.Fatalf("negotiated suite = %q, want %q", got, psi.SuiteNameModP2048)
+	}
+	n, err := med.Overlap(context.Background(), "inproc", "pinned", "hmo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(clinical.HMOs) {
+		t.Fatalf("overlap = %d, want %d", n, len(clinical.HMOs))
+	}
+}
+
 // A build before x25519 advertised [p256 modp2048]. This build cannot run
 // p256, so a fleet with such sources in it, old sources only included,
 // must negotiate the modp2048 floor and keep the overlap exact — not
-// pick p256 and fail every overlap on the relay's width check.
+// pick p256 and fail every overlap on the relay's width check. A node
+// from before negotiation, with no /psi/suites route, is held to the
+// floor by schema refresh.
 func TestOldCurveFleetFallsToTheFloor(t *testing.T) {
 	old := []string{"p256", psi.SuiteNameModP2048}
-	for name, fleet := range map[string][2][]string{
-		"one old source": {old, nil},
-		"all old":        {old, old},
+	for name, fleet := range map[string]func(t *testing.T) [2]*httptest.Server{
+		"one old source": func(t *testing.T) [2]*httptest.Server {
+			return [2]*httptest.Server{suiteNode(t, "alpha", old), suiteNode(t, "beta", nil)}
+		},
+		"all old": func(t *testing.T) [2]*httptest.Server {
+			return [2]*httptest.Server{suiteNode(t, "alpha", old), suiteNode(t, "beta", old)}
+		},
+		"no suites route": func(t *testing.T) [2]*httptest.Server {
+			return [2]*httptest.Server{noSuitesNode(t, "alpha"), suiteNode(t, "beta", nil)}
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			a, b := suiteNode(t, "alpha", fleet[0]), suiteNode(t, "beta", fleet[1])
-			med := suiteMediator(t, map[string]*httptest.Server{"alpha": a, "beta": b})
+			nodes := fleet(t)
+			med := suiteMediator(t, map[string]*httptest.Server{"alpha": nodes[0], "beta": nodes[1]})
 			if got := med.PSISuite(); got != psi.SuiteNameModP2048 {
 				t.Fatalf("negotiated suite = %q, want %q", got, psi.SuiteNameModP2048)
 			}
@@ -185,17 +252,17 @@ func TestMixedSuiteAllECFleetPrefersX25519(t *testing.T) {
 	}
 }
 
-// The 768-bit test group is reachable only by code that hands it in
-// (source.NewLocal(…, psi.TestGroup())). None of the three places a suite
-// can be named by configuration may resolve it: mediator.Config, the
-// facade's SystemConfig, and piye-source's -psi-suite (piye-mediator has
-// no suite flag; it prefers the default and follows its sources' pins).
+// No build has a 768-bit group any more, and none of the three places a
+// suite can be named by configuration may resolve one: mediator.Config,
+// the facade's SystemConfig, and piye-source's -psi-suite (piye-mediator
+// has no suite flag; it prefers the default and follows its sources'
+// pins).
 func TestTestGroupIsNotConfigurable(t *testing.T) {
 	const want = `unknown suite "modp768"`
 	refused := func(entry string, err error, output string) {
 		t.Helper()
 		if err == nil {
-			t.Errorf("%s accepted the test group", entry)
+			t.Errorf("%s accepted a 768-bit group", entry)
 		} else if !strings.Contains(err.Error()+output, want) {
 			t.Errorf("%s: want %s, got %v %s", entry, want, err, output)
 		}
@@ -203,13 +270,12 @@ func TestTestGroupIsNotConfigurable(t *testing.T) {
 	node := suiteNode(t, "alpha", nil)
 	_, err := mediator.New(mediator.Config{
 		Endpoints: []source.Endpoint{source.NewClient(node.URL, "alpha")},
-		PSISuite:  psi.SuiteNameModP768,
+		PSISuite:  "modp768",
 	})
 	refused("mediator.Config.PSISuite", err, "")
 	_, err = core.NewSystem(core.SystemConfig{
 		Remotes:  []core.RemoteSource{{Name: "alpha", URL: node.URL}},
-		PSIGroup: psi.TestGroup(),
-		Mediator: mediator.Config{PSISuite: psi.SuiteNameModP768},
+		Mediator: mediator.Config{PSISuite: "modp768"},
 	})
 	refused("core.SystemConfig.Mediator.PSISuite", err, "")
 	if testing.Short() {
@@ -224,6 +290,6 @@ func TestTestGroupIsNotConfigurable(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	out, err := exec.CommandContext(ctx, filepath.Join(bin, "piye-source"),
-		"-rows", "10", "-addr", "127.0.0.1:0", "-psi-suite", psi.SuiteNameModP768).CombinedOutput()
+		"-rows", "10", "-addr", "127.0.0.1:0", "-psi-suite", "modp768").CombinedOutput()
 	refused("piye-source -psi-suite", err, string(out))
 }

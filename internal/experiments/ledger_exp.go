@@ -7,7 +7,6 @@ import (
 	"privateiye/internal/mediator"
 	"privateiye/internal/policy"
 	"privateiye/internal/preserve"
-	"privateiye/internal/psi"
 	"privateiye/internal/relational"
 	"privateiye/internal/source"
 )
@@ -38,7 +37,7 @@ func E15ReleaseLedger() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ep, err := source.NewLocal(src, nil, psi.TestGroup())
+		ep, err := source.NewLocal(src, nil, nil)
 		if err != nil {
 			return nil, err
 		}

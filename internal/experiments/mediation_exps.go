@@ -25,7 +25,6 @@ func E9PSI(sizes []int) (*Table, error) {
 		Title:  "E9: private dedup (PSI + Bloom linkage) vs plaintext dedup",
 		Header: []string{"set size", "overlap", "psi time", "psi found", "bloom F1", "plaintext time"},
 	}
-	g := psi.TestGroup()
 	for _, n := range sizes {
 		gen := clinical.NewGenerator(uint64(n) * 31)
 		// Build two sets with 30% overlap.
@@ -42,11 +41,11 @@ func E9PSI(sizes []int) (*Table, error) {
 			}
 		}
 
-		a, err := psi.NewParty(psi.ModPSuite(g), rand.Reader)
+		a, err := psi.NewParty(psi.X25519Suite(), rand.Reader)
 		if err != nil {
 			return nil, err
 		}
-		b, err := psi.NewParty(psi.ModPSuite(g), rand.Reader)
+		b, err := psi.NewParty(psi.X25519Suite(), rand.Reader)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +103,7 @@ func E9PSI(sizes []int) (*Table, error) {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"768-bit test group; production uses the 2048-bit RFC 3526 group",
+		"psi runs the x25519 suite, the fleet default",
 		"bloom F1 is fuzzy matching under name corruption; psi/plaintext are exact-id")
 	return t, nil
 }
@@ -131,7 +130,6 @@ func E10Warehouse(repeats int) (*Table, error) {
 		}
 		return core.NewSystem(core.SystemConfig{
 			Sources:  []source.Config{{Name: "s", Catalog: cat, Policy: pol}},
-			PSIGroup: psi.TestGroup(),
 			Mediator: mediator.Config{WarehouseCapacity: capacity},
 		})
 	}
@@ -273,7 +271,7 @@ func E12Fragmenter(nSources int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ep, err := source.NewLocal(src, nil, psi.TestGroup())
+		ep, err := source.NewLocal(src, nil, nil)
 		if err != nil {
 			return nil, err
 		}

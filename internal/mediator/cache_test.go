@@ -7,7 +7,6 @@ import (
 	"privateiye/internal/clinical"
 	"privateiye/internal/policy"
 	"privateiye/internal/preserve"
-	"privateiye/internal/psi"
 	"privateiye/internal/relational"
 	"privateiye/internal/source"
 )
@@ -79,7 +78,7 @@ func literalMediator(t *testing.T, coalesce bool, wrap func(source.Endpoint) sou
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := source.NewLocal(src, salt, psi.TestGroup())
+	ep, err := source.NewLocal(src, salt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@ import (
 	"privateiye/internal/obs"
 	"privateiye/internal/policy"
 	"privateiye/internal/preserve"
-	"privateiye/internal/psi"
 	"privateiye/internal/relational"
 	"privateiye/internal/source"
 	"privateiye/internal/xmltree"
@@ -70,7 +69,7 @@ func coalescingMediator(t *testing.T, wrap func(source.Endpoint) source.Endpoint
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := source.NewLocal(src, salt, psi.TestGroup())
+	ep, err := source.NewLocal(src, salt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

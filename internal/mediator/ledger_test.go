@@ -8,7 +8,6 @@ import (
 	"privateiye/internal/piql"
 	"privateiye/internal/policy"
 	"privateiye/internal/preserve"
-	"privateiye/internal/psi"
 	"privateiye/internal/relational"
 	"privateiye/internal/source"
 )
@@ -53,7 +52,7 @@ func figure1Endpoint(t *testing.T) source.Endpoint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := source.NewLocal(src, salt, psi.TestGroup())
+	ep, err := source.NewLocal(src, salt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

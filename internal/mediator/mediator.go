@@ -61,12 +61,10 @@ type Config struct {
 	// fast elliptic-curve kernel). During every schema refresh the
 	// mediator collects each source's supported suites and negotiates:
 	// the preferred suite is used iff every answering source advertises
-	// it; otherwise the first universally supported suite in the first
-	// source's preference order that this build can run (an older
-	// build's curve name is skipped); otherwise the fleet fails closed to
-	// "modp2048" — the safe-prime group every deployment predating
-	// negotiation runs — rather than letting sources diverge into
-	// incomparable groups. PSISuite() reports the outcome.
+	// it; otherwise "x25519" if every answering source advertises that;
+	// otherwise the fleet fails closed to "modp2048", the safe-prime
+	// floor, rather than letting sources diverge into incomparable
+	// groups. PSISuite() reports the outcome.
 	PSISuite string
 	// Resilience, when non-nil, runs every call to an endpoint as one
 	// guarded call (resilience.WrapEndpoint): a per-source circuit

@@ -54,7 +54,7 @@ func localEndpoint(t *testing.T, cfg source.Config) source.Endpoint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := source.NewLocal(src, salt, psi.TestGroup())
+	ep, err := source.NewLocal(src, salt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestFuzzyDedupOnNameColumn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep, err := source.NewLocal(s, salt, psi.TestGroup())
+		ep, err := source.NewLocal(s, salt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +430,7 @@ func TestReaggregateAcrossSources(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep, err := source.NewLocal(s, salt, psi.TestGroup())
+		ep, err := source.NewLocal(s, salt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,7 +487,7 @@ func TestGlobalOrderByAndLimitAcrossSources(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep, err := source.NewLocal(s, salt, psi.TestGroup())
+		ep, err := source.NewLocal(s, salt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -528,7 +528,7 @@ func TestCorrespondencesAcrossHeterogeneousSchemas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep, err := source.NewLocal(s, salt, psi.TestGroup())
+		ep, err := source.NewLocal(s, salt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

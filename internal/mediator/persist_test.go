@@ -12,7 +12,6 @@ import (
 	"privateiye/internal/durable"
 	"privateiye/internal/policy"
 	"privateiye/internal/preserve"
-	"privateiye/internal/psi"
 	"privateiye/internal/relational"
 	"privateiye/internal/source"
 )
@@ -40,7 +39,7 @@ func durableFigure1Mediator(t *testing.T, dur *DurabilityConfig) *Mediator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := source.NewLocal(src, salt, psi.TestGroup())
+	ep, err := source.NewLocal(src, salt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

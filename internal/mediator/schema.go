@@ -7,6 +7,7 @@ package mediator
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"privateiye/internal/piql"
@@ -49,9 +50,8 @@ func (m *Mediator) RefreshSchemaContext(ctx context.Context) error {
 				results[i].profiles = ps
 			}
 			// Suite capability ride-along: a source that answers its
-			// summary but not its suites is treated as a legacy MODP-2048
-			// node (the HTTP client already maps missing routes there;
-			// this covers transport errors too) — fail closed, not open.
+			// summary but not its suites (no route, a transport error) is
+			// held to modp2048 — fail closed, not open.
 			if ss, err := ep.PSISuites(sctx); err == nil && len(ss) > 0 {
 				results[i].suites = ss
 			} else {
@@ -121,41 +121,27 @@ func (m *Mediator) MediatedSchema() *xmltree.Summary {
 }
 
 // negotiateSuite picks the one PSI suite the whole fleet will run.
-// preferred wins iff every source advertises it; otherwise the first
-// suite in the first source's preference order that everyone supports
-// and psi.SuiteByName resolves (a name only an older build knows, like
-// its curve suite, would fail every overlap); otherwise the hard
-// fail-closed floor, modp2048 — a suite nobody advertised is still
-// better than two sources running different groups and comparing
-// meaningless bytes.
+// preferred (one of the two suites this build runs, as New checks) wins
+// iff every source advertises it; otherwise x25519 if everyone
+// advertises that; otherwise the hard fail-closed floor, modp2048 — a
+// suite nobody advertised is still better than two sources running
+// different groups and comparing meaningless bytes. A name only another
+// build runs, like an older build's curve suite, is never picked.
 func negotiateSuite(preferred string, advertisements [][]string) string {
 	if len(advertisements) == 0 {
 		return preferred
 	}
 	everyone := func(name string) bool {
-		if _, err := psi.SuiteByName(name); err != nil {
-			return false
-		}
 		for _, adv := range advertisements {
-			found := false
-			for _, s := range adv {
-				if s == name {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.Contains(adv, name) {
 				return false
 			}
 		}
 		return true
 	}
-	if everyone(preferred) {
-		return preferred
-	}
-	for _, candidate := range advertisements[0] {
-		if everyone(candidate) {
-			return candidate
+	for _, s := range []string{preferred, psi.SuiteNameX25519} {
+		if everyone(s) {
+			return s
 		}
 	}
 	return psi.SuiteNameModP2048

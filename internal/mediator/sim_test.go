@@ -68,7 +68,6 @@ import (
 	"privateiye/internal/piql"
 	"privateiye/internal/policy"
 	"privateiye/internal/preserve"
-	"privateiye/internal/psi"
 	"privateiye/internal/refusal"
 	"privateiye/internal/relational"
 	"privateiye/internal/resilience"
@@ -281,7 +280,7 @@ func newSimWorld(t testing.TB, opts simOpts) *simWorld {
 	must(t, err)
 	w.src, err = source.New(source.Config{Name: "integrator", Catalog: cat, Policy: pol, Registry: preserve.NewRegistry(), Audit: aud})
 	must(t, err)
-	ep, err := source.NewLocal(w.src, salt, psi.TestGroup())
+	ep, err := source.NewLocal(w.src, salt, nil)
 	must(t, err)
 	w.chaos = resilience.NewChaos(ep, resilience.ChaosConfig{})
 	w.gate = &simGate{Endpoint: w.chaos}

@@ -27,7 +27,7 @@ func newGroup(hexP string) *Group {
 }
 
 // DefaultGroup returns the 2048-bit MODP group of RFC 3526 (group 14), a
-// safe prime. Use this in deployments.
+// safe prime: the group of the modp2048 suite.
 func DefaultGroup() *Group {
 	return newGroup(
 		"FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74" +
@@ -38,16 +38,6 @@ func DefaultGroup() *Group {
 			"9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B" +
 			"E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718" +
 			"3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF")
-}
-
-// TestGroup returns the 768-bit Oakley group 1 (RFC 2409), also a safe
-// prime. It is NOT adequate for production secrecy; it exists so tests and
-// benchmarks run quickly while exercising identical code paths.
-func TestGroup() *Group {
-	return newGroup(
-		"FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74" +
-			"020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437" +
-			"4FE1356D6D51C245E485B576625E7EC6F44C42E9A63A3620FFFFFFFFFFFFFFFF")
 }
 
 // HashToGroup maps an arbitrary item into the quadratic-residue subgroup:
@@ -111,12 +101,16 @@ type modpSuite struct {
 	size int
 }
 
-// ModPSuite wraps a safe-prime group as a Suite. The wire name encodes
-// the modulus width: "modp2048" for DefaultGroup, "modp768" for
-// TestGroup.
-func ModPSuite(g *Group) Suite {
-	return &modpSuite{g: g, name: fmt.Sprintf("modp%d", g.P.BitLen()), size: g.byteLen()}
-}
+// modp2048 is the one MODP suite, built once: parsing the modulus on
+// every resolution would put a 2048-bit hex parse on every PSI call of a
+// source pinned to it.
+var modp2048 = func() *modpSuite {
+	g := DefaultGroup()
+	return &modpSuite{g: g, name: SuiteNameModP2048, size: g.byteLen()}
+}()
+
+// ModPSuite returns the safe-prime suite, "modp2048": RFC 3526 group 14.
+func ModPSuite() Suite { return modp2048 }
 
 func (s *modpSuite) Name() string     { return s.name }
 func (s *modpSuite) ElementSize() int { return s.size }

@@ -13,10 +13,9 @@ import (
 )
 
 // testSuites is the per-suite matrix: every protocol-level test runs
-// over both group families (the fast MODP test group stands in for
-// modp2048, which shares all code with it).
+// over both suites.
 func testSuites() []Suite {
-	return []Suite{ModPSuite(TestGroup()), X25519Suite()}
+	return []Suite{ModPSuite(), X25519Suite()}
 }
 
 func forEachSuite(t *testing.T, f func(t *testing.T, s Suite)) {
@@ -99,18 +98,17 @@ func p256Point(t *testing.T) *p256Elem {
 }
 
 func TestGroupsAreSafePrimes(t *testing.T) {
-	for name, g := range map[string]*Group{"default": DefaultGroup(), "test": TestGroup()} {
-		if !g.P.ProbablyPrime(32) {
-			t.Errorf("%s: p not prime", name)
-		}
-		if !g.Q.ProbablyPrime(32) {
-			t.Errorf("%s: q not prime", name)
-		}
-		// p = 2q + 1.
-		back := new(big.Int).Add(new(big.Int).Lsh(g.Q, 1), big.NewInt(1))
-		if back.Cmp(g.P) != 0 {
-			t.Errorf("%s: p != 2q+1", name)
-		}
+	g := DefaultGroup()
+	if !g.P.ProbablyPrime(32) {
+		t.Error("p not prime")
+	}
+	if !g.Q.ProbablyPrime(32) {
+		t.Error("q not prime")
+	}
+	// p = 2q + 1.
+	back := new(big.Int).Add(new(big.Int).Lsh(g.Q, 1), big.NewInt(1))
+	if back.Cmp(g.P) != 0 {
+		t.Error("p != 2q+1")
 	}
 }
 
@@ -124,28 +122,25 @@ func TestSuiteRegistry(t *testing.T) {
 			t.Errorf("SuiteByName(%q).Name() = %q", name, s.Name())
 		}
 	}
-	// Builds before x25519 advertised p256; this one cannot run it.
-	for _, name := range []string{"modp1024", "p256"} {
+	// Builds before x25519 advertised p256; this one cannot run it, nor
+	// any MODP width but 2048 bits.
+	for _, name := range []string{"modp768", "modp1024", "p256", ""} {
 		if _, err := SuiteByName(name); err == nil {
 			t.Errorf("unknown suite name %q should fail", name)
 		}
 	}
-	// The test group has a wire name but no registry entry: a daemon
-	// cannot be configured into a 768-bit group.
-	if got := TestSuite().Name(); got != SuiteNameModP768 {
-		t.Errorf("test suite name = %q", got)
-	}
-	if _, err := SuiteByName(SuiteNameModP768); err == nil {
-		t.Error("the test group must not be resolvable by name")
-	}
-	if got := ModPSuite(DefaultGroup()).Name(); got != SuiteNameModP2048 {
-		t.Errorf("default group suite name = %q", got)
+	if got := ModPSuite().Name(); got != SuiteNameModP2048 {
+		t.Errorf("MODP suite name = %q", got)
 	}
 	if got, want := X25519Suite().ElementSize(), 32; got != want {
 		t.Errorf("x25519 element size = %d, want %d", got, want)
 	}
-	if got, want := ModPSuite(DefaultGroup()).ElementSize(), 256; got != want {
+	if got, want := ModPSuite().ElementSize(), 256; got != want {
 		t.Errorf("modp2048 element size = %d, want %d", got, want)
+	}
+	// The MODP suite is built once: resolving it parses no modulus.
+	if n := testing.AllocsPerRun(100, func() { SuiteByName(SuiteNameModP2048) }); n != 0 {
+		t.Errorf("SuiteByName(%q): %v allocs, want 0", SuiteNameModP2048, n)
 	}
 }
 
@@ -175,7 +170,7 @@ func TestHashToGroupProperties(t *testing.T) {
 
 // The MODP hash must land in the prime-order QR subgroup specifically.
 func TestHashToGroupSubgroupMembership(t *testing.T) {
-	g := TestGroup()
+	g := DefaultGroup()
 	for _, item := range []string{"x", "y", "", "日本語"} {
 		h := g.HashToGroup(item)
 		if h.Sign() <= 0 || h.Cmp(g.P) >= 0 {
@@ -403,11 +398,7 @@ func TestIntersectEdgeCases(t *testing.T) {
 }
 
 func TestIntersectDifferentSuitesRejected(t *testing.T) {
-	a, _ := NewParty(ModPSuite(TestGroup()), rand.Reader)
-	b, _ := NewParty(ModPSuite(DefaultGroup()), rand.Reader)
-	if _, err := Intersect(a, b, []string{"x"}, []string{"x"}); err == nil {
-		t.Error("mismatched MODP groups should fail")
-	}
+	a, _ := NewParty(ModPSuite(), rand.Reader)
 	c, _ := NewParty(X25519Suite(), rand.Reader)
 	if _, err := Intersect(a, c, []string{"x"}, []string{"x"}); err == nil {
 		t.Error("MODP vs x25519 should fail")
@@ -447,13 +438,13 @@ func TestNewPartyValidation(t *testing.T) {
 	if _, err := NewParty(nil, rand.Reader); err == nil {
 		t.Error("nil suite should fail")
 	}
-	p, err := NewParty(ModPSuite(TestGroup()), nil)
+	p, err := NewParty(ModPSuite(), nil)
 	if err != nil || p == nil {
 		t.Fatalf("nil rng should fall back to crypto/rand: %v", err)
 	}
 	// MODP secret is in [1, q-1].
 	sec := (*big.Int)(p.secret.(*modpSecret))
-	if sec.Sign() <= 0 || sec.Cmp(TestGroup().Q) >= 0 {
+	if sec.Sign() <= 0 || sec.Cmp(DefaultGroup().Q) >= 0 {
 		t.Errorf("modp secret out of range")
 	}
 	ec, err := NewParty(X25519Suite(), nil)
@@ -554,10 +545,14 @@ func TestWireRejectsBadInput(t *testing.T) {
 		if back, err := UnmarshalElems(full, s); err != nil || len(back) != 2 {
 			t.Errorf("n=2 over 2 elements should parse: %v", err)
 		}
-		// Senders that never wrote a count are taken as they come.
+		// An envelope that declares no count is refused: nothing would
+		// show that it lost elements on the way.
 		delete(full.Attrs, "n")
-		if back, err := UnmarshalElems(full, s); err != nil || len(back) != 2 {
-			t.Errorf("envelope without n should parse: %v", err)
+		if _, err := UnmarshalElems(full, s); err == nil {
+			t.Error("envelope without n should fail")
+		}
+		if _, err := CheckedElems(full); err == nil {
+			t.Error("a relay must refuse an envelope without n too")
 		}
 	})
 	// An envelope from a build before x25519, in the p256 suite it
@@ -599,8 +594,8 @@ func TestWireRejectsBadInput(t *testing.T) {
 		}
 	})
 	// Out-of-range / non-member payloads per suite.
-	g := TestGroup()
-	ms := ModPSuite(g)
+	g := DefaultGroup()
+	ms := ModPSuite()
 	a, _ := NewParty(ms, rand.Reader)
 	node := MarshalElems(ms, a.BlindBatch([]string{"x"}))
 	enc := make([]byte, ms.ElementSize())
@@ -629,7 +624,7 @@ func TestWireRejectsBadInput(t *testing.T) {
 // What a relay checks without a group: the width of the suite the
 // envelope names, lowercase hex, the declared count. Not membership.
 func TestCheckedElems(t *testing.T) {
-	for _, s := range []Suite{X25519Suite(), ModPSuite(TestGroup()), ModPSuite(DefaultGroup())} {
+	for _, s := range testSuites() {
 		a, err := NewParty(s, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
@@ -654,38 +649,30 @@ func TestCheckedElems(t *testing.T) {
 			t.Errorf("%s: a suite the relay cannot size must be refused", s.Name())
 		}
 	}
-	// No suite attribute is a legacy MODP peer, held to the floor group.
-	legacy := MarshalElems(ModPSuite(DefaultGroup()), []Element{ModPSuite(DefaultGroup()).HashToGroup(nil, "x")})
-	delete(legacy.Attrs, "suite")
-	if _, err := CheckedElems(legacy); err != nil {
-		t.Errorf("legacy modp2048 envelope refused: %v", err)
-	}
-	short := MarshalElems(ModPSuite(TestGroup()), []Element{ModPSuite(TestGroup()).HashToGroup(nil, "x")})
-	delete(short.Attrs, "suite")
-	if _, err := CheckedElems(short); err == nil {
-		t.Error("unnamed envelope of another width accepted")
+	// An envelope naming no suite has no width to check: refused, even
+	// when its elements are modp2048's width.
+	unnamed := MarshalElems(ModPSuite(), []Element{ModPSuite().HashToGroup(nil, "x")})
+	delete(unnamed.Attrs, "suite")
+	if _, err := CheckedElems(unnamed); err == nil {
+		t.Error("modp2048 envelope naming no suite accepted")
 	}
 }
 
-// Envelopes from peers predating the suite attribute must still parse
-// against the MODP suite the receiver was configured with — and must
-// NOT parse as x25519.
+// An envelope that names no suite is refused by the decoder and by a
+// relay, in every suite: the peers that wrote such envelopes predate
+// negotiation. (One without n: TestWireRejectsBadInput.)
 func TestWireLegacyEnvelopeWithoutSuiteAttr(t *testing.T) {
-	ms := ModPSuite(TestGroup())
-	a, _ := NewParty(ms, rand.Reader)
-	node := MarshalElems(ms, a.BlindBatch([]string{"x", "y"}))
-	// Simulate a legacy sender: strip the suite attribute.
-	delete(node.Attrs, "suite")
-	if _, ok := node.Attr("suite"); ok {
-		t.Fatal("test setup: suite attr still present")
-	}
-	back, err := UnmarshalElems(node, ms)
-	if err != nil || len(back) != 2 {
-		t.Fatalf("legacy envelope should parse against MODP: %v", err)
-	}
-	if _, err := UnmarshalElems(node, X25519Suite()); err == nil {
-		t.Error("legacy MODP payload must not parse as x25519")
-	}
+	forEachSuite(t, func(t *testing.T, s Suite) {
+		a, _ := parties(t, s)
+		node := MarshalElems(s, a.BlindBatch([]string{"x", "y"}))
+		delete(node.Attrs, "suite")
+		if _, err := UnmarshalElems(node, s); err == nil {
+			t.Error("envelope without suite decoded")
+		}
+		if _, err := CheckedElems(node); err == nil {
+			t.Error("a relay passed an envelope without suite")
+		}
+	})
 }
 
 // Property: the protocol computes exactly the true intersection for random

@@ -9,15 +9,15 @@ import (
 
 // A Suite is a group with everything the commutative-encryption protocol
 // needs from it: a hash-to-group map, application of a party's fixed
-// secret (modular exponentiation in the MODP suites, the X25519 ladder in
+// secret (modular exponentiation in the MODP suite, the X25519 ladder in
 // the curve suite), and a fixed-width canonical encoding whose decoder
 // doubles as the membership validator at the trust boundary.
 //
-// Two families ship:
+// Two suites ship:
 //
-//   - modp*: the order-q subgroup of quadratic residues mod a safe prime
-//     (RFC 3526 group 14 in production). One group operation is a
-//     2048-bit modular exponentiation; one element is 256 bytes.
+//   - modp2048: the order-q subgroup of quadratic residues mod the
+//     RFC 3526 group 14 safe prime. One group operation is a 2048-bit
+//     modular exponentiation; one element is 256 bytes.
 //   - x25519: u-coordinates on Curve25519 (stdlib crypto/ecdh; clamped
 //     scalars clear the cofactor, DESIGN.md §14). One group operation is
 //     one Montgomery ladder; one element is 32 bytes. This is the fast
@@ -28,7 +28,7 @@ import (
 // meaningless across suites, which is why the wire envelope names its
 // suite and the mediator negotiates one per fleet (see internal/mediator).
 type Suite interface {
-	// Name is the suite's wire identifier ("modp2048", "x25519", ...).
+	// Name is the suite's wire identifier ("modp2048" or "x25519").
 	Name() string
 	// ElementSize is the exact width in bytes of a canonically encoded
 	// element. Every element of the suite encodes to this many bytes;
@@ -60,7 +60,7 @@ type Suite interface {
 }
 
 // Element is one group element. The concrete type is owned by the suite
-// that produced it (*ModPElem for the MODP suites, *X25519Elem for the
+// that produced it (*ModPElem for the MODP suite, *X25519Elem for the
 // curve suite); elements never cross suites.
 type Element interface{ psiElement() }
 
@@ -83,33 +83,24 @@ func NewScratch() *Scratch { return &Scratch{h: sha256.New()} }
 const (
 	// SuiteNameX25519 is the elliptic-curve suite, the fast default.
 	SuiteNameX25519 = "x25519"
-	// SuiteNameModP2048 is the production safe-prime suite and the
-	// fail-closed floor every deployment supports.
+	// SuiteNameModP2048 is the safe-prime suite and the fail-closed
+	// floor every deployment supports.
 	SuiteNameModP2048 = "modp2048"
-	// SuiteNameModP768 is the name TestSuite goes by on the wire. It is
-	// not in the SuiteByName registry: no flag or config field can ask
-	// for a 768-bit group, only code that hands one in (TestGroup).
-	SuiteNameModP768 = "modp768"
 )
 
 // DefaultSuiteName is the suite a fleet negotiates when every member
 // supports it.
 const DefaultSuiteName = SuiteNameX25519
 
-// SuiteByName resolves a wire name to one of the production suites.
-// Unknown names are an error, not a panic: names arrive from flags and
-// from peers.
+// SuiteByName resolves a wire name to one of the two suites, each built
+// once. Unknown names are an error, not a panic: names arrive from flags
+// and from peers.
 func SuiteByName(name string) (Suite, error) {
 	switch name {
 	case SuiteNameX25519:
 		return X25519Suite(), nil
 	case SuiteNameModP2048:
-		return ModPSuite(DefaultGroup()), nil
+		return modp2048, nil
 	}
 	return nil, fmt.Errorf("psi: unknown suite %q", name)
 }
-
-// TestSuite returns the fast MODP suite tests and demos use when they
-// specifically need the safe-prime code path (for the curve path they
-// can just use X25519Suite, which is fast everywhere).
-func TestSuite() Suite { return ModPSuite(TestGroup()) }

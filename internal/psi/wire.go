@@ -4,7 +4,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"privateiye/internal/xmltree"
 )
@@ -23,12 +22,11 @@ import (
 // characters, non-members), so an element has exactly one wire form and
 // transcript comparison is byte comparison.
 //
-// n is the count the sender wrote; an envelope carrying another number of
-// elements is refused, or a truncated column would under-count the overlap.
-//
-// The suite attribute names the group the elements live in. Envelopes
-// written before suites existed carry no attribute; decoders treat that
-// as the legacy MODP group they were configured with.
+// Every envelope describes itself, and one that does not is refused. n is
+// the count the sender wrote; an envelope carrying another number of
+// elements is refused, or a truncated column would under-count the
+// overlap. suite names the group the elements live in; a decoder holds
+// the envelope to it.
 
 // MarshalElems encodes blinded group elements of one suite: one slab, and
 // one hex string the element texts are slices of.
@@ -52,42 +50,40 @@ func MarshalElems(s Suite, elems []Element) *xmltree.Node {
 }
 
 // WireSuiteName reports the suite attribute of a psi-elems envelope, or
-// "" when absent (a legacy MODP peer).
+// "" when it names none.
 func WireSuiteName(n *xmltree.Node) string {
 	name, _ := n.Attr("suite")
 	return name
 }
 
-// elemNodes returns the <e> children of a psi-elems envelope, refusing a
-// declared count that is not the count that arrived.
+// elemNodes returns the <e> children of a psi-elems envelope, refusing one
+// that declares no count or a count that is not the count that arrived.
 func elemNodes(n *xmltree.Node) ([]*xmltree.Node, error) {
 	if n.Name != "psi-elems" {
 		return nil, fmt.Errorf("psi: expected <psi-elems>, got <%s>", n.Name)
 	}
 	kids := n.ChildrenNamed("e")
-	if v, ok := n.Attr("n"); ok {
-		if want, err := strconv.Atoi(v); err != nil || want != len(kids) {
-			return nil, fmt.Errorf("psi: envelope declares n=%q but carries %d elements", v, len(kids))
-		}
+	v, ok := n.Attr("n")
+	if want, err := strconv.Atoi(v); !ok || err != nil || want != len(kids) {
+		return nil, fmt.Errorf("psi: envelope declares n=%q but carries %d elements", v, len(kids))
 	}
 	return kids, nil
 }
 
 // UnmarshalElems decodes MarshalElems output against the expected suite,
-// enforcing canonical form: the envelope's suite attribute (when
-// present) must match, its declared count (when present) must be the
-// number of elements it carries, and every element must be exactly the
-// suite's fixed width in lowercase hex and decode to a valid group
-// member. Non-canonical encodings — overlong, leading-zero-padded beyond
-// the fixed width, uppercase hex — are rejected, so one element has one
-// wire form. Elements decode in parallel (a membership check each);
+// enforcing canonical form: the envelope's suite attribute must name s,
+// its declared count must be the number of elements it carries, and
+// every element must be exactly the suite's fixed width in lowercase hex
+// and decode to a valid group member. Non-canonical encodings — overlong,
+// leading-zero-padded beyond the fixed width, uppercase hex — are
+// rejected, so one element has one wire form. Elements decode in parallel (a membership check each);
 // the error reported is the one at the lowest index.
 func UnmarshalElems(n *xmltree.Node, s Suite) ([]Element, error) {
 	kids, err := elemNodes(n)
 	if err != nil {
 		return nil, err
 	}
-	if ws, ok := n.Attr("suite"); ok && ws != s.Name() {
+	if ws := WireSuiteName(n); ws != s.Name() {
 		return nil, fmt.Errorf("psi: envelope suite %q does not match expected %q", ws, s.Name())
 	}
 	size := s.ElementSize()
@@ -130,20 +126,14 @@ func CheckedElems(n *xmltree.Node) ([]*xmltree.Node, error) {
 	return kids, nil
 }
 
-// wireElementSize is ElementSize by wire name alone: a MODP name carries
-// its modulus width (ModPSuite), and no name is a legacy MODP peer, held
-// to the floor group.
+// wireElementSize is ElementSize by wire name alone; an envelope naming
+// no suite, or one this build does not run, has no width.
 func wireElementSize(name string) (int, error) {
 	switch name {
 	case SuiteNameX25519:
 		return x25519ElemSize, nil
-	case "":
-		name = SuiteNameModP2048
-	}
-	if digits, ok := strings.CutPrefix(name, "modp"); ok {
-		if bits, err := strconv.Atoi(digits); err == nil && bits > 0 {
-			return (bits + 7) / 8, nil
-		}
+	case SuiteNameModP2048:
+		return modp2048.size, nil
 	}
 	return 0, fmt.Errorf("psi: unknown suite %q", name)
 }

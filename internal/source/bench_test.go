@@ -16,7 +16,6 @@ import (
 	"privateiye/internal/clinical"
 	"privateiye/internal/obs"
 	"privateiye/internal/policy"
-	"privateiye/internal/psi"
 	"privateiye/internal/relational"
 )
 
@@ -76,7 +75,7 @@ func benchExecute(b *testing.B, planCache int) {
 		{"selection", benchSelection},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			local, err := NewLocal(benchSource(b, planCache), []byte("salt"), psi.TestGroup())
+			local, err := NewLocal(benchSource(b, planCache), []byte("salt"), nil)
 			if err != nil {
 				b.Fatal(err)
 			}

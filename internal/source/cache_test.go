@@ -14,7 +14,6 @@ import (
 	"privateiye/internal/piql"
 	"privateiye/internal/policy"
 	"privateiye/internal/preserve"
-	"privateiye/internal/psi"
 	"privateiye/internal/relational"
 )
 
@@ -467,7 +466,7 @@ func TestNoGrantAfterAddPreferenceReturnsUnderConcurrentPlanners(t *testing.T) {
 // relational compilation or a query rendering creep back onto the hit
 // path, for a requester never seen before as much as for a repeat.
 func TestWarmExecuteAllocationBound(t *testing.T) {
-	local, err := NewLocal(benchSource(t, 64), []byte("salt"), psi.TestGroup())
+	local, err := NewLocal(benchSource(t, 64), []byte("salt"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,8 @@ type Endpoint interface {
 	Query(ctx context.Context, piqlText, requester string) (*xmltree.Node, error)
 	// PSISuites lists the PSI group suites this source supports, in
 	// preference order. The mediator intersects these across the fleet
-	// during schema refresh and fails closed to MODP when a peer
-	// predates suite negotiation.
+	// during schema refresh and fails closed to modp2048 when a source
+	// does not answer.
 	PSISuites(ctx context.Context) ([]string, error)
 	// PSIBlinded returns the source's blinded linkage items for a
 	// field, in the named suite ("" = the source's preferred suite).
@@ -50,16 +50,14 @@ type Endpoint interface {
 	PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error)
 }
 
-// Local wraps a Source as an in-process Endpoint. The PSI group must be
-// shared by every source participating in integration.
+// Local wraps a Source as an in-process Endpoint.
 type Local struct {
-	Src   *Source
-	Group *psi.Group
+	Src *Source
 
 	// AdvertisedSuites lists the PSI suites this source offers, in
 	// preference order; nil means the default advertisement — the fast
-	// EC suite first, then the Group's MODP suite as the interop floor.
-	// A legacy MODP-only deployment pins this to just its MODP name.
+	// EC suite first, then modp2048 as the interop floor. A MODP-only
+	// deployment pins this to just modp2048.
 	AdvertisedSuites []string
 
 	// Coalesce merges concurrent identical whole-column calls —
@@ -73,10 +71,6 @@ type Local struct {
 	mu      sync.Mutex
 	parties map[string]*psi.Party // one per suite, lazily keyed by suite name
 	mBatch  *obs.Histogram        // items per whole-column PSI call; nil-safe
-
-	// Built once by NewLocal: every PSI call reads the MODP suite's name.
-	modp     psi.Suite // the Group's safe-prime suite
-	defaults []string  // the default advertisement
 
 	cols qcache.Flight[any] // whole-column computations in progress
 }
@@ -105,20 +99,19 @@ func (l *Local) colObs(leader bool) {
 	reg.Counter("piye_source_coalesce_total", "source", l.Src.Name(), "role", role).Inc()
 }
 
-// NewLocal builds a local endpoint. The salt is ignored: a source ships
-// no linkage encodings (the mediator encodes answers itself for fuzzy
-// dedupe), and the parameter stays only for existing callers.
-func NewLocal(src *Source, _ []byte, group *psi.Group) (*Local, error) {
+// NewLocal builds a local endpoint. Both trailing parameters are
+// ignored and stay only for existing callers: a source ships no linkage
+// encodings (the mediator encodes answers itself for fuzzy dedupe), and
+// its MODP suite is always modp2048.
+func NewLocal(src *Source, _ []byte, _ *psi.Group) (*Local, error) {
 	if src == nil {
 		return nil, fmt.Errorf("source: nil source")
 	}
-	if group == nil {
-		group = psi.DefaultGroup()
-	}
-	modp := psi.ModPSuite(group)
-	return &Local{Src: src, Group: group,
-		modp: modp, defaults: []string{psi.DefaultSuiteName, modp.Name()}}, nil
+	return &Local{Src: src}, nil
 }
+
+// defaultSuites is the advertisement of a source that pins none.
+var defaultSuites = []string{psi.SuiteNameX25519, psi.SuiteNameModP2048}
 
 // Name implements Endpoint.
 func (l *Local) Name() string { return l.Src.Name() }
@@ -172,13 +165,12 @@ func (answerError) Retryable() bool { return false }
 // advertised returns the suites this source offers, in preference
 // order; callers must not modify it. Every resolvable name in
 // AdvertisedSuites is honoured; by default the source leads with the EC
-// suite and keeps its MODP group as the floor every peer can fall back
-// to.
+// suite and keeps modp2048 as the floor every peer can fall back to.
 func (l *Local) advertised() []string {
 	if len(l.AdvertisedSuites) > 0 {
 		return l.AdvertisedSuites
 	}
-	return l.defaults
+	return defaultSuites
 }
 
 // PSISuites implements Endpoint.
@@ -207,9 +199,6 @@ func (l *Local) suiteFor(name string) (psi.Suite, error) {
 	}
 	if !ok {
 		return nil, fmt.Errorf("source %s: psi suite %q not advertised (have %v)", l.Src.Name(), name, adv)
-	}
-	if name == l.modp.Name() {
-		return l.modp, nil
 	}
 	return psi.SuiteByName(name)
 }
@@ -282,15 +271,14 @@ func (l *Local) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.N
 }
 
 // PSIExponentiate implements Endpoint. The suite is read off the
-// envelope; envelopes from peers predating negotiation carry no suite
-// attribute and are decoded against this source's MODP group.
+// envelope, and an envelope that names none is refused.
 func (l *Local) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	name := psi.WireSuiteName(elems)
 	if name == "" {
-		name = l.modp.Name() // legacy peer: fail closed to MODP
+		return nil, fmt.Errorf("source %s: psi envelope names no suite", l.Src.Name())
 	}
 	s, err := l.suiteFor(name)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 
 	"privateiye/internal/obs"
 	"privateiye/internal/policy"
-	"privateiye/internal/psi"
 	"privateiye/internal/schemamatch"
 	"privateiye/internal/xmltree"
 )
@@ -376,20 +375,12 @@ func suitesFromNode(n *xmltree.Node) ([]string, error) {
 	return out, nil
 }
 
-// PSISuites implements Endpoint. Nodes predating suite negotiation have
-// no /psi/suites route; their 404/405/501 answers mean "MODP-2048
-// only", the suite every deployment supported before negotiation
-// existed — the fail-closed floor, not an error.
+// PSISuites implements Endpoint. Any error, a node without the route
+// included, is the caller's to handle: schema refresh holds a source
+// that does not answer to modp2048.
 func (c *Client) PSISuites(ctx context.Context) ([]string, error) {
 	n, err := c.getNode(ctx, "/psi/suites")
 	if err != nil {
-		var he *HTTPError
-		if errors.As(err, &he) {
-			switch he.Status {
-			case http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusNotImplemented:
-				return []string{psi.SuiteNameModP2048}, nil
-			}
-		}
 		return nil, err
 	}
 	return suitesFromNode(n)

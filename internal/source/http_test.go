@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"privateiye/internal/psi"
 	"privateiye/internal/refusal"
 	"privateiye/internal/xmltree"
 )
@@ -99,7 +98,7 @@ func TestClientSurfacesRetryAfterAndShed(t *testing.T) {
 // be cut at the limit and its prefix parsed, so a valid query padded past
 // the limit was answered.
 func TestQueryBodyLimit(t *testing.T) {
-	local, err := NewLocal(hospitalSource(t), []byte("salt"), psi.TestGroup())
+	local, err := NewLocal(hospitalSource(t), []byte("salt"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -309,7 +310,7 @@ func TestTransformedSQLAgreesWithXMLFallback(t *testing.T) {
 
 func TestHTTPEndpointParity(t *testing.T) {
 	src := hospitalSource(t)
-	local, err := NewLocal(src, []byte("salt"), psi.TestGroup())
+	local, err := NewLocal(src, []byte("salt"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +380,11 @@ func TestNewLocalValidation(t *testing.T) {
 		t.Error("nil source should fail")
 	}
 	l, err := NewLocal(src, []byte("s"), nil)
-	if err != nil || l.Group == nil {
-		t.Errorf("default group expected: %v", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := l.PSISuites(bg); !slices.Equal(got, []string{psi.SuiteNameX25519, psi.SuiteNameModP2048}) {
+		t.Errorf("default advertisement = %v, want [x25519 modp2048]", got)
 	}
 }
 
@@ -421,7 +425,7 @@ func TestAddPreferenceTightensDisclosure(t *testing.T) {
 
 func TestPreferencesOverHTTP(t *testing.T) {
 	src := hospitalSource(t)
-	local, err := NewLocal(src, []byte("salt"), psi.TestGroup())
+	local, err := NewLocal(src, []byte("salt"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +611,7 @@ func TestClientErrorPaths(t *testing.T) {
 
 func TestHandlerBadRequests(t *testing.T) {
 	src := hospitalSource(t)
-	local, err := NewLocal(src, []byte("salt"), psi.TestGroup())
+	local, err := NewLocal(src, []byte("salt"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,21 +650,21 @@ func TestHandlerBadRequests(t *testing.T) {
 
 func TestLocalEndpointName(t *testing.T) {
 	src := hospitalSource(t)
-	local, _ := NewLocal(src, []byte("s"), psi.TestGroup())
+	local, _ := NewLocal(src, []byte("s"), nil)
 	if local.Name() != "hospitalA" {
 		t.Errorf("name = %q", local.Name())
 	}
 }
 
-// Resolving a suite reads the MODP suite's name on every PSI call, so
-// the suite is built once, not per call: resolving allocates nothing,
-// and listing the suites allocates only the caller's copy.
+// A suite is resolved on every PSI call, so each suite is built once,
+// not per call: resolving allocates nothing, and listing the suites
+// allocates only the caller's copy.
 func TestSuiteResolutionAllocations(t *testing.T) {
-	local, err := NewLocal(hospitalSource(t), []byte("s"), psi.TestGroup())
+	local, err := NewLocal(hospitalSource(t), []byte("s"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"", psi.SuiteNameX25519, psi.SuiteNameModP768} {
+	for _, name := range []string{"", psi.SuiteNameX25519, psi.SuiteNameModP2048} {
 		if _, err := local.suiteFor(name); err != nil {
 			t.Fatal(err)
 		}
@@ -673,26 +677,51 @@ func TestSuiteResolutionAllocations(t *testing.T) {
 	}
 }
 
+// A source exponentiates only an envelope that names its suite and
+// declares its count; without either it refuses, in every suite it runs.
+func TestPSIExponentiateRefusesUndescribedEnvelope(t *testing.T) {
+	local, err := NewLocal(hospitalSource(t), []byte("s"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, suite := range []string{psi.SuiteNameX25519, psi.SuiteNameModP2048} {
+		s, err := psi.SuiteByName(suite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer, err := psi.NewParty(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, attr := range []string{"suite", "n"} {
+			env := psi.MarshalElems(s, peer.BlindBatch([]string{"F", "M"}))
+			if _, err := local.PSIExponentiate(bg, env); err != nil {
+				t.Fatalf("%s: a complete envelope is refused: %v", suite, err)
+			}
+			delete(env.Attrs, attr)
+			if out, err := local.PSIExponentiate(bg, env); err == nil {
+				t.Errorf("%s: envelope without %s exponentiated (%d elements)", suite, attr, len(out.Children))
+			}
+		}
+	}
+}
+
 func TestClientPSISuitesLegacyServer(t *testing.T) {
-	// A pre-curve server has no /psi/suites route; the client must
-	// report the MODP floor, not an error, so negotiation fails closed
-	// instead of failing the refresh.
+	// A server with no /psi/suites route gets no answer made up for it:
+	// the client reports the error, and schema refresh holds the node to
+	// modp2048 (the mediator's and e2e's negotiation tests).
 	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 	}))
 	defer legacy.Close()
 	c := NewClient(legacy.URL, "legacy")
-	suites, err := c.PSISuites(bg)
-	if err != nil {
-		t.Fatalf("legacy 404 should downgrade, not error: %v", err)
-	}
-	if len(suites) != 1 || suites[0] != psi.SuiteNameModP2048 {
-		t.Fatalf("suites = %v, want [%s]", suites, psi.SuiteNameModP2048)
+	if suites, err := c.PSISuites(bg); err == nil {
+		t.Fatalf("a 404 must reach the caller as an error, got suites %v", suites)
 	}
 
 	// A current server advertises the curve first.
 	src := hospitalSource(t)
-	local, err := NewLocal(src, []byte("salt"), psi.TestGroup())
+	local, err := NewLocal(src, []byte("salt"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -702,8 +731,8 @@ func TestClientPSISuitesLegacyServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != psi.SuiteNameX25519 || got[1] != psi.SuiteNameModP768 {
-		t.Fatalf("advertised = %v, want [x25519 modp768]", got)
+	if len(got) != 2 || got[0] != psi.SuiteNameX25519 || got[1] != psi.SuiteNameModP2048 {
+		t.Fatalf("advertised = %v, want [x25519 modp2048]", got)
 	}
 }
 
