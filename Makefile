@@ -202,7 +202,11 @@ loc:
 # Local.Group and ModPSuite's group argument are gone; modp2048 is built
 # once), and a PSI envelope without its suite or count is refused (the
 # pre-negotiation shims are gone; DESIGN.md §14).
-LOC_CEILING = 25216
+# 25,216 -> 25,124: the outcome rule has three outcomes (the shed class,
+# refusal.IsShed, Retry-After pacing and HTTPError's 429/501 clauses are
+# gone at both hops); the router refuses an answer over its cap with a
+# 502 instead of forwarding a prefix (DESIGN.md §6, §13).
+LOC_CEILING = 25124
 # The ceiling on the second: flags per daemon, as `make loc` counts them.
 # A flag is kept only as a deployment setting or as a value some caller
 # needs other than its default; a PR that adds one raises its ceiling here

@@ -1,11 +1,11 @@
 // Command piye-router fronts a sharded mediator tier: it terminates
 // /query, hashes the requester onto a seeded rendezvous ring, and
 // proxies to the owning shard with per-shard circuit breakers, retries
-// that honor Retry-After, and health-gated membership via each shard's
-// /readyz. Refusal semantics survive the hop: a 403 privacy refusal
-// stays 403 verbatim, and capacity sheds keep their 429/503 +
-// Retry-After. Membership is static: the -shard list is the ring, and a
-// query only ever goes to its requester's owner.
+// with backoff, and health-gated membership via each shard's /readyz.
+// A shard's answer survives the hop: a 403 privacy refusal stays 403
+// verbatim, a not-owner 503 passes back once, and an answer too large to
+// forward is a 502. Membership is static: the -shard list is the ring,
+// and a query only ever goes to its requester's owner.
 //
 // Usage:
 //
@@ -36,7 +36,7 @@ import (
 
 // Operational values no deployment needs to change.
 const (
-	retries      = 3                // attempts per proxied query; retries honor the shard's Retry-After
+	retries      = 3                // attempts per proxied query; only failures (a dead shard, a 5xx) are retried
 	proxyTimeout = 30 * time.Second // overall deadline per proxied query across retries
 	healthEvery  = time.Second      // per-shard /readyz polling period
 )

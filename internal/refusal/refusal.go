@@ -93,17 +93,6 @@ type Reasoner interface {
 	RefusalReason() Reason
 }
 
-// IsShed reports whether any error in the chain is load shedding (it
-// implements Shed() bool, returning true): a 429/503 that crossed the
-// wire from a node that is alive and answering — a shard that does not
-// own the requester, a node not yet ready — not a privacy refusal and
-// not a failure. The breaker
-// recognizes sheds through it, without importing a concrete error type.
-func IsShed(err error) bool {
-	var sh interface{ Shed() bool }
-	return errors.As(err, &sh) && sh.Shed()
-}
-
 // Classify maps an error to its Reason: typed errors first (Reasoner
 // anywhere in the chain, then the context sentinels), the stable string
 // vocabulary as a fallback for errors that crossed a process boundary.

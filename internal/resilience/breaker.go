@@ -122,21 +122,20 @@ func (b *Breaker) notify(from, to breakerState) {
 
 // Report records the final outcome of an allowed call by the one
 // outcome rule (classify). A canceled call says nothing about the
-// callee's health and is ignored, and so is a shed (a 429/503 such as a
-// shard's not-owner refusal): the callee is alive and answering fast, and opening its
-// circuit would cut it off for longer than it asked. Either one hands a half-open
-// probe's slot back, so the next call probes instead of the circuit
-// staying half-open for good. Success and the callee's own answer (an
-// error that says Retryable() false, such as a privacy refusal) are
-// proof of health: were refusals counted, one requester probing their
-// limit could open the circuit for every requester. Anything else is a
-// failure (deadline overruns included — a hanging callee is failing).
+// callee's health and is ignored; it hands a half-open probe's slot
+// back, so the next call probes instead of the circuit staying
+// half-open for good. Success and the callee's own answer (an error
+// that says Retryable() false, such as a privacy refusal or a shard's
+// not-owner refusal) are proof of health: were refusals counted, one
+// requester probing their limit could open the circuit for every
+// requester. Anything else is a failure (deadline overruns included — a
+// hanging callee is failing).
 func (b *Breaker) Report(err error) {
 	o := classify(err)
 	b.mu.Lock()
 	prev := b.state
 	switch {
-	case o == canceled || o == shed:
+	case o == canceled:
 		b.probing = false
 	case o == answered:
 		b.state = stateClosed

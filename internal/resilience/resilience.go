@@ -16,8 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"privateiye/internal/refusal"
 )
 
 // Policy configures retries and the deadline of one guarded call. The
@@ -55,55 +53,34 @@ type outcome int
 
 const (
 	// answered: no error, or the callee's own answer — an error that says
-	// Retryable() false (a privacy refusal, a bad request). Asking again
-	// gets the same answer, and the callee is alive enough to give it.
+	// Retryable() false (a privacy refusal, a bad request, a shard's
+	// not-owner refusal). Asking again gets the same answer, and the
+	// callee is alive enough to give it.
 	answered outcome = iota
 	// canceled: the caller gave up; nothing is known about the callee.
 	canceled
-	// shed: the callee is alive but declines this call for now: a 429 or
-	// 503 such as a shard's not-owner refusal (refusal.IsShed).
-	shed
 	// failed: anything else, deadline overruns included — a hanging
 	// callee is a failing one.
 	failed
 )
 
 // classify is the one outcome rule, applied in this order: a canceled
-// call is ignored, a shed is neutral, a non-retryable error is the
-// callee's answer, and anything else is a failure. The breaker counts
-// answers as health and failures against the circuit; the retry loop
-// retries failures and the sheds that ask for it.
+// call is ignored, an error that says Retryable() false is the callee's
+// answer, and anything else is a failure. The breaker counts answers as
+// health and failures against the circuit; the retry loop retries
+// failures and nothing else.
 func classify(err error) outcome {
 	switch {
 	case err == nil:
 		return answered
 	case errors.Is(err, context.Canceled):
 		return canceled
-	case refusal.IsShed(err):
-		return shed
-	case isAnswer(err):
+	}
+	var r interface{ Retryable() bool }
+	if errors.As(err, &r) && !r.Retryable() {
 		return answered
 	}
 	return failed
-}
-
-// retryable reports whether the retry loop tries again after err:
-// failures yes, and sheds unless they say Retryable() false (a
-// requester's own throttle, which the router passes back to the client).
-func retryable(err error) bool {
-	switch classify(err) {
-	case failed:
-		return true
-	case shed:
-		return !isAnswer(err)
-	}
-	return false
-}
-
-// isAnswer reports an error that says Retryable() false.
-func isAnswer(err error) bool {
-	var r interface{ Retryable() bool }
-	return errors.As(err, &r) && !r.Retryable()
 }
 
 // splitmix64 is the standard 64-bit finalizer; it turns (seed, n) into
@@ -172,20 +149,10 @@ func retry[T any](ctx context.Context, p Policy, op func(context.Context) (T, er
 		if err == nil {
 			return v, nil
 		}
-		if ctx.Err() != nil || attempt >= p.MaxAttempts || !retryable(err) {
+		if ctx.Err() != nil || attempt >= p.MaxAttempts || classify(err) != failed {
 			return zero, err
 		}
-		delay := p.Backoff(attempt)
-		// A server that said Retry-After knows its own backlog better
-		// than our exponential schedule does; never retry sooner than it
-		// asked.
-		var ra interface{ RetryAfterHint() (time.Duration, bool) }
-		if errors.As(err, &ra) {
-			if hint, ok := ra.RetryAfterHint(); ok && hint > delay {
-				delay = hint
-			}
-		}
-		if serr := sleep(ctx, delay); serr != nil {
+		if serr := sleep(ctx, p.Backoff(attempt)); serr != nil {
 			return zero, fmt.Errorf("%w (while backing off from: %v)", serr, err)
 		}
 	}

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"privateiye/internal/source"
 )
 
 var bg = context.Background()
@@ -73,9 +75,8 @@ func TestDoHonorsRetryableInterface(t *testing.T) {
 		state    string // after the call and one more failure
 	}{
 		{"canceled is ignored", fmt.Errorf("call: %w", context.Canceled), 1, "open"},
-		{"shed is neutral and retried", fmt.Errorf("source lab: %w", shedErr{}), 3, "open"},
-		{"shed that is not retryable", shedErr{final: true}, 1, "open"},
 		{"non-retryable is the callee's answer", fmt.Errorf("wrapped: %w", permErr{}), 1, "closed"},
+		{"a retryable 5xx is a failure", fmt.Errorf("wrapped: %w", &source.HTTPError{Source: "lab", Status: 503}), 3, "open"},
 		{"anything else is a failure", errors.New("down"), 3, "open"},
 	} {
 		b := NewBreaker(BreakerConfig{FailureThreshold: 2, OpenFor: time.Hour})
@@ -229,83 +230,5 @@ func TestBreakerIgnoresCancellation(t *testing.T) {
 	b.Report(context.Canceled)
 	if err := b.Allow(); err != nil {
 		t.Fatalf("a canceled probe still holds the half-open slot: %v", err)
-	}
-}
-
-// shedErr is a shed; final marks one that says it is not worth retrying
-// (the router's 429, a requester's own throttle).
-type shedErr struct {
-	hint  time.Duration
-	final bool
-}
-
-func (shedErr) Error() string     { return "503: shard shard-b is not the owner of requester bob" }
-func (shedErr) Shed() bool        { return true }
-func (e shedErr) Retryable() bool { return !e.final }
-func (e shedErr) RetryAfterHint() (time.Duration, bool) {
-	return e.hint, e.hint > 0
-}
-
-func TestBreakerIgnoresSheds(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 1})
-	b.Report(fmt.Errorf("source lab: %w", shedErr{}))
-	if b.State() != "closed" {
-		t.Errorf("a shed is not a failure: state = %s", b.State())
-	}
-	// A shed must not reset the failure streak either: it carries no
-	// evidence of health, only of saturation.
-	b2 := NewBreaker(BreakerConfig{FailureThreshold: 2})
-	b2.Report(errors.New("boom"))
-	b2.Report(shedErr{})
-	b2.Report(errors.New("boom"))
-	if b2.State() != "open" {
-		t.Errorf("failure streak interrupted by a shed: state = %s", b2.State())
-	}
-}
-
-func TestDoHonorsRetryAfterHint(t *testing.T) {
-	// Backoff would be ~1ms; the server's hint is 80ms. The second
-	// attempt must not start before the hint elapses.
-	var first time.Time
-	var gap time.Duration
-	calls := 0
-	err := do(bg, fastPolicy(2), func(context.Context) error {
-		calls++
-		if calls == 1 {
-			first = time.Now()
-			return shedErr{hint: 80 * time.Millisecond}
-		}
-		gap = time.Since(first)
-		return nil
-	})
-	if err != nil || calls != 2 {
-		t.Fatalf("err=%v calls=%d", err, calls)
-	}
-	if gap < 80*time.Millisecond {
-		t.Errorf("retried after %v, server asked for 80ms", gap)
-	}
-}
-
-func TestDoIgnoresShorterRetryAfterHint(t *testing.T) {
-	// A hint below the computed backoff must not shorten the sleep:
-	// the schedule is the floor, the hint only raises it.
-	p := Policy{MaxAttempts: 2, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
-	var first time.Time
-	var gap time.Duration
-	calls := 0
-	err := do(bg, p, func(context.Context) error {
-		calls++
-		if calls == 1 {
-			first = time.Now()
-			return shedErr{hint: time.Millisecond}
-		}
-		gap = time.Since(first)
-		return nil
-	})
-	if err != nil || calls != 2 {
-		t.Fatalf("err=%v calls=%d", err, calls)
-	}
-	if gap < 25*time.Millisecond { // jittered backoff floor is d/2
-		t.Errorf("retried after %v, backoff floor is 25ms", gap)
 	}
 }

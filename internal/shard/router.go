@@ -3,12 +3,13 @@ package shard
 // The router is the tier's front door: it terminates /query, hashes the
 // requester onto the ring, and proxies to the owning shard through the
 // same guarded call (resilience.Call) the mediator uses against its
-// sources — a per-shard circuit breaker around retry with backoff
-// honoring Retry-After — plus health-gated membership via each shard's
-// /readyz. Refusal semantics survive the hop untouched: a 403 privacy
-// refusal stays 403 with its body verbatim (the Figure 1 refusal
-// message is part of the system's interface), and capacity sheds keep
-// their 429/503 + Retry-After. The router never sends a query anywhere
+// sources — a per-shard circuit breaker around retry with backoff —
+// plus health-gated membership via each shard's /readyz. A shard's
+// answer survives the hop untouched: a 403 privacy refusal stays 403
+// with its body verbatim (the Figure 1 refusal message is part of the
+// system's interface), and any other status and body pass back as the
+// shard sent them. An answer over maxAnswerBytes is refused with 502,
+// never forwarded as its prefix. The router never sends a query anywhere
 // but the requester's ring owner: a shard that refuses it as not-owner
 // has its refusal passed back, not routed around (DESIGN.md §13).
 
@@ -42,7 +43,7 @@ type RouterConfig struct {
 	// placement disagrees with the shards' ownership gates.
 	Seed uint64
 	// Retry is the per-proxy retry policy (zero value: 3 attempts,
-	// 50ms base backoff). Retries honor a shard's Retry-After.
+	// 50ms base backoff).
 	Retry resilience.Policy
 	// Breaker configures the per-shard circuit breaker.
 	Breaker resilience.BreakerConfig
@@ -221,24 +222,24 @@ func (rt *Router) Ready() error {
 	return fmt.Errorf("router: no healthy shard")
 }
 
+// maxAnswerBytes caps a shard answer the router buffers and forwards.
+const maxAnswerBytes = 16 << 20
+
 // proxyResult is one forwarded response, passed through verbatim.
 type proxyResult struct {
 	status      int
 	body        []byte
 	contentType string
-	retryAfter  string
 }
 
 // proxyError classifies a forwarding failure for the resilience layer's
-// outcome rule: sheds (429/503) are neutral to the breaker (a shard
-// answering promptly is alive), a 4xx is the shard's own answer (never
-// retried, proof of health), other 5xx are retried failures, and a
-// not-owner refusal is terminal — retrying the same door cannot help.
+// outcome rule: a 4xx and a not-owner 503 are the shard's own answer
+// (never retried, proof of health) — retrying the same door cannot help
+// — and any other 5xx is a retried failure.
 type proxyError struct {
-	shard      string
-	status     int
-	result     proxyResult
-	retryAfter time.Duration
+	shard  string
+	status int
+	result proxyResult
 }
 
 func (e *proxyError) Error() string {
@@ -251,29 +252,23 @@ func (e *proxyError) notOwner() bool {
 	return e.status == http.StatusServiceUnavailable && bytes.Contains(e.result.body, []byte("is not the owner of requester"))
 }
 
-// Retryable implements the resilience layer's classification. A 4xx —
-// a privacy refusal, or a 429 that is the requester's own rate limit —
-// is the shard's answer: the router retrying on the requester's behalf
-// would defeat the throttle, so it passes straight back for the CLIENT
-// to back off. Were refusals counted against the breaker, a requester
-// probing their ledger limit could open the circuit and deny the whole
-// shard.
+// Retryable implements the resilience layer's classification. A 4xx
+// such as a privacy refusal is the shard's answer and passes straight
+// back. Were refusals counted against the breaker, a requester probing
+// their ledger limit could open the circuit and deny the whole shard.
 func (e *proxyError) Retryable() bool {
 	return e.status >= 500 && !e.notOwner()
 }
 
-// Shed keeps throttling out of the breaker's failure count.
-func (e *proxyError) Shed() bool {
-	return e.status == http.StatusTooManyRequests || e.status == http.StatusServiceUnavailable
+// answerTooLarge is a shard answer over maxAnswerBytes. Asking again
+// gets the same answer, so it is not retried; the client gets a 502.
+type answerTooLarge struct{ shard string }
+
+func (e answerTooLarge) Error() string {
+	return fmt.Sprintf("shard %s: answer over %d bytes", e.shard, maxAnswerBytes)
 }
 
-// RetryAfterHint paces retries to the shard's own ask.
-func (e *proxyError) RetryAfterHint() (time.Duration, bool) {
-	if e.retryAfter > 0 {
-		return e.retryAfter, true
-	}
-	return 0, false
-}
+func (answerTooLarge) Retryable() bool { return false }
 
 // forward proxies one query to one shard as one guarded call (breaker
 // admission once, the retry policy, one outcome report). A non-2xx answer
@@ -302,21 +297,20 @@ func (rt *Router) attempt(ctx context.Context, bs *backendState, body []byte, re
 		return proxyResult{}, fmt.Errorf("shard %s: %w", bs.Name, err)
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxAnswerBytes+1))
 	if err != nil {
 		return proxyResult{}, fmt.Errorf("shard %s: reading response: %w", bs.Name, err)
+	}
+	if len(b) > maxAnswerBytes {
+		return proxyResult{}, answerTooLarge{bs.Name}
 	}
 	out := proxyResult{
 		status:      resp.StatusCode,
 		body:        b,
 		contentType: resp.Header.Get("Content-Type"),
-		retryAfter:  resp.Header.Get("Retry-After"),
 	}
 	if resp.StatusCode >= 400 {
-		return out, &proxyError{
-			shard: bs.Name, status: resp.StatusCode, result: out,
-			retryAfter: source.ParseRetryAfter(out.retryAfter),
-		}
+		return out, &proxyError{shard: bs.Name, status: resp.StatusCode, result: out}
 	}
 	return out, nil
 }
@@ -363,23 +357,21 @@ func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		pe, ok := err.(*proxyError)
 		if !ok {
-			// Transport-level failure (or open breaker): nothing to pass
-			// through. 502 keeps it distinct from the shards' own 503s.
+			// Transport-level failure, open breaker or oversized answer:
+			// nothing to pass through. 502 keeps it distinct from the
+			// shards' own 503s.
 			rt.finish(trace, rt.refused, obs.OutcomeError)
 			http.Error(w, "router: "+err.Error(), http.StatusBadGateway)
 			return
 		}
-		// A shard's refusal (including 403 privacy refusals and 429/503
-		// sheds) passes through verbatim: the retry loop discards the
-		// value on error, so recover it from the error itself.
+		// A shard's refusal (a 403 privacy refusal, a not-owner 503)
+		// passes through verbatim: the retry loop discards the value on
+		// error, so recover it from the error itself.
 		res = pe.result
 	}
 	rt.finish(trace, rt.proxied, statusOutcome(res.status))
 	if res.contentType != "" {
 		w.Header().Set("Content-Type", res.contentType)
-	}
-	if res.retryAfter != "" {
-		w.Header().Set("Retry-After", res.retryAfter)
 	}
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)

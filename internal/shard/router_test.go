@@ -153,10 +153,9 @@ func TestRouterStickiness(t *testing.T) {
 }
 
 // TestRouterPassthrough: refusal semantics survive the hop — a 403
-// privacy refusal keeps its status and body, a not-owner 503 comes back
-// once and is not routed elsewhere, a shed keeps its 429 and
-// Retry-After. The router must never rewrite a refusal into a success
-// or a 403 into a retryable 503.
+// privacy refusal keeps its status and body, and a not-owner 503 comes
+// back once and is not routed elsewhere. The router must never rewrite
+// a refusal into a success or a 403 into a retryable 503.
 func TestRouterPassthrough(t *testing.T) {
 	f := newFakeShard(t, "only")
 	_, srv := newTestRouter(t, []*fakeShard{f}, nil)
@@ -185,24 +184,25 @@ func TestRouterPassthrough(t *testing.T) {
 	if got := f.count(); got != 2 {
 		t.Fatalf("not-owner was retried: shard saw %d requests, want 2", got)
 	}
+}
 
+// TestRouterRefusesOversizedAnswer: a shard answer past maxAnswerBytes
+// is refused with a 502, asked once. It used to be cut at the cap and
+// its prefix forwarded under the shard's 200.
+func TestRouterRefusesOversizedAnswer(t *testing.T) {
+	f := newFakeShard(t, "only")
 	f.setHandler(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "7")
-		http.Error(w, "mediator: rate limit exceeded for requester drWho", http.StatusTooManyRequests)
+		w.Write([]byte("<integrated>"))
+		w.Write(make([]byte, maxAnswerBytes))
+		w.Write([]byte("</integrated>"))
 	})
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/query", strings.NewReader("FOR //x RETURN //x"))
-	req.Header.Set("X-Requester", "drWho")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	_, srv := newTestRouter(t, []*fakeShard{f}, nil)
+	status, body := routerQuery(t, srv.URL, "drWho")
+	if status != http.StatusBadGateway || strings.Contains(body, "<integrated>") {
+		t.Fatalf("oversized answer arrived as %d with %d bytes, want a 502 and no prefix", status, len(body))
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("shed arrived as %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("Retry-After header lost across the hop")
+	if got := f.count(); got != 1 {
+		t.Fatalf("oversized answer was retried: shard saw %d requests, want 1", got)
 	}
 }
 
@@ -320,26 +320,37 @@ func TestRouterOpenCircuitFailsFast(t *testing.T) {
 	}
 }
 
-// TestRouterBreakerIgnoresRefusals pins that a shard answering 4xx —
-// a privacy refusal, a requester's own throttle — is proof of health:
-// a requester hammering their ledger limit must not be able to open
-// the circuit and deny the shard to everyone else.
+// TestRouterBreakerIgnoresRefusals pins that a shard's refusal — a
+// privacy refusal, a not-owner refusal — is proof of health, asked once:
+// a requester hammering their ledger limit must not be able to open the
+// circuit and deny the shard to everyone else.
 func TestRouterBreakerIgnoresRefusals(t *testing.T) {
-	f := newFakeShard(t, "only")
-	f.setHandler(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "release refused: would exceed the disclosure budget when combined", http.StatusForbidden)
-	})
-	rt, srv := newTestRouter(t, []*fakeShard{f}, func(cfg *RouterConfig) {
-		cfg.Retry = resilience.Policy{MaxAttempts: 1}
-		cfg.Breaker = resilience.BreakerConfig{FailureThreshold: 2, OpenFor: time.Hour}
-	})
-	for i := 0; i < 5; i++ {
-		if status, _ := routerQuery(t, srv.URL, "snooper"); status != http.StatusForbidden {
-			t.Fatalf("refusal %d answered %d, want 403 passthrough", i, status)
+	for _, tc := range []struct {
+		name   string
+		status int
+		msg    string
+	}{
+		{"privacy refusal", http.StatusForbidden, "release refused: would exceed the disclosure budget when combined"},
+		{"not owner", http.StatusServiceUnavailable, "mediator: shard only is not the owner of requester snooper (owner other)"},
+	} {
+		f := newFakeShard(t, "only")
+		f.setHandler(func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, tc.msg, tc.status)
+		})
+		rt, srv := newTestRouter(t, []*fakeShard{f}, func(cfg *RouterConfig) {
+			cfg.Breaker = resilience.BreakerConfig{FailureThreshold: 2, OpenFor: time.Hour}
+		})
+		for i := 0; i < 5; i++ {
+			if status, _ := routerQuery(t, srv.URL, "snooper"); status != tc.status {
+				t.Fatalf("%s: refusal %d answered %d, want %d passthrough", tc.name, i, status, tc.status)
+			}
 		}
-	}
-	if st := rt.byName["only"].breaker.State(); st != "closed" {
-		t.Fatalf("breaker state %q after five refusals, want closed", st)
+		if st := rt.byName["only"].breaker.State(); st != "closed" {
+			t.Errorf("%s: breaker state %q after five refusals, want closed", tc.name, st)
+		}
+		if got := f.count(); got != 5 {
+			t.Errorf("%s: shard saw %d requests for five queries, want 5", tc.name, got)
+		}
 	}
 }
 

@@ -176,19 +176,6 @@ func ReadQueryBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool
 	return body, true
 }
 
-// ParseRetryAfter reads a Retry-After header's delay-seconds form (the
-// form this repo emits; the HTTP-date form is ignored).
-func ParseRetryAfter(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(strings.TrimSpace(v))
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
-}
-
 // defaultTransport backs every default client. The stock
 // http.DefaultTransport keeps only 2 idle connections per host
 // (DefaultMaxIdleConnsPerHost), so a mediator fanning a query stream out
@@ -223,17 +210,13 @@ var defaultHTTPClient = &http.Client{
 func DefaultHTTPClient() *http.Client { return defaultHTTPClient }
 
 // HTTPError is a non-200 response from a source node. It implements the
-// optional Retryable interface the resilience layer looks for: server
-// errors and throttling are transient, everything else (policy denials,
-// bad requests, unimplemented endpoints) is permanent and must not be
-// retried.
+// optional Retryable interface the resilience layer's outcome rule looks
+// for: a 5xx is a failure and is retried; anything else (policy denials,
+// bad requests, a 429) is the node's answer and is never retried.
 type HTTPError struct {
 	Source string
 	Status int
 	Msg    string
-	// RetryAfter is the server's Retry-After hint on 429/503 responses
-	// (zero when the header was absent or unparsable).
-	RetryAfter time.Duration
 }
 
 // Error implements error.
@@ -241,29 +224,8 @@ func (e *HTTPError) Error() string {
 	return fmt.Sprintf("source %s: %d %s: %s", e.Source, e.Status, http.StatusText(e.Status), e.Msg)
 }
 
-// Retryable reports whether retrying the call could help. 501 Not
-// Implemented is permanent: the node will not grow the endpoint between
-// attempts.
-func (e *HTTPError) Retryable() bool {
-	return (e.Status >= 500 && e.Status != http.StatusNotImplemented) ||
-		e.Status == http.StatusTooManyRequests
-}
-
-// Shed reports whether the response was load shedding (throttling or
-// saturation) rather than a failure: the circuit breaker ignores sheds,
-// because a node answering 429/503 promptly is alive, not down.
-func (e *HTTPError) Shed() bool {
-	return e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable
-}
-
-// RetryAfterHint implements the resilience layer's pacing interface:
-// the retry loop never sleeps less than the server asked for.
-func (e *HTTPError) RetryAfterHint() (time.Duration, bool) {
-	if e.RetryAfter > 0 {
-		return e.RetryAfter, true
-	}
-	return 0, false
-}
+// Retryable reports whether retrying the call could help.
+func (e *HTTPError) Retryable() bool { return e.Status >= 500 }
 
 // Client is an Endpoint over HTTP.
 type Client struct {
@@ -312,10 +274,9 @@ func (c *Client) do(req *http.Request) (*xmltree.Node, error) {
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, &HTTPError{
-			Source:     c.SourceName,
-			Status:     resp.StatusCode,
-			Msg:        strings.TrimSpace(string(msg)),
-			RetryAfter: ParseRetryAfter(resp.Header.Get("Retry-After")),
+			Source: c.SourceName,
+			Status: resp.StatusCode,
+			Msg:    strings.TrimSpace(string(msg)),
 		}
 	}
 	return readNode(resp.Body)

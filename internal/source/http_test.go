@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"privateiye/internal/refusal"
 	"privateiye/internal/xmltree"
@@ -18,75 +17,34 @@ func TestHTTPErrorRetryClassification(t *testing.T) {
 	cases := []struct {
 		status    int
 		retryable bool
-		shed      bool
 	}{
-		{http.StatusInternalServerError, true, false},
-		{http.StatusBadGateway, true, false},
-		{http.StatusServiceUnavailable, true, true},
-		{http.StatusTooManyRequests, true, true},
-		// 501 is permanent: the node will not grow the endpoint
-		// between attempts.
-		{http.StatusNotImplemented, false, false},
-		{http.StatusForbidden, false, false},
-		{http.StatusBadRequest, false, false},
+		{http.StatusInternalServerError, true},
+		{http.StatusBadGateway, true},
+		{http.StatusServiceUnavailable, true},
+		{http.StatusNotImplemented, true},
+		// A 4xx is the node's answer: asking again gets it again.
+		{http.StatusTooManyRequests, false},
+		{http.StatusForbidden, false},
+		{http.StatusBadRequest, false},
 	}
 	for _, c := range cases {
 		e := &HTTPError{Source: "s", Status: c.status}
 		if e.Retryable() != c.retryable {
 			t.Errorf("status %d: Retryable = %v, want %v", c.status, e.Retryable(), c.retryable)
 		}
-		if e.Shed() != c.shed {
-			t.Errorf("status %d: Shed = %v, want %v", c.status, e.Shed(), c.shed)
-		}
 	}
 }
 
-func TestHTTPErrorRetryAfterHint(t *testing.T) {
-	e := &HTTPError{Status: 429, RetryAfter: 2 * time.Second}
-	if hint, ok := e.RetryAfterHint(); !ok || hint != 2*time.Second {
-		t.Fatalf("hint = %v %v", hint, ok)
-	}
-	if _, ok := (&HTTPError{Status: 429}).RetryAfterHint(); ok {
-		t.Fatal("absent header must yield no hint")
-	}
-}
-
-func TestParseRetryAfter(t *testing.T) {
-	cases := []struct {
-		in   string
-		want time.Duration
-	}{
-		{"", 0},
-		{"2", 2 * time.Second},
-		{" 10 ", 10 * time.Second},
-		{"-1", 0},
-		{"soon", 0},
-		{"Wed, 21 Oct 2026 07:28:00 GMT", 0}, // HTTP-date form unsupported
-	}
-	for _, c := range cases {
-		if got := ParseRetryAfter(c.in); got != c.want {
-			t.Errorf("ParseRetryAfter(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestClientSurfacesRetryAfterAndShed(t *testing.T) {
+func TestClientSurfacesNotOwnerReason(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "3")
 		http.Error(w, "mediator: shard shard-b is not the owner of requester alice (owner shard-a)", http.StatusServiceUnavailable)
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL, "busy")
 	_, err := c.Query(context.Background(), "FOR $p IN //x RETURN $p", "alice")
 	var he *HTTPError
-	if !errors.As(err, &he) {
-		t.Fatalf("err = %v, want HTTPError", err)
-	}
-	if he.RetryAfter != 3*time.Second {
-		t.Fatalf("RetryAfter = %v", he.RetryAfter)
-	}
-	if !he.Shed() || !he.Retryable() {
-		t.Fatalf("503 should read as a retryable shed: %+v", he)
+	if !errors.As(err, &he) || he.Status != http.StatusServiceUnavailable {
+		t.Fatalf("err = %v, want a 503 HTTPError", err)
 	}
 	// The reason survives the wire: only the message crossed.
 	if got := refusal.Classify(err); got != refusal.NotOwner {
