@@ -16,9 +16,11 @@ import (
 //	centroid ± r * sqrt((m-1)/m).
 //
 // These bounds are looser than Infer's — they drop constraints — but cost
-// O(attrs) instead of a nonlinear solve, so the audit layer uses them as a
-// first screen: if even QuickBounds shows no disclosure above threshold,
-// the expensive Infer is skipped.
+// O(attrs) instead of a nonlinear solve. Each interval contains Infer's,
+// up to the solver's slack (TestQuickBoundsLooserButSound), so the
+// disclosure they show is a lower bound on Infer's: above a threshold it
+// justifies a refusal, and below one it shows nothing, so it can never
+// justify a grant.
 func (k *Knowledge) QuickBounds() ([][]nlp.Interval, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err

@@ -282,7 +282,7 @@ func TestIntegratedResultOwnsItsCells(t *testing.T) {
 	}{
 		{"plain", "FOR //patients/row WHERE //age > 40 RETURN //age, //sex PURPOSE research MAXLOSS 0.9",
 			func(t *testing.T) source.Endpoint { return twoHospitals(t)[0] }, false},
-		{"aggregate", perTestQuery, figure1Endpoint, true},
+		{"aggregate", perTestQuery, func(t *testing.T) source.Endpoint { return figure1Endpoint(t) }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := &wireEndpoint{Endpoint: tc.endpoint(t)}

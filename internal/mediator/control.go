@@ -38,9 +38,10 @@ type ReleaseDecision struct {
 // other party's hidden cells. The release is refused when any such bound
 // beats the threshold.
 //
-// The closed-form QuickBounds screen keeps this cheap enough to run on
-// every release; EXPERIMENTS.md E4/E11 validate it against the full NLP
-// attack.
+// It decides on the closed-form QuickBounds alone, whose disclosure is a
+// lower bound on the full NLP attack's (attack.TestQuickBoundsLooserButSound;
+// EXPERIMENTS.md E4 compares their costs): a refusal here is sound, but a
+// grant does not show that the attack pins nothing.
 func (m *Mediator) CheckAggregateRelease(matrix [][]float64, places int, threshold float64) (*ReleaseDecision, error) {
 	if threshold <= 0 || threshold > 1 {
 		return nil, fmt.Errorf("mediator: disclosure threshold %v out of (0,1]", threshold)

@@ -198,11 +198,13 @@ func appendJSONString(b []byte, s string) []byte {
 // already in the table by a hash of its content; a hash hit counts only
 // after an exact comparison, and a release that collides is appended
 // without being indexed. Ids are process-local: nothing persists them.
+// memo holds the combination check's verdicts by id into this table.
 type releaseLedger struct {
 	mu          sync.Mutex
 	rels        []ledgerRelease
 	byRequester map[string][]uint32
 	index       map[uint64]uint32
+	memo        *verdictMemo
 	seed        maphash.Seed
 }
 
@@ -213,9 +215,64 @@ func newReleaseLedger() *releaseLedger {
 }
 
 // reset empties the ledger into fresh structures, so a snapshot captured
-// from the old ones stays valid.
+// from the old ones stays valid. The memo goes with the table its ids
+// index: a check still holding the old table stores into the old memo.
 func (l *releaseLedger) reset() {
 	l.rels, l.byRequester, l.index = nil, map[string][]uint32{}, map[uint64]uint32{}
+	l.memo = &verdictMemo{m: map[verdictKey]verdict{}}
+}
+
+// verdictMemoSize bounds the verdict memo. One entry is a release and a
+// verdict, a few hundred bytes for a Figure 1 release; a full memo
+// drops an arbitrary entry to take a new one.
+const verdictMemoSize = 1024
+
+// verdictMemo keeps combinedDisclosure's result, a disclosure or an
+// error, for each pair the combination check solved: the verdict is a
+// function of the two releases and the tolerance, and the solver is
+// seeded. An entry is keyed by the prior's id and the new release's
+// hash, and keeps the new release, so a hit counts only after same
+// confirms it, as add's does. The threshold is applied at use. Nothing
+// logs the memo, and every requester of the node shares it (DESIGN.md
+// §7).
+type verdictMemo struct {
+	mu sync.Mutex
+	m  map[verdictKey]verdict
+}
+
+type verdictKey struct {
+	prior uint32
+	rel   uint64
+}
+
+type verdict struct {
+	rel ledgerRelease
+	d   float64
+	err error
+}
+
+// lookup returns k's verdict if it was solved for rel.
+func (v *verdictMemo) lookup(k verdictKey, rel *ledgerRelease) (d float64, err error, ok bool) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	e, ok := v.m[k]
+	if !ok || !e.rel.same(rel) {
+		return 0, nil, false
+	}
+	return e.d, e.err, true
+}
+
+// store keeps e as k's verdict, in place of any entry k had.
+func (v *verdictMemo) store(k verdictKey, e verdict) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if _, ok := v.m[k]; !ok && len(v.m) >= verdictMemoSize {
+		for old := range v.m {
+			delete(v.m, old)
+			break
+		}
+	}
+	v.m[k] = e
 }
 
 // hash covers what same compares; a collision costs one table entry.
@@ -353,8 +410,8 @@ func lastSegment(p string) string {
 // another query of theirs, committed), it lets go and checks again.
 func (m *Mediator) checkAndRecord(requester string, rel ledgerRelease, e HistoryEntry) error {
 	for {
-		table, priors := m.ledger.priors(requester)
-		if err := m.checkCombinations(rel, table, priors); err != nil {
+		table, priors, memo := m.ledger.priors(requester)
+		if err := m.checkCombinations(rel, table, priors, memo); err != nil {
 			return err
 		}
 		if done, err := m.commit(requester, len(priors), rel, e); done {
@@ -363,17 +420,19 @@ func (m *Mediator) checkAndRecord(requester string, rel ledgerRelease, e History
 	}
 }
 
-// priors copies the release table's header and requester's id list.
-func (l *releaseLedger) priors(requester string) ([]ledgerRelease, []uint32) {
+// priors copies the release table's header and requester's id list,
+// and names the table's verdict memo.
+func (l *releaseLedger) priors(requester string) ([]ledgerRelease, []uint32, *verdictMemo) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.rels, l.byRequester[requester]
+	return l.rels, l.byRequester[requester], l.memo
 }
 
 // checkCombinations is the combination check of rel against each of the
-// priors, in record order.
-func (m *Mediator) checkCombinations(rel ledgerRelease, table []ledgerRelease, priors []uint32) error {
+// priors, in record order, solving each pair memo does not hold.
+func (m *Mediator) checkCombinations(rel ledgerRelease, table []ledgerRelease, priors []uint32, memo *verdictMemo) error {
 	relFor, relWhere, _ := strings.Cut(rel.Target, " WHERE ")
+	var key verdictKey
 	for _, id := range priors {
 		prior := table[id]
 		priorFor, priorWhere, _ := strings.Cut(prior.Target, " WHERE ")
@@ -397,7 +456,16 @@ func (m *Mediator) checkCombinations(rel ledgerRelease, table []ledgerRelease, p
 		if attrRel.Sigmas == nil {
 			continue // neither released sigmas: means alone do not close the system
 		}
-		d, err := combinedDisclosure(attrRel, partyRel, m.cfg.LedgerTolerance)
+		if key.rel == 0 { // rel is hashed for its first pair (a hash of 0 is taken again)
+			key.rel = rel.hash(m.ledger.seed)
+		}
+		key.prior = id
+		d, err, hit := memo.lookup(key, &rel)
+		m.obs.solved(hit)
+		if !hit {
+			d, err = combinedDisclosure(attrRel, partyRel, m.cfg.LedgerTolerance)
+			memo.store(key, verdict{rel: rel, d: d, err: err})
+		}
 		if err != nil {
 			// A pair the check cannot evaluate is not shown safe.
 			return &UnverifiableRefusal{ValueCol: rel.ValueCol, PriorAxis: prior.Axis, Err: err}

@@ -1,10 +1,14 @@
 package mediator
 
 import (
+	"errors"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"privateiye/internal/clinical"
+	"privateiye/internal/obs"
 	"privateiye/internal/piql"
 	"privateiye/internal/policy"
 	"privateiye/internal/preserve"
@@ -20,11 +24,11 @@ import (
 // the only thing standing between a snooper and the combination attack.
 // The identity preservation registry keeps the aggregates exact so the
 // ledger check sees the Figure 1 numbers.
-func figure1Mediator(t *testing.T, maxDisclosure float64) *Mediator {
+func figure1Mediator(t testing.TB, maxDisclosure float64) *Mediator {
 	t.Helper()
 	// PlanCache is on so every ledger test also covers the cached-parse
 	// path: a hit must change nothing about what gets refused.
-	m, err := New(Config{Endpoints: []source.Endpoint{figure1Endpoint(t)}, MaxDisclosure: maxDisclosure, LedgerTolerance: 0.05, PlanCache: 64})
+	m, err := New(Config{Endpoints: []source.Endpoint{figure1Endpoint(t)}, MaxDisclosure: maxDisclosure, LedgerTolerance: 0.05, PlanCache: 64, Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +36,7 @@ func figure1Mediator(t *testing.T, maxDisclosure float64) *Mediator {
 }
 
 // figure1Endpoint is the integrator source of figure1Mediator.
-func figure1Endpoint(t *testing.T) source.Endpoint {
+func figure1Endpoint(t testing.TB) source.Endpoint {
 	t.Helper()
 	tab, err := clinical.ComplianceTable("compliance", clinical.HMOs, clinical.Tests, clinical.Figure1GroundTruth())
 	if err != nil {
@@ -157,4 +161,208 @@ func TestClassifyRelease(t *testing.T) {
 
 func parseForTest(src string) (*piql.Query, *piql.Result) {
 	return piql.MustParse(src), nil
+}
+
+// solves reads m's piye_mediator_ledger_solves_total.
+func solves(m *Mediator) (miss, hit uint64) {
+	reg := m.cfg.Obs
+	return reg.Counter("piye_mediator_ledger_solves_total", "memo", "miss").Value(),
+		reg.Counter("piye_mediator_ledger_solves_total", "memo", "hit").Value()
+}
+
+// The verdict memo: N requesters each ask Figure 1(a), then 1(b). Every
+// 1(b) is refused with one Disclosure, and the pair is solved once.
+func TestLedgerSolvesEachPairOnce(t *testing.T) {
+	const n = 5
+	m := figure1Mediator(t, 0.9)
+	var first *CombinationRefusal
+	for i := range n {
+		req := "attacker-" + string(rune('a'+i))
+		if _, err := m.Query(perTestQuery, req); err != nil {
+			t.Fatal(err)
+		}
+		var r *CombinationRefusal
+		if _, err := m.Query(perHMOQuery, req); !errors.As(err, &r) {
+			t.Fatalf("%s's Figure 1(b): %v, want a CombinationRefusal", req, err)
+		}
+		if first == nil {
+			first = r
+		} else if *r != *first {
+			t.Errorf("%s refused with %+v, the first with %+v", req, *r, *first)
+		}
+	}
+	if miss, hit := solves(m); miss != 1 || hit != n-1 {
+		t.Errorf("solves: miss %d, hit %d; want 1 and %d", miss, hit, n-1)
+	}
+}
+
+// checkPair runs the combination check of rel against requester r's
+// priors.
+func checkPair(m *Mediator, r string, rel ledgerRelease) error {
+	table, priors, memo := m.ledger.priors(r)
+	return m.checkCombinations(rel, table, priors, memo)
+}
+
+// addRelease records rel for r as a commit would, without the log.
+func addRelease(m *Mediator, r string, rel ledgerRelease) {
+	m.ledger.read(func(l *releaseLedger) { l.add(r, rel) })
+}
+
+// The memo keys a pair by its prior's id: another prior is another pair,
+// and reset empties the table and the memo together, so a different
+// release at the reused id 0 is solved afresh and gets its own verdict.
+func TestVerdictMemoResetWithTable(t *testing.T) {
+	m := figure1Mediator(t, 0.9)
+	relA, relB := figure1Releases(t, m)
+	other := relA
+	other.Sigmas = slices.Clone(relA.Sigmas)
+	for i := range other.Sigmas {
+		other.Sigmas[i].v *= 1.5
+	}
+	dA, errA := combinedDisclosure(relA, relB, m.cfg.LedgerTolerance)
+	dOther, errOther := combinedDisclosure(other, relB, m.cfg.LedgerTolerance)
+	if errA != nil || errOther != nil || dA == dOther {
+		t.Fatalf("the two priors solve to %v, %v and %v, %v; want two disclosures", dA, errA, dOther, errOther)
+	}
+	// check is Figure 1(b) against r's priors, which must read d.
+	check := func(r string, d float64) {
+		t.Helper()
+		err := checkPair(m, r, relB)
+		var got *CombinationRefusal
+		switch {
+		case d >= m.cfg.MaxDisclosure && (!errors.As(err, &got) || got.Disclosure != d):
+			t.Errorf("%s: %v, want a refusal at %v", r, err, d)
+		case d < m.cfg.MaxDisclosure && err != nil:
+			t.Errorf("%s: %v, want the grant its %v reads", r, err, d)
+		}
+	}
+	m.ledger.read(func(l *releaseLedger) { l.reset() })
+	addRelease(m, "r", relA)
+	addRelease(m, "s", other)
+	check("r", dA)
+	check("s", dOther)
+
+	m.ledger.read(func(l *releaseLedger) { l.reset() })
+	addRelease(m, "r", other)
+	if _, priors, _ := m.ledger.priors("r"); len(priors) != 1 || priors[0] != 0 {
+		t.Fatalf("after reset the other release has ids %v, want [0]", priors)
+	}
+	check("r", dOther)
+	if miss, hit := solves(m); miss != 3 || hit != 0 {
+		t.Errorf("solves: miss %d, hit %d; want 3 and 0", miss, hit)
+	}
+}
+
+// A memo entry under the right key but for another release (a hash
+// collision) is not a hit: the pair is solved again.
+func TestVerdictMemoConfirmsByContent(t *testing.T) {
+	m := figure1Mediator(t, 0.9)
+	relA, relB := figure1Releases(t, m)
+	addRelease(m, "r", relA)
+	table, priors, memo := m.ledger.priors("r")
+	other := relB
+	other.Means = slices.Clone(relB.Means)
+	other.Means[0].v++
+	memo.store(verdictKey{prior: priors[0], rel: relB.hash(m.ledger.seed)}, verdict{rel: other, d: 0})
+	var r *CombinationRefusal
+	if err := m.checkCombinations(relB, table, priors, memo); !errors.As(err, &r) {
+		t.Fatalf("Figure 1(b) against a planted grant for another release: %v, want a CombinationRefusal", err)
+	}
+	if miss, hit := solves(m); miss != 1 || hit != 0 {
+		t.Errorf("solves: miss %d, hit %d; want 1 and 0", miss, hit)
+	}
+
+	for i := range verdictMemoSize + 10 {
+		memo.store(verdictKey{prior: uint32(i) + 1}, verdict{})
+	}
+	if n := len(memo.m); n != verdictMemoSize {
+		t.Errorf("the memo holds %d entries, want its bound %d", n, verdictMemoSize)
+	}
+}
+
+// The threshold is applied at use, and a hit that grants allocates
+// nothing.
+func TestVerdictMemoHitAllocatesNothing(t *testing.T) {
+	m := figure1Mediator(t, 0.9)
+	relA, relB := figure1Releases(t, m)
+	addRelease(m, "r", relA)
+	var r *CombinationRefusal
+	if err := checkPair(m, "r", relB); !errors.As(err, &r) {
+		t.Fatalf("Figure 1(b) after 1(a): %v, want a CombinationRefusal", err)
+	}
+	m.cfg.MaxDisclosure = 1
+	if err := checkPair(m, "r", relB); err != nil {
+		t.Fatalf("at threshold 1 the memoised %v must grant: %v", r.Disclosure, err)
+	}
+	table, priors, memo := m.ledger.priors("r")
+	if n := testing.AllocsPerRun(100, func() {
+		if err := m.checkCombinations(relB, table, priors, memo); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a memo hit allocates %v times, want 0", n)
+	}
+	if miss, _ := solves(m); miss != 1 {
+		t.Errorf("solves: miss %d, want 1", miss)
+	}
+}
+
+// Concurrent checks of one pair share the memo: misses that race may
+// each solve, and every check reads the pair's one verdict.
+func TestVerdictMemoConcurrentChecks(t *testing.T) {
+	const workers, rounds = 4, 20
+	m := figure1Mediator(t, 0.9)
+	relA, relB := figure1Releases(t, m)
+	addRelease(m, "r", relA)
+	want, err := combinedDisclosure(relA, relB, m.cfg.LedgerTolerance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				var r *CombinationRefusal
+				if err := checkPair(m, "r", relB); !errors.As(err, &r) || r.Disclosure != want {
+					t.Errorf("Figure 1(b) after 1(a): %v, want a refusal at %v", err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if miss, hit := solves(m); miss < 1 || miss > workers || miss+hit != workers*rounds {
+		t.Errorf("solves: miss %d, hit %d; want 1 to %d misses of %d", miss, hit, workers, workers*rounds)
+	}
+}
+
+// BenchmarkLedgerCheck is the combination check of Figure 1(b) against
+// 1(a): miss solves the pair, hit takes the memo's verdict. `make
+// bench-quick` prints its allocs/op; hit must read 0.
+func BenchmarkLedgerCheck(b *testing.B) {
+	m := figure1Mediator(b, 1)
+	relA, relB := figure1Releases(b, m)
+	addRelease(m, "r", relA)
+	table, priors, memo := m.ledger.priors("r")
+	for _, bc := range []struct {
+		name string
+		memo func() *verdictMemo
+	}{
+		{"miss", func() *verdictMemo { return &verdictMemo{m: map[verdictKey]verdict{}} }},
+		{"hit", func() *verdictMemo { return memo }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			if err := m.checkCombinations(relB, table, priors, memo); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := m.checkCombinations(relB, table, priors, bc.memo()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

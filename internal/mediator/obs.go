@@ -40,6 +40,11 @@ type medObs struct {
 	// hit rate.
 	coalLeader   *obs.Counter
 	coalFollower *obs.Counter
+
+	// Combination-check pairs: a miss ran the solver, a hit took the
+	// verdict memo's result.
+	solveHit  *obs.Counter
+	solveMiss *obs.Counter
 }
 
 func newMedObs(reg *obs.Registry, pipe *obs.Pipeline, sources []source.Endpoint) *medObs {
@@ -49,10 +54,13 @@ func newMedObs(reg *obs.Registry, pipe *obs.Pipeline, sources []source.Endpoint)
 	reg.Help("piye_mediator_source_calls_total", "Fan-out calls per source by outcome.")
 	reg.Help("piye_mediator_source_seconds", "Fan-out call latency per source.")
 	reg.Help("piye_mediator_coalesce_total", "Coalesced query executions: leaders ran the pipeline, followers joined one in flight.")
+	reg.Help("piye_mediator_ledger_solves_total", "Pairs the ledger's combination check decided: a miss ran the solver, a hit reused the verdict memo's result.")
 	o := &medObs{
 		sources:      map[string]srcCallObs{},
 		coalLeader:   reg.Counter("piye_mediator_coalesce_total", "role", "leader"),
 		coalFollower: reg.Counter("piye_mediator_coalesce_total", "role", "follower"),
+		solveHit:     reg.Counter("piye_mediator_ledger_solves_total", "memo", "hit"),
+		solveMiss:    reg.Counter("piye_mediator_ledger_solves_total", "memo", "miss"),
 	}
 	for _, ep := range sources {
 		name := ep.Name()
@@ -73,6 +81,18 @@ func (o *medObs) coalesced(leader bool) {
 		o.coalLeader.Inc()
 	default:
 		o.coalFollower.Inc()
+	}
+}
+
+// solved counts one combination-check pair by whether the verdict memo
+// held it.
+func (o *medObs) solved(hit bool) {
+	switch {
+	case o == nil:
+	case hit:
+		o.solveHit.Inc()
+	default:
+		o.solveMiss.Inc()
 	}
 }
 

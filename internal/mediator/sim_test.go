@@ -38,11 +38,16 @@ package mediator
 //	                 install, then dies at snapshot failpoint P (- = none)
 //	restart S        S's node closes and reopens over its state dir
 //	prefer           a data subject's preference is added at the source
+//	solves S         S's combination-check pairs, as "misses/hits" of its
+//	                 verdict memo
+//	verdicts R R2    ok when R's and R2's last ledger-combination refusals
+//	                 read one Disclosure (- if either has none)
 //
 // S is a shard name or @R, R's ring owner.
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -135,7 +140,7 @@ func parseSchedule(script string) ([]simStep, error) {
 		if n := len(st.args); n > 0 && strings.HasPrefix(st.args[n-1], "=") {
 			st.want, st.args = st.args[n-1][1:], st.args[:n-1]
 		}
-		arity := map[string]int{"ask": 2, "twin": 2, "hang": 0, "unhang": 0, "tick": 0, "crash": 2, "compact": 4, "restart": 1, "prefer": 0}
+		arity := map[string]int{"ask": 2, "twin": 2, "hang": 0, "unhang": 0, "tick": 0, "crash": 2, "compact": 4, "restart": 1, "prefer": 0, "solves": 1, "verdicts": 2}
 		n, ok := arity[st.op]
 		if !ok || n != len(st.args) {
 			return nil, fmt.Errorf("step %q: unknown op or wrong arity", part)
@@ -194,7 +199,8 @@ type simWorld struct {
 
 	hanging  bool // the source answers nothing
 	given    map[string][]simGiven
-	refused  map[string]string // requester + "\x00" + canonical query -> verdict
+	refused  map[string]string  // requester + "\x00" + canonical query -> verdict
+	combined map[string]float64 // requester -> Disclosure of their last ledger-combination refusal
 	problems []string
 	halted   bool // a node would not open: the schedule stops there
 }
@@ -265,6 +271,7 @@ func newSimWorld(t testing.TB, opts simOpts) *simWorld {
 		t: t, threshold: opts.threshold, base: base, clock: time.Unix(1e9, 0),
 		ring:  shard.New(shard.DefaultSeed, shard.DefaultVnodes),
 		slots: map[string]*simSlot{}, given: map[string][]simGiven{}, refused: map[string]string{},
+		combined: map[string]float64{},
 	}
 	tab, err := clinical.ComplianceTable("compliance", clinical.HMOs, clinical.Tests, clinical.Figure1GroundTruth())
 	must(t, err)
@@ -379,6 +386,9 @@ func (w *simWorld) answered(req, kind string, out *Integrated, err error) string
 	q := piql.MustParse(strings.TrimSpace(simQueries[kind]))
 	key := req + "\x00" + q.String()
 	if err != nil {
+		if r := (*CombinationRefusal)(nil); errors.As(err, &r) {
+			w.combined[req] = r.Disclosure
+		}
 		label := string(refusal.Classify(err))
 		if _, seen := w.refused[key]; !seen && simVerdicts[label] {
 			w.refused[key] = label
@@ -434,6 +444,19 @@ func (w *simWorld) step(st simStep) string {
 			policy.Rule{Item: "//compliance//rate", Purpose: "research", Effect: policy.Deny})
 		must(w.t, err)
 		must(w.t, w.src.AddPreference(p))
+		return "ok"
+	case "solves":
+		miss, hit := solves(w.slot(a[0]).current().m)
+		return fmt.Sprintf("%d/%d", miss, hit)
+	case "verdicts":
+		d0, ok0 := w.combined[a[0]]
+		d1, ok1 := w.combined[a[1]]
+		switch {
+		case !ok0 || !ok1:
+			return "-"
+		case math.Float64bits(d0) != math.Float64bits(d1):
+			return "differ"
+		}
 		return "ok"
 	}
 	panic("unknown op " + st.op)
@@ -879,6 +902,9 @@ func TestContract(t *testing.T) {
 		{"crash and restart keeps refusals",
 			"ask a 1a =ok; ask b 1b =ok; crash @a append.write =ok; ask a n =ok; restart @a =ok; ask a 1b =ledger-combination; ask b 1a =ledger-combination; ask c 1b =ok", "", simOpts{}},
 		{"preference added mid-flight", "ask a 1a =ok; prefer; ask a 1b =policy-denied; ask b 1a =ok", "", simOpts{}},
+		{"a pair another requester was refused on is refused alike, from the verdict memo",
+			"ask a 1a =ok; ask a 1b =ledger-combination; ask b 1a =ok; ask b 1b =ledger-combination; verdicts a b =ok; solves shard-a =1/1",
+			"", solo},
 	}
 	for i, p := range durable.Points() {
 		r := row{"crash at " + p,

@@ -333,7 +333,7 @@ func TestParentDrainMarkFailsClosed(t *testing.T) {
 
 // figure1Releases are the Figure 1(a) and 1(b) releases as the ledger
 // records them, answered on m by a requester the tests do not use.
-func figure1Releases(t *testing.T, m *Mediator) (a, b ledgerRelease) {
+func figure1Releases(t testing.TB, m *Mediator) (a, b ledgerRelease) {
 	t.Helper()
 	for i, text := range []string{perTestQuery, perHMOQuery} {
 		in, err := m.Query(text, fmt.Sprint("figure1-", i))
@@ -368,8 +368,8 @@ func TestCommitSectionRechecksAndCutsExactly(t *testing.T) {
 
 	// r's Figure 1(b) passes its check against no priors; Figure 1(a)
 	// commits before 1(b) does.
-	table, priors := m.ledger.priors("r")
-	if err := m.checkCombinations(relB, table, priors); err != nil {
+	table, priors, memo := m.ledger.priors("r")
+	if err := m.checkCombinations(relB, table, priors, memo); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.checkAndRecord("r", relA, entry("r")); err != nil {
@@ -385,8 +385,8 @@ func TestCommitSectionRechecksAndCutsExactly(t *testing.T) {
 
 	// s's Figure 1(a) passes its check; a snapshot is cut; then it
 	// commits.
-	table, priors = m.ledger.priors("s")
-	if err := m.checkCombinations(relA, table, priors); err != nil {
+	table, priors, memo = m.ledger.priors("s")
+	if err := m.checkCombinations(relA, table, priors, memo); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.snapshot(); err != nil {
