@@ -214,7 +214,11 @@ loc:
 # is solved once per shard, and piye_mediator_ledger_solves_total counts
 # hits and misses (DESIGN.md §7); ledger_mix allocs/op 977.4 -> 976.1 and
 # a refused 1(b) 270 -> 0.55 ms at p50 (E50).
-LOC_CEILING = 25215
+# 25,215 -> 25,054: one Privacy Control — CheckAggregateRelease,
+# ReleaseDecision, QuickBounds and mediator/control.go are gone (the
+# ledger's NLP check is the only one), -max-disclosure defaults to 0.9,
+# and a query's answers are integrated in routing order (DESIGN.md §7, E51).
+LOC_CEILING = 25054
 # The ceiling on the second: flags per daemon, as `make loc` counts them.
 # A flag is kept only as a deployment setting or as a value some caller
 # needs other than its default; a PR that adds one raises its ceiling here

@@ -61,16 +61,6 @@ func fig1Knowledge() *attack.Knowledge {
 	return k
 }
 
-func BenchmarkFig1dQuickBounds(b *testing.B) {
-	k := fig1Knowledge()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := k.QuickBounds(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFig1dInference(b *testing.B) {
 	k := fig1Knowledge()
 	b.ReportAllocs()

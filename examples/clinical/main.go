@@ -4,14 +4,16 @@
 // integrator publishes the aggregate tables of Figure 1(a)/(b). A snooping
 // HMO then combines the aggregates with knowledge of its own rates and
 // pins every other HMO's confidential rate to a narrow interval (Figure
-// 1(d)) — the privacy breach the paper opens with. Finally, the mediation
-// engine's Privacy Control runs the same attack *defensively*, refuses the
-// joint release, and shows a coarsened release that passes.
+// 1(d)) — the privacy breach the paper opens with. Finally, a mediator at
+// its default settings serves Figure 1(a) to the snooper and refuses
+// Figure 1(b): its release ledger runs the same attack on the combination
+// and finds it too disclosive.
 //
 // Run: go run ./examples/clinical
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -20,9 +22,9 @@ import (
 	"privateiye/internal/experiments"
 	"privateiye/internal/mediator"
 	"privateiye/internal/policy"
+	"privateiye/internal/preserve"
 	"privateiye/internal/relational"
 	"privateiye/internal/source"
-	"privateiye/internal/stats"
 )
 
 func main() {
@@ -58,62 +60,59 @@ func main() {
 		100*inf.MaxDisclosure())
 
 	// --- The mediator's Privacy Control catches this before release. ---
-	med := mediatorOverHMOs()
-	dec, err := med.CheckAggregateRelease(clinical.Figure1GroundTruth(), 1, 0.9)
+	// The integrator holds the pooled matrix and serves each table as an
+	// aggregate query; the mediator runs at its defaults. Its release
+	// ledger remembers what the snooper was given and runs the same
+	// attack on the combination before publishing the second table.
+	med := integratorMediator()
+	fmt.Println("The mediator's Privacy Control, at its default settings:")
+	in, err := med.Query(perTestQuery, "hmo1")
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("Figure 1(a) alone should be released: %v", err)
 	}
-	fmt.Printf("Privacy Control on the joint release: allowed=%v (worst disclosure %.3f, %d breaching cells)\n",
-		dec.Allowed, dec.WorstDisclosure, len(dec.Breaches))
-
-	// --- A defensible alternative: coarsen before publishing. ---
-	coarse := make([][]float64, 4)
-	for h, row := range clinical.Figure1GroundTruth() {
-		coarse[h] = make([]float64, len(row))
-		for t, v := range row {
-			coarse[h][t] = stats.Round(v/10, 0) * 10 // publish to the nearest 10 points
-		}
+	fmt.Printf("  Figure 1(a) for hmo1: released (%d per-test rows)\n", len(in.Result.Rows))
+	_, err = med.Query(perHMOQuery, "hmo1")
+	var cr *mediator.CombinationRefusal
+	if !errors.As(err, &cr) {
+		log.Fatalf("Figure 1(b) after 1(a) must be refused as ledger-combination, got %v", err)
 	}
-	dec2, err := med.CheckAggregateRelease(coarse, 0, 0.9)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Privacy Control on a 10-point-coarsened release: allowed=%v (worst disclosure %.3f)\n",
-		dec2.Allowed, dec2.WorstDisclosure)
+	fmt.Printf("  Figure 1(b) for hmo1: refused (combined disclosure %.3f >= %.2f)\n", cr.Disclosure, cr.Threshold)
 	fmt.Println("\nThe framework detects and blocks exactly the breach the paper's Example 1 describes.")
 }
 
-// mediatorOverHMOs builds a minimal mediator over the four HMO sources so
-// Privacy Control has a running engine to live in.
-func mediatorOverHMOs() *mediator.Mediator {
-	var eps []source.Endpoint
-	for i, name := range clinical.HMOs {
-		tab, err := clinical.ComplianceTable("compliance", []string{name}, clinical.Tests,
-			[][]float64{clinical.Figure1GroundTruth()[i]})
-		if err != nil {
-			log.Fatal(err)
-		}
-		cat := relational.NewCatalog()
-		if err := cat.Add(tab); err != nil {
-			log.Fatal(err)
-		}
-		pol, err := policy.NewPolicy(name, policy.Deny,
-			policy.Rule{Item: "//compliance//*", Purpose: "research", Form: policy.Aggregate, Effect: policy.Allow, MaxLoss: 0.5},
-		)
-		if err != nil {
-			log.Fatal(err)
-		}
-		src, err := source.New(source.Config{Name: name, Catalog: cat, Policy: pol})
-		if err != nil {
-			log.Fatal(err)
-		}
-		ep, err := source.NewLocal(src, nil, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		eps = append(eps, ep)
+const (
+	perTestQuery = "FOR //compliance/row GROUP BY //test RETURN AVG(//rate) AS avg_rate, STDDEV(//rate) AS sd_rate, COUNT(*) AS n PURPOSE research MAXLOSS 0.9"
+	perHMOQuery  = "FOR //compliance/row GROUP BY //hmo RETURN AVG(//rate) AS avg_rate PURPOSE research MAXLOSS 0.9"
+)
+
+// integratorMediator builds a mediator, at its defaults, over the
+// integrator of Example 1: one source holding the four HMOs' pooled
+// compliance rates, sharing them only as aggregates. The identity
+// preservation registry keeps the aggregates exact, as published.
+func integratorMediator() *mediator.Mediator {
+	tab, err := clinical.ComplianceTable("compliance", clinical.HMOs, clinical.Tests, clinical.Figure1GroundTruth())
+	if err != nil {
+		log.Fatal(err)
 	}
-	med, err := mediator.New(mediator.Config{Endpoints: eps})
+	cat := relational.NewCatalog()
+	if err := cat.Add(tab); err != nil {
+		log.Fatal(err)
+	}
+	pol, err := policy.NewPolicy("integrator", policy.Deny,
+		policy.Rule{Item: "//compliance//*", Purpose: "research", Form: policy.Aggregate, Effect: policy.Allow, MaxLoss: 0.9},
+	)
+	if err != nil {
+		log.Fatal(err)
+	}
+	src, err := source.New(source.Config{Name: "integrator", Catalog: cat, Policy: pol, Registry: preserve.NewRegistry()})
+	if err != nil {
+		log.Fatal(err)
+	}
+	ep, err := source.NewLocal(src, nil, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	med, err := mediator.New(mediator.Config{Endpoints: []source.Endpoint{ep}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -228,9 +228,6 @@ func ParseQuery(src string) (*Query, error) { return piql.Parse(src) }
 // Endpoint is the mediator's view of one source (local or HTTP).
 type Endpoint = source.Endpoint
 
-// ReleaseDecision is the Privacy Control verdict on an aggregate release.
-type ReleaseDecision = mediator.ReleaseDecision
-
 // PrivateOverlap counts |A ∩ B| of two sources' field values via relayed
 // PSI: neither source reveals its set; the caller learns only the size.
 // Each source uses its preferred suite; pass an explicit suite via

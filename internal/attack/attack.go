@@ -11,9 +11,10 @@
 // and maximizing each hidden coordinate over the published-aggregate
 // constraint set.
 //
-// The same engine runs defensively: the mediation engine's Privacy Control
-// calls Infer on aggregates it is about to release and refuses the release
-// if any cell's feasible interval narrows below a source's threshold.
+// The same engine runs defensively: the mediation engine's Privacy Control,
+// its release ledger, calls Infer as an outsider on a requester's earlier
+// release combined with the one about to go out, and refuses the release
+// if any cell's disclosure reaches the mediator's threshold.
 package attack
 
 import (

@@ -138,63 +138,6 @@ func TestInferInfeasibleAggregates(t *testing.T) {
 	}
 }
 
-func TestQuickBoundsLooserButSound(t *testing.T) {
-	k := figure1Knowledge()
-	quick, err := k.QuickBounds()
-	if err != nil {
-		t.Fatal(err)
-	}
-	inf, err := k.Infer(FastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	narrowest := math.Inf(1)
-	for h := 1; h < 4; h++ {
-		for a := 0; a < 3; a++ {
-			q, full := quick[h][a], inf.Intervals[h][a]
-			narrowest = min(narrowest, q.Width())
-			// Quick bounds drop constraints, so they must contain the full
-			// solution (small numeric slack allowed).
-			if q.Lo > full.Lo+0.3 || q.Hi < full.Hi-0.3 {
-				t.Errorf("cell (%d,%d): quick [%v,%v] does not contain full [%v,%v]",
-					h, a, q.Lo, q.Hi, full.Lo, full.Hi)
-			}
-		}
-	}
-	// Quick disclosure is still strong on Figure 1 (the per-attribute
-	// constraints do most of the narrowing).
-	if d := 1 - narrowest/(k.Hi-k.Lo); d < 0.8 {
-		t.Errorf("quick max disclosure = %v, want >= 0.8", d)
-	}
-}
-
-func TestQuickBoundsGroundTruthInside(t *testing.T) {
-	k := figure1Knowledge()
-	k.Tolerance = 0.05 // full rounding band
-	quick, err := k.QuickBounds()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gt := clinical.Figure1GroundTruth()
-	for h := 1; h < 4; h++ {
-		for a := 0; a < 3; a++ {
-			iv := quick[h][a]
-			if gt[h][a] < iv.Lo || gt[h][a] > iv.Hi {
-				t.Errorf("ground truth %v outside quick bounds [%v,%v] at (%d,%d)",
-					gt[h][a], iv.Lo, iv.Hi, h, a)
-			}
-		}
-	}
-}
-
-func TestQuickBoundsInconsistentOwnRow(t *testing.T) {
-	k := figure1Knowledge()
-	k.OwnRow = []float64{5, 56, 43} // 78 points below the mean, sigma 5.7
-	if _, err := k.QuickBounds(); err == nil {
-		t.Error("own row inconsistent with sigma should error")
-	}
-}
-
 // Generalization beyond 4x3: on a synthetic 6-HMO, 4-test matrix, the
 // attack's intervals must always contain the hidden truth.
 func TestInferSoundOnSyntheticMatrix(t *testing.T) {
@@ -248,7 +191,7 @@ func TestOutsiderAttack(t *testing.T) {
 		t.Error("outsider with own row should be invalid")
 	}
 
-	bounds, err := k.QuickBounds()
+	inf, err := k.Infer(FastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +199,10 @@ func TestOutsiderAttack(t *testing.T) {
 	narrowest := math.Inf(1)
 	for h := 0; h < 4; h++ {
 		for a := 0; a < 3; a++ {
-			iv := bounds[h][a]
+			iv := inf.Intervals[h][a]
 			narrowest = min(narrowest, iv.Width())
-			if gt[h][a] < iv.Lo || gt[h][a] > iv.Hi {
-				t.Errorf("truth %v outside outsider bounds [%v,%v] at (%d,%d)",
-					gt[h][a], iv.Lo, iv.Hi, h, a)
+			if gt[h][a] < iv.Lo-0.2 || gt[h][a] > iv.Hi+0.2 {
+				t.Errorf("truth %v outside inferred [%v,%v] at (%d,%d)", gt[h][a], iv.Lo, iv.Hi, h, a)
 			}
 			if iv.Width() > 40 {
 				t.Errorf("outsider bounds uselessly wide at (%d,%d): %v", h, a, iv.Width())
@@ -269,19 +211,6 @@ func TestOutsiderAttack(t *testing.T) {
 	}
 	if d := 1 - narrowest/(k.Hi-k.Lo); d < 0.7 {
 		t.Errorf("outsider disclosure = %v, want >= 0.7 (Figure 1 aggregates are disclosive even to outsiders)", d)
-	}
-	// The full solver agrees and is sound.
-	inf, err := k.Infer(FastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for h := 0; h < 4; h++ {
-		for a := 0; a < 3; a++ {
-			iv := inf.Intervals[h][a]
-			if gt[h][a] < iv.Lo-0.2 || gt[h][a] > iv.Hi+0.2 {
-				t.Errorf("truth %v outside inferred [%v,%v] at (%d,%d)", gt[h][a], iv.Lo, iv.Hi, h, a)
-			}
-		}
 	}
 }
 

@@ -71,22 +71,30 @@ const (
 // The paper's Figure 1 as a query sequence: the per-test statistics
 // (Figure 1(a)) and per-HMO means (Figure 1(b)) are each individually
 // authorized aggregate queries; together they admit the interval
-// inference attack. The ledger must refuse the second.
+// inference attack. The ledger must refuse the second, and a mediator
+// left at its default threshold and tolerance must too.
 func TestLedgerBlocksFigure1QueryPair(t *testing.T) {
-	m := figure1Mediator(t, 0.9)
-	in, err := m.Query(perTestQuery, "snooper")
+	defaults, err := New(Config{Endpoints: []source.Endpoint{figure1Endpoint(t)}})
 	if err != nil {
-		t.Fatalf("first release (Figure 1a) should pass: %v", err)
+		t.Fatal(err)
 	}
-	if len(in.Result.Rows) != 3 {
-		t.Fatalf("per-test groups = %v", in.Result.Rows)
-	}
-	_, err = m.Query(perHMOQuery, "snooper")
-	if err == nil {
-		t.Fatal("the Figure 1 combination must be refused")
-	}
-	if !strings.Contains(err.Error(), "combined") {
-		t.Errorf("refusal should explain the combination: %v", err)
+	for name, m := range map[string]*Mediator{"threshold 0.9": figure1Mediator(t, 0.9), "defaults": defaults} {
+		t.Run(name, func(t *testing.T) {
+			in, err := m.Query(perTestQuery, "snooper")
+			if err != nil {
+				t.Fatalf("first release (Figure 1a) should pass: %v", err)
+			}
+			if len(in.Result.Rows) != 3 {
+				t.Fatalf("per-test groups = %v", in.Result.Rows)
+			}
+			_, err = m.Query(perHMOQuery, "snooper")
+			if err == nil {
+				t.Fatal("the Figure 1 combination must be refused")
+			}
+			if !strings.Contains(err.Error(), "combined") {
+				t.Errorf("refusal should explain the combination: %v", err)
+			}
+		})
 	}
 }
 

@@ -42,10 +42,11 @@ type Config struct {
 	WarehouseCapacity int
 	WarehouseTTL      int64
 	// MaxDisclosure is the Privacy Control threshold: an aggregate
-	// release whose simulated snooping attack narrows any hidden cell by
-	// more than this fraction is refused (see control.go and ledger.go).
-	// Default 0.99 (only near-exact disclosure blocked); Example 1 uses
-	// stricter settings.
+	// release whose simulated snooping attack, combined with the
+	// requester's earlier releases, narrows any hidden cell by this
+	// fraction or more is refused (see ledger.go). Default 0.9, under the
+	// paper's own Figure 1(d) breach (0.9878), so a default mediator
+	// refuses Example 1.
 	MaxDisclosure float64
 	// LedgerTolerance is the accuracy the release ledger assumes of
 	// published aggregate values when combining a requester's releases
@@ -160,7 +161,7 @@ func New(cfg Config) (*Mediator, error) {
 		return nil, fmt.Errorf("mediator: dedup threshold %v", cfg.DedupThreshold)
 	}
 	if cfg.MaxDisclosure == 0 {
-		cfg.MaxDisclosure = 0.99
+		cfg.MaxDisclosure = 0.9
 	}
 	if cfg.LedgerTolerance == 0 {
 		cfg.LedgerTolerance = 0.5

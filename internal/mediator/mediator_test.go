@@ -153,42 +153,67 @@ func TestQueryFullyDeniedEverywhere(t *testing.T) {
 	}
 }
 
+// answersLast holds its source's answer until the first source's reply
+// is collected. The fan-out cancels a call's context only after that
+// call's reply is in the mediator's channel, so waiting on the first
+// call's context orders the arrivals without timing luck.
+type answersLast struct {
+	source.Endpoint
+	first <-chan context.Context
+}
+
+func (e answersLast) Query(ctx context.Context, text, requester string) (*xmltree.Node, error) {
+	<-(<-e.first).Done()
+	return e.Endpoint.Query(ctx, text, requester)
+}
+
+// answersFirst hands its call's context to answersLast.
+type answersFirst struct {
+	source.Endpoint
+	ctx chan<- context.Context
+}
+
+func (e answersFirst) Query(ctx context.Context, text, requester string) (*xmltree.Node, error) {
+	e.ctx <- ctx
+	return e.Endpoint.Query(ctx, text, requester)
+}
+
+// Two XML sources share a patient whose name is misspelled at one. The
+// row kept is the first-routed source's spelling whichever source
+// answers first: answers are integrated in routing order.
 func TestFuzzyDedupOnNameColumn(t *testing.T) {
-	// Two XML sources sharing a patient whose name is misspelled at one.
 	mk := func(name, patient string) source.Endpoint {
 		doc, err := xmltree.ParseString("<reg><patient><name>" + patient + "</name><age>50</age></patient></reg>")
 		if err != nil {
 			t.Fatal(err)
 		}
 		pol, _ := policy.NewPolicy(name, policy.Allow)
-		s, err := source.New(source.Config{Name: name, Docs: []*xmltree.Node{doc}, Policy: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep, err := source.NewLocal(s, salt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ep
+		return localEndpoint(t, source.Config{Name: name, Docs: []*xmltree.Node{doc}, Policy: pol, Registry: preserve.NewRegistry()})
 	}
-	m, err := New(Config{
-		Endpoints:      []source.Endpoint{mk("A", "Jonathan Smith"), mk("B", "Jonathon Smith")},
-		LinkageSalt:    salt,
-		DedupColumn:    "name",
-		DedupThreshold: 0.75,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := m.Query("FOR //patient RETURN //name, //age PURPOSE research MAXLOSS 1", "r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(in.Result.Rows) != 1 {
-		t.Errorf("fuzzy dedup should collapse the misspelled duplicate: %v", in.Result.Rows)
-	}
-	if in.Duplicates != 1 {
-		t.Errorf("duplicates = %d, want 1", in.Duplicates)
+	ctxs := make(chan context.Context, 1)
+	for name, eps := range map[string][]source.Endpoint{
+		"as routed": {mk("A", "Jonathan Smith"), mk("B", "Jonathon Smith")},
+		"later-routed source answers first": {
+			answersLast{mk("A", "Jonathan Smith"), ctxs},
+			answersFirst{mk("B", "Jonathon Smith"), ctxs},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, err := New(Config{Endpoints: eps, LinkageSalt: salt, DedupColumn: "name", DedupThreshold: 0.75})
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := m.Query("FOR //patient RETURN //name, //age PURPOSE research MAXLOSS 1", "r")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(in.Result.Rows) != 1 || in.Result.Rows[0][0] != "Jonathan Smith" {
+				t.Errorf("fuzzy dedup should keep the first-routed [Jonathan Smith ...] alone: %v", in.Result.Rows)
+			}
+			if in.Duplicates != 1 {
+				t.Errorf("duplicates = %d, want 1", in.Duplicates)
+			}
+		})
 	}
 }
 
@@ -244,37 +269,6 @@ func TestHistoryRecords(t *testing.T) {
 	}
 	if !strings.Contains(h[0].Query, "//sex") {
 		t.Errorf("history query = %q", h[0].Query)
-	}
-}
-
-func TestCheckAggregateReleaseFigure1(t *testing.T) {
-	m, err := New(Config{Endpoints: twoHospitals(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	matrix := clinical.Figure1GroundTruth()
-	// Figure 1's release pins cells to ~1-5 points of 100: enormous
-	// disclosure. A 0.9 threshold must refuse it.
-	dec, err := m.CheckAggregateRelease(matrix, 1, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Allowed {
-		t.Errorf("Figure 1 release should be refused: worst disclosure %v", dec.WorstDisclosure)
-	}
-	if len(dec.Breaches) == 0 || dec.WorstSnooper < 0 {
-		t.Errorf("decision lacks detail: %+v", dec)
-	}
-	// A fully permissive threshold lets it through.
-	dec, err = m.CheckAggregateRelease(matrix, 1, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Allowed {
-		t.Errorf("threshold 1.0 should allow: %+v", dec)
-	}
-	if _, err := m.CheckAggregateRelease(matrix, 1, 0); err == nil {
-		t.Error("zero threshold should be invalid")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -174,6 +175,7 @@ func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trac
 	}
 
 	type reply struct {
+		i    int // the target's routing position
 		name string
 		node *xmltree.Node
 		err  error
@@ -183,19 +185,22 @@ func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trac
 	// the goroutine never leaks.
 	tsFanout := m.pipe.Now()
 	replies := make(chan reply, len(targets))
-	for _, ep := range targets {
-		go func(ep source.Endpoint) {
+	for i, ep := range targets {
+		go func(i int, ep source.Endpoint) {
 			tsCall := m.pipe.Now()
 			sctx, cancel := m.sourceCtx(ctx)
 			defer cancel()
 			node, err := ep.Query(sctx, canonical, requester)
 			m.sourceCall(trace, ep.Name(), tsCall, err)
-			replies <- reply{name: ep.Name(), node: node, err: err}
-		}(ep)
+			replies <- reply{i: i, name: ep.Name(), node: node, err: err}
+		}(i, ep)
 	}
 
+	// Answers are integrated in routing order, not arrival order: which
+	// fuzzy duplicate dedupe keeps and the float sums reaggregate folds
+	// must not depend on which source answered first.
 	out := &Integrated{Denied: map[string]string{}}
-	var answers []*answer
+	answers := make([]*answer, len(targets))
 	for range targets {
 		r := <-replies
 		if r.err != nil {
@@ -207,13 +212,14 @@ func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trac
 			out.Denied[r.name] = err.Error()
 			continue
 		}
-		answers = append(answers, a)
+		answers[r.i] = a
 		out.Answered = append(out.Answered, r.name)
 		if a.estLoss > out.AggregatedLoss {
 			out.AggregatedLoss = a.estLoss
 		}
 	}
 	sort.Strings(out.Answered)
+	answers = slices.DeleteFunc(answers, func(a *answer) bool { return a == nil })
 	if len(answers) == 0 {
 		reasons := make([]string, 0, len(out.Denied))
 		for s, r := range out.Denied {

@@ -1,8 +1,9 @@
 package mediator
 
 // Mediated schema generation: schema refresh over the sources' partial
-// summaries, PSI suite negotiation riding along, and the Fragmenter's
-// source selection over the result.
+// summaries, PSI suite negotiation riding along, the PSI overlap relay
+// over the negotiated suite, and the Fragmenter's source selection over
+// the result.
 
 import (
 	"context"
@@ -173,6 +174,72 @@ func (m *Mediator) Overlap(ctx context.Context, aName, bName, field string) (int
 		return 0, fmt.Errorf("mediator: overlap needs two known sources (have %q, %q)", aName, bName)
 	}
 	return PrivateOverlap(ctx, a, b, field, suite)
+}
+
+// PrivateOverlap computes |A ∩ B| of two sources' values for a field
+// without any party revealing its set: the mediator relays the PSI
+// messages (blind at the owner, exponentiate at the peer) and compares
+// only double-blinded group elements. The mediator learns the overlap
+// size; each source learns only the other's set size. The Result
+// Integrator uses this to estimate duplication before deciding whether a
+// fuzzy dedup pass is worth its cost, and Example 2 uses it to count
+// shared patients across jurisdictions.
+//
+// suite names the group both sources must use ("" lets each source pick
+// its preferred suite — safe only when the fleet is homogeneous; the
+// mediator's Overlap method passes the suite it negotiated at schema
+// refresh). The relay cross-checks the envelopes' suite attributes and
+// refuses to compare elements from diverging groups.
+func PrivateOverlap(ctx context.Context, a, b source.Endpoint, field, suite string) (int, error) {
+	aBlind, err := a.PSIBlinded(ctx, field, suite)
+	if err != nil {
+		return 0, fmt.Errorf("mediator: psi blind %s: %w", a.Name(), err)
+	}
+	aDouble, err := b.PSIExponentiate(ctx, aBlind)
+	if err != nil {
+		return 0, fmt.Errorf("mediator: psi exponentiate at %s: %w", b.Name(), err)
+	}
+	bBlind, err := b.PSIBlinded(ctx, field, suite)
+	if err != nil {
+		return 0, fmt.Errorf("mediator: psi blind %s: %w", b.Name(), err)
+	}
+	bDouble, err := a.PSIExponentiate(ctx, bBlind)
+	if err != nil {
+		return 0, fmt.Errorf("mediator: psi exponentiate at %s: %w", a.Name(), err)
+	}
+	// Comparing double-blinded encodings is only meaningful inside one
+	// group: a mixed fleet that slipped past negotiation must fail
+	// loudly, not report a bogus zero overlap.
+	if sa, sb := psi.WireSuiteName(aDouble), psi.WireSuiteName(bDouble); sa != sb {
+		return 0, fmt.Errorf("mediator: psi suites diverge between %s (%q) and %s (%q)",
+			b.Name(), sa, a.Name(), sb)
+	}
+	// Nor is it meaningful over a column that lost elements on the way or
+	// whose elements are not in canonical form: equal elements would then
+	// compare unequal and the overlap silently under-count.
+	aElems, err := psi.CheckedElems(aDouble)
+	if err != nil {
+		return 0, fmt.Errorf("mediator: psi answer from %s: %w", b.Name(), err)
+	}
+	bElems, err := psi.CheckedElems(bDouble)
+	if err != nil {
+		return 0, fmt.Errorf("mediator: psi answer from %s: %w", a.Name(), err)
+	}
+	inA := make(map[string]bool, len(aElems))
+	for _, e := range aElems {
+		inA[e.Text] = true
+	}
+	// Count distinct double-blinded values of B present in A's set, so
+	// duplicates within one source do not inflate the overlap.
+	counted := map[string]bool{}
+	n := 0
+	for _, e := range bElems {
+		if inA[e.Text] && !counted[e.Text] {
+			counted[e.Text] = true
+			n++
+		}
+	}
+	return n, nil
 }
 
 // sourceCtx derives the per-source call context: the caller's context,

@@ -767,7 +767,21 @@ func (w *simWorld) disclosure(req string) float64 {
 	for _, h := range clinical.HMOs {
 		k.PartyMean = append(k.PartyMean, hmoMean[h])
 	}
-	key := fmt.Sprint(k.AttrMean, k.AttrSigma, k.PartyMean)
+	// The paper's snooper is an insider (Figure 1(c)): the worst of the
+	// outsider and each HMO holding its own ground-truth row.
+	worst := simAttack(k)
+	for h, row := range clinical.Figure1GroundTruth() {
+		insider := *k
+		insider.OwnIndex, insider.OwnRow = h, row
+		worst = max(worst, simAttack(&insider))
+	}
+	return worst
+}
+
+// simAttack is the attacker's disclosure from one knowledge set, 0 when
+// the solver finds no matrix that fits it.
+func simAttack(k *attack.Knowledge) float64 {
+	key := fmt.Sprint(k.OwnIndex, k.AttrMean, k.AttrSigma, k.PartyMean)
 	if d, ok := simInfer.Load(key); ok {
 		return d.(float64)
 	}
@@ -950,17 +964,30 @@ func TestUnverifiablePairRefused403(t *testing.T) {
 	}
 }
 
-// TestContractKnownOpen keeps the one path the invariant does not hold
-// on in view: the party axis asked one group at a time is never
-// combined by the ledger, which drops a release with fewer than two
-// groups. When the ledger learns to combine them, this test fails and
-// the h kinds join the generator.
+// TestContractKnownOpen keeps the paths the invariant does not hold on
+// in view, each asserting exactly one (i) violation:
+//   - the party axis asked one group at a time is never combined by the
+//     ledger, which drops a release with fewer than two groups. When the
+//     ledger learns to combine them, this row fails and the h kinds join
+//     the generator;
+//   - at a threshold of 0.97 the ledger, which attacks as an outsider,
+//     grants the Figure 1 pair (0.96), but the oracle's insider HMO pins
+//     a cell past it (0.99). When the ledger models insiders (ROADMAP
+//     J (3)), this row fails.
 func TestContractKnownOpen(t *testing.T) {
-	steps, err := parseSchedule("ask a 1a =ok; ask a h1 =ok; ask a h2 =ok; ask a h3 =ok")
-	must(t, err)
-	got := runSchedule(t, simOpts{shards: 1}, steps)
-	if len(got) != 1 || !strings.HasPrefix(got[0], "(i)") {
-		t.Fatalf("per-group asks of the party axis: %q, want exactly one (i) violation", got)
+	for _, c := range []struct {
+		script string
+		opts   simOpts
+	}{
+		{"ask a 1a =ok; ask a h1 =ok; ask a h2 =ok; ask a h3 =ok", simOpts{shards: 1}},
+		{"ask a 1a =ok; ask a 1b =ok", simOpts{shards: 1, threshold: 0.97}},
+	} {
+		steps, err := parseSchedule(c.script)
+		must(t, err)
+		got := runSchedule(t, c.opts, steps)
+		if len(got) != 1 || !strings.HasPrefix(got[0], "(i)") {
+			t.Errorf("%s at threshold %v: %q, want exactly one (i) violation", c.script, c.opts.threshold, got)
+		}
 	}
 }
 
