@@ -230,12 +230,12 @@ func PrivateOverlap(ctx context.Context, a, b source.Endpoint, field, suite stri
 		inA[e.Text] = true
 	}
 	// Count distinct double-blinded values of B present in A's set, so
-	// duplicates within one source do not inflate the overlap.
-	counted := map[string]bool{}
+	// duplicates within one source do not inflate the overlap: a match
+	// is struck from A's set as it is counted.
 	n := 0
 	for _, e := range bElems {
-		if inA[e.Text] && !counted[e.Text] {
-			counted[e.Text] = true
+		if inA[e.Text] {
+			inA[e.Text] = false
 			n++
 		}
 	}

@@ -3,7 +3,9 @@ package psi
 import (
 	"crypto/rand"
 	"fmt"
+	mrand "math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -14,7 +16,7 @@ import (
 // sameSecret returns a cold party holding p's secret, so two widths can
 // be compared on fresh computation rather than on table hits.
 func sameSecret(p *Party) *Party {
-	return &Party{suite: p.suite, secret: p.secret, blinds: map[string]Element{}}
+	return &Party{suite: p.suite, secret: p.secret}
 }
 
 func TestBlindBatchWidthInvariant(t *testing.T) {
@@ -41,7 +43,7 @@ func TestBlindBatchWidthInvariant(t *testing.T) {
 					t.Fatalf("workers=%d: item %d recomputed on the warm pass", w, i)
 				}
 			}
-			if blinded, hits, _ := wide.Stats(); blinded != 200 || hits != 100 {
+			if blinded, hits, _, _ := wide.Stats(); blinded != 200 || hits != 100 {
 				t.Errorf("workers=%d: blinded, hits = %d, %d; want 200, 100 (the whole second pass)", w, blinded, hits)
 			}
 		}
@@ -79,10 +81,229 @@ func TestExponentiateBatchWidthInvariant(t *testing.T) {
 			}
 		}
 		// Rejected batches count nothing.
-		if _, _, exp := a.Stats(); exp != 5*50 {
+		if _, _, exp, _ := a.Stats(); exp != 5*50 {
 			t.Errorf("exponentiated = %d, want %d", exp, 5*50)
 		}
 	})
+}
+
+// twins returns two cold parties holding one secret, each drawn from its
+// own copy of one deterministic reader.
+func twins(t *testing.T, s Suite) (*Party, *Party) {
+	t.Helper()
+	a, err := NewParty(s, mrand.New(mrand.NewSource(43)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewParty(s, mrand.New(mrand.NewSource(43)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+// encodings is a batch's wire form, element by element.
+func encodings(s Suite, elems []Element) []string {
+	out := make([]string, len(elems))
+	for i, e := range elems {
+		out[i] = string(s.AppendElement(nil, e))
+	}
+	return out
+}
+
+// The exponentiation memo changes no output: a party answering from a
+// warm memo (whole, and with half the batch new) and its cold twin give
+// byte-identical batches, and the warm one counts its hits.
+func TestExponentiateMemoMatchesCold(t *testing.T) {
+	forEachSuite(t, func(t *testing.T, s Suite) {
+		warm, cold := twins(t, s)
+		_, peer := parties(t, s)
+		items := make([]string, 80)
+		for i := range items {
+			items[i] = fmt.Sprintf("memo-%02d", i)
+		}
+		elems := peer.BlindBatch(items)
+		if _, err := warm.ExponentiateBatch(elems[:40]); err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			got, err := warm.ExponentiateBatch(elems)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sameSecret(cold).ExponentiateBatch(elems)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, w := encodings(s, got), encodings(s, want)
+			for i := range g {
+				if g[i] != w[i] {
+					t.Fatalf("round %d: element %d differs between the warm party and its cold twin", round, i)
+				}
+			}
+		}
+		// 40 cold, then 40 hits and 40 misses, then 80 hits.
+		if _, _, exp, hits := warm.Stats(); exp != 200 || hits != 120 {
+			t.Errorf("exponentiated, hits = %d, %d; want 200, 120", exp, hits)
+		}
+	})
+}
+
+// A warm batch holding bad elements is refused whole: the lowest bad
+// index is named, nothing is counted, and none of its new elements is
+// stored, though every good one ahead of the bad ones was validated.
+func TestExponentiateMemoRefusesWarmBatchWhole(t *testing.T) {
+	forEachSuite(t, func(t *testing.T, s Suite) {
+		a, peer := parties(t, s)
+		items := make([]string, 300)
+		for i := range items {
+			items[i] = fmt.Sprintf("warm-%03d", i)
+		}
+		elems := peer.BlindBatch(items)
+		if _, err := a.ExponentiateBatch(elems[:100]); err != nil {
+			t.Fatal(err)
+		}
+		bad := append([]Element{}, elems...)
+		bad[150], bad[290] = nil, nil
+		for _, w := range []int{1, 0, 3} {
+			if _, err := a.SetWorkers(w).ExponentiateBatch(bad); err == nil || !strings.Contains(err.Error(), "element 150:") {
+				t.Fatalf("workers=%d: want the error for element 150, got %v", w, err)
+			}
+		}
+		if n := len(a.exps.m); n != 100 {
+			t.Errorf("memo holds %d entries after refused batches, want the 100 of the accepted one", n)
+		}
+		if _, _, exp, hits := a.Stats(); exp != 100 || hits != 0 {
+			t.Errorf("exponentiated, hits = %d, %d; want 100, 0 (refused batches count nothing)", exp, hits)
+		}
+	})
+}
+
+// Both memos stop growing at the cap; past it a batch is still answered
+// in full, by computing what the memo could not keep.
+func TestMemosCapped(t *testing.T) {
+	s := X25519Suite()
+	a, cold := twins(t, s)
+	_, peer := parties(t, s)
+	for _, m := range []*memo{&a.blinds, &a.exps} {
+		m.m = make(map[string]Element, blindCacheCap)
+		for i := 0; i < blindCacheCap-2; i++ {
+			m.m[fmt.Sprintf("filler-%d", i)] = peer.BlindBatch([]string{"filler"})[0]
+		}
+	}
+	items := []string{"c1", "c2", "c3", "c4", "c5"}
+	elems := peer.BlindBatch(items)
+	for round := 0; round < 2; round++ {
+		blinded := a.BlindBatch(items)
+		exped, err := a.ExponentiateBatch(elems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range items {
+			if blinded[i] == nil || exped[i] == nil {
+				t.Fatalf("round %d: item %d has no output past the cap", round, i)
+			}
+		}
+		if n, m := len(a.blinds.m), len(a.exps.m); n != blindCacheCap || m != blindCacheCap {
+			t.Fatalf("round %d: memos hold %d and %d entries, want the cap %d", round, n, m, blindCacheCap)
+		}
+	}
+	want, err := cold.ExponentiateBatch(elems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := a.ExponentiateBatch(elems)
+	if encodings(s, got)[4] != encodings(s, want)[4] {
+		t.Error("an element past the cap exponentiates differently")
+	}
+	// Two of the five were kept; the second round hit only those.
+	if _, bh, _, eh := a.Stats(); bh != 2 || eh != 4 {
+		t.Errorf("blind hits, exp hits = %d, %d; want 2, 4", bh, eh)
+	}
+}
+
+// Concurrent rounds share both memos: every answer equals a cold
+// party's, whichever batch stored an entry first (run under -race).
+func TestMemosConcurrentBatches(t *testing.T) {
+	s := X25519Suite()
+	a, cold := twins(t, s)
+	_, peer := parties(t, s)
+	items := make([]string, 200)
+	for i := range items {
+		items[i] = fmt.Sprintf("conc-%03d", i)
+	}
+	elems := peer.BlindBatch(items)
+	wantExp, err := cold.ExponentiateBatch(elems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodings(s, wantExp)
+	wantBlind := encodings(s, cold.BlindBatch(items))
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(lo int) {
+			defer wg.Done()
+			got, err := a.ExponentiateBatch(elems[lo:])
+			if err != nil {
+				errs <- err
+				return
+			}
+			for i, e := range encodings(s, got) {
+				if e != want[lo+i] {
+					errs <- fmt.Errorf("batch from %d: element %d differs", lo, lo+i)
+					return
+				}
+			}
+			for i, e := range encodings(s, a.BlindBatch(items[lo:])) {
+				if e != wantBlind[lo+i] {
+					errs <- fmt.Errorf("blind from %d: item %d differs", lo, lo+i)
+					return
+				}
+			}
+		}(g * 20)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// A warm exponentiation and an x25519 envelope decode each allocate a
+// fixed number of objects, however long the column: no ladder runs and
+// no element is allocated per item. (MODP validation allocates per
+// element by design, so the pin is on the curve suite.)
+func TestWarmKernelAllocationsFlatInN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch buffers")
+	}
+	s := X25519Suite()
+	a, peer := parties(t, s)
+	var expAt16, decAt16 float64
+	for _, n := range []int{16, 1024} {
+		items := make([]string, n)
+		for i := range items {
+			items[i] = fmt.Sprintf("flat-%04d", i)
+		}
+		elems := peer.BlindBatch(items)
+		if _, err := a.ExponentiateBatch(elems); err != nil {
+			t.Fatal(err)
+		}
+		env := MarshalElems(s, elems)
+		exp := testing.AllocsPerRun(20, func() { a.ExponentiateBatch(elems) })
+		dec := testing.AllocsPerRun(20, func() { UnmarshalElems(env, s) })
+		if n == 16 {
+			expAt16, decAt16 = exp, dec
+		}
+		if exp > 16 || exp > expAt16 {
+			t.Errorf("warm ExponentiateBatch of %d elements: %v allocs, want <= 16 and <= the %v at 16", n, exp, expAt16)
+		}
+		if dec > 10 || dec > decAt16 {
+			t.Errorf("UnmarshalElems of %d x25519 elements: %v allocs, want <= 10 and <= the %v at 16", n, dec, decAt16)
+		}
+	}
 }
 
 // The decoder fans out like the kernels do, and like them reports the
@@ -225,11 +446,16 @@ func BenchmarkBlindCold(b *testing.B) {
 	}
 }
 
-// BenchmarkExponentiateBatch measures the cold path: every element is a
-// fresh group operation, so this reports elements/s for the kernel.
+// BenchmarkExponentiateBatch measures the responder's kernel per suite
+// on a 512-element peer column. cold: a fresh party per iteration (made
+// outside the timer), so every element is validated and runs one group
+// operation; this reports elements/s for the ladder or the modexp. warm:
+// one party whose memo already holds the column, so every element is
+// validated and looked up. A warm allocs/op that grows with the column
+// means the memo is off the path.
 func BenchmarkExponentiateBatch(b *testing.B) {
 	for _, s := range []Suite{ModPSuite(), X25519Suite()} {
-		a, err := NewParty(s, rand.Reader)
+		peer, err := NewParty(s, rand.Reader)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -237,9 +463,31 @@ func BenchmarkExponentiateBatch(b *testing.B) {
 		for i := range items {
 			items[i] = fmt.Sprintf("item-%04d", i)
 		}
-		elems := a.BlindBatch(items)
-		b.Run(s.Name(), func(b *testing.B) {
+		elems := peer.BlindBatch(items)
+		b.Run(s.Name()+"/cold", func(b *testing.B) {
 			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				a, err := NewParty(s, rand.Reader)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := a.ExponentiateBatch(elems); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(s.Name()+"/warm", func(b *testing.B) {
+			a, err := NewParty(s, rand.Reader)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := a.ExponentiateBatch(elems); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := a.ExponentiateBatch(elems); err != nil {
 					b.Fatal(err)

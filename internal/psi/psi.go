@@ -34,9 +34,9 @@ import (
 	"privateiye/internal/parallel"
 )
 
-// blindCacheCap bounds the per-party precomputation table. A source's
-// linkage field rarely exceeds this; past it, extra items are simply
-// recomputed rather than growing the table without bound.
+// blindCacheCap bounds each of a party's two fixed-secret memos. A
+// source's linkage field rarely exceeds this; past it, extra entries are
+// simply recomputed rather than growing a memo without bound.
 const blindCacheCap = 1 << 16
 
 // scratchPool recycles hash-to-group scratch buffers across kernel
@@ -56,21 +56,31 @@ type Party struct {
 	workers int
 
 	// Protocol counters (see Stats): items blinded, blinds served from
-	// the precomputation table, peer elements exponentiated. Atomics, so
-	// an observability scrape never contends with a round in flight.
+	// their memo, peer elements exponentiated, exponentiations served
+	// from theirs. Atomics, so an observability scrape never contends
+	// with a round in flight.
 	blindItems atomic.Uint64
 	blindHits  atomic.Uint64
 	expItems   atomic.Uint64
+	expHits    atomic.Uint64
 
-	// blinds is the fixed-secret precomputation table: because the
-	// party's scalar never changes, H(item)^secret is a pure function
-	// of the item, so repeated protocol rounds (the mediator re-linking
-	// the same field against several peers, or periodic re-integration)
-	// reuse earlier group operations instead of redoing them. Only the
-	// party's own items are cached — peer-supplied elements change every
-	// round (they carry the peer's fresh blinding) and would never hit.
-	mu     sync.RWMutex
-	blinds map[string]Element
+	// The fixed-secret memos. The party's scalar never changes, so its
+	// secret applied to an input is a pure function of that input, and
+	// repeated protocol rounds reuse earlier group operations instead of
+	// redoing them. blinds holds H(item)^secret by item. exps holds
+	// e^secret by the canonical encoding of a peer element e: the peer's
+	// secret is fixed too, and its blinded column comes out of its own
+	// blinds, so the column it sends is byte-identical in every round of
+	// one overlap.
+	blinds memo
+	exps   memo
+}
+
+// memo is one fixed-secret table, capped at blindCacheCap entries. The
+// zero value is empty and ready to use.
+type memo struct {
+	mu sync.RWMutex
+	m  map[string]Element
 }
 
 // NewParty draws a fresh secret scalar for the suite from rng
@@ -83,7 +93,7 @@ func NewParty(s Suite, rng io.Reader) (*Party, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Party{suite: s, secret: sec, blinds: map[string]Element{}}, nil
+	return &Party{suite: s, secret: sec}, nil
 }
 
 // SetWorkers fixes the fan-out width for this party's kernels: 0 (the
@@ -97,65 +107,69 @@ func (p *Party) SetWorkers(n int) *Party {
 	return p
 }
 
-// storeBlinds installs freshly computed blinds, respecting the cap.
-func (p *Party) storeBlinds(items []string, vals []Element) {
-	p.mu.Lock()
-	for i, it := range items {
-		if vals[i] == nil {
-			continue
-		}
-		if len(p.blinds) >= blindCacheCap {
-			break
-		}
-		p.blinds[it] = vals[i]
-	}
-	p.mu.Unlock()
-}
-
-// BlindBatch hashes each item into the group and applies the party's
-// secret: the first message of the protocol. Sources feed a field's
-// whole value column through here. The fan-out is one pool task per
-// contiguous chunk of items; each chunk reads the precomputation table
-// under a single RLock and reuses a single hash-to-group scratch buffer.
-// Results are memoized in the table — the scalar is fixed for the
-// party's lifetime, so a warm round is pure lookups. Output order
-// matches the input order regardless of worker count.
-func (p *Party) BlindBatch(items []string) []Element {
-	n := len(items)
-	out := make([]Element, n)
-	if n == 0 {
-		return out
-	}
-	p.blindItems.Add(uint64(n))
-	fresh := make([]Element, n) // only newly computed entries
+// memoized is the chunk routine both messages share. Each pool task
+// takes a contiguous chunk of [0, n), looks all of its keys up in t
+// under a single RLock (key appends input i's key to a scratch buffer),
+// and runs compute, with one hash-to-group scratch, only on the misses.
+// It returns the outputs in input order and the freshly computed ones
+// (nil where the output was a hit), which the caller stores once it
+// knows the batch stands.
+func (p *Party) memoized(t *memo, hits *atomic.Uint64, n int,
+	key func(dst []byte, i int) []byte, compute func(sc *Scratch, i int) Element) (out, fresh []Element) {
+	out, fresh = make([]Element, n), make([]Element, n)
 	// parallel.ForEachChunk with an always-nil error never fails.
 	_ = parallel.ForEachChunk(context.Background(), n, p.workers, 0, func(lo, hi int) error {
-		// One table read for the whole chunk: the run of lookups shares a
-		// single RLock acquisition.
-		hits := 0
-		p.mu.RLock()
-		for i := lo; i < hi; i++ {
-			if v, ok := p.blinds[items[i]]; ok {
-				out[i] = v
-				hits++
-			}
-		}
-		p.mu.RUnlock()
-		if hits > 0 {
-			p.blindHits.Add(uint64(hits))
-		}
 		sc := scratchPool.Get().(*Scratch)
+		found := 0
+		t.mu.RLock()
 		for i := lo; i < hi; i++ {
-			if out[i] != nil {
-				continue
+			sc.key = key(sc.key[:0], i)
+			if v, ok := t.m[string(sc.key)]; ok {
+				out[i] = v
+				found++
 			}
-			v := p.suite.Exp(p.suite.HashToGroup(sc, items[i]), p.secret)
-			out[i], fresh[i] = v, v
+		}
+		t.mu.RUnlock()
+		if found > 0 {
+			hits.Add(uint64(found))
+		}
+		for i := lo; i < hi; i++ {
+			if out[i] == nil {
+				out[i] = compute(sc, i)
+				fresh[i] = out[i]
+			}
 		}
 		scratchPool.Put(sc)
 		return nil
 	})
-	p.storeBlinds(items, fresh)
+	return out, fresh
+}
+
+// store installs the fresh values of a batch under key(i), up to the
+// cap.
+func (t *memo) store(fresh []Element, key func(i int) string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.m == nil {
+		t.m = map[string]Element{}
+	}
+	for i, v := range fresh {
+		if v != nil && len(t.m) < blindCacheCap {
+			t.m[key(i)] = v
+		}
+	}
+}
+
+// BlindBatch hashes each item into the group and applies the party's
+// secret: the first message of the protocol. Sources feed a field's
+// whole value column through here, so a warm round is pure lookups.
+// Output order matches the input order regardless of worker count.
+func (p *Party) BlindBatch(items []string) []Element {
+	p.blindItems.Add(uint64(len(items)))
+	out, fresh := p.memoized(&p.blinds, &p.blindHits, len(items),
+		func(dst []byte, i int) []byte { return append(dst, items[i]...) },
+		func(sc *Scratch, i int) Element { return p.suite.Exp(p.suite.HashToGroup(sc, items[i]), p.secret) })
+	p.blinds.store(fresh, func(i int) string { return items[i] })
 	return out
 }
 
@@ -189,34 +203,35 @@ func forEachChecked(n, workers int, fn func(i int) error) error {
 
 // ExponentiateBatch applies this party's secret to already-blinded
 // elements (received from the peer), preserving order: the second
-// message. Every peer element is validated, then exponentiated, one pool
-// task per contiguous run; they are never cached (each round's peer
-// blinding is fresh). A membership error names the lowest offending
-// index, and a rejected batch returns nothing.
+// message. Every peer element is validated first, hit or miss; a
+// membership error names the lowest offending index, and a rejected
+// batch returns nothing and stores nothing. Then each element is looked
+// up in the memo by its canonical encoding and exponentiated only on a
+// miss, and the misses are stored.
 func (p *Party) ExponentiateBatch(elems []Element) ([]Element, error) {
-	n := len(elems)
-	out := make([]Element, n)
-	err := forEachChecked(n, p.workers, func(i int) error {
-		// Validate also refuses a nil element.
-		if err := p.suite.Validate(elems[i]); err != nil {
-			return err
-		}
-		out[i] = p.suite.Exp(elems[i], p.secret)
-		return nil
-	})
+	// Validate also refuses a nil element.
+	err := forEachChecked(len(elems), p.workers, func(i int) error { return p.suite.Validate(elems[i]) })
 	if err != nil {
 		return nil, err
 	}
-	p.expItems.Add(uint64(n))
+	p.expItems.Add(uint64(len(elems)))
+	out, fresh := p.memoized(&p.exps, &p.expHits, len(elems),
+		func(dst []byte, i int) []byte { return p.suite.AppendElement(dst, elems[i]) },
+		func(_ *Scratch, i int) Element { return p.suite.Exp(elems[i], p.secret) })
+	var buf []byte
+	p.exps.store(fresh, func(i int) string {
+		buf = p.suite.AppendElement(buf[:0], elems[i])
+		return string(buf)
+	})
 	return out, nil
 }
 
 // Stats reports the party's lifetime protocol counters: items blinded
-// (BlindBatch calls, including cache hits), blinds served from the
-// precomputation table, and peer elements exponentiated. Safe for
-// concurrent use.
-func (p *Party) Stats() (blinded, blindCacheHits, exponentiated uint64) {
-	return p.blindItems.Load(), p.blindHits.Load(), p.expItems.Load()
+// (BlindBatch calls, including memo hits), blinds served from their
+// memo, peer elements exponentiated (hits included), and
+// exponentiations served from their memo. Safe for concurrent use.
+func (p *Party) Stats() (blinded, blindCacheHits, exponentiated, expCacheHits uint64) {
+	return p.blindItems.Load(), p.blindHits.Load(), p.expItems.Load(), p.expHits.Load()
 }
 
 // Intersect runs the full semi-honest protocol in-process between an

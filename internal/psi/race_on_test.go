@@ -1,0 +1,8 @@
+//go:build race
+
+package psi
+
+// raceEnabled: under the race detector sync.Pool deliberately drops a
+// quarter of its Puts, so pins that depend on a warm scratch pool do not
+// hold.
+const raceEnabled = true

@@ -49,7 +49,10 @@ type Suite interface {
 	// DecodeElement parses exactly one canonical encoding, validating
 	// membership: wrong width, out-of-range values, the identity and
 	// small-order points, and non-subgroup residues are all rejected. It
-	// never panics, whatever the input.
+	// never panics, whatever the input. The element may alias data (the
+	// x25519 suite's is data itself, with no copy), so the caller hands
+	// data over and must not modify it while the element is in use;
+	// UnmarshalElems gives each element its own slice of a fresh slab.
 	DecodeElement(data []byte) (Element, error)
 	// Validate checks that e is a well-formed non-identity member of the
 	// suite's group (the in-process counterpart of DecodeElement, for
@@ -67,13 +70,15 @@ type Element interface{ psiElement() }
 // Secret is one party's fixed secret scalar, owned by its suite.
 type Secret interface{ psiSecret() }
 
-// Scratch holds reusable hash-to-group buffers: one SHA-256 state and
-// one byte buffer, both recycled across calls so the hot path
-// allocates only the element it returns. Not safe for concurrent use;
-// batch kernels carry one per worker chunk.
+// Scratch holds reusable buffers: one SHA-256 state and one byte buffer
+// for hash-to-group, recycled across calls so the hot path allocates
+// only the element it returns, and one the batch kernels build their
+// memo lookup keys in. Not safe for concurrent use; batch kernels carry
+// one per worker chunk.
 type Scratch struct {
 	h   hash.Hash
 	buf []byte
+	key []byte
 }
 
 // NewScratch returns an empty scratch buffer.

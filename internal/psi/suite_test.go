@@ -36,8 +36,8 @@ func TestScratchReducesAllocations(t *testing.T) {
 
 // The curve kernels allocate what they return and nothing else: the
 // ladder's output plus crypto/ecdh's public-key wrapper and its copy of
-// the input, one element per decode, and none to validate or to hash
-// beyond the element.
+// the input, none to decode (the element is the bytes it was decoded
+// from), and none to validate or to hash beyond the element.
 func TestX25519KernelAllocations(t *testing.T) {
 	s := X25519Suite()
 	p, err := NewParty(s, rand.Reader)
@@ -52,7 +52,7 @@ func TestX25519KernelAllocations(t *testing.T) {
 		f   func()
 	}{
 		"Exp":           {3, func() { s.Exp(e, p.secret) }},
-		"DecodeElement": {1, func() { s.DecodeElement(enc) }},
+		"DecodeElement": {0, func() { s.DecodeElement(enc) }},
 		"Validate":      {0, func() { s.Validate(e) }},
 		"HashToGroup":   {1, func() { s.HashToGroup(sc, "patient-4711") }},
 	} {

@@ -96,15 +96,17 @@ func (x25519Suite) AppendElement(dst []byte, e Element) []byte {
 	return append(dst, e.(*X25519Elem)[:]...)
 }
 
+// DecodeElement returns data itself as the element, with no copy (see
+// Suite.DecodeElement).
 func (x25519Suite) DecodeElement(data []byte) (Element, error) {
 	if len(data) != x25519ElemSize {
 		return nil, fmt.Errorf("psi: x25519 element is %d bytes, want %d", len(data), x25519ElemSize)
 	}
-	if err := checkU((*X25519Elem)(data)); err != nil {
+	e := (*X25519Elem)(data)
+	if err := checkU(e); err != nil {
 		return nil, err
 	}
-	e := X25519Elem(data)
-	return &e, nil
+	return e, nil
 }
 
 func (x25519Suite) Validate(e Element) error {

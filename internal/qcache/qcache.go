@@ -59,8 +59,10 @@ func New(capacity int) *Cache {
 	}
 	per := (capacity + defaultShards - 1) / defaultShards
 	c := &Cache{shards: make([]*shard, defaultShards), perShard: per}
+	// No size hint: a map grows to what it holds, and a cache that never
+	// fills would otherwise keep 16 full-size maps live.
 	for i := range c.shards {
-		c.shards[i] = &shard{items: make(map[string]*list.Element, per), order: list.New()}
+		c.shards[i] = &shard{items: map[string]*list.Element{}, order: list.New()}
 	}
 	return c
 }
@@ -197,7 +199,7 @@ func (c *Cache) Purge() {
 	}
 	for _, s := range c.shards {
 		s.mu.Lock()
-		s.items = make(map[string]*list.Element, c.perShard)
+		clear(s.items)
 		s.order.Init()
 		s.mu.Unlock()
 	}

@@ -224,16 +224,20 @@ func (l *Local) psiParty(suite psi.Suite) (*psi.Party, error) {
 		name, sName, party := l.Src.Name(), suite.Name(), p
 		reg.Help("piye_psi_blind_items_total", "Items blinded in PSI rounds (cache hits included).")
 		reg.CounterFunc("piye_psi_blind_items_total", func() float64 {
-			b, _, _ := party.Stats()
+			b, _, _, _ := party.Stats()
 			return float64(b)
 		}, "source", name, "suite", sName)
 		reg.CounterFunc("piye_psi_blind_cache_hits_total", func() float64 {
-			_, h, _ := party.Stats()
+			_, h, _, _ := party.Stats()
 			return float64(h)
 		}, "source", name, "suite", sName)
 		reg.CounterFunc("piye_psi_exponentiate_items_total", func() float64 {
-			_, _, e := party.Stats()
+			_, _, e, _ := party.Stats()
 			return float64(e)
+		}, "source", name, "suite", sName)
+		reg.CounterFunc("piye_psi_exponentiate_cache_hits_total", func() float64 {
+			_, _, _, h := party.Stats()
+			return float64(h)
 		}, "source", name, "suite", sName)
 		if l.mBatch == nil {
 			reg.Help("piye_psi_batch_items", "Items per whole-column PSI call (batched kernel entry).")

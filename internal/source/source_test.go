@@ -1,6 +1,7 @@
 package source
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -702,6 +703,50 @@ func TestPSIExponentiateRefusesUndescribedEnvelope(t *testing.T) {
 			if out, err := local.PSIExponentiate(bg, env); err == nil {
 				t.Errorf("%s: envelope without %s exponentiated (%d elements)", suite, attr, len(out.Children))
 			}
+		}
+	}
+}
+
+// A second exponentiation of the same envelope is answered from the
+// party's memo: the same bytes back, every element a hit, and the
+// source's counters read it.
+func TestPSIExponentiateWarmEnvelopeHits(t *testing.T) {
+	src := benchSource(t, 0)
+	local, err := NewLocal(src, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := psi.NewParty(psi.X25519Suite(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 50
+	items := make([]string, n)
+	for i := range items {
+		items[i] = fmt.Sprintf("peer-%02d", i)
+	}
+	env := psi.MarshalElems(psi.X25519Suite(), peer.BlindBatch(items))
+	first, err := local.PSIExponentiate(bg, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := local.PSIExponentiate(bg, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.String() != second.String() {
+		t.Error("the warm answer differs from the cold one")
+	}
+	var buf bytes.Buffer
+	if err := src.cfg.Obs.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`piye_psi_exponentiate_items_total{source="bench",suite="x25519"} 100`,
+		`piye_psi_exponentiate_cache_hits_total{source="bench",suite="x25519"} 50`,
+	} {
+		if !strings.Contains(buf.String(), want+"\n") {
+			t.Errorf("metrics lack %q", want)
 		}
 	}
 }
