@@ -92,6 +92,31 @@ func TestMediatedSchemaMergesSources(t *testing.T) {
 	}
 }
 
+// route matches each source's summary in place: one allocation per
+// query, its result, whatever the number of summarized paths and
+// whether any source is reached.
+func TestRouteAllocatesOnlyItsResult(t *testing.T) {
+	eps := append(twoHospitals(t), localEndpoint(t, hospitalConfig(t, "hospitalC", 3, 30, false)))
+	m, err := New(Config{Endpoints: eps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"FOR //patients/row RETURN //age PURPOSE research", 3},
+		{"FOR //wards/bed RETURN //age PURPOSE research", 0},
+	} {
+		q := piql.MustParse(tc.query)
+		var got []source.Endpoint
+		allocs := testing.AllocsPerRun(100, func() { got = m.route(q) })
+		if len(got) != tc.want || allocs > 1 {
+			t.Fatalf("%s: routed to %d sources in %v allocations; want %d in at most 1", q.For, len(got), allocs, tc.want)
+		}
+	}
+}
+
 func TestQueryIntegratesAcrossSources(t *testing.T) {
 	m, err := New(Config{Endpoints: twoHospitals(t)})
 	if err != nil {

@@ -257,7 +257,7 @@ func (m *Mediator) sourceCtx(ctx context.Context) (context.Context, context.Canc
 func (m *Mediator) route(q *piql.Query) []source.Endpoint {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	var out []source.Endpoint
+	out := make([]source.Endpoint, 0, len(m.cfg.Endpoints))
 	for _, ep := range m.cfg.Endpoints {
 		sum, ok := m.bySource[ep.Name()]
 		if !ok {
@@ -278,10 +278,5 @@ func (m *Mediator) route(q *piql.Query) []source.Endpoint {
 // declare every source reachable whenever the pattern starts with a
 // descendant step.
 func summaryReaches(sum *xmltree.Summary, pat *xmltree.PathPattern) bool {
-	for _, info := range sum.Paths() {
-		if pat.Matches(info.Path) {
-			return true
-		}
-	}
-	return false
+	return sum.AnyPath(pat.Matches)
 }

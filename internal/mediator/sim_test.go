@@ -285,7 +285,7 @@ func newSimWorld(t testing.TB, opts simOpts) *simWorld {
 	must(t, err)
 	aud, err := audit.NewLog(audit.Config{Population: len(tab.Rows()), MinSetSize: 2, MaxOverlap: -1})
 	must(t, err)
-	w.src, err = source.New(source.Config{Name: "integrator", Catalog: cat, Policy: pol, Registry: preserve.NewRegistry(), Audit: aud})
+	w.src, err = source.New(source.Config{Name: "integrator", Catalog: cat, Policy: pol, Registry: preserve.NewRegistry(), Audit: aud, PlanCache: 256})
 	must(t, err)
 	ep, err := source.NewLocal(w.src, salt, nil)
 	must(t, err)

@@ -339,6 +339,53 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// drawing is a caller-defined technique: Deterministic cannot see inside
+// it, so it counts as drawing whatever it does.
+type drawing struct{ Identity }
+
+// Deterministic holds for exactly the techniques that leave the random
+// stream where it was, and for a pipeline only when every step does.
+func TestDeterministic(t *testing.T) {
+	reg := DefaultRegistry()
+	for _, tc := range []struct {
+		tech Technique
+		want bool
+	}{
+		{Identity{}, true},
+		{SuppressColumns{Columns: []string{"name"}}, true},
+		{DropColumns{Columns: []string{"id"}}, true},
+		{Generalize{Column: "age", Hierarchy: AgeHierarchy(), Level: 2}, true},
+		{RoundNumeric{Column: "age", Places: 0}, true},
+		{SmallCountSuppress{CountColumn: "n", Threshold: 3}, true},
+		{Microaggregate{Column: "age", K: 2}, true},
+		{TopBottomCode{Column: "age", LowerQ: 0.1, UpperQ: 0.9}, true},
+		{Pipeline{}, true},
+		{reg.For(BreachIdentity), true},
+		{reg.For(BreachAggregateInference), true},
+		{AdditiveNoise{Column: "age", Sigma: 1}, false},
+		{RandomSample{P: 0.5}, false},
+		{RankSwap{Column: "age", WindowPct: 0.5}, false},
+		{reg.For(BreachLinkage), false},
+		{reg.For(BreachSequence), false},
+		{drawing{}, false},
+	} {
+		if got := Deterministic(tc.tech); got != tc.want {
+			t.Errorf("Deterministic(%s) = %v, want %v", tc.tech.Name(), got, tc.want)
+			continue
+		}
+		if !tc.want {
+			continue
+		}
+		rng, fresh := stats.NewRand(7), stats.NewRand(7)
+		if _, err := tc.tech.Apply(sampleResult(), rng); err != nil {
+			t.Fatal(err)
+		}
+		if rng.Float64() != fresh.Float64() {
+			t.Errorf("%s is reported deterministic but drew from the stream", tc.tech.Name())
+		}
+	}
+}
+
 // The copying techniques allocate per result, not per row.
 func TestRowCopiesAllocatePerResult(t *testing.T) {
 	mk := func(rows int) *piql.Result {

@@ -21,6 +21,28 @@ type Technique interface {
 	Apply(res *piql.Result, rng *stats.Rand) (*piql.Result, error)
 }
 
+// Deterministic reports whether t's output is a function of its input
+// alone: it never draws from the random stream, so applying it again to
+// the same result yields the same result and skipping it leaves the
+// stream as it was. Only this package's rng-free techniques qualify — a
+// Pipeline when every step does; any other type, the caller's own
+// included, is treated as drawing.
+func Deterministic(t Technique) bool {
+	switch t := t.(type) {
+	case Identity, SuppressColumns, DropColumns, Generalize, RoundNumeric,
+		SmallCountSuppress, Microaggregate, TopBottomCode:
+		return true
+	case Pipeline:
+		for _, s := range t.Steps {
+			if !Deterministic(s) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
 func cloneResult(res *piql.Result) *piql.Result {
 	out := &piql.Result{Columns: append([]string(nil), res.Columns...)}
 	out.Rows = piql.NewRows(len(res.Rows), len(res.Columns))

@@ -62,14 +62,7 @@ func elemNodes(n *xmltree.Node) ([]*xmltree.Node, error) {
 	if n.Name != "psi-elems" {
 		return nil, fmt.Errorf("psi: expected <psi-elems>, got <%s>", n.Name)
 	}
-	// Sized to the children up front: one allocation however long the
-	// column (ChildrenNamed grows its result by appending).
-	kids := make([]*xmltree.Node, 0, len(n.Children))
-	for _, c := range n.Children {
-		if c.Name == "e" {
-			kids = append(kids, c)
-		}
-	}
+	kids := n.ChildrenNamed("e")
 	v, ok := n.Attr("n")
 	if want, err := strconv.Atoi(v); !ok || err != nil || want != len(kids) {
 		return nil, fmt.Errorf("psi: envelope declares n=%q but carries %d elements", v, len(kids))

@@ -77,6 +77,9 @@ func TestInsertTypeChecking(t *testing.T) {
 	if err := tab.Insert(Row{Int(1), Int(2)}); err == nil {
 		t.Error("wrong arity should fail")
 	}
+	if v := tab.Version(); v != 0 {
+		t.Errorf("refused inserts moved the version to %d", v)
+	}
 	if err := tab.Insert(Row{Null(TString)}); err != nil {
 		t.Errorf("null of any declared kind should insert: %v", err)
 	}
@@ -88,6 +91,9 @@ func TestInsertTypeChecking(t *testing.T) {
 	}
 	if tab.Len() != 2 {
 		t.Errorf("Len = %d, want 2", tab.Len())
+	}
+	if v := tab.Version(); v != 2 {
+		t.Errorf("two inserts read version %d, want 2", v)
 	}
 }
 

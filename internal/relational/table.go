@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Column describes one attribute of a relation.
@@ -85,6 +86,10 @@ type Table struct {
 	Name   string
 	schema *Schema
 	rows   []Row
+	// version counts Inserts. It moves under mu, after the rows do, so a
+	// reader that loads v and then reads the rows reads rows at least as
+	// new as v.
+	version atomic.Uint64
 }
 
 // NewTable returns an empty table.
@@ -112,8 +117,13 @@ func (t *Table) Insert(rows ...Row) error {
 		}
 	}
 	t.rows = append(t.rows, rows...)
+	t.version.Add(1)
 	return nil
 }
+
+// Version identifies the table's contents: every Insert moves it, so
+// two equal readings bracket no change to the rows.
+func (t *Table) Version() uint64 { return t.version.Load() }
 
 // InsertStrings parses and appends one row given as strings in schema
 // order.

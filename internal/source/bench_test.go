@@ -4,8 +4,9 @@ package source
 // Local.Query, plan cache, metrics and tracer on — over the tier
 // benchmark's data: 500 generated patients plus the Figure 1 compliance
 // table under the daemon's built-in policy. `make bench-quick` runs them
-// so that planning creeping back onto the hit path shows here, where it
-// is a large share of the op, rather than behind the tier's HTTP hops.
+// so that planning or execution creeping back onto the hit path shows
+// here, where it is a large share of the op, rather than behind the
+// tier's HTTP hops.
 //
 //	go test -run '^$' -bench SourceExecute -benchmem ./internal/source/
 
@@ -24,8 +25,9 @@ const (
 	benchSelection = "FOR //patients/row WHERE //age > 55 RETURN //age PURPOSE research MAXLOSS 0.9"
 
 	// warmFig1aAllocBound caps a warm Local.Query of benchFig1a: measured
-	// 77, against 211 when every call re-plans.
-	warmFig1aAllocBound = 100
+	// 4 (the plan's answer memo serves it), against 77 when every call
+	// executes, preserves and tags, and 211 when every call re-plans.
+	warmFig1aAllocBound = 10
 )
 
 func benchSource(tb testing.TB, planCache int) *Source {
@@ -99,3 +101,36 @@ func BenchmarkSourceExecuteWarm(b *testing.B) { benchExecute(b, 256) }
 // BenchmarkSourceExecuteColdPlan: no cache, every op re-plans — what a
 // hit saves, and what Warm regresses to if the key stops matching.
 func BenchmarkSourceExecuteColdPlan(b *testing.B) { benchExecute(b, 0) }
+
+// BenchmarkSourceExecuteMemoMiss: the Figure 1a plan comes from the
+// cache, but an Insert into the compliance table before each op (outside
+// the timer) outdates the plan's answer memo, so every op executes,
+// preserves and tags — the path Warm's fig1a skips. The table grows by
+// one row per op, each a copy of its first.
+func BenchmarkSourceExecuteMemoMiss(b *testing.B) {
+	src := benchSource(b, 256)
+	local, err := NewLocal(src, []byte("salt"), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	comp, err := src.cfg.Catalog.Table("compliance")
+	if err != nil {
+		b.Fatal(err)
+	}
+	row := comp.Rows()[0]
+	if _, err := local.Query(bg, benchFig1a, "warm-up"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := comp.Insert(row); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := local.Query(bg, benchFig1a, fmt.Sprintf("r%08x", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -54,6 +54,17 @@ func (s *Summary) Paths() []PathInfo {
 	return out
 }
 
+// AnyPath reports whether match holds for some path, visiting paths in
+// no particular order and copying none of them.
+func (s *Summary) AnyPath(match func(path string) bool) bool {
+	for p := range s.paths {
+		if match(p) {
+			return true
+		}
+	}
+	return false
+}
+
 // Has reports whether the exact path occurs in the summary.
 func (s *Summary) Has(path string) bool {
 	_, ok := s.paths[path]

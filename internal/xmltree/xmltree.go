@@ -90,9 +90,19 @@ func (n *Node) ChildText(name string) string {
 	return ""
 }
 
-// ChildrenNamed returns all direct children with the given name.
+// ChildrenNamed returns all direct children with the given name, in one
+// allocation however many there are (none when there are none).
 func (n *Node) ChildrenNamed(name string) []*Node {
-	var out []*Node
+	k := 0
+	for _, c := range n.Children {
+		if c.Name == name {
+			k++
+		}
+	}
+	if k == 0 {
+		return nil
+	}
+	out := make([]*Node, 0, k)
 	for _, c := range n.Children {
 		if c.Name == name {
 			out = append(out, c)

@@ -285,3 +285,23 @@ func TestCloneEqualProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// ChildrenNamed sizes its result once: one allocation at 16 matching
+// children and at 1,024, none when nothing matches.
+func TestChildrenNamedAllocatesOnce(t *testing.T) {
+	for _, n := range []int{16, 1024} {
+		root := NewElem("list")
+		for i := 0; i < n; i++ {
+			root.Append(NewText("e", "x"))
+			root.Append(NewText("other", "y"))
+		}
+		var got []*Node
+		allocs := testing.AllocsPerRun(50, func() { got = root.ChildrenNamed("e") })
+		if allocs != 1 || len(got) != n || cap(got) != n {
+			t.Fatalf("%d children: %v allocs, len %d cap %d; want 1 allocation of exactly %d", n, allocs, len(got), cap(got), n)
+		}
+		if none := testing.AllocsPerRun(50, func() { got = root.ChildrenNamed("absent") }); none != 0 || got != nil {
+			t.Fatalf("no match: %v allocs, %v", none, got)
+		}
+	}
+}
