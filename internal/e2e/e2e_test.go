@@ -305,7 +305,7 @@ func TestPipelineObservabilityEndToEnd(t *testing.T) {
 	if out, ok := refusedTr.span("ledger"); !ok || out != "refused:ledger-combination" {
 		t.Errorf("refused trace ledger span = %q, %v", out, ok)
 	}
-	if whTr.Outcome != "answered" {
+	if whTr.Outcome != "warehouse" {
 		t.Errorf("warehouse trace outcome = %q", whTr.Outcome)
 	}
 	if out, ok := whTr.span("warehouse"); !ok || out != "answered" {

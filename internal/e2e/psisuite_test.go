@@ -2,9 +2,11 @@ package e2e
 
 import (
 	"context"
+	"encoding/base64"
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -127,7 +129,7 @@ func TestMixedSuiteFleetNegotiatesDown(t *testing.T) {
 	}
 
 	// The protocol messages really are in the negotiated group: the
-	// envelope names it and every element is one 2048-bit residue.
+	// envelope names it and its packed text is n 2048-bit residues.
 	cli := source.NewClient(legacy.URL, "legacy")
 	elems, err := cli.PSIBlinded(ctx, "hmo", med.PSISuite())
 	if err != nil {
@@ -136,10 +138,8 @@ func TestMixedSuiteFleetNegotiatesDown(t *testing.T) {
 	if got := psi.WireSuiteName(elems); got != psi.SuiteNameModP2048 {
 		t.Fatalf("envelope suite = %q, want %q", got, psi.SuiteNameModP2048)
 	}
-	for _, e := range elems.ChildrenNamed("e") {
-		if len(e.Text) != 2*256 {
-			t.Fatalf("element width %d hex chars, want %d", len(e.Text), 2*256)
-		}
+	if n, _ := strconv.Atoi(elems.Attrs["n"]); len(elems.Children) != 0 || n == 0 || len(elems.Text) != base64.RawStdEncoding.EncodedLen(n*256) {
+		t.Fatalf("envelope of n=%d: %d children, %d characters; want one text of %d 256-byte elements", n, len(elems.Children), len(elems.Text), n)
 	}
 
 	// And the rest of the mediation pipeline is untouched by the
@@ -245,10 +245,8 @@ func TestMixedSuiteAllECFleetPrefersX25519(t *testing.T) {
 	if got := psi.WireSuiteName(elems); got != psi.SuiteNameX25519 {
 		t.Fatalf("envelope suite = %q, want %q", got, psi.SuiteNameX25519)
 	}
-	for _, e := range elems.ChildrenNamed("e") {
-		if len(e.Text) != 2*32 {
-			t.Fatalf("element width %d hex chars, want %d (u-coordinate)", len(e.Text), 2*32)
-		}
+	if n, _ := strconv.Atoi(elems.Attrs["n"]); len(elems.Children) != 0 || n == 0 || len(elems.Text) != base64.RawStdEncoding.EncodedLen(n*32) {
+		t.Fatalf("envelope of n=%d: %d children, %d characters; want one text of %d 32-byte u-coordinates", n, len(elems.Children), len(elems.Text), n)
 	}
 }
 

@@ -3,6 +3,8 @@ package mediator
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -14,6 +16,7 @@ import (
 	"unsafe"
 
 	"privateiye/internal/piql"
+	"privateiye/internal/psi"
 	"privateiye/internal/source"
 	"privateiye/internal/xmltree"
 )
@@ -348,33 +351,68 @@ func (w *wireEndpoint) lastCell(t *testing.T, query string) string {
 	return rows[len(rows)-1].Children[0].Text
 }
 
-// droppingEndpoint loses the last element of every exponentiated column
-// on the way back, leaving the envelope otherwise as the source wrote it.
-type droppingEndpoint struct{ source.Endpoint }
-
-func (d droppingEndpoint) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error) {
-	n, err := d.Endpoint.PSIExponentiate(ctx, elems)
-	if err == nil {
-		n.Children = n.Children[:len(n.Children)-1]
-	}
-	return n, err
+// rewritingEndpoint rewrites every exponentiated column on the way back:
+// f gets the envelope the source wrote, the column's element bytes and
+// their width, and changes the envelope in place.
+type rewritingEndpoint struct {
+	source.Endpoint
+	f func(n *xmltree.Node, raw []byte, size int)
 }
 
-// malformingEndpoint answers with a column whose first element is not in
-// canonical form (uppercase hex of the same value).
-type malformingEndpoint struct{ source.Endpoint }
-
-func (d malformingEndpoint) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error) {
-	n, err := d.Endpoint.PSIExponentiate(ctx, elems)
-	if err == nil {
-		n.Children[0].Text = strings.ToUpper(n.Children[0].Text)
+func (r rewritingEndpoint) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error) {
+	n, err := r.Endpoint.PSIExponentiate(ctx, elems)
+	if err != nil {
+		return n, err
 	}
-	return n, err
+	s, err := psi.SuiteByName(psi.WireSuiteName(n))
+	if err != nil {
+		return nil, err
+	}
+	raw, err := base64.RawStdEncoding.DecodeString(n.Text)
+	if err != nil {
+		return nil, err
+	}
+	r.f(n, raw, s.ElementSize())
+	return n, nil
 }
 
-// The relay compares texts, so a column that arrives short or in another
-// spelling would under-count the overlap without anyone noticing. It is
-// refused instead, whichever of the two sources it came back from.
+// droppingEndpoint loses the last element of every exponentiated column,
+// leaving its n as the source wrote it.
+func droppingEndpoint(ep source.Endpoint) source.Endpoint {
+	return rewritingEndpoint{ep, func(n *xmltree.Node, raw []byte, size int) {
+		n.Text = base64.RawStdEncoding.EncodeToString(raw[:len(raw)-size])
+	}}
+}
+
+// respellingEndpoint answers with the column's packed text rewritten by f.
+func respellingEndpoint(ep source.Endpoint, f func(text string) string) source.Endpoint {
+	return rewritingEndpoint{ep, func(n *xmltree.Node, _ []byte, _ int) { n.Text = f(n.Text) }}
+}
+
+// perElementEndpoint answers in the form of builds before the packed
+// text: one <e> child of lowercase hex per element, and no text.
+func perElementEndpoint(ep source.Endpoint) source.Endpoint {
+	return rewritingEndpoint{ep, func(n *xmltree.Node, raw []byte, size int) {
+		n.Text = ""
+		for ; len(raw) > 0; raw = raw[size:] {
+			n.Append(xmltree.NewText("e", hex.EncodeToString(raw[:size])))
+		}
+	}}
+}
+
+// regroupingEndpoint answers every exponentiation with its own column in
+// modp2048: a whole, canonical envelope, in another group than the one
+// it was asked in.
+type regroupingEndpoint struct{ source.Endpoint }
+
+func (r regroupingEndpoint) PSIExponentiate(ctx context.Context, _ *xmltree.Node) (*xmltree.Node, error) {
+	return r.Endpoint.PSIBlinded(ctx, "name", psi.SuiteNameModP2048)
+}
+
+// The relay compares elements, so a column that arrives short, in another
+// spelling or in another group would miscount the overlap without anyone
+// noticing. It is refused instead, whichever of the two sources it came
+// back from.
 func TestPrivateOverlapRefusesDamagedColumns(t *testing.T) {
 	a := registry(t, "A", "alice", "bob", "carol", "dave")
 	b := registry(t, "B", "carol", "erin", "alice")
@@ -382,15 +420,28 @@ func TestPrivateOverlapRefusesDamagedColumns(t *testing.T) {
 	if n, err := PrivateOverlap(ctx, a, b, "name", ""); err != nil || n != 2 {
 		t.Fatalf("intact relay: overlap %d, %v", n, err)
 	}
+	newline := func(text string) string { return text[:5] + "\n" + text[6:] }
+	padded := func(text string) string { return text + "=" }
+	trailing := func(text string) string {
+		// A four-element x25519 column is 128 bytes: two unused bits.
+		const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+		return text[:len(text)-1] + string(alphabet[strings.IndexByte(alphabet, text[len(text)-1])|1])
+	}
 	for _, tc := range []struct {
 		name string
 		a, b source.Endpoint
 		want string
 	}{
-		{"B drops an element of A's column", a, droppingEndpoint{b}, `n="4"`},
-		{"A drops an element of B's column", droppingEndpoint{a}, b, `n="3"`},
-		{"B answers in uppercase hex", a, malformingEndpoint{b}, "element 0"},
-		{"A answers in uppercase hex", malformingEndpoint{a}, b, "element 0"},
+		{"B drops an element of A's column", a, droppingEndpoint(b), `n="4"`},
+		{"A drops an element of B's column", droppingEndpoint(a), b, `n="3"`},
+		{"B breaks a line in A's column", a, respellingEndpoint(b, newline), "element 0"},
+		{"A breaks a line in B's column", respellingEndpoint(a, newline), b, "element 0"},
+		{"B pads A's column", a, respellingEndpoint(b, padded), `n="4"`},
+		{"B sets A's column's trailing bits", a, respellingEndpoint(b, trailing), "element 3"},
+		{"B answers per element", a, perElementEndpoint(b), "child elements"},
+		{"A answers per element", perElementEndpoint(a), b, "child elements"},
+		{"B answers in another group", a, regroupingEndpoint{b}, "diverge"},
+		{"A answers in another group", regroupingEndpoint{a}, b, "diverge"},
 	} {
 		n, err := PrivateOverlap(ctx, tc.a, tc.b, "name", "")
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -321,6 +321,11 @@ func TestPrivateOverlap(t *testing.T) {
 	if n != 2 {
 		t.Errorf("overlap = %d, want 2 (duplicates must not inflate)", n)
 	}
+	// The columns crossed packed: one text each, no per-element children.
+	env, err := b.PSIBlinded(context.Background(), "name", "")
+	if err != nil || len(env.Children) != 0 || env.Attrs["n"] != "4" || env.Text == "" {
+		t.Errorf("B's column is not one packed text of 4 elements: %v, %d children", err, len(env.Children))
+	}
 }
 
 // Negotiation picks only a suite this build can run: a name every source

@@ -225,17 +225,19 @@ func PrivateOverlap(ctx context.Context, a, b source.Endpoint, field, suite stri
 	if err != nil {
 		return 0, fmt.Errorf("mediator: psi answer from %s: %w", a.Name(), err)
 	}
+	// The elements are substrings of one decoded column each: the set
+	// keys on them as they are.
 	inA := make(map[string]bool, len(aElems))
 	for _, e := range aElems {
-		inA[e.Text] = true
+		inA[e] = true
 	}
 	// Count distinct double-blinded values of B present in A's set, so
 	// duplicates within one source do not inflate the overlap: a match
 	// is struck from A's set as it is counted.
 	n := 0
 	for _, e := range bElems {
-		if inA[e.Text] {
-			inA[e.Text] = false
+		if inA[e] {
+			inA[e] = false
 			n++
 		}
 	}

@@ -117,8 +117,8 @@ func (p *Pipeline) Span(trace *Trace, h *Histogram, stage, source string, t0 tim
 // Finish closes a query that entered the pipeline at t0: its latency,
 // then its outcome — answered (OutcomeAnswered or a name given to
 // NewPipeline) when err is nil, else refused. One classification of err
-// feeds the reason counter and the trace outcome, so the two cannot
-// disagree.
+// feeds the reason counter and the trace outcome, and one answered name
+// the outcome counter and the trace, so neither pair can disagree.
 func (p *Pipeline) Finish(trace *Trace, t0 time.Time, answered string, err error) {
 	if p == nil {
 		return
@@ -132,7 +132,7 @@ func (p *Pipeline) Finish(trace *Trace, t0 time.Time, answered string, err error
 		return
 	}
 	p.outcomes[answered].Inc()
-	trace.Finish(OutcomeAnswered)
+	trace.Finish(answered)
 }
 
 // spanOutcome renders a stage or call error as a span outcome. Timeouts

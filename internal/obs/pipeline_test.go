@@ -80,8 +80,13 @@ func TestPipelineRecordsUnderPrefixAndConstantLabels(t *testing.T) {
 	if got := traces[1]; got.Outcome != "refused:policy-denied" || got.Spans[0].Outcome != got.Outcome {
 		t.Errorf("refused trace = %+v: span and trace must read the same classification", got)
 	}
-	if got := traces[2]; got.Outcome != OutcomeAnswered || got.Spans[0].Outcome != OutcomeSkipped {
-		t.Errorf("cached trace = %+v", got)
+	// An answer under a name of its own reads that name in its trace, as
+	// in the outcome counter; a plain one reads answered.
+	if got := traces[2]; got.Outcome != "cached" || got.Spans[0].Outcome != OutcomeSkipped {
+		t.Errorf("cached trace = %+v, want outcome cached", got)
+	}
+	if got := traces[3]; got.Outcome != OutcomeAnswered {
+		t.Errorf("answered trace = %+v, want outcome answered", got)
 	}
 }
 

@@ -1,12 +1,15 @@
 package psi
 
 import (
+	"bytes"
 	"crypto/rand"
 	"fmt"
 	mrand "math/rand"
 	"strings"
 	"sync"
 	"testing"
+
+	"privateiye/internal/xmltree"
 )
 
 // The kernels fan out over however many workers the machine has, so the
@@ -271,9 +274,11 @@ func TestMemosConcurrentBatches(t *testing.T) {
 	}
 }
 
-// A warm exponentiation and an x25519 envelope decode each allocate a
-// fixed number of objects, however long the column: no ladder runs and
-// no element is allocated per item. (MODP validation allocates per
+// A warm exponentiation and the x25519 wire codec each allocate a fixed
+// number of objects, however long the column: no ladder runs and no
+// element is allocated per item. An envelope is one node and one string,
+// a decode one slab and one element slice, a relay's check one column
+// string and its substrings' slice. (MODP validation allocates per
 // element by design, so the pin is on the curve suite.)
 func TestWarmKernelAllocationsFlatInN(t *testing.T) {
 	if raceEnabled {
@@ -281,7 +286,9 @@ func TestWarmKernelAllocationsFlatInN(t *testing.T) {
 	}
 	s := X25519Suite()
 	a, peer := parties(t, s)
-	var expAt16, decAt16 float64
+	type codec struct{ marshal, unmarshal, checked float64 }
+	var expAt16 float64
+	var codecAt16 codec
 	for _, n := range []int{16, 1024} {
 		items := make([]string, n)
 		for i := range items {
@@ -293,23 +300,28 @@ func TestWarmKernelAllocationsFlatInN(t *testing.T) {
 		}
 		env := MarshalElems(s, elems)
 		exp := testing.AllocsPerRun(20, func() { a.ExponentiateBatch(elems) })
-		dec := testing.AllocsPerRun(20, func() { UnmarshalElems(env, s) })
+		c := codec{
+			marshal:   testing.AllocsPerRun(20, func() { MarshalElems(s, elems) }),
+			unmarshal: testing.AllocsPerRun(20, func() { UnmarshalElems(env, s) }),
+			checked:   testing.AllocsPerRun(20, func() { CheckedElems(env) }),
+		}
 		if n == 16 {
-			expAt16, decAt16 = exp, dec
+			expAt16, codecAt16 = exp, c
 		}
 		if exp > 16 || exp > expAt16 {
 			t.Errorf("warm ExponentiateBatch of %d elements: %v allocs, want <= 16 and <= the %v at 16", n, exp, expAt16)
 		}
-		if dec > 10 || dec > decAt16 {
-			t.Errorf("UnmarshalElems of %d x25519 elements: %v allocs, want <= 10 and <= the %v at 16", n, dec, decAt16)
+		if c.unmarshal > 10 || c != codecAt16 {
+			t.Errorf("codec allocations at %d elements %+v, want the %+v at 16 and a decode <= 10", n, c, codecAt16)
 		}
 	}
 }
 
 // The decoder fans out like the kernels do, and like them reports the
 // lowest offending index: two bad elements far enough apart to land in
-// different chunks at every width, one failing the hex form and one
-// membership, so the rule holds across the checks and not per check.
+// different chunks at every width, one failing the packed text's
+// spelling and one membership, so the rule holds across the checks and
+// not per check.
 func TestUnmarshalElemsErrorIsLowestIndex(t *testing.T) {
 	forEachSuite(t, func(t *testing.T, s Suite) {
 		a, _ := parties(t, s)
@@ -320,14 +332,24 @@ func TestUnmarshalElemsErrorIsLowestIndex(t *testing.T) {
 		blinded := a.BlindBatch(items)
 		const lowBad, highBad = 37, 290
 		wantErr := fmt.Sprintf("element %d:", lowBad)
-		bad := MarshalElems(s, blinded)
-		bad.Children[highBad].Text = strings.ToUpper(bad.Children[highBad].Text)
-		bad.Children[lowBad].Text = strings.Repeat("0", 2*s.ElementSize())
-		// The decoder runs at the pool's default width; scheduling varies
-		// from run to run, the verdict must not.
-		for run := 0; run < 10; run++ {
-			if _, err := UnmarshalElems(bad, s); err == nil || !strings.Contains(err.Error(), wantErr) {
-				t.Fatalf("run %d: want the error for element %d, got %v", run, lowBad, err)
+		// One element misspelled (a character outside the alphabet) and
+		// one a non-member (all zero), each way round: the spelling is
+		// found in one pass over the text before any membership check,
+		// and still loses to a lower non-member.
+		size := s.ElementSize()
+		for _, spelt := range []int{highBad, lowBad} {
+			raw := columnBytes(s, blinded)
+			zero := lowBad + highBad - spelt
+			clear(raw[zero*size : (zero+1)*size])
+			text := []byte(wireText(raw))
+			text[(spelt*size*8+5)/6] = '-'
+			bad := envelope(s.Name(), "300", string(text))
+			// The decoder runs at the pool's default width; scheduling
+			// varies from run to run, the verdict must not.
+			for run := 0; run < 10; run++ {
+				if _, err := UnmarshalElems(bad, s); err == nil || !strings.Contains(err.Error(), wantErr) {
+					t.Fatalf("run %d: want the error for element %d, got %v", run, lowBad, err)
+				}
 			}
 		}
 		// The loop under it and the kernel that shares it, at every width.
@@ -493,6 +515,45 @@ func BenchmarkExponentiateBatch(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkWireRoundTrip is one envelope's trip between two sources: a
+// 500-element column marshalled, written, parsed and decoded against its
+// suite, membership checks included. It reports wire bytes per element
+// beside the allocations; allocs/op in the hundreds means an element is
+// allocated per item again somewhere on the trip.
+func BenchmarkWireRoundTrip(b *testing.B) {
+	for _, s := range []Suite{X25519Suite(), ModPSuite()} {
+		p, err := NewParty(s, rand.Reader)
+		if err != nil {
+			b.Fatal(err)
+		}
+		items := make([]string, 500)
+		for i := range items {
+			items[i] = fmt.Sprintf("item-%03d", i)
+		}
+		elems := p.BlindBatch(items)
+		b.Run(s.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			var buf bytes.Buffer
+			wire := 0
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := MarshalElems(s, elems).Encode(&buf); err != nil {
+					b.Fatal(err)
+				}
+				wire = buf.Len()
+				node, err := xmltree.Parse(&buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := UnmarshalElems(node, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(wire)/float64(len(elems)), "B/elem")
 		})
 	}
 }

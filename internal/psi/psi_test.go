@@ -1,15 +1,19 @@
 package psi
 
 import (
+	"bytes"
 	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/hex"
 	"fmt"
 	"math/big"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"privateiye/internal/xmltree"
 )
 
 // testSuites is the per-suite matrix: every protocol-level test runs
@@ -457,6 +461,76 @@ func TestNewPartyValidation(t *testing.T) {
 	}
 }
 
+// wireText is the packed text of raw element bytes, spelled as
+// MarshalElems spells it.
+func wireText(raw []byte) string { return base64.RawStdEncoding.EncodeToString(raw) }
+
+// columnBytes is the canonical bytes of a column, as the packed text
+// carries them.
+func columnBytes(s Suite, elems []Element) []byte {
+	var raw []byte
+	for _, e := range elems {
+		raw = s.AppendElement(raw, e)
+	}
+	return raw
+}
+
+// envelope is a psi-elems node as a peer might write it: the given text
+// and count in the given suite.
+func envelope(suite, n, text string) *xmltree.Node {
+	return xmltree.NewText("psi-elems", text).SetAttr("n", n).SetAttr("suite", suite)
+}
+
+// A misspelling is a column envelope every decoder must refuse. elem is
+// the element an element-level refusal names, -1 when the envelope as a
+// whole is refused before any element is read.
+type misspelling struct {
+	name string
+	env  *xmltree.Node
+	elem int
+}
+
+// nonCanonical is every way the tests misspell canon, a packed column of
+// two elements (two, so that its last character has unused bits in both
+// suites): its text, count or shape changed one way each.
+func nonCanonical(s Suite, canon *xmltree.Node) []misspelling {
+	text, size, suite := canon.Text, s.ElementSize(), s.Name()
+	in1 := (size*8 + 5) / 6 // the first character whose bits are all element 1's
+	at := func(c int, ch string) string { return text[:c] + ch + text[c+1:] }
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+	last := strings.IndexByte(alphabet, text[len(text)-1])
+	old, both := envelope(suite, "2", ""), envelope(suite, "2", text)
+	raw, _ := base64.RawStdEncoding.DecodeString(text)
+	for i := 0; i < 2; i++ {
+		old.Append(xmltree.NewText("e", hex.EncodeToString(raw[i*size:(i+1)*size])))
+		both.Append(xmltree.NewText("e", hex.EncodeToString(raw[i*size:(i+1)*size])))
+	}
+	return []misspelling{
+		{"short", envelope(suite, "2", text[:len(text)-1]), -1},
+		{"long", envelope(suite, "2", text+"A"), -1},
+		{"padded", envelope(suite, "2", text+"="), -1},
+		// A stray character in element 0 is that element's error, not
+		// the decoder's verdict on the whole text (which would name the
+		// last element).
+		{"newline inserted", envelope(suite, "2", text[:1]+"\n"+text[1:len(text)-1]), 0},
+		{"newline in place", envelope(suite, "2", at(1, "\n")), 0},
+		{"carriage return", envelope(suite, "2", at(1, "\r")), 0},
+		// Four skipped line breaks leave a length the decoder takes
+		// without complaint, short of the column: only the alphabet
+		// table refuses it.
+		{"four newlines in place", envelope(suite, "2", text[:in1]+"\n\n\n\n"+text[in1+4:]), 1},
+		{"padding in place", envelope(suite, "2", at(len(text)-1, "=")), 1},
+		{"url-safe alphabet", envelope(suite, "2", at(in1, "-")), 1},
+		{"space", envelope(suite, "2", at(1, " ")), 0},
+		{"non-ascii", envelope(suite, "2", at(1, "\xe9")), 0},
+		{"nonzero trailing bits", envelope(suite, "2", at(len(text)-1, alphabet[last|1:last|1+1])), 1},
+		{"per-element <e> form", old, -1},
+		{"packed text beside <e> children", both, -1},
+		{"n one short", envelope(suite, "1", text), -1},
+		{"n one over", envelope(suite, "3", text), -1},
+	}
+}
+
 func TestWireRoundTrip(t *testing.T) {
 	forEachSuite(t, func(t *testing.T, s Suite) {
 		a, _ := parties(t, s)
@@ -465,10 +539,8 @@ func TestWireRoundTrip(t *testing.T) {
 		if got := WireSuiteName(node); got != s.Name() {
 			t.Errorf("wire suite attr = %q, want %q", got, s.Name())
 		}
-		for _, c := range node.ChildrenNamed("e") {
-			if len(c.Text) != 2*s.ElementSize() {
-				t.Errorf("wire element is %d hex chars, want %d", len(c.Text), 2*s.ElementSize())
-			}
+		if len(node.Children) != 0 || node.Text != wireText(columnBytes(s, elems)) {
+			t.Errorf("envelope is not the column's packed text: %d children, %d chars", len(node.Children), len(node.Text))
 		}
 		back, err := UnmarshalElems(node, s)
 		if err != nil {
@@ -482,40 +554,58 @@ func TestWireRoundTrip(t *testing.T) {
 				t.Errorf("element %d mismatch", i)
 			}
 		}
+		// Through the encoder and the parser, and empty.
+		parsed, err := xmltree.ParseString(node.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := UnmarshalElems(parsed, s); err != nil || len(back) != 3 {
+			t.Errorf("parsed envelope: %d elements, %v", len(back), err)
+		}
+		if back, err := UnmarshalElems(MarshalElems(s, nil), s); err != nil || len(back) != 0 {
+			t.Errorf("empty envelope: %d elements, %v", len(back), err)
+		}
 	})
+}
+
+// Five hundred x25519 elements cross in about 43 characters each: the
+// packed text, not 64 hex characters in an indented <e> line apiece.
+func TestWireSizeX25519(t *testing.T) {
+	s := X25519Suite()
+	a, _ := parties(t, s)
+	items := make([]string, 500)
+	for i := range items {
+		items[i] = fmt.Sprintf("item-%03d", i)
+	}
+	var buf bytes.Buffer
+	if err := MarshalElems(s, a.BlindBatch(items)).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if max := 500*43 + 64; buf.Len() > max {
+		t.Errorf("500-element x25519 envelope encodes to %d B, want <= %d", buf.Len(), max)
+	}
 }
 
 func TestWireRejectsBadInput(t *testing.T) {
 	forEachSuite(t, func(t *testing.T, s Suite) {
 		a, _ := parties(t, s)
-		node := MarshalElems(s, a.BlindBatch([]string{"x"}))
+		node := MarshalElems(s, a.BlindBatch([]string{"x", "y"}))
+		for _, m := range nonCanonical(s, node) {
+			_, err := UnmarshalElems(m.env, s)
+			switch {
+			case err == nil:
+				t.Errorf("%s: decoded", m.name)
+			case m.elem >= 0 && !strings.Contains(err.Error(), fmt.Sprintf("element %d:", m.elem)):
+				t.Errorf("%s: want the error for element %d, got %v", m.name, m.elem, err)
+			case m.elem < 0 && !strings.Contains(err.Error(), "n=") && !strings.Contains(err.Error(), "child"):
+				t.Errorf("%s: want the envelope refused on its count or shape, got %v", m.name, err)
+			}
+		}
 		node.Name = "other"
 		if _, err := UnmarshalElems(node, s); err == nil {
 			t.Error("wrong root should fail")
 		}
 		node.Name = "psi-elems"
-		canon := node.Children[0].Text
-		node.Children[0].Text = "zz-not-hex"
-		if _, err := UnmarshalElems(node, s); err == nil {
-			t.Error("bad hex should fail")
-		}
-		// Uppercase hex of the same value is a second encoding of one
-		// element; canonical form is lowercase only.
-		node.Children[0].Text = strings.ToUpper(canon)
-		if _, err := UnmarshalElems(node, s); err == nil {
-			t.Error("uppercase hex should fail")
-		}
-		// Overlong: leading-zero padding past the fixed width.
-		node.Children[0].Text = "00" + canon
-		if _, err := UnmarshalElems(node, s); err == nil {
-			t.Error("overlong encoding should fail")
-		}
-		// Short: stripped leading zeros.
-		node.Children[0].Text = canon[2:]
-		if _, err := UnmarshalElems(node, s); err == nil {
-			t.Error("short encoding should fail")
-		}
-		node.Children[0].Text = canon
 		// Suite attribute mismatch fails even when the payload decodes.
 		node.SetAttr("suite", "nope")
 		if _, err := UnmarshalElems(node, s); err == nil {
@@ -528,14 +618,15 @@ func TestWireRejectsBadInput(t *testing.T) {
 		// A declared count that is not the count that arrived: a column
 		// truncated on the way must not decode as a shorter column.
 		full := MarshalElems(s, a.BlindBatch([]string{"x", "y", "z"}))
-		full.Children = full.Children[:2]
+		raw := columnBytes(s, a.BlindBatch([]string{"x", "y", "z"}))
+		full.Text = wireText(raw[:2*s.ElementSize()])
 		if _, err := UnmarshalElems(full, s); err == nil || !strings.Contains(err.Error(), `n="3"`) {
 			t.Errorf("truncated envelope (n=3, 2 elements) should fail on the count, got %v", err)
 		}
 		if _, err := CheckedElems(full); err == nil {
 			t.Error("a relay must refuse the truncated envelope too")
 		}
-		for _, n := range []string{"", "two", "-2", "1"} {
+		for _, n := range []string{"", "two", "-2", "1", "0"} {
 			full.SetAttr("n", n)
 			if _, err := UnmarshalElems(full, s); err == nil {
 				t.Errorf("n=%q over 2 elements should fail", n)
@@ -560,13 +651,8 @@ func TestWireRejectsBadInput(t *testing.T) {
 	// it, and relabelling it does not help, since 33 bytes is no width
 	// this build knows.
 	t.Run(retiredP256, func(t *testing.T) {
-		s := X25519Suite()
-		a, _ := parties(t, s)
-		node := MarshalElems(s, a.BlindBatch([]string{"x", "y"}))
-		for _, c := range node.ChildrenNamed("e") {
-			c.Text = hex.EncodeToString(p256Point(t)[:])
-		}
-		node.SetAttr("suite", retiredP256)
+		p1, p2 := p256Point(t), p256Point(t)
+		node := envelope(retiredP256, "2", wireText(append(p1[:], p2[:]...)))
 		if _, err := CheckedElems(node); err == nil {
 			t.Error("a relay must refuse a p256 envelope")
 		}
@@ -596,25 +682,18 @@ func TestWireRejectsBadInput(t *testing.T) {
 	// Out-of-range / non-member payloads per suite.
 	g := DefaultGroup()
 	ms := ModPSuite()
-	a, _ := NewParty(ms, rand.Reader)
-	node := MarshalElems(ms, a.BlindBatch([]string{"x"}))
 	enc := make([]byte, ms.ElementSize())
 	g.P.FillBytes(enc)
-	node.Children[0].Text = fmt.Sprintf("%x", enc) // == p, out of range
-	if _, err := UnmarshalElems(node, ms); err == nil {
+	if _, err := UnmarshalElems(envelope(ms.Name(), "1", wireText(enc)), ms); err == nil {
 		t.Error("out-of-range MODP element should fail")
 	}
-	node.Children[0].Text = strings.Repeat("0", 2*ms.ElementSize()) // zero
-	if _, err := UnmarshalElems(node, ms); err == nil {
+	if _, err := UnmarshalElems(envelope(ms.Name(), "1", wireText(make([]byte, ms.ElementSize()))), ms); err == nil {
 		t.Error("zero MODP element should fail")
 	}
 	ec := X25519Suite()
-	c, _ := NewParty(ec, rand.Reader)
-	node = MarshalElems(ec, c.BlindBatch([]string{"x"}))
 	for name, e := range badElements(t, ec) {
 		if e := e.(*X25519Elem); e != nil {
-			node.Children[0].Text = hex.EncodeToString(e[:])
-			if _, err := UnmarshalElems(node, ec); err == nil {
+			if _, err := UnmarshalElems(envelope(ec.Name(), "1", wireText(e[:])), ec); err == nil {
 				t.Errorf("%s x25519 element should fail", name)
 			}
 		}
@@ -622,28 +701,40 @@ func TestWireRejectsBadInput(t *testing.T) {
 }
 
 // What a relay checks without a group: the width of the suite the
-// envelope names, lowercase hex, the declared count. Not membership.
+// envelope names, the declared count, the packed text's canonical form.
+// Not membership.
 func TestCheckedElems(t *testing.T) {
 	for _, s := range testSuites() {
 		a, err := NewParty(s, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		node := MarshalElems(s, a.BlindBatch([]string{"x", "y"}))
-		kids, err := CheckedElems(node)
-		if err != nil || len(kids) != 2 {
+		elems := a.BlindBatch([]string{"x", "y"})
+		node := MarshalElems(s, elems)
+		got, err := CheckedElems(node)
+		if err != nil || len(got) != 2 {
 			t.Fatalf("%s: canonical envelope refused: %v", s.Name(), err)
 		}
-		canon := kids[1].Text
-		for name, text := range map[string]string{
-			"short": canon[2:], "long": "00" + canon, "upper": strings.ToUpper(canon), "not hex": "zz" + canon[2:],
-		} {
-			kids[1].Text = text
-			if _, err := CheckedElems(node); err == nil || !strings.Contains(err.Error(), "element 1:") {
-				t.Errorf("%s: %s element should be refused at index 1, got %v", s.Name(), name, err)
+		for i, e := range elems {
+			if got[i] != string(s.AppendElement(nil, e)) {
+				t.Errorf("%s: element %d is not its canonical bytes", s.Name(), i)
 			}
 		}
-		kids[1].Text = canon
+		for _, m := range nonCanonical(s, node) {
+			_, err := CheckedElems(m.env)
+			switch {
+			case err == nil:
+				t.Errorf("%s: %s passed the relay", s.Name(), m.name)
+			case m.elem >= 0 && !strings.Contains(err.Error(), fmt.Sprintf("element %d:", m.elem)):
+				t.Errorf("%s: %s should be refused at index %d, got %v", s.Name(), m.name, m.elem, err)
+			}
+		}
+		// A non-member in canonical form passes: membership is the
+		// exponentiating source's check.
+		bad := envelope(s.Name(), "1", wireText(make([]byte, s.ElementSize())))
+		if _, err := CheckedElems(bad); err != nil {
+			t.Errorf("%s: the relay refused a canonical non-member: %v", s.Name(), err)
+		}
 		node.SetAttr("suite", "p256")
 		if _, err := CheckedElems(node); err == nil {
 			t.Errorf("%s: a suite the relay cannot size must be refused", s.Name())

@@ -1,9 +1,11 @@
 package psi
 
 import (
-	"encoding/hex"
+	"encoding/base64"
+	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"privateiye/internal/xmltree"
 )
@@ -11,42 +13,50 @@ import (
 // Wire encoding: protocol messages travel between sources through the
 // mediator as XML, like everything else in PRIVATE-IYE.
 //
-//	<psi-elems n="3" suite="x25519">
-//	  <e>9fab34…</e>
-//	  …
-//	</psi-elems>
+//	<psi-elems n="3" suite="x25519">n0Ia…</psi-elems>
 //
-// Each <e> is the suite's canonical fixed-width encoding in lowercase
-// hex — exactly 2*ElementSize() characters, one encoding per element.
-// The decoder rejects anything else (wrong width, uppercase, stray
-// characters, non-members), so an element has exactly one wire form and
+// The text is the whole column: the n elements' canonical fixed-width
+// encodings, concatenated, in unpadded standard base64 — exactly
+// EncodedLen(n*ElementSize()) characters of the alphabet, the last one's
+// unused bits zero. The decoder rejects anything else (another length,
+// padding, line breaks, stray characters, nonzero trailing bits, <e>
+// children, non-members), so a column has exactly one wire form and
 // transcript comparison is byte comparison.
 //
-// Every envelope describes itself, and one that does not is refused. n is
-// the count the sender wrote; an envelope carrying another number of
-// elements is refused, or a truncated column would under-count the
-// overlap. suite names the group the elements live in; a decoder holds
-// the envelope to it.
+// Every envelope describes itself, and one that does not is refused: n is
+// the count the sender wrote, or a truncated column would under-count the
+// overlap, and suite names the group, and with it the width, a decoder
+// holds the elements to.
 
-// MarshalElems encodes blinded group elements of one suite: one slab, and
-// one hex string the element texts are slices of.
+// wireEncoding is the packed text's codec. Strict refuses nonzero
+// trailing bits, the one second spelling the alphabet check leaves.
+var wireEncoding = base64.RawStdEncoding.Strict()
+
+// wireChunk is how many characters go through a stack buffer at a time:
+// a multiple of 4, so every chunk but the last is whole base64 quanta.
+const wireChunk = 1024
+
+// MarshalElems encodes blinded group elements of one suite: one node and
+// one string, which holds the packed text and then the count's digits,
+// so what an envelope costs does not grow with its column.
 func MarshalElems(s Suite, elems []Element) *xmltree.Node {
-	n, width := len(elems), 2*s.ElementSize()
-	slab := xmltree.NewSlab(n+1, n)
-	root := slab.Elem("psi-elems", n).
-		SetAttr("n", strconv.Itoa(n)).
-		SetAttr("suite", s.Name())
-	raw := make([]byte, 0, n*s.ElementSize())
+	raw := make([]byte, 0, len(elems)*s.ElementSize())
 	for _, e := range elems {
 		raw = s.AppendElement(raw, e)
 	}
-	text := hex.EncodeToString(raw)
-	for i := 0; i < n; i++ {
-		e := slab.Elem("e", 0)
-		e.Text = text[i*width : (i+1)*width]
-		root.Append(e)
+	size := wireEncoding.EncodedLen(len(raw))
+	var b strings.Builder
+	b.Grow(size + 20)
+	var chunk [wireChunk]byte
+	for len(raw) > 0 {
+		k := min(wireChunk/4*3, len(raw))
+		wireEncoding.Encode(chunk[:], raw[:k])
+		b.Write(chunk[:wireEncoding.EncodedLen(k)])
+		raw = raw[k:]
 	}
-	return root
+	b.Write(strconv.AppendInt(chunk[:0], int64(len(elems)), 10))
+	all := b.String()
+	return xmltree.NewText("psi-elems", all[:size]).SetAttr("n", all[size:]).SetAttr("suite", s.Name())
 }
 
 // WireSuiteName reports the suite attribute of a psi-elems envelope, or
@@ -56,45 +66,49 @@ func WireSuiteName(n *xmltree.Node) string {
 	return name
 }
 
-// elemNodes returns the <e> children of a psi-elems envelope, refusing one
-// that declares no count or a count that is not the count that arrived.
-func elemNodes(n *xmltree.Node) ([]*xmltree.Node, error) {
+// wireCount returns the element count of a psi-elems envelope of
+// size-byte elements, refusing one that carries children (the <e> form
+// of builds before the packed text), declares no count, or whose text is
+// not that many elements long.
+func wireCount(n *xmltree.Node, size int) (int, error) {
 	if n.Name != "psi-elems" {
-		return nil, fmt.Errorf("psi: expected <psi-elems>, got <%s>", n.Name)
+		return 0, fmt.Errorf("psi: expected <psi-elems>, got <%s>", n.Name)
 	}
-	kids := n.ChildrenNamed("e")
+	if len(n.Children) > 0 {
+		return 0, fmt.Errorf("psi: envelope carries %d child elements, want one packed text", len(n.Children))
+	}
 	v, ok := n.Attr("n")
-	if want, err := strconv.Atoi(v); !ok || err != nil || want != len(kids) {
-		return nil, fmt.Errorf("psi: envelope declares n=%q but carries %d elements", v, len(kids))
+	count, err := strconv.Atoi(v)
+	// count is bounded by the text before it is multiplied.
+	if !ok || err != nil || count < 0 || count > len(n.Text) || wireEncoding.EncodedLen(count*size) != len(n.Text) {
+		return 0, fmt.Errorf("psi: envelope declares n=%q but carries %d characters of %d-byte elements", v, len(n.Text), size)
 	}
-	return kids, nil
+	return count, nil
 }
 
 // UnmarshalElems decodes MarshalElems output against the expected suite,
 // enforcing canonical form: the envelope's suite attribute must name s,
-// its declared count must be the number of elements it carries, and
-// every element must be exactly the suite's fixed width in lowercase hex
-// and decode to a valid group member. Non-canonical encodings — overlong,
-// leading-zero-padded beyond the fixed width, uppercase hex — are
-// rejected, so one element has one wire form. Elements decode in parallel (a membership check each);
-// the error reported is the one at the lowest index.
+// its text must be exactly the declared count of elements in canonical
+// base64, and every element must decode to a valid group member. Elements
+// are checked in parallel (a membership check each); the error reported
+// is the one at the lowest index, whichever check found it.
 func UnmarshalElems(n *xmltree.Node, s Suite) ([]Element, error) {
-	kids, err := elemNodes(n)
-	if err != nil {
-		return nil, err
-	}
 	if ws := WireSuiteName(n); ws != s.Name() {
 		return nil, fmt.Errorf("psi: envelope suite %q does not match expected %q", ws, s.Name())
 	}
 	size := s.ElementSize()
-	raw := make([]byte, len(kids)*size)
-	out := make([]Element, len(kids))
-	err = forEachChecked(len(kids), 0, func(i int) error {
-		b := raw[i*size : (i+1)*size]
-		if err := decodeCanonicalHex(b, kids[i].Text); err != nil {
-			return err
+	count, err := wireCount(n, size)
+	if err != nil {
+		return nil, err
+	}
+	raw := make([]byte, count*size)
+	bad, badErr := decodePacked(raw, n.Text, size)
+	out := make([]Element, count)
+	err = forEachChecked(count, 0, func(i int) error {
+		if i == bad {
+			return badErr
 		}
-		e, err := s.DecodeElement(b)
+		e, err := s.DecodeElement(raw[i*size : (i+1)*size])
 		out[i] = e
 		return err
 	})
@@ -104,60 +118,65 @@ func UnmarshalElems(n *xmltree.Node, s Suite) ([]Element, error) {
 	return out, nil
 }
 
-// CheckedElems returns an envelope's <e> nodes after the checks a relay
-// holding no group can make before it compares their texts: the declared
-// count arrived, and every element is lowercase hex of exactly the width
-// of the suite the envelope names. Membership is UnmarshalElems' check.
-func CheckedElems(n *xmltree.Node) ([]*xmltree.Node, error) {
-	kids, err := elemNodes(n)
+// CheckedElems returns an envelope's elements, each its canonical bytes
+// as a substring of one string, after the checks a relay holding no group
+// can make before it compares them: the envelope names a suite this build
+// runs, and its text is exactly the declared count of that suite's
+// elements in canonical base64. Membership is UnmarshalElems' check.
+func CheckedElems(n *xmltree.Node) ([]string, error) {
+	s, err := SuiteByName(WireSuiteName(n))
 	if err != nil {
 		return nil, err
 	}
-	size, err := wireElementSize(WireSuiteName(n))
+	size := s.ElementSize()
+	count, err := wireCount(n, size)
 	if err != nil {
 		return nil, err
 	}
-	b := make([]byte, size)
-	for i, k := range kids {
-		if err := decodeCanonicalHex(b, k.Text); err != nil {
-			return nil, fmt.Errorf("psi: element %d: %w", i, err)
+	raw := make([]byte, count*size)
+	if bad, err := decodePacked(raw, n.Text, size); err != nil {
+		return nil, fmt.Errorf("psi: element %d: %w", bad, err)
+	}
+	col := string(raw)
+	out := make([]string, count)
+	for i := range out {
+		out[i] = col[i*size : (i+1)*size]
+	}
+	return out, nil
+}
+
+// decodePacked fills dst from text, which wireCount has held to exactly
+// EncodedLen(len(dst)) characters. It returns -1 and nil when the text is
+// canonical; else the lowest element the text misspells (the one a bad
+// character's first bit belongs to, or the last for nonzero trailing
+// bits) and why. The alphabet is checked before decoding, because the
+// decoder skips '\n' and '\r'. A bad character is decoded as 'A', so
+// every element below it is still filled in for its membership check.
+func decodePacked(dst []byte, text string, size int) (bad int, err error) {
+	bad = -1
+	var chunk [wireChunk]byte
+	for off := 0; off < len(text); off += wireChunk {
+		c := chunk[:copy(chunk[:], text[off:])]
+		for i, ch := range c {
+			if !wireAlphabet[ch] {
+				if bad < 0 {
+					bad = (off + i) * 6 / 8 / size
+					err = fmt.Errorf("encoding has non-canonical character %q at offset %d", ch, off+i)
+				}
+				c[i] = 'A'
+			}
+		}
+		if _, derr := wireEncoding.Decode(dst[off/4*3:], c); derr != nil && bad < 0 {
+			bad, err = len(dst)/size-1, errors.New("encoding has nonzero trailing bits")
 		}
 	}
-	return kids, nil
+	return bad, err
 }
 
-// wireElementSize is ElementSize by wire name alone; an envelope naming
-// no suite, or one this build does not run, has no width.
-func wireElementSize(name string) (int, error) {
-	switch name {
-	case SuiteNameX25519:
-		return x25519ElemSize, nil
-	case SuiteNameModP2048:
-		return modp2048.size, nil
-	}
-	return 0, fmt.Errorf("psi: unknown suite %q", name)
-}
-
-// decodeCanonicalHex fills dst from exactly len(dst)*2 lowercase hex
-// characters. Anything else — wrong length, uppercase, non-hex bytes —
-// is an error: the wire form is canonical or it is rejected.
-func decodeCanonicalHex(dst []byte, text string) error {
-	if len(text) != 2*len(dst) {
-		return fmt.Errorf("encoding is %d hex chars, want %d", len(text), 2*len(dst))
-	}
-	for i := 0; i < len(text); i++ {
-		if !lowerHex[text[i]] {
-			return fmt.Errorf("encoding has non-canonical character %q at offset %d", text[i], i)
-		}
-	}
-	_, err := hex.Decode(dst, []byte(text))
-	return err
-}
-
-// lowerHex marks the canonical digits. A table, because comparing random
-// digits against '9' and 'a' mispredicts on nearly every other character.
-var lowerHex = func() (t [256]bool) {
-	for _, c := range "0123456789abcdef" {
+// wireAlphabet marks the 64 characters of the packed text. A table,
+// because comparing random characters against range bounds mispredicts.
+var wireAlphabet = func() (t [256]bool) {
+	for _, c := range "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/" {
 		t[c] = true
 	}
 	return t

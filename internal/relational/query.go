@@ -3,6 +3,7 @@ package relational
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -157,6 +158,9 @@ func (q *Query) Execute(c *Catalog) (*Result, error) {
 	}
 
 	if len(q.OrderBy) > 0 {
+		if len(q.Select) == 0 && q.Where == nil && q.Join == nil && !q.IsAggregate() {
+			res.Rows = slices.Clone(res.Rows) // still the table's read-only view
+		}
 		if err := res.SortBy(q.OrderBy...); err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package relational
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -665,5 +666,72 @@ func TestQuerySQLAllAggregates(t *testing.T) {
 	q2 := &Query{From: "a", Join: &JoinSpec{Table: "b", LeftCol: "x", RightCol: "y"}, Select: []string{"x"}}
 	if got := q2.SQL(); !strings.Contains(got, "JOIN b ON a.x = b.y") {
 		t.Errorf("join SQL = %q", got)
+	}
+}
+
+// Rows is a view, not a copy: it keeps what it showed when it was taken,
+// and nothing done to it reaches the table.
+func TestRowsViewIsStableAndDetached(t *testing.T) {
+	c := complianceCatalog(t)
+	tab, err := c.Table("compliance")
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := tab.Rows()
+	if err := tab.Insert(Row{Str("HMO5"), Str("Eye"), Float(40)}); err != nil {
+		t.Fatal(err)
+	}
+	if len(view) != 12 || view[0][0].S != "HMO1" || view[11][0].S != "HMO4" {
+		t.Fatalf("a view taken before an Insert changed: %d rows, first %v", len(view), view[0])
+	}
+	// An append to the view, however many rows long, copies: it never
+	// lands in the table's slice, nor in a view taken later.
+	grown := append(tab.Rows(), Row{Str("HMO9"), Str("Eye"), Float(1)})
+	grown[0] = Row{Str("HMO0"), Str("Eye"), Float(2)}
+	if err := tab.Insert(Row{Str("HMO6"), Str("Eye"), Float(41)}); err != nil {
+		t.Fatal(err)
+	}
+	rows := tab.Rows()
+	if len(rows) != 14 || rows[13][0].S != "HMO6" || rows[0][0].S != "HMO1" {
+		t.Fatalf("an append to a view reached the table: %d rows, first %v, last %v", len(rows), rows[0], rows[len(rows)-1])
+	}
+	// ORDER BY over every column sorts its own rows, not the table's.
+	res, err := (&Query{From: "compliance", OrderBy: []string{"rate"}}).Execute(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows[0][2].F != 40 || tab.Rows()[0][0].S != "HMO1" {
+		t.Fatalf("ORDER BY reordered the table: result starts %v, table %v", res.Rows[0], tab.Rows()[0])
+	}
+}
+
+// Readers walk their views while a writer appends: each view is a prefix
+// of the final table, row for row. Run under -race.
+func TestRowsConcurrentWithInsert(t *testing.T) {
+	tab := NewTable("t", MustSchema(Column{"i", TInt}))
+	const n = 2000
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 200; k++ {
+				for i, row := range tab.Rows() {
+					if row[0].I != int64(i) {
+						t.Errorf("view row %d holds %d", i, row[0].I)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		if err := tab.Insert(Row{Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if tab.Len() != n {
+		t.Fatalf("table holds %d rows, want %d", tab.Len(), n)
 	}
 }

@@ -149,14 +149,16 @@ func (t *Table) Len() int {
 	return len(t.rows)
 }
 
-// Rows returns a snapshot copy of the rows. The copy is shallow per-row but
-// rows are value slices, so callers may keep it.
+// Rows returns a read-only view of the rows as of the call: the table's
+// own slice, its capacity capped at its length. Insert only appends, so
+// rows a view holds are never written again and the view never sees a
+// later row, and an append to the view copies rather than reach the
+// table. A caller must not write through the view, to a row or to a
+// cell; one that reorders or edits rows clones them first.
 func (t *Table) Rows() []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]Row, len(t.rows))
-	copy(out, t.rows)
-	return out
+	return t.rows[:len(t.rows):len(t.rows)]
 }
 
 // Get returns cell (row, col-name).

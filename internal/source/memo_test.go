@@ -103,8 +103,8 @@ func TestAnswerMemoHitStillAudited(t *testing.T) {
 	for _, sp := range last[0].Spans {
 		stages = append(stages, sp.Stage)
 	}
-	if got := strings.Join(stages, ","); got != "plan,audit" || last[0].Outcome != obs.OutcomeAnswered {
-		t.Fatalf("a memo hit's trace: spans %s, outcome %q; want plan,audit answered", got, last[0].Outcome)
+	if got := strings.Join(stages, ","); got != "plan,audit" || last[0].Outcome != outcomeMemo {
+		t.Fatalf("a memo hit's trace: spans %s, outcome %q; want plan,audit memo", got, last[0].Outcome)
 	}
 }
 

@@ -370,8 +370,8 @@ func TestHTTPEndpointParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(doubled.ChildrenNamed("e")) != len(blinded.ChildrenNamed("e")) {
-		t.Error("psi exponentiate changed cardinality")
+	if doubled.Attrs["n"] != blinded.Attrs["n"] || len(doubled.Text) != len(blinded.Text) {
+		t.Errorf("psi exponentiate changed cardinality: n=%s in, n=%s out", blinded.Attrs["n"], doubled.Attrs["n"])
 	}
 }
 
@@ -703,6 +703,67 @@ func TestPSIExponentiateRefusesUndescribedEnvelope(t *testing.T) {
 			if out, err := local.PSIExponentiate(bg, env); err == nil {
 				t.Errorf("%s: envelope without %s exponentiated (%d elements)", suite, attr, len(out.Children))
 			}
+		}
+	}
+}
+
+// A source exponentiates only a column in the one packed canonical form,
+// in every suite it runs: every other spelling of the same elements, and
+// the per-element form of builds before it, is refused in process and
+// answered 400 over HTTP.
+func TestPSIExponentiateRefusesNonCanonicalText(t *testing.T) {
+	local, err := NewLocal(hospitalSource(t), []byte("s"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := httptest.NewServer(NewHandler(local))
+	defer server.Close()
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+	for _, suite := range []string{psi.SuiteNameX25519, psi.SuiteNameModP2048} {
+		s, err := psi.SuiteByName(suite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer, err := psi.NewParty(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two elements: the text's last character has unused bits in
+		// both suites.
+		canon := psi.MarshalElems(s, peer.BlindBatch([]string{"F", "M"}))
+		text := canon.Text
+		at := func(c int, ch string) string { return text[:c] + ch + text[c+1:] }
+		last := strings.IndexByte(alphabet, text[len(text)-1])
+		perElement := xmltree.NewElem("psi-elems").SetAttr("n", "2").SetAttr("suite", suite)
+		for _, e := range peer.BlindBatch([]string{"F", "M"}) {
+			perElement.Append(xmltree.NewText("e", fmt.Sprintf("%x", s.AppendElement(nil, e))))
+		}
+		for name, env := range map[string]*xmltree.Node{
+			"short":                 xmltree.NewText("psi-elems", text[:len(text)-1]).SetAttr("n", "2").SetAttr("suite", suite),
+			"long":                  xmltree.NewText("psi-elems", text+"A").SetAttr("n", "2").SetAttr("suite", suite),
+			"padded":                xmltree.NewText("psi-elems", text+"=").SetAttr("n", "2").SetAttr("suite", suite),
+			"newline":               xmltree.NewText("psi-elems", at(7, "\n")).SetAttr("n", "2").SetAttr("suite", suite),
+			"four newlines":         xmltree.NewText("psi-elems", text[:7]+"\n\n\n\n"+text[11:]).SetAttr("n", "2").SetAttr("suite", suite),
+			"padding in place":      xmltree.NewText("psi-elems", at(len(text)-1, "=")).SetAttr("n", "2").SetAttr("suite", suite),
+			"url-safe alphabet":     xmltree.NewText("psi-elems", at(7, "_")).SetAttr("n", "2").SetAttr("suite", suite),
+			"nonzero trailing bits": xmltree.NewText("psi-elems", at(len(text)-1, alphabet[last|1:last|1+1])).SetAttr("n", "2").SetAttr("suite", suite),
+			"per-element <e> form":  perElement,
+			"n one short":           xmltree.NewText("psi-elems", text).SetAttr("n", "1").SetAttr("suite", suite),
+		} {
+			if out, err := local.PSIExponentiate(bg, env); err == nil {
+				t.Errorf("%s: %s envelope exponentiated (n=%s)", suite, name, out.Attrs["n"])
+			}
+			resp, err := server.Client().Post(server.URL+"/psi/exponentiate", "application/xml", strings.NewReader(env.String()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: %s envelope over HTTP: status %d, want 400", suite, name, resp.StatusCode)
+			}
+		}
+		if _, err := local.PSIExponentiate(bg, canon); err != nil {
+			t.Errorf("%s: the canonical envelope is refused: %v", suite, err)
 		}
 	}
 }
