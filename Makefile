@@ -63,11 +63,13 @@ bench:
 # (marshal, write, parse, decode 500 x25519 elements) allocates a few
 # dozen objects and ships ~43 B per element; either growing with the
 # column (hundreds of allocs/op, ~74 B/elem) means an element is a node of
-# its own on the wire again.
+# its own on the wire again. A warm blinded column (PSIBlindedWarm, the
+# source's memo) allocates one object; dozens, growing with the column,
+# mean it is read, blinded and marshalled on every call again.
 bench-quick:
 	$(GO) test -run '^$$' -bench 'PSI|PIQL|Fig1dInference' -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/xmltree/
-	$(GO) test -run '^$$' -bench SourceExecute -benchtime 1x -benchmem ./internal/source/
+	$(GO) test -run '^$$' -bench 'SourceExecute|PSIBlindedWarm' -benchtime 1x -benchmem ./internal/source/
 	$(GO) test -run '^$$' -bench LedgerCheck -benchtime 1x -benchmem ./internal/mediator/
 	$(GO) test -run '^$$' -bench 'ExponentiateBatch/x25519/warm' -benchtime 1x -benchmem ./internal/psi/
 	$(GO) test -run '^$$' -bench 'WireRoundTrip/x25519' -benchtime 1x -benchmem ./internal/psi/
@@ -246,7 +248,12 @@ loc:
 # keeps the lowest-index rule across a one-pass spelling check (DESIGN.md
 # §14), and Table.Rows' view guards ORDER BY *; psi_overlap wire_kb/op
 # 223.3 -> 129.3 (E54).
-LOC_CEILING = 25230
+# 25,230 -> 25,344: a source keeps each blinded column whole, as its
+# encoded envelope, stamped with the column's data version (the memo, its
+# stamp and the handler that writes its bytes; DESIGN.md §14), and
+# parallel.ForEach keeps its dispatch state in one struct with a worker
+# method; psi_overlap allocs/op 650.3 -> 519.4 (E55).
+LOC_CEILING = 25344
 # The ceiling on the second: flags per daemon, as `make loc` counts them.
 # A flag is kept only as a deployment setting or as a value some caller
 # needs other than its default; a PR that adds one raises its ceiling here

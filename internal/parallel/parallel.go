@@ -79,56 +79,67 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 		return nil
 	}
 
-	var (
-		next     atomic.Int64 // next undispatched index
-		stopped  atomic.Bool  // set on first error/cancel/panic
-		firstErr error
-		firstPan *panicError
-		errOnce  sync.Once
-		panOnce  sync.Once
-		wg       sync.WaitGroup
-	)
-	stop := func() { stopped.Store(true) }
-
-	worker := func() {
-		defer wg.Done()
-		defer func() {
-			if v := recover(); v != nil {
-				panOnce.Do(func() {
-					firstPan = &panicError{value: v, stack: stack()}
-				})
-				stop()
-			}
-		}()
-		for {
-			if stopped.Load() || ctx.Err() != nil {
-				return
-			}
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if err := fn(i); err != nil {
-				errOnce.Do(func() { firstErr = err })
-				stop()
-				return
-			}
-		}
-	}
-
-	wg.Add(workers)
+	p := &pool{ctx: ctx, n: n, fn: fn}
+	p.wg.Add(workers)
+	worker := p.worker
 	for w := 0; w < workers; w++ {
 		go worker()
 	}
-	wg.Wait()
+	p.wg.Wait()
 
-	if firstPan != nil {
-		panic(firstPan.String())
+	if p.pan != nil {
+		panic(p.pan.String())
 	}
-	if firstErr != nil {
-		return firstErr
+	if p.err != nil {
+		return p.err
 	}
 	return ctx.Err()
+}
+
+// pool is one ForEach call's dispatch state, in one allocation.
+type pool struct {
+	ctx     context.Context
+	n       int
+	fn      func(i int) error
+	next    atomic.Int64 // next undispatched index
+	stopped atomic.Bool  // set on first error/cancel/panic
+	wg      sync.WaitGroup
+
+	mu  sync.Mutex // guards the first error and the first panic
+	err error
+	pan *panicError
+}
+
+func (p *pool) worker() {
+	defer p.wg.Done()
+	defer func() {
+		if v := recover(); v != nil {
+			p.mu.Lock()
+			if p.pan == nil {
+				p.pan = &panicError{value: v, stack: stack()}
+			}
+			p.mu.Unlock()
+			p.stopped.Store(true)
+		}
+	}()
+	for {
+		if p.stopped.Load() || p.ctx.Err() != nil {
+			return
+		}
+		i := int(p.next.Add(1)) - 1
+		if i >= p.n {
+			return
+		}
+		if err := p.fn(i); err != nil {
+			p.mu.Lock()
+			if p.err == nil {
+				p.err = err
+			}
+			p.mu.Unlock()
+			p.stopped.Store(true)
+			return
+		}
+	}
 }
 
 // ChunkSize picks a contiguous batch width for n independent items

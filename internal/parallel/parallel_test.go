@@ -217,3 +217,22 @@ func TestForEachChunkPropagatesError(t *testing.T) {
 		t.Errorf("err = %v, want boom", err)
 	}
 }
+
+// forEachAllocBound caps a ForEach call that fans out, whatever its width:
+// its dispatch state is one object and the workers' function value one
+// more. Measured 2; a closure, Once or atomic per call again reads 9.
+const forEachAllocBound = 2
+
+func TestForEachAllocations(t *testing.T) {
+	fn := func(int) error { return nil }
+	for _, workers := range []int{2, 4, 16} {
+		got := testing.AllocsPerRun(100, func() {
+			if err := ForEach(context.Background(), 64, workers, fn); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > forEachAllocBound {
+			t.Errorf("workers=%d: ForEach allocates %.1f objects per call, want <= %d", workers, got, forEachAllocBound)
+		}
+	}
+}

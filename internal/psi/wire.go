@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"privateiye/internal/xmltree"
 )
@@ -137,7 +138,9 @@ func CheckedElems(n *xmltree.Node) ([]string, error) {
 	if bad, err := decodePacked(raw, n.Text, size); err != nil {
 		return nil, fmt.Errorf("psi: element %d: %w", bad, err)
 	}
-	col := string(raw)
+	// raw is never written again and no one else holds it: the string
+	// takes it over rather than copy it.
+	col := unsafe.String(unsafe.SliceData(raw), len(raw))
 	out := make([]string, count)
 	for i := range out {
 		out[i] = col[i*size : (i+1)*size]

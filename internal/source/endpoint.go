@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"fmt"
+	"strings"
 	"sync"
 
 	"privateiye/internal/obs"
@@ -69,8 +70,9 @@ type Local struct {
 	Coalesce bool
 
 	mu      sync.Mutex
-	parties map[string]*psi.Party // one per suite, lazily keyed by suite name
-	mBatch  *obs.Histogram        // items per whole-column PSI call; nil-safe
+	parties map[string]*psi.Party       // one per suite, lazily keyed by suite name
+	blinded map[blindKey]*blindedColumn // the last blinded column per (suite, field)
+	mBatch  *obs.Histogram              // items per whole-column PSI call; nil-safe
 
 	cols qcache.Flight[any] // whole-column computations in progress
 }
@@ -250,14 +252,50 @@ func (l *Local) psiParty(suite psi.Suite) (*psi.Party, error) {
 // maxLinkageItems bounds a whole-column PSI call.
 const maxLinkageItems = 1 << 20
 
-// PSIBlinded implements Endpoint.
+// PSIBlinded implements Endpoint. The node may be one an earlier call
+// returned, and is read-only for callers.
 func (l *Local) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.Node, error) {
+	c, err := l.blindedColumn(ctx, field, suite)
+	if err != nil {
+		return nil, err
+	}
+	return c.node, nil
+}
+
+// blindKey names a memoised blinded column.
+type blindKey struct{ suite, field string }
+
+// blindedColumn is a source's blinded column in one suite, both as the
+// envelope PSIBlinded returns and as the bytes GET /psi/blinded writes.
+// The node's text is a substring of body, so the column is held once.
+// version is the column's data version, read before the column was.
+type blindedColumn struct {
+	node    *xmltree.Node
+	body    string
+	version uint64
+}
+
+// blindedColumn returns field's blinded column in the named suite. The
+// party's secret is fixed, so the column changes only with the data: a
+// column whose data version matches the memoised one's is served as it
+// stands, and any other is read, blinded and encoded once and kept.
+func (l *Local) blindedColumn(ctx context.Context, field, suite string) (*blindedColumn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	s, err := l.suiteFor(suite)
 	if err != nil {
 		return nil, err
+	}
+	key := blindKey{s.Name(), field}
+	version, keep := l.Src.columnVersion(field)
+	if keep {
+		l.mu.Lock()
+		c := l.blinded[key]
+		l.mu.Unlock()
+		if c != nil && c.version == version {
+			return c, nil
+		}
 	}
 	v, err := l.sharedColumn(ctx, "psi-blind\x00"+s.Name()+"\x00"+field, func() (any, error) {
 		p, err := l.psiParty(s)
@@ -266,12 +304,38 @@ func (l *Local) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.N
 		}
 		vals := l.Src.fieldValues(field, maxLinkageItems)
 		l.mBatch.Observe(float64(len(vals)))
-		return psi.MarshalElems(s, p.BlindBatch(vals)), nil
+		c := encodeColumn(psi.MarshalElems(s, p.BlindBatch(vals)), version)
+		if keep {
+			l.mu.Lock()
+			if old := l.blinded[key]; old == nil || old.version <= version {
+				if l.blinded == nil {
+					l.blinded = map[blindKey]*blindedColumn{}
+				}
+				l.blinded[key] = c
+			}
+			l.mu.Unlock()
+		}
+		return c, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*xmltree.Node), nil
+	return v.(*blindedColumn), nil
+}
+
+// encodeColumn encodes a psi-elems envelope once. Its packed text needs
+// no escaping, so it follows the start tag verbatim: the node is pointed
+// at it there, and its count copied off the string MarshalElems built,
+// so that the column lives in body alone.
+func encodeColumn(n *xmltree.Node, version uint64) *blindedColumn {
+	body := n.String()
+	if text := body[strings.IndexByte(body, '>')+1:]; strings.HasPrefix(text, n.Text) {
+		n.Text = text[:len(n.Text)]
+	}
+	if count, ok := n.Attr("n"); ok {
+		n.SetAttr("n", strings.Clone(count))
+	}
+	return &blindedColumn{node: n, body: body, version: version}
 }
 
 // PSIExponentiate implements Endpoint. The suite is read off the

@@ -97,17 +97,22 @@ func NewHandler(l *Local) http.Handler {
 	})
 
 	mux.HandleFunc("GET /psi/blinded", func(w http.ResponseWriter, r *http.Request) {
-		field := r.URL.Query().Get("field")
+		q := r.URL.Query()
+		field := q.Get("field")
 		if field == "" {
 			fail(w, http.StatusBadRequest, fmt.Errorf("source: missing field"))
 			return
 		}
-		node, err := l.PSIBlinded(r.Context(), field, r.URL.Query().Get("suite"))
+		c, err := l.blindedColumn(r.Context(), field, q.Get("suite"))
 		if err != nil {
 			fail(w, http.StatusInternalServerError, err)
 			return
 		}
-		WriteNode(w, node)
+		// The column's encoding is kept beside its node: WriteNode's
+		// bytes, written as they are.
+		w.Header().Set("Content-Type", "application/xml")
+		w.Header().Set("Content-Length", strconv.Itoa(len(c.body)))
+		_, _ = io.WriteString(w, c.body)
 	})
 
 	mux.HandleFunc("POST /psi/exponentiate", func(w http.ResponseWriter, r *http.Request) {

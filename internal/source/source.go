@@ -2,6 +2,7 @@ package source
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -305,16 +306,23 @@ func (s *Source) fieldValues(name string, limit int) []string {
 	if s.cfg.Catalog != nil {
 		for _, tn := range s.cfg.Catalog.Names() {
 			tab, err := s.cfg.Catalog.Table(tn)
-			if err != nil || tab.Schema().Index(name) < 0 {
+			if err != nil {
 				continue
 			}
-			for i, row := range tab.Rows() {
-				if i >= limit || len(out) >= limit {
-					break
-				}
-				out = append(out, row[tab.Schema().Index(name)].String())
+			col := tab.Schema().Index(name)
+			if col < 0 {
+				continue
+			}
+			rows := tab.Rows()
+			rows = rows[:min(len(rows), limit-len(out))]
+			out = slices.Grow(out, len(rows))
+			for _, row := range rows {
+				out = append(out, row[col].String())
 			}
 		}
+	}
+	if len(s.cfg.Docs) == 0 || len(out) >= limit {
+		return out
 	}
 	pat, err := xmltree.CompilePattern("//" + name)
 	if err == nil {
@@ -331,6 +339,27 @@ func (s *Source) fieldValues(name string, limit int) []string {
 		}
 	}
 	return out
+}
+
+// columnVersion is the data version of fieldValues' column for name: the
+// sum of the Versions of the catalog tables whose schema holds it. Insert
+// moves a table's Version and Catalog.Add of a non-empty table adds one,
+// and neither ever takes any away, so two equal readings bracket no change
+// to the column. A caller reads it before the column. ok is false when no
+// table holds the field, or when the source holds documents: those are
+// the caller's nodes, and nothing tells when they change.
+func (s *Source) columnVersion(name string) (v uint64, ok bool) {
+	if s.cfg.Catalog == nil || len(s.cfg.Docs) > 0 {
+		return 0, false
+	}
+	for _, tn := range s.cfg.Catalog.Names() {
+		tab, err := s.cfg.Catalog.Table(tn)
+		if err == nil && tab.Schema().Index(name) >= 0 {
+			v += tab.Version()
+			ok = true
+		}
+	}
+	return v, ok
 }
 
 // PlanCacheStats exposes the parse/plan cache counters (zeroes when

@@ -240,8 +240,10 @@ func (p *parser) intern(name []byte) string {
 // words an error itself: the fail-over does.
 func (p *parser) tokenize() (root *Node, ok bool) {
 	b := p.body
-	// Nodes average well over 32 bytes of markup on the wire.
-	p.slab = Slab{nodeChunk: len(b) / 32, kidChunk: len(b) / 32}
+	// Nodes average well over 32 bytes of markup on the wire, and no
+	// document holds more nodes than '<'s: a text-heavy one (a PSI
+	// envelope is one node over kilobytes of text) gets a chunk its size.
+	p.slab = Slab{nodeChunk: min(len(b)/32, bytes.Count(b, []byte{'<'})), kidChunk: len(b) / 32}
 	p.arena = p.arena[:0]
 	for i := 0; i < len(b); {
 		if b[i] != '<' {
