@@ -108,11 +108,7 @@ func NewHandler(l *Local) http.Handler {
 			fail(w, http.StatusInternalServerError, err)
 			return
 		}
-		// The column's encoding is kept beside its node: WriteNode's
-		// bytes, written as they are.
-		w.Header().Set("Content-Type", "application/xml")
-		w.Header().Set("Content-Length", strconv.Itoa(len(c.body)))
-		_, _ = io.WriteString(w, c.body)
+		writeKept(w, c)
 	})
 
 	mux.HandleFunc("POST /psi/exponentiate", func(w http.ResponseWriter, r *http.Request) {
@@ -121,12 +117,12 @@ func NewHandler(l *Local) http.Handler {
 			fail(w, http.StatusBadRequest, err)
 			return
 		}
-		node, err := l.PSIExponentiate(r.Context(), in)
+		c, err := l.exponentiated(r.Context(), in)
 		if err != nil {
 			fail(w, http.StatusBadRequest, err)
 			return
 		}
-		WriteNode(w, node)
+		writeKept(w, c)
 	})
 
 	// Liveness/readiness: a constructed Local has finished loading its
@@ -156,6 +152,14 @@ func WriteNode(w http.ResponseWriter, n *xmltree.Node) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf.Bytes())))
 	// A failed write means the client went away; there is no one to tell.
 	_, _ = w.Write(buf.Bytes())
+}
+
+// writeKept sends a kept PSI envelope: its encoding is kept beside its
+// node, WriteNode's bytes, and is written as it stands.
+func writeKept(w http.ResponseWriter, c *keptEnvelope) {
+	w.Header().Set("Content-Type", "application/xml")
+	w.Header().Set("Content-Length", strconv.Itoa(len(c.body)))
+	_, _ = io.WriteString(w, c.body)
 }
 
 // MaxQueryBytes bounds a POST /query body. PIQL texts are a few hundred

@@ -637,9 +637,13 @@ func (s *Source) contextIndexSet(rq *relational.Query) ([]int, bool) {
 	if err != nil {
 		return nil, false
 	}
+	rows := tab.Rows()
 	var set []int
+	if rq.Where == nil {
+		set = make([]int, 0, len(rows))
+	}
 	schema := tab.Schema()
-	for i, row := range tab.Rows() {
+	for i, row := range rows {
 		if rq.Where == nil {
 			set = append(set, i)
 			continue

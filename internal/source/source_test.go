@@ -3,6 +3,7 @@ package source
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"net/http"
@@ -707,6 +708,47 @@ func TestPSIExponentiateRefusesUndescribedEnvelope(t *testing.T) {
 	}
 }
 
+// nonCanonical returns a canonical two-element envelope in the suite
+// and every other spelling of its elements a source must refuse, by
+// name: each a twin of the canonical one but for its spelling or its
+// element.
+func nonCanonical(t *testing.T, suite string) (canon *xmltree.Node, rows map[string]*xmltree.Node) {
+	t.Helper()
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+	s, err := psi.SuiteByName(suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := psi.NewParty(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two elements: the text's last character has unused bits in
+	// both suites.
+	canon = psi.MarshalElems(s, peer.BlindBatch([]string{"F", "M"}))
+	text := canon.Text
+	at := func(c int, ch string) string { return text[:c] + ch + text[c+1:] }
+	last := strings.IndexByte(alphabet, text[len(text)-1])
+	perElement := xmltree.NewElem("psi-elems").SetAttr("n", "2").SetAttr("suite", suite)
+	for _, e := range peer.BlindBatch([]string{"F", "M"}) {
+		perElement.Append(xmltree.NewText("e", fmt.Sprintf("%x", s.AppendElement(nil, e))))
+	}
+	return canon, map[string]*xmltree.Node{
+		"short":                 xmltree.NewText("psi-elems", text[:len(text)-1]).SetAttr("n", "2").SetAttr("suite", suite),
+		"long":                  xmltree.NewText("psi-elems", text+"A").SetAttr("n", "2").SetAttr("suite", suite),
+		"padded":                xmltree.NewText("psi-elems", text+"=").SetAttr("n", "2").SetAttr("suite", suite),
+		"newline":               xmltree.NewText("psi-elems", at(7, "\n")).SetAttr("n", "2").SetAttr("suite", suite),
+		"four newlines":         xmltree.NewText("psi-elems", text[:7]+"\n\n\n\n"+text[11:]).SetAttr("n", "2").SetAttr("suite", suite),
+		"padding in place":      xmltree.NewText("psi-elems", at(len(text)-1, "=")).SetAttr("n", "2").SetAttr("suite", suite),
+		"url-safe alphabet":     xmltree.NewText("psi-elems", at(7, "_")).SetAttr("n", "2").SetAttr("suite", suite),
+		"nonzero trailing bits": xmltree.NewText("psi-elems", at(len(text)-1, alphabet[last|1:last|1+1])).SetAttr("n", "2").SetAttr("suite", suite),
+		"per-element <e> form":  perElement,
+		"n one short":           xmltree.NewText("psi-elems", text).SetAttr("n", "1").SetAttr("suite", suite),
+		"text beside <e> child": xmltree.NewText("psi-elems", text).SetAttr("n", "2").SetAttr("suite", suite).Append(perElement.Children[0]),
+		"another element name":  xmltree.NewText("psi-elem", text).SetAttr("n", "2").SetAttr("suite", suite),
+	}
+}
+
 // A source exponentiates only a column in the one packed canonical form,
 // in every suite it runs: every other spelling of the same elements, and
 // the per-element form of builds before it, is refused in process and
@@ -718,59 +760,40 @@ func TestPSIExponentiateRefusesNonCanonicalText(t *testing.T) {
 	}
 	server := httptest.NewServer(NewHandler(local))
 	defer server.Close()
-	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 	for _, suite := range []string{psi.SuiteNameX25519, psi.SuiteNameModP2048} {
-		s, err := psi.SuiteByName(suite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		peer, err := psi.NewParty(s, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Two elements: the text's last character has unused bits in
-		// both suites.
-		canon := psi.MarshalElems(s, peer.BlindBatch([]string{"F", "M"}))
-		text := canon.Text
-		at := func(c int, ch string) string { return text[:c] + ch + text[c+1:] }
-		last := strings.IndexByte(alphabet, text[len(text)-1])
-		perElement := xmltree.NewElem("psi-elems").SetAttr("n", "2").SetAttr("suite", suite)
-		for _, e := range peer.BlindBatch([]string{"F", "M"}) {
-			perElement.Append(xmltree.NewText("e", fmt.Sprintf("%x", s.AppendElement(nil, e))))
-		}
-		for name, env := range map[string]*xmltree.Node{
-			"short":                 xmltree.NewText("psi-elems", text[:len(text)-1]).SetAttr("n", "2").SetAttr("suite", suite),
-			"long":                  xmltree.NewText("psi-elems", text+"A").SetAttr("n", "2").SetAttr("suite", suite),
-			"padded":                xmltree.NewText("psi-elems", text+"=").SetAttr("n", "2").SetAttr("suite", suite),
-			"newline":               xmltree.NewText("psi-elems", at(7, "\n")).SetAttr("n", "2").SetAttr("suite", suite),
-			"four newlines":         xmltree.NewText("psi-elems", text[:7]+"\n\n\n\n"+text[11:]).SetAttr("n", "2").SetAttr("suite", suite),
-			"padding in place":      xmltree.NewText("psi-elems", at(len(text)-1, "=")).SetAttr("n", "2").SetAttr("suite", suite),
-			"url-safe alphabet":     xmltree.NewText("psi-elems", at(7, "_")).SetAttr("n", "2").SetAttr("suite", suite),
-			"nonzero trailing bits": xmltree.NewText("psi-elems", at(len(text)-1, alphabet[last|1:last|1+1])).SetAttr("n", "2").SetAttr("suite", suite),
-			"per-element <e> form":  perElement,
-			"n one short":           xmltree.NewText("psi-elems", text).SetAttr("n", "1").SetAttr("suite", suite),
-		} {
-			if out, err := local.PSIExponentiate(bg, env); err == nil {
-				t.Errorf("%s: %s envelope exponentiated (n=%s)", suite, name, out.Attrs["n"])
-			}
-			resp, err := server.Client().Post(server.URL+"/psi/exponentiate", "application/xml", strings.NewReader(env.String()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("%s: %s envelope over HTTP: status %d, want 400", suite, name, resp.StatusCode)
-			}
-		}
+		canon, rows := nonCanonical(t, suite)
+		refusesAll(t, local, server.URL, suite, rows)
 		if _, err := local.PSIExponentiate(bg, canon); err != nil {
 			t.Errorf("%s: the canonical envelope is refused: %v", suite, err)
 		}
 	}
 }
 
-// A second exponentiation of the same envelope is answered from the
-// party's memo: the same bytes back, every element a hit, and the
-// source's counters read it.
+// refusesAll checks that local refuses every row in process and that its
+// handler at url answers each one 400.
+func refusesAll(t *testing.T, local *Local, url, suite string, rows map[string]*xmltree.Node) {
+	t.Helper()
+	for name, env := range rows {
+		if out, err := local.PSIExponentiate(bg, env); err == nil {
+			t.Errorf("%s: %s envelope exponentiated (n=%s)", suite, name, out.Attrs["n"])
+		}
+		resp, err := http.Post(url+"/psi/exponentiate", "application/xml", strings.NewReader(env.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %s envelope over HTTP: status %d, want 400", suite, name, resp.StatusCode)
+		}
+	}
+}
+
+// The source answers a peer's column in two layers, and its counters
+// read both. Re-sending the same envelope is answered whole from the
+// answer memo: the same bytes, one answer hit, and the party sees
+// nothing. An envelope with one element changed misses the answer memo
+// and reaches the party, whose exponentiation memo answers the other 49
+// elements.
 func TestPSIExponentiateWarmEnvelopeHits(t *testing.T) {
 	src := benchSource(t, 0)
 	local, err := NewLocal(src, nil, nil)
@@ -787,10 +810,27 @@ func TestPSIExponentiateWarmEnvelopeHits(t *testing.T) {
 		items[i] = fmt.Sprintf("peer-%02d", i)
 	}
 	env := psi.MarshalElems(psi.X25519Suite(), peer.BlindBatch(items))
+	metrics := func(items, cacheHits, answerHits int) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := src.cfg.Obs.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf(`piye_psi_exponentiate_items_total{source="bench",suite="x25519"} %d`, items),
+			fmt.Sprintf(`piye_psi_exponentiate_cache_hits_total{source="bench",suite="x25519"} %d`, cacheHits),
+			fmt.Sprintf(`piye_psi_exponentiate_answer_hits_total{source="bench",suite="x25519"} %d`, answerHits),
+		} {
+			if !strings.Contains(buf.String(), want+"\n") {
+				t.Errorf("metrics lack %q", want)
+			}
+		}
+	}
 	first, err := local.PSIExponentiate(bg, env)
 	if err != nil {
 		t.Fatal(err)
 	}
+	metrics(n, 0, 0)
 	second, err := local.PSIExponentiate(bg, env)
 	if err != nil {
 		t.Fatal(err)
@@ -798,17 +838,19 @@ func TestPSIExponentiateWarmEnvelopeHits(t *testing.T) {
 	if first.String() != second.String() {
 		t.Error("the warm answer differs from the cold one")
 	}
-	var buf bytes.Buffer
-	if err := src.cfg.Obs.WritePrometheus(&buf); err != nil {
+	metrics(n, 0, 1)
+
+	items[0] = "peer-changed"
+	changed, err := local.PSIExponentiate(bg, psi.MarshalElems(psi.X25519Suite(), peer.BlindBatch(items)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		`piye_psi_exponentiate_items_total{source="bench",suite="x25519"} 100`,
-		`piye_psi_exponentiate_cache_hits_total{source="bench",suite="x25519"} 50`,
-	} {
-		if !strings.Contains(buf.String(), want+"\n") {
-			t.Errorf("metrics lack %q", want)
-		}
+	metrics(2*n, n-1, 1)
+	size := psi.X25519Suite().ElementSize()
+	was, err1 := base64.RawStdEncoding.DecodeString(first.Text)
+	now, err2 := base64.RawStdEncoding.DecodeString(changed.Text)
+	if err1 != nil || err2 != nil || bytes.Equal(was[:size], now[:size]) || !bytes.Equal(was[size:], now[size:]) {
+		t.Errorf("one changed element should change exactly the first answer (%v, %v)", err1, err2)
 	}
 }
 
