@@ -55,7 +55,6 @@ func main() {
 	flag.IntVar(&res.Breaker.FailureThreshold, "breaker-failures", 5, "consecutive failures before a source's circuit opens (0 = breaker off)")
 	flag.DurationVar(&res.Breaker.OpenFor, "breaker-cooldown", 5*time.Second, "how long an open circuit waits before a half-open probe")
 	flag.Float64Var(&cfg.MaxDisclosure, "max-disclosure", 0, "release-ledger refusal threshold on combined disclosure (0 = default 0.9)")
-	flag.Float64Var(&cfg.LedgerTolerance, "ledger-tolerance", 0, "accuracy the ledger assumes of published aggregates (0 = default 0.5)")
 	stateDir := flag.String("state-dir", "", "directory persisting the release ledger and query history across restarts (empty = in-memory only)")
 	flag.BoolVar(&cfg.Coalesce, "coalesce", false, "merge concurrent identical queries from the same requester into one shared execution (per-caller ledger and audit still run)")
 	flag.IntVar(&cfg.PlanCache, "plan-cache", 256, "parse/plan cache capacity in entries (0 = disabled)")

@@ -71,15 +71,14 @@ func TestAmortizationEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	med, err := mediator.New(mediator.Config{
-		Endpoints:       []source.Endpoint{source.NewClient(node.URL, "alpha")},
-		LinkageSalt:     salt,
-		MaxDisclosure:   0.9,
-		LedgerTolerance: 0.05,
-		SourceTimeout:   10 * time.Second,
-		PlanCache:       64,
-		Coalesce:        true,
-		Durability:      &mediator.DurabilityConfig{Dir: dir},
-		Obs:             reg,
+		Endpoints:     []source.Endpoint{source.NewClient(node.URL, "alpha")},
+		LinkageSalt:   salt,
+		MaxDisclosure: 0.9,
+		SourceTimeout: 10 * time.Second,
+		PlanCache:     64,
+		Coalesce:      true,
+		Durability:    &mediator.DurabilityConfig{Dir: dir},
+		Obs:           reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,11 +156,10 @@ func TestAmortizationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	med2, err := mediator.New(mediator.Config{
-		Endpoints:       []source.Endpoint{source.NewClient(node.URL, "alpha")},
-		LinkageSalt:     salt,
-		MaxDisclosure:   0.9,
-		LedgerTolerance: 0.05,
-		Durability:      &mediator.DurabilityConfig{Dir: dir},
+		Endpoints:     []source.Endpoint{source.NewClient(node.URL, "alpha")},
+		LinkageSalt:   salt,
+		MaxDisclosure: 0.9,
+		Durability:    &mediator.DurabilityConfig{Dir: dir},
 	})
 	if err != nil {
 		t.Fatal(err)

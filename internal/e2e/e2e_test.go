@@ -91,7 +91,6 @@ func newMediator(t *testing.T, dir string, reg *obs.Registry, tracer *obs.Tracer
 		Endpoints:         eps,
 		LinkageSalt:       salt,
 		MaxDisclosure:     0.9,
-		LedgerTolerance:   0.05,
 		SourceTimeout:     10 * time.Second,
 		WarehouseCapacity: 8,
 		WarehouseTTL:      100,

@@ -45,7 +45,6 @@ func newShardMediator(t *testing.T, dir, id string, nodes map[string]*httptest.S
 		Endpoints:         eps,
 		LinkageSalt:       salt,
 		MaxDisclosure:     0.9,
-		LedgerTolerance:   0.05,
 		SourceTimeout:     10 * time.Second,
 		WarehouseCapacity: 8,
 		WarehouseTTL:      100,

@@ -42,9 +42,8 @@ func E15ReleaseLedger() (*Table, error) {
 			return nil, err
 		}
 		return mediator.New(mediator.Config{
-			Endpoints:       []source.Endpoint{ep},
-			MaxDisclosure:   threshold,
-			LedgerTolerance: 0.05,
+			Endpoints:     []source.Endpoint{ep},
+			MaxDisclosure: threshold,
 		})
 	}
 	const (

@@ -80,7 +80,7 @@ func coalescingMediator(t *testing.T, wrap func(source.Endpoint) source.Endpoint
 	reg := obs.NewRegistry()
 	m, err := New(Config{
 		Endpoints: []source.Endpoint{endpoint}, MaxDisclosure: 0.9,
-		LedgerTolerance: 0.05, PlanCache: 64, Coalesce: true, Obs: reg,
+		PlanCache: 64, Coalesce: true, Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 	"privateiye/internal/piql"
 	"privateiye/internal/psi"
 	"privateiye/internal/source"
+	"privateiye/internal/stats"
 	"privateiye/internal/xmltree"
 )
 
@@ -291,7 +292,7 @@ func TestIntegratedResultOwnsItsCells(t *testing.T) {
 			w := &wireEndpoint{Endpoint: tc.endpoint(t)}
 			m, err := New(Config{
 				Endpoints: []source.Endpoint{w}, WarehouseCapacity: 8, WarehouseTTL: 1 << 30,
-				MaxDisclosure: 0.9, LedgerTolerance: 0.05,
+				MaxDisclosure: 0.9,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -466,6 +467,11 @@ func walRecordCases() map[string]walRecord {
 	entry := func(req, query string, sources, denied []string) *HistoryEntry {
 		return &HistoryEntry{Requester: req, Query: query, Sources: sources, Denied: denied, Clock: 2}
 	}
+	rounded := func(places int) *ledgerRelease {
+		r := rel("//compliance/row", groupValues{{"Eye Exam", 45}, {"HbA1c", 83}}, groupValues{{"HbA1c", 2}})
+		r.Tol = stats.RoundingHalfWidth(places)
+		return r
+	}
 	const odd = "<b>&\"naïve\"\x01\t\u2028日本\xff"
 	return map[string]walRecord{
 		"release":                    {Kind: kindRelease, Requester: "snooper", Release: rel("//compliance/row", fig, fig)},
@@ -473,6 +479,9 @@ func walRecordCases() map[string]walRecord {
 		"release, sigmas empty":      {Kind: kindRelease, Requester: "snooper", Release: rel("//compliance/row", fig, groupValues{})},
 		"release, means nil":         {Kind: kindRelease, Requester: "snooper", Release: rel("//compliance/row", nil, nil)},
 		"release, means empty":       {Kind: kindRelease, Requester: "snooper", Release: rel("//compliance/row", groupValues{}, nil)},
+		"release, rounded":           {Kind: kindRelease, Requester: "snooper", Release: rounded(0)},
+		"release, rounded to 2":      {Kind: kindRelease, Requester: "snooper", Release: rounded(2)},
+		"release, rounded to 7":      {Kind: kindRelease, Requester: "snooper", Release: rounded(7)},
 		"release, escaped strings":   {Kind: kindRelease, Requester: odd, Release: rel("//compliance/row WHERE //hmo = '"+odd+"'", groupValues{{odd, 1}}, nil)},
 		"release, float edges":       {Kind: kindRelease, Requester: "r", Release: rel("t", groupValues{{"a", 1e-9}, {"b", -1e-10}, {"c", 1e21}, {"d", 1e20}, {"e", math.Copysign(0, -1)}, {"f", 5e-324}}, groupValues{{"a", 1e-7}})},
 		"release with history entry": {Kind: kindRelease, Requester: "snooper", Release: rel("//compliance/row", fig, fig), History: entry("snooper", "FOR //compliance/row GROUP BY //test RETURN AVG(//rate) AS avg_rate PURPOSE research MAXLOSS 0.9", []string{"integrator"}, []string{})},
@@ -537,11 +546,15 @@ func FuzzAppendWALRecord(f *testing.F) {
 	f.Add(uint8(0), "snooper", "//compliance/row", "FOR //compliance/row RETURN //rate", "HbA1c", 82.97500000000001, uint64(0))
 	f.Add(uint8(1), "<a&b>", "t WHERE //x = 'naïve'", "\x01\t\u2028", "\xff", 1e-9, uint64(7))
 	f.Add(uint8(6), "", "", "", "", 1e21, uint64(1))
+	f.Add(uint8(9), "snooper", "//compliance/row", "q", "HbA1c", 5e-7, uint64(3))
 	f.Fuzz(func(t *testing.T, shape uint8, req, target, query, group string, v float64, clock uint64) {
 		rec := walRecord{Kind: kindRelease, Requester: req,
 			Release: &ledgerRelease{Target: target, ValueCol: group, Axis: query, Means: groupValues{{group, v}}}}
 		if shape&1 != 0 {
 			rec.Release.Sigmas = groupValues{{group, -v}, {req, v / 3}}
+		}
+		if shape&8 != 0 {
+			rec.Release.Tol = v
 		}
 		if shape&2 != 0 {
 			rec.History = &HistoryEntry{Requester: req, Query: query, Sources: []string{target, group}, Clock: int64(clock)}

@@ -231,7 +231,7 @@ func TestReleaseRecordPathAllocations(t *testing.T) {
 	}
 	q := piql.MustParse(perTestQuery)
 	allocs := testing.AllocsPerRun(50, func() {
-		rel, ok := classifyRelease(q, in.Result)
+		rel, ok := classifyRelease(q, in.Result, nil)
 		if !ok {
 			t.Fatal("Figure 1(a) did not classify")
 		}
@@ -272,8 +272,8 @@ func figure1Release(mean0 float64) ledgerRelease {
 }
 
 // Requesters given the same release share one table entry; a release that
-// differs in one float bit, one group key, its axis, or nil against empty
-// sigmas gets its own. Every requester reads back its releases in record
+// differs in one float bit, one group key, its axis, nil against empty
+// sigmas, or only its tolerance gets its own. Every requester reads back its releases in record
 // order, live and after a snapshot is installed on another node.
 func TestLedgerInternsEachDistinctReleaseOnce(t *testing.T) {
 	m := stateMediator(t, t.TempDir())
@@ -286,7 +286,14 @@ func TestLedgerInternsEachDistinctReleaseOnce(t *testing.T) {
 	axis.Axis = "hmo"
 	nilSigmas, emptySigmas := figure1Release(60), figure1Release(60)
 	nilSigmas.Sigmas, emptySigmas.Sigmas = nil, groupValues{}
-	variants := []ledgerRelease{figure1Release(60), bit, key, axis, nilSigmas, emptySigmas}
+	rounded := figure1Release(60)
+	rounded.Tol = 0.5
+	variants := []ledgerRelease{figure1Release(60), bit, key, axis, nilSigmas, emptySigmas, rounded}
+	for i := range variants {
+		if i > 0 && variants[i].hash(l.seed) == variants[0].hash(l.seed) {
+			t.Errorf("variant %d hashes as the release it differs from", i)
+		}
+	}
 	for i := range variants {
 		for j := range variants {
 			if got := variants[i].same(&variants[j]); got != (i == j) {
@@ -310,9 +317,9 @@ func TestLedgerInternsEachDistinctReleaseOnce(t *testing.T) {
 	if len(l.rels) != 1 {
 		t.Fatalf("%d requesters given one release fill %d table entries, want 1", n, len(l.rels))
 	}
-	record("mixed", bit, figure1Release(60), key, axis, nilSigmas, emptySigmas, figure1Release(60), emptySigmas)
-	if len(l.rels) != 6 {
-		t.Fatalf("five variants of one release fill %d table entries, want 6", len(l.rels))
+	record("mixed", bit, figure1Release(60), key, axis, nilSigmas, emptySigmas, rounded, figure1Release(60), emptySigmas, rounded)
+	if len(l.rels) != 7 {
+		t.Fatalf("six variants of one release fill %d table entries, want 7", len(l.rels))
 	}
 	// A hash collision appends the release and leaves the index alone.
 	collides := figure1Release(70)
@@ -320,8 +327,8 @@ func TestLedgerInternsEachDistinctReleaseOnce(t *testing.T) {
 	l.index[collides.hash(l.seed)] = 0
 	l.mu.Unlock()
 	record("collided", collides, figure1Release(70))
-	if got := l.index[collides.hash(l.seed)]; len(l.rels) != 8 || got != 0 {
-		t.Fatalf("after a collision: %d table entries, index names %d; want 8 and 0", len(l.rels), got)
+	if got := l.index[collides.hash(l.seed)]; len(l.rels) != 9 || got != 0 {
+		t.Fatalf("after a collision: %d table entries, index names %d; want 9 and 0", len(l.rels), got)
 	}
 	check := func(route string, m *Mediator) {
 		t.Helper()
@@ -349,26 +356,27 @@ func TestLedgerInternsEachDistinctReleaseOnce(t *testing.T) {
 		}
 	}
 	check("installed from a snapshot", installed)
-	if got := len(installed.ledger.rels); got != 6 {
-		t.Errorf("the installed ledger fills %d table entries, want 6 (one per distinct release)", got)
+	if got := len(installed.ledger.rels); got != 7 {
+		t.Errorf("the installed ledger fills %d table entries, want 7 (one per distinct release)", got)
 	}
 }
 
 // The snapshot is streamed from the tables, and writes exactly what
 // json.Marshal wrote for the map of per-requester releases and the
 // history's entries:
-// shared and distinct releases, nil and empty sigmas, requesters that
-// sort and escape, and one holding none.
+// shared and distinct releases, nil and empty sigmas, a rounded release
+// with its tolerance, requesters that sort and escape, and one holding
+// none.
 func TestSnapshotReleasesEncodeAsTheMapDid(t *testing.T) {
 	m := stateMediator(t, t.TempDir())
-	nilSigmas, emptySigmas := figure1Release(1), figure1Release(1)
-	nilSigmas.Sigmas, emptySigmas.Sigmas = nil, groupValues{}
+	nilSigmas, emptySigmas, rounded := figure1Release(1), figure1Release(1), figure1Release(1)
+	nilSigmas.Sigmas, emptySigmas.Sigmas, rounded.Tol = nil, groupValues{}, 0.05
 	m.installSnapshot(stateSnapshot{Releases: map[string][]ledgerRelease{"empty": {}}})
 	reqs := []string{"zed", "<b>", "r2", "a&b", "\xffbad", "r10", "Zed", "日本", `say "hi"`}
 	m.ledger.mu.Lock()
 	for i, req := range reqs {
 		m.ledger.add(req, figure1Release(60))
-		m.ledger.add(req, []ledgerRelease{figure1Release(float64(i)), nilSigmas, emptySigmas}[i%3])
+		m.ledger.add(req, []ledgerRelease{figure1Release(float64(i)), nilSigmas, emptySigmas, rounded}[i%4])
 	}
 	m.ledger.mu.Unlock()
 	m.record(HistoryEntry{Requester: "zed", Query: "q", Sources: []string{"s"}})
@@ -388,7 +396,8 @@ func TestSnapshotReleasesEncodeAsTheMapDid(t *testing.T) {
 		t.Fatalf("snapshot\n got %s\nwant %s", got, want)
 	}
 	if !bytes.Contains(want, []byte(`"empty":[]`)) ||
-		!bytes.Contains(want, []byte(`"\ufffdbad":`)) || bytes.Count(want, []byte(`"a":"test"`)) != 18 {
+		!bytes.Contains(want, []byte(`"\ufffdbad":`)) || bytes.Count(want, []byte(`"a":"test"`)) != 18 ||
+		bytes.Count(want, []byte(`"tol":0.05}`)) != 2 {
 		t.Fatalf("the reference does not cover every case: %s", want)
 	}
 }

@@ -18,9 +18,10 @@ import (
 
 // answer is a parsed tagged source answer.
 type answer struct {
-	source  string
-	result  *piql.Result
-	estLoss float64
+	source    string
+	result    *piql.Result
+	estLoss   float64
+	technique string // the Metadata Tagger's label of the mitigation applied
 }
 
 // parseAnswer reads one source's answer. Only an answer to a plain query
@@ -50,7 +51,7 @@ func parseAnswer(node *xmltree.Node, aggregate bool) (*answer, error) {
 	if err != nil || math.IsNaN(loss) || loss < 0 || loss > 1 {
 		return nil, fmt.Errorf("mediator: answer from %s carries no usable loss estimate (estloss=%q)", src, v)
 	}
-	return &answer{source: src, result: res, estLoss: loss}, nil
+	return &answer{source: src, result: res, estLoss: loss, technique: node.Attrs["technique"]}, nil
 }
 
 // mergeAnswers unions result rows over the union of columns; cells a

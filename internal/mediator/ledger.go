@@ -14,7 +14,9 @@ import (
 
 	"privateiye/internal/attack"
 	"privateiye/internal/piql"
+	"privateiye/internal/preserve"
 	"privateiye/internal/refusal"
+	"privateiye/internal/stats"
 )
 
 // CombinationRefusal is the ledger's typed refusal: the new release,
@@ -27,10 +29,11 @@ type CombinationRefusal struct {
 	// release that closes the constraint system.
 	ValueCol  string
 	PriorAxis string
-	// Disclosure is the fraction of the prior range the combination
-	// would pin; Threshold the configured refusal bound.
+	// Disclosure is the fraction of the prior range the combination would
+	// pin; Threshold the refusal bound; Tolerance the pair's accuracy.
 	Disclosure float64
 	Threshold  float64
+	Tolerance  float64
 }
 
 // Error implements error. The wording is wire contract: the restart-
@@ -38,8 +41,8 @@ type CombinationRefusal struct {
 // earlier".
 func (e *CombinationRefusal) Error() string {
 	return fmt.Sprintf(
-		"mediator: refusing release: combined with your earlier %s-by-%s statistics it would pin hidden %s values to %.1f%% of their prior range (threshold %.1f%%)",
-		e.ValueCol, e.PriorAxis, e.ValueCol, 100*e.Disclosure, 100*e.Threshold)
+		"mediator: refusing release: combined with your earlier %s-by-%s statistics it would pin hidden %s values to %.1f%% of their prior range (threshold %.1f%%), checked at ±%g",
+		e.ValueCol, e.PriorAxis, e.ValueCol, 100*e.Disclosure, 100*e.Threshold, e.Tolerance)
 }
 
 // RefusalReason implements refusal.Reasoner.
@@ -70,14 +73,15 @@ func (e *UnrecordableRefusal) RefusalReason() refusal.Reason { return refusal.Un
 // does not converge): a pair the ledger cannot show safe is not granted.
 type UnverifiableRefusal struct {
 	ValueCol, PriorAxis string
+	Tolerance           float64 // as CombinationRefusal's
 	Err                 error
 }
 
 // Error implements error; refusal.ClassifyString matches on "refusing
 // unverifiable release".
 func (e *UnverifiableRefusal) Error() string {
-	return fmt.Sprintf("mediator: refusing unverifiable release: the combination check cannot evaluate it against your earlier %s-by-%s statistics: %v",
-		e.ValueCol, e.PriorAxis, e.Err)
+	return fmt.Sprintf("mediator: refusing unverifiable release: the combination check cannot evaluate it against your earlier %s-by-%s statistics: %v, checked at ±%g",
+		e.ValueCol, e.PriorAxis, e.Err, e.Tolerance)
 }
 
 // RefusalReason implements refusal.Reasoner.
@@ -102,11 +106,28 @@ func (e *UnverifiableRefusal) RefusalReason() refusal.Reason { return refusal.Le
 // ledgerRelease is one remembered aggregate release, in memory and (the
 // JSON names) in the WAL and the snapshot.
 type ledgerRelease struct {
-	Target   string      `json:"t"`           // canonical FOR pattern, then " WHERE " and the condition if any
-	ValueCol string      `json:"v"`           // measured column (last step of the AVG path)
-	Axis     string      `json:"a"`           // group-by column name
-	Means    groupValues `json:"m"`           // group -> mean
-	Sigmas   groupValues `json:"s,omitempty"` // group -> sample stddev (nil if not released)
+	Target   string      `json:"t"`             // canonical FOR pattern, then " WHERE " and the condition if any
+	ValueCol string      `json:"v"`             // measured column (last step of the AVG path)
+	Axis     string      `json:"a"`             // group-by column name
+	Means    groupValues `json:"m"`             // group -> mean
+	Sigmas   groupValues `json:"s,omitempty"`   // group -> sample stddev (nil if not released)
+	Tol      float64     `json:"tol,omitempty"` // accuracy of the values (publishedTolerance); ledgerFloor writes none
+}
+
+// ledgerFloor is the tolerance of a value of no established precision,
+// and of an older record: the finest there is (EXPERIMENTS.md E57).
+const ledgerFloor = 0.0
+
+// publishedTolerance is the accuracy answer a establishes for its column
+// col: the half-width of the rounding its tag names, where its literals
+// bear the tag out (preserve.RoundedPlaces). A release is as accurate as
+// the finest of its answers' AVG and STDDEV columns: a count-weighted
+// mean, or root-mean-square (Minkowski), of partials within ±t is too.
+func publishedTolerance(a *answer, col string) float64 {
+	if p, ok := preserve.RoundedPlaces(a.technique, a.result, col); ok {
+		return stats.RoundingHalfWidth(p)
+	}
+	return ledgerFloor
 }
 
 // groupValues is one value per group, sorted by group. It encodes to the
@@ -143,21 +164,30 @@ func (g groupValues) appendTo(b []byte) ([]byte, error) {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(appendJSONString(b, x.k), ':')
-		if math.IsNaN(x.v) || math.IsInf(x.v, 0) {
-			return nil, &json.UnsupportedValueError{Str: strconv.FormatFloat(x.v, 'g', -1, 64)}
-		}
-		format := byte('f')
-		if abs := math.Abs(x.v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-			format = 'e'
-		}
-		b = strconv.AppendFloat(b, x.v, format, -1, 64)
-		if l := len(b); format == 'e' && b[l-4] == 'e' && b[l-3] == '-' && b[l-2] == '0' {
-			b[l-2] = b[l-1] // e-09 is written e-9
-			b = b[:l-1]
+		var err error
+		if b, err = appendJSONFloat(append(appendJSONString(b, x.k), ':'), x.v); err != nil {
+			return nil, err
 		}
 	}
 	return append(b, '}'), nil
+}
+
+// appendJSONFloat appends v in encoding/json's float format, and refuses
+// NaN and ±Inf as it does.
+func appendJSONFloat(b []byte, v float64) ([]byte, error) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return nil, &json.UnsupportedValueError{Str: strconv.FormatFloat(v, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if l := len(b); format == 'e' && b[l-4] == 'e' && b[l-3] == '-' && b[l-2] == '0' {
+		b[l-2] = b[l-1] // e-09 is written e-9
+		b = b[:l-1]
+	}
+	return b, nil
 }
 
 func (g *groupValues) UnmarshalJSON(data []byte) error {
@@ -229,7 +259,7 @@ const verdictMemoSize = 1024
 
 // verdictMemo keeps combinedDisclosure's result, a disclosure or an
 // error, for each pair the combination check solved: the verdict is a
-// function of the two releases and the tolerance, and the solver is
+// function of the two releases, tolerances included, and the solver is
 // seeded. An entry is keyed by the prior's id and the new release's
 // hash, and keeps the new release, so a hit counts only after same
 // confirms it, as add's does. The threshold is applied at use. Nothing
@@ -294,15 +324,17 @@ func (r *ledgerRelease) hash(seed maphash.Seed) uint64 {
 			h.Write(bits[:])
 		}
 	}
+	binary.LittleEndian.PutUint64(bits[:], math.Float64bits(r.Tol))
+	h.Write(bits[:])
 	return h.Sum64()
 }
 
-// same reports whether two releases are one: equal names, and value
-// lists equal key by key and bit by bit, nil apart from empty (each
-// encodes differently).
+// same reports whether two releases are one: equal names, value lists
+// equal key by key and bit by bit, nil apart from empty (each encodes
+// differently), and the same tolerance.
 func (r *ledgerRelease) same(o *ledgerRelease) bool {
 	return r.Target == o.Target && r.ValueCol == o.ValueCol && r.Axis == o.Axis &&
-		r.Means.same(o.Means) && r.Sigmas.same(o.Sigmas)
+		r.Means.same(o.Means) && r.Sigmas.same(o.Sigmas) && math.Float64bits(r.Tol) == math.Float64bits(o.Tol)
 }
 
 func (g groupValues) same(o groupValues) bool {
@@ -312,9 +344,9 @@ func (g groupValues) same(o groupValues) bool {
 }
 
 // classifyRelease extracts the ledger shape of an integrated aggregate
-// result, or ok=false when the query is not of the ledgered class
-// (single GROUP BY axis with an AVG over one value column).
-func classifyRelease(q *piql.Query, res *piql.Result) (ledgerRelease, bool) {
+// result folded from answers, or ok=false when the query is not of the
+// ledgered class (single GROUP BY axis with an AVG over one value column).
+func classifyRelease(q *piql.Query, res *piql.Result, answers []*answer) (ledgerRelease, bool) {
 	if len(q.GroupBy) != 1 {
 		return ledgerRelease{}, false
 	}
@@ -338,23 +370,15 @@ func classifyRelease(q *piql.Query, res *piql.Result) (ledgerRelease, bool) {
 		sdItem = nil // sigma over a different column: ignore it
 	}
 
-	colIdxOf := func(name string) int {
-		for i, c := range res.Columns {
-			if c == name {
-				return i
-			}
-		}
-		return -1
-	}
 	axisName := lastSegment(q.GroupBy[0].String())
-	axisIdx := colIdxOf(axisName)
-	avgIdx := colIdxOf(avgItem.Name())
+	axisIdx := slices.Index(res.Columns, axisName)
+	avgIdx := slices.Index(res.Columns, avgItem.Name())
 	if axisIdx < 0 || avgIdx < 0 {
 		return ledgerRelease{}, false
 	}
 	sdIdx := -1
 	if sdItem != nil {
-		sdIdx = colIdxOf(sdItem.Name())
+		sdIdx = slices.Index(res.Columns, sdItem.Name())
 	}
 
 	rel := ledgerRelease{
@@ -379,6 +403,15 @@ func classifyRelease(q *piql.Query, res *piql.Result) (ledgerRelease, bool) {
 			if s, err := strconv.ParseFloat(strings.TrimSpace(row[sdIdx]), 64); err == nil {
 				rel.Sigmas = append(rel.Sigmas, groupValue{row[axisIdx], s})
 			}
+		}
+	}
+	for i, a := range answers {
+		t := publishedTolerance(a, res.Columns[avgIdx])
+		if sdIdx >= 0 {
+			t = min(t, publishedTolerance(a, res.Columns[sdIdx]))
+		}
+		if i == 0 || t < rel.Tol {
+			rel.Tol = t
 		}
 	}
 	rel.Means, rel.Sigmas = rel.Means.settle(), rel.Sigmas.settle()
@@ -439,10 +472,11 @@ func (m *Mediator) checkCombinations(rel ledgerRelease, table []ledgerRelease, p
 		if priorFor != relFor || prior.ValueCol != rel.ValueCol {
 			continue
 		}
+		tol := min(rel.Tol, prior.Tol) // the finer: fails closed
 		if priorWhere != relWhere {
 			// Differences of means over two populations can isolate a cell,
 			// and the Figure 1 check models one population.
-			return &UnverifiableRefusal{ValueCol: rel.ValueCol, PriorAxis: prior.Axis, Err: errors.New("the two average over different populations")}
+			return &UnverifiableRefusal{ValueCol: rel.ValueCol, PriorAxis: prior.Axis, Tolerance: tol, Err: errors.New("the two average over different populations")}
 		}
 		if prior.Axis == rel.Axis {
 			continue
@@ -463,12 +497,12 @@ func (m *Mediator) checkCombinations(rel ledgerRelease, table []ledgerRelease, p
 		d, err, hit := memo.lookup(key, &rel)
 		m.obs.solved(hit)
 		if !hit {
-			d, err = combinedDisclosure(attrRel, partyRel, m.cfg.LedgerTolerance)
+			d, err = combinedDisclosure(attrRel, partyRel, tol)
 			memo.store(key, verdict{rel: rel, d: d, err: err})
 		}
 		if err != nil {
 			// A pair the check cannot evaluate is not shown safe.
-			return &UnverifiableRefusal{ValueCol: rel.ValueCol, PriorAxis: prior.Axis, Err: err}
+			return &UnverifiableRefusal{ValueCol: rel.ValueCol, PriorAxis: prior.Axis, Tolerance: tol, Err: err}
 		}
 		if d >= m.cfg.MaxDisclosure {
 			return &CombinationRefusal{
@@ -476,6 +510,7 @@ func (m *Mediator) checkCombinations(rel ledgerRelease, table []ledgerRelease, p
 				PriorAxis:  prior.Axis,
 				Disclosure: d,
 				Threshold:  m.cfg.MaxDisclosure,
+				Tolerance:  tol,
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -28,7 +29,7 @@ func figure1Mediator(t testing.TB, maxDisclosure float64) *Mediator {
 	t.Helper()
 	// PlanCache is on so every ledger test also covers the cached-parse
 	// path: a hit must change nothing about what gets refused.
-	m, err := New(Config{Endpoints: []source.Endpoint{figure1Endpoint(t)}, MaxDisclosure: maxDisclosure, LedgerTolerance: 0.05, PlanCache: 64, Obs: obs.NewRegistry()})
+	m, err := New(Config{Endpoints: []source.Endpoint{figure1Endpoint(t)}, MaxDisclosure: maxDisclosure, PlanCache: 64, Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +38,11 @@ func figure1Mediator(t testing.TB, maxDisclosure float64) *Mediator {
 
 // figure1Endpoint is the integrator source of figure1Mediator.
 func figure1Endpoint(t testing.TB) source.Endpoint {
+	return figure1EndpointWith(t, preserve.NewRegistry())
+}
+
+// figure1EndpointWith is figure1Endpoint mitigating through reg.
+func figure1EndpointWith(t testing.TB, reg *preserve.Registry) source.Endpoint {
 	t.Helper()
 	tab, err := clinical.ComplianceTable("compliance", clinical.HMOs, clinical.Tests, clinical.Figure1GroundTruth())
 	if err != nil {
@@ -52,7 +58,7 @@ func figure1Endpoint(t testing.TB) source.Endpoint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := source.New(source.Config{Name: "integrator", Catalog: cat, Policy: pol, Registry: preserve.NewRegistry()})
+	src, err := source.New(source.Config{Name: "integrator", Catalog: cat, Policy: pol, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +101,64 @@ func TestLedgerBlocksFigure1QueryPair(t *testing.T) {
 				t.Errorf("refusal should explain the combination: %v", err)
 			}
 		})
+	}
+}
+
+// Each release is checked at the precision it was published at: the
+// exact answers of an empty registry at the floor, the default registry's
+// integer-rounded ones at ±0.5. The refusal names the tolerance, and the
+// ledger keeps each release with it, across a restart too.
+func TestLedgerChecksEachReleaseAtItsPublishedPrecision(t *testing.T) {
+	for _, tc := range []struct {
+		reg *preserve.Registry
+		tol float64
+	}{{preserve.NewRegistry(), ledgerFloor}, {preserve.DefaultRegistry(), 0.5}} {
+		ep, dir := figure1EndpointWith(t, tc.reg), t.TempDir()
+		open := func() *Mediator {
+			m, err := New(Config{Endpoints: []source.Endpoint{ep}, Durability: &DurabilityConfig{Dir: dir}, Obs: obs.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		m := open()
+		if _, err := m.Query(perTestQuery, "snooper"); err != nil {
+			t.Fatal(err)
+		}
+		for _, route := range []string{"live", "after a restart"} {
+			var r *CombinationRefusal
+			_, err := m.Query(perHMOQuery, "snooper")
+			if !errors.As(err, &r) || r.Tolerance != tc.tol || !strings.HasSuffix(err.Error(), fmt.Sprintf(", checked at ±%g", tc.tol)) {
+				t.Errorf("%s: Figure 1(b) at ±%g: %v", route, tc.tol, err)
+			}
+			if held := m.ledger.releasesOf("snooper"); len(held) != 1 || held[0].Tol != tc.tol {
+				t.Errorf("%s: the ledger holds %+v, want Figure 1(a) at ±%g", route, held, tc.tol)
+			}
+			must(t, m.Close())
+			m = open()
+		}
+		must(t, m.Close())
+	}
+}
+
+// A pair is checked at the finer of its two releases' tolerances,
+// whichever of them is the prior.
+func TestLedgerChecksAPairAtItsFinerTolerance(t *testing.T) {
+	m := figure1Mediator(t, 0.9)
+	relA, relB := figure1Releases(t, m)
+	for _, tols := range [][2]float64{{0.05, ledgerFloor}, {ledgerFloor, 0.05}, {0.5, 0.05}} {
+		a, b := relA, relB
+		a.Tol, b.Tol = tols[0], tols[1]
+		want, err := combinedDisclosure(a, b, min(a.Tol, b.Tol))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.ledger.read(func(l *releaseLedger) { l.reset() })
+		addRelease(m, "r", a)
+		var r *CombinationRefusal
+		if err := checkPair(m, "r", b); !errors.As(err, &r) || r.Tolerance != min(a.Tol, b.Tol) || r.Disclosure != want {
+			t.Errorf("1(a) at ±%g, then 1(b) at ±%g: %v; want a refusal at %v, ±%g", a.Tol, b.Tol, err, want, min(a.Tol, b.Tol))
+		}
 	}
 }
 
@@ -153,7 +217,7 @@ func TestClassifyRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := parseForTest(perTestQuery)
-	rel, ok := classifyRelease(q, in.Result)
+	rel, ok := classifyRelease(q, in.Result, nil)
 	if !ok {
 		t.Fatal("per-test release should classify")
 	}
@@ -162,7 +226,7 @@ func TestClassifyRelease(t *testing.T) {
 	}
 	// Non-ledger shapes.
 	q2, _ := parseForTest("FOR //compliance/row RETURN COUNT(*) AS n PURPOSE research")
-	if _, ok := classifyRelease(q2, in.Result); ok {
+	if _, ok := classifyRelease(q2, in.Result, nil); ok {
 		t.Error("no group-by should not classify")
 	}
 }
@@ -227,8 +291,8 @@ func TestVerdictMemoResetWithTable(t *testing.T) {
 	for i := range other.Sigmas {
 		other.Sigmas[i].v *= 1.5
 	}
-	dA, errA := combinedDisclosure(relA, relB, m.cfg.LedgerTolerance)
-	dOther, errOther := combinedDisclosure(other, relB, m.cfg.LedgerTolerance)
+	dA, errA := combinedDisclosure(relA, relB, ledgerFloor)
+	dOther, errOther := combinedDisclosure(other, relB, ledgerFloor)
 	if errA != nil || errOther != nil || dA == dOther {
 		t.Fatalf("the two priors solve to %v, %v and %v, %v; want two disclosures", dA, errA, dOther, errOther)
 	}
@@ -322,7 +386,7 @@ func TestVerdictMemoConcurrentChecks(t *testing.T) {
 	m := figure1Mediator(t, 0.9)
 	relA, relB := figure1Releases(t, m)
 	addRelease(m, "r", relA)
-	want, err := combinedDisclosure(relA, relB, m.cfg.LedgerTolerance)
+	want, err := combinedDisclosure(relA, relB, ledgerFloor)
 	if err != nil {
 		t.Fatal(err)
 	}

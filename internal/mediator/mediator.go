@@ -48,10 +48,9 @@ type Config struct {
 	// paper's own Figure 1(d) breach (0.9878), so a default mediator
 	// refuses Example 1.
 	MaxDisclosure float64
-	// LedgerTolerance is the accuracy the release ledger assumes of
-	// published aggregate values when combining a requester's releases
-	// (default 0.5: the default mitigations round aggregates to
-	// integers).
+	// LedgerTolerance is ignored: each release is checked at the
+	// accuracy its answers were published to (classifyRelease). The
+	// field stays only until the benchmark adapter stops setting it.
 	LedgerTolerance float64
 	// SourceTimeout bounds each individual source call during fan-out
 	// and schema refresh (0 = no per-source deadline). A source that
@@ -162,9 +161,6 @@ func New(cfg Config) (*Mediator, error) {
 	}
 	if cfg.MaxDisclosure == 0 {
 		cfg.MaxDisclosure = 0.9
-	}
-	if cfg.LedgerTolerance == 0 {
-		cfg.LedgerTolerance = 0.5
 	}
 	if cfg.PSISuite == "" {
 		cfg.PSISuite = psi.DefaultSuiteName

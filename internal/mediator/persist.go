@@ -291,6 +291,9 @@ func appendRelease(b []byte, r *ledgerRelease) ([]byte, error) {
 	if err == nil && len(r.Sigmas) > 0 { // omitempty leaves out an empty list too
 		b, err = r.Sigmas.appendTo(append(b, `,"s":`...))
 	}
+	if err == nil && r.Tol != 0 {
+		b, err = appendJSONFloat(append(b, `,"tol":`...), r.Tol)
+	}
 	if err != nil {
 		return nil, err
 	}

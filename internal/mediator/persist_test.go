@@ -44,10 +44,9 @@ func durableFigure1Mediator(t *testing.T, dur *DurabilityConfig) *Mediator {
 		t.Fatal(err)
 	}
 	m, err := New(Config{
-		Endpoints:       []source.Endpoint{ep},
-		MaxDisclosure:   0.9,
-		LedgerTolerance: 0.05,
-		Durability:      dur,
+		Endpoints:     []source.Endpoint{ep},
+		MaxDisclosure: 0.9,
+		Durability:    dur,
 	})
 	if err != nil {
 		t.Fatal(err)

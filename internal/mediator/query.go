@@ -114,6 +114,7 @@ type sharedExec struct {
 	q         *piql.Query
 	canonical string
 	out       *Integrated
+	answers   []*answer // what the sources answered, for the ledger's tolerance
 }
 
 // executeCoalesced runs the shared phase through the singleflight group
@@ -266,7 +267,7 @@ func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trac
 	}
 
 	out.Result = integrated
-	return &sharedExec{q: q, canonical: canonical, out: out}, nil
+	return &sharedExec{q: q, canonical: canonical, out: out, answers: answers}, nil
 }
 
 // finalize is the per-caller control phase: loss control, the release
@@ -303,7 +304,7 @@ func (m *Mediator) finalize(sh *sharedExec, requester string, trace *obs.Trace) 
 	e := HistoryEntry{Requester: requester, Query: sh.canonical, Sources: out.Answered, Denied: sortedKeys(out.Denied)}
 	ledgered := false
 	if q.IsAggregate() {
-		if rel, ok := classifyRelease(q, out.Result); ok {
+		if rel, ok := classifyRelease(q, out.Result, sh.answers); ok {
 			ts = m.pipe.Now()
 			err := m.checkAndRecord(requester, rel, e)
 			m.pipe.Stage(trace, "ledger", ts, err)

@@ -178,6 +178,10 @@ type simOpts struct {
 	threshold float64 // MaxDisclosure (default 0.9)
 }
 
+// simTechnique is the tag on every answer of the harness's source: its
+// preservation registry is empty, so it publishes unrounded values.
+var simTechnique = preserve.NewRegistry().For(preserve.BreachAggregateInference).Name()
+
 type simGiven struct {
 	kind string
 	res  *piql.Result
@@ -322,7 +326,7 @@ func (w *simWorld) now() time.Time {
 func (w *simWorld) open(sl *simSlot, dir string) *simNode {
 	n := &simNode{fp: durable.NewFailpoints(), reg: obs.NewRegistry(), dir: dir}
 	cfg := Config{
-		Endpoints: []source.Endpoint{w.gate}, MaxDisclosure: w.threshold, LedgerTolerance: 0.05,
+		Endpoints: []source.Endpoint{w.gate}, MaxDisclosure: w.threshold,
 		SourceTimeout: 100 * time.Millisecond, PlanCache: 64, Coalesce: true,
 		WarehouseCapacity: 64, WarehouseTTL: 8, Obs: n.reg,
 		Resilience: &resilience.EndpointConfig{
@@ -703,10 +707,13 @@ func simPins(means [][]float64) bool {
 // differences isolate a cell pin it, and a partial mean held beside the
 // test sigmas is a system the attacker does not model, which the ledger
 // must have refused as unverifiable, so the oracle reads it as pinned.
+// The attacker reads each value to the finest accuracy the releases it
+// holds were published at, as the ledger does (publishedTolerance).
 func (w *simWorld) disclosure(req string) float64 {
 	testMean, testSD, hmoMean := map[string]float64{}, map[string]float64{}, map[string]float64{}
 	var means [][]float64
 	partial := false
+	tol := math.Inf(1)
 	for _, g := range w.given[req] {
 		if simCellKinds[g.kind] && len(g.res.Rows) > 0 {
 			return 1
@@ -715,6 +722,10 @@ func (w *simWorld) disclosure(req string) float64 {
 		t, h, a, s := col("test"), col("hmo"), col("avg_rate"), col("sd_rate")
 		if a < 0 {
 			continue
+		}
+		tol = min(tol, publishedTolerance(&answer{technique: simTechnique, result: g.res}, "avg_rate"))
+		if s >= 0 {
+			tol = min(tol, publishedTolerance(&answer{technique: simTechnique, result: g.res}, "sd_rate"))
 		}
 		pop := simPopulation(g.kind)
 		for _, row := range g.res.Rows {
@@ -748,7 +759,7 @@ func (w *simWorld) disclosure(req string) float64 {
 	if len(testSD) < len(clinical.Tests) || len(hmoMean) < len(clinical.HMOs)-1 {
 		return 0
 	}
-	k := &attack.Knowledge{OwnIndex: -1, Tolerance: 0.05, SampleSigma: true, Lo: 0, Hi: 100}
+	k := &attack.Knowledge{OwnIndex: -1, Tolerance: tol, SampleSigma: true, Lo: 0, Hi: 100}
 	total, known, missing := 0.0, 0.0, ""
 	for _, test := range clinical.Tests {
 		k.AttrMean, k.AttrSigma = append(k.AttrMean, testMean[test]), append(k.AttrSigma, testSD[test])
@@ -781,7 +792,7 @@ func (w *simWorld) disclosure(req string) float64 {
 // simAttack is the attacker's disclosure from one knowledge set, 0 when
 // the solver finds no matrix that fits it.
 func simAttack(k *attack.Knowledge) float64 {
-	key := fmt.Sprint(k.OwnIndex, k.AttrMean, k.AttrSigma, k.PartyMean)
+	key := fmt.Sprint(k.OwnIndex, k.AttrMean, k.AttrSigma, k.PartyMean, k.Tolerance)
 	if d, ok := simInfer.Load(key); ok {
 		return d.(float64)
 	}
@@ -971,9 +982,9 @@ func TestUnverifiablePairRefused403(t *testing.T) {
 //     ledger learns to combine them, this row fails and the h kinds join
 //     the generator;
 //   - at a threshold of 0.97 the ledger, which attacks as an outsider,
-//     grants the Figure 1 pair (0.96), but the oracle's insider HMO pins
-//     a cell past it (0.99). When the ledger models insiders (ROADMAP
-//     J (3)), this row fails.
+//     grants the Figure 1 pair (0.965 at the releases' floor), but the
+//     oracle's insider HMO pins a cell past it (0.998). When the ledger
+//     models insiders (ROADMAP J (3)), this row fails.
 func TestContractKnownOpen(t *testing.T) {
 	for _, c := range []struct {
 		script string

@@ -29,7 +29,6 @@ func stateMediator(t *testing.T, dir string) *Mediator {
 		Endpoints:         append([]source.Endpoint{figure1Endpoint(t)}, twoHospitals(t)...),
 		LinkageSalt:       salt,
 		MaxDisclosure:     0.9,
-		LedgerTolerance:   0.05,
 		WarehouseCapacity: 8,
 		WarehouseTTL:      1 << 30,
 		Durability:        &DurabilityConfig{Dir: dir},
@@ -310,10 +309,9 @@ func TestParentDrainMarkFailsClosed(t *testing.T) {
 			}
 			l.Close()
 			m, err := New(Config{
-				Endpoints:       []source.Endpoint{figure1Endpoint(t)},
-				MaxDisclosure:   0.9,
-				LedgerTolerance: 0.05,
-				Durability:      &DurabilityConfig{Dir: dir},
+				Endpoints:     []source.Endpoint{figure1Endpoint(t)},
+				MaxDisclosure: 0.9,
+				Durability:    &DurabilityConfig{Dir: dir},
 			})
 			if row.refused {
 				if !errors.Is(err, errLeftDraining) || !strings.Contains(err.Error(), "undrain this shard with that build first") {
@@ -340,7 +338,7 @@ func figure1Releases(t testing.TB, m *Mediator) (a, b ledgerRelease) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, ok := classifyRelease(piql.MustParse(text), in.Result)
+		rel, ok := classifyRelease(piql.MustParse(text), in.Result, nil)
 		if !ok {
 			t.Fatalf("%s did not classify", text)
 		}

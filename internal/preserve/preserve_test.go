@@ -124,6 +124,83 @@ func TestRoundNumeric(t *testing.T) {
 	}
 }
 
+// RoundedPlaces reads back every rounding step the default registry
+// renders, over the literals that step writes, and nothing else: another
+// column, no rounding, a malformed step, or literals the tag contradicts
+// read as not rounded. It allocates nothing.
+func TestRoundedPlaces(t *testing.T) {
+	rates := func(cells ...string) *piql.Result {
+		res := &piql.Result{Columns: []string{"test", "avg_rate"}}
+		for _, c := range cells {
+			res.Rows = append(res.Rows, []string{"HbA1c", c})
+		}
+		return res
+	}
+	reg := DefaultRegistry()
+	steps := 0
+	for _, b := range reg.Registered() {
+		tech := reg.For(b)
+		for _, s := range tech.(Pipeline).Steps {
+			r, ok := s.(RoundNumeric)
+			if !ok {
+				continue
+			}
+			steps++
+			res := &piql.Result{Columns: []string{r.Column}, Rows: [][]string{{"82.97500000000001"}, {"45.414"}, {"-3.5"}}}
+			out, err := r.Apply(res, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p, ok := RoundedPlaces(tech.Name(), out, r.Column); !ok || p != r.Places {
+				t.Errorf("%s over %v: %d, %v; want %d, true", tech.Name(), out.Rows, p, ok, r.Places)
+			}
+		}
+	}
+	if steps == 0 {
+		t.Fatal("the default registry renders no rounding step")
+	}
+	for _, tc := range []struct {
+		tag    string
+		res    *piql.Result
+		places int
+		ok     bool
+	}{
+		{"round(avg_rate,1)", rates("83.1", " -4 ", "", "+7."), 1, true},
+		{"round(avg_rate,0)|round(avg_rate,2)", rates("83"), 2, true},
+		{"round(avg_rate,2)|smallcount(n<3)|round(avg_rate,0)", rates("83"), 2, true},
+		{"round(avg_rate,12)", rates(), 12, true},
+		// another column, or none
+		{"round(sd_rate,0)", rates("83"), 0, false},
+		{"round(avg,0)|round(avg_rate_2,0)", rates("83"), 0, false},
+		{"identity", rates("83"), 0, false},
+		{"", rates("83"), 0, false},
+		// malformed
+		{"round(avg_rate,)", rates("83"), 0, false},
+		{"round(avg_rate,-1)", rates("80"), 0, false},
+		{"round(avg_rate,x)", rates("83"), 0, false},
+		{"round(avg_rate,0", rates("83"), 0, false},
+		{"round(avg_rate,0)x", rates("83"), 0, false},
+		{"round(avg_rate 0)", rates("83"), 0, false},
+		{"round(avg_rate,1000)", rates("83"), 0, false},
+		{"round(avg_rate,1e1)", rates("83"), 0, false},
+		// the literals contradict the tag
+		{"round(avg_rate,0)", rates("83", "82.975"), 0, false},
+		{"round(avg_rate,1)", rates("8.3e1"), 1, false},
+		{"round(avg_rate,2)", rates("NaN"), 2, false},
+		{"round(avg_rate,2)", rates("Inf"), 2, false},
+		{"round(avg_rate,0)", rates("n/a"), 0, false},
+		{"round(avg_rate,0)", rates("1.2.3"), 0, false},
+	} {
+		if p, ok := RoundedPlaces(tc.tag, tc.res, "avg_rate"); ok != tc.ok || ok && p != tc.places {
+			t.Errorf("%q over %v: %d, %v; want %d, %v", tc.tag, tc.res.Rows, p, ok, tc.places, tc.ok)
+		}
+	}
+	tag, res := reg.For(BreachAggregateInference).Name(), rates("83", "45", "61")
+	if n := testing.AllocsPerRun(100, func() { RoundedPlaces(tag, res, "avg_rate") }); n != 0 {
+		t.Errorf("RoundedPlaces allocates %v times per call", n)
+	}
+}
+
 func TestAdditiveNoise(t *testing.T) {
 	res := sampleResult()
 	rng := stats.NewRand(42)

@@ -168,6 +168,32 @@ func (r RoundNumeric) Name() string {
 	return fmt.Sprintf("round(%s,%d)", r.Column, r.Places)
 }
 
+// RoundedPlaces reads from a technique tag how many places (the most, of
+// several) a step Name renders rounds column to. ok is false without such
+// a step, or when a literal in res's column is not plain decimal notation
+// of at most that many places: a contradicted tag is not believed.
+func RoundedPlaces(tag string, res *piql.Result, column string) (places int, ok bool) {
+	for tag != "" {
+		var step string
+		step, tag, _ = strings.Cut(tag, "|")
+		arg, round := strings.CutPrefix(step, "round(")
+		name, p, comma := strings.Cut(arg, ",")
+		p, closed := strings.CutSuffix(p, ")")
+		if !round || !comma || !closed || name != column || p == "" || len(p) > 3 || strings.Trim(p, "0123456789") != "" {
+			continue
+		}
+		if n, _ := strconv.Atoi(p); !ok || n > places {
+			places, ok = n, true
+		}
+	}
+	col := colIndex(res, column)
+	for i := 0; ok && col >= 0 && i < len(res.Rows); i++ {
+		whole, frac, _ := strings.Cut(strings.TrimLeft(strings.TrimSpace(res.Rows[i][col]), "+-"), ".")
+		ok = len(frac) <= places && strings.Trim(whole, "0123456789") == "" && strings.Trim(frac, "0123456789") == ""
+	}
+	return places, ok
+}
+
 // Apply implements Technique.
 func (r RoundNumeric) Apply(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
 	out := cloneResult(res)

@@ -56,6 +56,7 @@ func TestClassifyString(t *testing.T) {
 		{"audit: refused by compromise control: answering would determine individual 7 exactly", AuditCompromise},
 		// release-ledger renderings.
 		{"mediator: refusing release: combined with your earlier rate-by-test statistics it would pin hidden rate values to 99.0% of their prior range (threshold 90.0%)", LedgerCombination},
+		{"mediator: refusing release: combined with your earlier rate-by-test statistics it would pin hidden rate values to 91.5% of their prior range (threshold 90.0%), checked at ±0.5", LedgerCombination},
 		{"mediator: refusing unverifiable release: the combination check cannot evaluate it against your earlier rate-by-test statistics: nlp: coordinate 3: solver did not converge (violations 0.2, 0)", LedgerUnverifiable},
 		{"mediator: refusing unrecordable release: durable: wal fsync: disk gone", Unrecordable},
 		{"audit: refusing unrecordable release: durable: log closed", Unrecordable},
