@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"privateiye/internal/durable"
@@ -117,6 +118,9 @@ type Mediator struct {
 	// flights are the in-progress shared executions coalesced queries
 	// join, keyed by requester + normalized text.
 	flights qcache.Flight[*sharedExec]
+
+	// overlap is Overlap's kept count of the last round (schema.go).
+	overlap atomic.Pointer[keptOverlap]
 
 	mu              sync.RWMutex
 	schema          *xmltree.Summary            // mediated schema (merged partial summaries)

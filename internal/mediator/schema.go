@@ -158,7 +158,12 @@ func (m *Mediator) PSISuite() string {
 // Overlap is PrivateOverlap between two of this mediator's sources by
 // name, pinned to the suite negotiated at the last schema refresh — the
 // entry point callers should prefer, because it can never compare
-// elements across diverging groups.
+// elements across diverging groups. It keeps the count of the last
+// round it counted beside the two blinded columns it counted over: a
+// round whose sources hand back those very nodes (a source's kept
+// column, or a Client's column revalidated with a 304) is answered the
+// kept count and sends no column to be exponentiated (DESIGN.md §14,
+// Revalidation). Any other round runs the protocol and takes the slot.
 func (m *Mediator) Overlap(ctx context.Context, aName, bName, field string) (int, error) {
 	suite := m.PSISuite()
 	var a, b source.Endpoint
@@ -173,17 +178,43 @@ func (m *Mediator) Overlap(ctx context.Context, aName, bName, field string) (int
 	if a == nil || b == nil {
 		return 0, fmt.Errorf("mediator: overlap needs two known sources (have %q, %q)", aName, bName)
 	}
-	return PrivateOverlap(ctx, a, b, field, suite)
+	aBlind, bBlind, err := blindBoth(ctx, a, b, field, suite)
+	if err != nil {
+		return 0, err
+	}
+	key := [4]string{aName, bName, field, suite}
+	if kept := m.overlap.Load(); kept != nil && kept.key == key && kept.aBlind == aBlind && kept.bBlind == bBlind {
+		return kept.n, nil
+	}
+	n, err := countOverlap(ctx, a, b, aBlind, bBlind)
+	if err != nil {
+		return 0, err
+	}
+	m.overlap.Store(&keptOverlap{key, aBlind, bBlind, n})
+	return n, nil
+}
+
+// keptOverlap is Mediator.Overlap's one slot: the last round counted
+// (its two sources, field and suite), the two blinded columns it was
+// counted over, and the count. The nodes are read-only (source.Endpoint)
+// and the slot holds them, so while it does no other column can come
+// back at either address.
+type keptOverlap struct {
+	key            [4]string
+	aBlind, bBlind *xmltree.Node
+	n              int
 }
 
 // PrivateOverlap computes |A ∩ B| of two sources' values for a field
-// without any party revealing its set: the mediator relays the PSI
-// messages (blind at the owner, exponentiate at the peer) and compares
-// only double-blinded group elements. The mediator learns the overlap
-// size; each source learns only the other's set size. The Result
-// Integrator uses this to estimate duplication before deciding whether a
-// fuzzy dedup pass is worth its cost, and Example 2 uses it to count
-// shared patients across jurisdictions.
+// without any party revealing its set: the mediator fetches each
+// source's blinded column, relays each to the other source to be
+// exponentiated, and compares only double-blinded group elements. The
+// mediator learns the overlap size; each source learns only the other's
+// set size. The Result Integrator uses this to estimate duplication
+// before deciding whether a fuzzy dedup pass is worth its cost, and
+// Example 2 uses it to count shared patients across jurisdictions.
+// PrivateOverlap keeps nothing between calls; Mediator.Overlap runs the
+// same two steps and keeps the last count.
 //
 // suite names the group both sources must use ("" lets each source pick
 // its preferred suite — safe only when the fleet is homogeneous; the
@@ -191,17 +222,30 @@ func (m *Mediator) Overlap(ctx context.Context, aName, bName, field string) (int
 // refresh). The relay cross-checks the envelopes' suite attributes and
 // refuses to compare elements from diverging groups.
 func PrivateOverlap(ctx context.Context, a, b source.Endpoint, field, suite string) (int, error) {
-	aBlind, err := a.PSIBlinded(ctx, field, suite)
+	aBlind, bBlind, err := blindBoth(ctx, a, b, field, suite)
 	if err != nil {
-		return 0, fmt.Errorf("mediator: psi blind %s: %w", a.Name(), err)
+		return 0, err
 	}
+	return countOverlap(ctx, a, b, aBlind, bBlind)
+}
+
+// blindBoth fetches each source's blinded column for field in suite.
+func blindBoth(ctx context.Context, a, b source.Endpoint, field, suite string) (aBlind, bBlind *xmltree.Node, err error) {
+	if aBlind, err = a.PSIBlinded(ctx, field, suite); err != nil {
+		return nil, nil, fmt.Errorf("mediator: psi blind %s: %w", a.Name(), err)
+	}
+	if bBlind, err = b.PSIBlinded(ctx, field, suite); err != nil {
+		return nil, nil, fmt.Errorf("mediator: psi blind %s: %w", b.Name(), err)
+	}
+	return aBlind, bBlind, nil
+}
+
+// countOverlap has each source exponentiate the other's blinded column
+// and counts the distinct double-blinded elements the two answers share.
+func countOverlap(ctx context.Context, a, b source.Endpoint, aBlind, bBlind *xmltree.Node) (int, error) {
 	aDouble, err := b.PSIExponentiate(ctx, aBlind)
 	if err != nil {
 		return 0, fmt.Errorf("mediator: psi exponentiate at %s: %w", b.Name(), err)
-	}
-	bBlind, err := b.PSIBlinded(ctx, field, suite)
-	if err != nil {
-		return 0, fmt.Errorf("mediator: psi blind %s: %w", b.Name(), err)
 	}
 	bDouble, err := a.PSIExponentiate(ctx, bBlind)
 	if err != nil {

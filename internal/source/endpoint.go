@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -82,6 +83,7 @@ type Local struct {
 	answers map[string]keptAnswer      // the last peer column answered per suite
 	mBatch  *obs.Histogram             // items per whole-column PSI call; nil-safe
 	mHits   map[string]*obs.Counter    // answer-memo hits per suite, beside its party
+	m304    map[string]*obs.Counter    // blinded columns revalidated per suite, beside its party
 
 	cols qcache.Flight[any] // whole-column computations in progress
 }
@@ -250,13 +252,15 @@ func (l *Local) psiParty(suite psi.Suite) (*psi.Party, error) {
 			_, _, _, h := party.Stats()
 			return float64(h)
 		}, "source", name, "suite", sName)
-		// A hit follows the miss that made the party, and reaches
-		// none of its counters.
+		// A hit or a 304 follows the miss that made the party, and
+		// reaches none of its counters.
 		reg.Help("piye_psi_exponentiate_answer_hits_total", "Peer columns answered whole from the answer memo, reaching no party.")
+		reg.Help("piye_psi_blinded_not_modified_total", "Conditional GET /psi/blinded answered 304: the caller holds the kept column.")
 		if l.mHits == nil {
-			l.mHits = map[string]*obs.Counter{}
+			l.mHits, l.m304 = map[string]*obs.Counter{}, map[string]*obs.Counter{}
 		}
 		l.mHits[sName] = reg.Counter("piye_psi_exponentiate_answer_hits_total", "source", name, "suite", sName)
+		l.m304[sName] = reg.Counter("piye_psi_blinded_not_modified_total", "source", name, "suite", sName)
 		if l.mBatch == nil {
 			reg.Help("piye_psi_batch_items", "Items per whole-column PSI call (batched kernel entry).")
 			l.mBatch = reg.Histogram("piye_psi_batch_items", psiBatchBuckets, "source", name)
@@ -285,11 +289,14 @@ type blindKey struct{ suite, field string }
 // node the in-process call returns and as the bytes its HTTP route
 // writes. The node's text is a substring of body, so the column is held
 // once. version is a blinded column's data version, read before the
-// column was; an exponentiated answer has none.
+// column was; an exponentiated answer has none. etag is a kept blinded
+// column's strong HTTP entity tag, the SHA-256 digest of body in quoted
+// unpadded base64url; an envelope that is never kept has none.
 type keptEnvelope struct {
 	node    *xmltree.Node
 	body    string
 	version uint64
+	etag    string
 }
 
 // blindedColumn returns field's blinded column in the named suite. The
@@ -323,6 +330,8 @@ func (l *Local) blindedColumn(ctx context.Context, field, suite string) (*keptEn
 		l.mBatch.Observe(float64(len(vals)))
 		c := encodeColumn(psi.MarshalElems(s, p.BlindBatch(vals)), version)
 		if keep {
+			sum := sha256.Sum256([]byte(c.body))
+			c.etag = `"` + base64.RawURLEncoding.EncodeToString(sum[:]) + `"`
 			l.mu.Lock()
 			if old := l.blinded[key]; old == nil || old.version <= version {
 				if l.blinded == nil {
@@ -338,6 +347,20 @@ func (l *Local) blindedColumn(ctx context.Context, field, suite string) (*keptEn
 		return nil, err
 	}
 	return v.(*keptEnvelope), nil
+}
+
+// notModified reports whether a GET of c that sent ifNoneMatch is
+// answered 304: c is a kept blinded column and the caller holds its
+// bytes, by their entity tag. Each 304 is counted in the column's suite.
+func (l *Local) notModified(c *keptEnvelope, ifNoneMatch string) bool {
+	if c.etag == "" || ifNoneMatch != c.etag {
+		return false
+	}
+	l.mu.Lock()
+	ctr := l.m304[psi.WireSuiteName(c.node)]
+	l.mu.Unlock()
+	ctr.Inc()
+	return true
 }
 
 // encodeColumn encodes a psi-elems envelope once. Its packed text needs

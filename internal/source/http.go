@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"privateiye/internal/obs"
@@ -106,6 +107,16 @@ func NewHandler(l *Local) http.Handler {
 		c, err := l.blindedColumn(r.Context(), field, q.Get("suite"))
 		if err != nil {
 			fail(w, http.StatusInternalServerError, err)
+			return
+		}
+		// Revalidation comes after every check the 200 runs: a kept
+		// column carries its entity tag, and a caller that sends it
+		// back already holds these bytes.
+		if c.etag != "" {
+			w.Header().Set("ETag", c.etag)
+		}
+		if l.notModified(c, r.Header.Get("If-None-Match")) {
+			w.WriteHeader(http.StatusNotModified)
 			return
 		}
 		writeKept(w, c)
@@ -220,8 +231,9 @@ func DefaultHTTPClient() *http.Client { return defaultHTTPClient }
 
 // HTTPError is a non-200 response from a source node. It implements the
 // optional Retryable interface the resilience layer's outcome rule looks
-// for: a 5xx is a failure and is retried; anything else (policy denials,
-// bad requests, a 429) is the node's answer and is never retried.
+// for: a 5xx, or a 304 to a call that sent no entity tag, is a failure
+// and is retried; anything else (policy denials, bad requests, a 429) is
+// the node's answer and is never retried.
 type HTTPError struct {
 	Source string
 	Status int
@@ -234,7 +246,9 @@ func (e *HTTPError) Error() string {
 }
 
 // Retryable reports whether retrying the call could help.
-func (e *HTTPError) Retryable() bool { return e.Status >= 500 }
+func (e *HTTPError) Retryable() bool {
+	return e.Status >= 500 || e.Status == http.StatusNotModified
+}
 
 // Client is an Endpoint over HTTP.
 type Client struct {
@@ -242,6 +256,16 @@ type Client struct {
 	BaseURL string
 	// SourceName is the remote source's declared name.
 	SourceName string
+
+	mu      sync.Mutex
+	columns map[string]keptColumn // the last blinded column read per suite asked for
+}
+
+// keptColumn is the last blinded column a Client read in one suite: the
+// field it was asked for, the entity tag it came with, and its node.
+type keptColumn struct {
+	field, etag string
+	node        *xmltree.Node
 }
 
 // NewClient returns a client endpoint.
@@ -257,7 +281,8 @@ func (c *Client) getNode(ctx context.Context, path string) (*xmltree.Node, error
 	if err != nil {
 		return nil, err
 	}
-	return c.do(req)
+	n, _, err := c.do(req, nil)
+	return n, err
 }
 
 func (c *Client) postNode(ctx context.Context, path, contentType string, body []byte) (*xmltree.Node, error) {
@@ -266,29 +291,37 @@ func (c *Client) postNode(ctx context.Context, path, contentType string, body []
 		return nil, err
 	}
 	req.Header.Set("Content-Type", contentType)
-	return c.do(req)
+	n, _, err := c.do(req, nil)
+	return n, err
 }
 
-func (c *Client) do(req *http.Request) (*xmltree.Node, error) {
+// do sends req and parses its 200, returned with its entity tag. kept is
+// the node a request that sent If-None-Match holds, and a 304 returns
+// it; to any other request a 304 is an HTTPError.
+func (c *Client) do(req *http.Request, kept *xmltree.Node) (*xmltree.Node, string, error) {
 	resp, err := defaultHTTPClient.Do(req)
 	if err != nil {
 		// Surface a context deadline/cancellation undecorated so the
 		// mediator can classify the denial as a timeout.
 		if ctxErr := req.Context().Err(); ctxErr != nil {
-			return nil, fmt.Errorf("source %s: %w", c.SourceName, ctxErr)
+			return nil, "", fmt.Errorf("source %s: %w", c.SourceName, ctxErr)
 		}
-		return nil, fmt.Errorf("source %s: %w", c.SourceName, err)
+		return nil, "", fmt.Errorf("source %s: %w", c.SourceName, err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotModified && kept != nil {
+		return kept, "", nil
+	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, &HTTPError{
+		return nil, "", &HTTPError{
 			Source: c.SourceName,
 			Status: resp.StatusCode,
 			Msg:    strings.TrimSpace(string(msg)),
 		}
 	}
-	return readNode(resp.Body)
+	n, err := readNode(resp.Body)
+	return n, resp.Header.Get("ETag"), err
 }
 
 // FetchSummary implements Endpoint.
@@ -317,7 +350,8 @@ func (c *Client) Query(ctx context.Context, piqlText, requester string) (*xmltre
 	}
 	req.Header.Set("Content-Type", "text/plain")
 	req.Header.Set("X-Requester", requester)
-	return c.do(req)
+	n, _, err := c.do(req, nil)
+	return n, err
 }
 
 // suitesToNode encodes a suite advertisement:
@@ -356,13 +390,39 @@ func (c *Client) PSISuites(ctx context.Context) ([]string, error) {
 	return suitesFromNode(n)
 }
 
-// PSIBlinded implements Endpoint.
+// PSIBlinded implements Endpoint. The client keeps the last column it
+// read in each suite, with its entity tag, and a GET of the same field
+// sends that tag as If-None-Match: a 304 returns the kept node, shared
+// and read-only as Endpoint says, and a 200 takes the slot.
 func (c *Client) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.Node, error) {
 	path := "/psi/blinded?field=" + url.QueryEscape(field)
 	if suite != "" {
 		path += "&suite=" + url.QueryEscape(suite)
 	}
-	return c.getNode(ctx, path)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	kept := c.columns[suite]
+	c.mu.Unlock()
+	if kept.field != field || kept.etag == "" {
+		kept = keptColumn{}
+	}
+	if kept.node != nil {
+		req.Header.Set("If-None-Match", kept.etag)
+	}
+	n, etag, err := c.do(req, kept.node)
+	if err != nil || n == kept.node {
+		return n, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.columns == nil {
+		c.columns = map[string]keptColumn{}
+	}
+	c.columns[suite] = keptColumn{field, etag, n}
+	return n, nil
 }
 
 // PSIExponentiate implements Endpoint.
