@@ -231,7 +231,10 @@ type Endpoint = source.Endpoint
 // PrivateOverlap counts |A ∩ B| of two sources' field values via relayed
 // PSI: neither source reveals its set; the caller learns only the size.
 // Each source uses its preferred suite; pass an explicit suite via
-// PrivateOverlapSuite when the fleet is mixed.
+// PrivateOverlapSuite when the fleet is mixed. A bare call keeps nothing:
+// each one sends both columns to be exponentiated again. Mediator.Overlap
+// is the warm path, which answers a round over unchanged columns from the
+// count it kept.
 func PrivateOverlap(a, b Endpoint, field string) (int, error) {
 	return mediator.PrivateOverlap(context.Background(), a, b, field, "")
 }

@@ -23,7 +23,7 @@ import (
 // mediator answers the count it kept for that pair of columns (DESIGN.md
 // §14, Revalidation). These tests hold the kept count to the true one
 // across an Insert and a source restarted with a new secret, and show
-// that a warm round reaches no party and no answer memo.
+// that a warm round reaches no party.
 
 // nameNode is a source of one name table behind a swappable handler,
 // as a daemon restarted behind the same address is.
@@ -79,13 +79,12 @@ func (n *nameNode) start(t *testing.T) {
 }
 
 // psiSeries are the series a round can move at a source: the party's
-// four, the answer memo's hits and the 304s.
+// four and the 304s.
 var psiSeries = []string{
 	"piye_psi_blind_items_total",
 	"piye_psi_blind_cache_hits_total",
 	"piye_psi_exponentiate_items_total",
 	"piye_psi_exponentiate_cache_hits_total",
-	"piye_psi_exponentiate_answer_hits_total",
 	"piye_psi_blinded_not_modified_total",
 }
 
@@ -157,7 +156,24 @@ func TestWarmOverlapIsTwoRevalidations(t *testing.T) {
 	if err := a.people.Insert(relational.Row{relational.Str("patient-450")}); err != nil {
 		t.Fatal(err)
 	}
+	before := []map[string]float64{a.psiCounts(t), b.psiCounts(t)}
 	overlap("after an Insert into A", 101)
+	// A changed round sends both columns to be exponentiated, and each
+	// party's per-element memo answers every element it has seen: all
+	// of B's unchanged 300 names at A, all but the new name of A's 301
+	// at B.
+	for i, want := range []struct {
+		n           *nameNode
+		items, hits float64
+	}{{a, 300, 300}, {b, 301, 300}} {
+		after := want.n.psiCounts(t)
+		items := after["piye_psi_exponentiate_items_total"] - before[i]["piye_psi_exponentiate_items_total"]
+		hits := after["piye_psi_exponentiate_cache_hits_total"] - before[i]["piye_psi_exponentiate_cache_hits_total"]
+		if items != want.items || hits != want.hits {
+			t.Errorf("after an Insert into A: %s exponentiated %v items with %v memo hits, want %v and %v",
+				want.n.name, items, hits, want.items, want.hits)
+		}
+	}
 	warm("warm after the Insert", 101)
 
 	// A restarted with the same rows draws a new secret: its column is

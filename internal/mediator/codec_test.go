@@ -353,10 +353,8 @@ func (w *wireEndpoint) lastCell(t *testing.T, query string) string {
 }
 
 // rewritingEndpoint rewrites every exponentiated column on the way back:
-// f gets a copy of the envelope the source wrote, the column's element
-// bytes and their width, and changes the copy in place. The source's own
-// node may be its kept answer, shared with every later call, so it is
-// never the one changed.
+// f gets the envelope the source wrote, the column's element bytes and
+// their width, and changes the envelope in place.
 type rewritingEndpoint struct {
 	source.Endpoint
 	f func(n *xmltree.Node, raw []byte, size int)
@@ -367,7 +365,6 @@ func (r rewritingEndpoint) PSIExponentiate(ctx context.Context, elems *xmltree.N
 	if err != nil {
 		return n, err
 	}
-	n = n.Clone()
 	s, err := psi.SuiteByName(psi.WireSuiteName(n))
 	if err != nil {
 		return nil, err

@@ -5,11 +5,9 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/base64"
-	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
-	"unsafe"
 
 	"privateiye/internal/obs"
 	"privateiye/internal/psi"
@@ -49,13 +47,13 @@ type Endpoint interface {
 	PSISuites(ctx context.Context) ([]string, error)
 	// PSIBlinded returns the source's blinded linkage items for a
 	// field, in the named suite ("" = the source's preferred suite).
+	//
+	// It is the only call that may return a node an earlier call
+	// returned, shared with the endpoint's memo: callers read it and
+	// never change it (Clone first).
 	PSIBlinded(ctx context.Context, field, suite string) (*xmltree.Node, error)
 	// PSIExponentiate raises peer-blinded elements to this source's
 	// secret, preserving order.
-	//
-	// Both PSI calls may return a node an earlier call returned, shared
-	// with the endpoint's memo: callers read it and never change it
-	// (Clone first).
 	PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error)
 }
 
@@ -80,9 +78,7 @@ type Local struct {
 	mu      sync.Mutex
 	parties map[string]*psi.Party      // one per suite, lazily keyed by suite name
 	blinded map[blindKey]*keptEnvelope // the last blinded column per (suite, field)
-	answers map[string]keptAnswer      // the last peer column answered per suite
 	mBatch  *obs.Histogram             // items per whole-column PSI call; nil-safe
-	mHits   map[string]*obs.Counter    // answer-memo hits per suite, beside its party
 	m304    map[string]*obs.Counter    // blinded columns revalidated per suite, beside its party
 
 	cols qcache.Flight[any] // whole-column computations in progress
@@ -252,14 +248,12 @@ func (l *Local) psiParty(suite psi.Suite) (*psi.Party, error) {
 			_, _, _, h := party.Stats()
 			return float64(h)
 		}, "source", name, "suite", sName)
-		// A hit or a 304 follows the miss that made the party, and
-		// reaches none of its counters.
-		reg.Help("piye_psi_exponentiate_answer_hits_total", "Peer columns answered whole from the answer memo, reaching no party.")
+		// A 304 follows the miss that made the party, and reaches none
+		// of its counters.
 		reg.Help("piye_psi_blinded_not_modified_total", "Conditional GET /psi/blinded answered 304: the caller holds the kept column.")
-		if l.mHits == nil {
-			l.mHits, l.m304 = map[string]*obs.Counter{}, map[string]*obs.Counter{}
+		if l.m304 == nil {
+			l.m304 = map[string]*obs.Counter{}
 		}
-		l.mHits[sName] = reg.Counter("piye_psi_exponentiate_answer_hits_total", "source", name, "suite", sName)
 		l.m304[sName] = reg.Counter("piye_psi_blinded_not_modified_total", "source", name, "suite", sName)
 		if l.mBatch == nil {
 			reg.Help("piye_psi_batch_items", "Items per whole-column PSI call (batched kernel entry).")
@@ -285,13 +279,12 @@ func (l *Local) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.N
 // blindKey names a memoised blinded column.
 type blindKey struct{ suite, field string }
 
-// keptEnvelope is a psi-elems envelope a PSI call answers, both as the
-// node the in-process call returns and as the bytes its HTTP route
-// writes. The node's text is a substring of body, so the column is held
-// once. version is a blinded column's data version, read before the
-// column was; an exponentiated answer has none. etag is a kept blinded
+// keptEnvelope is a blinded column, both as the node PSIBlinded returns
+// and as the bytes GET /psi/blinded writes. The node's text is a
+// substring of body, so the column is held once. version is the
+// column's data version, read before the column was. etag is a kept
 // column's strong HTTP entity tag, the SHA-256 digest of body in quoted
-// unpadded base64url; an envelope that is never kept has none.
+// unpadded base64url; a column that is never kept has none.
 type keptEnvelope struct {
 	node    *xmltree.Node
 	body    string
@@ -379,23 +372,10 @@ func encodeColumn(n *xmltree.Node, version uint64) *keptEnvelope {
 }
 
 // PSIExponentiate implements Endpoint. The suite is read off the
-// envelope, and an envelope that names none is refused. The node may be
-// one an earlier call returned, and is read-only for callers.
+// envelope, and an envelope that names none is refused. Every element is
+// decoded and validated, and each is answered from the party's
+// per-element memo or raised to its secret.
 func (l *Local) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error) {
-	c, err := l.exponentiated(ctx, elems)
-	if err != nil {
-		return nil, err
-	}
-	return c.node, nil
-}
-
-// exponentiated returns the answer to a peer's column. The party's
-// secret is fixed, so the answer is a pure function of what
-// UnmarshalElems reads: a childless psi-elems envelope whose digest is
-// its suite's kept one is answered as it was, and any other is decoded,
-// validated and exponentiated, and its answer, encoded once, takes the
-// suite's slot.
-func (l *Local) exponentiated(ctx context.Context, elems *xmltree.Node) (*keptEnvelope, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -406,18 +386,6 @@ func (l *Local) exponentiated(ctx context.Context, elems *xmltree.Node) (*keptEn
 	s, err := l.suiteFor(name)
 	if err != nil {
 		return nil, err
-	}
-	var key answerKey
-	lookup := elems.Name == "psi-elems" && len(elems.Children) == 0
-	if lookup {
-		key = answerKeyOf(elems)
-		l.mu.Lock()
-		kept, hits := l.answers[s.Name()], l.mHits[s.Name()]
-		l.mu.Unlock()
-		if kept.c != nil && kept.key == key {
-			hits.Inc()
-			return kept.c, nil
-		}
 	}
 	p, err := l.psiParty(s)
 	if err != nil {
@@ -432,45 +400,5 @@ func (l *Local) exponentiated(ctx context.Context, elems *xmltree.Node) (*keptEn
 	if err != nil {
 		return nil, err
 	}
-	c := encodeColumn(psi.MarshalElems(s, out), 0)
-	if lookup {
-		l.mu.Lock()
-		if l.answers == nil {
-			l.answers = map[string]keptAnswer{}
-		}
-		l.answers[s.Name()] = keptAnswer{key, c}
-		l.mu.Unlock()
-	}
-	return c, nil
-}
-
-// answerKey is the SHA-256 digest of the three things UnmarshalElems
-// reads off a childless psi-elems envelope: its suite, its n attribute
-// and its packed text. Equal digests mean equal envelopes, so the memo
-// keeps 32 bytes of a peer's column, not the column.
-type answerKey [sha256.Size]byte
-
-func answerKeyOf(n *xmltree.Node) (k answerKey) {
-	suite, _ := n.Attr("suite")
-	count, _ := n.Attr("n")
-	h := sha256.New()
-	// Each field goes in behind its length, and the hash reads it in
-	// place and keeps nothing: no copy of the column is made for it.
-	for _, f := range []string{suite, count, n.Text} {
-		var size [binary.MaxVarintLen64]byte
-		h.Write(binary.AppendUvarint(size[:0], uint64(len(f))))
-		h.Write(unsafe.Slice(unsafe.StringData(f), len(f)))
-	}
-	h.Sum(k[:0])
-	return k
-}
-
-// keptAnswer is a suite's slot in the answer memo: the last peer column
-// answered, by digest, and its answer. A source answers the one column
-// its peer sends per overlap, so one slot serves every warm round, and a
-// new column takes the slot: an answer its peer's data has outdated is
-// never kept beside it.
-type keptAnswer struct {
-	key answerKey
-	c   *keptEnvelope
+	return psi.MarshalElems(s, out), nil
 }

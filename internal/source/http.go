@@ -119,7 +119,11 @@ func NewHandler(l *Local) http.Handler {
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		writeKept(w, c)
+		// The column's encoding is kept beside its node: WriteNode's
+		// bytes, written as they are.
+		w.Header().Set("Content-Type", "application/xml")
+		w.Header().Set("Content-Length", strconv.Itoa(len(c.body)))
+		_, _ = io.WriteString(w, c.body)
 	})
 
 	mux.HandleFunc("POST /psi/exponentiate", func(w http.ResponseWriter, r *http.Request) {
@@ -128,12 +132,12 @@ func NewHandler(l *Local) http.Handler {
 			fail(w, http.StatusBadRequest, err)
 			return
 		}
-		c, err := l.exponentiated(r.Context(), in)
+		node, err := l.PSIExponentiate(r.Context(), in)
 		if err != nil {
 			fail(w, http.StatusBadRequest, err)
 			return
 		}
-		writeKept(w, c)
+		WriteNode(w, node)
 	})
 
 	// Liveness/readiness: a constructed Local has finished loading its
@@ -163,14 +167,6 @@ func WriteNode(w http.ResponseWriter, n *xmltree.Node) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf.Bytes())))
 	// A failed write means the client went away; there is no one to tell.
 	_, _ = w.Write(buf.Bytes())
-}
-
-// writeKept sends a kept PSI envelope: its encoding is kept beside its
-// node, WriteNode's bytes, and is written as it stands.
-func writeKept(w http.ResponseWriter, c *keptEnvelope) {
-	w.Header().Set("Content-Type", "application/xml")
-	w.Header().Set("Content-Length", strconv.Itoa(len(c.body)))
-	_, _ = io.WriteString(w, c.body)
 }
 
 // MaxQueryBytes bounds a POST /query body. PIQL texts are a few hundred
