@@ -210,11 +210,12 @@ type keptOverlap struct {
 // source's blinded column, relays each to the other source to be
 // exponentiated, and compares only double-blinded group elements. The
 // mediator learns the overlap size; each source learns only the other's
-// set size. The Result Integrator uses this to estimate duplication
-// before deciding whether a fuzzy dedup pass is worth its cost, and
-// Example 2 uses it to count shared patients across jurisdictions.
-// PrivateOverlap keeps nothing between calls; Mediator.Overlap runs the
-// same two steps and keeps the last count.
+// set size. Its callers are the library's facade and the examples
+// (Example 2 counts shared patients across jurisdictions); no daemon
+// route runs it, and the Result Integrator's dedupe links records with
+// Bloom-filter encodings instead. PrivateOverlap keeps nothing between
+// calls; Mediator.Overlap runs the same two steps and keeps the last
+// count.
 //
 // suite names the group both sources must use ("" lets each source pick
 // its preferred suite — safe only when the fleet is homogeneous; the

@@ -39,6 +39,11 @@ type Endpoint interface {
 	// FetchProfiles returns shareable field profiles for schema matching.
 	FetchProfiles(ctx context.Context) ([]schemamatch.FieldProfile, error)
 	// Query executes a PIQL fragment and returns the tagged XML answer.
+	//
+	// The answer may be a node an earlier call returned: a memoised
+	// aggregate's, shared with the source's plan memo (Local) or with
+	// the client's kept reply (Client). Callers read it and never
+	// change it (Clone first).
 	Query(ctx context.Context, piqlText, requester string) (*xmltree.Node, error)
 	// PSISuites lists the PSI group suites this source supports, in
 	// preference order. The mediator intersects these across the fleet
@@ -48,9 +53,8 @@ type Endpoint interface {
 	// PSIBlinded returns the source's blinded linkage items for a
 	// field, in the named suite ("" = the source's preferred suite).
 	//
-	// It is the only call that may return a node an earlier call
-	// returned, shared with the endpoint's memo: callers read it and
-	// never change it (Clone first).
+	// Like Query's, its node may be one an earlier call returned, and
+	// is read-only for callers.
 	PSIBlinded(ctx context.Context, field, suite string) (*xmltree.Node, error)
 	// PSIExponentiate raises peer-blinded elements to this source's
 	// secret, preserving order.
@@ -76,10 +80,10 @@ type Local struct {
 	Coalesce bool
 
 	mu      sync.Mutex
-	parties map[string]*psi.Party      // one per suite, lazily keyed by suite name
-	blinded map[blindKey]*keptEnvelope // the last blinded column per (suite, field)
-	mBatch  *obs.Histogram             // items per whole-column PSI call; nil-safe
-	m304    map[string]*obs.Counter    // blinded columns revalidated per suite, beside its party
+	parties map[string]*psi.Party   // one per suite, lazily keyed by suite name
+	blinded map[blindKey]*keptReply // the last blinded column per (suite, field)
+	mBatch  *obs.Histogram          // items per whole-column PSI call; nil-safe
+	m304    map[string]*obs.Counter // blinded columns revalidated per suite, beside its party
 
 	cols qcache.Flight[any] // whole-column computations in progress
 }
@@ -144,8 +148,20 @@ func (l *Local) FetchProfiles(ctx context.Context) ([]schemamatch.FieldProfile, 
 // Query implements Endpoint. Every error but a context error is the
 // source's answer to the query — a policy denial, an audit
 // refusal, a query it cannot parse — and comes back as one, in the form
-// the HTTP handler's 403 takes on the wire.
+// the HTTP handler's 403 takes on the wire. A memoised answer's node is
+// shared, and read-only for callers.
 func (l *Local) Query(ctx context.Context, piqlText, requester string) (*xmltree.Node, error) {
+	ans, err := l.answer(ctx, piqlText, requester)
+	if err != nil {
+		return nil, err
+	}
+	return ans.Node, nil
+}
+
+// answer is Query's whole path — parse, plan, policy, the sequence
+// audit under requester — returning the Answer, whose kept encoding
+// POST /query writes when the plan memoised it.
+func (l *Local) answer(ctx context.Context, piqlText, requester string) (*Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -157,7 +173,7 @@ func (l *Local) Query(ctx context.Context, piqlText, requester string) (*xmltree
 	if err != nil {
 		return nil, answerError{err}
 	}
-	return ans.Node, nil
+	return ans, nil
 }
 
 // answerError is a source's refusal to answer a query. Asking again gets
@@ -279,24 +295,37 @@ func (l *Local) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.N
 // blindKey names a memoised blinded column.
 type blindKey struct{ suite, field string }
 
-// keptEnvelope is a blinded column, both as the node PSIBlinded returns
-// and as the bytes GET /psi/blinded writes. The node's text is a
-// substring of body, so the column is held once. version is the
-// column's data version, read before the column was. etag is a kept
-// column's strong HTTP entity tag, the SHA-256 digest of body in quoted
-// unpadded base64url; a column that is never kept has none.
-type keptEnvelope struct {
+// keptReply is a reply a source serves again as it stands — a blinded
+// column, or a plan's memoised answer — both as the node its in-process
+// callers read and as the bytes the HTTP handler writes (WriteNode's
+// bytes for the node). version is the data version it was read at. etag
+// is a kept reply's strong HTTP entity tag, the digest of body (see
+// entityTag); a column that is never kept has none.
+type keptReply struct {
 	node    *xmltree.Node
 	body    string
 	version uint64
 	etag    string
 }
 
+// keep encodes n once, as the reply kept for data version, and tags it.
+func keep(n *xmltree.Node, version uint64) *keptReply {
+	body := n.String()
+	return &keptReply{node: n, body: body, version: version, etag: entityTag(body)}
+}
+
+// entityTag is the strong entity tag of body: its SHA-256 digest in
+// quoted, unpadded base64url.
+func entityTag(body string) string {
+	sum := sha256.Sum256([]byte(body))
+	return `"` + base64.RawURLEncoding.EncodeToString(sum[:]) + `"`
+}
+
 // blindedColumn returns field's blinded column in the named suite. The
 // party's secret is fixed, so the column changes only with the data: a
 // column whose data version matches the memoised one's is served as it
 // stands, and any other is read, blinded and encoded once and kept.
-func (l *Local) blindedColumn(ctx context.Context, field, suite string) (*keptEnvelope, error) {
+func (l *Local) blindedColumn(ctx context.Context, field, suite string) (*keptReply, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -323,12 +352,11 @@ func (l *Local) blindedColumn(ctx context.Context, field, suite string) (*keptEn
 		l.mBatch.Observe(float64(len(vals)))
 		c := encodeColumn(psi.MarshalElems(s, p.BlindBatch(vals)), version)
 		if keep {
-			sum := sha256.Sum256([]byte(c.body))
-			c.etag = `"` + base64.RawURLEncoding.EncodeToString(sum[:]) + `"`
+			c.etag = entityTag(c.body)
 			l.mu.Lock()
 			if old := l.blinded[key]; old == nil || old.version <= version {
 				if l.blinded == nil {
-					l.blinded = map[blindKey]*keptEnvelope{}
+					l.blinded = map[blindKey]*keptReply{}
 				}
 				l.blinded[key] = c
 			}
@@ -339,28 +367,23 @@ func (l *Local) blindedColumn(ctx context.Context, field, suite string) (*keptEn
 	if err != nil {
 		return nil, err
 	}
-	return v.(*keptEnvelope), nil
+	return v.(*keptReply), nil
 }
 
-// notModified reports whether a GET of c that sent ifNoneMatch is
-// answered 304: c is a kept blinded column and the caller holds its
-// bytes, by their entity tag. Each 304 is counted in the column's suite.
-func (l *Local) notModified(c *keptEnvelope, ifNoneMatch string) bool {
-	if c.etag == "" || ifNoneMatch != c.etag {
-		return false
-	}
+// columnNotModified counts a 304 to a GET of the blinded column c, in
+// its suite.
+func (l *Local) columnNotModified(c *keptReply) {
 	l.mu.Lock()
 	ctr := l.m304[psi.WireSuiteName(c.node)]
 	l.mu.Unlock()
 	ctr.Inc()
-	return true
 }
 
 // encodeColumn encodes a psi-elems envelope once. Its packed text needs
 // no escaping, so it follows the start tag verbatim: the node is pointed
 // at it there, and its count copied off the string MarshalElems built,
 // so that the column lives in body alone.
-func encodeColumn(n *xmltree.Node, version uint64) *keptEnvelope {
+func encodeColumn(n *xmltree.Node, version uint64) *keptReply {
 	body := n.String()
 	if text := body[strings.IndexByte(body, '>')+1:]; strings.HasPrefix(text, n.Text) {
 		n.Text = text[:len(n.Text)]
@@ -368,7 +391,7 @@ func encodeColumn(n *xmltree.Node, version uint64) *keptEnvelope {
 	if count, ok := n.Attr("n"); ok {
 		n.SetAttr("n", strings.Clone(count))
 	}
-	return &keptEnvelope{node: n, body: body, version: version}
+	return &keptReply{node: n, body: body, version: version}
 }
 
 // PSIExponentiate implements Endpoint. The suite is read off the

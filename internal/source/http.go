@@ -33,6 +33,13 @@ func NewHandler(l *Local) http.Handler {
 		http.Error(w, err.Error(), code)
 	}
 
+	// /metrics and /debug/trace, when the source was built with a
+	// registry or tracer.
+	reg, tracer := l.Src.Observability()
+	obs.Attach(mux, reg, tracer)
+	queryNotModified := reg.Help("piye_source_query_not_modified_total", "Conditional POST /query answered 304: the caller holds the memoised answer.").
+		Counter("piye_source_query_not_modified_total", "source", l.Name())
+
 	mux.HandleFunc("GET /summary", func(w http.ResponseWriter, r *http.Request) {
 		sum, err := l.FetchSummary(r.Context())
 		if err != nil {
@@ -61,13 +68,17 @@ func NewHandler(l *Local) http.Handler {
 			fail(w, http.StatusBadRequest, fmt.Errorf("source: missing X-Requester header"))
 			return
 		}
-		node, err := l.Query(r.Context(), string(body), requester)
+		ans, err := l.answer(r.Context(), string(body), requester)
 		if err != nil {
 			// Policy denials and audit refusals are forbidden, not broken.
 			fail(w, http.StatusForbidden, err)
 			return
 		}
-		WriteNode(w, node)
+		if ans.kept == nil {
+			WriteNode(w, ans.Node)
+		} else if writeKept(w, r, ans.kept) {
+			queryNotModified.Inc()
+		}
 	})
 
 	mux.HandleFunc("POST /preferences", func(w http.ResponseWriter, r *http.Request) {
@@ -109,21 +120,9 @@ func NewHandler(l *Local) http.Handler {
 			fail(w, http.StatusInternalServerError, err)
 			return
 		}
-		// Revalidation comes after every check the 200 runs: a kept
-		// column carries its entity tag, and a caller that sends it
-		// back already holds these bytes.
-		if c.etag != "" {
-			w.Header().Set("ETag", c.etag)
+		if writeKept(w, r, c) {
+			l.columnNotModified(c)
 		}
-		if l.notModified(c, r.Header.Get("If-None-Match")) {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		// The column's encoding is kept beside its node: WriteNode's
-		// bytes, written as they are.
-		w.Header().Set("Content-Type", "application/xml")
-		w.Header().Set("Content-Length", strconv.Itoa(len(c.body)))
-		_, _ = io.WriteString(w, c.body)
 	})
 
 	mux.HandleFunc("POST /psi/exponentiate", func(w http.ResponseWriter, r *http.Request) {
@@ -144,12 +143,26 @@ func NewHandler(l *Local) http.Handler {
 	// data and replaying any audit WAL, so reachable = ready.
 	obs.AttachHealth(mux, nil)
 
-	// /metrics and /debug/trace, when the source was built with a
-	// registry or tracer.
-	reg, tracer := l.Src.Observability()
-	obs.Attach(mux, reg, tracer)
-
 	return mux
+}
+
+// writeKept writes a kept reply as its kept bytes, with its entity tag
+// when it has one, or answers 304 with no body to a request whose
+// If-None-Match is that tag, and reports which. Callers run every check
+// the 200 runs first, so a 304 tells only that the bytes the caller
+// holds are this request's answer.
+func writeKept(w http.ResponseWriter, r *http.Request, k *keptReply) (notModified bool) {
+	if k.etag != "" {
+		w.Header().Set("ETag", k.etag)
+		if r.Header.Get("If-None-Match") == k.etag {
+			w.WriteHeader(http.StatusNotModified)
+			return true
+		}
+	}
+	w.Header().Set("Content-Type", "application/xml")
+	w.Header().Set("Content-Length", strconv.Itoa(len(k.body)))
+	_, _ = io.WriteString(w, k.body)
+	return false
 }
 
 func readNode(r io.Reader) (*xmltree.Node, error) {
@@ -253,15 +266,20 @@ type Client struct {
 	// SourceName is the remote source's declared name.
 	SourceName string
 
-	mu      sync.Mutex
-	columns map[string]keptColumn // the last blinded column read per suite asked for
+	mu    sync.Mutex
+	slots map[slotName]heldReply // the last reply read per slot
 }
 
-// keptColumn is the last blinded column a Client read in one suite: the
-// field it was asked for, the entity tag it came with, and its node.
-type keptColumn struct {
-	field, etag string
-	node        *xmltree.Node
+// slotName names a Client's slot: one for POST /query, and one per
+// suite for GET /psi/blinded.
+type slotName struct{ route, suite string }
+
+// heldReply is the last reply a Client read into one slot: the key it
+// was asked by (a query text, a field), the entity tag it came with,
+// and its node. An untagged reply is held as nothing.
+type heldReply struct {
+	key, etag string
+	node      *xmltree.Node
 }
 
 // NewClient returns a client endpoint.
@@ -338,7 +356,40 @@ func (c *Client) FetchProfiles(ctx context.Context) ([]schemamatch.FieldProfile,
 	return schemamatch.ProfilesFromNode(n)
 }
 
-// Query implements Endpoint.
+// conditional sends req, a call asked by key into slot: when the slot
+// holds a tagged reply to the same key, req sends its tag as
+// If-None-Match, and a 304 returns the held node, shared and read-only
+// as Endpoint says. Any 200 takes the slot.
+func (c *Client) conditional(req *http.Request, slot slotName, key string) (*xmltree.Node, error) {
+	c.mu.Lock()
+	held := c.slots[slot]
+	c.mu.Unlock()
+	if held.key != key {
+		held = heldReply{}
+	}
+	if held.node != nil {
+		req.Header.Set("If-None-Match", held.etag)
+	}
+	n, etag, err := c.do(req, held.node)
+	if err != nil || n == held.node {
+		return n, err
+	}
+	held = heldReply{key: key}
+	if etag != "" {
+		held.etag, held.node = etag, n
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.slots == nil {
+		c.slots = map[slotName]heldReply{}
+	}
+	c.slots[slot] = held
+	return n, nil
+}
+
+// Query implements Endpoint. The client holds the last answer it read,
+// and asking the same query text again, for any requester, revalidates
+// it: the source decides the 304 after that requester's whole path.
 func (c *Client) Query(ctx context.Context, piqlText, requester string) (*xmltree.Node, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/query", strings.NewReader(piqlText))
 	if err != nil {
@@ -346,8 +397,7 @@ func (c *Client) Query(ctx context.Context, piqlText, requester string) (*xmltre
 	}
 	req.Header.Set("Content-Type", "text/plain")
 	req.Header.Set("X-Requester", requester)
-	n, _, err := c.do(req, nil)
-	return n, err
+	return c.conditional(req, slotName{route: "query"}, piqlText)
 }
 
 // suitesToNode encodes a suite advertisement:
@@ -386,10 +436,8 @@ func (c *Client) PSISuites(ctx context.Context) ([]string, error) {
 	return suitesFromNode(n)
 }
 
-// PSIBlinded implements Endpoint. The client keeps the last column it
-// read in each suite, with its entity tag, and a GET of the same field
-// sends that tag as If-None-Match: a 304 returns the kept node, shared
-// and read-only as Endpoint says, and a 200 takes the slot.
+// PSIBlinded implements Endpoint. The client holds the last column it
+// read in each suite, and a GET of the same field revalidates it.
 func (c *Client) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.Node, error) {
 	path := "/psi/blinded?field=" + url.QueryEscape(field)
 	if suite != "" {
@@ -399,26 +447,7 @@ func (c *Client) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	kept := c.columns[suite]
-	c.mu.Unlock()
-	if kept.field != field || kept.etag == "" {
-		kept = keptColumn{}
-	}
-	if kept.node != nil {
-		req.Header.Set("If-None-Match", kept.etag)
-	}
-	n, etag, err := c.do(req, kept.node)
-	if err != nil || n == kept.node {
-		return n, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.columns == nil {
-		c.columns = map[string]keptColumn{}
-	}
-	c.columns[suite] = keptColumn{field, etag, n}
-	return n, nil
+	return c.conditional(req, slotName{"psi/blinded", suite}, field)
 }
 
 // PSIExponentiate implements Endpoint.

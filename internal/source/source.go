@@ -121,18 +121,13 @@ type planEntry struct {
 	// depends on the catalog's schemas only, never on its rows.
 	rel *relational.Query
 	// tables are the tables rel reads when this plan's answer may be
-	// memoised, nil otherwise; memo is that answer once computed.
+	// memoised, nil otherwise; memo is that answer once computed, kept
+	// with the dataVersion its execution started from. Everything else
+	// the answer depends on — the policy epoch, the access class, the
+	// query — is the plan's own key, so the memo lives and dies with its
+	// entry.
 	tables []*relational.Table
-	memo   atomic.Pointer[answerMemo]
-}
-
-// answerMemo is a plan's last answer, stamped with the dataVersion its
-// execution started from. Everything else the answer depends on — the
-// policy epoch, the access class, the query — is the plan's own key, so
-// the memo lives and dies with its entry.
-type answerMemo struct {
-	ans     *Answer
-	version uint64
+	memo   atomic.Pointer[Answer]
 }
 
 // dataVersion is the version of the data the plan reads: the sum of its
@@ -166,6 +161,10 @@ type Answer struct {
 	Rewrite *rewrite.Outcome
 	// EstimatedLoss is the planner-side information-loss estimate.
 	EstimatedLoss float64
+
+	// kept is a memoised answer's encoding, stamped with the data
+	// version it was computed at; nil for every other answer.
+	kept *keptReply
 }
 
 // New validates the configuration and builds the source.
@@ -435,8 +434,9 @@ func (s *Source) planFor(q *piql.Query, canonical, requester string) (*planEntry
 	// Whether the answer may be memoised: an aggregate (as sent and as
 	// rewritten, so the answer is O(groups)) over tables whose versions
 	// can be read, through a technique that draws no randomness — its
-	// answer is then a function of the plan and the rows alone.
-	if entry.rel != nil && q.IsAggregate() && rq.IsAggregate() && preserve.Deterministic(technique) {
+	// answer is then a function of the plan and the rows alone — and a
+	// plan that is cached: an uncached one is never looked up again.
+	if s.plans != nil && entry.rel != nil && q.IsAggregate() && rq.IsAggregate() && preserve.Deterministic(technique) {
 		entry.tables = s.relTables(entry.rel)
 	}
 	s.plans.PutAt(key, entry, epoch)
@@ -525,8 +525,8 @@ func (s *Source) executeStages(q *piql.Query, canonical, requester string, trace
 	var version uint64
 	if entry.tables != nil {
 		version = entry.dataVersion()
-		if m := entry.memo.Load(); m != nil && m.version == version {
-			return m.ans, outcomeMemo, nil
+		if m := entry.memo.Load(); m != nil && m.kept.version == version {
+			return m, outcomeMemo, nil
 		}
 	}
 
@@ -560,7 +560,8 @@ func (s *Source) executeStages(q *piql.Query, canonical, requester string, trace
 	// what decides is the query as sent, which is what the mediator reads.
 	ans.Node = s.tag(ans, !q.IsAggregate())
 	if entry.tables != nil {
-		entry.memo.Store(&answerMemo{ans: ans, version: version})
+		ans.kept = keep(ans.Node, version)
+		entry.memo.Store(ans)
 	}
 	return ans, obs.OutcomeAnswered, nil
 }
