@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,11 +28,18 @@ type benchReport struct {
 	} `json:"metrics"`
 }
 
-// TestBenchGate is `make bench-gate`: every BENCHMARK.json workload once,
-// at the seed and the short run length the latest committed BENCH_<pr>.json
-// recorded its gate figures at, failing if a gated metric is worse than
-// the committed figure by more than BENCHMARK.json's bound for it. It
-// runs only when asked to (a minute of `go run ./bench/load`).
+// gateRuns is how many times the gate runs each workload; it compares
+// the median of each gated metric. psi_overlap's 80 ops read allocs/op
+// with a ~1.8 % spread on one binary (E60), near its 2 % bound, so one
+// run from a committed low figure could fail an unchanged build.
+const gateRuns = 3
+
+// TestBenchGate is `make bench-gate`: every BENCHMARK.json workload
+// gateRuns times, at the seed and the short run length the latest
+// committed BENCH_<pr>.json recorded its gate figures at (each the median
+// of gateRuns runs), failing if the median of a gated metric is worse
+// than the committed figure by more than BENCHMARK.json's bound for it.
+// It runs only when asked to (a few minutes of `go run ./bench/load`).
 func TestBenchGate(t *testing.T) {
 	if os.Getenv("BENCH_GATE") == "" {
 		t.Skip("set BENCH_GATE=1, or run `make bench-gate`")
@@ -64,30 +72,46 @@ func TestBenchGate(t *testing.T) {
 			t.Errorf("%s records no gate figures for workload %s", latest, w.Name)
 			continue
 		}
-		cmd := exec.Command("go", "run", "./bench/load", "--workload", w.Name, "--trace", "0",
-			"--seed", strconv.Itoa(record.Gate.Seed), "--seconds", fmt.Sprint(record.Gate.Seconds))
-		cmd.Stderr = os.Stderr
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("%s: %v\n%s", w.Name, err, out)
-		}
-		lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
-		var got benchReport
-		if err := json.Unmarshal(lines[len(lines)-1], &got); err != nil {
-			t.Fatalf("%s: last line of output is not a report: %v", w.Name, err)
-		}
-		if !got.Correct || got.Failed != 0 {
-			t.Errorf("%s: %d failed ops", w.Name, got.Failed)
+		runs := make([]benchReport, gateRuns)
+		for i := range runs {
+			runs[i] = runWorkload(t, w.Name, record.Gate.Seed, record.Gate.Seconds)
+			if !runs[i].Correct || runs[i].Failed != 0 {
+				t.Errorf("%s: %d failed ops", w.Name, runs[i].Failed)
+			}
 		}
 		for _, m := range gatedMetrics {
-			g, c := got.Metrics[m].Value, want.Metrics[m].Value
-			t.Logf("%-14s %-15s %12.3f  committed %12.3f  (%+.2f %%)", w.Name, m, g, c, 100*(g/c-1))
+			vals := make([]float64, len(runs))
+			for i, r := range runs {
+				vals[i] = r.Metrics[m].Value
+			}
+			slices.Sort(vals)
+			g, c := vals[len(vals)/2], want.Metrics[m].Value
+			t.Logf("%-14s %-15s %12.3f  committed %12.3f  (%+.2f %%)  runs %.3f", w.Name, m, g, c, 100*(g/c-1), vals)
 			if g > c*(1+bound[m]) {
-				t.Errorf("%s: %s = %.3f, more than %.0f %% over the %.3f committed in %s",
-					w.Name, m, g, 100*bound[m], c, latest)
+				t.Errorf("%s: %s = %.3f (median of %d), more than %.0f %% over the %.3f committed in %s",
+					w.Name, m, g, gateRuns, 100*bound[m], c, latest)
 			}
 		}
 	}
+}
+
+// runWorkload runs one workload of the benchmark once and returns its
+// report, the last line of its output.
+func runWorkload(t *testing.T, name string, seed int, seconds float64) benchReport {
+	t.Helper()
+	cmd := exec.Command("go", "run", "./bench/load", "--workload", name, "--trace", "0",
+		"--seed", strconv.Itoa(seed), "--seconds", fmt.Sprint(seconds))
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("%s: %v\n%s", name, err, out)
+	}
+	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+	var got benchReport
+	if err := json.Unmarshal(lines[len(lines)-1], &got); err != nil {
+		t.Fatalf("%s: last line of output is not a report: %v", name, err)
+	}
+	return got
 }
 
 func readJSON(t *testing.T, path string, into any) {

@@ -73,7 +73,6 @@ type backendState struct {
 type Router struct {
 	cfg    RouterConfig
 	ring   *Ring
-	client *http.Client
 	byName map[string]*backendState
 
 	stop chan struct{}
@@ -97,13 +96,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("shard: router needs at least one shard")
 	}
 	rt := &Router{
-		cfg:  cfg,
-		ring: New(cfg.Seed, DefaultVnodes),
-		// Every query of the tier crosses this hop: the stock transport's
-		// two idle connections per shard would re-dial most of them.
-		// DefaultHTTPClient is a 30s ceiling over the tier's tuned
-		// connection pool; per-call deadlines come from the inbound context.
-		client: source.DefaultHTTPClient(),
+		cfg:    cfg,
+		ring:   New(cfg.Seed, DefaultVnodes),
 		byName: map[string]*backendState{},
 		stop:   make(chan struct{}),
 	}
@@ -181,11 +175,7 @@ func (rt *Router) probe(bs *backendState) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, bs.URL+"/readyz", nil)
-	if err != nil {
-		return
-	}
-	resp, err := rt.client.Do(req)
+	resp, err := source.Exchange(ctx, http.MethodGet, bs.URL+"/readyz", nil, "", "")
 	ok := false
 	msg := ""
 	if err != nil {
@@ -284,15 +274,13 @@ func (rt *Router) forward(ctx context.Context, bs *backendState, body []byte, re
 	return res, err
 }
 
-// attempt is one HTTP exchange with a shard.
+// attempt is one HTTP exchange with a shard, over the tier's shared
+// transport (source.Exchange): every query of the tier crosses this hop,
+// and the stock transport's two idle connections per shard would re-dial
+// most of them. Its deadline is the retry policy's, or the exchange's
+// ceiling.
 func (rt *Router) attempt(ctx context.Context, bs *backendState, body []byte, requester string) (proxyResult, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, bs.URL+"/query", bytes.NewReader(body))
-	if err != nil {
-		return proxyResult{}, err
-	}
-	req.Header.Set("X-Requester", requester)
-	req.Header.Set("Content-Type", "text/plain")
-	resp, err := rt.client.Do(req)
+	resp, err := source.Exchange(ctx, http.MethodPost, bs.URL+"/query", bytes.NewReader(body), requester, "")
 	if err != nil {
 		return proxyResult{}, fmt.Errorf("shard %s: %w", bs.Name, err)
 	}

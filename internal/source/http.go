@@ -205,14 +205,15 @@ func ReadQueryBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool
 	return body, true
 }
 
-// defaultTransport backs every default client. The stock
-// http.DefaultTransport keeps only 2 idle connections per host
-// (DefaultMaxIdleConnsPerHost), so a mediator fanning a query stream out
-// to a handful of source nodes re-dials almost every call; under load
-// that is a three-way handshake (and TLS, when terminated upstream) on
-// the hot path. Raising the per-host idle pool to the mediator's
-// realistic concurrency reuses connections instead.
-var defaultTransport = newTunedTransport()
+// transport carries every internal hop of the tier (mediator to source,
+// router to shard). The stock http.DefaultTransport keeps only 2 idle
+// connections per host (DefaultMaxIdleConnsPerHost), so a mediator
+// fanning a query stream out to a handful of source nodes would re-dial
+// almost every call; under load that is a three-way handshake (and TLS,
+// when terminated upstream) on the hot path. Raising the per-host idle
+// pool to the mediator's realistic concurrency reuses connections
+// instead. No peer compresses its answers, so no request asks it to.
+var transport = newTunedTransport()
 
 func newTunedTransport() *http.Transport {
 	t, ok := http.DefaultTransport.(*http.Transport)
@@ -223,20 +224,65 @@ func newTunedTransport() *http.Transport {
 	t.MaxIdleConns = 256
 	t.MaxIdleConnsPerHost = 32
 	t.IdleConnTimeout = 90 * time.Second
+	t.DisableCompression = true
 	return t
 }
 
-// defaultHTTPClient backs every Client. It has a generous overall timeout as a last line of defence; per-call deadlines
-// come from the caller's context (the mediator's per-source deadline).
-var defaultHTTPClient = &http.Client{
-	Timeout:   30 * time.Second,
-	Transport: defaultTransport,
+// exchangeCeiling bounds an exchange whose context has no deadline of
+// its own, as a last line of defence; per-call deadlines come from the
+// caller's context (the mediator's per-source deadline, the router's
+// retry policy).
+const exchangeCeiling = 30 * time.Second
+
+// noUserAgent, present and empty, keeps net/http from sending its
+// default User-Agent.
+var noUserAgent = []string{""}
+
+// Exchange is one request of the tier's internal hops, sent straight to
+// the shared transport: it carries Host, Content-Length when it has a
+// body, and X-Requester and If-None-Match when they are not empty,
+// nothing else. The response is returned as the peer sent it: a 3xx is
+// not followed, and no cookie is kept. A context with no deadline runs
+// under exchangeCeiling until the response body is closed; one with a
+// deadline is used as it is.
+func Exchange(ctx context.Context, method, target string, body io.Reader, requester, etag string) (*http.Response, error) {
+	var cancel context.CancelFunc
+	if _, ok := ctx.Deadline(); !ok {
+		ctx, cancel = context.WithTimeout(ctx, exchangeCeiling)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, target, body)
+	var resp *http.Response
+	if err == nil {
+		req.Header["User-Agent"] = noUserAgent
+		if requester != "" {
+			req.Header["X-Requester"] = []string{requester}
+		}
+		if etag != "" {
+			req.Header["If-None-Match"] = []string{etag}
+		}
+		resp, err = transport.RoundTrip(req)
+	}
+	switch {
+	case cancel == nil:
+	case err != nil:
+		cancel()
+	default:
+		resp.Body = ceilingBody{resp.Body, cancel}
+	}
+	return resp, err
 }
 
-// DefaultHTTPClient returns the shared default client, for the tier's
-// other query-carrying hop (router to shard) to pool connections the
-// same way.
-func DefaultHTTPClient() *http.Client { return defaultHTTPClient }
+// ceilingBody releases an exchange's ceiling when its body is closed.
+type ceilingBody struct {
+	io.ReadCloser
+	cancel context.CancelFunc
+}
+
+func (b ceilingBody) Close() error {
+	err := b.ReadCloser.Close()
+	b.cancel()
+	return err
+}
 
 // HTTPError is a non-200 response from a source node. It implements the
 // optional Retryable interface the resilience layer's outcome rule looks
@@ -291,40 +337,27 @@ func NewClient(baseURL, sourceName string) *Client {
 func (c *Client) Name() string { return c.SourceName }
 
 func (c *Client) getNode(ctx context.Context, path string) (*xmltree.Node, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	n, _, err := c.do(req, nil)
+	n, _, err := c.call(ctx, http.MethodGet, path, nil, "", heldReply{})
 	return n, err
 }
 
-func (c *Client) postNode(ctx context.Context, path, contentType string, body []byte) (*xmltree.Node, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", contentType)
-	n, _, err := c.do(req, nil)
-	return n, err
-}
-
-// do sends req and parses its 200, returned with its entity tag. kept is
-// the node a request that sent If-None-Match holds, and a 304 returns
-// it; to any other request a 304 is an HTTPError.
-func (c *Client) do(req *http.Request, kept *xmltree.Node) (*xmltree.Node, string, error) {
-	resp, err := defaultHTTPClient.Do(req)
+// call sends one exchange to the node and parses its 200, returned with
+// its entity tag. held is the reply the caller holds for it: its tag goes
+// out as If-None-Match and a 304 returns its node; to a call that holds
+// nothing a 304 is an HTTPError.
+func (c *Client) call(ctx context.Context, method, path string, body io.Reader, requester string, held heldReply) (*xmltree.Node, string, error) {
+	resp, err := Exchange(ctx, method, c.BaseURL+path, body, requester, held.etag)
 	if err != nil {
 		// Surface a context deadline/cancellation undecorated so the
 		// mediator can classify the denial as a timeout.
-		if ctxErr := req.Context().Err(); ctxErr != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, "", fmt.Errorf("source %s: %w", c.SourceName, ctxErr)
 		}
 		return nil, "", fmt.Errorf("source %s: %w", c.SourceName, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotModified && kept != nil {
-		return kept, "", nil
+	if resp.StatusCode == http.StatusNotModified && held.node != nil {
+		return held.node, "", nil
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
@@ -356,21 +389,18 @@ func (c *Client) FetchProfiles(ctx context.Context) ([]schemamatch.FieldProfile,
 	return schemamatch.ProfilesFromNode(n)
 }
 
-// conditional sends req, a call asked by key into slot: when the slot
-// holds a tagged reply to the same key, req sends its tag as
-// If-None-Match, and a 304 returns the held node, shared and read-only
-// as Endpoint says. Any 200 takes the slot.
-func (c *Client) conditional(req *http.Request, slot slotName, key string) (*xmltree.Node, error) {
+// conditional sends a call asked by key into slot: when the slot holds a
+// tagged reply to the same key, the call sends its tag as If-None-Match,
+// and a 304 returns the held node, shared and read-only as Endpoint says.
+// Any 200 takes the slot.
+func (c *Client) conditional(ctx context.Context, slot slotName, key, method, path string, body io.Reader, requester string) (*xmltree.Node, error) {
 	c.mu.Lock()
 	held := c.slots[slot]
 	c.mu.Unlock()
 	if held.key != key {
 		held = heldReply{}
 	}
-	if held.node != nil {
-		req.Header.Set("If-None-Match", held.etag)
-	}
-	n, etag, err := c.do(req, held.node)
+	n, etag, err := c.call(ctx, method, path, body, requester, held)
 	if err != nil || n == held.node {
 		return n, err
 	}
@@ -391,13 +421,8 @@ func (c *Client) conditional(req *http.Request, slot slotName, key string) (*xml
 // and asking the same query text again, for any requester, revalidates
 // it: the source decides the 304 after that requester's whole path.
 func (c *Client) Query(ctx context.Context, piqlText, requester string) (*xmltree.Node, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/query", strings.NewReader(piqlText))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "text/plain")
-	req.Header.Set("X-Requester", requester)
-	return c.conditional(req, slotName{route: "query"}, piqlText)
+	return c.conditional(ctx, slotName{route: "query"}, piqlText,
+		http.MethodPost, "/query", strings.NewReader(piqlText), requester)
 }
 
 // suitesToNode encodes a suite advertisement:
@@ -443,22 +468,19 @@ func (c *Client) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.
 	if suite != "" {
 		path += "&suite=" + url.QueryEscape(suite)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	return c.conditional(req, slotName{"psi/blinded", suite}, field)
+	return c.conditional(ctx, slotName{"psi/blinded", suite}, field, http.MethodGet, path, nil, "")
 }
 
 // PSIExponentiate implements Endpoint.
 func (c *Client) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error) {
-	// The transport may still be reading the body after Do returns (an
-	// early response, a cancelled call), so the request gets a copy of
-	// its own rather than a view of the pooled buffer.
+	// The transport may still be reading the body after the exchange
+	// returns (an early response, a cancelled call), so the request gets
+	// a copy of its own rather than a view of the pooled buffer.
 	buf := elems.EncodeBuffer()
 	body := bytes.Clone(buf.Bytes())
 	buf.Release()
-	return c.postNode(ctx, "/psi/exponentiate", "application/xml", body)
+	n, _, err := c.call(ctx, http.MethodPost, "/psi/exponentiate", bytes.NewReader(body), "", heldReply{})
+	return n, err
 }
 
 // Interface checks.

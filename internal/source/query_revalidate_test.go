@@ -25,10 +25,11 @@ import (
 
 // warmQueryAllocBound caps a warm Client.Query of benchFig1a against a
 // piye-source handler behind an httptest server, both ends in this
-// process: measured 100 (a conditional POST and its 304, client and
-// server side, most of it net/http's per-request objects), against 124
-// when each call ships the answer and the client parses it again.
-const warmQueryAllocBound = 110
+// process: measured 85 (a conditional POST and its 304, client and
+// server side, most of it net/http's per-request objects), against 100
+// when the request went through http.Client.Do with its default headers,
+// and 124 when each call ships the answer and the client parses it again.
+const warmQueryAllocBound = 95
 
 // revalidatedQuery is a GROUP BY over every patient: an aggregate the
 // plan memoises, and whose query set a second ask by one requester
@@ -348,7 +349,7 @@ func TestWarmQueryAllocations(t *testing.T) {
 
 // BenchmarkQueryWarmHTTP is a warm Client.Query of Figure 1a against a
 // source behind an httptest server: one conditional POST answered 304,
-// ~100 allocs and ~10 kB. ~124 allocs and ~12 kB mean the answer ships
+// ~85 allocs and ~8.5 kB. ~124 allocs and ~12 kB mean the answer ships
 // and is parsed again.
 func BenchmarkQueryWarmHTTP(b *testing.B) {
 	call := warmQueryOverHTTP(b)

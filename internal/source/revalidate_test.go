@@ -28,10 +28,11 @@ import (
 
 // warmOverlapAllocBound caps a warm Mediator.Overlap over two 500-name
 // sources behind httptest servers, both ends in this process: measured
-// 166 (two conditional GETs and their 304s, client and server side, most
-// of it net/http's per-request objects), against 430 when the round
-// fetched both columns and relayed each to be exponentiated.
-const warmOverlapAllocBound = 200
+// 140 (two conditional GETs and their 304s, client and server side, most
+// of it net/http's per-request objects), against 166 when each request
+// went through http.Client.Do with its default headers, and 430 when the
+// round fetched both columns and relayed each to be exponentiated.
+const warmOverlapAllocBound = 150
 
 // entityTag is the ETag a kept column's body must carry.
 func entityTag(body []byte) string {

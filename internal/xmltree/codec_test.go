@@ -64,8 +64,11 @@ func referenceParse(r io.Reader) (*Node, error) {
 }
 
 // referenceEncode is the fmt-based writer Encode was, with its one defect
-// removed: attribute values are quoted with plain '"' instead of Go's %q.
-func referenceEncode(n *Node, w io.Writer, depth int) {
+// removed (attribute values are quoted with plain '"' instead of Go's %q)
+// and in the compact form Encode writes: no whitespace between elements.
+// indented writes the form of the writer before that: each element on a
+// line of its own, indented two spaces a level, as an older peer sends.
+func referenceEncode(n *Node, w io.Writer, indented bool, depth int) {
 	escape := func(s string) string {
 		var b strings.Builder
 		if err := xml.EscapeText(&b, []byte(s)); err != nil {
@@ -73,7 +76,10 @@ func referenceEncode(n *Node, w io.Writer, depth int) {
 		}
 		return b.String()
 	}
-	indent := strings.Repeat("  ", depth)
+	indent, nl := "", ""
+	if indented {
+		indent, nl = strings.Repeat("  ", depth), "\n"
+	}
 	keys := make([]string, 0, len(n.Attrs))
 	for k := range n.Attrs {
 		keys = append(keys, k)
@@ -85,15 +91,15 @@ func referenceEncode(n *Node, w io.Writer, depth int) {
 	}
 	switch {
 	case len(n.Children) == 0 && n.Text == "":
-		fmt.Fprintf(w, "%s<%s%s/>\n", indent, n.Name, attrs.String())
+		fmt.Fprintf(w, "%s<%s%s/>%s", indent, n.Name, attrs.String(), nl)
 	case len(n.Children) == 0:
-		fmt.Fprintf(w, "%s<%s%s>%s</%s>\n", indent, n.Name, attrs.String(), escape(n.Text), n.Name)
+		fmt.Fprintf(w, "%s<%s%s>%s</%s>%s", indent, n.Name, attrs.String(), escape(n.Text), n.Name, nl)
 	default:
-		fmt.Fprintf(w, "%s<%s%s>%s\n", indent, n.Name, attrs.String(), escape(n.Text))
+		fmt.Fprintf(w, "%s<%s%s>%s%s", indent, n.Name, attrs.String(), escape(n.Text), nl)
 		for _, c := range n.Children {
-			referenceEncode(c, w, depth+1)
+			referenceEncode(c, w, indented, depth+1)
 		}
-		fmt.Fprintf(w, "%s</%s>\n", indent, n.Name)
+		fmt.Fprintf(w, "%s</%s>%s", indent, n.Name, nl)
 	}
 }
 
@@ -202,13 +208,41 @@ func TestEncodeMatchesReferenceWriter(t *testing.T) {
 		Append(NewText("kid", "x"), NewElem("empty"))
 	for name, n := range trees {
 		var want bytes.Buffer
-		referenceEncode(n, &want, 0)
+		referenceEncode(n, &want, false, 0)
 		if got := n.String(); got != want.String() {
 			t.Errorf("%s: writer output differs from the reference:\n got %q\nwant %q", name, got, want.String())
 		}
 		var buf bytes.Buffer
 		if err := n.Encode(&buf); err != nil || buf.String() != want.String() {
 			t.Errorf("%s: Encode differs from String (err %v)", name, err)
+		}
+	}
+}
+
+// A peer of an older build sends the indented form. Parse trims each text
+// run, so it reads as the very tree the compact form does, and re-encodes
+// to the same bytes.
+func TestIndentedEnvelopeParsesAsCompact(t *testing.T) {
+	trees := corpus()
+	trees["mixed"] = NewText("note", "  lead and trail  ").SetAttr("k", " v ").
+		Append(NewText("kid", "x"), NewElem("empty"), NewElem("deep").Append(NewText("leaf", "y")))
+	for name, n := range trees {
+		var indented bytes.Buffer
+		referenceEncode(n, &indented, true, 0)
+		compact := n.String()
+		if indented.Len() <= len(compact) || !strings.Contains(indented.String(), "\n") {
+			t.Fatalf("%s: the indented form is not the longer, multi-line one", name)
+		}
+		old, err := ParseString(indented.String())
+		if err != nil {
+			t.Fatalf("%s: indented form: %v", name, err)
+		}
+		cur := mustParseString(compact)
+		if !Equal(old, cur) {
+			t.Errorf("%s: the indented form parses to another tree:\n%s\nvs\n%s", name, old, cur)
+		}
+		if old.String() != cur.String() {
+			t.Errorf("%s: the indented form re-encodes to other bytes", name)
 		}
 	}
 }

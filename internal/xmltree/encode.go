@@ -32,7 +32,7 @@ var bufPool = sync.Pool{New: func() any { return new(Buffer) }}
 // handlers setting Content-Length). The caller must Release it.
 func (n *Node) EncodeBuffer() *Buffer {
 	buf := bufPool.Get().(*Buffer)
-	buf.b = n.appendXML(buf.b[:0], 0)
+	buf.b = n.appendXML(buf.b[:0])
 	return buf
 }
 
@@ -52,11 +52,12 @@ func (n *Node) String() string {
 	return s
 }
 
-// appendXML is the one writer: two-space indentation, attributes in
-// sorted order, `<x/>` for an element with neither text nor children, and
-// XML escaping only (see appendEscaped).
-func (n *Node) appendXML(dst []byte, depth int) []byte {
-	dst = appendIndent(dst, depth)
+// appendXML is the one writer, in the compact form: no indentation and
+// no whitespace between elements, attributes in sorted order, `<x/>` for
+// an element with neither text nor children, and XML escaping only (see
+// appendEscaped). Parse trims each text run, so an indented document of
+// an older writer reads as the same tree.
+func (n *Node) appendXML(dst []byte) []byte {
 	dst = append(dst, '<')
 	dst = append(dst, n.Name...)
 	switch len(n.Attrs) {
@@ -78,35 +79,17 @@ func (n *Node) appendXML(dst []byte, depth int) []byte {
 			dst = appendAttr(dst, k, n.Attrs[k])
 		}
 	}
-	if len(n.Children) == 0 {
-		if n.Text == "" {
-			return append(dst, "/>\n"...)
-		}
-		dst = append(dst, '>')
-		dst = appendEscaped(dst, n.Text)
-		return appendClose(dst, n.Name)
+	if len(n.Children) == 0 && n.Text == "" {
+		return append(dst, '/', '>')
 	}
 	dst = append(dst, '>')
 	dst = appendEscaped(dst, n.Text)
-	dst = append(dst, '\n')
 	for _, c := range n.Children {
-		dst = c.appendXML(dst, depth+1)
+		dst = c.appendXML(dst)
 	}
-	dst = appendIndent(dst, depth)
-	return appendClose(dst, n.Name)
-}
-
-func appendIndent(dst []byte, depth int) []byte {
-	for ; depth > 0; depth-- {
-		dst = append(dst, ' ', ' ')
-	}
-	return dst
-}
-
-func appendClose(dst []byte, name string) []byte {
 	dst = append(dst, '<', '/')
-	dst = append(dst, name...)
-	return append(dst, '>', '\n')
+	dst = append(dst, n.Name...)
+	return append(dst, '>')
 }
 
 func appendAttr(dst []byte, k, v string) []byte {
