@@ -27,23 +27,26 @@ func (t TopBottomCode) Name() string {
 }
 
 // Apply implements Technique.
-func (t TopBottomCode) Apply(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
+func (t TopBottomCode) Apply(res *piql.Result, rng *stats.Rand) (*piql.Result, error) {
+	return t.applyInPlace(cloneResult(res), rng)
+}
+
+func (t TopBottomCode) applyInPlace(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
 	if t.LowerQ < 0 || t.UpperQ > 1 || t.LowerQ >= t.UpperQ {
 		return nil, fmt.Errorf("preserve: bad coding quantiles [%g,%g]", t.LowerQ, t.UpperQ)
 	}
-	out := cloneResult(res)
-	ci := colIndex(out, t.Column)
+	ci := colIndex(res, t.Column)
 	if ci < 0 {
-		return out, nil
+		return res, nil
 	}
 	var vals []float64
-	for _, row := range out.Rows {
+	for _, row := range res.Rows {
 		if v, err := strconv.ParseFloat(strings.TrimSpace(row[ci]), 64); err == nil {
 			vals = append(vals, v)
 		}
 	}
 	if len(vals) == 0 {
-		return out, nil
+		return res, nil
 	}
 	lo, err := stats.Quantile(vals, t.LowerQ)
 	if err != nil {
@@ -53,7 +56,7 @@ func (t TopBottomCode) Apply(res *piql.Result, _ *stats.Rand) (*piql.Result, err
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range out.Rows {
+	for _, row := range res.Rows {
 		v, err := strconv.ParseFloat(strings.TrimSpace(row[ci]), 64)
 		if err != nil {
 			continue
@@ -65,7 +68,7 @@ func (t TopBottomCode) Apply(res *piql.Result, _ *stats.Rand) (*piql.Result, err
 			row[ci] = strconv.FormatFloat(hi, 'g', -1, 64)
 		}
 	}
-	return out, nil
+	return res, nil
 }
 
 // RankSwap perturbs a numeric column by rank swapping: values are sorted
@@ -87,29 +90,32 @@ func (r RankSwap) Name() string {
 
 // Apply implements Technique.
 func (r RankSwap) Apply(res *piql.Result, rng *stats.Rand) (*piql.Result, error) {
+	return r.applyInPlace(cloneResult(res), rng)
+}
+
+func (r RankSwap) applyInPlace(res *piql.Result, rng *stats.Rand) (*piql.Result, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("preserve: %s requires a random stream", r.Name())
 	}
 	if r.WindowPct <= 0 || r.WindowPct > 1 {
 		return nil, fmt.Errorf("preserve: rank-swap window %g out of (0,1]", r.WindowPct)
 	}
-	out := cloneResult(res)
-	ci := colIndex(out, r.Column)
+	ci := colIndex(res, r.Column)
 	if ci < 0 {
-		return out, nil
+		return res, nil
 	}
 	type rv struct {
 		rowIdx int
 		v      float64
 	}
 	var ranked []rv
-	for i, row := range out.Rows {
+	for i, row := range res.Rows {
 		if v, err := strconv.ParseFloat(strings.TrimSpace(row[ci]), 64); err == nil {
 			ranked = append(ranked, rv{i, v})
 		}
 	}
 	if len(ranked) < 2 {
-		return out, nil
+		return res, nil
 	}
 	sort.Slice(ranked, func(a, b int) bool { return ranked[a].v < ranked[b].v })
 	window := int(r.WindowPct * float64(len(ranked)))
@@ -137,9 +143,9 @@ func (r RankSwap) Apply(res *piql.Result, rng *stats.Rand) (*piql.Result, error)
 			continue
 		}
 		ri, rj := ranked[i], ranked[j]
-		out.Rows[ri.rowIdx][ci] = strconv.FormatFloat(rj.v, 'g', -1, 64)
-		out.Rows[rj.rowIdx][ci] = strconv.FormatFloat(ri.v, 'g', -1, 64)
+		res.Rows[ri.rowIdx][ci] = strconv.FormatFloat(rj.v, 'g', -1, 64)
+		res.Rows[rj.rowIdx][ci] = strconv.FormatFloat(ri.v, 'g', -1, 64)
 		swapped[i], swapped[j] = true, true
 	}
-	return out, nil
+	return res, nil
 }

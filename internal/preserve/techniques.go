@@ -2,6 +2,7 @@ package preserve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -11,14 +12,30 @@ import (
 )
 
 // Technique transforms a query result to reduce its disclosure risk.
-// Techniques never mutate their input: the source's canonical answer is
+// Apply never mutates its input: the source's canonical answer is
 // preserved for auditing, and the requester receives the transformed copy.
+//
+// Each technique of this package but Pipeline also has an in-place form,
+// and its Apply is a copy followed by that form. A Pipeline copies its
+// input once, on its first step of this package, and runs every such step
+// in place on that one copy. A step from elsewhere (anonymity.Technique, a
+// caller's own) runs through its Apply, and its output is never treated
+// as owned: it may be the step's input or share rows with it, so the next
+// in-place step copies again.
 type Technique interface {
 	// Name identifies the technique in metadata tags and audit records.
 	Name() string
 	// Apply returns the transformed result. rng supplies randomness for
 	// perturbation techniques; deterministic techniques ignore it.
 	Apply(res *piql.Result, rng *stats.Rand) (*piql.Result, error)
+}
+
+// inPlace is the in-place form of a technique of this package: it may
+// overwrite res's cells, reorder or drop its rows and columns, and
+// return res itself. res must be owned by the caller and shared with no
+// one, and randomness is drawn exactly as Apply draws it.
+type inPlace interface {
+	applyInPlace(res *piql.Result, rng *stats.Rand) (*piql.Result, error)
 }
 
 // Deterministic reports whether t's output is a function of its input
@@ -74,18 +91,21 @@ func (s SuppressColumns) Name() string {
 }
 
 // Apply implements Technique.
-func (s SuppressColumns) Apply(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
-	out := cloneResult(res)
+func (s SuppressColumns) Apply(res *piql.Result, rng *stats.Rand) (*piql.Result, error) {
+	return s.applyInPlace(cloneResult(res), rng)
+}
+
+func (s SuppressColumns) applyInPlace(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
 	for _, c := range s.Columns {
-		i := colIndex(out, c)
+		i := colIndex(res, c)
 		if i < 0 {
 			continue
 		}
-		for _, row := range out.Rows {
+		for _, row := range res.Rows {
 			row[i] = "*"
 		}
 	}
-	return out, nil
+	return res, nil
 }
 
 // DropColumns removes the named columns entirely — stronger than
@@ -100,26 +120,36 @@ func (d DropColumns) Name() string {
 }
 
 // Apply implements Technique.
-func (d DropColumns) Apply(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
-	drop := map[string]bool{}
-	for _, c := range d.Columns {
-		drop[c] = true
-	}
-	out := &piql.Result{}
-	var keep []int
+func (d DropColumns) Apply(res *piql.Result, rng *stats.Rand) (*piql.Result, error) {
+	return d.applyInPlace(cloneResult(res), rng)
+}
+
+// applyInPlace compacts the kept columns to the front of the header and
+// of each row; a row keeps its capacity, so an append to it still writes
+// only into its own cells.
+func (d DropColumns) applyInPlace(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
+	var buf [16]int
+	keep := buf[:0]
 	for i, c := range res.Columns {
-		if !drop[c] {
+		if !slices.Contains(d.Columns, c) {
 			keep = append(keep, i)
-			out.Columns = append(out.Columns, c)
 		}
 	}
-	out.Rows = piql.NewRows(len(res.Rows), len(keep))
+	if len(keep) == len(res.Columns) {
+		return res, nil
+	}
+	for j, i := range keep {
+		res.Columns[j] = res.Columns[i]
+	}
+	res.Columns = res.Columns[:len(keep)]
 	for r, row := range res.Rows {
 		for j, i := range keep {
-			out.Rows[r][j] = row[i]
+			row[j] = row[i]
 		}
+		clear(row[len(keep):]) // no dropped value stays reachable past the row
+		res.Rows[r] = row[:len(keep)]
 	}
-	return out, nil
+	return res, nil
 }
 
 // Generalize coarsens one column through a hierarchy to a fixed level.
@@ -135,24 +165,63 @@ func (g Generalize) Name() string {
 }
 
 // Apply implements Technique.
-func (g Generalize) Apply(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
-	out := cloneResult(res)
-	i := colIndex(out, g.Column)
+func (g Generalize) Apply(res *piql.Result, rng *stats.Rand) (*piql.Result, error) {
+	return g.applyInPlace(cloneResult(res), rng)
+}
+
+func (g Generalize) applyInPlace(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
+	i := colIndex(res, g.Column)
 	if i < 0 {
-		return out, nil
+		return res, nil
 	}
-	// A level is a pure function of the value and a column has few
-	// distinct ones (eight decades in ~270 ages): apply it once per value.
-	memo := map[string]string{}
-	for _, row := range out.Rows {
-		v, ok := memo[row[i]]
-		if !ok {
-			v = g.Hierarchy.Apply(row[i], g.Level)
-			memo[row[i]] = v
+	var m levelMemo
+	for _, row := range res.Rows {
+		row[i] = m.apply(g.Hierarchy, g.Level, row[i])
+	}
+	return res, nil
+}
+
+// levelMemo applies one hierarchy level once per distinct value: a level
+// is a pure function of the value, and a column repeats its values (a
+// cold answer's 117 to 481 ages hold 19 to 69 distinct ones). The values
+// live in a fixed open-addressed table; a map is made only for a column
+// with more distinct values than the table keeps.
+type levelMemo struct {
+	n        int
+	used     [memoSlots]bool
+	from, to [memoSlots]string
+	more     map[string]string
+}
+
+// memoSlots is a power of two; at most three quarters of the slots are
+// filled, so a probe always reaches an empty one.
+const memoSlots = 128
+
+func (m *levelMemo) apply(h *Hierarchy, level int, v string) string {
+	hash := uint32(2166136261) // FNV-1a
+	for k := 0; k < len(v); k++ {
+		hash = (hash ^ uint32(v[k])) * 16777619
+	}
+	i := hash % memoSlots
+	for ; m.used[i]; i = (i + 1) % memoSlots {
+		if m.from[i] == v {
+			return m.to[i]
 		}
-		row[i] = v
 	}
-	return out, nil
+	if g, ok := m.more[v]; ok {
+		return g
+	}
+	g := h.Apply(v, level)
+	if m.n < memoSlots*3/4 {
+		m.used[i], m.from[i], m.to[i] = true, v, g
+		m.n++
+	} else {
+		if m.more == nil {
+			m.more = map[string]string{}
+		}
+		m.more[v] = g
+	}
+	return g
 }
 
 // RoundNumeric rounds numeric cells of a column to the given number of
@@ -195,18 +264,21 @@ func RoundedPlaces(tag string, res *piql.Result, column string) (places int, ok 
 }
 
 // Apply implements Technique.
-func (r RoundNumeric) Apply(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
-	out := cloneResult(res)
-	i := colIndex(out, r.Column)
+func (r RoundNumeric) Apply(res *piql.Result, rng *stats.Rand) (*piql.Result, error) {
+	return r.applyInPlace(cloneResult(res), rng)
+}
+
+func (r RoundNumeric) applyInPlace(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
+	i := colIndex(res, r.Column)
 	if i < 0 {
-		return out, nil
+		return res, nil
 	}
-	for _, row := range out.Rows {
+	for _, row := range res.Rows {
 		if v, err := strconv.ParseFloat(strings.TrimSpace(row[i]), 64); err == nil {
 			row[i] = strconv.FormatFloat(stats.Round(v, r.Places), 'f', -1, 64)
 		}
 	}
-	return out, nil
+	return res, nil
 }
 
 // AdditiveNoise perturbs numeric cells with zero-mean noise: Laplace when
@@ -229,18 +301,21 @@ func (a AdditiveNoise) Name() string {
 
 // Apply implements Technique.
 func (a AdditiveNoise) Apply(res *piql.Result, rng *stats.Rand) (*piql.Result, error) {
+	return a.applyInPlace(cloneResult(res), rng)
+}
+
+func (a AdditiveNoise) applyInPlace(res *piql.Result, rng *stats.Rand) (*piql.Result, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("preserve: %s requires a random stream", a.Name())
 	}
 	if a.Sigma < 0 {
 		return nil, fmt.Errorf("preserve: negative noise sigma %v", a.Sigma)
 	}
-	out := cloneResult(res)
-	i := colIndex(out, a.Column)
+	i := colIndex(res, a.Column)
 	if i < 0 {
-		return out, nil
+		return res, nil
 	}
-	for _, row := range out.Rows {
+	for _, row := range res.Rows {
 		v, err := strconv.ParseFloat(strings.TrimSpace(row[i]), 64)
 		if err != nil {
 			continue
@@ -253,7 +328,7 @@ func (a AdditiveNoise) Apply(res *piql.Result, rng *stats.Rand) (*piql.Result, e
 		}
 		row[i] = strconv.FormatFloat(v+noise, 'g', -1, 64)
 	}
-	return out, nil
+	return res, nil
 }
 
 // RandomSample returns each row independently with probability P —
@@ -267,19 +342,19 @@ func (r RandomSample) Name() string { return fmt.Sprintf("sample(%g)", r.P) }
 
 // Apply implements Technique.
 func (r RandomSample) Apply(res *piql.Result, rng *stats.Rand) (*piql.Result, error) {
+	return r.applyInPlace(cloneResult(res), rng)
+}
+
+// applyInPlace keeps the sampled rows at the front of Rows, drawing once
+// per row in row order.
+func (r RandomSample) applyInPlace(res *piql.Result, rng *stats.Rand) (*piql.Result, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("preserve: %s requires a random stream", r.Name())
 	}
 	if r.P < 0 || r.P > 1 {
 		return nil, fmt.Errorf("preserve: sample probability %v out of [0,1]", r.P)
 	}
-	out := &piql.Result{Columns: append([]string(nil), res.Columns...)}
-	for _, row := range res.Rows {
-		if rng.Float64() < r.P {
-			out.Rows = append(out.Rows, append([]string(nil), row...))
-		}
-	}
-	return out, nil
+	return keepRows(res, func(row []string) bool { return rng.Float64() < r.P }), nil
 }
 
 // SmallCountSuppress blanks aggregate rows whose count column is below the
@@ -296,20 +371,36 @@ func (s SmallCountSuppress) Name() string {
 }
 
 // Apply implements Technique.
-func (s SmallCountSuppress) Apply(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
-	out := &piql.Result{Columns: append([]string(nil), res.Columns...)}
+func (s SmallCountSuppress) Apply(res *piql.Result, rng *stats.Rand) (*piql.Result, error) {
+	return s.applyInPlace(cloneResult(res), rng)
+}
+
+func (s SmallCountSuppress) applyInPlace(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
 	ci := colIndex(res, s.CountColumn)
 	if ci < 0 {
-		return cloneResult(res), nil
+		return res, nil
 	}
-	for _, row := range res.Rows {
+	// A row under the threshold is suppressed whole.
+	return keepRows(res, func(row []string) bool {
 		n, err := strconv.Atoi(strings.TrimSpace(row[ci]))
-		if err == nil && n < s.Threshold {
-			continue // the whole row is suppressed
+		return err != nil || n >= s.Threshold
+	}), nil
+}
+
+// keepRows filters res's rows in place, in order, to those keep accepts;
+// none kept leaves Rows nil.
+func keepRows(res *piql.Result, keep func(row []string) bool) *piql.Result {
+	kept := res.Rows[:0]
+	for _, row := range res.Rows {
+		if keep(row) {
+			kept = append(kept, row)
 		}
-		out.Rows = append(out.Rows, append([]string(nil), row...))
 	}
-	return out, nil
+	if len(kept) == 0 {
+		kept = nil
+	}
+	res.Rows = kept
+	return res
 }
 
 // Microaggregate sorts rows by a numeric column, forms groups of K
@@ -327,21 +418,24 @@ func (m Microaggregate) Name() string {
 }
 
 // Apply implements Technique.
-func (m Microaggregate) Apply(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
+func (m Microaggregate) Apply(res *piql.Result, rng *stats.Rand) (*piql.Result, error) {
+	return m.applyInPlace(cloneResult(res), rng)
+}
+
+func (m Microaggregate) applyInPlace(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
 	if m.K < 2 {
 		return nil, fmt.Errorf("preserve: microaggregation needs k >= 2, got %d", m.K)
 	}
-	out := cloneResult(res)
-	ci := colIndex(out, m.Column)
+	ci := colIndex(res, m.Column)
 	if ci < 0 {
-		return out, nil
+		return res, nil
 	}
 	type rowVal struct {
 		idx int
 		v   float64
 	}
 	var numeric []rowVal
-	for i, row := range out.Rows {
+	for i, row := range res.Rows {
 		if v, err := strconv.ParseFloat(strings.TrimSpace(row[ci]), 64); err == nil {
 			numeric = append(numeric, rowVal{i, v})
 		}
@@ -364,13 +458,13 @@ func (m Microaggregate) Apply(res *piql.Result, _ *stats.Rand) (*piql.Result, er
 		mean := sum / float64(end-start)
 		cell := strconv.FormatFloat(mean, 'g', -1, 64)
 		for _, rv := range numeric[start:end] {
-			out.Rows[rv.idx][ci] = cell
+			res.Rows[rv.idx][ci] = cell
 		}
 		if end == len(numeric) {
 			break
 		}
 	}
-	return out, nil
+	return res, nil
 }
 
 // Pipeline chains techniques in order.
@@ -387,15 +481,27 @@ func (p Pipeline) Name() string {
 	return strings.Join(parts, "|")
 }
 
-// Apply implements Technique.
+// Apply implements Technique. It copies res once, on its first step of
+// this package, and runs every such step in place on that copy. A step
+// of another package (a nested Pipeline too) runs through its Apply, and
+// what it returns is not owned: it may be its input, or share rows with
+// it, so the next in-place step copies again.
 func (p Pipeline) Apply(res *piql.Result, rng *stats.Rand) (*piql.Result, error) {
-	cur := res
+	cur, owned := res, false
 	for _, s := range p.Steps {
-		next, err := s.Apply(cur, rng)
+		var err error
+		if ip, ok := s.(inPlace); ok {
+			if !owned {
+				cur, owned = cloneResult(cur), true
+			}
+			cur, err = ip.applyInPlace(cur, rng)
+		} else {
+			cur, err = s.Apply(cur, rng)
+			owned = false
+		}
 		if err != nil {
 			return nil, fmt.Errorf("preserve: step %s: %w", s.Name(), err)
 		}
-		cur = next
 	}
 	if cur == res {
 		cur = cloneResult(res)
@@ -412,4 +518,8 @@ func (Identity) Name() string { return "identity" }
 // Apply implements Technique.
 func (Identity) Apply(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
 	return cloneResult(res), nil
+}
+
+func (Identity) applyInPlace(res *piql.Result, _ *stats.Rand) (*piql.Result, error) {
+	return res, nil
 }

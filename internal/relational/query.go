@@ -134,7 +134,9 @@ func (q *Query) Execute(c *Catalog) (*Result, error) {
 	}
 
 	if q.Where != nil {
-		filtered := rows[:0:0]
+		// Sized to the input: one allocation however many rows pass,
+		// where growing from empty took one per doubling.
+		filtered := make([]Row, 0, len(rows))
 		for _, r := range rows {
 			v, err := q.Where.Eval(schema, r)
 			if err != nil {

@@ -28,6 +28,12 @@ const (
 	// 4 (the plan's answer memo serves it), against 77 when every call
 	// executes, preserves and tags, and 211 when every call re-plans.
 	warmFig1aAllocBound = 10
+
+	// warmSelectionAllocBound caps a warm Local.Query of benchSelection,
+	// which executes, preserves and tags ~220 rows on every call:
+	// measured 38, against 62 when every preservation step copied the
+	// rows and the selection grew its filtered slice by doubling.
+	warmSelectionAllocBound = 45
 )
 
 func benchSource(tb testing.TB, planCache int) *Source {

@@ -488,3 +488,30 @@ func TestWarmExecuteAllocationBound(t *testing.T) {
 		t.Fatalf("warm query of the Figure 1a aggregate: %v allocs, bound %d", allocs, warmFig1aAllocBound)
 	}
 }
+
+// A warm plain query copies its rows once for preservation: the bound
+// fails if a preservation step copies them again, or if the selection's
+// filtered slice grows by doubling.
+func TestWarmSelectionAllocationBound(t *testing.T) {
+	local, err := NewLocal(benchSource(t, 64), []byte("salt"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := local.Query(bg, benchSelection, "warm-up"); err != nil {
+		t.Fatal(err)
+	}
+	requesters := make([]string, 256)
+	for i := range requesters {
+		requesters[i] = fmt.Sprintf("r%04d", i)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i++
+		if _, err := local.Query(bg, benchSelection, requesters[i%len(requesters)]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > warmSelectionAllocBound {
+		t.Fatalf("warm query of the selection: %v allocs, bound %d", allocs, warmSelectionAllocBound)
+	}
+}

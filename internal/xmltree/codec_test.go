@@ -16,8 +16,16 @@ import (
 
 // referenceParse is the encoding/xml loop Parse was before the tokenizer,
 // kept verbatim (down to the per-node empty Attrs map, which Equal does
-// not see) as the definition the differential tests compare against.
+// not see) as the definition the differential tests compare against, but
+// for one rule: an element or attribute whose local name does not read
+// back as itself on its own (the "0" of <A:0/>) is refused, because no
+// writer can emit it.
 func referenceParse(r io.Reader) (*Node, error) {
+	standalone := func(name string) bool {
+		tok, err := xml.NewDecoder(strings.NewReader("<" + name + "/>")).Token()
+		se, ok := tok.(xml.StartElement)
+		return err == nil && ok && se.Name == xml.Name{Local: name}
+	}
 	dec := xml.NewDecoder(r)
 	var root, cur *Node
 	for {
@@ -30,8 +38,14 @@ func referenceParse(r io.Reader) (*Node, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
+			if !standalone(t.Name.Local) {
+				return nil, fmt.Errorf("xmltree: parse: element name %q", t.Name.Local)
+			}
 			n := &Node{Name: t.Name.Local, Attrs: map[string]string{}}
 			for _, a := range t.Attr {
+				if !standalone(a.Name.Local) {
+					return nil, fmt.Errorf("xmltree: parse: attribute name %q", a.Name.Local)
+				}
 				n.Attrs[a.Name.Local] = a.Value
 			}
 			if cur == nil {
@@ -295,6 +309,32 @@ func TestParseFailsOverOutsideSubset(t *testing.T) {
 	}
 }
 
+// A prefixed name whose local part is no name on its own is refused, as
+// the reference refuses it: the writer emits only the local part, and no
+// parser reads <0/> back. A local part that is a name still parses, and
+// every accepted tree encodes to a document that parses back to it.
+func TestParseRefusesNamesTheWriterCannotEmit(t *testing.T) {
+	for _, doc := range []string{`<A:0/>`, `<a B:1="x"/>`, `<p:a xmlns:p="u"><p:-b/></p:a>`, `<a><b p:.k="v"/></a>`} {
+		if _, err := referenceParse(strings.NewReader(doc)); err == nil {
+			t.Errorf("%q: reference accepts this; fix the table", doc)
+		}
+		if n, err := ParseString(doc); err == nil {
+			t.Errorf("%q: Parse accepted a name the writer cannot emit:\n%s", doc, n)
+		}
+	}
+	for _, doc := range []string{`<A:b0/>`, `<a B:k1="x"/>`, `<p:a xmlns:p="u"><p:é k="v"/></p:a>`, `<a:_b/>`, `<é/>`} {
+		n, err := ParseString(doc)
+		if err != nil {
+			t.Errorf("%q: %v", doc, err)
+			continue
+		}
+		back, err := ParseString(n.String())
+		if err != nil || !Equal(n, back) {
+			t.Errorf("%q: encoded as %q, which parses back as %v (%v)", doc, n.String(), back, err)
+		}
+	}
+}
+
 // The subset itself, case by case against the reference.
 func TestParseSubsetMatchesReference(t *testing.T) {
 	for _, doc := range []string{
@@ -552,6 +592,9 @@ func FuzzParseDifferential(f *testing.F) {
 	f.Add(`<a k="&amp;&lt;" j='x&#65;&quot;'><b k="&#x42;"/>t</a>`)
 	f.Add(`<a k="v">x<b>y</b>z<![CDATA[w]]>&bogus;</a>`)
 	f.Add(`<a k="v">x<b>y</b>z</c>`)
+	// Prefixed names whose local part is no name of its own.
+	f.Add(`<A:0/>`)
+	f.Add(`<a B:1="x"/>`)
 	f.Fuzz(func(t *testing.T, doc string) {
 		want, werr := referenceParse(strings.NewReader(doc))
 		got, gerr := ParseString(doc)
@@ -585,6 +628,8 @@ func FuzzEncodeRoundTrip(f *testing.F) {
 		f.Add(n.String())
 	}
 	f.Add(`<a k="a\b&#x7F;&#xA0;&#x2028;"> &#x20;x </a>`)
+	f.Add(`<A:0/>`)
+	f.Add(`<a B:1="x"/>`)
 	f.Fuzz(func(t *testing.T, doc string) {
 		tree, err := ParseString(doc)
 		if err != nil {

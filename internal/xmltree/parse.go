@@ -63,8 +63,14 @@ func parseStd(r io.Reader) (*Node, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
+			if !xmlName(t.Name.Local) {
+				return nil, fmt.Errorf("xmltree: parse: element name %q is not an XML name", t.Name.Local)
+			}
 			n := NewElem(t.Name.Local)
 			for _, a := range t.Attr {
+				if !xmlName(a.Name.Local) {
+					return nil, fmt.Errorf("xmltree: parse: attribute name %q is not an XML name", a.Name.Local)
+				}
 				n.SetAttr(a.Name.Local, a.Value)
 			}
 			if cur == nil {
@@ -94,6 +100,21 @@ func parseStd(r io.Reader) (*Node, error) {
 		return nil, fmt.Errorf("xmltree: unclosed element %q", cur.Name)
 	}
 	return root, nil
+}
+
+// xmlName reports whether a local name is an XML name on its own: one the
+// writer can emit as it is and encoding/xml reads back as the same name.
+// encoding/xml checks only a prefixed name as a whole, so the local part
+// of <A:0/> is "0", which no document can carry unprefixed. An unprefixed
+// ASCII name is checked by the tokenizer's scanner; any other is read
+// back through encoding/xml.
+func xmlName(name string) bool {
+	if scanName([]byte(name), 0) == len(name) {
+		return true
+	}
+	tok, err := xml.NewDecoder(strings.NewReader("<" + name + "/>")).Token()
+	se, ok := tok.(xml.StartElement)
+	return err == nil && ok && se.Name.Space == "" && se.Name.Local == name
 }
 
 // parser is the pooled per-Parse state. Only scratch lives here; the
