@@ -17,8 +17,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -175,18 +175,14 @@ func (rt *Router) probe(bs *backendState) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	resp, err := source.Exchange(ctx, http.MethodGet, bs.URL+"/readyz", nil, "", "")
-	ok := false
+	r, err := source.Exchange(ctx, http.MethodGet, bs.URL+"/readyz", nil, "", "")
+	ok := err == nil && r.Status == http.StatusOK
 	msg := ""
-	if err != nil {
+	switch {
+	case err != nil:
 		msg = err.Error()
-	} else {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		ok = resp.StatusCode == http.StatusOK
-		if !ok {
-			msg = strings.TrimSpace(string(body))
-		}
+	case !ok:
+		msg = strings.TrimSpace(string(r.Body[:min(len(r.Body), 4096)]))
 	}
 	bs.mu.Lock()
 	bs.healthy = ok
@@ -212,15 +208,9 @@ func (rt *Router) Ready() error {
 	return fmt.Errorf("router: no healthy shard")
 }
 
-// maxAnswerBytes caps a shard answer the router buffers and forwards.
-const maxAnswerBytes = 16 << 20
-
-// proxyResult is one forwarded response, passed through verbatim.
-type proxyResult struct {
-	status      int
-	body        []byte
-	contentType string
-}
+// maxAnswerBytes caps a shard answer the router buffers and forwards:
+// the cap of every internal hop's answers.
+const maxAnswerBytes = source.MaxAnswerBytes
 
 // proxyError classifies a forwarding failure for the resilience layer's
 // outcome rule: a 4xx and a not-owner 503 are the shard's own answer
@@ -228,18 +218,17 @@ type proxyResult struct {
 // — and any other 5xx is a retried failure.
 type proxyError struct {
 	shard  string
-	status int
-	result proxyResult
+	result source.Reply // passed back verbatim
 }
 
 func (e *proxyError) Error() string {
-	return fmt.Sprintf("shard %s: %d %s: %s", e.shard, e.status, http.StatusText(e.status), strings.TrimSpace(string(e.result.body)))
+	return fmt.Sprintf("shard %s: %d %s: %s", e.shard, e.result.Status, http.StatusText(e.result.Status), strings.TrimSpace(string(e.result.Body)))
 }
 
 // notOwner reports the ownership refusal (wire contract with
 // mediator.NotOwnerError).
 func (e *proxyError) notOwner() bool {
-	return e.status == http.StatusServiceUnavailable && bytes.Contains(e.result.body, []byte("is not the owner of requester"))
+	return e.result.Status == http.StatusServiceUnavailable && bytes.Contains(e.result.Body, []byte("is not the owner of requester"))
 }
 
 // Retryable implements the resilience layer's classification. A 4xx
@@ -247,7 +236,7 @@ func (e *proxyError) notOwner() bool {
 // back. Were refusals counted against the breaker, a requester probing
 // their ledger limit could open the circuit and deny the whole shard.
 func (e *proxyError) Retryable() bool {
-	return e.status >= 500 && !e.notOwner()
+	return e.result.Status >= 500 && !e.notOwner()
 }
 
 // answerTooLarge is a shard answer over maxAnswerBytes. Asking again
@@ -264,9 +253,9 @@ func (answerTooLarge) Retryable() bool { return false }
 // admission once, the retry policy, one outcome report). A non-2xx answer
 // comes back as a *proxyError carrying the verbatim response, so the
 // caller can pass it through.
-func (rt *Router) forward(ctx context.Context, bs *backendState, body []byte, requester string, trace *obs.Trace) (proxyResult, error) {
+func (rt *Router) forward(ctx context.Context, bs *backendState, body []byte, requester string, trace *obs.Trace) (source.Reply, error) {
 	ts := time.Now()
-	res, err := resilience.Call(ctx, rt.cfg.Retry, bs.breaker, bs.who, func(ctx context.Context) (proxyResult, error) {
+	res, err := resilience.Call(ctx, rt.cfg.Retry, bs.breaker, bs.who, func(ctx context.Context) (source.Reply, error) {
 		return rt.attempt(ctx, bs, body, requester)
 	})
 	rt.perShard[bs.Name].Inc()
@@ -274,33 +263,21 @@ func (rt *Router) forward(ctx context.Context, bs *backendState, body []byte, re
 	return res, err
 }
 
-// attempt is one HTTP exchange with a shard, over the tier's shared
-// transport (source.Exchange): every query of the tier crosses this hop,
-// and the stock transport's two idle connections per shard would re-dial
-// most of them. Its deadline is the retry policy's, or the exchange's
-// ceiling.
-func (rt *Router) attempt(ctx context.Context, bs *backendState, body []byte, requester string) (proxyResult, error) {
-	resp, err := source.Exchange(ctx, http.MethodPost, bs.URL+"/query", bytes.NewReader(body), requester, "")
+// attempt is one HTTP exchange with a shard, through the tier's own
+// client (source.Exchange): every query of the tier crosses this hop. Its
+// deadline is the retry policy's, or the exchange's ceiling.
+func (rt *Router) attempt(ctx context.Context, bs *backendState, body []byte, requester string) (source.Reply, error) {
+	r, err := source.Exchange(ctx, http.MethodPost, bs.URL+"/query", body, requester, "")
+	if errors.Is(err, source.ErrAnswerTooLarge) {
+		return source.Reply{}, answerTooLarge{bs.Name}
+	}
 	if err != nil {
-		return proxyResult{}, fmt.Errorf("shard %s: %w", bs.Name, err)
+		return source.Reply{}, fmt.Errorf("shard %s: %w", bs.Name, err)
 	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxAnswerBytes+1))
-	if err != nil {
-		return proxyResult{}, fmt.Errorf("shard %s: reading response: %w", bs.Name, err)
+	if r.Status >= 400 {
+		return r, &proxyError{shard: bs.Name, result: r}
 	}
-	if len(b) > maxAnswerBytes {
-		return proxyResult{}, answerTooLarge{bs.Name}
-	}
-	out := proxyResult{
-		status:      resp.StatusCode,
-		body:        b,
-		contentType: resp.Header.Get("Content-Type"),
-	}
-	if resp.StatusCode >= 400 {
-		return out, &proxyError{shard: bs.Name, status: resp.StatusCode, result: out}
-	}
-	return out, nil
+	return r, nil
 }
 
 // serveQuery is the routing hot path: ring lookup, then forward to the
@@ -357,12 +334,16 @@ func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request) {
 		// error, so recover it from the error itself.
 		res = pe.result
 	}
-	rt.finish(trace, rt.proxied, statusOutcome(res.status))
-	if res.contentType != "" {
-		w.Header().Set("Content-Type", res.contentType)
+	rt.finish(trace, rt.proxied, statusOutcome(res.Status))
+	switch res.ContentType {
+	case "":
+	case "application/xml":
+		source.SetXMLContentType(w.Header())
+	default:
+		w.Header().Set("Content-Type", res.ContentType)
 	}
-	w.WriteHeader(res.status)
-	_, _ = w.Write(res.body)
+	w.WriteHeader(res.Status)
+	_, _ = w.Write(res.Body)
 }
 
 // finish closes the trace and bumps the outcome counter (both nil-safe).
@@ -377,7 +358,7 @@ func proxyOutcome(err error) string {
 		return obs.OutcomeAnswered
 	}
 	if pe, ok := err.(*proxyError); ok {
-		return obs.RefusedOutcome(fmt.Sprintf("%d", pe.status))
+		return obs.RefusedOutcome(fmt.Sprintf("%d", pe.result.Status))
 	}
 	return obs.OutcomeError
 }

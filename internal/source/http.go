@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"privateiye/internal/obs"
 	"privateiye/internal/policy"
@@ -19,9 +18,11 @@ import (
 	"privateiye/internal/xmltree"
 )
 
-// The HTTP transport makes a source a standalone node (cmd/piye-source).
-// Every payload is the same XML that flows in-process, so the mediator
-// treats local and remote sources identically.
+// The HTTP surface makes a source a standalone node (cmd/piye-source):
+// NewHandler serves it, and Client reaches it through the tier's own
+// HTTP/1.1 client (Exchange, exchange.go). Every payload is the same XML
+// that flows in-process, so the mediator treats local and remote sources
+// identically.
 
 // NewHandler exposes a Local endpoint over HTTP. Handlers pass the
 // request context down, so a client that gives up (or a server shutdown
@@ -159,7 +160,7 @@ func writeKept(w http.ResponseWriter, r *http.Request, k *keptReply) (notModifie
 			return true
 		}
 	}
-	w.Header().Set("Content-Type", "application/xml")
+	SetXMLContentType(w.Header())
 	w.Header().Set("Content-Length", strconv.Itoa(len(k.body)))
 	_, _ = io.WriteString(w, k.body)
 	return false
@@ -176,11 +177,19 @@ func readNode(r io.Reader) (*xmltree.Node, error) {
 func WriteNode(w http.ResponseWriter, n *xmltree.Node) {
 	buf := n.EncodeBuffer()
 	defer buf.Release()
-	w.Header().Set("Content-Type", "application/xml")
+	SetXMLContentType(w.Header())
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf.Bytes())))
 	// A failed write means the client went away; there is no one to tell.
 	_, _ = w.Write(buf.Bytes())
 }
+
+// xmlContentType is every XML answer's Content-Type value, one slice
+// shared by all of them: net/http only reads a header's values, and
+// Header().Set would allocate a fresh slice for each answer.
+var xmlContentType = []string{"application/xml"}
+
+// SetXMLContentType marks h's answer as application/xml.
+func SetXMLContentType(h http.Header) { h["Content-Type"] = xmlContentType }
 
 // MaxQueryBytes bounds a POST /query body. PIQL texts are a few hundred
 // bytes; anything near the bound is not a query.
@@ -203,85 +212,6 @@ func ReadQueryBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool
 		return nil, false
 	}
 	return body, true
-}
-
-// transport carries every internal hop of the tier (mediator to source,
-// router to shard). The stock http.DefaultTransport keeps only 2 idle
-// connections per host (DefaultMaxIdleConnsPerHost), so a mediator
-// fanning a query stream out to a handful of source nodes would re-dial
-// almost every call; under load that is a three-way handshake (and TLS,
-// when terminated upstream) on the hot path. Raising the per-host idle
-// pool to the mediator's realistic concurrency reuses connections
-// instead. No peer compresses its answers, so no request asks it to.
-var transport = newTunedTransport()
-
-func newTunedTransport() *http.Transport {
-	t, ok := http.DefaultTransport.(*http.Transport)
-	if !ok {
-		t = &http.Transport{}
-	}
-	t = t.Clone() // keep proxy/dialer defaults; never mutate the global
-	t.MaxIdleConns = 256
-	t.MaxIdleConnsPerHost = 32
-	t.IdleConnTimeout = 90 * time.Second
-	t.DisableCompression = true
-	return t
-}
-
-// exchangeCeiling bounds an exchange whose context has no deadline of
-// its own, as a last line of defence; per-call deadlines come from the
-// caller's context (the mediator's per-source deadline, the router's
-// retry policy).
-const exchangeCeiling = 30 * time.Second
-
-// noUserAgent, present and empty, keeps net/http from sending its
-// default User-Agent.
-var noUserAgent = []string{""}
-
-// Exchange is one request of the tier's internal hops, sent straight to
-// the shared transport: it carries Host, Content-Length when it has a
-// body, and X-Requester and If-None-Match when they are not empty,
-// nothing else. The response is returned as the peer sent it: a 3xx is
-// not followed, and no cookie is kept. A context with no deadline runs
-// under exchangeCeiling until the response body is closed; one with a
-// deadline is used as it is.
-func Exchange(ctx context.Context, method, target string, body io.Reader, requester, etag string) (*http.Response, error) {
-	var cancel context.CancelFunc
-	if _, ok := ctx.Deadline(); !ok {
-		ctx, cancel = context.WithTimeout(ctx, exchangeCeiling)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, target, body)
-	var resp *http.Response
-	if err == nil {
-		req.Header["User-Agent"] = noUserAgent
-		if requester != "" {
-			req.Header["X-Requester"] = []string{requester}
-		}
-		if etag != "" {
-			req.Header["If-None-Match"] = []string{etag}
-		}
-		resp, err = transport.RoundTrip(req)
-	}
-	switch {
-	case cancel == nil:
-	case err != nil:
-		cancel()
-	default:
-		resp.Body = ceilingBody{resp.Body, cancel}
-	}
-	return resp, err
-}
-
-// ceilingBody releases an exchange's ceiling when its body is closed.
-type ceilingBody struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (b ceilingBody) Close() error {
-	err := b.ReadCloser.Close()
-	b.cancel()
-	return err
 }
 
 // HTTPError is a non-200 response from a source node. It implements the
@@ -345,8 +275,8 @@ func (c *Client) getNode(ctx context.Context, path string) (*xmltree.Node, error
 // its entity tag. held is the reply the caller holds for it: its tag goes
 // out as If-None-Match and a 304 returns its node; to a call that holds
 // nothing a 304 is an HTTPError.
-func (c *Client) call(ctx context.Context, method, path string, body io.Reader, requester string, held heldReply) (*xmltree.Node, string, error) {
-	resp, err := Exchange(ctx, method, c.BaseURL+path, body, requester, held.etag)
+func (c *Client) call(ctx context.Context, method, path string, body []byte, requester string, held heldReply) (*xmltree.Node, string, error) {
+	r, err := Exchange(ctx, method, c.BaseURL+path, body, requester, held.etag)
 	if err != nil {
 		// Surface a context deadline/cancellation undecorated so the
 		// mediator can classify the denial as a timeout.
@@ -355,20 +285,18 @@ func (c *Client) call(ctx context.Context, method, path string, body io.Reader, 
 		}
 		return nil, "", fmt.Errorf("source %s: %w", c.SourceName, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotModified && held.node != nil {
+	if r.Status == http.StatusNotModified && held.node != nil {
 		return held.node, "", nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	if r.Status != http.StatusOK {
 		return nil, "", &HTTPError{
 			Source: c.SourceName,
-			Status: resp.StatusCode,
-			Msg:    strings.TrimSpace(string(msg)),
+			Status: r.Status,
+			Msg:    strings.TrimSpace(string(r.Body[:min(len(r.Body), 4096)])),
 		}
 	}
-	n, err := readNode(resp.Body)
-	return n, resp.Header.Get("ETag"), err
+	n, err := xmltree.Parse(bytes.NewReader(r.Body))
+	return n, r.ETag, err
 }
 
 // FetchSummary implements Endpoint.
@@ -393,7 +321,7 @@ func (c *Client) FetchProfiles(ctx context.Context) ([]schemamatch.FieldProfile,
 // tagged reply to the same key, the call sends its tag as If-None-Match,
 // and a 304 returns the held node, shared and read-only as Endpoint says.
 // Any 200 takes the slot.
-func (c *Client) conditional(ctx context.Context, slot slotName, key, method, path string, body io.Reader, requester string) (*xmltree.Node, error) {
+func (c *Client) conditional(ctx context.Context, slot slotName, key, method, path string, body []byte, requester string) (*xmltree.Node, error) {
 	c.mu.Lock()
 	held := c.slots[slot]
 	c.mu.Unlock()
@@ -422,7 +350,7 @@ func (c *Client) conditional(ctx context.Context, slot slotName, key, method, pa
 // it: the source decides the 304 after that requester's whole path.
 func (c *Client) Query(ctx context.Context, piqlText, requester string) (*xmltree.Node, error) {
 	return c.conditional(ctx, slotName{route: "query"}, piqlText,
-		http.MethodPost, "/query", strings.NewReader(piqlText), requester)
+		http.MethodPost, "/query", []byte(piqlText), requester)
 }
 
 // suitesToNode encodes a suite advertisement:
@@ -471,15 +399,12 @@ func (c *Client) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.
 	return c.conditional(ctx, slotName{"psi/blinded", suite}, field, http.MethodGet, path, nil, "")
 }
 
-// PSIExponentiate implements Endpoint.
+// PSIExponentiate implements Endpoint. The request body is the pooled
+// encoding itself: Exchange has written all of it before it returns.
 func (c *Client) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error) {
-	// The transport may still be reading the body after the exchange
-	// returns (an early response, a cancelled call), so the request gets
-	// a copy of its own rather than a view of the pooled buffer.
 	buf := elems.EncodeBuffer()
-	body := bytes.Clone(buf.Bytes())
-	buf.Release()
-	n, _, err := c.call(ctx, http.MethodPost, "/psi/exponentiate", bytes.NewReader(body), "", heldReply{})
+	defer buf.Release()
+	n, _, err := c.call(ctx, http.MethodPost, "/psi/exponentiate", buf.Bytes(), "", heldReply{})
 	return n, err
 }
 

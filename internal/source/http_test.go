@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"privateiye/internal/refusal"
 	"privateiye/internal/xmltree"
@@ -101,44 +100,5 @@ func TestWriteNodeSetsContentLength(t *testing.T) {
 	}
 	if rec.Body.String() != n.String() || rec.Header().Get("Content-Type") != "application/xml" {
 		t.Errorf("body or content type wrong")
-	}
-}
-
-// An exchange whose context has no deadline runs under exchangeCeiling
-// until its body is closed; one with a deadline of its own, even past the
-// ceiling, is sent under that context as it is.
-func TestExchangeDeadline(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte("<ok/>"))
-	}))
-	defer srv.Close()
-
-	before := time.Now()
-	resp, err := Exchange(context.Background(), http.MethodGet, srv.URL, nil, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sent := resp.Request.Context()
-	deadline, ok := sent.Deadline()
-	if !ok || deadline.Before(before.Add(exchangeCeiling)) || deadline.After(time.Now().Add(exchangeCeiling)) {
-		t.Errorf("no-deadline exchange: deadline %v (set %v), want %v from the call", time.Until(deadline), ok, exchangeCeiling)
-	}
-	if sent.Err() != nil {
-		t.Fatalf("ceiling released before the body was closed: %v", sent.Err())
-	}
-	resp.Body.Close()
-	if sent.Err() != context.Canceled {
-		t.Errorf("ceiling not released when the body was closed: %v", sent.Err())
-	}
-
-	own, cancel := context.WithTimeout(context.Background(), time.Hour)
-	defer cancel()
-	resp, err = Exchange(own, http.MethodGet, srv.URL, nil, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Request.Context() != own {
-		t.Error("an exchange with its own deadline was sent under another context")
 	}
 }

@@ -25,11 +25,12 @@ import (
 
 // warmQueryAllocBound caps a warm Client.Query of benchFig1a against a
 // piye-source handler behind an httptest server, both ends in this
-// process: measured 85 (a conditional POST and its 304, client and
-// server side, most of it net/http's per-request objects), against 100
-// when the request went through http.Client.Do with its default headers,
-// and 124 when each call ships the answer and the client parses it again.
-const warmQueryAllocBound = 95
+// process: measured 35 (a conditional POST and its 304, client and
+// server side), against 85 when the request went through net/http's
+// Transport and 100 through http.Client.Do with its default headers; a
+// call that ships the answer and parses it again reads 59 (115 through
+// the Transport).
+const warmQueryAllocBound = 45
 
 // revalidatedQuery is a GROUP BY over every patient: an aggregate the
 // plan memoises, and whose query set a second ask by one requester
@@ -349,7 +350,7 @@ func TestWarmQueryAllocations(t *testing.T) {
 
 // BenchmarkQueryWarmHTTP is a warm Client.Query of Figure 1a against a
 // source behind an httptest server: one conditional POST answered 304,
-// ~85 allocs and ~8.5 kB. ~124 allocs and ~12 kB mean the answer ships
+// ~35 allocs and ~4.6 kB. ~59 allocs and ~9.7 kB mean the answer ships
 // and is parsed again.
 func BenchmarkQueryWarmHTTP(b *testing.B) {
 	call := warmQueryOverHTTP(b)

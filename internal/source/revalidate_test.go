@@ -28,11 +28,12 @@ import (
 
 // warmOverlapAllocBound caps a warm Mediator.Overlap over two 500-name
 // sources behind httptest servers, both ends in this process: measured
-// 140 (two conditional GETs and their 304s, client and server side, most
-// of it net/http's per-request objects), against 166 when each request
-// went through http.Client.Do with its default headers, and 430 when the
-// round fetched both columns and relayed each to be exponentiated.
-const warmOverlapAllocBound = 150
+// 54 (two conditional GETs and their 304s, client and server side),
+// against 140 when the requests went through net/http's Transport and
+// 166 through http.Client.Do with its default headers; a round that
+// fetches both columns and relays each to be exponentiated reads ~240
+// (~460 through the Transport).
+const warmOverlapAllocBound = 64
 
 // entityTag is the ETag a kept column's body must carry.
 func entityTag(body []byte) string {
