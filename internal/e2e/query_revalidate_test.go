@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"privateiye/internal/mediator"
 	"privateiye/internal/obs"
+	"privateiye/internal/refusal"
 	"privateiye/internal/relational"
 	"privateiye/internal/resilience"
 	"privateiye/internal/source"
@@ -78,12 +80,14 @@ func (h *complianceHost) notModified() uint64 {
 	return h.reg.Counter("piye_source_query_not_modified_total", "source", h.name).Value()
 }
 
-// ledgeredMediator is a mediator with the ledger on over eps.
-func ledgeredMediator(t *testing.T, eps []source.Endpoint) *mediator.Mediator {
+// ledgeredMediator is a mediator with the ledger on over eps, reporting
+// to reg (nil for none).
+func ledgeredMediator(t *testing.T, eps []source.Endpoint, reg *obs.Registry) *mediator.Mediator {
 	t.Helper()
 	med, err := mediator.New(mediator.Config{
 		Endpoints:     eps,
 		LinkageSalt:   salt,
+		Obs:           reg,
 		SourceTimeout: 10 * time.Second,
 		Resilience: &resilience.EndpointConfig{
 			Policy:  resilience.Policy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
@@ -119,7 +123,13 @@ func TestWarmLedgeredQueryRevalidatesAtEachSource(t *testing.T) {
 		hosts = append(hosts, h)
 		eps = append(eps, source.NewClient(h.srv.URL, name))
 	}
-	med := ledgeredMediator(t, eps)
+	reg := obs.NewRegistry()
+	med := ledgeredMediator(t, eps, reg)
+	// memoServed reads how many answers the mediator published from its
+	// kept integration.
+	memoServed := func() uint64 {
+		return reg.Counter("piye_mediator_queries_total", "outcome", "memo").Value()
+	}
 	// oracle is the answer a fresh mediator, whose clients hold nothing,
 	// integrates from the hosts as they are now.
 	asked := 0
@@ -129,10 +139,11 @@ func TestWarmLedgeredQueryRevalidatesAtEachSource(t *testing.T) {
 			fresh = append(fresh, source.NewClient(h.srv.URL, h.name))
 		}
 		asked++
-		return integrated(t, ledgeredMediator(t, fresh), perTestQuery, fmt.Sprintf("oracle-%d", asked))
+		return integrated(t, ledgeredMediator(t, fresh, nil), perTestQuery, fmt.Sprintf("oracle-%d", asked))
 	}
 	// ask runs Figure 1a for a new requester and checks it against the
-	// oracle, and which hosts answered it with a 304.
+	// oracle, and which hosts answered it with a 304. The mediator
+	// publishes its kept integration exactly when all three did.
 	requesters := 0
 	ask := func(when string, want string, revalidated ...bool) {
 		t.Helper()
@@ -140,6 +151,7 @@ func TestWarmLedgeredQueryRevalidatesAtEachSource(t *testing.T) {
 		for i, h := range hosts {
 			before[i] = h.notModified()
 		}
+		memoBefore := memoServed()
 		requesters++
 		if got := integrated(t, med, perTestQuery, fmt.Sprintf("r%d", requesters)); got != want {
 			t.Errorf("%s: the integrated answer is not the oracle's:\n%s\nwant\n%s", when, got, want)
@@ -153,11 +165,34 @@ func TestWarmLedgeredQueryRevalidatesAtEachSource(t *testing.T) {
 				t.Errorf("%s: %s answered %d 304s, want %d", when, h.name, d, n304)
 			}
 		}
+		var memo uint64
+		if !slices.Contains(revalidated, false) {
+			memo = 1
+		}
+		if d := memoServed() - memoBefore; d != memo {
+			t.Errorf("%s: %d answers published from the kept integration, want %d", when, d, memo)
+		}
 	}
 
 	want := oracle()
 	ask("cold", want, false, false, false)
 	ask("warm", want, true, true, true)
+
+	// Fresh requesters are each served 1(a) from the kept integration,
+	// and each is recorded in the ledger: the 1(b) each asks after it is
+	// refused as a combination.
+	var served []string
+	for i := 0; i < 3; i++ {
+		ask(fmt.Sprintf("memo-served %d", i), want, true, true, true)
+		served = append(served, fmt.Sprintf("r%d", requesters))
+	}
+	for _, r := range served {
+		_, err := med.Query(perHMOQuery, r)
+		if got := refusal.Classify(err); got != refusal.LedgerCombination {
+			t.Errorf("%s's Figure 1b after a memo-served 1a: %v (%s), want %s", r, err, got, refusal.LedgerCombination)
+		}
+	}
+	ask("after the refused 1bs", want, false, false, false)
 
 	// The ledger still refuses Figure 1b to a requester who holds 1a,
 	// with 1a's parts served as 304s.
@@ -220,7 +255,7 @@ func TestSharedAnswerNodesAreNeverChanged(t *testing.T) {
 			}
 			nodes[i], shared[i] = n, n.String()
 		}
-		med := ledgeredMediator(t, tc.eps)
+		med := ledgeredMediator(t, tc.eps, nil)
 		for _, r := range []string{"r1", "r2"} {
 			integrated(t, med, perTestQuery, r)
 		}

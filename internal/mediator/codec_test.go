@@ -566,3 +566,27 @@ func FuzzAppendWALRecord(f *testing.F) {
 		}
 	})
 }
+
+// An answer with several denials renders to the same bytes every time:
+// its <denied> elements are written in source-name order.
+func TestIntegratedToNodeWritesDenialsInOrder(t *testing.T) {
+	in := &Integrated{
+		Result:   &piql.Result{Columns: []string{"a"}},
+		Answered: []string{"alpha"},
+		Denied:   map[string]string{"gamma": "timeout: no answer", "beta": "query fully denied", "delta": "skipped: circuit open"},
+	}
+	want := IntegratedToNode(in).String()
+	for i := 0; i < 20; i++ {
+		if got := IntegratedToNode(in).String(); got != want {
+			t.Fatalf("render %d differs:\n%s\nwant\n%s", i, got, want)
+		}
+	}
+	var order []string
+	for _, d := range IntegratedToNode(in).ChildrenNamed("denied") {
+		src, _ := d.Attr("source")
+		order = append(order, src)
+	}
+	if !slices.Equal(order, []string{"beta", "delta", "gamma"}) {
+		t.Errorf("denials written in order %v, want source-name order", order)
+	}
+}

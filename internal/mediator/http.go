@@ -21,6 +21,9 @@ import (
 //	  <denied source="labB">…reason…</denied>
 //	  <result>…</result>
 //	</integrated>
+//
+// The denials are written in source-name order, so an answer renders to
+// the same bytes every time.
 func IntegratedToNode(in *Integrated) *xmltree.Node {
 	root := xmltree.NewElem("integrated").
 		SetAttr("duplicates", strconv.Itoa(in.Duplicates)).
@@ -29,8 +32,8 @@ func IntegratedToNode(in *Integrated) *xmltree.Node {
 	for _, s := range in.Answered {
 		root.Append(xmltree.NewText("answered", s))
 	}
-	for src, reason := range in.Denied {
-		root.Append(xmltree.NewText("denied", reason).SetAttr("source", src))
+	for _, src := range sortedKeys(in.Denied) {
+		root.Append(xmltree.NewText("denied", in.Denied[src]).SetAttr("source", src))
 	}
 	root.Append(in.Result.ToNode())
 	return root

@@ -18,6 +18,7 @@ import (
 
 // answer is a parsed tagged source answer.
 type answer struct {
+	node      *xmltree.Node // what it was parsed from
 	source    string
 	result    *piql.Result
 	estLoss   float64
@@ -51,7 +52,7 @@ func parseAnswer(node *xmltree.Node, aggregate bool) (*answer, error) {
 	if err != nil || math.IsNaN(loss) || loss < 0 || loss > 1 {
 		return nil, fmt.Errorf("mediator: answer from %s carries no usable loss estimate (estloss=%q)", src, v)
 	}
-	return &answer{source: src, result: res, estLoss: loss, technique: node.Attrs["technique"]}, nil
+	return &answer{node: node, source: src, result: res, estLoss: loss, technique: node.Attrs["technique"]}, nil
 }
 
 // mergeAnswers unions result rows over the union of columns; cells a

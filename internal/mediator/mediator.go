@@ -121,6 +121,8 @@ type Mediator struct {
 
 	// overlap is Overlap's kept count of the last round (schema.go).
 	overlap atomic.Pointer[keptOverlap]
+	// integration is the last integration of an aggregate (query.go).
+	integration atomic.Pointer[keptIntegration]
 
 	mu              sync.RWMutex
 	schema          *xmltree.Summary            // mediated schema (merged partial summaries)
@@ -208,7 +210,7 @@ func New(cfg Config) (*Mediator, error) {
 		history:  newHistory(),
 		ledger:   newReleaseLedger(),
 	}
-	m.pipe = obs.NewPipeline(cfg.Obs, cfg.Trace, "piye_mediator", nil, mediatorStages, outcomeWarehouse)
+	m.pipe = obs.NewPipeline(cfg.Obs, cfg.Trace, "piye_mediator", nil, mediatorStages, outcomeWarehouse, outcomeMemo)
 	m.obs = newMedObs(cfg.Obs, m.pipe, cfg.Endpoints)
 	m.plans.Register(cfg.Obs, "mediator")
 	if cfg.Obs != nil {

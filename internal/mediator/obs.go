@@ -24,6 +24,11 @@ var mediatorStages = []string{"parse", "coalesce", "warehouse", "route", "fanout
 // sources.
 const outcomeWarehouse = "warehouse"
 
+// outcomeMemo is the piye_mediator_queries_total outcome of a query
+// whose sources all answered with the nodes of the kept integration, so
+// that its result was published without integrating again.
+const outcomeMemo = "memo"
+
 // srcCallObs are the per-source fan-out handles.
 type srcCallObs struct {
 	answered *obs.Counter

@@ -24,10 +24,12 @@ import (
 
 // Integrated is the result of one integration round.
 type Integrated struct {
-	// Result is the integrated, deduplicated result.
+	// Result is the integrated, deduplicated result. It is shared and
+	// read-only: coalesced callers, the warehouse and the integration
+	// memo's later callers hold the same one.
 	Result *piql.Result
-	// Answered lists sources that contributed; Denied lists sources that
-	// refused with their reasons.
+	// Answered lists sources that contributed, shared and read-only like
+	// Result; Denied lists sources that refused with their reasons.
 	Answered []string
 	Denied   map[string]string
 	// Duplicates is the number of rows removed by duplicate elimination.
@@ -38,6 +40,9 @@ type Integrated struct {
 	AggregatedLoss float64
 	// FromWarehouse reports a materialized answer.
 	FromWarehouse bool
+
+	// reused reports an answer published from the integration memo.
+	reused bool
 }
 
 // Query runs the full mediation pipeline with a background context; see
@@ -84,8 +89,12 @@ func (m *Mediator) QueryContext(ctx context.Context, piqlText, requester string)
 // counter (nil, a refused query's result, reads as answered and is
 // never counted: the refusal is).
 func (in *Integrated) outcome() string {
-	if in != nil && in.FromWarehouse {
+	switch {
+	case in == nil:
+	case in.FromWarehouse:
 		return outcomeWarehouse
+	case in.reused:
+		return outcomeMemo
 	}
 	return obs.OutcomeAnswered
 }
@@ -116,6 +125,24 @@ type sharedExec struct {
 	out       *Integrated
 	answers   []*answer // what the sources answered, for the ledger's tolerance
 }
+
+// keptIntegration is execute's last integration of an aggregate every
+// target answered (the integration memo, DESIGN.md §8): the canonical
+// text and the targets it was routed to, each target's parsed answer in
+// routing order, which holds the node it was read from, and what was
+// integrated from them. Everything in it is read-only once stored.
+type keptIntegration struct {
+	canonical string
+	targets   []source.Endpoint
+	answers   []*answer
+	answered  []string
+	loss      float64
+	result    *piql.Result
+}
+
+// sameName compares two targets by name, as Answered names them: an
+// Endpoint's dynamic type need not be comparable.
+func sameName(a, b source.Endpoint) bool { return a.Name() == b.Name() }
 
 // executeCoalesced runs the shared phase through the singleflight group
 // when coalescing is enabled. The flight key includes the requester:
@@ -199,13 +226,25 @@ func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trac
 
 	// Answers are integrated in routing order, not arrival order: which
 	// fuzzy duplicate dedupe keeps and the float sums reaggregate folds
-	// must not depend on which source answered first.
+	// must not depend on which source answered first. A source that
+	// answers with the node it answered the kept integration with is not
+	// parsed again (the integration memo, DESIGN.md §8).
+	kept := m.integration.Load()
+	if kept != nil && (kept.canonical != canonical || !slices.EqualFunc(kept.targets, targets, sameName)) {
+		kept = nil
+	}
 	out := &Integrated{Denied: map[string]string{}}
 	answers := make([]*answer, len(targets))
+	reused := 0
 	for range targets {
 		r := <-replies
 		if r.err != nil {
 			out.Denied[r.name] = m.denialReason(r.err)
+			continue
+		}
+		if kept != nil && kept.answers[r.i].node == r.node {
+			answers[r.i] = kept.answers[r.i]
+			reused++
 			continue
 		}
 		a, err := parseAnswer(r.node, q.IsAggregate())
@@ -214,12 +253,24 @@ func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trac
 			continue
 		}
 		answers[r.i] = a
-		out.Answered = append(out.Answered, r.name)
-		if a.estLoss > out.AggregatedLoss {
-			out.AggregatedLoss = a.estLoss
+	}
+	// Every target answered with the node it answered the kept
+	// integration with: the same answers fold to the same result, so
+	// the kept one is published as it is, shared and read-only.
+	if kept != nil && reused == len(targets) {
+		m.pipe.Stage(trace, "fanout", tsFanout, nil)
+		ts = m.pipe.Now()
+		out.Result, out.Answered, out.AggregatedLoss, out.reused = kept.result, kept.answered, kept.loss, true
+		m.pipe.Stage(trace, "integrate", ts, nil)
+		return &sharedExec{q: q, canonical: canonical, out: out, answers: kept.answers}, nil
+	}
+	for i, a := range answers {
+		if a != nil {
+			out.Answered = append(out.Answered, targets[i].Name())
+			out.AggregatedLoss = max(out.AggregatedLoss, a.estLoss)
 		}
 	}
-	sort.Strings(out.Answered)
+	slices.Sort(out.Answered)
 	answers = slices.DeleteFunc(answers, func(a *answer) bool { return a == nil })
 	if len(answers) == 0 {
 		reasons := make([]string, 0, len(out.Denied))
@@ -266,6 +317,12 @@ func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trac
 		integrated.Rows = integrated.Rows[:q.Limit]
 	}
 
+	// Only an aggregate every target answered is kept: a plain answer is
+	// never memoised at a source, so its nodes never come back.
+	if q.IsAggregate() && len(out.Denied) == 0 {
+		m.integration.Store(&keptIntegration{canonical: canonical, targets: targets, answers: answers,
+			answered: out.Answered, loss: out.AggregatedLoss, result: integrated})
+	}
 	out.Result = integrated
 	return &sharedExec{q: q, canonical: canonical, out: out, answers: answers}, nil
 }

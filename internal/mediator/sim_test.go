@@ -31,6 +31,9 @@ package mediator
 //
 //	ask R Q          R asks query kind Q at R's ring owner
 //	twin R Q         two identical asks of R coalesced into one execution
+//	again R Q        R asks Q, then a requester never seen before that
+//	                 R's owner owns asks Q over the unchanged source (the
+//	                 outcome is the second ask's; "a|b" when they differ)
 //	hang, unhang     the source stops answering, or answers again
 //	tick             the clock moves 5s (breaker cool-down)
 //	crash S P        append failpoint P is armed on S's log
@@ -40,6 +43,8 @@ package mediator
 //	prefer           a data subject's preference is added at the source
 //	solves S         S's combination-check pairs, as "misses/hits" of its
 //	                 verdict memo
+//	memo S           how many answers S published from its kept
+//	                 integration (DESIGN.md §8)
 //	verdicts R R2    ok when R's and R2's last ledger-combination refusals
 //	                 read one Disclosure (- if either has none)
 //
@@ -140,7 +145,7 @@ func parseSchedule(script string) ([]simStep, error) {
 		if n := len(st.args); n > 0 && strings.HasPrefix(st.args[n-1], "=") {
 			st.want, st.args = st.args[n-1][1:], st.args[:n-1]
 		}
-		arity := map[string]int{"ask": 2, "twin": 2, "hang": 0, "unhang": 0, "tick": 0, "crash": 2, "compact": 4, "restart": 1, "prefer": 0, "solves": 1, "verdicts": 2}
+		arity := map[string]int{"ask": 2, "twin": 2, "again": 2, "memo": 1, "hang": 0, "unhang": 0, "tick": 0, "crash": 2, "compact": 4, "restart": 1, "prefer": 0, "solves": 1, "verdicts": 2}
 		n, ok := arity[st.op]
 		if !ok || n != len(st.args) {
 			return nil, fmt.Errorf("step %q: unknown op or wrong arity", part)
@@ -156,7 +161,7 @@ func parseSchedule(script string) ([]simStep, error) {
 // query is the step's query kind, "" for a step that asks nothing.
 func (s simStep) query() string {
 	switch s.op {
-	case "ask", "twin":
+	case "ask", "twin", "again":
 		return s.args[1]
 	case "compact":
 		return s.args[3]
@@ -202,6 +207,7 @@ type simWorld struct {
 	clock   time.Time
 
 	hanging  bool // the source answers nothing
+	fresh    int  // requesters again has made up
 	given    map[string][]simGiven
 	refused  map[string]string  // requester + "\x00" + canonical query -> verdict
 	combined map[string]float64 // requester -> Disclosure of their last ledger-combination refusal
@@ -424,6 +430,10 @@ func (w *simWorld) step(st simStep) string {
 		return w.ask(a[0], a[1])
 	case "twin":
 		return w.twin(a[0], a[1])
+	case "again":
+		return w.again(a[0], a[1])
+	case "memo":
+		return fmt.Sprint(w.slot(a[0]).current().reg.Counter("piye_mediator_queries_total", "outcome", outcomeMemo).Value())
 	case "hang", "unhang":
 		w.hanging = st.op == "hang"
 		w.chaos.SetHang(w.hanging)
@@ -464,6 +474,27 @@ func (w *simWorld) step(st simStep) string {
 		return "ok"
 	}
 	panic("unknown op " + st.op)
+}
+
+// again runs R's ask of kind and then the same ask by a requester no
+// step has named, owned by R's ring owner: the second is answered from
+// that node's kept integration whenever the source's answer is unchanged.
+func (w *simWorld) again(req, kind string) string {
+	first := w.ask(req, kind)
+	owner, err := w.ring.Lookup(req)
+	must(w.t, err)
+	var fresh string
+	for {
+		w.fresh++
+		fresh = fmt.Sprintf("fresh%d", w.fresh)
+		if o, err := w.ring.Lookup(fresh); err == nil && o == owner {
+			break
+		}
+	}
+	if second := w.ask(fresh, kind); second != first {
+		return first + "|" + second
+	}
+	return first
 }
 
 // twin runs two identical asks with the leader parked in the source until
@@ -845,8 +876,10 @@ func simGenerate(seed uint64, n int) []simStep {
 	for len(steps) < n {
 		var st simStep
 		switch r := rng.IntN(30); {
-		case r < 16:
+		case r < 14:
 			st = simStep{op: "ask", args: []string{pick(reqs...), pick(kinds...)}}
+		case r < 16:
+			st = simStep{op: "again", args: []string{pick(reqs...), pick(kinds...)}}
 		case r < 19:
 			st = simStep{op: "twin", args: []string{pick(reqs...), pick(kinds...)}}
 		case r < 20:
@@ -908,6 +941,9 @@ func TestContract(t *testing.T) {
 			"TestPlanCacheHitStillRefusedByLedger", solo},
 		{"coalesced twin still ledgered", "ask a 1a =ok; twin a 1b =ledger-combination; twin b 1a =ok",
 			"TestCoalescedQueryStillRefusedByLedger", solo},
+		{"an answer from the kept integration is still ledgered",
+			"ask a 1a =ok; ask b 1a =ok; memo shard-a =1; ask b 1b =ledger-combination; again c 1a =ok; memo shard-a =2; twin d 1a =ok; ask d 1b =ledger-combination",
+			"", solo},
 		{"audit refuses one-cell and unauditable aggregates",
 			"ask a cell =audit-set-size; ask a rowcell =audit-set-size; ask a rowcell =audit-set-size",
 			"source.TestAuditRefusesUnauditableAggregates", solo},

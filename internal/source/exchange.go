@@ -59,7 +59,8 @@ type Reply struct {
 // that ends fails the exchange at once with an error wrapping ctx.Err().
 // A request that fails on a pooled connection before any byte of the
 // answer arrives (the peer closed it while idle) is sent once more on a
-// fresh one; every other failure is the call's.
+// fresh one; every other failure is the call's. body is only read, and
+// not after Exchange returns.
 func Exchange(ctx context.Context, method, target string, body []byte, requester, etag string) (Reply, error) {
 	x := exchange{method: method, target: target, body: body, requester: requester, etag: etag}
 	var err error

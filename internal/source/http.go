@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"privateiye/internal/obs"
 	"privateiye/internal/policy"
@@ -244,6 +245,9 @@ type Client struct {
 
 	mu    sync.Mutex
 	slots map[slotName]heldReply // the last reply read per slot
+	// queryURL is queryBase + "/query", built again only once BaseURL
+	// is no longer queryBase.
+	queryBase, queryURL string
 }
 
 // slotName names a Client's slot: one for POST /query, and one per
@@ -267,16 +271,16 @@ func NewClient(baseURL, sourceName string) *Client {
 func (c *Client) Name() string { return c.SourceName }
 
 func (c *Client) getNode(ctx context.Context, path string) (*xmltree.Node, error) {
-	n, _, err := c.call(ctx, http.MethodGet, path, nil, "", heldReply{})
+	n, _, err := c.call(ctx, http.MethodGet, c.BaseURL+path, nil, "", heldReply{})
 	return n, err
 }
 
-// call sends one exchange to the node and parses its 200, returned with
-// its entity tag. held is the reply the caller holds for it: its tag goes
-// out as If-None-Match and a 304 returns its node; to a call that holds
-// nothing a 304 is an HTTPError.
-func (c *Client) call(ctx context.Context, method, path string, body []byte, requester string, held heldReply) (*xmltree.Node, string, error) {
-	r, err := Exchange(ctx, method, c.BaseURL+path, body, requester, held.etag)
+// call sends one exchange to target, a URL on the node, and parses its
+// 200, returned with its entity tag. held is the reply the caller holds
+// for it: its tag goes out as If-None-Match and a 304 returns its node;
+// to a call that holds nothing a 304 is an HTTPError.
+func (c *Client) call(ctx context.Context, method, target string, body []byte, requester string, held heldReply) (*xmltree.Node, string, error) {
+	r, err := Exchange(ctx, method, target, body, requester, held.etag)
 	if err != nil {
 		// Surface a context deadline/cancellation undecorated so the
 		// mediator can classify the denial as a timeout.
@@ -321,14 +325,14 @@ func (c *Client) FetchProfiles(ctx context.Context) ([]schemamatch.FieldProfile,
 // tagged reply to the same key, the call sends its tag as If-None-Match,
 // and a 304 returns the held node, shared and read-only as Endpoint says.
 // Any 200 takes the slot.
-func (c *Client) conditional(ctx context.Context, slot slotName, key, method, path string, body []byte, requester string) (*xmltree.Node, error) {
+func (c *Client) conditional(ctx context.Context, slot slotName, key, method, target string, body []byte, requester string) (*xmltree.Node, error) {
 	c.mu.Lock()
 	held := c.slots[slot]
 	c.mu.Unlock()
 	if held.key != key {
 		held = heldReply{}
 	}
-	n, etag, err := c.call(ctx, method, path, body, requester, held)
+	n, etag, err := c.call(ctx, method, target, body, requester, held)
 	if err != nil || n == held.node {
 		return n, err
 	}
@@ -348,9 +352,21 @@ func (c *Client) conditional(ctx context.Context, slot slotName, key, method, pa
 // Query implements Endpoint. The client holds the last answer it read,
 // and asking the same query text again, for any requester, revalidates
 // it: the source decides the 304 after that requester's whole path.
+//
+// The body is the text's own bytes, not a copy: Exchange only reads it.
 func (c *Client) Query(ctx context.Context, piqlText, requester string) (*xmltree.Node, error) {
-	return c.conditional(ctx, slotName{route: "query"}, piqlText,
-		http.MethodPost, "/query", []byte(piqlText), requester)
+	return c.conditional(ctx, slotName{route: "query"}, piqlText, http.MethodPost, c.queryTarget(),
+		unsafe.Slice(unsafe.StringData(piqlText), len(piqlText)), requester)
+}
+
+// queryTarget returns BaseURL's /query URL, built once per BaseURL.
+func (c *Client) queryTarget() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.queryURL == "" || c.queryBase != c.BaseURL {
+		c.queryBase, c.queryURL = c.BaseURL, c.BaseURL+"/query"
+	}
+	return c.queryURL
 }
 
 // suitesToNode encodes a suite advertisement:
@@ -396,7 +412,7 @@ func (c *Client) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.
 	if suite != "" {
 		path += "&suite=" + url.QueryEscape(suite)
 	}
-	return c.conditional(ctx, slotName{"psi/blinded", suite}, field, http.MethodGet, path, nil, "")
+	return c.conditional(ctx, slotName{"psi/blinded", suite}, field, http.MethodGet, c.BaseURL+path, nil, "")
 }
 
 // PSIExponentiate implements Endpoint. The request body is the pooled
@@ -404,7 +420,7 @@ func (c *Client) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.
 func (c *Client) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error) {
 	buf := elems.EncodeBuffer()
 	defer buf.Release()
-	n, _, err := c.call(ctx, http.MethodPost, "/psi/exponentiate", buf.Bytes(), "", heldReply{})
+	n, _, err := c.call(ctx, http.MethodPost, c.BaseURL+"/psi/exponentiate", buf.Bytes(), "", heldReply{})
 	return n, err
 }
 
