@@ -38,7 +38,7 @@ const defaultSalt = "privateiye-default-linking-salt"
 // Operational values no deployment needs to change.
 const (
 	warehouseTTL  = 100              // warehouse freshness in integration rounds
-	sourceTimeout = 10 * time.Second // per-source deadline during fan-out
+	sourceTimeout = 10 * time.Second // one deadline per fan-out
 	retries       = 3                // attempts per source call
 )
 

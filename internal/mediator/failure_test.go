@@ -3,12 +3,14 @@ package mediator
 import (
 	"context"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"privateiye/internal/resilience"
 	"privateiye/internal/source"
+	"privateiye/internal/xmltree"
 )
 
 // The federation's failure modes: dead nodes, hanging nodes, flapping
@@ -91,12 +93,21 @@ func TestNewFailsWhenNoSourceSummarizes(t *testing.T) {
 	}
 }
 
+// threeHospitals is twoHospitals and a third whose ages are open.
+func threeHospitals(t *testing.T) []source.Endpoint {
+	return append(twoHospitals(t), localEndpoint(t, hospitalConfig(t, "hospitalC", 3, 30, false)))
+}
+
+// A hung source is denied as a timeout once the fan-out's deadline
+// passes, SourceTimeout after the fan-out began, and the other two
+// still integrate.
 func TestHangingSourceReturnsPartialWithinDeadline(t *testing.T) {
-	eps := twoHospitals(t)
+	const timeout = 200 * time.Millisecond
+	eps := threeHospitals(t)
 	chaosB := resilience.NewChaos(eps[1], resilience.ChaosConfig{})
 	eps[1] = chaosB
 
-	m, err := New(Config{Endpoints: eps, SourceTimeout: 200 * time.Millisecond})
+	m, err := New(Config{Endpoints: eps, SourceTimeout: timeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,18 +119,106 @@ func TestHangingSourceReturnsPartialWithinDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a hanging source must not kill integration: %v", err)
 	}
-	if elapsed > 2*time.Second {
-		t.Errorf("query took %v; the 200ms per-source deadline did not bound it", elapsed)
+	if elapsed < timeout || elapsed > timeout+time.Second {
+		t.Errorf("query took %v; the hung source should be given up at the %v fan-out deadline", elapsed, timeout)
 	}
-	if len(in.Answered) != 1 || in.Answered[0] != "hospitalA" {
-		t.Errorf("answered = %v", in.Answered)
+	if !slices.Equal(in.Answered, []string{"hospitalA", "hospitalC"}) {
+		t.Errorf("answered = %v, want the two live hospitals", in.Answered)
 	}
 	reason, hung := in.Denied["hospitalB"]
-	if !hung {
-		t.Fatalf("hung source should appear in Denied: %v", in.Denied)
+	if !hung || len(in.Denied) != 1 {
+		t.Fatalf("the hung source alone should appear in Denied: %v", in.Denied)
 	}
 	if !strings.HasPrefix(reason, "timeout:") {
 		t.Errorf("hang denial should be a distinguishable timeout, got %q", reason)
+	}
+}
+
+// deadlineRecorder hands the context of each Query call to seen.
+type deadlineRecorder struct {
+	source.Endpoint
+	seen chan<- context.Context
+}
+
+func (e deadlineRecorder) Query(ctx context.Context, text, requester string) (*xmltree.Node, error) {
+	e.seen <- ctx
+	return e.Endpoint.Query(ctx, text, requester)
+}
+
+// One deadline bounds a query's whole fan-out: every source's call sees
+// the same one, SourceTimeout after the fan-out began, and each call's
+// context is done once the query has returned.
+func TestFanoutSharesOneDeadline(t *testing.T) {
+	const timeout = 5 * time.Second
+	seen := make(chan context.Context, 3)
+	var eps []source.Endpoint
+	for _, ep := range threeHospitals(t) {
+		eps = append(eps, deadlineRecorder{ep, seen})
+	}
+	m, err := New(Config{Endpoints: eps, SourceTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := m.Query("FOR //patients/row RETURN //sex PURPOSE research MAXLOSS 1", "r"); err != nil {
+		t.Fatal(err)
+	}
+	end := time.Now()
+	close(seen)
+	var deadlines []time.Time
+	for ctx := range seen {
+		d, ok := ctx.Deadline()
+		if !ok {
+			t.Fatal("a source call ran without a deadline")
+		}
+		deadlines = append(deadlines, d)
+		if ctx.Err() == nil {
+			t.Error("a source call's context is still live after the query returned")
+		}
+	}
+	if len(deadlines) != 3 {
+		t.Fatalf("%d source calls, want 3", len(deadlines))
+	}
+	for _, d := range deadlines {
+		if !d.Equal(deadlines[0]) {
+			t.Errorf("source calls of one query see deadlines %v, want one", deadlines)
+			break
+		}
+	}
+	if d := deadlines[0]; d.Before(start.Add(timeout)) || d.After(end.Add(timeout)) {
+		t.Errorf("deadline %v after the query began, want %v after the fan-out began", d.Sub(start), timeout)
+	}
+}
+
+// A schema refresh with a hung source merges the others' summaries once
+// the refresh's one deadline passes.
+func TestRefreshSchemaSkipsHungSource(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	eps := threeHospitals(t)
+	chaosC := resilience.NewChaos(eps[2], resilience.ChaosConfig{})
+	eps[2] = chaosC
+	m, err := New(Config{Endpoints: eps, SourceTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaosC.SetHang(true)
+	start := time.Now()
+	if err := m.RefreshSchema(); err != nil {
+		t.Fatalf("refresh with one hung source should succeed: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed < timeout || elapsed > timeout+time.Second {
+		t.Errorf("refresh took %v; the hung source should be given up at the %v deadline", elapsed, timeout)
+	}
+	m.mu.RLock()
+	_, a := m.bySource["hospitalA"]
+	_, b := m.bySource["hospitalB"]
+	_, c := m.bySource["hospitalC"]
+	m.mu.RUnlock()
+	if !a || !b || c {
+		t.Errorf("summaries merged: A %v, B %v, C %v; want the two live hospitals'", a, b, c)
+	}
+	if m.MediatedSchema().Len() == 0 {
+		t.Error("the live sources' summaries were not merged")
 	}
 }
 
@@ -219,7 +318,7 @@ func TestContextCancellationMidFanout(t *testing.T) {
 	a := resilience.NewChaos(eps[0], resilience.ChaosConfig{})
 	b := resilience.NewChaos(eps[1], resilience.ChaosConfig{})
 
-	// No per-source deadline: only the caller's cancellation can
+	// No fan-out deadline: only the caller's cancellation can
 	// unblock the hung fan-out.
 	m, err := New(Config{Endpoints: []source.Endpoint{a, b}})
 	if err != nil {

@@ -97,14 +97,15 @@ func TestFanoutRefusalSpanTraceAndCounterAgree(t *testing.T) {
 }
 
 // warehouseServedAllocs is what one warehouse-served QueryContext
-// allocates with a registry and a tracer attached: 6, one fewer than
-// the 7 measured before the mediator and the source moved onto
-// obs.Pipeline, because finalize records the answer's own Answered
-// where it built a []string{"warehouse"} per entry, and the history
-// copies a source list only the first time it sees it. It going up
-// means the stage recorder (or the parse-through-cache, or the history)
-// started allocating per query.
-const warehouseServedAllocs = 6
+// allocates with a registry and a tracer attached: 5. It was 7 before
+// the mediator and the source moved onto obs.Pipeline; finalize then
+// recorded the answer's own Answered where it built a
+// []string{"warehouse"} per entry, and the history copies a source list
+// only the first time it sees it (6). One allocation now holds the
+// shared execution and its Integrated (5). It going up means the stage
+// recorder (or the parse-through-cache, or the history) started
+// allocating per query.
+const warehouseServedAllocs = 5
 
 func TestWarehouseServedQueryAllocations(t *testing.T) {
 	m, err := New(Config{

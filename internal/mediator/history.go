@@ -24,7 +24,7 @@ type history struct {
 	reqs, texts []string // by id
 	lists       [][]string
 
-	reqID, textID map[string]uint32 // reqID is also the shard gate's requester index
+	reqID, textID map[string]uint32 // each string's id in reqs, texts
 	listID        map[string]uint32 // keyed by internList's encoding,
 	key           []byte            // built here, so a hit allocates nothing
 }

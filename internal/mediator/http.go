@@ -53,7 +53,7 @@ func IntegratedFromNode(n *xmltree.Node) (*Integrated, error) {
 		v, _ := n.Attr(name)
 		return fmt.Errorf("mediator: integrated answer carries no usable %s (%s=%q)", name, name, v)
 	}
-	out := &Integrated{Denied: map[string]string{}}
+	out := &Integrated{}
 	var err error
 	v, _ := n.Attr("duplicates")
 	if out.Duplicates, err = strconv.Atoi(v); err != nil || out.Duplicates < 0 {
@@ -76,7 +76,7 @@ func IntegratedFromNode(n *xmltree.Node) (*Integrated, error) {
 	}
 	for _, d := range n.ChildrenNamed("denied") {
 		src, _ := d.Attr("source")
-		out.Denied[src] = d.Text
+		out.deny(src, d.Text)
 	}
 	resNode := n.Child("result")
 	if resNode == nil {

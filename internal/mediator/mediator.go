@@ -53,10 +53,11 @@ type Config struct {
 	// accuracy its answers were published to (classifyRelease). The
 	// field stays only until the benchmark adapter stops setting it.
 	LedgerTolerance float64
-	// SourceTimeout bounds each individual source call during fan-out
-	// and schema refresh (0 = no per-source deadline). A source that
-	// misses the deadline is recorded in Denied with a timeout reason;
-	// the integrator returns whatever answered in time.
+	// SourceTimeout bounds each fan-out, a query's and a schema
+	// refresh's: every source call of it, retries included, ends by the
+	// fan-out's start plus SourceTimeout (0 = no fan-out deadline). A
+	// source that misses the deadline is recorded in Denied with a
+	// timeout reason; the integrator returns whatever answered in time.
 	SourceTimeout time.Duration
 	// PSISuite is the preferred PSI group suite (default "x25519", the
 	// fast elliptic-curve kernel). During every schema refresh the
@@ -123,6 +124,10 @@ type Mediator struct {
 	overlap atomic.Pointer[keptOverlap]
 	// integration is the last integration of an aggregate (query.go).
 	integration atomic.Pointer[keptIntegration]
+	// collected, when set, is told the routing position of each fan-out
+	// reply as execute receives it, before it reads the reply. Only tests
+	// set it, to order the sources' answers by the collection itself.
+	collected func(i int)
 
 	mu              sync.RWMutex
 	schema          *xmltree.Summary            // mediated schema (merged partial summaries)

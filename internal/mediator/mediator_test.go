@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -178,28 +179,17 @@ func TestQueryFullyDeniedEverywhere(t *testing.T) {
 	}
 }
 
-// answersLast holds its source's answer until the first source's reply
-// is collected. The fan-out cancels a call's context only after that
-// call's reply is in the mediator's channel, so waiting on the first
-// call's context orders the arrivals without timing luck.
+// answersLast holds its source's answer until released. The fan-out's
+// calls share one context, which ends only after every reply is in, so
+// the release comes from the collection itself (Mediator.collected): the
+// later-routed source's reply has been received before this one is sent.
 type answersLast struct {
 	source.Endpoint
-	first <-chan context.Context
+	release <-chan struct{}
 }
 
 func (e answersLast) Query(ctx context.Context, text, requester string) (*xmltree.Node, error) {
-	<-(<-e.first).Done()
-	return e.Endpoint.Query(ctx, text, requester)
-}
-
-// answersFirst hands its call's context to answersLast.
-type answersFirst struct {
-	source.Endpoint
-	ctx chan<- context.Context
-}
-
-func (e answersFirst) Query(ctx context.Context, text, requester string) (*xmltree.Node, error) {
-	e.ctx <- ctx
+	<-e.release
 	return e.Endpoint.Query(ctx, text, requester)
 }
 
@@ -215,22 +205,35 @@ func TestFuzzyDedupOnNameColumn(t *testing.T) {
 		pol, _ := policy.NewPolicy(name, policy.Allow)
 		return localEndpoint(t, source.Config{Name: name, Docs: []*xmltree.Node{doc}, Policy: pol, Registry: preserve.NewRegistry()})
 	}
-	ctxs := make(chan context.Context, 1)
-	for name, eps := range map[string][]source.Endpoint{
-		"as routed": {mk("A", "Jonathan Smith"), mk("B", "Jonathon Smith")},
-		"later-routed source answers first": {
-			answersLast{mk("A", "Jonathan Smith"), ctxs},
-			answersFirst{mk("B", "Jonathon Smith"), ctxs},
-		},
-	} {
+	for _, laterFirst := range []bool{false, true} {
+		name := "as routed"
+		if laterFirst {
+			name = "later-routed source answers first"
+		}
 		t.Run(name, func(t *testing.T) {
-			m, err := New(Config{Endpoints: eps, LinkageSalt: salt, DedupColumn: "name", DedupThreshold: 0.75})
+			first := mk("A", "Jonathan Smith")
+			bCollected := make(chan struct{})
+			if laterFirst {
+				first = answersLast{first, bCollected}
+			}
+			m, err := New(Config{Endpoints: []source.Endpoint{first, mk("B", "Jonathon Smith")},
+				LinkageSalt: salt, DedupColumn: "name", DedupThreshold: 0.75})
 			if err != nil {
 				t.Fatal(err)
+			}
+			var order []int
+			m.collected = func(i int) {
+				order = append(order, i)
+				if i == 1 {
+					close(bCollected)
+				}
 			}
 			in, err := m.Query("FOR //patient RETURN //name, //age PURPOSE research MAXLOSS 1", "r")
 			if err != nil {
 				t.Fatal(err)
+			}
+			if laterFirst && !slices.Equal(order, []int{1, 0}) {
+				t.Fatalf("replies collected in routing positions %v, want B's first", order)
 			}
 			if len(in.Result.Rows) != 1 || in.Result.Rows[0][0] != "Jonathan Smith" {
 				t.Errorf("fuzzy dedup should keep the first-routed [Jonathan Smith ...] alone: %v", in.Result.Rows)

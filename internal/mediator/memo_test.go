@@ -16,6 +16,7 @@ import (
 	"privateiye/internal/policy"
 	"privateiye/internal/preserve"
 	"privateiye/internal/relational"
+	"privateiye/internal/resilience"
 	"privateiye/internal/source"
 	"privateiye/internal/xmltree"
 )
@@ -28,11 +29,18 @@ import (
 
 // warmMediatorAllocBound caps one op of BenchmarkQueryWarmMediator: a
 // fresh requester's Figure 1(a) through a mediator over three sources
-// behind httptest servers, each answering 304. Measured 145 (the three
+// behind httptest servers, each answering 304. Measured 128 (the three
 // conditional POSTs and their 304s, client and server side, and the
-// ledger's check and record of the release); 244 when the mediator
-// parses, merges and folds the three held answers again.
-const warmMediatorAllocBound = 155
+// ledger's check and record of the release); 145 with a context per
+// source call, 244 when the mediator parses, merges and folds the three
+// held answers again.
+const warmMediatorAllocBound = 138
+
+// resilientWrapperAllocBound caps what guarding each source call as a
+// shard guards it (tierResilience) adds to that op: measured 6, two per
+// source call (the wrapper's call closure and the attempt's goroutine);
+// 12 when each attempt makes its result channel again.
+const resilientWrapperAllocBound = 9
 
 // switchEndpoint is an Endpoint a test can make fail, hang until its
 // deadline, or hide from routing (an empty summary at the next
@@ -391,7 +399,9 @@ func TestIntegrationMemoConcurrentCallers(t *testing.T) {
 // warmMediatorOverHTTP is a mediator over three compliance sources behind
 // httptest servers, warmed by one Figure 1(a); it returns one op: a
 // fresh requester's 1(a), which every source revalidates with a 304.
-func warmMediatorOverHTTP(tb testing.TB) func() {
+// With rcfg, every call to a source is one guarded call under it, as a
+// shard of the tier runs them.
+func warmMediatorOverHTTP(tb testing.TB, rcfg *resilience.EndpointConfig) func() {
 	tb.Helper()
 	eps, _ := memoSources(tb)
 	clients := make([]source.Endpoint, len(eps))
@@ -400,7 +410,11 @@ func warmMediatorOverHTTP(tb testing.TB) func() {
 		tb.Cleanup(srv.Close)
 		clients[i] = source.NewClient(srv.URL, ep.Name())
 	}
-	m, _ := memoMediator(tb, clients, false)
+	m, err := New(Config{Endpoints: clients, PlanCache: 16, SourceTimeout: 5 * time.Second, Obs: obs.NewRegistry(), Resilience: rcfg})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { m.Close() })
 	if _, err := m.Query(perTestQuery, "warm-up"); err != nil {
 		tb.Fatal(err)
 	}
@@ -414,23 +428,49 @@ func warmMediatorOverHTTP(tb testing.TB) func() {
 	}
 }
 
+// tierResilience is the guarded call a shard of the tier runs each
+// source call as: three attempts, a breaker opening after five failures.
+var tierResilience = &resilience.EndpointConfig{
+	Policy:  resilience.Policy{MaxAttempts: 3},
+	Breaker: resilience.BreakerConfig{FailureThreshold: 5, OpenFor: 5 * time.Second},
+}
+
 func TestWarmMediatorAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
-	op := warmMediatorOverHTTP(t)
-	if got := testing.AllocsPerRun(100, op); got > warmMediatorAllocBound {
-		t.Errorf("warm mediated Figure 1(a): %.1f allocs, want <= %d", got, warmMediatorAllocBound)
+	plain := testing.AllocsPerRun(100, warmMediatorOverHTTP(t, nil))
+	if plain > warmMediatorAllocBound {
+		t.Errorf("warm mediated Figure 1(a): %.1f allocs, want <= %d", plain, warmMediatorAllocBound)
+	}
+	guarded := testing.AllocsPerRun(100, warmMediatorOverHTTP(t, tierResilience))
+	if extra := guarded - plain; extra > resilientWrapperAllocBound {
+		t.Errorf("guarded source calls add %.1f allocs to a warm mediated Figure 1(a) (%.1f against %.1f), want <= %d",
+			extra, guarded, plain, resilientWrapperAllocBound)
 	}
 }
 
 // BenchmarkQueryWarmMediator is one fresh requester's Figure 1(a) through
 // a mediator over three sources behind httptest servers: three
 // conditional POSTs answered 304, the kept integration published, the
-// release recorded: ~145 allocs and ~14.6 kB. ~244 allocs and ~20 kB mean
-// the parse and the fold are back on the path.
+// release recorded: ~128 allocs and ~13 kB. ~244 allocs and ~20 kB mean
+// the parse and the fold are back on the path; ~145 mean a context per
+// source call again.
 func BenchmarkQueryWarmMediator(b *testing.B) {
-	op := warmMediatorOverHTTP(b)
+	benchWarmMediator(b, nil)
+}
+
+// BenchmarkQueryWarmMediatorResilient is BenchmarkQueryWarmMediator with
+// each source call guarded as a shard guards it (tierResilience): the
+// wrapper's call closure and one attempt goroutine per source call,
+// whose result channel is recycled: ~6 allocs over the plain benchmark.
+// ~12 over it mean a channel per attempt again.
+func BenchmarkQueryWarmMediatorResilient(b *testing.B) {
+	benchWarmMediator(b, tierResilience)
+}
+
+func benchWarmMediator(b *testing.B, rcfg *resilience.EndpointConfig) {
+	op := warmMediatorOverHTTP(b, rcfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -29,7 +29,8 @@ type Integrated struct {
 	// memo's later callers hold the same one.
 	Result *piql.Result
 	// Answered lists sources that contributed, shared and read-only like
-	// Result; Denied lists sources that refused with their reasons.
+	// Result; Denied lists sources that refused with their reasons, and is
+	// nil when no source refused.
 	Answered []string
 	Denied   map[string]string
 	// Duplicates is the number of rows removed by duplicate elimination.
@@ -43,6 +44,14 @@ type Integrated struct {
 
 	// reused reports an answer published from the integration memo.
 	reused bool
+}
+
+// deny records src's refusal, making Denied on the first one.
+func (in *Integrated) deny(src, reason string) {
+	if in.Denied == nil {
+		in.Denied = map[string]string{}
+	}
+	in.Denied[src] = reason
 }
 
 // Query runs the full mediation pipeline with a background context; see
@@ -71,9 +80,10 @@ func (m *Mediator) denialReason(err error) string {
 }
 
 // QueryContext runs the full mediation pipeline for a PIQL query text.
-// Every source is queried concurrently under its own deadline
-// (Config.SourceTimeout); the integrator returns whatever answered in
-// time and records stragglers in Denied with a timeout reason.
+// Every source is queried concurrently under one deadline for the whole
+// fan-out (Config.SourceTimeout); the integrator returns whatever
+// answered in time and records stragglers in Denied with a timeout
+// reason.
 func (m *Mediator) QueryContext(ctx context.Context, piqlText, requester string) (*Integrated, error) {
 	t0 := time.Now()
 	trace := m.pipe.Start(requester, piqlText)
@@ -117,13 +127,15 @@ func (m *Mediator) gatedQuery(ctx context.Context, piqlText, requester string, t
 }
 
 // sharedExec is what one pipeline execution yields before any
-// per-caller control has run: the parsed query and the integrated
-// (sorted, limited) result. It is immutable once published to a flight.
+// per-caller control has run: the parsed query, its warehouse key and
+// the integrated (sorted, limited) result. It is immutable once
+// published to a flight.
 type sharedExec struct {
 	q         *piql.Query
 	canonical string
-	out       *Integrated
-	answers   []*answer // what the sources answered, for the ledger's tolerance
+	whKey     string     // requester|canonical; "" without a warehouse
+	out       Integrated // every caller gets &out: one allocation holds both
+	answers   []*answer  // what the sources answered, for the ledger's tolerance
 }
 
 // keptIntegration is execute's last integration of an aggregate every
@@ -177,14 +189,16 @@ func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trac
 	}
 	q, canonical := pq.Query, pq.Canonical
 
-	// Hybrid path: serve from the warehouse when fresh.
-	whKey := requester + "|" + canonical
+	// Hybrid path: serve from the warehouse when fresh. The key is built
+	// once here and carried to finalize's Put.
+	var whKey string
 	if m.wh != nil {
 		ts = m.pipe.Now()
+		whKey = requester + "|" + canonical
 		res, ok := m.wh.Get(whKey)
 		if ok {
 			m.pipe.Stage(trace, "warehouse", ts, nil)
-			return &sharedExec{q: q, canonical: canonical, out: &Integrated{
+			return &sharedExec{q: q, canonical: canonical, whKey: whKey, out: Integrated{
 				Result: res, FromWarehouse: true, Answered: []string{"warehouse"},
 			}}, nil
 		}
@@ -204,23 +218,22 @@ func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trac
 
 	type reply struct {
 		i    int // the target's routing position
-		name string
 		node *xmltree.Node
 		err  error
 	}
 	// Each goroutine sends exactly one reply into the buffered channel,
-	// so a source that overruns its deadline cannot stall collection and
-	// the goroutine never leaks.
+	// so a source that overruns the deadline cannot stall collection and
+	// the goroutine never leaks. One deadline bounds the whole fan-out,
+	// attempts included; its context is cancelled once every reply is in.
 	tsFanout := m.pipe.Now()
+	fctx, cancel := m.fanoutCtx(ctx)
 	replies := make(chan reply, len(targets))
 	for i, ep := range targets {
 		go func(i int, ep source.Endpoint) {
 			tsCall := m.pipe.Now()
-			sctx, cancel := m.sourceCtx(ctx)
-			defer cancel()
-			node, err := ep.Query(sctx, canonical, requester)
+			node, err := ep.Query(fctx, canonical, requester)
 			m.sourceCall(trace, ep.Name(), tsCall, err)
-			replies <- reply{i: i, name: ep.Name(), node: node, err: err}
+			replies <- reply{i: i, node: node, err: err}
 		}(i, ep)
 	}
 
@@ -233,13 +246,17 @@ func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trac
 	if kept != nil && (kept.canonical != canonical || !slices.EqualFunc(kept.targets, targets, sameName)) {
 		kept = nil
 	}
-	out := &Integrated{Denied: map[string]string{}}
+	sh := &sharedExec{q: q, canonical: canonical, whKey: whKey}
+	out := &sh.out
 	answers := make([]*answer, len(targets))
 	reused := 0
 	for range targets {
 		r := <-replies
+		if m.collected != nil {
+			m.collected(r.i)
+		}
 		if r.err != nil {
-			out.Denied[r.name] = m.denialReason(r.err)
+			out.deny(targets[r.i].Name(), m.denialReason(r.err))
 			continue
 		}
 		if kept != nil && kept.answers[r.i].node == r.node {
@@ -249,11 +266,12 @@ func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trac
 		}
 		a, err := parseAnswer(r.node, q.IsAggregate())
 		if err != nil {
-			out.Denied[r.name] = err.Error()
+			out.deny(targets[r.i].Name(), err.Error())
 			continue
 		}
 		answers[r.i] = a
 	}
+	cancel()
 	// Every target answered with the node it answered the kept
 	// integration with: the same answers fold to the same result, so
 	// the kept one is published as it is, shared and read-only.
@@ -262,7 +280,8 @@ func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trac
 		ts = m.pipe.Now()
 		out.Result, out.Answered, out.AggregatedLoss, out.reused = kept.result, kept.answered, kept.loss, true
 		m.pipe.Stage(trace, "integrate", ts, nil)
-		return &sharedExec{q: q, canonical: canonical, out: out, answers: kept.answers}, nil
+		sh.answers = kept.answers
+		return sh, nil
 	}
 	for i, a := range answers {
 		if a != nil {
@@ -324,7 +343,8 @@ func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trac
 			answered: out.Answered, loss: out.AggregatedLoss, result: integrated})
 	}
 	out.Result = integrated
-	return &sharedExec{q: q, canonical: canonical, out: out, answers: answers}, nil
+	sh.answers = answers
+	return sh, nil
 }
 
 // finalize is the per-caller control phase: loss control, the release
@@ -333,7 +353,7 @@ func (m *Mediator) execute(ctx context.Context, piqlText, requester string, trac
 // so sharing an execution never lets a query skip a control — exactly
 // the plan-cache contract, extended to in-flight sharing.
 func (m *Mediator) finalize(sh *sharedExec, requester string, trace *obs.Trace) (*Integrated, error) {
-	q, out := sh.q, sh.out
+	q, out := sh.q, &sh.out
 	if out.FromWarehouse {
 		m.record(HistoryEntry{Requester: requester, Query: sh.canonical, Sources: out.Answered})
 		m.maybeSnapshot()
@@ -373,7 +393,7 @@ func (m *Mediator) finalize(sh *sharedExec, requester string, trace *obs.Trace) 
 	}
 
 	if m.wh != nil {
-		m.wh.Put(requester+"|"+sh.canonical, out.Result)
+		m.wh.Put(sh.whKey, out.Result)
 		m.wh.Tick()
 	}
 	if !ledgered {

@@ -25,9 +25,10 @@ func (m *Mediator) RefreshSchema() error {
 }
 
 // RefreshSchemaContext re-runs Mediated Schema Generation: fetch every
-// source's partial summary (concurrently, each under the per-source
-// deadline) and merge them. Sources that fail to answer are skipped
-// (they simply contribute nothing to the mediated schema).
+// source's partial summary (concurrently, under one deadline for the
+// whole fan-out, Config.SourceTimeout) and merge them. Sources that fail
+// to answer are skipped (they simply contribute nothing to the mediated
+// schema).
 func (m *Mediator) RefreshSchemaContext(ctx context.Context) error {
 	type fetched struct {
 		sum      *xmltree.Summary
@@ -35,25 +36,24 @@ func (m *Mediator) RefreshSchemaContext(ctx context.Context) error {
 		suites   []string
 	}
 	results := make([]fetched, len(m.cfg.Endpoints))
+	fctx, cancel := m.fanoutCtx(ctx)
 	var wg sync.WaitGroup
 	for i, ep := range m.cfg.Endpoints {
 		wg.Add(1)
 		go func(i int, ep source.Endpoint) {
 			defer wg.Done()
-			sctx, cancel := m.sourceCtx(ctx)
-			defer cancel()
-			sum, err := ep.FetchSummary(sctx)
+			sum, err := ep.FetchSummary(fctx)
 			if err != nil {
 				return
 			}
 			results[i].sum = sum
-			if ps, err := ep.FetchProfiles(sctx); err == nil {
+			if ps, err := ep.FetchProfiles(fctx); err == nil {
 				results[i].profiles = ps
 			}
 			// Suite capability ride-along: a source that answers its
 			// summary but not its suites (no route, a transport error) is
 			// held to modp2048 — fail closed, not open.
-			if ss, err := ep.PSISuites(sctx); err == nil && len(ss) > 0 {
+			if ss, err := ep.PSISuites(fctx); err == nil && len(ss) > 0 {
 				results[i].suites = ss
 			} else {
 				results[i].suites = []string{psi.SuiteNameModP2048}
@@ -61,6 +61,7 @@ func (m *Mediator) RefreshSchemaContext(ctx context.Context) error {
 		}(i, ep)
 	}
 	wg.Wait()
+	cancel()
 
 	// Merge in endpoint order so the mediated schema is deterministic.
 	merged := xmltree.NewSummary()
@@ -289,9 +290,11 @@ func countOverlap(ctx context.Context, a, b source.Endpoint, aBlind, bBlind *xml
 	return n, nil
 }
 
-// sourceCtx derives the per-source call context: the caller's context,
-// bounded by the configured per-source deadline.
-func (m *Mediator) sourceCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+// fanoutCtx derives the one context of a fan-out (a query's or a schema
+// refresh's): the caller's context, bounded by Config.SourceTimeout from
+// the fan-out's start. Every call of the fan-out, attempts included,
+// runs under it, and the fan-out cancels it once every reply is in.
+func (m *Mediator) fanoutCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	if m.cfg.SourceTimeout > 0 {
 		return context.WithTimeout(ctx, m.cfg.SourceTimeout)
 	}

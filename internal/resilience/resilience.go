@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -132,8 +133,9 @@ func Call[T any](ctx context.Context, p Policy, b *Breaker, who string, op func(
 // until MaxAttempts or the overall deadline, and an attempt still
 // running at the deadline is abandoned (op keeps running in its
 // goroutine but its result is discarded). The value is delivered through
-// the attempt's own channel, so an abandoned attempt can never race with
-// the caller.
+// the attempt's own channel, which is recycled only once its value was
+// received, so an abandoned attempt can never race with the caller or
+// with a later call.
 func retry[T any](ctx context.Context, p Policy, op func(context.Context) (T, error)) (T, error) {
 	p = p.withDefaults()
 	var zero T
@@ -158,23 +160,34 @@ func retry[T any](ctx context.Context, p Policy, op func(context.Context) (T, er
 	}
 }
 
-type attemptResult[T any] struct {
-	v   T
+// attemptResult is what one attempt sends back. Its value is boxed, so
+// that one pool of channels serves every T.
+type attemptResult struct {
+	v   any
 	err error
 }
+
+// attempts recycles the attempts' result channels. A channel goes back
+// only after its one value was received, so a channel taken from the
+// pool is empty and no goroutine still holds it. An abandoned attempt's
+// channel never goes back: its late send lands in a channel no other
+// call can hold.
+var attempts = sync.Pool{New: func() any { return make(chan attemptResult, 1) }}
 
 // runAttempt runs one attempt and abandons it if it ignores the call's
 // deadline: the mediator's latency bound must hold even over a
 // misbehaving endpoint.
 func runAttempt[T any](ctx context.Context, op func(context.Context) (T, error)) (T, error) {
-	ch := make(chan attemptResult[T], 1)
+	ch := attempts.Get().(chan attemptResult)
 	go func() {
 		v, err := op(ctx)
-		ch <- attemptResult[T]{v: v, err: err}
+		ch <- attemptResult{v: v, err: err}
 	}()
 	select {
 	case r := <-ch:
-		return r.v, r.err
+		attempts.Put(ch)
+		v, _ := r.v.(T)
+		return v, r.err
 	case <-ctx.Done():
 		var zero T
 		return zero, ctx.Err()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -132,6 +133,48 @@ func TestTimeoutAbandonsHangingOp(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Errorf("calls = %d, want 1 (no time is left to retry in)", got)
+	}
+}
+
+// Attempts' result channels are recycled, but never an abandoned
+// attempt's: once abandoned attempts are released to send their values
+// late, 1,000 concurrent calls each get their own value and none of the
+// late ones, however the late sends interleave with them. Run it under
+// -race.
+func TestRecycledAttemptChannelsCarryOnlyTheirOwnValue(t *testing.T) {
+	const late = -1
+	release := make(chan struct{})
+	var sent sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		sent.Add(1)
+		p := Policy{MaxAttempts: 1, Timeout: time.Millisecond}
+		v, err := Call(bg, p, nil, "op", func(context.Context) (int, error) {
+			defer sent.Done()
+			<-release
+			return late, nil
+		})
+		if !errors.Is(err, context.DeadlineExceeded) || v != 0 {
+			t.Fatalf("abandoned attempt: %d, %v", v, err)
+		}
+	}
+	close(release)
+	sent.Wait()
+	var wg sync.WaitGroup
+	errs := make(chan error, 1000)
+	for i := 0; i < 1000; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, err := Call(bg, fastPolicy(1), nil, "op", func(context.Context) (int, error) { return i, nil })
+			if err != nil || v != i {
+				errs <- fmt.Errorf("call %d got %d, %v", i, v, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -184,6 +184,7 @@ func (rt *Router) probe(bs *backendState) {
 	case !ok:
 		msg = strings.TrimSpace(string(r.Body[:min(len(r.Body), 4096)]))
 	}
+	r.Release()
 	bs.mu.Lock()
 	bs.healthy = ok
 	bs.lastErr = msg
@@ -344,6 +345,7 @@ func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(res.Status)
 	_, _ = w.Write(res.Body)
+	res.Release() // the answer is out: its buffer may be read into again
 }
 
 // finish closes the trace and bumps the outcome counter (both nil-safe).

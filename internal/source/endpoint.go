@@ -27,7 +27,7 @@ var psiBatchBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384}
 //
 // Every call takes a context: sources are autonomous and therefore
 // slow, flaky or dead in practice, and the mediator bounds each call
-// with a per-source deadline. Implementations must return promptly once
+// with its fan-out's deadline. Implementations must return promptly once
 // the context is done (internal/resilience additionally abandons
 // implementations that do not).
 type Endpoint interface {

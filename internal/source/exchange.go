@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,7 +26,7 @@ import (
 const (
 	// exchangeCeiling bounds an exchange whose context has no deadline, as
 	// a last line of defence; per-call deadlines come from the caller (the
-	// mediator's per-source deadline, the router's retry policy).
+	// mediator's fan-out deadline, the router's retry policy).
 	exchangeCeiling = 30 * time.Second
 	// maxIdlePerHost is the mediator's realistic concurrency toward one
 	// peer: with fewer idle connections kept, a query stream re-dials.
@@ -47,7 +48,30 @@ type Reply struct {
 	ETag        string
 	ContentType string
 	Body        []byte
+
+	buf *[]byte // the pooled buffer Body was read into, for Release
 }
+
+// Release hands the body's buffer back for a later exchange to read
+// into. Neither Body nor anything that aliases it may be read after
+// Release; a Reply that is never released is left to the collector.
+func (r *Reply) Release() {
+	if r.buf == nil {
+		return
+	}
+	if cap(r.Body) <= maxPooledBody {
+		*r.buf = r.Body[:0]
+		bodies.Put(r.buf)
+	}
+	r.Body, r.buf = nil, nil
+}
+
+// bodies are the answer bodies' buffers (Reply.Release). One over
+// maxPooledBody is not pooled again, so one large answer does not stay
+// allocated for the process's lifetime.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
 
 // Exchange is one request of the tier's internal hops. It carries Host,
 // Content-Length unless it is a bodiless GET, and If-None-Match and
@@ -240,7 +264,10 @@ func readReply(br *bufio.Reader, sentTag string) (r Reply, reusable bool, err er
 	case chunked && length >= 0:
 		err = errors.New("both Content-Length and chunked framing")
 	case chunked:
-		r.Body, err = io.ReadAll(io.LimitReader(httputil.NewChunkedReader(br), MaxAnswerBytes+1))
+		r.buf = bodies.Get().(*[]byte)
+		body := bytes.NewBuffer((*r.buf)[:0])
+		_, err = body.ReadFrom(io.LimitReader(httputil.NewChunkedReader(br), MaxAnswerBytes+1))
+		r.Body = body.Bytes()
 		if err == nil && len(r.Body) > MaxAnswerBytes {
 			err = ErrAnswerTooLarge
 		}
@@ -254,7 +281,8 @@ func readReply(br *bufio.Reader, sentTag string) (r Reply, reusable bool, err er
 	case length > MaxAnswerBytes:
 		err = ErrAnswerTooLarge
 	default:
-		r.Body = make([]byte, length)
+		r.buf = bodies.Get().(*[]byte)
+		r.Body = slices.Grow((*r.buf)[:0], int(length))[:length]
 		_, err = io.ReadFull(br, r.Body)
 	}
 	return r, err == nil && keepAlive && br.Buffered() == 0, err

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"privateiye/internal/psi"
+	"privateiye/internal/xmltree"
 )
 
 // Exchange is the tier's own HTTP/1.1 client (DESIGN.md §8, Transport).
@@ -459,9 +460,52 @@ func TestPSIExponentiateOverHTTPBytes(t *testing.T) {
 	}
 }
 
+// A released body's buffer is read into by a later exchange, so nothing
+// may alias it once released (DESIGN.md §15): a tree parsed from it
+// keeps its text when the buffer is written over and when the next
+// answers are read, and those answers read whole.
+func TestReleasedBodyAliasesNothing(t *testing.T) {
+	answers := []string{`<answer source="a"><result><row v="one"/></result></answer>`, `<other k="two">` + strings.Repeat("x", 40) + `</other>`}
+	var n atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		SetXMLContentType(w.Header())
+		_, _ = io.WriteString(w, answers[n.Add(1)%2])
+	}))
+	t.Cleanup(srv.Close)
+	exchange := func(want string) Reply {
+		t.Helper()
+		r, err := Exchange(bg, http.MethodGet, srv.URL, nil, "", "")
+		if err != nil || string(r.Body) != want {
+			t.Fatalf("exchange: %q, %v; want %q", r.Body, err, want)
+		}
+		return r
+	}
+	r := exchange(answers[1])
+	tree, err := xmltree.ParseBytes(r.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := r.Body
+	r.Release()
+	if r.Body != nil {
+		t.Error("a released Reply still holds its body")
+	}
+	for i := range body {
+		body[i] = '?'
+	}
+	for i := 0; i < 8; i++ {
+		next := exchange(answers[i%2])
+		next.Release()
+	}
+	if tree.Name != "other" || tree.Attrs["k"] != "two" || tree.Text != strings.Repeat("x", 40) {
+		t.Errorf("the parsed tree changed with its released body: %s", tree)
+	}
+}
+
 // BenchmarkExchange is one internal exchange against a net/http handler,
 // client and server side: a router-shaped POST /query answered with a
 // 300-byte Content-Length body, and a conditional POST answered 304.
+// Each reply's body is released, as the tier's callers release theirs.
 func BenchmarkExchange(b *testing.B) {
 	answer := bytes.Repeat([]byte("x"), 300)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -490,6 +534,7 @@ func BenchmarkExchange(b *testing.B) {
 				if err != nil || r.Status != bc.status {
 					b.Fatalf("%d, %v", r.Status, err)
 				}
+				r.Release()
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package source
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -293,13 +292,18 @@ func (c *Client) call(ctx context.Context, method, target string, body []byte, r
 		return held.node, "", nil
 	}
 	if r.Status != http.StatusOK {
-		return nil, "", &HTTPError{
+		err := &HTTPError{
 			Source: c.SourceName,
 			Status: r.Status,
 			Msg:    strings.TrimSpace(string(r.Body[:min(len(r.Body), 4096)])),
 		}
+		r.Release()
+		return nil, "", err
 	}
-	n, err := xmltree.Parse(bytes.NewReader(r.Body))
+	// The tree shares nothing with the body, whose buffer goes back to be
+	// read into again.
+	n, err := xmltree.ParseBytes(r.Body)
+	r.Release()
 	return n, r.ETag, err
 }
 

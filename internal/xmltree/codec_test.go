@@ -407,6 +407,31 @@ func TestParsedTreeSurvivesBufferReuse(t *testing.T) {
 	}
 }
 
+// ParseBytes reads its input where it lies and keeps none of it: once it
+// returns, the caller reuses the buffer (a pooled answer body), on the
+// tokenizer's path and on the fail-over's alike, and the pooled parser
+// still holds a buffer of its own for the next Parse.
+func TestParseBytesKeepsNothingOfItsInput(t *testing.T) {
+	for _, doc := range []string{answerNode(50).String(), psiNode(40).String(), `<a k="v"><![CDATA[x <y>]]><b>t</b></a>`} {
+		b := []byte(doc)
+		got, err := ParseBytes(b)
+		if err != nil {
+			t.Fatalf("%.40q: %v", doc, err)
+		}
+		want := referenceClone(got)
+		for i := range b {
+			b[i] = 'Z'
+		}
+		mustParseString(strings.Repeat("<r k='QQQQ'>QQQQ", 60) + strings.Repeat("</r>", 60))
+		if !Equal(got, want) || !Equal(got, mustParseString(doc)) {
+			t.Errorf("%.40q: reusing the parsed bytes changed the tree", doc)
+		}
+	}
+	if _, err := ParseBytes([]byte("<a><b></a>")); err == nil {
+		t.Error("ParseBytes accepted a malformed document")
+	}
+}
+
 // referenceClone deep-copies a tree into strings of its own, so that the
 // copy cannot share a parse arena with the original.
 func referenceClone(n *Node) *Node {

@@ -32,6 +32,20 @@ func Parse(r io.Reader) (*Node, error) {
 	return p.parse()
 }
 
+// ParseBytes is Parse over b, read where it lies: no copy of it is made,
+// and it is not read after ParseBytes returns. The tree shares no memory
+// with b, so the caller may reuse b at once (a pooled answer body,
+// DESIGN.md §15).
+func ParseBytes(b []byte) (*Node, error) {
+	p := parserPool.Get().(*parser)
+	own := p.body
+	p.body = b
+	n, err := p.parse()
+	p.body = own
+	p.release()
+	return n, err
+}
+
 // ParseString is Parse over a string.
 func ParseString(s string) (*Node, error) {
 	p := parserPool.Get().(*parser)
