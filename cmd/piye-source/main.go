@@ -2,7 +2,8 @@
 // It hosts a demo clinical dataset (or the Figure 1 compliance table, or
 // an outbreak surveillance stream), loads its privacy policy from an XML
 // file or uses a conservative default, and serves the source protocol:
-// /summary, /profiles, /query, /preferences, /psi/*.
+// /summary, /profiles, /query, /psi/*. Data-subject preferences are read
+// from -preferences files at start-up.
 //
 // Usage:
 //
@@ -76,22 +77,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("piye-source: %v", err)
 	}
-	if *prefFiles != "" {
-		for _, f := range strings.Split(*prefFiles, ",") {
-			data, err := os.ReadFile(strings.TrimSpace(f))
-			if err != nil {
-				log.Fatalf("piye-source: reading preference %s: %v", f, err)
-			}
-			pref, err := policy.ParsePolicy(string(data))
-			if err != nil {
-				log.Fatalf("piye-source: preference %s: %v", f, err)
-			}
-			if err := src.AddPreference(pref); err != nil {
-				log.Fatalf("piye-source: %v", err)
-			}
-			log.Printf("piye-source %s: registered preference policy of %s", *name, pref.Owner)
-		}
-	}
+	must(addPreferences(src, *prefFiles))
 	local, err := source.NewLocal(src, nil, nil)
 	if err != nil {
 		log.Fatalf("piye-source: %v", err)
@@ -115,6 +101,30 @@ func must(err error) {
 	if err != nil {
 		log.Fatalf("piye-source: %v", err)
 	}
+}
+
+// addPreferences registers with src each data-subject preference XML file
+// named in files, a comma-separated list. These files are the only way a
+// preference reaches a running source: no route takes one.
+func addPreferences(src *source.Source, files string) error {
+	if files == "" {
+		return nil
+	}
+	for _, f := range strings.Split(files, ",") {
+		data, err := os.ReadFile(strings.TrimSpace(f))
+		if err != nil {
+			return fmt.Errorf("reading preference %s: %w", f, err)
+		}
+		pref, err := policy.ParsePolicy(string(data))
+		if err != nil {
+			return fmt.Errorf("preference %s: %w", f, err)
+		}
+		if err := src.AddPreference(pref); err != nil {
+			return err
+		}
+		log.Printf("piye-source %s: registered preference policy of %s", src.Name(), pref.Owner)
+	}
+	return nil
 }
 
 // loadPolicy reads a policy XML file, or returns the built-in default: a

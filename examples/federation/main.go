@@ -71,10 +71,7 @@ func main() {
 	}
 
 	// Cross-node private intersection, relayed by the mediator.
-	n, err := mediator.PrivateOverlap(context.Background(),
-		source.NewClient(nodeA.URL, "hospitalA"),
-		source.NewClient(nodeB.URL, "hospitalB"),
-		"diagnosis", "")
+	n, err := med.Overlap(context.Background(), "hospitalA", "hospitalB", "diagnosis")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 
 	"privateiye"
 	"privateiye/internal/clinical"
-	"privateiye/internal/mediator"
 	"privateiye/internal/policy"
 	"privateiye/internal/relational"
 	"privateiye/internal/xmltree"
@@ -75,7 +74,7 @@ func main() {
 
 	// Private overlap: how many patients do the two registries share?
 	eps := sys.Endpoints()
-	n, err := mediator.PrivateOverlap(context.Background(), eps[3], eps[4], "name", "")
+	n, err := sys.Mediator().Overlap(context.Background(), eps[3].Name(), eps[4].Name(), "name")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,8 +8,6 @@ package privateiye
 // surface.
 
 import (
-	"context"
-
 	"privateiye/internal/accesscontrol"
 	"privateiye/internal/audit"
 	"privateiye/internal/clinical"
@@ -227,30 +225,6 @@ func ParseQuery(src string) (*Query, error) { return piql.Parse(src) }
 
 // Endpoint is the mediator's view of one source (local or HTTP).
 type Endpoint = source.Endpoint
-
-// PrivateOverlap counts |A ∩ B| of two sources' field values via relayed
-// PSI: neither source reveals its set; the caller learns only the size.
-// Each source uses its preferred suite; pass an explicit suite via
-// PrivateOverlapSuite when the fleet is mixed. A bare call keeps nothing:
-// each one sends both columns to be exponentiated again. Mediator.Overlap
-// is the warm path, which answers a round over unchanged columns from the
-// count it kept.
-func PrivateOverlap(a, b Endpoint, field string) (int, error) {
-	return mediator.PrivateOverlap(context.Background(), a, b, field, "")
-}
-
-// PrivateOverlapContext is PrivateOverlap under the caller's context:
-// cancellation and deadlines propagate to both sources.
-func PrivateOverlapContext(ctx context.Context, a, b Endpoint, field string) (int, error) {
-	return mediator.PrivateOverlap(ctx, a, b, field, "")
-}
-
-// PrivateOverlapSuite is PrivateOverlapContext pinned to a named PSI
-// suite ("x25519", "modp2048") — what a mediator passes after negotiating
-// the fleet's common suite (see Mediator.Overlap / Mediator.PSISuite).
-func PrivateOverlapSuite(ctx context.Context, a, b Endpoint, field, suite string) (int, error) {
-	return mediator.PrivateOverlap(ctx, a, b, field, suite)
-}
 
 // --- Resilience -----------------------------------------------------------
 

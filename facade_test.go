@@ -1,6 +1,7 @@
 package privateiye_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -105,8 +106,7 @@ func TestFacadePrivateOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := sys.Endpoints()
-	n, err := privateiye.PrivateOverlap(eps[0], eps[1], "name")
+	n, err := sys.Mediator().Overlap(context.Background(), "A", "B", "name")
 	if err != nil {
 		t.Fatal(err)
 	}

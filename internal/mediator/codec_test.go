@@ -418,7 +418,16 @@ func TestPrivateOverlapRefusesDamagedColumns(t *testing.T) {
 	a := registry(t, "A", "alice", "bob", "carol", "dave")
 	b := registry(t, "B", "carol", "erin", "alice")
 	ctx := context.Background()
-	if n, err := PrivateOverlap(ctx, a, b, "name", ""); err != nil || n != 2 {
+	// Mediator.Overlap's two steps, over endpoints no mediator is built
+	// on.
+	overlap := func(a, b source.Endpoint) (int, error) {
+		aBlind, bBlind, err := blindBoth(ctx, a, b, "name", "")
+		if err != nil {
+			return 0, err
+		}
+		return countOverlap(ctx, a, b, aBlind, bBlind)
+	}
+	if n, err := overlap(a, b); err != nil || n != 2 {
 		t.Fatalf("intact relay: overlap %d, %v", n, err)
 	}
 	newline := func(text string) string { return text[:5] + "\n" + text[6:] }
@@ -444,7 +453,7 @@ func TestPrivateOverlapRefusesDamagedColumns(t *testing.T) {
 		{"B answers in another group", a, regroupingEndpoint{b}, "diverge"},
 		{"A answers in another group", regroupingEndpoint{a}, b, "diverge"},
 	} {
-		n, err := PrivateOverlap(ctx, tc.a, tc.b, "name", "")
+		n, err := overlap(tc.a, tc.b)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: overlap %d, err %v; want a refusal naming %s", tc.name, n, err, tc.want)
 		}

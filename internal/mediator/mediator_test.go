@@ -317,7 +317,11 @@ func registry(t *testing.T, name string, names ...string) source.Endpoint {
 func TestPrivateOverlap(t *testing.T) {
 	a := registry(t, "A", "alice", "bob", "carol", "dave")
 	b := registry(t, "B", "carol", "erin", "alice", "alice") // duplicate alice
-	n, err := PrivateOverlap(context.Background(), a, b, "name", "")
+	m, err := New(Config{Endpoints: []source.Endpoint{a, b}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := m.Overlap(context.Background(), "A", "B", "name")
 	if err != nil {
 		t.Fatal(err)
 	}

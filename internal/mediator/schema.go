@@ -156,15 +156,17 @@ func (m *Mediator) PSISuite() string {
 	return m.psiSuite
 }
 
-// Overlap is PrivateOverlap between two of this mediator's sources by
-// name, pinned to the suite negotiated at the last schema refresh — the
-// entry point callers should prefer, because it can never compare
-// elements across diverging groups. It keeps the count of the last
-// round it counted beside the two blinded columns it counted over: a
-// round whose sources hand back those very nodes (a source's kept
-// column, or a Client's column revalidated with a 304) is answered the
-// kept count and sends no column to be exponentiated (DESIGN.md §14,
-// Revalidation). Any other round runs the protocol and takes the slot.
+// Overlap counts |A ∩ B| of a field's values at two of this mediator's
+// sources, by name, without either revealing its set: it fetches each
+// source's blinded column, relays each to the other to be exponentiated,
+// and compares only double-blinded elements, in the suite negotiated at
+// the last schema refresh (a relay whose suites diverge is refused). The
+// mediator learns the count and each source the other's set size; what
+// any caller of the PSI routes learns is in DESIGN.md §14. It keeps the
+// count of the last round beside the two columns it counted over: a
+// round whose sources hand back those very nodes (a source's kept column,
+// or a Client's column revalidated with a 304) is answered the kept count
+// and sends no column to be exponentiated (DESIGN.md §14, Revalidation).
 func (m *Mediator) Overlap(ctx context.Context, aName, bName, field string) (int, error) {
 	suite := m.PSISuite()
 	var a, b source.Endpoint
@@ -204,31 +206,6 @@ type keptOverlap struct {
 	key            [4]string
 	aBlind, bBlind *xmltree.Node
 	n              int
-}
-
-// PrivateOverlap computes |A ∩ B| of two sources' values for a field
-// without any party revealing its set: the mediator fetches each
-// source's blinded column, relays each to the other source to be
-// exponentiated, and compares only double-blinded group elements. The
-// mediator learns the overlap size; each source learns only the other's
-// set size. Its callers are the library's facade and the examples
-// (Example 2 counts shared patients across jurisdictions); no daemon
-// route runs it, and the Result Integrator's dedupe links records with
-// Bloom-filter encodings instead. PrivateOverlap keeps nothing between
-// calls; Mediator.Overlap runs the same two steps and keeps the last
-// count.
-//
-// suite names the group both sources must use ("" lets each source pick
-// its preferred suite — safe only when the fleet is homogeneous; the
-// mediator's Overlap method passes the suite it negotiated at schema
-// refresh). The relay cross-checks the envelopes' suite attributes and
-// refuses to compare elements from diverging groups.
-func PrivateOverlap(ctx context.Context, a, b source.Endpoint, field, suite string) (int, error) {
-	aBlind, bBlind, err := blindBoth(ctx, a, b, field, suite)
-	if err != nil {
-		return 0, err
-	}
-	return countOverlap(ctx, a, b, aBlind, bBlind)
 }
 
 // blindBoth fetches each source's blinded column for field in suite.

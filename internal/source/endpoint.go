@@ -1,11 +1,13 @@
 package source
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/base64"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -51,7 +53,9 @@ type Endpoint interface {
 	// does not answer.
 	PSISuites(ctx context.Context) ([]string, error)
 	// PSIBlinded returns the source's blinded linkage items for a
-	// field, in the named suite ("" = the source's preferred suite).
+	// field, in the named suite ("" = the source's preferred suite),
+	// sorted, never in row order. A field the source's policy does not
+	// release is refused, as an answer (Retryable() false).
 	//
 	// Like Query's, its node may be one an earlier call returned, and
 	// is read-only for callers.
@@ -215,15 +219,8 @@ func (l *Local) suiteFor(name string) (psi.Suite, error) {
 	if name == "" {
 		name = adv[0]
 	}
-	ok := false
-	for _, a := range adv {
-		if a == name {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		return nil, fmt.Errorf("source %s: psi suite %q not advertised (have %v)", l.Src.Name(), name, adv)
+	if !slices.Contains(adv, name) {
+		return nil, answerError{fmt.Errorf("source %s: psi suite %q not advertised (have %v)", l.Src.Name(), name, adv)}
 	}
 	return psi.SuiteByName(name)
 }
@@ -321,13 +318,20 @@ func entityTag(body string) string {
 	return `"` + base64.RawURLEncoding.EncodeToString(sum[:]) + `"`
 }
 
-// blindedColumn returns field's blinded column in the named suite. The
-// party's secret is fixed, so the column changes only with the data: a
-// column whose data version matches the memoised one's is served as it
-// stands, and any other is read, blinded and encoded once and kept.
+// blindedColumn returns field's blinded column in the named suite. A
+// field the policy does not release at least in aggregate
+// (Source.blindable) is refused before any suite, column or entity tag is
+// looked at, so it gets no 304 either. The party's secret is fixed, so
+// the column changes only with the data: one whose data version matches
+// the memoised one's is served as it stands, and any other is read,
+// blinded, sorted by element encoding (two columns of one table then do
+// not join by position), encoded once and kept.
 func (l *Local) blindedColumn(ctx context.Context, field, suite string) (*keptReply, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if err := l.Src.blindable(field); err != nil {
+		return nil, answerError{err}
 	}
 	s, err := l.suiteFor(suite)
 	if err != nil {
@@ -350,7 +354,13 @@ func (l *Local) blindedColumn(ctx context.Context, field, suite string) (*keptRe
 		}
 		vals := l.Src.fieldValues(field, maxLinkageItems)
 		l.mBatch.Observe(float64(len(vals)))
-		c := encodeColumn(psi.MarshalElems(s, p.BlindBatch(vals)), version)
+		elems := p.BlindBatch(vals)
+		a, b := make([]byte, 0, s.ElementSize()), make([]byte, 0, s.ElementSize())
+		slices.SortFunc(elems, func(x, y psi.Element) int {
+			a, b = s.AppendElement(a[:0], x), s.AppendElement(b[:0], y)
+			return bytes.Compare(a, b)
+		})
+		c := encodeColumn(psi.MarshalElems(s, elems), version)
 		if keep {
 			c.etag = entityTag(c.body)
 			l.mu.Lock()

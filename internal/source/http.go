@@ -13,7 +13,6 @@ import (
 	"unsafe"
 
 	"privateiye/internal/obs"
-	"privateiye/internal/policy"
 	"privateiye/internal/schemamatch"
 	"privateiye/internal/xmltree"
 )
@@ -82,24 +81,6 @@ func NewHandler(l *Local) http.Handler {
 		}
 	})
 
-	mux.HandleFunc("POST /preferences", func(w http.ResponseWriter, r *http.Request) {
-		node, err := readNode(r.Body)
-		if err != nil {
-			fail(w, http.StatusBadRequest, err)
-			return
-		}
-		pol, err := policy.PolicyFromNode(node)
-		if err != nil {
-			fail(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := l.Src.AddPreference(pol); err != nil {
-			fail(w, http.StatusBadRequest, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-
 	mux.HandleFunc("GET /psi/suites", func(w http.ResponseWriter, r *http.Request) {
 		suites, err := l.PSISuites(r.Context())
 		if err != nil {
@@ -118,7 +99,8 @@ func NewHandler(l *Local) http.Handler {
 		}
 		c, err := l.blindedColumn(r.Context(), field, q.Get("suite"))
 		if err != nil {
-			fail(w, http.StatusInternalServerError, err)
+			// A field or suite the source refuses is its answer, not a fault.
+			fail(w, http.StatusForbidden, err)
 			return
 		}
 		if writeKept(w, r, c) {
@@ -412,10 +394,7 @@ func (c *Client) PSISuites(ctx context.Context) ([]string, error) {
 // PSIBlinded implements Endpoint. The client holds the last column it
 // read in each suite, and a GET of the same field revalidates it.
 func (c *Client) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.Node, error) {
-	path := "/psi/blinded?field=" + url.QueryEscape(field)
-	if suite != "" {
-		path += "&suite=" + url.QueryEscape(suite)
-	}
+	path := "/psi/blinded?field=" + url.QueryEscape(field) + "&suite=" + url.QueryEscape(suite)
 	return c.conditional(ctx, slotName{"psi/blinded", suite}, field, http.MethodGet, c.BaseURL+path, nil, "")
 }
 

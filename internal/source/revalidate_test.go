@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -14,7 +15,9 @@ import (
 
 	"privateiye/internal/mediator"
 	"privateiye/internal/obs"
+	"privateiye/internal/policy"
 	"privateiye/internal/psi"
+	"privateiye/internal/refusal"
 	"privateiye/internal/relational"
 	"privateiye/internal/source"
 	"privateiye/internal/xmltree"
@@ -41,13 +44,15 @@ func entityTag(body []byte) string {
 	return `"` + base64.RawURLEncoding.EncodeToString(sum[:]) + `"`
 }
 
-// observedSource is a relational source of one name table, with a
-// registry its handler serves at /metrics.
-func observedSource(t testing.TB, name string, tab *relational.Table) (*source.Local, *obs.Registry) {
+// observedSource is an open-policy relational source of the given
+// tables, with a registry its handler serves at /metrics.
+func observedSource(t testing.TB, name string, tabs ...*relational.Table) (*source.Local, *obs.Registry) {
 	t.Helper()
 	cat := relational.NewCatalog()
-	if err := cat.Add(tab); err != nil {
-		t.Fatal(err)
+	for _, tab := range tabs {
+		if err := cat.Add(tab); err != nil {
+			t.Fatal(err)
+		}
 	}
 	reg := obs.NewRegistry()
 	src, err := source.New(source.Config{Name: name, Catalog: cat, Policy: openPolicy(t, name), Obs: reg})
@@ -161,8 +166,93 @@ func TestConditionalBlindedGetIsRefusedAsThe200Is(t *testing.T) {
 	}
 }
 
+// A source blinds a field only while its policy and every preference
+// release it at least in aggregate. Any other field is refused as the
+// source's answer (a 403 over HTTP; Retryable() false and policy-denied
+// in process) before a suite or a tag is looked at: no ETag and never a
+// 304, and a withdrawn consent refuses the column its caller holds. A
+// suite the source does not advertise is refused as an answer too. What
+// it releases goes out sorted by element encoding, in every suite.
+func TestBlindedColumnAnswersToThePolicy(t *testing.T) {
+	tab := relational.NewTable("people", relational.MustSchema(
+		relational.Column{Name: "name", Type: relational.TString},
+		relational.Column{Name: "ssn", Type: relational.TString}))
+	for i, n := range names(20) {
+		if err := tab.Insert(relational.Row{relational.Str(n), relational.Str(strconv.Itoa(100 + i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat := relational.NewCatalog()
+	if err := cat.Add(tab); err != nil {
+		t.Fatal(err)
+	}
+	pol, err := policy.NewPolicy("R", policy.Deny,
+		policy.Rule{Item: "//people/row/name", Purpose: "treatment", Form: policy.Aggregate, Effect: policy.Allow, MaxLoss: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := source.New(source.Config{Name: "R", Catalog: cat, Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := source.NewLocal(src, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := source.NewHandler(local)
+
+	first := get(ctx, h, "/psi/blinded?field=name", "")
+	tag := first.Header().Get("ETag")
+	if first.Code != http.StatusOK || tag == "" {
+		t.Fatalf("a granted field: %d, ETag %q", first.Code, tag)
+	}
+	for _, suite := range []string{psi.SuiteNameX25519, psi.SuiteNameModP2048} {
+		rec := get(ctx, h, "/psi/blinded?field=name&suite="+suite, "")
+		n, err := xmltree.ParseString(rec.Body.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elems, err := psi.CheckedElems(n); err != nil || len(elems) != 20 || !slices.IsSorted(elems) {
+			t.Errorf("%s column: %d elements, %v; sorted %v", suite, len(elems), err, slices.IsSorted(elems))
+		}
+	}
+	refused := func(what, path, inm string) {
+		t.Helper()
+		rec := get(ctx, h, path, inm)
+		if rec.Code != http.StatusForbidden || rec.Header().Get("ETag") != "" || !strings.Contains(rec.Body.String(), "fully denied") {
+			t.Errorf("%s, If-None-Match %q: %d %q, ETag %q; want a 403 policy refusal", what, inm, rec.Code, rec.Body.String(), rec.Header().Get("ETag"))
+		}
+	}
+	for _, inm := range []string{"", tag, "*"} {
+		refused("a denied field", "/psi/blinded?field=ssn", inm)
+		refused("a denied field in a suite no build runs", "/psi/blinded?field=ssn&suite=p256", inm)
+		refused("a field no table holds", "/psi/blinded?field=nosuch", inm)
+		for _, pattern := range []string{"row/name", "*", "%20name"} {
+			refused("the pattern "+pattern, "/psi/blinded?field="+pattern, inm)
+		}
+	}
+	var r interface{ Retryable() bool }
+	if _, err := local.PSIBlinded(ctx, "ssn", ""); !errors.As(err, &r) || r.Retryable() || refusal.Classify(err) != refusal.Policy {
+		t.Errorf("in process, a denied field: %v, want a policy-denied answer", err)
+	}
+	if _, err := local.PSIBlinded(ctx, "name", "p256"); !errors.As(err, &r) || r.Retryable() {
+		t.Errorf("in process, a suite no build runs: %v, want an answer", err)
+	}
+
+	withdrawn, err := policy.NewPolicy("subject-3", policy.Allow,
+		policy.Rule{Item: "//people/row/name", Purpose: "any", Effect: policy.Deny})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.AddPreference(withdrawn); err != nil {
+		t.Fatal(err)
+	}
+	refused("a withdrawn consent", "/psi/blinded?field=name", tag)
+}
+
 // A column that is never kept carries no tag and never answers 304: a
-// source that holds documents, and a field no table holds.
+// source that holds documents. A field the source does not hold is
+// refused, with no tag, whatever If-None-Match carries.
 func TestUnkeptColumnsCarryNoETag(t *testing.T) {
 	root := xmltree.NewElem("reg").Append(xmltree.NewElem("patient").Append(xmltree.NewText("name", "alice")))
 	src, err := source.New(source.Config{Name: "D", Docs: []*xmltree.Node{root}, Policy: openPolicy(t, "D")})
@@ -178,15 +268,16 @@ func TestUnkeptColumnsCarryNoETag(t *testing.T) {
 		name string
 		h    http.Handler
 		path string
+		code int
 	}{
-		{"documents", source.NewHandler(d), "/psi/blinded?field=name"},
-		{"a field no table holds", source.NewHandler(a), "/psi/blinded?field=nosuch"},
+		{"documents", source.NewHandler(d), "/psi/blinded?field=name", http.StatusOK},
+		{"a field no table holds", source.NewHandler(a), "/psi/blinded?field=nosuch", http.StatusForbidden},
 	} {
 		first := get(ctx, tc.h, tc.path, "")
 		for _, inm := range []string{"", entityTag(first.Body.Bytes()), "*"} {
 			rec := get(ctx, tc.h, tc.path, inm)
-			if rec.Code != http.StatusOK || rec.Header().Get("ETag") != "" {
-				t.Errorf("%s, If-None-Match %q: %d, ETag %q; want 200 and none", tc.name, inm, rec.Code, rec.Header().Get("ETag"))
+			if rec.Code != tc.code || rec.Header().Get("ETag") != "" {
+				t.Errorf("%s, If-None-Match %q: %d, ETag %q; want %d and none", tc.name, inm, rec.Code, rec.Header().Get("ETag"), tc.code)
 			}
 		}
 	}
@@ -233,7 +324,11 @@ func TestRestartedSourceHasANewETag(t *testing.T) {
 // read sends the tag, is answered 304 and returns the very node the
 // first returned. Another field is asked for without a tag.
 func TestClientRevalidatesItsKeptColumn(t *testing.T) {
-	a, reg := observedSource(t, "A", nameTable(t, "people", "alice", "bob"))
+	towns := relational.NewTable("towns", relational.MustSchema(relational.Column{Name: "town", Type: relational.TString}))
+	if err := towns.Insert(relational.Row{relational.Str("leeds")}); err != nil {
+		t.Fatal(err)
+	}
+	a, reg := observedSource(t, "A", nameTable(t, "people", "alice", "bob"), towns)
 	var sent atomic.Pointer[string]
 	h := source.NewHandler(a)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -253,10 +348,11 @@ func TestClientRevalidatesItsKeptColumn(t *testing.T) {
 	if n := series(t, reg, `piye_psi_blinded_not_modified_total{source="A",suite="x25519"}`); n != 1 {
 		t.Errorf("%d 304s, want 1", n)
 	}
-	if _, err := c.PSIBlinded(ctx, "nosuch", ""); err != nil || *sent.Load() != "" {
+	if _, err := c.PSIBlinded(ctx, "town", ""); err != nil || *sent.Load() != "" {
 		t.Errorf("another field: %v, If-None-Match %q", err, *sent.Load())
 	}
-	// The unkept column replaced the slot, so the next read is a 200.
+	// The other field's column replaced the slot, so the next read is a
+	// 200.
 	if again := blinded(t, c); again.Text != first.Text || *sent.Load() != "" {
 		t.Errorf("after another field: If-None-Match %q, same column %v", *sent.Load(), again.Text == first.Text)
 	}

@@ -85,8 +85,9 @@ type Source struct {
 	plans    *qcache.Cache    // parse/plan cache; nil when disabled
 	pipe     *obs.Pipeline    // the frame around the stages; nil when uninstrumented
 
-	mu    sync.RWMutex
-	prefs []*policy.Policy // registered data-subject preferences
+	mu        sync.RWMutex
+	prefs     []*policy.Policy  // registered data-subject preferences
+	psiGrants map[string]uint64 // the policy epoch each blindable field was granted at
 	// prefEpoch counts AddPreference calls; with the access store's own
 	// counter it forms the policy epoch every cached plan is stamped with.
 	prefEpoch atomic.Uint64
@@ -196,10 +197,11 @@ func New(cfg Config) (*Source, error) {
 		cfg.ClusterKB = kb
 	}
 	s := &Source{
-		cfg:     cfg,
-		matcher: schemamatch.NewMatcher(),
-		rng:     stats.NewRand(cfg.Seed ^ 0x9e3779b97f4a7c15),
-		plans:   qcache.New(cfg.PlanCache),
+		cfg:       cfg,
+		matcher:   schemamatch.NewMatcher(),
+		rng:       stats.NewRand(cfg.Seed ^ 0x9e3779b97f4a7c15),
+		plans:     qcache.New(cfg.PlanCache),
+		psiGrants: map[string]uint64{},
 	}
 	s.summary = s.buildSummary()
 	s.resolver = s.matcher.ResolverFor(s.summary.LeafNames())
@@ -338,6 +340,51 @@ func (s *Source) fieldValues(name string, limit int) []string {
 		}
 	}
 	return out
+}
+
+// blindable refuses a field unless, for some purpose, the source policy
+// and every preference (policy.Combine, as the rewriter consults them)
+// grant at least Aggregate at each path whose last label it is, the paths
+// fieldValues reads: the overlap releases a count, never a value, and a
+// registry may grant names only in aggregate. Any other field, a pattern
+// included, is refused too, as "fully denied" (refusal.Policy). A grant
+// is kept per field, stamped with the policy epoch read before deciding:
+// a warm call compares two integers; only labels the source holds are kept.
+func (s *Source) blindable(field string) error {
+	epoch := s.policyEpoch()
+	s.mu.RLock()
+	at, ok := s.psiGrants[field]
+	s.mu.RUnlock()
+	if ok && at == epoch {
+		return nil
+	}
+	suffix := "/" + field
+	labelled := func(p string) bool { return strings.HasSuffix(p, suffix) }
+	if strings.Contains(field, "/") || !s.summary.AnyPath(labelled) {
+		return fmt.Errorf("source %s: psi column fully denied: no such field", s.cfg.Name)
+	}
+	authorities := append([]*policy.Policy{s.cfg.Policy}, s.Preferences()...)
+	decisions := make([]policy.Decision, len(authorities))
+	for _, purpose := range s.cfg.Purposes.Purposes() {
+		req := policy.Request{Purpose: purpose, Form: policy.Aggregate}
+		if s.summary.AnyPath(func(p string) bool {
+			if !labelled(p) {
+				return false
+			}
+			req.ItemPath = p
+			for i, a := range authorities {
+				decisions[i] = a.Decide(req, s.cfg.Purposes)
+			}
+			return !policy.Combine(decisions...).Allowed
+		}) {
+			continue
+		}
+		s.mu.Lock()
+		s.psiGrants[field] = epoch
+		s.mu.Unlock()
+		return nil
+	}
+	return fmt.Errorf("source %s: psi column fully denied: no purpose grants the field in aggregate", s.cfg.Name)
 }
 
 // columnVersion is the data version of fieldValues' column for name: the

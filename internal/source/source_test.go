@@ -425,38 +425,6 @@ func TestAddPreferenceTightensDisclosure(t *testing.T) {
 	}
 }
 
-func TestPreferencesOverHTTP(t *testing.T) {
-	src := hospitalSource(t)
-	local, err := NewLocal(src, []byte("salt"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := httptest.NewServer(NewHandler(local))
-	defer server.Close()
-
-	prefXML := `<policy owner="subject-9" default="allow">
-  <rule item="//patients/row/age" purpose="research" effect="deny"/>
-</policy>`
-	resp, err := server.Client().Post(server.URL+"/preferences", "application/xml", strings.NewReader(prefXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 204 {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	client := NewClient(server.URL, "hospitalA")
-	if _, err := client.Query(bg, "FOR //patients/row RETURN //age PURPOSE research MAXLOSS 0.9", "r"); err == nil {
-		t.Error("preference registered over HTTP should deny")
-	}
-	// Bad payloads rejected.
-	resp, _ = server.Client().Post(server.URL+"/preferences", "application/xml", strings.NewReader("<notpolicy/>"))
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Errorf("bad policy status = %d", resp.StatusCode)
-	}
-}
-
 func TestSourceWithCertifiedKAnonymity(t *testing.T) {
 	// A source whose preservation KB routes identity breaches to the
 	// certified k-anonymizer: every released identifying result is
