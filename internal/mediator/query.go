@@ -86,7 +86,7 @@ func (m *Mediator) denialReason(err error) string {
 // reason.
 func (m *Mediator) QueryContext(ctx context.Context, piqlText, requester string) (*Integrated, error) {
 	t0 := time.Now()
-	trace := m.pipe.Start(requester, piqlText)
+	trace := m.pipe.Start(requester, piqlText, len(m.cfg.Endpoints))
 	if m.shard != nil {
 		trace.SetShard(m.shard.id)
 	}

@@ -20,6 +20,7 @@ import (
 // no-op that skips even the clock read.
 type Pipeline struct {
 	tracer   *Tracer
+	spans    int // the stage table's length: what a trace is sized for besides its calls
 	latency  *Histogram
 	stages   map[string]*Histogram
 	outcomes map[string]*Counter
@@ -52,6 +53,7 @@ func NewPipeline(reg *Registry, tracer *Tracer, prefix string, labels, stages []
 	reg.Help(prefix+"_stage_seconds", "Per-stage latency of the pipeline.")
 	p := &Pipeline{
 		tracer:   tracer,
+		spans:    len(stages),
 		latency:  reg.Histogram(prefix+"_query_seconds", nil, labels...),
 		stages:   map[string]*Histogram{},
 		outcomes: map[string]*Counter{},
@@ -74,12 +76,14 @@ func NewPipeline(reg *Registry, tracer *Tracer, prefix string, labels, stages []
 func (p *Pipeline) Tracing() bool { return p != nil && p.tracer != nil }
 
 // Start begins the per-query trace: nil, which is valid everywhere
-// downstream, when tracing is off.
-func (p *Pipeline) Start(requester, query string) *Trace {
+// downstream, when tracing is off. calls is how many spans outside the
+// stage table the query may record (the mediator's per-source calls); the
+// trace is sized for those and the stages, so recording never regrows it.
+func (p *Pipeline) Start(requester, query string, calls int) *Trace {
 	if !p.Tracing() {
 		return nil
 	}
-	return p.tracer.Start(requester, query)
+	return p.tracer.start(requester, query, p.spans+calls)
 }
 
 // Now is a stage's start time (zero when uninstrumented: never read).

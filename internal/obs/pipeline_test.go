@@ -37,7 +37,7 @@ func TestPipelineRecordsUnderPrefixAndConstantLabels(t *testing.T) {
 
 	finish := func(answered string, err error, stages ...error) {
 		t0 := time.Now()
-		tr := p.Start("alice", "q")
+		tr := p.Start("alice", "q", 0)
 		for i, serr := range stages {
 			p.Stage(tr, []string{"plan", "run"}[i], p.Now(), serr)
 		}
@@ -48,7 +48,7 @@ func TestPipelineRecordsUnderPrefixAndConstantLabels(t *testing.T) {
 	denied := errors.New("source a: query fully denied: id: denied")
 	finish(OutcomeAnswered, denied, denied)
 	// Turned away before any stage: a refusal with no spans.
-	p.Finish(p.Start("bob", "q"), time.Now(), OutcomeAnswered, errors.New("mediator: shard b is not the owner of requester bob (owner a)"))
+	p.Finish(p.Start("bob", "q", 0), time.Now(), OutcomeAnswered, errors.New("mediator: shard b is not the owner of requester bob (owner a)"))
 
 	var buf strings.Builder
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -95,7 +95,7 @@ func TestNilPipelineIsTheUninstrumentedEngine(t *testing.T) {
 		t.Fatal("no registry and no tracer should build no pipeline")
 	}
 	var p *Pipeline
-	if p.Tracing() || p.Start("r", "q") != nil || !p.Now().IsZero() {
+	if p.Tracing() || p.Start("r", "q", 0) != nil || !p.Now().IsZero() {
 		t.Fatal("nil pipeline must not trace or read the clock")
 	}
 	p.Stage(nil, "plan", time.Time{}, nil)
@@ -103,12 +103,16 @@ func TestNilPipelineIsTheUninstrumentedEngine(t *testing.T) {
 	p.Finish(nil, time.Time{}, OutcomeAnswered, errors.New("x"))
 
 	// A tracer alone is enough to trace; the nil registry's handles no-op.
+	// The trace is sized for the stage table and the calls, and recording
+	// them all does not regrow it.
 	traced := NewPipeline(nil, NewTracer(1), "piye_x", nil, []string{"plan"})
-	tr := traced.Start("r", "q")
+	tr := traced.Start("r", "q", 2)
 	traced.Stage(tr, "plan", traced.Now(), nil)
+	traced.Span(tr, nil, "source", "a", traced.Now(), nil)
+	traced.Span(tr, nil, "source", "b", traced.Now(), nil)
 	traced.Finish(tr, time.Now(), OutcomeAnswered, nil)
-	if len(tr.Spans) != 1 || tr.Outcome != OutcomeAnswered {
-		t.Fatalf("tracer-only pipeline recorded %+v", tr)
+	if len(tr.Spans) != 3 || cap(tr.Spans) != 3 || tr.Outcome != OutcomeAnswered {
+		t.Fatalf("tracer-only pipeline recorded %+v (capacity %d, want 3)", tr, cap(tr.Spans))
 	}
 }
 

@@ -155,9 +155,15 @@ func (tr *Tracer) Pseudonym(requester string) string {
 	return "r-" + hex.EncodeToString(mac.Sum(nil)[:8])
 }
 
-// Start begins a trace for one query. Returns nil (a valid no-op trace)
-// on a nil tracer.
+// Start begins a trace for one query, sized for a few spans (the
+// router's lookup and proxy hops); a Pipeline sizes its own traces for its
+// stages and calls. Returns nil (a valid no-op trace) on a nil tracer.
 func (tr *Tracer) Start(requester, query string) *Trace {
+	return tr.start(requester, query, 8)
+}
+
+// start is Start with room for spans spans before the slice regrows.
+func (tr *Tracer) start(requester, query string, spans int) *Trace {
 	if tr == nil {
 		return nil
 	}
@@ -166,10 +172,8 @@ func (tr *Tracer) Start(requester, query string) *Trace {
 		Requester: requester,
 		Query:     query,
 		Begin:     time.Now(),
-		// Pre-size for a typical pipeline (7 mediator stages + a few
-		// source spans) so recording spans does not regrow the slice.
-		Spans:  make([]Span, 0, 8),
-		tracer: tr,
+		Spans:     make([]Span, 0, spans),
+		tracer:    tr,
 	}
 }
 

@@ -3,6 +3,7 @@ package piql
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,11 +81,43 @@ func (x *RowIndex) ID(row []string) (id int, first bool) {
 	return id, !ok
 }
 
+// collapseScan is how many distinct rows Collapse finds by comparing each
+// row with those it has kept, before it numbers them through a RowIndex.
+const collapseScan = 16
+
 // Collapse returns r's distinct rows (r's own, not copies) in
 // first-occurrence order, each with the number of r's rows it stands for.
 // Preservation releases a bag of a few distinct rows, so this is what a
-// source ships (DESIGN.md §15).
+// source ships (DESIGN.md §15). Up to collapseScan distinct rows are found
+// by a linear scan, with no map, and the output is sized to them; past
+// that, a RowIndex numbers the rows.
 func (r *Result) Collapse() *Result {
+	var first, mult [collapseScan]int // each kept row's index in r, its count
+	n := 0
+	for i, row := range r.Rows {
+		k := 0
+		for k < n && !slices.Equal(r.Rows[first[k]], row) {
+			k++
+		}
+		if k == n {
+			if n == collapseScan {
+				return r.collapseIndexed()
+			}
+			first[n] = i
+			n++
+		}
+		mult[k] += r.Count(i)
+	}
+	out := &Result{Columns: r.Columns, Rows: make([][]string, n), Mult: make([]int, n)}
+	for k := range n {
+		out.Rows[k] = r.Rows[first[k]]
+	}
+	copy(out.Mult, mult[:n])
+	return out
+}
+
+// collapseIndexed is Collapse through a RowIndex, for many distinct rows.
+func (r *Result) collapseIndexed() *Result {
 	out := &Result{Columns: r.Columns, Rows: make([][]string, 0, len(r.Rows)), Mult: make([]int, 0, len(r.Rows))}
 	var idx RowIndex
 	for i, row := range r.Rows {

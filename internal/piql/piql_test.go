@@ -1,9 +1,11 @@
 package piql
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -682,11 +684,14 @@ func TestCollapseAllocatesPerResult(t *testing.T) {
 			t.Errorf("%s: reading %v allocs for 120 rows, %v for 1200", name, a, b)
 		}
 	}
-	// One column, seven distinct rows: the result, its two slices and the
-	// index's map. A key per distinct row would be seven more.
+	// One column, seven distinct rows: the result and its two slices, each
+	// sized to the seven. An index's map would be two more.
 	seven := one(700)
-	if got := testing.AllocsPerRun(20, func() { seven.Collapse() }); got > 5 {
+	if got := testing.AllocsPerRun(20, func() { seven.Collapse() }); got > 3 {
 		t.Errorf("collapsing a one-column result costs %v allocs", got)
+	}
+	if c := seven.Collapse(); cap(c.Rows) != 7 || cap(c.Mult) != 7 {
+		t.Errorf("collapsed seven distinct rows into capacities %d and %d", cap(c.Rows), cap(c.Mult))
 	}
 	var idx RowIndex
 	row := []string{"40-49", "F"}
@@ -739,5 +744,60 @@ func TestRedactReplacesLiteralsWithPlaceholders(t *testing.T) {
 		if got := Redact(c.in); got != c.want {
 			t.Errorf("Redact(%q) =\n  %q\nwant\n  %q", c.in, got, c.want)
 		}
+	}
+}
+
+// Collapse's scan keeps what the RowIndex path keeps, in the same order
+// with the same counts, on either side of the scan's bound, with and
+// without multiplicities, and tells apart rows whose cells concatenate
+// alike.
+func TestCollapseScanMatchesIndex(t *testing.T) {
+	rows := func(distinct, width int) [][]string {
+		out := NewRows(3*distinct+1, width)
+		for i, row := range out {
+			for j := range row {
+				row[j] = strconv.Itoa((i*7 + j) % max(distinct, 1))
+			}
+		}
+		if distinct == 0 {
+			return nil
+		}
+		return out
+	}
+	type input struct {
+		name     string
+		res      *Result
+		distinct int
+	}
+	var cases []input
+	for _, d := range []int{0, 1, collapseScan, collapseScan + 1} {
+		for _, w := range []int{1, 2} {
+			r := rows(d, w)
+			cases = append(cases, input{fmt.Sprintf("%d distinct, width %d", d, w), &Result{Columns: []string{"a", "b"}[:w], Rows: r}, d})
+			mult := make([]int, len(r))
+			for i := range mult {
+				mult[i] = 1 + i%3
+			}
+			cases = append(cases, input{fmt.Sprintf("%d distinct, width %d, with Mult", d, w), &Result{Columns: []string{"a", "b"}[:w], Rows: r, Mult: mult}, d})
+		}
+	}
+	cases = append(cases, input{"concatenations coincide", &Result{
+		Columns: []string{"x", "y"},
+		Rows:    [][]string{{"a", "bc"}, {"ab", "c"}, {"a", "bc"}, {"", "abc"}, {"abc", ""}},
+	}, 4})
+	for _, tc := range cases {
+		got, want := tc.res.Collapse(), tc.res.collapseIndexed()
+		if !slices.EqualFunc(got.Rows, want.Rows, slices.Equal) || !slices.Equal(got.Mult, want.Mult) || !slices.Equal(got.Columns, want.Columns) {
+			t.Errorf("%s: scan kept %q × %v, index %q × %v", tc.name, got.Rows, got.Mult, want.Rows, want.Mult)
+		}
+		if len(got.Rows) != tc.distinct {
+			t.Errorf("%s: kept %d rows", tc.name, len(got.Rows))
+		}
+		if len(got.Rows) > 0 && &got.Rows[0][0] != &want.Rows[0][0] {
+			t.Errorf("%s: the scan's rows are not the input's own", tc.name)
+		}
+	}
+	if c := cases[len(cases)-1].res.Collapse(); len(c.Rows) != 4 || !slices.Equal(c.Mult, []int{2, 1, 1, 1}) {
+		t.Errorf("rows whose cells concatenate alike collapsed to %q × %v", c.Rows, c.Mult)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"slices"
 	"strings"
+
+	"privateiye/internal/piql"
 )
 
 // AggFunc enumerates aggregate functions. The statistical-database
@@ -171,6 +173,103 @@ func (q *Query) Execute(c *Catalog) (*Result, error) {
 		res.Rows = res.Rows[:q.Limit]
 	}
 	return res, nil
+}
+
+// ExecuteText evaluates the query and renders its answer as text, each
+// cell its Value.String(): the form a source preserves and ships. A plain
+// selection (no aggregate, join, ORDER BY or LIMIT) goes straight from
+// the table's rows to text: WHERE is evaluated once per row into a match
+// bitmap, and the selected cells are written into one piql.NewRows slab
+// sized to the match count. Every other query runs through Execute and is
+// converted. It answers what Execute answers, cell for cell, and fails
+// where Execute fails.
+//
+// A plain selection's Columns is the plan's Select (the table schema's
+// names for SELECT *), not a copy: the caller must not write through it.
+func (q *Query) ExecuteText(c *Catalog) (*piql.Result, error) {
+	if q.IsAggregate() || q.Join != nil || len(q.OrderBy) > 0 || q.Limit > 0 {
+		res, err := q.Execute(c)
+		if err != nil {
+			return nil, err
+		}
+		out := &piql.Result{Columns: res.Schema.Names()}
+		out.Rows = piql.NewRows(len(res.Rows), len(out.Columns))
+		for j, row := range res.Rows {
+			for i, v := range row {
+				out.Rows[j][i] = v.String()
+			}
+		}
+		return out, nil
+	}
+	base, err := c.Table(q.From)
+	if err != nil {
+		return nil, err
+	}
+	schema, rows := base.Schema(), base.Rows()
+
+	// One WHERE pass: the bitmap both counts the slab and picks its rows.
+	n := len(rows)
+	var words [16]uint64 // 1,024 rows without an allocation
+	var match []uint64
+	if q.Where != nil {
+		match = words[:]
+		if w := (len(rows) + 63) / 64; w > len(words) {
+			match = make([]uint64, w)
+		}
+		n = 0
+		for i, r := range rows {
+			v, err := q.Where.Eval(schema, r)
+			if err != nil {
+				return nil, err
+			}
+			if truthy(v) {
+				match[i/64] |= 1 << (i % 64)
+				n++
+			}
+		}
+	}
+
+	// The columns, checked as Execute's projection checks them.
+	names := q.Select
+	var idxBuf [8]int
+	var idx []int // nil: every column, in schema order
+	if len(names) == 0 {
+		names = schema.names
+	} else {
+		idx = idxBuf[:0]
+		for _, name := range names {
+			k := schema.Index(name)
+			if k < 0 {
+				return nil, fmt.Errorf("relational: unknown column %q", name)
+			}
+			idx = append(idx, k)
+		}
+		for i, name := range names {
+			if slices.Contains(names[:i], name) {
+				return nil, fmt.Errorf("relational: duplicate column %q", name)
+			}
+		}
+	}
+
+	out := &piql.Result{Columns: names, Rows: piql.NewRows(n, len(names))}
+	j := 0
+	for i, r := range rows {
+		if match != nil && match[i/64]&(1<<(i%64)) == 0 {
+			continue
+		}
+		row := out.Rows[j]
+		j++
+		if idx == nil {
+			for k, v := range r {
+				row[k] = v.String()
+			}
+			continue
+		}
+		for k, col := range idx {
+			row[k] = r[col].String()
+		}
+	}
+	return out, nil
 }
 
 func hashJoin(c *Catalog, leftName string, leftSchema *Schema, leftRows []Row, js *JoinSpec) (*Schema, []Row, error) {

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -734,4 +735,118 @@ func TestRowsConcurrentWithInsert(t *testing.T) {
 	if tab.Len() != n {
 		t.Fatalf("table holds %d rows, want %d", tab.Len(), n)
 	}
+}
+
+// textOf is the conversion a source applied to Execute's answer before
+// ExecuteText: the schema's names, and each cell's String().
+func textOf(res *Result) (cols []string, rows [][]string) {
+	cols = res.Schema.Names()
+	for _, row := range res.Rows {
+		cells := make([]string, len(row))
+		for i, v := range row {
+			cells[i] = v.String()
+		}
+		rows = append(rows, cells)
+	}
+	return cols, rows
+}
+
+// ExecuteText answers what Execute answers, converted to text, cell for
+// cell, and fails where Execute fails: on the plain selections it renders
+// straight from the table and on every shape it hands to Execute.
+func TestExecuteTextMatchesExecute(t *testing.T) {
+	c := complianceCatalog(t)
+	mixed := NewTable("mixed", MustSchema(
+		Column{"s", TString}, Column{"f", TFloat}, Column{"b", TBool}, Column{"n", TInt},
+	))
+	for _, r := range []Row{
+		{Str("a"), Float(1.5), Bool(true), Int(7)},
+		{Null(TString), Float(-0.25), Bool(false), Null(TInt)},
+		{Str("c; d"), Null(TFloat), Null(TBool), Int(-3)},
+		{Str(""), Float(1e21), Bool(true), Int(1 << 40)},
+	} {
+		if err := mixed.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Add(mixed); err != nil {
+		t.Fatal(err)
+	}
+	// A table past the bitmap's on-stack words.
+	wide := NewTable("wide", MustSchema(Column{"i", TInt}, Column{"odd", TBool}))
+	for i := range 1500 {
+		if err := wide.Insert(Row{Int(int64(i)), Bool(i%2 == 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Add(wide); err != nil {
+		t.Fatal(err)
+	}
+	gt := func(col string, v Value) Expr { return Cmp{Op: Gt, L: ColRef{Name: col}, R: Lit{V: v}} }
+	for _, tc := range []struct {
+		name string
+		q    Query
+	}{
+		{"select star", Query{From: "mixed"}},
+		{"select star where", Query{From: "mixed", Where: Cmp{Op: Eq, L: ColRef{Name: "b"}, R: Lit{V: Bool(true)}}}},
+		{"null, float, bool and string cells", Query{From: "mixed", Select: []string{"b", "s", "n", "f"}}},
+		{"projection where", Query{From: "compliance", Where: gt("rate", Float(50)), Select: []string{"rate", "hmo"}}},
+		{"empty result", Query{From: "compliance", Where: gt("rate", Float(1000)), Select: []string{"hmo"}}},
+		{"empty star", Query{From: "compliance", Where: gt("rate", Float(1000))}},
+		{"every row matches", Query{From: "compliance", Where: gt("rate", Float(0)), Select: []string{"test"}}},
+		{"past the on-stack bitmap", Query{From: "wide", Where: ColRef{Name: "odd"}, Select: []string{"i"}}},
+		{"unknown column", Query{From: "compliance", Select: []string{"hmo", "nope"}}},
+		{"unknown and duplicate column", Query{From: "compliance", Select: []string{"hmo", "hmo", "nope"}}},
+		{"duplicate column", Query{From: "compliance", Where: gt("rate", Float(50)), Select: []string{"hmo", "hmo"}}},
+		{"where evaluation error", Query{From: "compliance", Where: gt("nope", Float(1)), Select: []string{"hmo"}}},
+		{"unknown table", Query{From: "nope"}},
+		{"aggregate", Query{From: "compliance", GroupBy: []string{"test"}, Aggregates: []Aggregate{{Func: Avg, Col: "rate", As: "avg"}, {Func: Count, As: "n"}}}},
+		{"join", Query{From: "compliance", Join: &JoinSpec{Table: "hmos", LeftCol: "hmo", RightCol: "hmo"}, Select: []string{"test", "county"}}},
+		{"order by", Query{From: "compliance", Select: []string{"rate"}, OrderBy: []string{"rate"}}},
+		{"limit", Query{From: "compliance", Where: gt("rate", Float(50)), Select: []string{"hmo"}, Limit: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, werr := tc.q.Execute(c)
+			got, gerr := tc.q.ExecuteText(c)
+			if werr != nil || gerr != nil {
+				if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+					t.Fatalf("errors differ: Execute %v, ExecuteText %v", werr, gerr)
+				}
+				return
+			}
+			cols, rows := textOf(want)
+			// No rows are nil, as piql.NewRows makes them.
+			if !slices.Equal(got.Columns, cols) || len(got.Rows) != len(rows) || (got.Rows == nil) != (rows == nil) || got.Mult != nil {
+				t.Fatalf("got columns %q, %d rows, mult %v; want %q, %d rows", got.Columns, len(got.Rows), got.Mult, cols, len(rows))
+			}
+			for i := range rows {
+				if !slices.Equal(got.Rows[i], rows[i]) {
+					t.Fatalf("row %d: got %q, want %q", i, got.Rows[i], rows[i])
+				}
+			}
+		})
+	}
+}
+
+// A plain selection's WHERE runs once per row, however many rows pass.
+func TestExecuteTextEvaluatesWhereOncePerRow(t *testing.T) {
+	c := complianceCatalog(t)
+	counted := &countingExpr{Expr: Cmp{Op: Gt, L: ColRef{Name: "rate"}, R: Lit{V: Float(50)}}}
+	q := Query{From: "compliance", Where: counted, Select: []string{"hmo"}}
+	if _, err := q.ExecuteText(c); err != nil {
+		t.Fatal(err)
+	}
+	if counted.n != 12 {
+		t.Errorf("WHERE evaluated %d times over 12 rows", counted.n)
+	}
+}
+
+type countingExpr struct {
+	Expr
+	n int
+}
+
+func (e *countingExpr) Eval(s *Schema, r Row) (Value, error) {
+	e.n++
+	return e.Expr.Eval(s, r)
 }

@@ -18,11 +18,12 @@ type Column struct {
 type Schema struct {
 	Columns []Column
 	byName  map[string]int
+	names   []string // the column names in order, shared read-only (ExecuteText)
 }
 
 // NewSchema builds a schema, rejecting duplicate column names.
 func NewSchema(cols ...Column) (*Schema, error) {
-	s := &Schema{Columns: cols, byName: make(map[string]int, len(cols))}
+	s := &Schema{Columns: cols, byName: make(map[string]int, len(cols)), names: make([]string, len(cols))}
 	for i, c := range cols {
 		if c.Name == "" {
 			return nil, fmt.Errorf("relational: empty column name at index %d", i)
@@ -31,6 +32,7 @@ func NewSchema(cols ...Column) (*Schema, error) {
 			return nil, fmt.Errorf("relational: duplicate column %q", c.Name)
 		}
 		s.byName[c.Name] = i
+		s.names[i] = c.Name
 	}
 	return s, nil
 }

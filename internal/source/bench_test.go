@@ -31,9 +31,11 @@ const (
 
 	// warmSelectionAllocBound caps a warm Local.Query of benchSelection,
 	// which executes, preserves and tags ~220 rows on every call:
-	// measured 38, against 62 when every preservation step copied the
-	// rows and the selection grew its filtered slice by doubling.
-	warmSelectionAllocBound = 45
+	// measured 24, against 38 when the selection copied its rows as
+	// relational Values before rendering them as text and Collapse sized
+	// its output to its input, and 62 when every preservation step copied
+	// the rows and the selection grew its filtered slice by doubling.
+	warmSelectionAllocBound = 30
 )
 
 func benchSource(tb testing.TB, planCache int) *Source {

@@ -489,9 +489,10 @@ func TestWarmExecuteAllocationBound(t *testing.T) {
 	}
 }
 
-// A warm plain query copies its rows once for preservation: the bound
-// fails if a preservation step copies them again, or if the selection's
-// filtered slice grows by doubling.
+// A warm plain query renders its selected rows as text once and copies
+// them once for preservation: the bound fails if the selection copies its
+// rows as Values again, if a preservation step copies them again, or if
+// Collapse sizes its output to its input.
 func TestWarmSelectionAllocationBound(t *testing.T) {
 	local, err := NewLocal(benchSource(t, 64), []byte("salt"), nil)
 	if err != nil {

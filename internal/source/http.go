@@ -177,13 +177,26 @@ func SetXMLContentType(h http.Header) { h["Content-Type"] = xmlContentType }
 // bytes; anything near the bound is not a query.
 const MaxQueryBytes = 1 << 20
 
+// smallQueryBytes bounds a body ReadQueryBody reads in one exact slice
+// by its declared length. Only a bound this small may be trusted to size
+// an allocation: a client could declare 1 MiB and send nothing.
+const smallQueryBytes = 4 << 10
+
 // ReadQueryBody reads a POST /query body of at most MaxQueryBytes. A
 // larger body is refused with 413 — never truncated and parsed as its
-// prefix — and any other read failure with 400; ok is false once an
-// error response has been written. Shared by every daemon that accepts
-// PIQL text (source, mediator, router).
+// prefix — and any other read failure, a body shorter than its declared
+// length included, with 400; ok is false once an error response has been
+// written. A body declaring at most smallQueryBytes (a PIQL text is a few
+// hundred) is read once into a slice of exactly that length. Shared by
+// every daemon that accepts PIQL text (source, mediator, router).
 func ReadQueryBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxQueryBytes))
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= smallQueryBytes {
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	} else {
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, MaxQueryBytes))
+	}
 	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError

@@ -116,6 +116,7 @@ type planEntry struct {
 	breach    preserve.BreachClass
 	technique preserve.Technique
 	techName  string // technique.Name(), rendered once
+	budget    string // outcome.Budget as the answer's budget attribute, rendered once
 	plan      *optimizer.Plan
 	// rel is the rewritten query compiled for the relational engine; nil
 	// when it has no relational shape and the XML evaluator runs it. It
@@ -473,6 +474,7 @@ func (s *Source) planFor(q *piql.Query, canonical, requester string) (*planEntry
 	entry := &planEntry{
 		outcome: outcome, breach: cl.Breach,
 		technique: technique, techName: technique.Name(), plan: plan,
+		budget: strconv.FormatFloat(outcome.Budget, 'g', -1, 64),
 	}
 	// 4. Query Transformer: the relational form, when there is one.
 	if s.cfg.Catalog != nil {
@@ -526,7 +528,7 @@ func (s *Source) execute(q *piql.Query, canonical, requester string) (*Answer, e
 		canonical = q.String()
 	}
 	t0 := time.Now()
-	trace := s.pipe.Start(requester, canonical)
+	trace := s.pipe.Start(requester, canonical, 0)
 	ans, outcome, err := s.executeStages(q, canonical, requester, trace)
 	s.pipe.Finish(trace, t0, outcome, err)
 	return ans, err
@@ -605,7 +607,7 @@ func (s *Source) executeStages(q *piql.Query, canonical, requester string, trace
 	}
 	// An aggregate's rows are distinct by group key and ship as they are;
 	// what decides is the query as sent, which is what the mediator reads.
-	ans.Node = s.tag(ans, !q.IsAggregate())
+	ans.Node = s.tag(ans, entry.budget, !q.IsAggregate())
 	if entry.tables != nil {
 		ans.kept = keep(ans.Node, version)
 		entry.memo.Store(ans)
@@ -618,11 +620,7 @@ func (s *Source) executeStages(q *piql.Query, canonical, requester string, trace
 // XML otherwise.
 func (s *Source) executeRaw(q *piql.Query, rel *relational.Query) (*piql.Result, error) {
 	if rel != nil {
-		res, err := rel.Execute(s.cfg.Catalog)
-		if err != nil {
-			return nil, err
-		}
-		return ResultToPIQL(res), nil
+		return rel.ExecuteText(s.cfg.Catalog)
 	}
 	merged := &piql.Result{}
 	opts := piql.EvalOptions{Resolver: s.resolver}
@@ -708,14 +706,15 @@ func (s *Source) contextIndexSet(rq *relational.Query) ([]int, bool) {
 }
 
 // tag is the Metadata Tagger: it annotates the XML answer with the
-// privacy metadata the mediator needs for its second-level checks. With
-// collapse, each distinct row ships once and counts says how many it is.
-func (s *Source) tag(a *Answer, collapse bool) *xmltree.Node {
+// privacy metadata the mediator needs for its second-level checks: budget
+// is a.Rewrite.Budget as its plan rendered it. With collapse, each
+// distinct row ships once and counts says how many it is.
+func (s *Source) tag(a *Answer, budget string, collapse bool) *xmltree.Node {
 	root := xmltree.NewElem("answer").
 		SetAttr("source", s.cfg.Name).
 		SetAttr("breach", a.Breach.String()).
 		SetAttr("technique", a.Technique).
-		SetAttr("budget", strconv.FormatFloat(a.Rewrite.Budget, 'g', -1, 64)).
+		SetAttr("budget", budget).
 		SetAttr("estloss", strconv.FormatFloat(a.EstimatedLoss, 'g', -1, 64))
 	for _, d := range a.Rewrite.DroppedReturns {
 		root.Append(xmltree.NewText("dropped", d.What).SetAttr("reason", d.Reason))
@@ -739,16 +738,23 @@ func estimateLoss(before, after *piql.Result) float64 {
 	if len(before.Rows) == 0 || len(before.Columns) == 0 {
 		return 0
 	}
-	afterCol := map[string]int{}
-	for i, c := range after.Columns {
-		afterCol[c] = i
+	// Each column's last place in after, -1 once dropped: looked up once
+	// per column, not per cell, by a scan that for a result's few columns
+	// costs less than building a map.
+	var atBuf [8]int
+	at := atBuf[:0]
+	for _, name := range before.Columns {
+		j := len(after.Columns) - 1
+		for j >= 0 && after.Columns[j] != name {
+			j--
+		}
+		at = append(at, j)
 	}
 	var lost float64
 	total := float64(len(before.Rows) * len(before.Columns))
 	for r, row := range before.Rows {
-		for c, name := range before.Columns {
-			j, ok := afterCol[name]
-			if !ok || r >= len(after.Rows) {
+		for c, j := range at {
+			if j < 0 || r >= len(after.Rows) {
 				lost++
 				continue
 			}

@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -881,6 +882,83 @@ func TestPlainAnswerShipsDistinctRowsWithMultiplicities(t *testing.T) {
 		}
 		if c, ok := ans.Node.Attr("counts"); ok || len(ans.Node.Child("result").Children) != len(ans.Result.Rows) {
 			t.Errorf("%s: counts %q on %d shipped rows for %d released", q, c, len(ans.Node.Child("result").Children), len(ans.Result.Rows))
+		}
+	}
+}
+
+// A plain answer's raw result names its columns with the plan's own slice
+// (relational.Query.ExecuteText): no technique of DefaultRegistry, nor
+// loss estimation, collapsing or tagging, writes through it, so a cached
+// plan names the same columns after every answer it served.
+func TestPlanColumnsSurviveEveryTechnique(t *testing.T) {
+	base := hospitalSource(t).cfg
+	for _, class := range preserve.Classes() {
+		tech := preserve.DefaultRegistry().For(class)
+		t.Run(class.String(), func(t *testing.T) {
+			reg := preserve.NewRegistry()
+			for _, c := range preserve.Classes() {
+				reg.Register(c, tech)
+			}
+			cfg := base
+			cfg.Registry, cfg.PlanCache = reg, 16
+			src, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, text := range []string{
+				"FOR //patients/row WHERE //age > 40 RETURN //age, //sex PURPOSE research MAXLOSS 0.9",
+				"FOR //patients/row RETURN //name, //age, //sex PURPOSE treatment MAXLOSS 0.9",
+			} {
+				q, err := piql.Parse(text)
+				if err != nil {
+					t.Fatal(err)
+				}
+				entry, err := src.planFor(q, q.String(), "alice")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if entry.rel == nil || len(entry.rel.Select) == 0 {
+					t.Fatalf("%s: no relational selection planned", text)
+				}
+				want := slices.Clone(entry.rel.Select)
+				for i := range 3 {
+					ans, err := src.Execute(q, fmt.Sprintf("r%d", i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ans.Technique != tech.Name() {
+						t.Fatalf("answered under %s, want %s", ans.Technique, tech.Name())
+					}
+				}
+				again, err := src.planFor(q, q.String(), "alice")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again != entry || !slices.Equal(entry.rel.Select, want) {
+					t.Errorf("%s: the plan names %q after its answers, want %q (same entry: %v)", text, entry.rel.Select, want, again == entry)
+				}
+			}
+		})
+	}
+}
+
+// estimateLoss counts a dropped, masked or missing cell as lost and a
+// coarsened one as half lost; a column named twice in the preserved result
+// is read at its last place.
+func TestEstimateLoss(t *testing.T) {
+	before := &piql.Result{Columns: []string{"age", "name", "zip"}, Rows: [][]string{{"41", "Ann", "15213"}, {"52", "Bob", "15217"}}}
+	for _, tc := range []struct {
+		name  string
+		after *piql.Result
+		want  float64
+	}{
+		{"intact", before, 0},
+		{"dropped, masked, coarsened and suppressed", &piql.Result{Columns: []string{"zip", "age"}, Rows: [][]string{{"*", "40-49"}}}, 5.5 / 6},
+		{"a column named twice", &piql.Result{Columns: []string{"age", "name", "zip", "age"}, Rows: [][]string{{"x", "Ann", "15213", "41"}, {"x", "Bob", "", "50-59"}}}, 1.5 / 6},
+		{"nothing left", &piql.Result{Columns: []string{}}, 1},
+	} {
+		if got := estimateLoss(before, tc.after); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s: loss %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

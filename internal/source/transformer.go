@@ -267,16 +267,3 @@ func literalValue(lit string, t relational.Type) (relational.Value, bool) {
 	}
 	return relational.Value{}, false
 }
-
-// ResultToPIQL converts a relational result to the framework's wire
-// result shape (the XML Transformer's job for relational answers).
-func ResultToPIQL(res *relational.Result) *piql.Result {
-	out := &piql.Result{Columns: res.Schema.Names()}
-	out.Rows = piql.NewRows(len(res.Rows), len(out.Columns))
-	for j, row := range res.Rows {
-		for i, v := range row {
-			out.Rows[j][i] = v.String()
-		}
-	}
-	return out
-}
