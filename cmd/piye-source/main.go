@@ -2,8 +2,9 @@
 // It hosts a demo clinical dataset (or the Figure 1 compliance table, or
 // an outbreak surveillance stream), loads its privacy policy from an XML
 // file or uses a conservative default, and serves the source protocol:
-// /summary, /profiles, /query, /psi/*. Data-subject preferences are read
-// from -preferences files at start-up.
+// /summary (its description: summary, field profiles and PSI suites),
+// /query, /psi/*. Data-subject preferences are read from -preferences
+// files at start-up.
 //
 // Usage:
 //

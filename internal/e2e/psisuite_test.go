@@ -19,6 +19,7 @@ import (
 	"privateiye/internal/psi"
 	"privateiye/internal/relational"
 	"privateiye/internal/source"
+	"privateiye/internal/xmltree"
 
 	"net/http/httptest"
 )
@@ -71,20 +72,36 @@ func suiteNode(t *testing.T, name string, advertised []string) *httptest.Server 
 	return srv
 }
 
-// noSuitesNode is a node from a build before suite negotiation: every
-// route but /psi/suites, which answers 404.
-func noSuitesNode(t *testing.T, name string) *httptest.Server {
+// summaryNode is a current node whose GET /summary answers only the
+// <path> children of its own answer, followed by extra.
+func summaryNode(t *testing.T, name string, extra ...*xmltree.Node) *httptest.Server {
 	t.Helper()
 	h := suiteHandler(t, name, nil)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/psi/suites" {
-			http.NotFound(w, r)
+		if r.URL.Path != "/summary" {
+			h.ServeHTTP(w, r)
 			return
 		}
-		h.ServeHTTP(w, r)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		n, err := xmltree.ParseBytes(rec.Body.Bytes())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		out := xmltree.NewElem("summary").Append(n.ChildrenNamed("path")...)
+		source.WriteNode(w, out.Append(extra...))
 	}))
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// noSuitesNode is a node from a build before suite negotiation: its
+// GET /summary is the summary alone, paths only, with no profiles and
+// no suites beside it.
+func noSuitesNode(t *testing.T, name string) *httptest.Server {
+	t.Helper()
+	return summaryNode(t, name)
 }
 
 func suiteMediator(t *testing.T, nodes map[string]*httptest.Server) *mediator.Mediator {
@@ -184,8 +201,9 @@ func TestMixedSuiteFleetWithInProcessSources(t *testing.T) {
 // p256, so a fleet with such sources in it, old sources only included,
 // must negotiate the modp2048 floor and keep the overlap exact — not
 // pick p256 and fail every overlap on the relay's width check. A node
-// from before negotiation, with no /psi/suites route, is held to the
-// floor by schema refresh.
+// from before negotiation, whose summary carries no suites, is held to
+// the floor by schema refresh, and so is one whose advertisement is
+// empty or names only suites this build does not run.
 func TestOldCurveFleetFallsToTheFloor(t *testing.T) {
 	old := []string{"p256", psi.SuiteNameModP2048}
 	for name, fleet := range map[string]func(t *testing.T) [2]*httptest.Server{
@@ -197,6 +215,13 @@ func TestOldCurveFleetFallsToTheFloor(t *testing.T) {
 		},
 		"no suites route": func(t *testing.T) [2]*httptest.Server {
 			return [2]*httptest.Server{noSuitesNode(t, "alpha"), suiteNode(t, "beta", nil)}
+		},
+		"empty suites": func(t *testing.T) [2]*httptest.Server {
+			return [2]*httptest.Server{summaryNode(t, "alpha", xmltree.NewElem("psi-suites")), suiteNode(t, "beta", nil)}
+		},
+		"unknown suites only": func(t *testing.T) [2]*httptest.Server {
+			unknown := xmltree.NewElem("psi-suites").Append(xmltree.NewText("s", "p256"), xmltree.NewText("s", "p384"))
+			return [2]*httptest.Server{summaryNode(t, "alpha", unknown), suiteNode(t, "beta", nil)}
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -261,8 +261,8 @@ func TestInternalHopsReturnRedirects(t *testing.T) {
 	c := source.NewClient(moved.URL, "moved")
 	ctx := context.Background()
 	_, qerr := c.Query(ctx, perTestQuery, "dr-moved")
-	_, gerr := c.PSISuites(ctx)
-	for route, err := range map[string]error{"POST /query": qerr, "GET /psi/suites": gerr} {
+	_, gerr := c.Describe(ctx)
+	for route, err := range map[string]error{"POST /query": qerr, "GET /summary": gerr} {
 		var he *source.HTTPError
 		if !errors.As(err, &he) || he.Status != http.StatusTemporaryRedirect {
 			t.Errorf("mediator→source %s: %v, want the 307 as an HTTPError", route, err)

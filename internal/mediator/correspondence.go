@@ -17,8 +17,9 @@ type Correspondence struct {
 	Score           float64
 }
 
-// refreshCorrespondences matches every pair of sources' profiles. Called
-// under m.mu by RefreshSchema's caller path; takes the fetched profiles.
+// refreshCorrespondences matches every pair of sources' profiles.
+// RefreshSchemaContext calls it before taking m.mu: it reads only the
+// profiles the refresh fetched and the matcher, which is read-only.
 func (m *Mediator) refreshCorrespondences(profiles map[string][]schemamatch.FieldProfile) []Correspondence {
 	names := make([]string, 0, len(profiles))
 	for n := range profiles {

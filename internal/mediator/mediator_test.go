@@ -14,6 +14,7 @@ import (
 	"privateiye/internal/preserve"
 	"privateiye/internal/psi"
 	"privateiye/internal/relational"
+	"privateiye/internal/resilience"
 	"privateiye/internal/source"
 	"privateiye/internal/xmltree"
 )
@@ -352,10 +353,43 @@ func TestNegotiateSuite(t *testing.T) {
 		{"all old", [][]string{old, old}, psi.SuiteNameModP2048},
 		{"old first", [][]string{old, current}, psi.SuiteNameModP2048},
 		{"nothing shared", [][]string{{"p256"}, {psi.SuiteNameX25519}}, psi.SuiteNameModP2048},
+		// What a describe answer reads as when its <psi-suites> is
+		// missing, empty, or names only suites this build does not run.
+		{"no advertisement", [][]string{current, nil}, psi.SuiteNameModP2048},
+		{"empty advertisement", [][]string{{}, current}, psi.SuiteNameModP2048},
+		{"unknown names only", [][]string{current, {"p256", "p384"}}, psi.SuiteNameModP2048},
+		{"nobody advertises", [][]string{nil, nil}, psi.SuiteNameModP2048},
 	} {
 		if got := negotiateSuite(psi.SuiteNameX25519, c.fleet); got != c.want {
 			t.Errorf("%s: negotiated %q, want %q", c.name, got, c.want)
 		}
+	}
+}
+
+// Schema refresh asks each source one thing, its description: one call
+// per source per refresh, whatever it carries.
+func TestRefreshSchemaCallsEachSourceOnce(t *testing.T) {
+	var chaos []*resilience.Chaos
+	var eps []source.Endpoint
+	for _, ep := range twoHospitals(t) {
+		c := resilience.NewChaos(ep, resilience.ChaosConfig{})
+		chaos, eps = append(chaos, c), append(eps, c)
+	}
+	m, err := New(Config{Endpoints: eps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := []int{chaos[0].Calls(), chaos[1].Calls()}
+	if err := m.RefreshSchema(); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range chaos {
+		if n := c.Calls() - before[i]; n != 1 {
+			t.Errorf("%s: a refresh made %d calls, want 1", c.Name(), n)
+		}
+	}
+	if !m.MediatedSchema().Has("/patients/row/age") || m.PSISuite() != psi.SuiteNameX25519 {
+		t.Errorf("the one call lost part of the description: suite %q", m.PSISuite())
 	}
 }
 

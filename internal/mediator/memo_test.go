@@ -61,11 +61,12 @@ func (e *switchEndpoint) Query(ctx context.Context, text, requester string) (*xm
 	return e.Endpoint.Query(ctx, text, requester)
 }
 
-func (e *switchEndpoint) FetchSummary(ctx context.Context) (*xmltree.Summary, error) {
-	if e.hide.Load() {
-		return xmltree.NewSummary(), nil
+func (e *switchEndpoint) Describe(ctx context.Context) (*source.Description, error) {
+	d, err := e.Endpoint.Describe(ctx)
+	if err != nil || !e.hide.Load() {
+		return d, err
 	}
-	return e.Endpoint.FetchSummary(ctx)
+	return &source.Description{Summary: xmltree.NewSummary(), Profiles: d.Profiles, Suites: d.Suites}, nil
 }
 
 // memoSources are three compliance sources (alpha, beta, gamma) whose

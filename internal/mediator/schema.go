@@ -1,9 +1,10 @@
 package mediator
 
-// Mediated schema generation: schema refresh over the sources' partial
-// summaries, PSI suite negotiation riding along, the PSI overlap relay
-// over the negotiated suite, and the Fragmenter's source selection over
-// the result.
+// Mediated schema generation: schema refresh over the sources'
+// descriptions (partial summaries, field profiles, PSI suites), suite
+// negotiation over their advertisements, the PSI overlap relay over the
+// negotiated suite, and the Fragmenter's source selection over the
+// result.
 
 import (
 	"context"
@@ -24,64 +25,48 @@ func (m *Mediator) RefreshSchema() error {
 	return m.RefreshSchemaContext(context.Background())
 }
 
-// RefreshSchemaContext re-runs Mediated Schema Generation: fetch every
-// source's partial summary (concurrently, under one deadline for the
-// whole fan-out, Config.SourceTimeout) and merge them. Sources that fail
-// to answer are skipped (they simply contribute nothing to the mediated
-// schema).
+// RefreshSchemaContext re-runs Mediated Schema Generation: ask every
+// source to describe itself, once (concurrently, under one deadline for
+// the whole fan-out, Config.SourceTimeout), and merge the summaries.
+// Sources that fail to answer are skipped (they simply contribute
+// nothing to the mediated schema).
 func (m *Mediator) RefreshSchemaContext(ctx context.Context) error {
-	type fetched struct {
-		sum      *xmltree.Summary
-		profiles []schemamatch.FieldProfile
-		suites   []string
-	}
-	results := make([]fetched, len(m.cfg.Endpoints))
+	descs := make([]source.Description, len(m.cfg.Endpoints))
 	fctx, cancel := m.fanoutCtx(ctx)
 	var wg sync.WaitGroup
 	for i, ep := range m.cfg.Endpoints {
 		wg.Add(1)
 		go func(i int, ep source.Endpoint) {
 			defer wg.Done()
-			sum, err := ep.FetchSummary(fctx)
-			if err != nil {
-				return
-			}
-			results[i].sum = sum
-			if ps, err := ep.FetchProfiles(fctx); err == nil {
-				results[i].profiles = ps
-			}
-			// Suite capability ride-along: a source that answers its
-			// summary but not its suites (no route, a transport error) is
-			// held to modp2048 — fail closed, not open.
-			if ss, err := ep.PSISuites(fctx); err == nil && len(ss) > 0 {
-				results[i].suites = ss
-			} else {
-				results[i].suites = []string{psi.SuiteNameModP2048}
+			if d, err := ep.Describe(fctx); err == nil && d != nil {
+				descs[i] = *d
 			}
 		}(i, ep)
 	}
 	wg.Wait()
 	cancel()
 
-	// Merge in endpoint order so the mediated schema is deterministic.
+	// Merge in endpoint order so the mediated schema is deterministic. A
+	// source that advertises no suite (an older build, an unreadable
+	// advertisement) holds the fleet to modp2048: negotiateSuite fails
+	// closed, not open.
 	merged := xmltree.NewSummary()
 	bySource := map[string]*xmltree.Summary{}
 	profiles := map[string][]schemamatch.FieldProfile{}
 	var advertisements [][]string
-	okCount := 0
 	for i, ep := range m.cfg.Endpoints {
-		if results[i].sum == nil {
+		d := descs[i]
+		if d.Summary == nil {
 			continue
 		}
-		bySource[ep.Name()] = results[i].sum
-		merged.Merge(results[i].sum)
-		okCount++
-		advertisements = append(advertisements, results[i].suites)
-		if results[i].profiles != nil {
-			profiles[ep.Name()] = results[i].profiles
+		bySource[ep.Name()] = d.Summary
+		merged.Merge(d.Summary)
+		advertisements = append(advertisements, d.Suites)
+		if d.Profiles != nil {
+			profiles[ep.Name()] = d.Profiles
 		}
 	}
-	if okCount == 0 {
+	if len(advertisements) == 0 {
 		return fmt.Errorf("mediator: no source produced a summary")
 	}
 	suite := negotiateSuite(m.cfg.PSISuite, advertisements)
@@ -128,7 +113,8 @@ func (m *Mediator) MediatedSchema() *xmltree.Summary {
 // advertises that; otherwise the hard fail-closed floor, modp2048 — a
 // suite nobody advertised is still better than two sources running
 // different groups and comparing meaningless bytes. A name only another
-// build runs, like an older build's curve suite, is never picked.
+// build runs, like an older build's curve suite, is never picked, and an
+// empty advertisement has neither suite in it.
 func negotiateSuite(preferred string, advertisements [][]string) string {
 	if len(advertisements) == 0 {
 		return preferred

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"privateiye/internal/schemamatch"
 	"privateiye/internal/source"
 	"privateiye/internal/xmltree"
 )
@@ -15,17 +14,11 @@ import (
 type stubEndpoint struct{ name string }
 
 func (s stubEndpoint) Name() string { return s.name }
-func (s stubEndpoint) FetchSummary(context.Context) (*xmltree.Summary, error) {
-	return xmltree.NewSummary(), nil
-}
-func (s stubEndpoint) FetchProfiles(context.Context) ([]schemamatch.FieldProfile, error) {
-	return nil, nil
+func (s stubEndpoint) Describe(context.Context) (*source.Description, error) {
+	return &source.Description{Summary: xmltree.NewSummary(), Suites: []string{"x25519", "modp2048"}}, nil
 }
 func (s stubEndpoint) Query(context.Context, string, string) (*xmltree.Node, error) {
 	return xmltree.NewElem("answer"), nil
-}
-func (s stubEndpoint) PSISuites(context.Context) ([]string, error) {
-	return []string{"x25519", "modp2048"}, nil
 }
 func (s stubEndpoint) PSIBlinded(context.Context, string, string) (*xmltree.Node, error) {
 	return xmltree.NewElem("elems"), nil
@@ -82,11 +75,11 @@ func TestChaosFlapSchedule(t *testing.T) {
 func TestChaosDownInjectsMarkedError(t *testing.T) {
 	c := NewChaos(stubEndpoint{name: "s"}, ChaosConfig{})
 	c.SetDown(true)
-	if _, err := c.FetchSummary(bg); !errors.Is(err, ErrInjected) {
+	if _, err := c.Describe(bg); !errors.Is(err, ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
 	c.SetDown(false)
-	if _, err := c.FetchSummary(bg); err != nil {
+	if _, err := c.Describe(bg); err != nil {
 		t.Fatalf("recovered chaos should pass through: %v", err)
 	}
 }

@@ -35,11 +35,9 @@ var psiBatchBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384}
 type Endpoint interface {
 	// Name identifies the source.
 	Name() string
-	// FetchSummary returns the redacted structural summary (partial
-	// schema).
-	FetchSummary(ctx context.Context) (*xmltree.Summary, error)
-	// FetchProfiles returns shareable field profiles for schema matching.
-	FetchProfiles(ctx context.Context) ([]schemamatch.FieldProfile, error)
+	// Describe returns what the source shares about its schema, the one
+	// thing schema refresh reads from it.
+	Describe(ctx context.Context) (*Description, error)
 	// Query executes a PIQL fragment and returns the tagged XML answer.
 	//
 	// The answer may be a node an earlier call returned: a memoised
@@ -47,11 +45,6 @@ type Endpoint interface {
 	// the client's kept reply (Client). Callers read it and never
 	// change it (Clone first).
 	Query(ctx context.Context, piqlText, requester string) (*xmltree.Node, error)
-	// PSISuites lists the PSI group suites this source supports, in
-	// preference order. The mediator intersects these across the fleet
-	// during schema refresh and fails closed to modp2048 when a source
-	// does not answer.
-	PSISuites(ctx context.Context) ([]string, error)
 	// PSIBlinded returns the source's blinded linkage items for a
 	// field, in the named suite ("" = the source's preferred suite),
 	// sorted, never in row order. A field the source's policy does not
@@ -63,6 +56,18 @@ type Endpoint interface {
 	// PSIExponentiate raises peer-blinded elements to this source's
 	// secret, preserving order.
 	PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error)
+}
+
+// Description is a source's self-description for Mediated Schema
+// Generation: its redacted structural summary (partial schema), its
+// shareable field profiles for schema matching, and the PSI group
+// suites it runs, in preference order. The mediator intersects the
+// suites across the fleet and holds a source that advertises none to
+// modp2048.
+type Description struct {
+	Summary  *xmltree.Summary
+	Profiles []schemamatch.FieldProfile
+	Suites   []string
 }
 
 // Local wraps a Source as an in-process Endpoint.
@@ -133,20 +138,12 @@ var defaultSuites = []string{psi.SuiteNameX25519, psi.SuiteNameModP2048}
 // Name implements Endpoint.
 func (l *Local) Name() string { return l.Src.Name() }
 
-// FetchSummary implements Endpoint.
-func (l *Local) FetchSummary(ctx context.Context) (*xmltree.Summary, error) {
+// Describe implements Endpoint. The suites are the caller's copy.
+func (l *Local) Describe(ctx context.Context) (*Description, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return l.Src.Summary(), nil
-}
-
-// FetchProfiles implements Endpoint.
-func (l *Local) FetchProfiles(ctx context.Context) ([]schemamatch.FieldProfile, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return l.Src.Profiles(), nil
+	return &Description{Summary: l.Src.Summary(), Profiles: l.Src.Profiles(), Suites: slices.Clone(l.advertised())}, nil
 }
 
 // Query implements Endpoint. Every error but a context error is the
@@ -200,14 +197,6 @@ func (l *Local) advertised() []string {
 		return l.AdvertisedSuites
 	}
 	return defaultSuites
-}
-
-// PSISuites implements Endpoint.
-func (l *Local) PSISuites(ctx context.Context) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return append([]string(nil), l.advertised()...), nil
 }
 
 // suiteFor resolves a requested suite name against the advertisement:

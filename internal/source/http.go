@@ -41,21 +41,12 @@ func NewHandler(l *Local) http.Handler {
 		Counter("piye_source_query_not_modified_total", "source", l.Name())
 
 	mux.HandleFunc("GET /summary", func(w http.ResponseWriter, r *http.Request) {
-		sum, err := l.FetchSummary(r.Context())
+		d, err := l.Describe(r.Context())
 		if err != nil {
 			fail(w, http.StatusInternalServerError, err)
 			return
 		}
-		WriteNode(w, sum.ToNode())
-	})
-
-	mux.HandleFunc("GET /profiles", func(w http.ResponseWriter, r *http.Request) {
-		ps, err := l.FetchProfiles(r.Context())
-		if err != nil {
-			fail(w, http.StatusInternalServerError, err)
-			return
-		}
-		WriteNode(w, schemamatch.ProfilesToNode(ps))
+		WriteNode(w, d.toNode())
 	})
 
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
@@ -79,15 +70,6 @@ func NewHandler(l *Local) http.Handler {
 		} else if writeKept(w, r, ans.kept) {
 			queryNotModified.Inc()
 		}
-	})
-
-	mux.HandleFunc("GET /psi/suites", func(w http.ResponseWriter, r *http.Request) {
-		suites, err := l.PSISuites(r.Context())
-		if err != nil {
-			fail(w, http.StatusInternalServerError, err)
-			return
-		}
-		WriteNode(w, suitesToNode(suites))
 	})
 
 	mux.HandleFunc("GET /psi/blinded", func(w http.ResponseWriter, r *http.Request) {
@@ -264,11 +246,6 @@ func NewClient(baseURL, sourceName string) *Client {
 // Name implements Endpoint.
 func (c *Client) Name() string { return c.SourceName }
 
-func (c *Client) getNode(ctx context.Context, path string) (*xmltree.Node, error) {
-	n, _, err := c.call(ctx, http.MethodGet, c.BaseURL+path, nil, "", heldReply{})
-	return n, err
-}
-
 // call sends one exchange to target, a URL on the node, and parses its
 // 200, returned with its entity tag. held is the reply the caller holds
 // for it: its tag goes out as If-None-Match and a 304 returns its node;
@@ -302,22 +279,50 @@ func (c *Client) call(ctx context.Context, method, target string, body []byte, r
 	return n, r.ETag, err
 }
 
-// FetchSummary implements Endpoint.
-func (c *Client) FetchSummary(ctx context.Context) (*xmltree.Summary, error) {
-	n, err := c.getNode(ctx, "/summary")
+// Describe implements Endpoint: one GET /summary.
+func (c *Client) Describe(ctx context.Context) (*Description, error) {
+	n, _, err := c.call(ctx, http.MethodGet, c.BaseURL+"/summary", nil, "", heldReply{})
 	if err != nil {
 		return nil, err
 	}
-	return xmltree.SummaryFromNode(n), nil
+	return descriptionFromNode(n), nil
 }
 
-// FetchProfiles implements Endpoint.
-func (c *Client) FetchProfiles(ctx context.Context) ([]schemamatch.FieldProfile, error) {
-	n, err := c.getNode(ctx, "/profiles")
-	if err != nil {
-		return nil, err
+// toNode encodes d as GET /summary's body: the summary's own encoding,
+// with the profiles and the suite advertisement as two more children.
+//
+//	<summary><path p="/patients"/>…<profiles>…</profiles><psi-suites>
+//	<s>x25519</s><s>modp2048</s></psi-suites></summary>
+//
+// A reader that knows only summaries (xmltree.SummaryFromNode) reads
+// the <path> children and skips the rest.
+func (d *Description) toNode() *xmltree.Node {
+	root := d.Summary.ToNode()
+	suites := xmltree.NewElem("psi-suites")
+	for _, s := range d.Suites {
+		suites.Append(xmltree.NewText("s", s))
 	}
-	return schemamatch.ProfilesFromNode(n)
+	return root.Append(schemamatch.ProfilesToNode(d.Profiles), suites)
+}
+
+// descriptionFromNode decodes toNode's encoding, and what an older
+// build's /summary serves: <profiles> that are missing or do not decode
+// read as none, with the summary kept, and a missing or empty
+// <psi-suites> as no advertisement, which schema refresh holds to
+// modp2048.
+func descriptionFromNode(n *xmltree.Node) *Description {
+	d := &Description{Summary: xmltree.SummaryFromNode(n)}
+	if p := n.Child("profiles"); p != nil {
+		d.Profiles, _ = schemamatch.ProfilesFromNode(p)
+	}
+	if s := n.Child("psi-suites"); s != nil {
+		for _, c := range s.ChildrenNamed("s") {
+			if c.Text != "" {
+				d.Suites = append(d.Suites, c.Text)
+			}
+		}
+	}
+	return d
 }
 
 // conditional sends a call asked by key into slot: when the slot holds a
@@ -366,42 +371,6 @@ func (c *Client) queryTarget() string {
 		c.queryBase, c.queryURL = c.BaseURL, c.BaseURL+"/query"
 	}
 	return c.queryURL
-}
-
-// suitesToNode encodes a suite advertisement:
-//
-//	<psi-suites><s>x25519</s><s>modp2048</s></psi-suites>
-func suitesToNode(suites []string) *xmltree.Node {
-	root := xmltree.NewElem("psi-suites")
-	for _, s := range suites {
-		root.Append(xmltree.NewText("s", s))
-	}
-	return root
-}
-
-// suitesFromNode decodes a suite advertisement.
-func suitesFromNode(n *xmltree.Node) ([]string, error) {
-	if n.Name != "psi-suites" {
-		return nil, fmt.Errorf("source: expected <psi-suites>, got <%s>", n.Name)
-	}
-	var out []string
-	for _, c := range n.ChildrenNamed("s") {
-		if c.Text != "" {
-			out = append(out, c.Text)
-		}
-	}
-	return out, nil
-}
-
-// PSISuites implements Endpoint. Any error, a node without the route
-// included, is the caller's to handle: schema refresh holds a source
-// that does not answer to modp2048.
-func (c *Client) PSISuites(ctx context.Context) ([]string, error) {
-	n, err := c.getNode(ctx, "/psi/suites")
-	if err != nil {
-		return nil, err
-	}
-	return suitesFromNode(n)
 }
 
 // PSIBlinded implements Endpoint. The client holds the last column it

@@ -28,7 +28,7 @@ import (
 // bg is the background context for endpoint calls that need no deadline.
 var bg = context.Background()
 
-func hospitalSource(t *testing.T) *Source {
+func hospitalSource(t testing.TB) *Source {
 	t.Helper()
 	g := clinical.NewGenerator(41)
 	cat := relational.NewCatalog()
@@ -321,24 +321,21 @@ func TestHTTPEndpointParity(t *testing.T) {
 	defer server.Close()
 	client := NewClient(server.URL, "hospitalA")
 
-	// Summary parity.
-	ls, _ := local.FetchSummary(bg)
-	cs, err := client.FetchSummary(bg)
+	// Description parity: one GET /summary carries the summary's paths,
+	// the profiles and the suites in preference order.
+	ld, _ := local.Describe(bg)
+	cd, err := client.Describe(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ls.Len() != cs.Len() {
-		t.Errorf("summary sizes differ: %d vs %d", ls.Len(), cs.Len())
+	if lp, cp := sharedPaths(ld.Summary), sharedPaths(cd.Summary); len(lp) == 0 || !slices.Equal(lp, cp) {
+		t.Errorf("summary paths differ:\n local %v\nclient %v", lp, cp)
 	}
-
-	// Profiles parity.
-	lp, _ := local.FetchProfiles(bg)
-	cp, err := client.FetchProfiles(bg)
-	if err != nil {
-		t.Fatal(err)
+	if len(ld.Profiles) == 0 || !reflect.DeepEqual(ld.Profiles, cd.Profiles) {
+		t.Errorf("profiles differ:\n local %v\nclient %v", ld.Profiles, cd.Profiles)
 	}
-	if len(lp) != len(cp) {
-		t.Errorf("profiles differ: %d vs %d", len(lp), len(cp))
+	if !slices.Equal(ld.Suites, cd.Suites) {
+		t.Errorf("suites differ: local %v, client %v", ld.Suites, cd.Suites)
 	}
 
 	// Query over HTTP.
@@ -386,8 +383,17 @@ func TestNewLocalValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := l.PSISuites(bg); !slices.Equal(got, []string{psi.SuiteNameX25519, psi.SuiteNameModP2048}) {
-		t.Errorf("default advertisement = %v, want [x25519 modp2048]", got)
+	d, err := l.Describe(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(d.Suites, []string{psi.SuiteNameX25519, psi.SuiteNameModP2048}) {
+		t.Errorf("default advertisement = %v, want [x25519 modp2048]", d.Suites)
+	}
+	// The advertisement is the caller's copy.
+	d.Suites[0] = "changed"
+	if again, _ := l.Describe(bg); again.Suites[0] != psi.SuiteNameX25519 {
+		t.Errorf("a caller's edit reached the advertisement: %v", again.Suites)
 	}
 }
 
@@ -569,10 +575,7 @@ func TestClientErrorPaths(t *testing.T) {
 	if c.Name() != "ghost" {
 		t.Errorf("name = %q", c.Name())
 	}
-	if _, err := c.FetchSummary(bg); err == nil {
-		t.Error("dead node should error")
-	}
-	if _, err := c.FetchProfiles(bg); err == nil {
+	if _, err := c.Describe(bg); err == nil {
 		t.Error("dead node should error")
 	}
 	if _, err := c.Query(bg, "FOR //x RETURN //y", "r"); err == nil {
@@ -628,8 +631,7 @@ func TestLocalEndpointName(t *testing.T) {
 }
 
 // A suite is resolved on every PSI call, so each suite is built once,
-// not per call: resolving allocates nothing, and listing the suites
-// allocates only the caller's copy.
+// not per call: resolving allocates nothing.
 func TestSuiteResolutionAllocations(t *testing.T) {
 	local, err := NewLocal(hospitalSource(t), []byte("s"), nil)
 	if err != nil {
@@ -642,9 +644,6 @@ func TestSuiteResolutionAllocations(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { local.suiteFor(name) }); n != 0 {
 			t.Errorf("suiteFor(%q): %v allocs, want 0", name, n)
 		}
-	}
-	if n := testing.AllocsPerRun(100, func() { local.PSISuites(bg) }); n != 1 {
-		t.Errorf("PSISuites: %v allocs, want 1 (the returned copy)", n)
 	}
 }
 
@@ -820,17 +819,24 @@ func TestPSIExponentiateWarmEnvelopeHits(t *testing.T) {
 	}
 }
 
-func TestClientPSISuitesLegacyServer(t *testing.T) {
-	// A server with no /psi/suites route gets no answer made up for it:
-	// the client reports the error, and schema refresh holds the node to
-	// modp2048 (the mediator's and e2e's negotiation tests).
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.NotFound(w, r)
+func TestClientDescribeOlderSummaryAdvertisesNone(t *testing.T) {
+	// A node whose /summary carries no suites, as an older build's does,
+	// gets no advertisement made up for it: schema refresh holds the node
+	// to modp2048 (the mediator's and e2e's negotiation tests).
+	older := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/summary" {
+			http.NotFound(w, r)
+			return
+		}
+		WriteNode(w, hospitalSource(t).Summary().ToNode())
 	}))
-	defer legacy.Close()
-	c := NewClient(legacy.URL, "legacy")
-	if suites, err := c.PSISuites(bg); err == nil {
-		t.Fatalf("a 404 must reach the caller as an error, got suites %v", suites)
+	defer older.Close()
+	d, err := NewClient(older.URL, "older").Describe(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Suites != nil || d.Profiles != nil || d.Summary.Len() == 0 {
+		t.Fatalf("an older summary read as suites %v, %d profiles, %d paths; want none, none and its paths", d.Suites, len(d.Profiles), d.Summary.Len())
 	}
 
 	// A current server advertises the curve first.
@@ -841,11 +847,11 @@ func TestClientPSISuitesLegacyServer(t *testing.T) {
 	}
 	server := httptest.NewServer(NewHandler(local))
 	defer server.Close()
-	got, err := NewClient(server.URL, "hospitalA").PSISuites(bg)
+	d, err = NewClient(server.URL, "hospitalA").Describe(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != psi.SuiteNameX25519 || got[1] != psi.SuiteNameModP2048 {
+	if got := d.Suites; len(got) != 2 || got[0] != psi.SuiteNameX25519 || got[1] != psi.SuiteNameModP2048 {
 		t.Fatalf("advertised = %v, want [x25519 modp2048]", got)
 	}
 }

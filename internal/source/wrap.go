@@ -3,7 +3,6 @@ package source
 import (
 	"context"
 
-	"privateiye/internal/schemamatch"
 	"privateiye/internal/xmltree"
 )
 
@@ -37,27 +36,15 @@ func run[T any](ctx context.Context, around Around, call func(context.Context) (
 
 func (w *wrapped) Name() string { return w.inner.Name() }
 
-func (w *wrapped) FetchSummary(ctx context.Context) (*xmltree.Summary, error) {
-	return run[*xmltree.Summary](ctx, w.around, func(ctx context.Context) (any, error) {
-		return w.inner.FetchSummary(ctx)
-	})
-}
-
-func (w *wrapped) FetchProfiles(ctx context.Context) ([]schemamatch.FieldProfile, error) {
-	return run[[]schemamatch.FieldProfile](ctx, w.around, func(ctx context.Context) (any, error) {
-		return w.inner.FetchProfiles(ctx)
+func (w *wrapped) Describe(ctx context.Context) (*Description, error) {
+	return run[*Description](ctx, w.around, func(ctx context.Context) (any, error) {
+		return w.inner.Describe(ctx)
 	})
 }
 
 func (w *wrapped) Query(ctx context.Context, piqlText, requester string) (*xmltree.Node, error) {
 	return run[*xmltree.Node](ctx, w.around, func(ctx context.Context) (any, error) {
 		return w.inner.Query(ctx, piqlText, requester)
-	})
-}
-
-func (w *wrapped) PSISuites(ctx context.Context) ([]string, error) {
-	return run[[]string](ctx, w.around, func(ctx context.Context) (any, error) {
-		return w.inner.PSISuites(ctx)
 	})
 }
 
