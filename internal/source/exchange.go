@@ -80,7 +80,9 @@ const maxPooledBody = 1 << 20
 // written. The peer is dialled directly, never through a proxy, and its
 // answer is returned as sent: a 3xx is not followed. The deadline set on
 // the connection is ctx's, or exchangeCeiling when it has none; a ctx
-// that ends fails the exchange at once with an error wrapping ctx.Err().
+// that ends fails the exchange at once with an error wrapping ctx.Err(),
+// through its connection's watcher (watchedConn), so an exchange
+// registers nothing with ctx.
 // A request that fails on a pooled connection before any byte of the
 // answer arrives (the peer closed it while idle) is sent once more on a
 // fresh one; every other failure is the call's. body is only read, and
@@ -136,15 +138,17 @@ var (
 
 // roundTrip sends the request on c and reads the answer. answered reports
 // that a byte of the answer arrived; reusable, that c ends exactly where
-// the answer does and may serve another exchange.
-func (x *exchange) roundTrip(ctx context.Context, c net.Conn, deadline time.Time) (r Reply, answered, reusable bool, err error) {
+// the answer does and may serve another exchange. A ctx that can end arms
+// c's watcher for the exchange and disarms it at the end; a watch that
+// fired has expired c's deadline, so c is not reused.
+func (x *exchange) roundTrip(ctx context.Context, c *watchedConn, deadline time.Time) (r Reply, answered, reusable bool, err error) {
 	if err = c.SetDeadline(deadline); err != nil {
 		return r, false, false, err
 	}
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() { _ = c.SetDeadline(expired) })
+	if done := ctx.Done(); done != nil {
+		c.arm <- done
 		defer func() {
-			if !stop() {
+			if <-c.disarm {
 				reusable = false
 			}
 		}()
@@ -319,6 +323,43 @@ func validHeaderValue(v string) bool {
 	return !strings.ContainsFunc(v, func(r rune) bool { return (r < ' ' && r != '\t') || r == 0x7f })
 }
 
+// watchedConn is a pooled connection and its watcher: one goroutine,
+// from the dial to Close, that expires the connection's deadline when the
+// context of the exchange on it ends. An exchange hands it its context's
+// Done channel (arm) and takes back whether the watch fired (disarm);
+// the watcher answers disarm only once it has stopped watching, so a late
+// end of one exchange's context never expires the connection under the
+// next.
+type watchedConn struct {
+	net.Conn
+	arm    chan (<-chan struct{})
+	disarm chan bool
+}
+
+func watch(c net.Conn) *watchedConn {
+	w := &watchedConn{Conn: c, arm: make(chan (<-chan struct{})), disarm: make(chan bool)}
+	go w.run()
+	return w
+}
+
+func (w *watchedConn) run() {
+	for done := range w.arm {
+		select {
+		case w.disarm <- false:
+		case <-done:
+			_ = w.Conn.SetDeadline(expired)
+			w.disarm <- true
+		}
+	}
+}
+
+// Close closes the connection and ends its watcher. It is called once,
+// by whoever holds the connection last.
+func (w *watchedConn) Close() error {
+	close(w.arm)
+	return w.Conn.Close()
+}
+
 // connPool keeps idle connections per peer, in the order they went idle:
 // get takes the newest, and sweep closes each once it has been idle for
 // idleTimeout. An idle connection holds no buffer.
@@ -329,7 +370,7 @@ type connPool struct {
 }
 
 type idleConn struct {
-	c     net.Conn
+	c     *watchedConn
 	since time.Time
 }
 
@@ -337,7 +378,7 @@ var conns = connPool{idle: map[string][]idleConn{}}
 
 // get returns an idle connection to host, or dials one when none is idle
 // or fresh is set; reused reports which.
-func (p *connPool) get(ctx context.Context, host string, fresh bool, deadline time.Time) (c net.Conn, reused bool, err error) {
+func (p *connPool) get(ctx context.Context, host string, fresh bool, deadline time.Time) (c *watchedConn, reused bool, err error) {
 	p.mu.Lock()
 	if list := p.idle[host]; !fresh && len(list) > 0 {
 		c = list[len(list)-1].c
@@ -352,12 +393,16 @@ func (p *connPool) get(ctx context.Context, host string, fresh bool, deadline ti
 		addr = net.JoinHostPort(host, "80")
 	}
 	d := net.Dialer{Deadline: deadline, KeepAlive: 30 * time.Second}
-	c, err = d.DialContext(ctx, "tcp", addr)
-	return c, false, err
+	nc, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, false, err
+	}
+	return watch(nc), false, nil
 }
 
 // put keeps c for the next exchange with host, or closes it when
-// maxIdlePerHost are already idle.
+// maxIdlePerHost are already idle. A connection get did not dial is
+// watched from here on.
 func (p *connPool) put(host string, c net.Conn) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -366,7 +411,11 @@ func (p *connPool) put(host string, c net.Conn) {
 		c.Close()
 		return
 	}
-	p.idle[host] = append(list, idleConn{c, time.Now()})
+	w, ok := c.(*watchedConn)
+	if !ok {
+		w = watch(c)
+	}
+	p.idle[host] = append(list, idleConn{w, time.Now()})
 	if !p.armed {
 		p.armed = true
 		time.AfterFunc(idleTimeout, p.sweep)

@@ -275,6 +275,200 @@ func TestExchangeCancelledMidBody(t *testing.T) {
 	}
 }
 
+// A context cancelled while an exchange on a reused connection waits for
+// the first byte of the answer ends it at once with context.Canceled: the
+// watcher's expired deadline is not a closed idle connection, so the
+// request is not sent again, and the connection is not pooled.
+func TestExchangeCancelledAwaitingAnswerOnReusedConn(t *testing.T) {
+	var requests, dials atomic.Int64
+	waiting, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	url := rawPeer(t, func(c net.Conn) {
+		dials.Add(1)
+		br := bufio.NewReader(c)
+		for {
+			if _, err := http.ReadRequest(br); err != nil {
+				return
+			}
+			if requests.Add(1) > 1 {
+				close(waiting)
+				<-release
+				return
+			}
+			_, _ = io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+		}
+	})
+	if _, err := Exchange(bg, http.MethodGet, url+"/readyz", nil, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(bg)
+	go func() {
+		<-waiting
+		cancel()
+	}()
+	start := time.Now()
+	_, err := Exchange(ctx, http.MethodGet, url+"/readyz", nil, "", "")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled exchange: %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("cancelled exchange returned after %v", d)
+	}
+	if r, d := requests.Load(), dials.Load(); r != 2 || d != 1 {
+		t.Errorf("the peer saw %d requests on %d connections, want 2 on 1", r, d)
+	}
+	if n := idleTo(url); n != 0 {
+		t.Errorf("%d connections pooled after a cancelled exchange", n)
+	}
+}
+
+// Exchanges whose contexts end just before, during or just after their
+// answer each fail with ctx.Err() or succeed, and none leaves a pooled
+// connection that a late watch expires under a later exchange: a batch
+// under context.Background() on the same pool then fails nothing. The
+// late watch needs a watcher that was slow to run, so there are more
+// callers than CPUs and five cancelled batches. Run under -race.
+func TestExchangeCancellationStress(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		_, _ = w.Write([]byte("<ok/>"))
+	}))
+	defer srv.Close()
+	const callers, calls = 16, 60
+	run := func(cancelled bool) (failed int64) {
+		var wg sync.WaitGroup
+		var n atomic.Int64
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				for j := 0; j < calls; j++ {
+					ctx, cancel := context.WithCancel(bg)
+					if cancelled {
+						switch (i + j) % 3 {
+						case 0:
+							cancel()
+						case 1:
+							time.AfterFunc(time.Duration(j%7)*20*time.Microsecond, cancel)
+						}
+					}
+					r, err := Exchange(ctx, http.MethodPost, srv.URL+"/query", []byte("q"), "r", "")
+					cancel()
+					switch {
+					case err == nil && string(r.Body) != "<ok/>":
+						t.Errorf("answer %q", r.Body)
+					case err != nil && (!cancelled || !errors.Is(err, context.Canceled)):
+						t.Errorf("caller %d call %d: %v", i, j, err)
+						n.Add(1)
+					}
+					r.Release()
+				}
+			}(i)
+		}
+		wg.Wait()
+		return n.Load()
+	}
+	for round := 0; round < 5; round++ {
+		run(true)
+	}
+	if n := run(false); n != 0 {
+		t.Errorf("%d of %d exchanges failed after the cancelled batch", n, callers*calls)
+	}
+}
+
+// No watcher outlives its connection: once the pool has closed every
+// connection it dialled (past maxIdlePerHost in put, on a failed
+// exchange, and idle in sweep), the goroutine count is back to where it
+// started.
+func TestExchangeWatchersEndWithTheirConnections(t *testing.T) {
+	base := runtime.NumGoroutine()
+	const callers = maxIdlePerHost + 8
+	var arrived atomic.Int64
+	all := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/bad" { // no framing: the exchange fails
+			conn, _, _ := w.(http.Hijacker).Hijack()
+			_, _ = io.WriteString(conn, "HTTP/1.1 200 OK\r\n\r\n")
+			conn.Close()
+			return
+		}
+		if arrived.Add(1) == callers {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(5 * time.Second):
+		}
+		_, _ = w.Write([]byte("<ok/>"))
+	}))
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithCancel(bg)
+			defer cancel()
+			if _, err := Exchange(ctx, http.MethodGet, srv.URL+"/readyz", nil, "", ""); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := idleTo(srv.URL); n != maxIdlePerHost {
+		t.Fatalf("%d idle connections after %d concurrent exchanges, want %d", n, callers, maxIdlePerHost)
+	}
+	if _, err := Exchange(bg, http.MethodGet, srv.URL+"/bad", nil, "", ""); err == nil {
+		t.Fatal("an unframed answer was accepted")
+	}
+	if n := idleTo(srv.URL); n != maxIdlePerHost-1 {
+		t.Fatalf("%d idle connections after a failed exchange, want %d", n, maxIdlePerHost-1)
+	}
+	conns.mu.Lock()
+	for _, list := range conns.idle {
+		for i := range list {
+			list[i].since = time.Now().Add(-idleTimeout)
+		}
+	}
+	conns.mu.Unlock()
+	conns.sweep()
+	srv.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after every connection closed, %d before", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// A pooled exchange under a context that can be cancelled allocates
+// exactly what the same exchange under context.Background() does: the
+// watch is two channel operations on the connection's own goroutine.
+func TestCancellableExchangeAllocatesNothingMore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the exchange's buffer pools drop Puts under the race detector")
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		_, _ = w.Write([]byte("<ok/>"))
+	}))
+	defer srv.Close()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(ctx context.Context) float64 {
+		return testing.AllocsPerRun(200, func() {
+			r, err := Exchange(ctx, http.MethodPost, srv.URL+"/query", []byte("q"), "r", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Release()
+		})
+	}
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	plain := allocs(bg)
+	if got := allocs(ctx); got != plain {
+		t.Errorf("a cancellable exchange allocates %v objects, a plain one %v", got, plain)
+	}
+}
+
 // A chunked answer is read whole, its trailer included, and leaves its
 // connection fit for the next exchange.
 func TestExchangeChunkedAnswer(t *testing.T) {
@@ -504,7 +698,8 @@ func TestReleasedBodyAliasesNothing(t *testing.T) {
 
 // BenchmarkExchange is one internal exchange against a net/http handler,
 // client and server side: a router-shaped POST /query answered with a
-// 300-byte Content-Length body, and a conditional POST answered 304.
+// 300-byte Content-Length body, the same POST under a context that can be
+// cancelled (as every hop's is), and a conditional POST answered 304.
 // Each reply's body is released, as the tier's callers release theirs.
 func BenchmarkExchange(b *testing.B) {
 	answer := bytes.Repeat([]byte("x"), 300)
@@ -523,14 +718,21 @@ func BenchmarkExchange(b *testing.B) {
 	if _, err := Exchange(bg, http.MethodPost, srv.URL+"/query", query, "dr-bench", ""); err != nil {
 		b.Fatal(err) // dial once, so even one iteration reads a pooled exchange
 	}
+	cancellable, cancel := context.WithCancel(bg)
+	defer cancel()
 	for _, bc := range []struct {
 		name, etag string
+		ctx        context.Context
 		status     int
-	}{{"post", "", http.StatusOK}, {"not-modified", `"tag"`, http.StatusNotModified}} {
+	}{
+		{"post", "", bg, http.StatusOK},
+		{"cancellable", "", cancellable, http.StatusOK},
+		{"not-modified", `"tag"`, bg, http.StatusNotModified},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := Exchange(bg, http.MethodPost, srv.URL+"/query", query, "dr-bench", bc.etag)
+				r, err := Exchange(bc.ctx, http.MethodPost, srv.URL+"/query", query, "dr-bench", bc.etag)
 				if err != nil || r.Status != bc.status {
 					b.Fatalf("%d, %v", r.Status, err)
 				}
